@@ -5,7 +5,10 @@
 // host behaviour, the one axis the virtual clock cannot see. The
 // contract (enforced by cmd/allocgate against ALLOC_budget.json in CI):
 // warm-cache-hit reads and stats allocate nothing; writes and
-// creates stay within a small fixed budget.
+// creates stay within a small fixed budget. Bento and ext4 also carry
+// two netstore-backend cells (cold 128 KiB reads, fsync'd 128 KiB
+// writes), which put the object tier's miss, copy-on-write and PUT
+// paths under the same budget.
 //
 // Run:
 //
@@ -19,6 +22,7 @@ package bento
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -39,10 +43,21 @@ var allocVariants = []string{
 	harness.VariantFUSE,
 }
 
-// allocTarget mounts a fresh variant for alloc measurement.
-func allocTarget(b *testing.B, variant string) (filebench.Target, *kernel.Task) {
+// allocNetVariants are the rows that also carry netstore-backend cells:
+// one Bento-stack and one native variant are enough to put the object
+// tier (GET/PUT booking, object cache, buffer hand-over) under the
+// budget without doubling the suite.
+var allocNetVariants = []string{
+	harness.VariantBento,
+	harness.VariantExt4,
+}
+
+// allocTarget mounts a fresh variant on the named storage backend for
+// alloc measurement.
+func allocTarget(b *testing.B, variant, backend string) (filebench.Target, *kernel.Task) {
 	b.Helper()
 	o := harness.Quick()
+	o.Backend = backend
 	tg, err := harness.NewTarget(variant, o)
 	if err != nil {
 		b.Fatal(err)
@@ -74,6 +89,10 @@ func BenchmarkAllocs(b *testing.B) {
 			b.Run("lookup", func(b *testing.B) { benchAllocLookup(b, variant) })
 			b.Run("write4k", func(b *testing.B) { benchAllocWrite(b, variant) })
 			b.Run("create", func(b *testing.B) { benchAllocCreate(b, variant) })
+			if slices.Contains(allocNetVariants, variant) {
+				b.Run("netread128k", func(b *testing.B) { benchAllocNetRead(b, variant) })
+				b.Run("netwrite128k", func(b *testing.B) { benchAllocNetWrite(b, variant) })
+			}
 		})
 	}
 }
@@ -81,7 +100,7 @@ func BenchmarkAllocs(b *testing.B) {
 // benchAllocRead measures warm-cache-hit 4K reads: every page of the
 // file is resident, so the loop exercises page-cache lookup + copy only.
 func benchAllocRead(b *testing.B, variant string) {
-	tg, task := allocTarget(b, variant)
+	tg, task := allocTarget(b, variant, harness.BackendLocal)
 	const pages = 256 // 1 MiB working file
 	warmFile(b, tg, task, "/readfile", pages)
 	f, err := tg.M.Open(task, "/readfile", fsapi.ORdonly)
@@ -107,7 +126,7 @@ func benchAllocRead(b *testing.B, variant string) {
 // benchAllocStat measures a warm stat: the dentry is cached and the
 // vnode resident, so the loop is dcache hit + GetAttr.
 func benchAllocStat(b *testing.B, variant string) {
-	tg, task := allocTarget(b, variant)
+	tg, task := allocTarget(b, variant, harness.BackendLocal)
 	warmFile(b, tg, task, "/statfile", 1)
 	if _, err := tg.M.Stat(task, "/statfile"); err != nil {
 		b.Fatal(err)
@@ -124,7 +143,7 @@ func benchAllocStat(b *testing.B, variant string) {
 // benchAllocLookup measures a warm multi-component path walk (three
 // dcache hits per op).
 func benchAllocLookup(b *testing.B, variant string) {
-	tg, task := allocTarget(b, variant)
+	tg, task := allocTarget(b, variant, harness.BackendLocal)
 	if err := tg.M.Mkdir(task, "/lkdir"); err != nil {
 		b.Fatal(err)
 	}
@@ -149,7 +168,7 @@ func benchAllocLookup(b *testing.B, variant string) {
 // lookup + copy + dirty tracking, plus the amortized background
 // write-back the dirty budget forces.
 func benchAllocWrite(b *testing.B, variant string) {
-	tg, task := allocTarget(b, variant)
+	tg, task := allocTarget(b, variant, harness.BackendLocal)
 	const pages = 256
 	warmFile(b, tg, task, "/writefile", pages)
 	f, err := tg.M.Open(task, "/writefile", fsapi.ORdwr)
@@ -180,7 +199,7 @@ func benchAllocWrite(b *testing.B, variant string) {
 // each file keeps the namespace and inode table at steady state no
 // matter how large b.N grows.
 func benchAllocCreate(b *testing.B, variant string) {
-	tg, task := allocTarget(b, variant)
+	tg, task := allocTarget(b, variant, harness.BackendLocal)
 	if err := tg.M.Mkdir(task, "/createdir"); err != nil {
 		b.Fatal(err)
 	}
@@ -212,6 +231,87 @@ func benchAllocCreate(b *testing.B, variant string) {
 		}
 		if err := tg.M.Unlink(task, p); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// netFileBytes is the netstore cells' working file: twice the object
+// cache (netstore.DefaultCacheObjects x 64 KiB = 4 MiB), so a sequential
+// pass cannot be served from it.
+const (
+	netIOBytes   = 128 << 10
+	netFileBytes = 8 << 20
+)
+
+// netFile mounts variant on the netstore backend and opens a
+// netFileBytes file whose every object already exists durably, so the
+// measured loop's PUTs replace objects instead of growing the store.
+func netFile(b *testing.B, variant string, flags int) (filebench.Target, *kernel.Task, *kernel.File) {
+	b.Helper()
+	tg, task := allocTarget(b, variant, harness.BackendNetstore)
+	warmFile(b, tg, task, "/netfile", netFileBytes/fsapi.PageSize)
+	if err := tg.M.Sync(task); err != nil {
+		b.Fatal(err)
+	}
+	f, err := tg.M.Open(task, "/netfile", flags)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tg, task, f
+}
+
+// benchAllocNetRead measures cold sequential 128 KiB reads on the
+// netstore backend: every cache above the wire is dropped before each
+// pass over the file (outside the timer), so every op GET-misses two
+// objects and the loop pays read-ahead, the fs block map, 32 backend
+// reads and the object tier's miss path.
+func benchAllocNetRead(b *testing.B, variant string) {
+	tg, task, f := netFile(b, variant, fsapi.ORdonly)
+	defer tg.M.Close(task, f)
+	buf := make([]byte, netIOBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var off int64
+	for i := 0; i < b.N; i++ {
+		if off == 0 {
+			b.StopTimer()
+			tg.M.DropCaches()
+			b.StartTimer()
+		}
+		if _, err := f.PRead(task, buf, off); err != nil {
+			b.Fatal(err)
+		}
+		if off += netIOBytes; off >= netFileBytes {
+			off = 0
+		}
+	}
+}
+
+// benchAllocNetWrite measures sequential 128 KiB overwrites on the
+// netstore backend with an fsync every 8 ops: write-back, the journal
+// commit, and below them read-modify-write GETs, copy-on-write, eviction
+// and flush PUTs over objects that already exist durably.
+func benchAllocNetWrite(b *testing.B, variant string) {
+	tg, task, f := netFile(b, variant, fsapi.ORdwr)
+	defer tg.M.Close(task, f)
+	buf := make([]byte, netIOBytes)
+	for i := range buf {
+		buf[i] = byte(i * 7)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var off int64
+	for i := 0; i < b.N; i++ {
+		if _, err := f.PWrite(task, buf, off); err != nil {
+			b.Fatal(err)
+		}
+		if i%8 == 7 {
+			if err := f.FSync(task); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if off += netIOBytes; off >= netFileBytes {
+			off = 0
 		}
 	}
 }

@@ -126,6 +126,20 @@ func (c *Core[E]) AppendDirtyKeys(dst []int64) []int64 {
 	return dst
 }
 
+// MinDirtyKey returns the smallest dirty key — DirtyKeys()[0] without
+// the slice or the sort, for callers that write back one victim at a
+// time. It reports false when nothing is dirty.
+func (c *Core[E]) MinDirtyKey() (int64, bool) {
+	var min int64
+	found := false
+	for key := range c.dirty {
+		if !found || key < min {
+			min, found = key, true
+		}
+	}
+	return min, found
+}
+
 // DirtyEntries returns the dirty entries in ascending key order.
 func (c *Core[E]) DirtyEntries() []E {
 	keys := c.DirtyKeys()

@@ -115,6 +115,53 @@ func TestCoreDirtySet(t *testing.T) {
 	}
 }
 
+// TestCoreMinDirtyKey: MinDirtyKey tracks the minimum of the dirty set
+// through marks, clears and removes, always agrees with DirtyKeys()[0],
+// and allocates nothing.
+func TestCoreMinDirtyKey(t *testing.T) {
+	var c Core[*ent]
+	if _, ok := c.MinDirtyKey(); ok {
+		t.Fatal("MinDirtyKey reported a key on an empty core")
+	}
+	rng := rand.New(rand.NewSource(3))
+	const keys = 48
+	for i := 0; i < keys; i++ {
+		c.Add(int64(i), &ent{val: i})
+	}
+	check := func(step int) {
+		t.Helper()
+		got, ok := c.MinDirtyKey()
+		want := c.DirtyKeys()
+		if ok != (len(want) > 0) {
+			t.Fatalf("step %d: MinDirtyKey ok = %v with %d dirty keys", step, ok, len(want))
+		}
+		if ok && got != want[0] {
+			t.Fatalf("step %d: MinDirtyKey = %d, DirtyKeys()[0] = %d", step, got, want[0])
+		}
+	}
+	for step := 0; step < 2000; step++ {
+		key := int64(rng.Intn(keys))
+		switch rng.Intn(3) {
+		case 0, 1:
+			c.MarkDirty(key)
+		default:
+			c.ClearDirty(key)
+		}
+		check(step)
+	}
+	c.ClearAllDirty()
+	check(-1)
+	c.MarkDirty(7)
+	c.MarkDirty(5)
+	c.Remove(5)
+	if got, ok := c.MinDirtyKey(); !ok || got != 7 {
+		t.Fatalf("after Remove(5): MinDirtyKey = %d, %v; want 7, true", got, ok)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.MinDirtyKey() }); n != 0 {
+		t.Fatalf("MinDirtyKey allocates %.1f per call, want 0", n)
+	}
+}
+
 func TestCoreRemoveClearsDirty(t *testing.T) {
 	var c Core[*ent]
 	c.Add(7, &ent{})

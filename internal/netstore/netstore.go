@@ -30,6 +30,13 @@
 // Backend crash contract, which is one-sided: flushed data must survive,
 // staged data may.
 //
+// Buffers. The wire is modeled, not the bytes, so no object-sized buffer
+// is allocated, cleared or copied on the steady-state path: a clean
+// cached object shares the durable buffer; PUT is a hand-over, not a
+// copy. The first staged write to a shared object copies it once into a
+// buffer from the Store's free list (copy-on-write); the ownership rules
+// that keep this safe are on Store.
+//
 // Determinism. Durable state and completion times are pure functions of
 // the call sequence: write-back iterates the dirty set in sorted key
 // order, eviction follows the recency list, and crash keep-decisions
@@ -39,8 +46,8 @@ package netstore
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"sort"
 
 	"bento/internal/blockdev"
 	"bento/internal/costmodel"
@@ -62,14 +69,15 @@ const DefaultObjectBlocks = 16
 const DefaultCacheObjects = 64
 
 // Config sizes the store. BlockSize and Blocks must match the owning
-// blockdev.Config geometry.
+// blockdev.Config geometry. New panics on a geometry it cannot serve.
 type Config struct {
 	Name      string
 	BlockSize int
 	Blocks    int
 	// Model supplies the Net* cost entries and NetChannels.
 	Model *costmodel.Model
-	// ObjectBlocks is blocks per object (DefaultObjectBlocks if 0).
+	// ObjectBlocks is blocks per object (DefaultObjectBlocks if 0; at
+	// most 64, the width of the per-object staged-block mask).
 	ObjectBlocks int
 	// CacheObjects is the cache capacity in objects (DefaultCacheObjects
 	// if 0).
@@ -81,11 +89,14 @@ type Config struct {
 }
 
 // object is one cached object: its full contents plus which of its
-// blocks are staged (written since last made durable).
+// blocks are staged (written since last made durable), one bit per block
+// index within the object. data is private to the object exactly while
+// dirty != 0; a clean object's data aliases the durable tier's buffer
+// (or the shared zero object) and is read-only.
 type object struct {
 	node  lru.Node
 	data  []byte
-	dirty map[int]struct{} // block index within the object
+	dirty uint64
 }
 
 func (o *object) LRUNode() *lru.Node { return &o.node }
@@ -93,6 +104,22 @@ func (o *object) LRUNode() *lru.Node { return &o.node }
 // Store implements blockdev.Backend over a simulated object store. The
 // Device front serializes all calls under its own mutex, so Store does
 // no locking of its own.
+//
+// Buffer ownership. Object buffers move between the durable map, cached
+// objects and a free list by pointer, under five rules:
+//
+//  1. A dirty object is never shared: its buffer is referenced by that
+//     object alone, so Crash's per-block copy into a durable buffer can
+//     never write through an alias.
+//  2. The zero object (what a never-stored object reads as) is never
+//     stored in durable and never written.
+//  3. ReadBlock only ever copies out of o.data.
+//  4. A buffer enters the free list only when neither durable nor any
+//     cached object references it: the durable buffer a PUT replaces,
+//     and the private buffer of a dirty object dropped by Crash.
+//  5. A free-list buffer is fully overwritten before use (the
+//     copy-on-write copy) or explicitly cleared (a fresh durable object
+//     in Crash).
 type Store struct {
 	name      string
 	blockSize int
@@ -104,6 +131,11 @@ type Store struct {
 	durable map[int64][]byte // object id → durable contents (sparse; absent = zeros)
 	cache   lru.Core[*object]
 	staged  int // staged-not-durable blocks across all cached objects
+
+	zero     []byte    // the shared contents of every never-stored object
+	freeBufs [][]byte  // unreferenced object buffers (rule 4)
+	freeObjs []*object // object structs of evicted, dropped and crashed objects
+	keys     []int64   // sorted-dirty-key scratch for Flush and Crash
 
 	res *vclock.Resource
 	rec *trace.Recorder
@@ -135,13 +167,27 @@ type Store struct {
 	breakerTrack  string
 }
 
-// New builds the object-store backend.
+// New builds the object-store backend. It panics on a configuration it
+// cannot serve — a geometry error is a programming error in the caller,
+// and failing here beats an index panic deep in SubmitBlock.
 func New(cfg Config) *Store {
-	if cfg.ObjectBlocks <= 0 {
+	if cfg.ObjectBlocks == 0 {
 		cfg.ObjectBlocks = DefaultObjectBlocks
 	}
-	if cfg.CacheObjects <= 0 {
+	if cfg.CacheObjects == 0 {
 		cfg.CacheObjects = DefaultCacheObjects
+	}
+	switch {
+	case cfg.Model == nil:
+		panic("netstore: nil cost model")
+	case cfg.BlockSize <= 0:
+		panic(fmt.Sprintf("netstore: bad block size %d", cfg.BlockSize))
+	case cfg.Blocks <= 0:
+		panic(fmt.Sprintf("netstore: bad block count %d", cfg.Blocks))
+	case cfg.ObjectBlocks < 1 || cfg.ObjectBlocks > 64:
+		panic(fmt.Sprintf("netstore: bad object size %d blocks (want 1..64)", cfg.ObjectBlocks))
+	case cfg.CacheObjects < 1:
+		panic(fmt.Sprintf("netstore: bad cache capacity %d objects", cfg.CacheObjects))
 	}
 	s := &Store{
 		name:      cfg.Name,
@@ -153,6 +199,7 @@ func New(cfg Config) *Store {
 		durable:   make(map[int64][]byte),
 		res:       vclock.NewResource(cfg.Name+":net", cfg.Model.NetChannels),
 	}
+	s.zero = make([]byte, s.objBytes)
 	s.laneTracks = make([]string, cfg.Model.NetChannels)
 	for i := range s.laneTracks {
 		s.laneTracks[i] = fmt.Sprintf("net#%02d", i)
@@ -163,6 +210,41 @@ func New(cfg Config) *Store {
 }
 
 var _ blockdev.Backend = (*Store)(nil)
+
+// takeBuf returns an unreferenced object buffer with arbitrary contents
+// (rule 5: the caller overwrites or clears all of it).
+func (s *Store) takeBuf() []byte {
+	if n := len(s.freeBufs); n > 0 {
+		buf := s.freeBufs[n-1]
+		s.freeBufs = s.freeBufs[:n-1]
+		return buf
+	}
+	return make([]byte, s.objBytes)
+}
+
+// newObject returns a clean object sharing data, recycling a released
+// struct when one is free.
+func (s *Store) newObject(data []byte) *object {
+	if n := len(s.freeObjs); n > 0 {
+		o := s.freeObjs[n-1]
+		s.freeObjs = s.freeObjs[:n-1]
+		o.data = data
+		return o
+	}
+	return &object{data: data}
+}
+
+// release recycles an object that has left the cache: always its
+// struct, and its buffer only when private (rule 4) — a clean object's
+// buffer still belongs to the durable tier.
+func (s *Store) release(o *object) {
+	if o.dirty != 0 {
+		s.freeBufs = append(s.freeBufs, o.data)
+	}
+	o.data, o.dirty = nil, 0
+	o.node.ResetForReuse()
+	s.freeObjs = append(s.freeObjs, o)
+}
 
 // get books one GET on the request channels and returns its completion.
 // Under the fault model it runs the full retry/hedge policy and can
@@ -178,10 +260,13 @@ func (s *Store) get(now, objID int64) (int64, error) {
 	return s.request(now, objID, svc, reqGet)
 }
 
-// put books one PUT on the request channels and, on success, copies the
-// object to the durable tier and returns the completion time. flushing
-// selects the durability-barrier policy profile (breaker bypass, high
-// attempt cap).
+// put books one PUT of the dirty cached object o on the request channels
+// and returns the completion time. On success the object's private
+// buffer becomes the durable contents by hand-over — o stays cached,
+// now clean and sharing it — and the buffer it replaces, which nothing
+// references any more, goes to the free list. On failure o stays dirty
+// and private. flushing selects the durability-barrier policy profile
+// (breaker bypass, high attempt cap).
 func (s *Store) put(now, objID int64, o *object, flushing bool) (int64, error) {
 	s.rec.Add(trace.CtrNetPuts, 1)
 	svc := int64(s.model.NetPut(s.objBytes))
@@ -202,29 +287,37 @@ func (s *Store) put(now, objID int64, o *object, flushing bool) (int64, error) {
 			return done, err
 		}
 	}
-	s.durable[objID] = append(make([]byte, 0, s.objBytes), o.data...)
+	if old, ok := s.durable[objID]; ok {
+		s.freeBufs = append(s.freeBufs, old)
+	}
+	s.durable[objID] = o.data
+	s.staged -= bits.OnesCount64(o.dirty)
+	o.dirty = 0
+	s.cache.ClearDirty(objID)
 	return done, nil
 }
 
 // load materializes objID in the cache from the durable tier, charging
-// the GET when the object has ever been stored. A never-written object
-// materializes as zeros without network traffic (the fresh-extent
-// optimization: an allocating write needs no read-modify-write fill,
-// and the client's extent map already knows the object cannot exist).
-// It returns the cached object and the fill's completion time (now when
-// no GET was needed). Under the fault model the GET can fail — degraded
-// fail-fast or retries exhausted — in which case nothing is cached.
+// the GET when the object has ever been stored; once the GET is booked
+// the fill is a pointer assignment — the cached object shares the
+// durable buffer. A never-written object shares the zero object without
+// network traffic (the fresh-extent optimization: an allocating write
+// needs no read-modify-write fill, and the client's extent map already
+// knows the object cannot exist). It returns the cached object and the
+// fill's completion time (now when no GET was needed). Under the fault
+// model the GET can fail — degraded fail-fast or retries exhausted — in
+// which case nothing is cached.
 func (s *Store) load(now, objID int64) (*object, int64, error) {
-	done := now
-	o := &object{data: make([]byte, s.objBytes), dirty: make(map[int]struct{})}
+	done, data := now, s.zero
 	if durable, ok := s.durable[objID]; ok {
-		copy(o.data, durable)
 		var err error
 		done, err = s.get(now, objID)
 		if err != nil {
 			return nil, done, err
 		}
+		data = durable
 	}
+	o := s.newObject(data)
 	s.insert(now, objID, o)
 	return o, done, nil
 }
@@ -237,10 +330,11 @@ func (s *Store) load(now, objID int64) (*object, int64, error) {
 // data a crash can lose, at the price of PUT traffic before any flush.
 func (s *Store) insert(now, objID int64, o *object) {
 	for s.cache.Len() >= s.cacheCap {
-		if _, ok := s.cache.EvictScan(nil); ok {
+		if evicted, ok := s.cache.EvictScan(nil); ok {
+			s.release(evicted)
 			continue
 		}
-		victim := s.cache.DirtyKeys()[0]
+		victim, _ := s.cache.MinDirtyKey()
 		vo, _ := s.cache.Peek(victim)
 		if _, err := s.put(now, victim, vo, false); err != nil {
 			// Degraded or retries exhausted: losing staged data is not
@@ -249,9 +343,6 @@ func (s *Store) insert(now, objID int64, o *object) {
 			break
 		}
 		s.rec.Add(trace.CtrNetEvictPuts, 1)
-		s.cache.ClearDirty(victim)
-		s.staged -= len(vo.dirty)
-		clear(vo.dirty)
 	}
 	s.cache.Add(objID, o)
 }
@@ -309,18 +400,26 @@ func (s *Store) SubmitBlock(now int64, blk int, buf []byte) (int64, error) {
 			return done, err
 		}
 	}
+	bit := uint64(1) << idx
 	if s.faulty && s.open {
-		if _, already := o.dirty[idx]; !already && s.staged >= s.degradedBound {
+		if o.dirty&bit == 0 && s.staged >= s.degradedBound {
 			return done, ErrWriteBound
 		}
 		s.rec.Add(trace.CtrNetDegraded, 1)
 	}
+	if o.dirty == 0 {
+		// First staged write to a shared object: copy it once into a
+		// private buffer (copy-on-write, rules 1 and 5).
+		private := s.takeBuf()
+		copy(private, o.data)
+		o.data = private
+		s.cache.MarkDirty(objID)
+	}
 	copy(o.data[idx*s.blockSize:(idx+1)*s.blockSize], buf)
-	if _, already := o.dirty[idx]; !already {
-		o.dirty[idx] = struct{}{}
+	if o.dirty&bit == 0 {
+		o.dirty |= bit
 		s.staged++
 	}
-	s.cache.MarkDirty(objID)
 	return done, nil
 }
 
@@ -332,14 +431,12 @@ func (s *Store) SubmitBlock(now int64, blk int, buf []byte) (int64, error) {
 // either completes or surfaces EIO with the un-PUT objects still
 // staged.
 func (s *Store) Flush(now int64) (int64, error) {
-	for _, objID := range s.cache.DirtyKeys() {
+	s.keys = s.cache.AppendDirtyKeys(s.keys[:0])
+	for _, objID := range s.keys {
 		o, _ := s.cache.Peek(objID)
 		if done, err := s.put(now, objID, o, true); err != nil {
 			return done, err
 		}
-		s.cache.ClearDirty(objID)
-		s.staged -= len(o.dirty)
-		clear(o.dirty)
 	}
 	done := s.res.AcquireSerial(now, int64(s.model.NetFlush()))
 	s.rec.Add(trace.CtrNetFlushes, 1)
@@ -357,34 +454,28 @@ func (s *Store) DirtyBlocks() int { return s.staged }
 // block in sorted order so the seed fully determines the outcome; the
 // cache (the volatile tier) empties.
 func (s *Store) Crash(keepFraction float64, seed int64) {
-	blks := make([]int, 0, s.staged)
-	byBlock := make(map[int]*object)
-	for _, objID := range s.cache.DirtyKeys() {
-		o, _ := s.cache.Peek(objID)
-		for idx := range o.dirty {
-			blk := int(objID)*s.objBlocks + idx
-			blks = append(blks, blk)
-			byBlock[blk] = o
-		}
-	}
 	// Same keep discipline as the local backend: sorted blocks under a
 	// seeded source, so a (seed, keepFraction) pair replays identically.
-	sort.Ints(blks)
+	// Sorted objects, each visited in ascending bit order, is sorted
+	// block order.
+	s.keys = s.cache.AppendDirtyKeys(s.keys[:0])
 	rng := rand.New(rand.NewSource(seed))
-	for _, blk := range blks {
-		if rng.Float64() < keepFraction {
-			objID := int64(blk / s.objBlocks)
-			idx := blk % s.objBlocks
-			durable, ok := s.durable[objID]
-			if !ok {
-				durable = make([]byte, s.objBytes)
-				s.durable[objID] = durable
+	for _, objID := range s.keys {
+		o, _ := s.cache.Peek(objID)
+		for m := o.dirty; m != 0; m &= m - 1 {
+			if rng.Float64() < keepFraction {
+				durable, ok := s.durable[objID]
+				if !ok {
+					durable = s.takeBuf()
+					clear(durable)
+					s.durable[objID] = durable
+				}
+				off := bits.TrailingZeros64(m) * s.blockSize
+				copy(durable[off:off+s.blockSize], o.data[off:off+s.blockSize])
 			}
-			o := byBlock[blk]
-			copy(durable[idx*s.blockSize:(idx+1)*s.blockSize], o.data[idx*s.blockSize:(idx+1)*s.blockSize])
 		}
 	}
-	s.cache.Clear()
+	s.cache.ClearFunc(s.release)
 	s.staged = 0
 	s.res.Reset()
 }
@@ -405,7 +496,7 @@ func (s *Store) SetRecorder(r *trace.Recorder) { s.rec = r }
 // DropCache implements blockdev.Backend: evict every clean cached
 // object so subsequent reads genuinely pay network cost again. Dirty
 // objects stay — staged data must survive a cache drop.
-func (s *Store) DropCache() { s.cache.DropClean() }
+func (s *Store) DropCache() { s.cache.DropCleanFunc(s.release) }
 
 // CacheLen reports resident objects (tests).
 func (s *Store) CacheLen() int { return s.cache.Len() }
