@@ -40,6 +40,13 @@ func (tt Type) Name() string {
 // Mount implements kernel.FileSystemType: start the daemon (opening the
 // disk file O_DIRECT) and attach the kernel driver to it.
 func (tt Type) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, error) {
+	if tt.Factory == nil {
+		return nil, fmt.Errorf("fuse: mount %q: nil Factory: %w", tt.Name(), fsapi.ErrInvalid)
+	}
+	if tt.DiskCacheBlocks < 0 {
+		return nil, fmt.Errorf("fuse: mount %q: negative DiskCacheBlocks %d: %w",
+			tt.Name(), tt.DiskCacheBlocks, fsapi.ErrInvalid)
+	}
 	fs := tt.Factory()
 	ud := NewUserDisk(dev, tt.DiskCacheBlocks)
 	if err := fs.Init(t, ud); err != nil {
@@ -52,11 +59,29 @@ func (tt Type) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, e
 // Session is the userspace daemon: it owns the hosted file system and
 // serves decoded requests one at a time (the single-threaded libfuse
 // loop). The gate serializes both host execution and virtual time.
+//
+// The Session also owns the transport's scratch — both wire buffers, the
+// daemon's payload buffer and the decoded request and reply — so a round
+// trip allocates nothing once they have grown. The gate is held around
+// the whole round trip and whoever holds it owns the scratch; the rules
+// (see the package comment): (1) nothing that aliases the scratch
+// outlives the gate, (2) a round trip is not re-entrant, (3) a gathered
+// WRITE is exactly total bytes, copied or zero-filled, (4) a reply
+// header is fully rewritten on every encode, (5) the hosted file
+// system's UserDisk is only ever reached under the gate.
 type Session struct {
 	fs core.FileSystem
 
 	mu     sync.Mutex
 	freeAt int64 // virtual time the daemon finishes its current request
+
+	// Transport scratch; guarded by mu.
+	reqWire []byte  // request as written to /dev/fuse
+	repWire []byte  // reply as written back
+	payload []byte  // daemon side: READ data, encoded dirents, statfs
+	req     Request // daemon side: decoded in place, Data aliases reqWire
+	rep     Reply   // daemon side: Data aliases payload
+	out     Reply   // kernel side: decoded in place, Data aliases repWire
 
 	requests atomic.Int64
 	bytesIn  atomic.Int64
@@ -69,101 +94,72 @@ func (s *Session) Requests() int64 { return s.requests.Load() }
 // FS exposes the hosted file system (tests).
 func (s *Session) FS() core.FileSystem { return s.fs }
 
-// dispatch decodes and executes one request on the daemon. Caller holds
-// the daemon gate.
-func (s *Session) dispatch(t *kernel.Task, req *Request) *Reply {
-	rep := &Reply{Unique: req.Unique}
-	fail := func(err error) *Reply {
-		rep.Errno = ErrnoFor(err)
-		return rep
-	}
-	ok := func(st fsapi.Stat) *Reply {
-		rep.Attr = StatToWire(st)
-		return rep
-	}
+// dispatch executes one decoded request on the daemon and fills rep,
+// resetting every field: a failed request's reply carries the errno and
+// nothing else. A payload goes into s.payload. Caller holds the daemon
+// gate.
+func (s *Session) dispatch(t *kernel.Task, req *Request, rep *Reply) {
+	*rep = Reply{Unique: req.Unique}
+	var st fsapi.Stat
+	var err error
 	switch req.Op {
 	case OpLookup:
-		st, err := s.fs.Lookup(t, fsapi.Ino(req.Nodeid), req.Name)
-		if err != nil {
-			return fail(err)
-		}
-		return ok(st)
+		st, err = s.fs.Lookup(t, fsapi.Ino(req.Nodeid), req.Name)
+		rep.Attr = StatToWire(st)
 	case OpGetAttr:
-		st, err := s.fs.GetAttr(t, fsapi.Ino(req.Nodeid))
-		if err != nil {
-			return fail(err)
-		}
-		return ok(st)
+		st, err = s.fs.GetAttr(t, fsapi.Ino(req.Nodeid))
+		rep.Attr = StatToWire(st)
 	case OpSetAttr:
-		if err := s.fs.SetAttr(t, fsapi.Ino(req.Nodeid), req.Off); err != nil {
-			return fail(err)
-		}
-		return rep
+		err = s.fs.SetAttr(t, fsapi.Ino(req.Nodeid), req.Off)
 	case OpCreate:
-		st, err := s.fs.Create(t, fsapi.Ino(req.Nodeid), req.Name)
-		if err != nil {
-			return fail(err)
-		}
-		return ok(st)
+		st, err = s.fs.Create(t, fsapi.Ino(req.Nodeid), req.Name)
+		rep.Attr = StatToWire(st)
 	case OpMkdir:
-		st, err := s.fs.Mkdir(t, fsapi.Ino(req.Nodeid), req.Name)
-		if err != nil {
-			return fail(err)
-		}
-		return ok(st)
+		st, err = s.fs.Mkdir(t, fsapi.Ino(req.Nodeid), req.Name)
+		rep.Attr = StatToWire(st)
 	case OpUnlink:
-		return fail(s.fs.Unlink(t, fsapi.Ino(req.Nodeid), req.Name))
+		err = s.fs.Unlink(t, fsapi.Ino(req.Nodeid), req.Name)
 	case OpRmdir:
-		return fail(s.fs.Rmdir(t, fsapi.Ino(req.Nodeid), req.Name))
+		err = s.fs.Rmdir(t, fsapi.Ino(req.Nodeid), req.Name)
 	case OpRename:
-		return fail(s.fs.Rename(t, fsapi.Ino(req.Nodeid), req.Name, fsapi.Ino(req.Target), req.Name2))
+		err = s.fs.Rename(t, fsapi.Ino(req.Nodeid), req.Name, fsapi.Ino(req.Target), req.Name2)
 	case OpLink:
-		st, err := s.fs.Link(t, fsapi.Ino(req.Target), fsapi.Ino(req.Nodeid), req.Name)
-		if err != nil {
-			return fail(err)
-		}
-		return ok(st)
+		st, err = s.fs.Link(t, fsapi.Ino(req.Target), fsapi.Ino(req.Nodeid), req.Name)
+		rep.Attr = StatToWire(st)
 	case OpOpen:
-		return fail(s.fs.Open(t, fsapi.Ino(req.Nodeid)))
+		err = s.fs.Open(t, fsapi.Ino(req.Nodeid))
 	case OpRelease:
-		return fail(s.fs.Release(t, fsapi.Ino(req.Nodeid)))
+		err = s.fs.Release(t, fsapi.Ino(req.Nodeid))
 	case OpRead:
-		buf := make([]byte, req.Size)
-		n, err := s.fs.Read(t, fsapi.Ino(req.Nodeid), req.Off, buf)
-		if err != nil {
-			return fail(err)
-		}
-		rep.Data = buf[:n]
-		return rep
+		var n int
+		s.payload = sized(s.payload, int(req.Size))
+		n, err = s.fs.Read(t, fsapi.Ino(req.Nodeid), req.Off, s.payload)
+		rep.Data = s.payload[:n]
 	case OpWrite:
-		n, err := s.fs.Write(t, fsapi.Ino(req.Nodeid), req.Off, req.Data)
-		if err != nil {
-			return fail(err)
-		}
+		var n int
+		n, err = s.fs.Write(t, fsapi.Ino(req.Nodeid), req.Off, req.Data)
 		rep.Attr.Size = int64(n)
-		return rep
 	case OpFsync:
-		return fail(s.fs.Fsync(t, fsapi.Ino(req.Nodeid), req.Flags != 0))
+		err = s.fs.Fsync(t, fsapi.Ino(req.Nodeid), req.Flags != 0)
 	case OpReadDir:
-		ents, err := s.fs.ReadDir(t, fsapi.Ino(req.Nodeid))
-		if err != nil {
-			return fail(err)
-		}
-		rep.Data = encodeDirents(ents)
-		return rep
+		var ents []fsapi.DirEntry
+		ents, err = s.fs.ReadDir(t, fsapi.Ino(req.Nodeid))
+		s.payload = appendDirents(s.payload[:0], ents)
+		rep.Data = s.payload
 	case OpStatFS:
-		st, err := s.fs.StatFS(t)
-		if err != nil {
-			return fail(err)
-		}
-		rep.Data = encodeFSStat(st)
-		return rep
+		var fst fsapi.FSStat
+		fst, err = s.fs.StatFS(t)
+		s.payload = appendFSStat(s.payload[:0], fst)
+		rep.Data = s.payload
 	case OpSyncFS:
-		return fail(s.fs.SyncFS(t))
+		err = s.fs.SyncFS(t)
 	case OpDestroy:
-		return fail(s.fs.Destroy(t))
+		err = s.fs.Destroy(t)
 	default:
-		return fail(fsapi.ErrNotSupported)
+		err = fsapi.ErrNotSupported
+	}
+	if err != nil {
+		*rep = Reply{Unique: req.Unique, Errno: ErrnoFor(err)}
 	}
 }
 
@@ -183,31 +179,21 @@ var (
 // Session exposes the daemon (tests and stats).
 func (d *Driver) Session() *Session { return d.sess }
 
-// opTraceNames maps opcodes to const span names so traced round-trips
-// never allocate (Opcode.String builds a map per call).
-var opTraceNames = [OpDestroy + 1]string{
-	OpLookup: "LOOKUP", OpGetAttr: "GETATTR", OpSetAttr: "SETATTR",
-	OpCreate: "CREATE", OpMkdir: "MKDIR", OpUnlink: "UNLINK",
-	OpRmdir: "RMDIR", OpRename: "RENAME", OpLink: "LINK",
-	OpOpen: "OPEN", OpRelease: "RELEASE", OpRead: "READ",
-	OpWrite: "WRITE", OpFsync: "FSYNC", OpReadDir: "READDIR",
-	OpStatFS: "STATFS", OpSyncFS: "SYNCFS", OpInit: "INIT", OpDestroy: "DESTROY",
-}
-
-func opTraceName(o Opcode) string {
-	if int(o) < len(opTraceNames) && opTraceNames[o] != "" {
-		return opTraceNames[o]
-	}
-	return "OP?"
-}
-
 // roundTrip carries one request to the daemon and back, charging the
 // transport costs the paper attributes to FUSE: marshaling, copies,
 // context switches, and daemon serialization. When traced, the whole
 // round-trip is one fuse-category span on the caller's track — the
 // userspace-crossing tax — with the stall behind the single-threaded
 // daemon nested inside it as "gate-wait".
-func (d *Driver) roundTrip(t *kernel.Task, req *Request) (*Reply, error) {
+//
+// The caller holds the daemon gate, which is what lets every step work
+// in the session's scratch. A WRITE's payload is gathered from pages
+// (exactly total bytes) straight into the request wire; a READ's reply
+// payload lands in dst, whose tail past the payload is zero-filled. The
+// returned Reply is the session's: it, and a Data not taken by dst, are
+// valid only until the gate is released.
+func (d *Driver) roundTrip(t *kernel.Task, req *Request, pages [][]byte, total int, dst []byte) (*Reply, error) {
+	s := d.sess
 	m := t.Model()
 	req.Unique = d.unique.Add(1)
 	rec := t.Rec()
@@ -218,53 +204,76 @@ func (d *Driver) roundTrip(t *kernel.Task, req *Request) (*Reply, error) {
 
 	// Kernel side: marshal, copy to the daemon, wake it.
 	t.Charge(m.FuseMsg)
-	wire := EncodeRequest(req)
-	t.Charge(m.Copy(len(wire)))
+	s.reqWire = encodeRequest(s.reqWire, req, pages, total)
+	wireLen := len(s.reqWire)
+	t.Charge(m.Copy(wireLen))
 	t.Charge(m.CtxSwitch)
-	d.sess.bytesIn.Add(int64(len(wire)))
+	s.bytesIn.Add(int64(wireLen))
 
-	// Daemon gate: single-threaded service in virtual time and host time.
-	d.sess.mu.Lock()
-	if d.sess.freeAt > t.Clk.NowNS() {
+	// Daemon: single-threaded service in virtual time and host time.
+	if s.freeAt > t.Clk.NowNS() {
 		if rec != nil {
-			rec.Span(t.Name, trace.CatFuse, "gate-wait", t.Clk.NowNS(), d.sess.freeAt)
+			rec.Span(t.Name, trace.CatFuse, "gate-wait", t.Clk.NowNS(), s.freeAt)
 		}
-		t.Clk.AdvanceTo(d.sess.freeAt)
+		t.Clk.AdvanceTo(s.freeAt)
 	}
-	dreq, err := DecodeRequest(wire)
-	var rep *Reply
-	if err != nil {
-		rep = &Reply{Unique: req.Unique, Errno: ErrnoFor(err)}
+	if err := decodeRequest(s.reqWire, &s.req); err != nil {
+		s.rep = Reply{Unique: req.Unique, Errno: ErrnoFor(err)}
 	} else {
-		d.sess.requests.Add(1)
+		s.requests.Add(1)
 		t.Charge(m.FuseMsg) // daemon-side parse/dispatch
-		rep = d.sess.dispatch(t, dreq)
+		s.dispatch(t, &s.req, &s.rep)
 	}
-	d.sess.freeAt = t.Clk.NowNS()
-	d.sess.mu.Unlock()
+	s.freeAt = t.Clk.NowNS()
 
 	// Reply path: marshal, copy back, wake the caller.
 	t.Charge(m.FuseMsg)
-	wireRep := EncodeReply(rep)
-	t.Charge(m.Copy(len(wireRep)))
+	s.repWire = encodeReply(s.repWire, &s.rep)
+	repLen := len(s.repWire)
+	t.Charge(m.Copy(repLen))
 	t.Charge(m.CtxSwitch)
-	d.sess.bytesOut.Add(int64(len(wireRep)))
+	s.bytesOut.Add(int64(repLen))
 	if rec != nil {
 		rec.SpanAB(t.Name, trace.CatFuse, opTraceName(req.Op), rtStart, t.Clk.NowNS(),
-			int64(len(wire)), int64(len(wireRep)))
+			int64(wireLen), int64(repLen))
 		rec.Add(trace.CtrFuseRequests, 1)
-		rec.Add(trace.CtrFuseBytesIn, int64(len(wire)))
-		rec.Add(trace.CtrFuseBytesOut, int64(len(wireRep)))
+		rec.Add(trace.CtrFuseBytesIn, int64(wireLen))
+		rec.Add(trace.CtrFuseBytesOut, int64(repLen))
 	}
 
-	out, err := DecodeReply(wireRep)
-	if err != nil {
+	out := &s.out
+	if err := decodeReply(s.repWire, out); err != nil {
 		return nil, err
 	}
 	if out.Errno != 0 {
-		return out, ErrFromErrno(out.Errno)
+		return nil, ErrFromErrno(out.Errno)
+	}
+	if dst != nil {
+		clear(dst[copy(dst, out.Data):])
+		out.Data = nil
 	}
 	return out, nil
+}
+
+// call is a round trip with no bulk payload either way: it takes the
+// gate and copies the reply's attributes out from under it.
+func (d *Driver) call(t *kernel.Task, req *Request) (WireAttr, error) {
+	d.sess.mu.Lock()
+	defer d.sess.mu.Unlock()
+	rep, err := d.roundTrip(t, req, nil, 0, nil)
+	if err != nil {
+		return WireAttr{}, err
+	}
+	return rep.Attr, nil
+}
+
+// stat is call for the requests answered with an inode's attributes.
+func (d *Driver) stat(t *kernel.Task, req *Request) (fsapi.Stat, error) {
+	attr, err := d.call(t, req)
+	if err != nil {
+		return fsapi.Stat{}, err
+	}
+	return attr.WireToStat(), nil
 }
 
 // Root implements kernel.FileSystem.
@@ -272,76 +281,59 @@ func (d *Driver) Root() fsapi.Ino { return fsapi.RootIno }
 
 // Lookup implements kernel.FileSystem.
 func (d *Driver) Lookup(t *kernel.Task, dir fsapi.Ino, name string) (fsapi.Stat, error) {
-	rep, err := d.roundTrip(t, &Request{Op: OpLookup, Nodeid: uint64(dir), Name: name})
-	if err != nil {
-		return fsapi.Stat{}, err
-	}
-	return rep.Attr.WireToStat(), nil
+	return d.stat(t, &Request{Op: OpLookup, Nodeid: uint64(dir), Name: name})
 }
 
 // GetAttr implements kernel.FileSystem.
 func (d *Driver) GetAttr(t *kernel.Task, ino fsapi.Ino) (fsapi.Stat, error) {
-	rep, err := d.roundTrip(t, &Request{Op: OpGetAttr, Nodeid: uint64(ino)})
-	if err != nil {
-		return fsapi.Stat{}, err
-	}
-	return rep.Attr.WireToStat(), nil
+	return d.stat(t, &Request{Op: OpGetAttr, Nodeid: uint64(ino)})
 }
 
 // SetSize implements kernel.FileSystem.
 func (d *Driver) SetSize(t *kernel.Task, ino fsapi.Ino, size int64) error {
-	_, err := d.roundTrip(t, &Request{Op: OpSetAttr, Nodeid: uint64(ino), Off: size})
+	_, err := d.call(t, &Request{Op: OpSetAttr, Nodeid: uint64(ino), Off: size})
 	return err
 }
 
 // Create implements kernel.FileSystem.
 func (d *Driver) Create(t *kernel.Task, dir fsapi.Ino, name string) (fsapi.Stat, error) {
-	rep, err := d.roundTrip(t, &Request{Op: OpCreate, Nodeid: uint64(dir), Name: name})
-	if err != nil {
-		return fsapi.Stat{}, err
-	}
-	return rep.Attr.WireToStat(), nil
+	return d.stat(t, &Request{Op: OpCreate, Nodeid: uint64(dir), Name: name})
 }
 
 // Mkdir implements kernel.FileSystem.
 func (d *Driver) Mkdir(t *kernel.Task, dir fsapi.Ino, name string) (fsapi.Stat, error) {
-	rep, err := d.roundTrip(t, &Request{Op: OpMkdir, Nodeid: uint64(dir), Name: name})
-	if err != nil {
-		return fsapi.Stat{}, err
-	}
-	return rep.Attr.WireToStat(), nil
+	return d.stat(t, &Request{Op: OpMkdir, Nodeid: uint64(dir), Name: name})
 }
 
 // Unlink implements kernel.FileSystem.
 func (d *Driver) Unlink(t *kernel.Task, dir fsapi.Ino, name string) error {
-	_, err := d.roundTrip(t, &Request{Op: OpUnlink, Nodeid: uint64(dir), Name: name})
+	_, err := d.call(t, &Request{Op: OpUnlink, Nodeid: uint64(dir), Name: name})
 	return err
 }
 
 // Rmdir implements kernel.FileSystem.
 func (d *Driver) Rmdir(t *kernel.Task, dir fsapi.Ino, name string) error {
-	_, err := d.roundTrip(t, &Request{Op: OpRmdir, Nodeid: uint64(dir), Name: name})
+	_, err := d.call(t, &Request{Op: OpRmdir, Nodeid: uint64(dir), Name: name})
 	return err
 }
 
 // Rename implements kernel.FileSystem.
 func (d *Driver) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.Ino, nname string) error {
-	_, err := d.roundTrip(t, &Request{Op: OpRename, Nodeid: uint64(odir), Name: oname, Target: uint64(ndir), Name2: nname})
+	_, err := d.call(t, &Request{Op: OpRename, Nodeid: uint64(odir), Name: oname, Target: uint64(ndir), Name2: nname})
 	return err
 }
 
 // Link implements kernel.FileSystem.
 func (d *Driver) Link(t *kernel.Task, ino fsapi.Ino, dir fsapi.Ino, name string) (fsapi.Stat, error) {
-	rep, err := d.roundTrip(t, &Request{Op: OpLink, Nodeid: uint64(dir), Target: uint64(ino), Name: name})
-	if err != nil {
-		return fsapi.Stat{}, err
-	}
-	return rep.Attr.WireToStat(), nil
+	return d.stat(t, &Request{Op: OpLink, Nodeid: uint64(dir), Target: uint64(ino), Name: name})
 }
 
-// ReadDir implements kernel.FileSystem.
+// ReadDir implements kernel.FileSystem. The listing is decoded under the
+// gate: its payload lives in the session's reply buffer.
 func (d *Driver) ReadDir(t *kernel.Task, dir fsapi.Ino) ([]fsapi.DirEntry, error) {
-	rep, err := d.roundTrip(t, &Request{Op: OpReadDir, Nodeid: uint64(dir)})
+	d.sess.mu.Lock()
+	defer d.sess.mu.Unlock()
+	rep, err := d.roundTrip(t, &Request{Op: OpReadDir, Nodeid: uint64(dir)}, nil, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -350,25 +342,23 @@ func (d *Driver) ReadDir(t *kernel.Task, dir fsapi.Ino) ([]fsapi.DirEntry, error
 
 // Open implements kernel.FileSystem.
 func (d *Driver) Open(t *kernel.Task, ino fsapi.Ino) error {
-	_, err := d.roundTrip(t, &Request{Op: OpOpen, Nodeid: uint64(ino)})
+	_, err := d.call(t, &Request{Op: OpOpen, Nodeid: uint64(ino)})
 	return err
 }
 
 // Release implements kernel.FileSystem.
 func (d *Driver) Release(t *kernel.Task, ino fsapi.Ino) error {
-	_, err := d.roundTrip(t, &Request{Op: OpRelease, Nodeid: uint64(ino)})
+	_, err := d.call(t, &Request{Op: OpRelease, Nodeid: uint64(ino)})
 	return err
 }
 
-// ReadPage implements kernel.FileSystem.
+// ReadPage implements kernel.FileSystem: the reply's payload is copied
+// from the session's reply buffer straight into the page.
 func (d *Driver) ReadPage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte) error {
-	rep, err := d.roundTrip(t, &Request{Op: OpRead, Nodeid: uint64(ino), Off: pg * fsapi.PageSize, Size: uint32(len(buf))})
-	if err != nil {
-		return err
-	}
-	n := copy(buf, rep.Data)
-	clear(buf[n:])
-	return nil
+	d.sess.mu.Lock()
+	defer d.sess.mu.Unlock()
+	_, err := d.roundTrip(t, &Request{Op: OpRead, Nodeid: uint64(ino), Off: pg * fsapi.PageSize, Size: uint32(len(buf))}, nil, 0, buf)
+	return err
 }
 
 // WritePage implements kernel.FileSystem.
@@ -377,7 +367,8 @@ func (d *Driver) WritePage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte, 
 }
 
 // WritePages implements kernel.BatchWriter: the FUSE writeback cache
-// batches dirty pages into WRITE requests of up to max_pages each.
+// batches dirty pages into WRITE requests of up to max_pages each, each
+// gathered from the pages straight into the request wire.
 func (d *Driver) WritePages(t *kernel.Task, ino fsapi.Ino, pg int64, pages [][]byte, newSize int64) error {
 	for start := 0; start < len(pages); start += maxWritePages {
 		end := start + maxWritePages
@@ -392,28 +383,27 @@ func (d *Driver) WritePages(t *kernel.Task, ino fsapi.Ino, pg int64, pages [][]b
 		if off+total > newSize {
 			total = newSize - off
 		}
-		data := make([]byte, total)
-		var copied int64
-		for _, p := range pages[start:end] {
-			if copied >= total {
-				break
-			}
-			n := int64(len(p))
-			if copied+n > total {
-				n = total - copied
-			}
-			copy(data[copied:], p[:n])
-			copied += n
-		}
-		rep, err := d.roundTrip(t, &Request{Op: OpWrite, Nodeid: uint64(ino), Off: off, Data: data})
+		written, err := d.write(t, ino, off, pages[start:end], int(total))
 		if err != nil {
 			return err
 		}
-		if rep.Attr.Size != total {
-			return fmt.Errorf("fuse: short write %d of %d: %w", rep.Attr.Size, total, fsapi.ErrIO)
+		if written != total {
+			return fmt.Errorf("fuse: short write %d of %d: %w", written, total, fsapi.ErrIO)
 		}
 	}
 	return nil
+}
+
+// write is one WRITE round trip of exactly total bytes gathered from
+// pages; it reports how many the daemon wrote.
+func (d *Driver) write(t *kernel.Task, ino fsapi.Ino, off int64, pages [][]byte, total int) (int64, error) {
+	d.sess.mu.Lock()
+	defer d.sess.mu.Unlock()
+	rep, err := d.roundTrip(t, &Request{Op: OpWrite, Nodeid: uint64(ino), Off: off}, pages, total, nil)
+	if err != nil {
+		return 0, err
+	}
+	return rep.Attr.Size, nil
 }
 
 // Fsync implements kernel.FileSystem.
@@ -422,19 +412,22 @@ func (d *Driver) Fsync(t *kernel.Task, ino fsapi.Ino, dataOnly bool) error {
 	if dataOnly {
 		fl = 1
 	}
-	_, err := d.roundTrip(t, &Request{Op: OpFsync, Nodeid: uint64(ino), Flags: fl})
+	_, err := d.call(t, &Request{Op: OpFsync, Nodeid: uint64(ino), Flags: fl})
 	return err
 }
 
 // Sync implements kernel.FileSystem.
 func (d *Driver) Sync(t *kernel.Task) error {
-	_, err := d.roundTrip(t, &Request{Op: OpSyncFS})
+	_, err := d.call(t, &Request{Op: OpSyncFS})
 	return err
 }
 
-// StatFS implements kernel.FileSystem.
+// StatFS implements kernel.FileSystem. Like ReadDir, the payload is
+// decoded under the gate.
 func (d *Driver) StatFS(t *kernel.Task) (fsapi.FSStat, error) {
-	rep, err := d.roundTrip(t, &Request{Op: OpStatFS})
+	d.sess.mu.Lock()
+	defer d.sess.mu.Unlock()
+	rep, err := d.roundTrip(t, &Request{Op: OpStatFS}, nil, 0, nil)
 	if err != nil {
 		return fsapi.FSStat{}, err
 	}
@@ -443,17 +436,16 @@ func (d *Driver) StatFS(t *kernel.Task) (fsapi.FSStat, error) {
 
 // Unmount implements kernel.FileSystem.
 func (d *Driver) Unmount(t *kernel.Task) error {
-	if _, err := d.roundTrip(t, &Request{Op: OpSyncFS}); err != nil {
+	if _, err := d.call(t, &Request{Op: OpSyncFS}); err != nil {
 		return err
 	}
-	_, err := d.roundTrip(t, &Request{Op: OpDestroy})
+	_, err := d.call(t, &Request{Op: OpDestroy})
 	return err
 }
 
 // --- payload codecs ---
 
-func encodeDirents(ents []fsapi.DirEntry) []byte {
-	var out []byte
+func appendDirents(out []byte, ents []fsapi.DirEntry) []byte {
 	var tmp [11]byte
 	for _, e := range ents {
 		binary.LittleEndian.PutUint64(tmp[0:], uint64(e.Ino))
@@ -465,6 +457,8 @@ func encodeDirents(ents []fsapi.DirEntry) []byte {
 	return out
 }
 
+// decodeDirents copies every name out of data, so the listing stays
+// valid after the buffer data aliases is reused.
 func decodeDirents(data []byte) ([]fsapi.DirEntry, error) {
 	var out []fsapi.DirEntry
 	for len(data) > 0 {
@@ -484,14 +478,12 @@ func decodeDirents(data []byte) ([]fsapi.DirEntry, error) {
 	return out, nil
 }
 
-func encodeFSStat(st fsapi.FSStat) []byte {
-	buf := make([]byte, 32)
+func appendFSStat(out []byte, st fsapi.FSStat) []byte {
 	le := binary.LittleEndian
-	le.PutUint64(buf[0:], uint64(st.TotalBlocks))
-	le.PutUint64(buf[8:], uint64(st.FreeBlocks))
-	le.PutUint64(buf[16:], uint64(st.TotalInodes))
-	le.PutUint64(buf[24:], uint64(st.FreeInodes))
-	return buf
+	out = le.AppendUint64(out, uint64(st.TotalBlocks))
+	out = le.AppendUint64(out, uint64(st.FreeBlocks))
+	out = le.AppendUint64(out, uint64(st.TotalInodes))
+	return le.AppendUint64(out, uint64(st.FreeInodes))
 }
 
 func decodeFSStat(data []byte) (fsapi.FSStat, error) {

@@ -41,48 +41,6 @@ func mountFuse(t *testing.T, model *costmodel.Model) (*kernel.Kernel, *kernel.Mo
 	return k, m, task, dev
 }
 
-func TestProtoRequestRoundTrip(t *testing.T) {
-	req := &fuse.Request{
-		Op: fuse.OpRename, Unique: 42, Nodeid: 7, Target: 9,
-		Off: 1 << 40, Size: 4096, Flags: 3,
-		Name: "old name", Name2: "new name", Data: []byte{1, 2, 3},
-	}
-	got, err := fuse.DecodeRequest(fuse.EncodeRequest(req))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Op != req.Op || got.Unique != req.Unique || got.Nodeid != req.Nodeid ||
-		got.Target != req.Target || got.Off != req.Off || got.Size != req.Size ||
-		got.Flags != req.Flags || got.Name != req.Name || got.Name2 != req.Name2 ||
-		!bytes.Equal(got.Data, req.Data) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, req)
-	}
-}
-
-func TestProtoReplyRoundTrip(t *testing.T) {
-	rep := &fuse.Reply{
-		Unique: 9, Errno: 2,
-		Attr: fuse.WireAttr{Ino: 12, Size: 12345, Nlink: 3, Kind: 2},
-		Data: []byte("payload"),
-	}
-	got, err := fuse.DecodeReply(fuse.EncodeReply(rep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Errno != 2 || got.Attr != rep.Attr || !bytes.Equal(got.Data, rep.Data) {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-}
-
-func TestProtoShortBuffersRejected(t *testing.T) {
-	if _, err := fuse.DecodeRequest([]byte{1, 2, 3}); err == nil {
-		t.Fatal("short request accepted")
-	}
-	if _, err := fuse.DecodeReply([]byte{1}); err == nil {
-		t.Fatal("short reply accepted")
-	}
-}
-
 func TestErrnoMappingRoundTrip(t *testing.T) {
 	for _, e := range []error{
 		fsapi.ErrNotExist, fsapi.ErrExist, fsapi.ErrNotDir, fsapi.ErrIsDir,

@@ -16,6 +16,31 @@
 // the paper's write-path results — a real device FLUSH whenever the
 // userspace file system needs durability, because fsync on the disk file
 // is the only ordering primitive userspace has.
+//
+// Those costs are virtual-time charges; they are the asymmetry the paper
+// measures. The host-side transport pays none of them: in steady state
+// one round trip allocates nothing. The Session owns the request wire
+// buffer, the reply wire buffer, the daemon's payload buffer and the
+// decoded Request/Reply structs, and the daemon gate (Session.mu) is
+// held around the whole round trip, so whoever holds the gate owns that
+// scratch. The ownership rules:
+//
+//  1. The scratch is valid only while the gate is held. Nothing that
+//     aliases it — Request.Data, the daemon's READ buffer, a reply
+//     payload — may be retained past Unlock: READ payloads are copied
+//     into the caller's page, READDIR and STATFS payloads are decoded
+//     under the gate, and names are copied out of the wire as strings
+//     because the hosted file system may keep them.
+//  2. A round trip is not re-entrant: the hosted file system reaches
+//     storage through UserDisk, never back through the Driver.
+//  3. A gathered WRITE puts exactly total bytes on the wire, copied from
+//     the kernel's pages or zero-filled — never bytes left over from an
+//     earlier, larger request.
+//  4. A reply header is fully rewritten, pad bytes included, on every
+//     encode.
+//  5. UserDisk is daemon-private: every call runs under the gate, or at
+//     mount before the Driver exists. That is what makes recycling an
+//     evicted block safe against BReadDirect's unpinned Peek.
 package fuse
 
 import (
@@ -51,17 +76,37 @@ const (
 	OpDestroy
 )
 
+// opTraceNames names every opcode; the table serves both Opcode.String
+// and the const span names of traced round trips.
+var opTraceNames = [OpDestroy + 1]string{
+	OpLookup: "LOOKUP", OpGetAttr: "GETATTR", OpSetAttr: "SETATTR",
+	OpCreate: "CREATE", OpMkdir: "MKDIR", OpUnlink: "UNLINK",
+	OpRmdir: "RMDIR", OpRename: "RENAME", OpLink: "LINK",
+	OpOpen: "OPEN", OpRelease: "RELEASE", OpRead: "READ",
+	OpWrite: "WRITE", OpFsync: "FSYNC", OpReadDir: "READDIR",
+	OpStatFS: "STATFS", OpSyncFS: "SYNCFS", OpInit: "INIT", OpDestroy: "DESTROY",
+}
+
+// opName returns the table's name for o, "" for an unknown opcode.
+func opName(o Opcode) string {
+	if o < Opcode(len(opTraceNames)) {
+		return opTraceNames[o]
+	}
+	return ""
+}
+
+// opTraceName is String with a const fallback, so a traced round trip
+// never allocates.
+func opTraceName(o Opcode) string {
+	if n := opName(o); n != "" {
+		return n
+	}
+	return "OP?"
+}
+
 // String names the opcode for diagnostics.
 func (o Opcode) String() string {
-	names := map[Opcode]string{
-		OpLookup: "LOOKUP", OpGetAttr: "GETATTR", OpSetAttr: "SETATTR",
-		OpCreate: "CREATE", OpMkdir: "MKDIR", OpUnlink: "UNLINK",
-		OpRmdir: "RMDIR", OpRename: "RENAME", OpLink: "LINK",
-		OpOpen: "OPEN", OpRelease: "RELEASE", OpRead: "READ",
-		OpWrite: "WRITE", OpFsync: "FSYNC", OpReadDir: "READDIR",
-		OpStatFS: "STATFS", OpSyncFS: "SYNCFS", OpInit: "INIT", OpDestroy: "DESTROY",
-	}
-	if n, ok := names[o]; ok {
+	if n := opName(o); n != "" {
 		return n
 	}
 	return fmt.Sprintf("OP(%d)", uint32(o))
@@ -69,7 +114,8 @@ func (o Opcode) String() string {
 
 // Request is one FUSE request as marshaled through /dev/fuse. Nodeid and
 // Target carry inode numbers; Name and Name2 carry path components; Off,
-// Size carry I/O geometry; Data carries write payloads.
+// Size carry I/O geometry; Data carries write payloads. After
+// decodeRequest, Data aliases the wire buffer it was decoded from.
 type Request struct {
 	Op     Opcode
 	Unique uint64
@@ -85,6 +131,7 @@ type Request struct {
 
 // Reply is the daemon's answer. Errno is 0 on success; Attr carries
 // stat-like payloads; Data carries read results or directory listings.
+// After decodeReply, Data aliases the wire buffer it was decoded from.
 type Reply struct {
 	Unique uint64
 	Errno  int32
@@ -112,9 +159,27 @@ func (w WireAttr) WireToStat() fsapi.Stat {
 
 const reqHeaderSize = 4 + 8 + 8 + 8 + 8 + 4 + 4 + 2 + 2 // fixed fields + name lengths
 
-// EncodeRequest marshals r into wire bytes.
-func EncodeRequest(r *Request) []byte {
-	buf := make([]byte, reqHeaderSize+len(r.Name)+len(r.Name2)+len(r.Data))
+// sized returns buf resliced to n bytes, reallocating only when its
+// capacity is too small. The contents are unspecified: every encoder
+// below overwrites all n bytes.
+func sized(buf []byte, n int) []byte {
+	if cap(buf) < n {
+		return make([]byte, n)
+	}
+	return buf[:n]
+}
+
+// encodeRequest marshals r into buf's storage (grown if needed) and
+// returns the wire bytes. The payload is r.Data, or — for a WRITE
+// gathered straight from the kernel's pages — exactly total bytes taken
+// from pages in order and zero-filled past their end. Every byte of the
+// result is written, so nothing of an earlier request survives in a
+// reused buffer.
+func encodeRequest(buf []byte, r *Request, pages [][]byte, total int) []byte {
+	if pages == nil {
+		total = len(r.Data)
+	}
+	buf = sized(buf, reqHeaderSize+len(r.Name)+len(r.Name2)+total)
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:], uint32(r.Op))
 	le.PutUint64(buf[4:], r.Unique)
@@ -128,44 +193,58 @@ func EncodeRequest(r *Request) []byte {
 	n := reqHeaderSize
 	n += copy(buf[n:], r.Name)
 	n += copy(buf[n:], r.Name2)
-	copy(buf[n:], r.Data)
+	if pages == nil {
+		copy(buf[n:], r.Data)
+		return buf
+	}
+	payload := buf[n:]
+	for _, p := range pages {
+		if len(payload) == 0 {
+			break
+		}
+		payload = payload[copy(payload, p):]
+	}
+	clear(payload)
 	return buf
 }
 
-// DecodeRequest unmarshals wire bytes into a request.
-func DecodeRequest(buf []byte) (*Request, error) {
-	if len(buf) < reqHeaderSize {
-		return nil, fmt.Errorf("fuse: short request (%d bytes): %w", len(buf), fsapi.ErrInvalid)
+// decodeRequest unmarshals wire into r in place: r.Data aliases wire and
+// is valid only as long as wire is. The names are copied out — the
+// hosted file system receives them as strings it may keep.
+func decodeRequest(wire []byte, r *Request) error {
+	if len(wire) < reqHeaderSize {
+		return fmt.Errorf("fuse: short request (%d bytes): %w", len(wire), fsapi.ErrInvalid)
 	}
 	le := binary.LittleEndian
-	r := &Request{
-		Op:     Opcode(le.Uint32(buf[0:])),
-		Unique: le.Uint64(buf[4:]),
-		Nodeid: le.Uint64(buf[12:]),
-		Target: le.Uint64(buf[20:]),
-		Off:    int64(le.Uint64(buf[28:])),
-		Size:   le.Uint32(buf[36:]),
-		Flags:  le.Uint32(buf[40:]),
-	}
-	n1 := int(le.Uint16(buf[44:]))
-	n2 := int(le.Uint16(buf[46:]))
-	rest := buf[reqHeaderSize:]
+	n1 := int(le.Uint16(wire[44:]))
+	n2 := int(le.Uint16(wire[46:]))
+	rest := wire[reqHeaderSize:]
 	if len(rest) < n1+n2 {
-		return nil, fmt.Errorf("fuse: truncated names: %w", fsapi.ErrInvalid)
+		return fmt.Errorf("fuse: truncated names: %w", fsapi.ErrInvalid)
 	}
-	r.Name = string(rest[:n1])
-	r.Name2 = string(rest[n1 : n1+n2])
+	*r = Request{
+		Op:     Opcode(le.Uint32(wire[0:])),
+		Unique: le.Uint64(wire[4:]),
+		Nodeid: le.Uint64(wire[12:]),
+		Target: le.Uint64(wire[20:]),
+		Off:    int64(le.Uint64(wire[28:])),
+		Size:   le.Uint32(wire[36:]),
+		Flags:  le.Uint32(wire[40:]),
+		Name:   string(rest[:n1]),
+		Name2:  string(rest[n1 : n1+n2]),
+	}
 	if len(rest) > n1+n2 {
-		r.Data = append([]byte(nil), rest[n1+n2:]...)
+		r.Data = rest[n1+n2:]
 	}
-	return r, nil
+	return nil
 }
 
 const repHeaderSize = 8 + 4 + 8 + 8 + 4 + 1 + 3 // unique, errno, attr, pad
 
-// EncodeReply marshals a reply.
-func EncodeReply(p *Reply) []byte {
-	buf := make([]byte, repHeaderSize+len(p.Data))
+// encodeReply marshals p into buf's storage (grown if needed) and
+// returns the wire bytes. The whole header is rewritten, pad included.
+func encodeReply(buf []byte, p *Reply) []byte {
+	buf = sized(buf, repHeaderSize+len(p.Data))
 	le := binary.LittleEndian
 	le.PutUint64(buf[0:], p.Unique)
 	le.PutUint32(buf[8:], uint32(p.Errno))
@@ -173,30 +252,32 @@ func EncodeReply(p *Reply) []byte {
 	le.PutUint64(buf[20:], uint64(p.Attr.Size))
 	le.PutUint32(buf[28:], p.Attr.Nlink)
 	buf[32] = p.Attr.Kind
+	clear(buf[33:repHeaderSize])
 	copy(buf[repHeaderSize:], p.Data)
 	return buf
 }
 
-// DecodeReply unmarshals a reply.
-func DecodeReply(buf []byte) (*Reply, error) {
-	if len(buf) < repHeaderSize {
-		return nil, fmt.Errorf("fuse: short reply (%d bytes): %w", len(buf), fsapi.ErrInvalid)
+// decodeReply unmarshals wire into p in place: p.Data aliases wire and
+// is valid only as long as wire is.
+func decodeReply(wire []byte, p *Reply) error {
+	if len(wire) < repHeaderSize {
+		return fmt.Errorf("fuse: short reply (%d bytes): %w", len(wire), fsapi.ErrInvalid)
 	}
 	le := binary.LittleEndian
-	p := &Reply{
-		Unique: le.Uint64(buf[0:]),
-		Errno:  int32(le.Uint32(buf[8:])),
+	*p = Reply{
+		Unique: le.Uint64(wire[0:]),
+		Errno:  int32(le.Uint32(wire[8:])),
 		Attr: WireAttr{
-			Ino:   le.Uint64(buf[12:]),
-			Size:  int64(le.Uint64(buf[20:])),
-			Nlink: le.Uint32(buf[28:]),
-			Kind:  buf[32],
+			Ino:   le.Uint64(wire[12:]),
+			Size:  int64(le.Uint64(wire[20:])),
+			Nlink: le.Uint32(wire[28:]),
+			Kind:  wire[32],
 		},
 	}
-	if len(buf) > repHeaderSize {
-		p.Data = append([]byte(nil), buf[repHeaderSize:]...)
+	if len(wire) > repHeaderSize {
+		p.Data = wire[repHeaderSize:]
 	}
-	return p, nil
+	return nil
 }
 
 // Errno codes carried on the wire, mapped to/from fsapi errors.

@@ -1,0 +1,333 @@
+package fuse
+
+import (
+	"bytes"
+	"errors"
+	"reflect"
+	"strings"
+	"testing"
+
+	"bento/internal/blockdev"
+	"bento/internal/core"
+	"bento/internal/costmodel"
+	"bento/internal/fsapi"
+	"bento/internal/kernel"
+	"bento/internal/vclock"
+	"bento/internal/xv6/bentoimpl"
+	"bento/internal/xv6/layout"
+)
+
+// newXv6Driver mounts the xv6 file system behind a raw Driver — no VFS,
+// no page cache — so a test sees exactly what crosses the transport.
+func newXv6Driver(t *testing.T) (*Driver, *kernel.Task) {
+	t.Helper()
+	model := costmodel.Fast()
+	dev := blockdev.MustNew(blockdev.Config{Blocks: 8192, Model: model})
+	if _, err := layout.Mkfs(vclock.NewClock(), dev, 512); err != nil {
+		t.Fatal(err)
+	}
+	task := kernel.New(model).NewTask("transport")
+	fs, err := Type{Factory: func() core.FileSystem {
+		return bentoimpl.New(bentoimpl.Config{Policy: bentoimpl.PolicyFlush})
+	}}.Mount(task, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs.(*Driver), task
+}
+
+func mustCreate(t *testing.T, d *Driver, task *kernel.Task, dir fsapi.Ino, name string) fsapi.Ino {
+	t.Helper()
+	st, err := d.Create(task, dir, name)
+	if err != nil {
+		t.Fatalf("create %q: %v", name, err)
+	}
+	return st.Ino
+}
+
+// page returns a page-cache page holding b repeated.
+func page(b byte) []byte { return bytes.Repeat([]byte{b}, fsapi.PageSize) }
+
+func TestMountValidation(t *testing.T) {
+	model := costmodel.Fast()
+	factory := func() core.FileSystem { return bentoimpl.New(bentoimpl.Config{}) }
+	for _, tc := range []struct {
+		name string
+		tt   Type
+		want string // substring of the error; "" means the mount succeeds
+	}{
+		{"nil factory", Type{}, "nil Factory"},
+		{"nil factory, named", Type{TypeName: "xv6fuse"}, `"xv6fuse"`},
+		{"negative cache", Type{Factory: factory, DiskCacheBlocks: -1}, "negative DiskCacheBlocks -1"},
+		{"default cache", Type{Factory: factory}, ""},
+		{"sized cache", Type{Factory: factory, DiskCacheBlocks: 64}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := blockdev.MustNew(blockdev.Config{Blocks: 8192, Model: model})
+			if _, err := layout.Mkfs(vclock.NewClock(), dev, 512); err != nil {
+				t.Fatal(err)
+			}
+			_, err := tc.tt.Mount(kernel.New(model).NewTask("mount"), dev)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("Mount: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.HasPrefix(err.Error(), "fuse: ") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Mount = %v, want a fuse: error mentioning %s", err, tc.want)
+			}
+			if !errors.Is(err, fsapi.ErrInvalid) {
+				t.Fatalf("Mount = %v, want ErrInvalid", err)
+			}
+		})
+	}
+}
+
+// TestWriteNeverCarriesAnEarlierRequest is rule 3 end to end: after a
+// 128 KiB WRITE has filled the request buffer with 0xAA, smaller WRITEs
+// to another file put on the wire only their own bytes — or zeros where
+// their pages run out before total.
+func TestWriteNeverCarriesAnEarlierRequest(t *testing.T) {
+	d, task := newXv6Driver(t)
+	big := mustCreate(t, d, task, fsapi.RootIno, "big")
+	pages := make([][]byte, maxWritePages)
+	for i := range pages {
+		pages[i] = page(0xAA)
+	}
+	if err := d.WritePages(task, big, 0, pages, maxWritePages*fsapi.PageSize); err != nil {
+		t.Fatal(err)
+	}
+
+	// One byte of a full page: the READ reply is one byte too, and the
+	// rest of the caller's page is zero-filled.
+	one := mustCreate(t, d, task, fsapi.RootIno, "one")
+	src := page(0xBB)
+	src[0] = 0x5B
+	if err := d.WritePages(task, one, 0, [][]byte{src}, 1); err != nil {
+		t.Fatal(err)
+	}
+	got := page(0xFF)
+	if err := d.ReadPage(task, one, 0, got); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, fsapi.PageSize)
+	want[0] = 0x5B
+	if !bytes.Equal(got, want) {
+		t.Fatalf("1-byte file reads back as %x..., want 5b then zeros", got[:8])
+	}
+
+	// A page shorter than total: the WRITE is still total bytes, the
+	// missing ones zeros — not the 0xAA the buffer held.
+	short := mustCreate(t, d, task, fsapi.RootIno, "short")
+	if err := d.WritePages(task, short, 0, [][]byte{{0x5C}}, fsapi.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	got = page(0xFF)
+	if err := d.ReadPage(task, short, 0, got); err != nil {
+		t.Fatal(err)
+	}
+	want[0] = 0x5C
+	if !bytes.Equal(got, want) {
+		i := bytes.IndexFunc(got[1:], func(r rune) bool { return r != 0 }) + 1
+		t.Fatalf("short-page WRITE stored %#x at byte %d, want 5c then zeros", got[i], i)
+	}
+}
+
+// TestReadsLandInTheirOwnPages: a READ's payload is copied into the
+// caller's page, never handed out as a view of the session's buffers —
+// a second READ must not change the first one's page.
+func TestReadsLandInTheirOwnPages(t *testing.T) {
+	d, task := newXv6Driver(t)
+	a := mustCreate(t, d, task, fsapi.RootIno, "a")
+	b := mustCreate(t, d, task, fsapi.RootIno, "b")
+	if err := d.WritePage(task, a, 0, page(0xA1), fsapi.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WritePage(task, b, 0, page(0xB2), fsapi.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	pa, pb := make([]byte, fsapi.PageSize), make([]byte, fsapi.PageSize)
+	if err := d.ReadPage(task, a, 0, pa); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ReadPage(task, b, 0, pb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pa, page(0xA1)) || !bytes.Equal(pb, page(0xB2)) {
+		t.Fatalf("after both READs: page a = %x..., page b = %x...", pa[:4], pb[:4])
+	}
+	if &pa[0] == &d.sess.repWire[repHeaderSize] || &pb[0] == &d.sess.repWire[repHeaderSize] {
+		t.Fatal("a caller's page aliases the reply buffer")
+	}
+}
+
+// TestReadDirSurvivesLaterRoundTrips is rule 1 for the payloads decoded
+// under the gate: a listing holds nothing of the reply buffer, so later
+// round trips that overwrite it do not change the listing.
+func TestReadDirSurvivesLaterRoundTrips(t *testing.T) {
+	d, task := newXv6Driver(t)
+	mkdir := func(name string, files ...string) fsapi.Ino {
+		st, err := d.Mkdir(task, fsapi.RootIno, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			mustCreate(t, d, task, st.Ino, f)
+		}
+		return st.Ino
+	}
+	d1 := mkdir("d1", "alpha", "beta")
+	d2 := mkdir("d2", "gamma", "delta")
+	// Grow the reply buffer past any listing first, so the round trips
+	// below reuse it rather than leave the first listing's bytes behind
+	// in an abandoned allocation.
+	f := mustCreate(t, d, task, fsapi.RootIno, "f")
+	if err := d.WritePage(task, f, 0, page(0x99), fsapi.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ReadPage(task, f, 0, make([]byte, fsapi.PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	names := func(ents []fsapi.DirEntry) []string {
+		var out []string
+		for _, e := range ents {
+			if e.Name != "." && e.Name != ".." {
+				out = append(out, e.Name)
+			}
+		}
+		return out
+	}
+
+	first, err := d.ReadDir(task, d1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := names(first); !reflect.DeepEqual(got, []string{"alpha", "beta"}) {
+		t.Fatalf("ReadDir(d1) = %v", got)
+	}
+	st, err := d.StatFS(task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := d.ReadDir(task, d2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := names(second); !reflect.DeepEqual(got, []string{"gamma", "delta"}) {
+		t.Fatalf("ReadDir(d2) = %v", got)
+	}
+	if got := names(first); !reflect.DeepEqual(got, []string{"alpha", "beta"}) {
+		t.Fatalf("first listing changed under later round trips: %v", got)
+	}
+	if again, err := d.StatFS(task); err != nil || again != st || st.TotalBlocks == 0 {
+		t.Fatalf("StatFS = %+v then %+v (%v)", st, again, err)
+	}
+}
+
+// TestShortReadZeroFillsPage: a READ that returns fewer bytes than asked
+// — the file ends inside the page, or before it — leaves no stale bytes
+// in the tail of the caller's page.
+func TestShortReadZeroFillsPage(t *testing.T) {
+	d, task := newXv6Driver(t)
+	f := mustCreate(t, d, task, fsapi.RootIno, "f")
+	if err := d.WritePage(task, f, 0, page(0x77), 100); err != nil {
+		t.Fatal(err)
+	}
+	got := page(0xFF)
+	if err := d.ReadPage(task, f, 0, got); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, fsapi.PageSize)
+	copy(want, page(0x77)[:100])
+	if !bytes.Equal(got, want) {
+		t.Fatalf("page over EOF: byte 99 = %#x, byte 100 = %#x, last = %#x", got[99], got[100], got[len(got)-1])
+	}
+	got = page(0xFF)
+	if err := d.ReadPage(task, f, 1, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, fsapi.PageSize)) {
+		t.Fatalf("page past EOF not zeroed: %x...", got[:4])
+	}
+}
+
+// TestErrnoReplyCarriesNoPayload: the reply to a failed request is the
+// header alone, even though the buffers still hold the page the previous
+// reply carried; and a failed READ leaves the caller's page untouched.
+func TestErrnoReplyCarriesNoPayload(t *testing.T) {
+	d, task := newXv6Driver(t)
+	f := mustCreate(t, d, task, fsapi.RootIno, "f")
+	if err := d.WritePage(task, f, 0, page(0x11), fsapi.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ReadPage(task, f, 0, make([]byte, fsapi.PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(d.sess.repWire); got != repHeaderSize+fsapi.PageSize {
+		t.Fatalf("READ reply is %d bytes", got)
+	}
+
+	out := d.sess.bytesOut.Load()
+	if _, err := d.Lookup(task, fsapi.RootIno, "missing"); !errors.Is(err, fsapi.ErrNotExist) {
+		t.Fatalf("Lookup(missing) = %v, want ErrNotExist", err)
+	}
+	if got := d.sess.bytesOut.Load() - out; got != repHeaderSize {
+		t.Fatalf("errno reply is %d bytes on the wire, want the %d-byte header", got, repHeaderSize)
+	}
+	if d.sess.rep.Data != nil || d.sess.rep.Attr != (WireAttr{}) || d.sess.rep.Errno == 0 {
+		t.Fatalf("errno reply carries more than the errno: %+v", d.sess.rep)
+	}
+
+	keep := page(0xEE)
+	if err := d.ReadPage(task, 9999, 0, keep); err == nil {
+		t.Fatal("READ of a free inode succeeded")
+	}
+	if !bytes.Equal(keep, page(0xEE)) {
+		t.Fatal("a failed READ wrote to the caller's page")
+	}
+}
+
+// partialFS fails every READ and GETATTR after producing part of an
+// answer, as a file system hitting a device error mid-operation does.
+type partialFS struct{ blockFS }
+
+func (fs *partialFS) Read(_ *kernel.Task, _ fsapi.Ino, _ int64, buf []byte) (int, error) {
+	return copy(buf, "partial"), fsapi.ErrIO
+}
+
+func (fs *partialFS) GetAttr(*kernel.Task, fsapi.Ino) (fsapi.Stat, error) {
+	return fsapi.Stat{Ino: 7, Size: 7, Nlink: 7}, fsapi.ErrStale
+}
+
+// TestFailedRequestRepliesWithErrnoOnly: whatever the hosted file system
+// produced before it failed stays in the daemon — the reply is the
+// header with the errno, no attributes and no payload.
+func TestFailedRequestRepliesWithErrnoOnly(t *testing.T) {
+	model := costmodel.Fast()
+	dev := blockdev.MustNew(blockdev.Config{Blocks: 64, Model: model})
+	task := kernel.New(model).NewTask("transport")
+	fs, err := Type{Factory: func() core.FileSystem { return &partialFS{} }}.Mount(task, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := fs.(*Driver)
+
+	out := d.sess.bytesOut.Load()
+	keep := page(0xEE)
+	if err := d.ReadPage(task, 1, 0, keep); !errors.Is(err, fsapi.ErrIO) {
+		t.Fatalf("ReadPage = %v, want ErrIO", err)
+	}
+	if got := d.sess.bytesOut.Load() - out; got != repHeaderSize {
+		t.Fatalf("failed READ replied with %d bytes, want the %d-byte header", got, repHeaderSize)
+	}
+	if !bytes.Equal(keep, page(0xEE)) {
+		t.Fatal("a failed READ wrote to the caller's page")
+	}
+	if _, err := d.GetAttr(task, 1); !errors.Is(err, fsapi.ErrStale) {
+		t.Fatalf("GetAttr = %v, want ErrStale", err)
+	}
+	if d.sess.out.Attr != (WireAttr{}) || d.sess.out.Data != nil {
+		t.Fatalf("failed GETATTR replied with %+v", d.sess.out)
+	}
+}

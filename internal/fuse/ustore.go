@@ -18,6 +18,12 @@ import (
 // requires fsync of the whole disk file — a full device FLUSH. It keeps
 // a user-level buffer cache, as the paper's Rust FUSE xv6 did, built on
 // the same O(1) intrusive-LRU infrastructure as the kernel buffer cache.
+//
+// A UserDisk is private to its daemon: every call runs under the
+// Session's gate, or at mount before the Driver exists. A miss on a full
+// cache therefore recycles the clean, unpinned block the LRU just
+// evicted instead of allocating a new one — nobody can still be looking
+// at it, not even BReadDirect's unpinned Peek.
 type UserDisk struct {
 	dev *blockdev.Device
 
@@ -74,8 +80,16 @@ func (ud *UserDisk) get(t *kernel.Task, blk int, fill bool) (bentoks.Buffer, err
 		return nil, fmt.Errorf("userdisk: block %d: %w", blk, fsapi.ErrInvalid)
 	}
 	t.Charge(t.Model().BufferCacheLookup)
-	b, hit := ud.cache.GetOrInsert(int64(blk), func() *ubuf {
-		nb := &ubuf{ud: ud, data: make([]byte, ud.dev.BlockSize())}
+	b, hit := ud.cache.GetOrInsert(int64(blk), func(nb *ubuf, recycled bool) *ubuf {
+		if recycled {
+			nb.node.ResetForReuse()
+			nb.FillState.Reset()
+			if !fill {
+				clear(nb.data) // BReadNoFill hands out zeros, as the make below does
+			}
+		} else {
+			nb = &ubuf{ud: ud, data: make([]byte, ud.dev.BlockSize())}
+		}
 		nb.BeginFill() // published locked; unlocked once the fill resolves
 		return nb
 	})
@@ -95,6 +109,7 @@ func (ud *UserDisk) get(t *kernel.Task, blk int, fill bool) (bentoks.Buffer, err
 		t.Charge(t.Model().Copy(len(b.data)))
 		start := t.Clk.NowNS()
 		if err := ud.dev.Read(t.Clk, blk, b.data); err != nil {
+			// Dropped, and so never recycled: only LRU victims are.
 			ud.cache.Drop(int64(blk))
 			b.FailFill(err)
 			return nil, err

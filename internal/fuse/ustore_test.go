@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"bento/internal/blockdev"
 	"bento/internal/costmodel"
@@ -202,5 +203,236 @@ func TestUserDiskDirectIO(t *testing.T) {
 	}
 	if got[0] != 0xEE {
 		t.Fatal("direct read missed the dirty cached copy")
+	}
+}
+
+// fillDevice gives every block of the device distinct, non-zero contents
+// (block b is filled with byte(b)+1).
+func fillDevice(t *testing.T, ud *UserDisk, task *kernel.Task, blocks int) {
+	t.Helper()
+	buf := make([]byte, ud.BlockSize())
+	for blk := 0; blk < blocks; blk++ {
+		for i := range buf {
+			buf[i] = byte(blk) + 1
+		}
+		if err := ud.dev.Write(task.Clk, blk, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestUserDiskRecyclesVictim: a miss on a full cache reuses the evicted
+// block's memory under its new key, BReadNoFill hands it out zeroed
+// (the allocation it replaces did), and BRead fills it.
+func TestUserDiskRecyclesVictim(t *testing.T) {
+	ud, task := newTestUserDisk(t, 4)
+	fillDevice(t, ud, task, 16)
+	var resident []*ubuf
+	for blk := 0; blk < 4; blk++ {
+		b, err := ud.BRead(task, blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resident = append(resident, b.(*ubuf))
+		if err := b.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	b, err := ud.BReadNoFill(task, 9) // evicts block 0, the LRU tail
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.(*ubuf) != resident[0] {
+		t.Fatal("the miss allocated instead of recycling the evicted block")
+	}
+	if b.BlockNo() != 9 || b.(*ubuf).node.Refs() != 1 || b.(*ubuf).node.Dirty() {
+		t.Fatalf("recycled block: no %d refs %d dirty %v", b.BlockNo(), b.(*ubuf).node.Refs(), b.(*ubuf).node.Dirty())
+	}
+	data, _ := b.Data()
+	for i, c := range data {
+		if c != 0 {
+			t.Fatalf("BReadNoFill on a recycled block: byte %d = %#x, want zeros", i, c)
+		}
+	}
+	if err := b.Release(); err != nil {
+		t.Fatal(err)
+	}
+
+	b, err = ud.BRead(task, 10) // evicts block 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.(*ubuf) != resident[1] {
+		t.Fatal("the second miss did not recycle block 1's memory")
+	}
+	data, _ = b.Data()
+	if data[0] != 11 || data[len(data)-1] != 11 {
+		t.Fatalf("recycled block filled with %#x, want block 10's contents", data[0])
+	}
+	if err := b.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ud.cache.Peek(0); ok {
+		t.Fatal("block 0 still resident after its memory was recycled")
+	}
+}
+
+// TestUserDiskChurn: many times the cache's capacity in misses, each
+// block modified and written back through a recycled buffer — every
+// block still reads what was last written, and the cache never holds
+// more memory than its capacity.
+func TestUserDiskChurn(t *testing.T) {
+	const capacity, blocks = 8, 64 // 8x the cache per pass
+	ud, task := newTestUserDisk(t, capacity)
+	fillDevice(t, ud, task, blocks)
+	seen := make(map[*ubuf]bool)
+	for pass := 1; pass <= 2; pass++ {
+		for blk := 0; blk < blocks; blk++ {
+			b, err := ud.BRead(task, blk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen[b.(*ubuf)] = true
+			data, _ := b.Data()
+			if want := byte(blk) + byte(pass); data[0] != want || data[len(data)-1] != want {
+				t.Fatalf("pass %d: block %d reads %#x, want %#x", pass, blk, data[0], want)
+			}
+			for i := range data {
+				data[i]++
+			}
+			if err := b.MarkDirty(); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.WriteSync(task); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Release(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(seen) != capacity {
+		t.Fatalf("%d distinct buffers served %d misses, want the cache's %d", len(seen), 2*blocks, capacity)
+	}
+	if st := ud.Stats(); st.Misses != 2*blocks || st.Evictions != 2*blocks-capacity {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestUserDiskFailedFillNotRecycled: a block whose pread failed is
+// dropped — it took a victim's memory with it, and the next miss gets a
+// fresh block rather than one whose fill state says "failed".
+func TestUserDiskFailedFillNotRecycled(t *testing.T) {
+	ud, task := newTestUserDisk(t, 2)
+	fillDevice(t, ud, task, 8)
+	var first *ubuf
+	for blk := 0; blk < 2; blk++ {
+		b, err := ud.BRead(task, blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blk == 0 {
+			first = b.(*ubuf)
+		}
+		if err := b.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ud.dev.InjectReadError(5)
+	if _, err := ud.BRead(task, 5); !errors.Is(err, blockdev.ErrIO) {
+		t.Fatalf("BRead(5) = %v, want ErrIO", err)
+	}
+	ud.dev.ClearFaults()
+	if keys := ud.cache.Keys(); len(keys) != 1 || keys[0] != 1 {
+		t.Fatalf("resident after the failed fill: %v, want [1]", keys)
+	}
+	for _, blk := range []int{0, 5} {
+		b, err := ud.BRead(task, blk)
+		if err != nil {
+			t.Fatalf("BRead(%d) after the failed fill: %v", blk, err)
+		}
+		if blk == 0 && b.(*ubuf) == first {
+			t.Fatal("the block whose fill failed was handed out again")
+		}
+		data, _ := b.Data()
+		if data[0] != byte(blk)+1 {
+			t.Fatalf("block %d reads %#x", blk, data[0])
+		}
+		if err := b.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// gatedBackend holds reads of one block at a gate, so a test can look at
+// the cache while that block's fill is in flight.
+type gatedBackend struct {
+	blockdev.Backend
+	blk     int
+	entered chan struct{} // closed once the gated read has arrived
+	proceed chan struct{} // close to let it through
+}
+
+func (g *gatedBackend) ReadBlock(now int64, blk int, buf []byte) (int64, error) {
+	if blk == g.blk {
+		close(g.entered)
+		<-g.proceed
+	}
+	return g.Backend.ReadBlock(now, blk, buf)
+}
+
+// TestUserDiskRecycledBlockBlocksHitters: a recycled block is published
+// unfilled, like a new one — a hitter that finds it mid-fill waits for
+// the pread instead of reading the evicted block's bytes.
+func TestUserDiskRecycledBlockBlocksHitters(t *testing.T) {
+	model := costmodel.Default()
+	gate := &gatedBackend{
+		Backend: blockdev.NewLocalBackend("gated", 4096, model),
+		blk:     7, entered: make(chan struct{}), proceed: make(chan struct{}),
+	}
+	dev := blockdev.MustNew(blockdev.Config{Blocks: 64, Model: model, Backend: gate})
+	k := kernel.New(model)
+	ud, task := NewUserDisk(dev, 1), k.NewTask("filler")
+	fillDevice(t, ud, task, 8)
+	b, err := ud.BRead(task, 0) // the block the miss below recycles
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Release(); err != nil {
+		t.Fatal(err)
+	}
+
+	read7 := func(name string, got chan<- byte) {
+		b, err := ud.BRead(k.NewTask(name), 7)
+		if err != nil {
+			t.Errorf("%s: BRead(7): %v", name, err)
+			close(got)
+			return
+		}
+		data, _ := b.Data()
+		got <- data[0]
+		if err := b.Release(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	filler, hitter := make(chan byte, 1), make(chan byte, 1)
+	go read7("filler", filler)
+	<-gate.entered // block 7 is published in block 0's memory, pread in flight
+	go read7("hitter", hitter)
+	// The hitter cannot return before the fill resolves. The timer only
+	// bounds how long a broken cache gets to show itself; it never fails
+	// a correct one.
+	select {
+	case c := <-hitter:
+		t.Fatalf("hitter returned mid-fill with %#x (block 0's bytes are %#x)", c, 1)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate.proceed)
+	if c := <-filler; c != 8 {
+		t.Fatalf("filler read %#x, want block 7's %#x", c, 8)
+	}
+	if c := <-hitter; c != 8 {
+		t.Fatalf("hitter read %#x, want block 7's %#x", c, 8)
 	}
 }

@@ -121,7 +121,9 @@ func (bc *BufferCache) get(t *Task, blk int, read bool) (*BufferHead, error) {
 	}
 	t.Charge(bc.model.BufferCacheLookup)
 
-	b, hit := bc.cache.GetOrInsert(int64(blk), func() *BufferHead {
+	// The evicted buffer is not recycled: an unpinned Peek from another
+	// task may still be copying out of it.
+	b, hit := bc.cache.GetOrInsert(int64(blk), func(*BufferHead, bool) *BufferHead {
 		nb := &BufferHead{bc: bc, data: make([]byte, bc.dev.BlockSize())}
 		nb.BeginFill() // published locked; unlocked once the fill resolves
 		return nb

@@ -60,9 +60,13 @@ func (c *Cache[E]) shard(key int64) *cacheShard[E] {
 // incremented, creating it with mk on a miss. On a miss the shard evicts
 // clean, unpinned entries in LRU order until under capacity (entries
 // stay resident while everything is pinned or dirty), then inserts the
-// new entry with one reference. mk runs under the shard lock and must
-// only allocate.
-func (c *Cache[E]) GetOrInsert(key int64, mk func() E) (e E, hit bool) {
+// new entry with one reference. mk receives the entry that eviction just
+// unlinked (the last one, if the cache was overflowed and several went)
+// and may return it reset instead of allocating; evicted is false when
+// nothing was evicted. A victim is unpinned, so only a caller of Peek
+// could still be reading it. mk runs under the shard lock and must only
+// allocate or reset.
+func (c *Cache[E]) GetOrInsert(key int64, mk func(victim E, evicted bool) E) (e E, hit bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	if e, ok := s.core.Get(key); ok {
@@ -72,13 +76,17 @@ func (c *Cache[E]) GetOrInsert(key int64, mk func() E) (e E, hit bool) {
 		return e, true
 	}
 	s.misses++
+	var victim E
+	evicted := false
 	for s.core.Len() >= c.shardCap {
-		if _, ok := s.core.EvictScan(nil); !ok {
+		v, ok := s.core.EvictScan(nil)
+		if !ok {
 			break
 		}
 		s.evictions++
+		victim, evicted = v, true
 	}
-	e = mk()
+	e = mk(victim, evicted)
 	e.LRUNode().refs.Store(1)
 	s.core.Add(key, e)
 	s.mu.Unlock()

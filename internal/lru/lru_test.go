@@ -234,7 +234,7 @@ func TestCoreDropClean(t *testing.T) {
 
 func TestCacheCapacityAndStats(t *testing.T) {
 	c := New[*ent](2, 1)
-	mk := func(v int) func() *ent { return func() *ent { return &ent{val: v} } }
+	mk := func(v int) func(*ent, bool) *ent { return func(*ent, bool) *ent { return &ent{val: v} } }
 	for i := 0; i < 3; i++ {
 		if _, hit := c.GetOrInsert(int64(i), mk(i)); hit {
 			t.Fatalf("unexpected hit for %d", i)
@@ -253,9 +253,70 @@ func TestCacheCapacityAndStats(t *testing.T) {
 	}
 }
 
+// TestCacheGetOrInsertHandsOverVictim: mk sees exactly the entry the
+// miss evicted — unlinked, unpinned, clean — and nothing when the cache
+// had room, the evictable entries were all pinned or dirty, or the key
+// hit. A recycled victim is resident under its new key only.
+func TestCacheGetOrInsertHandsOverVictim(t *testing.T) {
+	c := New[*ent](2, 1)
+	var got []*ent // every victim mk was handed
+	mk := func(v int) func(*ent, bool) *ent {
+		return func(victim *ent, evicted bool) *ent {
+			if !evicted {
+				if victim != nil {
+					t.Errorf("victim %v without an eviction", victim)
+				}
+				return &ent{val: v}
+			}
+			if victim.node.Refs() != 0 || victim.node.Dirty() || victim.node.next != nil {
+				t.Errorf("victim %d is pinned, dirty or still linked", victim.val)
+			}
+			got = append(got, victim)
+			victim.node.ResetForReuse()
+			victim.val = v
+			return victim
+		}
+	}
+	e0, _ := c.GetOrInsert(0, mk(0))
+	e1, _ := c.GetOrInsert(1, mk(1))
+	if len(got) != 0 {
+		t.Fatalf("victims while the cache had room: %v", got)
+	}
+	// Everything pinned: the cache overflows and there is no victim.
+	e2, _ := c.GetOrInsert(2, mk(2))
+	if len(got) != 0 || c.Len() != 3 {
+		t.Fatalf("pinned entry evicted: victims %v, len %d", got, c.Len())
+	}
+	c.Release(e0)
+	c.Release(e1)
+	c.Release(e2)
+	if e, hit := c.GetOrInsert(2, mk(-1)); !hit || len(got) != 0 {
+		t.Fatalf("hit ran mk: hit=%v victims %v", hit, got)
+	} else {
+		c.Release(e)
+	}
+	// Overflowed by one: a miss evicts 0 then 1 and hands over the last.
+	e3, _ := c.GetOrInsert(3, mk(3))
+	if len(got) != 1 || got[0] != e1 || e3 != e1 {
+		t.Fatalf("victims = %v, want exactly block 1's entry recycled", got)
+	}
+	if e3.node.Key() != 3 || e3.node.Refs() != 1 || e3.val != 3 {
+		t.Fatalf("recycled entry: key %d refs %d val %d", e3.node.Key(), e3.node.Refs(), e3.val)
+	}
+	if _, ok := c.Peek(1); ok {
+		t.Fatal("recycled entry still resident under its old key")
+	}
+	if keys := c.Keys(); len(keys) != 2 || keys[0] != 2 || keys[1] != 3 {
+		t.Fatalf("resident keys = %v, want [2 3]", keys)
+	}
+	if st := c.Stats(); st.Evictions != 2 {
+		t.Fatalf("evictions = %d, want 2", st.Evictions)
+	}
+}
+
 func TestCacheReleaseUnderflow(t *testing.T) {
 	c := New[*ent](4, 1)
-	e, _ := c.GetOrInsert(1, func() *ent { return &ent{} })
+	e, _ := c.GetOrInsert(1, func(*ent, bool) *ent { return &ent{} })
 	if !c.Release(e) {
 		t.Fatal("first release failed")
 	}
@@ -266,7 +327,7 @@ func TestCacheReleaseUnderflow(t *testing.T) {
 
 func TestCacheResetChecks(t *testing.T) {
 	c := New[*ent](4, 2)
-	e, _ := c.GetOrInsert(1, func() *ent { return &ent{} })
+	e, _ := c.GetOrInsert(1, func(*ent, bool) *ent { return &ent{} })
 	errBusy := fmt.Errorf("busy")
 	err := c.Reset(func(e *ent) error {
 		if e.LRUNode().Refs() != 0 {
@@ -289,7 +350,7 @@ func TestCacheResetChecks(t *testing.T) {
 func TestCacheDirtyEntriesSortedAcrossShards(t *testing.T) {
 	c := New[*ent](64, 4)
 	for i := 0; i < 16; i++ {
-		e, _ := c.GetOrInsert(int64(i), func() *ent { return &ent{val: i} })
+		e, _ := c.GetOrInsert(int64(i), func(*ent, bool) *ent { return &ent{val: i} })
 		c.MarkDirty(e)
 		c.Release(e)
 	}
@@ -314,7 +375,13 @@ func TestCacheShardedConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 2000; i++ {
 				key := rng.Int63n(512)
-				e, _ := c.GetOrInsert(key, func() *ent { return &ent{} })
+				e, _ := c.GetOrInsert(key, func(victim *ent, evicted bool) *ent {
+					if !evicted {
+						return &ent{}
+					}
+					victim.node.ResetForReuse() // recycle, as fuse.UserDisk does
+					return victim
+				})
 				if e.LRUNode().Key() != key {
 					t.Errorf("entry for %d has key %d", key, e.LRUNode().Key())
 					return
@@ -338,7 +405,7 @@ func TestCacheShardedConcurrent(t *testing.T) {
 		c.ClearDirty(e)
 	}
 	for i := 0; i < 200; i++ {
-		e, _ := c.GetOrInsert(int64(1000+i), func() *ent { return &ent{} })
+		e, _ := c.GetOrInsert(int64(1000+i), func(*ent, bool) *ent { return &ent{} })
 		c.Release(e)
 	}
 	if got := c.Len(); got > 128+8 {

@@ -383,56 +383,73 @@ func TestManyFilesCreateDelete(t *testing.T) {
 	}
 }
 
+// TestConcurrentWorkloadFsck runs eight workers on one mount the way
+// every benchmark cell does: under a vclock group, one worker on the
+// host at a time, yielding between operations. Free-running goroutines
+// on a shared mount are outside the determinism contract (and this test
+// used to fail one run in eight that way; see ROADMAP, "Sequential by
+// contract").
 func TestConcurrentWorkloadFsck(t *testing.T) {
 	e := newEnv(t, 16384, bentoimpl.PolicyWriteBack)
+	const workers, files = 8, 20
+	group := vclock.NewGroup(e.task.Clk.Now())
+	// The roster must be complete before any worker begins. Nothing
+	// retires these workers, so Begin and Yield always admit.
+	clks := make([]*vclock.Clock, workers)
+	for w := range clks {
+		clks[w] = group.NewWorker()
+	}
+	payload := func(w, i int) []byte { return bytes.Repeat([]byte{byte(w*16 + i)}, 6000) }
+	run := func(w int, sw *vclock.Worker, task *kernel.Task) error {
+		dir := fmt.Sprintf("/w%d", w)
+		if err := e.m.Mkdir(task, dir); err != nil {
+			return err
+		}
+		for i := 0; i < files; i++ {
+			p := fmt.Sprintf("%s/f%d", dir, i)
+			sw.Yield()
+			if err := e.m.WriteFile(task, p, payload(w, i)); err != nil {
+				return fmt.Errorf("w%d write %d: %w", w, i, err)
+			}
+			if i%3 == 0 {
+				sw.Yield()
+				if err := e.m.Unlink(task, p); err != nil {
+					return fmt.Errorf("w%d unlink %d: %w", w, i, err)
+				}
+			}
+		}
+		for i := 0; i < files; i++ {
+			if i%3 == 0 {
+				continue
+			}
+			sw.Yield()
+			got, err := e.m.ReadFile(task, fmt.Sprintf("%s/f%d", dir, i))
+			if err != nil {
+				return fmt.Errorf("w%d read %d: %w", w, i, err)
+			}
+			if !bytes.Equal(got, payload(w, i)) {
+				return fmt.Errorf("w%d file %d corrupted", w, i)
+			}
+		}
+		return nil
+	}
 	var wg sync.WaitGroup
-	errCh := make(chan error, 8)
-	for w := 0; w < 8; w++ {
+	errs := make([]error, workers)
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			task := e.k.NewTask(fmt.Sprintf("w%d", w))
-			dir := fmt.Sprintf("/w%d", w)
-			if err := e.m.Mkdir(task, dir); err != nil {
-				errCh <- err
-				return
-			}
-			for i := 0; i < 20; i++ {
-				p := fmt.Sprintf("%s/f%d", dir, i)
-				data := bytes.Repeat([]byte{byte(w*16 + i)}, 6000)
-				if err := e.m.WriteFile(task, p, data); err != nil {
-					errCh <- fmt.Errorf("w%d write %d: %w", w, i, err)
-					return
-				}
-				if i%3 == 0 {
-					if err := e.m.Unlink(task, p); err != nil {
-						errCh <- fmt.Errorf("w%d unlink %d: %w", w, i, err)
-						return
-					}
-				}
-			}
-			for i := 0; i < 20; i++ {
-				if i%3 == 0 {
-					continue
-				}
-				p := fmt.Sprintf("%s/f%d", dir, i)
-				got, err := e.m.ReadFile(task, p)
-				if err != nil {
-					errCh <- fmt.Errorf("w%d read %d: %w", w, i, err)
-					return
-				}
-				want := bytes.Repeat([]byte{byte(w*16 + i)}, 6000)
-				if !bytes.Equal(got, want) {
-					errCh <- fmt.Errorf("w%d file %d corrupted", w, i)
-					return
-				}
-			}
+			sw := group.Worker(clks[w])
+			sw.Begin()
+			defer sw.Done()
+			errs[w] = run(w, sw, e.k.NewTaskWithClock(fmt.Sprintf("w%d", w), clks[w]))
 		}(w)
 	}
 	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	if rep := e.fsck(t); !rep.OK() {
 		t.Fatalf("fsck after concurrency: %v", rep.Errors)
