@@ -17,7 +17,6 @@
 //	bentobench -neterr 0.02 -nettail 4 # deterministic per-attempt fault rate / latency-tail multiplier
 //	bentobench -netoutage 10ms:30ms    # full object-store blackout over a virtual-time window
 //	bentobench -nethedge 3             # hedged-GET delay multiplier override
-//	bentobench -shards 8        # add the sharded-buffer-cache Bento row
 //	bentobench -noiod           # disable background I/O (read-ahead + flusher)
 //	bentobench -databypass=false # re-enable data double-caching (seed behaviour)
 //	bentobench -cpuprofile cpu.pb.gz   # pprof CPU profile of the cell matrix
@@ -40,12 +39,43 @@ import (
 	"bento/internal/harness"
 )
 
-// validateFlags checks the backend choice and the net-fault flag set
-// before any cell runs: an unknown backend or a fault flag without the
-// netstore backend should fail fast with a clear message, not surface
-// mid-matrix from the first cell that mounts. It returns the parsed
-// blackout window (zero when -netoutage is unset).
-func validateFlags(backend string, neterr float64, nettail int, netoutage string, nethedge int) (outStart, outEnd time.Duration, err error) {
+// cliFlags are the flag values validateFlags vets.
+type cliFlags struct {
+	parallel  int
+	dur       time.Duration
+	backend   string
+	netlat    time.Duration
+	netbw     int
+	neterr    float64
+	nettail   int
+	netoutage string
+	nethedge  int
+}
+
+// validateFlags checks the scale flags, the backend choice and the
+// net-fault flag set before any cell runs: a value that would be
+// silently ignored (a negative duration, latency or multiplier, a
+// worker count below one), an unknown backend, or a fault flag without
+// the netstore backend fails fast with a clear message instead of
+// falling through or surfacing mid-matrix from the first cell that
+// mounts. It returns the parsed blackout window (zero when -netoutage
+// is unset).
+func validateFlags(f cliFlags) (outStart, outEnd time.Duration, err error) {
+	backend, neterr, netoutage := f.backend, f.neterr, f.netoutage
+	switch {
+	case f.parallel < 1:
+		return 0, 0, fmt.Errorf("-parallel %d: want at least 1 host worker", f.parallel)
+	case f.dur < 0:
+		return 0, 0, fmt.Errorf("-dur %v: the measurement window cannot be negative (0 = default)", f.dur)
+	case f.netlat < 0:
+		return 0, 0, fmt.Errorf("-netlat %v: latency cannot be negative (0 = model default)", f.netlat)
+	case f.netbw < 0:
+		return 0, 0, fmt.Errorf("-netbw %d: bandwidth cannot be negative (0 = model default)", f.netbw)
+	case f.nettail < 0:
+		return 0, 0, fmt.Errorf("-nettail %d: the tail multiplier cannot be negative (0 = off)", f.nettail)
+	case f.nethedge < 0:
+		return 0, 0, fmt.Errorf("-nethedge %d: the hedge multiplier cannot be negative (0 = model default)", f.nethedge)
+	}
 	valid := false
 	for _, b := range harness.Backends {
 		if backend == b {
@@ -56,7 +86,7 @@ func validateFlags(backend string, neterr float64, nettail int, netoutage string
 	if !valid {
 		return 0, 0, fmt.Errorf("unknown -backend %q (valid: %s)", backend, strings.Join(harness.Backends, ", "))
 	}
-	faulty := neterr != 0 || nettail != 0 || netoutage != "" || nethedge != 0
+	faulty := neterr != 0 || f.nettail != 0 || netoutage != "" || f.nethedge != 0
 	if faulty && backend != harness.BackendNetstore {
 		return 0, 0, fmt.Errorf("-neterr/-nettail/-netoutage/-nethedge require -backend %s (got %q)", harness.BackendNetstore, backend)
 	}
@@ -101,14 +131,16 @@ func main() {
 	netoutage := flag.String("netoutage", "", "netstore blackout window as start:end virtual durations, e.g. 10ms:30ms (requires -backend netstore)")
 	nethedge := flag.Int("nethedge", 0, "netstore hedged-GET delay multiplier override (requires -backend netstore)")
 	netseed := flag.Int64("netseed", 0, "netstore fault-decision seed (0 = default stream)")
-	shards := flag.Int("shards", 0, "buffer-cache shards for the Bento-shard study row (>1 to enable)")
 	noiod := flag.Bool("noiod", false, "disable the background I/O subsystem on the in-kernel variants")
 	databypass := flag.Bool("databypass", true, "single-copy data caching: file contents bypass the buffer cache on the in-kernel variants (false restores the seed's double-caching)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the benchmark run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof allocation profile (runtime \"allocs\") to this file at exit")
 	flag.Parse()
 
-	outStart, outEnd, err := validateFlags(*backend, *neterr, *nettail, *netoutage, *nethedge)
+	outStart, outEnd, err := validateFlags(cliFlags{
+		parallel: *parallel, dur: *dur, backend: *backend, netlat: *netlat, netbw: *netbw,
+		neterr: *neterr, nettail: *nettail, netoutage: *netoutage, nethedge: *nethedge,
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bentobench: %v\n", err)
 		os.Exit(2)
@@ -137,7 +169,6 @@ func main() {
 	o.NetOutageEnd = outEnd
 	o.NetHedgeMult = *nethedge
 	o.NetFaultSeed = *netseed
-	o.CacheShards = *shards
 	o.NoIODaemon = *noiod
 	o.NoDataBypass = !*databypass
 	o.Metrics = *metrics

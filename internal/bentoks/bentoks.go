@@ -92,7 +92,6 @@ func IsViolation(err error) (*Violation, bool) {
 type Checker struct {
 	Enabled bool
 
-	mu          sync.Mutex
 	outstanding map[int64]int64 // live buffer handle id -> block number
 	nextID      int64
 	violations  []Violation
@@ -108,39 +107,29 @@ func NewChecker() *Checker {
 // deferred to the (cold) leak reports, so the hot acquire path never
 // formats a string.
 func (c *Checker) acquire(blk int64) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.nextID++
 	c.outstanding[c.nextID] = blk
 	return c.nextID
 }
 
 func (c *Checker) release(id int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	delete(c.outstanding, id)
 }
 
 func (c *Checker) record(kind ViolationKind, format string, args ...any) *Violation {
 	v := Violation{Kind: kind, Msg: fmt.Sprintf(format, args...)}
-	c.mu.Lock()
 	c.violations = append(c.violations, v)
-	c.mu.Unlock()
 	return &v
 }
 
 // Violations returns everything recorded so far.
 func (c *Checker) Violations() []Violation {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return append([]Violation(nil), c.violations...)
 }
 
 // Outstanding lists acquire sites of buffers not yet released — the leak
 // report. Deterministically sorted.
 func (c *Checker) Outstanding() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make([]string, 0, len(c.outstanding))
 	for _, blk := range c.outstanding {
 		out = append(out, fmt.Sprintf("block %d", blk))
@@ -152,14 +141,12 @@ func (c *Checker) Outstanding() []string {
 // CheckLeaks records a Leak violation for every outstanding buffer. The
 // framework calls it at operation and unmount boundaries.
 func (c *Checker) CheckLeaks() int {
-	c.mu.Lock()
 	n := len(c.outstanding)
 	sites := make([]string, 0, n)
 	for _, blk := range c.outstanding {
 		sites = append(sites, fmt.Sprintf("block %d", blk))
 	}
 	c.outstanding = make(map[int64]int64)
-	c.mu.Unlock()
 	sort.Strings(sites)
 	for _, s := range sites {
 		c.record(Leak, "buffer acquired at %s never released", s)
@@ -205,9 +192,7 @@ func (sb *SuperBlock) check() error {
 	if sb == nil || !sb.minted {
 		v := &Violation{Kind: ForgedCapability, Msg: "SuperBlock not minted by the framework"}
 		if sb != nil && sb.checker != nil {
-			sb.checker.mu.Lock()
 			sb.checker.violations = append(sb.checker.violations, *v)
-			sb.checker.mu.Unlock()
 		}
 		return v
 	}
@@ -356,7 +341,6 @@ type BufferHead struct {
 	sb *SuperBlock
 	id int64
 
-	mu       sync.Mutex
 	released bool
 }
 
@@ -366,8 +350,6 @@ func (b *BufferHead) BlockNo() int { return b.kb.BlockNo() }
 // Data returns the buffer contents, or a violation if the reference was
 // already released.
 func (b *BufferHead) Data() ([]byte, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.released {
 		return nil, b.sb.checker.record(UseAfterRelease, "Data() on released buffer %d", b.kb.BlockNo())
 	}
@@ -389,8 +371,6 @@ func (b *BufferHead) Slice(off, n int) ([]byte, error) {
 
 // MarkDirty flags the buffer modified; fails after release.
 func (b *BufferHead) MarkDirty() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.released {
 		return b.sb.checker.record(UseAfterRelease, "MarkDirty() on released buffer %d", b.kb.BlockNo())
 	}
@@ -401,8 +381,6 @@ func (b *BufferHead) MarkDirty() error {
 // SubmitWrite queues the buffer to the device, returning the completion
 // time for batched waiting.
 func (b *BufferHead) SubmitWrite(t *kernel.Task) (int64, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.released {
 		return 0, b.sb.checker.record(UseAfterRelease, "SubmitWrite() on released buffer %d", b.kb.BlockNo())
 	}
@@ -419,22 +397,13 @@ func (b *BufferHead) WriteSync(t *kernel.Task) error {
 	return nil
 }
 
-// Lock takes the underlying buffer lock (xv6's sleep-lock).
-func (b *BufferHead) Lock() { b.kb.Lock() }
-
-// Unlock drops the buffer lock.
-func (b *BufferHead) Unlock() { b.kb.Unlock() }
-
 // Release is brelse. The first call releases the kernel reference; any
 // further call is recorded as a DoubleRelease violation and returns it.
 func (b *BufferHead) Release() error {
-	b.mu.Lock()
 	if b.released {
-		b.mu.Unlock()
 		return b.sb.checker.record(DoubleRelease, "buffer %d", b.kb.BlockNo())
 	}
 	b.released = true
-	b.mu.Unlock()
 	if b.sb.checker.Enabled {
 		b.sb.checker.release(b.id)
 	}
@@ -444,6 +413,11 @@ func (b *BufferHead) Release() error {
 // Semaphore is the safe wrapper over the kernel semaphore that the paper's
 // Rust file systems use for inode locks. Unlocking an unheld semaphore is
 // reported instead of corrupting scheduler state.
+//
+// It is the one type here that keeps host mutexes: the AB-BA
+// demonstration in internal/faultinject blocks two free-running
+// goroutines on a pair of semaphores by design (the paper's "remaining
+// 7%"), so two goroutines do reach this state at the same instant.
 type Semaphore struct {
 	mu   sync.Mutex
 	held bool
@@ -477,7 +451,3 @@ func (s *Semaphore) Release() error {
 	s.sem.Unlock()
 	return nil
 }
-
-// RwLock wraps sync.RWMutex for the file systems' global tables, matching
-// the paper's note that the Rust versions lock global mutable state.
-type RwLock struct{ sync.RWMutex }

@@ -45,10 +45,10 @@ import (
 // under its fault model) derives every failure from a seeded decision
 // stream, never from host state. The local backend never fails.
 //
-// Concurrency. Implementations are not required to be safe for
-// concurrent use: the Device serializes every call under its own mutex,
+// Concurrency. Implementations need not be safe for concurrent use: a
+// device belongs to one cell, whose scheduler admits one task at a time,
 // which also fixes the booking order (and therefore completion times)
-// as a function of the scheduler's admission order.
+// as a function of the admission order.
 type Backend interface {
 	// ReadBlock copies block blk into buf (len == BlockSize, already
 	// validated) and returns the completion time of a read command

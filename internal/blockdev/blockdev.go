@@ -31,8 +31,8 @@
 //
 // Determinism: queue bookings (Read/Submit/Flush) mutate the backend's
 // shared vclock.Resource, so their completion times depend on booking
-// order. The device itself imposes no order — it books in call order
-// under one mutex. Benchmark workers are serialized by the vclock
+// order. The device itself imposes no order and takes no lock — it books
+// in call order. Benchmark workers are serialized by the vclock
 // scheduler (one admitted worker at a time, minimal (virtual time, id)
 // first), which fixes the call order as a function of virtual time;
 // every multi-worker cell therefore replays bit-for-bit. The only
@@ -44,7 +44,6 @@ package blockdev
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"bento/internal/costmodel"
 	"bento/internal/faultinject/seeded"
@@ -93,25 +92,23 @@ type Stats struct {
 }
 
 // Device is a latency-modeled block device front over a pluggable
-// storage Backend. It is safe for concurrent use.
+// storage Backend. Like everything a cell owns it is driven by one task
+// at a time and holds no lock.
 type Device struct {
-	mu        sync.Mutex
 	name      string
 	blockSize int
 	blocks    int
-	// backend stores the bytes and prices the commands. It is called
-	// only under mu, which serializes booking order (the backend itself
-	// need not be concurrency-safe). Stored as an interface field
-	// converted once at construction, so hot-path delegation never
-	// boxes or allocates.
+	// backend stores the bytes and prices the commands. Stored as an
+	// interface field converted once at construction, so hot-path
+	// delegation never boxes or allocates.
 	backend Backend
 	model   *costmodel.Model
 	stats   Stats
 
 	// rec counts commands into the cell's trace recorder and samples
 	// queue occupancy every sampleEvery-th command. Nil records nothing.
-	// The sample counter rides under mu, so sampling points are a pure
-	// function of command order — deterministic under the scheduler.
+	// Sampling points are a pure function of command order —
+	// deterministic under the scheduler.
 	rec    *trace.Recorder
 	cmdSeq int64
 
@@ -201,15 +198,12 @@ func (d *Device) SetRecorder(r *trace.Recorder) {
 // scenarios are cold all the way to the remote store. A no-op on the
 // local backend.
 func (d *Device) DropBackendCache() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.backend.DropCache()
 }
 
-// sampleLocked emits a queue-occupancy sample every sampleEvery-th
-// command. Caller holds d.mu; the completion time has already been
-// booked on d.res.
-func (d *Device) sampleLocked(now int64) {
+// sample emits a queue-occupancy sample every sampleEvery-th
+// command; the completion time has already been booked.
+func (d *Device) sample(now int64) {
 	d.cmdSeq++
 	if d.cmdSeq%sampleEvery == 0 {
 		d.rec.Sample(d.name, "qdepth", now, int64(d.backend.QueueDepth(now)))
@@ -222,24 +216,20 @@ func (d *Device) Read(clk *vclock.Clock, blk int, buf []byte) error {
 	if len(buf) != d.blockSize {
 		return ErrBadSize
 	}
-	d.mu.Lock()
-	if err := d.checkLocked(blk, &d.readFaults); err != nil {
-		d.mu.Unlock()
+	if err := d.check(blk, &d.readFaults); err != nil {
 		return err
 	}
 	done, err := d.backend.ReadBlock(clk.NowNS(), blk, buf)
 	if err != nil {
 		// The failure still consumed virtual time (timeouts, retries):
 		// advance to when it became known, then surface it.
-		d.mu.Unlock()
 		clk.AdvanceTo(done)
 		return err
 	}
 	d.stats.Reads++
 	d.stats.BytesRead += int64(d.blockSize)
 	d.rec.Add(trace.CtrDevReads, 1)
-	d.sampleLocked(done)
-	d.mu.Unlock()
+	d.sample(done)
 	clk.AdvanceTo(done)
 	return nil
 }
@@ -253,9 +243,7 @@ func (d *Device) Submit(clk *vclock.Clock, blk int, buf []byte) (completion int6
 	if len(buf) != d.blockSize {
 		return 0, ErrBadSize
 	}
-	d.mu.Lock()
-	if err := d.checkLocked(blk, &d.writeFaults); err != nil {
-		d.mu.Unlock()
+	if err := d.check(blk, &d.writeFaults); err != nil {
 		return 0, err
 	}
 	completion, err = d.backend.SubmitBlock(clk.NowNS(), blk, buf)
@@ -263,15 +251,13 @@ func (d *Device) Submit(clk *vclock.Clock, blk int, buf []byte) (completion int6
 		// The write was not staged; it does not count as a write-class
 		// command for power-cut purposes, but the failure's completion
 		// time is real — callers advance to it.
-		d.mu.Unlock()
 		return completion, err
 	}
 	d.stats.Writes++
 	d.stats.BytesWritten += int64(d.blockSize)
 	d.rec.Add(trace.CtrDevWrites, 1)
-	d.sampleLocked(completion)
-	d.countWriteLocked()
-	d.mu.Unlock()
+	d.sample(completion)
+	d.countWrite()
 	return completion, nil
 }
 
@@ -290,26 +276,21 @@ func (d *Device) Write(clk *vclock.Clock, blk int, buf []byte) error {
 // cache object into whole-object PUTs. Afterwards all previously
 // submitted writes are durable. It advances clk to completion.
 func (d *Device) Flush(clk *vclock.Clock) error {
-	d.mu.Lock()
 	if d.powerOut {
-		d.mu.Unlock()
 		return ErrPowerLoss
 	}
 	if err := d.writeFaults.All(); err != nil {
-		d.mu.Unlock()
 		return err
 	}
 	done, err := d.backend.Flush(clk.NowNS())
 	if err != nil {
-		d.mu.Unlock()
 		clk.AdvanceTo(done)
 		return err
 	}
 	d.stats.Flushes++
 	d.rec.Add(trace.CtrDevFlushes, 1)
-	d.sampleLocked(done)
-	d.countWriteLocked()
-	d.mu.Unlock()
+	d.sample(done)
+	d.countWrite()
 	clk.AdvanceTo(done)
 	return nil
 }
@@ -317,32 +298,24 @@ func (d *Device) Flush(clk *vclock.Clock) error {
 // DirtyBlocks reports how many blocks sit in the backend's volatile
 // tier (staged but not yet durable).
 func (d *Device) DirtyBlocks() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.backend.DirtyBlocks()
 }
 
 // Stats returns a snapshot of command counters.
 func (d *Device) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.stats
 }
 
 // ResourceStats exposes queue statistics (utilization, backlog).
 func (d *Device) ResourceStats() vclock.ResourceStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.backend.ResourceStats()
 }
 
 // ResetStats clears command counters and queue occupancy. Benchmarks call
 // it after warmup.
 func (d *Device) ResetStats() {
-	d.mu.Lock()
 	d.stats = Stats{}
 	d.backend.Reset()
-	d.mu.Unlock()
 }
 
 // Crash simulates power loss: the device reverts to its durable contents
@@ -356,14 +329,12 @@ func (d *Device) Crash(keepFraction float64, seed int64) {
 	if keepFraction > 1 {
 		keepFraction = 1
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.backend.Crash(keepFraction, seed)
 }
 
-// countWriteLocked advances the armed power-cut countdown by one
-// write-class command (Submit/Write or Flush). Caller holds d.mu.
-func (d *Device) countWriteLocked() {
+// countWrite advances the armed power-cut countdown by one
+// write-class command (Submit/Write or Flush).
+func (d *Device) countWrite() {
 	if !d.cutArmed || d.powerOut {
 		return
 	}
@@ -385,8 +356,6 @@ func (d *Device) countWriteLocked() {
 // contents, on every run. The crash-point fuzzer (internal/crashtort)
 // sweeps k across a workload's whole command stream.
 func (d *Device) ArmPowerCut(n int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.cutArmed = true
 	d.cutRemaining = n
 	d.powerOut = n <= 0
@@ -397,8 +366,6 @@ func (d *Device) ArmPowerCut(n int64) {
 // remounting (power-on after a real power loss does both; keeping them
 // separate lets tests choose the cache-retention fraction).
 func (d *Device) DisarmPowerCut() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.cutArmed = false
 	d.cutRemaining = 0
 	d.powerOut = false
@@ -406,51 +373,39 @@ func (d *Device) DisarmPowerCut() {
 
 // PowerOut reports whether an armed power cut has tripped.
 func (d *Device) PowerOut() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.powerOut
 }
 
 // WriteCmds reports the number of write-class commands (writes + flushes)
 // completed so far — the coordinate system ArmPowerCut counts in.
 func (d *Device) WriteCmds() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.stats.Writes + d.stats.Flushes
 }
 
 // InjectReadError makes reads of blk fail with ErrIO until cleared.
 func (d *Device) InjectReadError(blk int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.readFaults.Inject(blk, ErrIO)
 }
 
 // InjectWriteError makes writes of blk fail with ErrIO until cleared.
 func (d *Device) InjectWriteError(blk int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.writeFaults.Inject(blk, ErrIO)
 }
 
 // FailAll makes every subsequent command fail with ErrIO (a died device).
 func (d *Device) FailAll() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.readFaults.InjectAll(ErrIO)
 	d.writeFaults.InjectAll(ErrIO)
 }
 
 // ClearFaults removes all injected failures.
 func (d *Device) ClearFaults() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.readFaults.Clear()
 	d.writeFaults.Clear()
 }
 
-// checkLocked validates blk and applies injected faults. Caller holds d.mu.
-func (d *Device) checkLocked(blk int, errs *seeded.ErrorSet) error {
+// check validates blk and applies injected faults.
+func (d *Device) check(blk int, errs *seeded.ErrorSet) error {
 	if d.powerOut {
 		return ErrPowerLoss
 	}

@@ -14,7 +14,6 @@ package composefs
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"bento/internal/bentoks"
 	"bento/internal/core"
@@ -32,7 +31,6 @@ type Overlay struct {
 	upper core.FileSystem
 	lower core.FileSystem
 
-	mu     sync.Mutex
 	byReal map[realIno]fsapi.Ino
 	byVirt map[fsapi.Ino]realIno
 	next   fsapi.Ino
@@ -61,8 +59,6 @@ func New(upper, lower core.FileSystem) *Overlay {
 
 // virt returns (minting if needed) the virtual ino for a layer inode.
 func (ov *Overlay) virt(layerUpper bool, ino fsapi.Ino) fsapi.Ino {
-	ov.mu.Lock()
-	defer ov.mu.Unlock()
 	key := realIno{layerUpper, ino}
 	if v, ok := ov.byReal[key]; ok {
 		return v
@@ -76,8 +72,6 @@ func (ov *Overlay) virt(layerUpper bool, ino fsapi.Ino) fsapi.Ino {
 
 // real resolves a virtual ino.
 func (ov *Overlay) real(v fsapi.Ino) (realIno, error) {
-	ov.mu.Lock()
-	defer ov.mu.Unlock()
 	r, ok := ov.byVirt[v]
 	if !ok {
 		return realIno{}, fsapi.ErrStale
@@ -217,11 +211,9 @@ func (ov *Overlay) copyUp(t *kernel.Task, v fsapi.Ino, r realIno) (realIno, erro
 	}
 	// Remap the virtual inode to the new upper file.
 	nr := realIno{true, up.Ino}
-	ov.mu.Lock()
 	delete(ov.byReal, r)
 	ov.byReal[nr] = v
 	ov.byVirt[v] = nr
-	ov.mu.Unlock()
 	return nr, nil
 }
 

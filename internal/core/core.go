@@ -13,11 +13,13 @@
 // BentoFS also implements the batched ->writepages write-back path it
 // inherits from the FUSE kernel module, which the paper credits for the
 // Bento xv6 beating the C baseline on large sequential writes, and the
-// §4.8 online-upgrade protocol, which runs in three phases under the
-// shim's quiesce lock:
+// §4.8 online-upgrade protocol, which runs in three phases. The pause is
+// virtual time: Upgrade is one whole operation of the task the scheduler
+// admitted, so the host needs no quiesce lock.
 //
-//   - quiesce: new operations are held at the shim while in-flight ones
-//     drain; the old instance makes everything that must survive durable
+//   - quiesce: new operations are held at the shim (they stall in
+//     virtual time until resume); the old instance makes everything
+//     that must survive durable
 //     (PrepareTransfer, or a full SyncFS+Destroy when the instance has no
 //     transfer support) and serializes its in-memory state.
 //   - transfer: the replacement instance initializes against the SAME
@@ -39,8 +41,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"bento/internal/bentoks"
 	"bento/internal/blockdev"
@@ -112,7 +112,6 @@ type Upgradable interface {
 // register_filesystem interface.
 type fsType struct {
 	name    string
-	shards  int // metadata buffer-cache shards (<=1: exact global LRU)
 	factory func() FileSystem
 }
 
@@ -124,11 +123,7 @@ func (ft fsType) Name() string { return ft.name }
 // interposes the BentoFS shim between it and the VFS.
 func (ft fsType) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, error) {
 	fs := ft.factory()
-	shards := ft.shards
-	if shards < 1 {
-		shards = 1
-	}
-	bc := kernel.NewBufferCacheSharded(dev, t.Model(), 0, shards)
+	bc := kernel.NewBufferCache(dev, t.Model(), 0)
 	sb := bentoks.NewSuperBlock(bc, bentoks.NewChecker())
 	if err := fs.Init(t, sb); err != nil {
 		return nil, fmt.Errorf("bentofs: init %q: %w", ft.name, err)
@@ -140,15 +135,7 @@ func (ft fsType) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem,
 // name. Like inserting a .ko built from safe Rust: afterwards the type is
 // mountable with kernel.Mount.
 func Register(k *kernel.Kernel, name string, factory func() FileSystem) error {
-	return RegisterSharded(k, name, 1, factory)
-}
-
-// RegisterSharded is Register with the metadata buffer cache split over
-// cacheShards shards (the host-parallelism study; see
-// kernel.NewBufferCacheSharded). One shard keeps victim selection exact
-// global LRU and virtual-time metrics byte-reproducible.
-func RegisterSharded(k *kernel.Kernel, name string, cacheShards int, factory func() FileSystem) error {
-	return k.Register(fsType{name: name, shards: cacheShards, factory: factory})
+	return k.Register(fsType{name: name, factory: factory})
 }
 
 // BentoFS is the interposition layer instance for one mount. It
@@ -156,40 +143,45 @@ func RegisterSharded(k *kernel.Kernel, name string, cacheShards int, factory fun
 // Figure 1 ①) while the SuperBlock it minted carries calls *out of* the
 // file system into kernel services (Figure 1 ②).
 //
-// All operations hold a read-lock so that Upgrade can quiesce the file
-// system by taking the write lock — the §4.8 mechanism.
+// The §4.8 quiescence is modelled in virtual time: Upgrade runs as one
+// whole operation of the task the scheduler admitted, so on the host no
+// other operation is in flight, and an operation whose clock is still
+// behind upgradeEnd pays the rest of the pause in enter().
 type BentoFS struct {
 	name string
 	sb   *bentoks.SuperBlock
 
-	mu sync.RWMutex // write-held only during upgrade
 	fs FileSystem
 
-	generation atomic.Int64 // bumped per upgrade
-	ops        atomic.Int64 // operations served (all generations)
+	generation int64 // bumped per upgrade
+	ops        int64 // operations served (all generations)
 
 	// upgradeEnd is the virtual timestamp at which the most recent
 	// upgrade resumed. An operation whose task clock is still behind it
 	// arrived mid-upgrade in virtual time and pays the remaining pause in
-	// enter() — one atomic load on the hot path, no allocation. The
+	// enter() — one load on the hot path, no allocation. The
 	// vclock scheduler admits workers in (virtual time, id) order, so by
 	// the time the operator's Upgrade call runs at virtual time T every
 	// parked worker's next operation carries a timestamp >= T; the stall
 	// is therefore a pure function of the virtual timeline and
 	// byte-reproducible across hosts and -parallel levels.
-	upgradeEnd  atomic.Int64
-	stalledOps  atomic.Int64 // ops that arrived mid-upgrade and waited
-	lastUpgrade UpgradeStats // guarded by mu (written under the write lock)
+	upgradeEnd  int64
+	stalledOps  int64 // ops that arrived mid-upgrade and waited
+	lastUpgrade UpgradeStats
+
+	// wbScratch is the flattening buffer WritePages assembles batched
+	// runs into, so steady-state write-back allocates nothing.
+	wbScratch []byte
 }
 
 // UpgradeStats breaks down the most recent Upgrade call in virtual
-// nanoseconds: the total pause (write lock held) and its quiesce /
+// nanoseconds: the total pause and its quiesce /
 // transfer / resume phases, plus the size of the serialized state moved
 // between instances. StalledOps counts operations that arrived while the
 // upgrade was in progress and waited for resume.
 type UpgradeStats struct {
 	Generation    int64 // generation the upgrade produced
-	StartNS       int64 // virtual time the quiesce lock was acquired
+	StartNS       int64 // virtual time the quiesce began
 	EndNS         int64 // virtual time operations resumed
 	PauseNS       int64 // EndNS - StartNS
 	QuiesceNS     int64 // drain + PrepareTransfer (or SyncFS+Destroy)
@@ -205,20 +197,16 @@ var (
 	_ kernel.BlockCacheDropper = (*BentoFS)(nil)
 )
 
-// enter charges the translation cost and takes the quiesce read-lock;
-// every operation pairs it with a deferred exit. The pair used to be one
-// method returning the unlock func ("defer b.enter(t)()"), but a method
-// value returned through a defer heap-allocates per call — measurable on
-// warm stat/read paths the allocation budget pins at zero.
+// enter charges the translation cost and applies the upgrade pause;
+// every operation starts with it.
 func (b *BentoFS) enter(t *kernel.Task) {
 	t.Charge(t.Model().BentoDispatch)
-	b.mu.RLock()
-	b.ops.Add(1)
+	b.ops++
 	// Mid-upgrade arrival: pay the rest of the pause in virtual time
-	// (mirrors the journal's begin-stall). The common case is one atomic
-	// load and a not-taken branch.
-	if end := b.upgradeEnd.Load(); end > t.Clk.NowNS() {
-		b.stalledOps.Add(1)
+	// (mirrors the journal's begin-stall). The common case is one load
+	// and a not-taken branch.
+	if end := b.upgradeEnd; end > t.Clk.NowNS() {
+		b.stalledOps++
 		if r := t.Rec(); r != nil {
 			r.Span(t.Name, trace.CatUpgrade, "resume-wait", t.Clk.NowNS(), end)
 			r.Add(trace.CtrUpgradeStalls, 1)
@@ -227,43 +215,35 @@ func (b *BentoFS) enter(t *kernel.Task) {
 	}
 }
 
-// exit drops the quiesce read-lock taken by enter.
-func (b *BentoFS) exit() { b.mu.RUnlock() }
-
 // Generation reports how many upgrades this mount has seen.
-func (b *BentoFS) Generation() int64 { return b.generation.Load() }
+func (b *BentoFS) Generation() int64 { return b.generation }
 
 // Ops reports operations served across all generations.
-func (b *BentoFS) Ops() int64 { return b.ops.Load() }
+func (b *BentoFS) Ops() int64 { return b.ops }
 
 // SuperBlock exposes the capability (tests, fsck, fault injection).
 func (b *BentoFS) SuperBlock() *bentoks.SuperBlock { return b.sb }
 
 // Inner returns the current file-system instance.
-func (b *BentoFS) Inner() FileSystem {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.fs
-}
+func (b *BentoFS) Inner() FileSystem { return b.fs }
 
 // LastUpgrade returns the virtual-time breakdown of the most recent
 // Upgrade call (zero value if none has run). StalledOps is live:
 // operations whose clocks lag the resume timestamp may still arrive and
 // pay their stall after Upgrade returns.
 func (b *BentoFS) LastUpgrade() UpgradeStats {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
 	st := b.lastUpgrade
-	st.StalledOps = b.stalledOps.Load()
+	st.StalledOps = b.stalledOps
 	return st
 }
 
 // Upgrade swaps in a replacement file-system implementation while the
-// mount stays live (paper §4.8): in-flight operations drain, the old
-// instance serializes its in-memory state, the new instance restores it,
-// and subsequent operations run on the new code. Open files and the page
-// cache above the shim survive untouched, so applications never notice
-// beyond a pause.
+// mount stays live (paper §4.8): the old instance serializes its
+// in-memory state, the new instance restores it, and subsequent
+// operations run on the new code. Open files and the page cache above
+// the shim survive untouched, so applications never notice beyond a
+// pause. Call it as one operation of an admitted task: no file-system
+// operation is in flight on the host then, which is the quiescence.
 //
 // The quiesce / transfer / resume phases are traced as trace.CatUpgrade
 // spans on the calling task's track, and their virtual-time breakdown is
@@ -271,9 +251,6 @@ func (b *BentoFS) LastUpgrade() UpgradeStats {
 // in progress stall in enter() until the resume timestamp — that stall
 // is the per-op latency spike the availability experiment measures.
 func (b *BentoFS) Upgrade(t *kernel.Task, next FileSystem) error {
-	b.mu.Lock() // quiesce: waits for every in-flight operation
-	defer b.mu.Unlock()
-
 	start := t.Clk.NowNS()
 	old := b.fs
 	var state []byte
@@ -316,12 +293,12 @@ func (b *BentoFS) Upgrade(t *kernel.Task, next FileSystem) error {
 	// swap plus the barrier that makes it visible.
 	t.Charge(t.Model().BentoDispatch)
 	b.fs = next
-	gen := b.generation.Add(1)
+	b.generation++
 	end := t.Clk.NowNS()
 
-	b.stalledOps.Store(0) // stalls are per-upgrade
+	b.stalledOps = 0 // stalls are per-upgrade
 	b.lastUpgrade = UpgradeStats{
-		Generation:    gen,
+		Generation:    b.generation,
 		StartNS:       start,
 		EndNS:         end,
 		PauseNS:       end - start,
@@ -330,7 +307,7 @@ func (b *BentoFS) Upgrade(t *kernel.Task, next FileSystem) error {
 		ResumeNS:      end - transferEnd,
 		TransferBytes: int64(len(state)),
 	}
-	b.upgradeEnd.Store(end)
+	b.upgradeEnd = end
 
 	if r := t.Rec(); r != nil {
 		r.Span(t.Name, trace.CatUpgrade, "quiesce", start, quiesceEnd)
@@ -350,84 +327,72 @@ func (b *BentoFS) Root() fsapi.Ino { return fsapi.RootIno }
 // Lookup implements kernel.FileSystem.
 func (b *BentoFS) Lookup(t *kernel.Task, dir fsapi.Ino, name string) (fsapi.Stat, error) {
 	b.enter(t)
-	defer b.exit()
 	return b.fs.Lookup(t, dir, name)
 }
 
 // GetAttr implements kernel.FileSystem.
 func (b *BentoFS) GetAttr(t *kernel.Task, ino fsapi.Ino) (fsapi.Stat, error) {
 	b.enter(t)
-	defer b.exit()
 	return b.fs.GetAttr(t, ino)
 }
 
 // SetSize implements kernel.FileSystem.
 func (b *BentoFS) SetSize(t *kernel.Task, ino fsapi.Ino, size int64) error {
 	b.enter(t)
-	defer b.exit()
 	return b.fs.SetAttr(t, ino, size)
 }
 
 // Create implements kernel.FileSystem.
 func (b *BentoFS) Create(t *kernel.Task, dir fsapi.Ino, name string) (fsapi.Stat, error) {
 	b.enter(t)
-	defer b.exit()
 	return b.fs.Create(t, dir, name)
 }
 
 // Mkdir implements kernel.FileSystem.
 func (b *BentoFS) Mkdir(t *kernel.Task, dir fsapi.Ino, name string) (fsapi.Stat, error) {
 	b.enter(t)
-	defer b.exit()
 	return b.fs.Mkdir(t, dir, name)
 }
 
 // Unlink implements kernel.FileSystem.
 func (b *BentoFS) Unlink(t *kernel.Task, dir fsapi.Ino, name string) error {
 	b.enter(t)
-	defer b.exit()
 	return b.fs.Unlink(t, dir, name)
 }
 
 // Rmdir implements kernel.FileSystem.
 func (b *BentoFS) Rmdir(t *kernel.Task, dir fsapi.Ino, name string) error {
 	b.enter(t)
-	defer b.exit()
 	return b.fs.Rmdir(t, dir, name)
 }
 
 // Rename implements kernel.FileSystem.
 func (b *BentoFS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.Ino, nname string) error {
 	b.enter(t)
-	defer b.exit()
 	return b.fs.Rename(t, odir, oname, ndir, nname)
 }
 
 // Link implements kernel.FileSystem.
 func (b *BentoFS) Link(t *kernel.Task, ino fsapi.Ino, dir fsapi.Ino, name string) (fsapi.Stat, error) {
 	b.enter(t)
-	defer b.exit()
 	return b.fs.Link(t, ino, dir, name)
 }
 
 // ReadDir implements kernel.FileSystem.
 func (b *BentoFS) ReadDir(t *kernel.Task, dir fsapi.Ino) ([]fsapi.DirEntry, error) {
 	b.enter(t)
-	defer b.exit()
 	return b.fs.ReadDir(t, dir)
 }
 
 // Open implements kernel.FileSystem.
 func (b *BentoFS) Open(t *kernel.Task, ino fsapi.Ino) error {
 	b.enter(t)
-	defer b.exit()
 	return b.fs.Open(t, ino)
 }
 
 // Release implements kernel.FileSystem.
 func (b *BentoFS) Release(t *kernel.Task, ino fsapi.Ino) error {
 	b.enter(t)
-	defer b.exit()
 	return b.fs.Release(t, ino)
 }
 
@@ -435,7 +400,6 @@ func (b *BentoFS) Release(t *kernel.Task, ino fsapi.Ino) error {
 // fill into a file-operations Read.
 func (b *BentoFS) ReadPage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte) error {
 	b.enter(t)
-	defer b.exit()
 	n, err := b.fs.Read(t, ino, pg*fsapi.PageSize, buf)
 	if err != nil {
 		return err
@@ -449,35 +413,12 @@ func (b *BentoFS) WritePage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte,
 	return b.WritePages(t, ino, pg, [][]byte{buf}, newSize)
 }
 
-// wbScratch pools the flattening buffers WritePages assembles batched
-// runs into, so steady-state write-back allocates nothing. Entries are
-// *[]byte (a bare []byte in the pool's interface would re-box its header
-// on every Put).
-var wbScratch sync.Pool
-
-// getWBScratch returns a length-n buffer with unspecified contents;
-// WritePages overwrites every byte before use.
-func getWBScratch(n int64) *[]byte {
-	v, _ := wbScratch.Get().(*[]byte)
-	if v == nil {
-		s := make([]byte, n)
-		return &s
-	}
-	if int64(cap(*v)) < n {
-		*v = make([]byte, n)
-	} else {
-		*v = (*v)[:n]
-	}
-	return v
-}
-
 // WritePages implements kernel.BatchWriter: the batched ->writepages
 // write-back BentoFS inherits from the FUSE kernel module. The contiguous
 // run of dirty pages becomes a single file-operations Write, so the file
 // system below wraps the whole run in one transaction.
 func (b *BentoFS) WritePages(t *kernel.Task, ino fsapi.Ino, pg int64, pages [][]byte, newSize int64) error {
 	b.enter(t)
-	defer b.exit()
 	off := pg * fsapi.PageSize
 	total := int64(len(pages)) * fsapi.PageSize
 	if off >= newSize {
@@ -486,9 +427,11 @@ func (b *BentoFS) WritePages(t *kernel.Task, ino fsapi.Ino, pg int64, pages [][]
 	if off+total > newSize {
 		total = newSize - off
 	}
-	scratch := getWBScratch(total)
-	defer wbScratch.Put(scratch)
-	data := *scratch
+	// Unspecified contents: every byte is overwritten below.
+	if int64(cap(b.wbScratch)) < total {
+		b.wbScratch = make([]byte, total)
+	}
+	data := b.wbScratch[:total]
 	var copied int64
 	for _, p := range pages {
 		if copied >= total {
@@ -519,21 +462,18 @@ func (b *BentoFS) DropCleanBlocks() int { return b.sb.DropCleanBuffers() }
 // Fsync implements kernel.FileSystem.
 func (b *BentoFS) Fsync(t *kernel.Task, ino fsapi.Ino, dataOnly bool) error {
 	b.enter(t)
-	defer b.exit()
 	return b.fs.Fsync(t, ino, dataOnly)
 }
 
 // Sync implements kernel.FileSystem.
 func (b *BentoFS) Sync(t *kernel.Task) error {
 	b.enter(t)
-	defer b.exit()
 	return b.fs.SyncFS(t)
 }
 
 // StatFS implements kernel.FileSystem.
 func (b *BentoFS) StatFS(t *kernel.Task) (fsapi.FSStat, error) {
 	b.enter(t)
-	defer b.exit()
 	return b.fs.StatFS(t)
 }
 
@@ -541,7 +481,6 @@ func (b *BentoFS) StatFS(t *kernel.Task) (fsapi.FSStat, error) {
 // report any buffer leaks the ownership checker caught.
 func (b *BentoFS) Unmount(t *kernel.Task) error {
 	b.enter(t)
-	defer b.exit()
 	if err := b.fs.Destroy(t); err != nil {
 		return err
 	}

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sync"
 	"testing"
+	"time"
 
 	"bento/internal/bentoks"
 	"bento/internal/blockdev"
@@ -13,6 +13,7 @@ import (
 	"bento/internal/costmodel"
 	"bento/internal/fsapi"
 	"bento/internal/kernel"
+	"bento/internal/vclock"
 )
 
 // toyFS is a minimal Bento file system used to test the framework layer in
@@ -21,7 +22,6 @@ import (
 type toyFS struct {
 	version int
 
-	mu    sync.Mutex
 	sb    bentoks.Disk
 	files map[string][]byte // name -> contents
 	inos  map[string]fsapi.Ino
@@ -34,8 +34,6 @@ func newToyFS(version int) *toyFS { return &toyFS{version: version} }
 func (f *toyFS) BentoName() string { return fmt.Sprintf("toyfs-v%d", f.version) }
 
 func (f *toyFS) Init(t *kernel.Task, sb bentoks.Disk) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.sb = sb
 	if f.files == nil {
 		f.files = make(map[string][]byte)
@@ -49,14 +47,10 @@ func (f *toyFS) Init(t *kernel.Task, sb bentoks.Disk) error {
 func (f *toyFS) Destroy(*kernel.Task) error { return nil }
 
 func (f *toyFS) StatFS(*kernel.Task) (fsapi.FSStat, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return fsapi.FSStat{TotalInodes: int64(len(f.files))}, nil
 }
 
 func (f *toyFS) Lookup(t *kernel.Task, parent fsapi.Ino, name string) (fsapi.Stat, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if parent != fsapi.RootIno {
 		return fsapi.Stat{}, fsapi.ErrNotDir
 	}
@@ -68,8 +62,6 @@ func (f *toyFS) Lookup(t *kernel.Task, parent fsapi.Ino, name string) (fsapi.Sta
 }
 
 func (f *toyFS) GetAttr(t *kernel.Task, ino fsapi.Ino) (fsapi.Stat, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if ino == fsapi.RootIno {
 		return fsapi.Stat{Ino: ino, Type: fsapi.TypeDir, Nlink: 2}, nil
 	}
@@ -81,8 +73,6 @@ func (f *toyFS) GetAttr(t *kernel.Task, ino fsapi.Ino) (fsapi.Stat, error) {
 }
 
 func (f *toyFS) SetAttr(t *kernel.Task, ino fsapi.Ino, size int64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	name, ok := f.byIno[ino]
 	if !ok {
 		return fsapi.ErrNotExist
@@ -97,8 +87,6 @@ func (f *toyFS) SetAttr(t *kernel.Task, ino fsapi.Ino, size int64) error {
 }
 
 func (f *toyFS) Create(t *kernel.Task, parent fsapi.Ino, name string) (fsapi.Stat, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if _, dup := f.inos[name]; dup {
 		return fsapi.Stat{}, fsapi.ErrExist
 	}
@@ -115,8 +103,6 @@ func (f *toyFS) Mkdir(t *kernel.Task, parent fsapi.Ino, name string) (fsapi.Stat
 }
 
 func (f *toyFS) Unlink(t *kernel.Task, parent fsapi.Ino, name string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	ino, ok := f.inos[name]
 	if !ok {
 		return fsapi.ErrNotExist
@@ -132,8 +118,6 @@ func (f *toyFS) Rmdir(t *kernel.Task, parent fsapi.Ino, name string) error {
 }
 
 func (f *toyFS) Rename(t *kernel.Task, op fsapi.Ino, on string, np fsapi.Ino, nn string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	ino, ok := f.inos[on]
 	if !ok {
 		return fsapi.ErrNotExist
@@ -154,8 +138,6 @@ func (f *toyFS) Open(*kernel.Task, fsapi.Ino) error    { return nil }
 func (f *toyFS) Release(*kernel.Task, fsapi.Ino) error { return nil }
 
 func (f *toyFS) Read(t *kernel.Task, ino fsapi.Ino, off int64, buf []byte) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	name, ok := f.byIno[ino]
 	if !ok {
 		return 0, fsapi.ErrNotExist
@@ -168,8 +150,6 @@ func (f *toyFS) Read(t *kernel.Task, ino fsapi.Ino, off int64, buf []byte) (int,
 }
 
 func (f *toyFS) Write(t *kernel.Task, ino fsapi.Ino, off int64, data []byte) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	name, ok := f.byIno[ino]
 	if !ok {
 		return 0, fsapi.ErrNotExist
@@ -188,8 +168,6 @@ func (f *toyFS) Fsync(*kernel.Task, fsapi.Ino, bool) error { return nil }
 func (f *toyFS) SyncFS(*kernel.Task) error                 { return nil }
 
 func (f *toyFS) ReadDir(t *kernel.Task, dir fsapi.Ino) ([]fsapi.DirEntry, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	var out []fsapi.DirEntry
 	for name, ino := range f.inos {
 		out = append(out, fsapi.DirEntry{Name: name, Ino: ino, Type: fsapi.TypeFile})
@@ -205,8 +183,6 @@ type toyState struct {
 }
 
 func (f *toyFS) PrepareTransfer(t *kernel.Task) ([]byte, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return json.Marshal(toyState{Files: f.files, Inos: f.inos, Next: f.next})
 }
 
@@ -215,8 +191,6 @@ func (f *toyFS) RestoreTransfer(t *kernel.Task, state []byte) error {
 	if err := json.Unmarshal(state, &s); err != nil {
 		return err
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.files = s.Files
 	f.inos = s.Inos
 	f.next = s.Next
@@ -349,49 +323,58 @@ func TestUpgradeWithOpenFile(t *testing.T) {
 	}
 }
 
+// TestUpgradeUnderConcurrentLoad swaps the module three times while four
+// writers keep rewriting their files. All five run under one
+// vclock.Group, so each Upgrade lands at a fixed point of the writers'
+// virtual timeline: writes are served before, between and after the
+// swaps, none fails, every file ends with its last write, and the whole
+// scenario replays exactly.
 func TestUpgradeUnderConcurrentLoad(t *testing.T) {
-	k, m, task := mountToy(t)
-	b := m.FS().(*core.BentoFS)
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	errCh := make(chan error, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			wt := k.NewTask(fmt.Sprintf("w%d", i))
-			path := fmt.Sprintf("/w%d", i)
-			if err := m.WriteFile(wt, path, []byte("seed")); err != nil {
-				errCh <- err
+	const writers, iters = 4, 60
+	run := func() (opsAtSwap [3]int64, elapsed time.Duration) {
+		k, m, task := mountToy(t)
+		b := m.FS().(*core.BentoFS)
+		g := vclock.NewGroup(task.Clk.Now())
+		g.Run(writers+1, func(i int, w *vclock.Worker) {
+			wt := k.NewTaskWithClock(fmt.Sprintf("w%d", i), w.Clock())
+			if i == writers { // the operator
+				for gen := 2; gen <= 4; gen++ {
+					wt.Clk.Advance(100 * time.Nanosecond) // a fraction of the writers' run under costmodel.Fast
+					w.Yield()
+					opsAtSwap[gen-2] = b.Ops()
+					if err := b.Upgrade(wt, newToyFS(gen)); err != nil {
+						t.Errorf("upgrade to v%d: %v", gen, err)
+						return
+					}
+				}
 				return
 			}
-			for n := 0; ; n++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			path := fmt.Sprintf("/w%d", i)
+			for n := 0; n < iters; n++ {
+				w.Yield()
 				if err := m.WriteFile(wt, path, []byte(fmt.Sprintf("iter-%d", n))); err != nil {
-					errCh <- fmt.Errorf("worker %d iter %d: %w", i, n, err)
+					t.Errorf("worker %d iter %d: %v", i, n, err)
 					return
 				}
 			}
-		}(i)
-	}
-	for g := 2; g <= 4; g++ {
-		if err := b.Upgrade(task, newToyFS(g)); err != nil {
-			t.Fatalf("upgrade to v%d: %v", g, err)
+		})
+		if b.Generation() != 3 {
+			t.Fatalf("generation = %d, want 3", b.Generation())
 		}
+		if !(0 < opsAtSwap[0] && opsAtSwap[0] < opsAtSwap[1] && opsAtSwap[1] < opsAtSwap[2] && opsAtSwap[2] < b.Ops()) {
+			t.Fatalf("ops served at the three swaps %v, at the end %d: the swaps did not land under load", opsAtSwap, b.Ops())
+		}
+		for i := 0; i < writers; i++ {
+			got, err := m.ReadFile(task, fmt.Sprintf("/w%d", i))
+			if want := fmt.Sprintf("iter-%d", iters-1); err != nil || string(got) != want {
+				t.Fatalf("/w%d = %q, %v; want %q", i, got, err, want)
+			}
+		}
+		return opsAtSwap, g.Elapsed()
 	}
-	close(stop)
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-	if b.Generation() != 3 {
-		t.Fatalf("generation = %d, want 3", b.Generation())
+	ops, elapsed := run()
+	if o2, e2 := run(); o2 != ops || e2 != elapsed {
+		t.Fatalf("replay differs: swaps at ops %v in %v vs %v in %v", o2, e2, ops, elapsed)
 	}
 }
 

@@ -21,7 +21,6 @@ package ext4
 
 import (
 	"fmt"
-	"sync"
 
 	"bento/internal/blockdev"
 	"bento/internal/fsapi"
@@ -49,9 +48,6 @@ type Config struct {
 	// NoBarriers drops the FLUSH in commits (like mounting with
 	// barrier=0); benchmarks comparing pure software paths may set it.
 	NoBarriers bool
-	// CacheShards splits the buffer cache over this many shards (<=1: a
-	// single exact-LRU shard; see kernel.NewBufferCacheSharded).
-	CacheShards int
 	// DataBypass routes regular-file contents around the buffer cache
 	// and the journal: data blocks move directly between the device and
 	// the pages above, demoting the mount from data=journal to
@@ -175,7 +171,7 @@ func geometry(size, ninodes uint32) (superblock, error) {
 func (tt Type) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, error) {
 	fs := &FS{
 		cfg:    tt.Cfg,
-		bc:     kernel.NewBufferCacheSharded(dev, t.Model(), 8192, max(1, tt.Cfg.CacheShards)),
+		bc:     kernel.NewBufferCache(dev, t.Model(), 8192),
 		dev:    dev,
 		inodes: make(map[uint32]*inode),
 		dirIdx: make(map[uint32]map[string]uint32),
@@ -195,7 +191,6 @@ func (tt Type) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, e
 		size: rd(4), nInodes: rd(8), journalStart: rd(12),
 		inodeStart: rd(16), bmapStart: rd(20), dataStart: rd(24),
 	}
-	fs.jCond = sync.NewCond(&fs.jMu)
 	fs.inTxn = make(map[uint32]bool)
 	fs.blockRotor = fs.super.dataStart
 	fs.inodeRotor = 2
@@ -209,15 +204,14 @@ func (tt Type) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, e
 type inode struct {
 	inum  uint32
 	ref   int
-	mu    sync.Mutex
-	valid bool
+	valid bool // din holds the on-disk inode
 	din   layout.Dinode
 
-	// freeNext chains released in-core inodes into the FS freelist
-	// (guarded by itabMu) so warm iget calls stop allocating.
+	// freeNext chains released in-core inodes into the FS freelist so
+	// warm iget calls stop allocating.
 	freeNext *inode
 
-	// Per-inode scratch, guarded by mu. dent holds one directory record;
+	// Per-inode scratch. dent holds one directory record;
 	// bounce (lazily allocated, deliberately retained across freelist
 	// recycling) holds one block for partial direct I/O and directory
 	// scans — directories never take the direct path, so the two uses
@@ -226,8 +220,7 @@ type inode struct {
 	bounce []byte
 }
 
-// bounceBuf returns the inode's lazily-allocated block scratch. Caller
-// holds ip.mu.
+// bounceBuf returns the inode's lazily-allocated block scratch.
 func (ip *inode) bounceBuf() []byte {
 	if ip.bounce == nil {
 		ip.bounce = make([]byte, layout.BlockSize)
@@ -242,32 +235,25 @@ type FS struct {
 	dev   *blockdev.Device
 	super superblock
 
-	// journal (jbd2 stand-in).
-	jMu        sync.Mutex
-	jCond      *sync.Cond
+	// journal (jbd2 stand-in). No locks anywhere in FS: one task runs
+	// at a time (see the kernel package comment).
 	handles    int      // open handles in the running transaction
 	txnBlocks  []uint32 // blocks joined to the running transaction
 	inTxn      map[uint32]bool
 	committing bool
-	commitReq  bool  // a waiter needs the running txn durable
-	commitSeq  int64 // transactions committed so far
 	commitEnd  int64 // virtual completion of the last commit
 	commits    int64
 
-	allocMu    sync.Mutex
 	blockRotor uint32
-	imu        sync.Mutex
 	inodeRotor uint32
 
-	itabMu sync.Mutex
 	inodes map[uint32]*inode
 	ifree  *inode // freelist of released in-core inodes
 
 	// wbPool stages WritePages chunks (wbChunk pages per handle).
 	wbPool *lru.BufPool
 
-	dirIdxMu sync.Mutex
-	dirIdx   map[uint32]map[string]uint32 // the htree stand-in
+	dirIdx map[uint32]map[string]uint32 // the htree stand-in
 }
 
 var (
@@ -286,16 +272,12 @@ func (fs *FS) DataStart() uint32 { return fs.super.dataStart }
 func (fs *FS) DropCleanBlocks() int { return fs.bc.DropClean() }
 
 // dataDirect reports whether ip's contents take the buffer-cache
-// bypass: regular-file data only, with DataBypass configured. Caller
-// holds ip.mu.
+// bypass: regular-file data only, with DataBypass configured. ip is
+// loaded.
 func (fs *FS) dataDirect(ip *inode) bool {
 	return fs.cfg.DataBypass && ip.din.Type == layout.TypeFile
 }
 
 // Commits reports compound commits (benchmark stat; compare with the xv6
 // log's per-operation commit count).
-func (fs *FS) Commits() int64 {
-	fs.jMu.Lock()
-	defer fs.jMu.Unlock()
-	return fs.commits
-}
+func (fs *FS) Commits() int64 { return fs.commits }

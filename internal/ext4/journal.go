@@ -94,11 +94,17 @@ func encodeJHeader(h jheader, buf []byte) {
 	}
 }
 
-// beginHandle joins (or starts) the running compound transaction.
+// beginHandle joins (or starts) the running compound transaction. One
+// task runs at a time and a commit finishes inside the call that started
+// it, so a handle never begins mid-commit, and endHandle commits at
+// CommitThreshold, so the journal is never full: either would be a
+// broken contract, not something to wait out. What a task does wait for
+// — in virtual time — is the end of a commit it slept through.
 func (fs *FS) beginHandle(t *kernel.Task, nblocks int) {
-	fs.jMu.Lock()
-	for fs.committing || uint32(len(fs.txnBlocks)+nblocks) > JournalSize {
-		fs.jCond.Wait()
+	if fs.committing || uint32(len(fs.txnBlocks)+nblocks) > JournalSize {
+		panic(fmt.Sprintf("ext4: beginHandle(%d) found the journal committing=%v with %d of %d blocks joined: "+
+			"another task is mid-commit, which the one-runner-at-a-time contract forbids",
+			nblocks, fs.committing, len(fs.txnBlocks), JournalSize))
 	}
 	fs.handles++
 	if r := t.Rec(); r != nil && fs.commitEnd > t.Clk.NowNS() {
@@ -106,7 +112,6 @@ func (fs *FS) beginHandle(t *kernel.Task, nblocks int) {
 		r.Add(trace.CtrJournalStalls, 1)
 	}
 	t.Clk.AdvanceTo(fs.commitEnd)
-	fs.jMu.Unlock()
 }
 
 // jwrite records a mutated buffer in the running transaction. The buffer
@@ -114,8 +119,6 @@ func (fs *FS) beginHandle(t *kernel.Task, nblocks int) {
 func (fs *FS) jwrite(t *kernel.Task, bh *kernel.BufferHead) error {
 	bh.MarkDirty()
 	blk := uint32(bh.BlockNo())
-	fs.jMu.Lock()
-	defer fs.jMu.Unlock()
 	if fs.handles == 0 {
 		return fmt.Errorf("ext4: journal write outside handle: %w", fsapi.ErrInvalid)
 	}
@@ -136,66 +139,32 @@ func (fs *FS) jwrite(t *kernel.Task, bh *kernel.BufferHead) error {
 // it durable or it crosses the size threshold — jbd2's batching, and the
 // reason ext4 leads Table 6.
 func (fs *FS) endHandle(t *kernel.Task) error {
-	fs.jMu.Lock()
 	fs.handles--
-	shouldCommit := (fs.commitReq || len(fs.txnBlocks) >= CommitThreshold) && fs.handles == 0
-	if !shouldCommit {
-		fs.jCond.Broadcast()
-		fs.jMu.Unlock()
+	if fs.handles > 0 || len(fs.txnBlocks) < CommitThreshold {
 		return nil
 	}
-	return fs.commitLocked(t)
+	return fs.commit(t)
 }
 
 // commitBarrier makes everything journaled so far durable before
-// returning (fsync/sync path). Concurrent fsyncs share one compound
-// commit — the group commit that amortizes ext4's barriers across
-// varmail's 16 threads.
+// returning (fsync/sync path). fsyncs share compound commits — the group
+// commit that amortizes ext4's barriers across varmail's 16 threads: the
+// running transaction carries every task's handles, so the first fsync
+// to arrive commits them all and the others find nothing pending.
 func (fs *FS) commitBarrier(t *kernel.Task) error {
-	fs.jMu.Lock()
-	var target int64
-	switch {
-	case len(fs.txnBlocks) > 0:
-		// Our data sits in the pending transaction; if an older one is
-		// mid-commit we need the one after it.
-		target = fs.commitSeq + 1
-		if fs.committing {
-			target++
-		}
-		fs.commitReq = true
-	case fs.committing:
-		target = fs.commitSeq + 1
-	default:
-		fs.jMu.Unlock()
+	if len(fs.txnBlocks) == 0 {
 		return nil
 	}
-	for fs.commitSeq < target {
-		if !fs.committing && fs.handles == 0 && len(fs.txnBlocks) > 0 {
-			// We become the committer of the pending transaction (which
-			// contains our blocks).
-			return fs.commitLocked(t)
-		}
-		if !fs.committing && len(fs.txnBlocks) == 0 {
-			break // someone else already committed everything
-		}
-		fs.jCond.Wait()
+	if fs.handles > 0 {
+		panic("ext4: commitBarrier with a handle open: the barrier is its own operation (one runner at a time)")
 	}
-	if r := t.Rec(); r != nil && fs.commitEnd > t.Clk.NowNS() {
-		r.Span(t.Name, trace.CatJournal, "commit-wait", t.Clk.NowNS(), fs.commitEnd)
-	}
-	t.Clk.AdvanceTo(fs.commitEnd)
-	fs.jMu.Unlock()
-	return nil
+	return fs.commit(t)
 }
 
-// commitLocked commits the running transaction. Caller holds jMu, which
-// is released during I/O and reacquired; the function returns with jMu
-// released.
-func (fs *FS) commitLocked(t *kernel.Task) error {
+// commit commits the running transaction.
+func (fs *FS) commit(t *kernel.Task) error {
 	fs.committing = true
 	blocks := fs.txnBlocks
-	fs.commitReq = false
-	fs.jMu.Unlock()
 
 	var err error
 	if len(blocks) > 0 {
@@ -208,22 +177,18 @@ func (fs *FS) commitLocked(t *kernel.Task) error {
 		}
 	}
 
-	fs.jMu.Lock()
 	// Reset in place: slice capacity and map buckets carry over to the
 	// next compound transaction instead of reallocating each commit. Safe
-	// because beginHandle blocks while committing, so no jwrite can
-	// append between commitIO consuming `blocks` (an alias of txnBlocks)
-	// and this reset.
+	// because no handle begins while committing, so no jwrite can append
+	// between commitIO consuming `blocks` (an alias of txnBlocks) and
+	// this reset.
 	fs.txnBlocks = fs.txnBlocks[:0]
 	clear(fs.inTxn)
 	fs.committing = false
-	fs.commitSeq++
 	fs.commits++
 	if now := t.Clk.NowNS(); now > fs.commitEnd {
 		fs.commitEnd = now
 	}
-	fs.jCond.Broadcast()
-	fs.jMu.Unlock()
 	return err
 }
 

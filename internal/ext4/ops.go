@@ -16,8 +16,6 @@ import (
 // over it, and a journaled zero's deferred checkpoint could clobber the
 // direct write.
 func (fs *FS) balloc(t *kernel.Task, dataLeaf bool) (uint32, error) {
-	fs.allocMu.Lock()
-	defer fs.allocMu.Unlock()
 	sb := &fs.super
 	rotor := fs.blockRotor
 	if rotor < sb.dataStart || rotor >= sb.size {
@@ -73,8 +71,6 @@ func (fs *FS) bfree(t *kernel.Task, blk uint32) error {
 	if blk < fs.super.dataStart || blk >= fs.super.size {
 		return fmt.Errorf("ext4: bfree %d out of range: %w", blk, fsapi.ErrInvalid)
 	}
-	fs.allocMu.Lock()
-	defer fs.allocMu.Unlock()
 	bh, err := fs.bc.Get(t, int(fs.super.bmapStart+blk/layout.BitsPerBlock))
 	if err != nil {
 		return err
@@ -101,8 +97,6 @@ func (fs *FS) inodeBlock(inum uint32) int {
 }
 
 func (fs *FS) ialloc(t *kernel.Task, typ uint16) (*inode, error) {
-	fs.imu.Lock()
-	defer fs.imu.Unlock()
 	rotor := fs.inodeRotor
 	if rotor < 2 || rotor >= fs.super.nInodes {
 		rotor = 2
@@ -128,10 +122,8 @@ func (fs *FS) ialloc(t *kernel.Task, typ uint16) (*inode, error) {
 			_ = bh.Release()
 			fs.inodeRotor = inum + 1
 			ip := fs.iget(inum)
-			ip.mu.Lock()
 			ip.din = din
 			ip.valid = true
-			ip.mu.Unlock()
 			return ip, nil
 		}
 	}
@@ -141,8 +133,6 @@ func (fs *FS) ialloc(t *kernel.Task, typ uint16) (*inode, error) {
 // --- in-core inodes ---
 
 func (fs *FS) iget(inum uint32) *inode {
-	fs.itabMu.Lock()
-	defer fs.itabMu.Unlock()
 	if ip, ok := fs.inodes[inum]; ok {
 		ip.ref++
 		return ip
@@ -162,20 +152,17 @@ func (fs *FS) iget(inum uint32) *inode {
 	return ip
 }
 
-func (fs *FS) ilock(t *kernel.Task, ip *inode) error {
-	ip.mu.Lock()
+func (fs *FS) iload(t *kernel.Task, ip *inode) error {
 	if ip.valid {
 		return nil
 	}
 	bh, err := fs.bc.Get(t, fs.inodeBlock(ip.inum))
 	if err != nil {
-		ip.mu.Unlock()
 		return err
 	}
 	ip.din = layout.DecodeDinode(bh.Data()[layout.InodeOffset(ip.inum):])
 	_ = bh.Release()
 	if ip.din.Type == layout.TypeFree {
-		ip.mu.Unlock()
 		return fsapi.ErrStale
 	}
 	ip.valid = true
@@ -196,47 +183,33 @@ func (fs *FS) iupdate(t *kernel.Task, ip *inode) error {
 }
 
 func (fs *FS) iput(t *kernel.Task, ip *inode, hasHandle bool) error {
-	ip.mu.Lock()
-	if ip.valid && ip.din.Nlink == 0 {
-		fs.itabMu.Lock()
-		r := ip.ref
-		fs.itabMu.Unlock()
-		if r == 1 {
-			if !hasHandle {
-				ip.mu.Unlock()
-				fs.beginHandle(t, maxHandleBlocks)
-				err := fs.iput(t, ip, true)
-				if e := fs.endHandle(t); err == nil {
-					err = e
-				}
-				return err
+	if ip.valid && ip.din.Nlink == 0 && ip.ref == 1 {
+		if !hasHandle {
+			fs.beginHandle(t, maxHandleBlocks)
+			err := fs.iput(t, ip, true)
+			if e := fs.endHandle(t); err == nil {
+				err = e
 			}
-			if err := fs.itrunc(t, ip); err != nil {
-				ip.mu.Unlock()
-				return err
-			}
-			ip.din.Type = layout.TypeFree
-			if err := fs.iupdate(t, ip); err != nil {
-				ip.mu.Unlock()
-				return err
-			}
-			fs.imu.Lock()
-			if ip.inum < fs.inodeRotor {
-				fs.inodeRotor = ip.inum
-			}
-			fs.imu.Unlock()
-			ip.valid = false
+			return err
 		}
+		if err := fs.itrunc(t, ip); err != nil {
+			return err
+		}
+		ip.din.Type = layout.TypeFree
+		if err := fs.iupdate(t, ip); err != nil {
+			return err
+		}
+		if ip.inum < fs.inodeRotor {
+			fs.inodeRotor = ip.inum
+		}
+		ip.valid = false
 	}
-	ip.mu.Unlock()
-	fs.itabMu.Lock()
 	ip.ref--
 	if ip.ref == 0 {
 		delete(fs.inodes, ip.inum)
 		ip.freeNext = fs.ifree
 		fs.ifree = ip
 	}
-	fs.itabMu.Unlock()
 	return nil
 }
 

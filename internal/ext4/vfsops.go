@@ -8,16 +8,13 @@ import (
 
 // dirIndexFor returns the name->inum index for dp (the htree stand-in),
 // building it on first use by scanning the directory once. The cached
-// map is returned directly — callers only probe or iterate it under
-// dp.mu, so no defensive copy is made (the old per-call copy was an
-// allocation on every warm lookup). Caller holds dp.mu.
+// map is returned directly — callers only probe or iterate it within
+// their own operation, so no defensive copy is made (a per-call copy
+// would be an allocation on every warm lookup). dp is loaded.
 func (fs *FS) dirIndexFor(t *kernel.Task, dp *inode) (map[string]uint32, error) {
-	fs.dirIdxMu.Lock()
 	if idx, ok := fs.dirIdx[dp.inum]; ok {
-		fs.dirIdxMu.Unlock()
 		return idx, nil
 	}
-	fs.dirIdxMu.Unlock()
 
 	idx := make(map[string]uint32)
 	size := int64(dp.din.Size)
@@ -39,37 +36,29 @@ func (fs *FS) dirIndexFor(t *kernel.Task, dp *inode) (map[string]uint32, error) 
 			}
 		}
 	}
-	fs.dirIdxMu.Lock()
 	fs.dirIdx[dp.inum] = idx
-	fs.dirIdxMu.Unlock()
 	return idx, nil
 }
 
 // idxPut/idxDel maintain the index incrementally.
 func (fs *FS) idxPut(dir uint32, name string, ino uint32) {
-	fs.dirIdxMu.Lock()
 	if m, ok := fs.dirIdx[dir]; ok {
 		m[name] = ino
 	}
-	fs.dirIdxMu.Unlock()
 }
 
 func (fs *FS) idxDel(dir uint32, name string) {
-	fs.dirIdxMu.Lock()
 	if m, ok := fs.dirIdx[dir]; ok {
 		delete(m, name)
 	}
-	fs.dirIdxMu.Unlock()
 }
 
 func (fs *FS) idxDrop(dir uint32) {
-	fs.dirIdxMu.Lock()
 	delete(fs.dirIdx, dir)
-	fs.dirIdxMu.Unlock()
 }
 
 // dirlookup resolves name in dp: O(1) through the index, with a record
-// scan only when the caller needs the byte offset. Caller holds dp.mu.
+// scan only when the caller needs the byte offset. dp is loaded.
 func (fs *FS) dirlookup(t *kernel.Task, dp *inode, name string, needOff bool) (uint32, int64, error) {
 	if dp.din.Type != layout.TypeDir {
 		return 0, 0, fsapi.ErrNotDir
@@ -164,21 +153,19 @@ func (fs *FS) Root() fsapi.Ino { return fsapi.RootIno }
 func (fs *FS) Lookup(t *kernel.Task, dir fsapi.Ino, name string) (fsapi.Stat, error) {
 	dp := fs.iget(uint32(dir))
 	defer fs.iput(t, dp, false)
-	if err := fs.ilock(t, dp); err != nil {
+	if err := fs.iload(t, dp); err != nil {
 		return fsapi.Stat{}, err
 	}
 	inum, _, err := fs.dirlookup(t, dp, name, false)
-	dp.mu.Unlock()
 	if err != nil {
 		return fsapi.Stat{}, err
 	}
 	ip := fs.iget(inum)
 	defer fs.iput(t, ip, false)
-	if err := fs.ilock(t, ip); err != nil {
+	if err := fs.iload(t, ip); err != nil {
 		return fsapi.Stat{}, err
 	}
 	st := fs.statOf(ip)
-	ip.mu.Unlock()
 	return st, nil
 }
 
@@ -186,11 +173,10 @@ func (fs *FS) Lookup(t *kernel.Task, dir fsapi.Ino, name string) (fsapi.Stat, er
 func (fs *FS) GetAttr(t *kernel.Task, ino fsapi.Ino) (fsapi.Stat, error) {
 	ip := fs.iget(uint32(ino))
 	defer fs.iput(t, ip, false)
-	if err := fs.ilock(t, ip); err != nil {
+	if err := fs.iload(t, ip); err != nil {
 		return fsapi.Stat{}, fsapi.ErrNotExist
 	}
 	st := fs.statOf(ip)
-	ip.mu.Unlock()
 	return st, nil
 }
 
@@ -201,10 +187,9 @@ func (fs *FS) SetSize(t *kernel.Task, ino fsapi.Ino, size int64) error {
 	}
 	ip := fs.iget(uint32(ino))
 	defer fs.iput(t, ip, false)
-	if err := fs.ilock(t, ip); err != nil {
+	if err := fs.iload(t, ip); err != nil {
 		return err
 	}
-	defer ip.mu.Unlock()
 	if ip.din.Type == layout.TypeDir {
 		return fsapi.ErrIsDir
 	}
@@ -282,10 +267,9 @@ func (fs *FS) createNode(t *kernel.Task, dir fsapi.Ino, name string, typ uint16)
 	defer fs.endHandle(t)
 	dp := fs.iget(uint32(dir))
 	defer fs.iput(t, dp, true)
-	if err := fs.ilock(t, dp); err != nil {
+	if err := fs.iload(t, dp); err != nil {
 		return fsapi.Stat{}, err
 	}
-	defer dp.mu.Unlock()
 	if dp.din.Type != layout.TypeDir {
 		return fsapi.Stat{}, fsapi.ErrNotDir
 	}
@@ -297,8 +281,6 @@ func (fs *FS) createNode(t *kernel.Task, dir fsapi.Ino, name string, typ uint16)
 		return fsapi.Stat{}, err
 	}
 	defer fs.iput(t, ip, true)
-	ip.mu.Lock()
-	defer ip.mu.Unlock()
 	if typ == layout.TypeDir {
 		ip.din.Nlink = 2
 	} else {
@@ -343,20 +325,18 @@ func (fs *FS) removeNode(t *kernel.Task, dir fsapi.Ino, name string, wantDir boo
 	defer fs.endHandle(t)
 	dp := fs.iget(uint32(dir))
 	defer fs.iput(t, dp, true)
-	if err := fs.ilock(t, dp); err != nil {
+	if err := fs.iload(t, dp); err != nil {
 		return err
 	}
-	defer dp.mu.Unlock()
 	inum, off, err := fs.dirlookup(t, dp, name, true)
 	if err != nil {
 		return err
 	}
 	ip := fs.iget(inum)
 	defer fs.iput(t, ip, true)
-	if err := fs.ilock(t, ip); err != nil {
+	if err := fs.iload(t, ip); err != nil {
 		return err
 	}
-	defer ip.mu.Unlock()
 	isDir := ip.din.Type == layout.TypeDir
 	if wantDir && !isDir {
 		return fsapi.ErrNotDir
@@ -410,23 +390,20 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 		defer fs.iput(t, ndp, true)
 	}
 	if odp == ndp {
-		if err := fs.ilock(t, odp); err != nil {
+		if err := fs.iload(t, odp); err != nil {
 			return err
 		}
-		defer odp.mu.Unlock()
 	} else {
 		first, second := odp, ndp
 		if ndp.inum < odp.inum {
 			first, second = ndp, odp
 		}
-		if err := fs.ilock(t, first); err != nil {
+		if err := fs.iload(t, first); err != nil {
 			return err
 		}
-		defer first.mu.Unlock()
-		if err := fs.ilock(t, second); err != nil {
+		if err := fs.iload(t, second); err != nil {
 			return err
 		}
-		defer second.mu.Unlock()
 	}
 
 	srcInum, srcOff, err := fs.dirlookup(t, odp, oname, true)
@@ -438,21 +415,19 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 	}
 	src := fs.iget(srcInum)
 	defer fs.iput(t, src, true)
-	if err := fs.ilock(t, src); err != nil {
+	if err := fs.iload(t, src); err != nil {
 		return err
 	}
 	srcIsDir := src.din.Type == layout.TypeDir
-	src.mu.Unlock()
 
 	if tgtInum, tgtOff, err := fs.dirlookup(t, ndp, nname, true); err == nil {
 		tgt := fs.iget(tgtInum)
 		defer fs.iput(t, tgt, true)
-		if err := fs.ilock(t, tgt); err != nil {
+		if err := fs.iload(t, tgt); err != nil {
 			return err
 		}
 		tgtIsDir := tgt.din.Type == layout.TypeDir
 		if tgtIsDir != srcIsDir {
-			tgt.mu.Unlock()
 			if tgtIsDir {
 				return fsapi.ErrIsDir
 			}
@@ -461,12 +436,10 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 		if tgtIsDir {
 			idx, err := fs.dirIndexFor(t, tgt)
 			if err != nil {
-				tgt.mu.Unlock()
 				return err
 			}
 			for n := range idx {
 				if n != "." && n != ".." {
-					tgt.mu.Unlock()
 					return fsapi.ErrNotEmpty
 				}
 			}
@@ -477,10 +450,8 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 			tgt.din.Nlink--
 		}
 		if err := fs.iupdate(t, tgt); err != nil {
-			tgt.mu.Unlock()
 			return err
 		}
-		tgt.mu.Unlock()
 		if err := fs.dirunlink(t, ndp, nname, tgtOff); err != nil {
 			return err
 		}
@@ -493,25 +464,18 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 		return err
 	}
 	if srcIsDir && odir != ndir {
-		if err := fs.ilock(t, src); err != nil {
-			return err
-		}
 		_, ddOff, err := fs.dirlookup(t, src, "..", true)
 		if err != nil {
-			src.mu.Unlock()
 			return err
 		}
 		rec := src.dent[:]
 		if err := layout.EncodeDirent(layout.Dirent{Ino: ndp.inum, Name: ".."}, rec); err != nil {
-			src.mu.Unlock()
 			return err
 		}
 		if _, err := fs.writei(t, src, ddOff, rec); err != nil {
-			src.mu.Unlock()
 			return err
 		}
 		fs.idxPut(src.inum, "..", ndp.inum)
-		src.mu.Unlock()
 		odp.din.Nlink--
 		ndp.din.Nlink++
 	}
@@ -530,32 +494,25 @@ func (fs *FS) Link(t *kernel.Task, ino fsapi.Ino, dir fsapi.Ino, name string) (f
 	defer fs.endHandle(t)
 	ip := fs.iget(uint32(ino))
 	defer fs.iput(t, ip, true)
-	if err := fs.ilock(t, ip); err != nil {
+	if err := fs.iload(t, ip); err != nil {
 		return fsapi.Stat{}, err
 	}
 	if ip.din.Type == layout.TypeDir {
-		ip.mu.Unlock()
 		return fsapi.Stat{}, fsapi.ErrPerm
 	}
 	ip.din.Nlink++
 	if err := fs.iupdate(t, ip); err != nil {
-		ip.mu.Unlock()
 		return fsapi.Stat{}, err
 	}
 	st := fs.statOf(ip)
-	ip.mu.Unlock()
 	dp := fs.iget(uint32(dir))
 	defer fs.iput(t, dp, true)
-	if err := fs.ilock(t, dp); err != nil {
+	if err := fs.iload(t, dp); err != nil {
 		return fsapi.Stat{}, err
 	}
-	defer dp.mu.Unlock()
 	if err := fs.dirlink(t, dp, name, uint32(ino)); err != nil {
-		if lerr := fs.ilock(t, ip); lerr == nil {
-			ip.din.Nlink--
-			_ = fs.iupdate(t, ip)
-			ip.mu.Unlock()
-		}
+		ip.din.Nlink--
+		_ = fs.iupdate(t, ip)
 		return fsapi.Stat{}, err
 	}
 	return st, nil
@@ -565,10 +522,9 @@ func (fs *FS) Link(t *kernel.Task, ino fsapi.Ino, dir fsapi.Ino, name string) (f
 func (fs *FS) ReadDir(t *kernel.Task, dir fsapi.Ino) ([]fsapi.DirEntry, error) {
 	dp := fs.iget(uint32(dir))
 	defer fs.iput(t, dp, false)
-	if err := fs.ilock(t, dp); err != nil {
+	if err := fs.iload(t, dp); err != nil {
 		return nil, err
 	}
-	defer dp.mu.Unlock()
 	if dp.din.Type != layout.TypeDir {
 		return nil, fsapi.ErrNotDir
 	}
@@ -590,14 +546,13 @@ func (fs *FS) ReadDir(t *kernel.Task, dir fsapi.Ino) ([]fsapi.DirEntry, error) {
 			}
 			ent := fsapi.DirEntry{Name: de.Name, Ino: fsapi.Ino(de.Ino)}
 			child := fs.iget(de.Ino)
-			if err := fs.ilock(t, child); err == nil {
+			if err := fs.iload(t, child); err == nil {
 				switch child.din.Type {
 				case layout.TypeDir:
 					ent.Type = fsapi.TypeDir
 				case layout.TypeFile:
 					ent.Type = fsapi.TypeFile
 				}
-				child.mu.Unlock()
 			}
 			_ = fs.iput(t, child, false)
 			out = append(out, ent)
@@ -609,19 +564,16 @@ func (fs *FS) ReadDir(t *kernel.Task, dir fsapi.Ino) ([]fsapi.DirEntry, error) {
 // Open implements kernel.FileSystem.
 func (fs *FS) Open(t *kernel.Task, ino fsapi.Ino) error {
 	ip := fs.iget(uint32(ino))
-	if err := fs.ilock(t, ip); err != nil {
+	if err := fs.iload(t, ip); err != nil {
 		_ = fs.iput(t, ip, false)
 		return fsapi.ErrNotExist
 	}
-	ip.mu.Unlock()
 	return nil
 }
 
 // Release implements kernel.FileSystem.
 func (fs *FS) Release(t *kernel.Task, ino fsapi.Ino) error {
-	fs.itabMu.Lock()
 	ip, ok := fs.inodes[uint32(ino)]
-	fs.itabMu.Unlock()
 	if !ok {
 		return nil
 	}
@@ -632,10 +584,9 @@ func (fs *FS) Release(t *kernel.Task, ino fsapi.Ino) error {
 func (fs *FS) ReadPage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte) error {
 	ip := fs.iget(uint32(ino))
 	defer fs.iput(t, ip, false)
-	if err := fs.ilock(t, ip); err != nil {
+	if err := fs.iload(t, ip); err != nil {
 		return err
 	}
-	defer ip.mu.Unlock()
 	n, err := fs.readi(t, ip, pg*fsapi.PageSize, buf)
 	if err != nil {
 		return err
@@ -693,12 +644,11 @@ func (fs *FS) WritePages(t *kernel.Task, ino fsapi.Ino, pg int64, pages [][]byte
 			clear(data[copied:total])
 		}
 		fs.beginHandle(t, maxHandleBlocks)
-		if err := fs.ilock(t, ip); err != nil {
+		if err := fs.iload(t, ip); err != nil {
 			_ = fs.endHandle(t)
 			return err
 		}
 		_, err := fs.writei(t, ip, off, data)
-		ip.mu.Unlock()
 		if e := fs.endHandle(t); err == nil {
 			err = e
 		}

@@ -83,66 +83,46 @@ func (r Result) String() string {
 func runWorkers(tg Target, name string, n int, startAt, duration time.Duration,
 	fn func(w int, task *kernel.Task, deadline int64, pace func()) (ops, bytes, errs int64, err error)) Result {
 
+	// Group.Run registers every worker before any runs: registration
+	// order (= worker index) is the scheduler's tie-break key. Even a
+	// worker's first operation (opening its file) runs under the
+	// scheduler, so setup-order effects on shared state are fixed too.
 	group := vclock.NewGroup(startAt)
-	// Register every worker clock before any runs: registration order is
-	// the scheduler's tie-break key, so the roster must be complete (and
-	// in worker-index order) before admission starts.
-	clks := make([]*vclock.Clock, n)
-	for w := 0; w < n; w++ {
-		clks[w] = group.NewWorker()
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
 	res := Result{Name: name}
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			clk := clks[w]
-			sw := group.Worker(clk) // resolve once; pace runs per operation
-			// Even a worker's first operation (opening its file) runs
-			// under the scheduler, so setup-order effects on shared
-			// state are fixed too. A false admission means the worker
-			// was retired while parked: it must not touch shared state.
-			if !sw.Begin() {
-				return
+	group.Run(n, func(w int, sw *vclock.Worker) {
+		clk := sw.Clock()
+		task := tg.K.NewTaskWithClock(fmt.Sprintf("%s-w%d", name, w), clk)
+		if r := task.Rec(); r != nil {
+			// The whole measured run is one worker-category span; its
+			// exclusive time (what no nested span claims) is the
+			// application's own think time. Deferred so workers
+			// retired via Goexit still close their span.
+			wstart := clk.NowNS()
+			defer func() { r.Span(task.Name, trace.CatWorker, "run", wstart, clk.NowNS()) }()
+		}
+		deadline := clk.NowNS() + int64(duration)
+		pace := func() {
+			if !sw.Yield() {
+				// Retired while parked: run no further operations.
+				// Goexit unwinds through the workload's defers
+				// (file closes) and Run's Done/WaitGroup
+				// bookkeeping — cleanup that executes outside the
+				// admission order, which is fine because retirement
+				// is cancellation: a run with retired workers has
+				// no deterministic result to protect (see
+				// vclock.Worker.Retire).
+				runtime.Goexit()
 			}
-			defer sw.Done()
-			task := tg.K.NewTaskWithClock(fmt.Sprintf("%s-w%d", name, w), clk)
-			if r := task.Rec(); r != nil {
-				// The whole measured run is one worker-category span; its
-				// exclusive time (what no nested span claims) is the
-				// application's own think time. Deferred so workers
-				// retired via Goexit still close their span.
-				wstart := clk.NowNS()
-				defer func() { r.Span(task.Name, trace.CatWorker, "run", wstart, clk.NowNS()) }()
-			}
-			deadline := clk.NowNS() + int64(duration)
-			pace := func() {
-				if !sw.Yield() {
-					// Retired while parked: run no further operations.
-					// Goexit unwinds through the workload's defers
-					// (file closes) and this goroutine's Done/WaitGroup
-					// bookkeeping — cleanup that executes outside the
-					// admission order, which is fine because retirement
-					// is cancellation: a run with retired workers has
-					// no deterministic result to protect (see
-					// vclock.Worker.Retire).
-					runtime.Goexit()
-				}
-			}
-			ops, bytes, errs, err := fn(w, task, deadline, pace)
-			mu.Lock()
-			res.Ops += ops
-			res.Bytes += bytes
-			res.Errs += errs
-			if err != nil {
-				res.Errs++
-			}
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
+		}
+		ops, bytes, errs, err := fn(w, task, deadline, pace)
+		// Still the admitted worker: the totals need no lock.
+		res.Ops += ops
+		res.Bytes += bytes
+		res.Errs += errs
+		if err != nil {
+			res.Errs++
+		}
+	})
 	res.Elapsed = group.Elapsed()
 	return res
 }

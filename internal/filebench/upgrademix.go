@@ -3,7 +3,6 @@ package filebench
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"bento/internal/fsapi"
@@ -100,8 +99,8 @@ func UpgradeMix(tg Target, cfg UpgradeConfig) (Result, UpgradeReport, error) {
 	operator := cfg.Readers + cfg.Writers // last registration slot
 	start := setup.Clk.Now()
 	swapNS := int64(start + cfg.SwapAt)
+	// Written by admitted workers only (runWorkers), so no lock.
 	var (
-		repMu   sync.Mutex
 		rep     UpgradeReport
 		swapErr error
 	)
@@ -113,9 +112,7 @@ func UpgradeMix(tg Target, cfg UpgradeConfig) (Result, UpgradeReport, error) {
 				task.Clk.AdvanceTo(swapNS)
 				pace()
 				if err := cfg.Swap(task); err != nil {
-					repMu.Lock()
 					swapErr = err
-					repMu.Unlock()
 					return 0, 0, 0, err
 				}
 				return 0, 0, 0, nil
@@ -163,12 +160,10 @@ func UpgradeMix(tg Target, cfg UpgradeConfig) (Result, UpgradeReport, error) {
 				ops++
 				bytes += int64(n)
 			}
-			repMu.Lock()
 			if maxNS > rep.MaxOpNS {
 				rep.MaxOpNS = maxNS
 			}
 			rep.OpsAfterSwap += after
-			repMu.Unlock()
 			return ops, bytes, 0, nil
 		})
 	if swapErr != nil {

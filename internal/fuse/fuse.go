@@ -3,8 +3,6 @@ package fuse
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"bento/internal/blockdev"
 	"bento/internal/core"
@@ -58,24 +56,25 @@ func (tt Type) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, e
 
 // Session is the userspace daemon: it owns the hosted file system and
 // serves decoded requests one at a time (the single-threaded libfuse
-// loop). The gate serializes both host execution and virtual time.
+// loop). The gate is virtual: freeAt is when the daemon finishes its
+// current request, and a request arriving earlier waits until then. On
+// the host a round trip runs to completion on the one admitted task.
 //
 // The Session also owns the transport's scratch — both wire buffers, the
 // daemon's payload buffer and the decoded request and reply — so a round
-// trip allocates nothing once they have grown. The gate is held around
-// the whole round trip and whoever holds it owns the scratch; the rules
-// (see the package comment): (1) nothing that aliases the scratch
-// outlives the gate, (2) a round trip is not re-entrant, (3) a gathered
-// WRITE is exactly total bytes, copied or zero-filled, (4) a reply
-// header is fully rewritten on every encode, (5) the hosted file
-// system's UserDisk is only ever reached under the gate.
+// trip allocates nothing once they have grown. The task running the
+// round trip owns the scratch while it runs; the rules (see the package
+// comment): (1) nothing that aliases the scratch outlives the Driver
+// method that made the round trip, (2) a round trip is not re-entrant,
+// (3) a gathered WRITE is exactly total bytes, copied or zero-filled,
+// (4) a reply header is fully rewritten on every encode, (5) the hosted
+// file system's UserDisk is only ever reached inside a round trip.
 type Session struct {
 	fs core.FileSystem
 
-	mu     sync.Mutex
 	freeAt int64 // virtual time the daemon finishes its current request
 
-	// Transport scratch; guarded by mu.
+	// Transport scratch; owned by the running round trip.
 	reqWire []byte  // request as written to /dev/fuse
 	repWire []byte  // reply as written back
 	payload []byte  // daemon side: READ data, encoded dirents, statfs
@@ -83,21 +82,20 @@ type Session struct {
 	rep     Reply   // daemon side: Data aliases payload
 	out     Reply   // kernel side: decoded in place, Data aliases repWire
 
-	requests atomic.Int64
-	bytesIn  atomic.Int64
-	bytesOut atomic.Int64
+	requests int64
+	bytesIn  int64
+	bytesOut int64
 }
 
 // Requests reports how many requests the daemon served.
-func (s *Session) Requests() int64 { return s.requests.Load() }
+func (s *Session) Requests() int64 { return s.requests }
 
 // FS exposes the hosted file system (tests).
 func (s *Session) FS() core.FileSystem { return s.fs }
 
 // dispatch executes one decoded request on the daemon and fills rep,
 // resetting every field: a failed request's reply carries the errno and
-// nothing else. A payload goes into s.payload. Caller holds the daemon
-// gate.
+// nothing else. A payload goes into s.payload.
 func (s *Session) dispatch(t *kernel.Task, req *Request, rep *Reply) {
 	*rep = Reply{Unique: req.Unique}
 	var st fsapi.Stat
@@ -168,7 +166,7 @@ func (s *Session) dispatch(t *kernel.Task, req *Request, rep *Reply) {
 // transport cost model and the daemon gate, and decoding the reply.
 type Driver struct {
 	sess   *Session
-	unique atomic.Uint64
+	unique uint64
 }
 
 var (
@@ -186,16 +184,16 @@ func (d *Driver) Session() *Session { return d.sess }
 // userspace-crossing tax — with the stall behind the single-threaded
 // daemon nested inside it as "gate-wait".
 //
-// The caller holds the daemon gate, which is what lets every step work
-// in the session's scratch. A WRITE's payload is gathered from pages
-// (exactly total bytes) straight into the request wire; a READ's reply
-// payload lands in dst, whose tail past the payload is zero-filled. The
-// returned Reply is the session's: it, and a Data not taken by dst, are
-// valid only until the gate is released.
+// Every step works in the session's scratch. A WRITE's payload is
+// gathered from pages (exactly total bytes) straight into the request
+// wire; a READ's reply payload lands in dst, whose tail past the payload
+// is zero-filled. The returned Reply is the session's: it, and a Data
+// not taken by dst, are valid only until the next round trip.
 func (d *Driver) roundTrip(t *kernel.Task, req *Request, pages [][]byte, total int, dst []byte) (*Reply, error) {
 	s := d.sess
 	m := t.Model()
-	req.Unique = d.unique.Add(1)
+	d.unique++
+	req.Unique = d.unique
 	rec := t.Rec()
 	var rtStart int64
 	if rec != nil {
@@ -208,9 +206,9 @@ func (d *Driver) roundTrip(t *kernel.Task, req *Request, pages [][]byte, total i
 	wireLen := len(s.reqWire)
 	t.Charge(m.Copy(wireLen))
 	t.Charge(m.CtxSwitch)
-	s.bytesIn.Add(int64(wireLen))
+	s.bytesIn += int64(wireLen)
 
-	// Daemon: single-threaded service in virtual time and host time.
+	// Daemon: single-threaded service, modelled in virtual time.
 	if s.freeAt > t.Clk.NowNS() {
 		if rec != nil {
 			rec.Span(t.Name, trace.CatFuse, "gate-wait", t.Clk.NowNS(), s.freeAt)
@@ -220,7 +218,7 @@ func (d *Driver) roundTrip(t *kernel.Task, req *Request, pages [][]byte, total i
 	if err := decodeRequest(s.reqWire, &s.req); err != nil {
 		s.rep = Reply{Unique: req.Unique, Errno: ErrnoFor(err)}
 	} else {
-		s.requests.Add(1)
+		s.requests++
 		t.Charge(m.FuseMsg) // daemon-side parse/dispatch
 		s.dispatch(t, &s.req, &s.rep)
 	}
@@ -232,7 +230,7 @@ func (d *Driver) roundTrip(t *kernel.Task, req *Request, pages [][]byte, total i
 	repLen := len(s.repWire)
 	t.Charge(m.Copy(repLen))
 	t.Charge(m.CtxSwitch)
-	s.bytesOut.Add(int64(repLen))
+	s.bytesOut += int64(repLen)
 	if rec != nil {
 		rec.SpanAB(t.Name, trace.CatFuse, opTraceName(req.Op), rtStart, t.Clk.NowNS(),
 			int64(wireLen), int64(repLen))
@@ -255,11 +253,9 @@ func (d *Driver) roundTrip(t *kernel.Task, req *Request, pages [][]byte, total i
 	return out, nil
 }
 
-// call is a round trip with no bulk payload either way: it takes the
-// gate and copies the reply's attributes out from under it.
+// call is a round trip with no bulk payload either way: it copies the
+// reply's attributes out of the session's scratch.
 func (d *Driver) call(t *kernel.Task, req *Request) (WireAttr, error) {
-	d.sess.mu.Lock()
-	defer d.sess.mu.Unlock()
 	rep, err := d.roundTrip(t, req, nil, 0, nil)
 	if err != nil {
 		return WireAttr{}, err
@@ -328,11 +324,9 @@ func (d *Driver) Link(t *kernel.Task, ino fsapi.Ino, dir fsapi.Ino, name string)
 	return d.stat(t, &Request{Op: OpLink, Nodeid: uint64(dir), Target: uint64(ino), Name: name})
 }
 
-// ReadDir implements kernel.FileSystem. The listing is decoded under the
-// gate: its payload lives in the session's reply buffer.
+// ReadDir implements kernel.FileSystem. The listing is decoded before
+// returning: its payload lives in the session's reply buffer.
 func (d *Driver) ReadDir(t *kernel.Task, dir fsapi.Ino) ([]fsapi.DirEntry, error) {
-	d.sess.mu.Lock()
-	defer d.sess.mu.Unlock()
 	rep, err := d.roundTrip(t, &Request{Op: OpReadDir, Nodeid: uint64(dir)}, nil, 0, nil)
 	if err != nil {
 		return nil, err
@@ -355,8 +349,6 @@ func (d *Driver) Release(t *kernel.Task, ino fsapi.Ino) error {
 // ReadPage implements kernel.FileSystem: the reply's payload is copied
 // from the session's reply buffer straight into the page.
 func (d *Driver) ReadPage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte) error {
-	d.sess.mu.Lock()
-	defer d.sess.mu.Unlock()
 	_, err := d.roundTrip(t, &Request{Op: OpRead, Nodeid: uint64(ino), Off: pg * fsapi.PageSize, Size: uint32(len(buf))}, nil, 0, buf)
 	return err
 }
@@ -397,8 +389,6 @@ func (d *Driver) WritePages(t *kernel.Task, ino fsapi.Ino, pg int64, pages [][]b
 // write is one WRITE round trip of exactly total bytes gathered from
 // pages; it reports how many the daemon wrote.
 func (d *Driver) write(t *kernel.Task, ino fsapi.Ino, off int64, pages [][]byte, total int) (int64, error) {
-	d.sess.mu.Lock()
-	defer d.sess.mu.Unlock()
 	rep, err := d.roundTrip(t, &Request{Op: OpWrite, Nodeid: uint64(ino), Off: off}, pages, total, nil)
 	if err != nil {
 		return 0, err
@@ -423,10 +413,8 @@ func (d *Driver) Sync(t *kernel.Task) error {
 }
 
 // StatFS implements kernel.FileSystem. Like ReadDir, the payload is
-// decoded under the gate.
+// decoded before returning.
 func (d *Driver) StatFS(t *kernel.Task) (fsapi.FSStat, error) {
-	d.sess.mu.Lock()
-	defer d.sess.mu.Unlock()
 	rep, err := d.roundTrip(t, &Request{Op: OpStatFS}, nil, 0, nil)
 	if err != nil {
 		return fsapi.FSStat{}, err

@@ -21,16 +21,19 @@
 // measures. The host-side transport pays none of them: in steady state
 // one round trip allocates nothing. The Session owns the request wire
 // buffer, the reply wire buffer, the daemon's payload buffer and the
-// decoded Request/Reply structs, and the daemon gate (Session.mu) is
-// held around the whole round trip, so whoever holds the gate owns that
-// scratch. The ownership rules:
+// decoded Request/Reply structs. There is no host lock: the daemon's
+// single-threadedness is modelled in virtual time (Session.freeAt), and
+// on the host a round trip runs start to finish on the one task the
+// scheduler has admitted, so the task running the round trip owns that
+// scratch while it runs. The ownership rules:
 //
-//  1. The scratch is valid only while the gate is held. Nothing that
+//  1. The scratch is valid only while the round trip runs. Nothing that
 //     aliases it — Request.Data, the daemon's READ buffer, a reply
-//     payload — may be retained past Unlock: READ payloads are copied
-//     into the caller's page, READDIR and STATFS payloads are decoded
-//     under the gate, and names are copied out of the wire as strings
-//     because the hosted file system may keep them.
+//     payload — may be retained past the Driver method that made the
+//     round trip: READ payloads are copied into the caller's page,
+//     READDIR and STATFS payloads are decoded before it returns, and
+//     names are copied out of the wire as strings because the hosted
+//     file system may keep them.
 //  2. A round trip is not re-entrant: the hosted file system reaches
 //     storage through UserDisk, never back through the Driver.
 //  3. A gathered WRITE puts exactly total bytes on the wire, copied from
@@ -38,9 +41,9 @@
 //     earlier, larger request.
 //  4. A reply header is fully rewritten, pad bytes included, on every
 //     encode.
-//  5. UserDisk is daemon-private: every call runs under the gate, or at
-//     mount before the Driver exists. That is what makes recycling an
-//     evicted block safe against BReadDirect's unpinned Peek.
+//  5. UserDisk is daemon-private: every call runs inside a round trip,
+//     or at mount before the Driver exists. That is what makes recycling
+//     an evicted block safe against BReadDirect's unpinned Peek.
 package fuse
 
 import (

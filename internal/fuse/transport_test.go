@@ -268,11 +268,11 @@ func TestErrnoReplyCarriesNoPayload(t *testing.T) {
 		t.Fatalf("READ reply is %d bytes", got)
 	}
 
-	out := d.sess.bytesOut.Load()
+	out := d.sess.bytesOut
 	if _, err := d.Lookup(task, fsapi.RootIno, "missing"); !errors.Is(err, fsapi.ErrNotExist) {
 		t.Fatalf("Lookup(missing) = %v, want ErrNotExist", err)
 	}
-	if got := d.sess.bytesOut.Load() - out; got != repHeaderSize {
+	if got := d.sess.bytesOut - out; got != repHeaderSize {
 		t.Fatalf("errno reply is %d bytes on the wire, want the %d-byte header", got, repHeaderSize)
 	}
 	if d.sess.rep.Data != nil || d.sess.rep.Attr != (WireAttr{}) || d.sess.rep.Errno == 0 {
@@ -313,12 +313,12 @@ func TestFailedRequestRepliesWithErrnoOnly(t *testing.T) {
 	}
 	d := fs.(*Driver)
 
-	out := d.sess.bytesOut.Load()
+	out := d.sess.bytesOut
 	keep := page(0xEE)
 	if err := d.ReadPage(task, 1, 0, keep); !errors.Is(err, fsapi.ErrIO) {
 		t.Fatalf("ReadPage = %v, want ErrIO", err)
 	}
-	if got := d.sess.bytesOut.Load() - out; got != repHeaderSize {
+	if got := d.sess.bytesOut - out; got != repHeaderSize {
 		t.Fatalf("failed READ replied with %d bytes, want the %d-byte header", got, repHeaderSize)
 	}
 	if !bytes.Equal(keep, page(0xEE)) {

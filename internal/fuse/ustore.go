@@ -19,8 +19,8 @@ import (
 // a user-level buffer cache, as the paper's Rust FUSE xv6 did, built on
 // the same O(1) intrusive-LRU infrastructure as the kernel buffer cache.
 //
-// A UserDisk is private to its daemon: every call runs under the
-// Session's gate, or at mount before the Driver exists. A miss on a full
+// A UserDisk is private to its daemon: every call runs inside a Session
+// round trip, or at mount before the Driver exists. A miss on a full
 // cache therefore recycles the clean, unpinned block the LRU just
 // evicted instead of allocating a new one — nobody can still be looking
 // at it, not even BReadDirect's unpinned Peek.
@@ -30,19 +30,18 @@ type UserDisk struct {
 	cache *lru.Cache[*ubuf]
 }
 
-// NewUserDisk opens the disk file O_DIRECT-style over dev. The cache is
-// single-sharded: victim selection is exactly global LRU.
+// NewUserDisk opens the disk file O_DIRECT-style over dev. Victim
+// selection is exactly global LRU.
 func NewUserDisk(dev *blockdev.Device, cacheBlocks int) *UserDisk {
 	if cacheBlocks <= 0 {
 		cacheBlocks = kernel.DefaultBufferCacheCap
 	}
-	return &UserDisk{dev: dev, cache: lru.New[*ubuf](cacheBlocks, 1)}
+	return &UserDisk{dev: dev, cache: lru.New[*ubuf](cacheBlocks)}
 }
 
 // ubuf is a userspace cached block. Like the kernel BufferHead it is
-// published to the cache locked and unfilled (lru.FillState); the miss
-// path fills it before unlocking so concurrent readers of the same
-// block wait for the pread to complete.
+// published to the cache marked filling (lru.FillState) and the miss
+// path resolves the fill before get returns.
 type ubuf struct {
 	lru.FillState
 	node lru.Node
@@ -90,12 +89,12 @@ func (ud *UserDisk) get(t *kernel.Task, blk int, fill bool) (bentoks.Buffer, err
 		} else {
 			nb = &ubuf{ud: ud, data: make([]byte, ud.dev.BlockSize())}
 		}
-		nb.BeginFill() // published locked; unlocked once the fill resolves
+		nb.BeginFill() // published filling; resolved below
 		return nb
 	})
 	if hit {
 		t.Rec().Add(trace.CtrBufHits, 1)
-		if err := b.AwaitFill(); err != nil {
+		if err := b.FillErr(); err != nil {
 			ud.cache.Release(b)
 			return nil, err
 		}
@@ -150,7 +149,7 @@ func (ud *UserDisk) BReadDirect(t *kernel.Task, blk int, buf []byte) error {
 		return fmt.Errorf("userdisk: direct read of block %d: %w", blk, fsapi.ErrInvalid)
 	}
 	if b, ok := ud.cache.Peek(int64(blk)); ok {
-		if err := b.AwaitFill(); err == nil {
+		if err := b.FillErr(); err == nil {
 			t.Charge(t.Model().Copy(len(buf)))
 			copy(buf, b.data)
 			return nil

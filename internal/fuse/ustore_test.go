@@ -4,14 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
-	"time"
 
 	"bento/internal/blockdev"
 	"bento/internal/costmodel"
 	"bento/internal/fsapi"
 	"bento/internal/kernel"
+	"bento/internal/lru"
+	"bento/internal/vclock"
 )
 
 func newTestUserDisk(t *testing.T, cacheBlocks int) (*UserDisk, *kernel.Task) {
@@ -122,28 +122,33 @@ func TestUserDiskDoubleRelease(t *testing.T) {
 	}
 }
 
-// TestUserDiskConcurrent hammers the cache from several tasks under the
-// race detector.
+// TestUserDiskConcurrent drives one user cache from eight scheduled
+// tasks over a block range four times its size and checks the fill
+// accounting: every BRead is a hit or a miss, every miss is exactly one
+// pread of the disk file, evicted blocks are recycled rather than
+// reallocated, and the interleaving replays exactly.
 func TestUserDiskConcurrent(t *testing.T) {
-	model := costmodel.Default()
-	dev, err := blockdev.New(blockdev.Config{Blocks: 4096, Model: model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := kernel.New(model)
-	ud := NewUserDisk(dev, 64)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			task := k.NewTask(fmt.Sprintf("w%d", seed))
-			rng := rand.New(rand.NewSource(seed))
+	run := func() (lru.Stats, blockdev.Stats) {
+		model := costmodel.Default()
+		dev, err := blockdev.New(blockdev.Config{Blocks: 4096, Model: model})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := kernel.New(model)
+		ud := NewUserDisk(dev, 64)
+		vclock.NewGroup(0).Run(8, func(g int, w *vclock.Worker) {
+			task := k.NewTaskWithClock(fmt.Sprintf("w%d", g), w.Clock())
+			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 300; i++ {
+				w.Yield()
 				blk := int(rng.Int31n(256))
 				b, err := ud.BRead(task, blk)
 				if err != nil {
 					t.Errorf("BRead(%d): %v", blk, err)
+					return
+				}
+				if b.BlockNo() != blk {
+					t.Errorf("BRead(%d) returned block %d", blk, b.BlockNo())
 					return
 				}
 				if err := b.Release(); err != nil {
@@ -151,9 +156,19 @@ func TestUserDiskConcurrent(t *testing.T) {
 					return
 				}
 			}
-		}(int64(g))
+		})
+		return ud.Stats(), dev.Stats()
 	}
-	wg.Wait()
+	st, ds := run()
+	if st.Hits+st.Misses != 8*300 || ds.Reads != st.Misses {
+		t.Fatalf("cache %+v, device %+v: want hits+misses = %d and one pread per miss", st, ds, 8*300)
+	}
+	if st.Evictions != st.Misses-64 {
+		t.Fatalf("cache %+v: every miss past the first 64 must evict (and recycle) one block", st)
+	}
+	if st2, ds2 := run(); st2 != st || ds2 != ds {
+		t.Fatalf("replay differs: %+v %+v vs %+v %+v", st2, ds2, st, ds)
+	}
 }
 
 // TestUserDiskDirectIO: the userspace rendering of the direct data
@@ -365,33 +380,31 @@ func TestUserDiskFailedFillNotRecycled(t *testing.T) {
 	}
 }
 
-// gatedBackend holds reads of one block at a gate, so a test can look at
-// the cache while that block's fill is in flight.
-type gatedBackend struct {
+// probeBackend runs a probe inside the read of one block, so a test can
+// look at the cache while that block's fill is in flight — on the one
+// goroutine, the way the fill itself runs.
+type probeBackend struct {
 	blockdev.Backend
-	blk     int
-	entered chan struct{} // closed once the gated read has arrived
-	proceed chan struct{} // close to let it through
+	blk   int
+	probe func()
 }
 
-func (g *gatedBackend) ReadBlock(now int64, blk int, buf []byte) (int64, error) {
-	if blk == g.blk {
-		close(g.entered)
-		<-g.proceed
+func (p *probeBackend) ReadBlock(now int64, blk int, buf []byte) (int64, error) {
+	if blk == p.blk {
+		p.probe()
 	}
-	return g.Backend.ReadBlock(now, blk, buf)
+	return p.Backend.ReadBlock(now, blk, buf)
 }
 
 // TestUserDiskRecycledBlockBlocksHitters: a recycled block is published
-// unfilled, like a new one — a hitter that finds it mid-fill waits for
-// the pread instead of reading the evicted block's bytes.
+// marked filling, like a new one. While its pread is in flight the block
+// is resident under the new key in the evicted block's memory, still
+// holding the evicted block's bytes — and unreadable: FillErr refuses a
+// mid-fill entry. Once the fill resolves, a hitter reads the new block.
 func TestUserDiskRecycledBlockBlocksHitters(t *testing.T) {
 	model := costmodel.Default()
-	gate := &gatedBackend{
-		Backend: blockdev.NewLocalBackend("gated", 4096, model),
-		blk:     7, entered: make(chan struct{}), proceed: make(chan struct{}),
-	}
-	dev := blockdev.MustNew(blockdev.Config{Blocks: 64, Model: model, Backend: gate})
+	pb := &probeBackend{Backend: blockdev.NewLocalBackend("probed", 4096, model), blk: -1}
+	dev := blockdev.MustNew(blockdev.Config{Blocks: 64, Model: model, Backend: pb})
 	k := kernel.New(model)
 	ud, task := NewUserDisk(dev, 1), k.NewTask("filler")
 	fillDevice(t, ud, task, 8)
@@ -399,40 +412,45 @@ func TestUserDiskRecycledBlockBlocksHitters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	victim := b.(*ubuf)
 	if err := b.Release(); err != nil {
 		t.Fatal(err)
 	}
 
-	read7 := func(name string, got chan<- byte) {
-		b, err := ud.BRead(k.NewTask(name), 7)
-		if err != nil {
-			t.Errorf("%s: BRead(7): %v", name, err)
-			close(got)
+	probed := false
+	pb.blk, pb.probe = 7, func() {
+		probed = true
+		mid, ok := ud.cache.Peek(7)
+		if !ok || mid != victim {
+			t.Errorf("mid-fill: block 7 resident=%v in %p, want block 0's memory %p", ok, mid, victim)
 			return
 		}
-		data, _ := b.Data()
-		got <- data[0]
+		if mid.data[0] != 1 {
+			t.Errorf("mid-fill: recycled memory reads %#x, want block 0's stale %#x", mid.data[0], 1)
+		}
+		defer func() {
+			if recover() == nil {
+				t.Error("a hitter read a mid-fill block: FillErr did not refuse it")
+			}
+		}()
+		_ = mid.FillErr()
+	}
+	for _, name := range []string{"filler", "hitter"} {
+		b, err := ud.BRead(k.NewTask(name), 7)
+		if err != nil {
+			t.Fatalf("%s: BRead(7): %v", name, err)
+		}
+		if data, _ := b.Data(); data[0] != 8 {
+			t.Fatalf("%s read %#x, want block 7's %#x", name, data[0], 8)
+		}
 		if err := b.Release(); err != nil {
-			t.Errorf("%s: %v", name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	filler, hitter := make(chan byte, 1), make(chan byte, 1)
-	go read7("filler", filler)
-	<-gate.entered // block 7 is published in block 0's memory, pread in flight
-	go read7("hitter", hitter)
-	// The hitter cannot return before the fill resolves. The timer only
-	// bounds how long a broken cache gets to show itself; it never fails
-	// a correct one.
-	select {
-	case c := <-hitter:
-		t.Fatalf("hitter returned mid-fill with %#x (block 0's bytes are %#x)", c, 1)
-	case <-time.After(50 * time.Millisecond):
+	if !probed {
+		t.Fatal("the fill of block 7 never reached the device")
 	}
-	close(gate.proceed)
-	if c := <-filler; c != 8 {
-		t.Fatalf("filler read %#x, want block 7's %#x", c, 8)
-	}
-	if c := <-hitter; c != 8 {
-		t.Fatalf("hitter read %#x, want block 7's %#x", c, 8)
+	if st := ud.Stats(); st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("stats %+v, want block 0's miss, block 7's miss, and the hitter's hit", st)
 	}
 }

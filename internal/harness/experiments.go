@@ -165,7 +165,7 @@ var fig23Cells = []readThreadCell{
 // fig2Plan regenerates Figure 2: 4KB reads, ops/sec, seq/rnd × 1/32
 // threads.
 func fig2Plan(o Options) *plan {
-	vars := microVariants(o)
+	vars := XV6Variants
 	cols := make([]string, len(fig23Cells))
 	for i, c := range fig23Cells {
 		cols[i] = c.label
@@ -196,7 +196,7 @@ func fig2Plan(o Options) *plan {
 // fig3Plan regenerates Figure 3: 32K/128K/1024K reads, throughput MBps.
 func fig3Plan(o Options) *plan {
 	sizes := []int{32 << 10, 128 << 10, 1024 << 10}
-	vars := microVariants(o)
+	vars := XV6Variants
 	cols := make([]string, len(fig23Cells))
 	for i, c := range fig23Cells {
 		cols[i] = c.label
@@ -236,7 +236,7 @@ func fig3Plan(o Options) *plan {
 func fig4Plan(o Options) *plan {
 	sizes := []int{32 << 10, 128 << 10, 1024 << 10}
 	cells := []readThreadCell{{1, false, "seq-1t"}, {1, true, "rnd-1t"}, {32, true, "rnd-32t"}}
-	vars := microVariants(o)
+	vars := XV6Variants
 	cols := make([]string, len(cells))
 	for i, c := range cells {
 		cols[i] = c.label
@@ -286,7 +286,7 @@ func fig4Plan(o Options) *plan {
 // threads).
 func table4Plan(o Options) *plan {
 	cols := []string{"1 Thread", "32 Threads"}
-	vars := microVariants(o)
+	vars := XV6Variants
 	var specs []CellSpec
 	for _, v := range vars {
 		for _, threads := range []int{1, 32} {
@@ -317,7 +317,7 @@ func table4Plan(o Options) *plan {
 // table5Plan regenerates the delete microbenchmark.
 func table5Plan(o Options) *plan {
 	cols := []string{"1 Thread", "32 Threads"}
-	vars := microVariants(o)
+	vars := XV6Variants
 	var specs []CellSpec
 	for _, v := range vars {
 		for _, threads := range []int{1, 32} {

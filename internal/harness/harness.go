@@ -32,12 +32,6 @@ const (
 	VariantFUSE    = "FUSE"     // the same xv6 at user level behind FUSE
 	VariantExt4    = "Ext4"     // ext4, data=journal
 
-	// VariantBentoShard is Bento with its metadata buffer cache split
-	// over Options.CacheShards shards — the host-parallelism study row,
-	// present only when CacheShards > 1 so the published virtual-time
-	// cells stay exactly reproducible.
-	VariantBentoShard = "Bento-shard"
-
 	// VariantBentoNoBypass is Bento with the data bypass disabled: file
 	// contents are double-cached (page cache + buffer cache) and
 	// journaled, the seed's behaviour. It appears as a study row in the
@@ -89,11 +83,6 @@ type Options struct {
 	// wall-clock only — every virtual-time result, and therefore the
 	// -json output, is byte-identical at any setting.
 	Parallel int
-
-	// CacheShards > 1 adds the Bento-shard row (sharded buffer cache)
-	// to the micro experiments; the default keeps every published
-	// variant at 1 shard.
-	CacheShards int
 
 	// NoIODaemon disables the background I/O subsystem (read-ahead +
 	// flusher) on the in-kernel variants, reproducing the pre-iodaemon
@@ -224,25 +213,13 @@ func (o Options) netFaults() netstore.FaultConfig {
 // traced reports whether cells carry a trace recorder.
 func (o Options) traced() bool { return o.Metrics || o.TraceDir != "" }
 
-// withShardRow appends the sharded-cache study row when enabled.
-func withShardRow(base []string, o Options) []string {
-	if o.CacheShards > 1 {
-		return append(append([]string(nil), base...), VariantBentoShard)
-	}
-	return base
-}
-
-// microVariants reports the rows for the micro experiments: the paper's
-// trio plus the sharded-cache study row when enabled.
-func microVariants(o Options) []string { return withShardRow(XV6Variants, o) }
-
 // streamVariants reports the rows for the streaming scenario: ext4
 // included (the stream is also a macro-style workload), plus the
 // bypass-off study row when single-copy caching is on — the cold
 // stream is the scenario where double-caching flatters the numbers
 // most, so the comparison is published next to the honest cells.
 func streamVariants(o Options) []string {
-	rows := withShardRow(AllVariants, o)
+	rows := AllVariants
 	if o.dataBypass() {
 		rows = append(append([]string(nil), rows...), VariantBentoNoBypass)
 	}
@@ -321,14 +298,11 @@ func NewTarget(variant string, o Options) (filebench.Target, error) {
 	}
 
 	switch variant {
-	case VariantBento, VariantBentoShard, VariantBentoNoBypass:
+	case VariantBento, VariantBentoNoBypass:
 		if _, err := layout.Mkfs(vclock.NewClock(), dev, o.NInodes); err != nil {
 			return filebench.Target{}, err
 		}
 		cfg := bentoimpl.Config{Policy: bentoimpl.PolicyWriteBack, DataBypass: o.dataBypass()}
-		if variant == VariantBentoShard {
-			cfg.CacheShards = o.CacheShards
-		}
 		if variant == VariantBentoNoBypass {
 			cfg.DataBypass = false
 		}

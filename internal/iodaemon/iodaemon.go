@@ -27,10 +27,11 @@
 //     flusher's device bookings still occupy the shared queues that any
 //     later FLUSH must drain behind.
 //
-// The host-side execution of both is synchronous and single-threaded
-// per call site (fills and flushes run inline under the caller's cache
-// locks), so the daemon inherits its caller's determinism; only the
-// *virtual* clocks (the forked fill clocks, the flusher's clock) overlap.
+// The host-side execution of both is synchronous: fills and flushes run
+// inline in the operation that triggered them, on the one goroutine the
+// scheduler has admitted, so the daemon holds no lock or atomic and
+// inherits its caller's determinism; only the *virtual* clocks (the
+// forked fill clocks, the flusher's clock) overlap.
 // With benchmark workers serialized by the vclock scheduler, fill
 // batches and flusher wakeups are triggered in (virtual time, worker id)
 // order, so multi-worker cells replay bit-for-bit too — the forked
@@ -46,8 +47,6 @@
 package iodaemon
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"bento/internal/costmodel"
@@ -119,12 +118,10 @@ type Daemon[T Task] struct {
 	fl   T                // write-back flusher
 	fork func(at int64) T // forks a fill task at a virtual time (batch submission)
 
-	raMu    sync.Mutex // serializes fill batches
-	flMu    sync.Mutex // serializes flusher passes
-	stopped atomic.Bool
+	stopped bool
 
-	// fillTask is the one reusable fill task (guarded by raMu). Fills are
-	// serialized under raMu, so a single task whose clock is rebased
+	// fillTask is the one reusable fill task. Fill batches never overlap
+	// on the host, so a single task whose clock is rebased
 	// (Clock.SetNS) to each fill's submission time behaves exactly like
 	// forking a fresh task there: device bookings key on (time, service),
 	// never task identity, and the kernel registers nothing per task. The
@@ -132,13 +129,7 @@ type Daemon[T Task] struct {
 	fillTask    T
 	hasFillTask bool
 
-	fillPages  atomic.Int64
-	fillSkips  atomic.Int64
-	fillErrors atomic.Int64
-	wakeups    atomic.Int64
-	flushRuns  atomic.Int64
-	flushPages atomic.Int64
-	throttles  atomic.Int64
+	stats Stats
 
 	// rec mirrors the counters above into the cell's trace recorder and
 	// marks each read-ahead batch with an instant event. Nil (the
@@ -166,20 +157,10 @@ func (d *Daemon[T]) Config() Config { return d.cfg }
 func (d *Daemon[T]) SetRecorder(r *trace.Recorder) { d.rec = r }
 
 // Stats returns a snapshot of the daemon's counters.
-func (d *Daemon[T]) Stats() Stats {
-	return Stats{
-		FillPages:  d.fillPages.Load(),
-		FillSkips:  d.fillSkips.Load(),
-		FillErrors: d.fillErrors.Load(),
-		Wakeups:    d.wakeups.Load(),
-		FlushRuns:  d.flushRuns.Load(),
-		FlushPages: d.flushPages.Load(),
-		Throttles:  d.throttles.Load(),
-	}
-}
+func (d *Daemon[T]) Stats() Stats { return d.stats }
 
 // Stopped reports whether the daemon has been quiesced.
-func (d *Daemon[T]) Stopped() bool { return d.stopped.Load() }
+func (d *Daemon[T]) Stopped() bool { return d.stopped }
 
 // BackgroundThreshold reports the dirty-page level (given the mount's
 // hard limit) past which dirtiers should wake the flusher.
@@ -208,12 +189,7 @@ func (d *Daemon[T]) FillAhead(now int64, start, count int64, fill func(t T, pg i
 	if count <= 0 {
 		return nil
 	}
-	d.raMu.Lock()
-	defer d.raMu.Unlock()
-	// Checked under raMu: Quiesce's barrier passes only once no batch
-	// holds the lock, so a fill that saw stopped==false here cannot run
-	// after the quiesce completes.
-	if d.stopped.Load() {
+	if d.stopped {
 		return nil
 	}
 	frontier := d.ra.Clock()
@@ -229,14 +205,14 @@ func (d *Daemon[T]) FillAhead(now int64, start, count int64, fill func(t T, pg i
 		t.Charge(t.Model().AsyncFillPage)
 		filled, err := fill(t, pg)
 		if err != nil {
-			d.fillErrors.Add(1)
+			d.stats.FillErrors++
 			return err
 		}
 		if filled {
-			d.fillPages.Add(1)
+			d.stats.FillPages++
 			d.rec.Add(trace.CtrRAFillPages, 1)
 		} else {
-			d.fillSkips.Add(1)
+			d.stats.FillSkips++
 			d.rec.Add(trace.CtrRAFillSkips, 1)
 		}
 		frontier.AdvanceTo(t.Clock().NowNS())
@@ -254,22 +230,20 @@ func (d *Daemon[T]) FillAhead(now int64, start, count int64, fill func(t T, pg i
 // Flush on a quiesced daemon performs no work and reports the flusher's
 // final clock, so late dirtiers cannot resurrect a stopped flusher.
 func (d *Daemon[T]) Flush(now int64, flush func(t T) (runs, pages int, err error)) (completion int64, err error) {
-	d.flMu.Lock()
-	defer d.flMu.Unlock()
-	if d.stopped.Load() {
+	if d.stopped {
 		return d.fl.Clock().NowNS(), nil
 	}
-	return d.flushLocked(now, flush)
+	return d.flushPass(now, flush)
 }
 
-func (d *Daemon[T]) flushLocked(now int64, flush func(t T) (runs, pages int, err error)) (completion int64, err error) {
-	d.wakeups.Add(1)
+func (d *Daemon[T]) flushPass(now int64, flush func(t T) (runs, pages int, err error)) (completion int64, err error) {
+	d.stats.Wakeups++
 	d.rec.Add(trace.CtrFlushWakeups, 1)
 	d.fl.Clock().AdvanceTo(now)
 	d.fl.Charge(d.fl.Model().FlusherWakeup)
 	runs, pages, err := flush(d.fl)
-	d.flushRuns.Add(int64(runs))
-	d.flushPages.Add(int64(pages))
+	d.stats.FlushRuns += int64(runs)
+	d.stats.FlushPages += int64(pages)
 	d.rec.Add(trace.CtrFlushRuns, int64(runs))
 	d.rec.Add(trace.CtrFlushPages, int64(pages))
 	return d.fl.Clock().NowNS(), err
@@ -282,7 +256,7 @@ func (d *Daemon[T]) FlusherNow() int64 { return d.fl.Clock().NowNS() }
 // NoteThrottle counts a writer throttled against the flusher
 // (balance_dirty_pages making the dirtier wait).
 func (d *Daemon[T]) NoteThrottle() {
-	d.throttles.Add(1)
+	d.stats.Throttles++
 	d.rec.Add(trace.CtrThrottles, 1)
 }
 
@@ -293,14 +267,11 @@ func (d *Daemon[T]) NoteThrottle() {
 // for it. Quiescing twice is safe; the second call just reports the
 // final clock.
 func (d *Daemon[T]) Quiesce(flush func(t T) (runs, pages int, err error)) (completion int64, err error) {
-	d.flMu.Lock()
-	defer d.flMu.Unlock()
-	if d.stopped.Swap(true) {
+	if d.stopped {
 		return d.fl.Clock().NowNS(), nil
 	}
+	d.stopped = true
 	// The read-ahead side needs no drain: fills complete within the call
 	// that issued them; stopping merely refuses new batches.
-	d.raMu.Lock()
-	d.raMu.Unlock() //nolint:staticcheck // barrier: wait out an in-flight batch
-	return d.flushLocked(d.fl.Clock().NowNS(), flush)
+	return d.flushPass(d.fl.Clock().NowNS(), flush)
 }

@@ -188,17 +188,30 @@ func TestFillAheadStopsOnError(t *testing.T) {
 }
 
 // TestFillStatePropagatesError pins down the lru.FillState contract the
-// async fill path relies on: a waiter that hit a mid-fill entry
-// observes the fill error, not zeroed contents.
+// async fill path relies on: whoever still holds a reference to an entry
+// whose fill failed reads the fill error, never zeroed contents taken
+// for valid — and an entry caught mid-fill is a broken contract.
 func TestFillStatePropagatesError(t *testing.T) {
 	var fs lru.FillState
 	boom := errors.New("device error")
 	fs.BeginFill()
-	got := make(chan error, 1)
-	go func() { got <- fs.AwaitFill() }()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("FillErr on a mid-fill entry did not panic")
+			}
+		}()
+		_ = fs.FillErr()
+	}()
 	fs.FailFill(boom)
-	if err := <-got; !errors.Is(err, boom) {
-		t.Fatalf("AwaitFill = %v, want the fill error", err)
+	if err := fs.FillErr(); !errors.Is(err, boom) {
+		t.Fatalf("FillErr = %v, want the fill error", err)
+	}
+	fs.Reset()
+	fs.BeginFill()
+	fs.CompleteFill()
+	if err := fs.FillErr(); err != nil {
+		t.Fatalf("FillErr after a completed fill = %v, want nil", err)
 	}
 }
 

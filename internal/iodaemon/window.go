@@ -7,8 +7,8 @@ package iodaemon
 // (the common cold sequential scan), exactly as a fresh struct
 // file_ra_state does.
 //
-// A Window belongs to one file and is mutated under that file's lock;
-// it holds no synchronization of its own.
+// A Window belongs to one file; like the rest of a cell's state it is
+// plain memory (one task runs at a time).
 type Window struct {
 	next  int64 // page a sequential successor access would start at
 	size  int64 // current ahead window in pages; 0 = no stream detected

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"bento/internal/blockdev"
 	"bento/internal/costmodel"
@@ -22,10 +21,10 @@ type BufferCache struct {
 	model *costmodel.Model
 
 	cache  *lru.Cache[*BufferHead]
-	writes atomic.Int64
+	writes int64
 
-	directReads  atomic.Int64
-	directWrites atomic.Int64
+	directReads  int64
+	directWrites int64
 }
 
 // BufferCacheStats counts cache traffic. DirectReads/DirectWrites count
@@ -40,12 +39,10 @@ type BufferCacheStats struct {
 	DirectWrites int64
 }
 
-// BufferHead is one cached block, the analogue of struct buffer_head. The
-// embedded FillState mutex is the buffer lock (xv6's sleep lock); file
-// systems lock a buffer while reading or mutating its contents. A buffer
-// is published to the cache locked and unfilled; the miss path fills it
-// from the device before unlocking, so concurrent getters of the same
-// block wait for the fill instead of observing zeroed data.
+// BufferHead is one cached block, the analogue of struct buffer_head. A
+// buffer is published to the cache marked filling and the miss path
+// resolves the fill before Get returns (lru.FillState), so a getter of
+// the same block finds one entry with valid data, or the fill's error.
 type BufferHead struct {
 	lru.FillState
 	node lru.Node
@@ -60,25 +57,16 @@ func (b *BufferHead) LRUNode() *lru.Node { return &b.node }
 // 4K blocks), enough that hot metadata stays resident in every workload.
 const DefaultBufferCacheCap = 4096
 
-// NewBufferCache creates a buffer cache over dev with a single shard:
-// victim selection is exactly global LRU, which keeps virtual-time
-// metrics independent of host-side concurrency.
+// NewBufferCache creates a buffer cache over dev (capacity <= 0 selects
+// DefaultBufferCacheCap). Victim selection is exactly global LRU.
 func NewBufferCache(dev *blockdev.Device, model *costmodel.Model, capacity int) *BufferCache {
-	return NewBufferCacheSharded(dev, model, capacity, 1)
-}
-
-// NewBufferCacheSharded creates a buffer cache whose index is split over
-// the given number of shards with per-shard locks, so many-threaded
-// workloads stop serializing on one mutex. Each shard evicts its own LRU
-// tail, so victim selection is exact only per shard.
-func NewBufferCacheSharded(dev *blockdev.Device, model *costmodel.Model, capacity, shards int) *BufferCache {
 	if capacity <= 0 {
 		capacity = DefaultBufferCacheCap
 	}
 	return &BufferCache{
 		dev:   dev,
 		model: model,
-		cache: lru.New[*BufferHead](capacity, shards),
+		cache: lru.New[*BufferHead](capacity),
 	}
 }
 
@@ -92,9 +80,9 @@ func (bc *BufferCache) Stats() BufferCacheStats {
 		Hits:         cs.Hits,
 		Misses:       cs.Misses,
 		Evictions:    cs.Evictions,
-		Writes:       bc.writes.Load(),
-		DirectReads:  bc.directReads.Load(),
-		DirectWrites: bc.directWrites.Load(),
+		Writes:       bc.writes,
+		DirectReads:  bc.directReads,
+		DirectWrites: bc.directWrites,
 	}
 }
 
@@ -121,16 +109,14 @@ func (bc *BufferCache) get(t *Task, blk int, read bool) (*BufferHead, error) {
 	}
 	t.Charge(bc.model.BufferCacheLookup)
 
-	// The evicted buffer is not recycled: an unpinned Peek from another
-	// task may still be copying out of it.
 	b, hit := bc.cache.GetOrInsert(int64(blk), func(*BufferHead, bool) *BufferHead {
 		nb := &BufferHead{bc: bc, data: make([]byte, bc.dev.BlockSize())}
-		nb.BeginFill() // published locked; unlocked once the fill resolves
+		nb.BeginFill() // published filling; resolved below, before anyone else runs
 		return nb
 	})
 	if hit {
 		t.rec.Add(trace.CtrBufHits, 1)
-		if err := b.AwaitFill(); err != nil {
+		if err := b.FillErr(); err != nil {
 			bc.cache.Release(b)
 			return nil, err
 		}
@@ -160,15 +146,12 @@ func (bc *BufferCache) get(t *Task, blk int, read bool) (*BufferHead, error) {
 func (bc *BufferCache) SyncDirty(t *Task) error {
 	var last int64
 	for _, b := range bc.cache.DirtyEntries() {
-		b.Lock()
 		done, err := bc.dev.Submit(t.Clk, b.BlockNo(), b.data)
 		if err != nil {
-			b.Unlock()
 			return err
 		}
 		bc.cache.ClearDirty(b)
-		b.Unlock()
-		bc.writes.Add(1)
+		bc.writes++
 		if done > last {
 			last = done
 		}
@@ -193,7 +176,7 @@ func (bc *BufferCache) ReadDirect(t *Task, blk int, buf []byte) error {
 	if err := bc.invalidate(t, blk); err != nil {
 		return err
 	}
-	bc.directReads.Add(1)
+	bc.directReads++
 	t.rec.Add(trace.CtrDirectReads, 1)
 	start := t.Clk.NowNS()
 	if err := bc.dev.Read(t.Clk, blk, buf); err != nil {
@@ -221,7 +204,7 @@ func (bc *BufferCache) WriteDirect(t *Task, blk int, buf []byte) (completion int
 	if err != nil {
 		return 0, err
 	}
-	bc.directWrites.Add(1)
+	bc.directWrites++
 	t.rec.Add(trace.CtrDirectWrites, 1)
 	return done, nil
 }
@@ -274,8 +257,8 @@ func (bc *BufferCache) InvalidateAll() error {
 // BlockNo reports which block this buffer caches.
 func (b *BufferHead) BlockNo() int { return int(b.node.Key()) }
 
-// Data exposes the buffer's contents. The caller must hold the buffer
-// lock (or otherwise own the buffer) while touching it.
+// Data exposes the buffer's contents; valid while the caller holds its
+// reference.
 func (b *BufferHead) Data() []byte { return b.data }
 
 // MarkDirty flags the buffer as modified. A dirty buffer is written out by
@@ -299,7 +282,7 @@ func (b *BufferHead) SubmitWrite(t *Task) (completion int64, err error) {
 		return 0, err
 	}
 	b.bc.cache.ClearDirty(b)
-	b.bc.writes.Add(1)
+	b.bc.writes++
 	return done, nil
 }
 

@@ -1,14 +1,13 @@
 package kernel
 
 import (
-	"fmt"
 	"testing"
 
 	"bento/internal/blockdev"
 	"bento/internal/costmodel"
 )
 
-func benchCache(b *testing.B, capacity, shards int) (*BufferCache, *Task) {
+func benchCache(b *testing.B, capacity int) (*BufferCache, *Task) {
 	b.Helper()
 	model := costmodel.Default()
 	dev, err := blockdev.New(blockdev.Config{Blocks: 1 << 16, Model: model})
@@ -16,13 +15,13 @@ func benchCache(b *testing.B, capacity, shards int) (*BufferCache, *Task) {
 		b.Fatal(err)
 	}
 	k := New(model)
-	return NewBufferCacheSharded(dev, model, capacity, shards), k.NewTask("bench")
+	return NewBufferCache(dev, model, capacity), k.NewTask("bench")
 }
 
 // BenchmarkBufferCacheHit measures the steady-state hit path: lookup,
 // recency touch, pin, unpin.
 func BenchmarkBufferCacheHit(b *testing.B) {
-	bc, task := benchCache(b, DefaultBufferCacheCap, 1)
+	bc, task := benchCache(b, DefaultBufferCacheCap)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bh, err := bc.Get(task, i%1024)
@@ -40,7 +39,7 @@ func BenchmarkBufferCacheHit(b *testing.B) {
 // reads the device. This is the path that was O(n) per miss before the
 // intrusive-LRU rewrite.
 func BenchmarkBufferCacheMiss(b *testing.B) {
-	bc, task := benchCache(b, 4096, 1)
+	bc, task := benchCache(b, 4096)
 	// Scan twice the capacity cyclically: once warm, every access misses.
 	for blk := 0; blk < 8192; blk++ {
 		bh, err := bc.Get(task, blk)
@@ -65,7 +64,7 @@ func BenchmarkBufferCacheMiss(b *testing.B) {
 // slice of the cache sits dirty and pinned, exercising the
 // skip-pinned/dirty eviction walk.
 func BenchmarkBufferCacheChurn(b *testing.B) {
-	bc, task := benchCache(b, 4096, 1)
+	bc, task := benchCache(b, 4096)
 	// Pin 64 buffers and dirty 256 more so eviction has to skip them.
 	var pinned []*BufferHead
 	for blk := 0; blk < 64; blk++ {
@@ -102,34 +101,5 @@ func BenchmarkBufferCacheChurn(b *testing.B) {
 	b.StopTimer()
 	for _, bh := range pinned {
 		bh.Release()
-	}
-}
-
-// BenchmarkBufferCacheHitParallel drives the hit path from GOMAXPROCS
-// goroutines against a sharded cache, the contention case sharding
-// exists for.
-func BenchmarkBufferCacheHitParallel(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			model := costmodel.Default()
-			dev, err := blockdev.New(blockdev.Config{Blocks: 1 << 16, Model: model})
-			if err != nil {
-				b.Fatal(err)
-			}
-			k := New(model)
-			bc := NewBufferCacheSharded(dev, model, DefaultBufferCacheCap, shards)
-			b.RunParallel(func(pb *testing.PB) {
-				task := k.NewTask("bench-par")
-				i := 0
-				for pb.Next() {
-					bh, err := bc.Get(task, i%1024)
-					if err != nil {
-						b.Fatal(err)
-					}
-					bh.Release()
-					i++
-				}
-			})
-		})
 	}
 }

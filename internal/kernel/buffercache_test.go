@@ -4,12 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"bento/internal/blockdev"
 	"bento/internal/costmodel"
 	"bento/internal/fsapi"
+	"bento/internal/vclock"
 )
 
 func newTestCache(t *testing.T, capacity int) (*BufferCache, *Task) {
@@ -231,24 +231,26 @@ func TestBufferCacheReadError(t *testing.T) {
 	getRelease(t, bc, task, 3)
 }
 
-// TestBufferCacheConcurrentMissFill hammers one block range from many
-// tasks so the race detector can see the publish-locked fill protocol.
+// TestBufferCacheConcurrentMissFill drives one block range from eight
+// scheduled tasks — the only way several tasks share a cache — over a
+// cache a quarter the size of the range, and checks the fill protocol's
+// accounting: every Get is a hit or a miss, every miss is exactly one
+// device read (never two fills of one block, never a hit on an unfilled
+// buffer), and the interleaving replays exactly.
 func TestBufferCacheConcurrentMissFill(t *testing.T) {
-	model := costmodel.Default()
-	dev, err := blockdev.New(blockdev.Config{Blocks: 4096, Model: model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := New(model)
-	bc := NewBufferCacheSharded(dev, model, 64, 8)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			task := k.NewTask(fmt.Sprintf("w%d", seed))
-			rng := rand.New(rand.NewSource(seed))
+	run := func() (BufferCacheStats, blockdev.Stats) {
+		model := costmodel.Default()
+		dev, err := blockdev.New(blockdev.Config{Blocks: 4096, Model: model})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := New(model)
+		bc := NewBufferCache(dev, model, 64)
+		vclock.NewGroup(0).Run(8, func(g int, w *vclock.Worker) {
+			task := k.NewTaskWithClock(fmt.Sprintf("w%d", g), w.Clock())
+			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 500; i++ {
+				w.Yield()
 				blk := int(rng.Int31n(256))
 				b, err := bc.Get(task, blk)
 				if err != nil {
@@ -264,7 +266,20 @@ func TestBufferCacheConcurrentMissFill(t *testing.T) {
 					return
 				}
 			}
-		}(int64(g))
+		})
+		return bc.Stats(), dev.Stats()
 	}
-	wg.Wait()
+	st, ds := run()
+	if st.Hits+st.Misses != 8*500 {
+		t.Fatalf("hits %d + misses %d != %d gets", st.Hits, st.Misses, 8*500)
+	}
+	if ds.Reads != st.Misses {
+		t.Fatalf("%d device reads for %d misses: a miss must fill exactly once", ds.Reads, st.Misses)
+	}
+	if st.Misses < 256 || st.Evictions == 0 {
+		t.Fatalf("stats %+v: the range never overflowed the cache", st)
+	}
+	if st2, ds2 := run(); st2 != st || ds2 != ds {
+		t.Fatalf("replay differs: %+v %+v vs %+v %+v", st2, ds2, st, ds)
+	}
 }

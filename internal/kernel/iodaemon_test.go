@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +13,7 @@ import (
 	"bento/internal/iodaemon"
 	"bento/internal/kernel"
 	"bento/internal/memfs"
+	"bento/internal/vclock"
 )
 
 // hookFS wraps memfs with a modeled per-page device cost, an optional
@@ -23,15 +23,12 @@ type hookFS struct {
 	kernel.FileSystem
 	pageCost time.Duration
 
-	mu       sync.Mutex
 	failPage int64 // page whose reads fail (-1: none)
 	batches  []iodaemon.Run
 }
 
 func (h *hookFS) ReadPage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte) error {
-	h.mu.Lock()
 	fail := h.failPage == pg
-	h.mu.Unlock()
 	if fail {
 		return fsapi.ErrIO
 	}
@@ -43,9 +40,7 @@ func (h *hookFS) ReadPage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte) e
 // WritePages implements kernel.BatchWriter by recording the run and
 // delegating page by page.
 func (h *hookFS) WritePages(t *kernel.Task, ino fsapi.Ino, pg int64, pages [][]byte, newSize int64) error {
-	h.mu.Lock()
 	h.batches = append(h.batches, iodaemon.Run{Start: pg, Count: len(pages)})
-	h.mu.Unlock()
 	for i, buf := range pages {
 		if err := h.FileSystem.WritePage(t, ino, pg+int64(i), buf, newSize); err != nil {
 			return err
@@ -55,14 +50,10 @@ func (h *hookFS) WritePages(t *kernel.Task, ino fsapi.Ino, pg int64, pages [][]b
 }
 
 func (h *hookFS) setFailPage(pg int64) {
-	h.mu.Lock()
 	h.failPage = pg
-	h.mu.Unlock()
 }
 
 func (h *hookFS) recordedBatches() []iodaemon.Run {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return append([]iodaemon.Run(nil), h.batches...)
 }
 
@@ -325,68 +316,71 @@ func TestQuiesceOnUnmount(t *testing.T) {
 	}
 }
 
-// TestIODaemonConcurrentTraffic hammers one daemon-enabled mount from
-// concurrent readers and writers; run under -race it checks the
-// background machinery (window updates, fills, flusher passes,
-// throttling) against the syscall paths.
+// TestIODaemonConcurrentTraffic shares one daemon-enabled mount between
+// four sequential readers and four writers under a vclock.Group — the
+// shape of a multi-thread benchmark cell — and checks the background
+// machinery (window updates, fills, flusher passes, throttling) both did
+// its work next to the syscall paths and replays exactly.
 func TestIODaemonConcurrentTraffic(t *testing.T) {
-	m, _, task := newIODMount(t)
-	m.SetDirtyLimit(32)
 	const pages = 32
-	for w := 0; w < 4; w++ {
-		writeFilePages(t, m, task, fmt.Sprintf("/f%d", w), pages)
-	}
-	m.DropCaches()
+	run := func() (iodaemon.Stats, time.Duration) {
+		m, _, task := newIODMount(t)
+		m.SetDirtyLimit(32)
+		for w := 0; w < 4; w++ {
+			writeFilePages(t, m, task, fmt.Sprintf("/f%d", w), pages)
+		}
+		m.DropCaches()
 
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) { // sequential reader: drives read-ahead
-			defer wg.Done()
-			rd := m.IODaemon() // touch stats concurrently too
-			_ = rd.Stats()
-			tk := task.Kernel().NewTask(fmt.Sprintf("rd%d", w))
-			f, err := m.Open(tk, fmt.Sprintf("/f%d", w), fsapi.ORdonly)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer m.Close(tk, f)
-			buf := make([]byte, 2*fsapi.PageSize)
-			for off := int64(0); off < pages*fsapi.PageSize; off += int64(len(buf)) {
-				if _, err := f.PRead(tk, buf, off); err != nil {
-					errs <- err
+		g := vclock.NewGroup(task.Clk.Now())
+		g.Run(8, func(i int, sw *vclock.Worker) {
+			w := i / 2
+			if i%2 == 0 { // sequential reader: drives read-ahead
+				tk := task.Kernel().NewTaskWithClock(fmt.Sprintf("rd%d", w), sw.Clock())
+				f, err := m.Open(tk, fmt.Sprintf("/f%d", w), fsapi.ORdonly)
+				if err != nil {
+					t.Error(err)
 					return
 				}
+				defer m.Close(tk, f)
+				buf := make([]byte, 2*fsapi.PageSize)
+				for off := int64(0); off < pages*fsapi.PageSize; off += int64(len(buf)) {
+					sw.Yield()
+					if _, err := f.PRead(tk, buf, off); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				return
 			}
-		}(w)
-		wg.Add(1)
-		go func(w int) { // writer: drives the flusher
-			defer wg.Done()
-			tk := task.Kernel().NewTask(fmt.Sprintf("wr%d", w))
+			// writer: drives the flusher
+			tk := task.Kernel().NewTaskWithClock(fmt.Sprintf("wr%d", w), sw.Clock())
 			f, err := m.Open(tk, fmt.Sprintf("/w%d", w), fsapi.OCreate|fsapi.ORdwr)
 			if err != nil {
-				errs <- err
+				t.Error(err)
 				return
 			}
 			defer m.Close(tk, f)
 			one := bytes.Repeat([]byte{byte(w)}, fsapi.PageSize)
 			for pg := int64(0); pg < pages; pg++ {
+				sw.Yield()
 				if _, err := f.PWrite(tk, one, pg*fsapi.PageSize); err != nil {
-					errs <- err
+					t.Error(err)
 					return
 				}
 			}
+			sw.Yield()
 			if err := f.FSync(tk); err != nil {
-				errs <- err
+				t.Error(err)
 			}
-		}(w)
+		})
+		return m.IODaemon().Stats(), g.Elapsed()
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	st, elapsed := run()
+	if st.FillPages == 0 || st.Wakeups == 0 || st.FlushPages == 0 {
+		t.Fatalf("daemon idle under mixed traffic: %+v", st)
+	}
+	if st2, e2 := run(); st2 != st || e2 != elapsed {
+		t.Fatalf("replay differs: %+v/%v vs %+v/%v", st2, e2, st, elapsed)
 	}
 }
 

@@ -6,21 +6,24 @@
 // operation charges virtual time per the cost model, so the benchmarks
 // measure modeled kernel-path costs rather than host noise.
 //
-// Concurrency model: tasks are ordinary goroutines and every shared
-// structure (mount table, dcache, vnodes, page and buffer caches) is
-// lock-protected, but benchmark workers additionally run under the
-// vclock scheduler — one admitted worker at a time, minimal (virtual
-// time, worker id) event first — so the order in which syscall paths
-// touch those structures, book the CPU pool, and queue device commands
-// is a pure function of virtual time. That is what makes the 32-thread
-// cells of the paper's tables replay bit-for-bit. The locks remain
-// load-bearing for callers outside the harness (examples, upgrade
-// machinery, crash tests) that drive concurrent tasks directly.
+// Concurrency model: a kernel, its mounts and everything below them
+// belong to one benchmark cell, and a cell runs one task at a time — the
+// vclock scheduler admits the worker with the minimal (virtual time,
+// worker id) event, and an admitted worker runs one whole operation
+// before it yields. So the order in which syscall paths touch the mount
+// table, dcache, vnodes and the page and buffer caches, book the CPU
+// pool, and queue device commands is a pure function of virtual time,
+// and none of those structures carries a host lock or an atomic. The
+// rule (docs/architecture.md, "Determinism contract"): a host lock or
+// atomic survives only where two host goroutines can reach the same
+// state at the same host instant. Here that is the page pool
+// (pagepool.go), which parallel cells share. Callers outside the
+// harness that want several simulated threads drive them through a
+// vclock.Group, exactly as the harness does.
 package kernel
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"bento/internal/blockdev"
@@ -175,7 +178,6 @@ type Kernel struct {
 	cpus  *vclock.Resource
 	rec   *trace.Recorder
 
-	mu      sync.Mutex
 	fstypes map[string]FileSystemType
 	mounts  map[string]*Mount
 }
@@ -223,8 +225,6 @@ func (k *Kernel) NewTaskWithClock(name string, clk *vclock.Clock) *Task {
 // Register adds a file-system type, like register_filesystem(9). It fails
 // if the name is taken.
 func (k *Kernel) Register(fst FileSystemType) error {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	if _, dup := k.fstypes[fst.Name()]; dup {
 		return fmt.Errorf("kernel: filesystem type %q already registered: %w", fst.Name(), fsapi.ErrExist)
 	}
@@ -234,8 +234,6 @@ func (k *Kernel) Register(fst FileSystemType) error {
 
 // Unregister removes a file-system type. It fails if any mount uses it.
 func (k *Kernel) Unregister(name string) error {
-	k.mu.Lock()
-	defer k.mu.Unlock()
 	if _, ok := k.fstypes[name]; !ok {
 		return fmt.Errorf("kernel: filesystem type %q: %w", name, fsapi.ErrNotExist)
 	}
@@ -251,42 +249,28 @@ func (k *Kernel) Unregister(name string) error {
 // Mount mounts a registered file-system type over dev at mountPoint (an
 // opaque label; mounts are independent namespaces in the simulation).
 func (k *Kernel) Mount(t *Task, fstype, mountPoint string, dev *blockdev.Device) (*Mount, error) {
-	k.mu.Lock()
 	fst, ok := k.fstypes[fstype]
 	if !ok {
-		k.mu.Unlock()
 		return nil, fmt.Errorf("kernel: unknown filesystem type %q: %w", fstype, fsapi.ErrNotExist)
 	}
 	if _, busy := k.mounts[mountPoint]; busy {
-		k.mu.Unlock()
 		return nil, fmt.Errorf("kernel: mount point %q: %w", mountPoint, fsapi.ErrBusy)
 	}
-	k.mu.Unlock()
-
 	fs, err := fst.Mount(t, dev)
 	if err != nil {
 		return nil, fmt.Errorf("kernel: mounting %q on %q: %w", fstype, mountPoint, err)
 	}
 	m := newMount(k, fstype, mountPoint, fs, dev)
-
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if _, busy := k.mounts[mountPoint]; busy {
-		return nil, fmt.Errorf("kernel: mount point %q: %w", mountPoint, fsapi.ErrBusy)
-	}
 	k.mounts[mountPoint] = m
 	return m, nil
 }
 
 // Unmount syncs and detaches the mount at mountPoint.
 func (k *Kernel) Unmount(t *Task, mountPoint string) error {
-	k.mu.Lock()
 	m, ok := k.mounts[mountPoint]
 	if !ok {
-		k.mu.Unlock()
 		return fmt.Errorf("kernel: mount point %q: %w", mountPoint, fsapi.ErrNotExist)
 	}
 	delete(k.mounts, mountPoint)
-	k.mu.Unlock()
 	return m.shutdown(t)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"bento/internal/blockdev"
@@ -12,6 +11,7 @@ import (
 	"bento/internal/fsapi"
 	"bento/internal/kernel"
 	"bento/internal/memfs"
+	"bento/internal/vclock"
 )
 
 // newMount builds a kernel + memfs mount for syscall-layer tests.
@@ -509,37 +509,43 @@ func TestVirtualTimeAdvancesOnSyscalls(t *testing.T) {
 	}
 }
 
+// TestConcurrentWritersDistinctFiles shares one mount between eight
+// simulated threads the supported way — a vclock.Group admits one at a
+// time, each yielding between system calls — and checks that no file
+// picks up another's pages.
 func TestConcurrentWritersDistinctFiles(t *testing.T) {
 	k, m, _ := newMount(t)
-	_ = k
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			task := k.NewTask(fmt.Sprintf("w%d", i))
-			data := bytes.Repeat([]byte{byte(i)}, 3*fsapi.PageSize)
-			path := fmt.Sprintf("/f%d", i)
-			if err := m.WriteFile(task, path, data); err != nil {
-				errs <- err
+	vclock.NewGroup(0).Run(8, func(i int, w *vclock.Worker) {
+		task := k.NewTaskWithClock(fmt.Sprintf("w%d", i), w.Clock())
+		data := bytes.Repeat([]byte{byte(i)}, 3*fsapi.PageSize)
+		path := fmt.Sprintf("/f%d", i)
+		f, err := m.Open(task, path, fsapi.ORdwr|fsapi.OCreate)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for off := 0; off < len(data); off += fsapi.PageSize {
+			w.Yield()
+			if _, err := f.PWrite(task, data[off:off+fsapi.PageSize], int64(off)); err != nil {
+				t.Error(err)
 				return
 			}
-			got, err := m.ReadFile(task, path)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if !bytes.Equal(got, data) {
-				errs <- fmt.Errorf("file %d corrupted", i)
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
+		}
+		w.Yield()
+		if err := m.Close(task, f); err != nil {
+			t.Error(err)
+			return
+		}
+		w.Yield()
+		got, err := m.ReadFile(task, path)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !bytes.Equal(got, data) {
+			t.Errorf("file %d corrupted", i)
+		}
+	})
 }
 
 func TestDirtyBudgetTriggersWriteback(t *testing.T) {

@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"bento/internal/blockdev"
@@ -27,31 +25,6 @@ const DefaultDirtyLimitPages = 2048
 // evicted beyond it).
 const DefaultPageCacheCap = 1 << 18 // 1 GiB of 4K pages
 
-// mountShards is the shard count of the per-mount dcache and vnode
-// tables (a power of two). One mutex per table serialized every path
-// walk and vnode lookup of all 32 threads of the paper's hot cells; the
-// same padded-shard idiom as lru.Cache (internal/lru) spreads them over
-// independent locks. Sharding changes host-lock contention only — no
-// virtual-time cost depends on shard choice, so every published cell is
-// unchanged.
-const mountShards = 16
-
-// vnodeShard is one stripe of the vnode table. The pad rounds the
-// struct to 64 bytes (mutex 8 + map header 8 + 48) so neighboring
-// shards in the array never share a cache line.
-type vnodeShard struct {
-	mu sync.Mutex
-	m  map[fsapi.Ino]*vnode
-	_  [48]byte
-}
-
-// dcacheShard is one stripe of the dentry cache (padded like vnodeShard).
-type dcacheShard struct {
-	mu sync.Mutex
-	m  map[dkey]fsapi.Ino
-	_  [48]byte
-}
-
 // Mount is one mounted file system: the VFS objects (inode/dentry caches),
 // the page cache, and the system-call entry points that benchmarks and
 // examples drive.
@@ -63,17 +36,21 @@ type Mount struct {
 	dev        *blockdev.Device
 	model      *costmodel.Model
 
-	mu     sync.Mutex // guards fs (SwapFS); the tables below shard their own locks
-	vnodes [mountShards]vnodeShard
-	dcache [mountShards]dcacheShard
+	vnodes map[fsapi.Ino]*vnode
+	dcache map[dkey]fsapi.Ino
 
-	dirtyPages atomic.Int64
+	dirtyPages int64
 	dirtyLimit int64
 
-	totalPages atomic.Int64
+	totalPages int64
 	pageCap    int64
 
-	seq atomic.Int64 // LRU tick for page eviction
+	seq int64 // LRU tick for page eviction
+
+	// vnScratch is the snapshot slice forEachVnodeByIno sorts into; the
+	// flusher takes a pass per dirty-budget crossing, so allocating fresh
+	// would show up on every one.
+	vnScratch []*vnode
 
 	// iod is the background I/O subsystem (read-ahead + write-back
 	// flusher); nil until EnableIODaemon, and set before the mount sees
@@ -93,57 +70,46 @@ type dkey struct {
 
 // vnode is the in-core inode: cached attributes plus this file's slice of
 // the page cache. The page cache is an lru.Core — map, intrusive recency
-// list, and explicit dirty set — driven under vn.mu, so the cache is
-// naturally sharded by file with a per-vnode lock.
+// list, and explicit dirty set.
 type vnode struct {
 	m   *Mount
 	ino fsapi.Ino
 
-	mu       sync.RWMutex
 	ftype    fsapi.FileType
 	size     int64
 	opens    int
 	unlinked bool // nlink hit zero; discard on last close
 	pc       lru.Core[*page]
 
-	// ra is the read-ahead state (used only when m.iod != nil), under
-	// its own lock so the per-read window update never forces the
-	// cached-read path through the exclusive vnode lock. raMu is a
-	// leaf: readAhead drops it before touching vn.mu.
-	raMu sync.Mutex
-	ra   iodaemon.Window
+	// ra is the read-ahead state (used only when m.iod != nil).
+	ra iodaemon.Window
 
 	// fillFn is the read-ahead fill callback, built once on first use so
-	// FillAhead batches never allocate a fresh closure. Set under vn.mu.
+	// FillAhead batches never allocate a fresh closure.
 	fillFn func(*Task, int64) (bool, error)
 
-	// Write-back scratch, reused across writebackLocked calls (guarded by
-	// vn.mu, like the dirty set they snapshot). truncateLocked borrows
-	// wbKeys too — it holds the same lock and the uses never overlap.
+	// Write-back scratch, reused across writeback calls. truncate borrows
+	// wbKeys too — the uses never overlap.
 	wbKeys  []int64
 	wbRuns  []iodaemon.Run
 	wbBatch [][]byte
 }
 
-// page is one cached 4K page. Readers bump lastUse under the shared
-// vnode lock (the PRead fast path), so recency reaches the LRU list
-// lazily: eviction runs a second-chance scan that rotates
-// touched-since-positioned pages back to the front.
+// page is one cached 4K page. Readers only bump lastUse (the PRead fast
+// path), so recency reaches the LRU list lazily: eviction runs a
+// second-chance scan that rotates touched-since-positioned pages back
+// to the front.
 //
 // Pages filled by read-ahead carry readyAt, the virtual time their
 // asynchronous device read completes; a reader that catches up with the
 // pipeline waits until then. Demand-filled pages leave it zero: their
 // device wait was paid synchronously, and a full-page overwrite clears
 // it (the overwrite discards the fill's contents, so no wait is owed).
-// readyAt is written only under the exclusive vnode lock (page creation
-// and full-page overwrite), so the shared-lock read path may load it
-// plainly.
 //
-// Read-ahead fills also run the lru.FillState publish-locked protocol
-// (BeginFill before publication, CompleteFill/drop+FailFill after), the
-// same discipline as the buffer caches. Under the current locking it is
-// belt-and-braces: a fill resolves before vn.mu is released, so no
-// reader can observe a mid-fill page and none calls AwaitFill. The
+// Read-ahead fills also run the lru.FillState protocol (BeginFill
+// before publication, CompleteFill/drop+FailFill after), the same
+// discipline as the buffer caches. A fill resolves inside the read that
+// triggered it, so no reader can observe a mid-fill page; the
 // protocol's load-bearing half here is the error path — a failed fill
 // is dropped from the cache before FailFill, so a poisoned page is
 // never reachable.
@@ -152,14 +118,20 @@ type page struct {
 	fill    lru.FillState
 	data    []byte
 	readyAt int64
-	lastUse atomic.Int64
+	lastUse int64
 }
 
 // LRUNode exposes the intrusive cache hook (lru.Entry).
 func (pg *page) LRUNode() *lru.Node { return &pg.node }
 
 // pageRecency is the second-chance recency reader for EvictScan.
-func pageRecency(pg *page) int64 { return pg.lastUse.Load() }
+func pageRecency(pg *page) int64 { return pg.lastUse }
+
+// tick advances and returns the mount's LRU tick.
+func (m *Mount) tick() int64 {
+	m.seq++
+	return m.seq
+}
 
 func newMount(k *Kernel, fstype, mountPoint string, fs FileSystem, dev *blockdev.Device) *Mount {
 	m := &Mount{
@@ -171,33 +143,11 @@ func newMount(k *Kernel, fstype, mountPoint string, fs FileSystem, dev *blockdev
 		model:      k.model,
 		dirtyLimit: DefaultDirtyLimitPages,
 		pageCap:    DefaultPageCacheCap,
-	}
-	for i := range m.vnodes {
-		m.vnodes[i].m = make(map[fsapi.Ino]*vnode)
-	}
-	for i := range m.dcache {
-		m.dcache[i].m = make(map[dkey]fsapi.Ino)
+		vnodes:     make(map[fsapi.Ino]*vnode),
+		dcache:     make(map[dkey]fsapi.Ino),
 	}
 	m.flushFn = m.bdiFlush
 	return m
-}
-
-// vshard maps an inode to its vnode-table stripe.
-func (m *Mount) vshard(ino fsapi.Ino) *vnodeShard {
-	return &m.vnodes[uint64(ino)&(mountShards-1)]
-}
-
-// dshard maps a dentry key to its dcache stripe: FNV-1a over the name,
-// folded with the directory so same-named entries of different
-// directories spread.
-func (m *Mount) dshard(k dkey) *dcacheShard {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(k.name); i++ {
-		h ^= uint64(k.name[i])
-		h *= 1099511628211
-	}
-	h ^= uint64(k.dir) * 0x9e3779b97f4a7c15
-	return &m.dcache[h&(mountShards-1)]
 }
 
 // FS exposes the mounted file system (used by tools like fsck and by the
@@ -251,14 +201,10 @@ func (m *Mount) EnableIODaemon(cfg iodaemon.Config) *iodaemon.Daemon[*Task] {
 // disabled).
 func (m *Mount) IODaemon() *iodaemon.Daemon[*Task] { return m.iod }
 
-// SwapFS atomically replaces the file-system operations vector. Only the
-// online-upgrade machinery in internal/core calls this, with all
-// in-flight operations quiesced.
-func (m *Mount) SwapFS(fs FileSystem) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.fs = fs
-}
+// SwapFS replaces the file-system operations vector. Only the
+// online-upgrade machinery in internal/core calls this, from the one
+// running task — so no operation is in flight.
+func (m *Mount) SwapFS(fs FileSystem) { m.fs = fs }
 
 // BlockCacheDropper is the optional interface a file system implements
 // when its buffer cache should be emptied by DropCaches along with the
@@ -280,22 +226,12 @@ type BlockCacheDropper interface {
 // the deterministic-replay contract is simpler to audit when no path
 // ever walks a Go map in iteration order.
 func (m *Mount) DropCaches() {
-	for i := range m.dcache {
-		s := &m.dcache[i]
-		s.mu.Lock()
-		s.m = make(map[dkey]fsapi.Ino)
-		s.mu.Unlock()
-	}
+	m.dcache = make(map[dkey]fsapi.Ino)
 	_ = m.forEachVnodeByIno(func(vn *vnode) error {
-		vn.mu.Lock()
-		dropped := vn.pc.DropCleanFunc(putPage)
-		vn.mu.Unlock()
+		m.totalPages -= int64(vn.pc.DropCleanFunc(putPage))
 		// The ahead marker points at pages that just vanished; collapse
 		// the window so the next stream re-ramps over real misses.
-		vn.raMu.Lock()
 		vn.ra.Reset()
-		vn.raMu.Unlock()
-		m.totalPages.Add(-int64(dropped))
 		return nil
 	})
 	if d, ok := m.fs.(BlockCacheDropper); ok {
@@ -308,51 +244,10 @@ func (m *Mount) DropCaches() {
 	m.dev.DropBackendCache()
 }
 
-// vnodePeek returns the resident in-core inode for ino, if any.
-func (m *Mount) vnodePeek(ino fsapi.Ino) (*vnode, bool) {
-	s := m.vshard(ino)
-	s.mu.Lock()
-	vn, ok := s.m[ino]
-	s.mu.Unlock()
-	return vn, ok
-}
-
-// vnodeFor returns (creating if needed) the in-core inode for ino.
-func (m *Mount) vnodeFor(t *Task, ino fsapi.Ino) (*vnode, error) {
-	s := m.vshard(ino)
-	s.mu.Lock()
-	if vn, ok := s.m[ino]; ok {
-		s.mu.Unlock()
-		return vn, nil
-	}
-	s.mu.Unlock()
-
-	st, err := m.fs.GetAttr(t, ino)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if vn, ok := s.m[ino]; ok { // lost the race; keep the winner
-		return vn, nil
-	}
-	vn := &vnode{
-		m:     m,
-		ino:   ino,
-		ftype: st.Type,
-		size:  st.Size,
-	}
-	s.m[ino] = vn
-	return vn, nil
-}
-
 // vnodeFromStat installs a vnode using attributes we already hold (create
 // paths), avoiding a redundant GetAttr.
 func (m *Mount) vnodeFromStat(st fsapi.Stat) *vnode {
-	s := m.vshard(st.Ino)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if vn, ok := s.m[st.Ino]; ok {
+	if vn, ok := m.vnodes[st.Ino]; ok {
 		return vn
 	}
 	vn := &vnode{
@@ -361,49 +256,33 @@ func (m *Mount) vnodeFromStat(st fsapi.Stat) *vnode {
 		ftype: st.Type,
 		size:  st.Size,
 	}
-	s.m[st.Ino] = vn
+	m.vnodes[st.Ino] = vn
 	return vn
 }
 
 // dropVnode removes an unlinked, closed vnode and its pages, recycling
 // the pages (nothing can reference them: the file has no opens left).
 func (m *Mount) dropVnode(vn *vnode) {
-	vn.mu.Lock()
-	nDirty := int64(vn.pc.DirtyLen())
-	nPages := int64(vn.pc.Len())
+	m.dirtyPages -= int64(vn.pc.DirtyLen())
+	m.totalPages -= int64(vn.pc.Len())
 	vn.pc.ClearFunc(putPage)
-	vn.mu.Unlock()
-	m.dirtyPages.Add(-nDirty)
-	m.totalPages.Add(-nPages)
-	s := m.vshard(vn.ino)
-	s.mu.Lock()
-	delete(s.m, vn.ino)
-	s.mu.Unlock()
+	delete(m.vnodes, vn.ino)
 }
 
 // --- dentry cache ---
 
 func (m *Mount) dcacheGet(t *Task, dir fsapi.Ino, name string) (fsapi.Ino, bool) {
 	t.Charge(m.model.PageCacheLookup)
-	s := m.dshard(dkey{dir, name})
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ino, ok := s.m[dkey{dir, name}]
+	ino, ok := m.dcache[dkey{dir, name}]
 	return ino, ok
 }
 
 func (m *Mount) dcachePut(dir fsapi.Ino, name string, ino fsapi.Ino) {
-	s := m.dshard(dkey{dir, name})
-	s.mu.Lock()
-	s.m[dkey{dir, name}] = ino
-	s.mu.Unlock()
+	m.dcache[dkey{dir, name}] = ino
 }
 
 func (m *Mount) dcacheDrop(dir fsapi.Ino, name string) {
-	s := m.dshard(dkey{dir, name})
-	s.mu.Lock()
-	delete(s.m, dkey{dir, name})
-	s.mu.Unlock()
+	delete(m.dcache, dkey{dir, name})
 }
 
 // --- path resolution ---
@@ -504,11 +383,11 @@ func (m *Mount) ResolveParent(t *Task, path string) (fsapi.Ino, string, error) {
 // --- page cache ---
 
 // loadPage returns the page at idx for vn, reading through the file system
-// on a miss. Caller holds vn.mu.
+// on a miss.
 func (vn *vnode) loadPage(t *Task, idx int64) (*page, error) {
 	if pg, ok := vn.pc.Peek(idx); ok {
 		t.rec.Add(trace.CtrPageHits, 1)
-		pg.lastUse.Store(vn.m.seq.Add(1))
+		pg.lastUse = vn.m.tick()
 		if r := pg.readyAt; r != 0 {
 			// Read-ahead filled this page; its contents exist only once
 			// the asynchronous device read completes.
@@ -518,7 +397,7 @@ func (vn *vnode) loadPage(t *Task, idx int64) (*page, error) {
 	}
 	t.rec.Add(trace.CtrPageMisses, 1)
 	pg := getPage() // zeroed: beyond-EOF pages must read as zeros
-	pg.lastUse.Store(vn.m.seq.Add(1))
+	pg.lastUse = vn.m.tick()
 	if idx*fsapi.PageSize < vn.size {
 		fillStart := t.Clk.NowNS()
 		if err := vn.m.fs.ReadPage(t, vn.ino, idx, pg.data); err != nil {
@@ -530,38 +409,38 @@ func (vn *vnode) loadPage(t *Task, idx int64) (*page, error) {
 		}
 	}
 	vn.pc.Add(idx, pg)
-	if vn.m.totalPages.Add(1) > vn.m.pageCap {
+	if vn.m.totalPages++; vn.m.totalPages > vn.m.pageCap {
 		// Pin the fresh page: with every other page dirty or pinned the
 		// scan could otherwise evict it before the caller writes to it.
 		pg.node.Pin()
-		vn.evictCleanLocked()
+		vn.evictClean()
 		pg.node.Unpin()
 	}
 	return pg, nil
 }
 
-// evictCleanLocked drops a handful of clean pages from this vnode in
+// evictClean drops a handful of clean pages from this vnode in
 // second-chance LRU order: pages read since they were last positioned
-// (readers only bump lastUse, under the shared lock) get rotated back to
-// the front instead of evicted. Caller holds vn.mu.
-func (vn *vnode) evictCleanLocked() {
+// (readers only bump lastUse) get rotated back to the front instead of
+// evicted.
+func (vn *vnode) evictClean() {
 	for evicted := 0; evicted < 16; evicted++ {
 		victim, ok := vn.pc.EvictScan(pageRecency)
 		if !ok {
 			return
 		}
-		vn.m.totalPages.Add(-1)
+		vn.m.totalPages--
 		putPage(victim)
 	}
 }
 
-// markDirty flags page idx dirty. Caller holds vn.mu. Reports whether the
-// mount's dirty budget is now exceeded.
+// markDirty flags page idx dirty. Reports whether the mount's dirty
+// budget is now exceeded.
 func (vn *vnode) markDirty(idx int64) (overLimit bool) {
 	if vn.pc.MarkDirty(idx) {
-		return vn.m.dirtyPages.Add(1) > vn.m.dirtyLimit
+		vn.m.dirtyPages++
 	}
-	return vn.m.dirtyPages.Load() > vn.m.dirtyLimit
+	return vn.m.dirtyPages > vn.m.dirtyLimit
 }
 
 // writeback flushes vn's dirty pages through the file system, using the
@@ -570,16 +449,13 @@ func (vn *vnode) markDirty(idx int64) (overLimit bool) {
 // difference between those two paths is the mechanism behind the paper's
 // Bento-vs-VFS write gap.
 func (vn *vnode) writeback(t *Task) error {
-	vn.mu.Lock()
-	defer vn.mu.Unlock()
-	_, _, err := vn.writebackLocked(t)
+	_, _, err := vn.writebackCounted(t)
 	return err
 }
 
-// writebackLocked drains vn's dirty set and reports how many write-back
-// calls and pages it issued (the flusher's batching statistics). Caller
-// holds vn.mu.
-func (vn *vnode) writebackLocked(t *Task) (calls, pages int, err error) {
+// writebackCounted drains vn's dirty set and reports how many write-back
+// calls and pages it issued (the flusher's batching statistics).
+func (vn *vnode) writebackCounted(t *Task) (calls, pages int, err error) {
 	if vn.pc.DirtyLen() == 0 {
 		return 0, 0, nil
 	}
@@ -626,7 +502,7 @@ func (vn *vnode) writebackLocked(t *Task) (calls, pages int, err error) {
 		}
 	}
 	cleaned := vn.pc.ClearAllDirty()
-	vn.m.dirtyPages.Add(-int64(cleaned))
+	vn.m.dirtyPages -= int64(cleaned)
 	return calls, pages, nil
 }
 
@@ -637,27 +513,14 @@ func (m *Mount) writebackAll(t *Task) error {
 	})
 }
 
-// vnodeScratch pools the snapshot slices forEachVnodeByIno sorts into;
-// the flusher takes one per pass, so allocating fresh would show up on
-// every dirty-budget crossing.
-var vnodeScratch sync.Pool
-
 // forEachVnodeByIno visits the vnode table in ascending inode order, so
 // cross-vnode passes (sync, drop_caches, the background flusher) visit
 // files deterministically. A non-nil error from fn stops the walk.
 func (m *Mount) forEachVnodeByIno(fn func(*vnode) error) error {
-	v, _ := vnodeScratch.Get().(*[]*vnode)
-	if v == nil {
-		v = new([]*vnode)
-	}
-	vns := (*v)[:0]
-	for i := range m.vnodes {
-		s := &m.vnodes[i]
-		s.mu.Lock()
-		for _, vn := range s.m {
-			vns = append(vns, vn)
-		}
-		s.mu.Unlock()
+	vns := m.vnScratch[:0]
+	m.vnScratch = nil // taken: a walk started from inside fn allocates its own
+	for _, vn := range m.vnodes {
+		vns = append(vns, vn)
 	}
 	slices.SortFunc(vns, func(a, b *vnode) int { return cmp.Compare(a.ino, b.ino) })
 	var err error
@@ -666,23 +529,19 @@ func (m *Mount) forEachVnodeByIno(fn func(*vnode) error) error {
 			break
 		}
 	}
-	clear(vns) // drop vnode refs before pooling
-	*v = vns[:0]
-	vnodeScratch.Put(v)
+	clear(vns) // drop vnode refs before the next pass
+	m.vnScratch = vns[:0]
 	return err
 }
 
 // bdiFlush is one background flusher pass (the per-BDI flusher-thread
 // analogue): drain every vnode's dirty set in ascending inode order,
 // coalescing contiguous dirty pages into batched ->writepages calls.
-// It runs on the flusher's task, never an application's. Called with no
-// locks held.
+// It runs on the flusher's task, never an application's.
 func (m *Mount) bdiFlush(ft *Task) (calls, pages int, err error) {
 	start := ft.Clk.NowNS()
 	err = m.forEachVnodeByIno(func(vn *vnode) error {
-		vn.mu.Lock()
-		c, p, ferr := vn.writebackLocked(ft)
-		vn.mu.Unlock()
+		c, p, ferr := vn.writebackCounted(ft)
 		calls += c
 		pages += p
 		return ferr
@@ -701,10 +560,10 @@ func (m *Mount) bdiFlush(ft *Task) (calls, pages int, err error) {
 // through the hard limit outright — is throttled: writer and flusher
 // double-buffer, so sustained write throughput converges on the slower
 // of application CPU and device write-back without stalling the
-// pipeline. Called with no locks held.
+// pipeline.
 func (m *Mount) balanceDirty(t *Task) error {
 	d := m.iod
-	dirty := m.dirtyPages.Load()
+	dirty := m.dirtyPages
 	if dirty <= d.BackgroundThreshold(m.dirtyLimit) {
 		return nil
 	}
@@ -728,34 +587,21 @@ func (m *Mount) balanceDirty(t *Task) error {
 
 // readAhead advises the read-ahead state machine about a demand read
 // covering pages [first, last] and schedules asynchronous fills for the
-// window it opens. Only called when m.iod != nil.
-//
-// The common warm-cache case never touches the exclusive vnode lock:
-// the window update runs under its own raMu, and the EOF clamp plus
-// fully-resident check run under the shared lock — so concurrent
-// readers of one cached file keep scaling, and cached benchmark phases
-// see no background clock traffic at all. Only a window with real
-// misses upgrades to vn.mu for the fills.
+// window it opens. Only called when m.iod != nil. A fully resident
+// window — every cached benchmark phase — books no background clock
+// traffic at all.
 func (vn *vnode) readAhead(t *Task, first, last int64) {
 	m := vn.m
 	d := m.iod
 	cfg := d.Config()
 	t.Charge(m.model.ReadaheadUpdate)
-	vn.raMu.Lock()
 	start, count := vn.ra.Access(first, last, cfg.InitWindow, cfg.MaxWindow)
-	vn.raMu.Unlock()
-	if count == 0 {
-		return
-	}
-	vn.mu.RLock()
-	if vn.size == 0 {
-		vn.mu.RUnlock()
+	if count == 0 || vn.size == 0 {
 		return
 	}
 	// Clamp the window to EOF.
 	lastPg := (vn.size - 1) / fsapi.PageSize
 	if start > lastPg {
-		vn.mu.RUnlock()
 		return
 	}
 	if start+count-1 > lastPg {
@@ -768,62 +614,41 @@ func (vn *vnode) readAhead(t *Task, first, last int64) {
 			break
 		}
 	}
-	vn.mu.RUnlock()
 	if !missing {
 		return
 	}
-	// Misses exist (or did moments ago — fillPageLocked re-checks each
-	// page, so a racing fill just turns into skips): run the batch.
-	vn.mu.Lock()
-	// Re-clamp against the current size: a truncate may have slipped in
-	// since the shared-lock check, and filling past the new EOF would
-	// cache phantom pages a later re-extension must never serve.
-	if vn.size == 0 || start > (vn.size-1)/fsapi.PageSize {
-		vn.mu.Unlock()
-		return
-	}
-	if lastPg := (vn.size - 1) / fsapi.PageSize; start+count-1 > lastPg {
-		count = lastPg - start + 1
-	}
 	if vn.fillFn == nil {
-		vn.fillFn = func(rt *Task, pg int64) (bool, error) {
-			return vn.fillPageLocked(rt, pg)
-		}
+		vn.fillFn = vn.fillPage
 	}
-	err := d.FillAhead(t.Clk.NowNS(), start, count, vn.fillFn)
-	vn.mu.Unlock()
-	if err != nil {
+	if err := d.FillAhead(t.Clk.NowNS(), start, count, vn.fillFn); err != nil {
 		// A failed fill must not fail the demand read that merely
 		// triggered it; collapse the window so the stream stops running
 		// into the bad region. A demand read of the failed page will
 		// surface the error synchronously.
-		vn.raMu.Lock()
 		vn.ra.Reset()
-		vn.raMu.Unlock()
 	}
 }
 
-// fillPageLocked reads page pg into the cache on the read-ahead task
-// rt, following the lru.FillState publish-locked protocol: the page is
-// published locked and unfilled, filled from the file system, then
-// resolved — and dropped before FailFill on error so no later getter
-// can hit a poisoned page. Caller holds vn.mu.
-func (vn *vnode) fillPageLocked(rt *Task, pg int64) (bool, error) {
+// fillPage reads page pg into the cache on the read-ahead task rt,
+// following the lru.FillState protocol: the page is published marked
+// filling, filled from the file system, then resolved — and dropped
+// before FailFill on error so no later getter can hit a poisoned page.
+func (vn *vnode) fillPage(rt *Task, pg int64) (bool, error) {
 	if _, ok := vn.pc.Peek(pg); ok {
 		return false, nil
 	}
 	p := getPage()
-	p.lastUse.Store(vn.m.seq.Add(1))
+	p.lastUse = vn.m.tick()
 	p.fill.BeginFill()
 	vn.pc.Add(pg, p)
-	if vn.m.totalPages.Add(1) > vn.m.pageCap {
+	if vn.m.totalPages++; vn.m.totalPages > vn.m.pageCap {
 		p.node.Pin()
-		vn.evictCleanLocked()
+		vn.evictClean()
 		p.node.Unpin()
 	}
 	if err := vn.m.fs.ReadPage(rt, vn.ino, pg, p.data); err != nil {
 		vn.pc.Remove(pg)
-		vn.m.totalPages.Add(-1)
+		vn.m.totalPages--
 		p.fill.FailFill(err)
 		return false, err
 	}

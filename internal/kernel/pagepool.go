@@ -20,10 +20,12 @@ import (
 // TestPagePoolZeroing.
 //
 // Safety: a page is only Put after it has been removed from its vnode's
-// cache under that vnode's exclusive lock, and readers only touch
-// resident pages under at least the shared lock — so no reference can
+// cache, by the one task running in that cell — so no reference can
 // outlive the release. Pool reuse order is host-side state only; no
 // virtual-time cost ever depends on which page struct backs an index.
+//
+// The pool is the one piece of kernel state parallel cells share, which
+// is why it — alone in this package — is synchronised (a sync.Pool).
 var pagePool = sync.Pool{
 	New: func() any { return &page{data: make([]byte, fsapi.PageSize)} },
 }
@@ -44,6 +46,6 @@ func putPage(pg *page) {
 	pg.node.ResetForReuse()
 	pg.fill.Reset()
 	pg.readyAt = 0
-	pg.lastUse.Store(0)
+	pg.lastUse = 0
 	pagePool.Put(pg)
 }

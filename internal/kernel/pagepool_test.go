@@ -22,7 +22,7 @@ func TestPagePoolZeroing(t *testing.T) {
 		for j := range pg.data {
 			pg.data[j] = byte(i + j + 1)
 		}
-		pg.lastUse.Store(int64(i + 1))
+		pg.lastUse = int64(i + 1)
 		pg.readyAt = int64(i + 1)
 		putPage(pg)
 	}
@@ -33,7 +33,7 @@ func TestPagePoolZeroing(t *testing.T) {
 // its previous life.
 func TestPagePoolResetState(t *testing.T) {
 	pg := getPage()
-	pg.lastUse.Store(42)
+	pg.lastUse = 42
 	pg.readyAt = 99
 	pg.fill.BeginFill()
 	pg.fill.FailFill(errTestFill)
@@ -58,13 +58,13 @@ func TestPagePoolResetState(t *testing.T) {
 	if got == nil {
 		t.Skip("recycled page not observed (pool drained by GC); policy covered by TestPagePoolZeroing")
 	}
-	if v := got.lastUse.Load(); v != 0 {
+	if v := got.lastUse; v != 0 {
 		t.Errorf("recycled page lastUse = %d, want 0", v)
 	}
 	if got.readyAt != 0 {
 		t.Errorf("recycled page readyAt = %d, want 0", got.readyAt)
 	}
-	if err := got.fill.AwaitFill(); err != nil {
+	if err := got.fill.FillErr(); err != nil {
 		t.Errorf("recycled page fill state kept error %v, want reset", err)
 	}
 	putPage(got)

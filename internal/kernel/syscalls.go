@@ -2,21 +2,18 @@ package kernel
 
 import (
 	"fmt"
-	"sync"
 
 	"bento/internal/fsapi"
 	"bento/internal/trace"
 )
 
 // File is an open file description (struct file): a position, flags, and a
-// reference to the in-core inode. A File may be shared across tasks; the
-// position is protected by its own lock like the kernel's f_pos_lock.
+// reference to the in-core inode.
 type File struct {
 	m     *Mount
 	vn    *vnode
 	flags int
 
-	mu     sync.Mutex
 	pos    int64
 	closed bool
 }
@@ -63,17 +60,14 @@ func (m *Mount) Open(t *Task, path string, flags int) (*File, error) {
 	if err := m.fs.Open(t, st.Ino); err != nil {
 		return nil, err
 	}
-	vn.mu.Lock()
 	vn.opens++
 	if flags&fsapi.OTrunc != 0 && vn.ftype == fsapi.TypeFile {
-		if err := vn.truncateLocked(t, 0); err != nil {
+		if err := vn.truncate(t, 0); err != nil {
 			vn.opens--
-			vn.mu.Unlock()
 			_ = m.fs.Release(t, st.Ino)
 			return nil, err
 		}
 	}
-	vn.mu.Unlock()
 	return &File{m: m, vn: vn, flags: flags}, nil
 }
 
@@ -83,20 +77,14 @@ const OAccWrite = fsapi.OWronly | fsapi.ORdwr | fsapi.OAppend | fsapi.OTrunc
 // Close releases the open file.
 func (m *Mount) Close(t *Task, f *File) error {
 	defer t.endSyscall("close", m.chargeSyscall(t))
-	f.mu.Lock()
 	if f.closed {
-		f.mu.Unlock()
 		return fsapi.ErrBadFD
 	}
 	f.closed = true
-	f.mu.Unlock()
 
 	vn := f.vn
-	vn.mu.Lock()
 	vn.opens--
-	lastClose := vn.opens == 0
-	drop := lastClose && vn.unlinked
-	vn.mu.Unlock()
+	drop := vn.opens == 0 && vn.unlinked
 
 	if err := m.fs.Release(t, vn.ino); err != nil {
 		return err
@@ -115,10 +103,8 @@ func (m *Mount) Stat(t *Task, path string) (fsapi.Stat, error) {
 	if err != nil {
 		return fsapi.Stat{}, err
 	}
-	if vn, ok := m.vnodePeek(st.Ino); ok {
-		vn.mu.Lock()
+	if vn, ok := m.vnodes[st.Ino]; ok {
 		st.Size = vn.size
-		vn.mu.Unlock()
 	}
 	return st, nil
 }
@@ -130,19 +116,13 @@ func (f *File) FStat(t *Task) (fsapi.Stat, error) {
 	if err != nil {
 		return fsapi.Stat{}, err
 	}
-	f.vn.mu.Lock()
 	st.Size = f.vn.size
-	f.vn.mu.Unlock()
 	return st, nil
 }
 
 // Size reports the in-core file size without a syscall charge (test
 // helper).
-func (f *File) Size() int64 {
-	f.vn.mu.Lock()
-	defer f.vn.mu.Unlock()
-	return f.vn.size
-}
+func (f *File) Size() int64 { return f.vn.size }
 
 // Ino reports the file's inode number.
 func (f *File) Ino() fsapi.Ino { return f.vn.ino }
@@ -150,14 +130,10 @@ func (f *File) Ino() fsapi.Ino { return f.vn.ino }
 // Read reads from the current position, advancing it. It returns the
 // number of bytes read; 0 at EOF.
 func (f *File) Read(t *Task, buf []byte) (int, error) {
-	f.mu.Lock()
 	pos := f.pos
-	f.mu.Unlock()
 	n, err := f.PRead(t, buf, pos)
 	if n > 0 {
-		f.mu.Lock()
 		f.pos = pos + int64(n)
-		f.mu.Unlock()
 	}
 	return n, err
 }
@@ -173,13 +149,8 @@ func (f *File) PRead(t *Task, buf []byte, off int64) (int, error) {
 		return 0, fsapi.ErrInvalid
 	}
 
-	// Cached reads proceed under a shared lock so threads reading the same
-	// file scale (the paper's 32-thread read benchmarks depend on this);
-	// only a page miss upgrades to the exclusive lock to fill the cache.
 	vn := f.vn
-	vn.mu.RLock()
 	if off >= vn.size {
-		vn.mu.RUnlock()
 		return 0, nil
 	}
 	want := int64(len(buf))
@@ -198,7 +169,7 @@ func (f *File) PRead(t *Task, buf []byte, off int64) (int, error) {
 		pg, ok := vn.pc.Peek(idx)
 		if ok {
 			t.rec.Add(trace.CtrPageHits, 1)
-			pg.lastUse.Store(vn.m.seq.Add(1))
+			pg.lastUse = m.tick()
 			if r := pg.readyAt; r != 0 {
 				// The page is here courtesy of read-ahead; a reader
 				// that catches up with the pipeline waits for its
@@ -206,29 +177,16 @@ func (f *File) PRead(t *Task, buf []byte, off int64) (int, error) {
 				t.waitSpan(trace.CatCache, "ra-wait", r)
 			}
 		} else {
-			vn.mu.RUnlock()
-			vn.mu.Lock()
 			var err error
 			pg, err = vn.loadPage(t, idx)
-			vn.mu.Unlock()
 			if err != nil {
 				return int(done), err
-			}
-			vn.mu.RLock()
-			// A racing truncate may have shrunk the file while the lock
-			// was dropped; re-clamp.
-			if off+want > vn.size {
-				want = vn.size - off
-				if done >= want {
-					break
-				}
 			}
 		}
 		t.Charge(m.model.Copy(int(n)))
 		copy(buf[done:done+n], pg.data[pgOff:pgOff+n])
 		done += n
 	}
-	vn.mu.RUnlock()
 	if m.iod != nil && done > 0 {
 		// Tell the read-ahead state machine which pages this request
 		// covered; a sequential stream schedules asynchronous fills
@@ -241,19 +199,13 @@ func (f *File) PRead(t *Task, buf []byte, off int64) (int, error) {
 // Write writes at the current position (or at EOF with O_APPEND),
 // advancing it.
 func (f *File) Write(t *Task, data []byte) (int, error) {
-	f.mu.Lock()
 	pos := f.pos
 	if f.flags&fsapi.OAppend != 0 {
-		f.vn.mu.Lock()
 		pos = f.vn.size
-		f.vn.mu.Unlock()
 	}
-	f.mu.Unlock()
 	n, err := f.PWrite(t, data, pos)
 	if n > 0 {
-		f.mu.Lock()
 		f.pos = pos + int64(n)
-		f.mu.Unlock()
 	}
 	return n, err
 }
@@ -272,8 +224,6 @@ func (f *File) PWrite(t *Task, data []byte, off int64) (int, error) {
 	}
 
 	vn := f.vn
-	vn.mu.Lock()
-
 	var done int64
 	want := int64(len(data))
 	overLimit := false
@@ -293,7 +243,6 @@ func (f *File) PWrite(t *Task, data []byte, off int64) (int, error) {
 		} else {
 			pg, err = vn.loadPage(t, idx)
 			if err != nil {
-				vn.mu.Unlock()
 				return int(done), err
 			}
 		}
@@ -312,26 +261,22 @@ func (f *File) PWrite(t *Task, data []byte, off int64) (int, error) {
 	if overLimit && m.iod == nil {
 		// No background flusher: the dirtier performs write-back of the
 		// file it is writing, the pre-flusher balance_dirty_pages shape.
-		_, _, wbErr = vn.writebackLocked(t)
+		wbErr = vn.writeback(t)
 	}
-	vn.mu.Unlock()
 	if wbErr == nil && m.iod != nil {
 		// Background flusher: crossing the background threshold wakes
 		// it; the hard limit throttles the writer against it.
 		wbErr = m.balanceDirty(t)
 	}
-	if wbErr != nil {
-		return int(done), wbErr
-	}
-	return int(done), nil
+	return int(done), wbErr
 }
 
 // pageForOverwrite returns the page at idx without reading from disk,
-// because the caller is about to overwrite all of it. Caller holds vn.mu.
+// because the caller is about to overwrite all of it.
 func (vn *vnode) pageForOverwrite(idx int64) *page {
 	if pg, ok := vn.pc.Peek(idx); ok {
 		vn.m.k.rec.Add(trace.CtrPageHits, 1)
-		pg.lastUse.Store(vn.m.seq.Add(1))
+		pg.lastUse = vn.m.tick()
 		// A full overwrite discards whatever a pending read-ahead fill
 		// would have delivered, so later readers owe no wait for it;
 		// the fill's device booking stays (the queue really was busy).
@@ -340,13 +285,13 @@ func (vn *vnode) pageForOverwrite(idx int64) *page {
 	}
 	vn.m.k.rec.Add(trace.CtrPageMisses, 1)
 	pg := getPage() // zeroed, so a partial final chunk keeps zero tail
-	pg.lastUse.Store(vn.m.seq.Add(1))
+	pg.lastUse = vn.m.tick()
 	vn.pc.Add(idx, pg)
-	if vn.m.totalPages.Add(1) > vn.m.pageCap {
+	if vn.m.totalPages++; vn.m.totalPages > vn.m.pageCap {
 		// Pin the fresh page so the scan cannot evict it before the
 		// caller overwrites it and marks it dirty.
 		pg.node.Pin()
-		vn.evictCleanLocked()
+		vn.evictClean()
 		pg.node.Unpin()
 	}
 	return pg
@@ -355,8 +300,6 @@ func (vn *vnode) pageForOverwrite(idx int64) *page {
 // Seek sets the file position (whence semantics: 0=set, 1=cur, 2=end).
 func (f *File) Seek(t *Task, off int64, whence int) (int64, error) {
 	defer t.endSyscall("seek", f.m.chargeSyscall(t))
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	var base int64
 	switch whence {
 	case 0:
@@ -364,9 +307,7 @@ func (f *File) Seek(t *Task, off int64, whence int) (int64, error) {
 	case 1:
 		base = f.pos
 	case 2:
-		f.vn.mu.Lock()
 		base = f.vn.size
-		f.vn.mu.Unlock()
 	default:
 		return 0, fsapi.ErrInvalid
 	}
@@ -400,19 +341,17 @@ func (f *File) FDataSync(t *Task) error {
 // Truncate changes the file's size.
 func (f *File) Truncate(t *Task, size int64) error {
 	defer t.endSyscall("truncate", f.m.chargeSyscall(t))
-	f.vn.mu.Lock()
-	defer f.vn.mu.Unlock()
-	return f.vn.truncateLocked(t, size)
+	return f.vn.truncate(t, size)
 }
 
-// truncateLocked implements truncation: drop affected cached pages, then
-// tell the file system. Caller holds vn.mu.
-func (vn *vnode) truncateLocked(t *Task, size int64) error {
+// truncate implements truncation: drop affected cached pages, then tell
+// the file system.
+func (vn *vnode) truncate(t *Task, size int64) error {
 	if size < 0 {
 		return fsapi.ErrInvalid
 	}
 	firstDead := (size + fsapi.PageSize - 1) / fsapi.PageSize
-	// Borrow the write-back key scratch (same lock, uses never overlap).
+	// Borrow the write-back key scratch (the uses never overlap).
 	doomed := vn.wbKeys[:0]
 	vn.pc.ForEach(func(idx int64, _ *page) bool {
 		if idx >= firstDead {
@@ -423,9 +362,9 @@ func (vn *vnode) truncateLocked(t *Task, size int64) error {
 	vn.wbKeys = doomed
 	for _, idx := range doomed {
 		pg, wasDirty, _ := vn.pc.Remove(idx)
-		vn.m.totalPages.Add(-1)
+		vn.m.totalPages--
 		if wasDirty {
-			vn.m.dirtyPages.Add(-1)
+			vn.m.dirtyPages--
 		}
 		putPage(pg)
 	}
@@ -479,7 +418,7 @@ func (m *Mount) Unlink(t *Task, path string) error {
 // noteUnlinked marks the vnode for discard once closed if its link count
 // reached zero, and drops it immediately when it is not open.
 func (m *Mount) noteUnlinked(t *Task, ino fsapi.Ino) {
-	vn, ok := m.vnodePeek(ino)
+	vn, ok := m.vnodes[ino]
 	if !ok {
 		return
 	}
@@ -488,11 +427,8 @@ func (m *Mount) noteUnlinked(t *Task, ino fsapi.Ino) {
 	if stillLinked {
 		return
 	}
-	vn.mu.Lock()
 	vn.unlinked = true
-	open := vn.opens > 0
-	vn.mu.Unlock()
-	if !open {
+	if vn.opens == 0 {
 		m.dropVnode(vn)
 	}
 }

@@ -1,7 +1,5 @@
 package lru
 
-import "sync"
-
 // BufPool is a fixed-size-class byte-buffer free list. The file systems
 // use one per block size for the scratch buffers their hot paths used to
 // allocate per call (directory scan blocks, dirent records, bounce
@@ -14,14 +12,12 @@ import "sync"
 // (buffer fully overwritten before use) free, and the policy is pinned
 // by tests in bufpool_test.go.
 //
-// A BufPool is safe for concurrent use. It holds buffers forever (no GC
-// pressure release); pools are sized by peak concurrency, which for the
-// per-operation scratch here is the worker count — tens of buffers, not
-// a cache.
+// A BufPool belongs to one file-system instance and takes no lock (one
+// runner at a time per cell). It holds buffers forever (no GC pressure
+// release); pools are sized by peak borrow depth — the buffers one
+// operation holds at once, a handful — not a cache.
 type BufPool struct {
 	size int
-
-	mu   sync.Mutex
 	free [][]byte
 }
 
@@ -38,28 +34,22 @@ func (p *BufPool) Size() int { return p.size }
 
 // Get returns a size-byte buffer with unspecified contents.
 func (p *BufPool) Get() []byte {
-	p.mu.Lock()
 	if n := len(p.free); n > 0 {
 		b := p.free[n-1]
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
-		p.mu.Unlock()
 		return b
 	}
-	p.mu.Unlock()
 	return make([]byte, p.size)
 }
 
 // Put returns a buffer to the pool. Buffers of the wrong size class are
 // dropped (a resliced borrow handed back by mistake must not poison the
 // pool). The caller must not retain any reference to b after Put — the
-// next Get may hand it to another goroutine.
+// next Get hands it to another borrower.
 func (p *BufPool) Put(b []byte) {
 	if cap(b) < p.size {
 		return
 	}
-	b = b[:p.size]
-	p.mu.Lock()
-	p.free = append(p.free, b)
-	p.mu.Unlock()
+	p.free = append(p.free, b[:p.size])
 }

@@ -1,8 +1,9 @@
 package lru
 
 import (
-	"sync"
 	"testing"
+
+	"bento/internal/vclock"
 )
 
 // TestBufPoolReuse verifies Get returns a previously Put buffer (LIFO)
@@ -60,33 +61,32 @@ func TestBufPoolWrongSizeDropped(t *testing.T) {
 	}
 }
 
-// TestBufPoolConcurrent stresses the pool from concurrent borrowers;
-// run with -race. Each borrower tags its buffer and verifies exclusive
-// ownership before returning it — two borrowers sharing a buffer would
-// trip both the tag check and the race detector.
+// TestBufPoolConcurrent has eight scheduled borrowers share one pool,
+// each holding its buffer across a scheduling point so the borrows
+// overlap: a borrower tags its buffer, yields (every other borrower runs
+// and tags its own), and must find its tag intact — a buffer handed to
+// two holders at once would show the other's tag.
 func TestBufPoolConcurrent(t *testing.T) {
 	p := NewBufPool(1024)
-	const workers = 8
-	const rounds = 500
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(tag byte) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				b := p.Get()
-				for i := range b {
-					b[i] = tag
-				}
-				for i := range b {
-					if b[i] != tag {
-						t.Errorf("worker %d: buffer shared with another borrower", tag)
-						return
-					}
-				}
-				p.Put(b)
+	vclock.NewGroup(0).Run(8, func(w int, sw *vclock.Worker) {
+		tag := byte(w + 1)
+		for r := 0; r < 500; r++ {
+			b := p.Get()
+			for i := range b {
+				b[i] = tag
 			}
-		}(byte(w + 1))
+			sw.Clock().AdvanceNS(1)
+			sw.Yield()
+			for i := range b {
+				if b[i] != tag {
+					t.Errorf("worker %d: buffer shared with another borrower", tag)
+					return
+				}
+			}
+			p.Put(b)
+		}
+	})
+	if n := len(p.free); n != 8 {
+		t.Fatalf("pool holds %d buffers after 8 overlapping borrowers, want 8", n)
 	}
-	wg.Wait()
 }

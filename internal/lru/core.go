@@ -2,10 +2,9 @@ package lru
 
 import "slices"
 
-// Core is the unsynchronized cache engine: key→entry map, recency list,
-// and explicit dirty set. The zero value is ready to use. Callers that
-// already hold their own lock (the vnode page cache runs under the vnode
-// mutex) embed a Core directly; Cache wraps it with per-shard locking.
+// Core is the cache engine: key→entry map, recency list, and explicit
+// dirty set. The zero value is ready to use. The vnode page cache embeds
+// a Core directly; Cache wraps one with capacity and reference counting.
 type Core[E Entry] struct {
 	entries map[int64]E
 	rec     List
@@ -18,9 +17,7 @@ func (c *Core[E]) Len() int { return len(c.entries) }
 // DirtyLen reports the number of dirty entries.
 func (c *Core[E]) DirtyLen() int { return len(c.dirty) }
 
-// Peek returns the entry for key without touching recency state. It is
-// safe to call concurrently with other Peeks (a map read) as long as no
-// mutating method runs.
+// Peek returns the entry for key without touching recency state.
 func (c *Core[E]) Peek(key int64) (E, bool) {
 	e, ok := c.entries[key]
 	return e, ok
@@ -55,9 +52,9 @@ func (c *Core[E]) Remove(key int64) (e E, wasDirty, ok bool) {
 		return e, false, false
 	}
 	n := e.LRUNode()
-	wasDirty = n.dirty.Load()
+	wasDirty = n.dirty
 	if wasDirty {
-		n.dirty.Store(false)
+		n.dirty = false
 		delete(c.dirty, key)
 	}
 	c.rec.Remove(n)
@@ -70,10 +67,10 @@ func (c *Core[E]) Remove(key int64) (e E, wasDirty, ok bool) {
 // already dirty or is not cached).
 func (c *Core[E]) MarkDirty(key int64) bool {
 	e, ok := c.entries[key]
-	if !ok || e.LRUNode().dirty.Load() {
+	if !ok || e.LRUNode().dirty {
 		return false
 	}
-	e.LRUNode().dirty.Store(true)
+	e.LRUNode().dirty = true
 	if c.dirty == nil {
 		c.dirty = make(map[int64]struct{})
 	}
@@ -85,10 +82,10 @@ func (c *Core[E]) MarkDirty(key int64) bool {
 // set. It reports whether the entry was dirty.
 func (c *Core[E]) ClearDirty(key int64) bool {
 	e, ok := c.entries[key]
-	if !ok || !e.LRUNode().dirty.Load() {
+	if !ok || !e.LRUNode().dirty {
 		return false
 	}
-	e.LRUNode().dirty.Store(false)
+	e.LRUNode().dirty = false
 	delete(c.dirty, key)
 	return true
 }
@@ -99,7 +96,7 @@ func (c *Core[E]) ClearAllDirty() int {
 	n := len(c.dirty)
 	for key := range c.dirty {
 		if e, ok := c.entries[key]; ok {
-			e.LRUNode().dirty.Store(false)
+			e.LRUNode().dirty = false
 		}
 	}
 	clear(c.dirty)
@@ -158,7 +155,7 @@ func (c *Core[E]) DirtyEntries() []E {
 // With recency == nil the list order is authoritative and the walk is
 // exact LRU. A non-nil recency enables second-chance (CLOCK-style)
 // selection for caches whose readers bump a per-entry recency counter
-// out-of-band instead of reordering the list: a candidate whose recency
+// instead of reordering the list: a candidate whose recency
 // advanced since it was last positioned is rotated back to the front
 // (and restamped) rather than evicted. The walk examines each resident
 // entry at most twice, so a single call is O(n) worst-case but O(1)
@@ -170,7 +167,7 @@ func (c *Core[E]) EvictScan(recency func(E) int64) (E, bool) {
 	budget := 2*c.rec.Len() + 1
 	for n := c.rec.Back(); n != nil && budget > 0; budget-- {
 		older := c.rec.olderToNewer(n)
-		if n.refs.Load() > 0 || n.dirty.Load() {
+		if n.refs > 0 || n.dirty {
 			n = older
 			continue
 		}
@@ -209,7 +206,7 @@ func (c *Core[E]) DropCleanFunc(onDrop func(E)) int {
 	n := c.rec.Back()
 	for n != nil {
 		older := c.rec.olderToNewer(n)
-		if n.refs.Load() == 0 && !n.dirty.Load() {
+		if n.refs == 0 && !n.dirty {
 			e := c.entries[n.key]
 			c.rec.Remove(n)
 			delete(c.entries, n.key)
@@ -243,7 +240,7 @@ func (c *Core[E]) ClearFunc(onDrop func(E)) {
 	for _, e := range c.entries {
 		n := e.LRUNode()
 		c.rec.Remove(n)
-		n.dirty.Store(false)
+		n.dirty = false
 		if onDrop != nil {
 			onDrop(e)
 		}

@@ -1,76 +1,53 @@
 package lru
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// FillState is the publish-locked miss-fill protocol shared by the
-// kernel and userspace buffer caches. A cache entry whose contents come
-// from a device read is published to the cache *before* the read (so
-// concurrent getters of the same key find one entry, not two), but
-// locked and unfilled; the creator fills it and then resolves the fill.
-// Getters that hit a mid-fill entry block in AwaitFill until the fill
-// resolves, instead of observing zeroed contents — and observe the
-// device error if the fill failed.
+// FillState is the miss-fill protocol shared by the kernel and userspace
+// buffer caches and the read-ahead path. A cache entry whose contents
+// come from a device read is published to the cache *before* the read,
+// marked filling; the creator fills it and then resolves the fill.
 //
-// The embedded mutex doubles as the entry's content lock (xv6's sleep
-// lock): Lock/Unlock are exported for callers that lock entries while
-// reading or mutating their contents.
+// No one waits on a fill: the scheduler admits one task at a time and a
+// fill resolves inside the operation that started it, so a getter can
+// never meet a mid-fill entry — FillErr panics if one does. What the
+// protocol carries is the error path: a failed fill is Dropped from the
+// cache before FailFill, so a poisoned entry is never reachable, and a
+// holder of a stale reference reads the device error instead of zeroed
+// contents.
 //
 // Protocol: the GetOrInsert mk callback calls BeginFill on the new
 // entry; the creator then calls exactly one of CompleteFill (contents
 // valid) or FailFill (after Dropping the entry from the cache). Hitters
-// call AwaitFill before first use and release their reference if it
+// call FillErr before first use and release their reference if it
 // returns an error.
 type FillState struct {
-	mu     sync.Mutex
-	filled atomic.Bool
-	err    error // set under mu by FailFill, read under mu by AwaitFill
+	filling bool
+	err     error
 }
 
-// Lock takes the entry's content lock.
-func (f *FillState) Lock() { f.mu.Lock() }
+// BeginFill marks the entry filling. Call from the GetOrInsert mk
+// callback, before publication.
+func (f *FillState) BeginFill() { f.filling = true }
 
-// Unlock drops the entry's content lock.
-func (f *FillState) Unlock() { f.mu.Unlock() }
+// CompleteFill marks the contents valid.
+func (f *FillState) CompleteFill() { f.filling = false }
 
-// BeginFill locks the entry before publication so hitters wait for the
-// fill. Call from the GetOrInsert mk callback.
-func (f *FillState) BeginFill() { f.mu.Lock() }
-
-// CompleteFill marks the contents valid and unlocks the entry.
-func (f *FillState) CompleteFill() {
-	f.filled.Store(true)
-	f.mu.Unlock()
-}
-
-// FailFill records the fill error and unlocks the entry, waking any
-// hitters. The creator must Drop the entry from the cache first, so no
-// later getter can hit the poisoned entry.
+// FailFill records the fill error. The creator must Drop the entry from
+// the cache first, so no later getter can hit the poisoned entry.
 func (f *FillState) FailFill(err error) {
+	f.filling = false
 	f.err = err
-	f.mu.Unlock()
 }
 
 // Reset returns the state to "never filled" so the owning entry can be
 // recycled through a free pool. The entry must be out of every cache and
-// its fill resolved (mutex unlocked) — resetting a published entry would
-// let a getter observe a phantom unfilled state.
-func (f *FillState) Reset() {
-	f.filled.Store(false)
-	f.err = nil
-}
+// its fill resolved.
+func (f *FillState) Reset() { *f = FillState{} }
 
-// AwaitFill returns once the entry's contents are resolved: nil after a
-// completed fill (the common case is a single atomic load), or the fill
-// error after a failed one.
-func (f *FillState) AwaitFill() error {
-	if f.filled.Load() {
-		return nil
+// FillErr reports how the entry's fill resolved: nil after a completed
+// fill (or on an entry that never needed one), the fill error after a
+// failed one.
+func (f *FillState) FillErr() error {
+	if f.filling {
+		panic("lru: entry observed mid-fill; a fill must resolve within the operation that began it (one runner at a time)")
 	}
-	f.mu.Lock()
-	err := f.err
-	f.mu.Unlock()
-	return err
+	return f.err
 }

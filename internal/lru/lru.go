@@ -8,68 +8,60 @@
 //   - Node is an intrusive doubly-linked list hook embedded in each cache
 //     entry, so touch (move-to-front) and evict (unlink the tail) are O(1)
 //     with no allocation. Per-entry policy state — reference count, dirty
-//     flag, recency stamp — lives in the Node, not behind a cache-wide
-//     mutex.
+//     flag, recency stamp — lives in the Node.
 //
-//   - Core is the unsynchronized engine: a key→entry map, the recency
-//     List (front = most recently used), and an explicit dirty set so
-//     sync paths iterate exactly the dirty entries instead of scanning
-//     the whole cache. Callers that already serialize access (the vnode
-//     page cache runs under the vnode lock) embed a Core directly and
-//     pay no extra locking.
+//   - Core is the cache engine: a key→entry map, the recency List
+//     (front = most recently used), and an explicit dirty set so sync
+//     paths iterate exactly the dirty entries instead of scanning the
+//     whole cache. The vnode page cache embeds a Core directly.
 //
-//   - Cache wraps Core with capacity enforcement, hit/miss/eviction
-//     statistics, and optional sharding by key with per-shard locks, so
-//     32-thread workloads stop serializing on a single cache mutex. With
-//     one shard (the default for the two buffer caches) victim selection
-//     is exactly global LRU — least recently used among clean, unpinned
-//     entries — which keeps virtual-time metrics byte-identical to the
-//     historical full-scan implementation. Sharding trades that global
-//     exactness for parallelism: each shard evicts its own LRU tail.
+//   - Cache wraps one Core with capacity enforcement, reference
+//     counting, and hit/miss/eviction statistics. Victim selection is
+//     exactly global LRU — least recently used among clean, unpinned
+//     entries.
+//
+// Nothing here takes a lock or uses an atomic. A cache belongs to one
+// benchmark cell, and the vclock scheduler admits one of the cell's
+// workers at a time (docs/architecture.md, "Determinism contract"): a
+// host lock or atomic survives only where two host goroutines can reach
+// the same state at the same host instant, and no cache is such a place.
 //
 // Eviction walks the list from the LRU tail, skipping pinned (refs > 0)
 // and dirty entries; the first clean unpinned entry is the exact LRU
 // victim. Core.EvictScan also supports second-chance (CLOCK-style)
-// eviction for callers whose readers bump recency out-of-band under a
-// shared lock (the page cache's PRead fast path): entries touched since
-// they were last positioned are rotated back to the front instead of
-// evicted.
+// eviction for callers whose readers bump a per-entry recency counter
+// instead of reordering the list (the page cache's PRead fast path):
+// entries touched since they were last positioned are rotated back to
+// the front instead of evicted.
 package lru
-
-import "sync/atomic"
 
 // Node is the intrusive hook embedded in every cache entry. It carries
 // the entry's key, its position in the recency list, and the per-entry
 // policy state (reference count, dirty flag, recency stamp).
-//
-// refs and dirty are atomics so hot-path queries (Refs, Dirty) need no
-// cache lock; mutations that must stay consistent with cache structures
-// (dirty-set membership, pin-versus-evict decisions) happen under the
-// owning shard's lock.
 type Node struct {
 	prev, next *Node
 	key        int64
 	stamp      int64 // recency value when last positioned in the list
-	refs       atomic.Int32
-	dirty      atomic.Bool
+	refs       int32
+	dirty      bool
 }
 
 // Key reports the key this node was inserted under.
 func (n *Node) Key() int64 { return n.key }
 
 // Refs reports the current reference (pin) count.
-func (n *Node) Refs() int { return int(n.refs.Load()) }
+func (n *Node) Refs() int { return int(n.refs) }
 
 // Pin takes an eviction reference: a pinned entry is never a victim.
 // Callers that do not use Cache's reference counting (the page cache)
 // pin an entry to protect it across an eviction scan.
-func (n *Node) Pin() { n.refs.Add(1) }
+func (n *Node) Pin() { n.refs++ }
 
 // Unpin drops an eviction reference taken with Pin.
-func (n *Node) Unpin() { n.refs.Add(-1) }
+func (n *Node) Unpin() { n.refs-- }
 
 // Dirty reports whether the entry has unwritten modifications.
-func (n *Node) Dirty() bool { return n.dirty.Load() }
+func (n *Node) Dirty() bool { return n.dirty }
 
 // ResetForReuse clears the node's policy state (key, recency stamp,
 // dirty flag) so the owning entry can return to a free pool and be
@@ -82,8 +74,8 @@ func (n *Node) Dirty() bool { return n.dirty.Load() }
 func (n *Node) ResetForReuse() {
 	n.key = 0
 	n.stamp = 0
-	n.refs.Store(0)
-	n.dirty.Store(false)
+	n.refs = 0
+	n.dirty = false
 }
 
 // Entry is implemented by cache entries: it exposes the embedded Node.

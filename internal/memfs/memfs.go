@@ -7,7 +7,6 @@ package memfs
 
 import (
 	"sort"
-	"sync"
 
 	"bento/internal/blockdev"
 	"bento/internal/fsapi"
@@ -46,7 +45,6 @@ type inode struct {
 
 // FS is one mounted memfs instance.
 type FS struct {
-	mu     sync.Mutex
 	inodes map[fsapi.Ino]*inode
 	next   fsapi.Ino
 	synced int // count of Sync calls, observable by tests
@@ -56,8 +54,6 @@ var _ kernel.FileSystem = (*FS)(nil)
 
 // SyncCount reports how many Sync calls the file system has served.
 func (fs *FS) SyncCount() int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	return fs.synced
 }
 
@@ -70,8 +66,6 @@ func (fs *FS) Root() fsapi.Ino { return fsapi.RootIno }
 
 // Lookup implements kernel.FileSystem.
 func (fs *FS) Lookup(t *kernel.Task, dir fsapi.Ino, name string) (fsapi.Stat, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	d, ok := fs.inodes[dir]
 	if !ok {
 		return fsapi.Stat{}, fsapi.ErrNotExist
@@ -94,8 +88,6 @@ func (fs *FS) Lookup(t *kernel.Task, dir fsapi.Ino, name string) (fsapi.Stat, er
 
 // GetAttr implements kernel.FileSystem.
 func (fs *FS) GetAttr(t *kernel.Task, ino fsapi.Ino) (fsapi.Stat, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	ind, ok := fs.inodes[ino]
 	if !ok {
 		return fsapi.Stat{}, fsapi.ErrNotExist
@@ -105,8 +97,6 @@ func (fs *FS) GetAttr(t *kernel.Task, ino fsapi.Ino) (fsapi.Stat, error) {
 
 // SetSize implements kernel.FileSystem.
 func (fs *FS) SetSize(t *kernel.Task, ino fsapi.Ino, size int64) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	ind, ok := fs.inodes[ino]
 	if !ok {
 		return fsapi.ErrNotExist
@@ -156,22 +146,16 @@ func (fs *FS) addChild(dir fsapi.Ino, name string, ft fsapi.FileType) (fsapi.Sta
 
 // Create implements kernel.FileSystem.
 func (fs *FS) Create(t *kernel.Task, dir fsapi.Ino, name string) (fsapi.Stat, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	return fs.addChild(dir, name, fsapi.TypeFile)
 }
 
 // Mkdir implements kernel.FileSystem.
 func (fs *FS) Mkdir(t *kernel.Task, dir fsapi.Ino, name string) (fsapi.Stat, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	return fs.addChild(dir, name, fsapi.TypeDir)
 }
 
 // Unlink implements kernel.FileSystem.
 func (fs *FS) Unlink(t *kernel.Task, dir fsapi.Ino, name string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	d, ok := fs.inodes[dir]
 	if !ok {
 		return fsapi.ErrNotExist
@@ -194,8 +178,6 @@ func (fs *FS) Unlink(t *kernel.Task, dir fsapi.Ino, name string) error {
 
 // Rmdir implements kernel.FileSystem.
 func (fs *FS) Rmdir(t *kernel.Task, dir fsapi.Ino, name string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	d, ok := fs.inodes[dir]
 	if !ok {
 		return fsapi.ErrNotExist
@@ -219,8 +201,6 @@ func (fs *FS) Rmdir(t *kernel.Task, dir fsapi.Ino, name string) error {
 
 // Rename implements kernel.FileSystem.
 func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.Ino, nname string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	od, ok := fs.inodes[odir]
 	if !ok {
 		return fsapi.ErrNotExist
@@ -259,8 +239,6 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 
 // Link implements kernel.FileSystem.
 func (fs *FS) Link(t *kernel.Task, ino fsapi.Ino, dir fsapi.Ino, name string) (fsapi.Stat, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	ind, ok := fs.inodes[ino]
 	if !ok {
 		return fsapi.Stat{}, fsapi.ErrNotExist
@@ -282,8 +260,6 @@ func (fs *FS) Link(t *kernel.Task, ino fsapi.Ino, dir fsapi.Ino, name string) (f
 
 // ReadDir implements kernel.FileSystem.
 func (fs *FS) ReadDir(t *kernel.Task, dir fsapi.Ino) ([]fsapi.DirEntry, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	d, ok := fs.inodes[dir]
 	if !ok {
 		return nil, fsapi.ErrNotExist
@@ -301,8 +277,6 @@ func (fs *FS) ReadDir(t *kernel.Task, dir fsapi.Ino) ([]fsapi.DirEntry, error) {
 
 // Open implements kernel.FileSystem.
 func (fs *FS) Open(t *kernel.Task, ino fsapi.Ino) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	ind, ok := fs.inodes[ino]
 	if !ok {
 		return fsapi.ErrNotExist
@@ -313,8 +287,6 @@ func (fs *FS) Open(t *kernel.Task, ino fsapi.Ino) error {
 
 // Release implements kernel.FileSystem.
 func (fs *FS) Release(t *kernel.Task, ino fsapi.Ino) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	ind, ok := fs.inodes[ino]
 	if !ok {
 		return nil // already reaped
@@ -328,8 +300,6 @@ func (fs *FS) Release(t *kernel.Task, ino fsapi.Ino) error {
 
 // ReadPage implements kernel.FileSystem.
 func (fs *FS) ReadPage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	ind, ok := fs.inodes[ino]
 	if !ok {
 		return fsapi.ErrNotExist
@@ -344,8 +314,6 @@ func (fs *FS) ReadPage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte) erro
 
 // WritePage implements kernel.FileSystem.
 func (fs *FS) WritePage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte, newSize int64) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	ind, ok := fs.inodes[ino]
 	if !ok {
 		return fsapi.ErrNotExist
@@ -371,16 +339,12 @@ func (fs *FS) Fsync(t *kernel.Task, ino fsapi.Ino, dataOnly bool) error { return
 
 // Sync implements kernel.FileSystem.
 func (fs *FS) Sync(t *kernel.Task) error {
-	fs.mu.Lock()
 	fs.synced++
-	fs.mu.Unlock()
 	return nil
 }
 
 // StatFS implements kernel.FileSystem.
 func (fs *FS) StatFS(t *kernel.Task) (fsapi.FSStat, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	return fsapi.FSStat{TotalInodes: int64(len(fs.inodes))}, nil
 }
 

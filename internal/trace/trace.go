@@ -32,8 +32,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Event categories. The tracestat breakdown buckets exclusive span time
@@ -192,9 +190,10 @@ type Event struct {
 
 // Recorder accumulates one cell's events and counters. The zero of
 // *Recorder — nil — is the disabled state: every method no-ops. Create
-// an enabled one with New.
+// an enabled one with New. A recorder belongs to one cell and is written
+// by whichever of the cell's tasks the scheduler has admitted, so it
+// holds no lock.
 type Recorder struct {
-	mu     sync.Mutex
 	events []Event
 
 	counters [numCounters]int64
@@ -214,7 +213,7 @@ func (r *Recorder) Add(c Counter, n int64) {
 	if r == nil {
 		return
 	}
-	atomic.AddInt64(&r.counters[c], n)
+	r.counters[c] += n
 }
 
 // Span records [start, end) on track. Inverted intervals are clamped
@@ -243,9 +242,7 @@ func (r *Recorder) record(e Event) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	r.events = append(r.events, e)
-	r.mu.Unlock()
 }
 
 // Counters snapshots the nonzero counters under their stable exported
@@ -257,7 +254,7 @@ func (r *Recorder) Counters() map[string]int64 {
 	}
 	out := make(map[string]int64)
 	for c := Counter(0); c < numCounters; c++ {
-		if v := atomic.LoadInt64(&r.counters[c]); v != 0 {
+		if v := r.counters[c]; v != 0 {
 			out[counterNames[c]] = v
 		}
 	}
@@ -271,9 +268,7 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
 	evs := append([]Event(nil), r.events...)
-	r.mu.Unlock()
 	sort.SliceStable(evs, func(i, j int) bool {
 		if evs[i].Start != evs[j].Start {
 			return evs[i].Start < evs[j].Start

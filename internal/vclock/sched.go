@@ -3,6 +3,7 @@ package vclock
 import (
 	"fmt"
 	"sync"
+	"time"
 )
 
 // Scheduler is a deterministic coordinator for a fixed set of simulated
@@ -18,11 +19,10 @@ import (
 // The event granularity is one scheduling slice: the work a worker
 // performs between two Yield calls (for the benchmark harness, one
 // workload operation). Slices run to completion while every other worker
-// is parked, so a slice may take simulation locks freely — a parked
-// worker never holds one, because the harness places scheduling points
-// only where no locks are held. Coarser than yielding at every clock
-// tick, this keeps the coordinator deadlock-free by construction while
-// still fixing the interleaving: shared resources (vclock.Resource
+// is parked, so the simulation state a slice touches needs no locks at
+// all: an operation (a transaction, a cache fill, a round trip) is never
+// interleaved with another. Coarser than yielding at every clock tick,
+// this still fixes the interleaving: shared resources (vclock.Resource
 // channel bookings, cache fills, flusher state) are touched in exactly
 // the admission order, which is deterministic.
 //
@@ -34,8 +34,15 @@ import (
 // thundering herd that made the sequential loop ~2x more expensive per
 // operation at 8-32 workers.) A worker's pending event time is latched
 // into Worker.at when it parks — the clock cannot advance while its
-// owner is parked — so the admission min-scan reads plain fields instead
-// of hammering the clocks' atomics.
+// owner is parked — so the admission min-scan reads the roster's own
+// fields, never another goroutine's clock.
+//
+// The scheduler is the one place in a cell that synchronises host
+// goroutines: it parks and wakes real ones, so its mutex and token
+// channels stay. They are also what orders everything else — a slice's
+// plain writes to clocks, resources and caches happen-before the next
+// slice through the park token — which is why no other in-cell state
+// carries a lock or an atomic.
 //
 // Protocol:
 //
@@ -146,9 +153,9 @@ func (w *Worker) Begin() bool {
 // next pending event and blocks until the coordinator admits it again —
 // which happens once every worker with an earlier (time, id) event has
 // run past it, finished, or parked later. Call only from the admitted
-// worker, with no simulation locks held. Like Begin it reports whether
-// the worker was re-admitted; on false (retired by a supervisor while
-// parked) the caller must stop immediately.
+// worker, between operations. Like Begin it reports whether the worker
+// was re-admitted; on false (retired by a supervisor while parked) the
+// caller must stop immediately.
 func (w *Worker) Yield() bool {
 	s := w.s
 	s.mu.Lock()
@@ -251,4 +258,66 @@ func (s *Scheduler) pickLocked() *Worker {
 	next.parked = false
 	s.running = next
 	return next
+}
+
+// Group is one benchmark run's worker set: a Scheduler plus the virtual
+// time the run started at. The run's elapsed virtual time is the
+// furthest-ahead worker clock minus that start.
+type Group struct {
+	sched   *Scheduler
+	workers []*Worker
+	start   int64
+}
+
+// NewGroup creates a group whose elapsed time is measured from start.
+func NewGroup(start time.Duration) *Group {
+	return &Group{sched: NewScheduler(), start: int64(start)}
+}
+
+// NewWorker registers a worker with a fresh clock at the group's start
+// time. All workers must be registered before any calls Begin.
+func (g *Group) NewWorker() *Worker {
+	w := g.sched.Register(NewClockAt(time.Duration(g.start)))
+	g.workers = append(g.workers, w)
+	return w
+}
+
+// Run registers n workers and runs fn(i, worker) for each on its own
+// goroutine under the scheduler: fn starts admitted (Begin has
+// returned true), places w.Yield() between its operations, and the
+// worker retires when fn returns. Run returns once every worker has.
+// The scheduler admits no one until its whole roster has begun, so a
+// group is driven either by one Run or by hand from NewWorker, not both.
+func (g *Group) Run(n int, fn func(i int, w *Worker)) {
+	ws := make([]*Worker, n)
+	for i := range ws {
+		ws[i] = g.NewWorker()
+	}
+	var wg sync.WaitGroup
+	for i, w := range ws {
+		i, w := i, w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if !w.Begin() {
+				return // retired while parked: must not touch shared state
+			}
+			defer w.Done()
+			fn(i, w)
+		}()
+	}
+	wg.Wait()
+}
+
+// Elapsed reports the wall-clock-equivalent duration of the run so far: the
+// furthest-ahead worker clock minus the start time. Call it from the
+// running worker or after the workers have finished.
+func (g *Group) Elapsed() time.Duration {
+	max := g.start
+	for _, w := range g.workers {
+		if n := w.clk.NowNS(); n > max {
+			max = n
+		}
+	}
+	return time.Duration(max - g.start)
 }

@@ -276,16 +276,23 @@ func TestSchedulerRegisterAfterStartPanics(t *testing.T) {
 	s.Register(NewClock())
 }
 
-// TestGroupSchedulesDeterministically exercises the Group facade the
-// benchmark harness uses: Begin/Pace/Done with clocks, shared resource,
-// shuffled goroutine launch — identical Elapsed every run.
+// TestGroupSchedulesDeterministically exercises the Group the benchmark
+// harness uses: workers on a shared resource, shuffled goroutine launch —
+// identical Elapsed every run — and Run, which launches in index order.
 func TestGroupSchedulesDeterministically(t *testing.T) {
+	const n = 5
+	slice := func(i int, w *Worker, res *Resource) {
+		c := w.Clock()
+		for j := 0; j < 20; j++ {
+			w.Yield()
+			c.AdvanceTo(res.Acquire(c.NowNS(), int64(50+i)))
+		}
+	}
 	run := func(shuffleSeed int64) time.Duration {
 		g := NewGroup(time.Millisecond)
-		const n = 5
-		clks := make([]*Clock, n)
-		for i := range clks {
-			clks[i] = g.NewWorker()
+		ws := make([]*Worker, n)
+		for i := range ws {
+			ws[i] = g.NewWorker()
 		}
 		res := NewResource("dev", 2)
 		idx := []int{0, 1, 2, 3, 4}
@@ -295,13 +302,9 @@ func TestGroupSchedulesDeterministically(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				c := clks[i]
-				g.Begin(c)
-				defer g.Done(c)
-				for j := 0; j < 20; j++ {
-					g.Pace(c)
-					c.AdvanceTo(res.Acquire(c.NowNS(), int64(50+i)))
-				}
+				ws[i].Begin()
+				defer ws[i].Done()
+				slice(i, ws[i], res)
 			}(i)
 		}
 		wg.Wait()
@@ -312,6 +315,12 @@ func TestGroupSchedulesDeterministically(t *testing.T) {
 		if got := run(seed); got != want {
 			t.Fatalf("seed %d: Elapsed = %v, want %v", seed, got, want)
 		}
+	}
+	g := NewGroup(time.Millisecond)
+	res := NewResource("dev", 2)
+	g.Run(n, func(i int, w *Worker) { slice(i, w, res) })
+	if got := g.Elapsed(); got != want {
+		t.Fatalf("Group.Run: Elapsed = %v, want %v", got, want)
 	}
 }
 

@@ -18,17 +18,15 @@ package vclock
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // Clock is a per-task virtual clock measured in nanoseconds since the start
-// of the simulation. A Clock must only be used by one goroutine at a time;
-// the atomic storage exists so monitors (e.g. deadlock watchdogs) may read
-// it concurrently.
+// of the simulation. It is plain memory: a clock belongs to the one task
+// that advances it, and a Scheduler reads a worker's clock only while that
+// worker is parked (the scheduler's own lock orders the two).
 type Clock struct {
-	ns atomic.Int64
+	ns int64
 }
 
 // NewClock returns a clock positioned at virtual time zero.
@@ -37,29 +35,27 @@ func NewClock() *Clock { return &Clock{} }
 // NewClockAt returns a clock positioned at the given virtual time. It is
 // used to fork worker clocks from a parent at simulation start.
 func NewClockAt(t time.Duration) *Clock {
-	c := &Clock{}
-	c.ns.Store(int64(t))
-	return c
+	return &Clock{ns: int64(t)}
 }
 
 // Now reports the current virtual time.
-func (c *Clock) Now() time.Duration { return time.Duration(c.ns.Load()) }
+func (c *Clock) Now() time.Duration { return time.Duration(c.ns) }
 
 // NowNS reports the current virtual time in integer nanoseconds.
-func (c *Clock) NowNS() int64 { return c.ns.Load() }
+func (c *Clock) NowNS() int64 { return c.ns }
 
 // Advance moves the clock forward by d. Negative durations are ignored so
 // that cost-model entries may be zeroed without callers special-casing.
 func (c *Clock) Advance(d time.Duration) {
 	if d > 0 {
-		c.ns.Add(int64(d))
+		c.ns += int64(d)
 	}
 }
 
 // AdvanceNS moves the clock forward by ns nanoseconds (non-negative).
 func (c *Clock) AdvanceNS(ns int64) {
 	if ns > 0 {
-		c.ns.Add(ns)
+		c.ns += ns
 	}
 }
 
@@ -69,20 +65,14 @@ func (c *Clock) AdvanceNS(ns int64) {
 // batch's submission time, exactly as if a fresh task had been forked
 // there. General code must use AdvanceTo — virtual time within one task's
 // execution never runs backwards.
-func (c *Clock) SetNS(ns int64) { c.ns.Store(ns) }
+func (c *Clock) SetNS(ns int64) { c.ns = ns }
 
 // AdvanceTo moves the clock forward to the absolute virtual time ns. It is
 // a no-op if the clock is already at or past ns; virtual time never runs
 // backwards.
 func (c *Clock) AdvanceTo(ns int64) {
-	for {
-		cur := c.ns.Load()
-		if ns <= cur {
-			return
-		}
-		if c.ns.CompareAndSwap(cur, ns) {
-			return
-		}
+	if ns > c.ns {
+		c.ns = ns
 	}
 }
 
@@ -94,12 +84,18 @@ type ResourceStats struct {
 }
 
 // Resource models shared hardware with a fixed number of identical service
-// channels (NVMe queue pairs, daemon worker threads). It is safe for
-// concurrent use.
+// channels (NVMe queue pairs, daemon worker threads). It holds no lock: a
+// resource belongs to one cell, and the scheduler admits one of the cell's
+// workers at a time, so bookings arrive in admission order from one
+// goroutine at any host instant.
 type Resource struct {
-	mu         sync.Mutex
-	name       string
-	free       []int64 // next-free virtual time per channel
+	name string
+	free []int64 // next-free virtual time per channel
+	// hi is the lowest index among the channels with the latest free time.
+	// When free[hi] <= now every channel is idle at now and best-fit's
+	// answer is hi itself — the common case (a caller whose clock has
+	// caught up with its own bookings) books without scanning.
+	hi         int
 	ops        int64
 	busyNS     int64
 	maxBacklog int64
@@ -118,11 +114,7 @@ func NewResource(name string, channels int) *Resource {
 func (r *Resource) Name() string { return r.name }
 
 // Channels reports the number of service channels.
-func (r *Resource) Channels() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.free)
-}
+func (r *Resource) Channels() int { return len(r.free) }
 
 // Acquire schedules `service` nanoseconds of work on a channel for a
 // request arriving at virtual time `now`, and returns the completion
@@ -148,36 +140,47 @@ func (r *Resource) AcquireInfo(now, service int64) (channel int, start, completi
 	if service < 0 {
 		service = 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	best := -1
-	for i := range r.free {
-		if r.free[i] <= now {
-			if best < 0 || r.free[i] > r.free[best] {
-				best = i
-			}
-		}
-	}
-	if best < 0 {
-		best = 0
-		for i := 1; i < len(r.free); i++ {
-			if r.free[i] < r.free[best] {
-				best = i
-			}
-		}
+	ch := r.hi
+	if r.free[ch] > now {
+		ch = r.bestFit(now)
 	}
 	start = now
-	if r.free[best] > start {
-		start = r.free[best]
-	}
-	if backlog := start - now; backlog > r.maxBacklog {
-		r.maxBacklog = backlog
+	if r.free[ch] > start {
+		start = r.free[ch]
+		if backlog := start - now; backlog > r.maxBacklog {
+			r.maxBacklog = backlog
+		}
 	}
 	completion = start + service
-	r.free[best] = completion
+	r.free[ch] = completion
+	if top := r.free[r.hi]; completion > top || (completion == top && ch < r.hi) {
+		r.hi = ch
+	}
 	r.ops++
 	r.busyNS += service
-	return best, start, completion
+	return ch, start, completion
+}
+
+// bestFit scans for the channel whose free time is closest below now,
+// lowest index first among equals, falling back to the earliest-free
+// channel when none is idle.
+func (r *Resource) bestFit(now int64) int {
+	best := -1
+	for i, f := range r.free {
+		if f <= now && (best < 0 || f > r.free[best]) {
+			best = i
+		}
+	}
+	if best >= 0 {
+		return best
+	}
+	best = 0
+	for i, f := range r.free {
+		if f < r.free[best] {
+			best = i
+		}
+	}
+	return best
 }
 
 // AcquireSerial schedules work that must run after all previously scheduled
@@ -188,21 +191,18 @@ func (r *Resource) AcquireSerial(now, service int64) (completion int64) {
 	if service < 0 {
 		service = 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	start := now
-	for _, f := range r.free {
-		if f > start {
-			start = f
+	if f := r.free[r.hi]; f > start {
+		start = f
+		if backlog := start - now; backlog > r.maxBacklog {
+			r.maxBacklog = backlog
 		}
-	}
-	if backlog := start - now; backlog > r.maxBacklog {
-		r.maxBacklog = backlog
 	}
 	completion = start + service
 	for i := range r.free {
 		r.free[i] = completion
 	}
+	r.hi = 0
 	r.ops++
 	r.busyNS += service
 	return completion
@@ -216,8 +216,6 @@ func (r *Resource) AcquireSerial(now, service int64) (completion int64) {
 // the booking being cancelled; a truncation at or beyond the channel's
 // current horizon is a no-op.
 func (r *Resource) Truncate(ch int, at int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if ch < 0 || ch >= len(r.free) || at >= r.free[ch] {
 		return
 	}
@@ -226,14 +224,23 @@ func (r *Resource) Truncate(ch int, at int64) {
 		r.busyNS = 0
 	}
 	r.free[ch] = at
+	if ch == r.hi {
+		// The latest channel moved back: find the new one.
+		for i, f := range r.free {
+			if f > r.free[r.hi] || (f == r.free[r.hi] && i < r.hi) {
+				r.hi = i
+			}
+		}
+	}
 }
 
 // InUse reports how many channels are still busy at virtual time now —
 // the instantaneous queue occupancy a monitor would observe. Tracing
 // samples it for device queue-depth counter tracks.
 func (r *Resource) InUse(now int64) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	if r.free[r.hi] <= now {
+		return 0
+	}
 	n := 0
 	for _, f := range r.free {
 		if f > now {
@@ -245,8 +252,6 @@ func (r *Resource) InUse(now int64) int {
 
 // Stats returns a snapshot of accumulated statistics.
 func (r *Resource) Stats() ResourceStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return ResourceStats{
 		Ops:        r.ops,
 		BusyTime:   time.Duration(r.busyNS),
@@ -257,89 +262,7 @@ func (r *Resource) Stats() ResourceStats {
 // Reset clears channel occupancy and statistics. Benchmarks call it between
 // phases so warmup traffic does not bill the measured phase.
 func (r *Resource) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range r.free {
-		r.free[i] = 0
-	}
+	clear(r.free)
+	r.hi = 0
 	r.ops, r.busyNS, r.maxBacklog = 0, 0, 0
-}
-
-// Group tracks a set of worker clocks belonging to one benchmark run; the
-// run's elapsed virtual time is the maximum over its workers.
-//
-// Group also schedules its workers, through a deterministic Scheduler
-// (see sched.go): at most one worker runs at a time, and at every
-// scheduling point the worker with the minimal (virtual time,
-// registration id) pending event is admitted. Earlier revisions let
-// workers free-run and only *paced* the fastest against a conservative
-// window, which bounded — but did not remove — the host-order dependence
-// of shared Resource bookings; multi-thread cells were reproducible only
-// in distribution. Under the scheduler the interleaving itself is a pure
-// function of virtual time, so every cell replays bit-for-bit.
-type Group struct {
-	mu    sync.Mutex
-	sched *Scheduler
-	byClk map[*Clock]*Worker // the group's roster, keyed for the Clock-based facades
-	start int64
-}
-
-// NewGroup creates a group whose elapsed time is measured from start.
-func NewGroup(start time.Duration) *Group {
-	return &Group{sched: NewScheduler(), byClk: make(map[*Clock]*Worker), start: int64(start)}
-}
-
-// NewWorker creates and registers a worker clock starting at the group's
-// start time. All workers must be registered before any calls Begin.
-func (g *Group) NewWorker() *Clock {
-	c := NewClockAt(time.Duration(g.start))
-	w := g.sched.Register(c)
-	g.mu.Lock()
-	g.byClk[c] = w
-	g.mu.Unlock()
-	return c
-}
-
-// Worker resolves the scheduler handle for a registered clock. Hot
-// paths (a benchmark worker's per-operation pace) should resolve the
-// handle once and call its Begin/Yield/Done directly rather than going
-// through the clock-keyed facades below on every operation.
-func (g *Group) Worker(c *Clock) *Worker {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	w, ok := g.byClk[c]
-	if !ok {
-		panic("vclock: clock does not belong to this group")
-	}
-	return w
-}
-
-// Begin parks the worker until the scheduler admits it for its first
-// slice. Call it before the worker touches any shared simulation state;
-// it must be paired with Done, or the group stalls. It reports whether
-// the worker was admitted — false means it was retired while parked and
-// must not run.
-func (g *Group) Begin(c *Clock) bool { return g.Worker(c).Begin() }
-
-// Pace is the worker's scheduling point between operations (never while
-// holding file-system locks): it parks the worker and blocks until every
-// other worker with an earlier (virtual time, id) event has run. A false
-// return means the worker was retired while parked and must stop.
-func (g *Group) Pace(c *Clock) bool { return g.Worker(c).Yield() }
-
-// Done retires a finished worker so admission no longer waits for it.
-func (g *Group) Done(c *Clock) { g.Worker(c).Done() }
-
-// Elapsed reports the wall-clock-equivalent duration of the run so far: the
-// furthest-ahead worker clock minus the start time.
-func (g *Group) Elapsed() time.Duration {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	max := g.start
-	for c := range g.byClk {
-		if n := c.NowNS(); n > max {
-			max = n
-		}
-	}
-	return time.Duration(max - g.start)
 }

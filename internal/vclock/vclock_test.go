@@ -1,7 +1,6 @@
 package vclock
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -160,28 +159,39 @@ func TestResourceNeverCompletesBeforeNowPlusService(t *testing.T) {
 	}
 }
 
+// TestResourceConcurrentAcquire books one resource from eight workers
+// the supported way — under a scheduler, one admitted at a time — and
+// checks that every booking landed and that the run replays exactly.
 func TestResourceConcurrentAcquire(t *testing.T) {
-	r := NewResource("disk", 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	run := func() (ResourceStats, time.Duration) {
+		r := NewResource("disk", 2)
+		g := NewGroup(0)
+		g.Run(8, func(_ int, w *Worker) {
+			c := w.Clock()
 			for j := 0; j < 100; j++ {
-				r.Acquire(int64(j), 10)
+				w.Yield()
+				c.AdvanceTo(r.Acquire(c.NowNS(), 10))
 			}
-		}()
+		})
+		return r.Stats(), g.Elapsed()
 	}
-	wg.Wait()
-	if st := r.Stats(); st.Ops != 800 {
+	st, elapsed := run()
+	if st.Ops != 800 {
 		t.Fatalf("ops = %d, want 800", st.Ops)
+	}
+	// 800 bookings of 10ns on 2 channels, all workers starting at 0.
+	if elapsed != 4000 {
+		t.Fatalf("elapsed = %v, want 4µs (two saturated channels)", elapsed)
+	}
+	if st2, e2 := run(); st2 != st || e2 != elapsed {
+		t.Fatalf("replay differs: %+v/%v vs %+v/%v", st2, e2, st, elapsed)
 	}
 }
 
 func TestGroupElapsedIsMaxWorker(t *testing.T) {
 	g := NewGroup(0)
-	a := g.NewWorker()
-	b := g.NewWorker()
+	a := g.NewWorker().Clock()
+	b := g.NewWorker().Clock()
 	a.Advance(3 * time.Millisecond)
 	b.Advance(7 * time.Millisecond)
 	if got := g.Elapsed(); got != 7*time.Millisecond {
@@ -191,20 +201,12 @@ func TestGroupElapsedIsMaxWorker(t *testing.T) {
 
 func TestGroupStartOffset(t *testing.T) {
 	g := NewGroup(time.Second)
-	w := g.NewWorker()
+	w := g.NewWorker().Clock()
 	if w.Now() != time.Second {
 		t.Fatalf("worker starts at %v, want 1s", w.Now())
 	}
 	w.Advance(time.Millisecond)
 	if got := g.Elapsed(); got != time.Millisecond {
 		t.Fatalf("Elapsed = %v, want 1ms", got)
-	}
-}
-
-func BenchmarkResourceAcquire(b *testing.B) {
-	r := NewResource("disk", 8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Acquire(int64(i), 100)
 	}
 }

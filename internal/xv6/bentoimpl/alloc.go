@@ -2,21 +2,18 @@ package bentoimpl
 
 import (
 	"fmt"
-	"sync"
 
 	"bento/internal/fsapi"
 	"bento/internal/kernel"
 	"bento/internal/xv6/layout"
 )
 
-// allocator holds the locks the paper's §6.1 added around inode and block
-// allocation ("we needed to add locks around inode and block number
-// allocations due to race conditions on the block device"), plus rotor
-// hints so allocation does not rescan the bitmap from zero every time.
+// allocator holds the rotor hints that keep allocation from rescanning
+// the bitmap from zero every time. The paper's §6.1 added locks around
+// inode and block allocation ("race conditions on the block device");
+// the simulator runs one task at a time, so there is nothing to lock.
 type allocator struct {
-	blockMu    sync.Mutex
 	blockRotor uint32 // next data block to consider
-	inodeMu    sync.Mutex
 	inodeRotor uint32 // next inum to consider
 }
 
@@ -28,8 +25,6 @@ type allocator struct {
 // and journaling a zero here would plant a cached copy whose deferred
 // install could clobber that direct write.
 func (fs *FS) balloc(t *kernel.Task, dataLeaf bool) (uint32, error) {
-	fs.alloc.blockMu.Lock()
-	defer fs.alloc.blockMu.Unlock()
 	sb := &fs.super
 	rotor := fs.alloc.blockRotor
 	if rotor < sb.DataStart || rotor >= sb.Size {
@@ -59,7 +54,6 @@ func (fs *FS) balloc(t *kernel.Task, dataLeaf bool) (uint32, error) {
 
 // ballocRange scans [lo, hi) for a free block, marking and logging the
 // bitmap bit of the first one found. Returns 0 when the range is full.
-// Caller holds blockMu.
 func (fs *FS) ballocRange(t *kernel.Task, lo, hi uint32) (uint32, error) {
 	sb := &fs.super
 	for b := lo; b < hi; {
@@ -124,8 +118,6 @@ func (fs *FS) bfree(t *kernel.Task, blk uint32) error {
 	if blk < sb.DataStart || blk >= sb.Size {
 		return fmt.Errorf("xv6: bfree of block %d outside data region: %w", blk, fsapi.ErrInvalid)
 	}
-	fs.alloc.blockMu.Lock()
-	defer fs.alloc.blockMu.Unlock()
 	bh, err := fs.sb.BRead(t, int(sb.BitmapBlock(blk)))
 	if err != nil {
 		return err
@@ -154,8 +146,6 @@ func (fs *FS) bfree(t *kernel.Task, blk uint32) error {
 // ialloc allocates a fresh inode of the given type within the current
 // transaction and returns it referenced and loaded (unlocked).
 func (fs *FS) ialloc(t *kernel.Task, typ uint16) (*Inode, error) {
-	fs.alloc.inodeMu.Lock()
-	defer fs.alloc.inodeMu.Unlock()
 	sb := &fs.super
 	rotor := fs.alloc.inodeRotor
 	if rotor < 2 || rotor >= sb.NInodes { // inum 0 is invalid, 1 is the root
@@ -191,10 +181,8 @@ func (fs *FS) ialloc(t *kernel.Task, typ uint16) (*Inode, error) {
 			}
 			fs.alloc.inodeRotor = inum + 1
 			ip := fs.iget(inum)
-			ip.lock.Lock()
 			ip.din = din
 			ip.valid = true
-			ip.lock.Unlock()
 			return ip, nil
 		}
 		return nil, nil
@@ -218,8 +206,6 @@ func (fs *FS) ialloc(t *kernel.Task, typ uint16) (*Inode, error) {
 // ifree marks inum free in the inode table; the caller already wrote the
 // TypeFree dinode via iupdate, so this only maintains the rotor.
 func (fs *FS) ifree(t *kernel.Task, inum uint32) error {
-	fs.alloc.inodeMu.Lock()
-	defer fs.alloc.inodeMu.Unlock()
 	if inum < fs.alloc.inodeRotor {
 		fs.alloc.inodeRotor = inum
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // dirlookup scans directory dp for name, returning the entry's inum and
-// the byte offset of the record. Caller holds dp's lock.
+// the byte offset of the record. dp is loaded.
 func (fs *FS) dirlookup(t *kernel.Task, dp *Inode, name string) (inum uint32, off int64, err error) {
 	if dp.din.Type != layout.TypeDir {
 		return 0, 0, fsapi.ErrNotDir
@@ -35,7 +35,7 @@ func (fs *FS) dirlookup(t *kernel.Task, dp *Inode, name string) (inum uint32, of
 }
 
 // dirlink adds entry name->inum to dp, reusing a free slot or extending
-// the directory. Caller holds dp's lock and a transaction.
+// the directory. dp is loaded; caller holds a transaction.
 func (fs *FS) dirlink(t *kernel.Task, dp *Inode, name string, inum uint32) error {
 	if len(name) > layout.MaxNameLen {
 		return fsapi.ErrNameTooLong
@@ -73,8 +73,8 @@ func (fs *FS) dirlink(t *kernel.Task, dp *Inode, name string, inum uint32) error
 // its source, so one shared instance serves every unlink.
 var zeroDirent [layout.DirentSize]byte
 
-// dirunlink zeroes the record at off (found by dirlookup). Caller holds
-// dp's lock and a transaction.
+// dirunlink zeroes the record at off (found by dirlookup). dp is
+// loaded; caller holds a transaction.
 func (fs *FS) dirunlink(t *kernel.Task, dp *Inode, off int64) error {
 	n, err := dp.writei(t, off, zeroDirent[:])
 	if err != nil {
@@ -86,8 +86,8 @@ func (fs *FS) dirunlink(t *kernel.Task, dp *Inode, off int64) error {
 	return nil
 }
 
-// isDirEmpty reports whether dp contains only "." and "..". Caller holds
-// dp's lock.
+// isDirEmpty reports whether dp contains only "." and "..". dp is
+// loaded.
 func (fs *FS) isDirEmpty(t *kernel.Task, dp *Inode) (bool, error) {
 	size := int64(dp.din.Size)
 	buf := dp.dent[:]
@@ -103,7 +103,7 @@ func (fs *FS) isDirEmpty(t *kernel.Task, dp *Inode) (bool, error) {
 	return true, nil
 }
 
-// readDirEntries lists dp's live entries. Caller holds dp's lock.
+// readDirEntries lists dp's live entries. dp is loaded.
 func (fs *FS) readDirEntries(t *kernel.Task, dp *Inode) ([]fsapi.DirEntry, error) {
 	if dp.din.Type != layout.TypeDir {
 		return nil, fsapi.ErrNotDir
@@ -128,14 +128,13 @@ func (fs *FS) readDirEntries(t *kernel.Task, dp *Inode) ([]fsapi.DirEntry, error
 			// Entry type requires peeking at the child inode; this is a
 			// read-only probe that tolerates concurrent removal.
 			child := fs.iget(de.Ino)
-			if err := child.ilock(t); err == nil {
+			if err := child.iload(t); err == nil {
 				switch child.din.Type {
 				case layout.TypeDir:
 					ent.Type = fsapi.TypeDir
 				case layout.TypeFile:
 					ent.Type = fsapi.TypeFile
 				}
-				child.iunlock()
 			}
 			if err := fs.iputOutside(t, child); err != nil {
 				return nil, err

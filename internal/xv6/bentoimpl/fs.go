@@ -27,10 +27,6 @@ const (
 type Config struct {
 	// Policy selects commit durability (see SyncPolicy).
 	Policy SyncPolicy
-	// CacheShards splits the metadata buffer cache over this many
-	// shards (<=1: a single exact-LRU shard; see
-	// kernel.NewBufferCacheSharded).
-	CacheShards int
 	// DataBypass routes regular-file contents around the buffer cache:
 	// data blocks move between the device and the pages above via
 	// BReadDirect/BWriteDirect and are neither cached here nor journaled,
@@ -64,7 +60,7 @@ func New(cfg Config) *FS {
 
 // RegisterWith installs the xv6-Bento module into kernel k under name.
 func RegisterWith(k *kernel.Kernel, name string, cfg Config) error {
-	return core.RegisterSharded(k, name, cfg.CacheShards, func() core.FileSystem { return New(cfg) })
+	return core.Register(k, name, func() core.FileSystem { return New(cfg) })
 }
 
 // BentoName implements core.FileSystem.
@@ -126,7 +122,7 @@ func (fs *FS) Fsync(t *kernel.Task, ino fsapi.Ino, dataOnly bool) error {
 // dataDirect reports whether ip's contents take the buffer-cache
 // bypass: regular-file data only, and only when the mount runs with
 // DataBypass. Directory contents are metadata and stay on sb_bread.
-// Caller holds the inode lock (din.Type is stable while locked).
+// ip is loaded.
 func (fs *FS) dataDirect(ip *Inode) bool {
 	return fs.cfg.DataBypass && ip.din.Type == layout.TypeFile
 }
@@ -151,34 +147,29 @@ func (fs *FS) iputOutside(t *kernel.Task, ip *Inode) error {
 func (fs *FS) Lookup(t *kernel.Task, parent fsapi.Ino, name string) (fsapi.Stat, error) {
 	dp := fs.iget(uint32(parent))
 	defer fs.iputOutside(t, dp)
-	if err := dp.ilock(t); err != nil {
+	if err := dp.iload(t); err != nil {
 		return fsapi.Stat{}, err
 	}
 	inum, _, err := fs.dirlookup(t, dp, name)
-	dp.iunlock()
 	if err != nil {
 		return fsapi.Stat{}, err
 	}
 	ip := fs.iget(inum)
 	defer fs.iputOutside(t, ip)
-	if err := ip.ilock(t); err != nil {
+	if err := ip.iload(t); err != nil {
 		return fsapi.Stat{}, err
 	}
-	st := ip.stat()
-	ip.iunlock()
-	return st, nil
+	return ip.stat(), nil
 }
 
 // GetAttr implements core.FileSystem.
 func (fs *FS) GetAttr(t *kernel.Task, ino fsapi.Ino) (fsapi.Stat, error) {
 	ip := fs.iget(uint32(ino))
 	defer fs.iputOutside(t, ip)
-	if err := ip.ilock(t); err != nil {
+	if err := ip.iload(t); err != nil {
 		return fsapi.Stat{}, fsapi.ErrNotExist
 	}
-	st := ip.stat()
-	ip.iunlock()
-	return st, nil
+	return ip.stat(), nil
 }
 
 // SetAttr implements core.FileSystem (truncate). Shrinking frees the tail
@@ -190,16 +181,15 @@ func (fs *FS) SetAttr(t *kernel.Task, ino fsapi.Ino, size int64) error {
 	}
 	ip := fs.iget(uint32(ino))
 	defer fs.iputOutside(t, ip)
-	if err := ip.ilock(t); err != nil {
+	if err := ip.iload(t); err != nil {
 		return err
 	}
-	defer ip.iunlock()
 	if ip.din.Type == layout.TypeDir {
 		return fsapi.ErrIsDir
 	}
 	if size == 0 {
 		op := fs.log.BeginOp(t, layout.MaxOpBlocks)
-		err := ip.itruncLocked(t)
+		err := ip.itrunc(t)
 		if e := fs.log.EndOp(t, op); err == nil {
 			err = e
 		}
@@ -288,10 +278,9 @@ func (fs *FS) createNode(t *kernel.Task, parent fsapi.Ino, name string, typ uint
 
 	dp := fs.iget(uint32(parent))
 	defer fs.iputRef(t, dp)
-	if err := dp.ilock(t); err != nil {
+	if err := dp.iload(t); err != nil {
 		return fsapi.Stat{}, err
 	}
-	defer dp.iunlock()
 	if dp.din.Type != layout.TypeDir {
 		return fsapi.Stat{}, fsapi.ErrNotDir
 	}
@@ -304,8 +293,6 @@ func (fs *FS) createNode(t *kernel.Task, parent fsapi.Ino, name string, typ uint
 		return fsapi.Stat{}, err
 	}
 	defer fs.iputRef(t, ip)
-	ip.lock.Lock()
-	defer ip.lock.Unlock()
 	if typ == layout.TypeDir {
 		ip.din.Nlink = 2 // "." plus the entry in the parent
 	} else {
@@ -354,10 +341,9 @@ func (fs *FS) removeNode(t *kernel.Task, parent fsapi.Ino, name string, wantDir 
 
 	dp := fs.iget(uint32(parent))
 	defer fs.iputRef(t, dp)
-	if err := dp.ilock(t); err != nil {
+	if err := dp.iload(t); err != nil {
 		return err
 	}
-	defer dp.iunlock()
 
 	inum, off, err := fs.dirlookup(t, dp, name)
 	if err != nil {
@@ -365,10 +351,9 @@ func (fs *FS) removeNode(t *kernel.Task, parent fsapi.Ino, name string, wantDir 
 	}
 	ip := fs.iget(inum)
 	defer fs.iputRef(t, ip)
-	if err := ip.ilock(t); err != nil {
+	if err := ip.iload(t); err != nil {
 		return err
 	}
-	defer ip.iunlock()
 
 	isDir := ip.din.Type == layout.TypeDir
 	if wantDir && !isDir {
@@ -419,26 +404,24 @@ func (fs *FS) Rename(t *kernel.Task, oldParent fsapi.Ino, oldName string, newPar
 	var ndp *Inode
 	if newParent == oldParent {
 		ndp = odp
-		if err := odp.ilock(t); err != nil {
+		if err := odp.iload(t); err != nil {
 			return err
 		}
-		defer odp.iunlock()
 	} else {
 		ndp = fs.iget(uint32(newParent))
 		defer fs.iputRef(t, ndp)
-		// Lock parents in inum order to avoid deadlock.
+		// Load parents in inum order (xv6's lock order; the order the
+		// loads touch the buffer cache is part of the baseline).
 		first, second := odp, ndp
 		if ndp.inum < odp.inum {
 			first, second = ndp, odp
 		}
-		if err := first.ilock(t); err != nil {
+		if err := first.iload(t); err != nil {
 			return err
 		}
-		defer first.iunlock()
-		if err := second.ilock(t); err != nil {
+		if err := second.iload(t); err != nil {
 			return err
 		}
-		defer second.iunlock()
 	}
 
 	srcInum, srcOff, err := fs.dirlookup(t, odp, oldName)
@@ -450,22 +433,20 @@ func (fs *FS) Rename(t *kernel.Task, oldParent fsapi.Ino, oldName string, newPar
 	}
 	src := fs.iget(srcInum)
 	defer fs.iputRef(t, src)
-	if err := src.ilock(t); err != nil {
+	if err := src.iload(t); err != nil {
 		return err
 	}
 	srcIsDir := src.din.Type == layout.TypeDir
-	src.iunlock()
 
 	// Remove an existing target if compatible.
 	if tgtInum, tgtOff, err := fs.dirlookup(t, ndp, newName); err == nil {
 		tgt := fs.iget(tgtInum)
 		defer fs.iputRef(t, tgt)
-		if err := tgt.ilock(t); err != nil {
+		if err := tgt.iload(t); err != nil {
 			return err
 		}
 		tgtIsDir := tgt.din.Type == layout.TypeDir
 		if tgtIsDir != srcIsDir {
-			tgt.iunlock()
 			if tgtIsDir {
 				return fsapi.ErrIsDir
 			}
@@ -474,11 +455,9 @@ func (fs *FS) Rename(t *kernel.Task, oldParent fsapi.Ino, oldName string, newPar
 		if tgtIsDir {
 			empty, err := fs.isDirEmpty(t, tgt)
 			if err != nil {
-				tgt.iunlock()
 				return err
 			}
 			if !empty {
-				tgt.iunlock()
 				return fsapi.ErrNotEmpty
 			}
 			tgt.din.Nlink -= 2
@@ -487,10 +466,8 @@ func (fs *FS) Rename(t *kernel.Task, oldParent fsapi.Ino, oldName string, newPar
 			tgt.din.Nlink--
 		}
 		if err := tgt.iupdate(t); err != nil {
-			tgt.iunlock()
 			return err
 		}
-		tgt.iunlock()
 		if err := fs.dirunlink(t, ndp, tgtOff); err != nil {
 			return err
 		}
@@ -504,24 +481,17 @@ func (fs *FS) Rename(t *kernel.Task, oldParent fsapi.Ino, oldName string, newPar
 	}
 	if srcIsDir && oldParent != newParent {
 		// Rewrite "..", fix parent link counts.
-		if err := src.ilock(t); err != nil {
-			return err
-		}
 		_, dotdotOff, err := fs.dirlookup(t, src, "..")
 		if err != nil {
-			src.iunlock()
 			return err
 		}
 		buf := src.dent[:]
 		if err := layout.EncodeDirent(layout.Dirent{Ino: ndp.inum, Name: ".."}, buf); err != nil {
-			src.iunlock()
 			return err
 		}
 		if _, err := src.writei(t, dotdotOff, buf); err != nil {
-			src.iunlock()
 			return err
 		}
-		src.iunlock()
 		odp.din.Nlink--
 		ndp.din.Nlink++
 	}
@@ -541,35 +511,28 @@ func (fs *FS) Link(t *kernel.Task, ino fsapi.Ino, parent fsapi.Ino, name string)
 
 	ip := fs.iget(uint32(ino))
 	defer fs.iputRef(t, ip)
-	if err := ip.ilock(t); err != nil {
+	if err := ip.iload(t); err != nil {
 		return fsapi.Stat{}, err
 	}
 	if ip.din.Type == layout.TypeDir {
-		ip.iunlock()
 		return fsapi.Stat{}, fsapi.ErrPerm
 	}
 	ip.din.Nlink++
 	if err := ip.iupdate(t); err != nil {
 		ip.din.Nlink--
-		ip.iunlock()
 		return fsapi.Stat{}, err
 	}
 	st := ip.stat()
-	ip.iunlock()
 
 	dp := fs.iget(uint32(parent))
 	defer fs.iputRef(t, dp)
-	if err := dp.ilock(t); err != nil {
+	if err := dp.iload(t); err != nil {
 		return fsapi.Stat{}, err
 	}
-	defer dp.iunlock()
 	if err := fs.dirlink(t, dp, name, uint32(ino)); err != nil {
 		// Roll back the link count.
-		if lerr := ip.ilock(t); lerr == nil {
-			ip.din.Nlink--
-			_ = ip.iupdate(t)
-			ip.iunlock()
-		}
+		ip.din.Nlink--
+		_ = ip.iupdate(t)
 		return fsapi.Stat{}, err
 	}
 	return st, nil
@@ -580,19 +543,16 @@ func (fs *FS) Link(t *kernel.Task, ino fsapi.Ino, parent fsapi.Ino, name string)
 // Release (xv6's iput semantics).
 func (fs *FS) Open(t *kernel.Task, ino fsapi.Ino) error {
 	ip := fs.iget(uint32(ino))
-	if err := ip.ilock(t); err != nil {
+	if err := ip.iload(t); err != nil {
 		_ = fs.iputOutside(t, ip)
 		return fsapi.ErrNotExist
 	}
-	ip.iunlock()
 	return nil
 }
 
 // Release implements core.FileSystem.
 func (fs *FS) Release(t *kernel.Task, ino fsapi.Ino) error {
-	fs.itab.mu.Lock()
 	ip, ok := fs.itab.entries[uint32(ino)]
-	fs.itab.mu.Unlock()
 	if !ok {
 		return nil
 	}
@@ -603,10 +563,9 @@ func (fs *FS) Release(t *kernel.Task, ino fsapi.Ino) error {
 func (fs *FS) Read(t *kernel.Task, ino fsapi.Ino, off int64, buf []byte) (int, error) {
 	ip := fs.iget(uint32(ino))
 	defer fs.iputOutside(t, ip)
-	if err := ip.ilock(t); err != nil {
+	if err := ip.iload(t); err != nil {
 		return 0, err
 	}
-	defer ip.iunlock()
 	return ip.readi(t, off, buf)
 }
 
@@ -622,12 +581,11 @@ func (fs *FS) Write(t *kernel.Task, ino fsapi.Ino, off int64, data []byte) (int,
 			n = writeChunkBlocks * layout.BlockSize
 		}
 		op := fs.log.BeginOp(t, layout.MaxOpBlocks)
-		if err := ip.ilock(t); err != nil {
+		if err := ip.iload(t); err != nil {
 			_ = fs.log.EndOp(t, op)
 			return done, err
 		}
 		w, err := ip.writei(t, off+int64(done), data[done:done+n])
-		ip.iunlock()
 		if e := fs.log.EndOp(t, op); err == nil {
 			err = e
 		}
@@ -643,10 +601,9 @@ func (fs *FS) Write(t *kernel.Task, ino fsapi.Ino, off int64, data []byte) (int,
 func (fs *FS) ReadDir(t *kernel.Task, dir fsapi.Ino) ([]fsapi.DirEntry, error) {
 	dp := fs.iget(uint32(dir))
 	defer fs.iputOutside(t, dp)
-	if err := dp.ilock(t); err != nil {
+	if err := dp.iload(t); err != nil {
 		return nil, err
 	}
-	defer dp.iunlock()
 	return fs.readDirEntries(t, dp)
 }
 
@@ -718,15 +675,11 @@ func (fs *FS) PrepareTransfer(t *kernel.Task) ([]byte, error) {
 	if err := fs.log.ForceCommit(t); err != nil {
 		return nil, err
 	}
-	fs.alloc.blockMu.Lock()
-	fs.alloc.inodeMu.Lock()
 	st := transferState{
 		BlockRotor: fs.alloc.blockRotor,
 		InodeRotor: fs.alloc.inodeRotor,
 		Commits:    fs.log.Commits(),
 	}
-	fs.alloc.inodeMu.Unlock()
-	fs.alloc.blockMu.Unlock()
 	return json.Marshal(st)
 }
 
@@ -736,14 +689,8 @@ func (fs *FS) RestoreTransfer(t *kernel.Task, state []byte) error {
 	if err := json.Unmarshal(state, &st); err != nil {
 		return fmt.Errorf("xv6: bad transfer state: %w", err)
 	}
-	fs.alloc.blockMu.Lock()
 	fs.alloc.blockRotor = st.BlockRotor
-	fs.alloc.blockMu.Unlock()
-	fs.alloc.inodeMu.Lock()
 	fs.alloc.inodeRotor = st.InodeRotor
-	fs.alloc.inodeMu.Unlock()
-	fs.log.mu.Lock()
 	fs.log.commits = st.Commits
-	fs.log.mu.Unlock()
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"bento/internal/blockdev"
@@ -392,13 +391,6 @@ func TestManyFilesCreateDelete(t *testing.T) {
 func TestConcurrentWorkloadFsck(t *testing.T) {
 	e := newEnv(t, 16384, bentoimpl.PolicyWriteBack)
 	const workers, files = 8, 20
-	group := vclock.NewGroup(e.task.Clk.Now())
-	// The roster must be complete before any worker begins. Nothing
-	// retires these workers, so Begin and Yield always admit.
-	clks := make([]*vclock.Clock, workers)
-	for w := range clks {
-		clks[w] = group.NewWorker()
-	}
 	payload := func(w, i int) []byte { return bytes.Repeat([]byte{byte(w*16 + i)}, 6000) }
 	run := func(w int, sw *vclock.Worker, task *kernel.Task) error {
 		dir := fmt.Sprintf("/w%d", w)
@@ -433,19 +425,11 @@ func TestConcurrentWorkloadFsck(t *testing.T) {
 		}
 		return nil
 	}
-	var wg sync.WaitGroup
 	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sw := group.Worker(clks[w])
-			sw.Begin()
-			defer sw.Done()
-			errs[w] = run(w, sw, e.k.NewTaskWithClock(fmt.Sprintf("w%d", w), clks[w]))
-		}(w)
-	}
-	wg.Wait()
+	// Nothing retires these workers, so Yield always admits.
+	vclock.NewGroup(e.task.Clk.Now()).Run(workers, func(w int, sw *vclock.Worker) {
+		errs[w] = run(w, sw, e.k.NewTaskWithClock(fmt.Sprintf("w%d", w), sw.Clock()))
+	})
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)

@@ -2,7 +2,6 @@ package bentoimpl
 
 import (
 	"fmt"
-	"sync"
 
 	"bento/internal/fsapi"
 	"bento/internal/kernel"
@@ -10,42 +9,41 @@ import (
 )
 
 // Inode is the in-core inode (xv6's struct inode): a reference-counted
-// copy of the on-disk inode guarded by a per-inode sleep lock. The paper
-// notes (§6.1) that the Rust versions carry more locks than original xv6,
-// particularly around allocation; those live in alloc.go.
+// copy of the on-disk inode. xv6 guards it with a per-inode sleep lock,
+// and the paper notes (§6.1) that the Rust versions carry more locks
+// still; the simulator runs one task at a time, so the in-core inode is
+// plain memory and "locking" an inode is just loading it (iload).
 type Inode struct {
 	fs   *FS
 	inum uint32
 
-	// ref counts in-core references (iget/iput), guarded by the itable.
+	// ref counts in-core references (iget/iput).
 	ref int
 
-	// freeNext chains recycled Inodes (guarded by the itable): the
-	// lookup/stat hot paths iget and iput an inode per call, so minting a
-	// fresh struct each time would dominate their allocations.
+	// freeNext chains recycled Inodes: the lookup/stat hot paths iget
+	// and iput an inode per call, so minting a fresh struct each time
+	// would dominate their allocations.
 	freeNext *Inode
 
-	// lock guards everything below (xv6's sleep-lock).
-	lock  sync.Mutex
-	valid bool
+	valid bool // din holds the on-disk inode
 	din   layout.Dinode
 
-	// dbuf is heap-resident scratch for ilock's on-disk inode read: a
+	// dbuf is heap-resident scratch for iload's on-disk inode read: a
 	// stack array passed through the bentoks.Disk interface would escape
-	// and allocate per call. Used only under lock.
+	// and allocate per call.
 	dbuf [layout.InodeSize]byte
 	// dent is dirent-sized scratch for directory-entry encode/decode
-	// (dirlink, isDirEmpty, rename's ".." rewrite). Used only under lock.
+	// (dirlink, isDirEmpty, rename's ".." rewrite).
 	dent [layout.DirentSize]byte
 	// bounce is a lazily allocated block-sized scratch: sub-block direct
 	// I/O for files, block scans for directories (the two never mix —
 	// directory contents are metadata and never take the direct path).
-	// Used only under lock; recycled with the Inode via the freelist.
+	// Recycled with the Inode via the freelist.
 	bounce []byte
 }
 
-// bounceBuf returns the inode's block-sized scratch. Caller holds the
-// inode lock; contents are unspecified.
+// bounceBuf returns the inode's block-sized scratch; contents are
+// unspecified.
 func (ip *Inode) bounceBuf() []byte {
 	if ip.bounce == nil {
 		ip.bounce = make([]byte, layout.BlockSize)
@@ -55,15 +53,12 @@ func (ip *Inode) bounceBuf() []byte {
 
 // itable is the in-core inode cache plus the recycle list.
 type itable struct {
-	mu      sync.Mutex
 	entries map[uint32]*Inode
 	free    *Inode
 }
 
 // iget returns a referenced in-core inode for inum without loading it.
 func (fs *FS) iget(inum uint32) *Inode {
-	fs.itab.mu.Lock()
-	defer fs.itab.mu.Unlock()
 	if ip, ok := fs.itab.entries[inum]; ok {
 		ip.ref++
 		return ip
@@ -83,9 +78,9 @@ func (fs *FS) iget(inum uint32) *Inode {
 	return ip
 }
 
-// ilock locks the inode and loads it from disk on first use.
-func (ip *Inode) ilock(t *kernel.Task) error {
-	ip.lock.Lock()
+// iload loads the inode from disk on first use (xv6's ilock, minus the
+// sleep lock).
+func (ip *Inode) iload(t *kernel.Task) error {
 	if ip.valid {
 		return nil
 	}
@@ -93,23 +88,18 @@ func (ip *Inode) ilock(t *kernel.Task) error {
 	err := fs.sb.ReadBlockRange(t, int(fs.super.InodeBlock(ip.inum)),
 		layout.InodeOffset(ip.inum), ip.dbuf[:])
 	if err != nil {
-		ip.lock.Unlock()
 		return err
 	}
 	ip.din = layout.DecodeDinode(ip.dbuf[:])
 	if ip.din.Type == layout.TypeFree {
-		ip.lock.Unlock()
-		return fmt.Errorf("xv6: ilock of free inode %d: %w", ip.inum, fsapi.ErrStale)
+		return fmt.Errorf("xv6: iload of free inode %d: %w", ip.inum, fsapi.ErrStale)
 	}
 	ip.valid = true
 	return nil
 }
 
-// iunlock drops the sleep lock.
-func (ip *Inode) iunlock() { ip.lock.Unlock() }
-
 // iupdate writes the in-core inode to its disk block through the log.
-// Caller holds the inode lock and an open transaction.
+// Caller holds an open transaction.
 func (ip *Inode) iupdate(t *kernel.Task) error {
 	fs := ip.fs
 	bh, err := fs.sb.BRead(t, int(fs.super.InodeBlock(ip.inum)))
@@ -135,44 +125,29 @@ var errNeedTxn = fmt.Errorf("xv6: iput needs a transaction")
 // truncates and frees it. Freeing journals blocks, so it requires an open
 // transaction: callers inside one pass hasTxn=true, callers outside use
 // iputOutside, which opens a transaction only when the free path is
-// actually taken. Caller must not hold the inode lock.
+// actually taken.
 func (ip *Inode) iput(t *kernel.Task, hasTxn bool) error {
 	fs := ip.fs
-	// Lock order follows xv6: the inode sleep-lock first, the itable lock
-	// only for the brief ref check — never itable→inode, because readdir
-	// takes inode→itable.
-	ip.lock.Lock()
-	if ip.valid && ip.din.Nlink == 0 {
-		fs.itab.mu.Lock()
-		r := ip.ref
-		fs.itab.mu.Unlock()
-		if r == 1 {
-			// We hold the only reference and the inode is unlinked:
-			// truncate and free it. No new reference can appear because
-			// no directory entry names it.
-			if !hasTxn {
-				ip.lock.Unlock()
-				return errNeedTxn
-			}
-			if err := ip.itruncLocked(t); err != nil {
-				ip.lock.Unlock()
-				return err
-			}
-			ip.din.Type = layout.TypeFree
-			if err := ip.iupdate(t); err != nil {
-				ip.lock.Unlock()
-				return err
-			}
-			if err := fs.ifree(t, ip.inum); err != nil {
-				ip.lock.Unlock()
-				return err
-			}
-			ip.valid = false
+	if ip.valid && ip.din.Nlink == 0 && ip.ref == 1 {
+		// We hold the only reference and the inode is unlinked:
+		// truncate and free it. No new reference can appear because
+		// no directory entry names it.
+		if !hasTxn {
+			return errNeedTxn
 		}
+		if err := ip.itrunc(t); err != nil {
+			return err
+		}
+		ip.din.Type = layout.TypeFree
+		if err := ip.iupdate(t); err != nil {
+			return err
+		}
+		if err := fs.ifree(t, ip.inum); err != nil {
+			return err
+		}
+		ip.valid = false
 	}
-	ip.lock.Unlock()
 
-	fs.itab.mu.Lock()
 	ip.ref--
 	if ip.ref == 0 {
 		// Last reference gone: nothing outside the table can name this
@@ -181,7 +156,6 @@ func (ip *Inode) iput(t *kernel.Task, hasTxn bool) error {
 		ip.freeNext = fs.itab.free
 		fs.itab.free = ip
 	}
-	fs.itab.mu.Unlock()
 	return nil
 }
 
@@ -189,8 +163,7 @@ func (ip *Inode) iput(t *kernel.Task, hasTxn bool) error {
 // the current transaction) when alloc is set. Returns 0 for a hole when
 // not allocating. fresh reports that the returned leaf was allocated by
 // this call — under the data bypass a fresh leaf carries no zeroed
-// content, so the writer must supply the full block. Caller holds the
-// inode lock.
+// content, so the writer must supply the full block. ip is loaded.
 func (ip *Inode) bmap(t *kernel.Task, bn uint64, alloc bool) (blk uint32, fresh bool, err error) {
 	fs := ip.fs
 	if bn >= layout.MaxFileBlocks {
@@ -291,8 +264,8 @@ func (ip *Inode) mapThrough(t *kernel.Task, slot *uint32, idxs [2]int, depth int
 
 // clearMapping zeroes the pointer that maps file block bn (after the
 // block itself has been freed). Indirect blocks left empty are not
-// reclaimed eagerly; a later full truncate frees them. Caller holds the
-// inode lock and a transaction.
+// reclaimed eagerly; a later full truncate frees them. ip is
+// loaded; caller holds a transaction.
 func (ip *Inode) clearMapping(t *kernel.Task, bn uint64) error {
 	fs := ip.fs
 	if bn < layout.NDirect {
@@ -344,11 +317,11 @@ func (ip *Inode) clearMapping(t *kernel.Task, bn uint64) error {
 	return bh.Release()
 }
 
-// itruncLocked frees all blocks of the file and zeroes its size. Caller
-// holds the inode lock and an open transaction. Because a transaction is
+// itrunc frees all blocks of the file and zeroes its size. ip is
+// loaded; caller holds an open transaction. Because a transaction is
 // bounded, huge files are truncated in chunks: the caller-facing wrapper
 // in fs.go splits the work across transactions.
-func (ip *Inode) itruncLocked(t *kernel.Task) error {
+func (ip *Inode) itrunc(t *kernel.Task) error {
 	fs := ip.fs
 	for i := 0; i < layout.NDirect; i++ {
 		if a := ip.din.Addrs[i]; a != 0 {
@@ -412,8 +385,8 @@ func (fs *FS) freeIndirect(t *kernel.Task, blk uint32, depth int) error {
 // readi reads up to len(buf) bytes at off from the file. Regular-file
 // data under the bypass is read from the device straight into the
 // caller's buffer (which, on the kernel read path, is the page-cache
-// page itself); everything else goes through the buffer cache. Caller
-// holds the inode lock.
+// page itself); everything else goes through the buffer cache. ip is
+// loaded.
 func (ip *Inode) readi(t *kernel.Task, off int64, buf []byte) (int, error) {
 	if off < 0 {
 		return 0, fsapi.ErrInvalid
@@ -472,7 +445,7 @@ func (ip *Inode) readi(t *kernel.Task, off int64, buf []byte) (int, error) {
 // data under the bypass is submitted straight to the device — batched
 // across the loop so consecutive blocks overlap on the device queues —
 // and never journaled; metadata updates (bitmap, indirects, inode) stay
-// in the transaction. Caller holds the inode lock and a transaction
+// in the transaction. ip is loaded; caller holds a transaction
 // sized for the write (see writeChunkBlocks).
 func (ip *Inode) writei(t *kernel.Task, off int64, buf []byte) (int, error) {
 	if off < 0 {
@@ -567,7 +540,7 @@ func (ip *Inode) writei(t *kernel.Task, off int64, buf []byte) (int, error) {
 	return int(done), ip.iupdate(t)
 }
 
-// stat converts the in-core inode to fsapi.Stat. Caller holds the lock.
+// stat converts the in-core inode to fsapi.Stat. ip is loaded.
 func (ip *Inode) stat() fsapi.Stat {
 	st := fsapi.Stat{Ino: fsapi.Ino(ip.inum), Size: int64(ip.din.Size), Nlink: uint32(ip.din.Nlink)}
 	switch ip.din.Type {

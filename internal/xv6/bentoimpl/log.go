@@ -13,7 +13,6 @@ package bentoimpl
 
 import (
 	"fmt"
-	"sync"
 
 	"bento/internal/bentoks"
 	"bento/internal/fsapi"
@@ -45,8 +44,6 @@ type Log struct {
 	size   uint32 // log data blocks
 	policy SyncPolicy
 
-	mu          sync.Mutex
-	cond        *sync.Cond
 	outstanding int
 	reserved    uint32 // blocks reserved by in-flight ops
 	committing  bool
@@ -58,23 +55,17 @@ type Log struct {
 }
 
 func newLog(fs *FS, sb layout.Superblock, policy SyncPolicy) *Log {
-	l := &Log{
+	return &Log{
 		fs:     fs,
 		start:  sb.LogStart,
 		size:   sb.NLog,
 		policy: policy,
 		inLog:  make(map[uint32]int),
 	}
-	l.cond = sync.NewCond(&l.mu)
-	return l
 }
 
 // Commits reports how many transactions have committed (benchmark stat).
-func (l *Log) Commits() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.commits
-}
+func (l *Log) Commits() int64 { return l.commits }
 
 // Recover replays a committed-but-uninstalled transaction after a crash,
 // then clears the log. Mount calls it unconditionally.
@@ -157,9 +148,11 @@ type Op struct {
 }
 
 // BeginOp reserves log space for an operation that will dirty at most
-// nblocks blocks, blocking while the log is committing or full. The
-// paper's group commit emerges here: concurrent operations share one
-// commit.
+// nblocks blocks. One task runs at a time and an operation commits
+// before its task yields, so the log is never committing or full when an
+// operation begins; finding it so is a broken contract, not something to
+// wait out. What a task does wait for — in virtual time — is the end of
+// a commit it slept through (the begin-stall below).
 func (l *Log) BeginOp(t *kernel.Task, nblocks int) Op {
 	if nblocks <= 0 {
 		nblocks = 1
@@ -167,9 +160,10 @@ func (l *Log) BeginOp(t *kernel.Task, nblocks int) Op {
 	if uint32(nblocks) > l.size {
 		panic(fmt.Sprintf("xv6: op reserves %d blocks > log size %d", nblocks, l.size))
 	}
-	l.mu.Lock()
-	for l.committing || uint32(len(l.blocks))+l.reserved+uint32(nblocks) > l.size {
-		l.cond.Wait()
+	if l.committing || uint32(len(l.blocks))+l.reserved+uint32(nblocks) > l.size {
+		panic(fmt.Sprintf("xv6: BeginOp(%d) found the log committing=%v with %d logged + %d reserved of %d blocks: "+
+			"another task is mid-transaction, which the one-runner-at-a-time contract forbids",
+			nblocks, l.committing, len(l.blocks), l.reserved, l.size))
 	}
 	l.outstanding++
 	l.reserved += uint32(nblocks)
@@ -180,7 +174,6 @@ func (l *Log) BeginOp(t *kernel.Task, nblocks int) Op {
 		r.Add(trace.CtrJournalStalls, 1)
 	}
 	t.Clk.AdvanceTo(l.commitEnd)
-	l.mu.Unlock()
 	return Op{n: uint32(nblocks)}
 }
 
@@ -191,8 +184,6 @@ func (l *Log) Write(t *kernel.Task, bh bentoks.Buffer) error {
 		return err
 	}
 	blk := uint32(bh.BlockNo())
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.outstanding == 0 {
 		return fmt.Errorf("xv6: log write outside transaction: %w", fsapi.ErrInvalid)
 	}
@@ -211,19 +202,13 @@ func (l *Log) Write(t *kernel.Task, bh bentoks.Buffer) error {
 
 // EndOp closes the operation; the last operation out commits the group.
 func (l *Log) EndOp(t *kernel.Task, op Op) error {
-	l.mu.Lock()
 	l.outstanding--
 	l.reserved -= op.n
 	if l.outstanding > 0 {
-		// Someone else will commit; wake any BeginOp waiting on space.
-		l.cond.Broadcast()
-		l.mu.Unlock()
-		return nil
+		return nil // an enclosing operation commits
 	}
-	// We are the committer.
 	l.committing = true
 	toCommit := l.blocks
-	l.mu.Unlock()
 
 	var err error
 	if len(toCommit) > 0 {
@@ -236,7 +221,6 @@ func (l *Log) EndOp(t *kernel.Task, op Op) error {
 		}
 	}
 
-	l.mu.Lock()
 	// Reset in place: the slice capacity and map buckets are reused by
 	// the next transaction instead of reallocated per commit.
 	l.blocks = l.blocks[:0]
@@ -246,8 +230,6 @@ func (l *Log) EndOp(t *kernel.Task, op Op) error {
 	if now := t.Clk.NowNS(); now > l.commitEnd {
 		l.commitEnd = now
 	}
-	l.cond.Broadcast()
-	l.mu.Unlock()
 	return err
 }
 

@@ -24,7 +24,7 @@ func (fs *FS) statOf(ip *inode) fsapi.Stat {
 	return st
 }
 
-// dirlookup scans dp for name. Caller holds dp.mu.
+// dirlookup scans dp for name. dp is loaded.
 func (fs *FS) dirlookup(t *kernel.Task, dp *inode, name string) (uint32, int64, error) {
 	if dp.din.Type != layout.TypeDir {
 		return 0, 0, fsapi.ErrNotDir
@@ -48,7 +48,7 @@ func (fs *FS) dirlookup(t *kernel.Task, dp *inode, name string) (uint32, int64, 
 	return 0, 0, fsapi.ErrNotExist
 }
 
-// dirlink adds name->inum to dp. Caller holds dp.mu and a transaction.
+// dirlink adds name->inum to dp. dp is loaded; caller holds a transaction.
 func (fs *FS) dirlink(t *kernel.Task, dp *inode, name string, inum uint32) error {
 	if len(name) > layout.MaxNameLen {
 		return fsapi.ErrNameTooLong
@@ -82,21 +82,19 @@ func (fs *FS) Root() fsapi.Ino { return fsapi.RootIno }
 func (fs *FS) Lookup(t *kernel.Task, dir fsapi.Ino, name string) (fsapi.Stat, error) {
 	dp := fs.iget(uint32(dir))
 	defer fs.iput(t, dp, false)
-	if err := fs.ilock(t, dp); err != nil {
+	if err := fs.iload(t, dp); err != nil {
 		return fsapi.Stat{}, err
 	}
 	inum, _, err := fs.dirlookup(t, dp, name)
-	dp.mu.Unlock()
 	if err != nil {
 		return fsapi.Stat{}, err
 	}
 	ip := fs.iget(inum)
 	defer fs.iput(t, ip, false)
-	if err := fs.ilock(t, ip); err != nil {
+	if err := fs.iload(t, ip); err != nil {
 		return fsapi.Stat{}, err
 	}
 	st := fs.statOf(ip)
-	ip.mu.Unlock()
 	return st, nil
 }
 
@@ -104,11 +102,10 @@ func (fs *FS) Lookup(t *kernel.Task, dir fsapi.Ino, name string) (fsapi.Stat, er
 func (fs *FS) GetAttr(t *kernel.Task, ino fsapi.Ino) (fsapi.Stat, error) {
 	ip := fs.iget(uint32(ino))
 	defer fs.iput(t, ip, false)
-	if err := fs.ilock(t, ip); err != nil {
+	if err := fs.iload(t, ip); err != nil {
 		return fsapi.Stat{}, fsapi.ErrNotExist
 	}
 	st := fs.statOf(ip)
-	ip.mu.Unlock()
 	return st, nil
 }
 
@@ -119,10 +116,9 @@ func (fs *FS) SetSize(t *kernel.Task, ino fsapi.Ino, size int64) error {
 	}
 	ip := fs.iget(uint32(ino))
 	defer fs.iput(t, ip, false)
-	if err := fs.ilock(t, ip); err != nil {
+	if err := fs.iload(t, ip); err != nil {
 		return err
 	}
-	defer ip.mu.Unlock()
 	if ip.din.Type == layout.TypeDir {
 		return fsapi.ErrIsDir
 	}
@@ -241,10 +237,9 @@ func (fs *FS) createNode(t *kernel.Task, dir fsapi.Ino, name string, typ uint16)
 	defer fs.endOp(t, metaOpBlocks)
 	dp := fs.iget(uint32(dir))
 	defer fs.iput(t, dp, true)
-	if err := fs.ilock(t, dp); err != nil {
+	if err := fs.iload(t, dp); err != nil {
 		return fsapi.Stat{}, err
 	}
-	defer dp.mu.Unlock()
 	if dp.din.Type != layout.TypeDir {
 		return fsapi.Stat{}, fsapi.ErrNotDir
 	}
@@ -256,8 +251,6 @@ func (fs *FS) createNode(t *kernel.Task, dir fsapi.Ino, name string, typ uint16)
 		return fsapi.Stat{}, err
 	}
 	defer fs.iput(t, ip, true)
-	ip.mu.Lock()
-	defer ip.mu.Unlock()
 	if typ == layout.TypeDir {
 		ip.din.Nlink = 2
 	} else {
@@ -302,20 +295,18 @@ func (fs *FS) removeNode(t *kernel.Task, dir fsapi.Ino, name string, wantDir boo
 	defer fs.endOp(t, layout.MaxOpBlocks)
 	dp := fs.iget(uint32(dir))
 	defer fs.iput(t, dp, true)
-	if err := fs.ilock(t, dp); err != nil {
+	if err := fs.iload(t, dp); err != nil {
 		return err
 	}
-	defer dp.mu.Unlock()
 	inum, off, err := fs.dirlookup(t, dp, name)
 	if err != nil {
 		return err
 	}
 	ip := fs.iget(inum)
 	defer fs.iput(t, ip, true)
-	if err := fs.ilock(t, ip); err != nil {
+	if err := fs.iload(t, ip); err != nil {
 		return err
 	}
-	defer ip.mu.Unlock()
 	isDir := ip.din.Type == layout.TypeDir
 	if wantDir && !isDir {
 		return fsapi.ErrNotDir
@@ -382,23 +373,20 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 		defer fs.iput(t, ndp, true)
 	}
 	if odp == ndp {
-		if err := fs.ilock(t, odp); err != nil {
+		if err := fs.iload(t, odp); err != nil {
 			return err
 		}
-		defer odp.mu.Unlock()
 	} else {
 		first, second := odp, ndp
 		if ndp.inum < odp.inum {
 			first, second = ndp, odp
 		}
-		if err := fs.ilock(t, first); err != nil {
+		if err := fs.iload(t, first); err != nil {
 			return err
 		}
-		defer first.mu.Unlock()
-		if err := fs.ilock(t, second); err != nil {
+		if err := fs.iload(t, second); err != nil {
 			return err
 		}
-		defer second.mu.Unlock()
 	}
 
 	srcInum, srcOff, err := fs.dirlookup(t, odp, oname)
@@ -410,21 +398,19 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 	}
 	src := fs.iget(srcInum)
 	defer fs.iput(t, src, true)
-	if err := fs.ilock(t, src); err != nil {
+	if err := fs.iload(t, src); err != nil {
 		return err
 	}
 	srcIsDir := src.din.Type == layout.TypeDir
-	src.mu.Unlock()
 
 	if tgtInum, tgtOff, err := fs.dirlookup(t, ndp, nname); err == nil {
 		tgt := fs.iget(tgtInum)
 		defer fs.iput(t, tgt, true)
-		if err := fs.ilock(t, tgt); err != nil {
+		if err := fs.iload(t, tgt); err != nil {
 			return err
 		}
 		tgtIsDir := tgt.din.Type == layout.TypeDir
 		if tgtIsDir != srcIsDir {
-			tgt.mu.Unlock()
 			if tgtIsDir {
 				return fsapi.ErrIsDir
 			}
@@ -433,11 +419,9 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 		if tgtIsDir {
 			empty, err := fs.isDirEmpty(t, tgt)
 			if err != nil {
-				tgt.mu.Unlock()
 				return err
 			}
 			if !empty {
-				tgt.mu.Unlock()
 				return fsapi.ErrNotEmpty
 			}
 			tgt.din.Nlink -= 2
@@ -446,10 +430,8 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 			tgt.din.Nlink--
 		}
 		if err := fs.iupdate(t, tgt); err != nil {
-			tgt.mu.Unlock()
 			return err
 		}
-		tgt.mu.Unlock()
 		if _, err := fs.writei(t, ndp, tgtOff, zeroDirent[:]); err != nil {
 			return err
 		}
@@ -462,24 +444,17 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 		return err
 	}
 	if srcIsDir && odir != ndir {
-		if err := fs.ilock(t, src); err != nil {
-			return err
-		}
 		_, ddOff, err := fs.dirlookup(t, src, "..")
 		if err != nil {
-			src.mu.Unlock()
 			return err
 		}
 		rec := src.dent[:]
 		if err := layout.EncodeDirent(layout.Dirent{Ino: ndp.inum, Name: ".."}, rec); err != nil {
-			src.mu.Unlock()
 			return err
 		}
 		if _, err := fs.writei(t, src, ddOff, rec); err != nil {
-			src.mu.Unlock()
 			return err
 		}
-		src.mu.Unlock()
 		odp.din.Nlink--
 		ndp.din.Nlink++
 	}
@@ -498,32 +473,25 @@ func (fs *FS) Link(t *kernel.Task, ino fsapi.Ino, dir fsapi.Ino, name string) (f
 	defer fs.endOp(t, metaOpBlocks)
 	ip := fs.iget(uint32(ino))
 	defer fs.iput(t, ip, true)
-	if err := fs.ilock(t, ip); err != nil {
+	if err := fs.iload(t, ip); err != nil {
 		return fsapi.Stat{}, err
 	}
 	if ip.din.Type == layout.TypeDir {
-		ip.mu.Unlock()
 		return fsapi.Stat{}, fsapi.ErrPerm
 	}
 	ip.din.Nlink++
 	if err := fs.iupdate(t, ip); err != nil {
-		ip.mu.Unlock()
 		return fsapi.Stat{}, err
 	}
 	st := fs.statOf(ip)
-	ip.mu.Unlock()
 	dp := fs.iget(uint32(dir))
 	defer fs.iput(t, dp, true)
-	if err := fs.ilock(t, dp); err != nil {
+	if err := fs.iload(t, dp); err != nil {
 		return fsapi.Stat{}, err
 	}
-	defer dp.mu.Unlock()
 	if err := fs.dirlink(t, dp, name, uint32(ino)); err != nil {
-		if lerr := fs.ilock(t, ip); lerr == nil {
-			ip.din.Nlink--
-			_ = fs.iupdate(t, ip)
-			ip.mu.Unlock()
-		}
+		ip.din.Nlink--
+		_ = fs.iupdate(t, ip)
 		return fsapi.Stat{}, err
 	}
 	return st, nil
@@ -533,10 +501,9 @@ func (fs *FS) Link(t *kernel.Task, ino fsapi.Ino, dir fsapi.Ino, name string) (f
 func (fs *FS) ReadDir(t *kernel.Task, dir fsapi.Ino) ([]fsapi.DirEntry, error) {
 	dp := fs.iget(uint32(dir))
 	defer fs.iput(t, dp, false)
-	if err := fs.ilock(t, dp); err != nil {
+	if err := fs.iload(t, dp); err != nil {
 		return nil, err
 	}
-	defer dp.mu.Unlock()
 	if dp.din.Type != layout.TypeDir {
 		return nil, fsapi.ErrNotDir
 	}
@@ -555,14 +522,13 @@ func (fs *FS) ReadDir(t *kernel.Task, dir fsapi.Ino) ([]fsapi.DirEntry, error) {
 			}
 			ent := fsapi.DirEntry{Name: de.Name, Ino: fsapi.Ino(de.Ino)}
 			child := fs.iget(de.Ino)
-			if err := fs.ilock(t, child); err == nil {
+			if err := fs.iload(t, child); err == nil {
 				switch child.din.Type {
 				case layout.TypeDir:
 					ent.Type = fsapi.TypeDir
 				case layout.TypeFile:
 					ent.Type = fsapi.TypeFile
 				}
-				child.mu.Unlock()
 			}
 			_ = fs.iput(t, child, false)
 			out = append(out, ent)
@@ -574,19 +540,16 @@ func (fs *FS) ReadDir(t *kernel.Task, dir fsapi.Ino) ([]fsapi.DirEntry, error) {
 // Open implements kernel.FileSystem.
 func (fs *FS) Open(t *kernel.Task, ino fsapi.Ino) error {
 	ip := fs.iget(uint32(ino))
-	if err := fs.ilock(t, ip); err != nil {
+	if err := fs.iload(t, ip); err != nil {
 		_ = fs.iput(t, ip, false)
 		return fsapi.ErrNotExist
 	}
-	ip.mu.Unlock()
 	return nil
 }
 
 // Release implements kernel.FileSystem.
 func (fs *FS) Release(t *kernel.Task, ino fsapi.Ino) error {
-	fs.itabMu.Lock()
 	ip, ok := fs.inodes[uint32(ino)]
-	fs.itabMu.Unlock()
 	if !ok {
 		return nil
 	}
@@ -597,10 +560,9 @@ func (fs *FS) Release(t *kernel.Task, ino fsapi.Ino) error {
 func (fs *FS) ReadPage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte) error {
 	ip := fs.iget(uint32(ino))
 	defer fs.iput(t, ip, false)
-	if err := fs.ilock(t, ip); err != nil {
+	if err := fs.iload(t, ip); err != nil {
 		return err
 	}
-	defer ip.mu.Unlock()
 	n, err := fs.readi(t, ip, pg*fsapi.PageSize, buf)
 	if err != nil {
 		return err
@@ -625,10 +587,9 @@ func (fs *FS) WritePage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte, new
 	defer fs.iput(t, ip, false)
 	fs.beginOp(t, metaOpBlocks)
 	defer fs.endOp(t, metaOpBlocks)
-	if err := fs.ilock(t, ip); err != nil {
+	if err := fs.iload(t, ip); err != nil {
 		return err
 	}
-	defer ip.mu.Unlock()
 	if _, err := fs.writei(t, ip, off, buf[:n]); err != nil {
 		return err
 	}

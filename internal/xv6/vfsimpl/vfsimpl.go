@@ -14,7 +14,6 @@ package vfsimpl
 
 import (
 	"fmt"
-	"sync"
 
 	"bento/internal/blockdev"
 	"bento/internal/fsapi"
@@ -34,9 +33,6 @@ type Config struct {
 	// FlushCommits issues device FLUSH commands around log commits
 	// (crash-safe); off by default like the benchmarked configuration.
 	FlushCommits bool
-	// CacheShards splits the buffer cache over this many shards (<=1: a
-	// single exact-LRU shard; see kernel.NewBufferCacheSharded).
-	CacheShards int
 	// DataBypass routes regular-file contents around the buffer cache
 	// and the log: data blocks move directly between the device and the
 	// pages above, so file data is cached once (in the page cache) and
@@ -57,7 +53,7 @@ func (tt Type) Name() string {
 func (tt Type) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, error) {
 	fs := &FS{
 		cfg:    tt.Cfg,
-		bc:     kernel.NewBufferCacheSharded(dev, t.Model(), 0, max(1, tt.Cfg.CacheShards)),
+		bc:     kernel.NewBufferCache(dev, t.Model(), 0),
 		dev:    dev,
 		inodes: make(map[uint32]*inode),
 	}
@@ -70,7 +66,6 @@ func (tt Type) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, e
 		return nil, err
 	}
 	fs.super = super
-	fs.logCond = sync.NewCond(&fs.logMu)
 	fs.inLog = make(map[uint32]bool)
 	fs.blockRotor = super.DataStart
 	fs.inodeRotor = 2
@@ -84,16 +79,14 @@ func (tt Type) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, e
 type inode struct {
 	inum uint32
 	ref  int
-	// freeNext chains recycled inodes (guarded by itabMu): lookup/stat
-	// iget and iput one per call, so a fresh struct per miss would
-	// dominate their allocations.
+	// freeNext chains recycled inodes: lookup/stat iget and iput one per
+	// call, so a fresh struct per miss would dominate their allocations.
 	freeNext *inode
 
-	mu    sync.Mutex
-	valid bool
+	valid bool // din holds the on-disk inode
 	din   layout.Dinode
 
-	// Scratch used only under mu: dent for dirent encode/decode, bounce
+	// Scratch: dent for dirent encode/decode, bounce
 	// (lazily sized to a block) for sub-block direct I/O on files and
 	// block scans on directories — the two never mix, since directory
 	// contents never take the direct path. Recycled with the inode.
@@ -101,8 +94,8 @@ type inode struct {
 	bounce []byte
 }
 
-// bounceBuf returns the inode's block-sized scratch. Caller holds ip.mu;
-// contents are unspecified.
+// bounceBuf returns the inode's block-sized scratch; contents are
+// unspecified.
 func (ip *inode) bounceBuf() []byte {
 	if ip.bounce == nil {
 		ip.bounce = make([]byte, layout.BlockSize)
@@ -117,9 +110,8 @@ type FS struct {
 	dev   *blockdev.Device
 	super layout.Superblock
 
-	// log state (xv6's struct log).
-	logMu       sync.Mutex
-	logCond     *sync.Cond
+	// log state (xv6's struct log). No locks anywhere in FS: one task
+	// runs at a time (see the kernel package comment).
 	outstanding int
 	reserved    uint32
 	committing  bool
@@ -128,14 +120,11 @@ type FS struct {
 	commitEnd   int64
 	commits     int64
 
-	// allocation locks (the §6.1 additions).
-	allocMu    sync.Mutex
+	// allocation rotors.
 	blockRotor uint32
-	imu        sync.Mutex
 	inodeRotor uint32
 
 	// in-core inode table, plus the recycle list of dropped entries.
-	itabMu sync.Mutex
 	inodes map[uint32]*inode
 	ifree  *inode
 }
@@ -155,18 +144,14 @@ func (fs *FS) Super() layout.Superblock { return fs.super }
 func (fs *FS) DropCleanBlocks() int { return fs.bc.DropClean() }
 
 // dataDirect reports whether ip's contents take the buffer-cache
-// bypass: regular-file data only, with DataBypass configured. Caller
-// holds ip.mu.
+// bypass: regular-file data only, with DataBypass configured. ip is
+// loaded.
 func (fs *FS) dataDirect(ip *inode) bool {
 	return fs.cfg.DataBypass && ip.din.Type == layout.TypeFile
 }
 
 // Commits reports committed transactions (benchmark stat).
-func (fs *FS) Commits() int64 {
-	fs.logMu.Lock()
-	defer fs.logMu.Unlock()
-	return fs.commits
-}
+func (fs *FS) Commits() int64 { return fs.commits }
 
 // --- log ---
 
@@ -220,9 +205,12 @@ func (fs *FS) recover(t *kernel.Task) error {
 }
 
 func (fs *FS) beginOp(t *kernel.Task, nblocks uint32) {
-	fs.logMu.Lock()
-	for fs.committing || uint32(len(fs.logBlocks))+fs.reserved+nblocks > layout.LogSize {
-		fs.logCond.Wait()
+	if fs.committing || uint32(len(fs.logBlocks))+fs.reserved+nblocks > layout.LogSize {
+		// One task runs at a time and an operation commits before its
+		// task yields, so there is never a commit or a full log to wait out.
+		panic(fmt.Sprintf("xv6vfs: beginOp(%d) found the log committing=%v with %d logged + %d reserved of %d blocks: "+
+			"another task is mid-transaction, which the one-runner-at-a-time contract forbids",
+			nblocks, fs.committing, len(fs.logBlocks), fs.reserved, layout.LogSize))
 	}
 	fs.outstanding++
 	fs.reserved += nblocks
@@ -231,14 +219,11 @@ func (fs *FS) beginOp(t *kernel.Task, nblocks uint32) {
 		r.Add(trace.CtrJournalStalls, 1)
 	}
 	t.Clk.AdvanceTo(fs.commitEnd)
-	fs.logMu.Unlock()
 }
 
 func (fs *FS) logWrite(t *kernel.Task, bh *kernel.BufferHead) error {
 	bh.MarkDirty()
 	blk := uint32(bh.BlockNo())
-	fs.logMu.Lock()
-	defer fs.logMu.Unlock()
 	if fs.outstanding == 0 {
 		return fmt.Errorf("xv6vfs: log write outside transaction: %w", fsapi.ErrInvalid)
 	}
@@ -255,17 +240,13 @@ func (fs *FS) logWrite(t *kernel.Task, bh *kernel.BufferHead) error {
 }
 
 func (fs *FS) endOp(t *kernel.Task, nblocks uint32) error {
-	fs.logMu.Lock()
 	fs.outstanding--
 	fs.reserved -= nblocks
 	if fs.outstanding > 0 {
-		fs.logCond.Broadcast()
-		fs.logMu.Unlock()
 		return nil
 	}
 	fs.committing = true
 	blocks := fs.logBlocks
-	fs.logMu.Unlock()
 
 	var err error
 	if len(blocks) > 0 {
@@ -278,7 +259,6 @@ func (fs *FS) endOp(t *kernel.Task, nblocks uint32) error {
 		}
 	}
 
-	fs.logMu.Lock()
 	// Reset in place: slice capacity and map buckets carry to the next
 	// transaction instead of being reallocated per commit.
 	fs.logBlocks = fs.logBlocks[:0]
@@ -288,8 +268,6 @@ func (fs *FS) endOp(t *kernel.Task, nblocks uint32) error {
 	if now := t.Clk.NowNS(); now > fs.commitEnd {
 		fs.commitEnd = now
 	}
-	fs.logCond.Broadcast()
-	fs.logMu.Unlock()
 	return err
 }
 
@@ -379,8 +357,6 @@ func (fs *FS) forceCommit(t *kernel.Task) error {
 // over it, and a journaled zero's deferred install could clobber that
 // direct write.
 func (fs *FS) balloc(t *kernel.Task, dataLeaf bool) (uint32, error) {
-	fs.allocMu.Lock()
-	defer fs.allocMu.Unlock()
 	sb := &fs.super
 	rotor := fs.blockRotor
 	if rotor < sb.DataStart || rotor >= sb.Size {
@@ -437,8 +413,6 @@ func (fs *FS) bfree(t *kernel.Task, blk uint32) error {
 	if blk < fs.super.DataStart || blk >= fs.super.Size {
 		return fmt.Errorf("xv6vfs: bfree %d outside data region: %w", blk, fsapi.ErrInvalid)
 	}
-	fs.allocMu.Lock()
-	defer fs.allocMu.Unlock()
 	bh, err := fs.bc.Get(t, int(fs.super.BitmapBlock(blk)))
 	if err != nil {
 		return err
@@ -461,8 +435,6 @@ func (fs *FS) bfree(t *kernel.Task, blk uint32) error {
 }
 
 func (fs *FS) ialloc(t *kernel.Task, typ uint16) (*inode, error) {
-	fs.imu.Lock()
-	defer fs.imu.Unlock()
 	sb := &fs.super
 	rotor := fs.inodeRotor
 	if rotor < 2 || rotor >= sb.NInodes {
@@ -489,10 +461,8 @@ func (fs *FS) ialloc(t *kernel.Task, typ uint16) (*inode, error) {
 			_ = bh.Release()
 			fs.inodeRotor = inum + 1
 			ip := fs.iget(inum)
-			ip.mu.Lock()
 			ip.din = din
 			ip.valid = true
-			ip.mu.Unlock()
 			return ip, nil
 		}
 	}
@@ -502,8 +472,6 @@ func (fs *FS) ialloc(t *kernel.Task, typ uint16) (*inode, error) {
 // --- in-core inodes ---
 
 func (fs *FS) iget(inum uint32) *inode {
-	fs.itabMu.Lock()
-	defer fs.itabMu.Unlock()
 	if ip, ok := fs.inodes[inum]; ok {
 		ip.ref++
 		return ip
@@ -523,20 +491,19 @@ func (fs *FS) iget(inum uint32) *inode {
 	return ip
 }
 
-func (fs *FS) ilock(t *kernel.Task, ip *inode) error {
-	ip.mu.Lock()
+// iload loads ip from disk on first use (xv6's ilock, minus the sleep
+// lock: one task runs at a time).
+func (fs *FS) iload(t *kernel.Task, ip *inode) error {
 	if ip.valid {
 		return nil
 	}
 	bh, err := fs.bc.Get(t, int(fs.super.InodeBlock(ip.inum)))
 	if err != nil {
-		ip.mu.Unlock()
 		return err
 	}
 	ip.din = layout.DecodeDinode(bh.Data()[layout.InodeOffset(ip.inum):])
 	_ = bh.Release()
 	if ip.din.Type == layout.TypeFree {
-		ip.mu.Unlock()
 		return fsapi.ErrStale
 	}
 	ip.valid = true
@@ -558,40 +525,27 @@ func (fs *FS) iupdate(t *kernel.Task, ip *inode) error {
 
 // iput drops a ref; hasTxn as in the Bento version.
 func (fs *FS) iput(t *kernel.Task, ip *inode, hasTxn bool) error {
-	ip.mu.Lock()
-	if ip.valid && ip.din.Nlink == 0 {
-		fs.itabMu.Lock()
-		r := ip.ref
-		fs.itabMu.Unlock()
-		if r == 1 {
-			if !hasTxn {
-				ip.mu.Unlock()
-				fs.beginOp(t, layout.MaxOpBlocks)
-				err := fs.iput(t, ip, true)
-				if e := fs.endOp(t, layout.MaxOpBlocks); err == nil {
-					err = e
-				}
-				return err
+	if ip.valid && ip.din.Nlink == 0 && ip.ref == 1 {
+		if !hasTxn {
+			fs.beginOp(t, layout.MaxOpBlocks)
+			err := fs.iput(t, ip, true)
+			if e := fs.endOp(t, layout.MaxOpBlocks); err == nil {
+				err = e
 			}
-			if err := fs.itrunc(t, ip); err != nil {
-				ip.mu.Unlock()
-				return err
-			}
-			ip.din.Type = layout.TypeFree
-			if err := fs.iupdate(t, ip); err != nil {
-				ip.mu.Unlock()
-				return err
-			}
-			fs.imu.Lock()
-			if ip.inum < fs.inodeRotor {
-				fs.inodeRotor = ip.inum
-			}
-			fs.imu.Unlock()
-			ip.valid = false
+			return err
 		}
+		if err := fs.itrunc(t, ip); err != nil {
+			return err
+		}
+		ip.din.Type = layout.TypeFree
+		if err := fs.iupdate(t, ip); err != nil {
+			return err
+		}
+		if ip.inum < fs.inodeRotor {
+			fs.inodeRotor = ip.inum
+		}
+		ip.valid = false
 	}
-	ip.mu.Unlock()
-	fs.itabMu.Lock()
 	ip.ref--
 	if ip.ref == 0 {
 		// Nothing outside the table names this struct anymore; recycle.
@@ -599,7 +553,6 @@ func (fs *FS) iput(t *kernel.Task, ip *inode, hasTxn bool) error {
 		ip.freeNext = fs.ifree
 		fs.ifree = ip
 	}
-	fs.itabMu.Unlock()
 	return nil
 }
 
