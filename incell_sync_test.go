@@ -20,15 +20,13 @@ var inCellPackages = []string{
 	"internal/composefs", "internal/filebench", "internal/xv6",
 }
 
-// syncAllowed lists the only places in those packages where two host
-// goroutines can reach the same state at the same host instant, as
+// syncAllowed lists the only two places in those packages where two
+// host goroutines can reach the same state at the same host instant, as
 // file -> sync identifier -> how many times it may be named there.
 var syncAllowed = map[string]map[string]int{
 	// The scheduler parks and wakes real goroutines; its mutex is what
 	// orders every other (plain) access in the cell.
 	"internal/vclock/sched.go": {"Mutex": 1},
-	// The page pool is package-level state shared by parallel cells.
-	"internal/kernel/pagepool.go": {"Pool": 1},
 	// bentoks.Semaphore: internal/faultinject's AB-BA demonstration blocks
 	// two free-running goroutines on a pair of them by design.
 	"internal/bentoks/bentoks.go": {"Mutex": 2},

@@ -17,8 +17,8 @@
 //
 // Crash semantics. What power loss destroys is exactly the volatile
 // write cache: every write since the last FLUSH. Crash(keepFraction,
-// seed) reverts the device to its durable state (persist, as of the last
-// FLUSH) plus a seeded pseudo-random subset of the unflushed writes —
+// seed) reverts the device to its durable state (as of the last FLUSH)
+// plus a seeded pseudo-random subset of the unflushed writes —
 // keepFraction 0 is the adversarial cache (all unflushed writes gone), 1
 // the friendly one (all retained), and intermediate values model
 // arbitrary retention and reordering, since the surviving subset need
@@ -36,9 +36,9 @@
 // scheduler (one admitted worker at a time, minimal (virtual time, id)
 // first), which fixes the call order as a function of virtual time;
 // every multi-worker cell therefore replays bit-for-bit. The only
-// internal map walk, the local Flush's dirty-set promotion, commutes: it
-// moves whole blocks into the durable map and derives cost from the
-// count alone.
+// internal map walk in iteration order, the local backend retiring its
+// undo log, commutes: it returns buffers to a free list, and FLUSH cost
+// derives from the count alone.
 package blockdev
 
 import (

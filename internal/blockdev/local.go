@@ -5,9 +5,20 @@ import (
 	"sort"
 
 	"bento/internal/costmodel"
+	"bento/internal/lru"
 	"bento/internal/trace"
 	"bento/internal/vclock"
 )
+
+// slabBlocks is how many consecutive blocks share one allocation (64 KiB
+// at the default block size). 16 rather than 64: internal/crashtort builds
+// some two thousand 16 MiB devices whose file systems each touch a few
+// scattered metadata regions, and with 256 KiB slabs its wall time rose
+// 8-15 % (the allocator's madvise traffic on large short-lived objects)
+// where 64 KiB slabs leave it level with one allocation per block; the
+// streaming benchmark workloads measured no slower at 16 than at 64. Must
+// not exceed 64: one word of the present bitset covers one slab.
+const slabBlocks = 16
 
 // localBackend is the RAM-backed NVMe model: the storage half of the
 // historical Device, factored behind the Backend interface. Commands
@@ -16,15 +27,26 @@ import (
 // parallelism); writes land in a volatile write cache that a FLUSH
 // promotes to the durable tier.
 //
-// Storage is sparse: absent blocks read as zeros, so multi-GiB devices
-// cost host memory only for blocks actually written. A durable block's
-// slice may be shared between data and persist; the first write after a
-// FLUSH copies-on-write, so persist is never mutated in place.
+// Storage is slabs plus an undo log. Current contents (unflushed writes
+// included) live in lazily allocated slabs: slab i holds blocks
+// [i*slabBlocks, (i+1)*slabBlocks), a nil slab reads as zeros, and the
+// table grows as higher blocks are written, so a multi-GiB device costs
+// host memory only around the blocks actually written. The volatile write
+// cache is the undo log: the first write of a block since the last FLUSH
+// saves the block's durable image, later writes overwrite the slab in
+// place, a FLUSH forgets the saved images (what the slabs hold is now
+// durable) and a crash copies back the ones whose writes do not survive.
+// A block that has never been written has no image to save — its undo
+// entry is nil and a lost write clears it — which is every block of a
+// freshly written file: a streaming write copies each block once and
+// allocates nothing. Saved images come from, and go back to, the backend's
+// own free list (images).
 type localBackend struct {
 	blockSize int
-	data      map[int][]byte   // current contents (includes unflushed writes)
-	persist   map[int][]byte   // durable contents (as of the last FLUSH)
-	dirty     map[int]struct{} // blocks written since the last FLUSH
+	slabs     [][]byte       // current contents
+	present   []uint64       // bit blk: block blk has been written (slab si's word is present[si])
+	undo      map[int][]byte // block -> durable image (nil: never written), for blocks dirty since the last FLUSH
+	images    *lru.BufPool   // retired undo images
 	res       *vclock.Resource
 	model     *costmodel.Model
 }
@@ -36,16 +58,26 @@ type localBackend struct {
 func NewLocalBackend(name string, blockSize int, model *costmodel.Model) Backend {
 	return &localBackend{
 		blockSize: blockSize,
-		data:      make(map[int][]byte),
-		persist:   make(map[int][]byte),
-		dirty:     make(map[int]struct{}),
+		undo:      make(map[int][]byte),
+		images:    lru.NewBufPool(blockSize),
 		res:       vclock.NewResource(name, model.DevChannels),
 		model:     model,
 	}
 }
 
+// block returns blk's bytes inside its slab, or nil when no block of that
+// slab has been written yet.
+func (lb *localBackend) block(blk int) []byte {
+	si := blk / slabBlocks
+	if si >= len(lb.slabs) || lb.slabs[si] == nil {
+		return nil
+	}
+	off := blk % slabBlocks * lb.blockSize
+	return lb.slabs[si][off : off+lb.blockSize]
+}
+
 func (lb *localBackend) ReadBlock(now int64, blk int, buf []byte) (int64, error) {
-	if b, ok := lb.data[blk]; ok {
+	if b := lb.block(blk); b != nil {
 		copy(buf, b)
 	} else {
 		clear(buf)
@@ -54,47 +86,71 @@ func (lb *localBackend) ReadBlock(now int64, blk int, buf []byte) (int64, error)
 }
 
 func (lb *localBackend) SubmitBlock(now int64, blk int, buf []byte) (int64, error) {
-	if _, already := lb.dirty[blk]; already {
-		copy(lb.data[blk], buf) // private since the last flush; overwrite in place
-	} else {
-		lb.data[blk] = append(make([]byte, 0, lb.blockSize), buf...) // copy-on-write
-		lb.dirty[blk] = struct{}{}
+	si, bit := blk/slabBlocks, uint64(1)<<(blk%slabBlocks)
+	for si >= len(lb.slabs) {
+		lb.slabs = append(lb.slabs, nil)
+		lb.present = append(lb.present, 0)
 	}
+	if lb.slabs[si] == nil {
+		lb.slabs[si] = make([]byte, slabBlocks*lb.blockSize)
+	}
+	b := lb.block(blk)
+	if lb.present[si]&bit == 0 {
+		// Never written, so not dirty either (no probe needed) and with
+		// no image to save: a lost write clears it.
+		lb.present[si] |= bit
+		lb.undo[blk] = nil
+	} else if _, dirty := lb.undo[blk]; !dirty {
+		saved := lb.images.Get()
+		copy(saved, b)
+		lb.undo[blk] = saved
+	}
+	copy(b, buf)
 	return lb.res.Acquire(now, int64(lb.model.DevWrite(lb.blockSize))), nil
 }
 
-// Flush promotes the whole write cache to the durable tier. The map
-// walk commutes: it moves whole blocks and derives cost from the count
-// alone, so iteration order cannot leak into virtual time.
-func (lb *localBackend) Flush(now int64) (int64, error) {
-	dirtyBytes := len(lb.dirty) * lb.blockSize
-	for blk := range lb.dirty {
-		lb.persist[blk] = lb.data[blk] // share; next write copies-on-write
+// retireUndo empties the undo log, keeping its buffers for reuse. The
+// map walk commutes: which buffer backs which later save is host-side
+// state no caller can observe.
+func (lb *localBackend) retireUndo() {
+	for _, saved := range lb.undo {
+		if saved != nil {
+			lb.images.Put(saved)
+		}
 	}
-	lb.dirty = make(map[int]struct{})
+	clear(lb.undo)
+}
+
+// Flush promotes the whole write cache to the durable tier: the slabs
+// already hold the new contents, so it only forgets how to undo them.
+// Cost derives from the dirty count alone.
+func (lb *localBackend) Flush(now int64) (int64, error) {
+	dirtyBytes := len(lb.undo) * lb.blockSize
+	lb.retireUndo()
 	return lb.res.AcquireSerial(now, int64(lb.model.DevFlush(dirtyBytes))), nil
 }
 
-func (lb *localBackend) DirtyBlocks() int { return len(lb.dirty) }
+func (lb *localBackend) DirtyBlocks() int { return len(lb.undo) }
 
 func (lb *localBackend) Crash(keepFraction float64, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	blks := make([]int, 0, len(lb.dirty))
-	for blk := range lb.dirty {
+	blks := make([]int, 0, len(lb.undo))
+	for blk := range lb.undo {
 		blks = append(blks, blk)
 	}
 	sort.Ints(blks) // map order is random; sort so a seed fully determines the outcome
 	for _, blk := range blks {
 		if rng.Float64() < keepFraction {
-			// This unflushed write survives the power cut.
-			lb.persist[blk] = lb.data[blk]
+			continue // this unflushed write survives the power cut
+		}
+		if saved := lb.undo[blk]; saved != nil {
+			copy(lb.block(blk), saved)
+		} else {
+			clear(lb.block(blk))
+			lb.present[blk/slabBlocks] &^= 1 << (blk % slabBlocks)
 		}
 	}
-	lb.data = make(map[int][]byte, len(lb.persist))
-	for blk, b := range lb.persist {
-		lb.data[blk] = b // shared until the next write to blk copies-on-write
-	}
-	lb.dirty = make(map[int]struct{})
+	lb.retireUndo() // only now: the loop above was still reading the images
 	lb.res.Reset()
 }
 

@@ -88,6 +88,27 @@ func BenchmarkStatHot(b *testing.B) {
 	}
 }
 
+// BenchmarkPageChurn is the cold half of a streaming cell: fill 128 KiB
+// of page cache from the file system, drop it, fill it again — every page
+// taken from and returned to the mount's free list.
+func BenchmarkPageChurn(b *testing.B) {
+	m, task, paths := hotMount(b)
+	f, err := m.Open(task, paths[0], fsapi.ORdonly)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, 128<<10)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(buf)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.DropCaches()
+		if n, err := f.PRead(task, buf, 0); err != nil || n != len(buf) {
+			b.Fatalf("pread = %d, %v", n, err)
+		}
+	}
+}
+
 // BenchmarkTaskCharge is one CPU-pool booking from a task that waits for
 // each of its bookings — the Resource's horizon hit, five times per warm
 // pread.

@@ -16,10 +16,10 @@
 // and none of those structures carries a host lock or an atomic. The
 // rule (docs/architecture.md, "Determinism contract"): a host lock or
 // atomic survives only where two host goroutines can reach the same
-// state at the same host instant. Here that is the page pool
-// (pagepool.go), which parallel cells share. Callers outside the
-// harness that want several simulated threads drive them through a
-// vclock.Group, exactly as the harness does.
+// state at the same host instant. Nothing in this package is such a
+// place — page memory too belongs to the mount (pagepool.go). Callers
+// outside the harness that want several simulated threads drive them
+// through a vclock.Group, exactly as the harness does.
 package kernel
 
 import (
@@ -147,8 +147,13 @@ type FileSystem interface {
 	// (nlink==0) inodes here.
 	Release(t *Task, ino fsapi.Ino) error
 	// ReadPage fills buf (one page) with file contents at page index pg.
-	// Callers zero-fill beyond EOF; implementations may return short data
-	// by leaving the tail of buf zeroed.
+	// It writes EVERY byte of buf or returns an error: bytes past the
+	// file system's EOF — the tail of the last page, a hole, a page the
+	// kernel's size covers but the file system has not been told of yet —
+	// are written as zeros. buf arrives holding unspecified bytes (the
+	// page cache recycles pages without clearing them), so a byte left
+	// alone is another file's. TestReadPageFillsEveryByte in the
+	// repository root holds every implementation to this.
 	ReadPage(t *Task, ino fsapi.Ino, pg int64, buf []byte) error
 	// WritePage persists one dirty page and the new file size. The VFS
 	// baseline path calls this once per page (->writepage).

@@ -61,6 +61,13 @@ type Mount struct {
 	// flushFn is m.bdiFlush bound once at mount creation; taking the
 	// method value inline would allocate on every balanceDirty call.
 	flushFn func(*Task) (int, int, error)
+
+	// freePages is the mount's page free list and arenas counts the
+	// small arenas allocated so far (see pagepool.go); putPageFn is
+	// m.putPage bound once, for the lru drop callbacks.
+	freePages []*page
+	arenas    uint
+	putPageFn func(*page)
 }
 
 type dkey struct {
@@ -147,6 +154,7 @@ func newMount(k *Kernel, fstype, mountPoint string, fs FileSystem, dev *blockdev
 		dcache:     make(map[dkey]fsapi.Ino),
 	}
 	m.flushFn = m.bdiFlush
+	m.putPageFn = m.putPage
 	return m
 }
 
@@ -226,9 +234,9 @@ type BlockCacheDropper interface {
 // the deterministic-replay contract is simpler to audit when no path
 // ever walks a Go map in iteration order.
 func (m *Mount) DropCaches() {
-	m.dcache = make(map[dkey]fsapi.Ino)
+	clear(m.dcache)
 	_ = m.forEachVnodeByIno(func(vn *vnode) error {
-		m.totalPages -= int64(vn.pc.DropCleanFunc(putPage))
+		m.totalPages -= int64(vn.pc.DropCleanFunc(m.putPageFn))
 		// The ahead marker points at pages that just vanished; collapse
 		// the window so the next stream re-ramps over real misses.
 		vn.ra.Reset()
@@ -265,7 +273,7 @@ func (m *Mount) vnodeFromStat(st fsapi.Stat) *vnode {
 func (m *Mount) dropVnode(vn *vnode) {
 	m.dirtyPages -= int64(vn.pc.DirtyLen())
 	m.totalPages -= int64(vn.pc.Len())
-	vn.pc.ClearFunc(putPage)
+	vn.pc.ClearFunc(m.putPageFn)
 	delete(m.vnodes, vn.ino)
 }
 
@@ -396,12 +404,16 @@ func (vn *vnode) loadPage(t *Task, idx int64) (*page, error) {
 		return pg, nil
 	}
 	t.rec.Add(trace.CtrPageMisses, 1)
-	pg := getPage() // zeroed: beyond-EOF pages must read as zeros
+	// A page inside the file is filled below, and ReadPage writes every
+	// byte of it; a page wholly beyond EOF is filled by nobody and must
+	// read as zeros.
+	inFile := idx*fsapi.PageSize < vn.size
+	pg := vn.m.getPage(!inFile)
 	pg.lastUse = vn.m.tick()
-	if idx*fsapi.PageSize < vn.size {
+	if inFile {
 		fillStart := t.Clk.NowNS()
 		if err := vn.m.fs.ReadPage(t, vn.ino, idx, pg.data); err != nil {
-			putPage(pg) // never published; safe to recycle
+			vn.m.putPage(pg) // never published; safe to recycle
 			return nil, err
 		}
 		if r := t.rec; r != nil {
@@ -430,7 +442,7 @@ func (vn *vnode) evictClean() {
 			return
 		}
 		vn.m.totalPages--
-		putPage(victim)
+		vn.m.putPage(victim)
 	}
 }
 
@@ -637,7 +649,7 @@ func (vn *vnode) fillPage(rt *Task, pg int64) (bool, error) {
 	if _, ok := vn.pc.Peek(pg); ok {
 		return false, nil
 	}
-	p := getPage()
+	p := vn.m.getPage(false) // ReadPage below writes every byte
 	p.lastUse = vn.m.tick()
 	p.fill.BeginFill()
 	vn.pc.Add(pg, p)
@@ -650,6 +662,7 @@ func (vn *vnode) fillPage(rt *Task, pg int64) (bool, error) {
 		vn.pc.Remove(pg)
 		vn.m.totalPages--
 		p.fill.FailFill(err)
+		vn.m.putPage(p) // out of the cache and resolved; putPage resets the fill state
 		return false, err
 	}
 	p.readyAt = rt.Clk.NowNS()

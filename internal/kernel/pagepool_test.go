@@ -1,30 +1,55 @@
 package kernel
 
 import (
-	"sync"
 	"testing"
+
+	"bento/internal/costmodel"
+	"bento/internal/fsapi"
 )
 
-// TestPagePoolZeroing pins the pool's contents policy: getPage always
-// returns zeroed data, even when the page last held file contents. Two
-// fill paths depend on it (beyond-EOF skip fill and partial-page
-// extension) and it is the cross-file leak barrier.
+// pageMount is a mount with no file system under it: enough to own pages.
+func pageMount() *Mount {
+	return newMount(New(costmodel.Fast()), "none", "/", nil, nil)
+}
+
+// TestPagePoolZeroing pins the contents policy: a page asked for zeroed
+// reads as zeros even when it last held file contents (the beyond-EOF
+// skip fill depends on it), fresh arena memory is zeros, and a page asked
+// for un-zeroed is handed over as it was put — the clear the fill paths
+// no longer pay for.
 func TestPagePoolZeroing(t *testing.T) {
-	for i := 0; i < 64; i++ {
-		pg := getPage()
+	m := pageMount()
+	for i := 0; i < 3*arenaPages; i++ {
+		pg := m.getPage(true)
 		for j, b := range pg.data {
 			if b != 0 {
-				t.Fatalf("iter %d: getPage returned dirty byte %#x at offset %d", i, b, j)
+				t.Fatalf("iter %d: getPage(zeroed) returned dirty byte %#x at offset %d", i, b, j)
 			}
 		}
-		// Dirty every byte and hand the page back; the next get must not
-		// observe any of it.
+		// Dirty every byte and hand the page back; the next zeroed get
+		// must not observe any of it.
 		for j := range pg.data {
 			pg.data[j] = byte(i + j + 1)
 		}
 		pg.lastUse = int64(i + 1)
 		pg.readyAt = int64(i + 1)
-		putPage(pg)
+		m.putPage(pg)
+	}
+
+	fresh := pageMount().getPage(false)
+	for j, b := range fresh.data {
+		if b != 0 {
+			t.Fatalf("fresh arena page has byte %#x at offset %d", b, j)
+		}
+	}
+
+	pg := m.getPage(false)
+	for j := range pg.data {
+		pg.data[j] = 0xA5
+	}
+	m.putPage(pg)
+	if again := m.getPage(false); again != pg || again.data[0] != 0xA5 || again.data[fsapi.PageSize-1] != 0xA5 {
+		t.Fatal("un-zeroed get cleared (or did not reuse) the page just freed")
 	}
 }
 
@@ -32,106 +57,76 @@ func TestPagePoolZeroing(t *testing.T) {
 // recycled page cannot inherit recency, readiness, or fill results from
 // its previous life.
 func TestPagePoolResetState(t *testing.T) {
-	pg := getPage()
+	m := pageMount()
+	pg := m.getPage(true)
 	pg.lastUse = 42
 	pg.readyAt = 99
+	pg.node.Pin()
 	pg.fill.BeginFill()
 	pg.fill.FailFill(errTestFill)
-	putPage(pg)
+	m.putPage(pg)
 
-	// Drain the pool until the recycled struct comes back (sync.Pool has
-	// no ordering guarantee; with a single P the private slot returns it
-	// first, but don't depend on that).
-	var got *page
-	var extra []*page
-	for i := 0; i < 1024; i++ {
-		q := getPage()
-		if q == pg {
-			got = q
-			break
-		}
-		extra = append(extra, q)
+	got := m.getPage(false) // the free list is LIFO
+	if got != pg {
+		t.Fatal("free list did not hand back the page just freed")
 	}
-	for _, q := range extra {
-		putPage(q)
-	}
-	if got == nil {
-		t.Skip("recycled page not observed (pool drained by GC); policy covered by TestPagePoolZeroing")
-	}
-	if v := got.lastUse; v != 0 {
-		t.Errorf("recycled page lastUse = %d, want 0", v)
+	if got.lastUse != 0 {
+		t.Errorf("recycled page lastUse = %d, want 0", got.lastUse)
 	}
 	if got.readyAt != 0 {
 		t.Errorf("recycled page readyAt = %d, want 0", got.readyAt)
 	}
+	if got.node.Refs() != 0 {
+		t.Errorf("recycled page refs = %d, want 0", got.node.Refs())
+	}
 	if err := got.fill.FillErr(); err != nil {
 		t.Errorf("recycled page fill state kept error %v, want reset", err)
 	}
-	putPage(got)
+	m.putPage(nil) // Remove's zero entry on a missing key
 }
 
-// TestPagePoolNoAliasing verifies distinct live pages never share a
-// backing array, and that recycling one page cannot scribble on another
-// still held by a cache.
+// TestPagePoolNoAliasing verifies no page is handed out twice: across
+// several arenas and a round of recycling, live pages are distinct
+// structs over disjoint backing arrays, and writing through a recycled
+// page cannot scribble on one still held.
 func TestPagePoolNoAliasing(t *testing.T) {
-	held := getPage()
-	for i := range held.data {
-		held.data[i] = 0xA5
+	m := pageMount()
+	const n = 2*arenaPages + 5
+	live := make(map[*page]byte, n)
+	take := func(tag byte) *page {
+		pg := m.getPage(false)
+		if _, dup := live[pg]; dup {
+			t.Fatalf("page %p handed out while still held", pg)
+		}
+		if len(pg.data) != fsapi.PageSize || cap(pg.data) != fsapi.PageSize {
+			t.Fatalf("page data len/cap = %d/%d, want %d (a longer cap reaches the neighbour's bytes)", len(pg.data), cap(pg.data), fsapi.PageSize)
+		}
+		for i := range pg.data {
+			pg.data[i] = tag
+		}
+		live[pg] = tag
+		return pg
 	}
-	released := getPage()
-	if &held.data[0] == &released.data[0] {
-		t.Fatal("two live pages share a backing array")
+	var held []*page
+	for i := 0; i < n; i++ {
+		held = append(held, take(byte(i%250+1)))
 	}
-	putPage(released)
-	// The recycled array may now back a new page; writing through it must
-	// not affect the held page.
-	next := getPage()
-	for i := range next.data {
-		next.data[i] = 0x5A
+	// Free every third page and take as many again: the recycled arrays
+	// now back new pages with a different tag.
+	for i := 0; i < n; i += 3 {
+		delete(live, held[i])
+		m.putPage(held[i])
 	}
-	for i, b := range held.data {
-		if b != 0xA5 {
-			t.Fatalf("held page mutated at %d: %#x", i, b)
+	for i := 0; i < n; i += 3 {
+		take(0xFF)
+	}
+	for pg, tag := range live {
+		for i, b := range pg.data {
+			if b != tag {
+				t.Fatalf("page %p mutated at %d: %#x, want %#x", pg, i, b, tag)
+			}
 		}
 	}
-	putPage(next)
-	putPage(held)
-}
-
-// TestPagePoolConcurrent stresses the pool from concurrent goroutines
-// (the shape of parallel benchmark cells sharing the process-wide pool);
-// run with -race. Each borrower tags its page and verifies exclusive
-// ownership before returning it.
-func TestPagePoolConcurrent(t *testing.T) {
-	const workers = 8
-	const rounds = 200
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(tag byte) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				pg := getPage()
-				for i := range pg.data {
-					if pg.data[i] != 0 {
-						t.Errorf("worker %d: dirty page from pool", tag)
-						return
-					}
-				}
-				for i := range pg.data {
-					pg.data[i] = tag
-				}
-				for i := range pg.data {
-					if pg.data[i] != tag {
-						t.Errorf("worker %d: page shared with another borrower", tag)
-						return
-					}
-				}
-				putPage(pg)
-			}
-		}(byte(w + 1))
-	}
-	wg.Wait()
 }
 
 // errTestFill is a sentinel for fill-state reset tests.

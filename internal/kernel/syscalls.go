@@ -272,7 +272,8 @@ func (f *File) PWrite(t *Task, data []byte, off int64) (int, error) {
 }
 
 // pageForOverwrite returns the page at idx without reading from disk,
-// because the caller is about to overwrite all of it.
+// because the caller is about to overwrite all PageSize bytes of it (a
+// fresh page is handed out with unspecified contents for that reason).
 func (vn *vnode) pageForOverwrite(idx int64) *page {
 	if pg, ok := vn.pc.Peek(idx); ok {
 		vn.m.k.rec.Add(trace.CtrPageHits, 1)
@@ -284,7 +285,7 @@ func (vn *vnode) pageForOverwrite(idx int64) *page {
 		return pg
 	}
 	vn.m.k.rec.Add(trace.CtrPageMisses, 1)
-	pg := getPage() // zeroed, so a partial final chunk keeps zero tail
+	pg := vn.m.getPage(false)
 	pg.lastUse = vn.m.tick()
 	vn.pc.Add(idx, pg)
 	if vn.m.totalPages++; vn.m.totalPages > vn.m.pageCap {
@@ -366,7 +367,7 @@ func (vn *vnode) truncate(t *Task, size int64) error {
 		if wasDirty {
 			vn.m.dirtyPages--
 		}
-		putPage(pg)
+		vn.m.putPage(pg)
 	}
 	// Zero the cached tail of a now-partial page so stale bytes cannot
 	// reappear if the file is re-extended.
