@@ -134,18 +134,9 @@ type Delta struct {
 	Ratio    float64 // New/Old
 }
 
-// HostCell is one fresh cell's host wall-clock (present only when the
-// fresh run was produced with `bentobench -hostns`). Host time is
-// informational — it never gates — but surfacing it in the step summary
-// makes harness-speed regressions visible the day they land.
-type HostCell struct {
-	Key cellKey
-	NS  int64
-}
-
 // MetricDelta is one changed trace counter on a cell both runs traced
-// (produced with `bentobench -metrics`). Like host time, metrics are
-// informational only: they explain a throughput delta, they never gate.
+// (produced with `bentobench -metrics`). Metrics are informational
+// only: they explain a throughput delta, they never gate.
 type MetricDelta struct {
 	Key      cellKey
 	Counter  string
@@ -160,7 +151,6 @@ type Report struct {
 	Drifts       []Delta       // within tolerance but not identical: informational
 	Missing      []cellKey     // in baseline, absent from fresh: fail
 	Added        []cellKey     // new cells: informational
-	HostTimes    []HostCell    // fresh-run host wall-clock per cell, record order; empty without -hostns
 	MetricDeltas []MetricDelta // changed counters on cells traced in both runs
 	MetricCells  int           // cells carrying metrics on both sides
 	Compared     int
@@ -248,9 +238,6 @@ func Compare(baseline, fresh []harness.Record, tol float64) Report {
 		k := cellKey{r.Experiment, r.Variant, r.Cell}
 		if !seen[k] {
 			rep.Added = append(rep.Added, k)
-		}
-		if r.HostNS > 0 {
-			rep.HostTimes = append(rep.HostTimes, HostCell{Key: k, NS: r.HostNS})
 		}
 	}
 	sortDeltas := func(ds []Delta) {
@@ -343,28 +330,11 @@ func (r Report) Markdown() string {
 		}
 		b.WriteByte('\n')
 	}
-	if len(r.HostTimes) > 0 {
-		var total int64
-		for _, h := range r.HostTimes {
-			total += h.NS
-		}
-		// Informational, never gating: virtual-time cells are the perf
-		// contract; host time tracks the harness's own speed (and varies
-		// with -parallel and machine). Collapsed so the table doesn't
-		// dominate the summary page.
-		fmt.Fprintf(&b, "<details><summary>Host time per cell (informational) — Σ %.1fs over %d cells</summary>\n\n",
-			float64(total)/1e9, len(r.HostTimes))
-		b.WriteString("| cell | host ms |\n|---|---:|\n")
-		for _, h := range r.HostTimes {
-			fmt.Fprintf(&b, "| `%s` | %.1f |\n", h.Key, float64(h.NS)/1e6)
-		}
-		b.WriteString("\n</details>\n\n")
-	}
 	if r.MetricCells > 0 {
 		// Informational, never gating: counter deltas from -metrics runs
 		// explain *why* a cell's throughput moved (more misses, more
-		// commits, more round-trips). Collapsed like host time so the
-		// table doesn't dominate the summary page.
+		// commits, more round-trips). Collapsed so the table doesn't
+		// dominate the summary page.
 		fmt.Fprintf(&b, "<details><summary>Trace-counter deltas (informational) — %d changed across %d traced cells</summary>\n\n",
 			len(r.MetricDeltas), r.MetricCells)
 		if len(r.MetricDeltas) == 0 {

@@ -144,28 +144,6 @@ func TestMarkdownReportListsCells(t *testing.T) {
 	}
 }
 
-func TestHostTimesAreInformational(t *testing.T) {
-	base := []harness.Record{rec("fig2", "Bento", "read-seq-32t-4k", 1000, 50000, 0, 0)}
-	fresh := []harness.Record{rec("fig2", "Bento", "read-seq-32t-4k", 1000, 50000, 0, 0)}
-	fresh[0].HostNS = 1_500_000_000 // 1.5s of host time on an identical virtual-time cell
-	rep := Compare(base, fresh, 0.05)
-	if rep.Failed() {
-		t.Fatalf("host time must never gate: %s", rep.Text())
-	}
-	if len(rep.HostTimes) != 1 || rep.HostTimes[0].NS != 1_500_000_000 {
-		t.Fatalf("host times not collected: %+v", rep.HostTimes)
-	}
-	md := rep.Markdown()
-	for _, want := range []string{
-		"Host time per cell (informational) — Σ 1.5s over 1 cells",
-		"| `fig2/Bento/read-seq-32t-4k` | 1500.0 |",
-	} {
-		if !strings.Contains(md, want) {
-			t.Fatalf("markdown missing %q:\n%s", want, md)
-		}
-	}
-}
-
 func TestMetricsAreInformational(t *testing.T) {
 	base := []harness.Record{rec("fig2", "Bento", "read-seq-32t-4k", 1000, 50000, 0, 0)}
 	fresh := []harness.Record{rec("fig2", "Bento", "read-seq-32t-4k", 1000, 50000, 0, 0)}
@@ -209,17 +187,6 @@ func TestMetricsAbsentOnOneSideAreIgnored(t *testing.T) {
 	}
 	if strings.Contains(rep.Markdown(), "Trace-counter deltas") {
 		t.Fatalf("markdown shows a metrics section without metrics on both sides:\n%s", rep.Markdown())
-	}
-}
-
-func TestHostTimesAbsentWithoutHostNS(t *testing.T) {
-	base := []harness.Record{rec("fig2", "Bento", "read-seq-32t-4k", 1000, 50000, 0, 0)}
-	rep := Compare(base, base, 0.05)
-	if len(rep.HostTimes) != 0 {
-		t.Fatalf("unexpected host times: %+v", rep.HostTimes)
-	}
-	if strings.Contains(rep.Markdown(), "Host time per cell") {
-		t.Fatalf("markdown shows a host-time section for a run without host_ns:\n%s", rep.Markdown())
 	}
 }
 

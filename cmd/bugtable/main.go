@@ -8,14 +8,14 @@ import (
 	"fmt"
 
 	"bento/internal/buganalysis"
-	"bento/internal/faultinject"
+	"bento/internal/buginject"
 )
 
 func main() {
 	fmt.Println(buganalysis.RenderTable1())
 	fmt.Println(buganalysis.RenderTable2())
 	fmt.Println("Fault injection (each Table 1 class run against the framework):")
-	for _, o := range faultinject.RunAll() {
+	for _, o := range buginject.RunAll() {
 		verdict := "NOT PREVENTED"
 		if o.Caught {
 			verdict = "caught"

@@ -27,7 +27,7 @@ var syncAllowed = map[string]map[string]int{
 	// The scheduler parks and wakes real goroutines; its mutex is what
 	// orders every other (plain) access in the cell.
 	"internal/vclock/sched.go": {"Mutex": 1},
-	// bentoks.Semaphore: internal/faultinject's AB-BA demonstration blocks
+	// bentoks.Semaphore: internal/buginject's AB-BA demonstration blocks
 	// two free-running goroutines on a pair of them by design.
 	"internal/bentoks/bentoks.go": {"Mutex": 2},
 }

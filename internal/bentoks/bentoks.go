@@ -8,7 +8,7 @@
 // borrow checker, so this package enforces the same ownership contract
 // *dynamically*: every buffer acquisition and release is tracked, and
 // use-after-release, double-release, and leaked references are detected
-// and reported. The fault-injection suite (internal/faultinject)
+// and reported. The bug-injection suite (internal/buginject)
 // demonstrates that this contract catches the memory-bug classes from the
 // paper's Table 1 — the substitute for "93% of low-level bugs would be
 // prevented by using Rust".
@@ -415,7 +415,7 @@ func (b *BufferHead) Release() error {
 // reported instead of corrupting scheduler state.
 //
 // It is the one type here that keeps host mutexes: the AB-BA
-// demonstration in internal/faultinject blocks two free-running
+// demonstration in internal/buginject blocks two free-running
 // goroutines on a pair of semaphores by design (the paper's "remaining
 // 7%"), so two goroutines do reach this state at the same instant.
 type Semaphore struct {

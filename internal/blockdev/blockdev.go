@@ -46,7 +46,7 @@ import (
 	"fmt"
 
 	"bento/internal/costmodel"
-	"bento/internal/faultinject/seeded"
+	"bento/internal/seeded"
 	"bento/internal/trace"
 	"bento/internal/vclock"
 )

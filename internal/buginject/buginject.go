@@ -1,4 +1,4 @@
-// Package faultinject reproduces the paper's §2.1 claim experimentally:
+// Package buginject reproduces the paper's §2.1 claim experimentally:
 // it injects each Table 1 bug class into file-system code running on the
 // Bento framework and records whether the framework's safety contract
 // (bentoks' runtime rendering of Rust's compile-time checks) catches it.
@@ -15,7 +15,7 @@
 // ride the same deterministic kernel/device simulation, so every
 // reported failure replays exactly. See docs/upgrade-and-crash.md for
 // the crash side.
-package faultinject
+package buginject
 
 import (
 	"time"

@@ -1,4 +1,4 @@
-package faultinject
+package buginject
 
 import "testing"
 

@@ -81,15 +81,15 @@ type Model struct {
 	NetChannels int
 	// NetGetBase is the first-byte latency of a GET: request round trip
 	// plus the store's time-to-first-byte. Dominated by network RTT, so
-	// it is the knob the -netlat flag turns.
+	// it is what WithNet's latency argument (bentobench -netlat) sets.
 	NetGetBase time.Duration
 	// NetPutBase is the first-byte latency of a PUT (request round trip
 	// plus store-side admission).
 	NetPutBase time.Duration
 	// NetPer4K is the streaming cost per 4KiB of object payload in
-	// either direction — the inverse of link bandwidth (the -netbw
-	// knob). First-byte vs streaming cost is what makes large objects
-	// amortize round trips.
+	// either direction — the inverse of link bandwidth (WithNet's
+	// bandwidth argument, bentobench -netbw). First-byte vs streaming
+	// cost is what makes large objects amortize round trips.
 	NetPer4K time.Duration
 	// NetFlushBase is the cost of the durability barrier against the
 	// object store (e.g. waiting out replication acks) after the dirty
@@ -99,7 +99,7 @@ type Model struct {
 	// the request's nominal (untailed) service time: a request whose
 	// drawn service time exceeds the timeout fails at the deadline and
 	// is retried. Zero disables timeouts. Expressing the deadline as a
-	// multiplier keeps it scale-aware under the -netlat override.
+	// multiplier keeps it scale-aware under WithNet.
 	NetTimeoutMult int
 	// NetBackoffBase is the delay before the first retry of a failed
 	// object-store request; retry k waits min(NetBackoffBase<<k,
@@ -319,4 +319,24 @@ func (m *Model) NetPut(bytes int) time.Duration {
 // charged after the dirty PUTs it fences.
 func (m *Model) NetFlush() time.Duration {
 	return m.NetFlushBase
+}
+
+// WithNet returns a copy of the model at another point of the
+// object-store latency space; m itself is shared by concurrently running
+// cells and is never written. lat > 0 sets the GET and PUT first-byte
+// latency and scales the flush barrier to 4x it (the default model's
+// ratio); bwMBps > 0 sets the streaming bandwidth (4096 bytes at
+// bwMBps MB/s is 4_096_000/bwMBps ns per 4KiB). A zero leaves that
+// entry as it is.
+func (m *Model) WithNet(lat time.Duration, bwMBps int) *Model {
+	c := *m
+	if lat > 0 {
+		c.NetGetBase = lat
+		c.NetPutBase = lat
+		c.NetFlushBase = 4 * lat
+	}
+	if bwMBps > 0 {
+		c.NetPer4K = time.Duration(4_096_000/bwMBps) * time.Nanosecond
+	}
+	return &c
 }

@@ -131,3 +131,35 @@ func TestFlushDominatesWritePathShape(t *testing.T) {
 		t.Fatal("consumer NVMe flush should be in the millisecond range")
 	}
 }
+
+// TestWithNet: the one place a network point is derived. Latency sets
+// GET = PUT with the flush barrier at 4x; bandwidth sets the per-4KiB
+// streaming cost; a zero leaves its entry alone; the receiver — shared by
+// concurrently running cells — is never written.
+func TestWithNet(t *testing.T) {
+	base := Default()
+	before := *base
+
+	m := base.WithNet(20*time.Millisecond, 80)
+	if m.NetGetBase != 20*time.Millisecond || m.NetPutBase != 20*time.Millisecond || m.NetFlushBase != 80*time.Millisecond {
+		t.Errorf("latency point: GET/PUT/FLUSH = %v/%v/%v", m.NetGetBase, m.NetPutBase, m.NetFlushBase)
+	}
+	if m.NetPer4K != 51200*time.Nanosecond {
+		t.Errorf("80 MB/s: %v per 4KiB, want 51.2µs", m.NetPer4K)
+	}
+
+	latOnly := base.WithNet(5*time.Millisecond, 0)
+	if latOnly.NetGetBase != 5*time.Millisecond || latOnly.NetPer4K != base.NetPer4K {
+		t.Errorf("latency alone: GET %v, per-4KiB %v (base %v)", latOnly.NetGetBase, latOnly.NetPer4K, base.NetPer4K)
+	}
+	bwOnly := base.WithNet(0, 100)
+	if bwOnly.NetPer4K != 40960*time.Nanosecond || bwOnly.NetGetBase != base.NetGetBase || bwOnly.NetFlushBase != base.NetFlushBase {
+		t.Errorf("bandwidth alone: per-4KiB %v, GET %v, FLUSH %v", bwOnly.NetPer4K, bwOnly.NetGetBase, bwOnly.NetFlushBase)
+	}
+	if same := base.WithNet(0, 0); *same != before || same == base {
+		t.Error("WithNet(0, 0) must be an unchanged copy")
+	}
+	if *base != before {
+		t.Error("WithNet wrote through to its receiver")
+	}
+}

@@ -24,12 +24,12 @@ func TestStreamIncludesBypassStudyRow(t *testing.T) {
 	for _, r := range recs {
 		seen[r.Variant]++
 	}
-	if seen[VariantBentoNoBypass] == 0 {
-		t.Fatalf("no %s study row in stream records: %v", VariantBentoNoBypass, seen)
+	if seen[RowBentoNoBypass] == 0 {
+		t.Fatalf("no %s study row in stream records: %v", RowBentoNoBypass, seen)
 	}
-	if seen[VariantBentoNoBypass] != seen[VariantBento] {
+	if seen[RowBentoNoBypass] != seen[VariantBento] {
 		t.Fatalf("study row has %d cells, Bento has %d — rows out of step",
-			seen[VariantBentoNoBypass], seen[VariantBento])
+			seen[RowBentoNoBypass], seen[VariantBento])
 	}
 
 	o.NoDataBypass = true
@@ -38,27 +38,29 @@ func TestStreamIncludesBypassStudyRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		if r.Variant == VariantBentoNoBypass {
+		if r.Variant == RowBentoNoBypass {
 			t.Fatalf("bypass globally off, but study row still present")
 		}
 	}
 }
 
-// TestNewTargetBypassVariants: the study variant mounts and serves I/O.
+// TestNewTargetBypassVariants: Bento mounts and serves I/O with the
+// bypass on and — the study row's configuration — with it off.
 func TestNewTargetBypassVariants(t *testing.T) {
-	o := Quick()
-	for _, v := range []string{VariantBento, VariantBentoNoBypass} {
-		tg, err := NewTarget(v, o)
+	for _, noBypass := range []bool{false, true} {
+		o := Quick()
+		o.NoDataBypass = noBypass
+		tg, err := NewTarget(VariantBento, o)
 		if err != nil {
-			t.Fatalf("NewTarget(%s): %v", v, err)
+			t.Fatalf("NewTarget(NoDataBypass=%v): %v", noBypass, err)
 		}
 		task := tg.K.NewTask("probe")
 		if err := tg.M.WriteFile(task, "/probe", []byte("hello")); err != nil {
-			t.Fatalf("%s: %v", v, err)
+			t.Fatalf("NoDataBypass=%v: %v", noBypass, err)
 		}
 		got, err := tg.M.ReadFile(task, "/probe")
 		if err != nil || string(got) != "hello" {
-			t.Fatalf("%s: read-back %q, %v", v, got, err)
+			t.Fatalf("NoDataBypass=%v: read-back %q, %v", noBypass, got, err)
 		}
 	}
 }

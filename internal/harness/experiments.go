@@ -2,12 +2,10 @@ package harness
 
 import (
 	"fmt"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"bento/internal/filebench"
-	"bento/internal/trace"
 )
 
 // Experiment identifiers (the paper's table and figure numbers).
@@ -55,12 +53,11 @@ const (
 var AllExperiments = []string{ExpTable1, ExpTable2, ExpFig2, ExpFig3, ExpFig4, ExpTable4, ExpTable5, ExpTable6, ExpStream, ExpUpgrade, ExpNetstore, ExpNetfaults}
 
 // plan is one experiment's declarative form: an ordered list of
-// self-contained cells plus a renderer that turns the per-variant results
-// (grouped back in spec order) into the experiment's table text. The
-// specs carry all target construction and per-cell configuration inside
-// their Run closures, so the runner can execute them in any order on any
-// number of host workers; rows fixes the variant order for rendering and
-// record emission.
+// self-contained cells plus a renderer that turns the per-row results
+// (grouped back in spec order) into the experiment's table text. Each
+// spec names what to mount and carries its workload, so the runner can
+// execute them in any order on any number of host workers; rows fixes
+// the row order for rendering and record emission.
 type plan struct {
 	rows   []string
 	specs  []CellSpec
@@ -115,43 +112,22 @@ func workingSet(o Options, threads int) int64 {
 	return per
 }
 
-// finishCell attaches the cell's observability outputs to its result:
-// the counter snapshot when o.Metrics, and the per-cell Chrome trace
-// file when o.TraceDir. Untraced runs pass straight through.
-func finishCell(tg filebench.Target, r filebench.Result, exp, variant string, o Options) (filebench.Result, error) {
-	rec := tg.K.Recorder()
-	if rec == nil {
-		return r, nil
+// streamFileSize is the streaming scenarios' total stream size:
+// o.StreamMB, clamped to a quarter of the device so metadata, the log,
+// and slack still fit.
+func streamFileSize(o Options) int64 {
+	size := int64(o.StreamMB) << 20
+	if size <= 0 {
+		size = 32 << 20
 	}
-	if o.Metrics {
-		r.Metrics = rec.Counters()
+	if budget := int64(o.DevBlocks) * 4096 / 4; size > budget {
+		size = budget
 	}
-	if o.TraceDir != "" {
-		path := filepath.Join(o.TraceDir, fmt.Sprintf("%s_%s_%s.trace.json", exp, variant, r.Name))
-		if err := rec.WriteFile(path, trace.Meta{Experiment: exp, Variant: variant, Cell: r.Name}); err != nil {
-			return r, fmt.Errorf("%s %s: writing trace: %w", exp, variant, err)
-		}
-	}
-	return r, nil
+	return size
 }
 
-// readCell runs one read microbenchmark cell.
-func readCell(exp, variant string, o Options, threads, ioSize int, random bool) (filebench.Result, error) {
-	tg, err := NewTarget(variant, o)
-	if err != nil {
-		return filebench.Result{}, err
-	}
-	r, err := filebench.ReadMicro(tg, filebench.MicroConfig{
-		Threads: threads, IOSize: ioSize, FileSize: workingSet(o, threads),
-		Random: random, Duration: o.Duration, MaxOps: o.MaxOps, Seed: 1,
-	})
-	if err != nil {
-		return r, err
-	}
-	return finishCell(tg, r, exp, variant, o)
-}
-
-// readThreadCells is the (threads, random) grid shared by Figures 2 and 3.
+// readThreadCell is one column of the (threads, random) grid shared by
+// Figures 2 to 4.
 type readThreadCell struct {
 	threads int
 	random  bool
@@ -162,72 +138,72 @@ var fig23Cells = []readThreadCell{
 	{1, false, "seq-1t"}, {32, false, "seq-32t"}, {1, true, "rnd-1t"}, {32, true, "rnd-32t"},
 }
 
+// labels returns the column headers of a cell grid.
+func labels(cells []readThreadCell) []string {
+	cols := make([]string, len(cells))
+	for i, c := range cells {
+		cols[i] = c.label
+	}
+	return cols
+}
+
+// readSpec is one read microbenchmark cell.
+func readSpec(exp, v string, o Options, c readThreadCell, ioSize int) CellSpec {
+	return CellSpec{Experiment: exp, Variant: v, Mount: v, Opts: o,
+		Run: func(tg filebench.Target) ([]filebench.Result, error) {
+			return single(filebench.ReadMicro(tg, filebench.MicroConfig{
+				Threads: c.threads, IOSize: ioSize, FileSize: workingSet(o, c.threads),
+				Random: c.random, Duration: o.Duration, MaxOps: o.MaxOps, Seed: 1,
+			}))
+		}}
+}
+
 // fig2Plan regenerates Figure 2: 4KB reads, ops/sec, seq/rnd × 1/32
 // threads.
 func fig2Plan(o Options) *plan {
 	vars := XV6Variants
-	cols := make([]string, len(fig23Cells))
-	for i, c := range fig23Cells {
-		cols[i] = c.label
-	}
 	var specs []CellSpec
 	for _, v := range vars {
 		for _, c := range fig23Cells {
-			specs = append(specs, CellSpec{
-				Experiment: ExpFig2, Variant: v,
-				Run: func() (filebench.Result, error) {
-					r, err := readCell(ExpFig2, v, o, c.threads, 4096, c.random)
-					if err != nil {
-						return r, fmt.Errorf("fig2 %s: %w", v, err)
-					}
-					return r, nil
-				},
-			})
+			specs = append(specs, readSpec(ExpFig2, v, o, c, 4096))
 		}
 	}
 	return &plan{rows: vars, specs: specs, render: func(data map[string][]filebench.Result) string {
-		return Table("Figure 2: Read performance (4KB), ops/sec (x1000)", cols, vars,
+		return Table("Figure 2: Read performance (4KB), ops/sec (x1000)", labels(fig23Cells), vars,
 			func(r, c int) string {
 				return fmt.Sprintf("%.0f", data[vars[r]][c].OpsPerSec()/1000)
 			})
 	}}
 }
 
+// sizedMBps renders one MBps table per I/O size from per-row results laid
+// out size-major (Figures 3 and 4).
+func sizedMBps(title string, sizes []int, cells []readThreadCell, vars []string, data map[string][]filebench.Result) string {
+	var b strings.Builder
+	for si, size := range sizes {
+		b.WriteString(Table(fmt.Sprintf(title, size/1024), labels(cells), vars,
+			func(r, c int) string {
+				return fmt.Sprintf("%.0f", data[vars[r]][si*len(cells)+c].MBps())
+			}))
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 // fig3Plan regenerates Figure 3: 32K/128K/1024K reads, throughput MBps.
 func fig3Plan(o Options) *plan {
 	sizes := []int{32 << 10, 128 << 10, 1024 << 10}
 	vars := XV6Variants
-	cols := make([]string, len(fig23Cells))
-	for i, c := range fig23Cells {
-		cols[i] = c.label
-	}
 	var specs []CellSpec
 	for _, size := range sizes {
 		for _, v := range vars {
 			for _, c := range fig23Cells {
-				specs = append(specs, CellSpec{
-					Experiment: ExpFig3, Variant: v,
-					Run: func() (filebench.Result, error) {
-						r, err := readCell(ExpFig3, v, o, c.threads, size, c.random)
-						if err != nil {
-							return r, fmt.Errorf("fig3 %s %d: %w", v, size, err)
-						}
-						return r, nil
-					},
-				})
+				specs = append(specs, readSpec(ExpFig3, v, o, c, size))
 			}
 		}
 	}
 	return &plan{rows: vars, specs: specs, render: func(data map[string][]filebench.Result) string {
-		var b strings.Builder
-		for si, size := range sizes {
-			b.WriteString(Table(fmt.Sprintf("Figure 3: Read performance (%dKB), MBps", size/1024),
-				cols, vars, func(r, c int) string {
-					return fmt.Sprintf("%.0f", data[vars[r]][si*len(fig23Cells)+c].MBps())
-				}))
-			b.WriteByte('\n')
-		}
-		return b.String()
+		return sizedMBps("Figure 3: Read performance (%dKB), MBps", sizes, fig23Cells, vars, data)
 	}}
 }
 
@@ -237,170 +213,105 @@ func fig4Plan(o Options) *plan {
 	sizes := []int{32 << 10, 128 << 10, 1024 << 10}
 	cells := []readThreadCell{{1, false, "seq-1t"}, {1, true, "rnd-1t"}, {32, true, "rnd-32t"}}
 	vars := XV6Variants
-	cols := make([]string, len(cells))
-	for i, c := range cells {
-		cols[i] = c.label
-	}
 	var specs []CellSpec
 	for _, size := range sizes {
 		for _, v := range vars {
 			for _, c := range cells {
-				specs = append(specs, CellSpec{
-					Experiment: ExpFig4, Variant: v,
-					Run: func() (filebench.Result, error) {
-						tg, err := NewTarget(v, o)
-						if err != nil {
-							return filebench.Result{}, fmt.Errorf("fig4 %s: %w", v, err)
-						}
+				specs = append(specs, CellSpec{Experiment: ExpFig4, Variant: v, Mount: v, Opts: o,
+					Run: func(tg filebench.Target) ([]filebench.Result, error) {
 						// Sustained writes must reach storage: use a tight
 						// dirty budget so write-back runs continuously, as
 						// it would in the paper's 60-second filebench runs.
 						tg.M.SetDirtyLimit(256)
-						r, err := filebench.WriteMicro(tg, filebench.MicroConfig{
+						return single(filebench.WriteMicro(tg, filebench.MicroConfig{
 							Threads: c.threads, IOSize: size, FileSize: workingSet(o, c.threads),
 							Random: c.random, Duration: o.Duration, MaxOps: o.MaxOps, Seed: 2,
-						})
-						if err != nil {
-							return r, fmt.Errorf("fig4 %s %d: %w", v, size, err)
-						}
-						return finishCell(tg, r, ExpFig4, v, o)
-					},
-				})
+						}))
+					}})
 			}
 		}
 	}
 	return &plan{rows: vars, specs: specs, render: func(data map[string][]filebench.Result) string {
-		var b strings.Builder
-		for si, size := range sizes {
-			b.WriteString(Table(fmt.Sprintf("Figure 4: Write performance (%dKB), MBps", size/1024),
-				cols, vars, func(r, c int) string {
-					return fmt.Sprintf("%.0f", data[vars[r]][si*len(cells)+c].MBps())
-				}))
-			b.WriteByte('\n')
+		return sizedMBps("Figure 4: Write performance (%dKB), MBps", sizes, cells, vars, data)
+	}}
+}
+
+// metaPlan builds a metadata microbenchmark (Tables 4 and 5): one cell
+// per variant at 1 and 32 threads, rendered in ops/sec.
+func metaPlan(exp, title string, o Options, run func(tg filebench.Target, v string, threads int) (filebench.Result, error)) *plan {
+	vars := XV6Variants
+	var specs []CellSpec
+	for _, v := range vars {
+		for _, threads := range []int{1, 32} {
+			specs = append(specs, CellSpec{Experiment: exp, Variant: v, Mount: v, Opts: o,
+				Run: func(tg filebench.Target) ([]filebench.Result, error) {
+					return single(run(tg, v, threads))
+				}})
 		}
-		return b.String()
+	}
+	return &plan{rows: vars, specs: specs, render: func(data map[string][]filebench.Result) string {
+		return Table(title, []string{"1 Thread", "32 Threads"}, vars,
+			func(r, c int) string { return fmt.Sprintf("%.0f", data[vars[r]][c].OpsPerSec()) })
 	}}
 }
 
 // table4Plan regenerates the create microbenchmark (ops/sec, 1 and 32
 // threads).
 func table4Plan(o Options) *plan {
-	cols := []string{"1 Thread", "32 Threads"}
-	vars := XV6Variants
-	var specs []CellSpec
-	for _, v := range vars {
-		for _, threads := range []int{1, 32} {
-			specs = append(specs, CellSpec{
-				Experiment: ExpTable4, Variant: v,
-				Run: func() (filebench.Result, error) {
-					tg, err := NewTarget(v, o)
-					if err != nil {
-						return filebench.Result{}, fmt.Errorf("table4 %s: %w", v, err)
-					}
-					r, err := filebench.CreateFiles(tg, filebench.MetaConfig{
-						Threads: threads, FileSize: 16 << 10, Duration: o.Duration, MaxOps: o.MaxOps,
-					})
-					if err != nil {
-						return r, fmt.Errorf("table4 %s: %w", v, err)
-					}
-					return finishCell(tg, r, ExpTable4, v, o)
-				},
+	return metaPlan(ExpTable4, "Table 4: Create microbenchmark performance (ops/sec)", o,
+		func(tg filebench.Target, _ string, threads int) (filebench.Result, error) {
+			return filebench.CreateFiles(tg, filebench.MetaConfig{
+				Threads: threads, FileSize: 16 << 10, Duration: o.Duration, MaxOps: o.MaxOps,
 			})
-		}
-	}
-	return &plan{rows: vars, specs: specs, render: func(data map[string][]filebench.Result) string {
-		return Table("Table 4: Create microbenchmark performance (ops/sec)", cols, vars,
-			func(r, c int) string { return fmt.Sprintf("%.0f", data[vars[r]][c].OpsPerSec()) })
-	}}
+		})
 }
 
 // table5Plan regenerates the delete microbenchmark.
 func table5Plan(o Options) *plan {
-	cols := []string{"1 Thread", "32 Threads"}
-	vars := XV6Variants
-	var specs []CellSpec
-	for _, v := range vars {
-		for _, threads := range []int{1, 32} {
-			specs = append(specs, CellSpec{
-				Experiment: ExpTable5, Variant: v,
-				Run: func() (filebench.Result, error) {
-					tg, err := NewTarget(v, o)
-					if err != nil {
-						return filebench.Result{}, fmt.Errorf("table5 %s: %w", v, err)
-					}
-					files := 2048
-					if v == VariantFUSE {
-						files = 256 // FUSE deletes are ~60x slower; keep setup bounded
-					}
-					if budget := int(o.NInodes)/threads - 8; files > budget {
-						files = budget // stay within the inode table
-					}
-					r, err := filebench.DeleteFiles(tg, filebench.MetaConfig{
-						Threads: threads, Files: files, Duration: o.Duration, MaxOps: o.MaxOps,
-					})
-					if err != nil {
-						return r, fmt.Errorf("table5 %s: %w", v, err)
-					}
-					return finishCell(tg, r, ExpTable5, v, o)
-				},
+	return metaPlan(ExpTable5, "Table 5: Delete microbenchmark performance (ops/sec)", o,
+		func(tg filebench.Target, v string, threads int) (filebench.Result, error) {
+			files := 2048
+			if v == VariantFUSE {
+				files = 256 // FUSE deletes are ~60x slower; keep setup bounded
+			}
+			if budget := int(o.NInodes)/threads - 8; files > budget {
+				files = budget // stay within the inode table
+			}
+			return filebench.DeleteFiles(tg, filebench.MetaConfig{
+				Threads: threads, Files: files, Duration: o.Duration, MaxOps: o.MaxOps,
 			})
-		}
-	}
-	return &plan{rows: vars, specs: specs, render: func(data map[string][]filebench.Result) string {
-		return Table("Table 5: Delete microbenchmark performance (ops/sec)", cols, vars,
-			func(r, c int) string { return fmt.Sprintf("%.0f", data[vars[r]][c].OpsPerSec()) })
-	}}
+		})
 }
 
 // table6Plan regenerates the macrobenchmarks: varmail and fileserver in
 // ops/sec, untar in seconds (scaled tree; lower is better).
 func table6Plan(o Options) *plan {
 	cols := []string{"Varmail (ops/s)", "Fileserver (ops/s)", "Untar (s)"}
+	workloads := []func(tg filebench.Target) (filebench.Result, error){
+		func(tg filebench.Target) (filebench.Result, error) {
+			return filebench.Varmail(tg, filebench.MacroConfig{
+				Threads: 16, Files: o.MacroFiles, Duration: o.Duration, MaxOps: o.MaxOps, Seed: 3,
+			})
+		},
+		func(tg filebench.Target) (filebench.Result, error) {
+			return filebench.Fileserver(tg, filebench.MacroConfig{
+				Threads: 50, Files: o.MacroFiles / 4, Duration: o.Duration, MaxOps: o.MaxOps, Seed: 4,
+			})
+		},
+		func(tg filebench.Target) (filebench.Result, error) {
+			spec := filebench.DefaultUntarSpec()
+			if o.MacroFiles < 64 {
+				spec.Dirs = 24 // quick mode
+			}
+			return filebench.Untar(tg, spec)
+		},
+	}
 	var specs []CellSpec
 	for _, v := range AllVariants {
-		specs = append(specs,
-			CellSpec{Experiment: ExpTable6, Variant: v, Run: func() (filebench.Result, error) {
-				tg, err := NewTarget(v, o)
-				if err != nil {
-					return filebench.Result{}, fmt.Errorf("table6 varmail %s: %w", v, err)
-				}
-				r, err := filebench.Varmail(tg, filebench.MacroConfig{
-					Threads: 16, Files: o.MacroFiles, Duration: o.Duration, MaxOps: o.MaxOps, Seed: 3,
-				})
-				if err != nil {
-					return r, fmt.Errorf("table6 varmail %s: %w", v, err)
-				}
-				return finishCell(tg, r, ExpTable6, v, o)
-			}},
-			CellSpec{Experiment: ExpTable6, Variant: v, Run: func() (filebench.Result, error) {
-				tg, err := NewTarget(v, o)
-				if err != nil {
-					return filebench.Result{}, fmt.Errorf("table6 fileserver %s: %w", v, err)
-				}
-				r, err := filebench.Fileserver(tg, filebench.MacroConfig{
-					Threads: 50, Files: o.MacroFiles / 4, Duration: o.Duration, MaxOps: o.MaxOps, Seed: 4,
-				})
-				if err != nil {
-					return r, fmt.Errorf("table6 fileserver %s: %w", v, err)
-				}
-				return finishCell(tg, r, ExpTable6, v, o)
-			}},
-			CellSpec{Experiment: ExpTable6, Variant: v, Run: func() (filebench.Result, error) {
-				tg, err := NewTarget(v, o)
-				if err != nil {
-					return filebench.Result{}, fmt.Errorf("table6 untar %s: %w", v, err)
-				}
-				spec := filebench.DefaultUntarSpec()
-				if o.MacroFiles < 64 {
-					spec.Dirs = 24 // quick mode
-				}
-				r, err := filebench.Untar(tg, spec)
-				if err != nil {
-					return r, fmt.Errorf("table6 untar %s: %w", v, err)
-				}
-				return finishCell(tg, r, ExpTable6, v, o)
-			}},
-		)
+		for _, run := range workloads {
+			specs = append(specs, CellSpec{Experiment: ExpTable6, Variant: v, Mount: v, Opts: o,
+				Run: func(tg filebench.Target) ([]filebench.Result, error) { return single(run(tg)) }})
+		}
 	}
 	return &plan{rows: AllVariants, specs: specs, render: func(data map[string][]filebench.Result) string {
 		return Table("Table 6: Macrobenchmark performance", cols, AllVariants,
@@ -421,78 +332,56 @@ func table6Plan(o Options) *plan {
 // sustained sequential write (fsync at the end). A tight dirty budget
 // keeps the write stream feeding the flusher (or, for FUSE, stalling on
 // its own write-back) instead of ending as one giant cached burst.
+//
+// Rows are every variant, ext4 included (the stream is also a macro-style
+// workload), plus the RowBentoNoBypass study row when single-copy caching
+// is on — the cold stream is the scenario where double-caching flatters
+// the numbers most, so the comparison is published next to the honest
+// cells.
 func streamPlan(o Options) *plan {
-	vars := streamVariants(o)
+	rows := AllVariants
+	if o.dataBypass() {
+		rows = append(append([]string(nil), rows...), RowBentoNoBypass)
+	}
 	streams := o.StreamThreads
 	if streams <= 0 {
 		streams = Defaults().StreamThreads // unset; an explicit value is honored
 	}
+	fileSize := streamFileSize(o)
 	// One stream IS the single-stream row: running the multi-stream cell
 	// anyway would emit a second record under the same cell name, which
-	// the benchdiff join would silently collapse.
-	multi := streams > 1
+	// the benchdiff join would silently collapse. Otherwise the per-thread
+	// size divides the same total, so the row isolates queue competition
+	// rather than extra data.
+	reads := []filebench.StreamConfig{{Threads: 1, FileSize: fileSize}}
 	cols := []string{"read (MB/s)", "write (MB/s)"}
-	if multi {
+	if streams > 1 {
+		reads = append(reads, filebench.StreamConfig{Threads: streams, FileSize: fileSize / int64(streams)})
 		cols = []string{"read (MB/s)", fmt.Sprintf("read-%dt (MB/s)", streams), "write (MB/s)"}
 	}
-	fileSize := int64(o.StreamMB) << 20
-	if fileSize <= 0 {
-		fileSize = 32 << 20
-	}
-	if budget := int64(o.DevBlocks) * 4096 / 4; fileSize > budget {
-		fileSize = budget // leave room for metadata, the log, and slack
-	}
 	var specs []CellSpec
-	for _, v := range vars {
-		specs = append(specs, CellSpec{Experiment: ExpStream, Variant: v,
-			Run: func() (filebench.Result, error) {
-				tg, err := NewTarget(v, o)
-				if err != nil {
-					return filebench.Result{}, fmt.Errorf("stream read %s: %w", v, err)
-				}
-				r, err := filebench.StreamRead(tg, filebench.StreamConfig{Threads: 1, FileSize: fileSize})
-				if err != nil {
-					return r, fmt.Errorf("stream read %s: %w", v, err)
-				}
-				return finishCell(tg, r, ExpStream, v, o)
-			}})
-		if multi {
-			specs = append(specs, CellSpec{Experiment: ExpStream, Variant: v,
-				Run: func() (filebench.Result, error) {
-					// Multi-stream: the per-thread size divides the same
-					// total, so the row isolates queue competition rather
-					// than extra data.
-					tg, err := NewTarget(v, o)
-					if err != nil {
-						return filebench.Result{}, fmt.Errorf("stream read-%dt %s: %w", streams, v, err)
-					}
-					r, err := filebench.StreamRead(tg, filebench.StreamConfig{
-						Threads: streams, FileSize: fileSize / int64(streams),
-					})
-					if err != nil {
-						return r, fmt.Errorf("stream read-%dt %s: %w", streams, v, err)
-					}
-					return finishCell(tg, r, ExpStream, v, o)
-				}})
+	for _, row := range rows {
+		// The row's cells differ only in Run; append copies the value.
+		cell := CellSpec{Experiment: ExpStream, Variant: row, Mount: row, Opts: o}
+		if row == RowBentoNoBypass {
+			cell.Mount, cell.Opts.NoDataBypass = VariantBento, true
 		}
-		specs = append(specs, CellSpec{Experiment: ExpStream, Variant: v,
-			Run: func() (filebench.Result, error) {
-				tg, err := NewTarget(v, o)
-				if err != nil {
-					return filebench.Result{}, fmt.Errorf("stream write %s: %w", v, err)
-				}
-				tg.M.SetDirtyLimit(512)
-				r, err := filebench.StreamWrite(tg, filebench.StreamConfig{Threads: 1, FileSize: fileSize})
-				if err != nil {
-					return r, fmt.Errorf("stream write %s: %w", v, err)
-				}
-				return finishCell(tg, r, ExpStream, v, o)
-			}})
+		for _, cfg := range reads {
+			cell.Run = func(tg filebench.Target) ([]filebench.Result, error) {
+				return single(filebench.StreamRead(tg, cfg))
+			}
+			specs = append(specs, cell)
+		}
+		cell.Run = func(tg filebench.Target) ([]filebench.Result, error) {
+			tg.M.SetDirtyLimit(512)
+			return single(filebench.StreamWrite(tg, filebench.StreamConfig{Threads: 1, FileSize: fileSize}))
+		}
+		specs = append(specs, cell)
 	}
-	return &plan{rows: vars, specs: specs, render: func(data map[string][]filebench.Result) string {
+	return &plan{rows: rows, specs: specs, render: func(data map[string][]filebench.Result) string {
 		return Table(fmt.Sprintf("Streaming scenario (%d MiB cold sequential pass), MBps", fileSize>>20),
-			cols, vars, func(r, c int) string {
-				return fmt.Sprintf("%.0f", data[vars[r]][c].MBps())
+			cols, rows, func(r, c int) string {
+				return fmt.Sprintf("%.0f", data[rows[r]][c].MBps())
 			})
 	}}
 }
@@ -500,8 +389,8 @@ func streamPlan(o Options) *plan {
 // netstorePreset is one latency point of the netstore experiment.
 type netstorePreset struct {
 	name string
-	lat  time.Duration // request first-byte latency (→ Options.NetLat)
-	bw   int           // streaming bandwidth, MB/s (→ Options.NetBWMBps)
+	lat  time.Duration // request first-byte latency
+	bw   int           // streaming bandwidth, MB/s
 }
 
 // netstorePresets pins the experiment's two latency points. They are
@@ -513,99 +402,93 @@ var netstorePresets = []netstorePreset{
 	{name: "wan", lat: 20 * time.Millisecond, bw: 80},
 }
 
-// netstorePlan builds the multi-backend scenario: for each variant and
-// each latency preset, the Fig2 4KB sequential read cell, the cold
-// streaming read, and varmail — the three workloads where the paper's
-// mechanisms (cache hits, read-ahead, fsync discipline) meet network
-// storage most differently. Cell names carry the preset prefix
+// options forces the netstore backend at the preset's latency point; the
+// caller's -backend/-netlat/-netbw choices don't reach the published
+// cells.
+func (p netstorePreset) options(o Options) Options {
+	o.Backend = BackendNetstore
+	o.Model = o.Model.WithNet(p.lat, p.bw)
+	return o
+}
+
+// netWorkloads are the three workloads the netstore and netfaults
+// scenarios run on the object-store backend — the Fig2 4KB sequential
+// read cell, the cold streaming read, and varmail: the three where the
+// paper's mechanisms (cache hits, read-ahead, fsync discipline) meet
+// network storage most differently. tolerateIO and pre are the fault
+// scenario's additions (goodput accounting, arming a blackout once setup
+// is done); the netstore scenario passes false and nil.
+var netWorkloads = []struct {
+	key string
+	run func(tg filebench.Target, o Options, tolerateIO bool, pre func(startNS int64)) (filebench.Result, error)
+}{
+	{"read4k", func(tg filebench.Target, o Options, tolerateIO bool, pre func(int64)) (filebench.Result, error) {
+		return filebench.ReadMicro(tg, filebench.MicroConfig{
+			Threads: 1, IOSize: 4096, FileSize: workingSet(o, 1),
+			Duration: o.Duration, MaxOps: o.MaxOps, Seed: 1,
+			TolerateIO: tolerateIO, PreMeasure: pre,
+		})
+	}},
+	{"stream", func(tg filebench.Target, o Options, tolerateIO bool, pre func(int64)) (filebench.Result, error) {
+		return filebench.StreamRead(tg, filebench.StreamConfig{
+			Threads: 1, FileSize: streamFileSize(o),
+			TolerateIO: tolerateIO, PreMeasure: pre,
+		})
+	}},
+	{"varmail", func(tg filebench.Target, o Options, tolerateIO bool, pre func(int64)) (filebench.Result, error) {
+		return filebench.Varmail(tg, filebench.MacroConfig{
+			Threads: 16, Files: o.MacroFiles, Duration: o.Duration, MaxOps: o.MaxOps, Seed: 3,
+			TolerateIO: tolerateIO, PreMeasure: pre,
+		})
+	}},
+}
+
+// netCell formats column c of the netstore/netfaults tables, whose
+// columns cycle through netWorkloads: kop/s, MB/s, op/s.
+func netCell(res filebench.Result, c int) string {
+	switch c % len(netWorkloads) {
+	case 0:
+		return fmt.Sprintf("%.1f", res.OpsPerSec()/1000)
+	case 1:
+		return fmt.Sprintf("%.1f", res.MBps())
+	default:
+		return fmt.Sprintf("%.0f", res.OpsPerSec())
+	}
+}
+
+// netCols names the netstore/netfaults table columns for one preset or
+// condition.
+func netCols(name string) []string {
+	return []string{name + "-read4k (kop/s)", name + "-stream (MB/s)", name + "-varmail (op/s)"}
+}
+
+// netstorePlan builds the multi-backend scenario: netWorkloads for each
+// variant at each latency preset. Cell names carry the preset prefix
 // ("lan-read-seq-1t-4k") so the two latency points stay distinct
 // benchdiff keys.
 func netstorePlan(o Options) *plan {
 	vars := AllVariants
 	var cols []string
 	for _, p := range netstorePresets {
-		cols = append(cols,
-			p.name+"-read4k (kop/s)",
-			p.name+"-stream (MB/s)",
-			p.name+"-varmail (op/s)",
-		)
-	}
-	fileSize := int64(o.StreamMB) << 20
-	if fileSize <= 0 {
-		fileSize = 32 << 20
-	}
-	if budget := int64(o.DevBlocks) * 4096 / 4; fileSize > budget {
-		fileSize = budget
+		cols = append(cols, netCols(p.name)...)
 	}
 	var specs []CellSpec
 	for _, v := range vars {
 		for _, p := range netstorePresets {
-			// Each cell forces the netstore backend at its preset; the
-			// caller's -backend/-netlat/-netbw choices don't reach these
-			// published cells.
-			no := o
-			no.Backend = BackendNetstore
-			no.NetLat = p.lat
-			no.NetBWMBps = p.bw
-			prefix := p.name + "-"
-			specs = append(specs,
-				CellSpec{Experiment: ExpNetstore, Variant: v, Run: func() (filebench.Result, error) {
-					tg, err := NewTarget(v, no)
-					if err != nil {
-						return filebench.Result{}, fmt.Errorf("netstore %s read4k %s: %w", prefix, v, err)
-					}
-					r, err := filebench.ReadMicro(tg, filebench.MicroConfig{
-						Threads: 1, IOSize: 4096, FileSize: workingSet(no, 1),
-						Duration: no.Duration, MaxOps: no.MaxOps, Seed: 1,
-					})
-					if err != nil {
-						return r, fmt.Errorf("netstore %s read4k %s: %w", prefix, v, err)
-					}
-					r.Name = prefix + r.Name
-					return finishCell(tg, r, ExpNetstore, v, no)
-				}},
-				CellSpec{Experiment: ExpNetstore, Variant: v, Run: func() (filebench.Result, error) {
-					tg, err := NewTarget(v, no)
-					if err != nil {
-						return filebench.Result{}, fmt.Errorf("netstore %s stream %s: %w", prefix, v, err)
-					}
-					r, err := filebench.StreamRead(tg, filebench.StreamConfig{Threads: 1, FileSize: fileSize})
-					if err != nil {
-						return r, fmt.Errorf("netstore %s stream %s: %w", prefix, v, err)
-					}
-					r.Name = prefix + r.Name
-					return finishCell(tg, r, ExpNetstore, v, no)
-				}},
-				CellSpec{Experiment: ExpNetstore, Variant: v, Run: func() (filebench.Result, error) {
-					tg, err := NewTarget(v, no)
-					if err != nil {
-						return filebench.Result{}, fmt.Errorf("netstore %s varmail %s: %w", prefix, v, err)
-					}
-					r, err := filebench.Varmail(tg, filebench.MacroConfig{
-						Threads: 16, Files: o.MacroFiles, Duration: no.Duration, MaxOps: no.MaxOps, Seed: 3,
-					})
-					if err != nil {
-						return r, fmt.Errorf("netstore %s varmail %s: %w", prefix, v, err)
-					}
-					r.Name = prefix + r.Name
-					return finishCell(tg, r, ExpNetstore, v, no)
-				}},
-			)
+			no := p.options(o)
+			for _, wl := range netWorkloads {
+				specs = append(specs, CellSpec{Experiment: ExpNetstore, Variant: v, Mount: v, Opts: no,
+					Run: func(tg filebench.Target) ([]filebench.Result, error) {
+						r, err := wl.run(tg, no, false, nil)
+						r.Name = p.name + "-" + r.Name
+						return single(r, err)
+					}})
+			}
 		}
 	}
 	return &plan{rows: vars, specs: specs, render: func(data map[string][]filebench.Result) string {
 		return Table("Netstore scenario: object-store backend at two latency points", cols, vars,
-			func(r, c int) string {
-				res := data[vars[r]][c]
-				switch c % 3 {
-				case 0:
-					return fmt.Sprintf("%.1f", res.OpsPerSec()/1000)
-				case 1:
-					return fmt.Sprintf("%.1f", res.MBps())
-				default:
-					return fmt.Sprintf("%.0f", res.OpsPerSec())
-				}
-			})
+			func(r, c int) string { return netCell(data[vars[r]][c], c) })
 	}}
 }
 

@@ -31,14 +31,15 @@ const (
 	VariantCKernel = "C-Kernel" // xv6 in C against the VFS layer
 	VariantFUSE    = "FUSE"     // the same xv6 at user level behind FUSE
 	VariantExt4    = "Ext4"     // ext4, data=journal
-
-	// VariantBentoNoBypass is Bento with the data bypass disabled: file
-	// contents are double-cached (page cache + buffer cache) and
-	// journaled, the seed's behaviour. It appears as a study row in the
-	// cache-sensitive streaming scenario whenever the bypass is globally
-	// on, so every run publishes the on/off comparison.
-	VariantBentoNoBypass = "Bento-nobypass"
 )
+
+// RowBentoNoBypass labels the streaming scenario's study row: Bento
+// mounted with NoDataBypass set on that cell's options, so file contents
+// are double-cached (page cache + buffer cache) and journaled, the seed's
+// behaviour. It is a row of one experiment, not a variant NewTarget
+// knows; the row appears whenever the bypass is globally on, so every
+// run publishes the on/off comparison.
+const RowBentoNoBypass = "Bento-nobypass"
 
 // Storage backend names (Options.Backend / bentobench -backend).
 const (
@@ -103,53 +104,17 @@ type Options struct {
 
 	// Backend selects the storage tier every cell's device mounts on:
 	// BackendLocal ("" or "local", the NVMe model) or BackendNetstore
-	// (the object-store tier). The netstore experiment ignores this and
-	// always runs its own fixed latency presets, so its published cells
-	// are the same whichever backend the rest of the matrix uses.
+	// (the object-store tier, priced by Model's Net* entries — see
+	// costmodel.Model.WithNet for moving them). The netstore and
+	// netfaults experiments ignore this and always run their own fixed
+	// latency presets, so their published cells are the same whichever
+	// backend the rest of the matrix uses.
 	Backend string
 
-	// NetLat, when > 0 with the netstore backend, overrides the
-	// object-store request latency: GET and PUT first-byte latency take
-	// the value and the flush barrier scales to 4x it (the default
-	// model's ratio). The bentobench -netlat flag.
-	NetLat time.Duration
-
-	// NetBWMBps, when > 0 with the netstore backend, overrides the
-	// object-store streaming bandwidth in MB/s (the -netbw flag).
-	NetBWMBps int
-
-	// NetErrProb, with the netstore backend, arms the deterministic
-	// network-fault model: each wire attempt fails transiently with
-	// this probability (the -neterr flag).
-	NetErrProb float64
-
-	// NetTailMult, with the netstore backend, inflates the request
-	// latency tail: ~9% of attempts take NetTailMult× and ~1% take
-	// 4·NetTailMult× the nominal service time (the -nettail flag).
-	// Values <= 1 leave latency flat.
-	NetTailMult int
-
-	// NetOutageStart/NetOutageEnd, with the netstore backend, schedule
-	// a full object-store blackout over that virtual-time interval
-	// (the -netoutage flag).
-	NetOutageStart time.Duration
-	NetOutageEnd   time.Duration
-
-	// NetHedgeMult, when > 0 with the netstore backend, overrides the
-	// model's hedged-GET delay multiplier (the -nethedge flag).
-	NetHedgeMult int
-
-	// NetFaultSeed keys the per-cell fault-decision stream (0 keeps
-	// the default seed). Experiments use it to decorrelate conditions.
-	NetFaultSeed int64
-
-	// netFaultTune and netModelTune, when non-nil, adjust the cell's
-	// fault policy and cost model after the flag-derived fields are
-	// applied. They are experiment-internal (the netfaults plan shrinks
-	// retry/backoff constants so breaker transitions fit inside a quick
-	// cell's window) and unreachable from bentobench flags.
-	netFaultTune func(*netstore.FaultConfig)
-	netModelTune func(*costmodel.Model)
+	// Faults, with the netstore backend, arms the store's deterministic
+	// network-fault model (the -neterr and -nettail flags set ErrProb
+	// and TailMult). The zero value is a clean network.
+	Faults netstore.FaultConfig
 
 	// NoDataBypass disables single-copy data caching on the in-kernel
 	// variants: file contents go back through each file system's buffer
@@ -164,67 +129,8 @@ type Options struct {
 // data path.
 func (o Options) dataBypass() bool { return !o.NoDataBypass }
 
-// netstore reports whether cells mount on the object-store backend.
-func (o Options) netstore() bool { return o.Backend == BackendNetstore }
-
-// effectiveModel returns the cost model cells run under. The netstore
-// overrides (NetLat/NetBWMBps) apply to a copy, never to o.Model itself:
-// cells of several experiments share the base model across host-parallel
-// execution, and mutating it in place would be a determinism leak.
-func (o Options) effectiveModel() *costmodel.Model {
-	if !o.netstore() || (o.NetLat <= 0 && o.NetBWMBps <= 0 && o.NetHedgeMult <= 0 && o.netModelTune == nil) {
-		return o.Model
-	}
-	m := *o.Model
-	if o.NetLat > 0 {
-		m.NetGetBase = o.NetLat
-		m.NetPutBase = o.NetLat
-		m.NetFlushBase = 4 * o.NetLat
-	}
-	if o.NetBWMBps > 0 {
-		// 4096 bytes at MB/s: 4_096_000/BW nanoseconds per 4KiB page.
-		m.NetPer4K = time.Duration(4_096_000/o.NetBWMBps) * time.Nanosecond
-	}
-	if o.NetHedgeMult > 0 {
-		m.NetHedgeMult = o.NetHedgeMult
-	}
-	if o.netModelTune != nil {
-		o.netModelTune(&m)
-	}
-	return &m
-}
-
-// netFaults assembles the netstore fault configuration from the
-// options' net-fault fields.
-func (o Options) netFaults() netstore.FaultConfig {
-	fc := netstore.FaultConfig{
-		Seed:        o.NetFaultSeed,
-		ErrProb:     o.NetErrProb,
-		TailMult:    o.NetTailMult,
-		OutageStart: o.NetOutageStart,
-		OutageEnd:   o.NetOutageEnd,
-	}
-	if o.netFaultTune != nil {
-		o.netFaultTune(&fc)
-	}
-	return fc
-}
-
 // traced reports whether cells carry a trace recorder.
 func (o Options) traced() bool { return o.Metrics || o.TraceDir != "" }
-
-// streamVariants reports the rows for the streaming scenario: ext4
-// included (the stream is also a macro-style workload), plus the
-// bypass-off study row when single-copy caching is on — the cold
-// stream is the scenario where double-caching flatters the numbers
-// most, so the comparison is published next to the honest cells.
-func streamVariants(o Options) []string {
-	rows := AllVariants
-	if o.dataBypass() {
-		rows = append(append([]string(nil), rows...), VariantBentoNoBypass)
-	}
-	return rows
-}
 
 // Defaults returns the options used for EXPERIMENTS.md.
 func Defaults() Options {
@@ -263,22 +169,21 @@ func Quick() Options {
 // either — a userspace file system sits in front of none of these
 // mechanisms, which is the asymmetry the paper measures.
 func NewTarget(variant string, o Options) (filebench.Target, error) {
-	model := o.effectiveModel()
-	k := kernel.New(model)
+	k := kernel.New(o.Model)
 	if o.traced() {
 		// Attached before any task or I/O exists: tasks copy the recorder
 		// pointer at creation, so mkfs/mount/setup record too.
 		rec := trace.New()
 		k.SetRecorder(rec)
 	}
-	devCfg := blockdev.Config{Blocks: o.DevBlocks, Model: model}
+	devCfg := blockdev.Config{Blocks: o.DevBlocks, Model: o.Model}
 	switch o.Backend {
 	case "", BackendLocal:
 		// blockdev's implicit local backend.
 	case BackendNetstore:
 		devCfg.Backend = netstore.New(netstore.Config{
-			Name: "net0", BlockSize: 4096, Blocks: o.DevBlocks, Model: model,
-			Faults: o.netFaults(),
+			Name: "net0", BlockSize: 4096, Blocks: o.DevBlocks, Model: o.Model,
+			Faults: o.Faults,
 		})
 	default:
 		return filebench.Target{}, fmt.Errorf("harness: unknown backend %q (have %v)", o.Backend, Backends)
@@ -298,14 +203,11 @@ func NewTarget(variant string, o Options) (filebench.Target, error) {
 	}
 
 	switch variant {
-	case VariantBento, VariantBentoNoBypass:
+	case VariantBento:
 		if _, err := layout.Mkfs(vclock.NewClock(), dev, o.NInodes); err != nil {
 			return filebench.Target{}, err
 		}
 		cfg := bentoimpl.Config{Policy: bentoimpl.PolicyWriteBack, DataBypass: o.dataBypass()}
-		if variant == VariantBentoNoBypass {
-			cfg.DataBypass = false
-		}
 		if err := bentoimpl.RegisterWith(k, "xv6", cfg); err != nil {
 			return filebench.Target{}, err
 		}

@@ -2,24 +2,22 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
-	"bento/internal/costmodel"
 	"bento/internal/filebench"
 	"bento/internal/netstore"
 )
 
 // netfaultCond is one condition of the network-fault matrix: a latency
-// preset plus a fault recipe. Each condition gets its own fault seed so
+// preset plus a fault recipe. Each condition has its own fault seed so
 // the decision streams of different conditions are decorrelated.
 type netfaultCond struct {
-	name    string
-	preset  netstorePreset
-	errProb float64 // per-attempt transient-failure probability
-	tail    int     // latency-tail multiplier (<=1 flat)
-	outage  bool    // schedule a mid-run blackout (see outageWindow)
-	seed    int64
+	name   string
+	preset netstorePreset
+	faults netstore.FaultConfig
+	outage bool // schedule a mid-run blackout (armed in nfRun)
 }
 
 // netfaultConds pins the published fault matrix. "clean" anchors the
@@ -27,11 +25,29 @@ type netfaultCond struct {
 // exercise retry and tail-latency absorption; "outage-recovery" runs a
 // blackout across the middle half of the measurement window so the
 // cells show degraded-mode serves during the outage and recovery after.
+// Its policy constants (here and in options) shrink so the breaker's
+// open → half-open → close cycle fits inside a quick cell's 60ms window:
+// two attempts per request and a sub-millisecond backoff cap mean the
+// breaker opens within a few milliseconds of the blackout and probes its
+// way closed soon after it lifts.
 var netfaultConds = []netfaultCond{
-	{name: "clean", preset: netstorePresets[0], seed: 101},
-	{name: "lossy-lan", preset: netstorePresets[0], errProb: 0.02, tail: 4, seed: 102},
-	{name: "lossy-wan", preset: netstorePresets[1], errProb: 0.05, tail: 4, seed: 103},
-	{name: "outage-recovery", preset: netstorePresets[0], outage: true, seed: 104},
+	{name: "clean", preset: netstorePresets[0], faults: netstore.FaultConfig{Seed: 101}},
+	{name: "lossy-lan", preset: netstorePresets[0], faults: netstore.FaultConfig{Seed: 102, ErrProb: 0.02, TailMult: 4}},
+	{name: "lossy-wan", preset: netstorePresets[1], faults: netstore.FaultConfig{Seed: 103, ErrProb: 0.05, TailMult: 4}},
+	{name: "outage-recovery", preset: netstorePresets[0], outage: true,
+		faults: netstore.FaultConfig{Seed: 104, MaxAttempts: 2, BreakerK: 2}},
+}
+
+// options specializes the base options for the condition.
+func (c netfaultCond) options(o Options) Options {
+	o = c.preset.options(o)
+	o.Faults = c.faults
+	if c.outage {
+		// The preset's model is this call's own copy.
+		o.Model.NetBackoffBase = 50 * time.Microsecond
+		o.Model.NetBackoffCap = 200 * time.Microsecond
+	}
+	return o
 }
 
 // netfaultVariants is the row set: the paper's module against its FUSE
@@ -39,244 +55,128 @@ var netfaultConds = []netfaultCond{
 // variants keep the matrix readable.
 var netfaultVariants = []string{VariantBento, VariantFUSE}
 
-// nfOut is one memoized workload run: the goodput result plus the
-// cell's final counter snapshot, from which the retry/degraded
-// companion cells are derived.
-type nfOut struct {
-	res filebench.Result
-	ctr map[string]int64
-}
-
-// netfaultsOptions specializes the base options for one condition.
-func netfaultsOptions(o Options, c netfaultCond) Options {
-	no := o
-	no.Backend = BackendNetstore
-	no.NetLat = c.preset.lat
-	no.NetBWMBps = c.preset.bw
-	no.NetErrProb = c.errProb
-	no.NetTailMult = c.tail
-	no.NetFaultSeed = c.seed
-	if c.outage {
-		// The blackout is armed at absolute virtual times via PreMeasure
-		// (setup length varies per workload), not via NetOutageStart.
-		// Policy constants shrink so the breaker's open → half-open →
-		// close cycle fits inside a quick cell's 60ms window: two
-		// attempts per request and a sub-millisecond backoff cap mean
-		// the breaker opens within a few milliseconds of the blackout
-		// and probes its way closed soon after it lifts.
-		no.netFaultTune = func(fc *netstore.FaultConfig) {
-			fc.MaxAttempts = 2
-			fc.BreakerK = 2
-		}
-		no.netModelTune = func(m *costmodel.Model) {
-			m.NetBackoffBase = 50 * time.Microsecond
-			m.NetBackoffCap = 200 * time.Microsecond
-		}
-	}
-	return no
-}
-
-// nfRun builds the memoized runner for one (condition, workload,
-// variant) cell. The runner mounts the netstore target, arms the
-// blackout if the condition calls for one, executes the workload with
-// ErrIO-class failures tolerated (goodput accounting), and snapshots
-// the trace counters. Metrics are forced on internally so the counter
-// snapshot exists even in un-traced runs; the caller's o.Metrics still
-// decides whether records carry them.
+// nfRun builds the memoized run of one (condition, workload, variant):
+// the netstore target mounted, the blackout armed if the condition calls
+// for one, and the workload executed with ErrIO-class failures tolerated
+// (goodput accounting). Metrics are forced on so the result carries the
+// counter snapshot the companion cells are derived from even in
+// un-traced runs; the goodput cell drops it again unless o.Metrics.
+//
+// These are the only cells whose specs the runner does not mount
+// directly: a condition publishes, per variant, its three goodput cells
+// (each on its own fresh target) followed by their retries/degraded
+// companions, and that record order is part of the byte-identical fence,
+// so a companion cannot ride along in its goodput cell's result list.
+// Goodput and companion specs (no Mount) share this memoized run instead,
+// and the run itself goes through CellSpec.run like every other cell.
 func nfRun(o Options, c netfaultCond, v string,
-	workload func(tg filebench.Target, pre func(int64)) (filebench.Result, error),
-) func() (nfOut, error) {
-	return sync.OnceValues(func() (nfOut, error) {
-		no := netfaultsOptions(o, c)
+	workload func(tg filebench.Target, o Options, tolerateIO bool, pre func(int64)) (filebench.Result, error),
+) func() (filebench.Result, error) {
+	return sync.OnceValues(func() (filebench.Result, error) {
+		no := c.options(o)
 		no.Metrics = true
-		tg, err := NewTarget(v, no)
+		rs, err := CellSpec{Experiment: ExpNetfaults, Variant: v, Mount: v, Opts: no,
+			Run: func(tg filebench.Target) ([]filebench.Result, error) {
+				var pre func(int64)
+				if c.outage {
+					// Armed at absolute virtual times once setup is done
+					// (its length varies per workload).
+					st := tg.M.Device().Backend().(*netstore.Store)
+					d := int64(no.Duration)
+					pre = func(startNS int64) {
+						st.ArmOutage(startNS+d/4, startNS+3*d/4)
+					}
+				}
+				r, err := workload(tg, no, true, pre)
+				// Prefixed before the runner names the trace file, so
+				// per-condition traces don't collide on the bare
+				// workload name.
+				r.Name = c.name + "-" + r.Name
+				return single(r, err)
+			}}.run()
 		if err != nil {
-			return nfOut{}, fmt.Errorf("netfaults %s %s: %w", c.name, v, err)
+			return filebench.Result{}, fmt.Errorf("%s: %w", c.name, err)
 		}
-		var pre func(int64)
-		if c.outage {
-			st := tg.M.Device().Backend().(*netstore.Store)
-			d := int64(no.Duration)
-			pre = func(startNS int64) {
-				st.ArmOutage(startNS+d/4, startNS+3*d/4)
-			}
-		}
-		r, err := workload(tg, pre)
-		if err != nil {
-			return nfOut{}, fmt.Errorf("netfaults %s %s: %w", c.name, v, err)
-		}
-		ctr := tg.K.Recorder().Counters()
-		// Prefix before finishCell so per-condition trace files don't
-		// collide on the bare workload name.
-		r.Name = c.name + "-" + r.Name
-		fo := no
-		fo.Metrics = o.Metrics
-		r, err = finishCell(tg, r, ExpNetfaults, v, fo)
-		if err != nil {
-			return nfOut{}, err
-		}
-		return nfOut{res: r, ctr: ctr}, nil
+		return rs[0], nil
 	})
 }
 
 // netfaultsPlan builds the network-fault scenario: for each variant and
-// each condition in netfaultConds, the 4KB sequential read, the cold
-// streaming read, and varmail run with I/O errors tolerated, so Ops
-// counts successes (goodput) and Errs counts ops the fault layer could
-// not save. Companion cells derive operational counters from the same
-// run (upgradePlan's Ops-per-virtual-second encoding): lossy conditions
-// publish net_retries per workload, and the outage condition publishes
-// varmail's net_degraded — the serves (cached reads, staged writes)
-// the store completed while the circuit breaker was open.
+// each condition in netfaultConds, netWorkloads run with I/O errors
+// tolerated, so Ops counts successes (goodput) and Errs counts ops the
+// fault layer could not save. Companion cells derive operational
+// counters from the same run (upgradePlan's Ops-per-virtual-second
+// encoding): lossy conditions publish net_retries per workload, and the
+// outage condition publishes varmail's net_degraded — the serves
+// (cached reads, staged writes) the store completed while the circuit
+// breaker was open.
 func netfaultsPlan(o Options) *plan {
-	fileSize := int64(o.StreamMB) << 20
-	if fileSize <= 0 {
-		fileSize = 32 << 20
-	}
-	if budget := int64(o.DevBlocks) * 4096 / 4; fileSize > budget {
-		fileSize = budget
-	}
-	workloads := []struct {
-		key string
-		run func(o Options) func(tg filebench.Target, pre func(int64)) (filebench.Result, error)
-	}{
-		{"read4k", func(no Options) func(filebench.Target, func(int64)) (filebench.Result, error) {
-			return func(tg filebench.Target, pre func(int64)) (filebench.Result, error) {
-				return filebench.ReadMicro(tg, filebench.MicroConfig{
-					Threads: 1, IOSize: 4096, FileSize: workingSet(no, 1),
-					Duration: no.Duration, MaxOps: no.MaxOps, Seed: 1,
-					TolerateIO: true, PreMeasure: pre,
-				})
-			}
-		}},
-		{"stream", func(Options) func(filebench.Target, func(int64)) (filebench.Result, error) {
-			return func(tg filebench.Target, pre func(int64)) (filebench.Result, error) {
-				return filebench.StreamRead(tg, filebench.StreamConfig{
-					Threads: 1, FileSize: fileSize,
-					TolerateIO: true, PreMeasure: pre,
-				})
-			}
-		}},
-		{"varmail", func(no Options) func(filebench.Target, func(int64)) (filebench.Result, error) {
-			return func(tg filebench.Target, pre func(int64)) (filebench.Result, error) {
-				return filebench.Varmail(tg, filebench.MacroConfig{
-					Threads: 16, Files: no.MacroFiles, Duration: no.Duration,
-					MaxOps: no.MaxOps, Seed: 3,
-					TolerateIO: true, PreMeasure: pre,
-				})
-			}
-		}},
-	}
-	derived := func(name string, ops int64) filebench.Result {
-		return filebench.Result{Name: name, Ops: ops, Elapsed: time.Second}
-	}
 	vars := netfaultVariants
 	var cols []string
 	for _, c := range netfaultConds {
-		cols = append(cols,
-			c.name+"-read4k (kop/s)",
-			c.name+"-stream (MB/s)",
-			c.name+"-varmail (op/s)",
-		)
+		cols = append(cols, netCols(c.name)...)
 	}
 	var specs []CellSpec
-	// extras collects the companion-cell accessors per variant in spec
-	// order, for the operational-counter table under the goodput table.
-	extras := make(map[string][]func() (filebench.Result, error))
+	// Per row, spec order is: for each condition, the three goodput
+	// cells, then that condition's companions. goodput and extras hold
+	// each kind's indices into data[row], in that order.
+	goodput := make(map[string][]int)
+	extras := make(map[string][]int)
 	for _, v := range vars {
+		n := 0
+		add := func(idx map[string][]int, run func() (filebench.Result, error)) {
+			specs = append(specs, CellSpec{Experiment: ExpNetfaults, Variant: v,
+				Run: func(filebench.Target) ([]filebench.Result, error) { return single(run()) }})
+			idx[v] = append(idx[v], n)
+			n++
+		}
+		companion := func(run func() (filebench.Result, error), name, counter string) {
+			add(extras, func() (filebench.Result, error) {
+				r, err := run()
+				return filebench.Result{Name: name, Ops: r.Metrics[counter], Elapsed: time.Second}, err
+			})
+		}
 		for _, c := range netfaultConds {
-			runs := make([]func() (nfOut, error), len(workloads))
-			for i, wl := range workloads {
-				runs[i] = nfRun(o, c, v, wl.run(o))
+			runs := make([]func() (filebench.Result, error), len(netWorkloads))
+			for i, wl := range netWorkloads {
+				runs[i] = nfRun(o, c, v, wl.run)
 			}
-			for i := range workloads {
-				run := runs[i]
-				specs = append(specs, CellSpec{Experiment: ExpNetfaults, Variant: v,
-					Run: func() (filebench.Result, error) {
-						out, err := run()
-						return out.res, err
-					}})
-			}
-			lossy := c.errProb > 0
-			if lossy {
-				for i, wl := range workloads {
-					run, key := runs[i], c.name+"-"+wl.key+"-retries"
-					cell := func() (filebench.Result, error) {
-						out, err := run()
-						if err != nil {
-							return filebench.Result{}, err
-						}
-						return derived(key, out.ctr["net_retries"]), nil
+			for _, run := range runs {
+				add(goodput, func() (filebench.Result, error) {
+					r, err := run()
+					if !o.Metrics {
+						r.Metrics = nil
 					}
-					specs = append(specs, CellSpec{Experiment: ExpNetfaults, Variant: v, Run: cell})
-					extras[v] = append(extras[v], cell)
+					return r, err
+				})
+			}
+			if c.faults.ErrProb > 0 {
+				for i, wl := range netWorkloads {
+					companion(runs[i], c.name+"-"+wl.key+"-retries", "net_retries")
 				}
 			}
 			// FUSE's user-level cache absorbs the blackout before the
 			// store's breaker ever opens, so its degraded count is a
 			// constant zero — not a publishable cell.
 			if c.outage && v == VariantBento {
-				run, key := runs[2], c.name+"-varmail-degraded"
-				cell := func() (filebench.Result, error) {
-					out, err := run()
-					if err != nil {
-						return filebench.Result{}, err
-					}
-					return derived(key, out.ctr["net_degraded"]), nil
-				}
-				specs = append(specs, CellSpec{Experiment: ExpNetfaults, Variant: v, Run: cell})
-				extras[v] = append(extras[v], cell)
+				companion(runs[2], c.name+"-varmail-degraded", "net_degraded")
 			}
-		}
-	}
-	// Per-variant spec order: for each condition, the three goodput
-	// cells, then that condition's companion cells. goodputIdx maps a
-	// (condition, workload) pair to its index in data[v].
-	goodputIdx := make([]int, 0, len(netfaultConds)*len(workloads))
-	idx := 0
-	for _, c := range netfaultConds {
-		for range workloads {
-			goodputIdx = append(goodputIdx, idx)
-			idx++
-		}
-		if c.errProb > 0 {
-			idx += len(workloads) // retries companions
-		}
-		if c.outage {
-			idx++ // degraded companion
 		}
 	}
 	return &plan{rows: vars, specs: specs, render: func(data map[string][]filebench.Result) string {
 		s := Table("Netfaults scenario: goodput under deterministic network faults", cols, vars,
 			func(r, c int) string {
-				res := data[vars[r]][goodputIdx[c]]
-				switch c % 3 {
-				case 0:
-					return fmt.Sprintf("%.1f", res.OpsPerSec()/1000)
-				case 1:
-					return fmt.Sprintf("%.1f", res.MBps())
-				default:
-					return fmt.Sprintf("%.0f", res.OpsPerSec())
-				}
+				v := vars[r]
+				return netCell(data[v][goodput[v][c]], c)
 			})
-		var ops []string
-		seen := false
+		var ops strings.Builder
 		for _, v := range vars {
-			for _, cell := range extras[v] {
-				if r, err := cell(); err == nil {
-					if !seen {
-						ops = append(ops, "Operational counters (per cell):")
-						seen = true
-					}
-					ops = append(ops, fmt.Sprintf("  %-12s %-34s %d", v, r.Name, r.Ops))
-				}
+			for _, i := range extras[v] {
+				fmt.Fprintf(&ops, "  %-12s %-34s %d\n", v, data[v][i].Name, data[v][i].Ops)
 			}
 		}
-		if seen {
-			s += "\n"
-			for _, line := range ops {
-				s += line + "\n"
-			}
+		if ops.Len() > 0 {
+			s += "\nOperational counters (per cell):\n" + ops.String()
 		}
 		return s
 	}}

@@ -1,10 +1,11 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"reflect"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,11 +20,11 @@ func TestRunCellsPreservesSpecOrder(t *testing.T) {
 	const n = 50
 	specs := make([]CellSpec, n)
 	for i := range specs {
-		specs[i] = CellSpec{Experiment: "t", Variant: "v", Run: func() (filebench.Result, error) {
+		specs[i] = CellSpec{Experiment: "t", Variant: "v", Run: func(filebench.Target) ([]filebench.Result, error) {
 			// Reverse-staggered sleeps force completion order to differ
 			// from spec order under a parallel pool.
 			time.Sleep(time.Duration(n-i) * 10 * time.Microsecond)
-			return filebench.Result{Name: fmt.Sprintf("cell%02d", i), Ops: int64(i)}, nil
+			return []filebench.Result{{Name: fmt.Sprintf("cell%02d", i), Ops: int64(i)}}, nil
 		}}
 	}
 	for _, parallel := range []int{0, 1, 4, 64} {
@@ -35,11 +36,8 @@ func TestRunCellsPreservesSpecOrder(t *testing.T) {
 			t.Fatalf("parallel=%d: %d outputs, want %d", parallel, len(outs), n)
 		}
 		for i, o := range outs {
-			if o.Result.Ops != int64(i) || o.Result.Name != fmt.Sprintf("cell%02d", i) {
-				t.Fatalf("parallel=%d: out[%d] = %+v (order not preserved)", parallel, i, o.Result)
-			}
-			if o.HostNS <= 0 {
-				t.Fatalf("parallel=%d: out[%d] has no host time", parallel, i)
+			if len(o) != 1 || o[0].Ops != int64(i) || o[0].Name != fmt.Sprintf("cell%02d", i) {
+				t.Fatalf("parallel=%d: out[%d] = %+v (order not preserved)", parallel, i, o)
 			}
 		}
 	}
@@ -52,31 +50,24 @@ func TestRunCellsFirstErrorWinsAndStopsDispatch(t *testing.T) {
 	errA := errors.New("cell 1 failed")
 	errB := errors.New("cell 3 failed")
 	var started atomic.Int64
+	cell := func(delay time.Duration, err error) CellSpec {
+		return CellSpec{Experiment: "t", Variant: "v", Run: func(filebench.Target) ([]filebench.Result, error) {
+			started.Add(1)
+			time.Sleep(delay)
+			return nil, err
+		}}
+	}
 	specs := []CellSpec{
-		{Experiment: "t", Variant: "v", Run: func() (filebench.Result, error) {
-			started.Add(1)
-			time.Sleep(2 * time.Millisecond) // lose the race to cell 3's error
-			return filebench.Result{}, errA
-		}},
-		{Experiment: "t", Variant: "v", Run: func() (filebench.Result, error) {
-			started.Add(1)
-			return filebench.Result{}, nil
-		}},
-		{Experiment: "t", Variant: "v", Run: func() (filebench.Result, error) {
-			started.Add(1)
-			return filebench.Result{}, errB
-		}},
-		{Experiment: "t", Variant: "v", Run: func() (filebench.Result, error) {
-			started.Add(1)
-			time.Sleep(50 * time.Millisecond)
-			return filebench.Result{}, nil
-		}},
+		cell(2*time.Millisecond, errA), // lose the race to cell 3's error
+		cell(0, nil),
+		cell(0, errB),
+		cell(50*time.Millisecond, nil),
 	}
 	if _, err := RunCells(specs, 4); !errors.Is(err, errA) {
 		t.Fatalf("err = %v, want the spec-order-first error %v", err, errA)
 	}
 
-	// Sequential: the first error stops the run before later cells start.
+	// One worker: the first error stops the run before later cells start.
 	started.Store(0)
 	if _, err := RunCells(specs, 1); !errors.Is(err, errA) {
 		t.Fatalf("sequential err = %v, want %v", err, errA)
@@ -122,13 +113,15 @@ func TestCellRunnerParallelMatchesSequential(t *testing.T) {
 // TestParallelMatrixByteIdentical is the acceptance check for the
 // parallel cell runner: the full quick-shaped matrix (every experiment)
 // must serialize to byte-identical JSON at -parallel=1 and -parallel=8.
-// Host wall-clock is stripped exactly as `bentobench -json` does by
-// default — it is the one record field outside the determinism contract.
+// The same records pin the matrix's shape: their (experiment, variant,
+// cell) keys must be BENCH_baseline.json's, in order, so a refactor that
+// drops, renames or reorders a row fails here and not only in the CI
+// bench-regression job.
 func TestParallelMatrixByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full matrix runs")
 	}
-	runMatrix := func(parallel int) []byte {
+	runMatrix := func(parallel int) ([]Record, []byte) {
 		t.Helper()
 		o := determinismOpts()
 		o.Parallel = parallel
@@ -140,16 +133,33 @@ func TestParallelMatrixByteIdentical(t *testing.T) {
 		for _, er := range results {
 			recs = append(recs, er.Records...)
 		}
-		StripHostNS(recs)
 		buf, err := json.Marshal(recs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return buf
+		return recs, buf
 	}
-	seq := runMatrix(1)
-	par := runMatrix(8)
-	if !reflect.DeepEqual(seq, par) {
+	recs, seq := runMatrix(1)
+	_, par := runMatrix(8)
+	if !bytes.Equal(seq, par) {
 		t.Fatalf("matrix JSON differs between -parallel=1 (%d bytes) and -parallel=8 (%d bytes)", len(seq), len(par))
+	}
+
+	raw, err := os.ReadFile("../../BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var baseline []Record
+	if err := json.Unmarshal(raw, &baseline); err != nil {
+		t.Fatal(err)
+	}
+	key := func(r Record) string { return r.Experiment + "/" + r.Variant + "/" + r.Cell }
+	if len(recs) != len(baseline) {
+		t.Errorf("matrix has %d cells, BENCH_baseline.json has %d", len(recs), len(baseline))
+	}
+	for i := 0; i < len(recs) && i < len(baseline); i++ {
+		if key(recs[i]) != key(baseline[i]) {
+			t.Fatalf("cell %d is %s, BENCH_baseline.json has %s there", i, key(recs[i]), key(baseline[i]))
+		}
 	}
 }

@@ -22,22 +22,6 @@ type Record struct {
 	// and deterministic, but remain informational: no gate compares
 	// them.
 	Metrics map[string]int64 `json:"metrics,omitempty"`
-
-	// HostNS is the host wall-clock the cell took to execute —
-	// informational only, never part of the determinism contract (it
-	// varies run to run and with -parallel). It is omitted from JSON
-	// when zero; bentobench zeroes it unless -hostns is given, so the
-	// default -json output stays byte-identical across runs.
-	HostNS int64 `json:"host_ns,omitempty"`
-}
-
-// StripHostNS zeroes the informational host wall-clock on every record,
-// leaving only virtual-time fields — the byte-stable form the
-// determinism gates compare.
-func StripHostNS(recs []Record) {
-	for i := range recs {
-		recs[i].HostNS = 0
-	}
 }
 
 // RunRecords executes one experiment and returns its rendered text plus

@@ -1,14 +1,16 @@
 package harness
 
 import (
+	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"bento/internal/filebench"
+	"bento/internal/trace"
 )
 
 // StartProfiles begins host-side pprof capture for a benchmark run. If
@@ -54,52 +56,89 @@ func StartProfiles(cpuPath, memPath string) (func() error, error) {
 	return stop, nil
 }
 
-// CellSpec is one benchmark cell of an experiment's declarative plan: a
-// self-contained unit of work that builds its own kernel, device, and
-// clocks (via NewTarget inside Run) and shares no mutable state with any
-// other cell. That isolation is what makes cell-level host parallelism
+// CellSpec is one benchmark cell of an experiment's declarative plan, as
+// data the runner acts on: which variant to mount under which options,
+// and the workload to run on the mounted target. A cell builds its own
+// kernel, device, and clocks and shares no mutable state with any other
+// cell. That isolation is what makes cell-level host parallelism
 // deterministic by construction: cells may execute in any order, on any
 // number of host workers, and every virtual-time result is unchanged —
 // only the assembly order (spec order) is ever observable in the output.
 type CellSpec struct {
 	Experiment string // figure/table id ("fig2", "stream")
-	Variant    string // row ("Bento", "FUSE", ...)
-	Run        func() (filebench.Result, error)
+	Variant    string // row label ("Bento", "FUSE", "Bento-nobypass", ...)
+	// Mount is the variant NewTarget mounts for the cell under Opts. A
+	// spec with no Mount gets the zero Target: its Run brings its own
+	// results (the netfaults cells, which share memoized runs).
+	Mount string
+	Opts  Options
+	// Run executes the workload and returns the cell's records in
+	// publication order. The first is the measured workload — it carries
+	// the cell's metrics and names its trace file; any others are derived
+	// from the same run (the upgrade scenario's pause/xfer/maxlat).
+	Run func(tg filebench.Target) ([]filebench.Result, error)
 }
 
-// CellOut is one executed cell: the virtual-time result plus the host
-// wall-clock the cell took (informational; see Record.HostNS).
-type CellOut struct {
-	Result filebench.Result
-	HostNS int64
+// run executes one cell. This is the one place the experiments mount a
+// target: NewTarget, the workload, the experiment/row error prefix, and
+// the cell's observability outputs.
+func (s CellSpec) run() ([]filebench.Result, error) {
+	if s.Mount == "" {
+		return s.Run(filebench.Target{})
+	}
+	tg, err := NewTarget(s.Mount, s.Opts)
+	if err != nil {
+		return nil, fmt.Errorf("%s %s: %w", s.Experiment, s.Variant, err)
+	}
+	rs, err := s.Run(tg)
+	if err != nil {
+		return nil, fmt.Errorf("%s %s: %w", s.Experiment, s.Variant, err)
+	}
+	if err := finishCell(tg, &rs[0], s); err != nil {
+		return nil, err
+	}
+	return rs, nil
+}
+
+// finishCell attaches the cell's observability outputs to its measured
+// result: the counter snapshot when Opts.Metrics, and the per-cell Chrome
+// trace file when Opts.TraceDir. Untraced runs pass straight through.
+func finishCell(tg filebench.Target, r *filebench.Result, s CellSpec) error {
+	rec := tg.K.Recorder()
+	if rec == nil {
+		return nil
+	}
+	if s.Opts.Metrics {
+		r.Metrics = rec.Counters()
+	}
+	if s.Opts.TraceDir != "" {
+		path := filepath.Join(s.Opts.TraceDir, fmt.Sprintf("%s_%s_%s.trace.json", s.Experiment, s.Variant, r.Name))
+		if err := rec.WriteFile(path, trace.Meta{Experiment: s.Experiment, Variant: s.Variant, Cell: r.Name}); err != nil {
+			return fmt.Errorf("%s %s: writing trace: %w", s.Experiment, s.Variant, err)
+		}
+	}
+	return nil
+}
+
+// single wraps a one-record workload's return values as a cell's result
+// list: `return single(filebench.ReadMicro(tg, cfg))`.
+func single(r filebench.Result, err error) ([]filebench.Result, error) {
+	return []filebench.Result{r}, err
 }
 
 // RunCells executes specs on up to parallel host workers (parallel <= 0
-// means runtime.NumCPU()) and returns the outputs in spec order
-// regardless of completion order. parallel == 1 runs the specs
-// sequentially on the calling goroutine — exactly the pre-parallel
-// harness. On error the first failing cell in spec order wins (among
-// cells that had started); no new cells are dispatched after a failure.
-func RunCells(specs []CellSpec, parallel int) ([]CellOut, error) {
+// means runtime.NumCPU()) and returns each spec's result list in spec
+// order regardless of completion order. On error the first failing cell
+// in spec order wins (among cells that had started); no new cells are
+// dispatched after a failure.
+func RunCells(specs []CellSpec, parallel int) ([][]filebench.Result, error) {
 	if parallel <= 0 {
 		parallel = runtime.NumCPU()
 	}
 	if parallel > len(specs) {
 		parallel = len(specs)
 	}
-	outs := make([]CellOut, len(specs))
-	if parallel <= 1 {
-		for i := range specs {
-			start := time.Now()
-			r, err := specs[i].Run()
-			if err != nil {
-				return nil, err
-			}
-			outs[i] = CellOut{Result: r, HostNS: time.Since(start).Nanoseconds()}
-		}
-		return outs, nil
-	}
-
+	outs := make([][]filebench.Result, len(specs))
 	var (
 		next   atomic.Int64 // index of the next spec to claim
 		failed atomic.Bool  // stop dispatching new cells after any error
@@ -118,8 +157,7 @@ func RunCells(specs []CellSpec, parallel int) ([]CellOut, error) {
 				if i >= len(specs) || failed.Load() {
 					return
 				}
-				start := time.Now()
-				r, err := specs[i].Run()
+				rs, err := specs[i].run()
 				if err != nil {
 					errMu.Lock()
 					if i < firstIdx {
@@ -129,7 +167,7 @@ func RunCells(specs []CellSpec, parallel int) ([]CellOut, error) {
 					failed.Store(true)
 					return
 				}
-				outs[i] = CellOut{Result: r, HostNS: time.Since(start).Nanoseconds()}
+				outs[i] = rs
 			}
 		}()
 	}
@@ -140,19 +178,17 @@ func RunCells(specs []CellSpec, parallel int) ([]CellOut, error) {
 	return outs, nil
 }
 
-// groupByVariant reassembles executed cells into the per-variant slices
-// the render functions and record emitters consume. Spec order is
-// variant-major within each experiment's historical loop structure, so
-// appending in spec order reproduces exactly the ordering the inline
-// nested loops used to build.
-func groupByVariant(specs []CellSpec, outs []CellOut) (map[string][]filebench.Result, map[string][]int64) {
+// groupByVariant reassembles executed cells into the per-row slices the
+// render functions and record emitters consume. Spec order is row-major
+// within each experiment's historical loop structure, so appending in
+// spec order reproduces exactly the ordering the inline nested loops used
+// to build.
+func groupByVariant(specs []CellSpec, outs [][]filebench.Result) map[string][]filebench.Result {
 	data := make(map[string][]filebench.Result)
-	host := make(map[string][]int64)
 	for i, s := range specs {
-		data[s.Variant] = append(data[s.Variant], outs[i].Result)
-		host[s.Variant] = append(host[s.Variant], outs[i].HostNS)
+		data[s.Variant] = append(data[s.Variant], outs[i]...)
 	}
-	return data, host
+	return data
 }
 
 // ExperimentResult is one experiment's assembled output from RunMatrix.
@@ -160,11 +196,6 @@ type ExperimentResult struct {
 	ID      string
 	Text    string   // rendered table(s)
 	Records []Record // machine-readable cells in deterministic order
-	// CellHostNS sums the host wall-clock of this experiment's cells.
-	// Under a shared pool cells of several experiments overlap, so this
-	// is CPU-time-shaped (comparable across runs at equal parallelism),
-	// not the experiment's wall-clock share.
-	CellHostNS int64
 }
 
 // RunMatrix executes several experiments' cells on one shared host-worker
@@ -204,11 +235,10 @@ func RunMatrix(ids []string, o Options) ([]ExperimentResult, error) {
 			results = append(results, ExperimentResult{ID: e.id, Text: e.static})
 			continue
 		}
-		data, host := groupByVariant(e.p.specs, outs[e.lo:e.hi])
+		data := groupByVariant(e.p.specs, outs[e.lo:e.hi])
 		er := ExperimentResult{ID: e.id, Text: e.p.render(data)}
 		for _, v := range e.p.rows {
-			hs := host[v]
-			for i, r := range data[v] {
+			for _, r := range data[v] {
 				er.Records = append(er.Records, Record{
 					Experiment: e.id,
 					Variant:    v,
@@ -220,9 +250,7 @@ func RunMatrix(ids []string, o Options) ([]ExperimentResult, error) {
 					MBps:       r.MBps(),
 					Errs:       r.Errs,
 					Metrics:    r.Metrics,
-					HostNS:     hs[i],
 				})
-				er.CellHostNS += hs[i]
 			}
 		}
 		results = append(results, er)
@@ -245,6 +273,6 @@ func runExperiment(id string, o Options) (string, map[string][]filebench.Result,
 	if err != nil {
 		return "", nil, err
 	}
-	data, _ := groupByVariant(p.specs, outs)
+	data := groupByVariant(p.specs, outs)
 	return p.render(data), data, nil
 }

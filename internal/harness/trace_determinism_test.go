@@ -55,11 +55,11 @@ func TestTraceCellDeterministic(t *testing.T) {
 	o.Metrics = true
 	run := func() (map[string][]byte, map[string]int64) {
 		o.TraceDir = t.TempDir()
-		r, err := readCell(ExpFig2, VariantBento, o, 32, 4096, false)
+		outs, err := RunCells([]CellSpec{readSpec(ExpFig2, VariantBento, o, fig23Cells[1], 4096)}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return readTraceDir(t, o.TraceDir), r.Metrics
+		return readTraceDir(t, o.TraceDir), outs[0][0].Metrics
 	}
 	traces1, metrics1 := run()
 	traces2, metrics2 := run()

@@ -1,8 +1,8 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"bento/internal/core"
@@ -11,18 +11,11 @@ import (
 	"bento/internal/xv6/bentoimpl"
 )
 
-// upgradeOut is the shared output of the single upgrade-scenario run
-// that all four upgrade cells report slices of.
-type upgradeOut struct {
-	mix    filebench.Result
-	report filebench.UpgradeReport
-	stats  core.UpgradeStats
-}
-
 // upgradePlan builds the live-upgrade availability experiment: one
 // workload run — concurrent readers and writers on a Bento mount with a
-// mid-window hot swap of the bentoimpl module — reported as four cells
-// so each availability number is individually gated by benchdiff:
+// mid-window hot swap of the bentoimpl module — reported as four records
+// from one cell so each availability number is individually gated by
+// benchdiff:
 //
 //   - upgrade-mix-2r2w: workload throughput across the swap (ops/sec);
 //   - upgrade-pause: the quiesce-to-resume pause (Ops=1, elapsed =
@@ -32,17 +25,9 @@ type upgradeOut struct {
 //     carrying the serialized state size;
 //   - upgrade-maxlat: the slowest single operation of the window — the
 //     latency spike paid by whoever arrives mid-upgrade.
-//
-// The four cells share one sync.OnceValues-memoized run: the runner may
-// execute their specs on any host workers in any order, and whichever
-// claims the run first executes it while the rest reuse the result.
 func upgradePlan(o Options) *plan {
 	v := VariantBento
-	run := sync.OnceValues(func() (upgradeOut, error) {
-		tg, err := NewTarget(v, o)
-		if err != nil {
-			return upgradeOut{}, fmt.Errorf("upgrade %s: %w", v, err)
-		}
+	run := func(tg filebench.Target) ([]filebench.Result, error) {
 		shim := tg.M.FS().(*core.BentoFS)
 		// Continuous write-back (as in fig4's sustained-write cells): an
 		// unbounded dirty budget would defer the writers' entire dirty set
@@ -66,55 +51,30 @@ func upgradePlan(o Options) *plan {
 			},
 		})
 		if err != nil {
-			return upgradeOut{}, fmt.Errorf("upgrade %s: %w", v, err)
+			return nil, err
 		}
 		stats := shim.LastUpgrade()
 		if stats.Generation == 0 {
-			return upgradeOut{}, fmt.Errorf("upgrade %s: swap never ran", v)
+			return nil, errors.New("swap never ran")
 		}
-		mix, err = finishCell(tg, mix, ExpUpgrade, v, o)
-		if err != nil {
-			return upgradeOut{}, err
+		derived := func(name string, bytes, ns int64) filebench.Result {
+			return filebench.Result{Name: name, Ops: 1, Bytes: bytes, Elapsed: time.Duration(ns)}
 		}
-		return upgradeOut{mix: mix, report: rep, stats: stats}, nil
-	})
-	derived := func(name string, ops, bytes, ns int64) filebench.Result {
-		return filebench.Result{Name: name, Ops: ops, Bytes: bytes, Elapsed: time.Duration(ns)}
+		return []filebench.Result{
+			mix,
+			derived("upgrade-pause", 0, stats.PauseNS),
+			derived("upgrade-xfer", stats.TransferBytes, stats.TransferNS),
+			derived("upgrade-maxlat", 0, rep.MaxOpNS),
+		}, nil
 	}
-	specs := []CellSpec{
-		{Experiment: ExpUpgrade, Variant: v, Run: func() (filebench.Result, error) {
-			out, err := run()
-			return out.mix, err
-		}},
-		{Experiment: ExpUpgrade, Variant: v, Run: func() (filebench.Result, error) {
-			out, err := run()
-			if err != nil {
-				return filebench.Result{}, err
-			}
-			return derived("upgrade-pause", 1, 0, out.stats.PauseNS), nil
-		}},
-		{Experiment: ExpUpgrade, Variant: v, Run: func() (filebench.Result, error) {
-			out, err := run()
-			if err != nil {
-				return filebench.Result{}, err
-			}
-			return derived("upgrade-xfer", 1, out.stats.TransferBytes, out.stats.TransferNS), nil
-		}},
-		{Experiment: ExpUpgrade, Variant: v, Run: func() (filebench.Result, error) {
-			out, err := run()
-			if err != nil {
-				return filebench.Result{}, err
-			}
-			return derived("upgrade-maxlat", 1, 0, out.report.MaxOpNS), nil
-		}},
-	}
+	specs := []CellSpec{{Experiment: ExpUpgrade, Variant: v, Mount: v, Opts: o, Run: run}}
 	cols := []string{"mix (ops/s)", "pause (µs)", "xfer (µs)", "xfer (B)", "max-op (µs)"}
 	rows := []string{v}
 	return &plan{rows: rows, specs: specs, render: func(data map[string][]filebench.Result) string {
 		us := func(r filebench.Result) string {
 			return fmt.Sprintf("%.1f", float64(r.Elapsed.Nanoseconds())/1e3)
 		}
-		cells := data[v] // [mix, pause, xfer, maxlat] in spec order
+		cells := data[v] // [mix, pause, xfer, maxlat] as run returns them
 		return Table("Live upgrade under load: hot-swap of the Bento module mid-workload", cols, rows,
 			func(_, c int) string {
 				switch c {

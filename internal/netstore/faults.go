@@ -5,14 +5,14 @@ import (
 	"time"
 
 	"bento/internal/blockdev"
-	"bento/internal/faultinject/seeded"
+	"bento/internal/seeded"
 	"bento/internal/trace"
 )
 
 // This file is the network-fault model and the client policy over it.
 //
 // Fault model. Every wire attempt takes one sequence number from a
-// seeded decider (internal/faultinject/seeded) and draws its fate from
+// seeded decider (internal/seeded) and draws its fate from
 // (seed, seq) — never from wall clock — so two runs of the same cell
 // inject byte-identical faults at any -parallel. Three fault kinds
 // compose: transient per-attempt errors (ErrProb), tail-latency

@@ -51,8 +51,8 @@ import (
 
 	"bento/internal/blockdev"
 	"bento/internal/costmodel"
-	"bento/internal/faultinject/seeded"
 	"bento/internal/lru"
+	"bento/internal/seeded"
 	"bento/internal/trace"
 	"bento/internal/vclock"
 )

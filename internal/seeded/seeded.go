@@ -1,14 +1,14 @@
 // Package seeded is the shared decision core for deterministic fault
 // injection. Every layer that injects faults — blockdev.Device's
-// per-block error tables, netstore's network-fault model, and the
-// bug-injection harness in the parent faultinject package — draws its
+// per-block error tables and netstore's network-fault model — draws its
 // decisions from here so that "did this operation fail, and how
 // slowly?" is always a pure function of (seed, sequence number), never
 // of wall clock or map iteration order.
 //
-// The package lives below internal/faultinject (which imports blockdev
-// and the kernel, so blockdev cannot import it back) and depends on
-// nothing, letting blockdev, netstore, and faultinject all share it.
+// The package depends on nothing, so blockdev and netstore both import
+// it. (internal/buginject, the §2.1 bug-class study, is unrelated: it
+// plants bugs in file-system code rather than faults in the storage
+// below it.)
 package seeded
 
 // Rand64 returns the uniform 64-bit draw for step seq of the stream

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"testing"
 
-	"bento/internal/faultinject/seeded"
+	"bento/internal/seeded"
 )
 
 // TestRand64Deterministic pins the contract that decisions are a pure
