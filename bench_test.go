@@ -8,7 +8,7 @@
 //
 //	go test -bench=. -benchmem
 //
-// Full-scale runs for EXPERIMENTS.md use cmd/bentobench instead.
+// Full-scale runs for docs/experiments.md use cmd/bentobench instead.
 package bento
 
 import (

@@ -2,7 +2,7 @@ package blockdev
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"bento/internal/costmodel"
 	"bento/internal/lru"
@@ -17,7 +17,7 @@ import (
 // 8-15 % (the allocator's madvise traffic on large short-lived objects)
 // where 64 KiB slabs leave it level with one allocation per block; the
 // streaming benchmark workloads measured no slower at 16 than at 64. Must
-// not exceed 64: one word of the present bitset covers one slab.
+// not exceed 64: one word of the present and dirty bitsets covers one slab.
 const slabBlocks = 16
 
 // localBackend is the RAM-backed NVMe model: the storage half of the
@@ -32,23 +32,31 @@ const slabBlocks = 16
 // [i*slabBlocks, (i+1)*slabBlocks), a nil slab reads as zeros, and the
 // table grows as higher blocks are written, so a multi-GiB device costs
 // host memory only around the blocks actually written. The volatile write
-// cache is the undo log: the first write of a block since the last FLUSH
-// saves the block's durable image, later writes overwrite the slab in
-// place, a FLUSH forgets the saved images (what the slabs hold is now
-// durable) and a crash copies back the ones whose writes do not survive.
-// A block that has never been written has no image to save — its undo
-// entry is nil and a lost write clears it — which is every block of a
-// freshly written file: a streaming write copies each block once and
-// allocates nothing. Saved images come from, and go back to, the backend's
-// own free list (images).
+// cache is the undo log, an append-only slice with one dirty bit per block
+// beside it: the first write of a block since the last FLUSH sets the bit
+// and appends the block's durable image, later writes see the bit and
+// overwrite the slab in place, a FLUSH forgets the saved images (what the
+// slabs hold is now durable) and a crash copies back the ones whose writes
+// do not survive. A block that has never been written has no image to
+// save — its undo record's image is nil and a lost write clears it —
+// which is every block of a freshly written file: a streaming write copies
+// each block once and allocates nothing. Saved images come from, and go
+// back to, the backend's own free list (images).
 type localBackend struct {
 	blockSize int
-	slabs     [][]byte       // current contents
-	present   []uint64       // bit blk: block blk has been written (slab si's word is present[si])
-	undo      map[int][]byte // block -> durable image (nil: never written), for blocks dirty since the last FLUSH
-	images    *lru.BufPool   // retired undo images
+	slabs     [][]byte     // current contents
+	present   []uint64     // bit blk: block blk has been written (slab si's word is present[si])
+	dirty     []uint64     // bit blk: block blk has an undo record (written since the last FLUSH)
+	undo      []undoRec    // one record per dirty block, in first-write order
+	images    *lru.BufPool // retired undo images
 	res       *vclock.Resource
 	model     *costmodel.Model
+}
+
+// undoRec is how to take back the unflushed writes of one block.
+type undoRec struct {
+	blk   int
+	saved []byte // the durable image; nil: never written, a lost write clears the block
 }
 
 // NewLocalBackend returns the RAM-backed local backend the Device uses
@@ -58,7 +66,6 @@ type localBackend struct {
 func NewLocalBackend(name string, blockSize int, model *costmodel.Model) Backend {
 	return &localBackend{
 		blockSize: blockSize,
-		undo:      make(map[int][]byte),
 		images:    lru.NewBufPool(blockSize),
 		res:       vclock.NewResource(name, model.DevChannels),
 		model:     model,
@@ -90,35 +97,36 @@ func (lb *localBackend) SubmitBlock(now int64, blk int, buf []byte) (int64, erro
 	for si >= len(lb.slabs) {
 		lb.slabs = append(lb.slabs, nil)
 		lb.present = append(lb.present, 0)
+		lb.dirty = append(lb.dirty, 0)
 	}
 	if lb.slabs[si] == nil {
 		lb.slabs[si] = make([]byte, slabBlocks*lb.blockSize)
 	}
 	b := lb.block(blk)
-	if lb.present[si]&bit == 0 {
-		// Never written, so not dirty either (no probe needed) and with
-		// no image to save: a lost write clears it.
+	if lb.dirty[si]&bit == 0 {
+		lb.dirty[si] |= bit
+		var saved []byte
+		if lb.present[si]&bit != 0 {
+			saved = lb.images.Get()
+			copy(saved, b)
+		}
 		lb.present[si] |= bit
-		lb.undo[blk] = nil
-	} else if _, dirty := lb.undo[blk]; !dirty {
-		saved := lb.images.Get()
-		copy(saved, b)
-		lb.undo[blk] = saved
+		lb.undo = append(lb.undo, undoRec{blk, saved})
 	}
 	copy(b, buf)
 	return lb.res.Acquire(now, int64(lb.model.DevWrite(lb.blockSize))), nil
 }
 
-// retireUndo empties the undo log, keeping its buffers for reuse. The
-// map walk commutes: which buffer backs which later save is host-side
-// state no caller can observe.
+// retireUndo empties the undo log, keeping its buffers for reuse.
 func (lb *localBackend) retireUndo() {
-	for _, saved := range lb.undo {
-		if saved != nil {
-			lb.images.Put(saved)
+	for _, u := range lb.undo {
+		if u.saved != nil {
+			lb.images.Put(u.saved)
 		}
+		lb.dirty[u.blk/slabBlocks] = 0
 	}
 	clear(lb.undo)
+	lb.undo = lb.undo[:0]
 }
 
 // Flush promotes the whole write cache to the durable tier: the slabs
@@ -134,20 +142,18 @@ func (lb *localBackend) DirtyBlocks() int { return len(lb.undo) }
 
 func (lb *localBackend) Crash(keepFraction float64, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	blks := make([]int, 0, len(lb.undo))
-	for blk := range lb.undo {
-		blks = append(blks, blk)
-	}
-	sort.Ints(blks) // map order is random; sort so a seed fully determines the outcome
-	for _, blk := range blks {
+	// The keep decisions are drawn in block order, not write order, so a
+	// seed determines the outcome whatever order the writes arrived in.
+	slices.SortFunc(lb.undo, func(a, b undoRec) int { return a.blk - b.blk })
+	for _, u := range lb.undo {
 		if rng.Float64() < keepFraction {
 			continue // this unflushed write survives the power cut
 		}
-		if saved := lb.undo[blk]; saved != nil {
-			copy(lb.block(blk), saved)
+		if u.saved != nil {
+			copy(lb.block(u.blk), u.saved)
 		} else {
-			clear(lb.block(blk))
-			lb.present[blk/slabBlocks] &^= 1 << (blk % slabBlocks)
+			clear(lb.block(u.blk))
+			lb.present[u.blk/slabBlocks] &^= 1 << (u.blk % slabBlocks)
 		}
 	}
 	lb.retireUndo() // only now: the loop above was still reading the images

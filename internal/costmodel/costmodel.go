@@ -8,7 +8,8 @@
 // FUSE daemon wakeups) and calibrate the defaults so the *relationships*
 // the paper reports hold: Bento ≈ C-kernel, FUSE orders of magnitude slower
 // on write/metadata paths, ext4 ahead of xv6 by small integer factors.
-// EXPERIMENTS.md records paper-vs-measured for every table and figure.
+// docs/experiments.md maps every table and figure to the experiment that
+// regenerates it.
 package costmodel
 
 import "time"

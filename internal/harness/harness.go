@@ -132,7 +132,7 @@ func (o Options) dataBypass() bool { return !o.NoDataBypass }
 // traced reports whether cells carry a trace recorder.
 func (o Options) traced() bool { return o.Metrics || o.TraceDir != "" }
 
-// Defaults returns the options used for EXPERIMENTS.md.
+// Defaults returns the options used for docs/experiments.md.
 func Defaults() Options {
 	return Options{
 		Model:         costmodel.Default(),

@@ -76,8 +76,8 @@ type dkey struct {
 }
 
 // vnode is the in-core inode: cached attributes plus this file's slice of
-// the page cache. The page cache is an lru.Core — map, intrusive recency
-// list, and explicit dirty set.
+// the page cache. The page cache is an lru.Core — a radix index over the
+// page numbers with dirty tags, and an intrusive recency list.
 type vnode struct {
 	m   *Mount
 	ino fsapi.Ino
@@ -95,8 +95,7 @@ type vnode struct {
 	// FillAhead batches never allocate a fresh closure.
 	fillFn func(*Task, int64) (bool, error)
 
-	// Write-back scratch, reused across writeback calls. truncate borrows
-	// wbKeys too — the uses never overlap.
+	// Write-back scratch, reused across writeback calls.
 	wbKeys  []int64
 	wbRuns  []iodaemon.Run
 	wbBatch [][]byte

@@ -352,23 +352,9 @@ func (vn *vnode) truncate(t *Task, size int64) error {
 		return fsapi.ErrInvalid
 	}
 	firstDead := (size + fsapi.PageSize - 1) / fsapi.PageSize
-	// Borrow the write-back key scratch (the uses never overlap).
-	doomed := vn.wbKeys[:0]
-	vn.pc.ForEach(func(idx int64, _ *page) bool {
-		if idx >= firstDead {
-			doomed = append(doomed, idx)
-		}
-		return true
-	})
-	vn.wbKeys = doomed
-	for _, idx := range doomed {
-		pg, wasDirty, _ := vn.pc.Remove(idx)
-		vn.m.totalPages--
-		if wasDirty {
-			vn.m.dirtyPages--
-		}
-		vn.m.putPage(pg)
-	}
+	dirty := vn.pc.DirtyLen()
+	vn.m.totalPages -= int64(vn.pc.RemoveFrom(firstDead, vn.m.putPageFn))
+	vn.m.dirtyPages -= int64(dirty - vn.pc.DirtyLen())
 	// Zero the cached tail of a now-partial page so stale bytes cannot
 	// reappear if the file is re-extended.
 	if size%fsapi.PageSize != 0 {

@@ -1,7 +1,5 @@
 package lru
 
-import "slices"
-
 // Stats counts cache traffic.
 type Stats struct {
 	Hits      int64
@@ -115,7 +113,6 @@ func (c *Cache[E]) Keys() []int64 {
 		out = append(out, key)
 		return true
 	})
-	slices.Sort(out)
 	return out
 }
 

@@ -10,10 +10,13 @@
 //     with no allocation. Per-entry policy state — reference count, dirty
 //     flag, recency stamp — lives in the Node.
 //
-//   - Core is the cache engine: a key→entry map, the recency List
-//     (front = most recently used), and an explicit dirty set so sync
-//     paths iterate exactly the dirty entries instead of scanning the
-//     whole cache. The vnode page cache embeds a Core directly.
+//   - Core is the cache engine: an ordered radix index from key to
+//     entry (fan-out 64, Linux's xarray), the recency List (front = most
+//     recently used), and a dirty tag per subtree so sync paths walk
+//     exactly the dirty entries, in ascending key order, instead of
+//     scanning the whole cache or sorting. Leaves emptied by removal stay
+//     in the tree until Clear, which frees every node and invalidates the
+//     lookup cursor. The vnode page cache embeds a Core directly.
 //
 //   - Cache wraps one Core with capacity enforcement, reference
 //     counting, and hit/miss/eviction statistics. Victim selection is

@@ -135,17 +135,20 @@ var steadyPaths = []struct {
 	// the durable buffer.
 	{"ReadMiss", steadyObjBytes, nil, func(st *steady) { st.read(st.cold()) }},
 	// A write miss to a durable object with a clean victim at hand: the
-	// read-modify-write GET, the copy-on-write copy, and the single-
-	// object flush that keeps the next victim clean.
+	// read-modify-write GET, the staged block's private buffer, and the
+	// single-object flush that keeps the next victim clean.
 	{"WriteMissRMW", steadyObjBytes, nil, func(st *steady) { st.write(st.cold()); st.flush() }},
+	// A staged write to a durable, cached-clean object: one block buffer
+	// off the free list, and the flush that hands it over and puts the
+	// one it replaces back.
+	{"WriteHitClean", 4096, func(st *steady) { st.read(0) }, func(st *steady) { st.write(0); st.flush() }},
 	// A write to a resident, already-dirty object.
 	{"WriteHit", 4096, dirtyCache, func(st *steady) { st.write((st.next + st.objects - 1) % st.objects) }},
 	// A write miss into an all-dirty cache: eviction PUT (hand-over,
-	// old durable buffer to the free list), GET, copy-on-write.
+	// replaced durable block to the free list), GET, one block buffer.
 	{"EvictionPut", 2 * steadyObjBytes, dirtyCache, func(st *steady) { st.write(st.cold()) }},
 	// Dirty the flushBatch resident objects behind the cursor, then one
-	// Flush: that many copy-on-write copies and hand-over PUTs, one
-	// barrier.
+	// Flush: that many staged blocks and hand-over PUTs, one barrier.
 	{"Flush", flushBatch * steadyObjBytes,
 		func(st *steady) {
 			for i := 0; i < flushBatch; i++ {
@@ -171,8 +174,8 @@ func startSteady(tb testing.TB, i int) *steady {
 
 // TestSteadyStateAllocs is the backend's allocation contract: once the
 // free lists are warm and the objects involved exist durably, no path
-// through the object tier allocates — no object buffer, no object
-// struct, no dirty-key slice.
+// through the object tier allocates — no block buffer, no block table,
+// no object struct, no dirty-key slice.
 func TestSteadyStateAllocs(t *testing.T) {
 	for i, p := range steadyPaths {
 		t.Run(p.name, func(t *testing.T) {
@@ -208,3 +211,40 @@ func benchSteady(b *testing.B, name string) {
 func BenchmarkReadMiss(b *testing.B)     { benchSteady(b, "ReadMiss") }
 func BenchmarkWriteMissRMW(b *testing.B) { benchSteady(b, "WriteMissRMW") }
 func BenchmarkFlush(b *testing.B)        { benchSteady(b, "Flush") }
+
+// BenchmarkEvictionPutCycle is the C-Kernel log pattern: a 64-object
+// cache full of dirty objects, and per iteration one block staged in
+// object 0 (the log head, always the lowest-numbered dirty object and so
+// always the eviction-PUT victim) and one in objects 64…319 round-robin.
+// Every write misses into an all-dirty cache and forces an eviction PUT,
+// and the durable set stays bounded at 320 objects.
+func BenchmarkEvictionPutCycle(b *testing.B) {
+	const (
+		cache   = netstore.DefaultCacheObjects
+		objects = 5 * cache
+	)
+	st := &steady{
+		tb: b,
+		s: netstore.New(netstore.Config{
+			Name: "net0", BlockSize: 4096, Blocks: objects * netstore.DefaultObjectBlocks, Model: costmodel.Fast(),
+		}),
+		objects: objects,
+		buf:     make([]byte, 4096),
+	}
+	step := func(i int) {
+		st.write(0)
+		st.write(cache + i%(objects-cache))
+	}
+	for obj := 0; obj < cache; obj++ {
+		st.write(obj)
+	}
+	// Twice round the rotation: every object durable, the free lists warm.
+	for i := 0; i < 2*(objects-cache); i++ {
+		step(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bento/internal/costmodel"
@@ -16,7 +17,7 @@ import (
 // so a copy-on-write or hand-over bug that lets a staged write reach the
 // durable tier through an alias is invisible to it. Here every expected
 // byte is exact, and after every operation checkOwnership walks the
-// durable map, the cache and the free lists.
+// durable tables, the cache and the free lists.
 
 // faultModes runs a sequence on the clean path and under the transient
 // fault model, where individual PUT attempts fail and are retried.
@@ -37,9 +38,9 @@ type rig struct {
 	now int64
 	buf []byte
 
-	// role is the last role each buffer (keyed by its first byte's
-	// address) was seen in; recycled counts buffers that became an
-	// object's private buffer after serving in some other role.
+	// role is the last role each block buffer (keyed by its first byte's
+	// address) was seen in; recycled counts buffers that became a staged
+	// block after serving in some other role.
 	role     map[*byte]string
 	recycled int
 }
@@ -112,8 +113,11 @@ func (r *rig) expect(blk int, want byte) {
 	r.advance(done)
 }
 
-// checkOwnership asserts the five ownership rules and the staged-count
-// bookkeeping over the Store's whole state.
+// checkOwnership asserts the ownership rules and the staged-count
+// bookkeeping over the Store's whole state: every block buffer is
+// claimed by exactly one of a durable table slot, one cached object's
+// staged slot, or the free list, and every clean cached slot aliases
+// its durable slot (nil where the object has none).
 func (r *rig) checkOwnership() {
 	r.t.Helper()
 	s := r.s
@@ -121,51 +125,68 @@ func (r *rig) checkOwnership() {
 	owner := make(map[*byte]string)
 	claim := func(b []byte, who string) {
 		r.t.Helper()
-		if len(b) != s.objBytes {
-			r.t.Fatalf("%s holds a %d-byte buffer, want %d", who, len(b), s.objBytes)
+		if len(b) != s.blockSize || cap(b) != s.blockSize {
+			r.t.Fatalf("%s holds a buffer of len %d cap %d, want %d", who, len(b), cap(b), s.blockSize)
 		}
 		if prev, ok := owner[id(b)]; ok {
 			r.t.Fatalf("buffer referenced by both %s and %s", prev, who)
 		}
 		owner[id(b)] = who
 	}
-
-	// Rule 2: the zero object is all zeros and never durable.
-	for i, b := range s.zero {
-		if b != 0 {
-			r.t.Fatalf("zero object written at byte %d", i)
+	table := func(blocks [][]byte, who string) {
+		r.t.Helper()
+		if len(blocks) != s.objBlocks {
+			r.t.Fatalf("%s has %d block slots, want %d", who, len(blocks), s.objBlocks)
 		}
 	}
-	claim(s.zero, "zero")
+
 	for objID, d := range s.durable {
-		claim(d, fmt.Sprintf("durable:%d", objID))
+		table(d, fmt.Sprintf("durable:%d", objID))
+		for i, b := range d {
+			if b != nil {
+				claim(b, fmt.Sprintf("durable:%d/%d", objID, i))
+			}
+		}
 	}
 	// Rule 4: nothing on the free list is referenced anywhere else.
 	for i, b := range s.freeBufs {
 		claim(b, fmt.Sprintf("free:%d", i))
 	}
+	// The uncarved rest of the newest chunk is nobody's yet.
+	if len(s.chunk) > 0 {
+		if who, ok := owner[id(s.chunk)]; ok {
+			r.t.Fatalf("%s holds a buffer inside the uncarved chunk", who)
+		}
+	}
 
 	staged := 0
 	s.cache.ForEach(func(objID int64, o *object) bool {
+		table(o.blocks, fmt.Sprintf("cached:%d", objID))
 		staged += bits.OnesCount64(o.dirty)
-		if o.node.Dirty() != (o.dirty != 0) {
-			r.t.Fatalf("object %d: node dirty %v but mask %#x", objID, o.node.Dirty(), o.dirty)
+		if o.node.Dirty() != (o.dirty != 0) || o.dirty>>s.objBlocks != 0 {
+			r.t.Fatalf("object %d: node dirty %v, mask %#x over %d blocks", objID, o.node.Dirty(), o.dirty, s.objBlocks)
 		}
-		if o.dirty != 0 {
-			// Rule 1: private — claim fails if anyone else holds it.
-			who := fmt.Sprintf("private:%d", objID)
-			claim(o.data, who)
-			if prev, ok := r.role[id(o.data)]; ok && prev != who {
-				r.recycled++
+		durable := s.durable[objID] // nil: never stored
+		for i, b := range o.blocks {
+			if o.dirty>>i&1 != 0 {
+				// Rule 1: private — claim fails if anyone else holds it.
+				if b == nil {
+					r.t.Fatalf("object %d block %d staged without a buffer", objID, i)
+				}
+				who := fmt.Sprintf("staged:%d/%d", objID, i)
+				claim(b, who)
+				if prev, ok := r.role[id(b)]; ok && prev != who {
+					r.recycled++
+				}
+				continue
 			}
-			return true
-		}
-		want := s.zero
-		if d, ok := s.durable[objID]; ok {
-			want = d
-		}
-		if id(o.data) != id(want) {
-			r.t.Fatalf("clean object %d does not share its durable (or the zero) buffer", objID)
+			var want []byte
+			if durable != nil {
+				want = durable[i]
+			}
+			if (b == nil) != (want == nil) || b != nil && id(b) != id(want) {
+				r.t.Fatalf("object %d clean block %d does not share its durable buffer", objID, i)
+			}
 		}
 		return true
 	})
@@ -173,8 +194,11 @@ func (r *rig) checkOwnership() {
 		r.t.Fatalf("popcount sum %d, staged %d, DirtyBlocks %d", staged, s.staged, s.DirtyBlocks())
 	}
 	for _, o := range s.freeObjs {
-		if o.data != nil || o.dirty != 0 || o.node.Dirty() {
-			r.t.Fatal("released object struct still carries state")
+		table(o.blocks, "released object")
+		for _, b := range o.blocks {
+			if b != nil || o.dirty != 0 || o.node.Dirty() {
+				r.t.Fatal("released object struct still carries state")
+			}
 		}
 	}
 	for p, who := range owner {
@@ -185,11 +209,22 @@ func (r *rig) checkOwnership() {
 	}
 }
 
+// held counts the block buffers a table references.
+func held(blocks [][]byte) int {
+	n := 0
+	for _, b := range blocks {
+		if b != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // TestCrashRevertsToFlushed: flush 0xAA, overwrite with 0xBB in a cache
 // large enough that no eviction PUT fires, crash keeping nothing — every
-// block must read exactly 0xAA. If the copy-on-write copy were skipped
-// the overwrite would land in the durable buffer; if the hand-over left
-// the object private-but-clean the durable tier would miss the flush.
+// block must read exactly 0xAA. If a staged write reused the shared
+// buffer the overwrite would land in the durable tier; if the hand-over
+// left a block private-but-clean the durable tier would miss the flush.
 // With readFirst the staged value must be visible before the crash.
 func TestCrashRevertsToFlushed(t *testing.T) {
 	for _, fm := range faultModes {
@@ -223,8 +258,8 @@ func TestCrashRevertsToFlushed(t *testing.T) {
 
 // TestCrashKeepsSecondFlush: flush → overwrite → flush → overwrite →
 // crash(0) leaves the second flushed value: the second PUT's hand-over
-// replaces the first durable buffer, and the third write's private copy
-// must not be the buffer now serving as durable.
+// replaces the first durable buffers, and the third write's private
+// buffers must not be the ones now serving as durable.
 func TestCrashKeepsSecondFlush(t *testing.T) {
 	for _, fm := range faultModes {
 		t.Run(fm.name, func(t *testing.T) {
@@ -247,16 +282,23 @@ func TestCrashKeepsSecondFlush(t *testing.T) {
 	}
 }
 
-// TestZeroObjectShared: never-stored objects all read through one zero
-// object, so a write into one of them must copy first — its neighbours,
-// and its own unwritten blocks, keep reading zeros, cached or cold.
-func TestZeroObjectShared(t *testing.T) {
+// TestNeverStoredObjectHoldsNoBuffer: a never-stored object is a table
+// of nil blocks — resident or not, it holds no buffer — and a write into
+// one takes exactly one block buffer: its neighbours, and its own
+// unwritten blocks, keep reading zeros, cached or cold.
+func TestNeverStoredObjectHoldsNoBuffer(t *testing.T) {
 	for _, fm := range faultModes {
 		t.Run(fm.name, func(t *testing.T) {
 			r := newRig(t, costmodel.Fast(), Config{Faults: fm.fc})
 			const ob = DefaultObjectBlocks
-			r.expect(ob, 0) // object 1 resident, sharing the zero object
+			r.expect(ob, 0) // object 1 resident
+			if o, _ := r.s.cache.Peek(1); held(o.blocks) != 0 || r.s.chunk != nil {
+				t.Fatalf("a never-stored object holds %d buffers (chunk %d bytes), want none allocated", held(o.blocks), len(r.s.chunk))
+			}
 			r.write(3, 0xD1)
+			if o, _ := r.s.cache.Peek(0); held(o.blocks) != 1 || len(r.s.chunk) != (ob-1)*4096 {
+				t.Fatalf("one staged block: object holds %d buffers, %d chunk bytes left, want 1 and %d", held(o.blocks), len(r.s.chunk), (ob-1)*4096)
+			}
 			r.expect(3, 0xD1)
 			r.expect(4, 0)
 			r.expect(ob, 0)
@@ -266,13 +308,68 @@ func TestZeroObjectShared(t *testing.T) {
 			r.expect(3, 0xD1)
 			r.expect(4, 0)
 			r.expect(ob+3, 0)
+			if d := r.s.durable[0]; len(r.s.durable) != 1 || held(d) != 1 {
+				t.Fatalf("%d durable objects, object 0 holding %d buffers, want 1 and 1", len(r.s.durable), held(d))
+			}
+		})
+	}
+}
+
+// TestPutHandsOverExactlyTheStagedBlocks: a PUT of an object with k
+// staged blocks moves those k buffers into the durable table and returns
+// exactly the k durable buffers they replace to the free list — none
+// when the object was never stored.
+func TestPutHandsOverExactlyTheStagedBlocks(t *testing.T) {
+	for _, fm := range faultModes {
+		t.Run(fm.name, func(t *testing.T) {
+			r := newRig(t, costmodel.Fast(), Config{ObjectBlocks: 8, Faults: fm.fc})
+			id := func(b []byte) *byte { return &b[0] }
+			for blk := 0; blk < 8; blk++ {
+				r.write(blk, 0xA0)
+			}
+			r.flush()
+			if n := len(r.s.freeBufs); n != 0 {
+				t.Fatalf("the first PUT of an object freed %d buffers, want 0", n)
+			}
+			staged := []int{1, 4, 6}
+			replaced, handed := make(map[*byte]bool), make(map[*byte]int)
+			for _, i := range staged {
+				replaced[id(r.s.durable[0][i])] = true
+				r.write(i, 0xB0+byte(i))
+			}
+			o, _ := r.s.cache.Peek(0)
+			for _, i := range staged {
+				handed[id(o.blocks[i])] = i
+			}
+			r.flush()
+			if len(r.s.freeBufs) != len(staged) {
+				t.Fatalf("PUT of %d staged blocks freed %d buffers", len(staged), len(r.s.freeBufs))
+			}
+			for _, b := range r.s.freeBufs {
+				if !replaced[id(b)] {
+					t.Fatal("PUT freed a buffer that was not a replaced durable block")
+				}
+			}
+			for p, i := range handed {
+				if id(r.s.durable[0][i]) != p {
+					t.Fatalf("durable block %d is not the staged buffer handed over", i)
+				}
+			}
+			r.crash(0, 1)
+			for blk := 0; blk < 8; blk++ {
+				want := byte(0xA0)
+				if slices.Contains(staged, blk) {
+					want = 0xB0 + byte(blk)
+				}
+				r.expect(blk, want)
+			}
 		})
 	}
 }
 
 // TestCrashKeepsEveryStagedBlock: Crash(1) makes every staged block
-// durable — into the existing durable buffer of a stored object and into
-// a fresh, cleared one for a never-stored object — and nothing else.
+// durable — into the existing durable table of a stored object and into
+// a fresh one for a never-stored object — and nothing else.
 func TestCrashKeepsEveryStagedBlock(t *testing.T) {
 	for _, fm := range faultModes {
 		t.Run(fm.name, func(t *testing.T) {
@@ -281,22 +378,25 @@ func TestCrashKeepsEveryStagedBlock(t *testing.T) {
 				r.write(blk, 0xA0)
 			}
 			r.flush()
-			// Leave three buffers full of 0xEE on the free list: the two
-			// copy-on-write copies below take one each, so the durable
-			// object Crash builds for object 2 is the third — it must be
-			// cleared, not assumed fresh.
+			// Leave twelve block buffers full of 0xEE on the free list: the
+			// two writes below take one each, and the blocks of object 2
+			// that nobody wrote must read zeros, not a recycled 0xEE.
 			for _, obj := range []int{1, 3, 4} {
 				for i := 0; i < 4; i++ {
 					r.write(obj*4+i, 0xEE)
 				}
 			}
 			r.crash(0, 9)
-			if len(r.s.freeBufs) != 3 {
-				t.Fatalf("free list holds %d buffers after the crash, want 3", len(r.s.freeBufs))
+			if len(r.s.freeBufs) != 12 {
+				t.Fatalf("free list holds %d buffers after the crash, want 12", len(r.s.freeBufs))
 			}
 			r.write(1, 0xB1) // object 0: stored
 			r.write(9, 0xB9) // object 2: never stored
 			r.crash(1, 9)
+			// Two taken, one durable block of object 0 replaced.
+			if len(r.s.freeBufs) != 11 || held(r.s.durable[2]) != 1 {
+				t.Fatalf("free list holds %d buffers, object 2 %d durable blocks after the kept crash, want 11 and 1", len(r.s.freeBufs), held(r.s.durable[2]))
+			}
 			for blk, want := range map[int]byte{0: 0xA0, 1: 0xB1, 2: 0xA0, 3: 0xA0, 8: 0, 9: 0xB9, 10: 0, 11: 0, 4: 0, 5: 0} {
 				r.expect(blk, want)
 			}
@@ -351,8 +451,8 @@ func TestBufferChurn(t *testing.T) {
 					r.expect(blk, want)
 				}
 			}
-			if r.recycled < 4*cacheObjs {
-				t.Fatalf("churn recycled %d buffers, want >= %d", r.recycled, 4*cacheObjs)
+			if r.recycled < 4*cacheObjs*objBlocks {
+				t.Fatalf("churn recycled %d block buffers, want >= %d", r.recycled, 4*cacheObjs*objBlocks)
 			}
 			if puts := r.rec.Counters()["net_evict_puts"]; puts == 0 {
 				t.Fatal("churn fired no eviction PUT")
@@ -383,7 +483,12 @@ func TestFailedPutKeepsObjectPrivate(t *testing.T) {
 			r.write(4, 0xC1) // object 1 dirty: cache full of dirty
 			r.s.ArmOutage(r.now, r.now+100_000)
 			putsBefore := r.rec.Counters()["net_puts"]
+			durableBefore := &r.s.durable[0][0][0]
 			r.write(8, 0xC2) // eviction PUT of object 0 fails; cache overflows
+			if o, _ := r.s.cache.Peek(0); &r.s.durable[0][0][0] != durableBefore || &o.blocks[0][0] == durableBefore ||
+				len(r.s.durable) != 1 || len(r.s.freeBufs) != 0 {
+				t.Fatalf("the failed eviction PUT moved a buffer: %d durable objects, %d free buffers", len(r.s.durable), len(r.s.freeBufs))
+			}
 			if got := r.rec.Counters()["net_puts"] - putsBefore; got != 1 {
 				t.Fatalf("net_puts moved by %d on the overflowing insert, want 1 failed eviction PUT", got)
 			}

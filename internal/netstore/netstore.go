@@ -30,18 +30,20 @@
 // Backend crash contract, which is one-sided: flushed data must survive,
 // staged data may.
 //
-// Buffers. The wire is modeled, not the bytes, so no object-sized buffer
-// is allocated, cleared or copied on the steady-state path: a clean
-// cached object shares the durable buffer; PUT is a hand-over, not a
-// copy. The first staged write to a shared object copies it once into a
-// buffer from the Store's free list (copy-on-write); the ownership rules
-// that keep this safe are on Store.
+// Buffers. The wire is modeled, not the bytes, so nothing object-sized
+// is allocated, cleared or copied on the steady-state path. An object,
+// cached or durable, is a table of per-block buffers: a clean cached
+// block shares the durable tier's buffer, a staged write takes one block
+// buffer from the Store's free list and overwrites it (copy-on-write at
+// block granularity, with nothing to copy because the whole block is
+// replaced), and a PUT hands exactly the staged blocks over. The
+// ownership rules that keep this safe are on Store.
 //
 // Determinism. Durable state and completion times are pure functions of
-// the call sequence: write-back iterates the dirty set in sorted key
-// order, eviction follows the recency list, and crash keep-decisions
-// visit staged blocks in sorted order under a seeded PRNG — no map
-// iteration order ever reaches virtual time or durable bytes.
+// the call sequence: write-back walks the cache's dirty tags in
+// ascending key order, eviction follows the recency list, and crash
+// keep-decisions visit staged blocks in ascending order under a seeded
+// PRNG.
 package netstore
 
 import (
@@ -88,38 +90,41 @@ type Config struct {
 	Faults FaultConfig
 }
 
-// object is one cached object: its full contents plus which of its
-// blocks are staged (written since last made durable), one bit per block
-// index within the object. data is private to the object exactly while
-// dirty != 0; a clean object's data aliases the durable tier's buffer
-// (or the shared zero object) and is read-only.
+// object is one cached object: a buffer per block (nil reads as zeros)
+// plus which of its blocks are staged (written since last made durable),
+// one bit per block index within the object. A staged block's buffer is
+// private to the object; a clean block's aliases the durable table's and
+// is read-only.
 type object struct {
-	node  lru.Node
-	data  []byte
-	dirty uint64
+	node   lru.Node
+	blocks [][]byte
+	dirty  uint64
 }
 
 func (o *object) LRUNode() *lru.Node { return &o.node }
 
-// Store implements blockdev.Backend over a simulated object store. The
-// Device front serializes all calls under its own mutex, so Store does
+// Store implements blockdev.Backend over a simulated object store. It
+// is entered by one task at a time by the cell contract, so Store does
 // no locking of its own.
 //
-// Buffer ownership. Object buffers move between the durable map, cached
-// objects and a free list by pointer, under five rules:
+// Buffer ownership. Block buffers move between the durable tables,
+// cached objects and a free list by pointer, under five rules:
 //
-//  1. A dirty object is never shared: its buffer is referenced by that
-//     object alone, so Crash's per-block copy into a durable buffer can
-//     never write through an alias.
-//  2. The zero object (what a never-stored object reads as) is never
-//     stored in durable and never written.
-//  3. ReadBlock only ever copies out of o.data.
-//  4. A buffer enters the free list only when neither durable nor any
-//     cached object references it: the durable buffer a PUT replaces,
-//     and the private buffer of a dirty object dropped by Crash.
-//  5. A free-list buffer is fully overwritten before use (the
-//     copy-on-write copy) or explicitly cleared (a fresh durable object
-//     in Crash).
+//  1. A staged block's buffer is referenced by exactly one cached object
+//     and by no durable table, so a staged write can never reach the
+//     durable tier through an alias.
+//  2. A nil block reads as zeros. A never-stored object is a table of
+//     nils; there is no shared zero buffer to protect.
+//  3. ReadBlock only ever copies out of a block buffer.
+//  4. A buffer enters the free list only when neither a durable table
+//     nor any cached object references it: the durable block that a PUT
+//     or a block kept by Crash replaces, and the staged blocks of an
+//     object dropped by Crash.
+//  5. A free-list buffer becomes readable only after SubmitBlock has
+//     overwritten all BlockSize bytes of it.
+//
+// "Has ever been stored" is "a durable table exists for the object":
+// that, not the table's contents, decides whether a miss pays a GET.
 type Store struct {
 	name      string
 	blockSize int
@@ -128,14 +133,14 @@ type Store struct {
 	cacheCap  int
 	model     *costmodel.Model
 
-	durable map[int64][]byte // object id → durable contents (sparse; absent = zeros)
+	durable map[int64][][]byte // object id → durable block table (absent = never stored)
 	cache   lru.Core[*object]
 	staged  int // staged-not-durable blocks across all cached objects
 
-	zero     []byte    // the shared contents of every never-stored object
-	freeBufs [][]byte  // unreferenced object buffers (rule 4)
+	freeBufs [][]byte  // unreferenced block buffers (rule 4)
+	chunk    []byte    // the uncarved rest of the newest objBytes allocation
 	freeObjs []*object // object structs of evicted, dropped and crashed objects
-	keys     []int64   // sorted-dirty-key scratch for Flush and Crash
+	keys     []int64   // dirty-key scratch for Flush and Crash
 
 	res *vclock.Resource
 	rec *trace.Recorder
@@ -196,10 +201,9 @@ func New(cfg Config) *Store {
 		objBytes:  cfg.ObjectBlocks * cfg.BlockSize,
 		cacheCap:  cfg.CacheObjects,
 		model:     cfg.Model,
-		durable:   make(map[int64][]byte),
+		durable:   make(map[int64][][]byte),
 		res:       vclock.NewResource(cfg.Name+":net", cfg.Model.NetChannels),
 	}
-	s.zero = make([]byte, s.objBytes)
 	s.laneTracks = make([]string, cfg.Model.NetChannels)
 	for i := range s.laneTracks {
 		s.laneTracks[i] = fmt.Sprintf("net#%02d", i)
@@ -211,39 +215,73 @@ func New(cfg Config) *Store {
 
 var _ blockdev.Backend = (*Store)(nil)
 
-// takeBuf returns an unreferenced object buffer with arbitrary contents
-// (rule 5: the caller overwrites or clears all of it).
+// takeBuf returns an unreferenced block buffer with arbitrary contents
+// (rule 5: the caller overwrites all of it). New buffers are carved from
+// object-sized chunks, so the allocator is entered once per objBlocks
+// buffers.
 func (s *Store) takeBuf() []byte {
 	if n := len(s.freeBufs); n > 0 {
 		buf := s.freeBufs[n-1]
 		s.freeBufs = s.freeBufs[:n-1]
 		return buf
 	}
-	return make([]byte, s.objBytes)
+	if len(s.chunk) == 0 {
+		s.chunk = make([]byte, s.objBytes)
+	}
+	buf := s.chunk[:s.blockSize:s.blockSize]
+	s.chunk = s.chunk[s.blockSize:]
+	return buf
 }
 
-// newObject returns a clean object sharing data, recycling a released
-// struct when one is free.
-func (s *Store) newObject(data []byte) *object {
+// newObject returns a clean object sharing the durable table's blocks
+// (all nil when durable is), recycling a released struct when one is
+// free.
+func (s *Store) newObject(durable [][]byte) *object {
+	var o *object
 	if n := len(s.freeObjs); n > 0 {
-		o := s.freeObjs[n-1]
+		o = s.freeObjs[n-1]
 		s.freeObjs = s.freeObjs[:n-1]
-		o.data = data
-		return o
+	} else {
+		o = &object{blocks: make([][]byte, s.objBlocks)}
 	}
-	return &object{data: data}
+	copy(o.blocks, durable)
+	return o
 }
 
 // release recycles an object that has left the cache: always its
-// struct, and its buffer only when private (rule 4) — a clean object's
-// buffer still belongs to the durable tier.
+// struct, and the buffers of its staged blocks (rule 4) — a clean
+// block's buffer still belongs to the durable tier.
 func (s *Store) release(o *object) {
-	if o.dirty != 0 {
-		s.freeBufs = append(s.freeBufs, o.data)
+	for m := o.dirty; m != 0; m &= m - 1 {
+		s.freeBufs = append(s.freeBufs, o.blocks[bits.TrailingZeros64(m)])
 	}
-	o.data, o.dirty = nil, 0
+	clear(o.blocks)
+	o.dirty = 0
 	o.node.ResetForReuse()
 	s.freeObjs = append(s.freeObjs, o)
+}
+
+// store makes block idx of o durable by hand-over: the durable table
+// takes the staged buffer and the buffer it replaces, which nothing
+// references any more, goes to the free list.
+func (s *Store) store(durable [][]byte, o *object, idx int) {
+	if old := durable[idx]; old != nil {
+		s.freeBufs = append(s.freeBufs, old)
+	}
+	durable[idx] = o.blocks[idx]
+	o.dirty &^= 1 << idx
+	s.staged--
+}
+
+// durableTable returns objID's durable table, creating it — the object
+// has now been stored — on first use.
+func (s *Store) durableTable(objID int64) [][]byte {
+	durable, ok := s.durable[objID]
+	if !ok {
+		durable = make([][]byte, s.objBlocks)
+		s.durable[objID] = durable
+	}
+	return durable
 }
 
 // get books one GET on the request channels and returns its completion.
@@ -261,12 +299,11 @@ func (s *Store) get(now, objID int64) (int64, error) {
 }
 
 // put books one PUT of the dirty cached object o on the request channels
-// and returns the completion time. On success the object's private
-// buffer becomes the durable contents by hand-over — o stays cached,
-// now clean and sharing it — and the buffer it replaces, which nothing
-// references any more, goes to the free list. On failure o stays dirty
-// and private. flushing selects the durability-barrier policy profile
-// (breaker bypass, high attempt cap).
+// and returns the completion time. On success exactly the staged blocks
+// become durable by hand-over — o stays cached, now clean and sharing
+// them. On failure o stays dirty and its staged blocks private. flushing
+// selects the durability-barrier policy profile (breaker bypass, high
+// attempt cap).
 func (s *Store) put(now, objID int64, o *object, flushing bool) (int64, error) {
 	s.rec.Add(trace.CtrNetPuts, 1)
 	svc := int64(s.model.NetPut(s.objBytes))
@@ -287,20 +324,18 @@ func (s *Store) put(now, objID int64, o *object, flushing bool) (int64, error) {
 			return done, err
 		}
 	}
-	if old, ok := s.durable[objID]; ok {
-		s.freeBufs = append(s.freeBufs, old)
+	durable := s.durableTable(objID)
+	for m := o.dirty; m != 0; m &= m - 1 {
+		s.store(durable, o, bits.TrailingZeros64(m))
 	}
-	s.durable[objID] = o.data
-	s.staged -= bits.OnesCount64(o.dirty)
-	o.dirty = 0
 	s.cache.ClearDirty(objID)
 	return done, nil
 }
 
 // load materializes objID in the cache from the durable tier, charging
 // the GET when the object has ever been stored; once the GET is booked
-// the fill is a pointer assignment — the cached object shares the
-// durable buffer. A never-written object shares the zero object without
+// the fill is a copy of the block table — the cached object shares the
+// durable buffers. A never-written object is all nil blocks without
 // network traffic (the fresh-extent optimization: an allocating write
 // needs no read-modify-write fill, and the client's extent map already
 // knows the object cannot exist). It returns the cached object and the
@@ -308,16 +343,16 @@ func (s *Store) put(now, objID int64, o *object, flushing bool) (int64, error) {
 // model the GET can fail — degraded fail-fast or retries exhausted — in
 // which case nothing is cached.
 func (s *Store) load(now, objID int64) (*object, int64, error) {
-	done, data := now, s.zero
-	if durable, ok := s.durable[objID]; ok {
+	done := now
+	durable, stored := s.durable[objID]
+	if stored {
 		var err error
 		done, err = s.get(now, objID)
 		if err != nil {
 			return nil, done, err
 		}
-		data = durable
 	}
-	o := s.newObject(data)
+	o := s.newObject(durable)
 	s.insert(now, objID, o)
 	return o, done, nil
 }
@@ -354,7 +389,7 @@ func (s *Store) insert(now, objID int64, o *object) {
 // reads the net_degraded counter tallies — and misses fail fast.
 func (s *Store) ReadBlock(now int64, blk int, buf []byte) (int64, error) {
 	objID := int64(blk / s.objBlocks)
-	off := (blk % s.objBlocks) * s.blockSize
+	idx := blk % s.objBlocks
 	o, ok := s.cache.Get(objID)
 	done := now
 	if ok {
@@ -370,7 +405,11 @@ func (s *Store) ReadBlock(now int64, blk int, buf []byte) (int64, error) {
 			return done, err
 		}
 	}
-	copy(buf, o.data[off:off+s.blockSize])
+	if b := o.blocks[idx]; b != nil {
+		copy(buf, b)
+	} else {
+		clear(buf)
+	}
 	return done, nil
 }
 
@@ -407,19 +446,18 @@ func (s *Store) SubmitBlock(now int64, blk int, buf []byte) (int64, error) {
 		}
 		s.rec.Add(trace.CtrNetDegraded, 1)
 	}
-	if o.dirty == 0 {
-		// First staged write to a shared object: copy it once into a
-		// private buffer (copy-on-write, rules 1 and 5).
-		private := s.takeBuf()
-		copy(private, o.data)
-		o.data = private
-		s.cache.MarkDirty(objID)
-	}
-	copy(o.data[idx*s.blockSize:(idx+1)*s.blockSize], buf)
 	if o.dirty&bit == 0 {
+		// First staged write to this block: it gets a private buffer in
+		// place of the shared durable one (rules 1 and 5), and nothing
+		// is copied because the write replaces the whole block.
+		if o.dirty == 0 {
+			s.cache.MarkDirty(objID)
+		}
+		o.blocks[idx] = s.takeBuf()
 		o.dirty |= bit
 		s.staged++
 	}
+	copy(o.blocks[idx], buf)
 	return done, nil
 }
 
@@ -451,27 +489,22 @@ func (s *Store) DirtyBlocks() int { return s.staged }
 
 // Crash implements blockdev.Backend: contents revert to the durable
 // tier plus a seeded keepFraction of the staged blocks, chosen per
-// block in sorted order so the seed fully determines the outcome; the
-// cache (the volatile tier) empties.
+// block in ascending order so the seed fully determines the outcome; the
+// cache (the volatile tier) empties. A kept block becomes durable the
+// way a PUT makes it so, by hand-over; the rest go to the free list with
+// their objects.
 func (s *Store) Crash(keepFraction float64, seed int64) {
-	// Same keep discipline as the local backend: sorted blocks under a
-	// seeded source, so a (seed, keepFraction) pair replays identically.
-	// Sorted objects, each visited in ascending bit order, is sorted
-	// block order.
+	// Same keep discipline as the local backend: ascending blocks under
+	// a seeded source, so a (seed, keepFraction) pair replays
+	// identically. Ascending objects, each visited in ascending bit
+	// order, is ascending block order.
 	s.keys = s.cache.AppendDirtyKeys(s.keys[:0])
 	rng := rand.New(rand.NewSource(seed))
 	for _, objID := range s.keys {
 		o, _ := s.cache.Peek(objID)
 		for m := o.dirty; m != 0; m &= m - 1 {
 			if rng.Float64() < keepFraction {
-				durable, ok := s.durable[objID]
-				if !ok {
-					durable = s.takeBuf()
-					clear(durable)
-					s.durable[objID] = durable
-				}
-				off := bits.TrailingZeros64(m) * s.blockSize
-				copy(durable[off:off+s.blockSize], o.data[off:off+s.blockSize])
+				s.store(s.durableTable(objID), o, bits.TrailingZeros64(m))
 			}
 		}
 	}
