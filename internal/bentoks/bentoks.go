@@ -274,6 +274,19 @@ func (sb *SuperBlock) BReadDirect(t *kernel.Task, blk int, buf []byte) error {
 	return sb.bc.ReadDirect(t, blk, buf)
 }
 
+// BBorrowDirect is BReadDirect by reference: the same checks, costs and
+// device command, returning the device's own buffer as a read-only view
+// (nil: the block reads as zeros) instead of filling the caller's. There
+// is no reference to track here either — a view is valid for as long as
+// the caller holds it and is never given back.
+func (sb *SuperBlock) BBorrowDirect(t *kernel.Task, blk int) ([]byte, error) {
+	if err := sb.check(); err != nil {
+		return nil, err
+	}
+	t.Charge(t.Model().WrapperCheck)
+	return sb.bc.BorrowDirect(t, blk)
+}
+
 // BWriteDirect is the data-path write: a cache-bypass submit returning
 // the completion time for batched waiting.
 func (sb *SuperBlock) BWriteDirect(t *kernel.Task, blk int, buf []byte) (int64, error) {
@@ -282,6 +295,18 @@ func (sb *SuperBlock) BWriteDirect(t *kernel.Task, blk int, buf []byte) (int64, 
 	}
 	t.Charge(t.Model().WrapperCheck)
 	return sb.bc.WriteDirect(t, blk, buf)
+}
+
+// BWriteOwned is BWriteDirect by reference: ownership of buf moves to the
+// device, the Go rendering of handing a page to the block layer instead
+// of copying it. The caller must not write buf again, whatever the call
+// returns.
+func (sb *SuperBlock) BWriteOwned(t *kernel.Task, blk int, buf []byte) (int64, error) {
+	if err := sb.check(); err != nil {
+		return 0, err
+	}
+	t.Charge(t.Model().WrapperCheck)
+	return sb.bc.WriteDirectOwned(t, blk, buf)
 }
 
 // DropCleanBuffers evicts clean, unreferenced buffers (the drop_caches

@@ -56,12 +56,23 @@ type Disk interface {
 	// systems use it for file contents so data lives only in the page
 	// cache above; metadata keeps going through BRead.
 	BReadDirect(t *kernel.Task, blk int, buf []byte) error
+	// BBorrowDirect is BReadDirect without the copy: it returns the
+	// block as a read-only view that stays valid and unchanged for as
+	// long as the caller holds it (nothing is given back), at exactly
+	// BReadDirect's virtual-time cost. A nil view with a nil error means
+	// the block reads as zeros.
+	BBorrowDirect(t *kernel.Task, blk int) (view []byte, err error)
 	// BWriteDirect submits a write of buf to blk without populating any
 	// block cache and returns the command's completion time; callers
 	// batch submits and wait once, like the buffered SubmitWrite path.
 	// At user level the write is synchronous (O_DIRECT pwrite) and the
 	// returned completion is simply "now".
 	BWriteDirect(t *kernel.Task, blk int, buf []byte) (completion int64, err error)
+	// BWriteOwned is BWriteDirect without the copy: the disk may keep
+	// buf (one block) as the block's contents, so the caller gives it up
+	// for writing — it must never write buf again, whatever the call
+	// returns — at exactly BWriteDirect's virtual-time cost.
+	BWriteOwned(t *kernel.Task, blk int, buf []byte) (completion int64, err error)
 	// WithBuffer brackets fn with BRead/Release.
 	WithBuffer(t *kernel.Task, blk int, fn func(Buffer) error) error
 	// SyncDirtyBuffers writes all dirty cached buffers.

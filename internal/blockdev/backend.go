@@ -35,6 +35,24 @@ import (
 // always survives, unflushed data survives or reverts per-block to the
 // last durable value — never tears.
 //
+// Buffer ownership. One rule covers every buffer a backend can reach — a
+// block's current contents, its durable image, a cached copy: it is
+// immutable. A backend replaces such a buffer with another one and never
+// writes into it, and it recycles a replaced buffer only if that buffer
+// was never shared — never lent through BorrowBlock and never adopted
+// through SubmitOwned; a shared buffer that leaves the backend's tables is
+// the garbage collector's. That is what lets the data plane pass blocks by
+// reference: BorrowBlock returns the backend's own buffer as a read-only
+// view that stays valid and unchanged for as long as the caller keeps it,
+// with nothing to give back, and SubmitOwned makes the caller's buffer the
+// block without a copy, on the caller's promise never to write it again.
+// The copying pair, ReadBlock and SubmitBlock, stays for callers whose
+// buffers are not block-sized or not theirs to give: metadata caches,
+// journals, the FUSE wire, partial blocks. Both pairs book the same
+// command at the same cost; which one a caller uses is invisible in
+// virtual time. internal/storagetest's ownership suite holds every
+// backend to the rule.
+//
 // Failure protocol. Command methods return (completion, error). A
 // non-nil error means the command did NOT take effect (the read buffer
 // is unspecified, the write was not staged, the flush left dirty state
@@ -55,10 +73,26 @@ type Backend interface {
 	// issued at now. Absent blocks read as zeros.
 	ReadBlock(now int64, blk int, buf []byte) (completion int64, err error)
 
+	// BorrowBlock is ReadBlock by reference: it books the same read
+	// command and returns the block's buffer as a read-only view instead
+	// of copying it. A nil view means the block reads as zeros. The view
+	// stays valid and unchanged for as long as the caller holds it,
+	// whatever is written, flushed, crashed or dropped afterwards; the
+	// caller must never write through it and has nothing to give back.
+	BorrowBlock(now int64, blk int) (view []byte, completion int64, err error)
+
 	// SubmitBlock stages a write of buf to blk in the volatile tier and
 	// returns the command's completion time. The write is observable by
-	// subsequent ReadBlocks immediately and durable after Flush.
+	// subsequent ReadBlocks immediately and durable after Flush. buf is
+	// copied; the caller keeps it.
 	SubmitBlock(now int64, blk int, buf []byte) (completion int64, err error)
+
+	// SubmitOwned is SubmitBlock by reference: it books the same write
+	// command and keeps buf (len == BlockSize) as the block's contents
+	// instead of copying it. The caller gives buf up for writing — it may
+	// go on reading it, like a borrowed view — whether or not the call
+	// succeeds.
+	SubmitOwned(now int64, blk int, buf []byte) (completion int64, err error)
 
 	// Flush is the durability barrier: it makes every staged write
 	// durable and returns the barrier's completion time. It must not

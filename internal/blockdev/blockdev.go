@@ -220,6 +220,28 @@ func (d *Device) Read(clk *vclock.Clock, blk int, buf []byte) error {
 		return err
 	}
 	done, err := d.backend.ReadBlock(clk.NowNS(), blk, buf)
+	return d.finishRead(clk, done, err)
+}
+
+// Borrow is Read by reference (Backend.BorrowBlock): the same command,
+// faults, statistics and clock advance, returning the backend's buffer as
+// a read-only view that stays valid and unchanged for as long as the
+// caller holds it. A nil view with a nil error means the block reads as
+// zeros.
+func (d *Device) Borrow(clk *vclock.Clock, blk int) ([]byte, error) {
+	if err := d.check(blk, &d.readFaults); err != nil {
+		return nil, err
+	}
+	view, done, err := d.backend.BorrowBlock(clk.NowNS(), blk)
+	if err := d.finishRead(clk, done, err); err != nil {
+		return nil, err
+	}
+	return view, nil
+}
+
+// finishRead accounts for a read command the backend has booked and
+// advances clk to its completion.
+func (d *Device) finishRead(clk *vclock.Clock, done int64, err error) error {
 	if err != nil {
 		// The failure still consumed virtual time (timeouts, retries):
 		// advance to when it became known, then surface it.
@@ -240,13 +262,29 @@ func (d *Device) Read(clk *vclock.Clock, blk int, buf []byte) error {
 // in-kernel file systems exploit the device's queue-depth parallelism.
 // The write is volatile until Flush.
 func (d *Device) Submit(clk *vclock.Clock, blk int, buf []byte) (completion int64, err error) {
+	return d.submit(clk, blk, buf, false)
+}
+
+// SubmitOwned is Submit by reference (Backend.SubmitOwned): the same
+// command, faults, statistics and power-cut counting, but the backend
+// keeps buf instead of copying it. The caller must not write buf again,
+// whatever the call returns.
+func (d *Device) SubmitOwned(clk *vclock.Clock, blk int, buf []byte) (completion int64, err error) {
+	return d.submit(clk, blk, buf, true)
+}
+
+func (d *Device) submit(clk *vclock.Clock, blk int, buf []byte, owned bool) (completion int64, err error) {
 	if len(buf) != d.blockSize {
 		return 0, ErrBadSize
 	}
 	if err := d.check(blk, &d.writeFaults); err != nil {
 		return 0, err
 	}
-	completion, err = d.backend.SubmitBlock(clk.NowNS(), blk, buf)
+	if owned {
+		completion, err = d.backend.SubmitOwned(clk.NowNS(), blk, buf)
+	} else {
+		completion, err = d.backend.SubmitBlock(clk.NowNS(), blk, buf)
+	}
 	if err != nil {
 		// The write was not staged; it does not count as a write-class
 		// command for power-cut purposes, but the failure's completion

@@ -331,3 +331,85 @@ func TestDurabilityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestByReferenceFrontMatchesCopying: Borrow and SubmitOwned go through
+// the same front as Read and Submit — validation, both fault sets, the
+// power-cut countdown, Stats and the clock. Two devices run one script,
+// one by reference and one copying, and must agree on every error, on the
+// clock after every step and on the counters at the end.
+func TestByReferenceFrontMatchesCopying(t *testing.T) {
+	ref, cp := testDev(t, 16), testDev(t, 16)
+	rclk, cclk := vclock.NewClock(), vclock.NewClock()
+	step := 0
+	same := func(rerr, cerr error) {
+		t.Helper()
+		step++
+		for _, class := range []error{ErrOutOfRange, ErrIO, ErrBadSize, ErrPowerLoss} {
+			if errors.Is(rerr, class) != errors.Is(cerr, class) {
+				t.Fatalf("step %d: by reference %v, copying %v", step, rerr, cerr)
+			}
+		}
+		if (rerr == nil) != (cerr == nil) {
+			t.Fatalf("step %d: by reference %v, copying %v", step, rerr, cerr)
+		}
+		if rclk.NowNS() != cclk.NowNS() {
+			t.Fatalf("step %d: clock %d by reference, %d copying", step, rclk.NowNS(), cclk.NowNS())
+		}
+		if ref.PowerOut() != cp.PowerOut() || ref.WriteCmds() != cp.WriteCmds() {
+			t.Fatalf("step %d: power %v/%v, write commands %d/%d", step, ref.PowerOut(), cp.PowerOut(), ref.WriteCmds(), cp.WriteCmds())
+		}
+	}
+	write := func(blk int, fill byte, n int) {
+		t.Helper()
+		rdone, rerr := ref.SubmitOwned(rclk, blk, bytes.Repeat([]byte{fill}, n))
+		cdone, cerr := cp.Submit(cclk, blk, bytes.Repeat([]byte{fill}, n))
+		if rdone != cdone {
+			t.Fatalf("block %d: completion %d by reference, %d copying", blk, rdone, cdone)
+		}
+		rclk.AdvanceTo(rdone)
+		cclk.AdvanceTo(cdone)
+		same(rerr, cerr)
+	}
+	read := func(blk int, want byte) {
+		t.Helper()
+		view, rerr := ref.Borrow(rclk, blk)
+		got := make([]byte, cp.BlockSize())
+		cerr := cp.Read(cclk, blk, got)
+		same(rerr, cerr)
+		if rerr == nil && cerr == nil {
+			if view == nil {
+				view = make([]byte, ref.BlockSize())
+			}
+			if !bytes.Equal(view, got) || got[0] != want {
+				t.Fatalf("block %d: view %#x, copy %#x, want %#x", blk, view[0], got[0], want)
+			}
+		}
+	}
+	both := func(f func(*Device)) { f(ref); f(cp) }
+
+	bs := ref.BlockSize()
+	write(3, 0xA1, bs)
+	read(3, 0xA1)
+	read(4, 0)          // never written: a nil view
+	write(16, 0xA2, bs) // out of range
+	write(-1, 0xA2, bs)
+	write(2, 0xA2, bs-1) // bad size
+	read(16, 0)
+	both(func(d *Device) { d.InjectReadError(3); d.InjectWriteError(5) })
+	read(3, 0)
+	write(5, 0xA3, bs)
+	write(6, 0xA4, bs)
+	both(func(d *Device) { d.ClearFaults(); d.FailAll() })
+	read(6, 0)
+	write(6, 0xA5, bs)
+	both(func(d *Device) { d.ClearFaults(); d.ArmPowerCut(2) })
+	write(7, 0xA6, bs) // 1 of 2
+	write(8, 0xA7, bs) // 2 of 2: the last to succeed
+	write(9, 0xA8, bs) // power is out
+	read(7, 0)
+	both(func(d *Device) { d.Crash(0, 1); d.DisarmPowerCut() })
+	read(3, 0) // never flushed
+	if a, b := ref.Stats(), cp.Stats(); a != b {
+		t.Fatalf("stats differ: by reference %+v, copying %+v", a, b)
+	}
+}

@@ -2,41 +2,96 @@ package blockdev
 
 import (
 	"bytes"
+	"hash/crc32"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"bento/internal/costmodel"
+	"bento/internal/lru"
+	"bento/internal/trace"
 	"bento/internal/vclock"
 )
 
-// refLocalBackend is the three-map local backend this package shipped
-// before slabs and the undo log, kept verbatim as the oracle for
-// TestLocalBackendMatchesReference: current contents, durable contents
-// and the dirty set are three separate maps, and every first write after
-// a FLUSH copies-on-write. It is slow and obviously right.
+// What follows, down to TestLocalBackendMatchesReference, is the local
+// backend this package shipped before buffers were passed by reference —
+// 16-block slabs, an undo log of copied durable images — kept verbatim
+// (identifiers prefixed ref) as the oracle: it copies on every read and
+// write, overwrites in place and restores a crash loser by copying, so
+// nothing it holds can be aliased from outside.
+
+// refSlabBlocks is how many consecutive blocks share one allocation (64 KiB
+// at the default block size). 16 rather than 64: internal/crashtort builds
+// some two thousand 16 MiB devices whose file systems each touch a few
+// scattered metadata regions, and with 256 KiB slabs its wall time rose
+// 8-15 % (the allocator's madvise traffic on large short-lived objects)
+// where 64 KiB slabs leave it level with one allocation per block; the
+// streaming benchmark workloads measured no slower at 16 than at 64. Must
+// not exceed 64: one word of the present and dirty bitsets covers one slab.
+const refSlabBlocks = 16
+
+// refLocalBackend is the RAM-backed NVMe model: the storage half of the
+// historical Device, factored behind the Backend interface. Commands
+// are priced by the cost model's Dev* entries and booked on a
+// vclock.Resource with DevChannels service channels (queue-pair
+// parallelism); writes land in a volatile write cache that a FLUSH
+// promotes to the durable tier.
+//
+// Storage is slabs plus an undo log. Current contents (unflushed writes
+// included) live in lazily allocated slabs: slab i holds blocks
+// [i*refSlabBlocks, (i+1)*refSlabBlocks), a nil slab reads as zeros, and the
+// table grows as higher blocks are written, so a multi-GiB device costs
+// host memory only around the blocks actually written. The volatile write
+// cache is the undo log, an append-only slice with one dirty bit per block
+// beside it: the first write of a block since the last FLUSH sets the bit
+// and appends the block's durable image, later writes see the bit and
+// overwrite the slab in place, a FLUSH forgets the saved images (what the
+// slabs hold is now durable) and a crash copies back the ones whose writes
+// do not survive. A block that has never been written has no image to
+// save — its undo record's image is nil and a lost write clears it —
+// which is every block of a freshly written file: a streaming write copies
+// each block once and allocates nothing. Saved images come from, and go
+// back to, the backend's own free list (images).
 type refLocalBackend struct {
 	blockSize int
-	data      map[int][]byte   // current contents (includes unflushed writes)
-	persist   map[int][]byte   // durable contents (as of the last FLUSH)
-	dirty     map[int]struct{} // blocks written since the last FLUSH
+	slabs     [][]byte     // current contents
+	present   []uint64     // bit blk: block blk has been written (slab si's word is present[si])
+	dirty     []uint64     // bit blk: block blk has an undo record (written since the last FLUSH)
+	undo      []refUndoRec // one record per dirty block, in first-write order
+	images    *lru.BufPool // retired undo images
 	res       *vclock.Resource
 	model     *costmodel.Model
 }
 
+// refUndoRec is how to take back the unflushed writes of one block.
+type refUndoRec struct {
+	blk   int
+	saved []byte // the durable image; nil: never written, a lost write clears the block
+}
+
+// newRefLocalBackend builds the reference.
 func newRefLocalBackend(name string, blockSize int, model *costmodel.Model) *refLocalBackend {
 	return &refLocalBackend{
 		blockSize: blockSize,
-		data:      make(map[int][]byte),
-		persist:   make(map[int][]byte),
-		dirty:     make(map[int]struct{}),
+		images:    lru.NewBufPool(blockSize),
 		res:       vclock.NewResource(name, model.DevChannels),
 		model:     model,
 	}
 }
 
+// block returns blk's bytes inside its slab, or nil when no block of that
+// slab has been written yet.
+func (lb *refLocalBackend) block(blk int) []byte {
+	si := blk / refSlabBlocks
+	if si >= len(lb.slabs) || lb.slabs[si] == nil {
+		return nil
+	}
+	off := blk % refSlabBlocks * lb.blockSize
+	return lb.slabs[si][off : off+lb.blockSize]
+}
+
 func (lb *refLocalBackend) ReadBlock(now int64, blk int, buf []byte) (int64, error) {
-	if b, ok := lb.data[blk]; ok {
+	if b := lb.block(blk); b != nil {
 		copy(buf, b)
 	} else {
 		clear(buf)
@@ -45,78 +100,127 @@ func (lb *refLocalBackend) ReadBlock(now int64, blk int, buf []byte) (int64, err
 }
 
 func (lb *refLocalBackend) SubmitBlock(now int64, blk int, buf []byte) (int64, error) {
-	if _, already := lb.dirty[blk]; already {
-		copy(lb.data[blk], buf) // private since the last flush; overwrite in place
-	} else {
-		lb.data[blk] = append(make([]byte, 0, lb.blockSize), buf...) // copy-on-write
-		lb.dirty[blk] = struct{}{}
+	si, bit := blk/refSlabBlocks, uint64(1)<<(blk%refSlabBlocks)
+	for si >= len(lb.slabs) {
+		lb.slabs = append(lb.slabs, nil)
+		lb.present = append(lb.present, 0)
+		lb.dirty = append(lb.dirty, 0)
 	}
+	if lb.slabs[si] == nil {
+		lb.slabs[si] = make([]byte, refSlabBlocks*lb.blockSize)
+	}
+	b := lb.block(blk)
+	if lb.dirty[si]&bit == 0 {
+		lb.dirty[si] |= bit
+		var saved []byte
+		if lb.present[si]&bit != 0 {
+			saved = lb.images.Get()
+			copy(saved, b)
+		}
+		lb.present[si] |= bit
+		lb.undo = append(lb.undo, refUndoRec{blk, saved})
+	}
+	copy(b, buf)
 	return lb.res.Acquire(now, int64(lb.model.DevWrite(lb.blockSize))), nil
 }
 
-func (lb *refLocalBackend) Flush(now int64) (int64, error) {
-	dirtyBytes := len(lb.dirty) * lb.blockSize
-	for blk := range lb.dirty {
-		lb.persist[blk] = lb.data[blk] // share; next write copies-on-write
+// retireUndo empties the undo log, keeping its buffers for reuse.
+func (lb *refLocalBackend) retireUndo() {
+	for _, u := range lb.undo {
+		if u.saved != nil {
+			lb.images.Put(u.saved)
+		}
+		lb.dirty[u.blk/refSlabBlocks] = 0
 	}
-	lb.dirty = make(map[int]struct{})
+	clear(lb.undo)
+	lb.undo = lb.undo[:0]
+}
+
+// Flush promotes the whole write cache to the durable tier: the slabs
+// already hold the new contents, so it only forgets how to undo them.
+// Cost derives from the dirty count alone.
+func (lb *refLocalBackend) Flush(now int64) (int64, error) {
+	dirtyBytes := len(lb.undo) * lb.blockSize
+	lb.retireUndo()
 	return lb.res.AcquireSerial(now, int64(lb.model.DevFlush(dirtyBytes))), nil
 }
 
-func (lb *refLocalBackend) DirtyBlocks() int { return len(lb.dirty) }
+func (lb *refLocalBackend) DirtyBlocks() int { return len(lb.undo) }
 
 func (lb *refLocalBackend) Crash(keepFraction float64, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	blks := make([]int, 0, len(lb.dirty))
-	for blk := range lb.dirty {
-		blks = append(blks, blk)
-	}
-	sort.Ints(blks)
-	for _, blk := range blks {
+	// The keep decisions are drawn in block order, not write order, so a
+	// seed determines the outcome whatever order the writes arrived in.
+	slices.SortFunc(lb.undo, func(a, b refUndoRec) int { return a.blk - b.blk })
+	for _, u := range lb.undo {
 		if rng.Float64() < keepFraction {
-			lb.persist[blk] = lb.data[blk]
+			continue // this unflushed write survives the power cut
+		}
+		if u.saved != nil {
+			copy(lb.block(u.blk), u.saved)
+		} else {
+			clear(lb.block(u.blk))
+			lb.present[u.blk/refSlabBlocks] &^= 1 << (u.blk % refSlabBlocks)
 		}
 	}
-	lb.data = make(map[int][]byte, len(lb.persist))
-	for blk, b := range lb.persist {
-		lb.data[blk] = b
-	}
-	lb.dirty = make(map[int]struct{})
+	lb.retireUndo() // only now: the loop above was still reading the images
 	lb.res.Reset()
 }
 
+func (lb *refLocalBackend) QueueDepth(now int64) int { return lb.res.InUse(now) }
+
+func (lb *refLocalBackend) ResourceStats() vclock.ResourceStats { return lb.res.Stats() }
+
 func (lb *refLocalBackend) Reset() { lb.res.Reset() }
 
+// SetRecorder is a no-op: the Device front already counts commands and
+// samples queue depth; the local backend has nothing more to say.
+func (lb *refLocalBackend) SetRecorder(*trace.Recorder) {}
+
+// DropCache is a no-op: the local backend has no cache tier.
+func (lb *refLocalBackend) DropCache() {}
+
 // refUniverse is the sparse block range the equivalence test draws from:
-// a dense run at the bottom, both sides of two slab boundaries, and a
-// far island that makes the slab table grow past a run of nil slabs.
-// The last entries are never written, so reads of them fall in a written
-// slab's unwritten blocks, in a nil slab, and beyond the table's end.
+// a dense run at the bottom, both sides of two 16-block boundaries and of
+// a 64-block bitset word, and a far island that makes the table grow past
+// a run of never-written blocks. The last entries are never written, so
+// reads of them fall between written blocks and beyond the table's end.
 func refUniverse() (writable, all []int) {
 	for b := 0; b < 6; b++ {
 		writable = append(writable, b)
 	}
-	for b := slabBlocks - 3; b < slabBlocks+3; b++ {
+	for b := refSlabBlocks - 3; b < refSlabBlocks+3; b++ {
 		writable = append(writable, b)
 	}
-	for b := 7*slabBlocks - 2; b < 7*slabBlocks+2; b++ {
+	for b := 7*refSlabBlocks - 2; b < 7*refSlabBlocks+2; b++ {
 		writable = append(writable, b)
 	}
-	for b := 40 * slabBlocks; b < 40*slabBlocks+3; b++ {
+	for b := 40 * refSlabBlocks; b < 40*refSlabBlocks+3; b++ {
 		writable = append(writable, b)
 	}
 	all = append(all, writable...)
-	all = append(all, 9, 3*slabBlocks+1, 40*slabBlocks+5, 41*slabBlocks, 1000*slabBlocks+7)
+	all = append(all, 9, 3*refSlabBlocks+1, 40*refSlabBlocks+5, 41*refSlabBlocks, 1000*refSlabBlocks+7)
 	return writable, all
 }
 
-// TestLocalBackendMatchesReference drives the slab/undo-log backend and
-// the three-map reference through the same 120 000 seeded calls —
-// ReadBlock, SubmitBlock, Flush, Crash at keep 0, 0.3 and 1, Reset — and
-// requires every returned byte, every completion time and every
-// DirtyBlocks() to agree, with a read-back of the whole range after each
-// Flush and Crash. Small blocks keep it fast; nothing in either backend
-// depends on the size.
+// held is a buffer the test keeps a reference to — a borrowed view or a
+// donated buffer — with the checksum it had when the backend last could
+// legitimately have produced or received it.
+type held struct {
+	buf []byte
+	sum uint32
+}
+
+// TestLocalBackendMatchesReference drives the per-block backend and the
+// slab reference through the same 120 000 seeded calls — ReadBlock,
+// BorrowBlock, SubmitBlock, SubmitOwned, Flush, Crash at keep 0, 0.3 and
+// 1, Reset — and requires every returned byte (a nil view being a block
+// of zeros), every completion time, every DirtyBlocks() and QueueDepth()
+// to agree, with a read-back of the whole range after each Flush and
+// Crash. The reference copies where the backend borrows and adopts, so
+// the test also keeps every view and every donated buffer and checks
+// after each call that none of them changed. Small blocks keep it fast;
+// nothing in either backend depends on the size.
 func TestLocalBackendMatchesReference(t *testing.T) {
 	const blockSize = 512
 	const calls = 120_000
@@ -130,6 +234,8 @@ func TestLocalBackendMatchesReference(t *testing.T) {
 	in := make([]byte, blockSize)
 	gbuf := make([]byte, blockSize)
 	rbuf := make([]byte, blockSize)
+	zeros := make([]byte, blockSize)
+	var holds []held
 
 	check := func(i int, what string, g, r int64) {
 		t.Helper()
@@ -139,9 +245,29 @@ func TestLocalBackendMatchesReference(t *testing.T) {
 		if gd, rd := got.DirtyBlocks(), ref.DirtyBlocks(); gd != rd {
 			t.Fatalf("call %d %s: DirtyBlocks %d, reference %d", i, what, gd, rd)
 		}
+		if gq, rq := got.QueueDepth(g), ref.QueueDepth(g); gq != rq {
+			t.Fatalf("call %d %s: QueueDepth %d, reference %d", i, what, gq, rq)
+		}
 		if rng.Intn(4) == 0 {
 			now = g // sometimes wait for the command, sometimes keep submitting
 		}
+	}
+	// A buffer the backend wrote stays written, so the holds are checked
+	// at every Flush and Crash (and before any is forgotten), not per call.
+	checkHolds := func(i int, what string) {
+		t.Helper()
+		for _, h := range holds {
+			if crc32.ChecksumIEEE(h.buf) != h.sum {
+				t.Fatalf("call %d %s: a held view or donated buffer changed", i, what)
+			}
+		}
+	}
+	hold := func(i int, b []byte) {
+		if len(holds) == 512 {
+			checkHolds(i, "hold")
+			holds = holds[:0]
+		}
+		holds = append(holds, held{b, crc32.ChecksumIEEE(b)})
 	}
 	read := func(i int, what string, blk int) {
 		t.Helper()
@@ -149,8 +275,23 @@ func TestLocalBackendMatchesReference(t *testing.T) {
 		for j := range gbuf {
 			gbuf[j], rbuf[j] = 0xA5, 0x5A
 		}
-		g, _ := got.ReadBlock(now, blk, gbuf)
 		r, _ := ref.ReadBlock(now, blk, rbuf)
+		var g int64
+		if rng.Intn(2) == 0 {
+			g, _ = got.ReadBlock(now, blk, gbuf)
+		} else {
+			var view []byte
+			view, g, _ = got.BorrowBlock(now, blk)
+			switch {
+			case view == nil:
+				view = zeros
+			case len(view) != blockSize:
+				t.Fatalf("call %d %s: block %d lent as %d bytes", i, what, blk, len(view))
+			default:
+				hold(i, view)
+			}
+			copy(gbuf, view)
+		}
 		if !bytes.Equal(gbuf, rbuf) {
 			t.Fatalf("call %d %s: block %d differs from the reference", i, what, blk)
 		}
@@ -161,6 +302,7 @@ func TestLocalBackendMatchesReference(t *testing.T) {
 		for _, blk := range all {
 			read(i, what+" read-back", blk)
 		}
+		checkHolds(i, what)
 	}
 
 	for i := 0; i < calls; i++ {
@@ -173,8 +315,15 @@ func TestLocalBackendMatchesReference(t *testing.T) {
 			} else {
 				rng.Read(in)
 			}
-			g, _ := got.SubmitBlock(now, blk, in)
 			r, _ := ref.SubmitBlock(now, blk, in)
+			var g int64
+			if rng.Intn(2) == 0 {
+				g, _ = got.SubmitBlock(now, blk, in)
+			} else {
+				donated := slices.Clone(in)
+				g, _ = got.SubmitOwned(now, blk, donated)
+				hold(i, donated)
+			}
 			check(i, "submit", g, r)
 		case p < 900:
 			read(i, "read", all[rng.Intn(len(all))])
@@ -197,6 +346,7 @@ func TestLocalBackendMatchesReference(t *testing.T) {
 			ref.Reset()
 		}
 	}
+	checkHolds(calls, "end")
 }
 
 // The stream benchmark is the local-stream shape at package scale:
@@ -221,8 +371,9 @@ func streamOp(lb Backend, i int, src, dst []byte) {
 	}
 }
 
-// warmStream runs two passes: the first allocates the slabs, the second
-// (every block now has a durable image to save) fills the undo free list.
+// warmStream runs two passes: the first carves a buffer for every block,
+// the second (every write now replaces a durable buffer, which a FLUSH
+// then retires) stocks the free list.
 func warmStream(lb Backend, src, dst []byte) {
 	for i := 0; i < 2*streamBlocks/streamOpBlocks; i++ {
 		streamOp(lb, i, src, dst)
@@ -267,8 +418,57 @@ func BenchmarkLocalBackendRewrite(b *testing.B) {
 	}
 }
 
-// TestLocalBackendSteadyStateAllocs holds both shapes at zero
-// allocations once the slabs exist and the undo free list has filled.
+// borrowOp and donateOp are streamOp's two halves by reference: 32 blocks
+// borrowed, and 32 blocks donated with a FLUSH every eighth op. One
+// donated buffer serves every block — legal, since nobody writes it — so
+// the loop times the backend and not the caller's allocator.
+func borrowOp(lb Backend, i int) {
+	base := i % (streamBlocks / streamOpBlocks) * streamOpBlocks
+	for b := 0; b < streamOpBlocks; b++ {
+		lb.BorrowBlock(0, base+b)
+	}
+}
+
+func donateOp(lb Backend, i int, src []byte) {
+	base := i % (streamBlocks / streamOpBlocks) * streamOpBlocks
+	for b := 0; b < streamOpBlocks; b++ {
+		lb.SubmitOwned(0, base+b, src)
+	}
+	if i%8 == 7 {
+		lb.Flush(0)
+	}
+}
+
+// BenchmarkLocalBackendBorrow reports the host cost of a page-cache fill
+// by reference: 32 BorrowBlocks per op over 48 MiB of written blocks.
+func BenchmarkLocalBackendBorrow(b *testing.B) {
+	lb := NewLocalBackend("bench", 4096, costmodel.Fast())
+	src, dst := bytes.Repeat([]byte{0x5A}, 4096), make([]byte, 4096)
+	warmStream(lb, src, dst)
+	b.ReportAllocs()
+	b.SetBytes(streamOpBlocks * 4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		borrowOp(lb, i)
+	}
+}
+
+// BenchmarkLocalBackendSubmitOwned reports the host cost of write-back by
+// reference: 32 SubmitOwneds per op, a FLUSH every 8 ops.
+func BenchmarkLocalBackendSubmitOwned(b *testing.B) {
+	lb := NewLocalBackend("bench", 4096, costmodel.Fast())
+	src, dst := bytes.Repeat([]byte{0x5A}, 4096), make([]byte, 4096)
+	warmStream(lb, src, dst)
+	b.ReportAllocs()
+	b.SetBytes(streamOpBlocks * 4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		donateOp(lb, i, src)
+	}
+}
+
+// TestLocalBackendSteadyStateAllocs holds every shape at zero allocations
+// once each block has a buffer and the free list has filled.
 func TestLocalBackendSteadyStateAllocs(t *testing.T) {
 	lb := NewLocalBackend("allocs", 4096, costmodel.Fast())
 	src, dst := bytes.Repeat([]byte{0x5A}, 4096), make([]byte, 4096)
@@ -281,5 +481,8 @@ func TestLocalBackendSteadyStateAllocs(t *testing.T) {
 	rewriteOp(lb, src)
 	if n := testing.AllocsPerRun(200, func() { rewriteOp(lb, src) }); n != 0 {
 		t.Errorf("rewrite: %v allocs/op at steady state, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { borrowOp(lb, i); donateOp(lb, i, src); i++ }); n != 0 {
+		t.Errorf("borrow + donate: %v allocs/op at steady state, want 0", n)
 	}
 }

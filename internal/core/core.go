@@ -99,6 +99,32 @@ type FileSystem interface {
 	SyncFS(t *kernel.Task) error
 }
 
+// PageLender is the optional zero-copy read of the file-operations API, the
+// Bento rendering of lending a BufferHead's data instead of copying it:
+// BentoFS serves kernel.PageLender through it. CanLendPage reports whether
+// page pg of ino can be lent, consuming no virtual time and changing no
+// state — the shim has to know before it charges its dispatch. LendPage,
+// called only after a yes and within the same operation, then returns the
+// page as a fsapi.PageSize read-only view that stays valid and unchanged
+// for as long as the caller holds it, having consumed exactly what Read of
+// that page would have.
+type PageLender interface {
+	CanLendPage(ino fsapi.Ino, pg int64) bool
+	LendPage(t *kernel.Task, ino fsapi.Ino, pg int64) ([]byte, error)
+}
+
+// PageWriter is the optional page-vector write: Write with its data as the
+// kernel's write-back run — pages are consecutive fsapi.PageSize buffers
+// whose first total bytes go to ino at the page-aligned off — instead of
+// one flat buffer. The caller has given the page buffers up (it will never
+// write them again, whatever the call returns), so the file system may
+// hand whole blocks of them to the device instead of copying; in virtual
+// time the call is Write of the same bytes. The pages slice itself stays
+// the caller's.
+type PageWriter interface {
+	WritePages(t *kernel.Task, ino fsapi.Ino, off int64, pages [][]byte, total int64) (int, error)
+}
+
 // Upgradable is the §4.8 online-upgrade contract. PrepareTransfer shuts
 // the instance down (flushing what must be durable) and serializes the
 // in-memory state worth keeping; RestoreTransfer rebuilds that state in
@@ -170,7 +196,8 @@ type BentoFS struct {
 	lastUpgrade UpgradeStats
 
 	// wbScratch is the flattening buffer WritePages assembles batched
-	// runs into, so steady-state write-back allocates nothing.
+	// runs into for a file system that is not a PageWriter, so its
+	// steady-state write-back allocates nothing.
 	wbScratch []byte
 }
 
@@ -195,6 +222,7 @@ var (
 	_ kernel.FileSystem        = (*BentoFS)(nil)
 	_ kernel.BatchWriter       = (*BentoFS)(nil)
 	_ kernel.BlockCacheDropper = (*BentoFS)(nil)
+	_ kernel.PageLender        = (*BentoFS)(nil)
 )
 
 // enter charges the translation cost and applies the upgrade pause;
@@ -408,6 +436,19 @@ func (b *BentoFS) ReadPage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte) 
 	return nil
 }
 
+// LendPage implements kernel.PageLender when the file system is a
+// PageLender and says the page can be lent: ReadPage with the page passed
+// by reference. The question is asked before enter, because a no must
+// cost nothing — the kernel then calls ReadPage, which enters.
+func (b *BentoFS) LendPage(t *kernel.Task, ino fsapi.Ino, pg int64) ([]byte, error) {
+	pl, ok := b.fs.(PageLender)
+	if !ok || !pl.CanLendPage(ino, pg) {
+		return nil, nil
+	}
+	b.enter(t)
+	return pl.LendPage(t, ino, pg)
+}
+
 // WritePage implements kernel.FileSystem (single-page write-back).
 func (b *BentoFS) WritePage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte, newSize int64) error {
 	return b.WritePages(t, ino, pg, [][]byte{buf}, newSize)
@@ -415,8 +456,10 @@ func (b *BentoFS) WritePage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte,
 
 // WritePages implements kernel.BatchWriter: the batched ->writepages
 // write-back BentoFS inherits from the FUSE kernel module. The contiguous
-// run of dirty pages becomes a single file-operations Write, so the file
-// system below wraps the whole run in one transaction.
+// run of dirty pages becomes a single file-operations write, so the file
+// system below wraps the whole run in one transaction: the page-vector
+// WritePages when the file system has it (nothing is copied), otherwise
+// Write of the run flattened into one buffer.
 func (b *BentoFS) WritePages(t *kernel.Task, ino fsapi.Ino, pg int64, pages [][]byte, newSize int64) error {
 	b.enter(t)
 	off := pg * fsapi.PageSize
@@ -427,6 +470,30 @@ func (b *BentoFS) WritePages(t *kernel.Task, ino fsapi.Ino, pg int64, pages [][]
 	if off+total > newSize {
 		total = newSize - off
 	}
+	var n int
+	var err error
+	if pw, ok := b.fs.(PageWriter); ok {
+		for _, p := range pages {
+			if len(p) != fsapi.PageSize {
+				return fmt.Errorf("bentofs: writeback of a %d-byte page: %w", len(p), fsapi.ErrInvalid)
+			}
+		}
+		n, err = pw.WritePages(t, ino, off, pages, total)
+	} else {
+		n, err = b.fs.Write(t, ino, off, b.flatten(pages, total))
+	}
+	if err != nil {
+		return err
+	}
+	if int64(n) != total {
+		return fmt.Errorf("bentofs: short writeback %d of %d: %w", n, total, fsapi.ErrIO)
+	}
+	return nil
+}
+
+// flatten copies the first total bytes of pages into wbScratch: the flat
+// buffer Write takes, for a file system without the page-vector write.
+func (b *BentoFS) flatten(pages [][]byte, total int64) []byte {
 	// Unspecified contents: every byte is overwritten below.
 	if int64(cap(b.wbScratch)) < total {
 		b.wbScratch = make([]byte, total)
@@ -444,14 +511,7 @@ func (b *BentoFS) WritePages(t *kernel.Task, ino fsapi.Ino, pg int64, pages [][]
 		copy(data[copied:], p[:n])
 		copied += n
 	}
-	n, err := b.fs.Write(t, ino, off, data)
-	if err != nil {
-		return err
-	}
-	if int64(n) != total {
-		return fmt.Errorf("bentofs: short writeback %d of %d: %w", n, total, fsapi.ErrIO)
-	}
-	return nil
+	return data
 }
 
 // DropCleanBlocks implements kernel.BlockCacheDropper: drop_caches

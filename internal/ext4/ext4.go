@@ -25,7 +25,6 @@ import (
 	"bento/internal/blockdev"
 	"bento/internal/fsapi"
 	"bento/internal/kernel"
-	"bento/internal/lru"
 	"bento/internal/xv6/layout"
 )
 
@@ -175,7 +174,6 @@ func (tt Type) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, e
 		dev:    dev,
 		inodes: make(map[uint32]*inode),
 		dirIdx: make(map[uint32]map[string]uint32),
-		wbPool: lru.NewBufPool(wbChunk * fsapi.PageSize),
 	}
 	buf := make([]byte, layout.BlockSize)
 	if err := dev.Read(t.Clk, 1, buf); err != nil {
@@ -250,9 +248,6 @@ type FS struct {
 	inodes map[uint32]*inode
 	ifree  *inode // freelist of released in-core inodes
 
-	// wbPool stages WritePages chunks (wbChunk pages per handle).
-	wbPool *lru.BufPool
-
 	dirIdx map[uint32]map[string]uint32 // the htree stand-in
 }
 
@@ -260,6 +255,7 @@ var (
 	_ kernel.FileSystem        = (*FS)(nil)
 	_ kernel.BatchWriter       = (*FS)(nil)
 	_ kernel.BlockCacheDropper = (*FS)(nil)
+	_ kernel.PageLender        = (*FS)(nil)
 )
 
 // BufferCache exposes the metadata cache (tests and diagnostics).

@@ -108,12 +108,11 @@ func (fs *FS) ialloc(t *kernel.Task, typ uint16) (*inode, error) {
 				return nil, err
 			}
 			off := layout.InodeOffset(inum)
-			din := layout.DecodeDinode(bh.Data()[off:])
-			if din.Type != layout.TypeFree {
+			if layout.DinodeType(bh.Data()[off:]) != layout.TypeFree {
 				_ = bh.Release()
 				continue
 			}
-			din = layout.Dinode{Type: typ}
+			din := layout.Dinode{Type: typ}
 			din.Encode(bh.Data()[off:])
 			if err := fs.jwrite(t, bh); err != nil {
 				_ = bh.Release()
@@ -402,8 +401,18 @@ func (fs *FS) readi(t *kernel.Task, ip *inode, off int64, buf []byte) (int, erro
 	return int(done), nil
 }
 
+// writei writes buf at off.
 func (fs *FS) writei(t *kernel.Task, ip *inode, off int64, buf []byte) (int, error) {
-	if off < 0 || off+int64(len(buf)) > layout.MaxFileSize {
+	return fs.writev(t, ip, off, [][]byte{buf}, int64(len(buf)), false)
+}
+
+// writev writes the first total bytes of src, the concatenation of its
+// buffers, at off, growing the file as needed. With owned set src is a
+// run of page buffers the kernel has given up (write-back) and off is
+// page-aligned: a whole block of direct data is then a whole buffer of
+// src and goes to the device as it is instead of being copied.
+func (fs *FS) writev(t *kernel.Task, ip *inode, off int64, src [][]byte, total int64, owned bool) (int, error) {
+	if off < 0 || off+total > layout.MaxFileSize {
 		return 0, fsapi.ErrFileTooBig
 	}
 	direct := fs.dataDirect(ip)
@@ -415,13 +424,15 @@ func (fs *FS) writei(t *kernel.Task, ip *inode, off int64, buf []byte) (int, err
 		}
 	}
 	var done int64
-	want := int64(len(buf))
-	for done < want {
+	var si int   // src[si] holds the next byte to write,
+	var so int64 // at offset so
+	for done < total {
 		bn := uint64((off + done) / layout.BlockSize)
 		bo := (off + done) % layout.BlockSize
-		n := int64(layout.BlockSize) - bo
-		if n > want-done {
-			n = want - done
+		n := min(int64(layout.BlockSize)-bo, total-done, int64(len(src[si]))-so)
+		from := src[si][so : so+n]
+		if so += n; so == int64(len(src[si])) {
+			si, so = si+1, 0
 		}
 		blk, fresh, err := fs.bmap(t, ip, bn, true)
 		if err != nil {
@@ -429,8 +440,8 @@ func (fs *FS) writei(t *kernel.Task, ip *inode, off int64, buf []byte) (int, err
 			return int(done), err
 		}
 		if direct {
-			src := buf[done : done+n]
-			if bo != 0 || n != layout.BlockSize {
+			whole := bo == 0 && n == layout.BlockSize
+			if !whole {
 				// Merge base: zeros for any block holding no committed
 				// file bytes — fresh, or mapped wholly at/beyond EOF (a
 				// leaf orphaned by a failed direct write, which skipped
@@ -444,10 +455,15 @@ func (fs *FS) writei(t *kernel.Task, ip *inode, off int64, buf []byte) (int, err
 					wait()
 					return int(done), err
 				}
-				copy(bounce[bo:bo+n], src)
-				src = bounce
+				copy(bounce[bo:bo+n], from)
+				from = bounce
 			}
-			completion, err := fs.bc.WriteDirect(t, int(blk), src)
+			var completion int64
+			if whole && owned {
+				completion, err = fs.bc.WriteDirectOwned(t, int(blk), from)
+			} else {
+				completion, err = fs.bc.WriteDirect(t, int(blk), from)
+			}
 			if err != nil {
 				wait()
 				return int(done), err
@@ -467,7 +483,7 @@ func (fs *FS) writei(t *kernel.Task, ip *inode, off int64, buf []byte) (int, err
 		if err != nil {
 			return int(done), err
 		}
-		copy(bh.Data()[bo:bo+n], buf[done:done+n])
+		copy(bh.Data()[bo:bo+n], from)
 		if err := fs.jwrite(t, bh); err != nil {
 			_ = bh.Release()
 			return int(done), err

@@ -82,9 +82,8 @@ func (fs *FS) dirlookup(t *kernel.Task, dp *inode, name string, needOff bool) (u
 		if _, err := fs.readi(t, dp, o, rec); err != nil {
 			return 0, 0, err
 		}
-		de := layout.DecodeDirent(rec)
-		if de.Ino != 0 && de.Name == name {
-			return de.Ino, o, nil
+		if ino, ok := layout.DirentIs(rec, name); ok {
+			return ino, o, nil
 		}
 	}
 	// Index said yes but the disk disagrees: stale index.
@@ -600,55 +599,61 @@ func (fs *FS) WritePage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte, new
 	return fs.WritePages(t, ino, pg, [][]byte{buf}, newSize)
 }
 
+// LendPage implements kernel.PageLender: a page that is one whole block of
+// a direct file's data is lent straight from the device — ReadPage's
+// bmap and direct read, with BorrowDirect in place of ReadDirect. The
+// checks that decide come first and cost nothing: the inode is in core
+// (it is, for any file the kernel has open), its data takes the direct
+// path, and the page lies wholly inside the file.
+func (fs *FS) LendPage(t *kernel.Task, ino fsapi.Ino, pg int64) ([]byte, error) {
+	ip, ok := fs.inodes[uint32(ino)]
+	if !ok || !ip.valid || !fs.dataDirect(ip) || (pg+1)*fsapi.PageSize > int64(ip.din.Size) {
+		return nil, nil
+	}
+	ip.ref++ // ReadPage's iget
+	defer fs.iput(t, ip, false)
+	blk, _, err := fs.bmap(t, ip, uint64(pg), false)
+	if err != nil {
+		return nil, err
+	}
+	var view []byte
+	if blk != 0 {
+		view, err = fs.bc.BorrowDirect(t, int(blk))
+	}
+	if view == nil && err == nil {
+		view = make([]byte, fsapi.PageSize) // a hole, or mapped and never written
+	}
+	return view, err
+}
+
 // wbChunk is the data pages journaled per handle by WritePages.
 const wbChunk = 32
 
-// WritePages implements kernel.BatchWriter: the run is journaled in
-// chunks bounded by the per-handle credit, all within compound
-// transactions (data=journal). The staging buffer comes from wbPool, so
-// steady-state write-back allocates nothing.
+// WritePages implements kernel.BatchWriter: the run is written in chunks
+// bounded by the per-handle credit, all within compound transactions,
+// straight from the page buffers — which the kernel has given up, so
+// whole blocks of direct data are handed to the device, not copied.
 func (fs *FS) WritePages(t *kernel.Task, ino fsapi.Ino, pg int64, pages [][]byte, newSize int64) error {
+	for _, p := range pages {
+		if len(p) != fsapi.PageSize {
+			return fsapi.ErrInvalid
+		}
+	}
 	ip := fs.iget(uint32(ino))
 	defer fs.iput(t, ip, false)
-	stage := fs.wbPool.Get()
-	defer fs.wbPool.Put(stage)
 	for start := 0; start < len(pages); start += wbChunk {
-		end := start + wbChunk
-		if end > len(pages) {
-			end = len(pages)
-		}
+		end := min(start+wbChunk, len(pages))
 		off := (pg + int64(start)) * fsapi.PageSize
 		if off >= newSize {
 			return nil
 		}
-		total := int64(end-start) * fsapi.PageSize
-		if off+total > newSize {
-			total = newSize - off
-		}
-		data := stage[:total]
-		var copied int64
-		for _, p := range pages[start:end] {
-			if copied >= total {
-				break
-			}
-			n := int64(len(p))
-			if copied+n > total {
-				n = total - copied
-			}
-			copy(data[copied:], p[:n])
-			copied += n
-		}
-		if copied < total {
-			// The pooled buffer holds a previous borrower's bytes where a
-			// fresh make() held zeros; keep the old semantics for short runs.
-			clear(data[copied:total])
-		}
+		total := min(int64(end-start)*fsapi.PageSize, newSize-off)
 		fs.beginHandle(t, maxHandleBlocks)
 		if err := fs.iload(t, ip); err != nil {
 			_ = fs.endHandle(t)
 			return err
 		}
-		_, err := fs.writei(t, ip, off, data)
+		_, err := fs.writev(t, ip, off, pages[start:end], total, true)
 		if e := fs.endHandle(t); err == nil {
 			err = e
 		}

@@ -42,11 +42,36 @@ func NewUserDisk(dev *blockdev.Device, cacheBlocks int) *UserDisk {
 // ubuf is a userspace cached block. Like the kernel BufferHead it is
 // published to the cache marked filling (lru.FillState) and the miss
 // path resolves the fill before get returns.
+//
+// A miss does not copy the block: data becomes the device's own buffer,
+// borrowed (blockdev.Device.Borrow) and therefore read-only, and lent is
+// set. Readers inside this file use it as it is; Data and Slice, whose
+// callers may write through what they get, first replace it with a copy
+// in the ubuf's private buffer.
 type ubuf struct {
 	lru.FillState
 	node lru.Node
 	ud   *UserDisk
 	data []byte
+	lent bool   // data is a borrowed view
+	own  []byte // the private buffer; nil until data first has to be one
+}
+
+// private makes data the ubuf's own buffer, contents unspecified.
+func (b *ubuf) private() {
+	if b.own == nil {
+		b.own = make([]byte, b.ud.dev.BlockSize())
+	}
+	b.data, b.lent = b.own, false
+}
+
+// writable makes data safe to write through, keeping its contents.
+func (b *ubuf) writable() {
+	if b.lent {
+		view := b.data
+		b.private()
+		copy(b.data, view)
+	}
 }
 
 // LRUNode exposes the intrusive cache hook (lru.Entry).
@@ -83,11 +108,8 @@ func (ud *UserDisk) get(t *kernel.Task, blk int, fill bool) (bentoks.Buffer, err
 		if recycled {
 			nb.node.ResetForReuse()
 			nb.FillState.Reset()
-			if !fill {
-				clear(nb.data) // BReadNoFill hands out zeros, as the make below does
-			}
 		} else {
-			nb = &ubuf{ud: ud, data: make([]byte, ud.dev.BlockSize())}
+			nb = &ubuf{ud: ud}
 		}
 		nb.BeginFill() // published filling; resolved below
 		return nb
@@ -102,12 +124,14 @@ func (ud *UserDisk) get(t *kernel.Task, blk int, fill bool) (bentoks.Buffer, err
 	}
 	t.Rec().Add(trace.CtrBufMisses, 1)
 
+	var view []byte
 	if fill {
 		// pread(disk file): syscall + crossing + synchronous device read.
 		t.Charge(t.Model().UserBlockSyscall)
-		t.Charge(t.Model().Copy(len(b.data)))
+		t.Charge(t.Model().Copy(ud.dev.BlockSize()))
 		start := t.Clk.NowNS()
-		if err := ud.dev.Read(t.Clk, blk, b.data); err != nil {
+		var err error
+		if view, err = ud.dev.Borrow(t.Clk, blk); err != nil {
 			// Dropped, and so never recycled: only LRU victims are.
 			ud.cache.Drop(int64(blk))
 			b.FailFill(err)
@@ -116,6 +140,13 @@ func (ud *UserDisk) get(t *kernel.Task, blk int, fill bool) (bentoks.Buffer, err
 		if r := t.Rec(); r != nil {
 			r.Span(t.Name, trace.CatDevice, "pread", start, t.Clk.NowNS())
 		}
+	}
+	if view != nil {
+		b.data, b.lent = view, true
+	} else {
+		// BReadNoFill, or a block the device has never been written: zeros.
+		b.private()
+		clear(b.data)
 	}
 	b.CompleteFill()
 	return b, nil
@@ -145,33 +176,72 @@ func (ud *UserDisk) ReadBlockRange(t *kernel.Task, blk, off int, dst []byte) err
 // the "cache" and the "device" are the same disk file, and the cached
 // copy may carry dirty bytes the file does not have yet.
 func (ud *UserDisk) BReadDirect(t *kernel.Task, blk int, buf []byte) error {
+	_, err := ud.preadDirect(t, blk, buf, false)
+	return err
+}
+
+// BBorrowDirect implements bentoks.Disk: BReadDirect returning the disk
+// file's own buffer. A resident cached copy that is itself a borrowed view
+// is lent on; a private one belongs to the hosted file system, which may
+// still write it, so the caller gets a copy of it.
+func (ud *UserDisk) BBorrowDirect(t *kernel.Task, blk int) ([]byte, error) {
+	return ud.preadDirect(t, blk, nil, true)
+}
+
+func (ud *UserDisk) preadDirect(t *kernel.Task, blk int, buf []byte, borrow bool) (view []byte, err error) {
 	if blk < 0 || blk >= ud.dev.Blocks() {
-		return fmt.Errorf("userdisk: direct read of block %d: %w", blk, fsapi.ErrInvalid)
+		return nil, fmt.Errorf("userdisk: direct read of block %d: %w", blk, fsapi.ErrInvalid)
+	}
+	size := len(buf)
+	if borrow {
+		size = ud.dev.BlockSize()
 	}
 	if b, ok := ud.cache.Peek(int64(blk)); ok {
 		if err := b.FillErr(); err == nil {
-			t.Charge(t.Model().Copy(len(buf)))
-			copy(buf, b.data)
-			return nil
+			t.Charge(t.Model().Copy(size))
+			switch {
+			case !borrow:
+				copy(buf, b.data)
+			case b.lent:
+				view = b.data
+			default:
+				view = append([]byte(nil), b.data...)
+			}
+			return view, nil
 		}
 	}
 	t.Charge(t.Model().UserBlockSyscall)
-	t.Charge(t.Model().Copy(len(buf)))
+	t.Charge(t.Model().Copy(size))
 	t.Rec().Add(trace.CtrDirectReads, 1)
 	start := t.Clk.NowNS()
-	if err := ud.dev.Read(t.Clk, blk, buf); err != nil {
-		return err
+	if borrow {
+		view, err = ud.dev.Borrow(t.Clk, blk)
+	} else {
+		err = ud.dev.Read(t.Clk, blk, buf)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if r := t.Rec(); r != nil {
 		r.Span(t.Name, trace.CatDevice, "pread", start, t.Clk.NowNS())
 	}
-	return nil
+	return view, nil
 }
 
 // BWriteDirect implements bentoks.Disk: a synchronous pwrite(2) — from
 // userspace there is no asynchronous submission, so the completion time
 // is simply the clock after the write. A stale cached copy is dropped.
 func (ud *UserDisk) BWriteDirect(t *kernel.Task, blk int, buf []byte) (int64, error) {
+	return ud.pwriteDirect(t, blk, buf, false)
+}
+
+// BWriteOwned implements bentoks.Disk: BWriteDirect with the disk file
+// keeping buf.
+func (ud *UserDisk) BWriteOwned(t *kernel.Task, blk int, buf []byte) (int64, error) {
+	return ud.pwriteDirect(t, blk, buf, true)
+}
+
+func (ud *UserDisk) pwriteDirect(t *kernel.Task, blk int, buf []byte, owned bool) (int64, error) {
 	if blk < 0 || blk >= ud.dev.Blocks() {
 		return 0, fmt.Errorf("userdisk: direct write of block %d: %w", blk, fsapi.ErrInvalid)
 	}
@@ -180,7 +250,16 @@ func (ud *UserDisk) BWriteDirect(t *kernel.Task, blk int, buf []byte) (int64, er
 	t.Charge(t.Model().Copy(len(buf)))
 	t.Rec().Add(trace.CtrDirectWrites, 1)
 	start := t.Clk.NowNS()
-	if err := ud.dev.Write(t.Clk, blk, buf); err != nil {
+	var err error
+	if owned {
+		// Device.Write, by reference.
+		var done int64
+		done, err = ud.dev.SubmitOwned(t.Clk, blk, buf)
+		t.Clk.AdvanceTo(done)
+	} else {
+		err = ud.dev.Write(t.Clk, blk, buf)
+	}
+	if err != nil {
 		return 0, err
 	}
 	if r := t.Rec(); r != nil {
@@ -232,13 +311,17 @@ func (ud *UserDisk) Flush(t *kernel.Task) error {
 func (b *ubuf) BlockNo() int { return int(b.node.Key()) }
 
 // Data implements bentoks.Buffer.
-func (b *ubuf) Data() ([]byte, error) { return b.data, nil }
+func (b *ubuf) Data() ([]byte, error) {
+	b.writable()
+	return b.data, nil
+}
 
 // Slice implements bentoks.Buffer.
 func (b *ubuf) Slice(off, n int) ([]byte, error) {
 	if off < 0 || n < 0 || off+n > len(b.data) {
 		return nil, fsapi.ErrInvalid
 	}
+	b.writable()
 	return b.data[off : off+n], nil
 }
 

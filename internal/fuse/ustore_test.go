@@ -389,11 +389,11 @@ type probeBackend struct {
 	probe func()
 }
 
-func (p *probeBackend) ReadBlock(now int64, blk int, buf []byte) (int64, error) {
+func (p *probeBackend) BorrowBlock(now int64, blk int) ([]byte, int64, error) {
 	if blk == p.blk {
 		p.probe()
 	}
-	return p.Backend.ReadBlock(now, blk, buf)
+	return p.Backend.BorrowBlock(now, blk)
 }
 
 // TestUserDiskRecycledBlockBlocksHitters: a recycled block is published
@@ -452,5 +452,123 @@ func TestUserDiskRecycledBlockBlocksHitters(t *testing.T) {
 	}
 	if st := ud.Stats(); st.Hits != 1 || st.Misses != 2 {
 		t.Fatalf("stats %+v, want block 0's miss, block 7's miss, and the hitter's hit", st)
+	}
+}
+
+// TestUserDiskBorrowsOnMiss: a miss caches the disk file's own buffer
+// instead of a copy of it, and that buffer is never written: the range
+// and direct readers use it as it is, Data and Slice — whose callers may
+// write — first move the block into the ubuf's private buffer, and the
+// disk file sees the change only when the block is written back.
+func TestUserDiskBorrowsOnMiss(t *testing.T) {
+	ud, task := newTestUserDisk(t, 8)
+	fillDevice(t, ud, task, 4)
+	bs := ud.BlockSize()
+	onDisk := func(blk int) []byte {
+		t.Helper()
+		view, err := ud.dev.Borrow(task.Clk, blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return view
+	}
+
+	b, err := ud.BRead(task, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ub := b.(*ubuf)
+	disk := onDisk(2)
+	if !ub.lent || &ub.data[0] != &disk[0] {
+		t.Fatal("the miss copied the block instead of caching the disk file's buffer")
+	}
+	rng := make([]byte, 16)
+	if err := ud.ReadBlockRange(task, 2, 100, rng); err != nil || rng[0] != 3 {
+		t.Fatalf("ReadBlockRange = %#x, %v", rng[0], err)
+	}
+	if view, err := ud.BBorrowDirect(task, 2); err != nil || &view[0] != &disk[0] {
+		t.Fatalf("BBorrowDirect did not lend the cached view on (err %v)", err)
+	}
+	if !ub.lent {
+		t.Fatal("a reader unshared the block")
+	}
+
+	data, _ := b.Data()
+	if ub.lent || &data[0] == &disk[0] || data[0] != 3 || data[bs-1] != 3 {
+		t.Fatal("Data handed out the disk file's buffer, or lost its contents")
+	}
+	data[0] = 0xEE
+	if disk[0] != 3 || onDisk(2)[0] != 3 {
+		t.Fatal("a write through Data reached the disk file before write-back")
+	}
+	private, err := ud.BBorrowDirect(task, 2)
+	if err != nil || private[0] != 0xEE || &private[0] == &data[0] {
+		t.Fatalf("BBorrowDirect of a privately cached block = %#x (err %v), want a copy of it", private[0], err)
+	}
+	if err := b.MarkDirty(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.WriteSync(task); err != nil {
+		t.Fatal(err)
+	}
+	if disk[0] != 3 || onDisk(2)[0] != 0xEE {
+		t.Fatal("write-back overwrote the lent buffer, or did not reach the disk file")
+	}
+	if err := b.Release(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := ud.BRead(task, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := s.Slice(8, 8)
+	if err != nil || s.(*ubuf).lent || part[0] != 2 {
+		t.Fatalf("Slice = %v (err %v), lent %v: want a private copy", part, err, s.(*ubuf).lent)
+	}
+	if err := s.Release(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUserDiskDirectByReference: BBorrowDirect and BWriteOwned cost what
+// BReadDirect and BWriteDirect cost — the same syscall, copy charge and
+// device command — and pass the block itself.
+func TestUserDiskDirectByReference(t *testing.T) {
+	ref, rtask := newTestUserDisk(t, 8)
+	cp, ctask := newTestUserDisk(t, 8)
+	bs := ref.BlockSize()
+	own := make([]byte, bs)
+	for i := range own {
+		own[i] = byte(i * 5)
+	}
+	if _, err := ref.BWriteOwned(rtask, 5, own); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cp.BWriteDirect(ctask, 5, own); err != nil {
+		t.Fatal(err)
+	}
+	view, err := ref.BBorrowDirect(rtask, 5)
+	if err != nil || &view[0] != &own[0] {
+		t.Fatalf("the disk file did not keep the buffer it was given (err %v)", err)
+	}
+	got := make([]byte, bs)
+	if err := cp.BReadDirect(ctask, 5, got); err != nil {
+		t.Fatal(err)
+	}
+	if zeros, err := ref.BBorrowDirect(rtask, 9); err != nil || zeros != nil {
+		t.Fatalf("BBorrowDirect of a never-written block = %v, %v", zeros, err)
+	}
+	if err := cp.BReadDirect(ctask, 9, got); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := rtask.Clk.NowNS(), ctask.Clk.NowNS(); a != b {
+		t.Fatalf("by reference the sequence ends at %d ns, copying at %d", a, b)
+	}
+	if a, b := ref.dev.Stats(), cp.dev.Stats(); a != b {
+		t.Fatalf("device counters differ: %+v vs %+v", a, b)
+	}
+	if n := ref.cache.Len(); n != 0 {
+		t.Fatalf("direct I/O by reference populated the user cache: %d resident", n)
 	}
 }

@@ -169,23 +169,43 @@ func (bc *BufferCache) SyncDirty(t *Task) error {
 // invalidated, so the device read that follows observes every completed
 // write.
 func (bc *BufferCache) ReadDirect(t *Task, blk int, buf []byte) error {
+	_, err := bc.readDirect(t, blk, buf, false)
+	return err
+}
+
+// BorrowDirect is ReadDirect by reference: the same setup cost, coherence
+// step, counters, device command and span, but instead of filling a
+// caller's buffer it returns the device's own (blockdev.Device.Borrow) —
+// a read-only view that stays valid and unchanged for as long as the
+// caller holds it. A nil view with a nil error means the block reads as
+// zeros.
+func (bc *BufferCache) BorrowDirect(t *Task, blk int) ([]byte, error) {
+	return bc.readDirect(t, blk, nil, true)
+}
+
+func (bc *BufferCache) readDirect(t *Task, blk int, buf []byte, borrow bool) (view []byte, err error) {
 	if blk < 0 || blk >= bc.dev.Blocks() {
-		return fmt.Errorf("buffercache: direct read of block %d: %w", blk, fsapi.ErrInvalid)
+		return nil, fmt.Errorf("buffercache: direct read of block %d: %w", blk, fsapi.ErrInvalid)
 	}
 	t.Charge(bc.model.DirectReadSetup)
 	if err := bc.invalidate(t, blk); err != nil {
-		return err
+		return nil, err
 	}
 	bc.directReads++
 	t.rec.Add(trace.CtrDirectReads, 1)
 	start := t.Clk.NowNS()
-	if err := bc.dev.Read(t.Clk, blk, buf); err != nil {
-		return err
+	if borrow {
+		view, err = bc.dev.Borrow(t.Clk, blk)
+	} else {
+		err = bc.dev.Read(t.Clk, blk, buf)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if r := t.rec; r != nil {
 		r.Span(t.Name, trace.CatDevice, "direct-read", start, t.Clk.NowNS())
 	}
-	return nil
+	return view, nil
 }
 
 // WriteDirect submits a write of buf to block blk without going through
@@ -195,12 +215,28 @@ func (bc *BufferCache) ReadDirect(t *Task, blk int, buf []byte) error {
 // copy is invalidated first (its content predates this write). The
 // write is volatile until a device FLUSH, like every other write.
 func (bc *BufferCache) WriteDirect(t *Task, blk int, buf []byte) (completion int64, err error) {
+	return bc.writeDirect(t, blk, buf, false)
+}
+
+// WriteDirectOwned is WriteDirect by reference: the device keeps buf
+// instead of copying it (blockdev.Device.SubmitOwned), so the caller must
+// not write buf again, whatever the call returns.
+func (bc *BufferCache) WriteDirectOwned(t *Task, blk int, buf []byte) (completion int64, err error) {
+	return bc.writeDirect(t, blk, buf, true)
+}
+
+func (bc *BufferCache) writeDirect(t *Task, blk int, buf []byte, owned bool) (completion int64, err error) {
 	if blk < 0 || blk >= bc.dev.Blocks() {
 		return 0, fmt.Errorf("buffercache: direct write of block %d: %w", blk, fsapi.ErrInvalid)
 	}
 	t.Charge(bc.model.DirectWriteSetup)
 	bc.cache.Drop(int64(blk))
-	done, err := bc.dev.Submit(t.Clk, blk, buf)
+	var done int64
+	if owned {
+		done, err = bc.dev.SubmitOwned(t.Clk, blk, buf)
+	} else {
+		done, err = bc.dev.Submit(t.Clk, blk, buf)
+	}
 	if err != nil {
 		return 0, err
 	}

@@ -104,6 +104,86 @@ func TestReadDirectFlushesDirtyResidentCopy(t *testing.T) {
 	}
 }
 
+// TestDirectIOByReference: BorrowDirect and WriteDirectOwned are
+// ReadDirect and WriteDirect in everything but the copy — the same
+// coherence with a resident copy (a dirty one is flushed first and the
+// view shows it; an owned write invalidates it), the same counters and
+// the same virtual time — and what passes between caller and device is
+// the buffer itself.
+func TestDirectIOByReference(t *testing.T) {
+	bc, task := newTestCache(t, 64)
+	bs := bc.Device().BlockSize()
+	ref, refTask := newTestCache(t, 64) // the copying calls, side by side
+
+	for _, c := range []struct {
+		bc   *BufferCache
+		task *Task
+	}{{bc, task}, {ref, refTask}} {
+		b, err := c.bc.GetNoRead(c.task, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(b.Data(), bytes.Repeat([]byte{0x77}, bs))
+		b.MarkDirty()
+		if err := b.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	view, err := bc.BorrowDirect(task, 11)
+	if err != nil {
+		t.Fatalf("BorrowDirect: %v", err)
+	}
+	if !bytes.Equal(view, bytes.Repeat([]byte{0x77}, bs)) {
+		t.Fatal("BorrowDirect missed the dirty cached copy")
+	}
+	if n := bc.Len(); n != 0 {
+		t.Fatalf("dirty copy still resident after the borrow: %d", n)
+	}
+	if err := ref.ReadDirect(refTask, 11, make([]byte, bs)); err != nil {
+		t.Fatal(err)
+	}
+
+	getRelease(t, bc, task, 9) // resident clean copy (zeros)
+	getRelease(t, ref, refTask, 9)
+	own := bytes.Repeat([]byte{0x5C}, bs)
+	done, err := bc.WriteDirectOwned(task, 9, own)
+	if err != nil {
+		t.Fatalf("WriteDirectOwned: %v", err)
+	}
+	task.Clk.AdvanceTo(done)
+	if n := bc.Len(); n != 0 {
+		t.Fatalf("stale copy survived the owned write: %d resident", n)
+	}
+	if again, err := bc.BorrowDirect(task, 9); err != nil || &again[0] != &own[0] {
+		t.Fatalf("the device did not keep the buffer it was given (err %v)", err)
+	}
+	done, err = ref.WriteDirect(refTask, 9, own)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refTask.Clk.AdvanceTo(done)
+	if err := ref.ReadDirect(refTask, 9, make([]byte, bs)); err != nil {
+		t.Fatal(err)
+	}
+
+	if zeros, err := bc.BorrowDirect(task, 40); err != nil || zeros != nil {
+		t.Fatalf("BorrowDirect of a never-written block = %v, %v, want a nil view", zeros, err)
+	}
+	if err := ref.ReadDirect(refTask, 40, make([]byte, bs)); err != nil {
+		t.Fatal(err)
+	}
+
+	if a, b := task.Clk.NowNS(), refTask.Clk.NowNS(); a != b {
+		t.Fatalf("by reference the sequence ends at %d ns, copying at %d", a, b)
+	}
+	if a, b := bc.Stats(), ref.Stats(); a != b {
+		t.Fatalf("cache counters differ: by reference %+v, copying %+v", a, b)
+	}
+	if a, b := bc.Device().Stats(), ref.Device().Stats(); a != b {
+		t.Fatalf("device counters differ: by reference %+v, copying %+v", a, b)
+	}
+}
+
 // TestDropClean drops exactly the clean, unreferenced buffers — the
 // buffer-cache half of drop_caches.
 func TestDropClean(t *testing.T) {

@@ -1,0 +1,9 @@
+package kernel
+
+// PagePool reports the mount's page-memory accounting to the tests
+// outside the package: how many page structs and private page buffers its
+// arenas have supplied, how many of each sit on the free lists, and the
+// free buffers themselves.
+func (m *Mount) PagePool() (structs, freeStructs, bufs int, freeBufs [][]byte) {
+	return m.pageStructs, len(m.freePages), m.pageBufs, m.freeData
+}

@@ -156,7 +156,11 @@ type FileSystem interface {
 	// repository root holds every implementation to this.
 	ReadPage(t *Task, ino fsapi.Ino, pg int64, buf []byte) error
 	// WritePage persists one dirty page and the new file size. The VFS
-	// baseline path calls this once per page (->writepage).
+	// baseline path calls this once per page (->writepage). The kernel
+	// gives buf up: it never writes the buffer again after this call,
+	// whatever the call returns, so the file system may pass it on to the
+	// device as the block's contents instead of copying it (and must not
+	// write it either: the page cache goes on reading it).
 	WritePage(t *Task, ino fsapi.Ino, pg int64, buf []byte, newSize int64) error
 	// Fsync makes the named file durable.
 	Fsync(t *Task, ino fsapi.Ino, dataOnly bool) error
@@ -171,9 +175,28 @@ type FileSystem interface {
 // BatchWriter is the optional batched write-back interface
 // (->writepages). BentoFS implements it — inherited from the FUSE kernel
 // module — which is why the paper's Bento xv6 beats the C baseline on
-// large sequential writes. pages are consecutive starting at pg.
+// large sequential writes. pages are consecutive starting at pg. Like
+// WritePage's buffer every page buffer is given up: the kernel never
+// writes one again, whatever the call returns. The pages slice itself
+// stays the kernel's.
 type BatchWriter interface {
 	WritePages(t *Task, ino fsapi.Ino, pg int64, pages [][]byte, newSize int64) error
+}
+
+// PageLender is the optional zero-copy page fill. LendPage returns page
+// pg of ino as a PageSize view of the file system's (in the end the
+// storage backend's) own buffer: read-only, and valid and unchanged for as
+// long as the caller holds it, whatever happens to the file afterwards —
+// there is nothing to give back. A lend is ReadPage in everything but the
+// copy: the same device command at the same virtual instant, the same
+// charges, counters and trace spans. When the file system cannot lend the
+// page (it is not a whole block of file data: a partial last page, an
+// inode whose data goes through the buffer cache) it returns a nil view
+// and a nil error having consumed no virtual time and changed no state,
+// and the caller falls back to ReadPage. TestLendPageMatchesReadPage in
+// the repository root holds every implementation to this.
+type PageLender interface {
+	LendPage(t *Task, ino fsapi.Ino, pg int64) (view []byte, err error)
 }
 
 // Kernel is the simulated kernel instance: registered file-system types,

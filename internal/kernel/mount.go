@@ -62,12 +62,19 @@ type Mount struct {
 	// method value inline would allocate on every balanceDirty call.
 	flushFn func(*Task) (int, int, error)
 
-	// freePages is the mount's page free list and arenas counts the
-	// small arenas allocated so far (see pagepool.go); putPageFn is
+	// freePages and freeData are the mount's free lists of page structs
+	// and private page buffers, pageStructs and pageBufs how many of each
+	// its arenas have supplied so far (see pagepool.go); putPageFn is
 	// m.putPage bound once, for the lru drop callbacks.
-	freePages []*page
-	arenas    uint
-	putPageFn func(*page)
+	freePages   []*page
+	freeData    [][]byte
+	pageStructs int
+	pageBufs    int
+	putPageFn   func(*page)
+
+	// lender is fs as a PageLender, nil when it is not one: asserted once
+	// per SwapFS, not once per page.
+	lender PageLender
 }
 
 type dkey struct {
@@ -119,10 +126,14 @@ type vnode struct {
 // protocol's load-bearing half here is the error path — a failed fill
 // is dropped from the cache before FailFill, so a poisoned page is
 // never reachable.
+//
+// data is PageSize bytes. When shared is set somebody below the page cache
+// may hold the same buffer and it is read-only (see pagepool.go).
 type page struct {
 	node    lru.Node
 	fill    lru.FillState
 	data    []byte
+	shared  bool
 	readyAt int64
 	lastUse int64
 }
@@ -144,7 +155,6 @@ func newMount(k *Kernel, fstype, mountPoint string, fs FileSystem, dev *blockdev
 		k:          k,
 		fstype:     fstype,
 		mountPoint: mountPoint,
-		fs:         fs,
 		dev:        dev,
 		model:      k.model,
 		dirtyLimit: DefaultDirtyLimitPages,
@@ -154,6 +164,7 @@ func newMount(k *Kernel, fstype, mountPoint string, fs FileSystem, dev *blockdev
 	}
 	m.flushFn = m.bdiFlush
 	m.putPageFn = m.putPage
+	m.SwapFS(fs)
 	return m
 }
 
@@ -211,7 +222,10 @@ func (m *Mount) IODaemon() *iodaemon.Daemon[*Task] { return m.iod }
 // SwapFS replaces the file-system operations vector. Only the
 // online-upgrade machinery in internal/core calls this, from the one
 // running task — so no operation is in flight.
-func (m *Mount) SwapFS(fs FileSystem) { m.fs = fs }
+func (m *Mount) SwapFS(fs FileSystem) {
+	m.fs = fs
+	m.lender, _ = fs.(PageLender)
+}
 
 // BlockCacheDropper is the optional interface a file system implements
 // when its buffer cache should be emptied by DropCaches along with the
@@ -403,22 +417,24 @@ func (vn *vnode) loadPage(t *Task, idx int64) (*page, error) {
 		return pg, nil
 	}
 	t.rec.Add(trace.CtrPageMisses, 1)
-	// A page inside the file is filled below, and ReadPage writes every
+	// A page inside the file is filled below, and a fill supplies every
 	// byte of it; a page wholly beyond EOF is filled by nobody and must
 	// read as zeros.
-	inFile := idx*fsapi.PageSize < vn.size
-	pg := vn.m.getPage(!inFile)
-	pg.lastUse = vn.m.tick()
-	if inFile {
+	var pg *page
+	if idx*fsapi.PageSize < vn.size {
+		pg = vn.m.getPageStruct()
 		fillStart := t.Clk.NowNS()
-		if err := vn.m.fs.ReadPage(t, vn.ino, idx, pg.data); err != nil {
+		if err := vn.fill(t, pg, idx); err != nil {
 			vn.m.putPage(pg) // never published; safe to recycle
 			return nil, err
 		}
 		if r := t.rec; r != nil {
 			r.Span(t.Name, trace.CatCache, "page-fill", fillStart, t.Clk.NowNS())
 		}
+	} else {
+		pg = vn.m.getPage(true)
 	}
+	pg.lastUse = vn.m.tick()
 	vn.pc.Add(idx, pg)
 	if vn.m.totalPages++; vn.m.totalPages > vn.m.pageCap {
 		// Pin the fresh page: with every other page dirty or pinned the
@@ -428,6 +444,27 @@ func (vn *vnode) loadPage(t *Task, idx int64) (*page, error) {
 		pg.node.Unpin()
 	}
 	return pg, nil
+}
+
+// fill gives pg, a page struct without a buffer, the contents of page idx
+// of the file: the file system's own buffer when it lends one (a shared
+// page), otherwise a private buffer filled through ReadPage. Which of the
+// two happened is invisible in virtual time. On error the caller puts pg
+// back.
+func (vn *vnode) fill(t *Task, pg *page, idx int64) error {
+	m := vn.m
+	if m.lender != nil {
+		view, err := m.lender.LendPage(t, vn.ino, idx)
+		if err != nil {
+			return err
+		}
+		if view != nil {
+			pg.data, pg.shared = view, true
+			return nil
+		}
+	}
+	pg.data = m.getPageData() // unspecified contents: ReadPage writes every byte
+	return m.fs.ReadPage(t, vn.ino, idx, pg.data)
 }
 
 // evictClean drops a handful of clean pages from this vnode in
@@ -480,8 +517,12 @@ func (vn *vnode) writebackCounted(t *Task) (calls, pages int, err error) {
 	bw, batched := vn.m.fs.(BatchWriter)
 	model := vn.m.model
 
+	// The buffer of every page handed to write-back is given up (the file
+	// system may pass it to the device as the block itself), so the page
+	// is shared from here on, whatever the call returns.
 	pageData := func(idx int64) []byte {
 		pg, _ := vn.pc.Peek(idx)
+		pg.shared = true
 		return pg.data
 	}
 	for _, run := range runs {
@@ -648,7 +689,9 @@ func (vn *vnode) fillPage(rt *Task, pg int64) (bool, error) {
 	if _, ok := vn.pc.Peek(pg); ok {
 		return false, nil
 	}
-	p := vn.m.getPage(false) // ReadPage below writes every byte
+	// The struct is published (marked filling) before the fill, as a
+	// buffer-cache block is; its buffer arrives with the fill.
+	p := vn.m.getPageStruct()
 	p.lastUse = vn.m.tick()
 	p.fill.BeginFill()
 	vn.pc.Add(pg, p)
@@ -657,7 +700,7 @@ func (vn *vnode) fillPage(rt *Task, pg int64) (bool, error) {
 		vn.evictClean()
 		p.node.Unpin()
 	}
-	if err := vn.m.fs.ReadPage(rt, vn.ino, pg, p.data); err != nil {
+	if err := vn.fill(rt, p, pg); err != nil {
 		vn.pc.Remove(pg)
 		vn.m.totalPages--
 		p.fill.FailFill(err)

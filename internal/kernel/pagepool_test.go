@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"bytes"
 	"testing"
 
 	"bento/internal/costmodel"
@@ -14,9 +15,9 @@ func pageMount() *Mount {
 
 // TestPagePoolZeroing pins the contents policy: a page asked for zeroed
 // reads as zeros even when it last held file contents (the beyond-EOF
-// skip fill depends on it), fresh arena memory is zeros, and a page asked
+// skip fill depends on it), fresh arena memory is zeros, a page asked
 // for un-zeroed is handed over as it was put — the clear the fill paths
-// no longer pay for.
+// no longer pay for — and a shared buffer never enters the pool.
 func TestPagePoolZeroing(t *testing.T) {
 	m := pageMount()
 	for i := 0; i < 3*arenaPages; i++ {
@@ -48,8 +49,39 @@ func TestPagePoolZeroing(t *testing.T) {
 		pg.data[j] = 0xA5
 	}
 	m.putPage(pg)
-	if again := m.getPage(false); again != pg || again.data[0] != 0xA5 || again.data[fsapi.PageSize-1] != 0xA5 {
+	again := m.getPage(false)
+	if again != pg || again.data[0] != 0xA5 || again.data[fsapi.PageSize-1] != 0xA5 {
 		t.Fatal("un-zeroed get cleared (or did not reuse) the page just freed")
+	}
+
+	// A shared page's buffer is somebody else's: freeing the page recycles
+	// the struct alone, the next page gets a buffer of the pool's own (and
+	// zeros when it asks for them), and unshare swaps such a buffer in,
+	// with or without the old contents.
+	view := bytes.Repeat([]byte{0xEE}, fsapi.PageSize)
+	again.data, again.shared = view, true // (its own buffer is simply dropped)
+	m.putPage(again)
+	next := m.getPage(true)
+	if next != again || &next.data[0] == &view[0] || next.shared {
+		t.Fatal("a shared buffer was recycled with its page")
+	}
+	for j, b := range next.data {
+		if b != 0 {
+			t.Fatalf("getPage(zeroed) after a shared page returned byte %#x at offset %d", b, j)
+		}
+	}
+	next.data, next.shared = view, true
+	m.unshare(next, true)
+	if next.shared || &next.data[0] == &view[0] || !bytes.Equal(next.data, view) {
+		t.Fatal("unshare(keep) did not move the contents into a private buffer")
+	}
+	next.data, next.shared = view, true
+	m.unshare(next, false)
+	if next.shared || &next.data[0] == &view[0] || len(next.data) != fsapi.PageSize {
+		t.Fatal("unshare did not swap a private buffer in")
+	}
+	if view[0] != 0xEE || view[fsapi.PageSize-1] != 0xEE {
+		t.Fatal("the shared buffer was written")
 	}
 }
 

@@ -245,6 +245,9 @@ func (f *File) PWrite(t *Task, data []byte, off int64) (int, error) {
 			if err != nil {
 				return int(done), err
 			}
+			if pg.shared {
+				m.unshare(pg, true) // the rest of the page survives the write
+			}
 		}
 		t.Charge(m.model.Copy(int(n)))
 		copy(pg.data[pgOff:pgOff+n], data[done:done+n])
@@ -282,6 +285,9 @@ func (vn *vnode) pageForOverwrite(idx int64) *page {
 		// would have delivered, so later readers owe no wait for it;
 		// the fill's device booking stays (the queue really was busy).
 		pg.readyAt = 0
+		if pg.shared {
+			vn.m.unshare(pg, false)
+		}
 		return pg
 	}
 	vn.m.k.rec.Add(trace.CtrPageMisses, 1)
@@ -359,6 +365,9 @@ func (vn *vnode) truncate(t *Task, size int64) error {
 	// reappear if the file is re-extended.
 	if size%fsapi.PageSize != 0 {
 		if pg, ok := vn.pc.Peek(size / fsapi.PageSize); ok {
+			if pg.shared {
+				vn.m.unshare(pg, true)
+			}
 			clear(pg.data[size%fsapi.PageSize:])
 		}
 	}

@@ -97,6 +97,11 @@ func (st *steady) read(obj int) {
 	st.settle(st.s.ReadBlock(st.now, obj*netstore.DefaultObjectBlocks, st.buf))
 }
 
+func (st *steady) borrow(obj int) {
+	_, done, err := st.s.BorrowBlock(st.now, obj*netstore.DefaultObjectBlocks+1)
+	st.settle(done, err)
+}
+
 func (st *steady) write(obj int) {
 	st.settle(st.s.SubmitBlock(st.now, obj*netstore.DefaultObjectBlocks+1, st.buf))
 }
@@ -134,6 +139,9 @@ var steadyPaths = []struct {
 	// A cold read of a durable object: GET, evict a clean object, share
 	// the durable buffer.
 	{"ReadMiss", steadyObjBytes, nil, func(st *steady) { st.read(st.cold()) }},
+	// A page-cache fill by reference from a resident object: the cache
+	// lookup and the shared mark, no copy.
+	{"BorrowHit", 4096, func(st *steady) { st.read(0) }, func(st *steady) { st.borrow(0) }},
 	// A write miss to a durable object with a clean victim at hand: the
 	// read-modify-write GET, the staged block's private buffer, and the
 	// single-object flush that keeps the next victim clean.
@@ -211,6 +219,7 @@ func benchSteady(b *testing.B, name string) {
 func BenchmarkReadMiss(b *testing.B)     { benchSteady(b, "ReadMiss") }
 func BenchmarkWriteMissRMW(b *testing.B) { benchSteady(b, "WriteMissRMW") }
 func BenchmarkFlush(b *testing.B)        { benchSteady(b, "Flush") }
+func BenchmarkBorrowHit(b *testing.B)    { benchSteady(b, "BorrowHit") }
 
 // BenchmarkEvictionPutCycle is the C-Kernel log pattern: a 64-object
 // cache full of dirty objects, and per iteration one block staged in

@@ -1,7 +1,9 @@
 package netstore
 
 import (
+	"bytes"
 	"fmt"
+	"hash/crc32"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -43,6 +45,16 @@ type rig struct {
 	// block after serving in some other role.
 	role     map[*byte]string
 	recycled int
+
+	// outside is every buffer the rig holds a reference to — views lent
+	// by BorrowBlock, buffers donated through SubmitOwned — with the
+	// checksum each must keep for ever.
+	outside map[*byte]outsideBuf
+}
+
+type outsideBuf struct {
+	buf []byte
+	sum uint32
 }
 
 func newRig(t *testing.T, model *costmodel.Model, cfg Config) *rig {
@@ -51,7 +63,7 @@ func newRig(t *testing.T, model *costmodel.Model, cfg Config) *rig {
 	if cfg.Blocks == 0 {
 		cfg.Blocks = 1024
 	}
-	r := &rig{t: t, s: New(cfg), rec: trace.New(), buf: make([]byte, 4096), role: make(map[*byte]string)}
+	r := &rig{t: t, s: New(cfg), rec: trace.New(), buf: make([]byte, 4096), role: make(map[*byte]string), outside: make(map[*byte]outsideBuf)}
 	r.s.SetRecorder(r.rec)
 	return r
 }
@@ -72,6 +84,45 @@ func (r *rig) write(blk int, b byte) {
 	done, err := r.s.SubmitBlock(r.now, blk, r.buf)
 	if err != nil {
 		r.t.Fatalf("write blk %d: %v", blk, err)
+	}
+	r.advance(done)
+}
+
+// donate is write through SubmitOwned: the Store keeps the buffer, the
+// rig keeps watching it.
+func (r *rig) donate(blk int, b byte) {
+	r.t.Helper()
+	buf := bytes.Repeat([]byte{b}, 4096)
+	r.outside[&buf[0]] = outsideBuf{buf, crc32.ChecksumIEEE(buf)}
+	done, err := r.s.SubmitOwned(r.now, blk, buf)
+	if err != nil {
+		r.t.Fatalf("donate blk %d: %v", blk, err)
+	}
+	r.advance(done)
+}
+
+// borrow is expect through BorrowBlock: a nil view is a block of zeros,
+// and a view is held from then on.
+func (r *rig) borrow(blk int, want byte) {
+	r.t.Helper()
+	view, done, err := r.s.BorrowBlock(r.now, blk)
+	if err != nil {
+		r.t.Fatalf("borrow blk %d: %v", blk, err)
+	}
+	if view == nil {
+		if want != 0 {
+			r.t.Fatalf("blk %d lent as zeros, want %#x", blk, want)
+		}
+	} else {
+		if len(view) != 4096 {
+			r.t.Fatalf("blk %d lent as %d bytes", blk, len(view))
+		}
+		for i, b := range view {
+			if b != want {
+				r.t.Fatalf("blk %d lent with byte %d = %#x, want %#x", blk, i, b, want)
+			}
+		}
+		r.outside[&view[0]] = outsideBuf{view, crc32.ChecksumIEEE(view)}
 	}
 	r.advance(done)
 }
@@ -116,20 +167,26 @@ func (r *rig) expect(blk int, want byte) {
 // checkOwnership asserts the ownership rules and the staged-count
 // bookkeeping over the Store's whole state: every block buffer is
 // claimed by exactly one of a durable table slot, one cached object's
-// staged slot, or the free list, and every clean cached slot aliases
-// its durable slot (nil where the object has none).
+// staged slot, or the free list, every clean cached slot aliases its
+// durable slot (nil where the object has none) and agrees with it on the
+// shared mark, a buffer the rig holds is marked shared wherever a table
+// references it and is never on the free list, and none of them has
+// changed.
 func (r *rig) checkOwnership() {
 	r.t.Helper()
 	s := r.s
 	id := func(b []byte) *byte { return &b[0] }
 	owner := make(map[*byte]string)
-	claim := func(b []byte, who string) {
+	claim := func(b []byte, who string, shared bool) {
 		r.t.Helper()
 		if len(b) != s.blockSize || cap(b) != s.blockSize {
 			r.t.Fatalf("%s holds a buffer of len %d cap %d, want %d", who, len(b), cap(b), s.blockSize)
 		}
 		if prev, ok := owner[id(b)]; ok {
 			r.t.Fatalf("buffer referenced by both %s and %s", prev, who)
+		}
+		if _, out := r.outside[id(b)]; out && !shared {
+			r.t.Fatalf("%s holds a lent or adopted buffer without the shared mark", who)
 		}
 		owner[id(b)] = who
 	}
@@ -141,21 +198,27 @@ func (r *rig) checkOwnership() {
 	}
 
 	for objID, d := range s.durable {
-		table(d, fmt.Sprintf("durable:%d", objID))
-		for i, b := range d {
+		table(d.blocks, fmt.Sprintf("durable:%d", objID))
+		for i, b := range d.blocks {
 			if b != nil {
-				claim(b, fmt.Sprintf("durable:%d/%d", objID, i))
+				claim(b, fmt.Sprintf("durable:%d/%d", objID, i), d.shared>>i&1 != 0)
 			}
 		}
 	}
-	// Rule 4: nothing on the free list is referenced anywhere else.
+	// Rule 4: nothing on the free list is referenced anywhere else, in
+	// the Store or outside it.
 	for i, b := range s.freeBufs {
-		claim(b, fmt.Sprintf("free:%d", i))
+		claim(b, fmt.Sprintf("free:%d", i), false)
 	}
 	// The uncarved rest of the newest chunk is nobody's yet.
 	if len(s.chunk) > 0 {
 		if who, ok := owner[id(s.chunk)]; ok {
 			r.t.Fatalf("%s holds a buffer inside the uncarved chunk", who)
+		}
+	}
+	for _, h := range r.outside {
+		if crc32.ChecksumIEEE(h.buf) != h.sum {
+			r.t.Fatal("a lent view or a donated buffer changed")
 		}
 	}
 
@@ -169,23 +232,27 @@ func (r *rig) checkOwnership() {
 		durable := s.durable[objID] // nil: never stored
 		for i, b := range o.blocks {
 			if o.dirty>>i&1 != 0 {
-				// Rule 1: private — claim fails if anyone else holds it.
+				// Rule 1: in no other table — claim fails if it is.
 				if b == nil {
 					r.t.Fatalf("object %d block %d staged without a buffer", objID, i)
 				}
 				who := fmt.Sprintf("staged:%d/%d", objID, i)
-				claim(b, who)
+				claim(b, who, o.shared>>i&1 != 0)
 				if prev, ok := r.role[id(b)]; ok && prev != who {
 					r.recycled++
 				}
 				continue
 			}
 			var want []byte
+			var wantShared uint64
 			if durable != nil {
-				want = durable[i]
+				want, wantShared = durable.blocks[i], durable.shared>>i&1
 			}
 			if (b == nil) != (want == nil) || b != nil && id(b) != id(want) {
 				r.t.Fatalf("object %d clean block %d does not share its durable buffer", objID, i)
+			}
+			if o.shared>>i&1 != wantShared {
+				r.t.Fatalf("object %d clean block %d: shared mark %d, durable slot %d", objID, i, o.shared>>i&1, wantShared)
 			}
 		}
 		return true
@@ -196,7 +263,7 @@ func (r *rig) checkOwnership() {
 	for _, o := range s.freeObjs {
 		table(o.blocks, "released object")
 		for _, b := range o.blocks {
-			if b != nil || o.dirty != 0 || o.node.Dirty() {
+			if b != nil || o.dirty != 0 || o.shared != 0 || o.node.Dirty() {
 				r.t.Fatal("released object struct still carries state")
 			}
 		}
@@ -308,8 +375,8 @@ func TestNeverStoredObjectHoldsNoBuffer(t *testing.T) {
 			r.expect(3, 0xD1)
 			r.expect(4, 0)
 			r.expect(ob+3, 0)
-			if d := r.s.durable[0]; len(r.s.durable) != 1 || held(d) != 1 {
-				t.Fatalf("%d durable objects, object 0 holding %d buffers, want 1 and 1", len(r.s.durable), held(d))
+			if d := r.s.durable[0]; len(r.s.durable) != 1 || held(d.blocks) != 1 {
+				t.Fatalf("%d durable objects, object 0 holding %d buffers, want 1 and 1", len(r.s.durable), held(d.blocks))
 			}
 		})
 	}
@@ -334,7 +401,7 @@ func TestPutHandsOverExactlyTheStagedBlocks(t *testing.T) {
 			staged := []int{1, 4, 6}
 			replaced, handed := make(map[*byte]bool), make(map[*byte]int)
 			for _, i := range staged {
-				replaced[id(r.s.durable[0][i])] = true
+				replaced[id(r.s.durable[0].blocks[i])] = true
 				r.write(i, 0xB0+byte(i))
 			}
 			o, _ := r.s.cache.Peek(0)
@@ -351,7 +418,7 @@ func TestPutHandsOverExactlyTheStagedBlocks(t *testing.T) {
 				}
 			}
 			for p, i := range handed {
-				if id(r.s.durable[0][i]) != p {
+				if id(r.s.durable[0].blocks[i]) != p {
 					t.Fatalf("durable block %d is not the staged buffer handed over", i)
 				}
 			}
@@ -394,8 +461,8 @@ func TestCrashKeepsEveryStagedBlock(t *testing.T) {
 			r.write(9, 0xB9) // object 2: never stored
 			r.crash(1, 9)
 			// Two taken, one durable block of object 0 replaced.
-			if len(r.s.freeBufs) != 11 || held(r.s.durable[2]) != 1 {
-				t.Fatalf("free list holds %d buffers, object 2 %d durable blocks after the kept crash, want 11 and 1", len(r.s.freeBufs), held(r.s.durable[2]))
+			if len(r.s.freeBufs) != 11 || held(r.s.durable[2].blocks) != 1 {
+				t.Fatalf("free list holds %d buffers, object 2 %d durable blocks after the kept crash, want 11 and 1", len(r.s.freeBufs), held(r.s.durable[2].blocks))
 			}
 			for blk, want := range map[int]byte{0: 0xA0, 1: 0xB1, 2: 0xA0, 3: 0xA0, 8: 0, 9: 0xB9, 10: 0, 11: 0, 4: 0, 5: 0} {
 				r.expect(blk, want)
@@ -407,7 +474,10 @@ func TestCrashKeepsEveryStagedBlock(t *testing.T) {
 // TestBufferChurn recycles buffers many times over — eviction PUTs under
 // a 4-object cache, cache drops, keep-everything and keep-nothing
 // crashes — and requires every written block to read its last value and
-// every never-written block zeros throughout.
+// every never-written block zeros throughout. A third of the writes are
+// donated and half of the reads borrowed, so lent and adopted buffers pass
+// through every slot the copied ones do, and checkOwnership watches each
+// of them for ever.
 func TestBufferChurn(t *testing.T) {
 	for _, fm := range faultModes {
 		t.Run(fm.name, func(t *testing.T) {
@@ -428,7 +498,11 @@ func TestBufferChurn(t *testing.T) {
 						continue
 					}
 					last[blk] = byte(1 + rng.Intn(255))
-					r.write(blk, last[blk])
+					if rng.Intn(3) == 0 {
+						r.donate(blk, last[blk])
+					} else {
+						r.write(blk, last[blk])
+					}
 				}
 				switch round % 4 {
 				case 0:
@@ -442,13 +516,21 @@ func TestBufferChurn(t *testing.T) {
 					// so no eviction PUT can save them — and lose them.
 					r.flush()
 					for obj := 0; obj < cacheObjs-1; obj++ {
-						r.write((round+obj*5)%24*objBlocks+1, 0xEE)
+						if obj%2 == 0 {
+							r.donate((round+obj*5)%24*objBlocks+1, 0xEE)
+						} else {
+							r.write((round+obj*5)%24*objBlocks+1, 0xEE)
+						}
 					}
 					r.crash(0, int64(round))
 				}
 				t.Logf("round %d", round)
 				for blk, want := range last {
-					r.expect(blk, want)
+					if rng.Intn(2) == 0 {
+						r.borrow(blk, want)
+					} else {
+						r.expect(blk, want)
+					}
 				}
 			}
 			if r.recycled < 4*cacheObjs*objBlocks {
@@ -483,9 +565,9 @@ func TestFailedPutKeepsObjectPrivate(t *testing.T) {
 			r.write(4, 0xC1) // object 1 dirty: cache full of dirty
 			r.s.ArmOutage(r.now, r.now+100_000)
 			putsBefore := r.rec.Counters()["net_puts"]
-			durableBefore := &r.s.durable[0][0][0]
+			durableBefore := &r.s.durable[0].blocks[0][0]
 			r.write(8, 0xC2) // eviction PUT of object 0 fails; cache overflows
-			if o, _ := r.s.cache.Peek(0); &r.s.durable[0][0][0] != durableBefore || &o.blocks[0][0] == durableBefore ||
+			if o, _ := r.s.cache.Peek(0); &r.s.durable[0].blocks[0][0] != durableBefore || &o.blocks[0][0] == durableBefore ||
 				len(r.s.durable) != 1 || len(r.s.freeBufs) != 0 {
 				t.Fatalf("the failed eviction PUT moved a buffer: %d durable objects, %d free buffers", len(r.s.durable), len(r.s.freeBufs))
 			}

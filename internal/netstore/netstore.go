@@ -32,12 +32,13 @@
 //
 // Buffers. The wire is modeled, not the bytes, so nothing object-sized
 // is allocated, cleared or copied on the steady-state path. An object,
-// cached or durable, is a table of per-block buffers: a clean cached
-// block shares the durable tier's buffer, a staged write takes one block
-// buffer from the Store's free list and overwrites it (copy-on-write at
-// block granularity, with nothing to copy because the whole block is
-// replaced), and a PUT hands exactly the staged blocks over. The
-// ownership rules that keep this safe are on Store.
+// cached or durable, is a table of per-block buffers, and every buffer in
+// a table is immutable (the blockdev.Backend ownership rule): a clean
+// cached block shares the durable tier's buffer, a staged write replaces
+// the slot's buffer — with a copy in one from the Store's free list, or
+// with the caller's own under SubmitOwned — and a PUT hands exactly the
+// staged buffers over. BorrowBlock lends a slot's buffer out as it is.
+// How the Store keeps track of who may still hold a buffer is on Store.
 //
 // Determinism. Durable state and completion times are pure functions of
 // the call sequence: write-back walks the cache's dirty tags in
@@ -90,15 +91,23 @@ type Config struct {
 	Faults FaultConfig
 }
 
+// durableObj is one stored object's durable tier: a buffer per block (nil
+// reads as zeros) and which of them are shared, one bit per block index.
+type durableObj struct {
+	blocks [][]byte
+	shared uint64
+}
+
 // object is one cached object: a buffer per block (nil reads as zeros)
-// plus which of its blocks are staged (written since last made durable),
-// one bit per block index within the object. A staged block's buffer is
-// private to the object; a clean block's aliases the durable table's and
-// is read-only.
+// plus which of its blocks are staged (written since last made durable)
+// and which are shared (lent or adopted), one bit per block index within
+// the object. A staged block's buffer is in no durable table; a clean
+// block's aliases the durable table's, shared mark included.
 type object struct {
 	node   lru.Node
 	blocks [][]byte
 	dirty  uint64
+	shared uint64
 }
 
 func (o *object) LRUNode() *lru.Node { return &o.node }
@@ -108,18 +117,26 @@ func (o *object) LRUNode() *lru.Node { return &o.node }
 // no locking of its own.
 //
 // Buffer ownership. Block buffers move between the durable tables,
-// cached objects and a free list by pointer, under five rules:
+// cached objects and a free list by pointer and are never written while a
+// table references them (docs/architecture.md, "Buffer ownership"). What
+// the Store adds to the rule:
 //
 //  1. A staged block's buffer is referenced by exactly one cached object
 //     and by no durable table, so a staged write can never reach the
 //     durable tier through an alias.
 //  2. A nil block reads as zeros. A never-stored object is a table of
 //     nils; there is no shared zero buffer to protect.
-//  3. ReadBlock only ever copies out of a block buffer.
+//  3. A buffer is shared once BorrowBlock has lent it or SubmitOwned has
+//     adopted it. The mark is a bit beside the slot, it moves with the
+//     buffer (staged slot to durable slot on a PUT or a kept crash block),
+//     and a clean cached slot and the durable slot it aliases always agree
+//     on it.
 //  4. A buffer enters the free list only when neither a durable table
-//     nor any cached object references it: the durable block that a PUT
-//     or a block kept by Crash replaces, and the staged blocks of an
-//     object dropped by Crash.
+//     nor any cached object references it and it was never shared: the
+//     durable block that a PUT or a block kept by Crash replaces, a staged
+//     block that a later write replaces, and the staged blocks of an
+//     object dropped by Crash. A shared buffer in the same position is
+//     left to the collector.
 //  5. A free-list buffer becomes readable only after SubmitBlock has
 //     overwritten all BlockSize bytes of it.
 //
@@ -133,7 +150,7 @@ type Store struct {
 	cacheCap  int
 	model     *costmodel.Model
 
-	durable map[int64][][]byte // object id → durable block table (absent = never stored)
+	durable map[int64]*durableObj // object id → durable tier (absent = never stored)
 	cache   lru.Core[*object]
 	staged  int // staged-not-durable blocks across all cached objects
 
@@ -201,7 +218,7 @@ func New(cfg Config) *Store {
 		objBytes:  cfg.ObjectBlocks * cfg.BlockSize,
 		cacheCap:  cfg.CacheObjects,
 		model:     cfg.Model,
-		durable:   make(map[int64][][]byte),
+		durable:   make(map[int64]*durableObj),
 		res:       vclock.NewResource(cfg.Name+":net", cfg.Model.NetChannels),
 	}
 	s.laneTracks = make([]string, cfg.Model.NetChannels)
@@ -233,10 +250,10 @@ func (s *Store) takeBuf() []byte {
 	return buf
 }
 
-// newObject returns a clean object sharing the durable table's blocks
-// (all nil when durable is), recycling a released struct when one is
-// free.
-func (s *Store) newObject(durable [][]byte) *object {
+// newObject returns a clean object sharing the durable tier's blocks
+// and their shared marks (all nil when durable is), recycling a released
+// struct when one is free.
+func (s *Store) newObject(durable *durableObj) *object {
 	var o *object
 	if n := len(s.freeObjs); n > 0 {
 		o = s.freeObjs[n-1]
@@ -244,8 +261,19 @@ func (s *Store) newObject(durable [][]byte) *object {
 	} else {
 		o = &object{blocks: make([][]byte, s.objBlocks)}
 	}
-	copy(o.blocks, durable)
+	if durable != nil {
+		copy(o.blocks, durable.blocks)
+		o.shared = durable.shared
+	}
 	return o
+}
+
+// recycle puts a buffer that no table references any more on the free
+// list, unless it was shared (rule 4).
+func (s *Store) recycle(buf []byte, shared bool) {
+	if buf != nil && !shared {
+		s.freeBufs = append(s.freeBufs, buf)
+	}
 }
 
 // release recycles an object that has left the cache: always its
@@ -253,32 +281,33 @@ func (s *Store) newObject(durable [][]byte) *object {
 // block's buffer still belongs to the durable tier.
 func (s *Store) release(o *object) {
 	for m := o.dirty; m != 0; m &= m - 1 {
-		s.freeBufs = append(s.freeBufs, o.blocks[bits.TrailingZeros64(m)])
+		idx := bits.TrailingZeros64(m)
+		s.recycle(o.blocks[idx], o.shared>>idx&1 != 0)
 	}
 	clear(o.blocks)
-	o.dirty = 0
+	o.dirty, o.shared = 0, 0
 	o.node.ResetForReuse()
 	s.freeObjs = append(s.freeObjs, o)
 }
 
 // store makes block idx of o durable by hand-over: the durable table
-// takes the staged buffer and the buffer it replaces, which nothing
-// references any more, goes to the free list.
-func (s *Store) store(durable [][]byte, o *object, idx int) {
-	if old := durable[idx]; old != nil {
-		s.freeBufs = append(s.freeBufs, old)
-	}
-	durable[idx] = o.blocks[idx]
-	o.dirty &^= 1 << idx
+// takes the staged buffer with its shared mark, and the buffer it
+// replaces, which no table references any more, is recycled.
+func (s *Store) store(durable *durableObj, o *object, idx int) {
+	bit := uint64(1) << idx
+	s.recycle(durable.blocks[idx], durable.shared&bit != 0)
+	durable.blocks[idx] = o.blocks[idx]
+	durable.shared = durable.shared&^bit | o.shared&bit
+	o.dirty &^= bit
 	s.staged--
 }
 
-// durableTable returns objID's durable table, creating it — the object
+// durableTable returns objID's durable tier, creating it — the object
 // has now been stored — on first use.
-func (s *Store) durableTable(objID int64) [][]byte {
+func (s *Store) durableTable(objID int64) *durableObj {
 	durable, ok := s.durable[objID]
 	if !ok {
-		durable = make([][]byte, s.objBlocks)
+		durable = &durableObj{blocks: make([][]byte, s.objBlocks)}
 		s.durable[objID] = durable
 	}
 	return durable
@@ -382,35 +411,55 @@ func (s *Store) insert(now, objID int64, o *object) {
 	s.cache.Add(objID, o)
 }
 
-// ReadBlock implements blockdev.Backend. A cache hit completes
-// immediately (the network tier adds nothing; CPU and cache costs were
-// charged by the layers above); a miss GETs the whole object. While the
-// circuit breaker is open, hits are still served — the degraded-mode
-// reads the net_degraded counter tallies — and misses fail fast.
-func (s *Store) ReadBlock(now int64, blk int, buf []byte) (int64, error) {
-	objID := int64(blk / s.objBlocks)
-	idx := blk % s.objBlocks
-	o, ok := s.cache.Get(objID)
-	done := now
-	if ok {
+// readObject returns the cached object holding a block to be read: a
+// cache hit completes immediately (the network tier adds nothing; CPU and
+// cache costs were charged by the layers above); a miss GETs the whole
+// object. While the circuit breaker is open, hits are still served — the
+// degraded-mode reads the net_degraded counter tallies — and misses fail
+// fast.
+func (s *Store) readObject(now, objID int64) (*object, int64, error) {
+	if o, ok := s.cache.Get(objID); ok {
 		s.rec.Add(trace.CtrNetCacheHits, 1)
 		if s.faulty && s.open {
 			s.rec.Add(trace.CtrNetDegraded, 1)
 		}
-	} else {
-		s.rec.Add(trace.CtrNetCacheMisses, 1)
-		var err error
-		o, done, err = s.load(now, objID)
-		if err != nil {
-			return done, err
-		}
+		return o, now, nil
 	}
-	if b := o.blocks[idx]; b != nil {
+	s.rec.Add(trace.CtrNetCacheMisses, 1)
+	return s.load(now, objID)
+}
+
+// ReadBlock implements blockdev.Backend.
+func (s *Store) ReadBlock(now int64, blk int, buf []byte) (int64, error) {
+	o, done, err := s.readObject(now, int64(blk/s.objBlocks))
+	if err != nil {
+		return done, err
+	}
+	if b := o.blocks[blk%s.objBlocks]; b != nil {
 		copy(buf, b)
 	} else {
 		clear(buf)
 	}
 	return done, nil
+}
+
+// BorrowBlock implements blockdev.Backend: ReadBlock's hit, miss and
+// GET, then the slot's buffer itself, now shared (rule 3).
+func (s *Store) BorrowBlock(now int64, blk int) ([]byte, int64, error) {
+	objID := int64(blk / s.objBlocks)
+	o, done, err := s.readObject(now, objID)
+	if err != nil {
+		return nil, done, err
+	}
+	idx := blk % s.objBlocks
+	b, bit := o.blocks[idx], uint64(1)<<idx
+	if b != nil && o.shared&bit == 0 {
+		o.shared |= bit
+		if o.dirty&bit == 0 {
+			s.durable[objID].shared |= bit // clean: the same buffer in both tables
+		}
+	}
+	return b, done, nil
 }
 
 // SubmitBlock implements blockdev.Backend: write-back into the cached
@@ -419,6 +468,16 @@ func (s *Store) ReadBlock(now int64, blk int, buf []byte) (int64, error) {
 // the circuit breaker is open, writes keep queueing in cache up to
 // DegradedWriteBlocks staged blocks, then surface EIO.
 func (s *Store) SubmitBlock(now int64, blk int, buf []byte) (int64, error) {
+	return s.stage(now, blk, buf, false)
+}
+
+// SubmitOwned implements blockdev.Backend: SubmitBlock with buf itself
+// becoming the staged block.
+func (s *Store) SubmitOwned(now int64, blk int, buf []byte) (int64, error) {
+	return s.stage(now, blk, buf, true)
+}
+
+func (s *Store) stage(now int64, blk int, buf []byte, owned bool) (int64, error) {
 	objID := int64(blk / s.objBlocks)
 	idx := blk % s.objBlocks
 	o, ok := s.cache.Get(objID)
@@ -446,18 +505,28 @@ func (s *Store) SubmitBlock(now int64, blk int, buf []byte) (int64, error) {
 		}
 		s.rec.Add(trace.CtrNetDegraded, 1)
 	}
+	// The write replaces the slot's buffer and copies nothing out of the
+	// old one, because it replaces the whole block. A clean slot's old
+	// buffer stays the durable tier's (rule 1); a staged slot's is in no
+	// other table and is recycled.
 	if o.dirty&bit == 0 {
-		// First staged write to this block: it gets a private buffer in
-		// place of the shared durable one (rules 1 and 5), and nothing
-		// is copied because the write replaces the whole block.
 		if o.dirty == 0 {
 			s.cache.MarkDirty(objID)
 		}
-		o.blocks[idx] = s.takeBuf()
 		o.dirty |= bit
 		s.staged++
+	} else {
+		s.recycle(o.blocks[idx], o.shared&bit != 0)
 	}
-	copy(o.blocks[idx], buf)
+	if owned {
+		o.blocks[idx] = buf
+		o.shared |= bit
+	} else {
+		b := s.takeBuf()
+		copy(b, buf)
+		o.blocks[idx] = b
+		o.shared &^= bit
+	}
 	return done, nil
 }
 

@@ -3,7 +3,8 @@
 // model, the netstore object tier, and whatever comes next — must pass
 // the same battery: read-your-writes and zero-fill, flush as a
 // durability barrier, the one-sided crash contract, seeded crash
-// replay, power-cut semantics, and virtual-time determinism. Backend
+// replay, power-cut semantics, virtual-time determinism, and the
+// buffer-ownership rule for blocks passed by reference. Backend
 // packages invoke it from their own tests:
 //
 //	func TestConformance(t *testing.T) {
@@ -19,6 +20,8 @@ package storagetest
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
+	"math/rand"
 	"testing"
 
 	"bento/internal/blockdev"
@@ -42,6 +45,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("FlushBarrier", func(t *testing.T) { flushBarrier(t, factory) })
 	t.Run("PowerCut", func(t *testing.T) { powerCut(t, factory) })
 	t.Run("TimeDeterminism", func(t *testing.T) { timeDeterminism(t, factory) })
+	t.Run("Ownership", func(t *testing.T) { ownership(t, factory) })
 }
 
 func fill(d *blockdev.Device, b byte) []byte {
@@ -285,4 +289,154 @@ func timeDeterminism(t *testing.T, f Factory) {
 	if s1 != s2 {
 		t.Fatalf("device stats diverged: %+v vs %+v", s1, s2)
 	}
+}
+
+// ownership holds a backend to the buffer-ownership rule (blockdev.Backend):
+// a buffer the backend can reach is immutable, and only a buffer that was
+// never shared is recycled. Seeded streams of Submit, SubmitOwned, Borrow,
+// Read, Flush, Crash and DropBackendCache run against it while the test
+// keeps every view it was lent and every buffer it donated, and requires
+// that
+//
+//   - no view and no donated buffer ever changes: the ones of the block a
+//     call touched are checked right after it, all of them after every
+//     Flush, Crash and cache drop, before one is forgotten, and at the end;
+//   - Borrow and Read of the same block agree byte for byte, a nil view
+//     being a block of zeros;
+//   - a block reads back what was last written to it, until a crash makes
+//     that uncertain.
+//
+// Commands may fail (a backend under a fault model): a failed command
+// proves nothing and is skipped, but what it was given is still watched.
+//
+// Hand mutations this test kills, on the local backend and on netstore
+// alike: SubmitBlock overwriting a staged buffer in place (a lent view or
+// a donated buffer changes at the second write); putting a lent buffer on
+// the free list when a Flush or PUT retires it, or an adopted one when a
+// Crash drops it (the next copied write lands in it); restoring a crash
+// loser by copying the durable image into the current buffer.
+func ownership(t *testing.T, f Factory) {
+	for seed := int64(1); seed <= 3; seed++ {
+		ownershipStream(t, f, seed)
+	}
+}
+
+func ownershipStream(t *testing.T, f Factory, seed int64) {
+	const blocks, calls, keepPerBlock = 48, 1500, 6
+	d := f(blocks)
+	bs := d.BlockSize()
+	clk := vclock.NewClock()
+	rng := rand.New(rand.NewSource(seed))
+
+	type held struct {
+		buf []byte
+		sum uint32
+	}
+	holds := make([][]held, blocks)
+	checkBlock := func(i, blk int, what string) {
+		t.Helper()
+		for _, h := range holds[blk] {
+			if crc32.ChecksumIEEE(h.buf) != h.sum {
+				t.Fatalf("seed %d call %d (%s): a buffer lent from or donated to block %d changed", seed, i, what, blk)
+			}
+		}
+	}
+	checkAll := func(i int, what string) {
+		t.Helper()
+		for blk := range holds {
+			checkBlock(i, blk, what)
+		}
+	}
+	hold := func(i, blk int, b []byte) {
+		if len(holds[blk]) == keepPerBlock {
+			checkBlock(i, blk, "forget")
+			holds[blk] = holds[blk][1:]
+		}
+		holds[blk] = append(holds[blk], held{b, crc32.ChecksumIEEE(b)})
+	}
+
+	// last[blk] is what the block must read as; nil once a crash (or a
+	// failed write) has made that unknown, until the next successful write.
+	last := make([][]byte, blocks)
+	zeros := make([]byte, bs)
+	for blk := range last {
+		last[blk] = zeros
+	}
+	pattern := func() []byte {
+		b := make([]byte, bs)
+		if rng.Intn(8) != 0 { // sometimes a written block of zeros
+			rng.Read(b)
+		}
+		return b
+	}
+	got := make([]byte, bs)
+
+	for i := 0; i < calls; i++ {
+		blk := rng.Intn(blocks)
+		switch p := rng.Intn(100); {
+		case p < 22: // copied write: the caller keeps its buffer and may scribble on it
+			b := pattern()
+			if _, err := d.Submit(clk, blk, b); err != nil {
+				last[blk] = nil
+			} else {
+				last[blk] = bytes.Clone(b)
+			}
+			for j := range b {
+				b[j] ^= 0xFF
+			}
+			checkBlock(i, blk, "Submit")
+		case p < 44: // donated write
+			b := pattern()
+			hold(i, blk, b)
+			if _, err := d.SubmitOwned(clk, blk, b); err != nil {
+				last[blk] = nil
+			} else {
+				last[blk] = b
+			}
+			checkBlock(i, blk, "SubmitOwned")
+		case p < 70: // Borrow, then Read: the two must agree
+			view, berr := d.Borrow(clk, blk)
+			rerr := d.Read(clk, blk, got)
+			checkBlock(i, blk, "Borrow+Read")
+			if berr != nil || rerr != nil {
+				continue
+			}
+			want := view
+			if view == nil {
+				want = zeros
+			} else {
+				if len(view) != bs {
+					t.Fatalf("seed %d call %d: block %d lent as %d bytes", seed, i, blk, len(view))
+				}
+				hold(i, blk, view)
+			}
+			if !bytes.Equal(want, got) {
+				t.Fatalf("seed %d call %d: Borrow and Read of block %d disagree", seed, i, blk)
+			}
+			if last[blk] != nil && !bytes.Equal(got, last[blk]) {
+				t.Fatalf("seed %d call %d: block %d does not read back its last write", seed, i, blk)
+			}
+		case p < 82:
+			if err := d.Read(clk, blk, got); err == nil && last[blk] != nil && !bytes.Equal(got, last[blk]) {
+				t.Fatalf("seed %d call %d: block %d does not read back its last write", seed, i, blk)
+			}
+			checkBlock(i, blk, "Read")
+		case p < 90:
+			_ = d.Flush(clk) // a failed flush leaves state staged; contents are unaffected
+			checkAll(i, "Flush")
+		case p < 96:
+			d.Crash([]float64{0, 0.5, 1}[rng.Intn(3)], rng.Int63())
+			if n := d.DirtyBlocks(); n != 0 {
+				t.Fatalf("seed %d call %d: %d dirty blocks after Crash", seed, i, n)
+			}
+			for b := range last {
+				last[b] = nil // flushed or staged or older: not this test's business
+			}
+			checkAll(i, "Crash")
+		default:
+			d.DropBackendCache()
+			checkAll(i, "DropBackendCache")
+		}
+	}
+	checkAll(calls, "end")
 }

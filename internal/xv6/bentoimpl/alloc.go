@@ -163,14 +163,13 @@ func (fs *FS) ialloc(t *kernel.Task, typ uint16) (*Inode, error) {
 				return nil, err
 			}
 			off := layout.InodeOffset(inum)
-			din := layout.DecodeDinode(data[off:])
-			if din.Type != layout.TypeFree {
+			if layout.DinodeType(data[off:]) != layout.TypeFree {
 				if err := bh.Release(); err != nil {
 					return nil, err
 				}
 				continue
 			}
-			din = layout.Dinode{Type: typ, Nlink: 0}
+			din := layout.Dinode{Type: typ, Nlink: 0}
 			din.Encode(data[off:])
 			if err := fs.log.Write(t, bh); err != nil {
 				_ = bh.Release()

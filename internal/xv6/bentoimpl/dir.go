@@ -25,9 +25,8 @@ func (fs *FS) dirlookup(t *kernel.Task, dp *Inode, name string) (inum uint32, of
 			return 0, 0, err
 		}
 		for o := int64(0); o < n; o += layout.DirentSize {
-			de := layout.DecodeDirent(buf[o:])
-			if de.Ino != 0 && de.Name == name {
-				return de.Ino, base + o, nil
+			if ino, ok := layout.DirentIs(buf[o:], name); ok {
+				return ino, base + o, nil
 			}
 		}
 	}

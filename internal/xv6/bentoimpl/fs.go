@@ -51,6 +51,8 @@ type FS struct {
 var (
 	_ core.FileSystem = (*FS)(nil)
 	_ core.Upgradable = (*FS)(nil)
+	_ core.PageLender = (*FS)(nil)
+	_ core.PageWriter = (*FS)(nil)
 )
 
 // New creates an unmounted instance; core.Register's factory calls it.
@@ -569,6 +571,37 @@ func (fs *FS) Read(t *kernel.Task, ino fsapi.Ino, off int64, buf []byte) (int, e
 	return ip.readi(t, off, buf)
 }
 
+// CanLendPage implements core.PageLender: a page is lent when it is one
+// whole block of a direct file's data — the inode is in core (it is, for
+// any file the kernel has open), its data takes the bypass, and the page
+// lies wholly inside the file.
+func (fs *FS) CanLendPage(ino fsapi.Ino, pg int64) bool {
+	ip, ok := fs.itab.entries[uint32(ino)]
+	return ok && ip.valid && fs.dataDirect(ip) && (pg+1)*fsapi.PageSize <= int64(ip.din.Size)
+}
+
+// LendPage implements core.PageLender: Read of that page, with readi's
+// bmap and direct read but BBorrowDirect in place of BReadDirect.
+func (fs *FS) LendPage(t *kernel.Task, ino fsapi.Ino, pg int64) ([]byte, error) {
+	ip := fs.iget(uint32(ino))
+	defer fs.iputOutside(t, ip)
+	if err := ip.iload(t); err != nil { // in core already: free
+		return nil, err
+	}
+	blk, _, err := ip.bmap(t, uint64(pg), false)
+	if err != nil {
+		return nil, err
+	}
+	var view []byte
+	if blk != 0 {
+		view, err = fs.sb.BBorrowDirect(t, int(blk))
+	}
+	if view == nil && err == nil {
+		view = make([]byte, fsapi.PageSize) // a hole, or mapped and never written
+	}
+	return view, err
+}
+
 // Write implements core.FileSystem, chunking the write into bounded
 // transactions exactly as xv6's sys_write does.
 func (fs *FS) Write(t *kernel.Task, ino fsapi.Ino, off int64, data []byte) (int, error) {
@@ -576,25 +609,47 @@ func (fs *FS) Write(t *kernel.Task, ino fsapi.Ino, off int64, data []byte) (int,
 	defer fs.iputOutside(t, ip)
 	var done int
 	for done < len(data) {
-		n := len(data) - done
-		if n > writeChunkBlocks*layout.BlockSize {
-			n = writeChunkBlocks * layout.BlockSize
-		}
-		op := fs.log.BeginOp(t, layout.MaxOpBlocks)
-		if err := ip.iload(t); err != nil {
-			_ = fs.log.EndOp(t, op)
-			return done, err
-		}
-		w, err := ip.writei(t, off+int64(done), data[done:done+n])
-		if e := fs.log.EndOp(t, op); err == nil {
-			err = e
-		}
+		n := min(len(data)-done, writeChunkBlocks*layout.BlockSize)
+		w, err := fs.writeChunk(t, ip, off+int64(done), [][]byte{data[done : done+n]}, int64(n), false)
 		done += w
 		if err != nil {
 			return done, err
 		}
 	}
 	return done, nil
+}
+
+// WritePages implements core.PageWriter: Write, chunked the same way, with
+// the kernel's page buffers as the source. They have been given up, so
+// whole blocks of direct data are handed to the device instead of copied.
+func (fs *FS) WritePages(t *kernel.Task, ino fsapi.Ino, off int64, pages [][]byte, total int64) (int, error) {
+	ip := fs.iget(uint32(ino))
+	defer fs.iputOutside(t, ip)
+	var done int64
+	for done < total {
+		n := min(total-done, writeChunkBlocks*layout.BlockSize)
+		w, err := fs.writeChunk(t, ip, off+done, pages[done/fsapi.PageSize:], n, true)
+		done += int64(w)
+		if err != nil {
+			return int(done), err
+		}
+	}
+	return int(done), nil
+}
+
+// writeChunk writes one transaction's worth of a write: the first n bytes
+// of src at off.
+func (fs *FS) writeChunk(t *kernel.Task, ip *Inode, off int64, src [][]byte, n int64, owned bool) (int, error) {
+	op := fs.log.BeginOp(t, layout.MaxOpBlocks)
+	if err := ip.iload(t); err != nil {
+		_ = fs.log.EndOp(t, op)
+		return 0, err
+	}
+	w, err := ip.writev(t, off, src, n, owned)
+	if e := fs.log.EndOp(t, op); err == nil {
+		err = e
+	}
+	return w, err
 }
 
 // ReadDir implements core.FileSystem.

@@ -441,17 +441,26 @@ func (ip *Inode) readi(t *kernel.Task, off int64, buf []byte) (int, error) {
 	return int(done), nil
 }
 
-// writei writes buf at off, growing the file as needed. Regular-file
-// data under the bypass is submitted straight to the device — batched
-// across the loop so consecutive blocks overlap on the device queues —
-// and never journaled; metadata updates (bitmap, indirects, inode) stay
-// in the transaction. ip is loaded; caller holds a transaction
-// sized for the write (see writeChunkBlocks).
+// writei writes buf at off.
 func (ip *Inode) writei(t *kernel.Task, off int64, buf []byte) (int, error) {
+	return ip.writev(t, off, [][]byte{buf}, int64(len(buf)), false)
+}
+
+// writev writes the first total bytes of src, the concatenation of its
+// buffers, at off, growing the file as needed. Regular-file data under the
+// bypass is submitted straight to the device — batched across the loop so
+// consecutive blocks overlap on the device queues — and never journaled;
+// metadata updates (bitmap, indirects, inode) stay in the transaction.
+// With owned set src is a run of page buffers the kernel has given up
+// (write-back) and off is page-aligned: a whole block of direct data is
+// then a whole buffer of src and goes to the device as it is instead of
+// being copied. ip is loaded; caller holds a transaction sized for the
+// write (see writeChunkBlocks).
+func (ip *Inode) writev(t *kernel.Task, off int64, src [][]byte, total int64, owned bool) (int, error) {
 	if off < 0 {
 		return 0, fsapi.ErrInvalid
 	}
-	if off+int64(len(buf)) > layout.MaxFileSize {
+	if off+total > layout.MaxFileSize {
 		return 0, fsapi.ErrFileTooBig
 	}
 	direct := ip.fs.dataDirect(ip)
@@ -463,13 +472,15 @@ func (ip *Inode) writei(t *kernel.Task, off int64, buf []byte) (int, error) {
 		}
 	}
 	var done int64
-	want := int64(len(buf))
-	for done < want {
+	var si int   // src[si] holds the next byte to write,
+	var so int64 // at offset so
+	for done < total {
 		bn := uint64((off + done) / layout.BlockSize)
 		bo := (off + done) % layout.BlockSize
-		n := int64(layout.BlockSize) - bo
-		if n > want-done {
-			n = want - done
+		n := min(int64(layout.BlockSize)-bo, total-done, int64(len(src[si]))-so)
+		from := src[si][so : so+n]
+		if so += n; so == int64(len(src[si])) {
+			si, so = si+1, 0
 		}
 		blk, fresh, err := ip.bmap(t, bn, true)
 		if err != nil {
@@ -477,8 +488,8 @@ func (ip *Inode) writei(t *kernel.Task, off int64, buf []byte) (int, error) {
 			return int(done), err
 		}
 		if direct {
-			src := buf[done : done+n]
-			if bo != 0 || n != layout.BlockSize {
+			whole := bo == 0 && n == layout.BlockSize
+			if !whole {
 				// Sub-block write: merge with the block's current
 				// content. A block holding no committed file bytes —
 				// freshly allocated, or mapped wholly at/beyond EOF
@@ -495,10 +506,15 @@ func (ip *Inode) writei(t *kernel.Task, off int64, buf []byte) (int, error) {
 					wait()
 					return int(done), err
 				}
-				copy(bounce[bo:bo+n], src)
-				src = bounce
+				copy(bounce[bo:bo+n], from)
+				from = bounce
 			}
-			completion, err := ip.fs.sb.BWriteDirect(t, int(blk), src)
+			var completion int64
+			if whole && owned {
+				completion, err = ip.fs.sb.BWriteOwned(t, int(blk), from)
+			} else {
+				completion, err = ip.fs.sb.BWriteDirect(t, int(blk), from)
+			}
 			if err != nil {
 				wait()
 				return int(done), err
@@ -523,7 +539,7 @@ func (ip *Inode) writei(t *kernel.Task, off int64, buf []byte) (int, error) {
 			_ = bh.Release()
 			return int(done), err
 		}
-		copy(data[bo:bo+n], buf[done:done+n])
+		copy(data[bo:bo+n], from)
 		if err := ip.fs.log.Write(t, bh); err != nil {
 			_ = bh.Release()
 			return int(done), err

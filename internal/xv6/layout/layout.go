@@ -16,6 +16,7 @@ package layout
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"bento/internal/fsapi"
 )
@@ -190,6 +191,29 @@ func EncodeDirent(d Dirent, buf []byte) error {
 	return nil
 }
 
+// DirentIs reports whether the directory record holds a live entry named
+// name, and the entry's inode: DecodeDirent followed by the comparison a
+// lookup makes, done in place — no Dirent, no string per scanned record.
+func DirentIs(rec []byte, name string) (ino uint32, ok bool) {
+	ino = binary.LittleEndian.Uint32(rec[0:])
+	n := len(name)
+	if ino == 0 || n > MaxNameLen || string(rec[4:4+n]) != name {
+		return 0, false
+	}
+	// The stored name ends at its first NUL (or fills the field): it is
+	// name only if it stops where name does and name has no NUL inside.
+	if n < MaxNameLen && rec[4+n] != 0 || strings.IndexByte(name, 0) >= 0 {
+		return 0, false
+	}
+	return ino, true
+}
+
+// DinodeType reports the Type field of an inode record without decoding
+// the rest of it: what an allocation scan looks at.
+func DinodeType(rec []byte) uint16 {
+	return binary.LittleEndian.Uint16(rec[0:])
+}
+
 // DecodeDirent parses a directory record.
 func DecodeDirent(buf []byte) Dirent {
 	ino := binary.LittleEndian.Uint32(buf[0:])
@@ -208,12 +232,22 @@ type LogHeader struct {
 	Blocks [LogSize]uint32
 }
 
-// Encode writes the header into a block buffer.
+// Encode writes the header into a block buffer that holds zeros or an
+// earlier header written by Encode — the log's header buffer, which sees
+// two of these per commit. It writes N and the N valid entries and clears
+// the entries the previous header had beyond them, instead of all LogSize
+// slots; Blocks past N are not looked at (a header built for a commit has
+// zeros there, which is what the buffer then holds too).
 func (h *LogHeader) Encode(buf []byte) {
 	le := binary.LittleEndian
+	prev := min(le.Uint32(buf[0:]), LogSize)
+	n := min(h.N, LogSize)
 	le.PutUint32(buf[0:], h.N)
-	for i, b := range h.Blocks {
+	for i, b := range h.Blocks[:n] {
 		le.PutUint32(buf[4+4*i:], b)
+	}
+	if prev > n {
+		clear(buf[4+4*n : 4+4*prev])
 	}
 }
 

@@ -1,6 +1,9 @@
 package layout
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -175,5 +178,122 @@ func TestFsckDetectsCorruption(t *testing.T) {
 func TestMaxFileSizeCoversFourGB(t *testing.T) {
 	if MaxFileSize < 4<<30 {
 		t.Fatalf("max file size %d < 4GiB; paper requires 4GB files", MaxFileSize)
+	}
+}
+
+// TestDirentIsMatchesDecode: the in-place comparison agrees with
+// DecodeDirent plus the lookup's test on every record and name a seeded
+// generator produces — raw bytes, encoded entries, names that are a
+// prefix or an extension of the stored one, the full field, the empty
+// name, embedded NULs, free slots.
+func TestDirentIsMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	alphabet := []byte("ab\x00")
+	randName := func() string {
+		b := make([]byte, rng.Intn(MaxNameLen+3))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+			if rng.Intn(4) != 0 {
+				b[i] = 'a' + byte(rng.Intn(2))
+			}
+		}
+		return string(b)
+	}
+	rec := make([]byte, DirentSize)
+	matches := 0
+	for i := 0; i < 200_000; i++ {
+		switch rng.Intn(3) {
+		case 0:
+			rng.Read(rec)
+			for j := 4; j < len(rec); j++ {
+				rec[j] = alphabet[rng.Intn(len(alphabet))]
+			}
+		default:
+			stored := randName()
+			if len(stored) > MaxNameLen {
+				stored = stored[:MaxNameLen]
+			}
+			if err := EncodeDirent(Dirent{Ino: uint32(rng.Intn(3)), Name: stored}, rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		name := randName()
+		if rng.Intn(2) == 0 { // often the stored name itself, or near it
+			name = DecodeDirent(rec).Name
+			switch rng.Intn(4) {
+			case 0:
+				name += "a"
+			case 1:
+				if name != "" {
+					name = name[:len(name)-1]
+				}
+			}
+		}
+		de := DecodeDirent(rec)
+		wantOK := de.Ino != 0 && de.Name == name
+		ino, ok := DirentIs(rec, name)
+		if ok != wantOK || ok && ino != de.Ino {
+			t.Fatalf("record % x, name %q: DirentIs = %d, %v; decoded %+v", rec, name, ino, ok, de)
+		}
+		if ok {
+			matches++
+		}
+	}
+	if matches < 1000 {
+		t.Fatalf("only %d matching pairs generated", matches)
+	}
+}
+
+// TestDinodeTypeMatchesDecode: the one-field read agrees with the full
+// decoder.
+func TestDinodeTypeMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	rec := make([]byte, InodeSize)
+	for i := 0; i < 10_000; i++ {
+		rng.Read(rec)
+		if got, want := DinodeType(rec), DecodeDinode(rec).Type; got != want {
+			t.Fatalf("DinodeType = %d, decoded %d", got, want)
+		}
+	}
+}
+
+// fullLogHeaderEncode is LogHeader.Encode as it was: all LogSize slots,
+// every time.
+func fullLogHeaderEncode(h *LogHeader, buf []byte) {
+	le := binary.LittleEndian
+	le.PutUint32(buf[0:], h.N)
+	for i, b := range h.Blocks {
+		le.PutUint32(buf[4+4*i:], b)
+	}
+}
+
+// TestLogHeaderEncodeMatchesFull: over a seeded sequence of headers that
+// grow, shrink, empty and fill the log — each built the way a commit
+// builds one, zeros past N — encoding into the buffer the previous header
+// left produces, byte for byte, the block the all-slots encoder produces,
+// and decodes back to the header.
+func TestLogHeaderEncodeMatchesFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	got, want := make([]byte, BlockSize), make([]byte, BlockSize)
+	for i := 0; i < 5000; i++ {
+		var h LogHeader
+		switch rng.Intn(4) {
+		case 0: // the cleared record after an install
+		case 1:
+			h.N = LogSize
+		default:
+			h.N = uint32(rng.Intn(LogSize + 1))
+		}
+		for j := uint32(0); j < h.N; j++ {
+			h.Blocks[j] = rng.Uint32()
+		}
+		h.Encode(got)
+		fullLogHeaderEncode(&h, want)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("header %d (N=%d): short encoding differs from the full one", i, h.N)
+		}
+		if DecodeLogHeader(got) != h {
+			t.Fatalf("header %d (N=%d) does not decode back", i, h.N)
+		}
 	}
 }

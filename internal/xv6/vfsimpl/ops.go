@@ -39,9 +39,8 @@ func (fs *FS) dirlookup(t *kernel.Task, dp *inode, name string) (uint32, int64, 
 			return 0, 0, err
 		}
 		for o := int64(0); o < n; o += layout.DirentSize {
-			de := layout.DecodeDirent(buf[o:])
-			if de.Ino != 0 && de.Name == name {
-				return de.Ino, base + o, nil
+			if ino, ok := layout.DirentIs(buf[o:], name); ok {
+				return ino, base + o, nil
 			}
 		}
 	}
@@ -71,7 +70,7 @@ func (fs *FS) dirlink(t *kernel.Task, dp *inode, name string, inum uint32) error
 	if err := layout.EncodeDirent(layout.Dirent{Ino: inum, Name: name}, rec); err != nil {
 		return err
 	}
-	_, err := fs.writei(t, dp, off, rec)
+	_, err := fs.writei(t, dp, off, rec, false)
 	return err
 }
 
@@ -323,7 +322,7 @@ func (fs *FS) removeNode(t *kernel.Task, dir fsapi.Ino, name string, wantDir boo
 			return fsapi.ErrNotEmpty
 		}
 	}
-	if _, err := fs.writei(t, dp, off, zeroDirent[:]); err != nil {
+	if _, err := fs.writei(t, dp, off, zeroDirent[:], false); err != nil {
 		return err
 	}
 	if isDir {
@@ -432,7 +431,7 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 		if err := fs.iupdate(t, tgt); err != nil {
 			return err
 		}
-		if _, err := fs.writei(t, ndp, tgtOff, zeroDirent[:]); err != nil {
+		if _, err := fs.writei(t, ndp, tgtOff, zeroDirent[:], false); err != nil {
 			return err
 		}
 	}
@@ -440,7 +439,7 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 	if err := fs.dirlink(t, ndp, nname, srcInum); err != nil {
 		return err
 	}
-	if _, err := fs.writei(t, odp, srcOff, zeroDirent[:]); err != nil {
+	if _, err := fs.writei(t, odp, srcOff, zeroDirent[:], false); err != nil {
 		return err
 	}
 	if srcIsDir && odir != ndir {
@@ -452,7 +451,7 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 		if err := layout.EncodeDirent(layout.Dirent{Ino: ndp.inum, Name: ".."}, rec); err != nil {
 			return err
 		}
-		if _, err := fs.writei(t, src, ddOff, rec); err != nil {
+		if _, err := fs.writei(t, src, ddOff, rec, false); err != nil {
 			return err
 		}
 		odp.din.Nlink--
@@ -571,6 +570,33 @@ func (fs *FS) ReadPage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte) erro
 	return nil
 }
 
+// LendPage implements kernel.PageLender: a page that is one whole block of
+// a direct file's data is lent straight from the device — ReadPage's
+// bmap and direct read, with BorrowDirect in place of ReadDirect. The
+// checks that decide come first and cost nothing: the inode is in core
+// (it is, for any file the kernel has open), its data takes the direct
+// path, and the page lies wholly inside the file.
+func (fs *FS) LendPage(t *kernel.Task, ino fsapi.Ino, pg int64) ([]byte, error) {
+	ip, ok := fs.inodes[uint32(ino)]
+	if !ok || !ip.valid || !fs.dataDirect(ip) || (pg+1)*fsapi.PageSize > int64(ip.din.Size) {
+		return nil, nil
+	}
+	ip.ref++ // ReadPage's iget
+	defer fs.iput(t, ip, false)
+	blk, _, err := fs.bmap(t, ip, uint64(pg), false)
+	if err != nil {
+		return nil, err
+	}
+	var view []byte
+	if blk != 0 {
+		view, err = fs.bc.BorrowDirect(t, int(blk))
+	}
+	if view == nil && err == nil {
+		view = make([]byte, fsapi.PageSize) // a hole, or mapped and never written
+	}
+	return view, err
+}
+
 // WritePage implements kernel.FileSystem: one transaction per page — the
 // un-batched ->writepage path that costs the C baseline its edge on large
 // writes in the paper's Figure 4.
@@ -590,7 +616,7 @@ func (fs *FS) WritePage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte, new
 	if err := fs.iload(t, ip); err != nil {
 		return err
 	}
-	if _, err := fs.writei(t, ip, off, buf[:n]); err != nil {
+	if _, err := fs.writei(t, ip, off, buf[:n], true); err != nil {
 		return err
 	}
 	if int64(ip.din.Size) > newSize {

@@ -132,6 +132,7 @@ type FS struct {
 var (
 	_ kernel.FileSystem        = (*FS)(nil)
 	_ kernel.BlockCacheDropper = (*FS)(nil)
+	_ kernel.PageLender        = (*FS)(nil)
 )
 
 // BufferCache exposes the metadata cache (tests and diagnostics).
@@ -447,12 +448,11 @@ func (fs *FS) ialloc(t *kernel.Task, typ uint16) (*inode, error) {
 				return nil, err
 			}
 			off := layout.InodeOffset(inum)
-			din := layout.DecodeDinode(bh.Data()[off:])
-			if din.Type != layout.TypeFree {
+			if layout.DinodeType(bh.Data()[off:]) != layout.TypeFree {
 				_ = bh.Release()
 				continue
 			}
-			din = layout.Dinode{Type: typ}
+			din := layout.Dinode{Type: typ}
 			din.Encode(bh.Data()[off:])
 			if err := fs.logWrite(t, bh); err != nil {
 				_ = bh.Release()
@@ -746,7 +746,10 @@ func (fs *FS) readi(t *kernel.Task, ip *inode, off int64, buf []byte) (int, erro
 	return int(done), nil
 }
 
-func (fs *FS) writei(t *kernel.Task, ip *inode, off int64, buf []byte) (int, error) {
+// writei writes buf at off. With owned set buf is a page buffer the kernel
+// has given up (write-back), so a whole block of it goes to the device as
+// it is instead of being copied.
+func (fs *FS) writei(t *kernel.Task, ip *inode, off int64, buf []byte, owned bool) (int, error) {
 	if off < 0 || off+int64(len(buf)) > layout.MaxFileSize {
 		return 0, fsapi.ErrFileTooBig
 	}
@@ -771,7 +774,8 @@ func (fs *FS) writei(t *kernel.Task, ip *inode, off int64, buf []byte) (int, err
 		}
 		if direct {
 			src := buf[done : done+n]
-			if bo != 0 || n != layout.BlockSize {
+			whole := bo == 0 && n == layout.BlockSize
+			if !whole {
 				// Merge base: zeros for any block holding no committed
 				// file bytes — fresh, or mapped wholly at/beyond EOF (a
 				// leaf orphaned by a failed direct write, which skipped
@@ -788,7 +792,12 @@ func (fs *FS) writei(t *kernel.Task, ip *inode, off int64, buf []byte) (int, err
 				copy(bounce[bo:bo+n], src)
 				src = bounce
 			}
-			completion, err := fs.bc.WriteDirect(t, int(blk), src)
+			var completion int64
+			if whole && owned {
+				completion, err = fs.bc.WriteDirectOwned(t, int(blk), src)
+			} else {
+				completion, err = fs.bc.WriteDirect(t, int(blk), src)
+			}
 			if err != nil {
 				wait()
 				return int(done), err
