@@ -14,8 +14,6 @@
 //	bentobench -backend netstore       # mount every cell on the object-store backend
 //	bentobench -netlat 5ms -netbw 100  # netstore request latency / bandwidth (MB/s), with -backend netstore
 //	bentobench -neterr 0.02 -nettail 4 # deterministic per-attempt fault rate / latency-tail multiplier, likewise
-//	bentobench -noiod           # disable background I/O (read-ahead + flusher)
-//	bentobench -databypass=false # re-enable data double-caching (seed behaviour)
 //	bentobench -cpuprofile cpu.pb.gz   # pprof CPU profile of the cell matrix
 //	bentobench -memprofile mem.pb.gz   # pprof allocation profile at exit
 //
@@ -99,8 +97,6 @@ func main() {
 	netbw := flag.Int("netbw", 0, "netstore streaming bandwidth override in MB/s (0 = model default; requires -backend netstore)")
 	neterr := flag.Float64("neterr", 0, "netstore deterministic per-attempt transient-failure probability (requires -backend netstore)")
 	nettail := flag.Int("nettail", 0, "netstore latency-tail multiplier: ~9%% of attempts take N× and ~1%% take 4N× nominal (requires -backend netstore)")
-	noiod := flag.Bool("noiod", false, "disable the background I/O subsystem on the in-kernel variants")
-	databypass := flag.Bool("databypass", true, "single-copy data caching: file contents bypass the buffer cache on the in-kernel variants (false restores the seed's double-caching)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the benchmark run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof allocation profile (runtime \"allocs\") to this file at exit")
 	flag.Parse()
@@ -130,8 +126,6 @@ func main() {
 	o.Backend = *backend
 	o.Model = o.Model.WithNet(*netlat, *netbw)
 	o.Faults = netstore.FaultConfig{ErrProb: *neterr, TailMult: *nettail}
-	o.NoIODaemon = *noiod
-	o.NoDataBypass = !*databypass
 	o.Metrics = *metrics
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {

@@ -17,7 +17,7 @@ var inCellPackages = []string{
 	"internal/vclock", "internal/kernel", "internal/lru", "internal/bentoks",
 	"internal/blockdev", "internal/netstore", "internal/iodaemon", "internal/fuse",
 	"internal/core", "internal/trace", "internal/ext4", "internal/memfs",
-	"internal/composefs", "internal/filebench", "internal/xv6",
+	"internal/filebench", "internal/xv6",
 }
 
 // syncAllowed lists the only two places in those packages where two

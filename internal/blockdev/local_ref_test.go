@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"bento/internal/costmodel"
-	"bento/internal/lru"
 	"bento/internal/trace"
 	"bento/internal/vclock"
 )
@@ -16,9 +15,9 @@ import (
 // What follows, down to TestLocalBackendMatchesReference, is the local
 // backend this package shipped before buffers were passed by reference —
 // 16-block slabs, an undo log of copied durable images — kept verbatim
-// (identifiers prefixed ref) as the oracle: it copies on every read and
-// write, overwrites in place and restores a crash loser by copying, so
-// nothing it holds can be aliased from outside.
+// but for its image free list (identifiers prefixed ref) as the oracle:
+// it copies on every read and write, overwrites in place and restores a
+// crash loser by copying, so nothing it holds can be aliased from outside.
 
 // refSlabBlocks is how many consecutive blocks share one allocation (64 KiB
 // at the default block size). 16 rather than 64: internal/crashtort builds
@@ -58,7 +57,7 @@ type refLocalBackend struct {
 	present   []uint64     // bit blk: block blk has been written (slab si's word is present[si])
 	dirty     []uint64     // bit blk: block blk has an undo record (written since the last FLUSH)
 	undo      []refUndoRec // one record per dirty block, in first-write order
-	images    *lru.BufPool // retired undo images
+	images    [][]byte     // retired undo images, contents unspecified
 	res       *vclock.Resource
 	model     *costmodel.Model
 }
@@ -73,7 +72,6 @@ type refUndoRec struct {
 func newRefLocalBackend(name string, blockSize int, model *costmodel.Model) *refLocalBackend {
 	return &refLocalBackend{
 		blockSize: blockSize,
-		images:    lru.NewBufPool(blockSize),
 		res:       vclock.NewResource(name, model.DevChannels),
 		model:     model,
 	}
@@ -114,7 +112,11 @@ func (lb *refLocalBackend) SubmitBlock(now int64, blk int, buf []byte) (int64, e
 		lb.dirty[si] |= bit
 		var saved []byte
 		if lb.present[si]&bit != 0 {
-			saved = lb.images.Get()
+			if n := len(lb.images); n > 0 {
+				saved, lb.images = lb.images[n-1], lb.images[:n-1]
+			} else {
+				saved = make([]byte, lb.blockSize)
+			}
 			copy(saved, b)
 		}
 		lb.present[si] |= bit
@@ -128,7 +130,7 @@ func (lb *refLocalBackend) SubmitBlock(now int64, blk int, buf []byte) (int64, e
 func (lb *refLocalBackend) retireUndo() {
 	for _, u := range lb.undo {
 		if u.saved != nil {
-			lb.images.Put(u.saved)
+			lb.images = append(lb.images, u.saved)
 		}
 		lb.dirty[u.blk/refSlabBlocks] = 0
 	}

@@ -45,14 +45,9 @@ type Model struct {
 	PageCacheLookup time.Duration
 	// BufferCacheLookup is the cost of a buffer-cache (sb_bread) hash probe.
 	BufferCacheLookup time.Duration
-	// LockAcquire approximates an uncontended kernel lock round trip.
-	LockAcquire time.Duration
 	// CopyPer4K is the cost of copying one 4KiB page between user and
 	// kernel buffers (or between kernel buffers).
 	CopyPer4K time.Duration
-	// FSOpCPU is the baseline CPU cost of executing file-system logic for
-	// one operation (allocation math, directory scan step, etc.).
-	FSOpCPU time.Duration
 
 	// --- Block device ---
 
@@ -122,9 +117,6 @@ type Model struct {
 	CtxSwitch time.Duration
 	// FuseMsg is the cost of marshaling one request or reply header.
 	FuseMsg time.Duration
-	// DaemonThreads is the number of userspace daemon worker threads; the
-	// daemon is a contended resource at high thread counts.
-	DaemonThreads int
 	// UserBlockSyscall is the extra cost of performing one block I/O from
 	// userspace through the O_DIRECT file interface: user/kernel crossing
 	// plus the kernel's direct-I/O setup. The paper measures 200–400ns of
@@ -179,9 +171,7 @@ func Default() *Model {
 		WrapperCheck:      6 * time.Nanosecond,
 		PageCacheLookup:   250 * time.Nanosecond,
 		BufferCacheLookup: 150 * time.Nanosecond,
-		LockAcquire:       40 * time.Nanosecond,
 		CopyPer4K:         700 * time.Nanosecond,
-		FSOpCPU:           500 * time.Nanosecond,
 
 		DevChannels:   8,
 		DevReadBase:   70 * time.Microsecond,
@@ -206,7 +196,6 @@ func Default() *Model {
 
 		CtxSwitch:        4 * time.Microsecond,
 		FuseMsg:          900 * time.Nanosecond,
-		DaemonThreads:    1,
 		UserBlockSyscall: 2500 * time.Nanosecond,
 
 		WritepageCall:  1800 * time.Nanosecond,
@@ -234,9 +223,7 @@ func Fast() *Model {
 		WrapperCheck:      0,
 		PageCacheLookup:   1 * time.Nanosecond,
 		BufferCacheLookup: 1 * time.Nanosecond,
-		LockAcquire:       0,
 		CopyPer4K:         1 * time.Nanosecond,
-		FSOpCPU:           1 * time.Nanosecond,
 
 		DevChannels:   8,
 		DevReadBase:   10 * time.Nanosecond,
@@ -258,7 +245,6 @@ func Fast() *Model {
 
 		CtxSwitch:        2 * time.Nanosecond,
 		FuseMsg:          1 * time.Nanosecond,
-		DaemonThreads:    1,
 		UserBlockSyscall: 2 * time.Nanosecond,
 
 		WritepageCall:  1 * time.Nanosecond,

@@ -72,7 +72,7 @@ func TestFastModelIsFast(t *testing.T) {
 	if f.DevFlush(1<<20) >= d.DevFlush(1<<20) {
 		t.Fatal("Fast model should be much cheaper than Default")
 	}
-	if f.DevChannels < 1 || f.DaemonThreads < 1 {
+	if f.CPUs < 1 || f.DevChannels < 1 || f.NetChannels < 1 {
 		t.Fatal("Fast model must keep valid resource counts")
 	}
 }

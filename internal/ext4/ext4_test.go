@@ -244,3 +244,89 @@ func TestExt4FasterThanXv6OnBatchedMetadata(t *testing.T) {
 		t.Fatalf("ext4 (%d ns) should beat xv6 (%d ns) on batched metadata", ext4Time, xv6Time)
 	}
 }
+
+// TestExt4PartialTruncateUnmapsTail: truncating to a non-zero size frees
+// the whole blocks past the new end and unmaps them. A file spanning
+// direct and indirect blocks is cut to 5.5 blocks and regrown past its old
+// end: the gap reads as zeros (not the freed blocks' old bytes), and a
+// truncate to zero frees exactly what the file held (no double free), so
+// the free-block count is back where it started. Both data paths: through
+// the buffer cache and bypassing it.
+func TestExt4PartialTruncateUnmapsTail(t *testing.T) {
+	const bs = layout.BlockSize
+	for _, bypass := range []bool{false, true} {
+		model := costmodel.Fast()
+		k := kernel.New(model)
+		dev := blockdev.MustNew(blockdev.Config{Blocks: 4096, Model: model})
+		task := k.NewTask("trunc")
+		if err := ext4.Mkfs(task, dev, 1024); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Register(ext4.Type{Cfg: ext4.Config{DataBypass: bypass}}); err != nil {
+			t.Fatal(err)
+		}
+		m, err := k.Mount(task, "ext4", "/mnt", dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := m.Open(task, "/f", fsapi.OCreate|fsapi.ORdwr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		free := func() int64 {
+			t.Helper()
+			if err := m.Sync(task); err != nil {
+				t.Fatal(err)
+			}
+			st, err := m.StatFS(task)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st.FreeBlocks
+		}
+		start := free()
+
+		const blocks = layout.NDirect + 8 // 12 direct, 8 behind the indirect block
+		if _, err := f.PWrite(task, bytes.Repeat([]byte{0xAB}, blocks*bs), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.FSync(task); err != nil {
+			t.Fatal(err)
+		}
+		cut := int64(5*bs + bs/2)
+		if err := f.Truncate(task, cut); err != nil {
+			t.Fatalf("bypass=%v: truncate to %d: %v", bypass, cut, err)
+		}
+		tail := bytes.Repeat([]byte{0xCD}, bs)
+		regrow := int64((blocks + 2) * bs)
+		if _, err := f.PWrite(task, tail, regrow); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.FSync(task); err != nil {
+			t.Fatal(err)
+		}
+		m.DropCaches()
+		got := make([]byte, regrow+bs)
+		if n, err := f.PRead(task, got, 0); err != nil || n != len(got) {
+			t.Fatalf("bypass=%v: read back %d bytes: %v", bypass, n, err)
+		}
+		if !bytes.Equal(got[:cut], bytes.Repeat([]byte{0xAB}, int(cut))) {
+			t.Fatalf("bypass=%v: the kept 5.5 blocks changed", bypass)
+		}
+		if i := bytes.IndexFunc(got[cut:regrow], func(r rune) bool { return r != 0 }); i >= 0 {
+			t.Fatalf("bypass=%v: byte %d of the regrown gap reads %#x, want zeros", bypass, cut+int64(i), got[cut+int64(i)])
+		}
+		if !bytes.Equal(got[regrow:], tail) {
+			t.Fatalf("bypass=%v: the regrown tail block lost its contents", bypass)
+		}
+		if err := f.Truncate(task, 0); err != nil {
+			t.Fatalf("bypass=%v: truncate to 0: %v", bypass, err)
+		}
+		if end := free(); end != start {
+			t.Fatalf("bypass=%v: %d free blocks after truncate to 0, started with %d", bypass, end, start)
+		}
+		if err := m.Close(task, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

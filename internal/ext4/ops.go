@@ -347,6 +347,48 @@ func (fs *FS) itrunc(t *kernel.Task, ip *inode) error {
 	return fs.iupdate(t, ip)
 }
 
+// clearMap zeroes the mapping for file block bn, journalling the block
+// that holds the pointer. A direct pointer lives in the in-core inode,
+// which the caller writes back.
+func (fs *FS) clearMap(t *kernel.Task, ip *inode, bn uint64) error {
+	if bn < layout.NDirect {
+		ip.din.Addrs[bn] = 0
+		return nil
+	}
+	var holder uint32
+	var idx int
+	if bn < layout.NDirect+layout.NIndirect {
+		holder = ip.din.Addrs[layout.IndirectSlot]
+		idx = int(bn - layout.NDirect)
+	} else {
+		off := bn - layout.NDirect - layout.NIndirect
+		dind := ip.din.Addrs[layout.DIndirectSlot]
+		if dind == 0 {
+			return nil
+		}
+		bh, err := fs.bc.Get(t, int(dind))
+		if err != nil {
+			return err
+		}
+		holder = u32(bh.Data(), 4*int(off/layout.NIndirect))
+		_ = bh.Release()
+		idx = int(off % layout.NIndirect)
+	}
+	if holder == 0 {
+		return nil
+	}
+	bh, err := fs.bc.Get(t, int(holder))
+	if err != nil {
+		return err
+	}
+	pu32(bh.Data(), 4*idx, 0)
+	if err := fs.jwrite(t, bh); err != nil {
+		_ = bh.Release()
+		return err
+	}
+	return bh.Release()
+}
+
 func (fs *FS) readi(t *kernel.Task, ip *inode, off int64, buf []byte) (int, error) {
 	if off < 0 {
 		return 0, fsapi.ErrInvalid

@@ -198,8 +198,10 @@ func (fs *FS) SetSize(t *kernel.Task, ino fsapi.Ino, size int64) error {
 		return fs.itrunc(t, ip)
 	}
 	if size < int64(ip.din.Size) {
-		// ext4 truncates precisely; the model frees whole tail blocks and
-		// zeroes the partial one, matching the xv6 implementations.
+		// ext4 truncates precisely; the model frees and unmaps whole tail
+		// blocks and zeroes the partial one, matching the xv6
+		// implementations. Emptied indirect blocks stay allocated until
+		// the file is truncated to zero.
 		old := int64(ip.din.Size)
 		firstDead := (size + layout.BlockSize - 1) / layout.BlockSize
 		lastOld := (old + layout.BlockSize - 1) / layout.BlockSize
@@ -212,6 +214,9 @@ func (fs *FS) SetSize(t *kernel.Task, ino fsapi.Ino, size int64) error {
 				continue
 			}
 			if err := fs.bfree(t, blk); err != nil {
+				return err
+			}
+			if err := fs.clearMap(t, ip, uint64(bn)); err != nil {
 				return err
 			}
 		}

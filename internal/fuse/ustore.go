@@ -39,9 +39,8 @@ func NewUserDisk(dev *blockdev.Device, cacheBlocks int) *UserDisk {
 	return &UserDisk{dev: dev, cache: lru.New[*ubuf](cacheBlocks)}
 }
 
-// ubuf is a userspace cached block. Like the kernel BufferHead it is
-// published to the cache marked filling (lru.FillState) and the miss
-// path resolves the fill before get returns.
+// ubuf is a userspace cached block. Like the kernel BufferHead it enters
+// the cache only once its pread has succeeded.
 //
 // A miss does not copy the block: data becomes the device's own buffer,
 // borrowed (blockdev.Device.Borrow) and therefore read-only, and lent is
@@ -49,7 +48,6 @@ func NewUserDisk(dev *blockdev.Device, cacheBlocks int) *UserDisk {
 // callers may write through what they get, first replace it with a copy
 // in the ubuf's private buffer.
 type ubuf struct {
-	lru.FillState
 	node lru.Node
 	ud   *UserDisk
 	data []byte
@@ -104,51 +102,43 @@ func (ud *UserDisk) get(t *kernel.Task, blk int, fill bool) (bentoks.Buffer, err
 		return nil, fmt.Errorf("userdisk: block %d: %w", blk, fsapi.ErrInvalid)
 	}
 	t.Charge(t.Model().BufferCacheLookup)
-	b, hit := ud.cache.GetOrInsert(int64(blk), func(nb *ubuf, recycled bool) *ubuf {
+	b, hit, err := ud.cache.Get(int64(blk), func(nb *ubuf, recycled bool) (*ubuf, error) {
+		t.Rec().Add(trace.CtrBufMisses, 1)
+		var view []byte
+		if fill {
+			// pread(disk file): syscall + crossing + synchronous device read.
+			t.Charge(t.Model().UserBlockSyscall)
+			t.Charge(t.Model().Copy(ud.dev.BlockSize()))
+			start := t.Clk.NowNS()
+			var err error
+			if view, err = ud.dev.Borrow(t.Clk, blk); err != nil {
+				// The victim, if any, goes with the failed fill.
+				return nil, err
+			}
+			if r := t.Rec(); r != nil {
+				r.Span(t.Name, trace.CatDevice, "pread", start, t.Clk.NowNS())
+			}
+		}
 		if recycled {
 			nb.node.ResetForReuse()
-			nb.FillState.Reset()
 		} else {
 			nb = &ubuf{ud: ud}
 		}
-		nb.BeginFill() // published filling; resolved below
-		return nb
+		if view != nil {
+			nb.data, nb.lent = view, true
+		} else {
+			// BReadNoFill, or a block the device has never been written: zeros.
+			nb.private()
+			clear(nb.data)
+		}
+		return nb, nil
 	})
 	if hit {
 		t.Rec().Add(trace.CtrBufHits, 1)
-		if err := b.FillErr(); err != nil {
-			ud.cache.Release(b)
-			return nil, err
-		}
-		return b, nil
 	}
-	t.Rec().Add(trace.CtrBufMisses, 1)
-
-	var view []byte
-	if fill {
-		// pread(disk file): syscall + crossing + synchronous device read.
-		t.Charge(t.Model().UserBlockSyscall)
-		t.Charge(t.Model().Copy(ud.dev.BlockSize()))
-		start := t.Clk.NowNS()
-		var err error
-		if view, err = ud.dev.Borrow(t.Clk, blk); err != nil {
-			// Dropped, and so never recycled: only LRU victims are.
-			ud.cache.Drop(int64(blk))
-			b.FailFill(err)
-			return nil, err
-		}
-		if r := t.Rec(); r != nil {
-			r.Span(t.Name, trace.CatDevice, "pread", start, t.Clk.NowNS())
-		}
+	if err != nil {
+		return nil, err
 	}
-	if view != nil {
-		b.data, b.lent = view, true
-	} else {
-		// BReadNoFill, or a block the device has never been written: zeros.
-		b.private()
-		clear(b.data)
-	}
-	b.CompleteFill()
 	return b, nil
 }
 
@@ -197,18 +187,16 @@ func (ud *UserDisk) preadDirect(t *kernel.Task, blk int, buf []byte, borrow bool
 		size = ud.dev.BlockSize()
 	}
 	if b, ok := ud.cache.Peek(int64(blk)); ok {
-		if err := b.FillErr(); err == nil {
-			t.Charge(t.Model().Copy(size))
-			switch {
-			case !borrow:
-				copy(buf, b.data)
-			case b.lent:
-				view = b.data
-			default:
-				view = append([]byte(nil), b.data...)
-			}
-			return view, nil
+		t.Charge(t.Model().Copy(size))
+		switch {
+		case !borrow:
+			copy(buf, b.data)
+		case b.lent:
+			view = b.data
+		default:
+			view = append([]byte(nil), b.data...)
 		}
+		return view, nil
 	}
 	t.Charge(t.Model().UserBlockSyscall)
 	t.Charge(t.Model().Copy(size))

@@ -335,9 +335,10 @@ func TestUserDiskChurn(t *testing.T) {
 	}
 }
 
-// TestUserDiskFailedFillNotRecycled: a block whose pread failed is
-// dropped — it took a victim's memory with it, and the next miss gets a
-// fresh block rather than one whose fill state says "failed".
+// TestUserDiskFailedFillNotRecycled: a block whose pread failed is never
+// inserted — it took the victim's memory with it, and the next miss,
+// on a cache with room again, gets a fresh block rather than memory that
+// eviction did not just free.
 func TestUserDiskFailedFillNotRecycled(t *testing.T) {
 	ud, task := newTestUserDisk(t, 2)
 	fillDevice(t, ud, task, 8)
@@ -396,11 +397,11 @@ func (p *probeBackend) BorrowBlock(now int64, blk int) ([]byte, int64, error) {
 	return p.Backend.BorrowBlock(now, blk)
 }
 
-// TestUserDiskRecycledBlockBlocksHitters: a recycled block is published
-// marked filling, like a new one. While its pread is in flight the block
-// is resident under the new key in the evicted block's memory, still
-// holding the evicted block's bytes — and unreadable: FillErr refuses a
-// mid-fill entry. Once the fill resolves, a hitter reads the new block.
+// TestUserDiskRecycledBlockBlocksHitters: a block enters the cache only
+// once its pread has succeeded. While block 7's read is in flight the
+// miss has already evicted block 0 to make room, and block 7 is not
+// resident — there is no half-filled entry for a hitter to find. Once the
+// fill returns, a second reader hits block 7 in block 0's recycled memory.
 func TestUserDiskRecycledBlockBlocksHitters(t *testing.T) {
 	model := costmodel.Default()
 	pb := &probeBackend{Backend: blockdev.NewLocalBackend("probed", 4096, model), blk: -1}
@@ -420,25 +421,20 @@ func TestUserDiskRecycledBlockBlocksHitters(t *testing.T) {
 	probed := false
 	pb.blk, pb.probe = 7, func() {
 		probed = true
-		mid, ok := ud.cache.Peek(7)
-		if !ok || mid != victim {
-			t.Errorf("mid-fill: block 7 resident=%v in %p, want block 0's memory %p", ok, mid, victim)
-			return
+		if _, ok := ud.cache.Peek(7); ok {
+			t.Error("mid-fill: block 7 is resident before its read completed")
 		}
-		if mid.data[0] != 1 {
-			t.Errorf("mid-fill: recycled memory reads %#x, want block 0's stale %#x", mid.data[0], 1)
+		if _, ok := ud.cache.Peek(0); ok || ud.cache.Len() != 0 {
+			t.Errorf("mid-fill: block 0 resident=%v, %d resident; want it evicted", ok, ud.cache.Len())
 		}
-		defer func() {
-			if recover() == nil {
-				t.Error("a hitter read a mid-fill block: FillErr did not refuse it")
-			}
-		}()
-		_ = mid.FillErr()
 	}
 	for _, name := range []string{"filler", "hitter"} {
 		b, err := ud.BRead(k.NewTask(name), 7)
 		if err != nil {
 			t.Fatalf("%s: BRead(7): %v", name, err)
+		}
+		if b.(*ubuf) != victim {
+			t.Fatalf("%s: block 7 is not in block 0's recycled memory", name)
 		}
 		if data, _ := b.Data(); data[0] != 8 {
 			t.Fatalf("%s read %#x, want block 7's %#x", name, data[0], 8)
@@ -450,8 +446,8 @@ func TestUserDiskRecycledBlockBlocksHitters(t *testing.T) {
 	if !probed {
 		t.Fatal("the fill of block 7 never reached the device")
 	}
-	if st := ud.Stats(); st.Hits != 1 || st.Misses != 2 {
-		t.Fatalf("stats %+v, want block 0's miss, block 7's miss, and the hitter's hit", st)
+	if st := ud.Stats(); st.Hits != 1 || st.Misses != 2 || st.Evictions != 1 {
+		t.Fatalf("stats %+v, want block 0's miss, block 7's miss and eviction, and the hitter's hit", st)
 	}
 }
 

@@ -5,10 +5,9 @@ import (
 	"time"
 )
 
-// TestStreamIncludesBypassStudyRow: with single-copy caching on (the
-// default), the streaming scenario publishes a Bento-nobypass study row
-// so every run carries the on/off comparison; turning the bypass off
-// globally removes the row (it would duplicate Bento).
+// TestStreamIncludesBypassStudyRow: the streaming scenario publishes a
+// Bento-nobypass study row, cell for cell beside Bento, so every run
+// carries the on/off comparison.
 func TestStreamIncludesBypassStudyRow(t *testing.T) {
 	o := Quick()
 	o.Duration = 20 * time.Millisecond
@@ -31,17 +30,6 @@ func TestStreamIncludesBypassStudyRow(t *testing.T) {
 		t.Fatalf("study row has %d cells, Bento has %d — rows out of step",
 			seen[RowBentoNoBypass], seen[VariantBento])
 	}
-
-	o.NoDataBypass = true
-	_, recs, err = RunRecords(ExpStream, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if r.Variant == RowBentoNoBypass {
-			t.Fatalf("bypass globally off, but study row still present")
-		}
-	}
 }
 
 // TestNewTargetBypassVariants: Bento mounts and serves I/O with the
@@ -49,18 +37,18 @@ func TestStreamIncludesBypassStudyRow(t *testing.T) {
 func TestNewTargetBypassVariants(t *testing.T) {
 	for _, noBypass := range []bool{false, true} {
 		o := Quick()
-		o.NoDataBypass = noBypass
+		o.noBypass = noBypass
 		tg, err := NewTarget(VariantBento, o)
 		if err != nil {
-			t.Fatalf("NewTarget(NoDataBypass=%v): %v", noBypass, err)
+			t.Fatalf("NewTarget(noBypass=%v): %v", noBypass, err)
 		}
 		task := tg.K.NewTask("probe")
 		if err := tg.M.WriteFile(task, "/probe", []byte("hello")); err != nil {
-			t.Fatalf("NoDataBypass=%v: %v", noBypass, err)
+			t.Fatalf("noBypass=%v: %v", noBypass, err)
 		}
 		got, err := tg.M.ReadFile(task, "/probe")
 		if err != nil || string(got) != "hello" {
-			t.Fatalf("NoDataBypass=%v: read-back %q, %v", noBypass, got, err)
+			t.Fatalf("noBypass=%v: read-back %q, %v", noBypass, got, err)
 		}
 	}
 }

@@ -334,15 +334,11 @@ func table6Plan(o Options) *plan {
 // its own write-back) instead of ending as one giant cached burst.
 //
 // Rows are every variant, ext4 included (the stream is also a macro-style
-// workload), plus the RowBentoNoBypass study row when single-copy caching
-// is on — the cold stream is the scenario where double-caching flatters
-// the numbers most, so the comparison is published next to the honest
-// cells.
+// workload), plus the RowBentoNoBypass study row — the cold stream is the
+// scenario where double-caching flatters the numbers most, so the
+// comparison is published next to the honest cells.
 func streamPlan(o Options) *plan {
-	rows := AllVariants
-	if o.dataBypass() {
-		rows = append(append([]string(nil), rows...), RowBentoNoBypass)
-	}
+	rows := append(append([]string(nil), AllVariants...), RowBentoNoBypass)
 	streams := o.StreamThreads
 	if streams <= 0 {
 		streams = Defaults().StreamThreads // unset; an explicit value is honored
@@ -364,7 +360,7 @@ func streamPlan(o Options) *plan {
 		// The row's cells differ only in Run; append copies the value.
 		cell := CellSpec{Experiment: ExpStream, Variant: row, Mount: row, Opts: o}
 		if row == RowBentoNoBypass {
-			cell.Mount, cell.Opts.NoDataBypass = VariantBento, true
+			cell.Mount, cell.Opts.noBypass = VariantBento, true
 		}
 		for _, cfg := range reads {
 			cell.Run = func(tg filebench.Target) ([]filebench.Result, error) {

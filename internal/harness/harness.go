@@ -34,11 +34,10 @@ const (
 )
 
 // RowBentoNoBypass labels the streaming scenario's study row: Bento
-// mounted with NoDataBypass set on that cell's options, so file contents
-// are double-cached (page cache + buffer cache) and journaled, the seed's
+// mounted with the row's cells' noBypass option set, so file contents are
+// double-cached (page cache + buffer cache) and journaled, the seed's
 // behaviour. It is a row of one experiment, not a variant NewTarget
-// knows; the row appears whenever the bypass is globally on, so every
-// run publishes the on/off comparison.
+// knows, and every run publishes it next to Bento.
 const RowBentoNoBypass = "Bento-nobypass"
 
 // Storage backend names (Options.Backend / bentobench -backend).
@@ -85,11 +84,6 @@ type Options struct {
 	// -json output, is byte-identical at any setting.
 	Parallel int
 
-	// NoIODaemon disables the background I/O subsystem (read-ahead +
-	// flusher) on the in-kernel variants, reproducing the pre-iodaemon
-	// numbers. The FUSE variant never runs it either way.
-	NoIODaemon bool
-
 	// Metrics attaches a trace recorder to every cell and exports its
 	// counter snapshot as the record's `metrics` map. Off by default so
 	// the published -json records keep their exact historical bytes.
@@ -116,18 +110,21 @@ type Options struct {
 	// and TailMult). The zero value is a clean network.
 	Faults netstore.FaultConfig
 
-	// NoDataBypass disables single-copy data caching on the in-kernel
+	// noBypass disables single-copy data caching on the in-kernel
 	// variants: file contents go back through each file system's buffer
-	// cache (and journal), the seed's double-caching behaviour. The
-	// FUSE variant always keeps its user-level cache — a userspace
-	// daemon cannot DMA into kernel pages, which is part of the
-	// asymmetry the paper measures.
-	NoDataBypass bool
+	// cache (and journal), the seed's double-caching behaviour. Only the
+	// RowBentoNoBypass cells set it. The FUSE variant always keeps its
+	// user-level cache — a userspace daemon cannot DMA into kernel
+	// pages, which is part of the asymmetry the paper measures.
+	noBypass bool
 }
 
-// dataBypass reports whether the in-kernel variants run the single-copy
-// data path.
-func (o Options) dataBypass() bool { return !o.NoDataBypass }
+// bentoConfig is the benchmarked Bento mount's configuration: NewTarget
+// mounts it and the live-upgrade cell swaps in a module built from it, so
+// the upgrade cannot drift from the mount it upgrades.
+func bentoConfig(o Options) bentoimpl.Config {
+	return bentoimpl.Config{Policy: bentoimpl.PolicyWriteBack, DataBypass: !o.noBypass}
+}
 
 // traced reports whether cells carry a trace recorder.
 func (o Options) traced() bool { return o.Metrics || o.TraceDir != "" }
@@ -163,11 +160,11 @@ func Quick() Options {
 
 // NewTarget mkfs's a fresh device and mounts the named variant on it.
 // Every in-kernel variant gets the background I/O subsystem
-// (internal/iodaemon: read-ahead + write-back flusher) unless
-// o.NoIODaemon, and single-copy data caching (file contents bypass the
-// buffer cache) unless o.NoDataBypass; the FUSE variant never gets
-// either — a userspace file system sits in front of none of these
-// mechanisms, which is the asymmetry the paper measures.
+// (internal/iodaemon: read-ahead + write-back flusher) and, unless the
+// cell's noBypass is set, single-copy data caching (file contents bypass
+// the buffer cache); the FUSE variant gets neither — a userspace file
+// system sits in front of none of these mechanisms, which is the
+// asymmetry the paper measures.
 func NewTarget(variant string, o Options) (filebench.Target, error) {
 	k := kernel.New(o.Model)
 	if o.traced() {
@@ -196,9 +193,7 @@ func NewTarget(variant string, o Options) (filebench.Target, error) {
 	task := k.NewTask("mount")
 
 	kernelMount := func(m *kernel.Mount) filebench.Target {
-		if !o.NoIODaemon {
-			m.EnableIODaemon(iodaemon.Config{})
-		}
+		m.EnableIODaemon(iodaemon.Config{})
 		return filebench.Target{K: k, M: m}
 	}
 
@@ -207,8 +202,7 @@ func NewTarget(variant string, o Options) (filebench.Target, error) {
 		if _, err := layout.Mkfs(vclock.NewClock(), dev, o.NInodes); err != nil {
 			return filebench.Target{}, err
 		}
-		cfg := bentoimpl.Config{Policy: bentoimpl.PolicyWriteBack, DataBypass: o.dataBypass()}
-		if err := bentoimpl.RegisterWith(k, "xv6", cfg); err != nil {
+		if err := bentoimpl.RegisterWith(k, "xv6", bentoConfig(o)); err != nil {
 			return filebench.Target{}, err
 		}
 		m, err := k.Mount(task, "xv6", "/", dev)
@@ -221,7 +215,7 @@ func NewTarget(variant string, o Options) (filebench.Target, error) {
 		if _, err := layout.Mkfs(vclock.NewClock(), dev, o.NInodes); err != nil {
 			return filebench.Target{}, err
 		}
-		if err := k.Register(vfsimpl.Type{Cfg: vfsimpl.Config{DataBypass: o.dataBypass()}}); err != nil {
+		if err := k.Register(vfsimpl.Type{Cfg: vfsimpl.Config{DataBypass: !o.noBypass}}); err != nil {
 			return filebench.Target{}, err
 		}
 		m, err := k.Mount(task, "xv6vfs", "/", dev)
@@ -257,7 +251,7 @@ func NewTarget(variant string, o Options) (filebench.Target, error) {
 		// completed writes rather than FLUSH barriers (one durability
 		// discipline for all in-kernel file systems; only FUSE must pay
 		// fsync-to-FLUSH, having no other ordering primitive).
-		if err := k.Register(ext4.Type{Cfg: ext4.Config{NoBarriers: true, DataBypass: o.dataBypass()}}); err != nil {
+		if err := k.Register(ext4.Type{Cfg: ext4.Config{NoBarriers: true, DataBypass: !o.noBypass}}); err != nil {
 			return filebench.Target{}, err
 		}
 		m, err := k.Mount(task, "ext4", "/", dev)

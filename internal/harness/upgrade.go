@@ -44,10 +44,7 @@ func upgradePlan(o Options) *plan {
 			Swap: func(task *kernel.Task) error {
 				// The replacement is the same module built with the mount's
 				// configuration — the "fix deployed to a live fleet" shape.
-				next := bentoimpl.New(bentoimpl.Config{
-					Policy: bentoimpl.PolicyWriteBack, DataBypass: o.dataBypass(),
-				})
-				return shim.Upgrade(task, next)
+				return shim.Upgrade(task, bentoimpl.New(bentoConfig(o)))
 			},
 		})
 		if err != nil {

@@ -180,8 +180,7 @@ func (d *Daemon[T]) BackgroundThreshold(dirtyLimit int64) int64 {
 // completion time is t's clock when fill returns; the caller records it
 // on the page so a reader that catches up with the pipeline waits for
 // exactly that moment. A fill error aborts the rest of the batch and is
-// returned; per the lru.FillState protocol the fill callback must have
-// dropped the poisoned page before returning the error.
+// returned; a failed fill must leave no page in the cache.
 //
 // After a quiesce FillAhead is a no-op: an unmounting file system must
 // not see new reads.

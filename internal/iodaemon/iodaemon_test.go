@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bento/internal/costmodel"
-	"bento/internal/lru"
 	"bento/internal/vclock"
 )
 
@@ -184,34 +183,6 @@ func TestFillAheadStopsOnError(t *testing.T) {
 	st := d.Stats()
 	if st.FillErrors != 1 || st.FillPages != 2 {
 		t.Fatalf("stats = %+v, want 1 error, 2 pages", st)
-	}
-}
-
-// TestFillStatePropagatesError pins down the lru.FillState contract the
-// async fill path relies on: whoever still holds a reference to an entry
-// whose fill failed reads the fill error, never zeroed contents taken
-// for valid — and an entry caught mid-fill is a broken contract.
-func TestFillStatePropagatesError(t *testing.T) {
-	var fs lru.FillState
-	boom := errors.New("device error")
-	fs.BeginFill()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("FillErr on a mid-fill entry did not panic")
-			}
-		}()
-		_ = fs.FillErr()
-	}()
-	fs.FailFill(boom)
-	if err := fs.FillErr(); !errors.Is(err, boom) {
-		t.Fatalf("FillErr = %v, want the fill error", err)
-	}
-	fs.Reset()
-	fs.BeginFill()
-	fs.CompleteFill()
-	if err := fs.FillErr(); err != nil {
-		t.Fatalf("FillErr after a completed fill = %v, want nil", err)
 	}
 }
 

@@ -40,11 +40,9 @@ type BufferCacheStats struct {
 }
 
 // BufferHead is one cached block, the analogue of struct buffer_head. A
-// buffer is published to the cache marked filling and the miss path
-// resolves the fill before Get returns (lru.FillState), so a getter of
-// the same block finds one entry with valid data, or the fill's error.
+// miss reads the block before the buffer enters the cache, so a resident
+// buffer always holds valid data and a failed read leaves nothing behind.
 type BufferHead struct {
-	lru.FillState
 	node lru.Node
 	bc   *BufferCache
 	data []byte
@@ -109,34 +107,24 @@ func (bc *BufferCache) get(t *Task, blk int, read bool) (*BufferHead, error) {
 	}
 	t.Charge(bc.model.BufferCacheLookup)
 
-	b, hit := bc.cache.GetOrInsert(int64(blk), func(*BufferHead, bool) *BufferHead {
+	b, hit, err := bc.cache.Get(int64(blk), func(*BufferHead, bool) (*BufferHead, error) {
+		t.rec.Add(trace.CtrBufMisses, 1)
 		nb := &BufferHead{bc: bc, data: make([]byte, bc.dev.BlockSize())}
-		nb.BeginFill() // published filling; resolved below, before anyone else runs
-		return nb
+		if read {
+			start := t.Clk.NowNS()
+			if err := bc.dev.Read(t.Clk, blk, nb.data); err != nil {
+				return nil, err
+			}
+			if r := t.rec; r != nil {
+				r.Span(t.Name, trace.CatDevice, "bread", start, t.Clk.NowNS())
+			}
+		}
+		return nb, nil
 	})
 	if hit {
 		t.rec.Add(trace.CtrBufHits, 1)
-		if err := b.FillErr(); err != nil {
-			bc.cache.Release(b)
-			return nil, err
-		}
-		return b, nil
 	}
-	t.rec.Add(trace.CtrBufMisses, 1)
-
-	if read {
-		start := t.Clk.NowNS()
-		if err := bc.dev.Read(t.Clk, blk, b.data); err != nil {
-			bc.cache.Drop(int64(blk))
-			b.FailFill(err)
-			return nil, err
-		}
-		if r := t.rec; r != nil {
-			r.Span(t.Name, trace.CatDevice, "bread", start, t.Clk.NowNS())
-		}
-	}
-	b.CompleteFill()
-	return b, nil
+	return b, err
 }
 
 // SyncDirty submits every dirty buffer to the device as one batch (filling

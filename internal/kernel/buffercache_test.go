@@ -233,7 +233,7 @@ func TestBufferCacheReadError(t *testing.T) {
 
 // TestBufferCacheConcurrentMissFill drives one block range from eight
 // scheduled tasks — the only way several tasks share a cache — over a
-// cache a quarter the size of the range, and checks the fill protocol's
+// cache a quarter the size of the range, and checks the miss path's
 // accounting: every Get is a hit or a miss, every miss is exactly one
 // device read (never two fills of one block, never a hit on an unfilled
 // buffer), and the interleaving replays exactly.
@@ -281,5 +281,72 @@ func TestBufferCacheConcurrentMissFill(t *testing.T) {
 	}
 	if st2, ds2 := run(); st2 != st || ds2 != ds {
 		t.Fatalf("replay differs: %+v %+v vs %+v %+v", st2, ds2, st, ds)
+	}
+}
+
+// probeBackend runs probe inside the device read of block blk and then
+// fails that read with fail (when set), so a test can look at the cache
+// while the block's fill is in flight — on the one goroutine, the way the
+// fill itself runs.
+type probeBackend struct {
+	blockdev.Backend
+	blk   int
+	probe func()
+	fail  error
+}
+
+func (p *probeBackend) ReadBlock(now int64, blk int, buf []byte) (int64, error) {
+	if blk == p.blk {
+		p.probe()
+		if p.fail != nil {
+			return now, p.fail
+		}
+	}
+	return p.Backend.ReadBlock(now, blk, buf)
+}
+
+// TestBufferCacheFillBeforeInsert: a block enters the cache only once its
+// device read has succeeded. During the read the block is not resident
+// (and the LRU victim is already gone); a failed read leaves the cache as
+// a miss plus the eviction it made room with, nothing inserted; a retry
+// fills it, and a second getter hits.
+func TestBufferCacheFillBeforeInsert(t *testing.T) {
+	model := costmodel.Default()
+	pb := &probeBackend{Backend: blockdev.NewLocalBackend("probed", 4096, model), blk: 7}
+	dev := blockdev.MustNew(blockdev.Config{Blocks: 64, Model: model, Backend: pb})
+	bc, task := NewBufferCache(dev, model, 2), New(model).NewTask("bc-test")
+	getRelease(t, bc, task, 0)
+	getRelease(t, bc, task, 1)
+
+	probes := 0
+	pb.probe = func() {
+		probes++
+		if _, ok := bc.cache.Peek(7); ok {
+			t.Error("block 7 is resident while its device read is in flight")
+		}
+		if got := bc.ResidentBlocks(); len(got) != 1 || got[0] != 1 {
+			t.Errorf("mid-fill resident blocks = %v, want [1] (block 0 evicted)", got)
+		}
+	}
+	boom := errors.New("device error")
+	pb.fail = boom
+	if _, err := bc.Get(task, 7); !errors.Is(err, boom) {
+		t.Fatalf("Get(7) = %v, want the device error", err)
+	}
+	if bc.Len() != 1 {
+		t.Fatalf("failed read left %d buffers resident, want 1", bc.Len())
+	}
+	if st := bc.Stats(); st != (BufferCacheStats{Misses: 3, Evictions: 1}) {
+		t.Fatalf("stats after the failed read = %+v, want 3 misses and 1 eviction", st)
+	}
+
+	pb.fail = nil
+	getRelease(t, bc, task, 7)
+	getRelease(t, bc, task, 7)
+	if probes != 2 {
+		t.Fatalf("block 7 was read %d times, want the failed read and the retry", probes)
+	}
+	if st := bc.Stats(); st != (BufferCacheStats{Hits: 1, Misses: 4, Evictions: 1}) {
+		t.Fatalf("stats = %+v, want the retry's miss (into free room) and the hit", st)
 	}
 }

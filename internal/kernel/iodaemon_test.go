@@ -25,9 +25,13 @@ type hookFS struct {
 
 	failPage int64 // page whose reads fail (-1: none)
 	batches  []iodaemon.Run
+	probe    func(pg int64) // if set, runs inside every page read
 }
 
 func (h *hookFS) ReadPage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte) error {
+	if h.probe != nil {
+		h.probe(pg)
+	}
 	fail := h.failPage == pg
 	if fail {
 		return fsapi.ErrIO
@@ -57,7 +61,22 @@ func (h *hookFS) recordedBatches() []iodaemon.Run {
 	return append([]iodaemon.Run(nil), h.batches...)
 }
 
-type hookType struct{ fs **hookFS }
+// lendFS is hookFS as a kernel.PageLender: it lends each page as a fresh
+// buffer it fills through hookFS.ReadPage.
+type lendFS struct{ *hookFS }
+
+func (l lendFS) LendPage(t *kernel.Task, ino fsapi.Ino, pg int64) ([]byte, error) {
+	view := make([]byte, fsapi.PageSize)
+	if err := l.ReadPage(t, ino, pg, view); err != nil {
+		return nil, err
+	}
+	return view, nil
+}
+
+type hookType struct {
+	fs   **hookFS
+	lend bool // mount the hookFS as a lendFS
+}
 
 func (hookType) Name() string { return "hookfs" }
 
@@ -68,16 +87,25 @@ func (ht hookType) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSyste
 	}
 	h := &hookFS{FileSystem: inner, pageCost: 50 * time.Microsecond, failPage: -1}
 	*ht.fs = h
+	if ht.lend {
+		return lendFS{h}, nil
+	}
 	return h, nil
 }
 
 // newIODMount builds a kernel + hookFS mount with the background I/O
 // subsystem enabled.
 func newIODMount(t *testing.T) (*kernel.Mount, *hookFS, *kernel.Task) {
+	return newHookMount(t, false)
+}
+
+// newHookMount is newIODMount, with the hookFS mounted as a lendFS when
+// lend is set.
+func newHookMount(t *testing.T, lend bool) (*kernel.Mount, *hookFS, *kernel.Task) {
 	t.Helper()
 	k := kernel.New(costmodel.Fast())
 	var h *hookFS
-	if err := k.Register(hookType{fs: &h}); err != nil {
+	if err := k.Register(hookType{fs: &h, lend: lend}); err != nil {
 		t.Fatal(err)
 	}
 	task := k.NewTask("test")
@@ -176,9 +204,9 @@ func TestReadAheadOverlapsDeviceTime(t *testing.T) {
 
 // TestReadAheadErrorPropagation points read-ahead at a page whose device
 // read fails: the demand read that triggered the fill must succeed, the
-// poisoned page must not be cached (the FillState drop-before-fail
-// protocol), and the demand read of the bad page must surface the error
-// synchronously. Once the fault clears, the same read succeeds.
+// poisoned page must not be cached (a page enters the cache only once its
+// fill succeeds), and the demand read of the bad page must surface the
+// error synchronously. Once the fault clears, the same read succeeds.
 func TestReadAheadErrorPropagation(t *testing.T) {
 	m, h, task := newIODMount(t)
 	const pages = 16
@@ -217,6 +245,55 @@ func TestReadAheadErrorPropagation(t *testing.T) {
 	}
 	if buf[0] != byte('a'+8%26) {
 		t.Fatalf("page 8 contents = %q, want %q", buf[0], byte('a'+8%26))
+	}
+}
+
+// TestReadAheadFillBeforeInsert: a page enters the page cache only once
+// its contents exist. Whether the file system copies the page (ReadPage)
+// or lends it (LendPage), the page is not resident while the fill runs —
+// for the demand read and for every read-ahead fill it triggers — and it
+// is resident, with its contents, once the fill has returned.
+func TestReadAheadFillBeforeInsert(t *testing.T) {
+	for _, lend := range []bool{false, true} {
+		m, h, task := newHookMount(t, lend)
+		const pages = 16
+		writeFilePages(t, m, task, "/f", pages)
+		m.DropCaches()
+		st, err := m.Stat(task, "/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := m.Open(task, "/f", fsapi.ORdonly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var filled []int64
+		h.probe = func(pg int64) {
+			filled = append(filled, pg)
+			if m.PageResident(st.Ino, pg) {
+				t.Errorf("lend=%v: page %d is in the cache while its fill runs", lend, pg)
+			}
+		}
+		buf := make([]byte, fsapi.PageSize)
+		if _, err := f.PRead(task, buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		h.probe = nil
+		ra := m.IODaemon().Stats().FillPages
+		if ra == 0 || int64(len(filled)) != 1+ra {
+			t.Fatalf("lend=%v: %d fills ran, %d of them read-ahead; want the demand fill plus at least one read-ahead fill", lend, len(filled), ra)
+		}
+		for _, pg := range filled {
+			if !m.PageResident(st.Ino, pg) {
+				t.Fatalf("lend=%v: page %d not resident after its fill", lend, pg)
+			}
+			if _, err := f.PRead(task, buf, pg*fsapi.PageSize); err != nil || buf[0] != byte('a'+pg%26) {
+				t.Fatalf("lend=%v: page %d reads %q (%v)", lend, pg, buf[0], err)
+			}
+		}
+		if err := m.Close(task, f); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

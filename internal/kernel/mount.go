@@ -119,19 +119,14 @@ type vnode struct {
 // device wait was paid synchronously, and a full-page overwrite clears
 // it (the overwrite discards the fill's contents, so no wait is owed).
 //
-// Read-ahead fills also run the lru.FillState protocol (BeginFill
-// before publication, CompleteFill/drop+FailFill after), the same
-// discipline as the buffer caches. A fill resolves inside the read that
-// triggered it, so no reader can observe a mid-fill page; the
-// protocol's load-bearing half here is the error path — a failed fill
-// is dropped from the cache before FailFill, so a poisoned page is
-// never reachable.
+// Demand and read-ahead fills alike insert a page only once its contents
+// exist (vnode.readPage), the same rule as the buffer caches, so a failed
+// fill leaves nothing in the cache to hit.
 //
 // data is PageSize bytes. When shared is set somebody below the page cache
 // may hold the same buffer and it is read-only (see pagepool.go).
 type page struct {
 	node    lru.Node
-	fill    lru.FillState
 	data    []byte
 	shared  bool
 	readyAt int64
@@ -417,40 +412,58 @@ func (vn *vnode) loadPage(t *Task, idx int64) (*page, error) {
 		return pg, nil
 	}
 	t.rec.Add(trace.CtrPageMisses, 1)
-	// A page inside the file is filled below, and a fill supplies every
-	// byte of it; a page wholly beyond EOF is filled by nobody and must
-	// read as zeros.
-	var pg *page
-	if idx*fsapi.PageSize < vn.size {
-		pg = vn.m.getPageStruct()
-		fillStart := t.Clk.NowNS()
-		if err := vn.fill(t, pg, idx); err != nil {
-			vn.m.putPage(pg) // never published; safe to recycle
-			return nil, err
-		}
-		if r := t.rec; r != nil {
-			r.Span(t.Name, trace.CatCache, "page-fill", fillStart, t.Clk.NowNS())
-		}
-	} else {
-		pg = vn.m.getPage(true)
+	// A page inside the file is filled, and a fill supplies every byte of
+	// it; a page wholly beyond EOF is filled by nobody and must read as
+	// zeros.
+	if idx*fsapi.PageSize >= vn.size {
+		pg := vn.m.getPage(true)
+		vn.insert(idx, pg)
+		return pg, nil
 	}
+	fillStart := t.Clk.NowNS()
+	pg, err := vn.readPage(t, idx)
+	if err != nil {
+		return nil, err
+	}
+	if r := t.rec; r != nil {
+		r.Span(t.Name, trace.CatCache, "page-fill", fillStart, t.Clk.NowNS())
+	}
+	return pg, nil
+}
+
+// readPage fills a fresh page with page idx of the file and only then
+// inserts it into vn's cache — the one way a page with file contents
+// enters the cache, for demand reads and read-ahead alike. A page is
+// never resident before its contents exist, and a failed fill leaves
+// nothing behind.
+func (vn *vnode) readPage(t *Task, idx int64) (*page, error) {
+	pg := vn.m.getPageStruct()
+	if err := vn.fill(t, pg, idx); err != nil {
+		vn.m.putPage(pg)
+		return nil, err
+	}
+	vn.insert(idx, pg)
+	return pg, nil
+}
+
+// insert makes pg the resident, most recently used page at idx and
+// evicts clean pages if the mount is now over its page budget.
+func (vn *vnode) insert(idx int64, pg *page) {
 	pg.lastUse = vn.m.tick()
 	vn.pc.Add(idx, pg)
 	if vn.m.totalPages++; vn.m.totalPages > vn.m.pageCap {
 		// Pin the fresh page: with every other page dirty or pinned the
-		// scan could otherwise evict it before the caller writes to it.
+		// scan could otherwise evict it before the caller uses it.
 		pg.node.Pin()
 		vn.evictClean()
 		pg.node.Unpin()
 	}
-	return pg, nil
 }
 
 // fill gives pg, a page struct without a buffer, the contents of page idx
 // of the file: the file system's own buffer when it lends one (a shared
 // page), otherwise a private buffer filled through ReadPage. Which of the
-// two happened is invisible in virtual time. On error the caller puts pg
-// back.
+// two happened is invisible in virtual time.
 func (vn *vnode) fill(t *Task, pg *page, idx int64) error {
 	m := vn.m
 	if m.lender != nil {
@@ -681,34 +694,18 @@ func (vn *vnode) readAhead(t *Task, first, last int64) {
 	}
 }
 
-// fillPage reads page pg into the cache on the read-ahead task rt,
-// following the lru.FillState protocol: the page is published marked
-// filling, filled from the file system, then resolved — and dropped
-// before FailFill on error so no later getter can hit a poisoned page.
+// fillPage is read-ahead's fill of page pg on the read-ahead task rt. The
+// page is stamped with the fill's completion time, which a reader that
+// catches up with the pipeline waits for.
 func (vn *vnode) fillPage(rt *Task, pg int64) (bool, error) {
 	if _, ok := vn.pc.Peek(pg); ok {
 		return false, nil
 	}
-	// The struct is published (marked filling) before the fill, as a
-	// buffer-cache block is; its buffer arrives with the fill.
-	p := vn.m.getPageStruct()
-	p.lastUse = vn.m.tick()
-	p.fill.BeginFill()
-	vn.pc.Add(pg, p)
-	if vn.m.totalPages++; vn.m.totalPages > vn.m.pageCap {
-		p.node.Pin()
-		vn.evictClean()
-		p.node.Unpin()
-	}
-	if err := vn.fill(rt, p, pg); err != nil {
-		vn.pc.Remove(pg)
-		vn.m.totalPages--
-		p.fill.FailFill(err)
-		vn.m.putPage(p) // out of the cache and resolved; putPage resets the fill state
+	p, err := vn.readPage(rt, pg)
+	if err != nil {
 		return false, err
 	}
 	p.readyAt = rt.Clk.NowNS()
-	p.fill.CompleteFill()
 	return true, nil
 }
 

@@ -115,8 +115,8 @@ func (m *Mount) unshare(pg *page, keep bool) {
 	}
 }
 
-// putPage recycles a page that has been removed from its cache (or was
-// never published): the struct always, the buffer unless it is shared (or
+// putPage recycles a page that has been removed from its cache (or never
+// entered it): the struct always, the buffer unless it is shared (or
 // a failed fill never got one). nil is accepted (Remove's zero entry on a
 // missing key) and ignored.
 func (m *Mount) putPage(pg *page) {
@@ -128,7 +128,6 @@ func (m *Mount) putPage(pg *page) {
 	}
 	pg.data, pg.shared = nil, false
 	pg.node.ResetForReuse()
-	pg.fill.Reset()
 	pg.readyAt = 0
 	pg.lastUse = 0
 	m.freePages = append(m.freePages, pg)

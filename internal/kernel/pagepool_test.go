@@ -86,16 +86,14 @@ func TestPagePoolZeroing(t *testing.T) {
 }
 
 // TestPagePoolResetState verifies putPage clears the policy state so a
-// recycled page cannot inherit recency, readiness, or fill results from
-// its previous life.
+// recycled page cannot inherit recency, readiness, or a pin from its
+// previous life.
 func TestPagePoolResetState(t *testing.T) {
 	m := pageMount()
 	pg := m.getPage(true)
 	pg.lastUse = 42
 	pg.readyAt = 99
 	pg.node.Pin()
-	pg.fill.BeginFill()
-	pg.fill.FailFill(errTestFill)
 	m.putPage(pg)
 
 	got := m.getPage(false) // the free list is LIFO
@@ -110,9 +108,6 @@ func TestPagePoolResetState(t *testing.T) {
 	}
 	if got.node.Refs() != 0 {
 		t.Errorf("recycled page refs = %d, want 0", got.node.Refs())
-	}
-	if err := got.fill.FillErr(); err != nil {
-		t.Errorf("recycled page fill state kept error %v, want reset", err)
 	}
 	m.putPage(nil) // Remove's zero entry on a missing key
 }
@@ -160,10 +155,3 @@ func TestPagePoolNoAliasing(t *testing.T) {
 		}
 	}
 }
-
-// errTestFill is a sentinel for fill-state reset tests.
-var errTestFill = &testFillError{}
-
-type testFillError struct{}
-
-func (*testFillError) Error() string { return "test fill error" }

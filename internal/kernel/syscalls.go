@@ -292,15 +292,7 @@ func (vn *vnode) pageForOverwrite(idx int64) *page {
 	}
 	vn.m.k.rec.Add(trace.CtrPageMisses, 1)
 	pg := vn.m.getPage(false)
-	pg.lastUse = vn.m.tick()
-	vn.pc.Add(idx, pg)
-	if vn.m.totalPages++; vn.m.totalPages > vn.m.pageCap {
-		// Pin the fresh page so the scan cannot evict it before the
-		// caller overwrites it and marks it dirty.
-		pg.node.Pin()
-		vn.evictClean()
-		pg.node.Unpin()
-	}
+	vn.insert(idx, pg)
 	return pg
 }
 

@@ -24,20 +24,22 @@ func New[E Entry](capacity int) *Cache[E] {
 	return &Cache[E]{capacity: capacity}
 }
 
-// GetOrInsert returns the entry for key with its reference count
-// incremented, creating it with mk on a miss. On a miss the cache evicts
-// clean, unpinned entries in LRU order until under capacity (entries
-// stay resident while everything is pinned or dirty), then inserts the
-// new entry with one reference. mk receives the entry that eviction just
+// Get returns the entry for key with its reference count incremented,
+// filling it on a miss. An entry enters the cache only once its contents
+// exist: a miss first evicts clean, unpinned entries in LRU order until
+// under capacity (entries stay resident while everything is pinned or
+// dirty), then calls fill, and inserts the entry fill returns with one
+// reference only if fill succeeds. A failed fill inserts nothing and
+// Get returns its error. fill receives the entry that eviction just
 // unlinked (the last one, if the cache was overflowed and several went)
 // and may return it reset instead of allocating; evicted is false when
 // nothing was evicted. A victim is unpinned, so only a caller of Peek
-// could still be reading it.
-func (c *Cache[E]) GetOrInsert(key int64, mk func(victim E, evicted bool) E) (e E, hit bool) {
+// could still be reading it, and one a failed fill took is gone with it.
+func (c *Cache[E]) Get(key int64, fill func(victim E, evicted bool) (E, error)) (e E, hit bool, err error) {
 	if e, ok := c.core.Get(key); ok {
 		e.LRUNode().refs++
 		c.stats.Hits++
-		return e, true
+		return e, true, nil
 	}
 	c.stats.Misses++
 	var victim E
@@ -50,10 +52,13 @@ func (c *Cache[E]) GetOrInsert(key int64, mk func(victim E, evicted bool) E) (e 
 		c.stats.Evictions++
 		victim, evicted = v, true
 	}
-	e = mk(victim, evicted)
+	if e, err = fill(victim, evicted); err != nil {
+		var none E
+		return none, false, err
+	}
 	e.LRUNode().refs = 1
 	c.core.Add(key, e)
-	return e, false
+	return e, false, nil
 }
 
 // Release drops one reference. It reports false on a release of an
@@ -68,7 +73,7 @@ func (c *Cache[E]) Release(e E) bool {
 }
 
 // resident reports whether n is the node currently cached under its key
-// (false once the entry was dropped by the read-error path).
+// (false once direct I/O dropped the entry under a holder's reference).
 func (c *Cache[E]) resident(n *Node) bool {
 	cur, ok := c.core.Peek(n.key)
 	return ok && cur.LRUNode() == n
@@ -80,8 +85,8 @@ func (c *Cache[E]) MarkDirty(e E) {
 	if c.resident(n) {
 		c.core.MarkDirty(n.key)
 	} else {
-		// The entry was dropped from the cache (read-error path); keep
-		// the per-entry flag truthful for the holder of the reference.
+		// The entry was dropped from the cache (direct I/O); keep the
+		// per-entry flag truthful for the holder of the reference.
 		n.dirty = true
 	}
 }
@@ -116,9 +121,9 @@ func (c *Cache[E]) Keys() []int64 {
 	return out
 }
 
-// Drop unconditionally removes the entry for key (read-error path),
-// regardless of references or dirtiness. It does not count as an
-// eviction.
+// Drop unconditionally removes the entry for key (direct I/O's
+// invalidation), regardless of references or dirtiness. It does not count
+// as an eviction.
 func (c *Cache[E]) Drop(key int64) (E, bool) {
 	e, _, ok := c.core.Remove(key)
 	return e, ok

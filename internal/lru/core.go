@@ -220,7 +220,7 @@ func (c *Core[E]) unlink(lf *leaf[E], key int64) E {
 }
 
 // Remove unconditionally drops the entry for key — even if pinned or
-// dirty (truncate and read-error paths need this). It reports the entry,
+// dirty (truncate and direct-I/O invalidation need this). It reports the entry,
 // whether it was dirty, and whether it existed.
 func (c *Core[E]) Remove(key int64) (e E, wasDirty, ok bool) {
 	lf := c.find(key)

@@ -231,19 +231,33 @@ func TestCoreDropClean(t *testing.T) {
 	}
 }
 
+// alloc is a fill that always allocates a fresh entry holding v.
+func alloc(v int) func(*ent, bool) (*ent, error) {
+	return func(*ent, bool) (*ent, error) { return &ent{val: v}, nil }
+}
+
+// get is Cache.Get for fills that cannot fail.
+func get(t *testing.T, c *Cache[*ent], key int64, fill func(*ent, bool) (*ent, error)) (*ent, bool) {
+	t.Helper()
+	e, hit, err := c.Get(key, fill)
+	if err != nil {
+		t.Fatalf("Get(%d): %v", key, err)
+	}
+	return e, hit
+}
+
 func TestCacheCapacityAndStats(t *testing.T) {
 	c := New[*ent](2)
-	mk := func(v int) func(*ent, bool) *ent { return func(*ent, bool) *ent { return &ent{val: v} } }
 	for i := 0; i < 3; i++ {
-		if _, hit := c.GetOrInsert(int64(i), mk(i)); hit {
+		if _, hit := get(t, c, int64(i), alloc(i)); hit {
 			t.Fatalf("unexpected hit for %d", i)
 		}
-		e, _ := c.GetOrInsert(int64(i), nil) // immediate re-get: hit
+		e, _ := get(t, c, int64(i), nil) // immediate re-get: hit
 		c.Release(e)
 		c.Release(e)
 	}
 	// Capacity 2: inserting block 2 evicted block 0, the exact LRU.
-	if _, hit := c.GetOrInsert(0, mk(0)); hit {
+	if _, hit := get(t, c, 0, alloc(0)); hit {
 		t.Fatal("block 0 should have been evicted")
 	}
 	st := c.Stats()
@@ -252,20 +266,20 @@ func TestCacheCapacityAndStats(t *testing.T) {
 	}
 }
 
-// TestCacheGetOrInsertHandsOverVictim: mk sees exactly the entry the
+// TestCacheGetOrInsertHandsOverVictim: fill sees exactly the entry the
 // miss evicted — unlinked, unpinned, clean — and nothing when the cache
 // had room, the evictable entries were all pinned or dirty, or the key
 // hit. A recycled victim is resident under its new key only.
 func TestCacheGetOrInsertHandsOverVictim(t *testing.T) {
 	c := New[*ent](2)
-	var got []*ent // every victim mk was handed
-	mk := func(v int) func(*ent, bool) *ent {
-		return func(victim *ent, evicted bool) *ent {
+	var got []*ent // every victim fill was handed
+	fill := func(v int) func(*ent, bool) (*ent, error) {
+		return func(victim *ent, evicted bool) (*ent, error) {
 			if !evicted {
 				if victim != nil {
 					t.Errorf("victim %v without an eviction", victim)
 				}
-				return &ent{val: v}
+				return &ent{val: v}, nil
 			}
 			if victim.node.Refs() != 0 || victim.node.Dirty() || victim.node.next != nil {
 				t.Errorf("victim %d is pinned, dirty or still linked", victim.val)
@@ -273,29 +287,29 @@ func TestCacheGetOrInsertHandsOverVictim(t *testing.T) {
 			got = append(got, victim)
 			victim.node.ResetForReuse()
 			victim.val = v
-			return victim
+			return victim, nil
 		}
 	}
-	e0, _ := c.GetOrInsert(0, mk(0))
-	e1, _ := c.GetOrInsert(1, mk(1))
+	e0, _ := get(t, c, 0, fill(0))
+	e1, _ := get(t, c, 1, fill(1))
 	if len(got) != 0 {
 		t.Fatalf("victims while the cache had room: %v", got)
 	}
 	// Everything pinned: the cache overflows and there is no victim.
-	e2, _ := c.GetOrInsert(2, mk(2))
+	e2, _ := get(t, c, 2, fill(2))
 	if len(got) != 0 || c.Len() != 3 {
 		t.Fatalf("pinned entry evicted: victims %v, len %d", got, c.Len())
 	}
 	c.Release(e0)
 	c.Release(e1)
 	c.Release(e2)
-	if e, hit := c.GetOrInsert(2, mk(-1)); !hit || len(got) != 0 {
-		t.Fatalf("hit ran mk: hit=%v victims %v", hit, got)
+	if e, hit := get(t, c, 2, fill(-1)); !hit || len(got) != 0 {
+		t.Fatalf("hit ran fill: hit=%v victims %v", hit, got)
 	} else {
 		c.Release(e)
 	}
 	// Overflowed by one: a miss evicts 0 then 1 and hands over the last.
-	e3, _ := c.GetOrInsert(3, mk(3))
+	e3, _ := get(t, c, 3, fill(3))
 	if len(got) != 1 || got[0] != e1 || e3 != e1 {
 		t.Fatalf("victims = %v, want exactly block 1's entry recycled", got)
 	}
@@ -313,9 +327,58 @@ func TestCacheGetOrInsertHandsOverVictim(t *testing.T) {
 	}
 }
 
+// TestCacheFillBeforeInsert: an entry is not in the cache until its fill
+// succeeds. During the fill the key is absent; a failed fill inserts
+// nothing — the miss and the eviction it made room with are counted, the
+// victim it was handed is gone with it — and the next miss on a cache
+// with room is handed no victim.
+func TestCacheFillBeforeInsert(t *testing.T) {
+	c := New[*ent](2)
+	for i := 0; i < 2; i++ {
+		e, _ := get(t, c, int64(i), alloc(i))
+		c.Release(e)
+	}
+	boom := fmt.Errorf("device error")
+	var victim *ent
+	e, hit, err := c.Get(7, func(v *ent, evicted bool) (*ent, error) {
+		if _, ok := c.Peek(7); ok {
+			t.Error("key 7 resident while its fill runs")
+		}
+		if !evicted || v.val != 0 {
+			t.Errorf("fill handed victim %v (evicted %v), want block 0's entry", v, evicted)
+		}
+		victim = v
+		return v, boom
+	})
+	if err != boom || hit || e != nil {
+		t.Fatalf("failed fill: Get = %v, %v, %v; want nil, false, the fill error", e, hit, err)
+	}
+	if _, ok := c.Peek(7); ok || c.Len() != 1 {
+		t.Fatalf("failed fill inserted: key 7 resident, len %d", c.Len())
+	}
+	if keys := c.Keys(); len(keys) != 1 || keys[0] != 1 {
+		t.Fatalf("resident keys = %v, want [1]", keys)
+	}
+	if st := c.Stats(); st != (Stats{Misses: 3, Evictions: 1}) {
+		t.Fatalf("stats = %+v, want 3 misses and the one eviction", st)
+	}
+	e, _ = get(t, c, 7, func(v *ent, evicted bool) (*ent, error) {
+		if evicted || v != nil {
+			t.Errorf("a miss with room was handed %p (evicted %v); the failed fill's victim %p is gone", v, evicted, victim)
+		}
+		return &ent{val: 7}, nil
+	})
+	if e.val != 7 || e.node.Refs() != 1 || e.node.Key() != 7 {
+		t.Fatalf("filled entry: val %d refs %d key %d", e.val, e.node.Refs(), e.node.Key())
+	}
+	if st := c.Stats(); st != (Stats{Misses: 4, Evictions: 1}) {
+		t.Fatalf("stats = %+v, want 4 misses, 1 eviction", st)
+	}
+}
+
 func TestCacheReleaseUnderflow(t *testing.T) {
 	c := New[*ent](4)
-	e, _ := c.GetOrInsert(1, func(*ent, bool) *ent { return &ent{} })
+	e, _ := get(t, c, 1, alloc(0))
 	if !c.Release(e) {
 		t.Fatal("first release failed")
 	}
@@ -326,7 +389,7 @@ func TestCacheReleaseUnderflow(t *testing.T) {
 
 func TestCacheResetChecks(t *testing.T) {
 	c := New[*ent](4)
-	e, _ := c.GetOrInsert(1, func(*ent, bool) *ent { return &ent{} })
+	e, _ := get(t, c, 1, alloc(0))
 	errBusy := fmt.Errorf("busy")
 	err := c.Reset(func(e *ent) error {
 		if e.LRUNode().Refs() != 0 {
@@ -349,7 +412,7 @@ func TestCacheResetChecks(t *testing.T) {
 func TestCacheDirtyEntriesSorted(t *testing.T) {
 	c := New[*ent](64)
 	for i := 0; i < 16; i++ {
-		e, _ := c.GetOrInsert(int64(i), func(*ent, bool) *ent { return &ent{val: i} })
+		e, _ := get(t, c, int64(i), alloc(i))
 		c.MarkDirty(e)
 		c.Release(e)
 	}
@@ -374,12 +437,12 @@ func TestCacheChurnStaysBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 16000; i++ {
 		key := rng.Int63n(512)
-		e, _ := c.GetOrInsert(key, func(victim *ent, evicted bool) *ent {
+		e, _ := get(t, c, key, func(victim *ent, evicted bool) (*ent, error) {
 			if !evicted {
-				return &ent{}
+				return &ent{}, nil
 			}
 			victim.node.ResetForReuse() // recycle, as fuse.UserDisk does
-			return victim
+			return victim, nil
 		})
 		if e.LRUNode().Key() != key {
 			t.Fatalf("entry for %d has key %d", key, e.LRUNode().Key())
@@ -397,7 +460,7 @@ func TestCacheChurnStaysBounded(t *testing.T) {
 		c.ClearDirty(e)
 	}
 	for i := 0; i < 200; i++ {
-		e, _ := c.GetOrInsert(int64(1000+i), func(*ent, bool) *ent { return &ent{} })
+		e, _ := get(t, c, int64(1000+i), alloc(0))
 		c.Release(e)
 	}
 	if got := c.Len(); got != 128 {

@@ -143,13 +143,11 @@ func TestLendPageMatchesReadPage(t *testing.T) {
 		ino  fsapi.Ino
 	}
 	// Pages 0-1 full; 2-3 a hole; page 4: its first 1000 bytes, the rest
-	// cleared by a truncate; page 5 a hole left by the regrow; pages 6-19
-	// full (past the inode's direct blocks, so bmap reads an indirect
-	// block); page 20: the last 100 bytes. The kernel's size is larger
-	// still, from a byte that is never written back. (The truncate stays
-	// inside page 4's block: ext4's partial truncate frees whole tail
-	// blocks without unmapping them — see ROADMAP — and this test is not
-	// about that.)
+	// cleared by a truncate; page 5: written, then freed by that truncate
+	// and left a hole by the regrow, so it reads as zeros; pages 6-19 full
+	// (past the inode's direct blocks, so bmap reads an indirect block);
+	// page 20: the last 100 bytes. The kernel's size is larger still, from
+	// a byte that is never written back.
 	build := func(t *testing.T, variant string) *side {
 		o := harness.Quick()
 		o.Metrics = true
@@ -168,7 +166,7 @@ func TestLendPageMatchesReadPage(t *testing.T) {
 			}
 		}
 		must(s.f.PWrite(s.task, pattern(2*ps, 0), 0))
-		must(s.f.PWrite(s.task, pattern(3000, 0x40), 4*ps))
+		must(s.f.PWrite(s.task, pattern(ps+3000, 0x40), 4*ps))
 		must(0, s.f.FSync(s.task))
 		must(0, s.f.Truncate(s.task, 4*ps+1000))
 		must(s.f.PWrite(s.task, pattern(14*ps+100, 0x80), 6*ps))
@@ -234,6 +232,9 @@ func TestLendPageMatchesReadPage(t *testing.T) {
 				}
 				if !bytes.Equal(view, buf) {
 					t.Errorf("page %d: LendPage and ReadPage disagree", idx)
+				}
+				if idx == 5 && !bytes.Equal(buf, make([]byte, ps)) {
+					t.Errorf("page 5, freed by the truncate, does not read as zeros")
 				}
 				if a, b := copied.task.Clk.NowNS(), lent.task.Clk.NowNS(); a != b {
 					t.Fatalf("page %d: clock %d after ReadPage, %d after LendPage", idx, a, b)
