@@ -12,18 +12,74 @@
 //	crashtort -md                    # results as a markdown table (CI summary)
 //
 // A crash point id names (variant, command index, cache retention) —
-// see internal/crashtort. The process exits nonzero if any swept point
-// fails to recover, if a replayed -point fails, or if -selftest does
-// NOT observe failures.
+// see internal/crashtort. -point and -selftest fix their own
+// configuration, so neither combines with the sweep flags. The process
+// exits 2 on invalid flags, and 1 if any swept point fails to recover,
+// if a replayed -point fails, or if -selftest does NOT observe failures.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"bento/internal/crashtort"
 )
+
+// cliFlags are the flag values validateFlags vets.
+type cliFlags struct {
+	variant    string
+	keep       float64
+	nobarriers bool
+	point      string
+	selftest   bool
+	md         bool
+}
+
+// validateFlags fails fast, before any sweep runs, on a value the sweep
+// would mislabel or a flag the chosen mode would silently ignore: an
+// unknown -variant; a -keep outside [0, 1] other than the -1 sentinel
+// (Device.Crash would clamp it while results and point ids carried the
+// raw value); and, next to -point or -selftest — which fix their own
+// configuration and print no table — any of -variant, -keep, -nobarriers
+// or -md, or the other mode.
+func validateFlags(f cliFlags) error {
+	if f.variant != "all" && !slices.Contains(crashtort.AllVariants, crashtort.Variant(f.variant)) {
+		return fmt.Errorf("-variant %q: want bento, vfs, ext4 or all", f.variant)
+	}
+	if f.keep != -1 && !(f.keep >= 0 && f.keep <= 1) {
+		return fmt.Errorf("-keep %v outside [0, 1] (-1 sweeps both extremes)", f.keep)
+	}
+	if f.point == "" && !f.selftest {
+		return nil
+	}
+	mode, ignored := "-selftest", []string(nil)
+	if f.point != "" {
+		mode = "-point"
+		if f.selftest {
+			ignored = append(ignored, "-selftest")
+		}
+	}
+	if f.variant != "all" {
+		ignored = append(ignored, "-variant")
+	}
+	if f.keep != -1 {
+		ignored = append(ignored, "-keep")
+	}
+	if f.nobarriers {
+		ignored = append(ignored, "-nobarriers")
+	}
+	if f.md {
+		ignored = append(ignored, "-md")
+	}
+	if len(ignored) > 0 {
+		return fmt.Errorf("%s fixes its own configuration and output; it cannot be combined with %s",
+			mode, strings.Join(ignored, ", "))
+	}
+	return nil
+}
 
 func main() {
 	variant := flag.String("variant", "all", "variant to sweep: bento, vfs, ext4, or all")
@@ -33,6 +89,14 @@ func main() {
 	selftest := flag.Bool("selftest", false, "run the broken-ordering sweep (bento, nobarriers, keep=0) and FAIL unless it produces failures")
 	md := flag.Bool("md", false, "emit the per-variant result table as markdown (for CI step summaries)")
 	flag.Parse()
+
+	if err := validateFlags(cliFlags{
+		variant: *variant, keep: *keep, nobarriers: *nobarriers,
+		point: *point, selftest: *selftest, md: *md,
+	}); err != nil {
+		fmt.Fprintf(os.Stderr, "crashtort: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *point != "" {
 		replay(*point)
@@ -104,7 +168,7 @@ func report(results []crashtort.Result, md bool) {
 func replay(id string) {
 	p, err := crashtort.ParseID(id)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "crashtort: %v\n", err)
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	cfg := crashtort.Config{Variant: p.Variant, Keep: p.Keep, NoBarriers: p.NoBarriers}

@@ -68,7 +68,7 @@ type Config struct {
 	Variant   Variant
 	DevBlocks int              // device size in 4K blocks (default 4096)
 	NInodes   uint32           // inode table size (default 512)
-	Keep      float64          // volatile-cache retention at the cut (0 and 1 are the extremes)
+	Keep      float64          // volatile-cache retention at the cut, in [0, 1] (0 and 1 are the extremes)
 	Model     *costmodel.Model // defaults to costmodel.Fast()
 
 	// NoBarriers strips the variant's write-ordering discipline
@@ -108,18 +108,15 @@ func (p Point) ID() string {
 	return s
 }
 
-// ParseID parses an ID back into the Point it names.
+// ParseID parses an ID back into the Point it names. It accepts only
+// points Sweep can produce: a known variant, k of at least 1 and keep in
+// [0, 1].
 func ParseID(id string) (Point, error) {
 	parts := strings.Split(id, "/")
 	if len(parts) < 3 {
 		return Point{}, fmt.Errorf("crashtort: bad point id %q", id)
 	}
 	p := Point{Variant: Variant(parts[0])}
-	switch p.Variant {
-	case Bento, VFS, Ext4:
-	default:
-		return Point{}, fmt.Errorf("crashtort: unknown variant in point id %q", id)
-	}
 	k, ok := strings.CutPrefix(parts[1], "k=")
 	if !ok {
 		return Point{}, fmt.Errorf("crashtort: bad point id %q", id)
@@ -141,7 +138,35 @@ func ParseID(id string) (Point, error) {
 		}
 		p.NoBarriers = true
 	}
+	if err := (Config{Variant: p.Variant, Keep: p.Keep}).validate(); err != nil {
+		return Point{}, fmt.Errorf("crashtort: bad point id %q: %w", id, err)
+	}
+	if p.K < 1 {
+		return Point{}, fmt.Errorf("crashtort: bad point id %q: %w", id, errNoCommand(p.K))
+	}
 	return p, nil
+}
+
+// validate rejects a configuration whose results would not describe
+// what ran: an unknown variant, or a Keep outside [0, 1], which
+// Device.Crash would clamp while the report and the point ids carried
+// the raw value.
+func (c Config) validate() error {
+	switch c.Variant {
+	case Bento, VFS, Ext4:
+	default:
+		return fmt.Errorf("unknown variant %q (valid: bento, vfs, ext4)", c.Variant)
+	}
+	if !(c.Keep >= 0 && c.Keep <= 1) {
+		return fmt.Errorf("keep=%g outside [0, 1]", c.Keep)
+	}
+	return nil
+}
+
+// errNoCommand rejects a crash point below k=1, which no sweep produces:
+// ArmPowerCut(0) cuts power before the workload's first command.
+func errNoCommand(k int64) error {
+	return fmt.Errorf("k=%d names no command: the first write-class command is k=1", k)
 }
 
 // Failure is one crash point the variant did not recover from.
@@ -222,6 +247,9 @@ func newDev(cfg Config) (*blockdev.Device, error) {
 // run (no cut) fixes the workload's command count N; points 1..N then
 // each replay the workload from scratch with the cut armed.
 func Sweep(cfg Config) (Result, error) {
+	if err := cfg.validate(); err != nil {
+		return Result{}, fmt.Errorf("crashtort: %w", err)
+	}
 	cfg.defaults()
 	dev, err := newDev(cfg)
 	if err != nil {
@@ -256,6 +284,12 @@ func Sweep(cfg Config) (Result, error) {
 // write cache (seeded by k, so intermediate Keep fractions replay too),
 // then remount and verify. A nil return means the variant recovered.
 func RunPoint(cfg Config, k int64) error {
+	if err := cfg.validate(); err != nil {
+		return fmt.Errorf("crashtort: %w", err)
+	}
+	if k < 1 {
+		return fmt.Errorf("crashtort: %w", errNoCommand(k))
+	}
 	cfg.defaults()
 	dev, err := newDev(cfg)
 	if err != nil {

@@ -2,6 +2,7 @@ package crashtort
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"bento/internal/core"
@@ -89,16 +90,59 @@ func TestSweepDeterministic(t *testing.T) {
 	}
 }
 
-// TestParseIDErrors rejects malformed point ids.
+// TestParseIDErrors rejects malformed point ids and well-formed ones
+// that name a point no sweep produces: k below 1, keep outside [0, 1].
 func TestParseIDErrors(t *testing.T) {
 	for _, id := range []string{
 		"", "bento", "bento/k=1", "zfs/k=1/keep=0", "bento/x=1/keep=0",
 		"bento/k=one/keep=0", "bento/k=1/keep=x", "bento/k=1/keep=0/bogus",
 		"bento/k=1/keep=0/nobarriers/extra",
+		"bento/k=0/keep=0", "vfs/k=-3/keep=1", "bento/k=1/keep=2",
+		"ext4/k=1/keep=-0.5", "bento/k=1/keep=NaN", "bento/k=1/keep=+Inf",
 	} {
 		if _, err := ParseID(id); err == nil {
 			t.Errorf("ParseID(%q) accepted", id)
 		}
+	}
+	for _, id := range []string{"bento/k=1/keep=0", "vfs/k=17/keep=0.25", "ext4/k=3/keep=1/nobarriers"} {
+		p, err := ParseID(id)
+		if err != nil {
+			t.Errorf("ParseID(%q): %v", id, err)
+		} else if p.ID() != id {
+			t.Errorf("ParseID(%q).ID() = %q", id, p.ID())
+		}
+	}
+}
+
+// TestInvalidConfigRejected: Sweep and RunPoint refuse, before any
+// mount, a configuration whose report would mislabel what ran — a keep
+// Device.Crash would clamp, an unknown variant, or a crash point before
+// the first command.
+func TestInvalidConfigRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		k    int64
+		want string
+	}{
+		{"keep above 1", Config{Variant: Bento, Keep: 7}, 1, "keep=7 outside [0, 1]"},
+		{"keep below 0", Config{Variant: VFS, Keep: -0.5}, 1, "keep=-0.5 outside [0, 1]"},
+		{"unknown variant", Config{Variant: "zfs"}, 1, `unknown variant "zfs"`},
+		{"k zero", Config{Variant: Ext4}, 0, "k=0 names no command"},
+		{"k negative", Config{Variant: Bento, Keep: 1}, -2, "k=-2 names no command"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := RunPoint(tc.cfg, tc.k)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RunPoint = %v, want an error mentioning %q", err, tc.want)
+			}
+			if tc.k < 1 {
+				return // a sweep picks its own k
+			}
+			if _, err := Sweep(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Sweep = %v, want an error mentioning %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -118,10 +118,10 @@ func opWrite128K(tb testing.TB) (func() error, int64) {
 }
 
 // TestRoundTripSteadyStateAllocs is the transport's allocation contract:
-// once the session's scratch has grown to the largest message and the
-// user-level cache is full, a round trip allocates nothing — not the
-// wire buffers, not the decoded request and reply, not the daemon's READ
-// buffer, not the WRITE gather, not the cache block of a miss.
+// once the session's payload buffer has grown to the largest message and
+// the user-level cache is full, a round trip allocates nothing — not the
+// request and reply, not the daemon's READ buffer, not the WRITE gather,
+// not the cache block of a miss.
 func TestRoundTripSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -139,7 +139,7 @@ func TestRoundTripSteadyStateAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for i := 0; i < 128; i++ { // grow the scratch, fill the cache
+			for i := 0; i < 128; i++ { // grow the payload buffer, fill the cache
 				run()
 			}
 			if got := testing.AllocsPerRun(200, run); got != 0 {

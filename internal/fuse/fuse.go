@@ -1,7 +1,6 @@
 package fuse
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"bento/internal/blockdev"
@@ -55,32 +54,20 @@ func (tt Type) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, e
 }
 
 // Session is the userspace daemon: it owns the hosted file system and
-// serves decoded requests one at a time (the single-threaded libfuse
-// loop). The gate is virtual: freeAt is when the daemon finishes its
-// current request, and a request arriving earlier waits until then. On
-// the host a round trip runs to completion on the one admitted task.
+// serves requests one at a time (the single-threaded libfuse loop). The
+// gate is virtual: freeAt is when the daemon finishes its current
+// request, and a request arriving earlier waits until then. On the host
+// a round trip runs to completion on the one admitted task.
 //
-// The Session also owns the transport's scratch — both wire buffers, the
-// daemon's payload buffer and the decoded request and reply — so a round
-// trip allocates nothing once they have grown. The task running the
-// round trip owns the scratch while it runs; the rules (see the package
-// comment): (1) nothing that aliases the scratch outlives the Driver
-// method that made the round trip, (2) a round trip is not re-entrant,
-// (3) a gathered WRITE is exactly total bytes, copied or zero-filled,
-// (4) a reply header is fully rewritten on every encode, (5) the hosted
-// file system's UserDisk is only ever reached inside a round trip.
+// The Session also owns the daemon's payload buffer — a WRITE's gathered
+// data, a READ's result — so a round trip allocates nothing once it has
+// grown; the task running the round trip owns it while it runs (see the
+// package comment's rules).
 type Session struct {
 	fs core.FileSystem
 
-	freeAt int64 // virtual time the daemon finishes its current request
-
-	// Transport scratch; owned by the running round trip.
-	reqWire []byte  // request as written to /dev/fuse
-	repWire []byte  // reply as written back
-	payload []byte  // daemon side: READ data, encoded dirents, statfs
-	req     Request // daemon side: decoded in place, Data aliases reqWire
-	rep     Reply   // daemon side: Data aliases payload
-	out     Reply   // kernel side: decoded in place, Data aliases repWire
+	freeAt  int64  // virtual time the daemon finishes its current request
+	payload []byte // owned by the running round trip
 
 	requests int64
 	bytesIn  int64
@@ -93,62 +80,48 @@ func (s *Session) Requests() int64 { return s.requests }
 // FS exposes the hosted file system (tests).
 func (s *Session) FS() core.FileSystem { return s.fs }
 
-// dispatch executes one decoded request on the daemon and fills rep,
-// resetting every field: a failed request's reply carries the errno and
-// nothing else. A payload goes into s.payload.
-func (s *Session) dispatch(t *kernel.Task, req *Request, rep *Reply) {
-	*rep = Reply{Unique: req.Unique}
-	var st fsapi.Stat
+// serve executes one request on the daemon. A failed request's reply
+// carries the errno and nothing else; a READ's data lands in s.payload.
+func (s *Session) serve(t *kernel.Task, req *Request) Reply {
+	var rep Reply
 	var err error
+	ino := fsapi.Ino(req.Nodeid)
 	switch req.Op {
 	case OpLookup:
-		st, err = s.fs.Lookup(t, fsapi.Ino(req.Nodeid), req.Name)
-		rep.Attr = StatToWire(st)
+		rep.Attr, err = s.fs.Lookup(t, ino, req.Name)
 	case OpGetAttr:
-		st, err = s.fs.GetAttr(t, fsapi.Ino(req.Nodeid))
-		rep.Attr = StatToWire(st)
+		rep.Attr, err = s.fs.GetAttr(t, ino)
 	case OpSetAttr:
-		err = s.fs.SetAttr(t, fsapi.Ino(req.Nodeid), req.Off)
+		err = s.fs.SetAttr(t, ino, req.Off)
 	case OpCreate:
-		st, err = s.fs.Create(t, fsapi.Ino(req.Nodeid), req.Name)
-		rep.Attr = StatToWire(st)
+		rep.Attr, err = s.fs.Create(t, ino, req.Name)
 	case OpMkdir:
-		st, err = s.fs.Mkdir(t, fsapi.Ino(req.Nodeid), req.Name)
-		rep.Attr = StatToWire(st)
+		rep.Attr, err = s.fs.Mkdir(t, ino, req.Name)
 	case OpUnlink:
-		err = s.fs.Unlink(t, fsapi.Ino(req.Nodeid), req.Name)
+		err = s.fs.Unlink(t, ino, req.Name)
 	case OpRmdir:
-		err = s.fs.Rmdir(t, fsapi.Ino(req.Nodeid), req.Name)
+		err = s.fs.Rmdir(t, ino, req.Name)
 	case OpRename:
-		err = s.fs.Rename(t, fsapi.Ino(req.Nodeid), req.Name, fsapi.Ino(req.Target), req.Name2)
+		err = s.fs.Rename(t, ino, req.Name, fsapi.Ino(req.Target), req.Name2)
 	case OpLink:
-		st, err = s.fs.Link(t, fsapi.Ino(req.Target), fsapi.Ino(req.Nodeid), req.Name)
-		rep.Attr = StatToWire(st)
+		rep.Attr, err = s.fs.Link(t, fsapi.Ino(req.Target), ino, req.Name)
 	case OpOpen:
-		err = s.fs.Open(t, fsapi.Ino(req.Nodeid))
+		err = s.fs.Open(t, ino)
 	case OpRelease:
-		err = s.fs.Release(t, fsapi.Ino(req.Nodeid))
+		err = s.fs.Release(t, ino)
 	case OpRead:
-		var n int
 		s.payload = sized(s.payload, int(req.Size))
-		n, err = s.fs.Read(t, fsapi.Ino(req.Nodeid), req.Off, s.payload)
+		var n int
+		n, err = s.fs.Read(t, ino, req.Off, s.payload)
 		rep.Data = s.payload[:n]
 	case OpWrite:
-		var n int
-		n, err = s.fs.Write(t, fsapi.Ino(req.Nodeid), req.Off, req.Data)
-		rep.Attr.Size = int64(n)
+		rep.Written, err = s.fs.Write(t, ino, req.Off, req.Data)
 	case OpFsync:
-		err = s.fs.Fsync(t, fsapi.Ino(req.Nodeid), req.Flags != 0)
+		err = s.fs.Fsync(t, ino, req.Flags != 0)
 	case OpReadDir:
-		var ents []fsapi.DirEntry
-		ents, err = s.fs.ReadDir(t, fsapi.Ino(req.Nodeid))
-		s.payload = appendDirents(s.payload[:0], ents)
-		rep.Data = s.payload
+		rep.Ents, err = s.fs.ReadDir(t, ino)
 	case OpStatFS:
-		var fst fsapi.FSStat
-		fst, err = s.fs.StatFS(t)
-		s.payload = appendFSStat(s.payload[:0], fst)
-		rep.Data = s.payload
+		rep.FSStat, err = s.fs.StatFS(t)
 	case OpSyncFS:
 		err = s.fs.SyncFS(t)
 	case OpDestroy:
@@ -157,16 +130,16 @@ func (s *Session) dispatch(t *kernel.Task, req *Request, rep *Reply) {
 		err = fsapi.ErrNotSupported
 	}
 	if err != nil {
-		*rep = Reply{Unique: req.Unique, Errno: ErrnoFor(err)}
+		return Reply{Errno: ErrnoFor(err)}
 	}
+	return rep
 }
 
 // Driver is the kernel side: it implements the simulated VFS interface by
-// packaging every call as a wire request, passing it through the
-// transport cost model and the daemon gate, and decoding the reply.
+// passing every call to the daemon as a request, through the transport
+// cost model and the daemon gate.
 type Driver struct {
-	sess   *Session
-	unique uint64
+	sess *Session
 }
 
 var (
@@ -178,22 +151,18 @@ var (
 func (d *Driver) Session() *Session { return d.sess }
 
 // roundTrip carries one request to the daemon and back, charging the
-// transport costs the paper attributes to FUSE: marshaling, copies,
-// context switches, and daemon serialization. When traced, the whole
-// round-trip is one fuse-category span on the caller's track — the
-// userspace-crossing tax — with the stall behind the single-threaded
-// daemon nested inside it as "gate-wait".
+// transport costs the paper attributes to FUSE: marshaling, copies of
+// both messages' wire bytes, context switches, and daemon serialization.
+// When traced, the whole round-trip is one fuse-category span on the
+// caller's track — the userspace-crossing tax — with the stall behind
+// the single-threaded daemon nested inside it as "gate-wait".
 //
-// Every step works in the session's scratch. A WRITE's payload is
-// gathered from pages (exactly total bytes) straight into the request
-// wire; a READ's reply payload lands in dst, whose tail past the payload
-// is zero-filled. The returned Reply is the session's: it, and a Data
-// not taken by dst, are valid only until the next round trip.
-func (d *Driver) roundTrip(t *kernel.Task, req *Request, pages [][]byte, total int, dst []byte) (*Reply, error) {
+// A failed request returns the zero Reply and its errno's sentinel. A
+// successful reply's Data aliases the session's payload buffer and is
+// valid only until the next round trip.
+func (d *Driver) roundTrip(t *kernel.Task, req *Request) (Reply, error) {
 	s := d.sess
 	m := t.Model()
-	d.unique++
-	req.Unique = d.unique
 	rec := t.Rec()
 	var rtStart int64
 	if rec != nil {
@@ -202,11 +171,10 @@ func (d *Driver) roundTrip(t *kernel.Task, req *Request, pages [][]byte, total i
 
 	// Kernel side: marshal, copy to the daemon, wake it.
 	t.Charge(m.FuseMsg)
-	s.reqWire = encodeRequest(s.reqWire, req, pages, total)
-	wireLen := len(s.reqWire)
-	t.Charge(m.Copy(wireLen))
+	reqLen := wireLen(req, nil)
+	t.Charge(m.Copy(reqLen))
 	t.Charge(m.CtxSwitch)
-	s.bytesIn += int64(wireLen)
+	s.bytesIn += int64(reqLen)
 
 	// Daemon: single-threaded service, modelled in virtual time.
 	if s.freeAt > t.Clk.NowNS() {
@@ -215,61 +183,25 @@ func (d *Driver) roundTrip(t *kernel.Task, req *Request, pages [][]byte, total i
 		}
 		t.Clk.AdvanceTo(s.freeAt)
 	}
-	if err := decodeRequest(s.reqWire, &s.req); err != nil {
-		s.rep = Reply{Unique: req.Unique, Errno: ErrnoFor(err)}
-	} else {
-		s.requests++
-		t.Charge(m.FuseMsg) // daemon-side parse/dispatch
-		s.dispatch(t, &s.req, &s.rep)
-	}
+	s.requests++
+	t.Charge(m.FuseMsg) // daemon-side parse/dispatch
+	rep := s.serve(t, req)
 	s.freeAt = t.Clk.NowNS()
 
 	// Reply path: marshal, copy back, wake the caller.
 	t.Charge(m.FuseMsg)
-	s.repWire = encodeReply(s.repWire, &s.rep)
-	repLen := len(s.repWire)
+	repLen := wireLen(req, &rep)
 	t.Charge(m.Copy(repLen))
 	t.Charge(m.CtxSwitch)
 	s.bytesOut += int64(repLen)
 	if rec != nil {
 		rec.SpanAB(t.Name, trace.CatFuse, opTraceName(req.Op), rtStart, t.Clk.NowNS(),
-			int64(wireLen), int64(repLen))
+			int64(reqLen), int64(repLen))
 		rec.Add(trace.CtrFuseRequests, 1)
-		rec.Add(trace.CtrFuseBytesIn, int64(wireLen))
+		rec.Add(trace.CtrFuseBytesIn, int64(reqLen))
 		rec.Add(trace.CtrFuseBytesOut, int64(repLen))
 	}
-
-	out := &s.out
-	if err := decodeReply(s.repWire, out); err != nil {
-		return nil, err
-	}
-	if out.Errno != 0 {
-		return nil, ErrFromErrno(out.Errno)
-	}
-	if dst != nil {
-		clear(dst[copy(dst, out.Data):])
-		out.Data = nil
-	}
-	return out, nil
-}
-
-// call is a round trip with no bulk payload either way: it copies the
-// reply's attributes out of the session's scratch.
-func (d *Driver) call(t *kernel.Task, req *Request) (WireAttr, error) {
-	rep, err := d.roundTrip(t, req, nil, 0, nil)
-	if err != nil {
-		return WireAttr{}, err
-	}
-	return rep.Attr, nil
-}
-
-// stat is call for the requests answered with an inode's attributes.
-func (d *Driver) stat(t *kernel.Task, req *Request) (fsapi.Stat, error) {
-	attr, err := d.call(t, req)
-	if err != nil {
-		return fsapi.Stat{}, err
-	}
-	return attr.WireToStat(), nil
+	return rep, ErrFromErrno(rep.Errno)
 }
 
 // Root implements kernel.FileSystem.
@@ -277,80 +209,86 @@ func (d *Driver) Root() fsapi.Ino { return fsapi.RootIno }
 
 // Lookup implements kernel.FileSystem.
 func (d *Driver) Lookup(t *kernel.Task, dir fsapi.Ino, name string) (fsapi.Stat, error) {
-	return d.stat(t, &Request{Op: OpLookup, Nodeid: uint64(dir), Name: name})
+	rep, err := d.roundTrip(t, &Request{Op: OpLookup, Nodeid: uint64(dir), Name: name})
+	return rep.Attr, err
 }
 
 // GetAttr implements kernel.FileSystem.
 func (d *Driver) GetAttr(t *kernel.Task, ino fsapi.Ino) (fsapi.Stat, error) {
-	return d.stat(t, &Request{Op: OpGetAttr, Nodeid: uint64(ino)})
+	rep, err := d.roundTrip(t, &Request{Op: OpGetAttr, Nodeid: uint64(ino)})
+	return rep.Attr, err
 }
 
 // SetSize implements kernel.FileSystem.
 func (d *Driver) SetSize(t *kernel.Task, ino fsapi.Ino, size int64) error {
-	_, err := d.call(t, &Request{Op: OpSetAttr, Nodeid: uint64(ino), Off: size})
+	_, err := d.roundTrip(t, &Request{Op: OpSetAttr, Nodeid: uint64(ino), Off: size})
 	return err
 }
 
 // Create implements kernel.FileSystem.
 func (d *Driver) Create(t *kernel.Task, dir fsapi.Ino, name string) (fsapi.Stat, error) {
-	return d.stat(t, &Request{Op: OpCreate, Nodeid: uint64(dir), Name: name})
+	rep, err := d.roundTrip(t, &Request{Op: OpCreate, Nodeid: uint64(dir), Name: name})
+	return rep.Attr, err
 }
 
 // Mkdir implements kernel.FileSystem.
 func (d *Driver) Mkdir(t *kernel.Task, dir fsapi.Ino, name string) (fsapi.Stat, error) {
-	return d.stat(t, &Request{Op: OpMkdir, Nodeid: uint64(dir), Name: name})
+	rep, err := d.roundTrip(t, &Request{Op: OpMkdir, Nodeid: uint64(dir), Name: name})
+	return rep.Attr, err
 }
 
 // Unlink implements kernel.FileSystem.
 func (d *Driver) Unlink(t *kernel.Task, dir fsapi.Ino, name string) error {
-	_, err := d.call(t, &Request{Op: OpUnlink, Nodeid: uint64(dir), Name: name})
+	_, err := d.roundTrip(t, &Request{Op: OpUnlink, Nodeid: uint64(dir), Name: name})
 	return err
 }
 
 // Rmdir implements kernel.FileSystem.
 func (d *Driver) Rmdir(t *kernel.Task, dir fsapi.Ino, name string) error {
-	_, err := d.call(t, &Request{Op: OpRmdir, Nodeid: uint64(dir), Name: name})
+	_, err := d.roundTrip(t, &Request{Op: OpRmdir, Nodeid: uint64(dir), Name: name})
 	return err
 }
 
 // Rename implements kernel.FileSystem.
 func (d *Driver) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.Ino, nname string) error {
-	_, err := d.call(t, &Request{Op: OpRename, Nodeid: uint64(odir), Name: oname, Target: uint64(ndir), Name2: nname})
+	_, err := d.roundTrip(t, &Request{Op: OpRename, Nodeid: uint64(odir), Name: oname, Target: uint64(ndir), Name2: nname})
 	return err
 }
 
 // Link implements kernel.FileSystem.
 func (d *Driver) Link(t *kernel.Task, ino fsapi.Ino, dir fsapi.Ino, name string) (fsapi.Stat, error) {
-	return d.stat(t, &Request{Op: OpLink, Nodeid: uint64(dir), Target: uint64(ino), Name: name})
+	rep, err := d.roundTrip(t, &Request{Op: OpLink, Nodeid: uint64(dir), Target: uint64(ino), Name: name})
+	return rep.Attr, err
 }
 
-// ReadDir implements kernel.FileSystem. The listing is decoded before
-// returning: its payload lives in the session's reply buffer.
+// ReadDir implements kernel.FileSystem.
 func (d *Driver) ReadDir(t *kernel.Task, dir fsapi.Ino) ([]fsapi.DirEntry, error) {
-	rep, err := d.roundTrip(t, &Request{Op: OpReadDir, Nodeid: uint64(dir)}, nil, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	return decodeDirents(rep.Data)
+	rep, err := d.roundTrip(t, &Request{Op: OpReadDir, Nodeid: uint64(dir)})
+	return rep.Ents, err
 }
 
 // Open implements kernel.FileSystem.
 func (d *Driver) Open(t *kernel.Task, ino fsapi.Ino) error {
-	_, err := d.call(t, &Request{Op: OpOpen, Nodeid: uint64(ino)})
+	_, err := d.roundTrip(t, &Request{Op: OpOpen, Nodeid: uint64(ino)})
 	return err
 }
 
 // Release implements kernel.FileSystem.
 func (d *Driver) Release(t *kernel.Task, ino fsapi.Ino) error {
-	_, err := d.call(t, &Request{Op: OpRelease, Nodeid: uint64(ino)})
+	_, err := d.roundTrip(t, &Request{Op: OpRelease, Nodeid: uint64(ino)})
 	return err
 }
 
-// ReadPage implements kernel.FileSystem: the reply's payload is copied
-// from the session's reply buffer straight into the page.
+// ReadPage implements kernel.FileSystem: the daemon reads into its
+// payload buffer, which is copied into the page with the tail past the
+// data cleared. A failed READ leaves the page untouched.
 func (d *Driver) ReadPage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte) error {
-	_, err := d.roundTrip(t, &Request{Op: OpRead, Nodeid: uint64(ino), Off: pg * fsapi.PageSize, Size: uint32(len(buf))}, nil, 0, buf)
-	return err
+	rep, err := d.roundTrip(t, &Request{Op: OpRead, Nodeid: uint64(ino), Off: pg * fsapi.PageSize, Size: uint32(len(buf))})
+	if err != nil {
+		return err
+	}
+	clear(buf[copy(buf, rep.Data):])
+	return nil
 }
 
 // WritePage implements kernel.FileSystem.
@@ -360,7 +298,7 @@ func (d *Driver) WritePage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte, 
 
 // WritePages implements kernel.BatchWriter: the FUSE writeback cache
 // batches dirty pages into WRITE requests of up to max_pages each, each
-// gathered from the pages straight into the request wire.
+// gathered from the pages straight into the daemon's payload buffer.
 func (d *Driver) WritePages(t *kernel.Task, ino fsapi.Ino, pg int64, pages [][]byte, newSize int64) error {
 	for start := 0; start < len(pages); start += maxWritePages {
 		end := start + maxWritePages
@@ -386,14 +324,22 @@ func (d *Driver) WritePages(t *kernel.Task, ino fsapi.Ino, pg int64, pages [][]b
 	return nil
 }
 
-// write is one WRITE round trip of exactly total bytes gathered from
-// pages; it reports how many the daemon wrote.
+// write is one WRITE round trip of exactly total bytes: the pages' bytes
+// in order, clipped to total and zero-filled where the pages run out. It
+// reports how many the daemon wrote.
 func (d *Driver) write(t *kernel.Task, ino fsapi.Ino, off int64, pages [][]byte, total int) (int64, error) {
-	rep, err := d.roundTrip(t, &Request{Op: OpWrite, Nodeid: uint64(ino), Off: off}, pages, total, nil)
-	if err != nil {
-		return 0, err
+	s := d.sess
+	s.payload = sized(s.payload, total)
+	rest := s.payload
+	for _, p := range pages {
+		if len(rest) == 0 {
+			break
+		}
+		rest = rest[copy(rest, p):]
 	}
-	return rep.Attr.Size, nil
+	clear(rest)
+	rep, err := d.roundTrip(t, &Request{Op: OpWrite, Nodeid: uint64(ino), Off: off, Data: s.payload})
+	return int64(rep.Written), err
 }
 
 // Fsync implements kernel.FileSystem.
@@ -402,87 +348,27 @@ func (d *Driver) Fsync(t *kernel.Task, ino fsapi.Ino, dataOnly bool) error {
 	if dataOnly {
 		fl = 1
 	}
-	_, err := d.call(t, &Request{Op: OpFsync, Nodeid: uint64(ino), Flags: fl})
+	_, err := d.roundTrip(t, &Request{Op: OpFsync, Nodeid: uint64(ino), Flags: fl})
 	return err
 }
 
 // Sync implements kernel.FileSystem.
 func (d *Driver) Sync(t *kernel.Task) error {
-	_, err := d.call(t, &Request{Op: OpSyncFS})
+	_, err := d.roundTrip(t, &Request{Op: OpSyncFS})
 	return err
 }
 
-// StatFS implements kernel.FileSystem. Like ReadDir, the payload is
-// decoded before returning.
+// StatFS implements kernel.FileSystem.
 func (d *Driver) StatFS(t *kernel.Task) (fsapi.FSStat, error) {
-	rep, err := d.roundTrip(t, &Request{Op: OpStatFS}, nil, 0, nil)
-	if err != nil {
-		return fsapi.FSStat{}, err
-	}
-	return decodeFSStat(rep.Data)
+	rep, err := d.roundTrip(t, &Request{Op: OpStatFS})
+	return rep.FSStat, err
 }
 
 // Unmount implements kernel.FileSystem.
 func (d *Driver) Unmount(t *kernel.Task) error {
-	if _, err := d.call(t, &Request{Op: OpSyncFS}); err != nil {
+	if err := d.Sync(t); err != nil {
 		return err
 	}
-	_, err := d.call(t, &Request{Op: OpDestroy})
+	_, err := d.roundTrip(t, &Request{Op: OpDestroy})
 	return err
-}
-
-// --- payload codecs ---
-
-func appendDirents(out []byte, ents []fsapi.DirEntry) []byte {
-	var tmp [11]byte
-	for _, e := range ents {
-		binary.LittleEndian.PutUint64(tmp[0:], uint64(e.Ino))
-		tmp[8] = uint8(e.Type)
-		binary.LittleEndian.PutUint16(tmp[9:], uint16(len(e.Name)))
-		out = append(out, tmp[:]...)
-		out = append(out, e.Name...)
-	}
-	return out
-}
-
-// decodeDirents copies every name out of data, so the listing stays
-// valid after the buffer data aliases is reused.
-func decodeDirents(data []byte) ([]fsapi.DirEntry, error) {
-	var out []fsapi.DirEntry
-	for len(data) > 0 {
-		if len(data) < 11 {
-			return nil, fmt.Errorf("fuse: truncated dirent: %w", fsapi.ErrInvalid)
-		}
-		ino := binary.LittleEndian.Uint64(data[0:])
-		typ := fsapi.FileType(data[8])
-		nl := int(binary.LittleEndian.Uint16(data[9:]))
-		data = data[11:]
-		if len(data) < nl {
-			return nil, fmt.Errorf("fuse: truncated dirent name: %w", fsapi.ErrInvalid)
-		}
-		out = append(out, fsapi.DirEntry{Ino: fsapi.Ino(ino), Type: typ, Name: string(data[:nl])})
-		data = data[nl:]
-	}
-	return out, nil
-}
-
-func appendFSStat(out []byte, st fsapi.FSStat) []byte {
-	le := binary.LittleEndian
-	out = le.AppendUint64(out, uint64(st.TotalBlocks))
-	out = le.AppendUint64(out, uint64(st.FreeBlocks))
-	out = le.AppendUint64(out, uint64(st.TotalInodes))
-	return le.AppendUint64(out, uint64(st.FreeInodes))
-}
-
-func decodeFSStat(data []byte) (fsapi.FSStat, error) {
-	if len(data) < 32 {
-		return fsapi.FSStat{}, fmt.Errorf("fuse: truncated statfs: %w", fsapi.ErrInvalid)
-	}
-	le := binary.LittleEndian
-	return fsapi.FSStat{
-		TotalBlocks: int64(le.Uint64(data[0:])),
-		FreeBlocks:  int64(le.Uint64(data[8:])),
-		TotalInodes: int64(le.Uint64(data[16:])),
-		FreeInodes:  int64(le.Uint64(data[24:])),
-	}, nil
 }

@@ -1,7 +1,7 @@
 // Package fuse simulates the FUSE transport the paper uses as its
-// userspace baseline: a kernel driver that packages VFS operations into
-// wire-format requests, a userspace daemon that serves them, and a
-// userspace storage layer doing O_DIRECT block I/O on the "disk file".
+// userspace baseline: a kernel driver that turns VFS operations into
+// requests, a userspace daemon that serves them, and a userspace storage
+// layer doing O_DIRECT block I/O on the "disk file".
 //
 // The file system hosted by the daemon is the *same* xv6 code as the
 // Bento variant (internal/xv6/bentoimpl), initialized with the userspace
@@ -18,36 +18,36 @@
 // is the only ordering primitive userspace has.
 //
 // Those costs are virtual-time charges; they are the asymmetry the paper
-// measures. The host-side transport pays none of them: in steady state
-// one round trip allocates nothing. The Session owns the request wire
-// buffer, the reply wire buffer, the daemon's payload buffer and the
-// decoded Request/Reply structs. There is no host lock: the daemon's
-// single-threadedness is modelled in virtual time (Session.freeAt), and
-// on the host a round trip runs start to finish on the one task the
-// scheduler has admitted, so the task running the round trip owns that
-// scratch while it runs. The ownership rules:
+// measures. On the host a round trip is a priced call: the driver hands
+// the daemon a Request value and gets a Reply value back, and the copies
+// are charged for the bytes each message would occupy on /dev/fuse
+// (wireLen) without the bytes being produced. What the wire does to the
+// data is kept: a WRITE's payload is gathered into a buffer the daemon
+// owns, a READ's is produced in the daemon's buffer and copied into the
+// caller's page, and an error crosses as its errno, so the kernel sees
+// only the sentinel. In steady state one round trip allocates nothing.
 //
-//  1. The scratch is valid only while the round trip runs. Nothing that
-//     aliases it — Request.Data, the daemon's READ buffer, a reply
-//     payload — may be retained past the Driver method that made the
-//     round trip: READ payloads are copied into the caller's page,
-//     READDIR and STATFS payloads are decoded before it returns, and
-//     names are copied out of the wire as strings because the hosted
-//     file system may keep them.
+// There is no host lock: the daemon's single-threadedness is modelled in
+// virtual time (Session.freeAt), and on the host a round trip runs start
+// to finish on the one task the scheduler has admitted, which owns the
+// Session's payload buffer while it runs. The ownership rules:
+//
+//  1. The payload buffer is valid only while the round trip runs.
+//     Nothing that aliases it — a WRITE's Request.Data, a READ's
+//     Reply.Data — may be retained past the Driver method that made the
+//     round trip: READ payloads are copied into the caller's page.
 //  2. A round trip is not re-entrant: the hosted file system reaches
 //     storage through UserDisk, never back through the Driver.
-//  3. A gathered WRITE puts exactly total bytes on the wire, copied from
+//  3. A gathered WRITE hands the daemon exactly total bytes, copied from
 //     the kernel's pages or zero-filled — never bytes left over from an
 //     earlier, larger request.
-//  4. A reply header is fully rewritten, pad bytes included, on every
-//     encode.
-//  5. UserDisk is daemon-private: every call runs inside a round trip,
+//  4. UserDisk is daemon-private: every call runs inside a round trip,
 //     or at mount before the Driver exists. That is what makes recycling
 //     an evicted block safe against BReadDirect's unpinned Peek.
 package fuse
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"bento/internal/fsapi"
@@ -115,13 +115,12 @@ func (o Opcode) String() string {
 	return fmt.Sprintf("OP(%d)", uint32(o))
 }
 
-// Request is one FUSE request as marshaled through /dev/fuse. Nodeid and
-// Target carry inode numbers; Name and Name2 carry path components; Off,
-// Size carry I/O geometry; Data carries write payloads. After
-// decodeRequest, Data aliases the wire buffer it was decoded from.
+// Request is one FUSE request. Nodeid and Target carry inode numbers;
+// Name and Name2 carry path components; Off, Size carry I/O geometry;
+// Data carries a WRITE's payload, gathered into the session's payload
+// buffer.
 type Request struct {
 	Op     Opcode
-	Unique uint64
 	Nodeid uint64
 	Target uint64
 	Off    int64
@@ -132,155 +131,62 @@ type Request struct {
 	Data   []byte
 }
 
-// Reply is the daemon's answer. Errno is 0 on success; Attr carries
-// stat-like payloads; Data carries read results or directory listings.
-// After decodeReply, Data aliases the wire buffer it was decoded from.
+// Reply is the daemon's answer. Errno is 0 on success, and a failed
+// request's reply carries the errno and nothing else. Attr answers the
+// requests that return an inode's attributes, Written a WRITE, Data a
+// READ (in the session's payload buffer), Ents a READDIR and FSStat a
+// STATFS.
 type Reply struct {
-	Unique uint64
-	Errno  int32
-	Attr   WireAttr
-	Data   []byte
+	Errno   int32
+	Attr    fsapi.Stat
+	Written int
+	Data    []byte
+	Ents    []fsapi.DirEntry
+	FSStat  fsapi.FSStat
 }
 
-// WireAttr is the on-wire attribute block.
-type WireAttr struct {
-	Ino   uint64
-	Size  int64
-	Nlink uint32
-	Kind  uint8
-}
+// The sizes the messages would have on /dev/fuse, in bytes.
+const (
+	reqHeaderSize    = 4 + 8 + 8 + 8 + 8 + 4 + 4 + 2 + 2 // opcode, unique, nodeid, target, off, size, flags, name lengths
+	repHeaderSize    = 8 + 4 + 8 + 8 + 4 + 1 + 3         // unique, errno, attr (ino, size, nlink, kind), pad
+	direntHeaderSize = 8 + 1 + 2                         // ino, type, name length
+	statFSSize       = 4 * 8                             // four counters
+)
 
-// StatToWire converts a kernel stat to the wire form.
-func StatToWire(st fsapi.Stat) WireAttr {
-	return WireAttr{Ino: uint64(st.Ino), Size: st.Size, Nlink: st.Nlink, Kind: uint8(st.Type)}
+// wireLen is the size of req on the wire when rep is nil, and otherwise
+// the size of rep as the answer to req: a fixed header, then the names
+// and a WRITE's payload one way, and a successful READ's data, READDIR's
+// entries or STATFS's counters the other. These are the bytes the
+// transport charges copies for and counts as fuse_bytes_in/out.
+func wireLen(req *Request, rep *Reply) int {
+	if rep == nil {
+		return reqHeaderSize + len(req.Name) + len(req.Name2) + len(req.Data)
+	}
+	n := repHeaderSize
+	if rep.Errno != 0 {
+		return n
+	}
+	switch req.Op {
+	case OpRead:
+		n += len(rep.Data)
+	case OpReadDir:
+		for _, e := range rep.Ents {
+			n += direntHeaderSize + len(e.Name)
+		}
+	case OpStatFS:
+		n += statFSSize
+	}
+	return n
 }
-
-// WireToStat converts back.
-func (w WireAttr) WireToStat() fsapi.Stat {
-	return fsapi.Stat{Ino: fsapi.Ino(w.Ino), Size: w.Size, Nlink: w.Nlink, Type: fsapi.FileType(w.Kind)}
-}
-
-const reqHeaderSize = 4 + 8 + 8 + 8 + 8 + 4 + 4 + 2 + 2 // fixed fields + name lengths
 
 // sized returns buf resliced to n bytes, reallocating only when its
-// capacity is too small. The contents are unspecified: every encoder
-// below overwrites all n bytes.
+// capacity is too small. The contents are unspecified: every caller
+// overwrites all n bytes.
 func sized(buf []byte, n int) []byte {
 	if cap(buf) < n {
 		return make([]byte, n)
 	}
 	return buf[:n]
-}
-
-// encodeRequest marshals r into buf's storage (grown if needed) and
-// returns the wire bytes. The payload is r.Data, or — for a WRITE
-// gathered straight from the kernel's pages — exactly total bytes taken
-// from pages in order and zero-filled past their end. Every byte of the
-// result is written, so nothing of an earlier request survives in a
-// reused buffer.
-func encodeRequest(buf []byte, r *Request, pages [][]byte, total int) []byte {
-	if pages == nil {
-		total = len(r.Data)
-	}
-	buf = sized(buf, reqHeaderSize+len(r.Name)+len(r.Name2)+total)
-	le := binary.LittleEndian
-	le.PutUint32(buf[0:], uint32(r.Op))
-	le.PutUint64(buf[4:], r.Unique)
-	le.PutUint64(buf[12:], r.Nodeid)
-	le.PutUint64(buf[20:], r.Target)
-	le.PutUint64(buf[28:], uint64(r.Off))
-	le.PutUint32(buf[36:], r.Size)
-	le.PutUint32(buf[40:], r.Flags)
-	le.PutUint16(buf[44:], uint16(len(r.Name)))
-	le.PutUint16(buf[46:], uint16(len(r.Name2)))
-	n := reqHeaderSize
-	n += copy(buf[n:], r.Name)
-	n += copy(buf[n:], r.Name2)
-	if pages == nil {
-		copy(buf[n:], r.Data)
-		return buf
-	}
-	payload := buf[n:]
-	for _, p := range pages {
-		if len(payload) == 0 {
-			break
-		}
-		payload = payload[copy(payload, p):]
-	}
-	clear(payload)
-	return buf
-}
-
-// decodeRequest unmarshals wire into r in place: r.Data aliases wire and
-// is valid only as long as wire is. The names are copied out — the
-// hosted file system receives them as strings it may keep.
-func decodeRequest(wire []byte, r *Request) error {
-	if len(wire) < reqHeaderSize {
-		return fmt.Errorf("fuse: short request (%d bytes): %w", len(wire), fsapi.ErrInvalid)
-	}
-	le := binary.LittleEndian
-	n1 := int(le.Uint16(wire[44:]))
-	n2 := int(le.Uint16(wire[46:]))
-	rest := wire[reqHeaderSize:]
-	if len(rest) < n1+n2 {
-		return fmt.Errorf("fuse: truncated names: %w", fsapi.ErrInvalid)
-	}
-	*r = Request{
-		Op:     Opcode(le.Uint32(wire[0:])),
-		Unique: le.Uint64(wire[4:]),
-		Nodeid: le.Uint64(wire[12:]),
-		Target: le.Uint64(wire[20:]),
-		Off:    int64(le.Uint64(wire[28:])),
-		Size:   le.Uint32(wire[36:]),
-		Flags:  le.Uint32(wire[40:]),
-		Name:   string(rest[:n1]),
-		Name2:  string(rest[n1 : n1+n2]),
-	}
-	if len(rest) > n1+n2 {
-		r.Data = rest[n1+n2:]
-	}
-	return nil
-}
-
-const repHeaderSize = 8 + 4 + 8 + 8 + 4 + 1 + 3 // unique, errno, attr, pad
-
-// encodeReply marshals p into buf's storage (grown if needed) and
-// returns the wire bytes. The whole header is rewritten, pad included.
-func encodeReply(buf []byte, p *Reply) []byte {
-	buf = sized(buf, repHeaderSize+len(p.Data))
-	le := binary.LittleEndian
-	le.PutUint64(buf[0:], p.Unique)
-	le.PutUint32(buf[8:], uint32(p.Errno))
-	le.PutUint64(buf[12:], p.Attr.Ino)
-	le.PutUint64(buf[20:], uint64(p.Attr.Size))
-	le.PutUint32(buf[28:], p.Attr.Nlink)
-	buf[32] = p.Attr.Kind
-	clear(buf[33:repHeaderSize])
-	copy(buf[repHeaderSize:], p.Data)
-	return buf
-}
-
-// decodeReply unmarshals wire into p in place: p.Data aliases wire and
-// is valid only as long as wire is.
-func decodeReply(wire []byte, p *Reply) error {
-	if len(wire) < repHeaderSize {
-		return fmt.Errorf("fuse: short reply (%d bytes): %w", len(wire), fsapi.ErrInvalid)
-	}
-	le := binary.LittleEndian
-	*p = Reply{
-		Unique: le.Uint64(wire[0:]),
-		Errno:  int32(le.Uint32(wire[8:])),
-		Attr: WireAttr{
-			Ino:   le.Uint64(wire[12:]),
-			Size:  int64(le.Uint64(wire[20:])),
-			Nlink: le.Uint32(wire[28:]),
-			Kind:  wire[32],
-		},
-	}
-	if len(wire) > repHeaderSize {
-		p.Data = wire[repHeaderSize:]
-	}
-	return nil
 }
 
 // Errno codes carried on the wire, mapped to/from fsapi errors.
@@ -302,7 +208,7 @@ func ErrnoFor(err error) int32 {
 		return 0
 	}
 	for _, e := range errnoTable {
-		if errorIs(err, e.err) {
+		if errors.Is(err, e.err) {
 			return e.code
 		}
 	}
@@ -320,19 +226,4 @@ func ErrFromErrno(code int32) error {
 		}
 	}
 	return fsapi.ErrIO
-}
-
-// errorIs is errors.Is without importing errors in the hot path.
-func errorIs(err, target error) bool {
-	for err != nil {
-		if err == target {
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }

@@ -85,8 +85,8 @@ func TestMountValidation(t *testing.T) {
 }
 
 // TestWriteNeverCarriesAnEarlierRequest is rule 3 end to end: after a
-// 128 KiB WRITE has filled the request buffer with 0xAA, smaller WRITEs
-// to another file put on the wire only their own bytes — or zeros where
+// 128 KiB WRITE has filled the payload buffer with 0xAA, smaller WRITEs
+// to another file hand the daemon only their own bytes — or zeros where
 // their pages run out before total.
 func TestWriteNeverCarriesAnEarlierRequest(t *testing.T) {
 	d, task := newXv6Driver(t)
@@ -135,8 +135,9 @@ func TestWriteNeverCarriesAnEarlierRequest(t *testing.T) {
 }
 
 // TestReadsLandInTheirOwnPages: a READ's payload is copied into the
-// caller's page, never handed out as a view of the session's buffers —
-// a second READ must not change the first one's page.
+// caller's page, never handed out as a view of the session's payload
+// buffer — neither a second READ nor a WRITE gathered into that buffer
+// changes the first one's page.
 func TestReadsLandInTheirOwnPages(t *testing.T) {
 	d, task := newXv6Driver(t)
 	a := mustCreate(t, d, task, fsapi.RootIno, "a")
@@ -148,22 +149,28 @@ func TestReadsLandInTheirOwnPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	pa, pb := make([]byte, fsapi.PageSize), make([]byte, fsapi.PageSize)
-	if err := d.ReadPage(task, a, 0, pa); err != nil {
-		t.Fatal(err)
+	for _, r := range []struct {
+		ino fsapi.Ino
+		buf []byte
+	}{{a, pa}, {b, pb}} {
+		out := d.sess.bytesOut
+		if err := d.ReadPage(task, r.ino, 0, r.buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := d.sess.bytesOut - out; got != repHeaderSize+fsapi.PageSize {
+			t.Fatalf("READ reply is %d bytes on the wire, want %d", got, repHeaderSize+fsapi.PageSize)
+		}
 	}
-	if err := d.ReadPage(task, b, 0, pb); err != nil {
+	if err := d.WritePage(task, b, 0, page(0xC3), fsapi.PageSize); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(pa, page(0xA1)) || !bytes.Equal(pb, page(0xB2)) {
-		t.Fatalf("after both READs: page a = %x..., page b = %x...", pa[:4], pb[:4])
-	}
-	if &pa[0] == &d.sess.repWire[repHeaderSize] || &pb[0] == &d.sess.repWire[repHeaderSize] {
-		t.Fatal("a caller's page aliases the reply buffer")
+		t.Fatalf("after both READs and a WRITE: page a = %x..., page b = %x...", pa[:4], pb[:4])
 	}
 }
 
-// TestReadDirSurvivesLaterRoundTrips is rule 1 for the payloads decoded
-// under the gate: a listing holds nothing of the reply buffer, so later
+// TestReadDirSurvivesLaterRoundTrips is rule 1 for READDIR and STATFS:
+// a listing holds nothing of the session's payload buffer, so later
 // round trips that overwrite it do not change the listing.
 func TestReadDirSurvivesLaterRoundTrips(t *testing.T) {
 	d, task := newXv6Driver(t)
@@ -179,8 +186,8 @@ func TestReadDirSurvivesLaterRoundTrips(t *testing.T) {
 	}
 	d1 := mkdir("d1", "alpha", "beta")
 	d2 := mkdir("d2", "gamma", "delta")
-	// Grow the reply buffer past any listing first, so the round trips
-	// below reuse it rather than leave the first listing's bytes behind
+	// Grow the payload buffer past any listing first, so the round trips
+	// below reuse it rather than leave a listing that aliased it behind
 	// in an abandoned allocation.
 	f := mustCreate(t, d, task, fsapi.RootIno, "f")
 	if err := d.WritePage(task, f, 0, page(0x99), fsapi.PageSize); err != nil {
@@ -253,35 +260,42 @@ func TestShortReadZeroFillsPage(t *testing.T) {
 }
 
 // TestErrnoReplyCarriesNoPayload: the reply to a failed request is the
-// header alone, even though the buffers still hold the page the previous
-// reply carried; and a failed READ leaves the caller's page untouched.
+// header alone, even though the payload buffer still holds the page the
+// previous reply carried; and a failed READ leaves the caller's page
+// untouched.
 func TestErrnoReplyCarriesNoPayload(t *testing.T) {
 	d, task := newXv6Driver(t)
 	f := mustCreate(t, d, task, fsapi.RootIno, "f")
 	if err := d.WritePage(task, f, 0, page(0x11), fsapi.PageSize); err != nil {
 		t.Fatal(err)
 	}
+	out := d.sess.bytesOut
 	if err := d.ReadPage(task, f, 0, make([]byte, fsapi.PageSize)); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(d.sess.repWire); got != repHeaderSize+fsapi.PageSize {
+	if got := d.sess.bytesOut - out; got != repHeaderSize+fsapi.PageSize {
 		t.Fatalf("READ reply is %d bytes", got)
 	}
 
-	out := d.sess.bytesOut
-	if _, err := d.Lookup(task, fsapi.RootIno, "missing"); !errors.Is(err, fsapi.ErrNotExist) {
+	out = d.sess.bytesOut
+	st, err := d.Lookup(task, fsapi.RootIno, "missing")
+	if !errors.Is(err, fsapi.ErrNotExist) {
 		t.Fatalf("Lookup(missing) = %v, want ErrNotExist", err)
 	}
 	if got := d.sess.bytesOut - out; got != repHeaderSize {
 		t.Fatalf("errno reply is %d bytes on the wire, want the %d-byte header", got, repHeaderSize)
 	}
-	if d.sess.rep.Data != nil || d.sess.rep.Attr != (WireAttr{}) || d.sess.rep.Errno == 0 {
-		t.Fatalf("errno reply carries more than the errno: %+v", d.sess.rep)
+	if st != (fsapi.Stat{}) {
+		t.Fatalf("errno reply carries attributes: %+v", st)
 	}
 
+	out = d.sess.bytesOut
 	keep := page(0xEE)
 	if err := d.ReadPage(task, 9999, 0, keep); err == nil {
 		t.Fatal("READ of a free inode succeeded")
+	}
+	if got := d.sess.bytesOut - out; got != repHeaderSize {
+		t.Fatalf("failed READ replied with %d bytes, want the %d-byte header", got, repHeaderSize)
 	}
 	if !bytes.Equal(keep, page(0xEE)) {
 		t.Fatal("a failed READ wrote to the caller's page")
@@ -324,10 +338,62 @@ func TestFailedRequestRepliesWithErrnoOnly(t *testing.T) {
 	if !bytes.Equal(keep, page(0xEE)) {
 		t.Fatal("a failed READ wrote to the caller's page")
 	}
-	if _, err := d.GetAttr(task, 1); !errors.Is(err, fsapi.ErrStale) {
+	out = d.sess.bytesOut
+	st, err := d.GetAttr(task, 1)
+	if !errors.Is(err, fsapi.ErrStale) {
 		t.Fatalf("GetAttr = %v, want ErrStale", err)
 	}
-	if d.sess.out.Attr != (WireAttr{}) || d.sess.out.Data != nil {
-		t.Fatalf("failed GETATTR replied with %+v", d.sess.out)
+	if got := d.sess.bytesOut - out; got != repHeaderSize || st != (fsapi.Stat{}) {
+		t.Fatalf("failed GETATTR replied with %d bytes and %+v", got, st)
+	}
+}
+
+// TestWireSizes pins the bytes each round trip charges copies for and
+// counts as fuse_bytes_in/out — the lengths a request and its reply have
+// on /dev/fuse. The expected numbers are the lengths of the encoded
+// messages the transport used to build, so the published FUSE cells
+// still price exactly the same bytes.
+func TestWireSizes(t *testing.T) {
+	d, task := newXv6Driver(t)
+	root := fsapi.RootIno
+	var f, big, dir fsapi.Ino
+	pages := make([][]byte, maxWritePages)
+	for i := range pages {
+		pages[i] = page(byte(i))
+	}
+	stat := func(into *fsapi.Ino) func(fsapi.Stat, error) error {
+		return func(st fsapi.Stat, err error) error {
+			*into = st.Ino
+			return err
+		}
+	}
+	for _, s := range []struct {
+		name    string
+		do      func() error
+		want    error // the errno sentinel the request fails with, or nil
+		in, out int64
+	}{
+		{"LOOKUP miss", func() error { _, err := d.Lookup(task, root, "missing"); return err }, fsapi.ErrNotExist, 55, 36},
+		{"CREATE", func() error { return stat(&f)(d.Create(task, root, "f")) }, nil, 49, 36},
+		{"CREATE big", func() error { return stat(&big)(d.Create(task, root, "big")) }, nil, 51, 36},
+		{"MKDIR", func() error { return stat(&dir)(d.Mkdir(task, root, "d")) }, nil, 49, 36},
+		{"WRITE 1 B", func() error { return d.WritePages(task, f, 0, pages[:1], 1) }, nil, 49, 36},
+		{"WRITE 128 KiB", func() error { return d.WritePages(task, big, 0, pages, maxWritePages*fsapi.PageSize) }, nil, 131120, 36},
+		{"READ short", func() error { return d.ReadPage(task, f, 0, page(0)) }, nil, 48, 37},
+		{"READ past EOF", func() error { return d.ReadPage(task, f, 1, page(0)) }, nil, 48, 36},
+		{"READDIR", func() error { _, err := d.ReadDir(task, root); return err }, nil, 48, 74},
+		{"STATFS", func() error { _, err := d.StatFS(task); return err }, nil, 48, 68},
+		{"RENAME", func() error { return d.Rename(task, root, "f", dir, "h") }, nil, 50, 36},
+		{"RMDIR non-empty", func() error { return d.Rmdir(task, root, "d") }, fsapi.ErrNotEmpty, 49, 36},
+		{"READ free inode", func() error { return d.ReadPage(task, 9999, 0, page(0)) }, fsapi.ErrStale, 48, 36},
+	} {
+		in, out := d.sess.bytesIn, d.sess.bytesOut
+		// == on purpose: an error crosses the transport as its bare sentinel.
+		if err := s.do(); err != s.want {
+			t.Fatalf("%s: %v, want %v", s.name, err, s.want)
+		}
+		if gotIn, gotOut := d.sess.bytesIn-in, d.sess.bytesOut-out; gotIn != s.in || gotOut != s.out {
+			t.Errorf("%s: %d bytes in, %d out; want %d in, %d out", s.name, gotIn, gotOut, s.in, s.out)
+		}
 	}
 }

@@ -18,8 +18,8 @@ import (
 )
 
 // inKernelAllocVariants carry the zero-alloc warm-path contract (FUSE
-// marshals a request per op by design and is gated only by its own
-// budget).
+// makes a daemon round trip per op by design and is gated only by its
+// own budget).
 var inKernelAllocVariants = []string{
 	harness.VariantBento,
 	harness.VariantCKernel,
