@@ -47,7 +47,7 @@ type cliFlags struct {
 // or -md, or the other mode.
 func validateFlags(f cliFlags) error {
 	if f.variant != "all" && !slices.Contains(crashtort.AllVariants, crashtort.Variant(f.variant)) {
-		return fmt.Errorf("-variant %q: want bento, vfs, ext4 or all", f.variant)
+		return fmt.Errorf("-variant %q: want bento, vfs, ext4, fuse or all", f.variant)
 	}
 	if f.keep != -1 && !(f.keep >= 0 && f.keep <= 1) {
 		return fmt.Errorf("-keep %v outside [0, 1] (-1 sweeps both extremes)", f.keep)
@@ -82,7 +82,7 @@ func validateFlags(f cliFlags) error {
 }
 
 func main() {
-	variant := flag.String("variant", "all", "variant to sweep: bento, vfs, ext4, or all")
+	variant := flag.String("variant", "all", "variant to sweep: bento, vfs, ext4, fuse, or all")
 	keep := flag.Float64("keep", -1, "volatile-cache retention at the cut, in [0,1]; -1 sweeps both extremes (0 and 1)")
 	nobarriers := flag.Bool("nobarriers", false, "strip the variant's write-ordering discipline; a keep=0 sweep should then fail")
 	point := flag.String("point", "", "replay a single crash point by id (e.g. bento/k=17/keep=0) and report its verdict")

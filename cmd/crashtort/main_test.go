@@ -18,11 +18,13 @@ func TestValidateFlags(t *testing.T) {
 	for _, f := range []cliFlags{
 		sweep,
 		with(func(f *cliFlags) { f.variant = "bento" }),
+		with(func(f *cliFlags) { f.variant = "fuse" }),
 		with(func(f *cliFlags) { f.keep = 0 }),
 		with(func(f *cliFlags) { f.keep = 1 }),
 		with(func(f *cliFlags) { f.keep = 0.25 }),
 		with(func(f *cliFlags) { f.nobarriers, f.md = true, true }),
 		with(func(f *cliFlags) { f.point = "bento/k=17/keep=0" }),
+		with(func(f *cliFlags) { f.point = "fuse/k=17/keep=1" }),
 		with(func(f *cliFlags) { f.selftest = true }),
 	} {
 		if err := validateFlags(f); err != nil {

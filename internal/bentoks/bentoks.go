@@ -212,6 +212,35 @@ func (sb *SuperBlock) BReadNoFill(t *kernel.Task, blk int) (Buffer, error) {
 	return sb.bread(t, blk, false)
 }
 
+// BAdopt implements Disk by copying: the buffer cache writes its blocks
+// in place, so it cannot keep data.
+func (sb *SuperBlock) BAdopt(t *kernel.Task, blk int, data []byte) (Buffer, error) {
+	if len(data) != sb.BlockSize() {
+		return nil, blockdev.ErrBadSize
+	}
+	bh, err := sb.bread(t, blk, false)
+	if err != nil {
+		return nil, err
+	}
+	copy(bh.kb.Data(), data)
+	return bh, nil
+}
+
+// BClone implements Disk by copying src's contents into the new buffer.
+func (sb *SuperBlock) BClone(t *kernel.Task, blk int, src Buffer) (Buffer, error) {
+	bh, err := sb.bread(t, blk, false)
+	if err != nil {
+		return nil, err
+	}
+	sdata, err := src.Data()
+	if err != nil {
+		_ = bh.Release()
+		return nil, err
+	}
+	copy(bh.kb.Data(), sdata)
+	return bh, nil
+}
+
 func (sb *SuperBlock) bread(t *kernel.Task, blk int, fill bool) (*BufferHead, error) {
 	if err := sb.check(); err != nil {
 		return nil, err

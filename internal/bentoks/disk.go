@@ -45,6 +45,18 @@ type Disk interface {
 	// BReadNoFill returns a zeroed buffer for a block about to be fully
 	// overwritten.
 	BReadNoFill(t *kernel.Task, blk int) (Buffer, error)
+	// BAdopt is BReadNoFill with the block then wholly overwritten by data
+	// (one block), at exactly BReadNoFill's cost. The caller gives data
+	// up: it never writes it again, whatever the call returns, so a disk
+	// may keep data itself as the block's contents (and then never
+	// writes it either). The kernel SuperBlock copies it.
+	BAdopt(t *kernel.Task, blk int, data []byte) (Buffer, error)
+	// BClone is BReadNoFill with the block then holding a copy of src's
+	// contents — the journal's copy of a home block into its log slot —
+	// at exactly BReadNoFill's cost. src is read without being made
+	// writable, and a disk that knows src's contents are immutable shares
+	// them instead of copying. The kernel SuperBlock copies.
+	BClone(t *kernel.Task, blk int, src Buffer) (Buffer, error)
 	// ReadBlockRange copies block blk's bytes [off, off+len(dst)) into
 	// dst — BRead + copy + Release fused into one framework-internal
 	// borrow. Metadata read paths use it so a cache hit allocates no
@@ -80,4 +92,16 @@ type Disk interface {
 	// Flush makes completed writes durable (device FLUSH; at user level,
 	// fsync of the disk file).
 	Flush(t *kernel.Task) error
+}
+
+// BlockLender is the optional by-reference read of a cached block, which
+// only a disk whose cached blocks are never written in place can offer:
+// the userspace disk under FUSE has it, the kernel SuperBlock — whose
+// buffer cache mutates blocks under the journal — does not. A file
+// system asks for it once, at Init.
+type BlockLender interface {
+	// BReadView is ReadBlockRange of the whole block by reference: the
+	// same cost, returning a read-only view of the block's contents that
+	// stays valid and unchanged for as long as the caller holds it.
+	BReadView(t *kernel.Task, blk int) ([]byte, error)
 }

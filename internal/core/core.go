@@ -195,9 +195,8 @@ type BentoFS struct {
 	stalledOps  int64 // ops that arrived mid-upgrade and waited
 	lastUpgrade UpgradeStats
 
-	// wbScratch is the flattening buffer WritePages assembles batched
-	// runs into for a file system that is not a PageWriter, so its
-	// steady-state write-back allocates nothing.
+	// wbScratch is WriteRun's flattening buffer, for a file system that
+	// is not a PageWriter.
 	wbScratch []byte
 }
 
@@ -456,10 +455,8 @@ func (b *BentoFS) WritePage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte,
 
 // WritePages implements kernel.BatchWriter: the batched ->writepages
 // write-back BentoFS inherits from the FUSE kernel module. The contiguous
-// run of dirty pages becomes a single file-operations write, so the file
-// system below wraps the whole run in one transaction: the page-vector
-// WritePages when the file system has it (nothing is copied), otherwise
-// Write of the run flattened into one buffer.
+// run of dirty pages becomes a single file-operations write (WriteRun),
+// so the file system below wraps the whole run in one transaction.
 func (b *BentoFS) WritePages(t *kernel.Task, ino fsapi.Ino, pg int64, pages [][]byte, newSize int64) error {
 	b.enter(t)
 	off := pg * fsapi.PageSize
@@ -470,18 +467,7 @@ func (b *BentoFS) WritePages(t *kernel.Task, ino fsapi.Ino, pg int64, pages [][]
 	if off+total > newSize {
 		total = newSize - off
 	}
-	var n int
-	var err error
-	if pw, ok := b.fs.(PageWriter); ok {
-		for _, p := range pages {
-			if len(p) != fsapi.PageSize {
-				return fmt.Errorf("bentofs: writeback of a %d-byte page: %w", len(p), fsapi.ErrInvalid)
-			}
-		}
-		n, err = pw.WritePages(t, ino, off, pages, total)
-	} else {
-		n, err = b.fs.Write(t, ino, off, b.flatten(pages, total))
-	}
+	n, err := WriteRun(t, b.fs, ino, off, pages, total, &b.wbScratch)
 	if err != nil {
 		return err
 	}
@@ -491,27 +477,41 @@ func (b *BentoFS) WritePages(t *kernel.Task, ino fsapi.Ino, pg int64, pages [][]
 	return nil
 }
 
-// flatten copies the first total bytes of pages into wbScratch: the flat
-// buffer Write takes, for a file system without the page-vector write.
-func (b *BentoFS) flatten(pages [][]byte, total int64) []byte {
-	// Unspecified contents: every byte is overwritten below.
-	if int64(cap(b.wbScratch)) < total {
-		b.wbScratch = make([]byte, total)
+// WriteRun writes the first total bytes of a write-back run — consecutive
+// page buffers the caller has given up — to ino at the page-aligned off,
+// and reports how many fs wrote. When fs is a PageWriter and every page is
+// whole it gets the pages themselves, and nothing is copied; otherwise it
+// gets Write of the run flattened into *scratch (zeros where the pages run
+// out before total), a buffer the caller keeps so that its steady-state
+// write-back allocates nothing. BentoFS and the FUSE daemon both write
+// back this way.
+func WriteRun(t *kernel.Task, fs FileSystem, ino fsapi.Ino, off int64, pages [][]byte, total int64, scratch *[]byte) (int, error) {
+	if pw, ok := fs.(PageWriter); ok && wholePages(pages) {
+		return pw.WritePages(t, ino, off, pages, total)
 	}
-	data := b.wbScratch[:total]
-	var copied int64
+	if int64(cap(*scratch)) < total {
+		*scratch = make([]byte, total)
+	}
+	data := (*scratch)[:total]
+	rest := data
 	for _, p := range pages {
-		if copied >= total {
+		if len(rest) == 0 {
 			break
 		}
-		n := int64(len(p))
-		if copied+n > total {
-			n = total - copied
-		}
-		copy(data[copied:], p[:n])
-		copied += n
+		rest = rest[copy(rest, p):]
 	}
-	return data
+	clear(rest)
+	return fs.Write(t, ino, off, data)
+}
+
+// wholePages reports whether every buffer of pages is one whole page.
+func wholePages(pages [][]byte) bool {
+	for _, p := range pages {
+		if len(p) != fsapi.PageSize {
+			return false
+		}
+	}
+	return true
 }
 
 // DropCleanBlocks implements kernel.BlockCacheDropper: drop_caches

@@ -26,7 +26,9 @@
 // Failure carrying the replayable Point.
 //
 // The sweep runs the three journaled variants (bentoimpl with
-// PolicyFlush, vfsimpl with FlushCommits, ext4 with barriers). Config.
+// PolicyFlush, vfsimpl with FlushCommits, ext4 with barriers) and the
+// FUSE daemon exactly as the benchmark mounts it (bentoimpl with
+// PolicyFlush over the userspace disk, behind the FUSE driver). Config.
 // NoBarriers deliberately removes each variant's ordering discipline;
 // a sweep then MUST produce failures at keep=0 — the self-test that the
 // harness catches broken journal ordering (see cmd/crashtort -selftest).
@@ -40,9 +42,11 @@ import (
 	"strings"
 
 	"bento/internal/blockdev"
+	"bento/internal/core"
 	"bento/internal/costmodel"
 	"bento/internal/ext4"
 	"bento/internal/fsapi"
+	"bento/internal/fuse"
 	"bento/internal/kernel"
 	"bento/internal/vclock"
 	"bento/internal/xv6/bentoimpl"
@@ -53,15 +57,16 @@ import (
 // Variant names a file system under torture.
 type Variant string
 
-// The three journaled variants the sweep covers.
+// The variants the sweep covers.
 const (
 	Bento Variant = "bento" // xv6 on the Bento framework, PolicyFlush
 	VFS   Variant = "vfs"   // xv6 against the VFS layer, FlushCommits
 	Ext4  Variant = "ext4"  // ext4 data=journal, barriers on
+	FUSE  Variant = "fuse"  // xv6 in the FUSE daemon, PolicyFlush
 )
 
 // AllVariants lists every variant Sweep covers.
-var AllVariants = []Variant{Bento, VFS, Ext4}
+var AllVariants = []Variant{Bento, VFS, Ext4, FUSE}
 
 // Config parameterizes a sweep.
 type Config struct {
@@ -153,9 +158,9 @@ func ParseID(id string) (Point, error) {
 // the raw value.
 func (c Config) validate() error {
 	switch c.Variant {
-	case Bento, VFS, Ext4:
+	case Bento, VFS, Ext4, FUSE:
 	default:
-		return fmt.Errorf("unknown variant %q (valid: bento, vfs, ext4)", c.Variant)
+		return fmt.Errorf("unknown variant %q (valid: bento, vfs, ext4, fuse)", c.Variant)
 	}
 	if !(c.Keep >= 0 && c.Keep <= 1) {
 		return fmt.Errorf("keep=%g outside [0, 1]", c.Keep)
@@ -194,6 +199,10 @@ func (r Result) OK() bool { return len(r.Failures) == 0 }
 func mountVariant(cfg Config, dev *blockdev.Device, format bool) (*kernel.Mount, *kernel.Task, error) {
 	k := kernel.New(cfg.Model)
 	task := k.NewTask("crashtort")
+	pol := bentoimpl.PolicyFlush
+	if cfg.NoBarriers {
+		pol = bentoimpl.PolicyWriteBack
+	}
 	switch cfg.Variant {
 	case Bento:
 		if format {
@@ -201,14 +210,25 @@ func mountVariant(cfg Config, dev *blockdev.Device, format bool) (*kernel.Mount,
 				return nil, nil, err
 			}
 		}
-		pol := bentoimpl.PolicyFlush
-		if cfg.NoBarriers {
-			pol = bentoimpl.PolicyWriteBack
-		}
 		if err := bentoimpl.RegisterWith(k, "xv6", bentoimpl.Config{Policy: pol}); err != nil {
 			return nil, nil, err
 		}
 		m, err := k.Mount(task, "xv6", "/", dev)
+		return m, task, err
+
+	case FUSE:
+		if format {
+			if _, err := layout.Mkfs(vclock.NewClock(), dev, cfg.NInodes); err != nil {
+				return nil, nil, err
+			}
+		}
+		ft := fuse.Type{Factory: func() core.FileSystem {
+			return bentoimpl.New(bentoimpl.Config{Policy: pol})
+		}}
+		if err := k.Register(ft); err != nil {
+			return nil, nil, err
+		}
+		m, err := k.Mount(task, "fuse", "/", dev)
 		return m, task, err
 
 	case VFS:

@@ -104,7 +104,7 @@ func TestParseIDErrors(t *testing.T) {
 			t.Errorf("ParseID(%q) accepted", id)
 		}
 	}
-	for _, id := range []string{"bento/k=1/keep=0", "vfs/k=17/keep=0.25", "ext4/k=3/keep=1/nobarriers"} {
+	for _, id := range []string{"bento/k=1/keep=0", "vfs/k=17/keep=0.25", "ext4/k=3/keep=1/nobarriers", "fuse/k=9/keep=0"} {
 		p, err := ParseID(id)
 		if err != nil {
 			t.Errorf("ParseID(%q): %v", id, err)

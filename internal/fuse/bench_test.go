@@ -60,13 +60,42 @@ func (fs *blockFS) Write(t *kernel.Task, ino fsapi.Ino, off int64, data []byte) 
 	return len(data), nil
 }
 
-// newBlockFSDriver mounts blockFS with a user-level cache of cacheBlocks.
-func newBlockFSDriver(tb testing.TB, cacheBlocks int) (*Driver, *kernel.Task) {
+// refBlockFS is blockFS with the by-reference twins of its two data
+// paths: the page-vector write hands each page to the disk file
+// (BWriteOwned where Write copies with BWriteDirect), and a whole page is
+// lent from the user-level cache (BReadView where Read copies with
+// ReadBlockRange).
+type refBlockFS struct{ blockFS }
+
+func (fs *refBlockFS) WritePages(t *kernel.Task, ino fsapi.Ino, off int64, pages [][]byte, total int64) (int, error) {
+	blk := int(ino)*blockFSFileBlocks + int(off/blockSize)
+	for done := int64(0); done < total; done += blockSize {
+		if _, err := fs.disk.BWriteOwned(t, blk, pages[done/blockSize]); err != nil {
+			return int(done), err
+		}
+		blk++
+	}
+	return int(total), nil
+}
+
+func (fs *refBlockFS) CanLendPage(fsapi.Ino, int64) bool { return true }
+
+func (fs *refBlockFS) LendPage(t *kernel.Task, ino fsapi.Ino, pg int64) ([]byte, error) {
+	return fs.disk.(bentoks.BlockLender).BReadView(t, int(ino)*blockFSFileBlocks+int(pg))
+}
+
+// newBlockFSDriver mounts blockFS, or refBlockFS when byRef is set, with a
+// user-level cache of cacheBlocks.
+func newBlockFSDriver(tb testing.TB, cacheBlocks int, byRef bool) (*Driver, *kernel.Task) {
 	tb.Helper()
 	model := costmodel.Default()
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 8 * blockFSFileBlocks, Model: model})
 	task := kernel.New(model).NewTask("transport")
-	fs, err := Type{Factory: func() core.FileSystem { return &blockFS{} }, DiskCacheBlocks: cacheBlocks}.Mount(task, dev)
+	factory := func() core.FileSystem { return &blockFS{} }
+	if byRef {
+		factory = func() core.FileSystem { return &refBlockFS{} }
+	}
+	fs, err := Type{Factory: factory, DiskCacheBlocks: cacheBlocks}.Mount(task, dev)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -79,7 +108,7 @@ func newBlockFSDriver(tb testing.TB, cacheBlocks int) (*Driver, *kernel.Task) {
 type transportOp func(tb testing.TB) (op func() error, bytes int64)
 
 func opGetAttr(tb testing.TB) (func() error, int64) {
-	d, task := newBlockFSDriver(tb, 64)
+	d, task := newBlockFSDriver(tb, 64, false)
 	return func() error {
 		_, err := d.GetAttr(task, 1)
 		return err
@@ -89,7 +118,7 @@ func opGetAttr(tb testing.TB) (func() error, int64) {
 // opRead4K reads the same page every time: a user-cache hit after the
 // first call.
 func opRead4K(tb testing.TB) (func() error, int64) {
-	d, task := newBlockFSDriver(tb, 64)
+	d, task := newBlockFSDriver(tb, 64, false)
 	buf := make([]byte, fsapi.PageSize)
 	return func() error { return d.ReadPage(task, 1, 0, buf) }, fsapi.PageSize
 }
@@ -98,7 +127,7 @@ func opRead4K(tb testing.TB) (func() error, int64) {
 // evicts the LRU block and is served from its recycled memory.
 func opRead4KMiss(tb testing.TB) (func() error, int64) {
 	const cache = 16
-	d, task := newBlockFSDriver(tb, cache)
+	d, task := newBlockFSDriver(tb, cache, false)
 	buf := make([]byte, fsapi.PageSize)
 	var pg int64
 	return func() error {
@@ -107,21 +136,46 @@ func opRead4KMiss(tb testing.TB) (func() error, int64) {
 	}, fsapi.PageSize
 }
 
-func opWrite128K(tb testing.TB) (func() error, int64) {
-	d, task := newBlockFSDriver(tb, 64)
-	pages := make([][]byte, maxWritePages)
-	for i := range pages {
-		pages[i] = page(byte(i) + 1)
+// opWrite128K is the gathered WRITE: blockFS is not a PageWriter.
+var opWrite128K = writePages128K(false)
+
+// writePages128K is one 128 KiB WRITE of the same 32 pages, which are
+// never written after set-up (so handing them over again is within the
+// write-back contract).
+func writePages128K(byRef bool) transportOp {
+	return func(tb testing.TB) (func() error, int64) {
+		d, task := newBlockFSDriver(tb, 64, byRef)
+		pages := make([][]byte, maxWritePages)
+		for i := range pages {
+			pages[i] = page(byte(i) + 1)
+		}
+		const size = maxWritePages * fsapi.PageSize
+		return func() error { return d.WritePages(task, 2, 0, pages, size) }, size
 	}
-	const size = maxWritePages * fsapi.PageSize
-	return func() error { return d.WritePages(task, 2, 0, pages, size) }, size
+}
+
+// opLend4K lends the same page every time: a user-cache hit on the
+// device's own buffer after the first call.
+func opLend4K(tb testing.TB) (func() error, int64) {
+	d, task := newBlockFSDriver(tb, 64, true)
+	if err := d.WritePage(task, 1, 0, page(0x4C), fsapi.PageSize); err != nil {
+		tb.Fatal(err)
+	}
+	return func() error {
+		view, err := d.LendPage(task, 1, 0)
+		if err == nil && len(view) != fsapi.PageSize {
+			tb.Fatalf("lent %d bytes", len(view))
+		}
+		return err
+	}, fsapi.PageSize
 }
 
 // TestRoundTripSteadyStateAllocs is the transport's allocation contract:
 // once the session's payload buffer has grown to the largest message and
 // the user-level cache is full, a round trip allocates nothing — not the
 // request and reply, not the daemon's READ buffer, not the WRITE gather,
-// not the cache block of a miss.
+// not the cache block of a miss — and neither does one that moves the
+// pages by reference.
 func TestRoundTripSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -131,6 +185,8 @@ func TestRoundTripSteadyStateAllocs(t *testing.T) {
 		{"Read4K", opRead4K},
 		{"Read4KMiss", opRead4KMiss},
 		{"Write128K", opWrite128K},
+		{"WritePages128K", writePages128K(true)},
+		{"Lend4K", opLend4K},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			op, _ := tc.setup(t)
@@ -167,6 +223,10 @@ func benchRoundTrip(b *testing.B, setup transportOp) {
 func BenchmarkRoundTripGetAttr(b *testing.B)   { benchRoundTrip(b, opGetAttr) }
 func BenchmarkRoundTripRead4K(b *testing.B)    { benchRoundTrip(b, opRead4K) }
 func BenchmarkRoundTripWrite128K(b *testing.B) { benchRoundTrip(b, opWrite128K) }
+
+// The by-reference twins of Write128K and Read4K.
+func BenchmarkRoundTripWritePages128K(b *testing.B) { benchRoundTrip(b, writePages128K(true)) }
+func BenchmarkRoundTripLend4K(b *testing.B)         { benchRoundTrip(b, opLend4K) }
 
 // BenchmarkUserDiskMiss is the user-level cache alone: BRead + Release
 // cycling over four times the cache, so every call evicts and refills.

@@ -50,6 +50,7 @@ func (tt Type) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, e
 		return nil, fmt.Errorf("fuse: daemon init: %w", err)
 	}
 	sess := &Session{fs: fs}
+	sess.lender, _ = fs.(core.PageLender)
 	return &Driver{sess: sess}, nil
 }
 
@@ -59,12 +60,14 @@ func (tt Type) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, e
 // request, and a request arriving earlier waits until then. On the host
 // a round trip runs to completion on the one admitted task.
 //
-// The Session also owns the daemon's payload buffer — a WRITE's gathered
-// data, a READ's result — so a round trip allocates nothing once it has
-// grown; the task running the round trip owns it while it runs (see the
-// package comment's rules).
+// The Session also owns the daemon's payload buffer — a copied READ's
+// result, a WRITE flattened for a file system without the page-vector
+// write — so a round trip allocates nothing once it has grown; the task
+// running the round trip owns it while it runs (see the package
+// comment's rules).
 type Session struct {
-	fs core.FileSystem
+	fs     core.FileSystem
+	lender core.PageLender // fs as a PageLender; nil when it is not one
 
 	freeAt  int64  // virtual time the daemon finishes its current request
 	payload []byte // owned by the running round trip
@@ -81,7 +84,8 @@ func (s *Session) Requests() int64 { return s.requests }
 func (s *Session) FS() core.FileSystem { return s.fs }
 
 // serve executes one request on the daemon. A failed request's reply
-// carries the errno and nothing else; a READ's data lands in s.payload.
+// carries the errno and nothing else; a READ's data lands in s.payload,
+// or is the hosted file system's own view when the READ is a lend.
 func (s *Session) serve(t *kernel.Task, req *Request) Reply {
 	var rep Reply
 	var err error
@@ -110,12 +114,16 @@ func (s *Session) serve(t *kernel.Task, req *Request) Reply {
 	case OpRelease:
 		err = s.fs.Release(t, ino)
 	case OpRead:
+		if req.lend {
+			rep.Data, err = s.lender.LendPage(t, ino, req.Off/fsapi.PageSize)
+			break
+		}
 		s.payload = sized(s.payload, int(req.Size))
 		var n int
 		n, err = s.fs.Read(t, ino, req.Off, s.payload)
 		rep.Data = s.payload[:n]
 	case OpWrite:
-		rep.Written, err = s.fs.Write(t, ino, req.Off, req.Data)
+		rep.Written, err = core.WriteRun(t, s.fs, ino, req.Off, req.Pages, int64(req.Size), &s.payload)
 	case OpFsync:
 		err = s.fs.Fsync(t, ino, req.Flags != 0)
 	case OpReadDir:
@@ -145,6 +153,7 @@ type Driver struct {
 var (
 	_ kernel.FileSystem  = (*Driver)(nil)
 	_ kernel.BatchWriter = (*Driver)(nil)
+	_ kernel.PageLender  = (*Driver)(nil)
 )
 
 // Session exposes the daemon (tests and stats).
@@ -291,14 +300,30 @@ func (d *Driver) ReadPage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte) e
 	return nil
 }
 
+// LendPage implements kernel.PageLender: ReadPage answered by reference,
+// the way a splice reply moves pages instead of copying them. When the
+// daemon's file system says it can lend the page — asked before the round
+// trip, so a no costs nothing — the same READ round trip returns the
+// file system's own read-only view, and it becomes the page.
+func (d *Driver) LendPage(t *kernel.Task, ino fsapi.Ino, pg int64) ([]byte, error) {
+	l := d.sess.lender
+	if l == nil || !l.CanLendPage(ino, pg) {
+		return nil, nil
+	}
+	rep, err := d.roundTrip(t, &Request{Op: OpRead, Nodeid: uint64(ino), Off: pg * fsapi.PageSize, Size: fsapi.PageSize, lend: true})
+	return rep.Data, err
+}
+
 // WritePage implements kernel.FileSystem.
 func (d *Driver) WritePage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte, newSize int64) error {
 	return d.WritePages(t, ino, pg, [][]byte{buf}, newSize)
 }
 
 // WritePages implements kernel.BatchWriter: the FUSE writeback cache
-// batches dirty pages into WRITE requests of up to max_pages each, each
-// gathered from the pages straight into the daemon's payload buffer.
+// batches dirty pages into WRITE requests of up to max_pages each. A
+// request carries the pages the kernel gave up, and the daemon writes
+// them as core.WriteRun does — by reference to a file system with the
+// page-vector write, flattened into its payload buffer otherwise.
 func (d *Driver) WritePages(t *kernel.Task, ino fsapi.Ino, pg int64, pages [][]byte, newSize int64) error {
 	for start := 0; start < len(pages); start += maxWritePages {
 		end := start + maxWritePages
@@ -313,33 +338,15 @@ func (d *Driver) WritePages(t *kernel.Task, ino fsapi.Ino, pg int64, pages [][]b
 		if off+total > newSize {
 			total = newSize - off
 		}
-		written, err := d.write(t, ino, off, pages[start:end], int(total))
+		rep, err := d.roundTrip(t, &Request{Op: OpWrite, Nodeid: uint64(ino), Off: off, Size: uint32(total), Pages: pages[start:end]})
 		if err != nil {
 			return err
 		}
-		if written != total {
-			return fmt.Errorf("fuse: short write %d of %d: %w", written, total, fsapi.ErrIO)
+		if int64(rep.Written) != total {
+			return fmt.Errorf("fuse: short write %d of %d: %w", rep.Written, total, fsapi.ErrIO)
 		}
 	}
 	return nil
-}
-
-// write is one WRITE round trip of exactly total bytes: the pages' bytes
-// in order, clipped to total and zero-filled where the pages run out. It
-// reports how many the daemon wrote.
-func (d *Driver) write(t *kernel.Task, ino fsapi.Ino, off int64, pages [][]byte, total int) (int64, error) {
-	s := d.sess
-	s.payload = sized(s.payload, total)
-	rest := s.payload
-	for _, p := range pages {
-		if len(rest) == 0 {
-			break
-		}
-		rest = rest[copy(rest, p):]
-	}
-	clear(rest)
-	rep, err := d.roundTrip(t, &Request{Op: OpWrite, Nodeid: uint64(ino), Off: off, Data: s.payload})
-	return int64(rep.Written), err
 }
 
 // Fsync implements kernel.FileSystem.

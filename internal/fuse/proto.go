@@ -21,11 +21,17 @@
 // measures. On the host a round trip is a priced call: the driver hands
 // the daemon a Request value and gets a Reply value back, and the copies
 // are charged for the bytes each message would occupy on /dev/fuse
-// (wireLen) without the bytes being produced. What the wire does to the
-// data is kept: a WRITE's payload is gathered into a buffer the daemon
-// owns, a READ's is produced in the daemon's buffer and copied into the
-// caller's page, and an error crosses as its errno, so the kernel sees
-// only the sentinel. In steady state one round trip allocates nothing.
+// (wireLen) without the bytes being produced. Whole pages are not copied
+// either: a WRITE carries the page buffers the kernel gave up to
+// write-back, which the daemon's xv6 logs and installs by reference
+// (core.WriteRun, bentoks.Disk.BAdopt and BClone, Device.SubmitOwned),
+// and a READ of a whole page the daemon can lend returns its cached
+// block as the page (Driver.LendPage). What is left of the wire is kept:
+// a READ that is not lent is produced in the daemon's buffer and copied
+// into the caller's page, a WRITE for a file system without the
+// page-vector write is flattened into the daemon's buffer, and an error
+// crosses as its errno, so the kernel sees only the sentinel. In steady
+// state one round trip allocates nothing.
 //
 // There is no host lock: the daemon's single-threadedness is modelled in
 // virtual time (Session.freeAt), and on the host a round trip runs start
@@ -33,13 +39,16 @@
 // Session's payload buffer while it runs. The ownership rules:
 //
 //  1. The payload buffer is valid only while the round trip runs.
-//     Nothing that aliases it — a WRITE's Request.Data, a READ's
+//     Nothing that aliases it — a flattened WRITE's data, a copied READ's
 //     Reply.Data — may be retained past the Driver method that made the
-//     round trip: READ payloads are copied into the caller's page.
+//     round trip: READ payloads are copied into the caller's page. A lent
+//     READ's Reply.Data is an immutable view instead, and becomes the
+//     page.
 //  2. A round trip is not re-entrant: the hosted file system reaches
 //     storage through UserDisk, never back through the Driver.
-//  3. A gathered WRITE hands the daemon exactly total bytes, copied from
-//     the kernel's pages or zero-filled — never bytes left over from an
+//  3. A WRITE hands the daemon exactly total bytes — the first total
+//     bytes of its whole pages, or, flattened, copied from the pages and
+//     zero-filled where they run out — never bytes left over from an
 //     earlier, larger request.
 //  4. UserDisk is daemon-private: every call runs inside a round trip,
 //     or at mount before the Driver exists. That is what makes recycling
@@ -116,9 +125,9 @@ func (o Opcode) String() string {
 }
 
 // Request is one FUSE request. Nodeid and Target carry inode numbers;
-// Name and Name2 carry path components; Off, Size carry I/O geometry;
-// Data carries a WRITE's payload, gathered into the session's payload
-// buffer.
+// Name and Name2 carry path components; Off, Size carry I/O geometry — a
+// WRITE's payload is the first Size bytes of Pages, the page buffers the
+// kernel gave up to write-back.
 type Request struct {
 	Op     Opcode
 	Nodeid uint64
@@ -128,14 +137,19 @@ type Request struct {
 	Flags  uint32
 	Name   string
 	Name2  string
-	Data   []byte
+	Pages  [][]byte
+
+	// lend asks for a READ of one whole page by reference: the reply
+	// carries the daemon's view of the page (core.PageLender) instead of
+	// a copy in the payload buffer.
+	lend bool
 }
 
 // Reply is the daemon's answer. Errno is 0 on success, and a failed
 // request's reply carries the errno and nothing else. Attr answers the
 // requests that return an inode's attributes, Written a WRITE, Data a
-// READ (in the session's payload buffer), Ents a READDIR and FSStat a
-// STATFS.
+// READ (in the session's payload buffer, or a lent view), Ents a READDIR
+// and FSStat a STATFS.
 type Reply struct {
 	Errno   int32
 	Attr    fsapi.Stat
@@ -160,7 +174,11 @@ const (
 // transport charges copies for and counts as fuse_bytes_in/out.
 func wireLen(req *Request, rep *Reply) int {
 	if rep == nil {
-		return reqHeaderSize + len(req.Name) + len(req.Name2) + len(req.Data)
+		n := reqHeaderSize + len(req.Name) + len(req.Name2)
+		if req.Op == OpWrite {
+			n += int(req.Size)
+		}
+		return n
 	}
 	n := repHeaderSize
 	if rep.Errno != 0 {

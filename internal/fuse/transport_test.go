@@ -12,6 +12,8 @@ import (
 	"bento/internal/costmodel"
 	"bento/internal/fsapi"
 	"bento/internal/kernel"
+	"bento/internal/netstore"
+	"bento/internal/trace"
 	"bento/internal/vclock"
 	"bento/internal/xv6/bentoimpl"
 	"bento/internal/xv6/layout"
@@ -85,9 +87,9 @@ func TestMountValidation(t *testing.T) {
 }
 
 // TestWriteNeverCarriesAnEarlierRequest is rule 3 end to end: after a
-// 128 KiB WRITE has filled the payload buffer with 0xAA, smaller WRITEs
-// to another file hand the daemon only their own bytes — or zeros where
-// their pages run out before total.
+// READ has filled the payload buffer with 0xAA, smaller WRITEs to another
+// file hand the daemon only their own bytes — or zeros where their pages
+// run out before total and the WRITE is flattened into that buffer.
 func TestWriteNeverCarriesAnEarlierRequest(t *testing.T) {
 	d, task := newXv6Driver(t)
 	big := mustCreate(t, d, task, fsapi.RootIno, "big")
@@ -96,6 +98,9 @@ func TestWriteNeverCarriesAnEarlierRequest(t *testing.T) {
 		pages[i] = page(0xAA)
 	}
 	if err := d.WritePages(task, big, 0, pages, maxWritePages*fsapi.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ReadPage(task, big, 0, page(0)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -134,10 +139,10 @@ func TestWriteNeverCarriesAnEarlierRequest(t *testing.T) {
 	}
 }
 
-// TestReadsLandInTheirOwnPages: a READ's payload is copied into the
-// caller's page, never handed out as a view of the session's payload
-// buffer — neither a second READ nor a WRITE gathered into that buffer
-// changes the first one's page.
+// TestReadsLandInTheirOwnPages: a copied READ's payload is copied into
+// the caller's page, never handed out as a view of the session's payload
+// buffer — neither a second READ nor a later WRITE changes the first
+// one's page.
 func TestReadsLandInTheirOwnPages(t *testing.T) {
 	d, task := newXv6Driver(t)
 	a := mustCreate(t, d, task, fsapi.RootIno, "a")
@@ -348,11 +353,155 @@ func TestFailedRequestRepliesWithErrnoOnly(t *testing.T) {
 	}
 }
 
+// copyingFS hides core.PageWriter and core.PageLender from the file
+// system it wraps, as the benchmark's traced decorator does: the daemon
+// then gets every WRITE flattened into its payload buffer and answers
+// every READ with a copy, and the driver lends no page.
+type copyingFS struct{ core.FileSystem }
+
+// TestPagesByReferenceMatchCopies is the FUSE crossing's lend/copy
+// equivalence check. Two traced mounts of the benchmarked FUSE variant —
+// bentoimpl under PolicyFlush over the userspace disk — run the same
+// workload, one with WRITE requests carrying the kernel's pages into the
+// journal by reference and READs lending the daemon's blocks to the page
+// cache, the other behind copyingFS. Full and partial pages, a hole, a
+// truncate, a write-back run longer than one request, an unlink and cold
+// reads after a cache drop — over a user-level cache of 16 blocks, so
+// adopted, cloned and lent blocks keep being evicted and refilled — must
+// leave both with the same device bytes, clocks, counters (fuse_bytes_in
+// and fuse_bytes_out among them) and trace events, on both storage
+// backends.
+func TestPagesByReferenceMatchCopies(t *testing.T) {
+	const ps = fsapi.PageSize
+	pattern := func(n int, salt byte) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i%251+1) ^ salt
+		}
+		return b
+	}
+	type side struct {
+		k    *kernel.Kernel
+		m    *kernel.Mount
+		task *kernel.Task
+		dev  *blockdev.Device
+	}
+	mount := func(t *testing.T, backend string, hide bool) *side {
+		model := costmodel.Default()
+		k := kernel.New(model)
+		k.SetRecorder(trace.New())
+		cfg := blockdev.Config{Blocks: 4096, Model: model}
+		if backend == "netstore" {
+			cfg.Backend = netstore.New(netstore.Config{Name: "net0", BlockSize: 4096, Blocks: cfg.Blocks, Model: model})
+		}
+		dev := blockdev.MustNew(cfg)
+		dev.SetRecorder(k.Recorder())
+		if _, err := layout.Mkfs(vclock.NewClock(), dev, 512); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Register(Type{Factory: func() core.FileSystem {
+			fs := bentoimpl.New(bentoimpl.Config{Policy: bentoimpl.PolicyFlush})
+			if hide {
+				return copyingFS{fs}
+			}
+			return fs
+		}, DiskCacheBlocks: 16}); err != nil {
+			t.Fatal(err)
+		}
+		task := k.NewTask("mount")
+		m, err := k.Mount(task, "fuse", "/", dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &side{k: k, m: m, task: task, dev: dev}
+	}
+	workload := func(t *testing.T, s *side) []byte {
+		must := func(_ int, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		f, err := s.m.Open(s.task, "/a", fsapi.OCreate|fsapi.ORdwr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		must(f.PWrite(s.task, pattern(10*ps+100, 0), 0))
+		must(0, f.FSync(s.task))
+		must(f.PWrite(s.task, pattern(3000, 0x40), 2*ps+500))
+		must(f.PWrite(s.task, pattern(5*ps, 0x80), 20*ps))
+		must(0, f.FSync(s.task))
+		s.m.DropCaches()
+		if _, err := s.m.ReadFile(s.task, "/a"); err != nil {
+			t.Fatal(err)
+		}
+		must(0, f.Truncate(s.task, 4*ps+10))
+		must(f.PWrite(s.task, pattern(2*ps, 0xC0), 4*ps+10))
+		must(0, s.m.Close(s.task, f))
+		must(0, s.m.WriteFile(s.task, "/b", pattern(40*ps, 0x11)))
+		must(0, s.m.Sync(s.task))
+		// Whole pages over blocks the daemon has long evicted.
+		f, err = s.m.Open(s.task, "/b", fsapi.ORdwr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		must(f.PWrite(s.task, pattern(40*ps, 0x33), 0))
+		must(0, s.m.Close(s.task, f))
+		must(0, s.m.Sync(s.task))
+		must(0, s.m.Unlink(s.task, "/b"))
+		must(0, s.m.WriteFile(s.task, "/c", pattern(3*ps+7, 0x22)))
+		must(0, s.m.Sync(s.task))
+		s.m.DropCaches()
+		got, err := s.m.ReadFile(s.task, "/a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	for _, backend := range []string{"local", "netstore"} {
+		t.Run(backend, func(t *testing.T) {
+			ref, cp := mount(t, backend, false), mount(t, backend, true)
+			if got, want := workload(t, ref), workload(t, cp); !bytes.Equal(got, want) {
+				t.Fatal("the file reads back differently by reference and by copy")
+			}
+			if a, b := ref.task.Clk.NowNS(), cp.task.Clk.NowNS(); a != b {
+				t.Fatalf("clock %d by reference, %d by copy", a, b)
+			}
+			ca, cb := ref.k.Recorder().Counters(), cp.k.Recorder().Counters()
+			if !reflect.DeepEqual(ca, cb) {
+				t.Fatalf("counters differ:\nby reference %v\nby copy      %v", ca, cb)
+			}
+			if ca["fuse_bytes_in"] == 0 || ca["fuse_bytes_out"] == 0 {
+				t.Fatalf("no FUSE traffic counted: %v", ca)
+			}
+			if a, b := ref.k.Recorder().Events(), cp.k.Recorder().Events(); !reflect.DeepEqual(a, b) {
+				t.Fatalf("trace events differ (%d by reference, %d by copy)", len(a), len(b))
+			}
+			if a, b := ref.dev.Stats(), cp.dev.Stats(); a != b {
+				t.Fatalf("device counters differ: %+v vs %+v", a, b)
+			}
+			ba, bb := make([]byte, ps), make([]byte, ps)
+			for blk := 0; blk < ref.dev.Blocks(); blk++ {
+				if err := ref.dev.Read(ref.task.Clk, blk, ba); err != nil {
+					t.Fatal(err)
+				}
+				if err := cp.dev.Read(cp.task.Clk, blk, bb); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(ba, bb) {
+					t.Fatalf("device block %d differs", blk)
+				}
+			}
+		})
+	}
+}
+
 // TestWireSizes pins the bytes each round trip charges copies for and
 // counts as fuse_bytes_in/out — the lengths a request and its reply have
 // on /dev/fuse. The expected numbers are the lengths of the encoded
 // messages the transport used to build, so the published FUSE cells
-// still price exactly the same bytes.
+// still price exactly the same bytes — the page-vector WRITE the bytes
+// gathered ones did, the lent READ the bytes a copied one does.
 func TestWireSizes(t *testing.T) {
 	d, task := newXv6Driver(t)
 	root := fsapi.RootIno
@@ -378,7 +527,17 @@ func TestWireSizes(t *testing.T) {
 		{"CREATE big", func() error { return stat(&big)(d.Create(task, root, "big")) }, nil, 51, 36},
 		{"MKDIR", func() error { return stat(&dir)(d.Mkdir(task, root, "d")) }, nil, 49, 36},
 		{"WRITE 1 B", func() error { return d.WritePages(task, f, 0, pages[:1], 1) }, nil, 49, 36},
-		{"WRITE 128 KiB", func() error { return d.WritePages(task, big, 0, pages, maxWritePages*fsapi.PageSize) }, nil, 131120, 36},
+		{"WRITE 128 KiB by reference", func() error { return d.WritePages(task, big, 0, pages, maxWritePages*fsapi.PageSize) }, nil, 131120, 36},
+		{"WRITE short page, gathered", func() error { return d.WritePages(task, big, 40, [][]byte{{1}}, 41*fsapi.PageSize) }, nil, 4144, 36},
+		{"OPEN", func() error { return d.Open(task, big) }, nil, 48, 36}, // a page is lent from an open file
+		{"READ lent", func() error {
+			view, err := d.LendPage(task, big, 3)
+			if err == nil && !bytes.Equal(view, pages[3]) {
+				t.Error("the lent page does not hold what was written")
+			}
+			return err
+		}, nil, 48, 4132},
+		{"READ copied", func() error { return d.ReadPage(task, big, 3, page(0)) }, nil, 48, 4132},
 		{"READ short", func() error { return d.ReadPage(task, f, 0, page(0)) }, nil, 48, 37},
 		{"READ past EOF", func() error { return d.ReadPage(task, f, 1, page(0)) }, nil, 48, 36},
 		{"READDIR", func() error { _, err := d.ReadDir(task, root); return err }, nil, 48, 74},

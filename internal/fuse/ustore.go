@@ -1,6 +1,7 @@
 package fuse
 
 import (
+	"bytes"
 	"fmt"
 
 	"bento/internal/bentoks"
@@ -42,16 +43,21 @@ func NewUserDisk(dev *blockdev.Device, cacheBlocks int) *UserDisk {
 // ubuf is a userspace cached block. Like the kernel BufferHead it enters
 // the cache only once its pread has succeeded.
 //
-// A miss does not copy the block: data becomes the device's own buffer,
-// borrowed (blockdev.Device.Borrow) and therefore read-only, and lent is
-// set. Readers inside this file use it as it is; Data and Slice, whose
-// callers may write through what they get, first replace it with a copy
-// in the ubuf's private buffer.
+// A block is not copied in or out when it does not have to be. data is
+// either the ubuf's private buffer, own, or an immutable view with lent
+// set: the device's own buffer, borrowed on a miss
+// (blockdev.Device.Borrow); a page a whole-block write gave up (BAdopt);
+// or another block's immutable view (BClone, the journal's log copy).
+// Readers inside this file use a view as it is, lend it on (BReadView,
+// BBorrowDirect) and write it back by reference (Device.SubmitOwned);
+// Data and Slice, whose callers may write through what they get, first
+// replace it with a copy in own. A view is never written and never
+// becomes own, and own is never lent or handed to the device.
 type ubuf struct {
 	node lru.Node
 	ud   *UserDisk
 	data []byte
-	lent bool   // data is a borrowed view
+	lent bool   // data is an immutable view
 	own  []byte // the private buffer; nil until data first has to be one
 }
 
@@ -75,7 +81,10 @@ func (b *ubuf) writable() {
 // LRUNode exposes the intrusive cache hook (lru.Entry).
 func (b *ubuf) LRUNode() *lru.Node { return &b.node }
 
-var _ bentoks.Disk = (*UserDisk)(nil)
+var (
+	_ bentoks.Disk        = (*UserDisk)(nil)
+	_ bentoks.BlockLender = (*UserDisk)(nil)
+)
 
 // BlockSize implements bentoks.Disk.
 func (ud *UserDisk) BlockSize() int { return ud.dev.BlockSize() }
@@ -89,15 +98,80 @@ func (ud *UserDisk) Stats() lru.Stats { return ud.cache.Stats() }
 // BRead implements bentoks.Disk: a user-cache probe, with a pread(2) of
 // the disk file on a miss.
 func (ud *UserDisk) BRead(t *kernel.Task, blk int) (bentoks.Buffer, error) {
-	return ud.get(t, blk, true)
+	b, err := ud.get(t, blk, true)
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // BReadNoFill implements bentoks.Disk.
 func (ud *UserDisk) BReadNoFill(t *kernel.Task, blk int) (bentoks.Buffer, error) {
-	return ud.get(t, blk, false)
+	b, err := ud.get(t, blk, false)
+	if err != nil {
+		return nil, err
+	}
+	if b.data == nil {
+		b.private()
+		clear(b.data)
+	}
+	return b, nil
 }
 
-func (ud *UserDisk) get(t *kernel.Task, blk int, fill bool) (bentoks.Buffer, error) {
+// BAdopt implements bentoks.Disk: BReadNoFill with data itself, which the
+// caller has given up, as the cached block — an immutable view, written
+// back by reference.
+func (ud *UserDisk) BAdopt(t *kernel.Task, blk int, data []byte) (bentoks.Buffer, error) {
+	if len(data) != ud.dev.BlockSize() {
+		return nil, blockdev.ErrBadSize
+	}
+	b, err := ud.get(t, blk, false)
+	if err != nil {
+		return nil, err
+	}
+	b.data, b.lent = data, true
+	return b, nil
+}
+
+// BClone implements bentoks.Disk: BReadNoFill sharing src's view when src
+// holds one, and holding a copy of src's private buffer otherwise. src
+// must be a buffer of this disk.
+func (ud *UserDisk) BClone(t *kernel.Task, blk int, src bentoks.Buffer) (bentoks.Buffer, error) {
+	s, ok := src.(*ubuf)
+	if !ok || s.ud != ud {
+		return nil, fmt.Errorf("userdisk: clone into block %d of a foreign buffer: %w", blk, fsapi.ErrInvalid)
+	}
+	b, err := ud.get(t, blk, false)
+	if err != nil {
+		return nil, err
+	}
+	if s.lent {
+		b.data, b.lent = s.data, true
+	} else {
+		b.private()
+		copy(b.data, s.data)
+	}
+	return b, nil
+}
+
+// BReadView implements bentoks.BlockLender: ReadBlockRange of the whole
+// block, returning the cached view itself, or a copy of a private block.
+func (ud *UserDisk) BReadView(t *kernel.Task, blk int) ([]byte, error) {
+	b, err := ud.get(t, blk, true)
+	if err != nil {
+		return nil, err
+	}
+	view := b.data
+	if !b.lent {
+		view = bytes.Clone(view)
+	}
+	return view, b.Release()
+}
+
+// get returns blk's cached block, pinned, probing the user cache and
+// filling a miss with a pread of the disk file. A miss without fill
+// leaves data nil for the caller to set.
+func (ud *UserDisk) get(t *kernel.Task, blk int, fill bool) (*ubuf, error) {
 	if blk < 0 || blk >= ud.dev.Blocks() {
 		return nil, fmt.Errorf("userdisk: block %d: %w", blk, fsapi.ErrInvalid)
 	}
@@ -124,10 +198,9 @@ func (ud *UserDisk) get(t *kernel.Task, blk int, fill bool) (bentoks.Buffer, err
 		} else {
 			nb = &ubuf{ud: ud}
 		}
-		if view != nil {
-			nb.data, nb.lent = view, true
-		} else {
-			// BReadNoFill, or a block the device has never been written: zeros.
+		nb.data, nb.lent = view, view != nil
+		if fill && view == nil {
+			// A block the device has never been written: zeros.
 			nb.private()
 			clear(nb.data)
 		}
@@ -136,10 +209,7 @@ func (ud *UserDisk) get(t *kernel.Task, blk int, fill bool) (bentoks.Buffer, err
 	if hit {
 		t.Rec().Add(trace.CtrBufHits, 1)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
+	return b, err
 }
 
 // ReadBlockRange implements bentoks.Disk: a user-cache borrow bracketed
@@ -150,13 +220,12 @@ func (ud *UserDisk) ReadBlockRange(t *kernel.Task, blk, off int, dst []byte) err
 	if err != nil {
 		return err
 	}
-	ub := b.(*ubuf)
-	if off < 0 || off+len(dst) > len(ub.data) {
+	if off < 0 || off+len(dst) > len(b.data) {
 		_ = b.Release()
 		return fmt.Errorf("userdisk: range [%d:%d) of %d-byte block %d: %w",
-			off, off+len(dst), len(ub.data), blk, fsapi.ErrInvalid)
+			off, off+len(dst), len(b.data), blk, fsapi.ErrInvalid)
 	}
-	copy(dst, ub.data[off:off+len(dst)])
+	copy(dst, b.data[off:off+len(dst)])
 	return b.Release()
 }
 
@@ -234,13 +303,22 @@ func (ud *UserDisk) pwriteDirect(t *kernel.Task, blk int, buf []byte, owned bool
 		return 0, fmt.Errorf("userdisk: direct write of block %d: %w", blk, fsapi.ErrInvalid)
 	}
 	ud.cache.Drop(int64(blk))
+	t.Rec().Add(trace.CtrDirectWrites, 1)
+	if err := ud.pwrite(t, blk, buf, owned); err != nil {
+		return 0, err
+	}
+	return t.Clk.NowNS(), nil
+}
+
+// pwrite is one synchronous pwrite(2) of the disk file. With owned set
+// the device keeps buf, which nobody writes again (Device.Write by
+// reference); otherwise it copies.
+func (ud *UserDisk) pwrite(t *kernel.Task, blk int, buf []byte, owned bool) error {
 	t.Charge(t.Model().UserBlockSyscall)
 	t.Charge(t.Model().Copy(len(buf)))
-	t.Rec().Add(trace.CtrDirectWrites, 1)
 	start := t.Clk.NowNS()
 	var err error
 	if owned {
-		// Device.Write, by reference.
 		var done int64
 		done, err = ud.dev.SubmitOwned(t.Clk, blk, buf)
 		t.Clk.AdvanceTo(done)
@@ -248,12 +326,12 @@ func (ud *UserDisk) pwriteDirect(t *kernel.Task, blk int, buf []byte, owned bool
 		err = ud.dev.Write(t.Clk, blk, buf)
 	}
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if r := t.Rec(); r != nil {
 		r.Span(t.Name, trace.CatDevice, "pwrite", start, t.Clk.NowNS())
 	}
-	return t.Clk.NowNS(), nil
+	return nil
 }
 
 // WithBuffer implements bentoks.Disk.
@@ -330,16 +408,12 @@ func (b *ubuf) SubmitWrite(t *kernel.Task) (int64, error) {
 	return t.Clk.NowNS(), nil
 }
 
-// WriteSync implements bentoks.Buffer: pwrite(disk file) + wait.
+// WriteSync implements bentoks.Buffer: pwrite(disk file) + wait. A view
+// goes to the device by reference; the private buffer, which stays
+// writable, is copied.
 func (b *ubuf) WriteSync(t *kernel.Task) error {
-	t.Charge(t.Model().UserBlockSyscall)
-	t.Charge(t.Model().Copy(len(b.data)))
-	start := t.Clk.NowNS()
-	if err := b.ud.dev.Write(t.Clk, b.BlockNo(), b.data); err != nil {
+	if err := b.ud.pwrite(t, b.BlockNo(), b.data, b.lent); err != nil {
 		return err
-	}
-	if r := t.Rec(); r != nil {
-		r.Span(t.Name, trace.CatDevice, "pwrite", start, t.Clk.NowNS())
 	}
 	b.ud.cache.ClearDirty(b)
 	return nil

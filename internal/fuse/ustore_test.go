@@ -1,11 +1,13 @@
 package fuse
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"bento/internal/bentoks"
 	"bento/internal/blockdev"
 	"bento/internal/costmodel"
 	"bento/internal/fsapi"
@@ -524,6 +526,259 @@ func TestUserDiskBorrowsOnMiss(t *testing.T) {
 	}
 	if err := s.Release(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUserDiskOwnership is the userspace disk's buffer-ownership audit,
+// in the idiom of storagetest's ownership streams. Seeded streams run
+// against a user cache a quarter the size of the blocks they touch, so
+// misses keep evicting and recycling: whole-block writes that give their
+// page up (BAdopt) or copy into a fresh buffer (BReadNoFill), partial
+// writes through Data, journal commits (BClone of home blocks into log
+// slots, a synchronous write of each, then the installs), write-back of
+// the dirty set, lends (BReadView, BBorrowDirect), range reads, direct
+// writes by reference and by copy, FLUSHes and device crashes. The test
+// holds every view the disk lent and every page it was given, and fails
+// if one changes; every read must return what was last written to the
+// block, until a crash makes that unknown.
+//
+// Hand mutations this test kills: writing through an adopted view (BAdopt
+// leaving lent clear), recycling an adopted page as a ubuf's private
+// buffer, WriteSync handing a private buffer to the device by reference,
+// and BClone aliasing a private home block into its log slot.
+func TestUserDiskOwnership(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		userDiskOwnershipStream(t, seed)
+	}
+}
+
+func userDiskOwnershipStream(t *testing.T, seed int64) {
+	const homes, slots, cacheBlocks, calls, keep = 32, 8, 8, 2000, 64
+	const blocks = homes + slots // log slots follow the home blocks
+	ud, task := newTestUserDisk(t, cacheBlocks)
+	bs := ud.BlockSize()
+	rng := rand.New(rand.NewSource(seed))
+
+	type held struct {
+		buf, want []byte
+		what      string
+	}
+	var holds []held
+	checkAll := func(i int, what string) {
+		t.Helper()
+		for _, h := range holds {
+			if !bytes.Equal(h.buf, h.want) {
+				t.Fatalf("seed %d call %d (%s): a buffer from %s changed", seed, i, what, h.what)
+			}
+		}
+	}
+	hold := func(b []byte, what string) {
+		if len(holds) == keep {
+			holds = holds[1:]
+		}
+		holds = append(holds, held{b, bytes.Clone(b), what})
+	}
+	// last[blk] is what the block must read as; nil once a crash has made
+	// that unknown, until the next write.
+	last := make([][]byte, blocks)
+	for blk := range last {
+		last[blk] = make([]byte, bs)
+	}
+	expect := func(i, blk int, got []byte, what string) {
+		t.Helper()
+		if last[blk] != nil && !bytes.Equal(got, last[blk]) {
+			t.Fatalf("seed %d call %d: %s of block %d does not return its last write", seed, i, what, blk)
+		}
+	}
+	random := func() []byte {
+		b := make([]byte, bs)
+		rng.Read(b)
+		return b
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+	release := func(b bentoks.Buffer) { must(b.Release()) }
+
+	for i := 0; i < calls; i++ {
+		blk := rng.Intn(homes)
+		switch p := rng.Intn(100); {
+		case p < 16: // whole-block write, the page given up
+			page := random()
+			hold(page, "BAdopt")
+			b, err := ud.BAdopt(task, blk, page)
+			must(err)
+			must(b.MarkDirty())
+			release(b)
+			last[blk] = bytes.Clone(page)
+		case p < 22: // whole-block write, copied
+			b, err := ud.BReadNoFill(task, blk)
+			must(err)
+			data, err := b.Data()
+			must(err)
+			rng.Read(data)
+			must(b.MarkDirty())
+			last[blk] = bytes.Clone(data)
+			release(b)
+		case p < 36: // partial write
+			b, err := ud.BRead(task, blk)
+			must(err)
+			data, err := b.Data()
+			must(err)
+			expect(i, blk, data, "BRead")
+			off := rng.Intn(bs)
+			rng.Read(data[off : off+rng.Intn(bs-off)+1])
+			must(b.MarkDirty())
+			last[blk] = bytes.Clone(data)
+			release(b)
+		case p < 46: // commit: log copies, then the installs
+			n := rng.Intn(slots) + 1
+			logged := rng.Perm(homes)[:n]
+			for s, home := range logged {
+				src, err := ud.BRead(task, home)
+				must(err)
+				dst, err := ud.BClone(task, homes+s, src)
+				must(err)
+				must(dst.WriteSync(task))
+				release(dst)
+				release(src)
+				last[homes+s] = last[home]
+			}
+			for _, home := range logged {
+				b, err := ud.BRead(task, home)
+				must(err)
+				_, err = b.SubmitWrite(task)
+				must(err)
+				release(b)
+			}
+		case p < 54:
+			must(ud.SyncDirtyBuffers(task))
+		case p < 68: // lend, journal slots included
+			blk = rng.Intn(blocks)
+			view, err := ud.BReadView(task, blk)
+			must(err)
+			expect(i, blk, view, "BReadView")
+			hold(view, "BReadView")
+		case p < 76:
+			blk = rng.Intn(blocks)
+			view, err := ud.BBorrowDirect(task, blk)
+			must(err)
+			if view == nil {
+				view = make([]byte, bs)
+			} else {
+				hold(view, "BBorrowDirect")
+			}
+			expect(i, blk, view, "BBorrowDirect")
+		case p < 82:
+			blk = rng.Intn(blocks)
+			got := make([]byte, bs)
+			must(ud.ReadBlockRange(task, blk, 0, got))
+			expect(i, blk, got, "ReadBlockRange")
+		case p < 87: // direct write by reference
+			page := random()
+			hold(page, "BWriteOwned")
+			_, err := ud.BWriteOwned(task, blk, page)
+			must(err)
+			last[blk] = bytes.Clone(page)
+		case p < 91: // direct write by copy; the caller scribbles on its buffer
+			buf := random()
+			_, err := ud.BWriteDirect(task, blk, buf)
+			must(err)
+			last[blk] = bytes.Clone(buf)
+			clear(buf)
+		case p < 99:
+			must(ud.Flush(task))
+		default:
+			// What a block reads as is now unknown until it is written: the
+			// cache keeps what it holds, the device what survived, and a
+			// clean cached block may differ from the device's.
+			ud.dev.Crash([]float64{0, 0.5, 1}[rng.Intn(3)], rng.Int63())
+			clear(last)
+		}
+		checkAll(i, "after the call")
+	}
+}
+
+// TestUserDiskCachedByReference: BAdopt, BClone and BReadView cost what
+// their copying twins cost — BReadNoFill and a copy in, BReadNoFill and a
+// copy of the source, ReadBlockRange — on hits and on misses that evict,
+// and so does writing back what they cached, which goes to the device by
+// reference; the page, the log copy, the device and the lent view are
+// then one buffer.
+func TestUserDiskCachedByReference(t *testing.T) {
+	ref, rtask := newTestUserDisk(t, 4)
+	cp, ctask := newTestUserDisk(t, 4)
+	fillDevice(t, ref, rtask, 16)
+	fillDevice(t, cp, ctask, 16)
+	bs := ref.BlockSize()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, blk := range []int{1, 2, 1, 9, 10, 11, 12, 2} {
+		page := bytes.Repeat([]byte{byte(i + 0x41)}, bs)
+		slot := 32 + i%3
+
+		home, err := ref.BAdopt(rtask, blk, page)
+		must(err)
+		logged, err := ref.BClone(rtask, slot, home)
+		must(err)
+		must(logged.WriteSync(rtask))
+		must(home.WriteSync(rtask))
+		if ub, lb := home.(*ubuf), logged.(*ubuf); &ub.data[0] != &page[0] || &lb.data[0] != &page[0] {
+			t.Fatalf("block %d: the adopted page or its log copy was copied", blk)
+		}
+		must(logged.Release())
+		must(home.Release())
+
+		chome, err := cp.BReadNoFill(ctask, blk)
+		must(err)
+		data, err := chome.Data()
+		must(err)
+		copy(data, page)
+		clogged, err := cp.BReadNoFill(ctask, slot)
+		must(err)
+		ldata, err := clogged.Data()
+		must(err)
+		copy(ldata, data)
+		must(clogged.WriteSync(ctask))
+		must(chome.WriteSync(ctask))
+		must(clogged.Release())
+		must(chome.Release())
+
+		for _, b := range []int{blk, slot, 15 - i} {
+			view, err := ref.BReadView(rtask, b)
+			must(err)
+			got := make([]byte, bs)
+			must(cp.ReadBlockRange(ctask, b, 0, got))
+			if !bytes.Equal(view, got) {
+				t.Fatalf("block %d: BReadView and ReadBlockRange disagree", b)
+			}
+			if b != 15-i && &view[0] != &page[0] {
+				t.Fatalf("block %d: BReadView did not lend the adopted page", b)
+			}
+		}
+		if disk, err := ref.dev.Borrow(rtask.Clk, slot); err != nil || &disk[0] != &page[0] {
+			t.Fatalf("slot %d: the device does not hold the page itself (err %v)", slot, err)
+		}
+		must(cp.dev.Read(ctask.Clk, slot, make([]byte, bs)))
+		if a, b := rtask.Clk.NowNS(), ctask.Clk.NowNS(); a != b {
+			t.Fatalf("step %d: %d ns by reference, %d by copy", i, a, b)
+		}
+		if a, b := ref.dev.Stats(), cp.dev.Stats(); a != b {
+			t.Fatalf("step %d: device counters differ: %+v vs %+v", i, a, b)
+		}
+		if a, b := ref.Stats(), cp.Stats(); a != b {
+			t.Fatalf("step %d: cache counters differ: %+v vs %+v", i, a, b)
+		}
+	}
+	if ref.Stats().Evictions == 0 {
+		t.Fatal("no block was evicted; the misses were never exercised")
 	}
 }
 

@@ -40,12 +40,15 @@ type Config struct {
 
 // FS is the xv6 file system over the Bento file-operations API.
 type FS struct {
-	cfg   Config
-	sb    bentoks.Disk
-	super layout.Superblock
-	log   *Log
-	itab  itable
-	alloc allocator
+	cfg Config
+	sb  bentoks.Disk
+	// lender is sb as a bentoks.BlockLender, nil when it is not one: it
+	// lets journaled file data be lent as well as direct data.
+	lender bentoks.BlockLender
+	super  layout.Superblock
+	log    *Log
+	itab   itable
+	alloc  allocator
 }
 
 var (
@@ -78,6 +81,7 @@ func (fs *FS) Super() layout.Superblock { return fs.super }
 // log (crash consistency) before serving anything.
 func (fs *FS) Init(t *kernel.Task, sb bentoks.Disk) error {
 	fs.sb = sb
+	fs.lender, _ = sb.(bentoks.BlockLender)
 	hdr, err := sb.BRead(t, 1)
 	if err != nil {
 		return err
@@ -572,16 +576,19 @@ func (fs *FS) Read(t *kernel.Task, ino fsapi.Ino, off int64, buf []byte) (int, e
 }
 
 // CanLendPage implements core.PageLender: a page is lent when it is one
-// whole block of a direct file's data — the inode is in core (it is, for
-// any file the kernel has open), its data takes the bypass, and the page
-// lies wholly inside the file.
+// whole block of a file's data — the inode is in core (it is, for any
+// file the kernel has open), the page lies wholly inside the file, and
+// the data either takes the bypass or sits in a disk cache that lends
+// (a bentoks.BlockLender).
 func (fs *FS) CanLendPage(ino fsapi.Ino, pg int64) bool {
 	ip, ok := fs.itab.entries[uint32(ino)]
-	return ok && ip.valid && fs.dataDirect(ip) && (pg+1)*fsapi.PageSize <= int64(ip.din.Size)
+	return ok && ip.valid && ip.din.Type == layout.TypeFile &&
+		(fs.cfg.DataBypass || fs.lender != nil) && (pg+1)*fsapi.PageSize <= int64(ip.din.Size)
 }
 
 // LendPage implements core.PageLender: Read of that page, with readi's
-// bmap and direct read but BBorrowDirect in place of BReadDirect.
+// bmap and block read, by reference — BBorrowDirect in place of
+// BReadDirect, BReadView in place of ReadBlockRange.
 func (fs *FS) LendPage(t *kernel.Task, ino fsapi.Ino, pg int64) ([]byte, error) {
 	ip := fs.iget(uint32(ino))
 	defer fs.iputOutside(t, ip)
@@ -593,8 +600,12 @@ func (fs *FS) LendPage(t *kernel.Task, ino fsapi.Ino, pg int64) ([]byte, error) 
 		return nil, err
 	}
 	var view []byte
-	if blk != 0 {
+	switch {
+	case blk == 0:
+	case fs.dataDirect(ip):
 		view, err = fs.sb.BBorrowDirect(t, int(blk))
+	default:
+		view, err = fs.lender.BReadView(t, int(blk))
 	}
 	if view == nil && err == nil {
 		view = make([]byte, fsapi.PageSize) // a hole, or mapped and never written

@@ -452,10 +452,11 @@ func (ip *Inode) writei(t *kernel.Task, off int64, buf []byte) (int, error) {
 // consecutive blocks overlap on the device queues — and never journaled;
 // metadata updates (bitmap, indirects, inode) stay in the transaction.
 // With owned set src is a run of page buffers the kernel has given up
-// (write-back) and off is page-aligned: a whole block of direct data is
-// then a whole buffer of src and goes to the device as it is instead of
-// being copied. ip is loaded; caller holds a transaction sized for the
-// write (see writeChunkBlocks).
+// (write-back) and off is page-aligned: a whole block is then a whole
+// buffer of src and is passed on as it is instead of being copied — to
+// the device as direct data (BWriteOwned), to the disk as the journaled
+// block otherwise (BAdopt). ip is loaded; caller holds a transaction
+// sized for the write (see writeChunkBlocks).
 func (ip *Inode) writev(t *kernel.Task, off int64, src [][]byte, total int64, owned bool) (int, error) {
 	if off < 0 {
 		return 0, fsapi.ErrInvalid
@@ -525,21 +526,10 @@ func (ip *Inode) writev(t *kernel.Task, off int64, src [][]byte, total int64, ow
 			done += n
 			continue
 		}
-		var bh bentoksBuffer
-		if n == layout.BlockSize {
-			bh, err = ip.fs.sb.BReadNoFill(t, int(blk))
-		} else {
-			bh, err = ip.fs.sb.BRead(t, int(blk))
-		}
+		bh, err := ip.bufferedWrite(t, blk, bo, from, owned)
 		if err != nil {
 			return int(done), err
 		}
-		data, err := bh.Data()
-		if err != nil {
-			_ = bh.Release()
-			return int(done), err
-		}
-		copy(data[bo:bo+n], from)
 		if err := ip.fs.log.Write(t, bh); err != nil {
 			_ = bh.Release()
 			return int(done), err
@@ -554,6 +544,35 @@ func (ip *Inode) writev(t *kernel.Task, off int64, src [][]byte, total int64, ow
 		ip.din.Size = uint64(end)
 	}
 	return int(done), ip.iupdate(t)
+}
+
+// bufferedWrite returns block blk, held, with from written at bo — the
+// journal-everything data path. A whole block overwrites without a read,
+// and when it is a page the kernel gave up (owned) the disk may keep the
+// page itself as the block (BAdopt).
+func (ip *Inode) bufferedWrite(t *kernel.Task, blk uint32, bo int64, from []byte, owned bool) (bentoksBuffer, error) {
+	sb := ip.fs.sb
+	whole := len(from) == layout.BlockSize
+	if whole && owned {
+		return sb.BAdopt(t, int(blk), from)
+	}
+	var bh bentoksBuffer
+	var err error
+	if whole {
+		bh, err = sb.BReadNoFill(t, int(blk))
+	} else {
+		bh, err = sb.BRead(t, int(blk))
+	}
+	if err != nil {
+		return nil, err
+	}
+	data, err := bh.Data()
+	if err != nil {
+		_ = bh.Release()
+		return nil, err
+	}
+	copy(data[bo:], from)
+	return bh, nil
 }
 
 // stat converts the in-core inode to fsapi.Stat. ip is loaded.

@@ -88,19 +88,10 @@ func (l *Log) Recover(t *kernel.Task) error {
 			if err != nil {
 				return err
 			}
-			dst, err := sb.BReadNoFill(t, int(lh.Blocks[i]))
+			dst, err := sb.BClone(t, int(lh.Blocks[i]), src)
 			if err != nil {
 				return err
 			}
-			sdata, err := src.Data()
-			if err != nil {
-				return err
-			}
-			ddata, err := dst.Data()
-			if err != nil {
-				return err
-			}
-			copy(ddata, sdata)
 			done, err := dst.SubmitWrite(t)
 			if err != nil {
 				return err
@@ -243,7 +234,8 @@ func (l *Log) ForceCommit(t *kernel.Task) error {
 // commit is xv6's four-step commit: copy dirty home blocks into the log
 // region (synchronous writes, one per block, like xv6's bwrite), write
 // the header (the commit point), install the blocks home, and clear the
-// header.
+// header. The log copy is the disk's BClone, which shares a home block's
+// contents instead of copying them when they are immutable.
 func (l *Log) commit(t *kernel.Task, blocks []uint32) error {
 	sb := l.fs.sb
 
@@ -255,19 +247,10 @@ func (l *Log) commit(t *kernel.Task, blocks []uint32) error {
 		if err != nil {
 			return err
 		}
-		dst, err := sb.BReadNoFill(t, int(l.start+1+uint32(i)))
+		dst, err := sb.BClone(t, int(l.start+1+uint32(i)), src)
 		if err != nil {
 			return err
 		}
-		sdata, err := src.Data()
-		if err != nil {
-			return err
-		}
-		ddata, err := dst.Data()
-		if err != nil {
-			return err
-		}
-		copy(ddata, sdata)
 		if err := dst.WriteSync(t); err != nil {
 			return err
 		}

@@ -115,17 +115,19 @@ func TestReadPageFillsEveryByte(t *testing.T) {
 }
 
 // TestLendPageMatchesReadPage holds kernel.PageLender's contract on every
-// implementation (core.BentoFS over bentoimpl, vfsimpl, ext4): LendPage
-// returns nil — and has then consumed nothing — or exactly the PageSize
-// bytes ReadPage writes, at the same virtual instant, with the same
-// counters and the same trace events. Two identical traced targets are
-// built side by side; one fills each page through ReadPage, the other
-// through LendPage with the fallback the page cache uses, and the two must
-// stay indistinguishable. The file has full pages, a hole, a sub-page (and
-// so sub-block) tail, and a page whose tail a truncate cleared before the
-// file grew again; the caches are dropped first, so the block map is read
-// from the device on the way. Lent views are kept and checked once more
-// at the end, after the file has been overwritten, truncated and removed.
+// implementation (core.BentoFS over bentoimpl, vfsimpl, ext4, and the FUSE
+// driver, whose daemon lends from its userspace disk), on both storage
+// backends: LendPage returns nil — and has then consumed nothing — or
+// exactly the PageSize bytes ReadPage writes, at the same virtual instant,
+// with the same counters and the same trace events. Two identical traced
+// targets are built side by side; one fills each page through ReadPage,
+// the other through LendPage with the fallback the page cache uses, and
+// the two must stay indistinguishable. The file has full pages, a hole, a
+// sub-page (and so sub-block) tail, and a page whose tail a truncate
+// cleared before the file grew again; the caches are dropped first, so
+// the block map is read from the device on the way. Lent views are kept
+// and checked once more at the end, after the file has been overwritten,
+// truncated and removed.
 func TestLendPageMatchesReadPage(t *testing.T) {
 	const ps = fsapi.PageSize
 	pattern := func(n int, salt byte) []byte {
@@ -148,9 +150,10 @@ func TestLendPageMatchesReadPage(t *testing.T) {
 	// (past the inode's direct blocks, so bmap reads an indirect block);
 	// page 20: the last 100 bytes. The kernel's size is larger still, from
 	// a byte that is never written back.
-	build := func(t *testing.T, variant string) *side {
+	build := func(t *testing.T, variant, backend string) *side {
 		o := harness.Quick()
 		o.Metrics = true
+		o.Backend = backend
 		tgt, err := harness.NewTarget(variant, o)
 		if err != nil {
 			t.Fatal(err)
@@ -185,94 +188,95 @@ func TestLendPageMatchesReadPage(t *testing.T) {
 
 	for _, variant := range allocVariants {
 		t.Run(variant, func(t *testing.T) {
-			copied, lent := build(t, variant), build(t, variant)
-			lender, ok := lent.m.FS().(kernel.PageLender)
-			if !ok {
-				if variant != harness.VariantFUSE {
-					t.Fatalf("%s does not lend pages", variant)
-				}
-				return // the wire copies; nothing to hold to the contract
-			}
-			type kept struct {
-				idx  int64
-				view []byte
-				want []byte
-			}
-			var views []kept
-			buf, other := make([]byte, ps), make([]byte, ps)
-			for _, idx := range pages {
-				for i := range buf {
-					buf[i], other[i] = 0xA5, 0x5A
-				}
-				if err := copied.m.FS().ReadPage(copied.task, copied.ino, idx, buf); err != nil {
-					t.Fatalf("ReadPage(%d): %v", idx, err)
-				}
-				before := lent.task.Clk.NowNS()
-				events := len(lent.k.Recorder().Events())
-				view, err := lender.LendPage(lent.task, lent.ino, idx)
-				if err != nil {
-					t.Fatalf("LendPage(%d): %v", idx, err)
-				}
-				if (view != nil) != lendable[idx] {
-					t.Errorf("page %d: lent=%v, want %v", idx, view != nil, lendable[idx])
-				}
-				if view == nil {
-					if now := lent.task.Clk.NowNS(); now != before || len(lent.k.Recorder().Events()) != events {
-						t.Fatalf("page %d: a refused LendPage consumed %d ns and recorded %d events", idx, now-before, len(lent.k.Recorder().Events())-events)
+			for _, backend := range harness.Backends {
+				t.Run(backend, func(t *testing.T) {
+					copied, lent := build(t, variant, backend), build(t, variant, backend)
+					lender, ok := lent.m.FS().(kernel.PageLender)
+					if !ok {
+						t.Fatalf("%s does not lend pages", variant)
 					}
-					if err := lent.m.FS().ReadPage(lent.task, lent.ino, idx, other); err != nil {
-						t.Fatalf("ReadPage(%d) after a refused LendPage: %v", idx, err)
+					type kept struct {
+						idx  int64
+						view []byte
+						want []byte
 					}
-					view = other
-				} else {
-					if len(view) != ps {
-						t.Fatalf("page %d lent as %d bytes", idx, len(view))
+					var views []kept
+					buf, other := make([]byte, ps), make([]byte, ps)
+					for _, idx := range pages {
+						for i := range buf {
+							buf[i], other[i] = 0xA5, 0x5A
+						}
+						if err := copied.m.FS().ReadPage(copied.task, copied.ino, idx, buf); err != nil {
+							t.Fatalf("ReadPage(%d): %v", idx, err)
+						}
+						before := lent.task.Clk.NowNS()
+						events := len(lent.k.Recorder().Events())
+						view, err := lender.LendPage(lent.task, lent.ino, idx)
+						if err != nil {
+							t.Fatalf("LendPage(%d): %v", idx, err)
+						}
+						if (view != nil) != lendable[idx] {
+							t.Errorf("page %d: lent=%v, want %v", idx, view != nil, lendable[idx])
+						}
+						if view == nil {
+							if now := lent.task.Clk.NowNS(); now != before || len(lent.k.Recorder().Events()) != events {
+								t.Fatalf("page %d: a refused LendPage consumed %d ns and recorded %d events", idx, now-before, len(lent.k.Recorder().Events())-events)
+							}
+							if err := lent.m.FS().ReadPage(lent.task, lent.ino, idx, other); err != nil {
+								t.Fatalf("ReadPage(%d) after a refused LendPage: %v", idx, err)
+							}
+							view = other
+						} else {
+							if len(view) != ps {
+								t.Fatalf("page %d lent as %d bytes", idx, len(view))
+							}
+							views = append(views, kept{idx, view, bytes.Clone(view)})
+						}
+						if !bytes.Equal(view, buf) {
+							t.Errorf("page %d: LendPage and ReadPage disagree", idx)
+						}
+						if idx == 5 && !bytes.Equal(buf, make([]byte, ps)) {
+							t.Errorf("page 5, freed by the truncate, does not read as zeros")
+						}
+						if a, b := copied.task.Clk.NowNS(), lent.task.Clk.NowNS(); a != b {
+							t.Fatalf("page %d: clock %d after ReadPage, %d after LendPage", idx, a, b)
+						}
+						if a, b := copied.k.Recorder().Counters(), lent.k.Recorder().Counters(); !reflect.DeepEqual(a, b) {
+							t.Fatalf("page %d: counters differ:\nReadPage %v\nLendPage %v", idx, a, b)
+						}
+						if a, b := copied.k.Recorder().Events(), lent.k.Recorder().Events(); !reflect.DeepEqual(a, b) {
+							t.Fatalf("page %d: trace events differ (%d after ReadPage, %d after LendPage)", idx, len(a), len(b))
+						}
 					}
-					views = append(views, kept{idx, view, bytes.Clone(view)})
-				}
-				if !bytes.Equal(view, buf) {
-					t.Errorf("page %d: LendPage and ReadPage disagree", idx)
-				}
-				if idx == 5 && !bytes.Equal(buf, make([]byte, ps)) {
-					t.Errorf("page 5, freed by the truncate, does not read as zeros")
-				}
-				if a, b := copied.task.Clk.NowNS(), lent.task.Clk.NowNS(); a != b {
-					t.Fatalf("page %d: clock %d after ReadPage, %d after LendPage", idx, a, b)
-				}
-				if a, b := copied.k.Recorder().Counters(), lent.k.Recorder().Counters(); !reflect.DeepEqual(a, b) {
-					t.Fatalf("page %d: counters differ:\nReadPage %v\nLendPage %v", idx, a, b)
-				}
-				if a, b := copied.k.Recorder().Events(), lent.k.Recorder().Events(); !reflect.DeepEqual(a, b) {
-					t.Fatalf("page %d: trace events differ (%d after ReadPage, %d after LendPage)", idx, len(a), len(b))
-				}
-			}
-			// A view is the caller's for as long as it holds it.
-			s := lent
-			if _, err := s.f.PWrite(s.task, pattern(21*ps, 0xFF), 0); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.f.FSync(s.task); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.f.Truncate(s.task, 0); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.m.Close(s.task, s.f); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.m.Unlink(s.task, "/f"); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.m.WriteFile(s.task, "/g", pattern(24*ps, 0x33)); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.m.Sync(s.task); err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range views {
-				if !bytes.Equal(v.view, v.want) {
-					t.Errorf("the view of page %d changed after it was lent", v.idx)
-				}
+					// A view is the caller's for as long as it holds it.
+					s := lent
+					if _, err := s.f.PWrite(s.task, pattern(21*ps, 0xFF), 0); err != nil {
+						t.Fatal(err)
+					}
+					if err := s.f.FSync(s.task); err != nil {
+						t.Fatal(err)
+					}
+					if err := s.f.Truncate(s.task, 0); err != nil {
+						t.Fatal(err)
+					}
+					if err := s.m.Close(s.task, s.f); err != nil {
+						t.Fatal(err)
+					}
+					if err := s.m.Unlink(s.task, "/f"); err != nil {
+						t.Fatal(err)
+					}
+					if err := s.m.WriteFile(s.task, "/g", pattern(24*ps, 0x33)); err != nil {
+						t.Fatal(err)
+					}
+					if err := s.m.Sync(s.task); err != nil {
+						t.Fatal(err)
+					}
+					for _, v := range views {
+						if !bytes.Equal(v.view, v.want) {
+							t.Errorf("the view of page %d changed after it was lent", v.idx)
+						}
+					}
+				})
 			}
 		})
 	}
