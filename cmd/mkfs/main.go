@@ -1,12 +1,21 @@
-// mkfs formats a simulated device image with an xv6 or ext4 file system
-// and writes it to a host file, so disk tools (fsck, fsshell) can operate
-// on persistent images.
+// mkfs formats a simulated device with an empty xv6 file system and
+// writes it to a host file as a sparse "BIMG" image (only non-zero blocks
+// are stored), which cmd/fsck checks.
+//
+// Usage:
+//
+//	mkfs [-o disk.img] [-blocks 65536] [-ninodes 4096]
+//
+// The process exits 2 on invalid flags and 1 if formatting or writing
+// the image fails — including an inode count layout.Mkfs rejects (fewer
+// than 2, or more than the device can hold).
 package main
 
 import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"bento/internal/blockdev"
@@ -16,11 +25,29 @@ import (
 	"bento/internal/xv6/layout"
 )
 
+// validateFlags fails fast on a value the image cannot carry: a
+// non-positive -blocks, or a -blocks or -ninodes beyond the 32 bits the
+// image header and the superblock store (converting would silently
+// truncate it).
+func validateFlags(blocks int, ninodes uint) error {
+	if blocks <= 0 || uint64(blocks) > math.MaxUint32 {
+		return fmt.Errorf("-blocks %d: want a block count in [1, %d]", blocks, uint64(math.MaxUint32))
+	}
+	if uint64(ninodes) > math.MaxUint32 {
+		return fmt.Errorf("-ninodes %d: want an inode count of at most %d", ninodes, uint64(math.MaxUint32))
+	}
+	return nil
+}
+
 func main() {
 	out := flag.String("o", "disk.img", "output image path")
 	blocks := flag.Int("blocks", 65536, "device size in 4K blocks")
 	ninodes := flag.Uint("ninodes", 4096, "inode table size")
 	flag.Parse()
+	if err := validateFlags(*blocks, *ninodes); err != nil {
+		fmt.Fprintln(os.Stderr, "mkfs:", err)
+		os.Exit(2)
+	}
 
 	model := costmodel.Fast()
 	dev := blockdev.MustNew(blockdev.Config{Blocks: *blocks, Model: model})

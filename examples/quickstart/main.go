@@ -9,9 +9,8 @@ import (
 
 	"bento/internal/blockdev"
 	"bento/internal/costmodel"
+	"bento/internal/harness"
 	"bento/internal/kernel"
-	"bento/internal/vclock"
-	"bento/internal/xv6/bentoimpl"
 	"bento/internal/xv6/layout"
 )
 
@@ -20,15 +19,10 @@ func main() {
 	k := kernel.New(costmodel.Default())
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 16384})
 
-	// mkfs, insert the module, mount.
-	if _, err := layout.Mkfs(vclock.NewClock(), dev, 1024); err != nil {
-		log.Fatal(err)
-	}
-	if err := bentoimpl.RegisterWith(k, "xv6", bentoimpl.Config{}); err != nil {
-		log.Fatal(err)
-	}
+	// mkfs with 1024 inodes, insert the module, mount — configured as
+	// the benchmark mounts Bento.
 	task := k.NewTask("main")
-	m, err := k.Mount(task, "xv6", "/", dev)
+	m, err := harness.Mount(k, task, dev, harness.VariantBento, harness.Published(harness.VariantBento), 1024)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,23 +11,16 @@ import (
 	"bento/internal/core"
 	"bento/internal/costmodel"
 	"bento/internal/fsapi"
+	"bento/internal/harness"
 	"bento/internal/kernel"
-	"bento/internal/vclock"
 	"bento/internal/xv6/bentoimpl"
-	"bento/internal/xv6/layout"
 )
 
 func main() {
 	k := kernel.New(costmodel.Default())
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 16384})
-	if _, err := layout.Mkfs(vclock.NewClock(), dev, 1024); err != nil {
-		log.Fatal(err)
-	}
-	if err := bentoimpl.RegisterWith(k, "xv6", bentoimpl.Config{}); err != nil {
-		log.Fatal(err)
-	}
 	task := k.NewTask("app")
-	m, err := k.Mount(task, "xv6", "/", dev)
+	m, err := harness.Mount(k, task, dev, harness.VariantBento, harness.Published(harness.VariantBento), 1024)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,9 +38,10 @@ func main() {
 	}
 
 	// Operator upgrades the module — no unmount, no application restart.
+	// The replacement is built with the running module's configuration.
 	shim := m.FS().(*core.BentoFS)
 	before := task.Clk.Now()
-	if err := shim.Upgrade(task, bentoimpl.New(bentoimpl.Config{})); err != nil {
+	if err := shim.Upgrade(task, bentoimpl.New(shim.Inner().(*bentoimpl.FS).Config())); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("upgrade complete: generation %d, pause %v\n",

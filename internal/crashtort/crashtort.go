@@ -25,13 +25,12 @@
 // structural layout.Fsck must come back clean. Any violation is a
 // Failure carrying the replayable Point.
 //
-// The sweep runs the three journaled variants (bentoimpl with
-// PolicyFlush, vfsimpl with FlushCommits, ext4 with barriers) and the
-// FUSE daemon exactly as the benchmark mounts it (bentoimpl with
-// PolicyFlush over the userspace disk, behind the FUSE driver). Config.
-// NoBarriers deliberately removes each variant's ordering discipline;
-// a sweep then MUST produce failures at keep=0 — the self-test that the
-// harness catches broken journal ordering (see cmd/crashtort -selftest).
+// Every variant is mounted by harness.Mount, the builder the benchmark
+// mounts through, with barriers on and the bypass off
+// (docs/upgrade-and-crash.md tabulates what each variant mounts where).
+// Config.NoBarriers turns the barriers off; a sweep then MUST produce
+// failures at keep=0 — the self-test that the harness catches broken
+// journal ordering (see cmd/crashtort -selftest).
 package crashtort
 
 import (
@@ -42,31 +41,34 @@ import (
 	"strings"
 
 	"bento/internal/blockdev"
-	"bento/internal/core"
 	"bento/internal/costmodel"
-	"bento/internal/ext4"
 	"bento/internal/fsapi"
-	"bento/internal/fuse"
+	"bento/internal/harness"
 	"bento/internal/kernel"
-	"bento/internal/vclock"
-	"bento/internal/xv6/bentoimpl"
 	"bento/internal/xv6/layout"
-	"bento/internal/xv6/vfsimpl"
 )
 
-// Variant names a file system under torture.
+// Variant names a file system under torture by its replay id.
 type Variant string
 
 // The variants the sweep covers.
 const (
-	Bento Variant = "bento" // xv6 on the Bento framework, PolicyFlush
-	VFS   Variant = "vfs"   // xv6 against the VFS layer, FlushCommits
-	Ext4  Variant = "ext4"  // ext4 data=journal, barriers on
-	FUSE  Variant = "fuse"  // xv6 in the FUSE daemon, PolicyFlush
+	Bento Variant = "bento"
+	VFS   Variant = "vfs"
+	Ext4  Variant = "ext4"
+	FUSE  Variant = "fuse"
 )
 
 // AllVariants lists every variant Sweep covers.
 var AllVariants = []Variant{Bento, VFS, Ext4, FUSE}
+
+// harnessVariant maps each replay id onto the harness variant it mounts.
+var harnessVariant = map[Variant]string{
+	Bento: harness.VariantBento,
+	VFS:   harness.VariantCKernel,
+	Ext4:  harness.VariantExt4,
+	FUSE:  harness.VariantFUSE,
+}
 
 // Config parameterizes a sweep.
 type Config struct {
@@ -76,9 +78,9 @@ type Config struct {
 	Keep      float64          // volatile-cache retention at the cut, in [0, 1] (0 and 1 are the extremes)
 	Model     *costmodel.Model // defaults to costmodel.Fast()
 
-	// NoBarriers strips the variant's write-ordering discipline
-	// (PolicyWriteBack / FlushCommits=false / barrier=0). A keep=0 sweep
-	// must then fail — the fuzzer's self-test.
+	// NoBarriers mounts the variant without FLUSH barriers
+	// (harness.MountConfig.Barriers off). A keep=0 sweep must then fail —
+	// the fuzzer's self-test.
 	NoBarriers bool
 }
 
@@ -157,9 +159,7 @@ func ParseID(id string) (Point, error) {
 // Device.Crash would clamp while the report and the point ids carried
 // the raw value.
 func (c Config) validate() error {
-	switch c.Variant {
-	case Bento, VFS, Ext4, FUSE:
-	default:
+	if _, ok := harnessVariant[c.Variant]; !ok {
 		return fmt.Errorf("unknown variant %q (valid: bento, vfs, ext4, fuse)", c.Variant)
 	}
 	if !(c.Keep >= 0 && c.Keep <= 1) {
@@ -191,71 +191,22 @@ type Result struct {
 // OK reports whether every crash point recovered.
 func (r Result) OK() bool { return len(r.Failures) == 0 }
 
-// mountVariant builds a fresh kernel over dev, registers the variant
-// with its crash-ordering config, and mounts it (journal recovery runs
-// inside mount). format also mkfs's the device first. No background I/O
-// daemon is attached: the scripted workload is single-task, so the
-// device command stream is a pure function of the script.
-func mountVariant(cfg Config, dev *blockdev.Device, format bool) (*kernel.Mount, *kernel.Task, error) {
+// mount mounts cfg.Variant over dev on a fresh kernel through the
+// harness's builder, barriers on unless cfg.NoBarriers and the bypass
+// off (journal recovery runs inside the mount). format also mkfs's the
+// device first. No background I/O daemon is attached: the scripted
+// workload is single-task, so the device command stream is a pure
+// function of the script.
+func mount(cfg Config, dev *blockdev.Device, format bool) (*kernel.Mount, *kernel.Task, error) {
 	k := kernel.New(cfg.Model)
 	task := k.NewTask("crashtort")
-	pol := bentoimpl.PolicyFlush
-	if cfg.NoBarriers {
-		pol = bentoimpl.PolicyWriteBack
+	var ninodes uint32
+	if format {
+		ninodes = cfg.NInodes
 	}
-	switch cfg.Variant {
-	case Bento:
-		if format {
-			if _, err := layout.Mkfs(vclock.NewClock(), dev, cfg.NInodes); err != nil {
-				return nil, nil, err
-			}
-		}
-		if err := bentoimpl.RegisterWith(k, "xv6", bentoimpl.Config{Policy: pol}); err != nil {
-			return nil, nil, err
-		}
-		m, err := k.Mount(task, "xv6", "/", dev)
-		return m, task, err
-
-	case FUSE:
-		if format {
-			if _, err := layout.Mkfs(vclock.NewClock(), dev, cfg.NInodes); err != nil {
-				return nil, nil, err
-			}
-		}
-		ft := fuse.Type{Factory: func() core.FileSystem {
-			return bentoimpl.New(bentoimpl.Config{Policy: pol})
-		}}
-		if err := k.Register(ft); err != nil {
-			return nil, nil, err
-		}
-		m, err := k.Mount(task, "fuse", "/", dev)
-		return m, task, err
-
-	case VFS:
-		if format {
-			if _, err := layout.Mkfs(vclock.NewClock(), dev, cfg.NInodes); err != nil {
-				return nil, nil, err
-			}
-		}
-		if err := k.Register(vfsimpl.Type{Cfg: vfsimpl.Config{FlushCommits: !cfg.NoBarriers}}); err != nil {
-			return nil, nil, err
-		}
-		m, err := k.Mount(task, "xv6vfs", "/", dev)
-		return m, task, err
-
-	case Ext4:
-		if format {
-			if err := ext4.Mkfs(task, dev, cfg.NInodes); err != nil {
-				return nil, nil, err
-			}
-		}
-		if err := k.Register(ext4.Type{Cfg: ext4.Config{NoBarriers: cfg.NoBarriers}}); err != nil {
-			return nil, nil, err
-		}
-		m, err := k.Mount(task, "ext4", "/", dev)
-		return m, task, err
-	}
-	return nil, nil, fmt.Errorf("crashtort: unknown variant %q", cfg.Variant)
+	m, err := harness.Mount(k, task, dev, harnessVariant[cfg.Variant],
+		harness.MountConfig{Barriers: !cfg.NoBarriers}, ninodes)
+	return m, task, err
 }
 
 func newDev(cfg Config) (*blockdev.Device, error) {
@@ -275,7 +226,7 @@ func Sweep(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	m, task, err := mountVariant(cfg, dev, true)
+	m, task, err := mount(cfg, dev, true)
 	if err != nil {
 		return Result{}, fmt.Errorf("crashtort: golden mount %s: %w", cfg.Variant, err)
 	}
@@ -315,7 +266,7 @@ func RunPoint(cfg Config, k int64) error {
 	if err != nil {
 		return err
 	}
-	m, task, err := mountVariant(cfg, dev, true)
+	m, task, err := mount(cfg, dev, true)
 	if err != nil {
 		return fmt.Errorf("setup mount: %w", err)
 	}
@@ -337,7 +288,7 @@ func RunPoint(cfg Config, k int64) error {
 // the oracle's guarantees, a full tree walk, and (for the xv6-layout
 // variants) a structural fsck.
 func verify(cfg Config, dev *blockdev.Device, o *oracle) error {
-	m, task, err := mountVariant(cfg, dev, false)
+	m, task, err := mount(cfg, dev, false)
 	if err != nil {
 		return fmt.Errorf("recovery mount: %w", err)
 	}

@@ -162,7 +162,7 @@ func TestMidUpgradeCrashRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, task, err := mountVariant(cfg, dev, true)
+		m, task, err := mount(cfg, dev, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,11 +179,12 @@ func TestMidUpgradeCrashRecovery(t *testing.T) {
 
 	// Golden run fixes the upgrade window's command count.
 	s, shim := setup()
-	next := func() *bentoimpl.FS {
-		return bentoimpl.New(bentoimpl.Config{Policy: bentoimpl.PolicyFlush})
+	// The replacement runs the module the sweep's config mounted.
+	next := func(shim *core.BentoFS) *bentoimpl.FS {
+		return bentoimpl.New(shim.Inner().(*bentoimpl.FS).Config())
 	}
 	w0 := s.dev.WriteCmds()
-	if err := shim.Upgrade(s.t, next()); err != nil {
+	if err := shim.Upgrade(s.t, next(shim)); err != nil {
 		t.Fatal(err)
 	}
 	n := s.dev.WriteCmds() - w0
@@ -195,13 +196,13 @@ func TestMidUpgradeCrashRecovery(t *testing.T) {
 	for k := int64(1); k <= n; k++ {
 		s, shim := setup()
 		s.dev.ArmPowerCut(k)
-		_ = shim.Upgrade(s.t, next()) // dies with the power at some point
+		_ = shim.Upgrade(s.t, next(shim)) // dies with the power at some point
 		if !s.dev.PowerOut() {
 			t.Fatalf("k=%d: cut never tripped inside the upgrade", k)
 		}
 		s.dev.Crash(0, k)
 		s.dev.DisarmPowerCut()
-		m2, task2, err := mountVariant(cfg, s.dev, false)
+		m2, task2, err := mount(cfg, s.dev, false)
 		if err != nil {
 			t.Fatalf("k=%d: recovery mount: %v", k, err)
 		}

@@ -10,19 +10,12 @@ import (
 	"time"
 
 	"bento/internal/blockdev"
-	"bento/internal/core"
 	"bento/internal/costmodel"
-	"bento/internal/ext4"
 	"bento/internal/filebench"
-	"bento/internal/fuse"
 	"bento/internal/iodaemon"
 	"bento/internal/kernel"
 	"bento/internal/netstore"
 	"bento/internal/trace"
-	"bento/internal/vclock"
-	"bento/internal/xv6/bentoimpl"
-	"bento/internal/xv6/layout"
-	"bento/internal/xv6/vfsimpl"
 )
 
 // Variant names, matching the paper's bar labels.
@@ -119,13 +112,6 @@ type Options struct {
 	noBypass bool
 }
 
-// bentoConfig is the benchmarked Bento mount's configuration: NewTarget
-// mounts it and the live-upgrade cell swaps in a module built from it, so
-// the upgrade cannot drift from the mount it upgrades.
-func bentoConfig(o Options) bentoimpl.Config {
-	return bentoimpl.Config{Policy: bentoimpl.PolicyWriteBack, DataBypass: !o.noBypass}
-}
-
 // traced reports whether cells carry a trace recorder.
 func (o Options) traced() bool { return o.Metrics || o.TraceDir != "" }
 
@@ -158,13 +144,12 @@ func Quick() Options {
 	return o
 }
 
-// NewTarget mkfs's a fresh device and mounts the named variant on it.
-// Every in-kernel variant gets the background I/O subsystem
-// (internal/iodaemon: read-ahead + write-back flusher) and, unless the
-// cell's noBypass is set, single-copy data caching (file contents bypass
-// the buffer cache); the FUSE variant gets neither — a userspace file
-// system sits in front of none of these mechanisms, which is the
-// asymmetry the paper measures.
+// NewTarget mkfs's a fresh device and mounts the named variant on it
+// with its Published config, the bypass off in the cell's noBypass case.
+// Every in-kernel variant also gets the background I/O subsystem
+// (internal/iodaemon: read-ahead + write-back flusher); the FUSE variant
+// does not — a userspace file system sits in front of none of these
+// mechanisms, which is the asymmetry the paper measures.
 func NewTarget(variant string, o Options) (filebench.Target, error) {
 	k := kernel.New(o.Model)
 	if o.traced() {
@@ -190,77 +175,17 @@ func NewTarget(variant string, o Options) (filebench.Target, error) {
 		return filebench.Target{}, err
 	}
 	dev.SetRecorder(k.Recorder())
-	task := k.NewTask("mount")
 
-	kernelMount := func(m *kernel.Mount) filebench.Target {
+	mc := Published(variant)
+	mc.Bypass = !o.noBypass
+	m, err := Mount(k, k.NewTask("mount"), dev, variant, mc, o.NInodes)
+	if err != nil {
+		return filebench.Target{}, err
+	}
+	if variant != VariantFUSE {
 		m.EnableIODaemon(iodaemon.Config{})
-		return filebench.Target{K: k, M: m}
 	}
-
-	switch variant {
-	case VariantBento:
-		if _, err := layout.Mkfs(vclock.NewClock(), dev, o.NInodes); err != nil {
-			return filebench.Target{}, err
-		}
-		if err := bentoimpl.RegisterWith(k, "xv6", bentoConfig(o)); err != nil {
-			return filebench.Target{}, err
-		}
-		m, err := k.Mount(task, "xv6", "/", dev)
-		if err != nil {
-			return filebench.Target{}, err
-		}
-		return kernelMount(m), nil
-
-	case VariantCKernel:
-		if _, err := layout.Mkfs(vclock.NewClock(), dev, o.NInodes); err != nil {
-			return filebench.Target{}, err
-		}
-		if err := k.Register(vfsimpl.Type{Cfg: vfsimpl.Config{DataBypass: !o.noBypass}}); err != nil {
-			return filebench.Target{}, err
-		}
-		m, err := k.Mount(task, "xv6vfs", "/", dev)
-		if err != nil {
-			return filebench.Target{}, err
-		}
-		return kernelMount(m), nil
-
-	case VariantFUSE:
-		if _, err := layout.Mkfs(vclock.NewClock(), dev, o.NInodes); err != nil {
-			return filebench.Target{}, err
-		}
-		// The daemon hosts the same xv6 code as the Bento variant; a
-		// userspace file system can only order its log with fsync, so it
-		// runs with the flush policy.
-		ft := fuse.Type{Factory: func() core.FileSystem {
-			return bentoimpl.New(bentoimpl.Config{Policy: bentoimpl.PolicyFlush})
-		}}
-		if err := k.Register(ft); err != nil {
-			return filebench.Target{}, err
-		}
-		m, err := k.Mount(task, "fuse", "/", dev)
-		if err != nil {
-			return filebench.Target{}, err
-		}
-		return filebench.Target{K: k, M: m}, nil
-
-	case VariantExt4:
-		if err := ext4.Mkfs(task, dev, o.NInodes); err != nil {
-			return filebench.Target{}, err
-		}
-		// Like the xv6 kernel variants, the benchmarked ext4 relies on
-		// completed writes rather than FLUSH barriers (one durability
-		// discipline for all in-kernel file systems; only FUSE must pay
-		// fsync-to-FLUSH, having no other ordering primitive).
-		if err := k.Register(ext4.Type{Cfg: ext4.Config{NoBarriers: true, DataBypass: !o.noBypass}}); err != nil {
-			return filebench.Target{}, err
-		}
-		m, err := k.Mount(task, "ext4", "/", dev)
-		if err != nil {
-			return filebench.Target{}, err
-		}
-		return kernelMount(m), nil
-	}
-	return filebench.Target{}, fmt.Errorf("harness: unknown variant %q", variant)
+	return filebench.Target{K: k, M: m}, nil
 }
 
 // Table renders rows×columns of measurements as fixed-width text.

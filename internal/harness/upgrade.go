@@ -44,7 +44,7 @@ func upgradePlan(o Options) *plan {
 			Swap: func(task *kernel.Task) error {
 				// The replacement is the same module built with the mount's
 				// configuration — the "fix deployed to a live fleet" shape.
-				return shim.Upgrade(task, bentoimpl.New(bentoConfig(o)))
+				return shim.Upgrade(task, bentoimpl.New(shim.Inner().(*bentoimpl.FS).Config()))
 			},
 		})
 		if err != nil {

@@ -10,7 +10,10 @@ import (
 
 // TestUpgradeAblation measures the §4.8 online-upgrade pause on a live
 // Bento mount and verifies it is bounded (well under a second of virtual
-// time) while data written before the swap survives.
+// time) while data written before the swap survives, and that the
+// replacement, built from the mount's config, keeps the benchmarked
+// single-copy data path: file data written after the swap still goes
+// around the buffer cache.
 func TestUpgradeAblation(t *testing.T) {
 	tg, err := harness.NewTarget(harness.VariantBento, harness.Quick())
 	if err != nil {
@@ -25,7 +28,7 @@ func TestUpgradeAblation(t *testing.T) {
 	}
 	shim := tg.M.FS().(*core.BentoFS)
 	before := task.Clk.Now()
-	if err := shim.Upgrade(task, bentoimpl.New(bentoimpl.Config{})); err != nil {
+	if err := shim.Upgrade(task, bentoimpl.New(shim.Inner().(*bentoimpl.FS).Config())); err != nil {
 		t.Fatal(err)
 	}
 	pause := task.Clk.Now() - before
@@ -36,6 +39,17 @@ func TestUpgradeAblation(t *testing.T) {
 	got, err := tg.M.ReadFile(task, "/pre")
 	if err != nil || string(got) != "pre-upgrade data" {
 		t.Fatalf("post-upgrade read: %q %v", got, err)
+	}
+
+	direct := shim.SuperBlock().BufferCache().Stats().DirectWrites
+	if err := tg.M.WriteFile(task, "/post", make([]byte, 64<<10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tg.M.Sync(task); err != nil {
+		t.Fatal(err)
+	}
+	if after := shim.SuperBlock().BufferCache().Stats().DirectWrites; after <= direct {
+		t.Fatalf("post-upgrade write-back made no direct writes (%d -> %d): the replacement left the mount's bypass data path", direct, after)
 	}
 }
 

@@ -68,6 +68,11 @@ func RegisterWith(k *kernel.Kernel, name string, cfg Config) error {
 	return core.Register(k, name, func() core.FileSystem { return New(cfg) })
 }
 
+// Config returns the configuration fs was built with. A live upgrade
+// builds its replacement from it, so the swap keeps the mount's data path
+// and durability.
+func (fs *FS) Config() Config { return fs.cfg }
+
 // BentoName implements core.FileSystem.
 func (fs *FS) BentoName() string { return "xv6-bento" }
 

@@ -16,6 +16,7 @@ package layout
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 
 	"bento/internal/fsapi"
@@ -266,10 +267,17 @@ func DecodeLogHeader(buf []byte) LogHeader {
 }
 
 // Geometry computes a superblock for a device of size blocks with room
-// for ninodes inodes.
+// for ninodes inodes. Inode numbers start at 0, which is never used, so
+// the table needs at least 2 entries to hold the root (inode 1).
 func Geometry(size, ninodes uint32) (Superblock, error) {
 	if size < 64 {
 		return Superblock{}, fmt.Errorf("layout: device too small (%d blocks): %w", size, fsapi.ErrInvalid)
+	}
+	if ninodes <= RootIno {
+		return Superblock{}, fmt.Errorf("layout: %d inodes leave no room for the root inode: %w", ninodes, fsapi.ErrInvalid)
+	}
+	if ninodes > math.MaxUint32-(InodesPerBlock-1) {
+		return Superblock{}, fmt.Errorf("layout: %d inodes overflow the inode-table size: %w", ninodes, fsapi.ErrInvalid)
 	}
 	ninodeBlocks := (ninodes + InodesPerBlock - 1) / InodesPerBlock
 	logBlocks := uint32(LogSize + 1) // header + data

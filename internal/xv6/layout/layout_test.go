@@ -3,6 +3,8 @@ package layout
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 
 	"bento/internal/blockdev"
 	"bento/internal/costmodel"
+	"bento/internal/fsapi"
 	"bento/internal/vclock"
 )
 
@@ -106,6 +109,49 @@ func TestGeometryLayoutOrdering(t *testing.T) {
 	}
 	if _, err := Geometry(10, 64); err == nil {
 		t.Fatal("tiny device accepted")
+	}
+}
+
+// TestGeometryInodeCounts: an inode count Geometry accepts makes an
+// image Fsck passes; one that cannot — no room for the root inode, or a
+// table whose size overflows the round-up to whole blocks — is ErrInvalid
+// from Geometry and Mkfs alike, before anything is written.
+func TestGeometryInodeCounts(t *testing.T) {
+	for _, tc := range []struct {
+		ninodes uint32
+		ok      bool
+	}{
+		{0, false},
+		{1, false},
+		{2, true},
+		{InodesPerBlock, true},
+		{InodesPerBlock + 1, true},
+		{math.MaxUint32 - InodesPerBlock + 1, false}, // round-up fits; the table does not
+		{math.MaxUint32 - InodesPerBlock + 2, false}, // round-up overflows
+		{math.MaxUint32, false},
+	} {
+		const blocks = 65536
+		_, gerr := Geometry(blocks, tc.ninodes)
+		dev := blockdev.MustNew(blockdev.Config{Blocks: blocks, Model: costmodel.Fast()})
+		clk := vclock.NewClock()
+		_, merr := Mkfs(clk, dev, tc.ninodes)
+		if !tc.ok {
+			if !errors.Is(gerr, fsapi.ErrInvalid) || !errors.Is(merr, fsapi.ErrInvalid) {
+				t.Errorf("ninodes=%d: Geometry %v, Mkfs %v; want ErrInvalid from both", tc.ninodes, gerr, merr)
+			}
+			if w := dev.WriteCmds(); w != 0 {
+				t.Errorf("ninodes=%d: rejected Mkfs wrote %d commands", tc.ninodes, w)
+			}
+			continue
+		}
+		if gerr != nil || merr != nil {
+			t.Errorf("ninodes=%d: Geometry %v, Mkfs %v", tc.ninodes, gerr, merr)
+			continue
+		}
+		rep, err := Fsck(clk, dev)
+		if err != nil || !rep.OK() {
+			t.Errorf("ninodes=%d: fsck %v %v", tc.ninodes, err, rep.Errors)
+		}
 	}
 }
 

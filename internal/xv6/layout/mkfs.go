@@ -40,8 +40,7 @@ func Mkfs(clk *vclock.Clock, dev *blockdev.Device, ninodes uint32) (Superblock, 
 
 	// Zero the inode table, then install the root inode.
 	clear(buf)
-	ninodeBlocks := (ninodes + InodesPerBlock - 1) / InodesPerBlock
-	for b := sb.InodeStart; b < sb.InodeStart+ninodeBlocks; b++ {
+	for b := sb.InodeStart; b < sb.BmapStart; b++ {
 		if err := dev.Write(clk, int(b), buf); err != nil {
 			return Superblock{}, err
 		}
