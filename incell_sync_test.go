@@ -20,25 +20,27 @@ var inCellPackages = []string{
 	"internal/filebench", "internal/xv6",
 }
 
-// syncAllowed lists the only two places in those packages where two
-// host goroutines can reach the same state at the same host instant, as
+// syncAllowed lists the only place in those packages where two host
+// goroutines can reach the same state at the same host instant, as
 // file -> sync identifier -> how many times it may be named there.
 var syncAllowed = map[string]map[string]int{
 	// The scheduler parks and wakes real goroutines; its mutex is what
 	// orders every other (plain) access in the cell.
 	"internal/vclock/sched.go": {"Mutex": 1},
-	// bentoks.Semaphore: internal/buginject's AB-BA demonstration blocks
-	// two free-running goroutines on a pair of them by design.
-	"internal/bentoks/bentoks.go": {"Mutex": 2},
 }
 
-// forEachInCellFile parses every non-test Go file of inCellPackages and
-// hands it to fn with its slash-separated path.
-func forEachInCellFile(t *testing.T, fn func(path string, fset *token.FileSet, f *ast.File)) {
+// deterministicPackages are held to the determinism lint: the in-cell
+// packages, plus internal/buginject, whose bug classes run on the same
+// simulation and whose outcome table must replay exactly.
+var deterministicPackages = append(inCellPackages[:len(inCellPackages):len(inCellPackages)], "internal/buginject")
+
+// forEachFile parses every non-test Go file of pkgs and hands it to fn
+// with its slash-separated path.
+func forEachFile(t *testing.T, pkgs []string, fn func(path string, fset *token.FileSet, f *ast.File)) {
 	t.Helper()
 	fset := token.NewFileSet()
 	files := 0
-	for _, pkg := range inCellPackages {
+	for _, pkg := range pkgs {
 		err := filepath.WalkDir(pkg, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return err
@@ -83,7 +85,7 @@ func importName(f *ast.File, importPath string) string {
 // read-only tables are not shared mutable state.)
 func TestInCellCodeTakesNoHostLocks(t *testing.T) {
 	banned := map[string]bool{"Mutex": true, "RWMutex": true, "Cond": true, "NewCond": true, "Pool": true, "Map": true}
-	forEachInCellFile(t, func(path string, fset *token.FileSet, f *ast.File) {
+	forEachFile(t, inCellPackages, func(path string, fset *token.FileSet, f *ast.File) {
 		if importName(f, "sync/atomic") != "" {
 			t.Errorf("%s imports sync/atomic: in-cell state is single-owner, use plain fields", path)
 		}
@@ -123,23 +125,22 @@ var seededRand = map[string]bool{
 }
 
 // TestInCellCodeIsDeterministic is the static half of the determinism
-// contract (docs/architecture.md): no non-test file of an in-cell
-// package reads or waits on the host clock (time.Now, Since, Until,
-// Sleep, After, AfterFunc, Tick, NewTimer, NewTicker), draws from
-// math/rand's global source (a generator from rand.New stays legal), or
-// starts a goroutine outside internal/vclock, whose scheduler is the one
-// place a cell runs real goroutines. The byte-compared matrices catch a
-// violation only on the paths they happen to cover; this catches it on
-// every path. (internal/buginject stays outside inCellPackages while its
-// deadlock demonstration runs goroutines against a wall-clock timeout.)
+// contract (docs/architecture.md): no non-test file of
+// deterministicPackages reads or waits on the host clock (time.Now,
+// Since, Until, Sleep, After, AfterFunc, Tick, NewTimer, NewTicker),
+// draws from math/rand's global source (a generator from rand.New stays
+// legal), or starts a goroutine outside internal/vclock/sched.go, whose
+// scheduler is the one place a cell runs real goroutines. The
+// byte-compared matrices catch a violation only on the paths they happen
+// to cover; this catches it on every path.
 func TestInCellCodeIsDeterministic(t *testing.T) {
-	forEachInCellFile(t, func(path string, fset *token.FileSet, f *ast.File) {
+	forEachFile(t, deterministicPackages, func(path string, fset *token.FileSet, f *ast.File) {
 		timeName := importName(f, "time")
 		randName := importName(f, "math/rand")
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				if !strings.HasPrefix(path, "internal/vclock/") {
+				if path != "internal/vclock/sched.go" {
 					t.Errorf("%s: go statement — in a cell only the vclock scheduler starts goroutines; "+
 						"run concurrent work as tasks of a vclock.Group", fset.Position(n.Pos()))
 				}

@@ -17,8 +17,8 @@ package bentoks
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 
 	"bento/internal/blockdev"
 	"bento/internal/kernel"
@@ -54,6 +54,11 @@ const (
 	// OutOfBounds is an access beyond a buffer's extent — "Out of
 	// Bounds".
 	OutOfBounds
+	// Deadlock is a semaphore acquisition that can deadlock: taking a
+	// semaphore already held, or closing a cycle in the recorded lock
+	// order. Unlike the kinds above it is detected, not prevented: Rust's
+	// types do not rule it out either (the paper's remaining 7%).
+	Deadlock
 )
 
 func (k ViolationKind) String() string {
@@ -68,6 +73,8 @@ func (k ViolationKind) String() string {
 		return "forged-capability"
 	case OutOfBounds:
 		return "out-of-bounds"
+	case Deadlock:
+		return "deadlock"
 	default:
 		return "unknown"
 	}
@@ -95,6 +102,9 @@ type Checker struct {
 	outstanding map[int64]int64 // live buffer handle id -> block number
 	nextID      int64
 	violations  []Violation
+
+	held  []*Semaphore // semaphores held now, in acquisition order
+	nsems int          // semaphores created so far; names the next one
 }
 
 // NewChecker creates an enabled checker.
@@ -468,40 +478,88 @@ func (b *BufferHead) Release() error {
 // Rust file systems use for inode locks. Unlocking an unheld semaphore is
 // reported instead of corrupting scheduler state.
 //
-// It is the one type here that keeps host mutexes: the AB-BA
-// demonstration in internal/buginject blocks two free-running
-// goroutines on a pair of semaphores by design (the paper's "remaining
-// 7%"), so two goroutines do reach this state at the same instant.
+// It never blocks. Inside a cell one task runs at a time and each slice
+// runs to completion, so a semaphore is taken and dropped within one
+// slice (which makes the checker's held set the running task's), and
+// waiting for one held elsewhere could never end. Acquire checks the
+// lock order instead, in the style of Linux lockdep: holding A while
+// acquiring B records the edge A→B, and re-taking a held semaphore or
+// closing a cycle of edges is a Deadlock violation naming both
+// semaphores — reported on the first run that takes both orders, not
+// only on the interleaving that hangs.
 type Semaphore struct {
-	mu   sync.Mutex
-	held bool
-	c    *Checker
-	sem  sync.Mutex
+	held  bool
+	c     *Checker
+	id    int          // creation order within c; names it in reports
+	after []*Semaphore // order edges s→x, in first-recorded order
 }
 
-// NewSemaphore creates a semaphore tied to a checker (nil = untracked).
-func NewSemaphore(c *Checker) *Semaphore { return &Semaphore{c: c} }
+// NewSemaphore creates a semaphore tied to a checker (nil = a private
+// one, so its order is checked against no other semaphore's).
+func NewSemaphore(c *Checker) *Semaphore {
+	if c == nil {
+		c = NewChecker()
+	}
+	c.nsems++
+	return &Semaphore{c: c, id: c.nsems}
+}
 
-// Acquire takes the semaphore.
-func (s *Semaphore) Acquire() {
-	s.sem.Lock()
-	s.mu.Lock()
+func (s *Semaphore) name() string { return fmt.Sprintf("semaphore %d", s.id) }
+
+// Acquire takes the semaphore without waiting. It returns a Deadlock
+// violation when the acquisition can deadlock; the semaphore is held
+// afterwards either way, and one Release drops it.
+func (s *Semaphore) Acquire() error {
+	c := s.c
+	if s.held {
+		return c.record(Deadlock, "%s acquired while already held: nothing can run to release it", s.name())
+	}
 	s.held = true
-	s.mu.Unlock()
+	var err error
+	for _, h := range c.held {
+		if path := s.orderPath(h, map[*Semaphore]bool{}); path != nil && err == nil {
+			cycle := h.name()
+			for _, x := range path {
+				cycle += " → " + x.name()
+			}
+			err = c.record(Deadlock, "acquiring %s while holding %s closes the lock-order cycle %s",
+				s.name(), h.name(), cycle)
+		}
+		if !slices.Contains(h.after, s) {
+			h.after = append(h.after, s)
+		}
+	}
+	c.held = append(c.held, s)
+	return err
+}
+
+// orderPath returns a recorded order path from s to t, both included, or
+// nil when there is none. The walk is depth-first over edges in the order
+// they were first recorded, so the reported cycle is a function of the
+// acquisition history alone.
+func (s *Semaphore) orderPath(t *Semaphore, seen map[*Semaphore]bool) []*Semaphore {
+	if s == t {
+		return []*Semaphore{t}
+	}
+	seen[s] = true
+	for _, x := range s.after {
+		if seen[x] {
+			continue
+		}
+		if p := x.orderPath(t, seen); p != nil {
+			return append([]*Semaphore{s}, p...)
+		}
+	}
+	return nil
 }
 
 // Release drops the semaphore, reporting a violation if it is not held.
 func (s *Semaphore) Release() error {
-	s.mu.Lock()
 	if !s.held {
-		s.mu.Unlock()
-		if s.c != nil {
-			return s.c.record(DoubleRelease, "semaphore released while not held")
-		}
-		return &Violation{Kind: DoubleRelease, Msg: "semaphore released while not held"}
+		return s.c.record(DoubleRelease, "%s released while not held", s.name())
 	}
 	s.held = false
-	s.mu.Unlock()
-	s.sem.Unlock()
+	i := slices.Index(s.c.held, s) // held, so it is there
+	s.c.held = slices.Delete(s.c.held, i, i+1)
 	return nil
 }

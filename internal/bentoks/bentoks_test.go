@@ -2,6 +2,7 @@ package bentoks
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"bento/internal/blockdev"
@@ -175,15 +176,123 @@ func TestWriteThroughWrapperPersists(t *testing.T) {
 func TestSemaphoreMisuseDetected(t *testing.T) {
 	c := NewChecker()
 	s := NewSemaphore(c)
-	s.Acquire()
+	if err := s.Acquire(); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Release(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Release(); err == nil {
-		t.Fatal("release of unheld semaphore allowed")
+	if v, ok := IsViolation(s.Release()); !ok || v.Kind != DoubleRelease {
+		t.Fatal("release of unheld semaphore not reported as a double release")
 	}
 	if len(c.Violations()) != 1 {
 		t.Fatalf("violations = %v", c.Violations())
+	}
+}
+
+// section takes each semaphore in order, then releases them in reverse,
+// and returns the first violation Acquire reported.
+func section(t *testing.T, sems ...*Semaphore) error {
+	t.Helper()
+	var first error
+	for _, s := range sems {
+		if err := s.Acquire(); err != nil && first == nil {
+			first = err
+		}
+	}
+	for i := len(sems) - 1; i >= 0; i-- {
+		if err := sems[i].Release(); err != nil {
+			t.Fatalf("release of held %s: %v", sems[i].name(), err)
+		}
+	}
+	return first
+}
+
+// deadlocks returns the Deadlock violations c recorded.
+func deadlocks(c *Checker) []Violation {
+	var out []Violation
+	for _, v := range c.Violations() {
+		if v.Kind == Deadlock {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+func TestLockOrderInversionReported(t *testing.T) {
+	c := NewChecker()
+	a, b := NewSemaphore(c), NewSemaphore(c)
+	if err := section(t, a, b); err != nil {
+		t.Fatalf("first order reported: %v", err)
+	}
+	err := section(t, b, a)
+	if v, ok := IsViolation(err); !ok || v.Kind != Deadlock {
+		t.Fatalf("B then A after A then B: err = %v, want a deadlock violation", err)
+	}
+	got := deadlocks(c)
+	if len(got) != 1 || len(c.Violations()) != 1 {
+		t.Fatalf("violations = %v, want exactly one deadlock", c.Violations())
+	}
+	for _, name := range []string{"semaphore 1", "semaphore 2"} {
+		if !strings.Contains(got[0].Msg, name) {
+			t.Errorf("report %q does not name %s", got[0].Msg, name)
+		}
+	}
+}
+
+func TestLockOrderThreeCycleReported(t *testing.T) {
+	c := NewChecker()
+	a, b, d := NewSemaphore(c), NewSemaphore(c), NewSemaphore(c)
+	if section(t, a, b) != nil || section(t, b, d) != nil {
+		t.Fatalf("consistent prefix reported: %v", c.Violations())
+	}
+	if err := section(t, d, a); err == nil {
+		t.Fatal("C then A after A→B and B→C not reported")
+	}
+	got := deadlocks(c)
+	if len(got) != 1 {
+		t.Fatalf("violations = %v, want exactly one deadlock", c.Violations())
+	}
+	const cycle = "semaphore 3 → semaphore 1 → semaphore 2 → semaphore 3"
+	if !strings.Contains(got[0].Msg, cycle) {
+		t.Errorf("report %q does not spell the cycle %s", got[0].Msg, cycle)
+	}
+}
+
+func TestLockOrderConsistentIsQuiet(t *testing.T) {
+	c := NewChecker()
+	a, b := NewSemaphore(c), NewSemaphore(c)
+	for _, sems := range [][]*Semaphore{{a, b}, {a, b}, {a}, {b}} {
+		if err := section(t, sems...); err != nil {
+			t.Fatalf("consistent order reported: %v", err)
+		}
+	}
+	if v := c.Violations(); len(v) != 0 {
+		t.Fatalf("violations = %v, want none", v)
+	}
+}
+
+// TestReacquireReportedWithoutBlocking: taking a held semaphore again
+// returns a report instead of waiting for a release nothing can run to
+// make. With a blocking semaphore this test hangs until -timeout.
+func TestReacquireReportedWithoutBlocking(t *testing.T) {
+	c := NewChecker()
+	s := NewSemaphore(c)
+	if err := s.Acquire(); err != nil {
+		t.Fatal(err)
+	}
+	err := s.Acquire()
+	if v, ok := IsViolation(err); !ok || v.Kind != Deadlock || !strings.Contains(v.Msg, "semaphore 1") {
+		t.Fatalf("re-acquire: err = %v, want a deadlock violation naming semaphore 1", err)
+	}
+	if err := s.Release(); err != nil {
+		t.Fatalf("one Release after a re-acquire: %v", err)
+	}
+	if err := s.Release(); err == nil {
+		t.Fatal("semaphore still held after its Release")
+	}
+	if got := len(deadlocks(c)); got != 1 {
+		t.Fatalf("violations = %v, want one deadlock", c.Violations())
 	}
 }
 
@@ -216,7 +325,7 @@ func TestViolationErrorString(t *testing.T) {
 	if v.Error() == "" || !errors.As(error(v), new(*Violation)) {
 		t.Fatal("Violation does not behave as an error")
 	}
-	for k := UseAfterRelease; k <= OutOfBounds; k++ {
+	for k := UseAfterRelease; k <= Deadlock; k++ {
 		if k.String() == "unknown" {
 			t.Fatalf("kind %d has no name", k)
 		}

@@ -1,6 +1,10 @@
 package buginject
 
-import "testing"
+import (
+	"reflect"
+	"strings"
+	"testing"
+)
 
 func TestMemoryAndTypeBugsCaught(t *testing.T) {
 	for _, kind := range []BugKind{UseAfterFree, DoubleFree, MissingFree, OutOfBounds, ForgedPointer, UncheckedError} {
@@ -17,6 +21,24 @@ func TestDeadlockNotPrevented(t *testing.T) {
 	o := Inject(DeadlockBug)
 	if o.Caught {
 		t.Fatalf("deadlock reported as prevented: %s", o.Detail)
+	}
+	// What the lock-order check reports instead: the inversion, naming
+	// both semaphores.
+	for _, want := range []string{"lock-order", "semaphore 1", "semaphore 2"} {
+		if !strings.Contains(o.Detail, want) {
+			t.Errorf("deadlock detail %q does not mention %q", o.Detail, want)
+		}
+	}
+}
+
+// TestRunAllIsDeterministic: every outcome, details included, is the
+// same on every run.
+func TestRunAllIsDeterministic(t *testing.T) {
+	first := RunAll()
+	for i := 0; i < 3; i++ {
+		if again := RunAll(); !reflect.DeepEqual(again, first) {
+			t.Fatalf("run %d differs:\n%v\nfirst:\n%v", i+2, again, first)
+		}
 	}
 }
 

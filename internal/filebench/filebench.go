@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 
@@ -92,29 +91,14 @@ func runWorkers(tg Target, name string, n int, startAt, duration time.Duration,
 	group.Run(n, func(w int, sw *vclock.Worker) {
 		clk := sw.Clock()
 		task := tg.K.NewTaskWithClock(fmt.Sprintf("%s-w%d", name, w), clk)
+		wstart := clk.NowNS()
+		ops, bytes, errs, err := fn(w, task, wstart+int64(duration), sw.Yield)
 		if r := task.Rec(); r != nil {
 			// The whole measured run is one worker-category span; its
 			// exclusive time (what no nested span claims) is the
-			// application's own think time. Deferred so workers
-			// retired via Goexit still close their span.
-			wstart := clk.NowNS()
-			defer func() { r.Span(task.Name, trace.CatWorker, "run", wstart, clk.NowNS()) }()
+			// application's own think time.
+			r.Span(task.Name, trace.CatWorker, "run", wstart, clk.NowNS())
 		}
-		deadline := clk.NowNS() + int64(duration)
-		pace := func() {
-			if !sw.Yield() {
-				// Retired while parked: run no further operations.
-				// Goexit unwinds through the workload's defers
-				// (file closes) and Run's Done/WaitGroup
-				// bookkeeping — cleanup that executes outside the
-				// admission order, which is fine because retirement
-				// is cancellation: a run with retired workers has
-				// no deterministic result to protect (see
-				// vclock.Worker.Retire).
-				runtime.Goexit()
-			}
-		}
-		ops, bytes, errs, err := fn(w, task, deadline, pace)
 		// Still the admitted worker: the totals need no lock.
 		res.Ops += ops
 		res.Bytes += bytes

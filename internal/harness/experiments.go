@@ -488,11 +488,6 @@ func netstorePlan(o Options) *plan {
 	}}
 }
 
-// Netstore runs the multi-backend scenario (see netstorePlan).
-func Netstore(o Options) (string, map[string][]filebench.Result, error) {
-	return runExperiment(ExpNetstore, o)
-}
-
 // Fig2 regenerates Figure 2: 4KB reads, ops/sec, seq/rnd × 1/32 threads.
 func Fig2(o Options) (string, map[string][]filebench.Result, error) {
 	return runExperiment(ExpFig2, o)
@@ -529,10 +524,4 @@ func Table6(o Options) (string, map[string][]filebench.Result, error) {
 // Stream runs the streaming scenario per variant (see streamPlan).
 func Stream(o Options) (string, map[string][]filebench.Result, error) {
 	return runExperiment(ExpStream, o)
-}
-
-// Run executes one experiment by id and returns its rendered output.
-func Run(id string, o Options) (string, error) {
-	s, _, err := RunRecords(id, o)
-	return s, err
 }

@@ -181,8 +181,3 @@ func netfaultsPlan(o Options) *plan {
 		return s
 	}}
 }
-
-// Netfaults runs the network-fault scenario (see netfaultsPlan).
-func Netfaults(o Options) (string, map[string][]filebench.Result, error) {
-	return runExperiment(ExpNetfaults, o)
-}

@@ -13,15 +13,11 @@ import (
 func TestSchedulingPointsDoNotAllocate(t *testing.T) {
 	sched := NewScheduler()
 	w := sched.Register(NewClock())
-	if !w.Begin() {
-		t.Fatal("worker retired at Begin")
-	}
+	w.Begin()
 	defer w.Done()
 	if n := testing.AllocsPerRun(1000, func() {
 		w.Clock().Advance(time.Microsecond)
-		if !w.Yield() {
-			t.Fatal("worker retired mid-run")
-		}
+		w.Yield()
 	}); n != 0 {
 		t.Errorf("Yield allocates %v per op, want 0", n)
 	}

@@ -51,7 +51,7 @@ import (
 //	w := sched.Register(clk)
 //	go func() {
 //	    w.Begin()          // park until admitted the first time
-//	    defer w.Done()     // retire; admit the next worker
+//	    defer w.Done()     // finish; admit the next worker
 //	    for ... {
 //	        w.Yield()      // scheduling point between operations
 //	        ... one operation, advancing clk ...
@@ -61,7 +61,9 @@ import (
 // No worker is admitted until every registered worker has parked in
 // Begin, so late-starting goroutines cannot be raced past by early ones.
 // A worker that returns early (error, op cap) simply calls Done; the
-// remaining workers continue in (time, id) order.
+// remaining workers continue in (time, id) order. Only a worker's own
+// Done takes it out of the roster, so every slice a registered worker
+// runs is admitted: no worker leaves early from outside.
 type Scheduler struct {
 	mu      sync.Mutex
 	workers []*Worker
@@ -106,74 +108,62 @@ func (w *Worker) Clock() *Clock { return w.clk }
 // ID reports the worker's registration index (the tie-break key).
 func (w *Worker) ID() int { return w.id }
 
-// park records the worker's pending event and blocks until a token
-// arrives: admission (run the next slice) or retirement (stop). When the
-// admission scan picks the parking worker itself — every slice of a
-// 1-thread cell, and any slice whose worker is still the global minimum
-// — the handoff short-circuits with no channel traffic at all. The
-// token send happens-after the sender's writes to w.done, so the
-// post-receive read needs no lock. Caller holds s.mu; park drops it
+// park records the worker's pending event and blocks until its park
+// token admits it for the next slice. When the admission scan picks the
+// parking worker itself — every slice of a 1-thread cell, and any slice
+// whose worker is still the global minimum — the handoff short-circuits
+// with no channel traffic at all. Caller holds s.mu; park drops it
 // before blocking.
-func (w *Worker) park() bool {
+func (w *Worker) park() {
 	s := w.s
 	w.at = w.clk.NowNS()
 	w.parked = true
 	next := s.pickLocked()
 	if next == w {
 		s.mu.Unlock()
-		return true
+		return
 	}
 	if next != nil {
 		next.wake <- struct{}{}
 	}
 	s.mu.Unlock()
 	<-w.wake
-	return !w.done
 }
 
 // Begin parks the worker until the coordinator admits it for its first
-// slice. Every registered worker must eventually call Begin (or Done),
-// or the whole group stalls waiting for the roster to assemble. It
-// reports whether the worker was admitted: false means a supervisor
-// retired it while parked (or before it began), and the caller must not
-// run — a retired worker executing anyway would mutate shared state
-// outside the one-runner discipline.
+// slice. Every registered worker must eventually call Begin, or the
+// whole group stalls waiting for the roster to assemble. It always
+// returns true: the result survives only because benchmark/driver.go
+// still tests it.
 func (w *Worker) Begin() bool {
 	s := w.s
 	s.mu.Lock()
-	if w.done {
-		s.mu.Unlock()
-		return false // retired before it ever began
-	}
 	s.sealed = true
-	return w.park()
+	w.park()
+	return true
 }
 
 // Yield is a scheduling point: the worker parks its current clock as its
 // next pending event and blocks until the coordinator admits it again —
 // which happens once every worker with an earlier (time, id) event has
 // run past it, finished, or parked later. Call only from the admitted
-// worker, between operations. Like Begin it reports whether the worker
-// was re-admitted; on false (retired by a supervisor while parked) the
-// caller must stop immediately.
-func (w *Worker) Yield() bool {
+// worker, between operations.
+func (w *Worker) Yield() {
 	s := w.s
 	s.mu.Lock()
 	if s.running != w {
 		panic(fmt.Sprintf("vclock: Yield from worker %d which is not running", w.id))
 	}
 	s.running = nil
-	return w.park()
+	w.park()
 }
 
-// Done retires the worker and admits the next pending one. The worker's
-// clock no longer participates in admission decisions. Done is the
-// worker's own completion: call it from the worker goroutine when it
-// finishes its final slice (calling it again is a no-op, so deferring
-// it is safe). Retiring another worker from outside is Retire — calling
-// Done on a live worker that is not currently running panics, because
-// silently admitting a successor while the "completed" worker might
-// still run would break the one-runner discipline.
+// Done finishes the worker and admits the next pending one. The worker's
+// clock no longer participates in admission decisions. Call it from the
+// worker goroutine when it finishes its final slice (calling it again is
+// a no-op, so deferring it is safe). Done on a live worker that is not
+// currently running panics: admitting a successor while that worker
+// might still run would break the one-runner discipline.
 func (w *Worker) Done() {
 	s := w.s
 	s.mu.Lock()
@@ -182,50 +172,12 @@ func (w *Worker) Done() {
 		return
 	}
 	if s.running != w {
-		panic(fmt.Sprintf("vclock: Done on worker %d which is not running (use Retire from a supervisor)", w.id))
+		panic(fmt.Sprintf("vclock: Done on worker %d which is not running", w.id))
 	}
-	w.retireLocked()
-}
-
-// Retire retires the worker from outside its own goroutine: a
-// supervisor tearing a group down early. It is only legal while the
-// worker is parked (in Begin/Yield, which then return false) or has not
-// begun; retiring the running worker panics, since it may be mid-slice
-// mutating shared state. Retirement is cancellation, not a scheduling
-// primitive: once a group has retired workers, their unwinding cleanup
-// runs outside the admission order, so the run's virtual-time outputs
-// are no longer deterministic — retire only groups whose results will
-// be discarded. Retiring an already-done worker is a no-op.
-func (w *Worker) Retire() {
-	s := w.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if w.done {
-		return
-	}
-	if s.running == w {
-		panic(fmt.Sprintf("vclock: Retire of worker %d while it is running", w.id))
-	}
-	w.retireLocked()
-}
-
-// retireLocked marks the worker done, wakes it if it is parked (it
-// observes done and unwinds), and hands the slice on. Caller holds s.mu.
-func (w *Worker) retireLocked() {
-	s := w.s
 	w.done = true
-	if s.running == w {
-		s.running = nil
-	}
-	if w.parked {
-		// Sole pending token: a parked worker consumed its previous token
-		// before running, and retirement clears parked before any other
-		// send could target it, so the 1-slot buffer cannot be full.
-		w.parked = false
-		w.wake <- struct{}{}
-	}
+	s.running = nil
 	if next := s.pickLocked(); next != nil {
-		next.wake <- struct{}{} // a retired worker is never picked, so next != w
+		next.wake <- struct{}{} // a done worker is never picked, so next != w
 	}
 }
 
@@ -253,7 +205,7 @@ func (s *Scheduler) pickLocked() *Worker {
 		}
 	}
 	if next == nil {
-		return nil // everyone retired
+		return nil // everyone is done
 	}
 	next.parked = false
 	s.running = next
@@ -283,9 +235,9 @@ func (g *Group) NewWorker() *Worker {
 }
 
 // Run registers n workers and runs fn(i, worker) for each on its own
-// goroutine under the scheduler: fn starts admitted (Begin has
-// returned true), places w.Yield() between its operations, and the
-// worker retires when fn returns. Run returns once every worker has.
+// goroutine under the scheduler: fn starts admitted, places w.Yield()
+// between its operations, and the worker is done when fn returns. Run
+// returns once every worker is.
 // The scheduler admits no one until its whole roster has begun, so a
 // group is driven either by one Run or by hand from NewWorker, not both.
 func (g *Group) Run(n int, fn func(i int, w *Worker)) {
@@ -299,9 +251,7 @@ func (g *Group) Run(n int, fn func(i int, w *Worker)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if !w.Begin() {
-				return // retired while parked: must not touch shared state
-			}
+			w.Begin()
 			defer w.Done()
 			fn(i, w)
 		}()

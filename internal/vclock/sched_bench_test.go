@@ -26,15 +26,11 @@ func benchYield(b *testing.B, n int) {
 		wg.Add(1)
 		go func(w *Worker) {
 			defer wg.Done()
-			if !w.Begin() {
-				return
-			}
+			w.Begin()
 			defer w.Done()
 			for op := 0; op < per; op++ {
 				w.Clock().Advance(time.Microsecond)
-				if !w.Yield() {
-					return
-				}
+				w.Yield()
 			}
 		}(workers[i])
 	}

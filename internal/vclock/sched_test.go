@@ -130,18 +130,13 @@ func TestSchedulerNoStarvation(t *testing.T) {
 	}
 }
 
-// TestSchedulerQuiesceWithBlockedWorkers: a worker retiring early (as an
-// erroring benchmark worker does) must release the remaining parked
-// workers, and the group must drain completely — including a worker that
-// retires without ever beginning.
+// TestSchedulerQuiesceWithBlockedWorkers: a worker finishing early (as
+// an erroring benchmark worker does) must release the remaining parked
+// workers, and the group must drain completely.
 func TestSchedulerQuiesceWithBlockedWorkers(t *testing.T) {
 	s := NewScheduler()
-	clks := []*Clock{NewClock(), NewClock(), NewClock()}
-	ws := []*Worker{s.Register(clks[0]), s.Register(clks[1]), s.Register(clks[2])}
-
-	// Worker 2 never starts: a supervisor retires it. Without this
-	// Retire the roster never assembles and everyone stalls.
-	ws[2].Retire()
+	clks := []*Clock{NewClock(), NewClock()}
+	ws := []*Worker{s.Register(clks[0]), s.Register(clks[1])}
 
 	done := make(chan int, 2)
 	var wg sync.WaitGroup
@@ -168,7 +163,7 @@ func TestSchedulerQuiesceWithBlockedWorkers(t *testing.T) {
 	select {
 	case <-quiesced:
 	case <-time.After(5 * time.Second):
-		t.Fatal("group failed to quiesce after early worker retirement")
+		t.Fatal("group failed to quiesce after a worker finished early")
 	}
 	if got := len(done); got != 1 {
 		t.Fatalf("%d workers ran to completion, want exactly 1 (worker 1)", got)
@@ -179,7 +174,7 @@ func TestSchedulerQuiesceWithBlockedWorkers(t *testing.T) {
 }
 
 // TestSchedulerDoubleDoneIsSafe: benchmark workers call Done from a
-// defer; a second call (e.g. an explicit early retire plus the defer)
+// defer; a second call (e.g. an explicit early Done plus the defer)
 // must be a no-op.
 func TestSchedulerDoubleDoneIsSafe(t *testing.T) {
 	s := NewScheduler()
@@ -324,52 +319,9 @@ func TestGroupSchedulesDeterministically(t *testing.T) {
 	}
 }
 
-// TestSchedulerRetireWhileParked: a supervisor (here, the running
-// worker) retiring a parked peer must make that peer's Yield return
-// false so it stops instead of running outside the one-runner
-// discipline.
-func TestSchedulerRetireWhileParked(t *testing.T) {
-	s := NewScheduler()
-	clks := []*Clock{NewClock(), NewClock()}
-	ws := []*Worker{s.Register(clks[0]), s.Register(clks[1])}
-
-	victimAdmitted := make(chan bool, 1)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // worker 0: runs, retires worker 1, finishes
-		defer wg.Done()
-		if !ws[0].Begin() {
-			t.Error("worker 0 unexpectedly retired")
-			return
-		}
-		clks[0].AdvanceNS(10)
-		if !ws[0].Yield() { // let worker 1 park in Yield at t=0 first...
-			return
-		}
-		ws[1].Retire() // supervisor retire of the parked peer
-		ws[0].Done()
-	}()
-	go func() { // worker 1: parks in Yield and must observe retirement
-		defer wg.Done()
-		if !ws[1].Begin() {
-			victimAdmitted <- false
-			return
-		}
-		// Park with a clock far in the future so worker 0 is always
-		// admitted first at its next event.
-		clks[1].AdvanceNS(1000)
-		victimAdmitted <- ws[1].Yield()
-		ws[1].Done()
-	}()
-	wg.Wait()
-	if got := <-victimAdmitted; got {
-		t.Fatal("retired worker's Yield returned true; it would have kept running")
-	}
-}
-
-// TestSchedulerMisuseGuards: the two silent-corruption paths of the
-// retire API must fail loudly — Done from outside the running worker,
-// and Retire of the running worker.
+// TestSchedulerMisuseGuards: Done from outside the running worker must
+// fail loudly instead of admitting a successor while that worker might
+// still run.
 func TestSchedulerMisuseGuards(t *testing.T) {
 	t.Run("done-not-running", func(t *testing.T) {
 		s := NewScheduler()
@@ -380,18 +332,5 @@ func TestSchedulerMisuseGuards(t *testing.T) {
 			}
 		}()
 		w.Done()
-	})
-	t.Run("retire-running", func(t *testing.T) {
-		s := NewScheduler()
-		w := s.Register(NewClock())
-		if !w.Begin() {
-			t.Fatal("sole worker not admitted")
-		}
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Retire of the running worker did not panic")
-			}
-		}()
-		w.Retire()
 	})
 }
