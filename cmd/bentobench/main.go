@@ -4,7 +4,6 @@
 //
 //	bentobench                  # run every experiment at default scale
 //	bentobench -exp fig4        # one experiment
-//	bentobench -upgrade         # just the live-upgrade availability scenario
 //	bentobench -quick           # reduced scale (seconds, not minutes)
 //	bentobench -dur 200ms       # override the virtual measurement window
 //	bentobench -json            # machine-readable cells on stdout (tables go to stderr)
@@ -39,7 +38,6 @@ import (
 // cliFlags are the flag values validateFlags vets.
 type cliFlags struct {
 	exp      string
-	upgrade  bool
 	parallel int
 	dur      time.Duration
 	backend  string
@@ -52,14 +50,12 @@ type cliFlags struct {
 // validateFlags checks the experiment selection, the scale flags, the
 // backend choice and the net flag set before any cell runs: a value that
 // would be silently ignored (a negative duration, latency or multiplier,
-// a worker count below one, -upgrade next to another -exp), an unknown
+// a worker count below one), an unknown
 // backend, or a net flag without the netstore backend fails fast with a
 // clear message instead of falling through or surfacing mid-matrix from
 // the first cell that mounts.
 func validateFlags(f cliFlags) error {
 	switch {
-	case f.upgrade && f.exp != "all" && f.exp != harness.ExpUpgrade:
-		return fmt.Errorf("-upgrade is shorthand for -exp %s; it cannot be combined with -exp %s", harness.ExpUpgrade, f.exp)
 	case f.parallel < 1:
 		return fmt.Errorf("-parallel %d: want at least 1 host worker", f.parallel)
 	case f.dur < 0:
@@ -85,7 +81,6 @@ func validateFlags(f cliFlags) error {
 
 func main() {
 	exp := flag.String("exp", "all", "experiment id: "+strings.Join(harness.AllExperiments, ", ")+", or all")
-	upgrade := flag.Bool("upgrade", false, "run only the live-upgrade availability scenario (shorthand for -exp upgrade)")
 	quick := flag.Bool("quick", false, "reduced scale for fast runs")
 	dur := flag.Duration("dur", 0, "virtual measurement window per workload (0 = default)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable results (one JSON array) on stdout; tables move to stderr")
@@ -102,7 +97,7 @@ func main() {
 	flag.Parse()
 
 	if err := validateFlags(cliFlags{
-		exp: *exp, upgrade: *upgrade, parallel: *parallel, dur: *dur, backend: *backend,
+		exp: *exp, parallel: *parallel, dur: *dur, backend: *backend,
 		netlat: *netlat, netbw: *netbw, neterr: *neterr, nettail: *nettail,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "bentobench: %v\n", err)
@@ -143,9 +138,6 @@ func main() {
 	ids := harness.AllExperiments
 	if *exp != "all" {
 		ids = []string{*exp}
-	}
-	if *upgrade {
-		ids = []string{harness.ExpUpgrade}
 	}
 	start := time.Now()
 	results, err := harness.RunMatrix(ids, o)

@@ -70,8 +70,7 @@ func TestValidateFlagsErrProbRange(t *testing.T) {
 
 // TestValidateFlagsRejectsIgnoredValues: values that used to fall
 // through silently — a worker count below one, negative durations,
-// rates and multipliers, -upgrade overriding another -exp — are each
-// rejected, naming the flag.
+// rates and multipliers — are each rejected, naming the flag.
 func TestValidateFlagsRejectsIgnoredValues(t *testing.T) {
 	base := cliFlags{exp: "all", parallel: 4, dur: 200 * time.Millisecond, backend: "netstore", netlat: 5 * time.Millisecond, netbw: 100, nettail: 4}
 	if err := validateFlags(base); err != nil {
@@ -87,7 +86,6 @@ func TestValidateFlagsRejectsIgnoredValues(t *testing.T) {
 		{"-netlat", func(f *cliFlags) { f.netlat = -time.Millisecond }},
 		{"-netbw", func(f *cliFlags) { f.netbw = -5 }},
 		{"-nettail", func(f *cliFlags) { f.nettail = -2 }},
-		{"-upgrade", func(f *cliFlags) { f.upgrade, f.exp = true, "fig2" }},
 	}
 	for _, c := range cases {
 		f := base
@@ -101,12 +99,10 @@ func TestValidateFlagsRejectsIgnoredValues(t *testing.T) {
 			t.Errorf("%s: error %q does not lead with the flag", c.flag, err)
 		}
 	}
-	// Zero still means "default" everywhere it did, and -upgrade stays
-	// valid as shorthand next to the -exp values it agrees with.
+	// Zero still means "default" everywhere it did.
 	for _, f := range []cliFlags{
 		{exp: "all", parallel: 1, backend: "local"},
-		{exp: "all", upgrade: true, parallel: 1, backend: "local"},
-		{exp: "upgrade", upgrade: true, parallel: 1, backend: "local"},
+		{exp: "upgrade", parallel: 1, backend: "local"},
 	} {
 		if err := validateFlags(f); err != nil {
 			t.Errorf("%+v rejected: %v", f, err)

@@ -3,29 +3,36 @@
 // mounts it ("so it logs file data in the journal like the xv6 file
 // system").
 //
-// It shares the on-disk record formats with xv6 (inodes, dirents) but
-// differs where ext4 differs in ways that matter to the evaluation:
+// It is the C-Kernel's file system (internal/xv6/vfsimpl) — the same
+// inodes, block map, truncate, directories and VFS operations over the
+// xv6 record formats — mounted with the mechanisms that matter to the
+// evaluation where ext4 differs:
 //
-//   - a JBD2-style journal: operations join a running compound
-//     transaction via handles; commits happen on fsync/sync or when the
-//     transaction grows past a threshold — not per operation as xv6's
-//     log does. Journal writes are submitted in batches that exploit the
-//     device queues instead of xv6's serial bwrite loop, and durability
-//     barriers (FLUSH) are paid once per compound commit.
-//   - an in-memory directory index (the htree stand-in) for O(1) lookup.
-//   - the batched ->writepages write-back path.
+//   - a JBD2-style journal (vfsimpl.Compound): operations join a running
+//     compound transaction that commits on fsync/sync or once it grows
+//     past CommitThreshold — not per operation as xv6's log does. Journal
+//     writes are submitted in batches that exploit the device queues
+//     instead of xv6's serial bwrite loop, and durability barriers
+//     (FLUSH) are paid once per compound commit.
+//   - an in-memory directory index (vfsimpl.IndexedDirs, the htree
+//     stand-in) for O(1) lookup.
+//   - the batched ->writepages write-back path (kernel.BatchWriter).
 //
 // These are exactly the mechanisms that let ext4 beat the xv6 variants by
-// small factors on the paper's macrobenchmarks.
+// small factors on the paper's macrobenchmarks. Its own are only its
+// geometry (a larger journal, its superblock encoding and magic, Mkfs)
+// and its 8 192-block buffer cache.
 package ext4
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"bento/internal/blockdev"
 	"bento/internal/fsapi"
 	"bento/internal/kernel"
 	"bento/internal/xv6/layout"
+	"bento/internal/xv6/vfsimpl"
 )
 
 // CommitThreshold is the journal block count that triggers a background
@@ -35,6 +42,9 @@ const CommitThreshold = 384
 // JournalSize is the journal data region in blocks; one compound
 // transaction must fit.
 const JournalSize = 1020
+
+// cacheBlocks is the buffer cache's capacity (32 MiB).
+const cacheBlocks = 8192
 
 // Type registers ext4 with the kernel.
 type Type struct {
@@ -65,191 +75,92 @@ func (tt Type) Name() string {
 	return tt.TypeName
 }
 
-// Superblock geometry (ext4's own, with the larger journal).
-type superblock struct {
-	size         uint32
-	nInodes      uint32
-	journalStart uint32 // header block; data follows
-	inodeStart   uint32
-	bmapStart    uint32
-	dataStart    uint32
-}
-
 const ext4Magic = 0xEF53F00D
 
 // Mkfs formats dev with an ext4 file system (root directory only).
 func Mkfs(t *kernel.Task, dev *blockdev.Device, ninodes uint32) error {
-	size := uint32(dev.Blocks())
-	sb, err := geometry(size, ninodes)
+	sb, err := geometry(uint32(dev.Blocks()), ninodes)
 	if err != nil {
 		return err
 	}
 	buf := make([]byte, layout.BlockSize)
-	le := func(off int, v uint32) {
-		buf[off] = byte(v)
-		buf[off+1] = byte(v >> 8)
-		buf[off+2] = byte(v >> 16)
-		buf[off+3] = byte(v >> 24)
-	}
-	le(0, ext4Magic)
-	le(4, sb.size)
-	le(8, sb.nInodes)
-	le(12, sb.journalStart)
-	le(16, sb.inodeStart)
-	le(20, sb.bmapStart)
-	le(24, sb.dataStart)
-	if err := dev.Write(t.Clk, 1, buf); err != nil {
-		return err
-	}
-	// Empty journal header.
-	clear(buf)
-	if err := dev.Write(t.Clk, int(sb.journalStart), buf); err != nil {
-		return err
-	}
-	// Zero inode table; install root.
-	clear(buf)
-	nInodeBlocks := (ninodes + layout.InodesPerBlock - 1) / layout.InodesPerBlock
-	for b := sb.inodeStart; b < sb.inodeStart+nInodeBlocks; b++ {
-		if err := dev.Write(t.Clk, int(b), buf); err != nil {
-			return err
-		}
-	}
-	rootData := sb.dataStart
-	root := layout.Dinode{Type: layout.TypeDir, Nlink: 2, Size: 2 * layout.DirentSize}
-	root.Addrs[0] = rootData
-	clear(buf)
-	root.Encode(buf[layout.InodeOffset(layout.RootIno):])
-	if err := dev.Write(t.Clk, int(sb.inodeStart+layout.RootIno/layout.InodesPerBlock), buf); err != nil {
-		return err
-	}
-	clear(buf)
-	if err := layout.EncodeDirent(layout.Dirent{Ino: layout.RootIno, Name: "."}, buf[0:]); err != nil {
-		return err
-	}
-	if err := layout.EncodeDirent(layout.Dirent{Ino: layout.RootIno, Name: ".."}, buf[layout.DirentSize:]); err != nil {
-		return err
-	}
-	if err := dev.Write(t.Clk, int(rootData), buf); err != nil {
-		return err
-	}
-	// Bitmap.
-	bmapBlocks := (sb.size + layout.BitsPerBlock - 1) / layout.BitsPerBlock
-	for i := uint32(0); i < bmapBlocks; i++ {
-		clear(buf)
-		base := i * layout.BitsPerBlock
-		for bit := uint32(0); bit < layout.BitsPerBlock && base+bit < sb.size; bit++ {
-			if base+bit <= rootData {
-				buf[bit/8] |= 1 << (bit % 8)
-			}
-		}
-		if err := dev.Write(t.Clk, int(sb.bmapStart+i), buf); err != nil {
-			return err
-		}
-	}
-	return dev.Flush(t.Clk)
+	encodeSuper(sb, buf)
+	return layout.Format(t.Clk, dev, sb, buf)
 }
 
-func geometry(size, ninodes uint32) (superblock, error) {
+// geometry lays out a device of size blocks: boot block, superblock, the
+// journal's header and JournalSize blocks, the inode table, a bitmap
+// covering the whole device, then data.
+func geometry(size, ninodes uint32) (layout.Superblock, error) {
 	nInodeBlocks := (ninodes + layout.InodesPerBlock - 1) / layout.InodesPerBlock
 	bmapBlocks := (size + layout.BitsPerBlock - 1) / layout.BitsPerBlock
 	meta := 2 + (JournalSize + 1) + nInodeBlocks + bmapBlocks
 	if meta >= size {
-		return superblock{}, fmt.Errorf("ext4: device too small: %w", fsapi.ErrInvalid)
+		return layout.Superblock{}, fmt.Errorf("ext4: device too small: %w", fsapi.ErrInvalid)
 	}
-	return superblock{
-		size:         size,
-		nInodes:      ninodes,
-		journalStart: 2,
-		inodeStart:   2 + JournalSize + 1,
-		bmapStart:    2 + JournalSize + 1 + nInodeBlocks,
-		dataStart:    meta,
+	return layout.Superblock{
+		Magic:      ext4Magic,
+		Size:       size,
+		NBlocks:    size - meta,
+		NInodes:    ninodes,
+		NLog:       JournalSize,
+		LogStart:   2,
+		InodeStart: 2 + JournalSize + 1,
+		BmapStart:  2 + JournalSize + 1 + nInodeBlocks,
+		DataStart:  meta,
 	}, nil
+}
+
+// encodeSuper writes ext4's superblock record: the magic, then the size,
+// the inode count and the first block of the journal, the inode table,
+// the bitmap and the data, each a little-endian uint32.
+func encodeSuper(sb layout.Superblock, buf []byte) {
+	for i, v := range []uint32{ext4Magic, sb.Size, sb.NInodes, sb.LogStart, sb.InodeStart, sb.BmapStart, sb.DataStart} {
+		binary.LittleEndian.PutUint32(buf[4*i:], v)
+	}
+}
+
+// decodeSuper parses what encodeSuper wrote, validating the magic.
+func decodeSuper(buf []byte) (layout.Superblock, error) {
+	rd := func(i int) uint32 { return binary.LittleEndian.Uint32(buf[4*i:]) }
+	if rd(0) != ext4Magic {
+		return layout.Superblock{}, fmt.Errorf("ext4: bad magic: %w", fsapi.ErrCorrupt)
+	}
+	sb := layout.Superblock{
+		Magic: ext4Magic, Size: rd(1), NInodes: rd(2), NLog: JournalSize,
+		LogStart: rd(3), InodeStart: rd(4), BmapStart: rd(5), DataStart: rd(6),
+	}
+	sb.NBlocks = sb.Size - sb.DataStart
+	return sb, nil
 }
 
 // Mount implements kernel.FileSystemType.
 func (tt Type) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, error) {
-	fs := &FS{
-		cfg:    tt.Cfg,
-		bc:     kernel.NewBufferCache(dev, t.Model(), 8192),
-		dev:    dev,
-		inodes: make(map[uint32]*inode),
-		dirIdx: make(map[uint32]map[string]uint32),
-	}
 	buf := make([]byte, layout.BlockSize)
 	if err := dev.Read(t.Clk, 1, buf); err != nil {
 		return nil, err
 	}
-	rd := func(off int) uint32 {
-		return uint32(buf[off]) | uint32(buf[off+1])<<8 | uint32(buf[off+2])<<16 | uint32(buf[off+3])<<24
-	}
-	if rd(0) != ext4Magic {
-		return nil, fmt.Errorf("ext4: bad magic: %w", fsapi.ErrCorrupt)
-	}
-	fs.super = superblock{
-		size: rd(4), nInodes: rd(8), journalStart: rd(12),
-		inodeStart: rd(16), bmapStart: rd(20), dataStart: rd(24),
-	}
-	fs.inTxn = make(map[uint32]bool)
-	fs.blockRotor = fs.super.dataStart
-	fs.inodeRotor = 2
-	if err := fs.recover(t); err != nil {
+	sb, err := decodeSuper(buf)
+	if err != nil {
 		return nil, err
 	}
-	return fs, nil
-}
-
-// inode is the in-core inode (shares the on-disk codec with xv6).
-type inode struct {
-	inum  uint32
-	ref   int
-	valid bool // din holds the on-disk inode
-	din   layout.Dinode
-
-	// freeNext chains released in-core inodes into the FS freelist so
-	// warm iget calls stop allocating.
-	freeNext *inode
-
-	// Per-inode scratch. dent holds one directory record;
-	// bounce (lazily allocated, deliberately retained across freelist
-	// recycling) holds one block for partial direct I/O and directory
-	// scans — directories never take the direct path, so the two uses
-	// cannot overlap.
-	dent   [layout.DirentSize]byte
-	bounce []byte
-}
-
-// bounceBuf returns the inode's lazily-allocated block scratch.
-func (ip *inode) bounceBuf() []byte {
-	if ip.bounce == nil {
-		ip.bounce = make([]byte, layout.BlockSize)
+	fs, err := vfsimpl.New(t, dev, sb, vfsimpl.Mechanisms{
+		Name:        "ext4",
+		CacheBlocks: cacheBlocks,
+		Journal:     vfsimpl.Compound(JournalSize, CommitThreshold),
+		Dirs:        vfsimpl.IndexedDirs(),
+		Barriers:    !tt.Cfg.NoBarriers,
+		DataBypass:  tt.Cfg.DataBypass,
+	})
+	if err != nil {
+		return nil, err
 	}
-	return ip.bounce
+	return &FS{fs}, nil
 }
 
-// FS is a mounted ext4 instance.
-type FS struct {
-	cfg   Config
-	bc    *kernel.BufferCache
-	dev   *blockdev.Device
-	super superblock
-
-	// journal (jbd2 stand-in). No locks anywhere in FS: one task runs
-	// at a time (see the kernel package comment).
-	handles    int      // open handles in the running transaction
-	txnBlocks  []uint32 // blocks joined to the running transaction
-	inTxn      map[uint32]bool
-	committing bool
-	commitEnd  int64 // virtual completion of the last commit
-	commits    int64
-
-	blockRotor uint32
-	inodeRotor uint32
-
-	inodes map[uint32]*inode
-	ifree  *inode // freelist of released in-core inodes
-
-	dirIdx map[uint32]map[string]uint32 // the htree stand-in
-}
+// FS is a mounted ext4 instance: the shared file system plus the batched
+// ->writepages path.
+type FS struct{ *vfsimpl.FS }
 
 var (
 	_ kernel.FileSystem        = (*FS)(nil)
@@ -258,22 +169,15 @@ var (
 	_ kernel.PageLender        = (*FS)(nil)
 )
 
-// BufferCache exposes the metadata cache (tests and diagnostics).
-func (fs *FS) BufferCache() *kernel.BufferCache { return fs.bc }
-
-// DataStart reports the first data-region block (tests and diagnostics).
-func (fs *FS) DataStart() uint32 { return fs.super.dataStart }
-
-// DropCleanBlocks implements kernel.BlockCacheDropper (drop_caches).
-func (fs *FS) DropCleanBlocks() int { return fs.bc.DropClean() }
-
-// dataDirect reports whether ip's contents take the buffer-cache
-// bypass: regular-file data only, with DataBypass configured. ip is
-// loaded.
-func (fs *FS) dataDirect(ip *inode) bool {
-	return fs.cfg.DataBypass && ip.din.Type == layout.TypeFile
+// WritePages implements kernel.BatchWriter.
+func (fs *FS) WritePages(t *kernel.Task, ino fsapi.Ino, pg int64, pages [][]byte, newSize int64) error {
+	return fs.WriteBatch(t, ino, pg, pages, newSize)
 }
 
-// Commits reports compound commits (benchmark stat; compare with the xv6
-// log's per-operation commit count).
-func (fs *FS) Commits() int64 { return fs.commits }
+// WritePage implements kernel.FileSystem: a batch of one page.
+func (fs *FS) WritePage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte, newSize int64) error {
+	return fs.WriteBatch(t, ino, pg, [][]byte{buf}, newSize)
+}
+
+// DataStart reports the first data-region block (tests and diagnostics).
+func (fs *FS) DataStart() uint32 { return fs.Super().DataStart }

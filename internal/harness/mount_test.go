@@ -83,3 +83,22 @@ func TestPublishedMountConfig(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlyExt4BatchesWriteBack pins the write-back path of the two mounts
+// of vfsimpl's file system: ext4's is a kernel.BatchWriter (batched
+// ->writepages), the C-Kernel's is not — its one-page ->writepage is the
+// paper's Figure 4 mechanism.
+func TestOnlyExt4BatchesWriteBack(t *testing.T) {
+	for _, v := range []string{harness.VariantCKernel, harness.VariantExt4} {
+		model := costmodel.Fast()
+		k := kernel.New(model)
+		dev := blockdev.MustNew(blockdev.Config{Blocks: 4096, Model: model})
+		m, err := harness.Mount(k, k.NewTask("mount"), dev, v, harness.Published(v), 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, batched := m.FS().(kernel.BatchWriter); batched != (v == harness.VariantExt4) {
+			t.Errorf("%s mount (%T) is a kernel.BatchWriter: %v", v, m.FS(), batched)
+		}
+	}
+}

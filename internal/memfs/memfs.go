@@ -213,17 +213,28 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 	if !ok {
 		return fsapi.ErrNotExist
 	}
+	if odir == ndir && oname == nname {
+		return nil
+	}
 	moving := fs.inodes[ino]
 	if tgtIno, exists := nd.children[nname]; exists {
+		// The replaced entry drops one link, like an unlink; a target
+		// that is another name of the moving file keeps the rest.
 		tgt := fs.inodes[tgtIno]
-		if tgt.ftype == fsapi.TypeDir && len(tgt.children) != 0 {
+		switch {
+		case tgt.ftype == fsapi.TypeDir && moving.ftype != fsapi.TypeDir:
+			return fsapi.ErrIsDir
+		case tgt.ftype != fsapi.TypeDir && moving.ftype == fsapi.TypeDir:
+			return fsapi.ErrNotDir
+		case tgt.ftype == fsapi.TypeDir && len(tgt.children) != 0:
 			return fsapi.ErrNotEmpty
-		}
-		if tgt.ftype == fsapi.TypeDir {
+		case tgt.ftype == fsapi.TypeDir:
 			nd.nlink--
+			tgt.nlink = 0
+		default:
+			tgt.nlink--
 		}
-		tgt.nlink = 0
-		if tgt.opens == 0 {
+		if tgt.nlink == 0 && tgt.opens == 0 {
 			delete(fs.inodes, tgtIno)
 		}
 	}

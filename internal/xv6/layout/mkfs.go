@@ -14,20 +14,32 @@ import (
 // through the raw device and flushes, like the userspace mkfs tool xv6
 // ships.
 func Mkfs(clk *vclock.Clock, dev *blockdev.Device, ninodes uint32) (Superblock, error) {
-	if dev.BlockSize() != BlockSize {
-		return Superblock{}, fmt.Errorf("layout: device block size %d != %d: %w", dev.BlockSize(), BlockSize, fsapi.ErrInvalid)
-	}
 	sb, err := Geometry(uint32(dev.Blocks()), ninodes)
 	if err != nil {
 		return Superblock{}, err
 	}
-
 	buf := make([]byte, BlockSize)
-
-	// Superblock.
 	sb.Encode(buf)
-	if err := dev.Write(clk, 1, buf); err != nil {
+	if err := Format(clk, dev, sb, buf); err != nil {
 		return Superblock{}, err
+	}
+	return sb, nil
+}
+
+// Format writes a fresh file system with geometry sb to dev: super (the
+// encoded superblock block, which Format then reuses as scratch) at block
+// 1, an empty log header, the inode table holding only the root
+// directory, the root directory's "." and "..", and a bitmap marking the
+// metadata region and the root's data block in use; then it flushes.
+// Every file system on this format shares it; only the superblock
+// encoding is theirs.
+func Format(clk *vclock.Clock, dev *blockdev.Device, sb Superblock, super []byte) error {
+	if dev.BlockSize() != BlockSize {
+		return fmt.Errorf("layout: device block size %d != %d: %w", dev.BlockSize(), BlockSize, fsapi.ErrInvalid)
+	}
+	buf := super
+	if err := dev.Write(clk, 1, buf); err != nil {
+		return err
 	}
 
 	// Empty log header.
@@ -35,14 +47,14 @@ func Mkfs(clk *vclock.Clock, dev *blockdev.Device, ninodes uint32) (Superblock, 
 	var lh LogHeader
 	lh.Encode(buf)
 	if err := dev.Write(clk, int(sb.LogStart), buf); err != nil {
-		return Superblock{}, err
+		return err
 	}
 
 	// Zero the inode table, then install the root inode.
 	clear(buf)
 	for b := sb.InodeStart; b < sb.BmapStart; b++ {
 		if err := dev.Write(clk, int(b), buf); err != nil {
-			return Superblock{}, err
+			return err
 		}
 	}
 	rootDataBlk := sb.DataStart
@@ -51,19 +63,19 @@ func Mkfs(clk *vclock.Clock, dev *blockdev.Device, ninodes uint32) (Superblock, 
 	clear(buf)
 	root.Encode(buf[InodeOffset(RootIno):])
 	if err := dev.Write(clk, int(sb.InodeBlock(RootIno)), buf); err != nil {
-		return Superblock{}, err
+		return err
 	}
 
 	// Root directory data: "." and ".." point at the root itself.
 	clear(buf)
 	if err := EncodeDirent(Dirent{Ino: RootIno, Name: "."}, buf[0:DirentSize]); err != nil {
-		return Superblock{}, err
+		return err
 	}
 	if err := EncodeDirent(Dirent{Ino: RootIno, Name: ".."}, buf[DirentSize:2*DirentSize]); err != nil {
-		return Superblock{}, err
+		return err
 	}
 	if err := dev.Write(clk, int(rootDataBlk), buf); err != nil {
-		return Superblock{}, err
+		return err
 	}
 
 	// Bitmap: everything below DataStart is metadata and always "in use";
@@ -79,14 +91,10 @@ func Mkfs(clk *vclock.Clock, dev *blockdev.Device, ninodes uint32) (Superblock, 
 			}
 		}
 		if err := dev.Write(clk, int(sb.BmapStart+i), buf); err != nil {
-			return Superblock{}, err
+			return err
 		}
 	}
-
-	if err := dev.Flush(clk); err != nil {
-		return Superblock{}, err
-	}
-	return sb, nil
+	return dev.Flush(clk)
 }
 
 // ReadSuperblock loads and validates the superblock from dev.

@@ -6,13 +6,6 @@ import (
 	"bento/internal/xv6/layout"
 )
 
-// Reservation sizes, mirroring the Bento version.
-const metaOpBlocks = 12
-
-// zeroDirent is the all-zero record directory unlinks write; writei only
-// reads its source, so one shared instance serves every unlink.
-var zeroDirent [layout.DirentSize]byte
-
 func (fs *FS) statOf(ip *inode) fsapi.Stat {
 	st := fsapi.Stat{Ino: fsapi.Ino(ip.inum), Size: int64(ip.din.Size), Nlink: uint32(ip.din.Nlink)}
 	switch ip.din.Type {
@@ -22,56 +15,6 @@ func (fs *FS) statOf(ip *inode) fsapi.Stat {
 		st.Type = fsapi.TypeFile
 	}
 	return st
-}
-
-// dirlookup scans dp for name. dp is loaded.
-func (fs *FS) dirlookup(t *kernel.Task, dp *inode, name string) (uint32, int64, error) {
-	if dp.din.Type != layout.TypeDir {
-		return 0, 0, fsapi.ErrNotDir
-	}
-	size := int64(dp.din.Size)
-	// dp's block scratch is free here: directory contents never take the
-	// direct path, so readi on a directory cannot touch it.
-	buf := dp.bounceBuf()
-	for base := int64(0); base < size; base += layout.BlockSize {
-		n := min64(layout.BlockSize, size-base)
-		if _, err := fs.readi(t, dp, base, buf[:n]); err != nil {
-			return 0, 0, err
-		}
-		for o := int64(0); o < n; o += layout.DirentSize {
-			if ino, ok := layout.DirentIs(buf[o:], name); ok {
-				return ino, base + o, nil
-			}
-		}
-	}
-	return 0, 0, fsapi.ErrNotExist
-}
-
-// dirlink adds name->inum to dp. dp is loaded; caller holds a transaction.
-func (fs *FS) dirlink(t *kernel.Task, dp *inode, name string, inum uint32) error {
-	if len(name) > layout.MaxNameLen {
-		return fsapi.ErrNameTooLong
-	}
-	if _, _, err := fs.dirlookup(t, dp, name); err == nil {
-		return fsapi.ErrExist
-	}
-	size := int64(dp.din.Size)
-	rec := dp.dent[:]
-	off := size
-	for o := int64(0); o < size; o += layout.DirentSize {
-		if _, err := fs.readi(t, dp, o, rec); err != nil {
-			return err
-		}
-		if layout.DecodeDirent(rec).Ino == 0 {
-			off = o
-			break
-		}
-	}
-	if err := layout.EncodeDirent(layout.Dirent{Ino: inum, Name: name}, rec); err != nil {
-		return err
-	}
-	_, err := fs.writei(t, dp, off, rec, false)
-	return err
 }
 
 // Root implements kernel.FileSystem.
@@ -84,7 +27,7 @@ func (fs *FS) Lookup(t *kernel.Task, dir fsapi.Ino, name string) (fsapi.Stat, er
 	if err := fs.iload(t, dp); err != nil {
 		return fsapi.Stat{}, err
 	}
-	inum, _, err := fs.dirlookup(t, dp, name)
+	inum, _, err := fs.dirs.lookup(fs, t, dp, name, false)
 	if err != nil {
 		return fsapi.Stat{}, err
 	}
@@ -121,13 +64,15 @@ func (fs *FS) SetSize(t *kernel.Task, ino fsapi.Ino, size int64) error {
 	if ip.din.Type == layout.TypeDir {
 		return fsapi.ErrIsDir
 	}
-	fs.beginOp(t, layout.MaxOpBlocks)
-	defer fs.endOp(t, layout.MaxOpBlocks)
+	fs.beginOp(t)
+	defer fs.endOp(t)
 	if size == 0 {
 		return fs.itrunc(t, ip)
 	}
 	old := int64(ip.din.Size)
 	if size < old {
+		// Free and unmap the whole tail blocks, zero the partial one.
+		// Emptied indirect blocks stay allocated until a truncate to zero.
 		firstDead := (size + layout.BlockSize - 1) / layout.BlockSize
 		lastOld := (old + layout.BlockSize - 1) / layout.BlockSize
 		for bn := firstDead; bn < lastOld; bn++ {
@@ -178,46 +123,6 @@ func (fs *FS) SetSize(t *kernel.Task, ino fsapi.Ino, size int64) error {
 	return fs.iupdate(t, ip)
 }
 
-// clearMap zeroes the mapping for file block bn.
-func (fs *FS) clearMap(t *kernel.Task, ip *inode, bn uint64) error {
-	if bn < layout.NDirect {
-		ip.din.Addrs[bn] = 0
-		return fs.iupdate(t, ip)
-	}
-	var holder uint32
-	var idx int
-	if bn < layout.NDirect+layout.NIndirect {
-		holder = ip.din.Addrs[layout.IndirectSlot]
-		idx = int(bn - layout.NDirect)
-	} else {
-		off := bn - layout.NDirect - layout.NIndirect
-		dind := ip.din.Addrs[layout.DIndirectSlot]
-		if dind == 0 {
-			return nil
-		}
-		bh, err := fs.bc.Get(t, int(dind))
-		if err != nil {
-			return err
-		}
-		holder = u32(bh.Data(), 4*int(off/layout.NIndirect))
-		_ = bh.Release()
-		idx = int(off % layout.NIndirect)
-	}
-	if holder == 0 {
-		return nil
-	}
-	bh, err := fs.bc.Get(t, int(holder))
-	if err != nil {
-		return err
-	}
-	pu32(bh.Data(), 4*idx, 0)
-	if err := fs.logWrite(t, bh); err != nil {
-		_ = bh.Release()
-		return err
-	}
-	return bh.Release()
-}
-
 // Create implements kernel.FileSystem.
 func (fs *FS) Create(t *kernel.Task, dir fsapi.Ino, name string) (fsapi.Stat, error) {
 	return fs.createNode(t, dir, name, layout.TypeFile)
@@ -232,8 +137,8 @@ func (fs *FS) createNode(t *kernel.Task, dir fsapi.Ino, name string, typ uint16)
 	if name == "" || name == "." || name == ".." {
 		return fsapi.Stat{}, fsapi.ErrInvalid
 	}
-	fs.beginOp(t, metaOpBlocks)
-	defer fs.endOp(t, metaOpBlocks)
+	fs.beginOp(t)
+	defer fs.endOp(t)
 	dp := fs.iget(uint32(dir))
 	defer fs.iput(t, dp, true)
 	if err := fs.iload(t, dp); err != nil {
@@ -242,7 +147,7 @@ func (fs *FS) createNode(t *kernel.Task, dir fsapi.Ino, name string, typ uint16)
 	if dp.din.Type != layout.TypeDir {
 		return fsapi.Stat{}, fsapi.ErrNotDir
 	}
-	if _, _, err := fs.dirlookup(t, dp, name); err == nil {
+	if _, _, err := fs.dirs.lookup(fs, t, dp, name, false); err == nil {
 		return fsapi.Stat{}, fsapi.ErrExist
 	}
 	ip, err := fs.ialloc(t, typ)
@@ -290,14 +195,14 @@ func (fs *FS) removeNode(t *kernel.Task, dir fsapi.Ino, name string, wantDir boo
 	if name == "." || name == ".." {
 		return fsapi.ErrInvalid
 	}
-	fs.beginOp(t, layout.MaxOpBlocks)
-	defer fs.endOp(t, layout.MaxOpBlocks)
+	fs.beginOp(t)
+	defer fs.endOp(t)
 	dp := fs.iget(uint32(dir))
 	defer fs.iput(t, dp, true)
 	if err := fs.iload(t, dp); err != nil {
 		return err
 	}
-	inum, off, err := fs.dirlookup(t, dp, name)
+	inum, off, err := fs.dirs.lookup(fs, t, dp, name, true)
 	if err != nil {
 		return err
 	}
@@ -314,7 +219,7 @@ func (fs *FS) removeNode(t *kernel.Task, dir fsapi.Ino, name string, wantDir boo
 		return fsapi.ErrIsDir
 	}
 	if isDir {
-		empty, err := fs.isDirEmpty(t, ip)
+		empty, err := fs.dirs.empty(fs, t, ip)
 		if err != nil {
 			return err
 		}
@@ -322,12 +227,13 @@ func (fs *FS) removeNode(t *kernel.Task, dir fsapi.Ino, name string, wantDir boo
 			return fsapi.ErrNotEmpty
 		}
 	}
-	if _, err := fs.writei(t, dp, off, zeroDirent[:], false); err != nil {
+	if err := fs.dirunlink(t, dp, name, off); err != nil {
 		return err
 	}
 	if isDir {
 		ip.din.Nlink -= 2
 		dp.din.Nlink--
+		fs.dirs.removed(ip.inum)
 		if err := fs.iupdate(t, dp); err != nil {
 			return err
 		}
@@ -335,21 +241,6 @@ func (fs *FS) removeNode(t *kernel.Task, dir fsapi.Ino, name string, wantDir boo
 		ip.din.Nlink--
 	}
 	return fs.iupdate(t, ip)
-}
-
-func (fs *FS) isDirEmpty(t *kernel.Task, dp *inode) (bool, error) {
-	size := int64(dp.din.Size)
-	rec := dp.dent[:]
-	for o := int64(0); o < size; o += layout.DirentSize {
-		if _, err := fs.readi(t, dp, o, rec); err != nil {
-			return false, err
-		}
-		de := layout.DecodeDirent(rec)
-		if de.Ino != 0 && de.Name != "." && de.Name != ".." {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // Rename implements kernel.FileSystem (same semantics as the Bento
@@ -361,8 +252,8 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 	if len(nname) > layout.MaxNameLen {
 		return fsapi.ErrNameTooLong
 	}
-	fs.beginOp(t, layout.MaxOpBlocks)
-	defer fs.endOp(t, layout.MaxOpBlocks)
+	fs.beginOp(t)
+	defer fs.endOp(t)
 
 	odp := fs.iget(uint32(odir))
 	defer fs.iput(t, odp, true)
@@ -388,7 +279,7 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 		}
 	}
 
-	srcInum, srcOff, err := fs.dirlookup(t, odp, oname)
+	srcInum, srcOff, err := fs.dirs.lookup(fs, t, odp, oname, true)
 	if err != nil {
 		return err
 	}
@@ -402,7 +293,7 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 	}
 	srcIsDir := src.din.Type == layout.TypeDir
 
-	if tgtInum, tgtOff, err := fs.dirlookup(t, ndp, nname); err == nil {
+	if tgtInum, tgtOff, err := fs.dirs.lookup(fs, t, ndp, nname, true); err == nil {
 		tgt := fs.iget(tgtInum)
 		defer fs.iput(t, tgt, true)
 		if err := fs.iload(t, tgt); err != nil {
@@ -416,7 +307,7 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 			return fsapi.ErrNotDir
 		}
 		if tgtIsDir {
-			empty, err := fs.isDirEmpty(t, tgt)
+			empty, err := fs.dirs.empty(fs, t, tgt)
 			if err != nil {
 				return err
 			}
@@ -425,13 +316,14 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 			}
 			tgt.din.Nlink -= 2
 			ndp.din.Nlink--
+			fs.dirs.removed(tgt.inum)
 		} else {
 			tgt.din.Nlink--
 		}
 		if err := fs.iupdate(t, tgt); err != nil {
 			return err
 		}
-		if _, err := fs.writei(t, ndp, tgtOff, zeroDirent[:], false); err != nil {
+		if err := fs.dirunlink(t, ndp, nname, tgtOff); err != nil {
 			return err
 		}
 	}
@@ -439,11 +331,11 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 	if err := fs.dirlink(t, ndp, nname, srcInum); err != nil {
 		return err
 	}
-	if _, err := fs.writei(t, odp, srcOff, zeroDirent[:], false); err != nil {
+	if err := fs.dirunlink(t, odp, oname, srcOff); err != nil {
 		return err
 	}
 	if srcIsDir && odir != ndir {
-		_, ddOff, err := fs.dirlookup(t, src, "..")
+		_, ddOff, err := fs.dirs.lookup(fs, t, src, "..", true)
 		if err != nil {
 			return err
 		}
@@ -451,9 +343,10 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 		if err := layout.EncodeDirent(layout.Dirent{Ino: ndp.inum, Name: ".."}, rec); err != nil {
 			return err
 		}
-		if _, err := fs.writei(t, src, ddOff, rec, false); err != nil {
+		if _, err := fs.writei(t, src, ddOff, rec); err != nil {
 			return err
 		}
+		fs.dirs.linked(src.inum, "..", ndp.inum)
 		odp.din.Nlink--
 		ndp.din.Nlink++
 	}
@@ -468,8 +361,8 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 
 // Link implements kernel.FileSystem.
 func (fs *FS) Link(t *kernel.Task, ino fsapi.Ino, dir fsapi.Ino, name string) (fsapi.Stat, error) {
-	fs.beginOp(t, metaOpBlocks)
-	defer fs.endOp(t, metaOpBlocks)
+	fs.beginOp(t)
+	defer fs.endOp(t)
 	ip := fs.iget(uint32(ino))
 	defer fs.iput(t, ip, true)
 	if err := fs.iload(t, ip); err != nil {
@@ -510,7 +403,7 @@ func (fs *FS) ReadDir(t *kernel.Task, dir fsapi.Ino) ([]fsapi.DirEntry, error) {
 	buf := dp.bounceBuf()
 	var out []fsapi.DirEntry
 	for base := int64(0); base < size; base += layout.BlockSize {
-		n := min64(layout.BlockSize, size-base)
+		n := min(layout.BlockSize, size-base)
 		if _, err := fs.readi(t, dp, base, buf[:n]); err != nil {
 			return nil, err
 		}
@@ -611,12 +504,12 @@ func (fs *FS) WritePage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte, new
 	}
 	ip := fs.iget(uint32(ino))
 	defer fs.iput(t, ip, false)
-	fs.beginOp(t, metaOpBlocks)
-	defer fs.endOp(t, metaOpBlocks)
+	fs.beginOp(t)
+	defer fs.endOp(t)
 	if err := fs.iload(t, ip); err != nil {
 		return err
 	}
-	if _, err := fs.writei(t, ip, off, buf[:n], true); err != nil {
+	if _, err := fs.writev(t, ip, off, [][]byte{buf[:n]}, n, true); err != nil {
 		return err
 	}
 	if int64(ip.din.Size) > newSize {
@@ -626,13 +519,53 @@ func (fs *FS) WritePage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte, new
 	return nil
 }
 
+// wbChunk is the data pages WriteBatch writes per operation.
+const wbChunk = 32
+
+// WriteBatch is the batched ->writepages path: the run is written in
+// chunks bounded by the per-operation credit, straight from the page
+// buffers — which the kernel has given up, so whole blocks of direct data
+// are handed to the device, not copied. ext4 exposes it as
+// kernel.BatchWriter; Type does not, the C-Kernel's one-page WritePage
+// being the paper's Figure 4 mechanism.
+func (fs *FS) WriteBatch(t *kernel.Task, ino fsapi.Ino, pg int64, pages [][]byte, newSize int64) error {
+	for _, p := range pages {
+		if len(p) != fsapi.PageSize {
+			return fsapi.ErrInvalid
+		}
+	}
+	ip := fs.iget(uint32(ino))
+	defer fs.iput(t, ip, false)
+	for start := 0; start < len(pages); start += wbChunk {
+		end := min(start+wbChunk, len(pages))
+		off := (pg + int64(start)) * fsapi.PageSize
+		if off >= newSize {
+			return nil
+		}
+		total := min(int64(end-start)*fsapi.PageSize, newSize-off)
+		fs.beginOp(t)
+		if err := fs.iload(t, ip); err != nil {
+			_ = fs.endOp(t)
+			return err
+		}
+		_, err := fs.writev(t, ip, off, pages[start:end], total, true)
+		if e := fs.endOp(t); err == nil {
+			err = e
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Fsync implements kernel.FileSystem.
 func (fs *FS) Fsync(t *kernel.Task, ino fsapi.Ino, dataOnly bool) error {
-	return fs.forceCommit(t)
+	return fs.log.sync(fs, t)
 }
 
 // Sync implements kernel.FileSystem.
-func (fs *FS) Sync(t *kernel.Task) error { return fs.forceCommit(t) }
+func (fs *FS) Sync(t *kernel.Task) error { return fs.log.sync(fs, t) }
 
 // StatFS implements kernel.FileSystem.
 func (fs *FS) StatFS(t *kernel.Task) (fsapi.FSStat, error) {
@@ -666,4 +599,4 @@ func (fs *FS) StatFS(t *kernel.Task) (fsapi.FSStat, error) {
 }
 
 // Unmount implements kernel.FileSystem.
-func (fs *FS) Unmount(t *kernel.Task) error { return fs.forceCommit(t) }
+func (fs *FS) Unmount(t *kernel.Task) error { return fs.log.sync(fs, t) }

@@ -1,15 +1,23 @@
 // Package vfsimpl is the xv6 file system written directly against the
 // simulated kernel's VFS interface — the Go rendering of the paper's C
-// baseline ("C-Kernel" bars in every figure).
+// baseline ("C-Kernel" bars in every figure) — and, mounted with three
+// other mechanisms, the ext4 comparator (internal/ext4).
 //
 // It shares the on-disk format (internal/xv6/layout) with the Bento
 // version but is a separate implementation, as the paper's baselines
 // were: it talks straight to the kernel buffer cache with no capability
-// wrappers or ownership checking, and it implements only the single-page
-// ->writepage write-back path (no batched writepages) — the two
-// differences the paper identifies between the variants. The code is
+// wrappers or ownership checking, and Type mounts it with only the
+// single-page ->writepage write-back path (no batched writepages) — the
+// two differences the paper identifies between the variants. The code is
 // deliberately C-flavoured: flat functions over the same structs, with
 // manual brelse bookkeeping.
+//
+// What a type fixes when it mounts the file system (Mechanisms) is all
+// that separates the C-Kernel from ext4: the journal's commit policy
+// (xv6's per-operation log with serial writes, or jbd2's compound
+// transaction with batched submits), directory lookup (a dirent scan, or
+// an in-memory index), the geometry and the buffer-cache size. ext4 also
+// exposes WriteBatch as the batched ->writepages path.
 package vfsimpl
 
 import (
@@ -18,7 +26,6 @@ import (
 	"bento/internal/blockdev"
 	"bento/internal/fsapi"
 	"bento/internal/kernel"
-	"bento/internal/trace"
 	"bento/internal/xv6/layout"
 )
 
@@ -51,12 +58,6 @@ func (tt Type) Name() string {
 
 // Mount implements kernel.FileSystemType.
 func (tt Type) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, error) {
-	fs := &FS{
-		cfg:    tt.Cfg,
-		bc:     kernel.NewBufferCache(dev, t.Model(), 0),
-		dev:    dev,
-		inodes: make(map[uint32]*inode),
-	}
 	buf := make([]byte, layout.BlockSize)
 	if err := dev.Read(t.Clk, 1, buf); err != nil {
 		return nil, err
@@ -65,10 +66,58 @@ func (tt Type) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, e
 	if err != nil {
 		return nil, err
 	}
-	fs.super = super
-	fs.inLog = make(map[uint32]bool)
-	fs.blockRotor = super.DataStart
-	fs.inodeRotor = 2
+	fs, err := New(t, dev, super, Mechanisms{
+		Name:       "xv6vfs",
+		Journal:    PerOpLog(),
+		Dirs:       ScanDirs(),
+		Barriers:   tt.Cfg.FlushCommits,
+		DataBypass: tt.Cfg.DataBypass,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return fs, nil
+}
+
+// Mechanisms are what a file-system type fixes when it mounts FS: the
+// C-Kernel's (Type) or ext4's. Barriers and DataBypass carry the type's
+// Config in one meaning.
+type Mechanisms struct {
+	// Name prefixes the file system's errors.
+	Name string
+	// CacheBlocks is the buffer cache's capacity; 0 takes the kernel's
+	// default.
+	CacheBlocks int
+	// Journal is when a transaction commits and how its blocks reach the
+	// device: PerOpLog or Compound.
+	Journal Journal
+	// Dirs is how a name is found in a directory: ScanDirs or IndexedDirs.
+	Dirs Dirs
+	// Barriers orders journal commits and recovery with device FLUSHes.
+	Barriers bool
+	// DataBypass routes regular-file contents around the buffer cache
+	// and the journal (see Config.DataBypass).
+	DataBypass bool
+}
+
+// New mounts the file system with geometry super on dev, replaying a
+// committed transaction the journal still holds.
+func New(t *kernel.Task, dev *blockdev.Device, super layout.Superblock, m Mechanisms) (*FS, error) {
+	fs := &FS{
+		name:       m.Name,
+		bc:         kernel.NewBufferCache(dev, t.Model(), m.CacheBlocks),
+		dev:        dev,
+		super:      super,
+		barriers:   m.Barriers,
+		bypass:     m.DataBypass,
+		log:        m.Journal,
+		logCap:     m.Journal.capacity(),
+		dirs:       m.Dirs,
+		inLog:      make(map[uint32]bool),
+		blockRotor: super.DataStart,
+		inodeRotor: 2,
+		inodes:     make(map[uint32]*inode),
+	}
 	if err := fs.recover(t); err != nil {
 		return nil, err
 	}
@@ -103,21 +152,25 @@ func (ip *inode) bounceBuf() []byte {
 	return ip.bounce
 }
 
-// FS is one mounted instance of the baseline.
+// FS is one mounted instance of the file system.
 type FS struct {
-	cfg   Config
-	bc    *kernel.BufferCache
-	dev   *blockdev.Device
-	super layout.Superblock
+	name     string
+	bc       *kernel.BufferCache
+	dev      *blockdev.Device
+	super    layout.Superblock
+	barriers bool
+	bypass   bool
+	dirs     Dirs
 
-	// log state (xv6's struct log). No locks anywhere in FS: one task
+	// journal state (xv6's struct log). No locks anywhere in FS: one task
 	// runs at a time (see the kernel package comment).
-	outstanding int
-	reserved    uint32
+	log         Journal
+	logCap      uint32
+	outstanding int // open operations
 	committing  bool
-	logBlocks   []uint32
+	logBlocks   []uint32 // blocks joined to the running transaction
 	inLog       map[uint32]bool
-	commitEnd   int64
+	commitEnd   int64 // virtual completion of the last commit
 	commits     int64
 
 	// allocation rotors.
@@ -148,207 +201,11 @@ func (fs *FS) DropCleanBlocks() int { return fs.bc.DropClean() }
 // bypass: regular-file data only, with DataBypass configured. ip is
 // loaded.
 func (fs *FS) dataDirect(ip *inode) bool {
-	return fs.cfg.DataBypass && ip.din.Type == layout.TypeFile
+	return fs.bypass && ip.din.Type == layout.TypeFile
 }
 
 // Commits reports committed transactions (benchmark stat).
 func (fs *FS) Commits() int64 { return fs.commits }
-
-// --- log ---
-
-func (fs *FS) recover(t *kernel.Task) error {
-	hb, err := fs.bc.Get(t, int(fs.super.LogStart))
-	if err != nil {
-		return err
-	}
-	lh := layout.DecodeLogHeader(hb.Data())
-	if lh.N > 0 {
-		var last int64
-		for i := uint32(0); i < lh.N; i++ {
-			src, err := fs.bc.Get(t, int(fs.super.LogStart+1+i))
-			if err != nil {
-				return err
-			}
-			dst, err := fs.bc.GetNoRead(t, int(lh.Blocks[i]))
-			if err != nil {
-				return err
-			}
-			copy(dst.Data(), src.Data())
-			done, err := dst.SubmitWrite(t)
-			if err != nil {
-				return err
-			}
-			if done > last {
-				last = done
-			}
-			_ = src.Release()
-			_ = dst.Release()
-		}
-		t.WaitIO("install", last)
-		if fs.cfg.FlushCommits {
-			if err := fs.dev.Flush(t.Clk); err != nil {
-				return err
-			}
-		}
-	}
-	var empty layout.LogHeader
-	empty.Encode(hb.Data())
-	if err := hb.WriteSync(t); err != nil {
-		return err
-	}
-	if err := hb.Release(); err != nil {
-		return err
-	}
-	if fs.cfg.FlushCommits {
-		return fs.dev.Flush(t.Clk)
-	}
-	return nil
-}
-
-func (fs *FS) beginOp(t *kernel.Task, nblocks uint32) {
-	if fs.committing || uint32(len(fs.logBlocks))+fs.reserved+nblocks > layout.LogSize {
-		// One task runs at a time and an operation commits before its
-		// task yields, so there is never a commit or a full log to wait out.
-		panic(fmt.Sprintf("xv6vfs: beginOp(%d) found the log committing=%v with %d logged + %d reserved of %d blocks: "+
-			"another task is mid-transaction, which the one-runner-at-a-time contract forbids",
-			nblocks, fs.committing, len(fs.logBlocks), fs.reserved, layout.LogSize))
-	}
-	fs.outstanding++
-	fs.reserved += nblocks
-	if r := t.Rec(); r != nil && fs.commitEnd > t.Clk.NowNS() {
-		r.Span(t.Name, trace.CatJournal, "begin-stall", t.Clk.NowNS(), fs.commitEnd)
-		r.Add(trace.CtrJournalStalls, 1)
-	}
-	t.Clk.AdvanceTo(fs.commitEnd)
-}
-
-func (fs *FS) logWrite(t *kernel.Task, bh *kernel.BufferHead) error {
-	bh.MarkDirty()
-	blk := uint32(bh.BlockNo())
-	if fs.outstanding == 0 {
-		return fmt.Errorf("xv6vfs: log write outside transaction: %w", fsapi.ErrInvalid)
-	}
-	if fs.inLog[blk] {
-		t.Rec().Add(trace.CtrJournalAbsorbed, 1)
-		return nil
-	}
-	if uint32(len(fs.logBlocks)) >= layout.LogSize {
-		return fmt.Errorf("xv6vfs: transaction too big: %w", fsapi.ErrNoSpace)
-	}
-	fs.inLog[blk] = true
-	fs.logBlocks = append(fs.logBlocks, blk)
-	return nil
-}
-
-func (fs *FS) endOp(t *kernel.Task, nblocks uint32) error {
-	fs.outstanding--
-	fs.reserved -= nblocks
-	if fs.outstanding > 0 {
-		return nil
-	}
-	fs.committing = true
-	blocks := fs.logBlocks
-
-	var err error
-	if len(blocks) > 0 {
-		commitStart := t.Clk.NowNS()
-		err = fs.commit(t, blocks)
-		if r := t.Rec(); r != nil {
-			r.SpanAB(t.Name, trace.CatJournal, "commit", commitStart, t.Clk.NowNS(), int64(len(blocks)), 0)
-			r.Add(trace.CtrJournalCommits, 1)
-			r.Add(trace.CtrJournalBlocks, int64(len(blocks)))
-		}
-	}
-
-	// Reset in place: slice capacity and map buckets carry to the next
-	// transaction instead of being reallocated per commit.
-	fs.logBlocks = fs.logBlocks[:0]
-	clear(fs.inLog)
-	fs.committing = false
-	fs.commits++
-	if now := t.Clk.NowNS(); now > fs.commitEnd {
-		fs.commitEnd = now
-	}
-	return err
-}
-
-func (fs *FS) commit(t *kernel.Task, blocks []uint32) error {
-	// Copy home blocks into the log region (synchronous per-block writes,
-	// like xv6's bwrite).
-	for i, home := range blocks {
-		src, err := fs.bc.Get(t, int(home))
-		if err != nil {
-			return err
-		}
-		dst, err := fs.bc.GetNoRead(t, int(fs.super.LogStart+1+uint32(i)))
-		if err != nil {
-			return err
-		}
-		copy(dst.Data(), src.Data())
-		if err := dst.WriteSync(t); err != nil {
-			return err
-		}
-		_ = dst.Release()
-		_ = src.Release()
-	}
-	// Commit record.
-	var lh layout.LogHeader
-	lh.N = uint32(len(blocks))
-	copy(lh.Blocks[:], blocks)
-	hb, err := fs.bc.GetNoRead(t, int(fs.super.LogStart))
-	if err != nil {
-		return err
-	}
-	lh.Encode(hb.Data())
-	if err := hb.WriteSync(t); err != nil {
-		return err
-	}
-	if fs.cfg.FlushCommits {
-		if err := fs.dev.Flush(t.Clk); err != nil {
-			return err
-		}
-	}
-	// Install home.
-	var last int64
-	for _, home := range blocks {
-		src, err := fs.bc.Get(t, int(home))
-		if err != nil {
-			return err
-		}
-		done, err := src.SubmitWrite(t)
-		if err != nil {
-			return err
-		}
-		if done > last {
-			last = done
-		}
-		_ = src.Release()
-	}
-	t.WaitIO("install", last)
-	if fs.cfg.FlushCommits {
-		if err := fs.dev.Flush(t.Clk); err != nil {
-			return err
-		}
-	}
-	// Clear the record.
-	lh = layout.LogHeader{}
-	lh.Encode(hb.Data())
-	if err := hb.WriteSync(t); err != nil {
-		return err
-	}
-	if err := hb.Release(); err != nil {
-		return err
-	}
-	if fs.cfg.FlushCommits {
-		return fs.dev.Flush(t.Clk)
-	}
-	return nil
-}
-
-func (fs *FS) forceCommit(t *kernel.Task) error {
-	fs.beginOp(t, 1)
-	return fs.endOp(t, 1)
-}
 
 // --- allocation ---
 
@@ -384,7 +241,7 @@ func (fs *FS) balloc(t *kernel.Task, dataLeaf bool) (uint32, error) {
 						return 0, err
 					}
 					_ = bh.Release()
-					if dataLeaf && fs.cfg.DataBypass {
+					if dataLeaf && fs.bypass {
 						fs.blockRotor = cur + 1
 						return cur, nil
 					}
@@ -412,7 +269,7 @@ func (fs *FS) balloc(t *kernel.Task, dataLeaf bool) (uint32, error) {
 
 func (fs *FS) bfree(t *kernel.Task, blk uint32) error {
 	if blk < fs.super.DataStart || blk >= fs.super.Size {
-		return fmt.Errorf("xv6vfs: bfree %d outside data region: %w", blk, fsapi.ErrInvalid)
+		return fmt.Errorf("%s: bfree %d outside data region: %w", fs.name, blk, fsapi.ErrInvalid)
 	}
 	bh, err := fs.bc.Get(t, int(fs.super.BitmapBlock(blk)))
 	if err != nil {
@@ -422,7 +279,7 @@ func (fs *FS) bfree(t *kernel.Task, blk uint32) error {
 	bit := blk % layout.BitsPerBlock
 	if data[bit/8]&(1<<(bit%8)) == 0 {
 		_ = bh.Release()
-		return fmt.Errorf("xv6vfs: double free of %d: %w", blk, fsapi.ErrCorrupt)
+		return fmt.Errorf("%s: double free of %d: %w", fs.name, blk, fsapi.ErrCorrupt)
 	}
 	data[bit/8] &^= 1 << (bit % 8)
 	if err := fs.logWrite(t, bh); err != nil {
@@ -527,9 +384,9 @@ func (fs *FS) iupdate(t *kernel.Task, ip *inode) error {
 func (fs *FS) iput(t *kernel.Task, ip *inode, hasTxn bool) error {
 	if ip.valid && ip.din.Nlink == 0 && ip.ref == 1 {
 		if !hasTxn {
-			fs.beginOp(t, layout.MaxOpBlocks)
+			fs.beginOp(t)
 			err := fs.iput(t, ip, true)
-			if e := fs.endOp(t, layout.MaxOpBlocks); err == nil {
+			if e := fs.endOp(t); err == nil {
 				err = e
 			}
 			return err
@@ -559,7 +416,7 @@ func (fs *FS) iput(t *kernel.Task, ip *inode, hasTxn bool) error {
 // bmap maps file block bn, allocating when alloc is set. fresh reports
 // that the returned leaf was allocated by this call (under the bypass a
 // fresh data leaf carries no zeroed content — the writer supplies the
-// full block). Caller holds ip.mu and a transaction when allocating.
+// full block). Caller holds a transaction when allocating.
 func (fs *FS) bmap(t *kernel.Task, ip *inode, bn uint64, alloc bool) (blk uint32, fresh bool, err error) {
 	if bn >= layout.MaxFileBlocks {
 		return 0, false, fsapi.ErrFileTooBig
@@ -641,6 +498,48 @@ func (fs *FS) bmap(t *kernel.Task, ip *inode, bn uint64, alloc bool) (blk uint32
 	return cur, fresh, nil
 }
 
+// clearMap zeroes the mapping for file block bn, journalling the block
+// that holds the pointer. A direct pointer lives in the in-core inode,
+// which the caller writes back.
+func (fs *FS) clearMap(t *kernel.Task, ip *inode, bn uint64) error {
+	if bn < layout.NDirect {
+		ip.din.Addrs[bn] = 0
+		return nil
+	}
+	var holder uint32
+	var idx int
+	if bn < layout.NDirect+layout.NIndirect {
+		holder = ip.din.Addrs[layout.IndirectSlot]
+		idx = int(bn - layout.NDirect)
+	} else {
+		off := bn - layout.NDirect - layout.NIndirect
+		dind := ip.din.Addrs[layout.DIndirectSlot]
+		if dind == 0 {
+			return nil
+		}
+		bh, err := fs.bc.Get(t, int(dind))
+		if err != nil {
+			return err
+		}
+		holder = u32(bh.Data(), 4*int(off/layout.NIndirect))
+		_ = bh.Release()
+		idx = int(off % layout.NIndirect)
+	}
+	if holder == 0 {
+		return nil
+	}
+	bh, err := fs.bc.Get(t, int(holder))
+	if err != nil {
+		return err
+	}
+	pu32(bh.Data(), 4*idx, 0)
+	if err := fs.logWrite(t, bh); err != nil {
+		_ = bh.Release()
+		return err
+	}
+	return bh.Release()
+}
+
 func (fs *FS) itrunc(t *kernel.Task, ip *inode) error {
 	for i := 0; i < layout.NDirect; i++ {
 		if a := ip.din.Addrs[i]; a != 0 {
@@ -650,33 +549,30 @@ func (fs *FS) itrunc(t *kernel.Task, ip *inode) error {
 			ip.din.Addrs[i] = 0
 		}
 	}
-	freeTree := func(blk uint32, depth int) error {
-		var rec func(uint32, int) error
-		rec = func(b uint32, d int) error {
-			bh, err := fs.bc.Get(t, int(b))
-			if err != nil {
-				return err
+	var freeTree func(uint32, int) error
+	freeTree = func(b uint32, d int) error {
+		bh, err := fs.bc.Get(t, int(b))
+		if err != nil {
+			return err
+		}
+		data := bh.Data()
+		for i := 0; i < layout.NIndirect; i++ {
+			a := u32(data, 4*i)
+			if a == 0 {
+				continue
 			}
-			data := bh.Data()
-			for i := 0; i < layout.NIndirect; i++ {
-				a := u32(data, 4*i)
-				if a == 0 {
-					continue
-				}
-				if d > 1 {
-					if err := rec(a, d-1); err != nil {
-						_ = bh.Release()
-						return err
-					}
-				} else if err := fs.bfree(t, a); err != nil {
+			if d > 1 {
+				if err := freeTree(a, d-1); err != nil {
 					_ = bh.Release()
 					return err
 				}
+			} else if err := fs.bfree(t, a); err != nil {
+				_ = bh.Release()
+				return err
 			}
-			_ = bh.Release()
-			return fs.bfree(t, b)
 		}
-		return rec(blk, depth)
+		_ = bh.Release()
+		return fs.bfree(t, b)
 	}
 	if a := ip.din.Addrs[layout.IndirectSlot]; a != 0 {
 		if err := freeTree(a, 1); err != nil {
@@ -712,7 +608,7 @@ func (fs *FS) readi(t *kernel.Task, ip *inode, off int64, buf []byte) (int, erro
 	for done < want {
 		bn := uint64((off + done) / layout.BlockSize)
 		bo := (off + done) % layout.BlockSize
-		n := min64(int64(layout.BlockSize)-bo, want-done)
+		n := min(int64(layout.BlockSize)-bo, want-done)
 		blk, _, err := fs.bmap(t, ip, bn, false)
 		if err != nil {
 			return int(done), err
@@ -746,11 +642,18 @@ func (fs *FS) readi(t *kernel.Task, ip *inode, off int64, buf []byte) (int, erro
 	return int(done), nil
 }
 
-// writei writes buf at off. With owned set buf is a page buffer the kernel
-// has given up (write-back), so a whole block of it goes to the device as
-// it is instead of being copied.
-func (fs *FS) writei(t *kernel.Task, ip *inode, off int64, buf []byte, owned bool) (int, error) {
-	if off < 0 || off+int64(len(buf)) > layout.MaxFileSize {
+// writei writes buf at off.
+func (fs *FS) writei(t *kernel.Task, ip *inode, off int64, buf []byte) (int, error) {
+	return fs.writev(t, ip, off, [][]byte{buf}, int64(len(buf)), false)
+}
+
+// writev writes the first total bytes of src, the concatenation of its
+// buffers, at off, growing the file as needed. With owned set src is a
+// run of page buffers the kernel has given up (write-back) and off is
+// page-aligned: a whole block of direct data is then a whole buffer of
+// src and goes to the device as it is instead of being copied.
+func (fs *FS) writev(t *kernel.Task, ip *inode, off int64, src [][]byte, total int64, owned bool) (int, error) {
+	if off < 0 || off+total > layout.MaxFileSize {
 		return 0, fsapi.ErrFileTooBig
 	}
 	direct := fs.dataDirect(ip)
@@ -762,18 +665,22 @@ func (fs *FS) writei(t *kernel.Task, ip *inode, off int64, buf []byte, owned boo
 		}
 	}
 	var done int64
-	want := int64(len(buf))
-	for done < want {
+	var si int   // src[si] holds the next byte to write,
+	var so int64 // at offset so
+	for done < total {
 		bn := uint64((off + done) / layout.BlockSize)
 		bo := (off + done) % layout.BlockSize
-		n := min64(int64(layout.BlockSize)-bo, want-done)
+		n := min(int64(layout.BlockSize)-bo, total-done, int64(len(src[si]))-so)
+		from := src[si][so : so+n]
+		if so += n; so == int64(len(src[si])) {
+			si, so = si+1, 0
+		}
 		blk, fresh, err := fs.bmap(t, ip, bn, true)
 		if err != nil {
 			wait()
 			return int(done), err
 		}
 		if direct {
-			src := buf[done : done+n]
 			whole := bo == 0 && n == layout.BlockSize
 			if !whole {
 				// Merge base: zeros for any block holding no committed
@@ -789,14 +696,14 @@ func (fs *FS) writei(t *kernel.Task, ip *inode, off int64, buf []byte, owned boo
 					wait()
 					return int(done), err
 				}
-				copy(bounce[bo:bo+n], src)
-				src = bounce
+				copy(bounce[bo:bo+n], from)
+				from = bounce
 			}
 			var completion int64
 			if whole && owned {
-				completion, err = fs.bc.WriteDirectOwned(t, int(blk), src)
+				completion, err = fs.bc.WriteDirectOwned(t, int(blk), from)
 			} else {
-				completion, err = fs.bc.WriteDirect(t, int(blk), src)
+				completion, err = fs.bc.WriteDirect(t, int(blk), from)
 			}
 			if err != nil {
 				wait()
@@ -817,7 +724,7 @@ func (fs *FS) writei(t *kernel.Task, ip *inode, off int64, buf []byte, owned boo
 		if err != nil {
 			return int(done), err
 		}
-		copy(bh.Data()[bo:bo+n], buf[done:done+n])
+		copy(bh.Data()[bo:bo+n], from)
 		if err := fs.logWrite(t, bh); err != nil {
 			_ = bh.Release()
 			return int(done), err
@@ -838,11 +745,4 @@ func u32(b []byte, off int) uint32 {
 
 func pu32(b []byte, off int, v uint32) {
 	b[off], b[off+1], b[off+2], b[off+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
