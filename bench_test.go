@@ -12,9 +12,9 @@
 package bento
 
 import (
+	"slices"
 	"testing"
 
-	"bento/internal/filebench"
 	"bento/internal/harness"
 )
 
@@ -27,19 +27,29 @@ import (
 // parallelism is outside the determinism contract).
 func benchOpts() harness.Options { return harness.Quick() }
 
-// reportCells publishes each variant's primary metric for a run.
-func reportCells(b *testing.B, data map[string][]filebench.Result, variants []string, metric string) {
+// runExp runs one experiment through harness.RunMatrix and returns its
+// records: variants in row order, cells in run order.
+func runExp(b *testing.B, id string) []harness.Record {
 	b.Helper()
-	for _, v := range variants {
-		for _, r := range data[v] {
-			switch metric {
-			case "ops":
-				b.ReportMetric(r.OpsPerSec(), v+"/"+r.Name+"_vops/s")
-			case "mbps":
-				b.ReportMetric(r.MBps(), v+"/"+r.Name+"_vMB/s")
-			case "sec":
-				b.ReportMetric(r.Elapsed.Seconds(), v+"/"+r.Name+"_vsec")
-			}
+	out, err := harness.RunMatrix([]string{id}, benchOpts())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return out[0].Records
+}
+
+// reportCells publishes each listed variant's primary metric for a run.
+func reportCells(b *testing.B, recs []harness.Record, variants []string, metric string) {
+	b.Helper()
+	for _, r := range recs {
+		if !slices.Contains(variants, r.Variant) {
+			continue
+		}
+		switch metric {
+		case "ops":
+			b.ReportMetric(r.OpsPerSec, r.Variant+"/"+r.Cell+"_vops/s")
+		case "mbps":
+			b.ReportMetric(r.MBps, r.Variant+"/"+r.Cell+"_vMB/s")
 		}
 	}
 }
@@ -66,12 +76,9 @@ func BenchmarkTable2Comparison(b *testing.B) {
 // BenchmarkFig2Read4K regenerates Figure 2 (4 KB reads, ops/s).
 func BenchmarkFig2Read4K(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, data, err := harness.Fig2(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		recs := runExp(b, harness.ExpFig2)
 		if i == b.N-1 {
-			reportCells(b, data, harness.XV6Variants, "ops")
+			reportCells(b, recs, harness.XV6Variants, "ops")
 		}
 	}
 }
@@ -79,12 +86,9 @@ func BenchmarkFig2Read4K(b *testing.B) {
 // BenchmarkFig3ReadLarge regenerates Figure 3 (32K–1024K reads, MBps).
 func BenchmarkFig3ReadLarge(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, data, err := harness.Fig3(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		recs := runExp(b, harness.ExpFig3)
 		if i == b.N-1 {
-			reportCells(b, data, harness.XV6Variants, "mbps")
+			reportCells(b, recs, harness.XV6Variants, "mbps")
 		}
 	}
 }
@@ -92,12 +96,9 @@ func BenchmarkFig3ReadLarge(b *testing.B) {
 // BenchmarkFig4Write regenerates Figure 4 (writes, MBps).
 func BenchmarkFig4Write(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, data, err := harness.Fig4(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		recs := runExp(b, harness.ExpFig4)
 		if i == b.N-1 {
-			reportCells(b, data, harness.XV6Variants, "mbps")
+			reportCells(b, recs, harness.XV6Variants, "mbps")
 		}
 	}
 }
@@ -105,12 +106,9 @@ func BenchmarkFig4Write(b *testing.B) {
 // BenchmarkTable4Create regenerates Table 4 (create ops/s).
 func BenchmarkTable4Create(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, data, err := harness.Table4(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		recs := runExp(b, harness.ExpTable4)
 		if i == b.N-1 {
-			reportCells(b, data, harness.XV6Variants, "ops")
+			reportCells(b, recs, harness.XV6Variants, "ops")
 		}
 	}
 }
@@ -118,12 +116,9 @@ func BenchmarkTable4Create(b *testing.B) {
 // BenchmarkTable5Delete regenerates Table 5 (delete ops/s).
 func BenchmarkTable5Delete(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, data, err := harness.Table5(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		recs := runExp(b, harness.ExpTable5)
 		if i == b.N-1 {
-			reportCells(b, data, harness.XV6Variants, "ops")
+			reportCells(b, recs, harness.XV6Variants, "ops")
 		}
 	}
 }
@@ -134,12 +129,9 @@ func BenchmarkTable5Delete(b *testing.B) {
 // the FUSE baseline, which has neither, does not.
 func BenchmarkStream(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, data, err := harness.Stream(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		recs := runExp(b, harness.ExpStream)
 		if i == b.N-1 {
-			reportCells(b, data, harness.AllVariants, "mbps")
+			reportCells(b, recs, harness.AllVariants, "mbps")
 		}
 	}
 }
@@ -148,16 +140,14 @@ func BenchmarkStream(b *testing.B) {
 // across all four variants including ext4.
 func BenchmarkTable6Macro(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, data, err := harness.Table6(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		recs := runExp(b, harness.ExpTable6)
 		if i == b.N-1 {
-			for _, v := range harness.AllVariants {
-				rs := data[v]
-				b.ReportMetric(rs[0].OpsPerSec(), v+"/varmail_vops/s")
-				b.ReportMetric(rs[1].OpsPerSec(), v+"/fileserver_vops/s")
-				b.ReportMetric(rs[2].Elapsed.Seconds(), v+"/untar_vsec")
+			// Each variant's row is [varmail, fileserver, untar].
+			for j := 0; j+2 < len(recs); j += 3 {
+				v := recs[j].Variant
+				b.ReportMetric(recs[j].OpsPerSec, v+"/varmail_vops/s")
+				b.ReportMetric(recs[j+1].OpsPerSec, v+"/fileserver_vops/s")
+				b.ReportMetric(float64(recs[j+2].ElapsedNS)/1e9, v+"/untar_vsec")
 			}
 		}
 	}

@@ -21,8 +21,8 @@
 // a logical oracle — every file whose fsync/sync returned before the cut
 // must exist with exactly its synced contents, and every deletion
 // covered by a sync must stay deleted; a full tree walk — every
-// surviving entry must be readable; and, for the xv6-layout variants, a
-// structural layout.Fsck must come back clean. Any violation is a
+// surviving entry must be readable; and a structural layout.Fsck (every
+// variant's image is in the xv6 layout) must come back clean. Any violation is a
 // Failure carrying the replayable Point.
 //
 // Every variant is mounted by harness.Mount, the builder the benchmark
@@ -285,8 +285,7 @@ func RunPoint(cfg Config, k int64) error {
 }
 
 // verify remounts dev on a fresh kernel and checks the recovered state:
-// the oracle's guarantees, a full tree walk, and (for the xv6-layout
-// variants) a structural fsck.
+// the oracle's guarantees, a full tree walk, and a structural fsck.
 func verify(cfg Config, dev *blockdev.Device, o *oracle) error {
 	m, task, err := mount(cfg, dev, false)
 	if err != nil {
@@ -321,14 +320,12 @@ func verify(cfg Config, dev *blockdev.Device, o *oracle) error {
 	if err := walk(m, task, "/"); err != nil {
 		return fmt.Errorf("tree walk: %w", err)
 	}
-	if cfg.Variant != Ext4 {
-		rep, err := layout.Fsck(task.Clk, dev)
-		if err != nil {
-			return fmt.Errorf("fsck: %w", err)
-		}
-		if !rep.OK() {
-			return fmt.Errorf("fsck: %v", rep.Errors)
-		}
+	rep, err := layout.Fsck(task.Clk, dev)
+	if err != nil {
+		return fmt.Errorf("fsck: %w", err)
+	}
+	if !rep.OK() {
+		return fmt.Errorf("fsck: %v", rep.Errors)
 	}
 	return nil
 }

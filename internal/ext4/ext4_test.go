@@ -330,3 +330,72 @@ func TestExt4PartialTruncateUnmapsTail(t *testing.T) {
 		}
 	}
 }
+
+// TestExt4ImagePassesFsck: ext4 writes its superblock in the shared
+// layout's record with its own magic and journal size, so layout.Fsck
+// reads an ext4 image like an xv6 one. After a workload of creates,
+// writes spanning indirect blocks, renames, unlinks and a truncate, the
+// unmounted image is consistent.
+func TestExt4ImagePassesFsck(t *testing.T) {
+	k, m, task, dev := newExt4(t, 16384)
+	for d := 0; d < 3; d++ {
+		dir := fmt.Sprintf("/d%d", d)
+		if err := m.Mkdir(task, dir); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			data := bytes.Repeat([]byte{byte(i)}, (i%5)*3000+1)
+			if err := m.WriteFile(task, fmt.Sprintf("%s/f%d", dir, i), data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	big := bytes.Repeat([]byte("ext4"), 20*layout.BlockSize) // past the direct blocks
+	if err := m.WriteFile(task, "/d0/big", big); err != nil {
+		t.Fatal(err)
+	}
+	f, err := m.Open(task, "/d0/big", fsapi.ORdwr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(task, 5*layout.BlockSize+17); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(task, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Rename(task, "/d1/f3", "/d2/moved"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i += 2 {
+		if err := m.Unlink(task, fmt.Sprintf("/d1/f%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Sync(task); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Unmount(task, "/mnt"); err != nil {
+		t.Fatal(err)
+	}
+
+	sb, err := layout.ReadSuperblock(task.Clk, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sb.Magic != layout.Ext4Magic || sb.NLog != ext4.JournalSize {
+		t.Fatalf("superblock %+v: want ext4's magic and a %d-block journal", sb, ext4.JournalSize)
+	}
+	rep, err := layout.Fsck(task.Clk, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("fsck after workload: %v", rep.Errors)
+	}
+	// Root + 3 directories; 61 files created (one renamed across
+	// directories), 10 unlinked.
+	if rep.Dirs != 4 || rep.Files != 51 {
+		t.Fatalf("census %+v, want 4 directories and 51 files", rep)
+	}
+}

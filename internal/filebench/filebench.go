@@ -2,7 +2,8 @@
 // evaluation drives through filebench — the read/write/create/delete
 // microbenchmarks, the varmail and fileserver macrobenchmarks — plus the
 // untar-Linux workload. Workloads run against any mounted file system and
-// report operations and bytes per virtual second.
+// report operations and bytes per virtual second. Each timed personality
+// is only its step: one shared loop (loop) runs it against the clock.
 package filebench
 
 import (
@@ -65,12 +66,34 @@ func (r Result) String() string {
 		r.Name, r.Ops, r.Elapsed, r.OpsPerSec(), r.MBps())
 }
 
+// tally is one worker's running count. Ops counts successes only; Errs
+// counts the failures the TolerateIO rule absorbed. A step sets done to
+// end its worker's loop before the window closes.
+type tally struct {
+	ops, bytes, errs int64
+	done             bool
+	tolerate         bool
+}
+
+// absorb is the TolerateIO rule, the goodput discipline of the netfaults
+// experiment: under TolerateIO an ErrIO-class failure (blockdev EIO or
+// netstore's degraded-mode failures) is counted in Errs — never in Ops —
+// and reported absorbed; anything else is the caller's to return.
+func (n *tally) absorb(err error) bool {
+	if n.tolerate && TolerableIO(err) {
+		n.errs++
+		return true
+	}
+	return false
+}
+
 // runWorkers runs fn in n workers with fresh group-joined clocks until
 // each worker's virtual clock passes duration (or fn signals done). The
 // workers start at startAt — the virtual time the setup phase finished —
 // so shared resources (CPU pool, device queues, journal state) warmed by
 // setup do not leak into the measurement. The run's elapsed time is the
-// furthest-ahead worker minus startAt.
+// furthest-ahead worker minus startAt. A worker that returns an error
+// adds one to Errs.
 //
 // Execution is deterministic: the group's scheduler admits one worker at
 // a time, always the one with the minimal (virtual time, worker index)
@@ -80,7 +103,7 @@ func (r Result) String() string {
 // is a pure function of virtual time, so multi-thread cells replay
 // bit-for-bit across runs and hosts.
 func runWorkers(tg Target, name string, n int, startAt, duration time.Duration,
-	fn func(w int, task *kernel.Task, deadline int64, pace func()) (ops, bytes, errs int64, err error)) Result {
+	fn func(w int, task *kernel.Task, deadline int64, pace func()) (tally, error)) Result {
 
 	// Group.Run registers every worker before any runs: registration
 	// order (= worker index) is the scheduler's tie-break key. Even a
@@ -92,7 +115,7 @@ func runWorkers(tg Target, name string, n int, startAt, duration time.Duration,
 		clk := sw.Clock()
 		task := tg.K.NewTaskWithClock(fmt.Sprintf("%s-w%d", name, w), clk)
 		wstart := clk.NowNS()
-		ops, bytes, errs, err := fn(w, task, wstart+int64(duration), sw.Yield)
+		t, err := fn(w, task, wstart+int64(duration), sw.Yield)
 		if r := task.Rec(); r != nil {
 			// The whole measured run is one worker-category span; its
 			// exclusive time (what no nested span claims) is the
@@ -100,15 +123,33 @@ func runWorkers(tg Target, name string, n int, startAt, duration time.Duration,
 			r.Span(task.Name, trace.CatWorker, "run", wstart, clk.NowNS())
 		}
 		// Still the admitted worker: the totals need no lock.
-		res.Ops += ops
-		res.Bytes += bytes
-		res.Errs += errs
+		res.Ops += t.ops
+		res.Bytes += t.bytes
+		res.Errs += t.errs
 		if err != nil {
 			res.Errs++
 		}
 	})
 	res.Elapsed = group.Elapsed()
 	return res
+}
+
+// loop is the measured loop every timed worker runs: until the worker's
+// clock passes deadline, its Ops reach maxOps (0 = no cap) or step sets
+// done, it yields to the scheduler, charges the application's per-op
+// think time, and runs one step. A step failure the TolerateIO rule
+// absorbs starts the next iteration; any other ends the worker.
+func loop(task *kernel.Task, deadline int64, pace func(), maxOps int64, tolerate bool,
+	step func(n *tally) error) (tally, error) {
+	n := tally{tolerate: tolerate}
+	for !n.done && task.Clk.NowNS() < deadline && (maxOps == 0 || n.ops < maxOps) {
+		pace()
+		task.Charge(task.Model().AppOpOverhead)
+		if err := step(&n); err != nil && !n.absorb(err) {
+			return n, err
+		}
+	}
+	return n, nil
 }
 
 // MicroConfig parameterizes the read/write microbenchmarks.
@@ -177,6 +218,15 @@ func pattern(n int) []byte {
 	return make([]byte, n)
 }
 
+// rw returns what a worker moves size bytes of f with: PRead into a
+// fresh buffer, or, to write, PWrite from the shared read-only pattern.
+func rw(f *kernel.File, size int, write bool) ([]byte, func(*kernel.Task, []byte, int64) (int, error)) {
+	if write {
+		return pattern(size), f.PWrite
+	}
+	return make([]byte, size), f.PRead
+}
+
 // prepareFile creates and writes a per-thread working file, then syncs so
 // the measured phase starts from a clean, cached state.
 func prepareFile(tg Target, task *kernel.Task, path string, size int64) error {
@@ -203,80 +253,31 @@ func prepareFile(tg Target, task *kernel.Task, path string, size int64) error {
 // ReadMicro is the paper's read microbenchmark (Figures 2 and 3): warm the
 // cache with one pass, then timed reads at the configured size and access
 // pattern.
-func ReadMicro(tg Target, cfg MicroConfig) (Result, error) {
-	cfg.defaults()
-	setup := tg.K.NewTask("setup")
-	for w := 0; w < cfg.Threads; w++ {
-		if err := prepareFile(tg, setup, fmt.Sprintf("/readfile%d", w), cfg.FileSize); err != nil {
-			return Result{}, err
-		}
-	}
-	// Warm the page cache: one sequential pass per file.
-	for w := 0; w < cfg.Threads; w++ {
-		if _, err := tg.M.ReadFile(setup, fmt.Sprintf("/readfile%d", w)); err != nil {
-			return Result{}, err
-		}
-	}
-
-	kind := "seq"
-	if cfg.Random {
-		kind = "rnd"
-	}
-	name := fmt.Sprintf("read-%s-%dt-%dk", kind, cfg.Threads, cfg.IOSize/1024)
-	if cfg.PreMeasure != nil {
-		cfg.PreMeasure(int64(setup.Clk.Now()))
-	}
-	res := runWorkers(tg, name, cfg.Threads, setup.Clk.Now(), cfg.Duration,
-		func(w int, task *kernel.Task, deadline int64, pace func()) (int64, int64, int64, error) {
-			f, err := tg.M.Open(task, fmt.Sprintf("/readfile%d", w), fsapi.ORdonly)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			defer tg.M.Close(task, f)
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)))
-			buf := make([]byte, cfg.IOSize)
-			slots := cfg.FileSize / int64(cfg.IOSize)
-			if slots < 1 {
-				slots = 1
-			}
-			var ops, bytes, errs int64
-			var pos int64
-			for task.Clk.NowNS() < deadline && (cfg.MaxOps == 0 || ops < cfg.MaxOps) {
-				pace()
-				task.Charge(task.Model().AppOpOverhead)
-				var off int64
-				if cfg.Random {
-					off = rng.Int63n(slots) * int64(cfg.IOSize)
-				} else {
-					off = pos
-					pos += int64(cfg.IOSize)
-					if pos >= cfg.FileSize {
-						pos = 0
-					}
-				}
-				n, err := f.PRead(task, buf, off)
-				if err != nil {
-					if cfg.TolerateIO && TolerableIO(err) {
-						errs++
-						continue
-					}
-					return ops, bytes, errs, err
-				}
-				ops++
-				bytes += int64(n)
-			}
-			return ops, bytes, errs, nil
-		})
-	return res, nil
-}
+func ReadMicro(tg Target, cfg MicroConfig) (Result, error) { return micro(tg, cfg, false) }
 
 // WriteMicro is the paper's write microbenchmark (Figure 4): timed writes
 // of IOSize at sequential or random offsets within a per-thread file.
-func WriteMicro(tg Target, cfg MicroConfig) (Result, error) {
+func WriteMicro(tg Target, cfg MicroConfig) (Result, error) { return micro(tg, cfg, true) }
+
+// micro is the read/write microbenchmark: one working file per thread,
+// then IOSize reads (warm cache) or writes at sequential or seeded random
+// offsets.
+func micro(tg Target, cfg MicroConfig, write bool) (Result, error) {
 	cfg.defaults()
+	op, mode, seed := "read", fsapi.ORdonly, cfg.Seed
+	if write {
+		op, mode, seed = "write", fsapi.ORdwr, cfg.Seed+77
+	}
+	path := "/" + op + "file%d"
 	setup := tg.K.NewTask("setup")
 	for w := 0; w < cfg.Threads; w++ {
-		if err := prepareFile(tg, setup, fmt.Sprintf("/writefile%d", w), cfg.FileSize); err != nil {
+		if err := prepareFile(tg, setup, fmt.Sprintf(path, w), cfg.FileSize); err != nil {
+			return Result{}, err
+		}
+	}
+	// Warm the page cache for reads: one sequential pass per file.
+	for w := 0; w < cfg.Threads && !write; w++ {
+		if _, err := tg.M.ReadFile(setup, fmt.Sprintf(path, w)); err != nil {
 			return Result{}, err
 		}
 	}
@@ -285,50 +286,36 @@ func WriteMicro(tg Target, cfg MicroConfig) (Result, error) {
 	if cfg.Random {
 		kind = "rnd"
 	}
-	name := fmt.Sprintf("write-%s-%dt-%dk", kind, cfg.Threads, cfg.IOSize/1024)
+	name := fmt.Sprintf("%s-%s-%dt-%dk", op, kind, cfg.Threads, cfg.IOSize/1024)
 	if cfg.PreMeasure != nil {
 		cfg.PreMeasure(int64(setup.Clk.Now()))
 	}
 	res := runWorkers(tg, name, cfg.Threads, setup.Clk.Now(), cfg.Duration,
-		func(w int, task *kernel.Task, deadline int64, pace func()) (int64, int64, int64, error) {
-			f, err := tg.M.Open(task, fmt.Sprintf("/writefile%d", w), fsapi.ORdwr)
+		func(w int, task *kernel.Task, deadline int64, pace func()) (tally, error) {
+			f, err := tg.M.Open(task, fmt.Sprintf(path, w), mode)
 			if err != nil {
-				return 0, 0, 0, err
+				return tally{}, err
 			}
 			defer tg.M.Close(task, f)
-			rng := rand.New(rand.NewSource(cfg.Seed + 77 + int64(w)))
-			buf := pattern(cfg.IOSize) // write source only; shared read-only chunk
-			slots := cfg.FileSize / int64(cfg.IOSize)
-			if slots < 1 {
-				slots = 1
-			}
-			var ops, bytes, errs int64
+			rng := rand.New(rand.NewSource(seed + int64(w)))
+			buf, io := rw(f, cfg.IOSize, write)
+			slots := max(cfg.FileSize/int64(cfg.IOSize), 1)
 			var pos int64
-			for task.Clk.NowNS() < deadline && (cfg.MaxOps == 0 || ops < cfg.MaxOps) {
-				pace()
-				task.Charge(task.Model().AppOpOverhead)
-				var off int64
+			return loop(task, deadline, pace, cfg.MaxOps, cfg.TolerateIO, func(n *tally) error {
+				off := pos
 				if cfg.Random {
 					off = rng.Int63n(slots) * int64(cfg.IOSize)
-				} else {
-					off = pos
-					pos += int64(cfg.IOSize)
-					if pos >= cfg.FileSize {
-						pos = 0
-					}
+				} else if pos += int64(cfg.IOSize); pos >= cfg.FileSize {
+					pos = 0
 				}
-				n, err := f.PWrite(task, buf, off)
+				k, err := io(task, buf, off)
 				if err != nil {
-					if cfg.TolerateIO && TolerableIO(err) {
-						errs++
-						continue
-					}
-					return ops, bytes, errs, err
+					return err
 				}
-				ops++
-				bytes += int64(n)
-			}
-			return ops, bytes, errs, nil
+				n.ops++
+				n.bytes += int64(k)
+				return nil
+			})
 		})
 	return res, nil
 }
@@ -336,7 +323,6 @@ func WriteMicro(tg Target, cfg MicroConfig) (Result, error) {
 // MetaConfig parameterizes the create/delete microbenchmarks.
 type MetaConfig struct {
 	Threads  int
-	FileSize int // bytes written per created file (16 KiB in filebench)
 	Files    int // files per thread (delete pre-creates these)
 	Duration time.Duration
 	MaxOps   int64
@@ -345,11 +331,6 @@ type MetaConfig struct {
 func (c *MetaConfig) defaults() {
 	if c.Threads <= 0 {
 		c.Threads = 1
-	}
-	if c.FileSize < 0 {
-		c.FileSize = 0
-	} else if c.FileSize == 0 {
-		c.FileSize = 16 << 10
 	}
 	if c.Files <= 0 {
 		c.Files = 512
@@ -360,7 +341,8 @@ func (c *MetaConfig) defaults() {
 }
 
 // CreateFiles is Table 4's createfiles personality: each thread creates
-// files of FileSize in its own directory until the clock runs out.
+// 16 KiB files (filebench's size) in its own directory, each fsync'd,
+// until the clock runs out.
 func CreateFiles(tg Target, cfg MetaConfig) (Result, error) {
 	cfg.defaults()
 	setup := tg.K.NewTask("setup")
@@ -369,36 +351,30 @@ func CreateFiles(tg Target, cfg MetaConfig) (Result, error) {
 			return Result{}, err
 		}
 	}
-	payload := pattern(cfg.FileSize)
+	payload := pattern(16 << 10)
 	name := fmt.Sprintf("createfiles-%dt", cfg.Threads)
 	res := runWorkers(tg, name, cfg.Threads, setup.Clk.Now(), cfg.Duration,
-		func(w int, task *kernel.Task, deadline int64, pace func()) (int64, int64, int64, error) {
-			var ops, bytes int64
-			for task.Clk.NowNS() < deadline && (cfg.MaxOps == 0 || ops < cfg.MaxOps) {
-				pace()
-				task.Charge(task.Model().AppOpOverhead)
-				p := fmt.Sprintf("/create%d/f%06d", w, ops)
-				f, err := tg.M.Open(task, p, fsapi.OCreate|fsapi.OWronly)
+		func(w int, task *kernel.Task, deadline int64, pace func()) (tally, error) {
+			return loop(task, deadline, pace, cfg.MaxOps, false, func(n *tally) error {
+				f, err := tg.M.Open(task, fmt.Sprintf("/create%d/f%06d", w, n.ops), fsapi.OCreate|fsapi.OWronly)
 				if err != nil {
-					return ops, bytes, 0, err
+					return err
 				}
-				if len(payload) > 0 {
-					if _, err := f.Write(task, payload); err != nil {
-						_ = tg.M.Close(task, f)
-						return ops, bytes, 0, err
-					}
+				if _, err := f.Write(task, payload); err != nil {
+					_ = tg.M.Close(task, f)
+					return err
 				}
 				if err := f.FSync(task); err != nil {
 					_ = tg.M.Close(task, f)
-					return ops, bytes, 0, err
+					return err
 				}
 				if err := tg.M.Close(task, f); err != nil {
-					return ops, bytes, 0, err
+					return err
 				}
-				ops++
-				bytes += int64(len(payload))
-			}
-			return ops, bytes, 0, nil
+				n.ops++
+				n.bytes += int64(len(payload))
+				return nil
+			})
 		})
 	return res, nil
 }
@@ -425,17 +401,15 @@ func DeleteFiles(tg Target, cfg MetaConfig) (Result, error) {
 	}
 	name := fmt.Sprintf("deletefiles-%dt", cfg.Threads)
 	res := runWorkers(tg, name, cfg.Threads, setup.Clk.Now(), cfg.Duration,
-		func(w int, task *kernel.Task, deadline int64, pace func()) (int64, int64, int64, error) {
-			var ops int64
-			for int(ops) < cfg.Files && task.Clk.NowNS() < deadline && (cfg.MaxOps == 0 || ops < cfg.MaxOps) {
-				pace()
-				task.Charge(task.Model().AppOpOverhead)
-				if err := tg.M.Unlink(task, fmt.Sprintf("/delete%d/f%06d", w, ops)); err != nil {
-					return ops, 0, 0, err
+		func(w int, task *kernel.Task, deadline int64, pace func()) (tally, error) {
+			return loop(task, deadline, pace, cfg.MaxOps, false, func(n *tally) error {
+				if err := tg.M.Unlink(task, fmt.Sprintf("/delete%d/f%06d", w, n.ops)); err != nil {
+					return err
 				}
-				ops++
-			}
-			return ops, 0, 0, nil
+				n.ops++
+				n.done = n.ops >= int64(cfg.Files)
+				return nil
+			})
 		})
 	return res, nil
 }

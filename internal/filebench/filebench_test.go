@@ -100,9 +100,9 @@ func TestWriteMicroProducesDurableFiles(t *testing.T) {
 func TestCreateDeleteWorkloads(t *testing.T) {
 	tg := xv6Target(t)
 	cres, err := filebench.CreateFiles(tg, filebench.MetaConfig{
-		Threads: 2, FileSize: 4096, Duration: 5 * time.Millisecond, MaxOps: 40,
+		Threads: 2, Duration: 5 * time.Millisecond, MaxOps: 40,
 	})
-	if err != nil || cres.Ops == 0 {
+	if err != nil || cres.Ops == 0 || cres.Bytes != cres.Ops*16<<10 {
 		t.Fatalf("create: %v %+v", err, cres)
 	}
 	dres, err := filebench.DeleteFiles(tg, filebench.MetaConfig{
@@ -132,7 +132,7 @@ func TestVarmailRuns(t *testing.T) {
 func TestFileserverRuns(t *testing.T) {
 	tg := xv6Target(t)
 	res, err := filebench.Fileserver(tg, filebench.MacroConfig{
-		Threads: 4, Files: 4, MeanSize: 16 << 10, Duration: 5 * time.Millisecond, MaxOps: 20,
+		Threads: 4, Files: 4, Duration: 5 * time.Millisecond, MaxOps: 20,
 	})
 	if err != nil || res.Errs != 0 || res.Ops == 0 {
 		t.Fatalf("%v %+v", err, res)
@@ -141,18 +141,17 @@ func TestFileserverRuns(t *testing.T) {
 
 func TestUntarBuildsTreeAndIsConsistent(t *testing.T) {
 	tg := xv6Target(t)
-	spec := filebench.UntarSpec{Dirs: 6, FilesPerDir: 5, MeanSize: 6000, Seed: 3}
-	res, err := filebench.Untar(tg, spec)
+	res, err := filebench.Untar(tg, 6)
 	if err != nil || res.Errs != 0 {
 		t.Fatalf("%v %+v", err, res)
 	}
-	wantOps := int64(6 + 6*5) // dirs + files
+	wantOps := int64(6 + 6*18) // dirs + 18 files per directory
 	if res.Ops != wantOps {
 		t.Fatalf("ops = %d, want %d", res.Ops, wantOps)
 	}
 	task := tg.K.NewTask("check")
 	ents, err := tg.M.ReadDir(task, "/linux/dir0003")
-	if err != nil || len(ents) != 5 {
+	if err != nil || len(ents) != 18 {
 		t.Fatalf("tree: %v %v", ents, err)
 	}
 	rep, err := layout.Fsck(task.Clk, tg.M.Device())

@@ -14,7 +14,6 @@ import (
 type MacroConfig struct {
 	Threads  int
 	Files    int // dataset size per thread
-	MeanSize int // mean file size in bytes
 	Duration time.Duration
 	MaxOps   int64
 	Seed     int64
@@ -28,32 +27,33 @@ type MacroConfig struct {
 	PreMeasure func(startNS int64)
 }
 
-// Varmail is filebench's mail-server personality (Table 6): each loop
-// deletes a message, composes one (create, append, fsync), reads and
-// appends to another (fsync again), and reads a whole message. Every
-// flowop counts as one operation, matching filebench accounting.
-func Varmail(tg Target, cfg MacroConfig) (Result, error) {
-	if cfg.Threads <= 0 {
-		cfg.Threads = 16
+func (c *MacroConfig) defaults(threads, files int) {
+	if c.Threads <= 0 {
+		c.Threads = threads
 	}
-	if cfg.Files <= 0 {
-		cfg.Files = 200
+	if c.Files <= 0 {
+		c.Files = files
 	}
-	if cfg.MeanSize <= 0 {
-		cfg.MeanSize = 16 << 10
+	if c.Duration <= 0 {
+		c.Duration = time.Second
 	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = time.Second
-	}
+}
+
+// macro writes each thread's dataset — cfg.Files copies of a size-byte
+// file, named by file, in the directory named by dir — syncs it, and
+// runs worker w's step (from newStep, given its directory) in the shared
+// loop until the window closes.
+func macro(tg Target, cfg MacroConfig, name, dir, file string, size int,
+	newStep func(w int, task *kernel.Task, dir string) func(n *tally) error) (Result, error) {
 	setup := tg.K.NewTask("setup")
-	payload := pattern(cfg.MeanSize)
+	payload := pattern(size)
 	for w := 0; w < cfg.Threads; w++ {
-		dir := fmt.Sprintf("/mail%d", w)
-		if err := tg.M.Mkdir(setup, dir); err != nil {
+		d := fmt.Sprintf(dir, w)
+		if err := tg.M.Mkdir(setup, d); err != nil {
 			return Result{}, err
 		}
 		for i := 0; i < cfg.Files; i++ {
-			if err := tg.M.WriteFile(setup, fmt.Sprintf("%s/m%05d", dir, i), payload); err != nil {
+			if err := tg.M.WriteFile(setup, d+fmt.Sprintf(file, i), payload); err != nil {
 				return Result{}, err
 			}
 		}
@@ -61,274 +61,175 @@ func Varmail(tg Target, cfg MacroConfig) (Result, error) {
 	if err := tg.M.Sync(setup); err != nil {
 		return Result{}, err
 	}
-
-	name := fmt.Sprintf("varmail-%dt", cfg.Threads)
 	if cfg.PreMeasure != nil {
 		cfg.PreMeasure(int64(setup.Clk.Now()))
 	}
-	res := runWorkers(tg, name, cfg.Threads, setup.Clk.Now(), cfg.Duration,
-		func(w int, task *kernel.Task, deadline int64, pace func()) (int64, int64, int64, error) {
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)))
-			dir := fmt.Sprintf("/mail%d", w)
-			appendBuf := pattern(cfg.MeanSize / 2) // write source only
-			next := cfg.Files
-			var ops, bytes, errs int64
-			// tolerate reports whether err should be absorbed: the
-			// flowop is counted as failed and the loop moves on.
-			tolerate := func(err error) bool {
-				if cfg.TolerateIO && TolerableIO(err) {
-					errs++
-					return true
-				}
-				return false
-			}
-			for task.Clk.NowNS() < deadline && (cfg.MaxOps == 0 || ops < cfg.MaxOps) {
-				pace()
-				task.Charge(task.Model().AppOpOverhead)
-				// deletefile
-				victim := fmt.Sprintf("%s/m%05d", dir, rng.Intn(next))
-				if err := tg.M.Unlink(task, victim); err != nil && !errors.Is(err, fsapi.ErrNotExist) {
-					if !tolerate(err) {
-						return ops, bytes, errs, err
-					}
-				} else {
-					ops++
-				}
-				// createfile + appendfilerand + fsync
-				p := fmt.Sprintf("%s/m%05d", dir, next)
-				next++
-				f, err := tg.M.Open(task, p, fsapi.OCreate|fsapi.OWronly|fsapi.OAppend)
-				if err != nil {
-					if tolerate(err) {
-						continue
-					}
-					return ops, bytes, errs, err
-				}
-				if _, err := f.Write(task, appendBuf); err != nil {
-					_ = tg.M.Close(task, f)
-					if tolerate(err) {
-						continue
-					}
-					return ops, bytes, errs, err
-				}
-				ops++
-				if err := f.FSync(task); err != nil {
-					_ = tg.M.Close(task, f)
-					if tolerate(err) {
-						continue
-					}
-					return ops, bytes, errs, err
-				}
-				ops++
-				if err := tg.M.Close(task, f); err != nil {
-					if tolerate(err) {
-						continue
-					}
-					return ops, bytes, errs, err
-				}
-				bytes += int64(len(appendBuf))
-				// openfile + readwholefile + appendfilerand + fsync
-				q := fmt.Sprintf("%s/m%05d", dir, rng.Intn(next))
-				g, err := tg.M.Open(task, q, fsapi.ORdwr|fsapi.OAppend|fsapi.OCreate)
-				if err != nil {
-					if tolerate(err) {
-						continue
-					}
-					return ops, bytes, errs, err
-				}
-				data, rerr := tg.M.ReadFile(task, q)
-				if rerr == nil {
-					bytes += int64(len(data))
-				} else if cfg.TolerateIO && TolerableIO(rerr) {
-					errs++
-				}
-				ops++
-				if _, err := g.Write(task, appendBuf); err != nil {
-					_ = tg.M.Close(task, g)
-					if tolerate(err) {
-						continue
-					}
-					return ops, bytes, errs, err
-				}
-				ops++
-				if err := g.FSync(task); err != nil {
-					_ = tg.M.Close(task, g)
-					if tolerate(err) {
-						continue
-					}
-					return ops, bytes, errs, err
-				}
-				ops++
-				if err := tg.M.Close(task, g); err != nil {
-					if tolerate(err) {
-						continue
-					}
-					return ops, bytes, errs, err
-				}
-				// openfile + readwholefile (another message)
-				r := fmt.Sprintf("%s/m%05d", dir, rng.Intn(next))
-				if data, err := tg.M.ReadFile(task, r); err == nil {
-					bytes += int64(len(data))
-				} else if cfg.TolerateIO && TolerableIO(err) {
-					errs++
-				}
-				ops++
-			}
-			return ops, bytes, errs, nil
+	res := runWorkers(tg, fmt.Sprintf("%s-%dt", name, cfg.Threads), cfg.Threads, setup.Clk.Now(), cfg.Duration,
+		func(w int, task *kernel.Task, deadline int64, pace func()) (tally, error) {
+			return loop(task, deadline, pace, cfg.MaxOps, cfg.TolerateIO, newStep(w, task, fmt.Sprintf(dir, w)))
 		})
 	return res, nil
+}
+
+// Varmail is filebench's mail-server personality (Table 6): each loop
+// deletes a message, composes one (create, append, fsync), reads and
+// appends to another (fsync again), and reads a whole message. Messages
+// average 16 KiB, appends are half that. Every flowop counts as one
+// operation, matching filebench accounting; a failed delete or read is
+// absorbed (TolerateIO) without ending the loop.
+func Varmail(tg Target, cfg MacroConfig) (Result, error) {
+	const meanSize = 16 << 10
+	cfg.defaults(16, 200)
+	return macro(tg, cfg, "varmail", "/mail%d", "/m%05d", meanSize, func(w int, task *kernel.Task, dir string) func(n *tally) error {
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(w)))
+		appendBuf := pattern(meanSize / 2) // write source only
+		next := cfg.Files
+		// readWhole is openfile + readwholefile of a random message.
+		readWhole := func(n *tally, p string) {
+			if data, err := tg.M.ReadFile(task, p); err == nil {
+				n.bytes += int64(len(data))
+			} else {
+				n.absorb(err)
+			}
+			n.ops++
+		}
+		// appendSync is appendfilerand + fsync + close on an open file.
+		appendSync := func(n *tally, f *kernel.File) error {
+			if _, err := f.Write(task, appendBuf); err != nil {
+				_ = tg.M.Close(task, f)
+				return err
+			}
+			n.ops++
+			if err := f.FSync(task); err != nil {
+				_ = tg.M.Close(task, f)
+				return err
+			}
+			n.ops++
+			return tg.M.Close(task, f)
+		}
+		return func(n *tally) error {
+			// deletefile
+			victim := fmt.Sprintf("%s/m%05d", dir, rng.Intn(next))
+			if err := tg.M.Unlink(task, victim); err == nil || errors.Is(err, fsapi.ErrNotExist) {
+				n.ops++
+			} else if !n.absorb(err) {
+				return err
+			}
+			// createfile + appendfilerand + fsync
+			p := fmt.Sprintf("%s/m%05d", dir, next)
+			next++
+			f, err := tg.M.Open(task, p, fsapi.OCreate|fsapi.OWronly|fsapi.OAppend)
+			if err != nil {
+				return err
+			}
+			if err := appendSync(n, f); err != nil {
+				return err
+			}
+			n.bytes += int64(len(appendBuf))
+			// openfile + readwholefile + appendfilerand + fsync
+			q := fmt.Sprintf("%s/m%05d", dir, rng.Intn(next))
+			g, err := tg.M.Open(task, q, fsapi.ORdwr|fsapi.OAppend|fsapi.OCreate)
+			if err != nil {
+				return err
+			}
+			readWhole(n, q)
+			if err := appendSync(n, g); err != nil {
+				return err
+			}
+			// openfile + readwholefile (another message)
+			readWhole(n, fmt.Sprintf("%s/m%05d", dir, rng.Intn(next)))
+			return nil
+		}
+	})
 }
 
 // Fileserver is filebench's file-server personality (Table 6): create and
-// write a whole file, append to a random file, read a whole file, delete
-// a file — no fsyncs, 50 threads by default.
+// write a whole 128 KiB file, append 16 KiB to a random file, read a whole
+// file, delete a file — no fsyncs, 50 threads by default.
 func Fileserver(tg Target, cfg MacroConfig) (Result, error) {
-	if cfg.Threads <= 0 {
-		cfg.Threads = 50
-	}
-	if cfg.Files <= 0 {
-		cfg.Files = 100
-	}
-	if cfg.MeanSize <= 0 {
-		cfg.MeanSize = 128 << 10
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = time.Second
-	}
-	setup := tg.K.NewTask("setup")
-	payload := pattern(cfg.MeanSize)
-	for w := 0; w < cfg.Threads; w++ {
-		dir := fmt.Sprintf("/srv%d", w)
-		if err := tg.M.Mkdir(setup, dir); err != nil {
-			return Result{}, err
-		}
-		for i := 0; i < cfg.Files; i++ {
-			if err := tg.M.WriteFile(setup, fmt.Sprintf("%s/f%05d", dir, i), payload); err != nil {
-				return Result{}, err
+	const fileSize = 128 << 10
+	cfg.defaults(50, 100)
+	return macro(tg, cfg, "fileserver", "/srv%d", "/f%05d", fileSize, func(w int, task *kernel.Task, dir string) func(n *tally) error {
+		rng := rand.New(rand.NewSource(cfg.Seed + 1000 + int64(w)))
+		payload := pattern(fileSize)
+		appendBuf := pattern(16 << 10) // write source only
+		next := cfg.Files
+		return func(n *tally) error {
+			// createfile + writewholefile
+			p := fmt.Sprintf("%s/f%05d", dir, next)
+			next++
+			if err := tg.M.WriteFile(task, p, payload); err != nil {
+				return err
 			}
-		}
-	}
-	if err := tg.M.Sync(setup); err != nil {
-		return Result{}, err
-	}
-
-	name := fmt.Sprintf("fileserver-%dt", cfg.Threads)
-	if cfg.PreMeasure != nil {
-		cfg.PreMeasure(int64(setup.Clk.Now()))
-	}
-	res := runWorkers(tg, name, cfg.Threads, setup.Clk.Now(), cfg.Duration,
-		func(w int, task *kernel.Task, deadline int64, pace func()) (int64, int64, int64, error) {
-			rng := rand.New(rand.NewSource(cfg.Seed + 1000 + int64(w)))
-			dir := fmt.Sprintf("/srv%d", w)
-			appendBuf := pattern(16 << 10) // write source only
-			next := cfg.Files
-			var ops, bytes, errs int64
-			for task.Clk.NowNS() < deadline && (cfg.MaxOps == 0 || ops < cfg.MaxOps) {
-				pace()
-				task.Charge(task.Model().AppOpOverhead)
-				// createfile + writewholefile
-				p := fmt.Sprintf("%s/f%05d", dir, next)
-				next++
-				if err := tg.M.WriteFile(task, p, payload); err != nil {
-					if cfg.TolerateIO && TolerableIO(err) {
-						errs++
-						continue
-					}
-					return ops, bytes, errs, err
+			n.ops += 2
+			n.bytes += int64(len(payload))
+			// appendfilerand
+			q := fmt.Sprintf("%s/f%05d", dir, rng.Intn(next))
+			if f, err := tg.M.Open(task, q, fsapi.OWronly|fsapi.OAppend|fsapi.OCreate); err == nil {
+				if _, err := f.Write(task, appendBuf); err == nil {
+					n.bytes += int64(len(appendBuf))
 				}
-				ops += 2
-				bytes += int64(len(payload))
-				// appendfilerand
-				q := fmt.Sprintf("%s/f%05d", dir, rng.Intn(next))
-				if f, err := tg.M.Open(task, q, fsapi.OWronly|fsapi.OAppend|fsapi.OCreate); err == nil {
-					if _, err := f.Write(task, appendBuf); err == nil {
-						bytes += int64(len(appendBuf))
-					}
-					_ = tg.M.Close(task, f)
-				}
-				ops++
-				// readwholefile
-				r := fmt.Sprintf("%s/f%05d", dir, rng.Intn(next))
-				if data, err := tg.M.ReadFile(task, r); err == nil {
-					bytes += int64(len(data))
-				}
-				ops++
-				// deletefile
-				d := fmt.Sprintf("%s/f%05d", dir, rng.Intn(next))
-				if err := tg.M.Unlink(task, d); err != nil && !errors.Is(err, fsapi.ErrNotExist) {
-					if cfg.TolerateIO && TolerableIO(err) {
-						errs++
-						continue
-					}
-					return ops, bytes, errs, err
-				}
-				ops++
+				_ = tg.M.Close(task, f)
 			}
-			return ops, bytes, errs, nil
-		})
-	return res, nil
+			n.ops++
+			// readwholefile
+			r := fmt.Sprintf("%s/f%05d", dir, rng.Intn(next))
+			if data, err := tg.M.ReadFile(task, r); err == nil {
+				n.bytes += int64(len(data))
+			}
+			n.ops++
+			// deletefile
+			d := fmt.Sprintf("%s/f%05d", dir, rng.Intn(next))
+			if err := tg.M.Unlink(task, d); err != nil && !errors.Is(err, fsapi.ErrNotExist) {
+				return err
+			}
+			n.ops++
+			return nil
+		}
+	})
 }
 
-// UntarSpec describes the synthetic source tree for the untar-Linux
-// workload: the shape of a kernel source archive scaled down.
-type UntarSpec struct {
-	Dirs        int // directories
-	FilesPerDir int
-	MeanSize    int // mean file size in bytes
-	Seed        int64
-}
-
-// DefaultUntarSpec approximates the Linux source tree's shape at reduced
-// scale (the real tree: ~4.5k directories, ~70k files, ~14 KiB mean).
-func DefaultUntarSpec() UntarSpec {
-	return UntarSpec{Dirs: 120, FilesPerDir: 18, MeanSize: 14 << 10, Seed: 41}
-}
-
-// Untar replays extracting the archive: create each directory, create and
-// write each file within it (single-threaded, like tar). It reports total
-// elapsed virtual time — Table 6's untar row measures seconds, lower is
-// better.
-func Untar(tg Target, spec UntarSpec) (Result, error) {
-	rng := rand.New(rand.NewSource(spec.Seed))
+// Untar replays extracting a synthetic source archive of dirs
+// directories: create each directory, create and write each file within
+// it (single-threaded, like tar), and sync. The tree has the Linux
+// source's shape at reduced scale (the real tree: ~4.5k directories,
+// ~70k files, ~14 KiB mean): 18 files per directory, sizes drawn around
+// a 14 KiB mean with a few 12x outliers. It reports total elapsed virtual
+// time — Table 6's untar row measures seconds, lower is better.
+func Untar(tg Target, dirs int) (Result, error) {
+	const filesPerDir, meanSize = 18, 14 << 10
+	rng := rand.New(rand.NewSource(41))
 	res := runWorkers(tg, "untar", 1, 0, time.Hour,
-		func(w int, task *kernel.Task, deadline int64, pace func()) (int64, int64, int64, error) {
-			var ops, bytes int64
+		func(w int, task *kernel.Task, deadline int64, pace func()) (tally, error) {
+			var n tally
 			buf := make([]byte, 1<<20)
 			rng.Read(buf)
-			for d := 0; d < spec.Dirs; d++ {
+			if err := tg.M.Mkdir(task, "/linux"); err != nil {
+				return n, err
+			}
+			for d := 0; d < dirs; d++ {
 				dir := fmt.Sprintf("/linux/dir%04d", d)
-				if d == 0 {
-					if err := tg.M.Mkdir(task, "/linux"); err != nil {
-						return ops, bytes, 0, err
-					}
-				}
 				if err := tg.M.Mkdir(task, dir); err != nil {
-					return ops, bytes, 0, err
+					return n, err
 				}
-				ops++
-				for i := 0; i < spec.FilesPerDir; i++ {
+				n.ops++
+				for i := 0; i < filesPerDir; i++ {
 					// Size distribution: mostly small, a few large, like a
 					// source tree.
-					size := spec.MeanSize/2 + rng.Intn(spec.MeanSize)
+					size := meanSize/2 + rng.Intn(meanSize)
 					if rng.Intn(40) == 0 {
 						size *= 12
 					}
-					if size > len(buf) {
-						size = len(buf)
+					size = min(size, len(buf))
+					if err := tg.M.WriteFile(task, fmt.Sprintf("%s/file%04d.c", dir, i), buf[:size]); err != nil {
+						return n, err
 					}
-					p := fmt.Sprintf("%s/file%04d.c", dir, i)
-					if err := tg.M.WriteFile(task, p, buf[:size]); err != nil {
-						return ops, bytes, 0, err
-					}
-					ops++
-					bytes += int64(size)
+					n.ops++
+					n.bytes += int64(size)
 				}
 			}
 			// tar finishes with the data on disk.
-			if err := tg.M.Sync(task); err != nil {
-				return ops, bytes, 0, err
-			}
-			return ops, bytes, 0, nil
+			return n, tg.M.Sync(task)
 		})
 	return res, nil
 }

@@ -9,14 +9,13 @@ import (
 )
 
 // StreamConfig parameterizes the streaming scenario: one cold
-// end-to-end sequential pass over a large per-thread file, the workload
-// where the kernel's background I/O machinery (read-ahead, background
-// write-back) pays off and a FUSE file system has neither. Unlike the
-// timed microbenchmarks, a stream runs to completion and the figure of
-// merit is the virtual time the pass took.
+// end-to-end sequential pass over a large per-thread file in 128 KiB
+// calls, the workload where the kernel's background I/O machinery
+// (read-ahead, background write-back) pays off and a FUSE file system
+// has neither. Unlike the timed microbenchmarks, a stream runs to
+// completion and the figure of merit is the virtual time the pass took.
 type StreamConfig struct {
 	Threads  int
-	IOSize   int   // bytes per read/write call (default 128 KiB)
 	FileSize int64 // bytes streamed per thread (default 32 MiB)
 
 	// TolerateIO keeps a stream alive across ErrIO-class failures from
@@ -28,17 +27,8 @@ type StreamConfig struct {
 	PreMeasure func(startNS int64)
 }
 
-func (c *StreamConfig) defaults() {
-	if c.Threads <= 0 {
-		c.Threads = 1
-	}
-	if c.IOSize <= 0 {
-		c.IOSize = 128 << 10
-	}
-	if c.FileSize <= 0 {
-		c.FileSize = 32 << 20
-	}
-}
+// streamIOSize is the bytes per read or write call of a stream.
+const streamIOSize = 128 << 10
 
 // streamDeadline bounds a stream pass in virtual time; streams run to
 // completion, so this only guards against a runaway workload.
@@ -47,95 +37,71 @@ const streamDeadline = 24 * time.Hour
 // StreamRead measures a cold sequential read: per-thread files are
 // written and synced, every clean page is dropped (so the pass reads
 // the device, not the cache), and each thread then streams its file
-// start to finish in IOSize chunks.
-func StreamRead(tg Target, cfg StreamConfig) (Result, error) {
-	cfg.defaults()
-	setup := tg.K.NewTask("setup")
-	for w := 0; w < cfg.Threads; w++ {
-		if err := prepareFile(tg, setup, fmt.Sprintf("/stream%d", w), cfg.FileSize); err != nil {
-			return Result{}, err
-		}
-	}
-	if err := tg.M.Sync(setup); err != nil {
-		return Result{}, err
-	}
-	tg.M.DropCaches()
-
-	name := fmt.Sprintf("stream-read-%dt-%dk", cfg.Threads, cfg.IOSize/1024)
-	if cfg.PreMeasure != nil {
-		cfg.PreMeasure(int64(setup.Clk.Now()))
-	}
-	res := runWorkers(tg, name, cfg.Threads, setup.Clk.Now(), streamDeadline,
-		func(w int, task *kernel.Task, deadline int64, pace func()) (int64, int64, int64, error) {
-			f, err := tg.M.Open(task, fmt.Sprintf("/stream%d", w), fsapi.ORdonly)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			defer tg.M.Close(task, f)
-			buf := make([]byte, cfg.IOSize)
-			var ops, bytes, errs int64
-			for bytes < cfg.FileSize && task.Clk.NowNS() < deadline {
-				pace()
-				task.Charge(task.Model().AppOpOverhead)
-				n, err := f.PRead(task, buf, bytes)
-				if err != nil {
-					if cfg.TolerateIO && TolerableIO(err) {
-						errs++
-						continue // retry the same offset
-					}
-					return ops, bytes, errs, err
-				}
-				if n == 0 {
-					break
-				}
-				ops++
-				bytes += int64(n)
-			}
-			return ops, bytes, errs, nil
-		})
-	return res, nil
-}
+// start to finish.
+func StreamRead(tg Target, cfg StreamConfig) (Result, error) { return stream(tg, cfg, false) }
 
 // StreamWrite measures a sustained sequential write: each thread
-// creates a fresh file, streams IOSize chunks to FileSize, and fsyncs
-// once at the end — the untar/backup-ingest shape. With a background
-// flusher the writer overlaps dirtying with write-back; without one it
-// stalls on its own dirty budget.
-func StreamWrite(tg Target, cfg StreamConfig) (Result, error) {
-	cfg.defaults()
-	setup := tg.K.NewTask("setup")
+// creates a fresh file, streams it to FileSize, and fsyncs once at the
+// end — the untar/backup-ingest shape. With a background flusher the
+// writer overlaps dirtying with write-back; without one it stalls on its
+// own dirty budget.
+func StreamWrite(tg Target, cfg StreamConfig) (Result, error) { return stream(tg, cfg, true) }
 
-	name := fmt.Sprintf("stream-write-%dt-%dk", cfg.Threads, cfg.IOSize/1024)
+// stream is the streaming pass: each thread reads or writes its file
+// sequentially, retrying a failed chunk at the same offset, until
+// FileSize bytes have moved or a read returns none.
+func stream(tg Target, cfg StreamConfig, write bool) (Result, error) {
+	cfg.Threads = max(cfg.Threads, 1)
+	if cfg.FileSize <= 0 {
+		cfg.FileSize = 32 << 20
+	}
+	op, path, mode := "read", "/stream%d", fsapi.ORdonly
+	if write {
+		op, path, mode = "write", "/wstream%d", fsapi.OCreate|fsapi.OWronly|fsapi.OTrunc
+	}
+	setup := tg.K.NewTask("setup")
+	if !write {
+		for w := 0; w < cfg.Threads; w++ {
+			if err := prepareFile(tg, setup, fmt.Sprintf(path, w), cfg.FileSize); err != nil {
+				return Result{}, err
+			}
+		}
+		if err := tg.M.Sync(setup); err != nil {
+			return Result{}, err
+		}
+		tg.M.DropCaches()
+	}
+
+	name := fmt.Sprintf("stream-%s-%dt-%dk", op, cfg.Threads, streamIOSize/1024)
 	if cfg.PreMeasure != nil {
 		cfg.PreMeasure(int64(setup.Clk.Now()))
 	}
 	res := runWorkers(tg, name, cfg.Threads, setup.Clk.Now(), streamDeadline,
-		func(w int, task *kernel.Task, deadline int64, pace func()) (int64, int64, int64, error) {
-			f, err := tg.M.Open(task, fmt.Sprintf("/wstream%d", w), fsapi.OCreate|fsapi.OWronly|fsapi.OTrunc)
+		func(w int, task *kernel.Task, deadline int64, pace func()) (tally, error) {
+			f, err := tg.M.Open(task, fmt.Sprintf(path, w), mode)
 			if err != nil {
-				return 0, 0, 0, err
+				return tally{}, err
 			}
 			defer tg.M.Close(task, f)
-			buf := pattern(cfg.IOSize) // write source only; shared read-only chunk
-			var ops, bytes, errs int64
-			for bytes < cfg.FileSize && task.Clk.NowNS() < deadline {
-				pace()
-				task.Charge(task.Model().AppOpOverhead)
-				n, err := f.PWrite(task, buf, bytes)
+			buf, io := rw(f, streamIOSize, write)
+			n, err := loop(task, deadline, pace, 0, cfg.TolerateIO, func(n *tally) error {
+				k, err := io(task, buf, n.bytes)
 				if err != nil {
-					if cfg.TolerateIO && TolerableIO(err) {
-						errs++
-						continue
-					}
-					return ops, bytes, errs, err
+					return err
 				}
-				ops++
-				bytes += int64(n)
+				if k == 0 {
+					n.done = true
+					return nil
+				}
+				n.ops++
+				n.bytes += int64(k)
+				n.done = n.bytes >= cfg.FileSize
+				return nil
+			})
+			if err == nil && write {
+				err = f.FSync(task)
 			}
-			if err := f.FSync(task); err != nil {
-				return ops, bytes, errs, err
-			}
-			return ops, bytes, errs, nil
+			return n, err
 		})
 	return res, nil
 }

@@ -13,19 +13,9 @@ import (
 // scenario: concurrent readers and writers keep operating while an
 // operator worker hot-swaps the file-system implementation mid-window.
 type UpgradeConfig struct {
-	Readers  int   // concurrent 4K-read workers
-	Writers  int   // concurrent 4K-write workers
-	IOSize   int   // bytes per operation
 	FileSize int64 // per-worker working file size
 	Duration time.Duration
-	MaxOps   int64 // optional per-worker op cap (0 = none)
 	Seed     int64
-
-	// SwapAt is the virtual offset into the measured window at which the
-	// operator performs the swap (default: halfway). Because the swap is
-	// pinned to the virtual timeline it lands at the same point in the
-	// operation stream on every run.
-	SwapAt time.Duration
 
 	// Swap performs the upgrade on the operator's task. It runs under
 	// the group scheduler like any other worker operation, so everything
@@ -34,26 +24,13 @@ type UpgradeConfig struct {
 	Swap func(task *kernel.Task) error
 }
 
-func (c *UpgradeConfig) defaults() {
-	if c.Readers <= 0 {
-		c.Readers = 2
-	}
-	if c.Writers <= 0 {
-		c.Writers = 2
-	}
-	if c.IOSize <= 0 {
-		c.IOSize = 4096
-	}
-	if c.FileSize <= 0 {
-		c.FileSize = 16 << 20
-	}
-	if c.Duration <= 0 {
-		c.Duration = time.Second
-	}
-	if c.SwapAt <= 0 || c.SwapAt >= c.Duration {
-		c.SwapAt = c.Duration / 2
-	}
-}
+// The upgrade mix's fixed shape: two 4 KiB readers and two 4 KiB
+// writers, with no op cap.
+const (
+	upgradeReaders = 2
+	upgradeWriters = 2
+	upgradeIOSize  = 4096
+)
 
 // UpgradeReport is what UpgradeMix observed from the application side of
 // the swap. The shim-side breakdown (pause, transfer size) comes from
@@ -69,16 +46,22 @@ type UpgradeReport struct {
 	OpsAfterSwap int64
 }
 
-// UpgradeMix runs Readers+Writers workers doing random 4K I/O over
-// per-worker files while one extra operator worker performs cfg.Swap at
-// cfg.SwapAt. All workers (the operator included) run under the group
-// scheduler, so the swap lands at a fixed point of the virtual timeline
-// and the whole scenario — including who stalls, and for how long — is
-// byte-reproducible across runs, hosts, and host-parallelism levels.
+// UpgradeMix runs two readers and two writers doing random 4K I/O over
+// per-worker files while one extra operator worker performs cfg.Swap
+// halfway through the window. All workers (the operator included) run
+// under the group scheduler, so the swap lands at a fixed point of the
+// virtual timeline — the same point in the operation stream on every
+// run — and the whole scenario, including who stalls and for how long,
+// is byte-reproducible across runs, hosts, and host-parallelism levels.
 func UpgradeMix(tg Target, cfg UpgradeConfig) (Result, UpgradeReport, error) {
-	cfg.defaults()
+	if cfg.FileSize <= 0 {
+		cfg.FileSize = 16 << 20
+	}
+	if cfg.Duration <= 0 {
+		cfg.Duration = time.Second
+	}
 	setup := tg.K.NewTask("setup")
-	for w := 0; w < cfg.Readers; w++ {
+	for w := 0; w < upgradeReaders; w++ {
 		p := fmt.Sprintf("/upgread%d", w)
 		if err := prepareFile(tg, setup, p, cfg.FileSize); err != nil {
 			return Result{}, UpgradeReport{}, err
@@ -89,82 +72,63 @@ func UpgradeMix(tg Target, cfg UpgradeConfig) (Result, UpgradeReport, error) {
 			return Result{}, UpgradeReport{}, err
 		}
 	}
-	for w := 0; w < cfg.Writers; w++ {
+	for w := 0; w < upgradeWriters; w++ {
 		if err := prepareFile(tg, setup, fmt.Sprintf("/upgwrite%d", w), cfg.FileSize); err != nil {
 			return Result{}, UpgradeReport{}, err
 		}
 	}
 
-	name := fmt.Sprintf("upgrade-mix-%dr%dw", cfg.Readers, cfg.Writers)
-	operator := cfg.Readers + cfg.Writers // last registration slot
+	name := fmt.Sprintf("upgrade-mix-%dr%dw", upgradeReaders, upgradeWriters)
+	operator := upgradeReaders + upgradeWriters // last registration slot
 	start := setup.Clk.Now()
-	swapNS := int64(start + cfg.SwapAt)
+	swapNS := int64(start + cfg.Duration/2)
 	// Written by admitted workers only (runWorkers), so no lock.
 	var (
 		rep     UpgradeReport
 		swapErr error
 	)
 	res := runWorkers(tg, name, operator+1, start, cfg.Duration,
-		func(w int, task *kernel.Task, deadline int64, pace func()) (int64, int64, int64, error) {
+		func(w int, task *kernel.Task, deadline int64, pace func()) (tally, error) {
 			if w == operator {
 				// The operator sleeps (in virtual time) to the swap point,
 				// is admitted like any worker, and performs the upgrade.
 				task.Clk.AdvanceTo(swapNS)
 				pace()
-				if err := cfg.Swap(task); err != nil {
-					swapErr = err
-					return 0, 0, 0, err
-				}
-				return 0, 0, 0, nil
+				swapErr = cfg.Swap(task)
+				return tally{}, swapErr
 			}
-			reader := w < cfg.Readers
-			path := fmt.Sprintf("/upgread%d", w)
-			mode := fsapi.ORdonly
+			reader := w < upgradeReaders
+			path, mode := fmt.Sprintf("/upgread%d", w), fsapi.ORdonly
 			if !reader {
-				path = fmt.Sprintf("/upgwrite%d", w-cfg.Readers)
-				mode = fsapi.ORdwr
+				path, mode = fmt.Sprintf("/upgwrite%d", w-upgradeReaders), fsapi.ORdwr
 			}
 			f, err := tg.M.Open(task, path, mode)
 			if err != nil {
-				return 0, 0, 0, err
+				return tally{}, err
 			}
 			defer tg.M.Close(task, f)
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)))
-			buf := make([]byte, cfg.IOSize)
-			src := pattern(cfg.IOSize)
-			slots := cfg.FileSize / int64(cfg.IOSize)
-			if slots < 1 {
-				slots = 1
-			}
-			var ops, bytes, maxNS, after int64
-			for task.Clk.NowNS() < deadline && (cfg.MaxOps == 0 || ops < cfg.MaxOps) {
-				pace()
-				task.Charge(task.Model().AppOpOverhead)
-				off := rng.Int63n(slots) * int64(cfg.IOSize)
+			buf, io := rw(f, upgradeIOSize, !reader)
+			slots := max(cfg.FileSize/upgradeIOSize, 1)
+			var maxNS, after int64
+			n, err := loop(task, deadline, pace, 0, false, func(n *tally) error {
+				off := rng.Int63n(slots) * upgradeIOSize
 				t0 := task.Clk.NowNS()
-				var n int
-				if reader {
-					n, err = f.PRead(task, buf, off)
-				} else {
-					n, err = f.PWrite(task, src, off)
-				}
+				k, err := io(task, buf, off)
 				if err != nil {
-					return ops, bytes, 0, err
+					return err
 				}
-				if d := task.Clk.NowNS() - t0; d > maxNS {
-					maxNS = d
-				}
+				maxNS = max(maxNS, task.Clk.NowNS()-t0)
 				if t0 >= swapNS {
 					after++
 				}
-				ops++
-				bytes += int64(n)
-			}
-			if maxNS > rep.MaxOpNS {
-				rep.MaxOpNS = maxNS
-			}
+				n.ops++
+				n.bytes += int64(k)
+				return nil
+			})
+			rep.MaxOpNS = max(rep.MaxOpNS, maxNS)
 			rep.OpsAfterSwap += after
-			return ops, bytes, 0, nil
+			return n, err
 		})
 	if swapErr != nil {
 		return res, rep, fmt.Errorf("upgrade-mix: swap: %w", swapErr)

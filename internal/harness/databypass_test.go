@@ -13,12 +13,8 @@ func TestStreamIncludesBypassStudyRow(t *testing.T) {
 	o.Duration = 20 * time.Millisecond
 	o.MaxOps = 200
 	o.StreamMB = 2
-	o.StreamThreads = 2
 
-	_, recs, err := RunRecords(ExpStream, o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, recs := runExp(t, ExpStream, o)
 	seen := make(map[string]int)
 	for _, r := range recs {
 		seen[r.Variant]++

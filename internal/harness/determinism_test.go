@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"bento/internal/filebench"
 )
 
 // determinismOpts trims the quick options so two full runs of an
@@ -18,27 +16,32 @@ func determinismOpts() Options {
 	return o
 }
 
+// runExp runs one experiment through RunMatrix and returns its table
+// text and records.
+func runExp(t testing.TB, id string, o Options) (string, []Record) {
+	t.Helper()
+	out, err := RunMatrix([]string{id}, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out[0].Text, out[0].Records
+}
+
 // requireEqual asserts every cell — single- and multi-threaded — matches
 // between two runs of an experiment. Until the vclock scheduler, only
 // single-threaded cells could be compared: 32-thread runs interleaved on
 // the shared device queue and CPU pool in host-scheduling order. Workers
 // are now admitted in (virtual time, worker id) order, one at a time, so
 // the full matrix must replay bit-for-bit.
-func requireEqual(t *testing.T, first, second map[string][]filebench.Result) {
+func requireEqual(t *testing.T, first, second []Record) {
 	t.Helper()
 	if len(first) != len(second) {
-		t.Fatalf("variant sets differ: %d vs %d", len(first), len(second))
+		t.Fatalf("%d records vs %d", len(first), len(second))
 	}
-	for variant, rs1 := range first {
-		rs2 := second[variant]
-		if len(rs1) != len(rs2) {
-			t.Fatalf("%s: %d results vs %d", variant, len(rs1), len(rs2))
-		}
-		for i := range rs1 {
-			if !reflect.DeepEqual(rs1[i], rs2[i]) {
-				t.Errorf("%s/%s differs between runs:\nrun1: %v\nrun2: %v",
-					variant, rs1[i].Name, rs1[i], rs2[i])
-			}
+	for i := range first {
+		if !reflect.DeepEqual(first[i], second[i]) {
+			t.Errorf("%s/%s differs between runs:\nrun1: %+v\nrun2: %+v",
+				first[i].Variant, first[i].Cell, first[i], second[i])
 		}
 	}
 }
@@ -53,14 +56,8 @@ func TestFig2Deterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full experiment runs")
 	}
-	_, first, err := Fig2(determinismOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, second, err := Fig2(determinismOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, first := runExp(t, ExpFig2, determinismOpts())
+	_, second := runExp(t, ExpFig2, determinismOpts())
 	requireEqual(t, first, second)
 }
 
@@ -72,14 +69,8 @@ func TestFig4Deterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full experiment runs")
 	}
-	_, first, err := Fig4(determinismOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, second, err := Fig4(determinismOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, first := runExp(t, ExpFig4, determinismOpts())
+	_, second := runExp(t, ExpFig4, determinismOpts())
 	requireEqual(t, first, second)
 }
 
@@ -94,14 +85,8 @@ func TestStreamDeterministic(t *testing.T) {
 	}
 	o := determinismOpts()
 	o.StreamMB = 20 // cold enough to exercise fills, cheap enough for two runs
-	_, first, err := Stream(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, second, err := Stream(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, first := runExp(t, ExpStream, o)
+	_, second := runExp(t, ExpStream, o)
 	requireEqual(t, first, second)
 }
 
@@ -113,13 +98,7 @@ func TestTable4Deterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full experiment runs")
 	}
-	_, first, err := Table4(determinismOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, second, err := Table4(determinismOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, first := runExp(t, ExpTable4, determinismOpts())
+	_, second := runExp(t, ExpTable4, determinismOpts())
 	requireEqual(t, first, second)
 }

@@ -261,7 +261,7 @@ func table4Plan(o Options) *plan {
 	return metaPlan(ExpTable4, "Table 4: Create microbenchmark performance (ops/sec)", o,
 		func(tg filebench.Target, _ string, threads int) (filebench.Result, error) {
 			return filebench.CreateFiles(tg, filebench.MetaConfig{
-				Threads: threads, FileSize: 16 << 10, Duration: o.Duration, MaxOps: o.MaxOps,
+				Threads: threads, Duration: o.Duration, MaxOps: o.MaxOps,
 			})
 		})
 }
@@ -299,11 +299,11 @@ func table6Plan(o Options) *plan {
 			})
 		},
 		func(tg filebench.Target) (filebench.Result, error) {
-			spec := filebench.DefaultUntarSpec()
+			dirs := 120
 			if o.MacroFiles < 64 {
-				spec.Dirs = 24 // quick mode
+				dirs = 24 // quick mode
 			}
-			return filebench.Untar(tg, spec)
+			return filebench.Untar(tg, dirs)
 		},
 	}
 	var specs []CellSpec
@@ -326,35 +326,24 @@ func table6Plan(o Options) *plan {
 }
 
 // streamPlan runs the streaming scenario per variant, reported in MBps: a
-// cold sequential read pass, a multi-stream read pass (o.StreamThreads
-// concurrent readers over per-thread files — the same total bytes —
-// whose read-ahead windows compete for the device's queue slots), and a
-// sustained sequential write (fsync at the end). A tight dirty budget
-// keeps the write stream feeding the flusher (or, for FUSE, stalling on
-// its own write-back) instead of ending as one giant cached burst.
+// cold sequential read pass, a multi-stream read pass (four concurrent
+// readers over per-thread files — the same total bytes, so the row
+// isolates their read-ahead windows' competition for the device's queue
+// slots rather than extra data), and a sustained sequential write (fsync
+// at the end). A tight dirty budget keeps the write stream feeding the
+// flusher (or, for FUSE, stalling on its own write-back) instead of
+// ending as one giant cached burst.
 //
 // Rows are every variant, ext4 included (the stream is also a macro-style
 // workload), plus the RowBentoNoBypass study row — the cold stream is the
 // scenario where double-caching flatters the numbers most, so the
 // comparison is published next to the honest cells.
 func streamPlan(o Options) *plan {
+	const streams = 4
 	rows := append(append([]string(nil), AllVariants...), RowBentoNoBypass)
-	streams := o.StreamThreads
-	if streams <= 0 {
-		streams = Defaults().StreamThreads // unset; an explicit value is honored
-	}
 	fileSize := streamFileSize(o)
-	// One stream IS the single-stream row: running the multi-stream cell
-	// anyway would emit a second record under the same cell name, which
-	// the benchdiff join would silently collapse. Otherwise the per-thread
-	// size divides the same total, so the row isolates queue competition
-	// rather than extra data.
-	reads := []filebench.StreamConfig{{Threads: 1, FileSize: fileSize}}
-	cols := []string{"read (MB/s)", "write (MB/s)"}
-	if streams > 1 {
-		reads = append(reads, filebench.StreamConfig{Threads: streams, FileSize: fileSize / int64(streams)})
-		cols = []string{"read (MB/s)", fmt.Sprintf("read-%dt (MB/s)", streams), "write (MB/s)"}
-	}
+	reads := []filebench.StreamConfig{{Threads: 1, FileSize: fileSize}, {Threads: streams, FileSize: fileSize / streams}}
+	cols := []string{"read (MB/s)", fmt.Sprintf("read-%dt (MB/s)", streams), "write (MB/s)"}
 	var specs []CellSpec
 	for _, row := range rows {
 		// The row's cells differ only in Run; append copies the value.
@@ -486,42 +475,4 @@ func netstorePlan(o Options) *plan {
 		return Table("Netstore scenario: object-store backend at two latency points", cols, vars,
 			func(r, c int) string { return netCell(data[vars[r]][c], c) })
 	}}
-}
-
-// Fig2 regenerates Figure 2: 4KB reads, ops/sec, seq/rnd × 1/32 threads.
-func Fig2(o Options) (string, map[string][]filebench.Result, error) {
-	return runExperiment(ExpFig2, o)
-}
-
-// Fig3 regenerates Figure 3: 32K/128K/1024K reads, throughput MBps.
-func Fig3(o Options) (string, map[string][]filebench.Result, error) {
-	return runExperiment(ExpFig3, o)
-}
-
-// Fig4 regenerates Figure 4: 32K/128K/1024K writes, throughput MBps,
-// seq-1t / rnd-1t / rnd-32t.
-func Fig4(o Options) (string, map[string][]filebench.Result, error) {
-	return runExperiment(ExpFig4, o)
-}
-
-// Table4 regenerates the create microbenchmark (ops/sec, 1 and 32
-// threads).
-func Table4(o Options) (string, map[string][]filebench.Result, error) {
-	return runExperiment(ExpTable4, o)
-}
-
-// Table5 regenerates the delete microbenchmark.
-func Table5(o Options) (string, map[string][]filebench.Result, error) {
-	return runExperiment(ExpTable5, o)
-}
-
-// Table6 regenerates the macrobenchmarks: varmail and fileserver in
-// ops/sec, untar in seconds (scaled tree; lower is better).
-func Table6(o Options) (string, map[string][]filebench.Result, error) {
-	return runExperiment(ExpTable6, o)
-}
-
-// Stream runs the streaming scenario per variant (see streamPlan).
-func Stream(o Options) (string, map[string][]filebench.Result, error) {
-	return runExperiment(ExpStream, o)
 }

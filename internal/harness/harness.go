@@ -60,14 +60,6 @@ type Options struct {
 	MacroFiles int           // dataset scale for macro personalities
 	StreamMB   int           // total stream size for the streaming scenario
 
-	// StreamThreads is the thread count of the streaming scenario's
-	// multi-stream row: that many concurrent sequential readers, each
-	// over its own file, competing for read-ahead device-queue slots.
-	// The total bytes streamed match the single-stream row (each thread
-	// reads StreamMB/StreamThreads). Default 4; 1 omits the row (one
-	// stream is the single-stream row).
-	StreamThreads int
-
 	// Parallel bounds the host-worker pool the cell runner uses: that
 	// many benchmark cells execute concurrently on the host (<= 0 means
 	// runtime.NumCPU(); 1 runs cells sequentially, the pre-parallel
@@ -118,14 +110,13 @@ func (o Options) traced() bool { return o.Metrics || o.TraceDir != "" }
 // Defaults returns the options used for docs/experiments.md.
 func Defaults() Options {
 	return Options{
-		Model:         costmodel.Default(),
-		DevBlocks:     262144, // 1 GiB
-		NInodes:       65536,
-		Duration:      400 * time.Millisecond,
-		MaxOps:        20000,
-		MacroFiles:    64,
-		StreamMB:      48,
-		StreamThreads: 4,
+		Model:      costmodel.Default(),
+		DevBlocks:  262144, // 1 GiB
+		NInodes:    65536,
+		Duration:   400 * time.Millisecond,
+		MaxOps:     20000,
+		MacroFiles: 64,
+		StreamMB:   48,
 	}
 }
 

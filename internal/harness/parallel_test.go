@@ -97,16 +97,10 @@ func tinyOpts() Options {
 func TestCellRunnerParallelMatchesSequential(t *testing.T) {
 	seq := tinyOpts()
 	seq.Parallel = 1
-	_, first, err := Fig2(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, first := runExp(t, ExpFig2, seq)
 	par := tinyOpts()
 	par.Parallel = 4
-	_, second, err := Fig2(par)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, second := runExp(t, ExpFig2, par)
 	requireEqual(t, first, second)
 }
 

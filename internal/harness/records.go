@@ -23,16 +23,3 @@ type Record struct {
 	// them.
 	Metrics map[string]int64 `json:"metrics,omitempty"`
 }
-
-// RunRecords executes one experiment and returns its rendered text plus
-// machine-readable records. The static tables (1 and 2) have no
-// measured cells and yield no records. Records are emitted in a
-// deterministic order: variants in row order, cells in run (spec)
-// order — identical at any parallelism.
-func RunRecords(id string, o Options) (string, []Record, error) {
-	out, err := RunMatrix([]string{id}, o)
-	if err != nil {
-		return "", nil, err
-	}
-	return out[0].Text, out[0].Records, nil
-}

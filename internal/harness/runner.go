@@ -257,22 +257,3 @@ func RunMatrix(ids []string, o Options) ([]ExperimentResult, error) {
 	}
 	return results, nil
 }
-
-// runExperiment executes one experiment's plan and returns its rendered
-// text plus the per-variant results (the shape the Fig2/Table4-style
-// accessors and the determinism tests consume).
-func runExperiment(id string, o Options) (string, map[string][]filebench.Result, error) {
-	p, static, err := planFor(id, o)
-	if err != nil {
-		return "", nil, err
-	}
-	if p == nil {
-		return static, nil, nil
-	}
-	outs, err := RunCells(p.specs, o.Parallel)
-	if err != nil {
-		return "", nil, err
-	}
-	data := groupByVariant(p.specs, outs)
-	return p.render(data), data, nil
-}

@@ -39,8 +39,7 @@ func upgradePlan(o Options) *plan {
 		// before the mid-window swap, leaving nothing to straddle the
 		// pause. Duration alone bounds this cell.
 		mix, rep, err := filebench.UpgradeMix(tg, filebench.UpgradeConfig{
-			Readers: 2, Writers: 2, IOSize: 4096, FileSize: workingSet(o, 4),
-			Duration: o.Duration, Seed: 9, SwapAt: o.Duration / 2,
+			FileSize: workingSet(o, 4), Duration: o.Duration, Seed: 9,
 			Swap: func(task *kernel.Task) error {
 				// The replacement is the same module built with the mount's
 				// configuration — the "fix deployed to a live fleet" shape.
@@ -88,10 +87,4 @@ func upgradePlan(o Options) *plan {
 				}
 			})
 	}}
-}
-
-// UpgradeScenario runs the live-upgrade availability experiment (see
-// upgradePlan).
-func UpgradeScenario(o Options) (string, map[string][]filebench.Result, error) {
-	return runExperiment(ExpUpgrade, o)
 }

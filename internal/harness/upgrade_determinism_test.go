@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // TestUpgradeScenarioDeterministic runs the live-upgrade availability
@@ -14,25 +15,20 @@ import (
 // quiesce/transfer/resume protocol under load.
 func TestUpgradeScenarioDeterministic(t *testing.T) {
 	o := determinismOpts()
-	_, first, err := UpgradeScenario(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, second, err := UpgradeScenario(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, first := runExp(t, ExpUpgrade, o)
+	_, second := runExp(t, ExpUpgrade, o)
 	requireEqual(t, first, second)
 
-	cells := first[VariantBento] // [mix, pause, xfer, maxlat] as the cell returns them
-	if len(cells) != 4 {
-		t.Fatalf("%d upgrade cells, want 4", len(cells))
+	cells := first // [mix, pause, xfer, maxlat] as the cell returns them
+	if len(cells) != 4 || cells[0].Variant != VariantBento {
+		t.Fatalf("upgrade records %+v, want Bento's 4 cells", cells)
 	}
 	if cells[0].Ops == 0 {
 		t.Fatal("upgrade mix did no work")
 	}
-	if cells[1].Elapsed <= 0 {
-		t.Fatalf("upgrade pause = %v, want > 0", cells[1].Elapsed)
+	pause, maxlat := time.Duration(cells[1].ElapsedNS), time.Duration(cells[3].ElapsedNS)
+	if pause <= 0 {
+		t.Fatalf("upgrade pause = %v, want > 0", pause)
 	}
 	if cells[2].Bytes == 0 {
 		t.Fatal("upgrade transferred no state")
@@ -40,9 +36,9 @@ func TestUpgradeScenarioDeterministic(t *testing.T) {
 	// A worker arriving just after the swap starts waits out (most of)
 	// the pause, so the window's worst op latency must be of the pause's
 	// order — the latency spike the cell exists to expose.
-	if cells[3].Elapsed < cells[1].Elapsed/4 {
+	if maxlat < pause/4 {
 		t.Fatalf("max op latency %v is not of the pause's order (%v): no operation straddled the swap",
-			cells[3].Elapsed, cells[1].Elapsed)
+			maxlat, pause)
 	}
 }
 

@@ -170,9 +170,6 @@ func (m *Mount) FS() FileSystem { return m.fs }
 // Device reports the device backing this mount.
 func (m *Mount) Device() *blockdev.Device { return m.dev }
 
-// MountPoint reports the label the mount was created with.
-func (m *Mount) MountPoint() string { return m.mountPoint }
-
 // SetDirtyLimit overrides the dirty-page budget (testing/benchmarks).
 func (m *Mount) SetDirtyLimit(pages int64) {
 	if pages > 0 {

@@ -328,15 +328,6 @@ func (f *File) FSync(t *Task) error {
 	return f.m.fs.Fsync(t, f.vn.ino, false)
 }
 
-// FDataSync is FSync but allows the file system to skip non-size metadata.
-func (f *File) FDataSync(t *Task) error {
-	defer t.endSyscall("fdatasync", f.m.chargeSyscall(t))
-	if err := f.vn.writeback(t); err != nil {
-		return err
-	}
-	return f.m.fs.Fsync(t, f.vn.ino, true)
-}
-
 // Truncate changes the file's size.
 func (f *File) Truncate(t *Task, size int64) error {
 	defer t.endSyscall("truncate", f.m.chargeSyscall(t))

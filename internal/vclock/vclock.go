@@ -113,9 +113,6 @@ func NewResource(name string, channels int) *Resource {
 // Name reports the name the resource was created with.
 func (r *Resource) Name() string { return r.name }
 
-// Channels reports the number of service channels.
-func (r *Resource) Channels() int { return len(r.free) }
-
 // Acquire schedules `service` nanoseconds of work on a channel for a
 // request arriving at virtual time `now`, and returns the completion
 // time. The caller decides whether to wait (advance its clock to the

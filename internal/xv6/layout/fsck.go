@@ -25,7 +25,8 @@ func (r *FsckReport) errf(format string, args ...any) {
 	r.Errors = append(r.Errors, fmt.Sprintf(format, args...))
 }
 
-// Fsck reads the raw device and verifies full metadata consistency:
+// Fsck reads the raw device — an xv6 or an ext4-variant image — and
+// verifies full metadata consistency:
 // superblock sanity, per-inode block pointers (range and exclusivity),
 // bitmap agreement with reachability, the directory tree (entry validity,
 // "."/".." invariants), and link counts. It assumes the log has already
@@ -51,13 +52,15 @@ func Fsck(clk *vclock.Clock, dev *blockdev.Device) (*FsckReport, error) {
 		return buf, nil
 	}
 
-	// Note an unrecovered log.
+	// Note an unrecovered log. Both journals' headers start with their
+	// entry count; a count past the log's NLog blocks is a corrupt header,
+	// which recovery reads as an empty log.
 	lb, err := readBlk(sb.LogStart)
 	if err != nil {
 		return nil, err
 	}
-	if lh := DecodeLogHeader(lb); lh.N != 0 {
-		r.errf("log header has %d uninstalled transactions blocks", lh.N)
+	if n := leU32(lb, 0); n != 0 && n <= sb.NLog {
+		r.errf("log header has %d uninstalled transactions blocks", n)
 	}
 
 	// Pass 1: read every allocated inode, collect block usage.

@@ -26,6 +26,9 @@ import (
 const (
 	// Magic identifies an xv6 superblock.
 	Magic = 0x10203040
+	// Ext4Magic identifies the superblock of an ext4-variant image: this
+	// layout, with a larger journal in the log region.
+	Ext4Magic = 0xEF53F00D
 	// BlockSize is the file-system block size in bytes.
 	BlockSize = 4096
 	// NDirect is the number of direct block pointers per inode.
@@ -101,8 +104,11 @@ func (s *Superblock) Encode(buf []byte) {
 	le.PutUint32(buf[32:], s.DataStart)
 }
 
-// DecodeSuperblock parses a superblock, validating the magic.
-func DecodeSuperblock(buf []byte) (Superblock, error) {
+// DecodeSuperblock parses an xv6 superblock, validating the magic.
+func DecodeSuperblock(buf []byte) (Superblock, error) { return DecodeSuperblockAs(buf, Magic) }
+
+// DecodeSuperblockAs parses a superblock whose magic must be magic.
+func DecodeSuperblockAs(buf []byte, magic uint32) (Superblock, error) {
 	le := binary.LittleEndian
 	s := Superblock{
 		Magic:      le.Uint32(buf[0:]),
@@ -115,7 +121,7 @@ func DecodeSuperblock(buf []byte) (Superblock, error) {
 		BmapStart:  le.Uint32(buf[28:]),
 		DataStart:  le.Uint32(buf[32:]),
 	}
-	if s.Magic != Magic {
+	if s.Magic != magic {
 		return Superblock{}, fmt.Errorf("layout: bad magic %#x: %w", s.Magic, fsapi.ErrCorrupt)
 	}
 	return s, nil

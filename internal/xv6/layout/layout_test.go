@@ -343,3 +343,29 @@ func TestLogHeaderEncodeMatchesFull(t *testing.T) {
 		}
 	}
 }
+
+// TestFsckRejectsUnknownMagic: Fsck reads xv6 and ext4-variant images,
+// and nothing else.
+func TestFsckRejectsUnknownMagic(t *testing.T) {
+	dev := blockdev.MustNew(blockdev.Config{Blocks: 2048, Model: costmodel.Fast()})
+	clk := vclock.NewClock()
+	sb, err := Mkfs(clk, dev, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, BlockSize)
+	for _, magic := range []uint32{Ext4Magic, 0xdeadbeef} {
+		sb.Magic = magic
+		sb.Encode(buf)
+		if err := dev.Write(clk, 1, buf); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Fsck(clk, dev)
+		if magic == Ext4Magic && (err != nil || !rep.OK()) {
+			t.Fatalf("ext4 magic: %v %+v", err, rep)
+		}
+		if magic != Ext4Magic && err == nil {
+			t.Fatalf("magic %#x accepted", magic)
+		}
+	}
+}

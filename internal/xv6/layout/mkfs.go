@@ -97,11 +97,15 @@ func Format(clk *vclock.Clock, dev *blockdev.Device, sb Superblock, super []byte
 	return dev.Flush(clk)
 }
 
-// ReadSuperblock loads and validates the superblock from dev.
+// ReadSuperblock loads and validates the superblock from dev: an xv6
+// image's or an ext4-variant image's.
 func ReadSuperblock(clk *vclock.Clock, dev *blockdev.Device) (Superblock, error) {
 	buf := make([]byte, BlockSize)
 	if err := dev.Read(clk, 1, buf); err != nil {
 		return Superblock{}, err
+	}
+	if sb, err := DecodeSuperblockAs(buf, Ext4Magic); err == nil {
+		return sb, nil
 	}
 	return DecodeSuperblock(buf)
 }
