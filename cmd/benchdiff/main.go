@@ -22,6 +22,12 @@
 // is a regression too); new cells are reported and pass — commit the
 // regenerated baseline alongside the change that adds them.
 //
+// A counter cell (harness.IsCounterCell: the netfaults retry and
+// degraded-serve companions) stores an event count as ops per virtual
+// second, so its "throughput" has no better direction. It is gated
+// two-sided: a move beyond tolerance either way fails, reported as a
+// COUNTER line rather than a regression or an improvement.
+//
 // Because benchmark virtual time is deterministic (see the vclock
 // scheduler), a clean run reproduces the baseline bit-for-bit and the
 // tolerance guards only intentional cost-model or code changes: any
@@ -147,6 +153,7 @@ type MetricDelta struct {
 type Report struct {
 	Tol          float64
 	Regressions  []Delta       // beyond tolerance: fail
+	CounterMoves []Delta       // counter cells beyond tolerance, either way: fail
 	Improvements []Delta       // beyond tolerance the other way: informational
 	Drifts       []Delta       // within tolerance but not identical: informational
 	Missing      []cellKey     // in baseline, absent from fresh: fail
@@ -157,7 +164,9 @@ type Report struct {
 }
 
 // Failed reports whether the gate should reject the run.
-func (r Report) Failed() bool { return len(r.Regressions) > 0 || len(r.Missing) > 0 }
+func (r Report) Failed() bool {
+	return len(r.Regressions) > 0 || len(r.CounterMoves) > 0 || len(r.Missing) > 0
+}
 
 // throughput selects a cell's figure of merit: ops/sec when the cell
 // counts operations, MB/s when it only moves bytes. Records track both;
@@ -221,6 +230,9 @@ func Compare(baseline, fresh []harness.Record, tol float64) Report {
 			d.Ratio = newT / oldT
 		}
 		switch {
+		case harness.IsCounterCell(k.Experiment, k.Variant, k.Cell) &&
+			(!okNew || d.Ratio < 1-tol || d.Ratio > 1+tol):
+			rep.CounterMoves = append(rep.CounterMoves, d)
 		case !okNew || d.Ratio < 1-tol:
 			rep.Regressions = append(rep.Regressions, d)
 		case d.Ratio > 1+tol:
@@ -247,6 +259,7 @@ func Compare(baseline, fresh []harness.Record, tol float64) Report {
 		sort.Slice(ks, func(i, j int) bool { return ks[i].String() < ks[j].String() })
 	}
 	sortDeltas(rep.Regressions)
+	sortDeltas(rep.CounterMoves)
 	sortDeltas(rep.Improvements)
 	sortDeltas(rep.Drifts)
 	sortKeys(rep.Missing)
@@ -264,6 +277,10 @@ func (r Report) Text() string {
 		out += fmt.Sprintf("REGRESSED  %-45s %.1f -> %.1f (%.1f%%)\n",
 			d.Key, d.Old, d.New, (d.Ratio-1)*100)
 	}
+	for _, d := range r.CounterMoves {
+		out += fmt.Sprintf("COUNTER    %-45s %.0f -> %.0f (%+.1f%%, a counter cell moved beyond tolerance)\n",
+			d.Key, d.Old, d.New, (d.Ratio-1)*100)
+	}
 	for _, d := range r.Improvements {
 		out += fmt.Sprintf("improved   %-45s %.1f -> %.1f (+%.1f%%)\n",
 			d.Key, d.Old, d.New, (d.Ratio-1)*100)
@@ -279,8 +296,8 @@ func (r Report) Text() string {
 	if r.Failed() {
 		verdict = "FAIL"
 	}
-	out += fmt.Sprintf("benchdiff: %s — %d cells compared, %d regressed, %d missing, %d improved, %d drifted, %d added (tol %.0f%%)\n",
-		verdict, r.Compared, len(r.Regressions), len(r.Missing), len(r.Improvements), len(r.Drifts), len(r.Added), r.Tol*100)
+	out += fmt.Sprintf("benchdiff: %s — %d cells compared, %d regressed, %d counters moved, %d missing, %d improved, %d drifted, %d added (tol %.0f%%)\n",
+		verdict, r.Compared, len(r.Regressions), len(r.CounterMoves), len(r.Missing), len(r.Improvements), len(r.Drifts), len(r.Added), r.Tol*100)
 	if r.MetricCells > 0 {
 		out += fmt.Sprintf("metrics: %d counters changed across %d traced cells (informational, never gates)\n",
 			len(r.MetricDeltas), r.MetricCells)
@@ -299,8 +316,8 @@ func (r Report) Markdown() string {
 		verdict = "❌ FAIL"
 	}
 	fmt.Fprintf(&b, "## benchdiff: %s\n\n", verdict)
-	fmt.Fprintf(&b, "%d cells compared at %.0f%% tolerance — %d regressed, %d missing, %d improved, %d drifted, %d added\n\n",
-		r.Compared, r.Tol*100, len(r.Regressions), len(r.Missing), len(r.Improvements), len(r.Drifts), len(r.Added))
+	fmt.Fprintf(&b, "%d cells compared at %.0f%% tolerance — %d regressed, %d counters moved, %d missing, %d improved, %d drifted, %d added\n\n",
+		r.Compared, r.Tol*100, len(r.Regressions), len(r.CounterMoves), len(r.Missing), len(r.Improvements), len(r.Drifts), len(r.Added))
 
 	deltaTable := func(title string, ds []Delta) {
 		if len(ds) == 0 {
@@ -314,6 +331,7 @@ func (r Report) Markdown() string {
 		b.WriteByte('\n')
 	}
 	deltaTable("Regressions (fail)", r.Regressions)
+	deltaTable("Counter cells moved, either way (fail)", r.CounterMoves)
 	if len(r.Missing) > 0 {
 		b.WriteString("### Missing cells (fail)\n\n")
 		for _, k := range r.Missing {

@@ -212,3 +212,59 @@ func TestFilterExperiments(t *testing.T) {
 		t.Fatalf("filtered compare wrong: %s", rep.Text())
 	}
 }
+
+// TestCounterCellGatedBothWays: a netfaults retry companion stores a
+// count as ops per virtual second, so fewer retries must not read as a
+// regression nor more retries as an improvement — a move either way
+// beyond tolerance fails under its own label, and one within it drifts.
+func TestCounterCellGatedBothWays(t *testing.T) {
+	const cell = "lossy-lan-stream-retries"
+	base := []harness.Record{rec("netfaults", "Bento", cell, 100, 100, 0, 0)}
+	for _, n := range []int64{29, 300} {
+		fresh := []harness.Record{rec("netfaults", "Bento", cell, n, float64(n), 0, 0)}
+		rep := Compare(base, fresh, 0.05)
+		if !rep.Failed() || len(rep.CounterMoves) != 1 || len(rep.Regressions) != 0 || len(rep.Improvements) != 0 {
+			t.Fatalf("retries 100 -> %d: %+v, want one counter move and nothing else", n, rep)
+		}
+		if !strings.Contains(rep.Text(), "COUNTER    netfaults/Bento/"+cell) {
+			t.Fatalf("retries 100 -> %d: text has no COUNTER line:\n%s", n, rep.Text())
+		}
+		if !strings.Contains(rep.Markdown(), "Counter cells moved") {
+			t.Fatalf("retries 100 -> %d: markdown has no counter table:\n%s", n, rep.Markdown())
+		}
+	}
+	fresh := []harness.Record{rec("netfaults", "Bento", cell, 103, 103, 0, 0)}
+	if rep := Compare(base, fresh, 0.05); rep.Failed() || len(rep.Drifts) != 1 {
+		t.Fatalf("retries 100 -> 103 at 5%%: %+v, want a passing drift", rep)
+	}
+	// The same name outside netfaults is an ordinary throughput cell.
+	base[0].Experiment = "netstore"
+	fresh = []harness.Record{rec("netstore", "Bento", cell, 300, 300, 0, 0)}
+	if rep := Compare(base, fresh, 0.05); rep.Failed() || len(rep.Improvements) != 1 {
+		t.Fatalf("non-counter cell rising: %+v, want an improvement", rep)
+	}
+}
+
+// TestCounterCellsMatchBaseline: the cells harness names as counters
+// are exactly the checked-in netfaults cells carrying the companion
+// encoding — Ops over one virtual second.
+func TestCounterCellsMatchBaseline(t *testing.T) {
+	recs, err := readRecords("../../BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := 0
+	for _, r := range recs {
+		isCounter := harness.IsCounterCell(r.Experiment, r.Variant, r.Cell)
+		encoded := r.Experiment == "netfaults" && r.ElapsedNS == 1e9 && r.OpsPerSec == float64(r.Ops)
+		if isCounter != encoded {
+			t.Errorf("%s/%s/%s: IsCounterCell = %v, companion encoding = %v", r.Experiment, r.Variant, r.Cell, isCounter, encoded)
+		}
+		if isCounter {
+			counters++
+		}
+	}
+	if counters != 13 {
+		t.Fatalf("%d counter cells in the baseline, want 13", counters)
+	}
+}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -101,6 +102,51 @@ func nfRun(o Options, c netfaultCond, v string,
 	})
 }
 
+// nfCompanion is one companion cell: the counter of netWorkloads[wl]'s
+// run, published under name as Ops over one virtual second.
+type nfCompanion struct {
+	name, counter string
+	wl            int
+}
+
+// companions lists the condition's companion cells on variant v, in
+// record order: per-workload net_retries under a lossy condition, and
+// varmail's net_degraded under the outage.
+func (c netfaultCond) companions(v string) []nfCompanion {
+	var out []nfCompanion
+	if c.faults.ErrProb > 0 {
+		for i, wl := range netWorkloads {
+			out = append(out, nfCompanion{c.name + "-" + wl.key + "-retries", "net_retries", i})
+		}
+	}
+	// FUSE's user-level cache absorbs the blackout before the store's
+	// breaker ever opens, so its degraded count is a constant zero —
+	// not a publishable cell.
+	if c.outage && v == VariantBento {
+		out = append(out, nfCompanion{c.name + "-varmail-degraded", "net_degraded", 2})
+	}
+	return out
+}
+
+// IsCounterCell reports whether a published cell is a netfaults
+// companion: its Ops is an event count over one virtual second, not
+// work done, so its rate has no better direction — fewer retries is
+// not a slowdown and more is not a speed-up. A gate holds such a cell
+// two-sided.
+func IsCounterCell(experiment, variant, cell string) bool {
+	if experiment != ExpNetfaults || !slices.Contains(netfaultVariants, variant) {
+		return false
+	}
+	for _, c := range netfaultConds {
+		for _, cc := range c.companions(variant) {
+			if cc.name == cell {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // netfaultsPlan builds the network-fault scenario: for each variant and
 // each condition in netfaultConds, netWorkloads run with I/O errors
 // tolerated, so Ops counts successes (goodput) and Errs counts ops the
@@ -130,12 +176,6 @@ func netfaultsPlan(o Options) *plan {
 			idx[v] = append(idx[v], n)
 			n++
 		}
-		companion := func(run func() (filebench.Result, error), name, counter string) {
-			add(extras, func() (filebench.Result, error) {
-				r, err := run()
-				return filebench.Result{Name: name, Ops: r.Metrics[counter], Elapsed: time.Second}, err
-			})
-		}
 		for _, c := range netfaultConds {
 			runs := make([]func() (filebench.Result, error), len(netWorkloads))
 			for i, wl := range netWorkloads {
@@ -150,16 +190,12 @@ func netfaultsPlan(o Options) *plan {
 					return r, err
 				})
 			}
-			if c.faults.ErrProb > 0 {
-				for i, wl := range netWorkloads {
-					companion(runs[i], c.name+"-"+wl.key+"-retries", "net_retries")
-				}
-			}
-			// FUSE's user-level cache absorbs the blackout before the
-			// store's breaker ever opens, so its degraded count is a
-			// constant zero — not a publishable cell.
-			if c.outage && v == VariantBento {
-				companion(runs[2], c.name+"-varmail-degraded", "net_degraded")
+			for _, cc := range c.companions(v) {
+				run := runs[cc.wl]
+				add(extras, func() (filebench.Result, error) {
+					r, err := run()
+					return filebench.Result{Name: cc.name, Ops: r.Metrics[cc.counter], Elapsed: time.Second}, err
+				})
 			}
 		}
 	}

@@ -320,25 +320,6 @@ func (c *Core[E]) AppendDirtyKeys(dst []int64) []int64 {
 	return dst
 }
 
-// MinDirtyKey returns the smallest dirty key — DirtyKeys()[0] without
-// the slice, for callers that write back one victim at a time: follow
-// the lowest dirty tag down. It reports false when nothing is dirty.
-func (c *Core[E]) MinDirtyKey() (int64, bool) {
-	if c.ndirty == 0 {
-		return 0, false
-	}
-	lf, key := c.leaf0, int64(0)
-	if n := c.root; n != nil {
-		for l := c.levels; l > 1; l-- {
-			i := bits.TrailingZeros64(n.dirty)
-			n, key = n.kids[i], key<<fanBits|int64(i)
-		}
-		i := bits.TrailingZeros64(n.dirty)
-		lf, key = n.leaves[i], key<<fanBits|int64(i)
-	}
-	return key<<fanBits | int64(bits.TrailingZeros64(lf.dirty)), true
-}
-
 // DirtyEntries returns the dirty entries in ascending key order.
 func (c *Core[E]) DirtyEntries() []E {
 	out := make([]E, 0, c.ndirty)
@@ -389,6 +370,16 @@ func (n *inner[E]) walk(l int, prefix, from int64, tagged bool, fn func(*leaf[E]
 		}
 	}
 	return true
+}
+
+// OldestKey returns the key of the least recently used entry, the tail
+// of the recency list, whatever its pin or dirty state. It reports false
+// when the core is empty.
+func (c *Core[E]) OldestKey() (int64, bool) {
+	if n := c.rec.Back(); n != nil {
+		return n.key, true
+	}
+	return 0, false
 }
 
 // evict takes the entry behind list node n out of the index and the list

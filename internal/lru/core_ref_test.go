@@ -130,20 +130,6 @@ func (c *refCore[E]) AppendDirtyKeys(dst []int64) []int64 {
 	return dst
 }
 
-// MinDirtyKey returns the smallest dirty key — DirtyKeys()[0] without
-// the slice or the sort, for callers that write back one victim at a
-// time. It reports false when nothing is dirty.
-func (c *refCore[E]) MinDirtyKey() (int64, bool) {
-	var min int64
-	found := false
-	for key := range c.dirty {
-		if !found || key < min {
-			min, found = key, true
-		}
-	}
-	return min, found
-}
-
 // DirtyEntries returns the dirty entries in ascending key order.
 func (c *refCore[E]) DirtyEntries() []E {
 	keys := c.DirtyKeys()
@@ -323,10 +309,13 @@ func (p *pair) check() {
 	if !slices.Equal(g.DirtyKeys(), rk[1:]) {
 		p.failf("DirtyKeys %v, reference %v", g.DirtyKeys(), rk[1:])
 	}
-	gm, gok := g.MinDirtyKey()
-	rm, rok := r.MinDirtyKey()
-	if gm != rm || gok != rok {
-		p.failf("MinDirtyKey (%d, %v), reference (%d, %v)", gm, gok, rm, rok)
+	gold, gok := g.OldestKey()
+	var rold int64
+	if n := r.rec.Back(); n != nil {
+		rold = n.key
+	}
+	if gold != rold || gok != (r.Len() > 0) {
+		p.failf("OldestKey (%d, %v), reference list tail %d of %d entries", gold, gok, rold, r.Len())
 	}
 	if ge, re := vals(g.DirtyEntries()), vals(r.DirtyEntries()); !slices.Equal(ge, re) {
 		p.failf("DirtyEntries %v, reference %v", ge, re)
@@ -644,9 +633,6 @@ func TestCoreRootGrowthKeepsDirtyTag(t *testing.T) {
 	want := []int64{3}
 	for _, k := range []int64{64, 5000, 1 << 20, 1 << 40, 1<<62 + 9, 1<<63 - 1} {
 		c.Add(k, &ent{val: 1})
-		if got, ok := c.MinDirtyKey(); !ok || got != 3 {
-			t.Fatalf("MinDirtyKey = %d, %v after growing to key %d, want 3", got, ok, k)
-		}
 		if got := c.DirtyKeys(); !slices.Equal(got, want) {
 			t.Fatalf("DirtyKeys = %v after growing to key %d, want %v", got, k, want)
 		}
@@ -659,8 +645,8 @@ func TestCoreRootGrowthKeepsDirtyTag(t *testing.T) {
 	if c.ClearAllDirty() != len(want) || c.DirtyLen() != 0 {
 		t.Fatalf("ClearAllDirty left %d dirty", c.DirtyLen())
 	}
-	if _, ok := c.MinDirtyKey(); ok {
-		t.Fatal("MinDirtyKey finds a key after ClearAllDirty")
+	if got := c.DirtyKeys(); len(got) != 0 {
+		t.Fatalf("DirtyKeys = %v after ClearAllDirty", got)
 	}
 	if n := c.RemoveFrom(1<<40, nil); n != 3 || c.Len() != 4 {
 		t.Fatalf("RemoveFrom(1<<40) removed %d leaving %d, want 3 leaving 4", n, c.Len())

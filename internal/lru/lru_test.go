@@ -114,50 +114,42 @@ func TestCoreDirtySet(t *testing.T) {
 	}
 }
 
-// TestCoreMinDirtyKey: MinDirtyKey tracks the minimum of the dirty set
-// through marks, clears and removes, always agrees with DirtyKeys()[0],
-// and allocates nothing.
-func TestCoreMinDirtyKey(t *testing.T) {
+// TestCoreOldestKey: OldestKey is the recency tail through adds, touches,
+// removes and evictions, whatever the tail's dirty state, and allocates
+// nothing.
+func TestCoreOldestKey(t *testing.T) {
 	var c Core[*ent]
-	if _, ok := c.MinDirtyKey(); ok {
-		t.Fatal("MinDirtyKey reported a key on an empty core")
+	if _, ok := c.OldestKey(); ok {
+		t.Fatal("OldestKey reported a key on an empty core")
 	}
-	rng := rand.New(rand.NewSource(3))
-	const keys = 48
-	for i := 0; i < keys; i++ {
-		c.Add(int64(i), &ent{val: i})
-	}
-	check := func(step int) {
+	want := func(key int64) {
 		t.Helper()
-		got, ok := c.MinDirtyKey()
-		want := c.DirtyKeys()
-		if ok != (len(want) > 0) {
-			t.Fatalf("step %d: MinDirtyKey ok = %v with %d dirty keys", step, ok, len(want))
-		}
-		if ok && got != want[0] {
-			t.Fatalf("step %d: MinDirtyKey = %d, DirtyKeys()[0] = %d", step, got, want[0])
+		if got, ok := c.OldestKey(); !ok || got != key {
+			t.Fatalf("OldestKey = %d, %v; want %d, true", got, ok, key)
 		}
 	}
-	for step := 0; step < 2000; step++ {
-		key := int64(rng.Intn(keys))
-		switch rng.Intn(3) {
-		case 0, 1:
-			c.MarkDirty(key)
-		default:
-			c.ClearDirty(key)
-		}
-		check(step)
+	for _, k := range []int64{0, 1, 5000, 2} {
+		c.Add(k, &ent{val: int(k)})
+		c.MarkDirty(k)
 	}
-	c.ClearAllDirty()
-	check(-1)
-	c.MarkDirty(7)
-	c.MarkDirty(5)
-	c.Remove(5)
-	if got, ok := c.MinDirtyKey(); !ok || got != 7 {
-		t.Fatalf("after Remove(5): MinDirtyKey = %d, %v; want 7, true", got, ok)
+	want(0)
+	c.Get(0) // touched: the low key is no longer the oldest
+	want(1)
+	c.Peek(1) // a peek does not touch
+	want(1)
+	c.Remove(1)
+	want(5000)
+	c.ClearDirty(5000)
+	if _, ok := c.EvictScan(nil); !ok {
+		t.Fatal("EvictScan found no clean victim")
 	}
-	if n := testing.AllocsPerRun(100, func() { c.MinDirtyKey() }); n != 0 {
-		t.Fatalf("MinDirtyKey allocates %.1f per call, want 0", n)
+	want(2)
+	if n := testing.AllocsPerRun(100, func() { c.OldestKey() }); n != 0 {
+		t.Fatalf("OldestKey allocates %.1f per call, want 0", n)
+	}
+	c.Clear()
+	if _, ok := c.OldestKey(); ok {
+		t.Fatal("OldestKey reported a key after Clear")
 	}
 }
 

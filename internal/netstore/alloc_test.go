@@ -6,6 +6,7 @@ import (
 
 	"bento/internal/costmodel"
 	"bento/internal/netstore"
+	"bento/internal/trace"
 )
 
 // TestNewRejectsBadConfig: a geometry the store cannot serve panics in
@@ -185,6 +186,9 @@ func startSteady(tb testing.TB, i int) *steady {
 // through the object tier allocates — no block buffer, no block table,
 // no object struct, no dirty-key slice.
 func TestSteadyStateAllocs(t *testing.T) {
+	// A path's witness is a counter one more step must raise, so the row
+	// still runs the path it is named for.
+	witness := map[string]string{"EvictionPut": "net_evict_puts"}
 	for i, p := range steadyPaths {
 		t.Run(p.name, func(t *testing.T) {
 			st := startSteady(t, i)
@@ -192,6 +196,14 @@ func TestSteadyStateAllocs(t *testing.T) {
 			// twice round every slot it can reuse.
 			if n := testing.AllocsPerRun(2*st.objects, func() { p.step(st) }); n != 0 {
 				t.Fatalf("%s allocates %.1f per step at steady state, want 0", p.name, n)
+			}
+			if ctr, ok := witness[p.name]; ok {
+				rec := trace.New()
+				st.s.SetRecorder(rec)
+				p.step(st)
+				if rec.Counters()[ctr] == 0 {
+					t.Fatalf("%s step raised no %s", p.name, ctr)
+				}
 			}
 		})
 	}
@@ -223,10 +235,11 @@ func BenchmarkBorrowHit(b *testing.B)    { benchSteady(b, "BorrowHit") }
 
 // BenchmarkEvictionPutCycle is the C-Kernel log pattern: a 64-object
 // cache full of dirty objects, and per iteration one block staged in
-// object 0 (the log head, always the lowest-numbered dirty object and so
-// always the eviction-PUT victim) and one in objects 64…319 round-robin.
-// Every write misses into an all-dirty cache and forces an eviction PUT,
-// and the durable set stays bounded at 320 objects.
+// object 0 (the log head) and one in objects 64…319 round-robin. Object
+// 0 is the most recently used object whenever an eviction runs, so it is
+// never the victim: its write hits, the round-robin write misses into
+// an all-dirty cache, and each step is one eviction PUT. The durable
+// set stays bounded at 320 objects.
 func BenchmarkEvictionPutCycle(b *testing.B) {
 	const (
 		cache   = netstore.DefaultCacheObjects

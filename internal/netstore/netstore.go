@@ -24,11 +24,13 @@
 // object, a write dirties the cached object in place (write-back), and
 // Flush coalesces every dirty object into one whole-object PUT, issued
 // concurrently across the request channels and fenced by a NetFlush
-// barrier. Under cache pressure the LRU victim must be clean; when every
-// resident object is dirty, the lowest-numbered dirty object is written
-// back early (an eviction PUT). That early durability is allowed by the
-// Backend crash contract, which is one-sided: flushed data must survive,
-// staged data may.
+// barrier. Under cache pressure the victim is the least-recently-used
+// clean object; when every resident object is dirty, it is the
+// least-recently-used dirty object, written back early (an eviction PUT)
+// and then evicted. A journal's hot head — log, bitmap, inode table —
+// is touched by every commit, so it stays cached. That early durability
+// is allowed by the Backend crash contract, which is one-sided: flushed
+// data must survive, staged data may.
 //
 // Buffers. The wire is modeled, not the bytes, so nothing object-sized
 // is allocated, cleared or copied on the steady-state path. An object,
@@ -386,19 +388,19 @@ func (s *Store) load(now, objID int64) (*object, int64, error) {
 	return o, done, nil
 }
 
-// insert adds o under objID, making room first. The eviction victim is
-// the LRU clean object; if every resident object is dirty, the
-// lowest-numbered dirty object is written back (an eviction PUT, booked
-// asynchronously at now — the caller does not wait on it) and then
-// evicted. Write-back under pressure is what bounds how much staged
-// data a crash can lose, at the price of PUT traffic before any flush.
+// insert adds o under objID, making room first by the eviction rule in
+// the package comment. An eviction PUT is booked asynchronously at now —
+// the caller does not wait on it. Write-back under pressure is what
+// bounds how much staged data a crash can lose, at the price of PUT
+// traffic before any flush.
 func (s *Store) insert(now, objID int64, o *object) {
 	for s.cache.Len() >= s.cacheCap {
 		if evicted, ok := s.cache.EvictScan(nil); ok {
 			s.release(evicted)
 			continue
 		}
-		victim, _ := s.cache.MinDirtyKey()
+		// Nothing here is pinned, so every resident object is dirty.
+		victim, _ := s.cache.OldestKey()
 		vo, _ := s.cache.Peek(victim)
 		if _, err := s.put(now, victim, vo, false); err != nil {
 			// Degraded or retries exhausted: losing staged data is not

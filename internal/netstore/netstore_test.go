@@ -195,8 +195,8 @@ func TestBoundedParallelism(t *testing.T) {
 }
 
 // TestEvictionWriteBack: when every resident object is dirty, inserting
-// another writes back the lowest-numbered dirty object early — and that
-// early durability survives a keep-nothing crash.
+// another writes back the least-recently-used one early — and that early
+// durability survives a keep-nothing crash.
 func TestEvictionWriteBack(t *testing.T) {
 	d, rec, clk := metricsDev(t, 64, netstore.Config{ObjectBlocks: 4, CacheObjects: 2})
 	write(t, d, clk, 0, 0xA0) // object 0, dirty
@@ -223,6 +223,44 @@ func TestEvictionWriteBack(t *testing.T) {
 		}
 		if buf[0] != 0 {
 			t.Fatalf("staged blk %d survived keep-0 crash without write-back", blk)
+		}
+	}
+}
+
+// TestEvictionVictimIsLRU tells the LRU rule from a lowest-numbered one:
+// object 0, touched after object 1, stays cached and staged while object
+// 1 is written back, so only object 1's bytes survive a keep-nothing
+// crash.
+func TestEvictionVictimIsLRU(t *testing.T) {
+	d, rec, clk := metricsDev(t, 64, netstore.Config{ObjectBlocks: 4, CacheObjects: 2})
+	write(t, d, clk, 0, 0xA0) // object 0, dirty
+	write(t, d, clk, 4, 0xA1) // object 1, dirty
+	write(t, d, clk, 1, 0xB0) // object 0 again: now the most recently used
+	write(t, d, clk, 8, 0xA2) // object 2: evict-PUT object 1, the LRU one
+	if n := rec.Counters()["net_evict_puts"]; n != 1 {
+		t.Fatalf("net_evict_puts = %d, want 1", n)
+	}
+	var put []int64
+	for _, e := range rec.Events() {
+		if e.Name == "net-put" {
+			put = append(put, e.A)
+		}
+	}
+	if len(put) != 1 || put[0] != 1 {
+		t.Fatalf("PUT objects %v, want [1]", put)
+	}
+	// Objects 0 and 2 are still staged: blocks 0, 1 and 8.
+	if n := d.DirtyBlocks(); n != 3 {
+		t.Fatalf("DirtyBlocks = %d after eviction write-back, want 3", n)
+	}
+	d.Crash(0, 42)
+	buf := make([]byte, d.BlockSize())
+	for blk, want := range map[int]byte{0: 0, 1: 0, 4: 0xA1, 8: 0} {
+		if err := d.Read(clk, blk, buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf[0] != want {
+			t.Fatalf("blk %d = %#x after keep-0 crash, want %#x", blk, buf[0], want)
 		}
 	}
 }
