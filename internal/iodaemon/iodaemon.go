@@ -17,7 +17,11 @@
 //     Each fill is issued at the batch's submission time, so the reads
 //     travel the device queues in parallel — one plugged batch, exactly
 //     how mpage_readahead submits — and the application only waits for
-//     a page's completion time if it catches up with the pipeline.
+//     a page's completion time if it catches up with the pipeline. A
+//     demand read that misses two or more of its own pages submits them
+//     the same way before it waits (Linux's page_cache_sync_readahead),
+//     so a cold multi-page read costs one device round trip per queue
+//     channel, not one per page; the window then runs ahead of it.
 //
 //   - Write-back: dirtiers that cross the background threshold wake the
 //     flusher, which drains every file's dirty set in ascending inode
@@ -98,9 +102,22 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Batch names a fill batch's trace instant, which says why the batch
+// was submitted.
+type Batch string
+
+const (
+	// WindowBatch fills the read-ahead window ahead of a sequential
+	// stream.
+	WindowBatch Batch = "ra-batch"
+	// DemandBatch fills the pages a demand read missed, before the
+	// reader waits for them.
+	DemandBatch Batch = "ra-sync"
+)
+
 // Stats counts the daemon's background work.
 type Stats struct {
-	FillPages  int64 // pages filled ahead of demand
+	FillPages  int64 // pages filled by batches (window and demand)
 	FillSkips  int64 // scheduled fills that found the page already cached
 	FillErrors int64 // asynchronous fills that failed
 	Wakeups    int64 // flusher wakeups
@@ -168,28 +185,26 @@ func (d *Daemon[T]) BackgroundThreshold(dirtyLimit int64) int64 {
 	return dirtyLimit / d.cfg.BackgroundRatio
 }
 
-// FillAhead runs one read-ahead batch: count page fills starting at
-// page start, submitted at virtual time now (the reader's clock when it
-// triggered read-ahead). Each fill runs on the daemon's fill task rebased
-// to now, so the batch's device reads are booked concurrently from now
-// on — the application keeps running while the device works, which is
-// the entire point of read-ahead.
+// FillAhead runs one read-ahead batch of kind b: count page fills
+// starting at page start, submitted at virtual time now (the reader's
+// clock when it triggered read-ahead). Each fill runs on the daemon's
+// fill task rebased to now, so the batch's device reads are booked
+// concurrently from now on — the application keeps running while the
+// device works, which is the entire point of read-ahead.
 //
 // fill(t, pg) performs one page read using t and reports whether it
 // actually filled (false = the page was already cached). The fill's
 // completion time is t's clock when fill returns; the caller records it
 // on the page so a reader that catches up with the pipeline waits for
 // exactly that moment. A fill error aborts the rest of the batch and is
-// returned; a failed fill must leave no page in the cache.
+// returned with failedAt, the virtual time the failure became known (the
+// failed fill's clock); a failed fill must leave no page in the cache.
 //
 // After a quiesce FillAhead is a no-op: an unmounting file system must
 // not see new reads.
-func (d *Daemon[T]) FillAhead(now int64, start, count int64, fill func(t T, pg int64) (bool, error)) error {
-	if count <= 0 {
-		return nil
-	}
-	if d.stopped {
-		return nil
+func (d *Daemon[T]) FillAhead(b Batch, now int64, start, count int64, fill func(t T, pg int64) (bool, error)) (failedAt int64, err error) {
+	if count <= 0 || d.stopped {
+		return 0, nil
 	}
 	frontier := d.ra.Clock()
 	if !d.hasFillTask {
@@ -197,7 +212,7 @@ func (d *Daemon[T]) FillAhead(now int64, start, count int64, fill func(t T, pg i
 		d.hasFillTask = true
 	}
 	d.rec.Add(trace.CtrRABatches, 1)
-	d.rec.Instant("readahead", trace.CatDaemon, "ra-batch", now, start, count)
+	d.rec.Instant("readahead", trace.CatDaemon, string(b), now, start, count)
 	for pg := start; pg < start+count; pg++ {
 		t := d.fillTask
 		t.Clock().SetNS(now)
@@ -205,7 +220,7 @@ func (d *Daemon[T]) FillAhead(now int64, start, count int64, fill func(t T, pg i
 		filled, err := fill(t, pg)
 		if err != nil {
 			d.stats.FillErrors++
-			return err
+			return t.Clock().NowNS(), err
 		}
 		if filled {
 			d.stats.FillPages++
@@ -216,7 +231,7 @@ func (d *Daemon[T]) FillAhead(now int64, start, count int64, fill func(t T, pg i
 		}
 		frontier.AdvanceTo(t.Clock().NowNS())
 	}
-	return nil
+	return 0, nil
 }
 
 // Flush runs one flusher pass at virtual time now: the flusher's clock

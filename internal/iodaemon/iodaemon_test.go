@@ -136,7 +136,7 @@ func TestFillAheadBatchesConcurrently(t *testing.T) {
 	const now = int64(1000)
 	const devRead = int64(50_000)
 	var readyAts []int64
-	err := d.FillAhead(now, 10, 4, func(ft *fakeTask, pg int64) (bool, error) {
+	_, err := d.FillAhead(WindowBatch, now, 10, 4, func(ft *fakeTask, pg int64) (bool, error) {
 		if got := ft.Clock().NowNS(); got < now || got > now+1000 {
 			t.Fatalf("fill task for page %d started at %d, want ~%d (batch submission time)", pg, got, now)
 		}
@@ -167,15 +167,20 @@ func TestFillAheadStopsOnError(t *testing.T) {
 	d := newTestDaemon(Config{})
 	boom := errors.New("boom")
 	var calls int
-	err := d.FillAhead(0, 0, 8, func(ft *fakeTask, pg int64) (bool, error) {
+	const failRead = int64(7_000)
+	failedAt, err := d.FillAhead(WindowBatch, 0, 0, 8, func(ft *fakeTask, pg int64) (bool, error) {
 		calls++
 		if pg == 2 {
+			ft.Clock().AdvanceNS(failRead) // the failure is known when the read completes
 			return false, boom
 		}
 		return true, nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
+	}
+	if failedAt < failRead {
+		t.Fatalf("failedAt = %d, want the failed fill's clock (>= %d)", failedAt, failRead)
 	}
 	if calls != 3 {
 		t.Fatalf("fill ran %d times, want 3 (abort after the failure)", calls)
@@ -218,7 +223,7 @@ func TestFlushRecordsAndQuiesce(t *testing.T) {
 	if _, err := d.Flush(0, flush); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.FillAhead(0, 0, 4, func(ft *fakeTask, pg int64) (bool, error) {
+	if _, err := d.FillAhead(WindowBatch, 0, 0, 4, func(ft *fakeTask, pg int64) (bool, error) {
 		t.Fatal("fill ran after quiesce")
 		return false, nil
 	}); err != nil {

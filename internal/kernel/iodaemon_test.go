@@ -32,12 +32,12 @@ func (h *hookFS) ReadPage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte) e
 	if h.probe != nil {
 		h.probe(pg)
 	}
-	fail := h.failPage == pg
-	if fail {
+	// Model a device read: the task waits for the transfer, and a failed
+	// one is known only when it completes.
+	t.Clk.Advance(h.pageCost)
+	if h.failPage == pg {
 		return fsapi.ErrIO
 	}
-	// Model a device read: the task waits for the transfer.
-	t.Clk.Advance(h.pageCost)
 	return h.FileSystem.ReadPage(t, ino, pg, buf)
 }
 
@@ -383,7 +383,7 @@ func TestQuiesceOnUnmount(t *testing.T) {
 		t.Fatalf("quiesce flushed %+v, want 1 run / 4 pages", st)
 	}
 	// A stopped daemon refuses new work.
-	if err := d.FillAhead(0, 0, 4, func(*kernel.Task, int64) (bool, error) {
+	if _, err := d.FillAhead(iodaemon.WindowBatch, 0, 0, 4, func(*kernel.Task, int64) (bool, error) {
 		return false, fmt.Errorf("fill after quiesce")
 	}); err != nil {
 		t.Fatal(err)

@@ -116,8 +116,10 @@ type vnode struct {
 // Pages filled by read-ahead carry readyAt, the virtual time their
 // asynchronous device read completes; a reader that catches up with the
 // pipeline waits until then. Demand-filled pages leave it zero: their
-// device wait was paid synchronously, and a full-page overwrite clears
-// it (the overwrite discards the fill's contents, so no wait is owed).
+// device wait was paid synchronously. A demand batch's pages clear it
+// once the read that asked for them has waited, and a full-page
+// overwrite clears it (the overwrite discards the fill's contents, so
+// no wait is owed).
 //
 // Demand and read-ahead fills alike insert a page only once its contents
 // exist (vnode.readPage), the same rule as the buffer caches, so a failed
@@ -682,13 +684,44 @@ func (vn *vnode) readAhead(t *Task, first, last int64) {
 	if vn.fillFn == nil {
 		vn.fillFn = vn.fillPage
 	}
-	if err := d.FillAhead(t.Clk.NowNS(), start, count, vn.fillFn); err != nil {
+	if _, err := d.FillAhead(iodaemon.WindowBatch, t.Clk.NowNS(), start, count, vn.fillFn); err != nil {
 		// A failed fill must not fail the demand read that merely
 		// triggered it; collapse the window so the stream stops running
 		// into the bad region. A demand read of the failed page will
 		// surface the error synchronously.
 		vn.ra.Reset()
 	}
+}
+
+// demandBatch submits the pages a demand read missed in [first, last] as
+// one batch at the reader's clock when two or more are missing, as Linux's
+// page_cache_sync_readahead does, instead of letting the read fill them
+// one after another. It counts the range's page hits and misses and
+// reports the end of the batch; 0 means no batch was submitted and the
+// read fills its one missing page itself. A fill that fails inside the
+// batch leaves its page missing: the reader waits until the failure is
+// known, as Linux's reader waits on the page lock for the failed read,
+// and then fills the page synchronously and reports the error there.
+// Only called when m.iod != nil.
+func (vn *vnode) demandBatch(t *Task, first, last int64) int64 {
+	var missing int64
+	for pg := first; pg <= last; pg++ {
+		if _, ok := vn.pc.Peek(pg); !ok {
+			missing++
+		}
+	}
+	if missing < 2 {
+		return 0
+	}
+	t.rec.Add(trace.CtrPageMisses, missing)
+	t.rec.Add(trace.CtrPageHits, last-first+1-missing)
+	if vn.fillFn == nil {
+		vn.fillFn = vn.fillPage
+	}
+	if failedAt, err := vn.m.iod.FillAhead(iodaemon.DemandBatch, t.Clk.NowNS(), first, last-first+1, vn.fillFn); err != nil {
+		t.waitSpan(trace.CatCache, "ra-wait", failedAt)
+	}
+	return last + 1
 }
 
 // fillPage is read-ahead's fill of page pg on the read-ahead task rt. The

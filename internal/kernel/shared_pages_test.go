@@ -80,12 +80,18 @@ type blockRig struct {
 
 func newBlockRig(t *testing.T, iod bool) *blockRig {
 	t.Helper()
-	k := kernel.New(costmodel.Fast())
+	return newBlockRigModel(t, iod, costmodel.Fast())
+}
+
+// newBlockRigModel is newBlockRig under the given cost model.
+func newBlockRigModel(t *testing.T, iod bool, model *costmodel.Model) *blockRig {
+	t.Helper()
+	k := kernel.New(model)
 	r := &blockRig{t: t, task: k.NewTask("test")}
 	if err := k.Register(blockFSType{fs: &r.fs}); err != nil {
 		t.Fatal(err)
 	}
-	dev := blockdev.MustNew(blockdev.Config{Blocks: 64 * blockFSPages, Model: costmodel.Fast()})
+	dev := blockdev.MustNew(blockdev.Config{Blocks: 64 * blockFSPages, Model: model})
 	var err error
 	if r.m, err = k.Mount(r.task, "blockfs", "/", dev); err != nil {
 		t.Fatal(err)

@@ -138,7 +138,11 @@ func (f *File) Read(t *Task, buf []byte) (int, error) {
 	return n, err
 }
 
-// PRead reads len(buf) bytes at offset off through the page cache.
+// PRead reads len(buf) bytes at offset off through the page cache. On a
+// mount with an I/O daemon, the read's first miss submits every missing
+// page through the read's last one as one batch (vnode.demandBatch), and
+// the read then waits for each page's fill in turn; without a daemon,
+// and for a single missing page, each miss is filled synchronously.
 func (f *File) PRead(t *Task, buf []byte, off int64) (int, error) {
 	m := f.m
 	defer t.endSyscall("pread", m.chargeSyscall(t))
@@ -158,6 +162,8 @@ func (f *File) PRead(t *Task, buf []byte, off int64) (int, error) {
 		want = vn.size - off
 	}
 	var done int64
+	missed := false
+	var batchEnd int64 // pages below it are this read's demand batch
 	for done < want {
 		idx := (off + done) / fsapi.PageSize
 		pgOff := (off + done) % fsapi.PageSize
@@ -167,14 +173,25 @@ func (f *File) PRead(t *Task, buf []byte, off int64) (int, error) {
 		}
 		t.Charge(m.model.PageCacheLookup)
 		pg, ok := vn.pc.Peek(idx)
+		if !ok && !missed && m.iod != nil {
+			missed = true
+			batchEnd = vn.demandBatch(t, idx, (off+want-1)/fsapi.PageSize)
+			pg, ok = vn.pc.Peek(idx)
+		}
 		if ok {
-			t.rec.Add(trace.CtrPageHits, 1)
+			if idx >= batchEnd {
+				t.rec.Add(trace.CtrPageHits, 1)
+			}
 			pg.lastUse = m.tick()
 			if r := pg.readyAt; r != 0 {
 				// The page is here courtesy of read-ahead; a reader
 				// that catches up with the pipeline waits for its
-				// asynchronous device read to complete.
+				// asynchronous device read to complete. A page this
+				// read asked for owes no later reader that wait.
 				t.waitSpan(trace.CatCache, "ra-wait", r)
+				if idx < batchEnd {
+					pg.readyAt = 0
+				}
 			}
 		} else {
 			var err error

@@ -77,7 +77,7 @@ func (l *Log) Recover(t *kernel.Task) error {
 	}
 	hdata, err := hb.Data()
 	if err != nil {
-		return err
+		return released(err, hb)
 	}
 	lh := layout.DecodeLogHeader(hdata)
 	if lh.N > 0 {
@@ -86,30 +86,30 @@ func (l *Log) Recover(t *kernel.Task) error {
 		for i := uint32(0); i < lh.N; i++ {
 			src, err := sb.BRead(t, int(l.start+1+i))
 			if err != nil {
-				return err
+				return released(err, hb)
 			}
 			dst, err := sb.BClone(t, int(lh.Blocks[i]), src)
 			if err != nil {
-				return err
+				return released(err, src, hb)
 			}
 			done, err := dst.SubmitWrite(t)
 			if err != nil {
-				return err
+				return released(err, dst, src, hb)
 			}
 			if done > last {
 				last = done
 			}
 			if err := src.Release(); err != nil {
-				return err
+				return released(err, dst, hb)
 			}
 			if err := dst.Release(); err != nil {
-				return err
+				return released(err, hb)
 			}
 		}
 		t.WaitIO("install", last)
 		if l.policy == PolicyFlush {
 			if err := sb.Flush(t); err != nil {
-				return err
+				return released(err, hb)
 			}
 		}
 	}
@@ -117,10 +117,10 @@ func (l *Log) Recover(t *kernel.Task) error {
 	var empty layout.LogHeader
 	empty.Encode(hdata)
 	if err := hb.MarkDirty(); err != nil {
-		return err
+		return released(err, hb)
 	}
 	if err := hb.WriteSync(t); err != nil {
-		return err
+		return released(err, hb)
 	}
 	if err := hb.Release(); err != nil {
 		return err
@@ -249,13 +249,13 @@ func (l *Log) commit(t *kernel.Task, blocks []uint32) error {
 		}
 		dst, err := sb.BClone(t, int(l.start+1+uint32(i)), src)
 		if err != nil {
-			return err
+			return released(err, src)
 		}
 		if err := dst.WriteSync(t); err != nil {
-			return err
+			return released(err, dst, src)
 		}
 		if err := dst.Release(); err != nil {
-			return err
+			return released(err, src)
 		}
 		if err := src.Release(); err != nil {
 			return err
@@ -272,15 +272,15 @@ func (l *Log) commit(t *kernel.Task, blocks []uint32) error {
 	}
 	hdata, err := hb.Data()
 	if err != nil {
-		return err
+		return released(err, hb)
 	}
 	lh.Encode(hdata)
 	if err := hb.WriteSync(t); err != nil {
-		return err
+		return released(err, hb)
 	}
 	if l.policy == PolicyFlush {
 		if err := sb.Flush(t); err != nil {
-			return err
+			return released(err, hb)
 		}
 	}
 
@@ -289,23 +289,23 @@ func (l *Log) commit(t *kernel.Task, blocks []uint32) error {
 	for _, home := range blocks {
 		src, err := sb.BRead(t, int(home))
 		if err != nil {
-			return err
+			return released(err, hb)
 		}
 		done, err := src.SubmitWrite(t)
 		if err != nil {
-			return err
+			return released(err, src, hb)
 		}
 		if done > last {
 			last = done
 		}
 		if err := src.Release(); err != nil {
-			return err
+			return released(err, hb)
 		}
 	}
 	t.WaitIO("install", last)
 	if l.policy == PolicyFlush {
 		if err := sb.Flush(t); err != nil {
-			return err
+			return released(err, hb)
 		}
 	}
 
@@ -313,7 +313,7 @@ func (l *Log) commit(t *kernel.Task, blocks []uint32) error {
 	lh = layout.LogHeader{}
 	lh.Encode(hdata)
 	if err := hb.WriteSync(t); err != nil {
-		return err
+		return released(err, hb)
 	}
 	if err := hb.Release(); err != nil {
 		return err
@@ -322,4 +322,14 @@ func (l *Log) commit(t *kernel.Task, blocks []uint32) error {
 		return sb.Flush(t)
 	}
 	return nil
+}
+
+// released drops the references a failed step still holds and returns
+// the step's error: a commit or recovery that fails part-way must not
+// leak its buffers (the checker reports every one left at unmount).
+func released(err error, held ...bentoks.Buffer) error {
+	for _, b := range held {
+		_ = b.Release()
+	}
+	return err
 }

@@ -60,11 +60,11 @@ func (perOpLog) writeLog(fs *FS, t *kernel.Task, blocks []uint32) error {
 		}
 		dst, err := fs.bc.GetNoRead(t, int(fs.super.LogStart+1+uint32(i)))
 		if err != nil {
-			return err
+			return released(err, src)
 		}
 		copy(dst.Data(), src.Data())
 		if err := dst.WriteSync(t); err != nil {
-			return err
+			return released(err, dst, src)
 		}
 		_ = dst.Release()
 		_ = src.Release()
@@ -119,12 +119,12 @@ func (compound) writeLog(fs *FS, t *kernel.Task, blocks []uint32) error {
 		}
 		dst, err := fs.bc.GetNoRead(t, int(fs.super.LogStart+1+uint32(i)))
 		if err != nil {
-			return err
+			return released(err, src)
 		}
 		copy(dst.Data(), src.Data())
 		done, err := dst.SubmitWrite(t)
 		if err != nil {
-			return err
+			return released(err, dst, src)
 		}
 		last = max(last, done)
 		_ = dst.Release()
@@ -159,16 +159,16 @@ func (fs *FS) recover(t *kernel.Task) error {
 		for i, home := range blocks {
 			src, err := fs.bc.Get(t, int(fs.super.LogStart+1+uint32(i)))
 			if err != nil {
-				return err
+				return released(err, hb)
 			}
 			dst, err := fs.bc.GetNoRead(t, int(home))
 			if err != nil {
-				return err
+				return released(err, src, hb)
 			}
 			copy(dst.Data(), src.Data())
 			done, err := dst.SubmitWrite(t)
 			if err != nil {
-				return err
+				return released(err, dst, src, hb)
 			}
 			last = max(last, done)
 			_ = src.Release()
@@ -177,13 +177,13 @@ func (fs *FS) recover(t *kernel.Task) error {
 		t.WaitIO("install", last)
 		if fs.barriers {
 			if err := fs.dev.Flush(t.Clk); err != nil {
-				return err
+				return released(err, hb)
 			}
 		}
 	}
 	encodeHeader(hb.Data(), nil, fs.logCap)
 	if err := hb.WriteSync(t); err != nil {
-		return err
+		return released(err, hb)
 	}
 	if err := hb.Release(); err != nil {
 		return err
@@ -286,36 +286,46 @@ func (fs *FS) writeCommit(t *kernel.Task, blocks []uint32) error {
 	}
 	encodeHeader(hb.Data(), blocks, fs.logCap)
 	if err := hb.WriteSync(t); err != nil {
-		return err
+		return released(err, hb)
 	}
 	if err := fs.log.barrier(fs, t, 0); err != nil {
-		return err
+		return released(err, hb)
 	}
 	var last int64
 	for _, home := range blocks {
 		src, err := fs.bc.Get(t, int(home))
 		if err != nil {
-			return err
+			return released(err, hb)
 		}
 		done, err := src.SubmitWrite(t)
 		if err != nil {
-			return err
+			return released(err, src, hb)
 		}
 		last = max(last, done)
 		_ = src.Release()
 	}
 	t.WaitIO("install", last)
 	if err := fs.log.barrier(fs, t, 1); err != nil {
-		return err
+		return released(err, hb)
 	}
 	encodeHeader(hb.Data(), nil, fs.logCap)
 	if err := hb.WriteSync(t); err != nil {
-		return err
+		return released(err, hb)
 	}
 	if err := hb.Release(); err != nil {
 		return err
 	}
 	return fs.log.barrier(fs, t, 2)
+}
+
+// released drops the references a failed step still holds and returns
+// the step's error: a commit or recovery that fails part-way must not
+// leave its buffers pinned in the cache.
+func released(err error, held ...*kernel.BufferHead) error {
+	for _, b := range held {
+		_ = b.Release()
+	}
+	return err
 }
 
 // encodeHeader writes the commit record for blocks — little-endian n,
