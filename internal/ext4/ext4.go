@@ -10,10 +10,9 @@
 //
 //   - a JBD2-style journal (vfsimpl.Compound): operations join a running
 //     compound transaction that commits on fsync/sync or once it grows
-//     past CommitThreshold — not per operation as xv6's log does. Journal
-//     writes are submitted in batches that exploit the device queues
-//     instead of xv6's serial bwrite loop, and durability barriers
-//     (FLUSH) are paid once per compound commit.
+//     past CommitThreshold — not per operation as xv6's log does — so
+//     durability barriers (FLUSH) are paid once per compound commit. Its
+//     log writes are the C-Kernel's: one batch per commit.
 //   - an in-memory directory index (vfsimpl.IndexedDirs, the htree
 //     stand-in) for O(1) lookup.
 //   - the batched ->writepages write-back path (kernel.BatchWriter).

@@ -232,16 +232,18 @@ func (l *Log) ForceCommit(t *kernel.Task) error {
 }
 
 // commit is xv6's four-step commit: copy dirty home blocks into the log
-// region (synchronous writes, one per block, like xv6's bwrite), write
-// the header (the commit point), install the blocks home, and clear the
-// header. The log copy is the disk's BClone, which shares a home block's
-// contents instead of copying them when they are immutable.
+// region, write the header (the commit point), install the blocks home,
+// and clear the header. The log copy is the disk's BClone, which shares a
+// home block's contents instead of copying them when they are immutable.
 func (l *Log) commit(t *kernel.Task, blocks []uint32) error {
 	sb := l.fs.sb
 
-	// Step 1: write log data blocks. xv6's bwrite is synchronous per
-	// block; this serialization is a real cost the in-kernel variants pay
-	// on every commit.
+	// Step 1: write the log data blocks as one batch: submit every slot,
+	// then wait once for the latest completion, as jbd2 does. The header
+	// is submitted only after every slot has completed. A disk with no
+	// asynchronous submission (the FUSE daemon's pwrite) completes each
+	// slot before submitting the next, so there the batch stays serial.
+	var last int64
 	for i, home := range blocks {
 		src, err := sb.BRead(t, int(home)) // cache hit: logged blocks are dirty in cache
 		if err != nil {
@@ -251,9 +253,11 @@ func (l *Log) commit(t *kernel.Task, blocks []uint32) error {
 		if err != nil {
 			return released(err, src)
 		}
-		if err := dst.WriteSync(t); err != nil {
+		done, err := dst.SubmitWrite(t)
+		if err != nil {
 			return released(err, dst, src)
 		}
+		last = max(last, done)
 		if err := dst.Release(); err != nil {
 			return released(err, src)
 		}
@@ -261,6 +265,7 @@ func (l *Log) commit(t *kernel.Task, blocks []uint32) error {
 			return err
 		}
 	}
+	t.WaitIO("journal-write", last)
 
 	// Step 2: header write = commit point.
 	var lh layout.LogHeader
@@ -285,7 +290,7 @@ func (l *Log) commit(t *kernel.Task, blocks []uint32) error {
 	}
 
 	// Step 3: install transactions home (batched submits).
-	var last int64
+	last = 0
 	for _, home := range blocks {
 		src, err := sb.BRead(t, int(home))
 		if err != nil {

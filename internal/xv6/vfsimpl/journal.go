@@ -11,10 +11,11 @@ import (
 )
 
 // A Journal is the commit policy of the file system's log: when the
-// running transaction commits, and how its blocks reach the device.
+// running transaction commits, and which barriers order its writes.
 // Everything around it is the FS's and the same under either policy: the
-// per-operation credit and the begin stall, absorption, the commit span
-// and counters, the in-place reset, the commit record, and recovery.
+// per-operation credit and the begin stall, absorption, the batched log
+// write, the commit span and counters, the in-place reset, the commit
+// record, and recovery.
 type Journal interface {
 	// capacity is the log's data region in blocks; one transaction must
 	// fit.
@@ -24,9 +25,6 @@ type Journal interface {
 	due(n int) bool
 	// sync makes everything logged durable (fsync, sync, unmount).
 	sync(fs *FS, t *kernel.Task) error
-	// writeLog copies each home block into its log slot and writes the
-	// slots to the device.
-	writeLog(fs *FS, t *kernel.Task, blocks []uint32) error
 	// barrier orders a commit's writes at one of its three points: after
 	// the commit record (0), after the install (1), after the cleared
 	// record (2).
@@ -34,9 +32,8 @@ type Journal interface {
 }
 
 // PerOpLog is xv6's log, the C-Kernel's: every operation commits as it
-// ends, copying its blocks to the log with one synchronous write each
-// (xv6's bwrite loop), and with barriers a FLUSH follows each of the
-// commit's three points.
+// ends, and with barriers a FLUSH follows each of the commit's three
+// points. Bento's bentoimpl.Log keeps the same policy.
 func PerOpLog() Journal { return perOpLog{} }
 
 type perOpLog struct{}
@@ -52,26 +49,6 @@ func (perOpLog) sync(fs *FS, t *kernel.Task) error {
 	return fs.endOp(t)
 }
 
-func (perOpLog) writeLog(fs *FS, t *kernel.Task, blocks []uint32) error {
-	for i, home := range blocks {
-		src, err := fs.bc.Get(t, int(home))
-		if err != nil {
-			return err
-		}
-		dst, err := fs.bc.GetNoRead(t, int(fs.super.LogStart+1+uint32(i)))
-		if err != nil {
-			return released(err, src)
-		}
-		copy(dst.Data(), src.Data())
-		if err := dst.WriteSync(t); err != nil {
-			return released(err, dst, src)
-		}
-		_ = dst.Release()
-		_ = src.Release()
-	}
-	return nil
-}
-
 func (perOpLog) barrier(fs *FS, t *kernel.Task, _ int) error {
 	if !fs.barriers {
 		return nil
@@ -81,10 +58,9 @@ func (perOpLog) barrier(fs *FS, t *kernel.Task, _ int) error {
 
 // Compound is jbd2's journal, ext4's: operations join a running compound
 // transaction that commits once the last open operation ends with
-// threshold blocks joined, or on fsync/sync — not per operation. Its log
-// writes are submitted as one batch that keeps the device queues full,
-// and with barriers one FLUSH, recorded as a device span, follows the
-// commit record and one the install: paid once per compound commit.
+// threshold blocks joined, or on fsync/sync — not per operation. With
+// barriers one FLUSH, recorded as a device span, follows the commit
+// record and one the install: paid once per compound commit.
 func Compound(capacity uint32, threshold int) Journal { return compound{capacity, threshold} }
 
 type compound struct {
@@ -108,30 +84,6 @@ func (compound) sync(fs *FS, t *kernel.Task) error {
 		panic(fs.name + ": sync with an operation open: the barrier is its own operation (one runner at a time)")
 	}
 	return fs.commit(t)
-}
-
-func (compound) writeLog(fs *FS, t *kernel.Task, blocks []uint32) error {
-	var last int64
-	for i, home := range blocks {
-		src, err := fs.bc.Get(t, int(home))
-		if err != nil {
-			return err
-		}
-		dst, err := fs.bc.GetNoRead(t, int(fs.super.LogStart+1+uint32(i)))
-		if err != nil {
-			return released(err, src)
-		}
-		copy(dst.Data(), src.Data())
-		done, err := dst.SubmitWrite(t)
-		if err != nil {
-			return released(err, dst, src)
-		}
-		last = max(last, done)
-		_ = dst.Release()
-		_ = src.Release()
-	}
-	t.WaitIO("journal-write", last)
-	return nil
 }
 
 func (compound) barrier(fs *FS, t *kernel.Task, point int) error {
@@ -244,6 +196,15 @@ func (fs *FS) endOp(t *kernel.Task) error {
 	return fs.commit(t)
 }
 
+// endOpInto closes an operation from a defer. The commit's error becomes
+// the operation's when the operation itself succeeded, so a mutation
+// whose commit failed never reports success.
+func (fs *FS) endOpInto(t *kernel.Task, err *error) {
+	if e := fs.endOp(t); *err == nil {
+		*err = e
+	}
+}
+
 // commit commits the running transaction.
 func (fs *FS) commit(t *kernel.Task) error {
 	fs.committing = true
@@ -274,10 +235,38 @@ func (fs *FS) commit(t *kernel.Task) error {
 	return err
 }
 
+// writeLog copies each home block into its log slot and writes the slots
+// as one batch: it submits every slot, then waits once for the latest
+// completion, so the commit record that follows is submitted only after
+// every slot has completed.
+func (fs *FS) writeLog(t *kernel.Task, blocks []uint32) error {
+	var last int64
+	for i, home := range blocks {
+		src, err := fs.bc.Get(t, int(home))
+		if err != nil {
+			return err
+		}
+		dst, err := fs.bc.GetNoRead(t, int(fs.super.LogStart+1+uint32(i)))
+		if err != nil {
+			return released(err, src)
+		}
+		copy(dst.Data(), src.Data())
+		done, err := dst.SubmitWrite(t)
+		if err != nil {
+			return released(err, dst, src)
+		}
+		last = max(last, done)
+		_ = dst.Release()
+		_ = src.Release()
+	}
+	t.WaitIO("journal-write", last)
+	return nil
+}
+
 // writeCommit writes blocks to the log, the commit record, the blocks
 // home, and the cleared record, with the journal's barriers between.
 func (fs *FS) writeCommit(t *kernel.Task, blocks []uint32) error {
-	if err := fs.log.writeLog(fs, t, blocks); err != nil {
+	if err := fs.writeLog(t, blocks); err != nil {
 		return err
 	}
 	hb, err := fs.bc.GetNoRead(t, int(fs.super.LogStart))

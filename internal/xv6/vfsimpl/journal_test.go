@@ -6,67 +6,96 @@ import (
 	"bento/internal/blockdev"
 	"bento/internal/costmodel"
 	"bento/internal/ext4"
+	"bento/internal/fsapi"
 	"bento/internal/kernel"
+	"bento/internal/xv6/journaltest"
 	"bento/internal/xv6/layout"
 	"bento/internal/xv6/vfsimpl"
 )
 
+// rig mounts the C-Kernel or ext4 on a journaltest rig.
+func rig(t *testing.T, model *costmodel.Model, fsType kernel.FileSystemType) *journaltest.Rig {
+	mkfs := journaltest.Mkfs
+	if _, ok := fsType.(ext4.Type); ok {
+		mkfs = func(t *kernel.Task, dev *blockdev.Device) error { return ext4.Mkfs(t, dev, 512) }
+	}
+	return journaltest.New(t, model, mkfs, fsType.Name(), func(k *kernel.Kernel) error { return k.Register(fsType) })
+}
+
+// TestCommitWritesLogAsOneBatch requires both journals to write a
+// commit's log slots as one batch, in flight together, and the commit
+// record after them. Both mount without barriers, as published, so no
+// FLUSH hides inside the commit. The mkdir is the C-Kernel's commit of
+// four blocks: its write-back commits one page at a time.
+func TestCommitWritesLogAsOneBatch(t *testing.T) {
+	for _, fsType := range []kernel.FileSystemType{vfsimpl.Type{}, ext4.Type{Cfg: ext4.Config{NoBarriers: true}}} {
+		t.Run(fsType.Name(), func(t *testing.T) {
+			r := rig(t, costmodel.Default(), fsType)
+			if err := r.M.Mkdir(r.Task, "/d"); err != nil {
+				t.Fatal(err)
+			}
+			if werr, serr := r.WriteFile(4); werr != nil || serr != nil {
+				t.Fatal(werr, serr)
+			}
+			r.RequireBatchedLog(t)
+		})
+	}
+}
+
+// TestCreateReportsFailedCommit requires a C-Kernel create whose commit
+// fails to return the error: its mutations never became durable, so it
+// must not report success.
+func TestCreateReportsFailedCommit(t *testing.T) {
+	r := rig(t, costmodel.Fast(), vfsimpl.Type{})
+	r.Dev.InjectWriteError(int(r.SB.LogStart) + 1)
+	if _, err := r.M.Open(r.Task, "/f", fsapi.OCreate); err == nil {
+		t.Fatal("create returned success although its commit failed")
+	}
+}
+
 // TestFailedCommitReleasesBuffers fails one device write under a commit
 // of each journal — the C-Kernel's per-operation log and ext4's compound
-// one — at a log slot, the commit record and a home block (the inode
-// table), and requires the commit to give back every buffer it held:
-// once the fault clears and the file system syncs, each resident buffer
-// has no reference but the one this test takes. A held buffer can never
-// be evicted, and nothing else reports it.
+// one — at a log slot, at the last log slot of a transaction of three or
+// more blocks (while the slots before it are in flight), at the commit
+// record and at a home block (the inode table). The failure must reach
+// the caller, and the commit must give back every buffer it held: once
+// the fault clears and the file system syncs, each resident buffer has
+// no reference but the one this test takes. A held buffer can never be
+// evicted, and nothing else reports it. A failed log slot must also
+// leave the transaction uncommitted: once the fault clears, the
+// on-device header holds no blocks and the image checks clean.
 func TestFailedCommitReleasesBuffers(t *testing.T) {
 	type mounted interface {
 		BufferCache() *kernel.BufferCache
-		Super() layout.Superblock
 	}
 	for _, fsType := range []kernel.FileSystemType{vfsimpl.Type{}, ext4.Type{}} {
+		last := rig(t, costmodel.Fast(), fsType).LastSlot(t)
 		for _, c := range []struct {
 			name string
+			slot bool
 			blk  func(layout.Superblock) int
 		}{
-			{"log-slot", func(sb layout.Superblock) int { return int(sb.LogStart) + 1 }},
-			{"log-header", func(sb layout.Superblock) int { return int(sb.LogStart) }},
-			{"home", func(sb layout.Superblock) int { return int(sb.InodeStart) }},
+			{"log-slot", true, func(sb layout.Superblock) int { return int(sb.LogStart) + 1 }},
+			{"last-log-slot", true, func(layout.Superblock) int { return last }},
+			{"log-header", false, func(sb layout.Superblock) int { return int(sb.LogStart) }},
+			{"home", false, func(sb layout.Superblock) int { return int(sb.InodeStart) }},
 		} {
 			t.Run(fsType.Name()+"/"+c.name, func(t *testing.T) {
-				model := costmodel.Fast()
-				k := kernel.New(model)
-				dev := blockdev.MustNew(blockdev.Config{Blocks: 4096, Model: model})
-				task := k.NewTask("test")
-				var err error
-				if _, ok := fsType.(ext4.Type); ok {
-					err = ext4.Mkfs(task, dev, 512)
-				} else {
-					_, err = layout.Mkfs(task.Clk, dev, 512)
+				r := rig(t, costmodel.Fast(), fsType)
+				r.Dev.InjectWriteError(c.blk(r.SB))
+				if werr, serr := r.WriteFile(1); werr == nil && serr == nil {
+					t.Fatal("no operation saw the injected write error")
 				}
-				if err != nil {
+				r.Dev.ClearFaults()
+				if c.slot {
+					r.RequireUncommitted(t)
+				}
+				if err := r.M.Sync(r.Task); err != nil {
 					t.Fatal(err)
 				}
-				if err := k.Register(fsType); err != nil {
-					t.Fatal(err)
-				}
-				m, err := k.Mount(task, fsType.Name(), "/mnt", dev)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fs := m.FS().(mounted)
-				dev.InjectWriteError(c.blk(fs.Super()))
-				// The per-operation log's callers drop a commit's error
-				// (they defer endOp), so only ext4 reports the fault here;
-				// both must release what the failed commit held.
-				_ = m.WriteFile(task, "/f", []byte("payload"))
-				_ = m.Sync(task)
-				dev.ClearFaults()
-				if err := m.Sync(task); err != nil {
-					t.Fatal(err)
-				}
-				bc := fs.BufferCache()
+				bc := r.M.FS().(mounted).BufferCache()
 				for _, blk := range bc.ResidentBlocks() {
-					bh, err := bc.Get(task, blk)
+					bh, err := bc.Get(r.Task, blk)
 					if err != nil {
 						t.Fatal(err)
 					}

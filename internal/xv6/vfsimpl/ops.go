@@ -52,7 +52,7 @@ func (fs *FS) GetAttr(t *kernel.Task, ino fsapi.Ino) (fsapi.Stat, error) {
 }
 
 // SetSize implements kernel.FileSystem.
-func (fs *FS) SetSize(t *kernel.Task, ino fsapi.Ino, size int64) error {
+func (fs *FS) SetSize(t *kernel.Task, ino fsapi.Ino, size int64) (err error) {
 	if size < 0 || size > layout.MaxFileSize {
 		return fsapi.ErrInvalid
 	}
@@ -65,7 +65,7 @@ func (fs *FS) SetSize(t *kernel.Task, ino fsapi.Ino, size int64) error {
 		return fsapi.ErrIsDir
 	}
 	fs.beginOp(t)
-	defer fs.endOp(t)
+	defer fs.endOpInto(t, &err)
 	if size == 0 {
 		return fs.itrunc(t, ip)
 	}
@@ -133,12 +133,12 @@ func (fs *FS) Mkdir(t *kernel.Task, dir fsapi.Ino, name string) (fsapi.Stat, err
 	return fs.createNode(t, dir, name, layout.TypeDir)
 }
 
-func (fs *FS) createNode(t *kernel.Task, dir fsapi.Ino, name string, typ uint16) (fsapi.Stat, error) {
+func (fs *FS) createNode(t *kernel.Task, dir fsapi.Ino, name string, typ uint16) (_ fsapi.Stat, err error) {
 	if name == "" || name == "." || name == ".." {
 		return fsapi.Stat{}, fsapi.ErrInvalid
 	}
 	fs.beginOp(t)
-	defer fs.endOp(t)
+	defer fs.endOpInto(t, &err)
 	dp := fs.iget(uint32(dir))
 	defer fs.iput(t, dp, true)
 	if err := fs.iload(t, dp); err != nil {
@@ -191,12 +191,12 @@ func (fs *FS) Rmdir(t *kernel.Task, dir fsapi.Ino, name string) error {
 	return fs.removeNode(t, dir, name, true)
 }
 
-func (fs *FS) removeNode(t *kernel.Task, dir fsapi.Ino, name string, wantDir bool) error {
+func (fs *FS) removeNode(t *kernel.Task, dir fsapi.Ino, name string, wantDir bool) (err error) {
 	if name == "." || name == ".." {
 		return fsapi.ErrInvalid
 	}
 	fs.beginOp(t)
-	defer fs.endOp(t)
+	defer fs.endOpInto(t, &err)
 	dp := fs.iget(uint32(dir))
 	defer fs.iput(t, dp, true)
 	if err := fs.iload(t, dp); err != nil {
@@ -245,7 +245,7 @@ func (fs *FS) removeNode(t *kernel.Task, dir fsapi.Ino, name string, wantDir boo
 
 // Rename implements kernel.FileSystem (same semantics as the Bento
 // version).
-func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.Ino, nname string) error {
+func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.Ino, nname string) (err error) {
 	if oname == "." || oname == ".." || nname == "." || nname == ".." {
 		return fsapi.ErrInvalid
 	}
@@ -253,7 +253,7 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 		return fsapi.ErrNameTooLong
 	}
 	fs.beginOp(t)
-	defer fs.endOp(t)
+	defer fs.endOpInto(t, &err)
 
 	odp := fs.iget(uint32(odir))
 	defer fs.iput(t, odp, true)
@@ -360,9 +360,9 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 }
 
 // Link implements kernel.FileSystem.
-func (fs *FS) Link(t *kernel.Task, ino fsapi.Ino, dir fsapi.Ino, name string) (fsapi.Stat, error) {
+func (fs *FS) Link(t *kernel.Task, ino fsapi.Ino, dir fsapi.Ino, name string) (_ fsapi.Stat, err error) {
 	fs.beginOp(t)
-	defer fs.endOp(t)
+	defer fs.endOpInto(t, &err)
 	ip := fs.iget(uint32(ino))
 	defer fs.iput(t, ip, true)
 	if err := fs.iload(t, ip); err != nil {
@@ -493,7 +493,7 @@ func (fs *FS) LendPage(t *kernel.Task, ino fsapi.Ino, pg int64) ([]byte, error) 
 // WritePage implements kernel.FileSystem: one transaction per page — the
 // un-batched ->writepage path that costs the C baseline its edge on large
 // writes in the paper's Figure 4.
-func (fs *FS) WritePage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte, newSize int64) error {
+func (fs *FS) WritePage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte, newSize int64) (err error) {
 	off := pg * fsapi.PageSize
 	if off >= newSize {
 		return nil
@@ -505,7 +505,7 @@ func (fs *FS) WritePage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte, new
 	ip := fs.iget(uint32(ino))
 	defer fs.iput(t, ip, false)
 	fs.beginOp(t)
-	defer fs.endOp(t)
+	defer fs.endOpInto(t, &err)
 	if err := fs.iload(t, ip); err != nil {
 		return err
 	}
