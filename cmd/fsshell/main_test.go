@@ -2,16 +2,19 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
 	"bento/internal/harness"
+	"bento/internal/oplist"
 )
 
-// TestMissingArgumentsPrintUsage feeds every command that takes a
-// required argument each too-short argument list on every variant: it
-// must print its usage line instead of panicking, and the shell must go
-// on to run the next command.
+// TestMissingArgumentsPrintUsage feeds every op each too-short argument
+// list, and each op without free text one argument too many, on every
+// variant: it must print its usage line instead of panicking or
+// dropping the argument, and the shell must go on to run the next
+// command.
 func TestMissingArgumentsPrintUsage(t *testing.T) {
 	for _, v := range harness.AllVariants {
 		t.Run(v, func(t *testing.T) {
@@ -20,30 +23,88 @@ func TestMissingArgumentsPrintUsage(t *testing.T) {
 				t.Fatal(err)
 			}
 			task := tg.K.NewTask("shell")
-			for name, u := range usage {
+			for k := range oplist.NumKinds {
+				u := k.Usage()
+				args := strings.Fields(strings.NewReplacer("<path>", "/a", "<old>", "/a", "<new>", "/b",
+					"<off>", "0", "<size>", "0", "<n>", "1", "<tag>", "t", "[path]", "/", "[text]", "").Replace(u))
+				var lines []string
 				for n := 1; n <= strings.Count(u, "<"); n++ {
-					args := append([]string{name}, strings.Fields("/a /b")[:n-1]...)
+					lines = append(lines, strings.Join(args[:n], " "))
+				}
+				if !strings.Contains(u, "[text]") {
+					lines = append(lines, strings.Join(append(args, "/extra"), " "))
+				}
+				for _, line := range lines {
 					var out bytes.Buffer
-					if !command(tg.M, task, args, &out) {
-						t.Fatalf("%q ended the shell", args)
+					if !command(tg.M, task, line, &out) {
+						t.Fatalf("%q ended the shell", line)
 					}
-					if got := out.String(); got != "usage: "+u+"\n" {
-						t.Errorf("%q printed %q, want its usage line", args, got)
+					if got := out.String(); !strings.HasSuffix(got, "; usage: "+u+"\n") {
+						t.Errorf("%q printed %q, want its usage line", line, got)
 					}
 				}
 			}
 			var out bytes.Buffer
 			for _, line := range []string{"write /f", "write /g hello world", "cat /g", "stat /f"} {
-				if !command(tg.M, task, strings.Fields(line), &out) {
+				if !command(tg.M, task, line, &out) {
 					t.Fatalf("%q ended the shell", line)
 				}
 			}
-			if got := out.String(); !strings.HasPrefix(got, "hello world\nino=") || !strings.Contains(got, "size=0") {
-				t.Errorf("shell after the usage errors printed %q", got)
+			if got, want := out.String(), "ok\nok\nok \"hello world\"\nok type=- size=0 nlink=1\n"; got != want {
+				t.Errorf("shell after the usage errors printed %q, want %q", got, want)
 			}
-			if command(tg.M, task, []string{"quit"}, &out) {
+			if _, err := tg.M.Stat(task, "/a"); err == nil {
+				t.Error("a rejected line created /a")
+			}
+			if command(tg.M, task, "quit", &out) {
 				t.Error("quit did not end the shell")
 			}
 		})
+	}
+}
+
+// TestEveryOp runs testdata/every-op.txt, one line per op kind, through
+// the shell on every variant: each op must succeed. The package comment
+// must list every op's usage line.
+func TestEveryOp(t *testing.T) {
+	data, err := os.ReadFile("testdata/every-op.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	kinds := map[oplist.Kind]bool{}
+	for _, l := range lines {
+		op, err := oplist.Parse(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds[op.Kind] = true
+	}
+	if len(kinds) != int(oplist.NumKinds) {
+		t.Errorf("testdata/every-op.txt covers %d of %d op kinds", len(kinds), oplist.NumKinds)
+	}
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(src[:bytes.Index(src, []byte("package main"))])
+	for k := range oplist.NumKinds {
+		if !strings.Contains(doc, k.Usage()) {
+			t.Errorf("package comment does not list %q", k.Usage())
+		}
+	}
+	for _, v := range harness.AllVariants {
+		tg, err := harness.NewTarget(v, harness.Quick())
+		if err != nil {
+			t.Fatal(err)
+		}
+		task := tg.K.NewTask("shell")
+		for _, l := range lines {
+			var out bytes.Buffer
+			command(tg.M, task, l, &out)
+			if !strings.HasPrefix(out.String(), "ok") {
+				t.Errorf("%s: %q printed %q", v, l, out.String())
+			}
+		}
 	}
 }

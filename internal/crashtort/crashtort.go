@@ -35,7 +35,6 @@ package crashtort
 
 import (
 	"fmt"
-	"path"
 	"sort"
 	"strconv"
 	"strings"
@@ -45,6 +44,7 @@ import (
 	"bento/internal/fsapi"
 	"bento/internal/harness"
 	"bento/internal/kernel"
+	"bento/internal/oplist"
 	"bento/internal/xv6/layout"
 )
 
@@ -231,7 +231,7 @@ func Sweep(cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("crashtort: golden mount %s: %w", cfg.Variant, err)
 	}
 	base := dev.WriteCmds()
-	if err := script(m, task, dev, newOracle()); err != nil {
+	if err := script(m, task, dev, newOracle(), workload); err != nil {
 		return Result{}, fmt.Errorf("crashtort: golden run %s: %w", cfg.Variant, err)
 	}
 	n := dev.WriteCmds() - base
@@ -273,10 +273,10 @@ func RunPoint(cfg Config, k int64) error {
 	dev.ArmPowerCut(k)
 	o := newOracle()
 	// The script ends at the cut: once the device reports power out, the
-	// in-flight step earned no guarantee and nothing after it happened
-	// (see scriptCtx.ok). Any error with power still on is a harness bug,
-	// not a recovery verdict.
-	if scriptErr := script(m, task, dev, o); scriptErr != nil && !dev.PowerOut() {
+	// in-flight op earned no guarantee and nothing after it happened (see
+	// script). Any error with power still on is a harness bug, not a
+	// recovery verdict.
+	if scriptErr := script(m, task, dev, o, workload); scriptErr != nil && !dev.PowerOut() {
 		return fmt.Errorf("script failed before power cut: %w", scriptErr)
 	}
 	dev.Crash(cfg.Keep, k)
@@ -317,7 +317,7 @@ func verify(cfg Config, dev *blockdev.Device, o *oracle) error {
 			return fmt.Errorf("synced deletion resurrected: %s exists", p)
 		}
 	}
-	if err := walk(m, task, "/"); err != nil {
+	if _, err := oplist.Tree(m, task); err != nil {
 		return fmt.Errorf("tree walk: %w", err)
 	}
 	rep, err := layout.Fsck(task.Clk, dev)
@@ -338,30 +338,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(ks)
 	return ks
-}
-
-// walk reads every entry of the recovered tree: whatever survived the
-// crash must at least be consistently readable.
-func walk(m *kernel.Mount, t *kernel.Task, dir string) error {
-	ents, err := m.ReadDir(t, dir)
-	if err != nil {
-		return fmt.Errorf("readdir %s: %w", dir, err)
-	}
-	for _, e := range ents {
-		if e.Name == "." || e.Name == ".." {
-			continue
-		}
-		p := path.Join(dir, e.Name)
-		switch e.Type {
-		case fsapi.TypeDir:
-			if err := walk(m, t, p); err != nil {
-				return err
-			}
-		default:
-			if _, err := m.ReadFile(t, p); err != nil {
-				return fmt.Errorf("read %s: %w", p, err)
-			}
-		}
-	}
-	return nil
 }

@@ -5,8 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"bento/internal/blockdev"
 	"bento/internal/core"
 	"bento/internal/fsapi"
+	"bento/internal/kernel"
+	"bento/internal/oplist"
 	"bento/internal/xv6/bentoimpl"
 	"bento/internal/xv6/layout"
 )
@@ -156,8 +159,8 @@ func TestMidUpgradeCrashRecovery(t *testing.T) {
 	cfg := Config{Variant: Bento}
 	cfg.defaults()
 	const pre = "/pre"
-	preData := content('p', 2048)
-	setup := func() (*scriptCtx, *core.BentoFS) {
+	preData := oplist.Content('p', 0, 2048)
+	setup := func() (*blockdev.Device, *kernel.Task, *core.BentoFS) {
 		dev, err := newDev(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -166,59 +169,117 @@ func TestMidUpgradeCrashRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := &scriptCtx{m: m, t: task, dev: dev, o: newOracle()}
-		if err := s.writeSync(pre, preData); err != nil {
-			t.Fatal(err)
-		}
 		// Dirty, unsynced state gives the quiesce real flush work.
-		if err := s.write("/dirty", content('d', 3072)); err != nil {
+		ops := mustParse("put "+pre+" 2048 p", "fsync "+pre, "put /dirty 3072 d")
+		if err := script(m, task, dev, newOracle(), ops); err != nil {
 			t.Fatal(err)
 		}
-		return s, m.FS().(*core.BentoFS)
+		return dev, task, m.FS().(*core.BentoFS)
 	}
 
 	// Golden run fixes the upgrade window's command count.
-	s, shim := setup()
+	dev, task, shim := setup()
 	// The replacement runs the module the sweep's config mounted.
 	next := func(shim *core.BentoFS) *bentoimpl.FS {
 		return bentoimpl.New(shim.Inner().(*bentoimpl.FS).Config())
 	}
-	w0 := s.dev.WriteCmds()
-	if err := shim.Upgrade(s.t, next(shim)); err != nil {
+	w0 := dev.WriteCmds()
+	if err := shim.Upgrade(task, next(shim)); err != nil {
 		t.Fatal(err)
 	}
-	n := s.dev.WriteCmds() - w0
+	n := dev.WriteCmds() - w0
 	if n == 0 {
 		t.Fatal("upgrade issued no device writes; nothing to torture")
 	}
 	t.Logf("upgrade window: %d write-class commands", n)
 
 	for k := int64(1); k <= n; k++ {
-		s, shim := setup()
-		s.dev.ArmPowerCut(k)
-		_ = shim.Upgrade(s.t, next(shim)) // dies with the power at some point
-		if !s.dev.PowerOut() {
+		dev, task, shim := setup()
+		dev.ArmPowerCut(k)
+		_ = shim.Upgrade(task, next(shim)) // dies with the power at some point
+		if !dev.PowerOut() {
 			t.Fatalf("k=%d: cut never tripped inside the upgrade", k)
 		}
-		s.dev.Crash(0, k)
-		s.dev.DisarmPowerCut()
-		m2, task2, err := mount(cfg, s.dev, false)
+		dev.Crash(0, k)
+		dev.DisarmPowerCut()
+		m2, task2, err := mount(cfg, dev, false)
 		if err != nil {
 			t.Fatalf("k=%d: recovery mount: %v", k, err)
 		}
 		got, err := m2.ReadFile(task2, pre)
-		if err != nil || string(got) != preData {
+		if err != nil || string(got) != string(preData) {
 			t.Fatalf("k=%d: pre-upgrade file: %d bytes, %v", k, len(got), err)
 		}
 		if st, err := m2.Stat(task2, pre); err != nil || st.Type != fsapi.TypeFile {
 			t.Fatalf("k=%d: pre-upgrade stat: %+v, %v", k, st, err)
 		}
-		rep, err := layout.Fsck(task2.Clk, s.dev)
+		rep, err := layout.Fsck(task2.Clk, dev)
 		if err != nil {
 			t.Fatalf("k=%d: fsck: %v", k, err)
 		}
 		if !rep.OK() {
 			t.Fatalf("k=%d: fsck: %v", k, rep.Errors)
+		}
+	}
+}
+
+// TestOracleRules checks each op kind's rule on an oracle that holds a
+// synced file /f, an unsynced file /d/e in the unsynced directory /d, an
+// unsynced empty directory /n and a pending deletion /x: what the op
+// voids, what it earns when it returns with the power on, and that the
+// op at which the power went out earns nothing.
+func TestOracleRules(t *testing.T) {
+	for _, tc := range []struct {
+		op       string
+		earned   bool
+		want     string // want's keys after the op
+		wantDirs string
+		deleted  string
+		gone     string
+	}{
+		{"put /f 10 g", false, "", "/", "/x", ""},
+		{"put /f 10 g", true, "", "/", "/x", ""},
+		{"put /x 10 g", true, "/f", "/", "", ""},
+		{"fsync /d/e", false, "/f", "/", "/x", ""},
+		{"fsync /d/e", true, "/d/e /f", "/ /d", "/x", ""},
+		{"mkdir /n", true, "/f", "/", "/x", ""},
+		{"rm /f", false, "", "/", "/x", ""},
+		{"rm /f", true, "", "/", "/f /x", ""},
+		{"mv /f /d/e", false, "", "/", "/x", ""},
+		{"mv /f /d/e", true, "", "/", "/f /x", ""},
+		{"sync", false, "/f", "/", "/x", ""},
+		{"sync", true, "/d/e /f", "/ /d /n", "", "/x"},
+	} {
+		o := newOracle()
+		o.cur["/f"], o.want["/f"], o.wantDirs["/"] = "f", "f", struct{}{}
+		o.cur["/d/e"] = "e"
+		o.curDirs["/d"], o.curDirs["/n"] = struct{}{}, struct{}{}
+		o.deleted["/x"] = struct{}{}
+		o.step(mustParse(tc.op)[0], tc.earned)
+		for _, m := range []struct{ name, got, want string }{
+			{"want", strings.Join(sortedKeys(o.want), " "), tc.want},
+			{"wantDirs", strings.Join(sortedKeys(o.wantDirs), " "), tc.wantDirs},
+			{"deleted", strings.Join(sortedKeys(o.deleted), " "), tc.deleted},
+			{"gone", strings.Join(sortedKeys(o.gone), " "), tc.gone},
+		} {
+			if m.got != m.want {
+				t.Errorf("%q earned=%v: %s = [%s], want [%s]", tc.op, tc.earned, m.name, m.got, m.want)
+			}
+		}
+		if tc.earned && tc.op == "fsync /d/e" && o.want["/d/e"] != "e" {
+			t.Errorf("fsync promoted /d/e as %q, want its current contents", o.want["/d/e"])
+		}
+	}
+}
+
+// TestWorkloadRoundTrips: the torture workload prints in fsshell syntax
+// and parses back to itself, so docs and failure reports can show it as
+// text.
+func TestWorkloadRoundTrips(t *testing.T) {
+	for _, op := range workload {
+		got, err := oplist.Parse(op.String())
+		if err != nil || got != op {
+			t.Errorf("Parse(%q) = %+v, %v; want %+v", op, got, err, op)
 		}
 	}
 }

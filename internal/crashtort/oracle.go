@@ -1,11 +1,12 @@
 package crashtort
 
 import (
+	"fmt"
 	"path"
 
 	"bento/internal/blockdev"
-	"bento/internal/fsapi"
 	"bento/internal/kernel"
+	"bento/internal/oplist"
 )
 
 // oracle tracks the logical guarantees the workload has earned so far.
@@ -45,190 +46,119 @@ func (o *oracle) promoteDirs(p string) {
 	}
 }
 
-// content builds the deterministic fill pattern for a file: every byte
-// is a function of (tag, offset), so a recovered file's bytes prove
-// which logical version survived.
-func content(tag byte, n int) string {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = tag ^ byte(i*31) ^ byte(i>>8)
+// step applies op's oracle rule. Before the call, op voids the
+// guarantees of the names it leaves in flux, since a power cut in the
+// middle of it leaves their on-disk outcome undecided. Only if the call
+// succeeded with the power on (earned) does op add what it justifies.
+func (o *oracle) step(op oplist.Op, earned bool) {
+	switch op.Kind {
+	case oplist.Put, oplist.Rm:
+		delete(o.want, op.Path)
+	case oplist.Mv:
+		delete(o.want, op.Path)
+		delete(o.want, op.To)
 	}
-	return string(b)
+	if !earned {
+		return
+	}
+	switch op.Kind {
+	case oplist.Put:
+		// Without a durability call the new contents may or may not
+		// survive a crash.
+		o.cur[op.Path] = string(oplist.Content(op.Tag, 0, op.N))
+		delete(o.deleted, op.Path)
+		delete(o.gone, op.Path)
+	case oplist.FSync:
+		// The file and its ancestor directories survive any crash.
+		o.want[op.Path] = o.cur[op.Path]
+		o.promoteDirs(op.Path)
+	case oplist.Mkdir:
+		o.curDirs[op.Path] = struct{}{}
+	case oplist.Rm:
+		// Durably gone only once a Sync covers it.
+		delete(o.cur, op.Path)
+		o.deleted[op.Path] = struct{}{}
+	case oplist.Mv:
+		// A crash before the covering Sync may show either name.
+		o.cur[op.To] = o.cur[op.Path]
+		delete(o.cur, op.Path)
+		o.deleted[op.Path] = struct{}{}
+		delete(o.deleted, op.To)
+		delete(o.gone, op.To)
+	case oplist.Sync:
+		// Everything current is guaranteed, every pending deletion
+		// permanent.
+		for p, data := range o.cur {
+			o.want[p] = data
+			o.promoteDirs(p)
+		}
+		for d := range o.curDirs {
+			o.wantDirs[d] = struct{}{}
+			o.promoteDirs(d)
+		}
+		for p := range o.deleted {
+			o.gone[p] = struct{}{}
+			delete(o.deleted, p)
+		}
+	default:
+		panic("crashtort: no oracle rule for " + op.Kind.String())
+	}
 }
 
-// scriptCtx wires the mount, the task, the device, and the oracle
-// together for the scripted workload. Every mutation updates the oracle
-// only as far as the completed call justifies; guarantee-weakening
-// updates (dropping a file from want before an operation that leaves it
-// in flux) happen BEFORE the call, since a mid-operation power cut
-// leaves the on-disk outcome undecided.
-//
-// A real power loss halts the machine, so the workload logically ends
-// at the crash point: after every call, ok() checks whether the cut has
-// tripped, and if so the step earns no guarantee and the script stops —
-// regardless of what the call returned. (Group-commit paths may absorb
-// a device error and report success; physically that success was never
-// observed.) A call whose final device command coincides with the cut
-// is treated the same way — conservative, but sound: the oracle then
-// only under-claims, and recovery, the tree walk, and fsck still verify
-// that crash point in full.
-type scriptCtx struct {
-	m   *kernel.Mount
-	t   *kernel.Task
-	dev *blockdev.Device
-	o   *oracle
-}
-
-// ok reports whether the device still has power — i.e. whether the call
-// that just returned actually completed in the simulated physical
-// world. On false the caller must skip its oracle promotion and fail.
-func (s *scriptCtx) ok() bool { return !s.dev.PowerOut() }
-
-// write creates or replaces p without any durability call: the new
-// contents may or may not survive a crash, so p leaves want until the
-// next promotion.
-func (s *scriptCtx) write(p string, data string) error {
-	delete(s.o.want, p)
-	if err := s.m.WriteFile(s.t, p, []byte(data)); err != nil {
-		return err
-	}
-	if !s.ok() {
-		return blockdev.ErrPowerLoss
-	}
-	s.o.cur[p] = data
-	delete(s.o.deleted, p)
-	delete(s.o.gone, p)
-	return nil
-}
-
-// writeSync writes p and fsyncs it: on return, p's new contents and its
-// ancestor directories are guaranteed to survive any crash.
-func (s *scriptCtx) writeSync(p string, data string) error {
-	delete(s.o.want, p) // in flux until the FSync below returns
-	f, err := s.m.Open(s.t, p, fsapi.OCreate|fsapi.ORdwr|fsapi.OTrunc)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(s.t, []byte(data)); err != nil {
-		s.m.Close(s.t, f)
-		return err
-	}
-	if err := f.FSync(s.t); err != nil {
-		s.m.Close(s.t, f)
-		return err
-	}
-	if err := s.m.Close(s.t, f); err != nil {
-		return err
-	}
-	if !s.ok() {
-		return blockdev.ErrPowerLoss
-	}
-	s.o.cur[p] = data
-	delete(s.o.deleted, p)
-	delete(s.o.gone, p)
-	s.o.want[p] = data
-	s.o.promoteDirs(p)
-	return nil
-}
-
-func (s *scriptCtx) mkdir(p string) error {
-	if err := s.m.Mkdir(s.t, p); err != nil {
-		return err
-	}
-	if !s.ok() {
-		return blockdev.ErrPowerLoss
-	}
-	s.o.curDirs[p] = struct{}{}
-	return nil
-}
-
-// unlink removes p. Whether the removal is durable is undecided until a
-// Sync covers it, so p moves to deleted; but p's old guarantee is void
-// the moment the call starts.
-func (s *scriptCtx) unlink(p string) error {
-	delete(s.o.want, p)
-	if err := s.m.Unlink(s.t, p); err != nil {
-		return err
-	}
-	if !s.ok() {
-		return blockdev.ErrPowerLoss
-	}
-	delete(s.o.cur, p)
-	s.o.deleted[p] = struct{}{}
-	return nil
-}
-
-// rename moves old to new. A crash before the covering Sync may show
-// either name, so both guarantees are void until then.
-func (s *scriptCtx) rename(oldp, newp string) error {
-	delete(s.o.want, oldp)
-	delete(s.o.want, newp)
-	if err := s.m.Rename(s.t, oldp, newp); err != nil {
-		return err
-	}
-	if !s.ok() {
-		return blockdev.ErrPowerLoss
-	}
-	s.o.cur[newp] = s.o.cur[oldp]
-	delete(s.o.cur, oldp)
-	s.o.deleted[oldp] = struct{}{}
-	delete(s.o.deleted, newp)
-	delete(s.o.gone, newp)
-	return nil
-}
-
-// sync commits everything: all current files and directories become
-// guaranteed, and every pending deletion becomes guaranteed-absent.
-func (s *scriptCtx) sync() error {
-	if err := s.m.Sync(s.t); err != nil {
-		return err
-	}
-	if !s.ok() {
-		return blockdev.ErrPowerLoss
-	}
-	for p, data := range s.o.cur {
-		s.o.want[p] = data
-		s.o.promoteDirs(p)
-	}
-	for d := range s.o.curDirs {
-		s.o.wantDirs[d] = struct{}{}
-		s.o.promoteDirs(d)
-	}
-	for p := range s.o.deleted {
-		s.o.gone[p] = struct{}{}
-		delete(s.o.deleted, p)
-	}
-	return nil
-}
-
-// script is the fixed torture workload. It exercises every journal
+// workload is the fixed torture workload. It exercises every journal
 // boundary class the variants have — journaled metadata writes, data
 // writes, the commit record, FLUSH barriers around it, and the install
 // that follows — via creates, overwrites, unlinks, renames, fsyncs and
 // a full sync, in a fixed order so the device command stream (and hence
-// the crash-point coordinate system) is identical on every run. It
-// stops at the first error: under an armed power cut that is the moment
-// the power went out.
-func script(m *kernel.Mount, t *kernel.Task, dev *blockdev.Device, o *oracle) error {
-	s := &scriptCtx{m: m, t: t, dev: dev, o: o}
-	steps := []func() error{
-		func() error { return s.mkdir("/d0") },
-		func() error { return s.writeSync("/a", content('a', 2048)) },
-		func() error { return s.write("/d0/b", content('b', 1024)) },
-		func() error { return s.writeSync("/d0/c", content('c', 2048)) },
-		func() error { return s.writeSync("/a", content('A', 3072)) }, // synced overwrite
-		func() error { return s.unlink("/d0/b") },
-		func() error { return s.mkdir("/d1") },
-		func() error { return s.write("/d1/e", content('e', 1024)) },
-		func() error { return s.sync() },
-		func() error { return s.writeSync("/d1/f", content('f', 2048)) },
-		func() error { return s.rename("/d0/c", "/d0/c2") },
-		func() error { return s.sync() },
-		func() error { return s.write("/g", content('g', 3072)) },
+// the crash-point coordinate system) is identical on every run.
+var workload = mustParse(
+	"mkdir /d0",
+	"put /a 2048 a", "fsync /a",
+	"put /d0/b 1024 b",
+	"put /d0/c 2048 c", "fsync /d0/c",
+	"put /a 3072 A", "fsync /a", // synced overwrite
+	"rm /d0/b",
+	"mkdir /d1",
+	"put /d1/e 1024 e",
+	"sync",
+	"put /d1/f 2048 f", "fsync /d1/f",
+	"mv /d0/c /d0/c2",
+	"sync",
+	"put /g 3072 g",
+)
+
+func mustParse(lines ...string) []oplist.Op {
+	ops := make([]oplist.Op, len(lines))
+	for i, l := range lines {
+		var err error
+		if ops[i], err = oplist.Parse(l); err != nil {
+			panic(err)
+		}
 	}
-	for _, step := range steps {
-		if err := step(); err != nil {
-			return err
+	return ops
+}
+
+// script runs ops on m and applies each op's oracle rule. A real power
+// loss halts the machine, so the workload ends at the crash point: Run
+// stops after the op at which the device reports the power out, and
+// that op earns no guarantee, whatever it returned. (Group-commit paths
+// may absorb a device error and report success; physically that
+// success was never observed.) A call whose final device command
+// coincides with the cut is treated the same way — conservative, but
+// sound: the oracle then only under-claims, and recovery, the tree walk,
+// and fsck still verify that crash point in full. script returns
+// blockdev.ErrPowerLoss once the power is out, and an op's failure with
+// the power on as an error.
+func script(m *kernel.Mount, t *kernel.Task, dev *blockdev.Device, o *oracle, ops []oplist.Op) error {
+	res := oplist.Run(m, t, ops, dev.PowerOut)
+	for i, op := range ops[:len(res)] {
+		cut := i == len(res)-1 && dev.PowerOut()
+		o.step(op, !cut && res[i] == "ok")
+		if cut {
+			return blockdev.ErrPowerLoss
+		}
+		if res[i] != "ok" {
+			return fmt.Errorf("%v: %s", op, res[i])
 		}
 	}
 	return nil
