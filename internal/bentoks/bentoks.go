@@ -356,17 +356,6 @@ func (sb *SuperBlock) DropCleanBuffers() int { return sb.bc.DropClean() }
 // (residency assertions); file systems must not use it for I/O.
 func (sb *SuperBlock) BufferCache() *kernel.BufferCache { return sb.bc }
 
-// WithBuffer brackets fn with BRead/Release — the closest Go can come to
-// Rust's drop-based buffer management. Using it makes leaks impossible.
-func (sb *SuperBlock) WithBuffer(t *kernel.Task, blk int, fn func(Buffer) error) error {
-	bh, err := sb.BRead(t, blk)
-	if err != nil {
-		return err
-	}
-	defer bh.Release()
-	return fn(bh)
-}
-
 // SyncDirtyBuffers writes all dirty buffers to the device as one batch.
 func (sb *SuperBlock) SyncDirtyBuffers(t *kernel.Task) error {
 	if err := sb.check(); err != nil {

@@ -97,24 +97,6 @@ func TestLeakDetection(t *testing.T) {
 	}
 }
 
-func TestWithBufferNeverLeaks(t *testing.T) {
-	sb, task := setup(t)
-	err := sb.WithBuffer(task, 6, func(bh Buffer) error {
-		data, err := bh.Data()
-		if err != nil {
-			return err
-		}
-		data[0] = 0xFF
-		return bh.MarkDirty()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sb.Checker().Outstanding(); len(got) != 0 {
-		t.Fatalf("WithBuffer leaked: %v", got)
-	}
-}
-
 func TestSliceBoundsChecked(t *testing.T) {
 	sb, task := setup(t)
 	bh, _ := sb.BRead(task, 7)

@@ -85,8 +85,6 @@ type Disk interface {
 	// for writing — it must never write buf again, whatever the call
 	// returns — at exactly BWriteDirect's virtual-time cost.
 	BWriteOwned(t *kernel.Task, blk int, buf []byte) (completion int64, err error)
-	// WithBuffer brackets fn with BRead/Release.
-	WithBuffer(t *kernel.Task, blk int, fn func(Buffer) error) error
 	// SyncDirtyBuffers writes all dirty cached buffers.
 	SyncDirtyBuffers(t *kernel.Task) error
 	// Flush makes completed writes durable (device FLUSH; at user level,

@@ -334,16 +334,6 @@ func (ud *UserDisk) pwrite(t *kernel.Task, blk int, buf []byte, owned bool) erro
 	return nil
 }
 
-// WithBuffer implements bentoks.Disk.
-func (ud *UserDisk) WithBuffer(t *kernel.Task, blk int, fn func(bentoks.Buffer) error) error {
-	b, err := ud.BRead(t, blk)
-	if err != nil {
-		return err
-	}
-	defer b.Release()
-	return fn(b)
-}
-
 // SyncDirtyBuffers implements bentoks.Disk: pwrite each dirty block
 // synchronously (O_DIRECT writes cannot be queued from userspace). Only
 // the dirty set is visited, in block order.

@@ -55,65 +55,57 @@ func (fs *FS) balloc(t *kernel.Task, dataLeaf bool) (uint32, error) {
 // ballocRange scans [lo, hi) for a free block, marking and logging the
 // bitmap bit of the first one found. Returns 0 when the range is full.
 func (fs *FS) ballocRange(t *kernel.Task, lo, hi uint32) (uint32, error) {
-	sb := &fs.super
-	for b := lo; b < hi; {
-		base := (b / layout.BitsPerBlock) * layout.BitsPerBlock
-		end := base + layout.BitsPerBlock
-		if end > hi {
-			end = hi
+	for b := lo; b < hi; b = (b/layout.BitsPerBlock + 1) * layout.BitsPerBlock {
+		if blk, err := fs.ballocBits(t, b, hi); err != nil || blk != 0 {
+			return blk, err
 		}
-		bh, err := fs.sb.BRead(t, int(sb.BitmapBlock(b)))
-		if err != nil {
-			return 0, err
-		}
-		data, err := bh.Data()
-		if err != nil {
-			_ = bh.Release()
-			return 0, err
-		}
-		for cur := b; cur < end; cur++ {
-			bit := cur - base
-			if data[bit/8]&(1<<(bit%8)) == 0 {
-				data[bit/8] |= 1 << (bit % 8)
-				if err := fs.log.Write(t, bh); err != nil {
-					_ = bh.Release()
-					return 0, err
-				}
-				if err := bh.Release(); err != nil {
-					return 0, err
-				}
-				return cur, nil
+	}
+	return 0, nil
+}
+
+// ballocBits is ballocRange within the one bitmap block that maps lo.
+func (fs *FS) ballocBits(t *kernel.Task, lo, hi uint32) (blk uint32, err error) {
+	base := (lo / layout.BitsPerBlock) * layout.BitsPerBlock
+	end := min(base+layout.BitsPerBlock, hi)
+	bh, err := fs.sb.BRead(t, int(fs.super.BitmapBlock(lo)))
+	if err != nil {
+		return 0, err
+	}
+	defer drop(bh, &err)
+	data, err := bh.Data()
+	if err != nil {
+		return 0, err
+	}
+	for cur := lo; cur < end; cur++ {
+		bit := cur - base
+		if data[bit/8]&(1<<(bit%8)) == 0 {
+			data[bit/8] |= 1 << (bit % 8)
+			if err := fs.log.Write(t, bh); err != nil {
+				return 0, err
 			}
+			return cur, nil
 		}
-		if err := bh.Release(); err != nil {
-			return 0, err
-		}
-		b = end
 	}
 	return 0, nil
 }
 
 // bzero zeroes a freshly allocated block through the log.
-func (fs *FS) bzero(t *kernel.Task, blk uint32) error {
+func (fs *FS) bzero(t *kernel.Task, blk uint32) (err error) {
 	bh, err := fs.sb.BReadNoFill(t, int(blk))
 	if err != nil {
 		return err
 	}
+	defer drop(bh, &err)
 	data, err := bh.Data()
 	if err != nil {
-		_ = bh.Release()
 		return err
 	}
 	clear(data)
-	if err := fs.log.Write(t, bh); err != nil {
-		_ = bh.Release()
-		return err
-	}
-	return bh.Release()
+	return fs.log.Write(t, bh)
 }
 
 // bfree releases a data block within the current transaction.
-func (fs *FS) bfree(t *kernel.Task, blk uint32) error {
+func (fs *FS) bfree(t *kernel.Task, blk uint32) (err error) {
 	sb := &fs.super
 	if blk < sb.DataStart || blk >= sb.Size {
 		return fmt.Errorf("xv6: bfree of block %d outside data region: %w", blk, fsapi.ErrInvalid)
@@ -122,25 +114,23 @@ func (fs *FS) bfree(t *kernel.Task, blk uint32) error {
 	if err != nil {
 		return err
 	}
+	defer drop(bh, &err)
 	data, err := bh.Data()
 	if err != nil {
-		_ = bh.Release()
 		return err
 	}
 	bit := blk % layout.BitsPerBlock
 	if data[bit/8]&(1<<(bit%8)) == 0 {
-		_ = bh.Release()
 		return fmt.Errorf("xv6: double free of block %d: %w", blk, fsapi.ErrCorrupt)
 	}
 	data[bit/8] &^= 1 << (bit % 8)
 	if err := fs.log.Write(t, bh); err != nil {
-		_ = bh.Release()
 		return err
 	}
 	if blk < fs.alloc.blockRotor {
 		fs.alloc.blockRotor = blk
 	}
-	return bh.Release()
+	return nil
 }
 
 // ialloc allocates a fresh inode of the given type within the current
@@ -153,34 +143,16 @@ func (fs *FS) ialloc(t *kernel.Task, typ uint16) (*Inode, error) {
 	}
 	try := func(lo, hi uint32) (*Inode, error) {
 		for inum := lo; inum < hi; inum++ {
-			bh, err := fs.sb.BRead(t, int(sb.InodeBlock(inum)))
+			claimed, err := fs.iclaim(t, inum, typ)
 			if err != nil {
 				return nil, err
 			}
-			data, err := bh.Data()
-			if err != nil {
-				_ = bh.Release()
-				return nil, err
-			}
-			off := layout.InodeOffset(inum)
-			if layout.DinodeType(data[off:]) != layout.TypeFree {
-				if err := bh.Release(); err != nil {
-					return nil, err
-				}
+			if !claimed {
 				continue
-			}
-			din := layout.Dinode{Type: typ, Nlink: 0}
-			din.Encode(data[off:])
-			if err := fs.log.Write(t, bh); err != nil {
-				_ = bh.Release()
-				return nil, err
-			}
-			if err := bh.Release(); err != nil {
-				return nil, err
 			}
 			fs.alloc.inodeRotor = inum + 1
 			ip := fs.iget(inum)
-			ip.din = din
+			ip.din = layout.Dinode{Type: typ}
 			ip.valid = true
 			return ip, nil
 		}
@@ -200,6 +172,31 @@ func (fs *FS) ialloc(t *kernel.Task, typ uint16) (*Inode, error) {
 		return nil, fsapi.ErrNoInodes
 	}
 	return ip, nil
+}
+
+// iclaim writes a fresh dinode of type typ over inum, within the current
+// transaction, when the inode table holds inum free; it reports whether
+// it did.
+func (fs *FS) iclaim(t *kernel.Task, inum uint32, typ uint16) (claimed bool, err error) {
+	bh, err := fs.sb.BRead(t, int(fs.super.InodeBlock(inum)))
+	if err != nil {
+		return false, err
+	}
+	defer drop(bh, &err)
+	data, err := bh.Data()
+	if err != nil {
+		return false, err
+	}
+	off := layout.InodeOffset(inum)
+	if layout.DinodeType(data[off:]) != layout.TypeFree {
+		return false, nil
+	}
+	din := layout.Dinode{Type: typ}
+	din.Encode(data[off:])
+	if err := fs.log.Write(t, bh); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
 // ifree marks inum free in the inode table; the caller already wrote the

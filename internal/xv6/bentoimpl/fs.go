@@ -11,10 +11,6 @@ import (
 	"bento/internal/xv6/layout"
 )
 
-// bentoksBuffer aliases the storage buffer interface; the implementation
-// reads more naturally with a local name.
-type bentoksBuffer = bentoks.Buffer
-
 // Reservation sizes for transactions (blocks an op may dirty).
 const (
 	metaOpBlocks = 12 // create/unlink/mkdir/...: inode + dir data + bitmap + indirects
@@ -87,20 +83,8 @@ func (fs *FS) Super() layout.Superblock { return fs.super }
 func (fs *FS) Init(t *kernel.Task, sb bentoks.Disk) error {
 	fs.sb = sb
 	fs.lender, _ = sb.(bentoks.BlockLender)
-	hdr, err := sb.BRead(t, 1)
+	super, err := readSuper(t, sb)
 	if err != nil {
-		return err
-	}
-	data, err := hdr.Data()
-	if err != nil {
-		return err
-	}
-	super, err := layout.DecodeSuperblock(data)
-	if err != nil {
-		_ = hdr.Release()
-		return err
-	}
-	if err := hdr.Release(); err != nil {
 		return err
 	}
 	if int(super.Size) > sb.Blocks() {
@@ -112,6 +96,20 @@ func (fs *FS) Init(t *kernel.Task, sb bentoks.Disk) error {
 	fs.alloc.blockRotor = super.DataStart
 	fs.alloc.inodeRotor = 2
 	return fs.log.Recover(t)
+}
+
+// readSuper reads and decodes the superblock.
+func readSuper(t *kernel.Task, sb bentoks.Disk) (super layout.Superblock, err error) {
+	hdr, err := sb.BRead(t, 1)
+	if err != nil {
+		return super, err
+	}
+	defer drop(hdr, &err)
+	data, err := hdr.Data()
+	if err != nil {
+		return super, err
+	}
+	return layout.DecodeSuperblock(data)
 }
 
 // Destroy implements core.FileSystem.
@@ -230,37 +228,12 @@ func (fs *FS) SetAttr(t *kernel.Task, ino fsapi.Ino, size int64) error {
 			}
 		}
 		if size%layout.BlockSize != 0 {
-			if blk, _, err := ip.bmap(t, uint64(size/layout.BlockSize), false); err != nil {
+			blk, _, err := ip.bmap(t, uint64(size/layout.BlockSize), false)
+			if err != nil {
 				return err
-			} else if blk != 0 && fs.dataDirect(ip) {
-				// Direct read-modify-write: the partial block's tail is
-				// zeroed on the device, never through the cache or log.
-				tail := make([]byte, layout.BlockSize)
-				if err := fs.sb.BReadDirect(t, int(blk), tail); err != nil {
-					return err
-				}
-				clear(tail[size%layout.BlockSize:])
-				done, err := fs.sb.BWriteDirect(t, int(blk), tail)
-				if err != nil {
-					return err
-				}
-				t.WaitIO("direct-write", done)
-			} else if blk != 0 {
-				bh, err := fs.sb.BRead(t, int(blk))
-				if err != nil {
-					return err
-				}
-				data, err := bh.Data()
-				if err != nil {
-					_ = bh.Release()
-					return err
-				}
-				clear(data[size%layout.BlockSize:])
-				if err := fs.log.Write(t, bh); err != nil {
-					_ = bh.Release()
-					return err
-				}
-				if err := bh.Release(); err != nil {
+			}
+			if blk != 0 {
+				if err := fs.zeroTail(t, ip, blk, size%layout.BlockSize); err != nil {
 					return err
 				}
 			}
@@ -268,6 +241,36 @@ func (fs *FS) SetAttr(t *kernel.Task, ino fsapi.Ino, size int64) error {
 	}
 	ip.din.Size = uint64(size)
 	return ip.iupdate(t)
+}
+
+// zeroTail zeroes block blk of ip from byte off to its end: on the device
+// for data that takes the bypass (a direct read-modify-write, never
+// through the cache or log), through the log otherwise.
+func (fs *FS) zeroTail(t *kernel.Task, ip *Inode, blk uint32, off int64) (err error) {
+	if fs.dataDirect(ip) {
+		tail := make([]byte, layout.BlockSize)
+		if err := fs.sb.BReadDirect(t, int(blk), tail); err != nil {
+			return err
+		}
+		clear(tail[off:])
+		done, err := fs.sb.BWriteDirect(t, int(blk), tail)
+		if err != nil {
+			return err
+		}
+		t.WaitIO("direct-write", done)
+		return nil
+	}
+	bh, err := fs.sb.BRead(t, int(blk))
+	if err != nil {
+		return err
+	}
+	defer drop(bh, &err)
+	data, err := bh.Data()
+	if err != nil {
+		return err
+	}
+	clear(data[off:])
+	return fs.log.Write(t, bh)
 }
 
 // Create implements core.FileSystem.
@@ -683,44 +686,21 @@ func (fs *FS) ReadDir(t *kernel.Task, dir fsapi.Ino) ([]fsapi.DirEntry, error) {
 func (fs *FS) StatFS(t *kernel.Task) (fsapi.FSStat, error) {
 	sb := &fs.super
 	var freeBlocks int64
-	for b := sb.DataStart; b < sb.Size; {
-		base := (b / layout.BitsPerBlock) * layout.BitsPerBlock
-		end := base + layout.BitsPerBlock
-		if end > sb.Size {
-			end = sb.Size
-		}
-		err := fs.sb.WithBuffer(t, int(sb.BitmapBlock(b)), func(bh bentoksBuffer) error {
-			data, err := bh.Data()
-			if err != nil {
-				return err
-			}
-			for cur := b; cur < end; cur++ {
-				bit := cur - base
-				if data[bit/8]&(1<<(bit%8)) == 0 {
-					freeBlocks++
-				}
-			}
-			return nil
-		})
+	for b := sb.DataStart; b < sb.Size; b = (b/layout.BitsPerBlock + 1) * layout.BitsPerBlock {
+		n, err := fs.freeBits(t, b, sb.Size)
 		if err != nil {
 			return fsapi.FSStat{}, err
 		}
-		b = end
+		freeBlocks += n
 	}
 	var freeInodes int64
 	for inum := uint32(1); inum < sb.NInodes; inum++ {
-		err := fs.sb.WithBuffer(t, int(sb.InodeBlock(inum)), func(bh bentoksBuffer) error {
-			data, err := bh.Data()
-			if err != nil {
-				return err
-			}
-			if layout.DecodeDinode(data[layout.InodeOffset(inum):]).Type == layout.TypeFree {
-				freeInodes++
-			}
-			return nil
-		})
+		free, err := fs.inodeFree(t, inum)
 		if err != nil {
 			return fsapi.FSStat{}, err
+		}
+		if free {
+			freeInodes++
 		}
 	}
 	return fsapi.FSStat{
@@ -729,6 +709,43 @@ func (fs *FS) StatFS(t *kernel.Task) (fsapi.FSStat, error) {
 		TotalInodes: int64(sb.NInodes),
 		FreeInodes:  freeInodes,
 	}, nil
+}
+
+// freeBits counts the free blocks of [lo, hi) in the one bitmap block
+// that maps lo.
+func (fs *FS) freeBits(t *kernel.Task, lo, hi uint32) (n int64, err error) {
+	base := (lo / layout.BitsPerBlock) * layout.BitsPerBlock
+	end := min(base+layout.BitsPerBlock, hi)
+	bh, err := fs.sb.BRead(t, int(fs.super.BitmapBlock(lo)))
+	if err != nil {
+		return 0, err
+	}
+	defer drop(bh, &err)
+	data, err := bh.Data()
+	if err != nil {
+		return 0, err
+	}
+	for cur := lo; cur < end; cur++ {
+		bit := cur - base
+		if data[bit/8]&(1<<(bit%8)) == 0 {
+			n++
+		}
+	}
+	return n, nil
+}
+
+// inodeFree reports whether the inode table holds inum free.
+func (fs *FS) inodeFree(t *kernel.Task, inum uint32) (free bool, err error) {
+	bh, err := fs.sb.BRead(t, int(fs.super.InodeBlock(inum)))
+	if err != nil {
+		return false, err
+	}
+	defer drop(bh, &err)
+	data, err := bh.Data()
+	if err != nil {
+		return false, err
+	}
+	return layout.DinodeType(data[layout.InodeOffset(inum):]) == layout.TypeFree, nil
 }
 
 // transferState is the serialized in-memory state moved across an online

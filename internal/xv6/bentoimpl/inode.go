@@ -3,6 +3,7 @@ package bentoimpl
 import (
 	"fmt"
 
+	"bento/internal/bentoks"
 	"bento/internal/fsapi"
 	"bento/internal/kernel"
 	"bento/internal/xv6/layout"
@@ -100,21 +101,19 @@ func (ip *Inode) iload(t *kernel.Task) error {
 
 // iupdate writes the in-core inode to its disk block through the log.
 // Caller holds an open transaction.
-func (ip *Inode) iupdate(t *kernel.Task) error {
+func (ip *Inode) iupdate(t *kernel.Task) (err error) {
 	fs := ip.fs
 	bh, err := fs.sb.BRead(t, int(fs.super.InodeBlock(ip.inum)))
 	if err != nil {
 		return err
 	}
+	defer drop(bh, &err)
 	data, err := bh.Data()
 	if err != nil {
 		return err
 	}
 	ip.din.Encode(data[layout.InodeOffset(ip.inum):])
-	if err := fs.log.Write(t, bh); err != nil {
-		return err
-	}
-	return bh.Release()
+	return fs.log.Write(t, bh)
 }
 
 // errNeedTxn signals that iput must free the inode but the caller holds
@@ -224,42 +223,40 @@ func (ip *Inode) mapThrough(t *kernel.Task, slot *uint32, idxs [2]int, depth int
 	}
 	fresh := false
 	for lvl := 0; lvl < depth; lvl++ {
-		idx := idxs[lvl]
-		leaf := lvl == depth-1
-		bh, err := fs.sb.BRead(t, int(cur))
-		if err != nil {
+		next, isNew, err := ip.mapLevel(t, cur, idxs[lvl], alloc, lvl == depth-1 && dataLeaf)
+		if err != nil || next == 0 {
 			return 0, false, err
 		}
-		data, err := bh.Data()
-		if err != nil {
-			_ = bh.Release()
-			return 0, false, err
-		}
-		next := leU32(data, 4*idx)
-		if next == 0 {
-			if !alloc {
-				_ = bh.Release()
-				return 0, false, nil
-			}
-			a, err := fs.balloc(t, leaf && dataLeaf)
-			if err != nil {
-				_ = bh.Release()
-				return 0, false, err
-			}
-			putU32(data, 4*idx, a)
-			if err := fs.log.Write(t, bh); err != nil {
-				_ = bh.Release()
-				return 0, false, err
-			}
-			next = a
-			fresh = leaf
-		}
-		if err := bh.Release(); err != nil {
-			return 0, false, err
-		}
-		cur = next
+		cur, fresh = next, isNew
 	}
 	return cur, fresh, nil
+}
+
+// mapLevel returns the pointer at idx of indirect block blk. A zero
+// pointer, with alloc set, is first pointed at a block balloc allocates
+// (a data leaf when dataLeaf), and fresh reports it.
+func (ip *Inode) mapLevel(t *kernel.Task, blk uint32, idx int, alloc, dataLeaf bool) (next uint32, fresh bool, err error) {
+	fs := ip.fs
+	bh, err := fs.sb.BRead(t, int(blk))
+	if err != nil {
+		return 0, false, err
+	}
+	defer drop(bh, &err)
+	data, err := bh.Data()
+	if err != nil {
+		return 0, false, err
+	}
+	if next = leU32(data, 4*idx); next != 0 || !alloc {
+		return next, false, nil
+	}
+	if next, err = fs.balloc(t, dataLeaf); err != nil {
+		return 0, false, err
+	}
+	putU32(data, 4*idx, next)
+	if err := fs.log.Write(t, bh); err != nil {
+		return 0, false, err
+	}
+	return next, true, nil
 }
 
 // clearMapping zeroes the pointer that maps file block bn (after the
@@ -284,15 +281,8 @@ func (ip *Inode) clearMapping(t *kernel.Task, bn uint64) error {
 		if dind == 0 {
 			return nil
 		}
-		err := fs.sb.WithBuffer(t, int(dind), func(bh bentoksBuffer) error {
-			data, err := bh.Data()
-			if err != nil {
-				return err
-			}
-			holder = leU32(data, 4*int(off/layout.NIndirect))
-			return nil
-		})
-		if err != nil {
+		var err error
+		if holder, _, err = ip.mapLevel(t, dind, int(off/layout.NIndirect), false, false); err != nil {
 			return err
 		}
 		idx = int(off % layout.NIndirect)
@@ -300,21 +290,23 @@ func (ip *Inode) clearMapping(t *kernel.Task, bn uint64) error {
 	if holder == 0 {
 		return nil
 	}
-	bh, err := fs.sb.BRead(t, int(holder))
+	return fs.clearPtr(t, holder, idx)
+}
+
+// clearPtr zeroes the pointer at idx of indirect block blk through the
+// log.
+func (fs *FS) clearPtr(t *kernel.Task, blk uint32, idx int) (err error) {
+	bh, err := fs.sb.BRead(t, int(blk))
 	if err != nil {
 		return err
 	}
+	defer drop(bh, &err)
 	data, err := bh.Data()
 	if err != nil {
-		_ = bh.Release()
 		return err
 	}
 	putU32(data, 4*idx, 0)
-	if err := fs.log.Write(t, bh); err != nil {
-		_ = bh.Release()
-		return err
-	}
-	return bh.Release()
+	return fs.log.Write(t, bh)
 }
 
 // itrunc frees all blocks of the file and zeroes its size. ip is
@@ -350,36 +342,37 @@ func (ip *Inode) itrunc(t *kernel.Task) error {
 // freeIndirect frees an indirect block of the given depth and everything
 // below it.
 func (fs *FS) freeIndirect(t *kernel.Task, blk uint32, depth int) error {
+	if err := fs.freeChildren(t, blk, depth); err != nil {
+		return err
+	}
+	return fs.bfree(t, blk)
+}
+
+// freeChildren frees everything below indirect block blk of the given
+// depth, leaving blk itself allocated.
+func (fs *FS) freeChildren(t *kernel.Task, blk uint32, depth int) (err error) {
 	bh, err := fs.sb.BRead(t, int(blk))
 	if err != nil {
 		return err
 	}
+	defer drop(bh, &err)
 	data, err := bh.Data()
 	if err != nil {
-		_ = bh.Release()
 		return err
 	}
 	for i := 0; i < layout.NIndirect; i++ {
-		a := leU32(data, 4*i)
-		if a == 0 {
-			continue
+		switch a := leU32(data, 4*i); {
+		case a == 0:
+		case depth > 1:
+			err = fs.freeIndirect(t, a, depth-1)
+		default:
+			err = fs.bfree(t, a)
 		}
-		if depth > 1 {
-			if err := fs.freeIndirect(t, a, depth-1); err != nil {
-				_ = bh.Release()
-				return err
-			}
-		} else {
-			if err := fs.bfree(t, a); err != nil {
-				_ = bh.Release()
-				return err
-			}
+		if err != nil {
+			return err
 		}
 	}
-	if err := bh.Release(); err != nil {
-		return err
-	}
-	return fs.bfree(t, blk)
+	return nil
 }
 
 // readi reads up to len(buf) bytes at off from the file. Regular-file
@@ -526,15 +519,7 @@ func (ip *Inode) writev(t *kernel.Task, off int64, src [][]byte, total int64, ow
 			done += n
 			continue
 		}
-		bh, err := ip.bufferedWrite(t, blk, bo, from, owned)
-		if err != nil {
-			return int(done), err
-		}
-		if err := ip.fs.log.Write(t, bh); err != nil {
-			_ = bh.Release()
-			return int(done), err
-		}
-		if err := bh.Release(); err != nil {
+		if err := ip.bufferedWrite(t, blk, bo, from, owned); err != nil {
 			return int(done), err
 		}
 		done += n
@@ -546,33 +531,35 @@ func (ip *Inode) writev(t *kernel.Task, off int64, src [][]byte, total int64, ow
 	return int(done), ip.iupdate(t)
 }
 
-// bufferedWrite returns block blk, held, with from written at bo — the
+// bufferedWrite writes from at bo of block blk through the log — the
 // journal-everything data path. A whole block overwrites without a read,
 // and when it is a page the kernel gave up (owned) the disk may keep the
 // page itself as the block (BAdopt).
-func (ip *Inode) bufferedWrite(t *kernel.Task, blk uint32, bo int64, from []byte, owned bool) (bentoksBuffer, error) {
+func (ip *Inode) bufferedWrite(t *kernel.Task, blk uint32, bo int64, from []byte, owned bool) (err error) {
 	sb := ip.fs.sb
 	whole := len(from) == layout.BlockSize
-	if whole && owned {
-		return sb.BAdopt(t, int(blk), from)
-	}
-	var bh bentoksBuffer
-	var err error
-	if whole {
+	adopt := whole && owned
+	var bh bentoks.Buffer
+	switch {
+	case adopt:
+		bh, err = sb.BAdopt(t, int(blk), from)
+	case whole:
 		bh, err = sb.BReadNoFill(t, int(blk))
-	} else {
+	default:
 		bh, err = sb.BRead(t, int(blk))
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	data, err := bh.Data()
-	if err != nil {
-		_ = bh.Release()
-		return nil, err
+	defer drop(bh, &err)
+	if !adopt {
+		data, err := bh.Data()
+		if err != nil {
+			return err
+		}
+		copy(data[bo:], from)
 	}
-	copy(data[bo:], from)
-	return bh, nil
+	return ip.fs.log.Write(t, bh)
 }
 
 // stat converts the in-core inode to fsapi.Stat. ip is loaded.

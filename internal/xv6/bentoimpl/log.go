@@ -69,47 +69,32 @@ func (l *Log) Commits() int64 { return l.commits }
 
 // Recover replays a committed-but-uninstalled transaction after a crash,
 // then clears the log. Mount calls it unconditionally.
-func (l *Log) Recover(t *kernel.Task) error {
+func (l *Log) Recover(t *kernel.Task) (err error) {
 	sb := l.fs.sb
 	hb, err := sb.BRead(t, int(l.start))
 	if err != nil {
 		return err
 	}
+	defer drop(hb, &err)
 	hdata, err := hb.Data()
 	if err != nil {
-		return released(err, hb)
+		return err
 	}
 	lh := layout.DecodeLogHeader(hdata)
 	if lh.N > 0 {
 		// Install each logged block to its home location.
 		var last int64
 		for i := uint32(0); i < lh.N; i++ {
-			src, err := sb.BRead(t, int(l.start+1+i))
+			done, err := l.copyBlock(t, l.start+1+i, lh.Blocks[i])
 			if err != nil {
-				return released(err, hb)
+				return err
 			}
-			dst, err := sb.BClone(t, int(lh.Blocks[i]), src)
-			if err != nil {
-				return released(err, src, hb)
-			}
-			done, err := dst.SubmitWrite(t)
-			if err != nil {
-				return released(err, dst, src, hb)
-			}
-			if done > last {
-				last = done
-			}
-			if err := src.Release(); err != nil {
-				return released(err, dst, hb)
-			}
-			if err := dst.Release(); err != nil {
-				return released(err, hb)
-			}
+			last = max(last, done)
 		}
 		t.WaitIO("install", last)
 		if l.policy == PolicyFlush {
 			if err := sb.Flush(t); err != nil {
-				return released(err, hb)
+				return err
 			}
 		}
 	}
@@ -117,12 +102,9 @@ func (l *Log) Recover(t *kernel.Task) error {
 	var empty layout.LogHeader
 	empty.Encode(hdata)
 	if err := hb.MarkDirty(); err != nil {
-		return released(err, hb)
+		return err
 	}
 	if err := hb.WriteSync(t); err != nil {
-		return released(err, hb)
-	}
-	if err := hb.Release(); err != nil {
 		return err
 	}
 	if l.policy == PolicyFlush {
@@ -235,7 +217,7 @@ func (l *Log) ForceCommit(t *kernel.Task) error {
 // region, write the header (the commit point), install the blocks home,
 // and clear the header. The log copy is the disk's BClone, which shares a
 // home block's contents instead of copying them when they are immutable.
-func (l *Log) commit(t *kernel.Task, blocks []uint32) error {
+func (l *Log) commit(t *kernel.Task, blocks []uint32) (err error) {
 	sb := l.fs.sb
 
 	// Step 1: write the log data blocks as one batch: submit every slot,
@@ -245,25 +227,11 @@ func (l *Log) commit(t *kernel.Task, blocks []uint32) error {
 	// slot before submitting the next, so there the batch stays serial.
 	var last int64
 	for i, home := range blocks {
-		src, err := sb.BRead(t, int(home)) // cache hit: logged blocks are dirty in cache
+		done, err := l.copyBlock(t, home, l.start+1+uint32(i))
 		if err != nil {
 			return err
-		}
-		dst, err := sb.BClone(t, int(l.start+1+uint32(i)), src)
-		if err != nil {
-			return released(err, src)
-		}
-		done, err := dst.SubmitWrite(t)
-		if err != nil {
-			return released(err, dst, src)
 		}
 		last = max(last, done)
-		if err := dst.Release(); err != nil {
-			return released(err, src)
-		}
-		if err := src.Release(); err != nil {
-			return err
-		}
 	}
 	t.WaitIO("journal-write", last)
 
@@ -275,42 +243,34 @@ func (l *Log) commit(t *kernel.Task, blocks []uint32) error {
 	if err != nil {
 		return err
 	}
+	defer drop(hb, &err)
 	hdata, err := hb.Data()
 	if err != nil {
-		return released(err, hb)
+		return err
 	}
 	lh.Encode(hdata)
 	if err := hb.WriteSync(t); err != nil {
-		return released(err, hb)
+		return err
 	}
 	if l.policy == PolicyFlush {
 		if err := sb.Flush(t); err != nil {
-			return released(err, hb)
+			return err
 		}
 	}
 
 	// Step 3: install transactions home (batched submits).
 	last = 0
 	for _, home := range blocks {
-		src, err := sb.BRead(t, int(home))
+		done, err := l.submitHome(t, home)
 		if err != nil {
-			return released(err, hb)
+			return err
 		}
-		done, err := src.SubmitWrite(t)
-		if err != nil {
-			return released(err, src, hb)
-		}
-		if done > last {
-			last = done
-		}
-		if err := src.Release(); err != nil {
-			return released(err, hb)
-		}
+		last = max(last, done)
 	}
 	t.WaitIO("install", last)
 	if l.policy == PolicyFlush {
 		if err := sb.Flush(t); err != nil {
-			return released(err, hb)
+			return err
 		}
 	}
 
@@ -318,9 +278,6 @@ func (l *Log) commit(t *kernel.Task, blocks []uint32) error {
 	lh = layout.LogHeader{}
 	lh.Encode(hdata)
 	if err := hb.WriteSync(t); err != nil {
-		return released(err, hb)
-	}
-	if err := hb.Release(); err != nil {
 		return err
 	}
 	if l.policy == PolicyFlush {
@@ -329,12 +286,41 @@ func (l *Log) commit(t *kernel.Task, blocks []uint32) error {
 	return nil
 }
 
-// released drops the references a failed step still holds and returns
-// the step's error: a commit or recovery that fails part-way must not
-// leak its buffers (the checker reports every one left at unmount).
-func released(err error, held ...bentoks.Buffer) error {
-	for _, b := range held {
-		_ = b.Release()
+// copyBlock submits a write of block from's contents to block to and
+// returns its completion: a commit's log slot (home to log) and a
+// recovery's install (log to home). At commit the read is a cache hit:
+// logged blocks are dirty in cache.
+func (l *Log) copyBlock(t *kernel.Task, from, to uint32) (done int64, err error) {
+	src, err := l.fs.sb.BRead(t, int(from))
+	if err != nil {
+		return 0, err
 	}
-	return err
+	defer drop(src, &err)
+	dst, err := l.fs.sb.BClone(t, int(to), src)
+	if err != nil {
+		return 0, err
+	}
+	defer drop(dst, &err)
+	return dst.SubmitWrite(t)
+}
+
+// submitHome submits the write of logged block blk to its home location
+// and returns its completion: a commit's install.
+func (l *Log) submitHome(t *kernel.Task, blk uint32) (done int64, err error) {
+	src, err := l.fs.sb.BRead(t, int(blk))
+	if err != nil {
+		return 0, err
+	}
+	defer drop(src, &err)
+	return src.SubmitWrite(t)
+}
+
+// drop releases b: it is Rust's drop of a buffer head, written as one
+// `defer drop(b, &err)` right after each acquisition, so a buffer goes
+// back on every path out of the function that took it. A failed release
+// becomes the function's error unless it already has one.
+func drop(b bentoks.Buffer, err *error) {
+	if e := b.Release(); *err == nil {
+		*err = e
+	}
 }
