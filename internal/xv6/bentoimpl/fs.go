@@ -140,16 +140,13 @@ func (fs *FS) dataDirect(ip *Inode) bool {
 // common case (the inode stays linked or referenced) costs nothing; only
 // when the drop must free the inode does it open a transaction — so pure
 // read paths never contend on the log.
-func (fs *FS) iputOutside(t *kernel.Task, ip *Inode) error {
+func (fs *FS) iputOutside(t *kernel.Task, ip *Inode) (err error) {
 	if err := ip.iput(t, false); err != errNeedTxn {
 		return err
 	}
 	op := fs.log.BeginOp(t, layout.MaxOpBlocks)
-	err := ip.iput(t, true)
-	if e := fs.log.EndOp(t, op); err == nil {
-		err = e
-	}
-	return err
+	defer fs.log.endOp(t, op, &err)
+	return ip.iput(t, true)
 }
 
 // Lookup implements core.FileSystem.
@@ -184,7 +181,7 @@ func (fs *FS) GetAttr(t *kernel.Task, ino fsapi.Ino) (fsapi.Stat, error) {
 // SetAttr implements core.FileSystem (truncate). Shrinking frees the tail
 // in bounded transactions; growing just records the new size (holes read
 // as zeros).
-func (fs *FS) SetAttr(t *kernel.Task, ino fsapi.Ino, size int64) error {
+func (fs *FS) SetAttr(t *kernel.Task, ino fsapi.Ino, size int64) (err error) {
 	if size < 0 || size > layout.MaxFileSize {
 		return fsapi.ErrInvalid
 	}
@@ -196,18 +193,13 @@ func (fs *FS) SetAttr(t *kernel.Task, ino fsapi.Ino, size int64) error {
 	if ip.din.Type == layout.TypeDir {
 		return fsapi.ErrIsDir
 	}
+	op := fs.log.BeginOp(t, layout.MaxOpBlocks)
+	defer fs.log.endOp(t, op, &err)
 	if size == 0 {
-		op := fs.log.BeginOp(t, layout.MaxOpBlocks)
-		err := ip.itrunc(t)
-		if e := fs.log.EndOp(t, op); err == nil {
-			err = e
-		}
-		return err
+		return ip.itrunc(t)
 	}
 	// Partial truncate: free whole blocks past the new end, zero the tail
 	// of the final partial block, update the size.
-	op := fs.log.BeginOp(t, layout.MaxOpBlocks)
-	defer func() { _ = fs.log.EndOp(t, op) }()
 	old := int64(ip.din.Size)
 	if size < old {
 		firstDead := (size + layout.BlockSize - 1) / layout.BlockSize
@@ -283,12 +275,12 @@ func (fs *FS) Mkdir(t *kernel.Task, parent fsapi.Ino, name string) (fsapi.Stat, 
 	return fs.createNode(t, parent, name, layout.TypeDir)
 }
 
-func (fs *FS) createNode(t *kernel.Task, parent fsapi.Ino, name string, typ uint16) (fsapi.Stat, error) {
+func (fs *FS) createNode(t *kernel.Task, parent fsapi.Ino, name string, typ uint16) (st fsapi.Stat, err error) {
 	if name == "" || name == "." || name == ".." {
 		return fsapi.Stat{}, fsapi.ErrInvalid
 	}
 	op := fs.log.BeginOp(t, metaOpBlocks)
-	defer func() { _ = fs.log.EndOp(t, op) }()
+	defer fs.log.endOp(t, op, &err)
 
 	dp := fs.iget(uint32(parent))
 	defer fs.iputRef(t, dp)
@@ -346,12 +338,12 @@ func (fs *FS) Rmdir(t *kernel.Task, parent fsapi.Ino, name string) error {
 	return fs.removeNode(t, parent, name, true)
 }
 
-func (fs *FS) removeNode(t *kernel.Task, parent fsapi.Ino, name string, wantDir bool) error {
+func (fs *FS) removeNode(t *kernel.Task, parent fsapi.Ino, name string, wantDir bool) (err error) {
 	if name == "." || name == ".." {
 		return fsapi.ErrInvalid
 	}
 	op := fs.log.BeginOp(t, layout.MaxOpBlocks)
-	defer func() { _ = fs.log.EndOp(t, op) }()
+	defer fs.log.endOp(t, op, &err)
 
 	dp := fs.iget(uint32(parent))
 	defer fs.iputRef(t, dp)
@@ -403,7 +395,7 @@ func (fs *FS) removeNode(t *kernel.Task, parent fsapi.Ino, name string, wantDir 
 // Rename implements core.FileSystem. Original xv6 has no rename; this
 // follows POSIX for same-type targets within one file system, journaled
 // as a single transaction.
-func (fs *FS) Rename(t *kernel.Task, oldParent fsapi.Ino, oldName string, newParent fsapi.Ino, newName string) error {
+func (fs *FS) Rename(t *kernel.Task, oldParent fsapi.Ino, oldName string, newParent fsapi.Ino, newName string) (err error) {
 	if oldName == "." || oldName == ".." || newName == "." || newName == ".." {
 		return fsapi.ErrInvalid
 	}
@@ -411,7 +403,7 @@ func (fs *FS) Rename(t *kernel.Task, oldParent fsapi.Ino, oldName string, newPar
 		return fsapi.ErrNameTooLong
 	}
 	op := fs.log.BeginOp(t, layout.MaxOpBlocks)
-	defer func() { _ = fs.log.EndOp(t, op) }()
+	defer fs.log.endOp(t, op, &err)
 
 	odp := fs.iget(uint32(oldParent))
 	defer fs.iputRef(t, odp)
@@ -519,9 +511,9 @@ func (fs *FS) Rename(t *kernel.Task, oldParent fsapi.Ino, oldName string, newPar
 }
 
 // Link implements core.FileSystem.
-func (fs *FS) Link(t *kernel.Task, ino fsapi.Ino, parent fsapi.Ino, name string) (fsapi.Stat, error) {
+func (fs *FS) Link(t *kernel.Task, ino fsapi.Ino, parent fsapi.Ino, name string) (st fsapi.Stat, err error) {
 	op := fs.log.BeginOp(t, metaOpBlocks)
-	defer func() { _ = fs.log.EndOp(t, op) }()
+	defer fs.log.endOp(t, op, &err)
 
 	ip := fs.iget(uint32(ino))
 	defer fs.iputRef(t, ip)
@@ -536,7 +528,7 @@ func (fs *FS) Link(t *kernel.Task, ino fsapi.Ino, parent fsapi.Ino, name string)
 		ip.din.Nlink--
 		return fsapi.Stat{}, err
 	}
-	st := ip.stat()
+	st = ip.stat()
 
 	dp := fs.iget(uint32(parent))
 	defer fs.iputRef(t, dp)
@@ -658,17 +650,13 @@ func (fs *FS) WritePages(t *kernel.Task, ino fsapi.Ino, off int64, pages [][]byt
 
 // writeChunk writes one transaction's worth of a write: the first n bytes
 // of src at off.
-func (fs *FS) writeChunk(t *kernel.Task, ip *Inode, off int64, src [][]byte, n int64, owned bool) (int, error) {
+func (fs *FS) writeChunk(t *kernel.Task, ip *Inode, off int64, src [][]byte, n int64, owned bool) (w int, err error) {
 	op := fs.log.BeginOp(t, layout.MaxOpBlocks)
+	defer fs.log.endOp(t, op, &err)
 	if err := ip.iload(t); err != nil {
-		_ = fs.log.EndOp(t, op)
 		return 0, err
 	}
-	w, err := ip.writev(t, off, src, n, owned)
-	if e := fs.log.EndOp(t, op); err == nil {
-		err = e
-	}
-	return w, err
+	return ip.writev(t, off, src, n, owned)
 }
 
 // ReadDir implements core.FileSystem.

@@ -206,6 +206,16 @@ func (l *Log) EndOp(t *kernel.Task, op Op) error {
 	return err
 }
 
+// endOp is EndOp deferred by an operation with a named result err, the
+// shape of drop: a failed commit becomes the operation's error unless it
+// already has one, so a mutation that never became durable does not
+// report success.
+func (l *Log) endOp(t *kernel.Task, op Op, err *error) {
+	if e := l.EndOp(t, op); *err == nil {
+		*err = e
+	}
+}
+
 // ForceCommit runs an empty transaction, guaranteeing everything logged
 // before the call is on disk when it returns (fsync path).
 func (l *Log) ForceCommit(t *kernel.Task) error {

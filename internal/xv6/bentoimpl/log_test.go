@@ -5,6 +5,7 @@ import (
 
 	"bento/internal/core"
 	"bento/internal/costmodel"
+	"bento/internal/fsapi"
 	"bento/internal/fuse"
 	"bento/internal/kernel"
 	"bento/internal/xv6/bentoimpl"
@@ -15,6 +16,15 @@ import (
 func bentoRig(t *testing.T, model *costmodel.Model, policy bentoimpl.SyncPolicy) *journaltest.Rig {
 	return journaltest.New(t, model, journaltest.Mkfs, "xv6", func(k *kernel.Kernel) error {
 		return bentoimpl.RegisterWith(k, "xv6", bentoimpl.Config{Policy: policy})
+	})
+}
+
+// fuseRig mounts the FUSE daemon running this file system.
+func fuseRig(t *testing.T, model *costmodel.Model, policy bentoimpl.SyncPolicy) *journaltest.Rig {
+	return journaltest.New(t, model, journaltest.Mkfs, "fuse", func(k *kernel.Kernel) error {
+		return k.Register(fuse.Type{Factory: func() core.FileSystem {
+			return bentoimpl.New(bentoimpl.Config{Policy: policy})
+		}, DiskCacheBlocks: 64})
 	})
 }
 
@@ -34,11 +44,7 @@ func TestCommitWritesLogAsOneBatch(t *testing.T) {
 // slot and two more.
 func TestFUSECommitStaysSerial(t *testing.T) {
 	model := costmodel.Default()
-	r := journaltest.New(t, model, journaltest.Mkfs, "fuse", func(k *kernel.Kernel) error {
-		return k.Register(fuse.Type{Factory: func() core.FileSystem {
-			return bentoimpl.New(bentoimpl.Config{Policy: bentoimpl.PolicyWriteBack})
-		}, DiskCacheBlocks: 64})
-	})
+	r := fuseRig(t, model, bentoimpl.PolicyWriteBack)
 	if werr, serr := r.WriteFile(4); werr != nil || serr != nil {
 		t.Fatal(werr, serr)
 	}
@@ -49,6 +55,38 @@ func TestFUSECommitStaysSerial(t *testing.T) {
 	for _, c := range big {
 		if floor := (c.A + 2) * int64(model.DevWrite(layout.BlockSize)); c.Dur < floor {
 			t.Errorf("daemon commit of %d blocks took %d ns, want at least %d ns (%d device writes)", c.A, c.Dur, floor, c.A+2)
+		}
+	}
+}
+
+// TestCreateReportsFailedCommit requires a create and a mkdir whose
+// commit fails to return the error, on Bento and on the FUSE daemon
+// under both policies: their mutations never became durable, so they
+// must not report success.
+func TestCreateReportsFailedCommit(t *testing.T) {
+	for _, mount := range []struct {
+		name string
+		rig  func(*testing.T, *costmodel.Model, bentoimpl.SyncPolicy) *journaltest.Rig
+	}{{"bento", bentoRig}, {"fuse", fuseRig}} {
+		for policy, pname := range map[bentoimpl.SyncPolicy]string{bentoimpl.PolicyWriteBack: "writeback", bentoimpl.PolicyFlush: "flush"} {
+			for _, op := range []struct {
+				name string
+				do   func(*journaltest.Rig) error
+			}{
+				{"create", func(r *journaltest.Rig) error {
+					_, err := r.M.Open(r.Task, "/f", fsapi.OCreate)
+					return err
+				}},
+				{"mkdir", func(r *journaltest.Rig) error { return r.M.Mkdir(r.Task, "/d") }},
+			} {
+				t.Run(mount.name+"/"+pname+"/"+op.name, func(t *testing.T) {
+					r := mount.rig(t, costmodel.Fast(), policy)
+					r.Dev.InjectWriteError(int(r.SB.LogStart) + 1)
+					if err := op.do(r); err == nil {
+						t.Fatalf("%s returned success although its commit failed", op.name)
+					}
+				})
+			}
 		}
 	}
 }
