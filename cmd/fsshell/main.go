@@ -21,7 +21,9 @@
 // put and pwrite write n bytes of a pattern of <tag> (one byte) and the
 // file offset; pread prints a digest of what it read; dropcaches empties
 // the page, dentry and buffer caches. help lists the ops, time prints
-// the task's virtual time, quit exits.
+// the task's virtual time, quit exits. On quit or end of input the shell
+// unmounts; if the unmount fails (a file system that still holds a
+// buffer fails it) it prints the error and exits 1.
 package main
 
 import (
@@ -32,6 +34,7 @@ import (
 	"os"
 	"strings"
 
+	"bento/internal/filebench"
 	"bento/internal/harness"
 	"bento/internal/kernel"
 	"bento/internal/oplist"
@@ -55,15 +58,28 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fsshell:", err)
 		os.Exit(1)
 	}
-	task := tg.K.NewTask("shell")
 	fmt.Printf("mounted %s; type 'help' for commands\n", variant)
+	if err := shell(tg, os.Stdin, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "fsshell:", err)
+		os.Exit(1)
+	}
+}
 
-	sc := bufio.NewScanner(os.Stdin)
-	for fmt.Print("> "); sc.Scan(); fmt.Print("> ") {
-		if !command(tg.M, task, sc.Text(), os.Stdout) {
-			return
+// shell runs the lines of in on tg's mount, printing to out, until quit
+// or the end of in, then unmounts: a file system that still holds a
+// buffer fails its unmount, and shell returns that error.
+func shell(tg filebench.Target, in io.Reader, out io.Writer) error {
+	task := tg.K.NewTask("shell")
+	sc := bufio.NewScanner(in)
+	for fmt.Fprint(out, "> "); sc.Scan(); fmt.Fprint(out, "> ") {
+		if !command(tg.M, task, sc.Text(), out) {
+			break
 		}
 	}
+	if err := tg.K.Unmount(task, "/"); err != nil {
+		return fmt.Errorf("unmount: %w", err)
+	}
+	return nil
 }
 
 // command runs one shell line on m, printing to w. It reports false

@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"strings"
 	"testing"
 
+	"bento/internal/fsapi"
 	"bento/internal/harness"
 	"bento/internal/oplist"
 )
@@ -104,6 +106,31 @@ func TestEveryOp(t *testing.T) {
 			command(tg.M, task, l, &out)
 			if !strings.HasPrefix(out.String(), "ok") {
 				t.Errorf("%s: %q printed %q", v, l, out.String())
+			}
+		}
+	}
+}
+
+// TestQuitUnmounts requires the shell to unmount on quit and at the end
+// of its input on every variant, so each variant's leak check runs
+// after whatever ops the input held: the unmount must succeed, the
+// mount must be gone, and a line after quit must not run.
+func TestQuitUnmounts(t *testing.T) {
+	for _, v := range harness.AllVariants {
+		for _, in := range []string{"write /f hello\nquit\nmkdir /late\n", "write /f hello\n"} {
+			tg, err := harness.NewTarget(v, harness.Quick())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			if err := shell(tg, strings.NewReader(in), &out); err != nil {
+				t.Fatalf("%s: shell on %q: %v", v, in, err)
+			}
+			if got, want := out.String(), "> ok\n> "; got != want {
+				t.Errorf("%s: shell on %q printed %q, want %q", v, in, got, want)
+			}
+			if err := tg.K.Unmount(tg.K.NewTask("check"), "/"); !errors.Is(err, fsapi.ErrNotExist) {
+				t.Errorf("%s: second unmount after %q returned %v, want the mount gone", v, in, err)
 			}
 		}
 	}

@@ -45,8 +45,8 @@ const (
 	// DoubleRelease is a second brelse of the same reference — "Double
 	// Free".
 	DoubleRelease
-	// Leak is a buffer reference never released within its operation
-	// scope — "Missing Free"/"Reference Count Leak".
+	// Leak is a buffer reference still held when the file system
+	// unmounts — "Missing Free"/"Reference Count Leak".
 	Leak
 	// ForgedCapability is an attempt to fabricate a capability type
 	// instead of receiving it from the framework.
@@ -148,8 +148,8 @@ func (c *Checker) Outstanding() []string {
 	return out
 }
 
-// CheckLeaks records a Leak violation for every outstanding buffer. The
-// framework calls it at operation and unmount boundaries.
+// CheckLeaks records a Leak violation for every outstanding buffer.
+// BentoFS.Unmount calls it once the module is destroyed.
 func (c *Checker) CheckLeaks() int {
 	n := len(c.outstanding)
 	sites := make([]string, 0, n)
@@ -210,8 +210,9 @@ func (sb *SuperBlock) check() error {
 }
 
 // BRead is sb_bread: it returns the buffer for blk with a tracked
-// reference. The caller must Release exactly once; the checked wrapper
-// turns the C API's footguns into reported violations.
+// reference, which the caller gives back by one deferred drop (a
+// Release on every path out of the function that took it); the checked
+// wrapper turns the C API's footguns into reported violations.
 func (sb *SuperBlock) BRead(t *kernel.Task, blk int) (Buffer, error) {
 	return sb.bread(t, blk, true)
 }

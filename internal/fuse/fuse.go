@@ -49,7 +49,7 @@ func (tt Type) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, e
 	if err := fs.Init(t, ud); err != nil {
 		return nil, fmt.Errorf("fuse: daemon init: %w", err)
 	}
-	sess := &Session{fs: fs}
+	sess := &Session{fs: fs, disk: ud}
 	sess.lender, _ = fs.(core.PageLender)
 	return &Driver{sess: sess}, nil
 }
@@ -68,6 +68,7 @@ func (tt Type) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, e
 type Session struct {
 	fs     core.FileSystem
 	lender core.PageLender // fs as a PageLender; nil when it is not one
+	disk   *UserDisk       // the disk file fs runs on
 
 	freeAt  int64  // virtual time the daemon finishes its current request
 	payload []byte // owned by the running round trip
@@ -133,7 +134,7 @@ func (s *Session) serve(t *kernel.Task, req *Request) Reply {
 	case OpSyncFS:
 		err = s.fs.SyncFS(t)
 	case OpDestroy:
-		err = s.fs.Destroy(t)
+		err = s.destroy(t)
 	default:
 		err = fsapi.ErrNotSupported
 	}
@@ -141,6 +142,19 @@ func (s *Session) serve(t *kernel.Task, req *Request) Reply {
 		return Reply{Errno: ErrnoFor(err)}
 	}
 	return rep
+}
+
+// destroy is DESTROY: the hosted file system's teardown, then the leak
+// check BentoFS.Unmount runs through its ownership checker, made here by
+// counting the daemon's buffers still referenced.
+func (s *Session) destroy(t *kernel.Task) error {
+	if err := s.fs.Destroy(t); err != nil {
+		return err
+	}
+	if n := s.disk.Held(); n > 0 {
+		return fmt.Errorf("fuse: daemon holds %d buffer(s) at DESTROY: %w", n, fsapi.ErrInvalid)
+	}
+	return nil
 }
 
 // Driver is the kernel side: it implements the simulated VFS interface by

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"bento/internal/bentoks"
 	"bento/internal/blockdev"
 	"bento/internal/core"
 	"bento/internal/costmodel"
@@ -203,5 +204,42 @@ func TestSameCodeRunsInBothWorlds(t *testing.T) {
 	drv := m.FS().(*fuse.Driver)
 	if _, ok := drv.Session().FS().(*bentoimpl.FS); !ok {
 		t.Fatalf("daemon hosts %T, want *bentoimpl.FS", drv.Session().FS())
+	}
+}
+
+// leakyFS is the xv6 file system with one buffer leaked at Init.
+type leakyFS struct{ *bentoimpl.FS }
+
+func (l leakyFS) Init(t *kernel.Task, d bentoks.Disk) error {
+	if err := l.FS.Init(t, d); err != nil {
+		return err
+	}
+	_, err := d.BRead(t, 1)
+	return err
+}
+
+// TestDestroyReportsHeldBuffers requires the daemon's DESTROY to fail
+// while its file system still holds a buffer of the disk file, so
+// Unmount fails: the FUSE rendering of the leak check BentoFS.Unmount
+// runs through its ownership checker.
+func TestDestroyReportsHeldBuffers(t *testing.T) {
+	model := costmodel.Fast()
+	k := kernel.New(model)
+	dev := blockdev.MustNew(blockdev.Config{Blocks: 8192, Model: model})
+	if _, err := layout.Mkfs(vclock.NewClock(), dev, 512); err != nil {
+		t.Fatal(err)
+	}
+	ft := fuse.Type{Factory: func() core.FileSystem {
+		return leakyFS{bentoimpl.New(bentoimpl.Config{Policy: bentoimpl.PolicyFlush})}
+	}}
+	if err := k.Register(ft); err != nil {
+		t.Fatal(err)
+	}
+	task := k.NewTask("app")
+	if _, err := k.Mount(task, "fuse", "/mnt", dev); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Unmount(task, "/mnt"); !errors.Is(err, fsapi.ErrInvalid) {
+		t.Fatalf("Unmount with a daemon buffer held returned %v, want EINVAL from DESTROY", err)
 	}
 }

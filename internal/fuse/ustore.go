@@ -95,6 +95,10 @@ func (ud *UserDisk) Blocks() int { return ud.dev.Blocks() }
 // Stats reports user-cache traffic counters.
 func (ud *UserDisk) Stats() lru.Stats { return ud.cache.Stats() }
 
+// Held reports how many cached blocks the hosted file system holds a
+// reference to: 0 once it has given back every buffer it took.
+func (ud *UserDisk) Held() int { return ud.cache.Held() }
+
 // BRead implements bentoks.Disk: a user-cache probe, with a pread(2) of
 // the disk file on a miss.
 func (ud *UserDisk) BRead(t *kernel.Task, blk int) (bentoks.Buffer, error) {

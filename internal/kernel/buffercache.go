@@ -266,6 +266,10 @@ func (bc *BufferCache) ResidentBlocks() []int {
 	return out
 }
 
+// Held reports how many buffers hold a reference not yet released: 0
+// once a file system has given back everything it took.
+func (bc *BufferCache) Held() int { return bc.cache.Held() }
+
 // InvalidateAll drops every buffer. Crash-recovery tests call it after a
 // device crash so stale cached contents cannot mask lost writes. It
 // fails if any buffer is still referenced.

@@ -13,6 +13,7 @@ type Stats struct {
 type Cache[E Entry] struct {
 	core     Core[E]
 	capacity int
+	held     int // entries with a reference Release has not yet returned
 	stats    Stats
 }
 
@@ -37,7 +38,11 @@ func New[E Entry](capacity int) *Cache[E] {
 // could still be reading it, and one a failed fill took is gone with it.
 func (c *Cache[E]) Get(key int64, fill func(victim E, evicted bool) (E, error)) (e E, hit bool, err error) {
 	if e, ok := c.core.Get(key); ok {
-		e.LRUNode().refs++
+		n := e.LRUNode()
+		if n.refs == 0 {
+			c.held++
+		}
+		n.refs++
 		c.stats.Hits++
 		return e, true, nil
 	}
@@ -57,6 +62,7 @@ func (c *Cache[E]) Get(key int64, fill func(victim E, evicted bool) (E, error)) 
 		return none, false, err
 	}
 	e.LRUNode().refs = 1
+	c.held++
 	c.core.Add(key, e)
 	return e, false, nil
 }
@@ -68,9 +74,16 @@ func (c *Cache[E]) Release(e E) bool {
 	if n.refs <= 0 {
 		return false
 	}
-	n.refs--
+	if n.refs--; n.refs == 0 {
+		c.held--
+	}
 	return true
 }
+
+// Held reports how many entries hold at least one reference — resident
+// or not: direct I/O may drop an entry under its holder. It is 0 once
+// every Get has been given back, which an owner checks at unmount.
+func (c *Cache[E]) Held() int { return c.held }
 
 // resident reports whether n is the node currently cached under its key
 // (false once direct I/O dropped the entry under a holder's reference).

@@ -379,6 +379,33 @@ func TestCacheReleaseUnderflow(t *testing.T) {
 	}
 }
 
+// TestCacheHeldCountsReferencedEntries: Held counts entries, not
+// references; an entry direct I/O dropped under its holder still counts
+// until the holder releases it; a double release leaves the count alone.
+func TestCacheHeldCountsReferencedEntries(t *testing.T) {
+	c := New[*ent](4)
+	a, _ := get(t, c, 1, alloc(1))
+	get(t, c, 1, nil)
+	b, _ := get(t, c, 2, alloc(2))
+	if n := c.Held(); n != 2 {
+		t.Fatalf("Held = %d with two entries referenced, want 2", n)
+	}
+	c.Release(a)
+	if n := c.Held(); n != 2 {
+		t.Fatalf("Held = %d with entry 1 still referenced once, want 2", n)
+	}
+	c.Drop(2)
+	c.Release(a)
+	if n := c.Held(); n != 1 {
+		t.Fatalf("Held = %d with only dropped entry 2 referenced, want 1", n)
+	}
+	c.Release(b)
+	c.Release(b)
+	if n := c.Held(); n != 0 {
+		t.Fatalf("Held = %d after every reference came back, want 0", n)
+	}
+}
+
 func TestCacheResetChecks(t *testing.T) {
 	c := New[*ent](4)
 	e, _ := get(t, c, 1, alloc(0))

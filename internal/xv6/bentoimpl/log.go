@@ -6,9 +6,15 @@
 //
 // The file system is xv6's design with the paper's §6.1 changes: locks
 // around inode and block allocation, and a double-indirect block so files
-// reach 4 GiB. Like xv6 it journals *everything* (data and metadata)
-// through a write-ahead log with group commit — the reason the paper
-// mounts ext4 with data=journal for comparison.
+// reach 4 GiB. With DataBypass off it journals *everything* (data and
+// metadata) through a write-ahead log with group commit, as xv6 does —
+// the reason the paper mounts ext4 with data=journal for comparison.
+// With it on, as the published Bento mount runs (harness.Published), file
+// data goes straight to the device and the log carries metadata only.
+//
+// A buffer is released the way the paper's Rust drops a buffer head:
+// every acquisition is followed by `defer drop(b, &err)` in the function
+// that made it, and no release is written by hand.
 package bentoimpl
 
 import (

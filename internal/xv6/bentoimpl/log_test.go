@@ -133,3 +133,56 @@ func TestFailedCommitReleasesBuffers(t *testing.T) {
 		})
 	}
 }
+
+// TestFailedAllocationReleasesBuffers fails the bitmap block's read while
+// a buffer is held, on a file whose only block sits behind its indirect
+// block. Extending the file holds the indirect block in mapThrough while
+// balloc fails; truncating it holds the indirect block in the child walk
+// while bfree fails. Clean buffers are dropped first so the read reaches
+// the device. The operation must fail, and once the fault clears Unmount
+// succeeds and the ownership checker has recorded nothing.
+func TestFailedAllocationReleasesBuffers(t *testing.T) {
+	page := make([]byte, layout.BlockSize)
+	for _, c := range []struct {
+		name string
+		op   func(*journaltest.Rig, *kernel.File) error
+	}{
+		{"extend", func(r *journaltest.Rig, f *kernel.File) error {
+			if _, err := f.PWrite(r.Task, page, (layout.NDirect+1)*layout.BlockSize); err != nil {
+				return err
+			}
+			return f.FSync(r.Task)
+		}},
+		{"truncate", func(r *journaltest.Rig, f *kernel.File) error { return f.Truncate(r.Task, 0) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := bentoRig(t, costmodel.Fast(), bentoimpl.PolicyFlush)
+			shim := r.M.FS().(*core.BentoFS)
+			f, err := r.M.Open(r.Task, "/f", fsapi.OCreate|fsapi.ORdwr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.PWrite(r.Task, page, layout.NDirect*layout.BlockSize); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.FSync(r.Task); err != nil {
+				t.Fatal(err)
+			}
+			r.M.DropCaches()
+			r.Dev.InjectReadError(int(r.SB.BitmapBlock(r.SB.DataStart)))
+			if err := c.op(r, f); err == nil {
+				t.Fatal("the operation succeeded although the bitmap block could not be read")
+			}
+			r.Dev.ClearFaults()
+			if err := r.M.Close(r.Task, f); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.K.Unmount(r.Task, "/mnt"); err != nil {
+				t.Fatalf("Unmount after a failed allocation: %v", err)
+			}
+			if v := shim.SuperBlock().Checker().Violations(); len(v) != 0 {
+				t.Fatalf("ownership violations after a failed allocation: %v", v)
+			}
+		})
+	}
+}

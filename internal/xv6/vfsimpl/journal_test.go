@@ -1,6 +1,7 @@
 package vfsimpl_test
 
 import (
+	"strings"
 	"testing"
 
 	"bento/internal/blockdev"
@@ -59,15 +60,11 @@ func TestCreateReportsFailedCommit(t *testing.T) {
 // more blocks (while the slots before it are in flight), at the commit
 // record and at a home block (the inode table). The failure must reach
 // the caller, and the commit must give back every buffer it held: once
-// the fault clears and the file system syncs, each resident buffer has
-// no reference but the one this test takes. A held buffer can never be
-// evicted, and nothing else reports it. A failed log slot must also
-// leave the transaction uncommitted: once the fault clears, the
-// on-device header holds no blocks and the image checks clean.
+// the fault clears, Unmount — which fails while a buffer is still
+// referenced — succeeds. A failed log slot must also leave the
+// transaction uncommitted: once the fault clears, the on-device header
+// holds no blocks and the image checks clean.
 func TestFailedCommitReleasesBuffers(t *testing.T) {
-	type mounted interface {
-		BufferCache() *kernel.BufferCache
-	}
 	for _, fsType := range []kernel.FileSystemType{vfsimpl.Type{}, ext4.Type{}} {
 		last := rig(t, costmodel.Fast(), fsType).LastSlot(t)
 		for _, c := range []struct {
@@ -90,23 +87,30 @@ func TestFailedCommitReleasesBuffers(t *testing.T) {
 				if c.slot {
 					r.RequireUncommitted(t)
 				}
-				if err := r.M.Sync(r.Task); err != nil {
-					t.Fatal(err)
-				}
-				bc := r.M.FS().(mounted).BufferCache()
-				for _, blk := range bc.ResidentBlocks() {
-					bh, err := bc.Get(r.Task, blk)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if n := bh.Refs(); n != 1 {
-						t.Errorf("block %d holds %d reference(s) after a failed commit, want none but ours", blk, n-1)
-					}
-					if err := bh.Release(); err != nil {
-						t.Fatal(err)
-					}
+				if err := r.K.Unmount(r.Task, "/mnt"); err != nil {
+					t.Fatalf("Unmount after a failed commit: %v", err)
 				}
 			})
 		}
+	}
+}
+
+// TestUnmountReportsHeldBuffers requires the C-Kernel's and ext4's
+// Unmount to fail while a buffer is still referenced, naming how many.
+func TestUnmountReportsHeldBuffers(t *testing.T) {
+	type mounted interface {
+		BufferCache() *kernel.BufferCache
+	}
+	for _, fsType := range []kernel.FileSystemType{vfsimpl.Type{}, ext4.Type{}} {
+		t.Run(fsType.Name(), func(t *testing.T) {
+			r := rig(t, costmodel.Fast(), fsType)
+			if _, err := r.M.FS().(mounted).BufferCache().Get(r.Task, int(r.SB.InodeStart)); err != nil {
+				t.Fatal(err)
+			}
+			err := r.K.Unmount(r.Task, "/mnt")
+			if err == nil || !strings.Contains(err.Error(), "1 buffer(s) still referenced") {
+				t.Fatalf("Unmount with a buffer held returned %v, want it to name 1 held buffer", err)
+			}
+		})
 	}
 }

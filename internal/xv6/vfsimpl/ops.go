@@ -1,6 +1,8 @@
 package vfsimpl
 
 import (
+	"fmt"
+
 	"bento/internal/fsapi"
 	"bento/internal/kernel"
 	"bento/internal/xv6/layout"
@@ -598,5 +600,15 @@ func (fs *FS) StatFS(t *kernel.Task) (fsapi.FSStat, error) {
 	}, nil
 }
 
-// Unmount implements kernel.FileSystem.
-func (fs *FS) Unmount(t *kernel.Task) error { return fs.log.sync(fs, t) }
+// Unmount implements kernel.FileSystem: a final sync, then the leak
+// check BentoFS.Unmount runs through its ownership checker, made here
+// by counting the buffers still referenced.
+func (fs *FS) Unmount(t *kernel.Task) error {
+	if err := fs.log.sync(fs, t); err != nil {
+		return err
+	}
+	if n := fs.bc.Held(); n > 0 {
+		return fmt.Errorf("%s: %d buffer(s) still referenced at unmount: %w", fs.name, n, fsapi.ErrInvalid)
+	}
+	return nil
+}
