@@ -25,9 +25,10 @@ func TestBuffersReleaseOnDrop(t *testing.T) {
 	fset := token.NewFileSet()
 	checked := 0
 	// check inspects one function body, not descending into closures,
-	// which fn's caller checks as functions of their own.
+	// which the loop below checks as functions of their own.
 	check := func(name string, typ *ast.FuncType, body *ast.BlockStmt) {
 		acquired := map[string]token.Pos{}
+		var order []string // acquired's keys in source order
 		dropped := map[string]bool{}
 		ast.Inspect(body, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -44,7 +45,10 @@ func TestBuffersReleaseOnDrop(t *testing.T) {
 						continue
 					}
 					if id, ok := n.Lhs[i].(*ast.Ident); ok && id.Name != "_" {
-						acquired[id.Name] = n.Pos()
+						if _, seen := acquired[id.Name]; !seen {
+							acquired[id.Name] = n.Pos()
+							order = append(order, id.Name)
+						}
 					} else {
 						t.Errorf("%s: %s's %s result is not held in a variable a drop can name",
 							fset.Position(n.Pos()), name, sel.Sel.Name)
@@ -67,10 +71,10 @@ func TestBuffersReleaseOnDrop(t *testing.T) {
 			}
 			return true
 		})
-		for v, pos := range acquired {
+		for _, v := range order {
 			checked++
 			if !dropped[v] {
-				t.Errorf("%s: %s acquires %s with no `defer drop(%s, &err)`", fset.Position(pos), name, v, v)
+				t.Errorf("%s: %s acquires %s with no `defer drop(%s, &err)`", fset.Position(acquired[v]), name, v, v)
 			}
 		}
 		if len(acquired) > 0 && !namesErr(typ) {
