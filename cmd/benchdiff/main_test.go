@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -213,58 +216,136 @@ func TestFilterExperiments(t *testing.T) {
 	}
 }
 
-// TestCounterCellGatedBothWays: a netfaults retry companion stores a
-// count as ops per virtual second, so fewer retries must not read as a
-// regression nor more retries as an improvement — a move either way
-// beyond tolerance fails under its own label, and one within it drifts.
-func TestCounterCellGatedBothWays(t *testing.T) {
-	const cell = "lossy-lan-stream-retries"
-	base := []harness.Record{rec("netfaults", "Bento", cell, 100, 100, 0, 0)}
-	for _, n := range []int64{29, 300} {
-		fresh := []harness.Record{rec("netfaults", "Bento", cell, n, float64(n), 0, 0)}
-		rep := Compare(base, fresh, 0.05)
+// TestQuantitiesGatedByDirection: a quantity is gated in the direction
+// harness.Quantities declares. A count has none, so a move beyond
+// tolerance either way is a COUNTER line and one within it drifts; a
+// lower-is-better duration regresses when it rises and improves when it
+// falls; a dropped quantity is missing and a new one is added.
+func TestQuantitiesGatedByDirection(t *testing.T) {
+	cell := func(exp, name string, q map[string]int64) []harness.Record {
+		r := rec(exp, "Bento", name, 1000, 50000, 0, 0)
+		r.Quantities = q
+		return []harness.Record{r}
+	}
+	const fault, upgrade = "lossy-lan-stream-read-1t-128k", "upgrade-mix-2r2w"
+	base := cell("netfaults", fault, map[string]int64{"net_retries": 100, "net_degraded": 0})
+	for _, q := range []map[string]int64{
+		{"net_retries": 29, "net_degraded": 0},
+		{"net_retries": 300, "net_degraded": 0},
+		{"net_retries": 100, "net_degraded": 3},
+	} {
+		rep := Compare(base, cell("netfaults", fault, q), 0.05)
 		if !rep.Failed() || len(rep.CounterMoves) != 1 || len(rep.Regressions) != 0 || len(rep.Improvements) != 0 {
-			t.Fatalf("retries 100 -> %d: %+v, want one counter move and nothing else", n, rep)
+			t.Fatalf("counts %v -> %v: %+v, want one count move and nothing else", base[0].Quantities, q, rep)
 		}
-		if !strings.Contains(rep.Text(), "COUNTER    netfaults/Bento/"+cell) {
-			t.Fatalf("retries 100 -> %d: text has no COUNTER line:\n%s", n, rep.Text())
+		if !strings.Contains(rep.Text(), "COUNTER    netfaults/Bento/"+fault+":net_") {
+			t.Fatalf("counts -> %v: text has no COUNTER line:\n%s", q, rep.Text())
 		}
-		if !strings.Contains(rep.Markdown(), "Counter cells moved") {
-			t.Fatalf("retries 100 -> %d: markdown has no counter table:\n%s", n, rep.Markdown())
+		if !strings.Contains(rep.Markdown(), "Counts moved") {
+			t.Fatalf("counts -> %v: markdown has no count table:\n%s", q, rep.Markdown())
 		}
 	}
-	fresh := []harness.Record{rec("netfaults", "Bento", cell, 103, 103, 0, 0)}
-	if rep := Compare(base, fresh, 0.05); rep.Failed() || len(rep.Drifts) != 1 {
-		t.Fatalf("retries 100 -> 103 at 5%%: %+v, want a passing drift", rep)
+	within := cell("netfaults", fault, map[string]int64{"net_retries": 103, "net_degraded": 0})
+	if rep := Compare(base, within, 0.05); rep.Failed() || len(rep.Drifts) != 1 || rep.Quantities != 2 {
+		t.Fatalf("retries 100 -> 103 at 5%%: %+v, want a passing drift over 2 quantities", rep)
 	}
-	// The same name outside netfaults is an ordinary throughput cell.
-	base[0].Experiment = "netstore"
-	fresh = []harness.Record{rec("netstore", "Bento", cell, 300, 300, 0, 0)}
-	if rep := Compare(base, fresh, 0.05); rep.Failed() || len(rep.Improvements) != 1 {
-		t.Fatalf("non-counter cell rising: %+v, want an improvement", rep)
+
+	base = cell("upgrade", upgrade, map[string]int64{"pause_ns": 1000000})
+	longer := cell("upgrade", upgrade, map[string]int64{"pause_ns": 1100000})
+	rep := Compare(base, longer, 0.05)
+	if !rep.Failed() || len(rep.Regressions) != 1 || rep.Regressions[0].Key.Quantity != "pause_ns" {
+		t.Fatalf("pause +10%%: %+v, want one regression", rep)
+	}
+	if !strings.Contains(rep.Text(), "REGRESSED  upgrade/Bento/"+upgrade+":pause_ns") || !strings.Contains(rep.Text(), "(+10.0%)") {
+		t.Fatalf("pause +10%%: text has no REGRESSED line:\n%s", rep.Text())
+	}
+	shorter := cell("upgrade", upgrade, map[string]int64{"pause_ns": 900000})
+	if rep := Compare(base, shorter, 0.05); rep.Failed() || len(rep.Improvements) != 1 {
+		t.Fatalf("pause -10%%: %+v, want one improvement", rep)
+	}
+
+	dropped := cell("upgrade", upgrade, nil)
+	rep = Compare(base, dropped, 0.05)
+	if !rep.Failed() || len(rep.Missing) != 1 || rep.Missing[0].String() != "upgrade/Bento/"+upgrade+":pause_ns" {
+		t.Fatalf("dropped quantity: %+v, want it missing", rep)
+	}
+	added := cell("upgrade", upgrade, map[string]int64{"pause_ns": 1000000, "xfer_ns": 20000})
+	rep = Compare(base, added, 0.05)
+	if rep.Failed() || len(rep.Added) != 1 || rep.Added[0].Quantity != "xfer_ns" {
+		t.Fatalf("new quantity: %+v, want it added", rep)
 	}
 }
 
-// TestCounterCellsMatchBaseline: the cells harness names as counters
-// are exactly the checked-in netfaults cells carrying the companion
-// encoding — Ops over one virtual second.
-func TestCounterCellsMatchBaseline(t *testing.T) {
+// TestBaselineQuantitiesDeclared: harness.Quantities and the checked-in
+// baseline name the same quantities, so every gated quantity has a
+// declared direction and no declaration is left unused.
+func TestBaselineQuantitiesDeclared(t *testing.T) {
 	recs, err := readRecords("../../BENCH_baseline.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	counters := 0
+	used := make(map[string]bool)
 	for _, r := range recs {
-		isCounter := harness.IsCounterCell(r.Experiment, r.Variant, r.Cell)
-		encoded := r.Experiment == "netfaults" && r.ElapsedNS == 1e9 && r.OpsPerSec == float64(r.Ops)
-		if isCounter != encoded {
-			t.Errorf("%s/%s/%s: IsCounterCell = %v, companion encoding = %v", r.Experiment, r.Variant, r.Cell, isCounter, encoded)
-		}
-		if isCounter {
-			counters++
+		for name := range r.Quantities {
+			used[name] = true
+			if _, ok := harness.Quantities[name]; !ok {
+				t.Errorf("%s/%s/%s: quantity %q is not in harness.Quantities", r.Experiment, r.Variant, r.Cell, name)
+			}
 		}
 	}
-	if counters != 13 {
-		t.Fatalf("%d counter cells in the baseline, want 13", counters)
+	for name := range harness.Quantities {
+		if !used[name] {
+			t.Errorf("harness.Quantities declares %q, which no baseline record carries", name)
+		}
+	}
+}
+
+// TestRunRejectsInputThatDisablesTheGate: input under which the gate
+// would pass whatever the fresh run holds exits 2 before comparing, and
+// the message names the input.
+func TestRunRejectsInputThatDisablesTheGate(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, recs ...harness.Record) string {
+		t.Helper()
+		data, err := json.Marshal(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	good := rec("fig2", "Bento", "read-seq-1t-4k", 2000, 80000, 0, 0)
+	slow := rec("fig2", "Bento", "read-seq-1t-4k", 2000, 40000, 0, 0)
+	base := write("base.json", good)
+	fresh := write("fresh.json", good)
+	dupFresh := write("dupfresh.json", slow, good)
+	dupBase := write("dupbase.json", good, good)
+	for _, tc := range []struct {
+		name string
+		args []string
+		code int
+		msg  string
+	}{
+		{"clean run", []string{"-baseline", base, "-new", fresh, "-tol", "0"}, 0, ""},
+		{"regression", []string{"-baseline", base, "-new", write("slow.json", slow)}, 1, ""},
+		{"tol NaN", []string{"-baseline", base, "-new", fresh, "-tol", "NaN"}, 2, "-tol NaN"},
+		{"tol infinite", []string{"-baseline", base, "-new", fresh, "-tol", "+Inf"}, 2, "-tol +Inf"},
+		{"tol negative", []string{"-baseline", base, "-new", fresh, "-tol", "-0.01"}, 2, "-tol -0.01"},
+		{"tol one", []string{"-baseline", base, "-new", fresh, "-tol", "1"}, 2, "-tol 1"},
+		{"unknown experiment", []string{"-baseline", base, "-new", fresh, "-experiments", "netfault"}, 2, `"netfault"`},
+		{"filter empties baseline", []string{"-baseline", base, "-new", fresh, "-experiments", "table1"}, 2, `"table1"`},
+		{"duplicate in fresh", []string{"-baseline", base, "-new", dupFresh, "-tol", "0"}, 2, "dupfresh.json: cell fig2/Bento/read-seq-1t-4k recorded twice"},
+		{"duplicate in baseline", []string{"-baseline", dupBase, "-new", fresh}, 2, "dupbase.json: cell fig2/Bento/read-seq-1t-4k recorded twice"},
+	} {
+		var stdout, stderr strings.Builder
+		if code := run(tc.args, &stdout, &stderr); code != tc.code {
+			t.Errorf("%s: exit %d, want %d\nstdout: %s\nstderr: %s", tc.name, code, tc.code, stdout.String(), stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.msg) {
+			t.Errorf("%s: stderr %q does not name %q", tc.name, stderr.String(), tc.msg)
+		}
 	}
 }

@@ -42,6 +42,10 @@ type Result struct {
 	// commits, FUSE round-trips, ...), populated by the harness when the
 	// run is traced with metrics enabled; nil otherwise.
 	Metrics map[string]int64
+
+	// Quantities are the other numbers the cell measured, by a name
+	// harness.Quantities declares; nil for throughput alone.
+	Quantities map[string]int64
 }
 
 // OpsPerSec reports throughput in operations per virtual second.

@@ -28,8 +28,8 @@ const (
 	// ExpUpgrade is the live-upgrade availability scenario (§4.8, this
 	// reproduction's measurement of it): concurrent readers and writers
 	// keep running while the Bento module is hot-swapped mid-window; the
-	// pause, state-transfer cost, and worst per-op latency are reported
-	// as their own benchdiff-gated cells. See upgradePlan.
+	// pause, state-transfer cost, and worst per-op latency are the
+	// cell's benchdiff-gated quantities. See upgradePlan.
 	ExpUpgrade = "upgrade"
 	// ExpNetstore is the multi-backend scenario: the Fig2 4KB read,
 	// streaming read, and varmail cells rerun with every variant mounted
@@ -43,8 +43,9 @@ const (
 	// ExpNetfaults is the network-fault scenario: the netstore cells
 	// rerun under a matrix of deterministic fault conditions — clean,
 	// lossy LAN, lossy WAN, and a mid-run blackout — reporting goodput
-	// (successful ops only) plus retry and degraded-serve counts as
-	// their own benchdiff-gated cells. See netfaultsPlan.
+	// (successful ops only), each cell carrying its retry and
+	// degraded-serve counts as benchdiff-gated quantities. See
+	// netfaultsPlan.
 	ExpNetfaults = "netfaults"
 )
 
@@ -150,11 +151,11 @@ func labels(cells []readThreadCell) []string {
 // readSpec is one read microbenchmark cell.
 func readSpec(exp, v string, o Options, c readThreadCell, ioSize int) CellSpec {
 	return CellSpec{Experiment: exp, Variant: v, Mount: v, Opts: o,
-		Run: func(tg filebench.Target) ([]filebench.Result, error) {
-			return single(filebench.ReadMicro(tg, filebench.MicroConfig{
+		Run: func(tg filebench.Target) (filebench.Result, error) {
+			return filebench.ReadMicro(tg, filebench.MicroConfig{
 				Threads: c.threads, IOSize: ioSize, FileSize: workingSet(o, c.threads),
 				Random: c.random, Duration: o.Duration, MaxOps: o.MaxOps, Seed: 1,
-			}))
+			})
 		}}
 }
 
@@ -218,15 +219,15 @@ func fig4Plan(o Options) *plan {
 		for _, v := range vars {
 			for _, c := range cells {
 				specs = append(specs, CellSpec{Experiment: ExpFig4, Variant: v, Mount: v, Opts: o,
-					Run: func(tg filebench.Target) ([]filebench.Result, error) {
+					Run: func(tg filebench.Target) (filebench.Result, error) {
 						// Sustained writes must reach storage: use a tight
 						// dirty budget so write-back runs continuously, as
 						// it would in the paper's 60-second filebench runs.
 						tg.M.SetDirtyLimit(256)
-						return single(filebench.WriteMicro(tg, filebench.MicroConfig{
+						return filebench.WriteMicro(tg, filebench.MicroConfig{
 							Threads: c.threads, IOSize: size, FileSize: workingSet(o, c.threads),
 							Random: c.random, Duration: o.Duration, MaxOps: o.MaxOps, Seed: 2,
-						}))
+						})
 					}})
 			}
 		}
@@ -244,8 +245,8 @@ func metaPlan(exp, title string, o Options, run func(tg filebench.Target, v stri
 	for _, v := range vars {
 		for _, threads := range []int{1, 32} {
 			specs = append(specs, CellSpec{Experiment: exp, Variant: v, Mount: v, Opts: o,
-				Run: func(tg filebench.Target) ([]filebench.Result, error) {
-					return single(run(tg, v, threads))
+				Run: func(tg filebench.Target) (filebench.Result, error) {
+					return run(tg, v, threads)
 				}})
 		}
 	}
@@ -310,7 +311,7 @@ func table6Plan(o Options) *plan {
 	for _, v := range AllVariants {
 		for _, run := range workloads {
 			specs = append(specs, CellSpec{Experiment: ExpTable6, Variant: v, Mount: v, Opts: o,
-				Run: func(tg filebench.Target) ([]filebench.Result, error) { return single(run(tg)) }})
+				Run: func(tg filebench.Target) (filebench.Result, error) { return run(tg) }})
 		}
 	}
 	return &plan{rows: AllVariants, specs: specs, render: func(data map[string][]filebench.Result) string {
@@ -352,14 +353,14 @@ func streamPlan(o Options) *plan {
 			cell.Mount, cell.Opts.noBypass = VariantBento, true
 		}
 		for _, cfg := range reads {
-			cell.Run = func(tg filebench.Target) ([]filebench.Result, error) {
-				return single(filebench.StreamRead(tg, cfg))
+			cell.Run = func(tg filebench.Target) (filebench.Result, error) {
+				return filebench.StreamRead(tg, cfg)
 			}
 			specs = append(specs, cell)
 		}
-		cell.Run = func(tg filebench.Target) ([]filebench.Result, error) {
+		cell.Run = func(tg filebench.Target) (filebench.Result, error) {
 			tg.M.SetDirtyLimit(512)
-			return single(filebench.StreamWrite(tg, filebench.StreamConfig{Threads: 1, FileSize: fileSize}))
+			return filebench.StreamWrite(tg, filebench.StreamConfig{Threads: 1, FileSize: fileSize})
 		}
 		specs = append(specs, cell)
 	}
@@ -403,29 +404,26 @@ func (p netstorePreset) options(o Options) Options {
 // network storage most differently. tolerateIO and pre are the fault
 // scenario's additions (goodput accounting, arming a blackout once setup
 // is done); the netstore scenario passes false and nil.
-var netWorkloads = []struct {
-	key string
-	run func(tg filebench.Target, o Options, tolerateIO bool, pre func(startNS int64)) (filebench.Result, error)
-}{
-	{"read4k", func(tg filebench.Target, o Options, tolerateIO bool, pre func(int64)) (filebench.Result, error) {
+var netWorkloads = []func(tg filebench.Target, o Options, tolerateIO bool, pre func(startNS int64)) (filebench.Result, error){
+	func(tg filebench.Target, o Options, tolerateIO bool, pre func(int64)) (filebench.Result, error) {
 		return filebench.ReadMicro(tg, filebench.MicroConfig{
 			Threads: 1, IOSize: 4096, FileSize: workingSet(o, 1),
 			Duration: o.Duration, MaxOps: o.MaxOps, Seed: 1,
 			TolerateIO: tolerateIO, PreMeasure: pre,
 		})
-	}},
-	{"stream", func(tg filebench.Target, o Options, tolerateIO bool, pre func(int64)) (filebench.Result, error) {
+	},
+	func(tg filebench.Target, o Options, tolerateIO bool, pre func(int64)) (filebench.Result, error) {
 		return filebench.StreamRead(tg, filebench.StreamConfig{
 			Threads: 1, FileSize: streamFileSize(o),
 			TolerateIO: tolerateIO, PreMeasure: pre,
 		})
-	}},
-	{"varmail", func(tg filebench.Target, o Options, tolerateIO bool, pre func(int64)) (filebench.Result, error) {
+	},
+	func(tg filebench.Target, o Options, tolerateIO bool, pre func(int64)) (filebench.Result, error) {
 		return filebench.Varmail(tg, filebench.MacroConfig{
 			Threads: 16, Files: o.MacroFiles, Duration: o.Duration, MaxOps: o.MaxOps, Seed: 3,
 			TolerateIO: tolerateIO, PreMeasure: pre,
 		})
-	}},
+	},
 }
 
 // netCell formats column c of the netstore/netfaults tables, whose
@@ -463,10 +461,10 @@ func netstorePlan(o Options) *plan {
 			no := p.options(o)
 			for _, wl := range netWorkloads {
 				specs = append(specs, CellSpec{Experiment: ExpNetstore, Variant: v, Mount: v, Opts: no,
-					Run: func(tg filebench.Target) ([]filebench.Result, error) {
-						r, err := wl.run(tg, no, false, nil)
+					Run: func(tg filebench.Target) (filebench.Result, error) {
+						r, err := wl(tg, no, false, nil)
 						r.Name = p.name + "-" + r.Name
-						return single(r, err)
+						return r, err
 					}})
 			}
 		}

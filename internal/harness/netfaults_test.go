@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -58,5 +59,42 @@ func TestNetfaultCondsStoreConfig(t *testing.T) {
 	}
 	if d := Quick().Model; *base.Model != *d {
 		t.Error("deriving a condition's options wrote through to the shared base model")
+	}
+}
+
+// TestNetfaultsQuantitiesMatchCounters runs the netfaults experiment
+// with metrics on and pins what its quantities mean: each record's
+// net_retries and net_degraded are exactly the trace counters of the
+// same name, every cell of a lossy condition retried, and Bento's
+// outage varmail cell served in degraded mode.
+func TestNetfaultsQuantitiesMatchCounters(t *testing.T) {
+	o := Quick()
+	o.Metrics = true
+	_, recs := runExp(t, ExpNetfaults, o)
+	if want := len(netfaultVariants) * len(netfaultConds) * len(netWorkloads); len(recs) != want {
+		t.Fatalf("%d records, want %d", len(recs), want)
+	}
+	outage := false
+	for _, r := range recs {
+		for _, name := range []string{"net_retries", "net_degraded"} {
+			q, ok := r.Quantities[name]
+			if !ok || q != r.Metrics[name] {
+				t.Errorf("%s/%s: quantity %s = %d (present %v), counter = %d", r.Variant, r.Cell, name, q, ok, r.Metrics[name])
+			}
+		}
+		for _, c := range netfaultConds {
+			if c.faults.ErrProb > 0 && strings.HasPrefix(r.Cell, c.name+"-") && r.Quantities["net_retries"] == 0 {
+				t.Errorf("%s/%s: lossy cell never retried", r.Variant, r.Cell)
+			}
+		}
+		if r.Variant == VariantBento && r.Cell == "outage-recovery-varmail-16t" {
+			outage = true
+			if r.Quantities["net_degraded"] == 0 {
+				t.Errorf("%s/%s: no degraded-mode serve during the outage", r.Variant, r.Cell)
+			}
+		}
+	}
+	if !outage {
+		t.Error("no Bento outage-recovery-varmail-16t record")
 	}
 }

@@ -13,6 +13,16 @@ import (
 	"bento/internal/filebench"
 )
 
+// tinyCell is a runner-test cell: a Bento mount on a device and inode
+// table small enough that mkfs and mount cost next to nothing, running
+// the given workload.
+func tinyCell(run func(filebench.Target) (filebench.Result, error)) CellSpec {
+	o := Quick()
+	o.DevBlocks = 2048
+	o.NInodes = 64
+	return CellSpec{Experiment: "t", Variant: "v", Mount: VariantBento, Opts: o, Run: run}
+}
+
 // TestRunCellsPreservesSpecOrder checks the runner's core contract:
 // outputs land in spec order at any parallelism, regardless of
 // completion order.
@@ -20,12 +30,12 @@ func TestRunCellsPreservesSpecOrder(t *testing.T) {
 	const n = 50
 	specs := make([]CellSpec, n)
 	for i := range specs {
-		specs[i] = CellSpec{Experiment: "t", Variant: "v", Run: func(filebench.Target) ([]filebench.Result, error) {
+		specs[i] = tinyCell(func(filebench.Target) (filebench.Result, error) {
 			// Reverse-staggered sleeps force completion order to differ
 			// from spec order under a parallel pool.
 			time.Sleep(time.Duration(n-i) * 10 * time.Microsecond)
-			return []filebench.Result{{Name: fmt.Sprintf("cell%02d", i), Ops: int64(i)}}, nil
-		}}
+			return filebench.Result{Name: fmt.Sprintf("cell%02d", i), Ops: int64(i)}, nil
+		})
 	}
 	for _, parallel := range []int{0, 1, 4, 64} {
 		outs, err := RunCells(specs, parallel)
@@ -36,7 +46,7 @@ func TestRunCellsPreservesSpecOrder(t *testing.T) {
 			t.Fatalf("parallel=%d: %d outputs, want %d", parallel, len(outs), n)
 		}
 		for i, o := range outs {
-			if len(o) != 1 || o[0].Ops != int64(i) || o[0].Name != fmt.Sprintf("cell%02d", i) {
+			if o.Ops != int64(i) || o.Name != fmt.Sprintf("cell%02d", i) {
 				t.Fatalf("parallel=%d: out[%d] = %+v (order not preserved)", parallel, i, o)
 			}
 		}
@@ -51,11 +61,11 @@ func TestRunCellsFirstErrorWinsAndStopsDispatch(t *testing.T) {
 	errB := errors.New("cell 3 failed")
 	var started atomic.Int64
 	cell := func(delay time.Duration, err error) CellSpec {
-		return CellSpec{Experiment: "t", Variant: "v", Run: func(filebench.Target) ([]filebench.Result, error) {
+		return tinyCell(func(filebench.Target) (filebench.Result, error) {
 			started.Add(1)
 			time.Sleep(delay)
-			return nil, err
-		}}
+			return filebench.Result{}, err
+		})
 	}
 	specs := []CellSpec{
 		cell(2*time.Millisecond, errA), // lose the race to cell 3's error

@@ -22,4 +22,31 @@ type Record struct {
 	// and deterministic, but remain informational: no gate compares
 	// them.
 	Metrics map[string]int64 `json:"metrics,omitempty"`
+
+	// Quantities are the cell's other measured numbers by a name
+	// declared in Quantities (the upgrade pause, a netfaults cell's
+	// retry count). Unlike Metrics they are always published and gated.
+	Quantities map[string]int64 `json:"quantities,omitempty"`
+}
+
+// Better is the direction in which a quantity improves: Lower for a
+// cost, TwoSided for a count (fewer retries is not a slowdown), which a
+// gate fails when it moves beyond tolerance either way.
+type Better string
+
+const (
+	Lower    Better = "lower"
+	TwoSided Better = "two-sided"
+)
+
+// Quantities declares every quantity a cell may publish and its better
+// direction. The unit is the name's suffix: _ns is virtual
+// nanoseconds, _bytes is bytes, and a bare name is a count.
+var Quantities = map[string]Better{
+	"pause_ns":     Lower,    // upgrade: quiesce-to-resume pause
+	"xfer_ns":      Lower,    // upgrade: state-transfer phase
+	"xfer_bytes":   TwoSided, // upgrade: serialized state size
+	"maxlat_ns":    Lower,    // upgrade: the window's slowest single op
+	"net_retries":  TwoSided, // netfaults: retries the store issued
+	"net_degraded": TwoSided, // netfaults: serves while the breaker was open
 }

@@ -67,37 +67,29 @@ func StartProfiles(cpuPath, memPath string) (func() error, error) {
 type CellSpec struct {
 	Experiment string // figure/table id ("fig2", "stream")
 	Variant    string // row label ("Bento", "FUSE", "Bento-nobypass", ...)
-	// Mount is the variant NewTarget mounts for the cell under Opts. A
-	// spec with no Mount gets the zero Target: its Run brings its own
-	// results (the netfaults cells, which share memoized runs).
-	Mount string
-	Opts  Options
-	// Run executes the workload and returns the cell's records in
-	// publication order. The first is the measured workload — it carries
-	// the cell's metrics and names its trace file; any others are derived
-	// from the same run (the upgrade scenario's pause/xfer/maxlat).
-	Run func(tg filebench.Target) ([]filebench.Result, error)
+	Mount      string // the variant NewTarget mounts for the cell under Opts
+	Opts       Options
+	// Run executes the workload on the mounted target and returns the
+	// cell's one record; its name names the cell's trace file.
+	Run func(tg filebench.Target) (filebench.Result, error)
 }
 
 // run executes one cell. This is the one place the experiments mount a
 // target: NewTarget, the workload, the experiment/row error prefix, and
 // the cell's observability outputs.
-func (s CellSpec) run() ([]filebench.Result, error) {
-	if s.Mount == "" {
-		return s.Run(filebench.Target{})
-	}
+func (s CellSpec) run() (filebench.Result, error) {
 	tg, err := NewTarget(s.Mount, s.Opts)
 	if err != nil {
-		return nil, fmt.Errorf("%s %s: %w", s.Experiment, s.Variant, err)
+		return filebench.Result{}, fmt.Errorf("%s %s: %w", s.Experiment, s.Variant, err)
 	}
-	rs, err := s.Run(tg)
+	r, err := s.Run(tg)
 	if err != nil {
-		return nil, fmt.Errorf("%s %s: %w", s.Experiment, s.Variant, err)
+		return filebench.Result{}, fmt.Errorf("%s %s: %w", s.Experiment, s.Variant, err)
 	}
-	if err := finishCell(tg, &rs[0], s); err != nil {
-		return nil, err
+	if err := finishCell(tg, &r, s); err != nil {
+		return filebench.Result{}, err
 	}
-	return rs, nil
+	return r, nil
 }
 
 // finishCell attaches the cell's observability outputs to its measured
@@ -120,25 +112,19 @@ func finishCell(tg filebench.Target, r *filebench.Result, s CellSpec) error {
 	return nil
 }
 
-// single wraps a one-record workload's return values as a cell's result
-// list: `return single(filebench.ReadMicro(tg, cfg))`.
-func single(r filebench.Result, err error) ([]filebench.Result, error) {
-	return []filebench.Result{r}, err
-}
-
 // RunCells executes specs on up to parallel host workers (parallel <= 0
-// means runtime.NumCPU()) and returns each spec's result list in spec
+// means runtime.NumCPU()) and returns each spec's result in spec
 // order regardless of completion order. On error the first failing cell
 // in spec order wins (among cells that had started); no new cells are
 // dispatched after a failure.
-func RunCells(specs []CellSpec, parallel int) ([][]filebench.Result, error) {
+func RunCells(specs []CellSpec, parallel int) ([]filebench.Result, error) {
 	if parallel <= 0 {
 		parallel = runtime.NumCPU()
 	}
 	if parallel > len(specs) {
 		parallel = len(specs)
 	}
-	outs := make([][]filebench.Result, len(specs))
+	outs := make([]filebench.Result, len(specs))
 	var (
 		next   atomic.Int64 // index of the next spec to claim
 		failed atomic.Bool  // stop dispatching new cells after any error
@@ -157,7 +143,7 @@ func RunCells(specs []CellSpec, parallel int) ([][]filebench.Result, error) {
 				if i >= len(specs) || failed.Load() {
 					return
 				}
-				rs, err := specs[i].run()
+				r, err := specs[i].run()
 				if err != nil {
 					errMu.Lock()
 					if i < firstIdx {
@@ -167,7 +153,7 @@ func RunCells(specs []CellSpec, parallel int) ([][]filebench.Result, error) {
 					failed.Store(true)
 					return
 				}
-				outs[i] = rs
+				outs[i] = r
 			}
 		}()
 	}
@@ -183,10 +169,10 @@ func RunCells(specs []CellSpec, parallel int) ([][]filebench.Result, error) {
 // within each experiment's historical loop structure, so appending in
 // spec order reproduces exactly the ordering the inline nested loops used
 // to build.
-func groupByVariant(specs []CellSpec, outs [][]filebench.Result) map[string][]filebench.Result {
+func groupByVariant(specs []CellSpec, outs []filebench.Result) map[string][]filebench.Result {
 	data := make(map[string][]filebench.Result)
 	for i, s := range specs {
-		data[s.Variant] = append(data[s.Variant], outs[i]...)
+		data[s.Variant] = append(data[s.Variant], outs[i])
 	}
 	return data
 }
@@ -250,6 +236,7 @@ func RunMatrix(ids []string, o Options) ([]ExperimentResult, error) {
 					MBps:       r.MBps(),
 					Errs:       r.Errs,
 					Metrics:    r.Metrics,
+					Quantities: r.Quantities,
 				})
 			}
 		}

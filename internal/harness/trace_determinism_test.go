@@ -59,7 +59,7 @@ func TestTraceCellDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return readTraceDir(t, o.TraceDir), outs[0][0].Metrics
+		return readTraceDir(t, o.TraceDir), outs[0].Metrics
 	}
 	traces1, metrics1 := run()
 	traces2, metrics2 := run()

@@ -3,7 +3,6 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"bento/internal/core"
 	"bento/internal/filebench"
@@ -13,21 +12,18 @@ import (
 
 // upgradePlan builds the live-upgrade availability experiment: one
 // workload run — concurrent readers and writers on a Bento mount with a
-// mid-window hot swap of the bentoimpl module — reported as four records
-// from one cell so each availability number is individually gated by
-// benchdiff:
+// mid-window hot swap of the bentoimpl module — published as one record,
+// upgrade-mix-2r2w, whose throughput is the workload's across the swap
+// and whose quantities are the availability numbers benchdiff gates:
 //
-//   - upgrade-mix-2r2w: workload throughput across the swap (ops/sec);
-//   - upgrade-pause: the quiesce-to-resume pause (Ops=1, elapsed =
-//     pause), so OpsPerSec is 1e9/pause and a longer pause reads as a
-//     throughput regression;
-//   - upgrade-xfer: the state-transfer phase, same encoding, with Bytes
-//     carrying the serialized state size;
-//   - upgrade-maxlat: the slowest single operation of the window — the
+//   - pause_ns: the quiesce-to-resume pause;
+//   - xfer_ns, xfer_bytes: the state-transfer phase and the serialized
+//     state size;
+//   - maxlat_ns: the slowest single operation of the window — the
 //     latency spike paid by whoever arrives mid-upgrade.
 func upgradePlan(o Options) *plan {
 	v := VariantBento
-	run := func(tg filebench.Target) ([]filebench.Result, error) {
+	run := func(tg filebench.Target) (filebench.Result, error) {
 		shim := tg.M.FS().(*core.BentoFS)
 		// Continuous write-back (as in fig4's sustained-write cells): an
 		// unbounded dirty budget would defer the writers' entire dirty set
@@ -47,43 +43,39 @@ func upgradePlan(o Options) *plan {
 			},
 		})
 		if err != nil {
-			return nil, err
+			return mix, err
 		}
 		stats := shim.LastUpgrade()
 		if stats.Generation == 0 {
-			return nil, errors.New("swap never ran")
+			return mix, errors.New("swap never ran")
 		}
-		derived := func(name string, bytes, ns int64) filebench.Result {
-			return filebench.Result{Name: name, Ops: 1, Bytes: bytes, Elapsed: time.Duration(ns)}
+		mix.Quantities = map[string]int64{
+			"pause_ns": stats.PauseNS, "xfer_ns": stats.TransferNS,
+			"xfer_bytes": stats.TransferBytes, "maxlat_ns": rep.MaxOpNS,
 		}
-		return []filebench.Result{
-			mix,
-			derived("upgrade-pause", 0, stats.PauseNS),
-			derived("upgrade-xfer", stats.TransferBytes, stats.TransferNS),
-			derived("upgrade-maxlat", 0, rep.MaxOpNS),
-		}, nil
+		return mix, nil
 	}
 	specs := []CellSpec{{Experiment: ExpUpgrade, Variant: v, Mount: v, Opts: o, Run: run}}
 	cols := []string{"mix (ops/s)", "pause (µs)", "xfer (µs)", "xfer (B)", "max-op (µs)"}
 	rows := []string{v}
 	return &plan{rows: rows, specs: specs, render: func(data map[string][]filebench.Result) string {
-		us := func(r filebench.Result) string {
-			return fmt.Sprintf("%.1f", float64(r.Elapsed.Nanoseconds())/1e3)
+		mix := data[v][0]
+		us := func(name string) string {
+			return fmt.Sprintf("%.1f", float64(mix.Quantities[name])/1e3)
 		}
-		cells := data[v] // [mix, pause, xfer, maxlat] as run returns them
 		return Table("Live upgrade under load: hot-swap of the Bento module mid-workload", cols, rows,
 			func(_, c int) string {
 				switch c {
 				case 0:
-					return fmt.Sprintf("%.0f", cells[0].OpsPerSec())
+					return fmt.Sprintf("%.0f", mix.OpsPerSec())
 				case 1:
-					return us(cells[1])
+					return us("pause_ns")
 				case 2:
-					return us(cells[2])
+					return us("xfer_ns")
 				case 3:
-					return fmt.Sprintf("%d", cells[2].Bytes)
+					return fmt.Sprintf("%d", mix.Quantities["xfer_bytes"])
 				default:
-					return us(cells[3])
+					return us("maxlat_ns")
 				}
 			})
 	}}

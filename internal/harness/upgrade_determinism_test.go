@@ -8,9 +8,9 @@ import (
 )
 
 // TestUpgradeScenarioDeterministic runs the live-upgrade availability
-// experiment twice and requires identical virtual-time results for all
-// four cells — the workload mix and the derived pause/transfer/max-
-// latency numbers. The hot swap happens mid-window with readers and
+// experiment twice and requires identical virtual-time results for its
+// one record — the workload mix and its pause/transfer/max-latency
+// quantities. The hot swap happens mid-window with readers and
 // writers in flight, so this is the determinism check for the whole
 // quiesce/transfer/resume protocol under load.
 func TestUpgradeScenarioDeterministic(t *testing.T) {
@@ -19,18 +19,18 @@ func TestUpgradeScenarioDeterministic(t *testing.T) {
 	_, second := runExp(t, ExpUpgrade, o)
 	requireEqual(t, first, second)
 
-	cells := first // [mix, pause, xfer, maxlat] as the cell returns them
-	if len(cells) != 4 || cells[0].Variant != VariantBento {
-		t.Fatalf("upgrade records %+v, want Bento's 4 cells", cells)
+	if len(first) != 1 || first[0].Variant != VariantBento {
+		t.Fatalf("upgrade records %+v, want Bento's one cell", first)
 	}
-	if cells[0].Ops == 0 {
+	mix := first[0]
+	if mix.Ops == 0 {
 		t.Fatal("upgrade mix did no work")
 	}
-	pause, maxlat := time.Duration(cells[1].ElapsedNS), time.Duration(cells[3].ElapsedNS)
+	pause, maxlat := time.Duration(mix.Quantities["pause_ns"]), time.Duration(mix.Quantities["maxlat_ns"])
 	if pause <= 0 {
 		t.Fatalf("upgrade pause = %v, want > 0", pause)
 	}
-	if cells[2].Bytes == 0 {
+	if mix.Quantities["xfer_bytes"] == 0 {
 		t.Fatal("upgrade transferred no state")
 	}
 	// A worker arriving just after the swap starts waits out (most of)
@@ -44,8 +44,8 @@ func TestUpgradeScenarioDeterministic(t *testing.T) {
 
 // TestUpgradeParallelismInvariant serializes the upgrade experiment's
 // records at -parallel=1 and -parallel=8 and requires byte-identical
-// JSON — the four records come from one cell, whichever host worker
-// runs it.
+// JSON — the record and its quantities come from one cell, whichever
+// host worker runs it.
 func TestUpgradeParallelismInvariant(t *testing.T) {
 	run := func(parallel int) []byte {
 		t.Helper()

@@ -164,6 +164,11 @@ func (s *Store) ArmOutage(start, end int64) {
 // (tests and tools).
 func (s *Store) BreakerOpen() bool { return s.open }
 
+// FaultCounts reports the retries issued and the requests served in
+// degraded mode (breaker open) over the Store's lifetime: the values of
+// the net_retries and net_degraded trace counters, recorder or not.
+func (s *Store) FaultCounts() (retries, degraded int64) { return s.retries, s.degraded }
+
 // reqKind selects the policy profile of a request.
 type reqKind uint8
 
@@ -306,6 +311,7 @@ func (s *Store) request(now, objID, svc int64, kind reqKind) (int64, error) {
 		if n >= maxA || !s.grantRetry() {
 			return win.done, ErrExhausted
 		}
+		s.retries++
 		s.rec.Add(trace.CtrNetRetries, 1)
 		issue, name = win.done+s.backoff(n), "net-retry"
 	}

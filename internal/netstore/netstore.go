@@ -189,6 +189,10 @@ type Store struct {
 	open          bool
 	halfOpenAt    int64
 	breakerTrack  string
+	// retries and degraded mirror the net_retries and net_degraded
+	// trace counters for a caller without a recorder (FaultCounts).
+	retries  int64
+	degraded int64
 }
 
 // New builds the object-store backend. It panics on a configuration it
@@ -423,6 +427,7 @@ func (s *Store) readObject(now, objID int64) (*object, int64, error) {
 	if o, ok := s.cache.Get(objID); ok {
 		s.rec.Add(trace.CtrNetCacheHits, 1)
 		if s.faulty && s.open {
+			s.degraded++
 			s.rec.Add(trace.CtrNetDegraded, 1)
 		}
 		return o, now, nil
@@ -505,6 +510,7 @@ func (s *Store) stage(now int64, blk int, buf []byte, owned bool) (int64, error)
 		if o.dirty&bit == 0 && s.staged >= s.degradedBound {
 			return done, ErrWriteBound
 		}
+		s.degraded++
 		s.rec.Add(trace.CtrNetDegraded, 1)
 	}
 	// The write replaces the slot's buffer and copies nothing out of the
