@@ -172,7 +172,8 @@ func (c *Checker) CheckLeaks() int {
 type SuperBlock struct {
 	bc      *kernel.BufferCache
 	checker *Checker
-	minted  bool // set only by NewSuperBlock
+	minted  bool         // set only by NewSuperBlock
+	journal *kernel.Task // the journal thread, once JournalTask made it
 }
 
 // NewSuperBlock mints the capability. It is exported because internal/core
@@ -378,6 +379,15 @@ func (sb *SuperBlock) Flush(t *kernel.Task) error {
 		r.Span(t.Name, trace.CatDevice, "flush", start, t.Clk.NowNS())
 	}
 	return nil
+}
+
+// JournalTask implements Disk: the mount's journal thread (jbd2's
+// kthread), on its own clock and trace track.
+func (sb *SuperBlock) JournalTask(t *kernel.Task) *kernel.Task {
+	if sb.journal == nil {
+		sb.journal = t.Kernel().NewTask("journal")
+	}
+	return sb.journal
 }
 
 // BufferCacheStats exposes hit/miss counters.

@@ -90,6 +90,13 @@ type Disk interface {
 	// Flush makes completed writes durable (device FLUSH; at user level,
 	// fsync of the disk file).
 	Flush(t *kernel.Task) error
+	// JournalTask returns the task a journal's background I/O — the
+	// checkpoint after a commit record — runs on. In the kernel it is
+	// the mount's journal thread, created on first use and the same for
+	// every later call and every instance mounted on this disk; at user
+	// level it is t itself, because the daemon's synchronous pwrite
+	// leaves nothing to run beside its caller.
+	JournalTask(t *kernel.Task) *kernel.Task
 }
 
 // BlockLender is the optional by-reference read of a cached block, which

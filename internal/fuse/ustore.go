@@ -365,6 +365,11 @@ func (ud *UserDisk) Flush(t *kernel.Task) error {
 	return nil
 }
 
+// JournalTask implements bentoks.Disk: the calling task. A pwrite
+// completes before it returns, so the daemon's checkpoint can only run
+// on the daemon's own clock, inside the request that committed.
+func (ud *UserDisk) JournalTask(t *kernel.Task) *kernel.Task { return t }
+
 // --- ubuf: bentoks.Buffer ---
 
 // BlockNo implements bentoks.Buffer.

@@ -82,6 +82,13 @@ func (t *Task) WaitIO(name string, completion int64) {
 	t.waitSpan(trace.CatDevice, name, completion)
 }
 
+// WaitJournal is WaitIO for a wait on the journal rather than the
+// device — a commit waiting out the previous commit's checkpoint before
+// it reuses the log — recorded as a journal-category span.
+func (t *Task) WaitJournal(name string, completion int64) {
+	t.waitSpan(trace.CatJournal, name, completion)
+}
+
 // waitSpan records [now, until) under cat/name when until is in the
 // task's future, then advances the clock there. Free when untraced.
 func (t *Task) waitSpan(cat, name string, until int64) {

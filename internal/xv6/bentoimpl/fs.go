@@ -113,7 +113,7 @@ func readSuper(t *kernel.Task, sb bentoks.Disk) (super layout.Superblock, err er
 }
 
 // Destroy implements core.FileSystem.
-func (fs *FS) Destroy(t *kernel.Task) error { return fs.log.ForceCommit(t) }
+func (fs *FS) Destroy(t *kernel.Task) error { return fs.log.drain(t) }
 
 // SyncFS implements core.FileSystem: everything mutated goes through the
 // log, so a forced commit makes the file system durable (plus a FLUSH
@@ -745,10 +745,10 @@ type transferState struct {
 	Commits    int64
 }
 
-// PrepareTransfer implements core.Upgradable: flush, then serialize
-// in-memory state for the replacement instance.
+// PrepareTransfer implements core.Upgradable: flush and drain the log,
+// then serialize in-memory state for the replacement instance.
 func (fs *FS) PrepareTransfer(t *kernel.Task) ([]byte, error) {
-	if err := fs.log.ForceCommit(t); err != nil {
+	if err := fs.log.drain(t); err != nil {
 		return nil, err
 	}
 	st := transferState{

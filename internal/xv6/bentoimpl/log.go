@@ -50,14 +50,15 @@ type Log struct {
 	size   uint32 // log data blocks
 	policy SyncPolicy
 
-	outstanding int
-	reserved    uint32 // blocks reserved by in-flight ops
-	committing  bool
-	blocks      []uint32 // home addresses of logged blocks (the in-memory header)
-	inLog       map[uint32]int
-	commitEnd   int64 // virtual time the last commit finished
-	commits     int64
-	absorbed    int64
+	outstanding   int
+	reserved      uint32 // blocks reserved by in-flight ops
+	committing    bool
+	blocks        []uint32 // home addresses of logged blocks (the in-memory header)
+	inLog         map[uint32]int
+	commitEnd     int64 // virtual time the last commit record completed
+	checkpointEnd int64 // virtual time the last cleared header completed: the log is free
+	commits       int64
+	absorbed      int64
 }
 
 func newLog(fs *FS, sb layout.Superblock, policy SyncPolicy) *Log {
@@ -229,12 +230,30 @@ func (l *Log) ForceCommit(t *kernel.Task) error {
 	return l.EndOp(t, op)
 }
 
+// drain commits what is logged and waits out its checkpoint, so the log
+// is idle: an instance's last act before it is destroyed or hands the
+// disk to its replacement, whose first commit must not reuse the log
+// before this instance's cleared header has completed.
+func (l *Log) drain(t *kernel.Task) error {
+	err := l.ForceCommit(t)
+	t.WaitJournal("checkpoint-wait", l.checkpointEnd)
+	return err
+}
+
 // commit is xv6's four-step commit: copy dirty home blocks into the log
 // region, write the header (the commit point), install the blocks home,
 // and clear the header. The log copy is the disk's BClone, which shares a
 // home block's contents instead of copying them when they are immutable.
+//
+// The commit returns once its header has completed. Steps 3 and 4, the
+// checkpoint, are still issued inside the call, in the same order, so
+// their errors fail the commit; but they run on the disk's journal task,
+// whose clock starts at the header's completion, as jbd2 checkpoints off
+// the committing thread. The next commit waits for the checkpoint before
+// it reuses the log.
 func (l *Log) commit(t *kernel.Task, blocks []uint32) (err error) {
 	sb := l.fs.sb
+	t.WaitJournal("checkpoint-wait", l.checkpointEnd)
 
 	// Step 1: write the log data blocks as one batch: submit every slot,
 	// then wait once for the latest completion, as jbd2 does. The header
@@ -274,18 +293,22 @@ func (l *Log) commit(t *kernel.Task, blocks []uint32) (err error) {
 		}
 	}
 
-	// Step 3: install transactions home (batched submits).
+	// Step 3: install transactions home (batched submits), on the
+	// journal task from here on.
+	jt := sb.JournalTask(t)
+	jt.Clk.AdvanceTo(t.Clk.NowNS())
+	defer func() { l.checkpointEnd = jt.Clk.NowNS() }()
 	last = 0
 	for _, home := range blocks {
-		done, err := l.submitHome(t, home)
+		done, err := l.submitHome(jt, home)
 		if err != nil {
 			return err
 		}
 		last = max(last, done)
 	}
-	t.WaitIO("install", last)
+	jt.WaitIO("install", last)
 	if l.policy == PolicyFlush {
-		if err := sb.Flush(t); err != nil {
+		if err := sb.Flush(jt); err != nil {
 			return err
 		}
 	}
@@ -293,11 +316,11 @@ func (l *Log) commit(t *kernel.Task, blocks []uint32) (err error) {
 	// Step 4: clear the header.
 	lh = layout.LogHeader{}
 	lh.Encode(hdata)
-	if err := hb.WriteSync(t); err != nil {
+	if err := hb.WriteSync(jt); err != nil {
 		return err
 	}
 	if l.policy == PolicyFlush {
-		return sb.Flush(t)
+		return sb.Flush(jt)
 	}
 	return nil
 }

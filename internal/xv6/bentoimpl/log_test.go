@@ -38,10 +38,47 @@ func TestCommitWritesLogAsOneBatch(t *testing.T) {
 	r.RequireBatchedLog(t)
 }
 
+// TestCommitCheckpointsInBackground requires a commit to return at its
+// commit record under both policies, checkpoint after it, and keep the
+// next commit off the log until the clear has completed; an unmount
+// waits for the last checkpoint.
+func TestCommitCheckpointsInBackground(t *testing.T) {
+	for policy, name := range map[bentoimpl.SyncPolicy]string{bentoimpl.PolicyWriteBack: "writeback", bentoimpl.PolicyFlush: "flush"} {
+		t.Run(name, func(t *testing.T) {
+			r := bentoRig(t, costmodel.Default(), policy)
+			if werr, serr := r.WriteFile(4); werr != nil || serr != nil {
+				t.Fatal(werr, serr)
+			}
+			r.RequireCheckpointOrder(t)
+			r.RequireUnmountDrains(t)
+		})
+	}
+}
+
+// TestUpgradeDrainsCheckpoint upgrades right after a commit. The old
+// instance hands over the log only once its checkpoint has completed, so
+// the replacement's first commit writes no log slot before the old
+// instance's cleared record has completed.
+func TestUpgradeDrainsCheckpoint(t *testing.T) {
+	r := bentoRig(t, costmodel.Default(), bentoimpl.PolicyWriteBack)
+	if err := r.M.Mkdir(r.Task, "/d"); err != nil {
+		t.Fatal(err)
+	}
+	shim := r.M.FS().(*core.BentoFS)
+	if err := shim.Upgrade(r.Task, bentoimpl.New(shim.Inner().(*bentoimpl.FS).Config())); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.M.Mkdir(r.Task, "/e"); err != nil {
+		t.Fatal(err)
+	}
+	r.RequireCheckpointOrder(t)
+}
+
 // TestFUSECommitStaysSerial is the guard on the paper's asymmetry: the
 // FUSE daemon runs the same journal, but its disk has no asynchronous
 // submission, so a commit still costs at least one device write per log
-// slot and two more.
+// slot and two more, and the daemon replies only once the commit's
+// cleared record has completed.
 func TestFUSECommitStaysSerial(t *testing.T) {
 	model := costmodel.Default()
 	r := fuseRig(t, model, bentoimpl.PolicyWriteBack)
@@ -57,6 +94,7 @@ func TestFUSECommitStaysSerial(t *testing.T) {
 			t.Errorf("daemon commit of %d blocks took %d ns, want at least %d ns (%d device writes)", c.A, c.Dur, floor, c.A+2)
 		}
 	}
+	r.RequireCheckpointInCommit(t)
 }
 
 // TestCreateReportsFailedCommit requires a create and a mkdir whose

@@ -2,8 +2,11 @@
 // Bento's (bentoimpl) and the C-Kernel's and ext4's (vfsimpl): a traced
 // mount whose device records every write command, and the checks every
 // journal must pass. A commit writes its log slots as one batch and
-// submits its commit record only after the last slot completes; a
-// commit whose log write fails leaves no trace on the device.
+// submits its commit record only after the last slot completes; it
+// returns at its commit record and checkpoints (installs, then clears
+// the record) in the background, and the next commit reuses the log
+// only once the clear has completed; a commit whose log write fails
+// leaves no trace on the device.
 package journaltest
 
 import (
@@ -127,6 +130,51 @@ func (r *Rig) LastSlot(t testing.TB) int {
 	return int(r.SB.LogStart) + int(big[0].A)
 }
 
+// commitIO is one commit's write commands in submission order: its log
+// slots, its commit record, its installs and its cleared record.
+type commitIO struct {
+	slots    []writeCmd
+	record   writeCmd
+	installs []writeCmd
+	clear    writeCmd
+}
+
+// commitIOs splits the recorded writes into commits. A header write with
+// no log slot before it is a mount's recovery clearing the log, and a
+// write outside the log before a commit record is unjournaled data:
+// neither belongs to a commit. A commit whose record or clear was never
+// written is left out.
+func (r *Rig) commitIOs() []commitIO {
+	logStart := int(r.SB.LogStart)
+	var out []commitIO
+	var c commitIO
+	recorded := false
+	for _, w := range r.rec.writes {
+		switch {
+		case recorded && w.blk == logStart:
+			c.clear = w
+			out = append(out, c)
+			c, recorded = commitIO{}, false
+		case recorded:
+			c.installs = append(c.installs, w)
+		case w.blk == logStart && len(c.slots) > 0:
+			c.record, recorded = w, true
+		case w.blk > logStart && w.blk <= logStart+int(r.SB.NLog):
+			c.slots = append(c.slots, w)
+		}
+	}
+	return out
+}
+
+// latest is the last completion of cmds.
+func latest(cmds []writeCmd) int64 {
+	var done int64
+	for _, w := range cmds {
+		done = max(done, w.done)
+	}
+	return done
+}
+
 // RequireBatchedLog checks the rig's commits so far. Each commit of four
 // or more blocks must take less than N+2 device writes from start to end
 // (log, commit record, install, cleared record), where one synchronous
@@ -144,34 +192,93 @@ func (r *Rig) RequireBatchedLog(t testing.TB) {
 			t.Errorf("commit of %d blocks took %d ns, want under %d ns (%d device writes)", c.A, c.Dur, limit, c.A+2)
 		}
 	}
-	logStart := int(r.SB.LogStart)
-	var slots []writeCmd
-	records := 0
-	for _, w := range r.rec.writes {
-		switch {
-		case w.blk == logStart:
-			if len(slots) == 0 {
-				continue // the cleared record
-			}
-			records++
-			var latest int64
-			for _, s := range slots {
-				latest = max(latest, s.done)
-			}
-			if w.at < latest {
-				t.Errorf("commit record submitted at %d ns, before its last log slot completed at %d ns", w.at, latest)
-			}
-			if n := len(slots); n >= 4 && slots[n-1].at >= slots[0].done {
-				t.Errorf("log slot %d of %d submitted at %d ns, after slot 1 completed at %d ns: the slots were written one at a time",
-					n, n, slots[n-1].at, slots[0].done)
-			}
-			slots = slots[:0]
-		case w.blk > logStart && w.blk <= logStart+int(r.SB.NLog):
-			slots = append(slots, w)
+	ios := r.commitIOs()
+	if len(ios) == 0 {
+		t.Fatal("no commit record written")
+	}
+	for _, c := range ios {
+		if slotsDone := latest(c.slots); c.record.at < slotsDone {
+			t.Errorf("commit record submitted at %d ns, before its last log slot completed at %d ns", c.record.at, slotsDone)
+		}
+		if n := len(c.slots); n >= 4 && c.slots[n-1].at >= c.slots[0].done {
+			t.Errorf("log slot %d of %d submitted at %d ns, after slot 1 completed at %d ns: the slots were written one at a time",
+				n, n, c.slots[n-1].at, c.slots[0].done)
 		}
 	}
-	if records == 0 {
-		t.Fatal("no commit record written")
+}
+
+// tracedCommits pairs each traced commit span with the commit's write
+// commands; the i-th span is the i-th commit written.
+func (r *Rig) tracedCommits(t testing.TB) ([]trace.Event, []commitIO) {
+	t.Helper()
+	spans, ios := r.Commits(1), r.commitIOs()
+	if len(ios) == 0 {
+		t.Fatal("no commit written")
+	}
+	if len(spans) != len(ios) {
+		t.Fatalf("%d commit spans traced for %d commits written", len(spans), len(ios))
+	}
+	return spans, ios
+}
+
+// RequireCheckpointOrder checks that every commit so far checkpointed
+// in the background, in order. The committing operation returns once its
+// commit record has completed, before its installs have. Its installs are
+// submitted no earlier than the record's completion, and its cleared
+// record no earlier than the last install's completion. The next commit
+// submits its first log slot no earlier than that clear's completion,
+// because only then may it reuse the log.
+func (r *Rig) RequireCheckpointOrder(t testing.TB) {
+	t.Helper()
+	spans, ios := r.tracedCommits(t)
+	for i, c := range ios {
+		end, installed := spans[i].Start+spans[i].Dur, latest(c.installs)
+		if end < c.record.done || end >= installed {
+			t.Errorf("commit %d returned at %d ns, want at or after its record completed (%d ns) and before its install did (%d ns)",
+				i, end, c.record.done, installed)
+		}
+		for _, w := range c.installs {
+			if w.at < c.record.done {
+				t.Errorf("commit %d installed block %d at %d ns, before its record completed at %d ns", i, w.blk, w.at, c.record.done)
+			}
+		}
+		if c.clear.at < installed {
+			t.Errorf("commit %d cleared its record at %d ns, before its install completed at %d ns", i, c.clear.at, installed)
+		}
+		if i > 0 && c.slots[0].at < ios[i-1].clear.done {
+			t.Errorf("commit %d wrote its first log slot at %d ns, before commit %d's clear completed at %d ns",
+				i, c.slots[0].at, i-1, ios[i-1].clear.done)
+		}
+	}
+}
+
+// RequireCheckpointInCommit checks that every commit so far returned
+// only once its cleared record had completed: a journal whose disk has
+// no asynchronous submission checkpoints on the committing task.
+func (r *Rig) RequireCheckpointInCommit(t testing.TB) {
+	t.Helper()
+	spans, ios := r.tracedCommits(t)
+	for i, c := range ios {
+		if end := spans[i].Start + spans[i].Dur; end < c.clear.done {
+			t.Errorf("commit %d returned at %d ns, before its clear completed at %d ns", i, end, c.clear.done)
+		}
+	}
+}
+
+// RequireUnmountDrains unmounts the rig and requires the unmount to
+// return no earlier than the last clear's completion: a torn-down
+// instance leaves no checkpoint running.
+func (r *Rig) RequireUnmountDrains(t testing.TB) {
+	t.Helper()
+	ios := r.commitIOs()
+	if len(ios) == 0 {
+		t.Fatal("no commit written")
+	}
+	if err := r.K.Unmount(r.Task, "/mnt"); err != nil {
+		t.Fatal(err)
+	}
+	if now, cleared := r.Task.Clk.NowNS(), ios[len(ios)-1].clear.done; now < cleared {
+		t.Errorf("Unmount returned at %d ns, before the last clear completed at %d ns", now, cleared)
 	}
 }
 

@@ -264,8 +264,14 @@ func (fs *FS) writeLog(t *kernel.Task, blocks []uint32) error {
 }
 
 // writeCommit writes blocks to the log, the commit record, the blocks
-// home, and the cleared record, with the journal's barriers between.
+// home, and the cleared record, with the journal's barriers between. It
+// returns once the commit record (and its barrier) has completed: the
+// checkpoint — the install and the cleared record — is issued inside the
+// call, in the same order, but on the journal thread, whose clock starts
+// there, as jbd2 checkpoints off the committing thread. The next commit
+// waits for the checkpoint before it reuses the log.
 func (fs *FS) writeCommit(t *kernel.Task, blocks []uint32) error {
+	t.WaitJournal("checkpoint-wait", fs.checkpointEnd)
 	if err := fs.writeLog(t, blocks); err != nil {
 		return err
 	}
@@ -280,31 +286,34 @@ func (fs *FS) writeCommit(t *kernel.Task, blocks []uint32) error {
 	if err := fs.log.barrier(fs, t, 0); err != nil {
 		return released(err, hb)
 	}
+	jt := fs.jthread
+	jt.Clk.AdvanceTo(t.Clk.NowNS())
+	defer func() { fs.checkpointEnd = jt.Clk.NowNS() }()
 	var last int64
 	for _, home := range blocks {
-		src, err := fs.bc.Get(t, int(home))
+		src, err := fs.bc.Get(jt, int(home))
 		if err != nil {
 			return released(err, hb)
 		}
-		done, err := src.SubmitWrite(t)
+		done, err := src.SubmitWrite(jt)
 		if err != nil {
 			return released(err, src, hb)
 		}
 		last = max(last, done)
 		_ = src.Release()
 	}
-	t.WaitIO("install", last)
-	if err := fs.log.barrier(fs, t, 1); err != nil {
+	jt.WaitIO("install", last)
+	if err := fs.log.barrier(fs, jt, 1); err != nil {
 		return released(err, hb)
 	}
 	encodeHeader(hb.Data(), nil, fs.logCap)
-	if err := hb.WriteSync(t); err != nil {
+	if err := hb.WriteSync(jt); err != nil {
 		return released(err, hb)
 	}
 	if err := hb.Release(); err != nil {
 		return err
 	}
-	return fs.log.barrier(fs, t, 2)
+	return fs.log.barrier(fs, jt, 2)
 }
 
 // released drops the references a failed step still holds and returns

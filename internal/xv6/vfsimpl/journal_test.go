@@ -43,6 +43,34 @@ func TestCommitWritesLogAsOneBatch(t *testing.T) {
 	}
 }
 
+// TestCommitCheckpointsInBackground requires both journals, with and
+// without barriers, to return from a commit at its commit record,
+// checkpoint after it, and keep the next commit off the log until the
+// clear has completed; an unmount waits for the last checkpoint.
+func TestCommitCheckpointsInBackground(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		fsType kernel.FileSystemType
+	}{
+		{"xv6vfs", vfsimpl.Type{}},
+		{"xv6vfs-barriers", vfsimpl.Type{Cfg: vfsimpl.Config{FlushCommits: true}}},
+		{"ext4-nobarriers", ext4.Type{Cfg: ext4.Config{NoBarriers: true}}},
+		{"ext4", ext4.Type{}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := rig(t, costmodel.Default(), c.fsType)
+			if err := r.M.Mkdir(r.Task, "/d"); err != nil {
+				t.Fatal(err)
+			}
+			if werr, serr := r.WriteFile(4); werr != nil || serr != nil {
+				t.Fatal(werr, serr)
+			}
+			r.RequireCheckpointOrder(t)
+			r.RequireUnmountDrains(t)
+		})
+	}
+}
+
 // TestCreateReportsFailedCommit requires a C-Kernel create whose commit
 // fails to return the error: its mutations never became durable, so it
 // must not report success.

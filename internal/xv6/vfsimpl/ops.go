@@ -600,13 +600,14 @@ func (fs *FS) StatFS(t *kernel.Task) (fsapi.FSStat, error) {
 	}, nil
 }
 
-// Unmount implements kernel.FileSystem: a final sync, then the leak
-// check BentoFS.Unmount runs through its ownership checker, made here
-// by counting the buffers still referenced.
+// Unmount implements kernel.FileSystem: a final sync and the wait for
+// its checkpoint, then the leak check BentoFS.Unmount runs through its
+// ownership checker, made here by counting the buffers still referenced.
 func (fs *FS) Unmount(t *kernel.Task) error {
 	if err := fs.log.sync(fs, t); err != nil {
 		return err
 	}
+	t.WaitJournal("checkpoint-wait", fs.checkpointEnd)
 	if n := fs.bc.Held(); n > 0 {
 		return fmt.Errorf("%s: %d buffer(s) still referenced at unmount: %w", fs.name, n, fsapi.ErrInvalid)
 	}

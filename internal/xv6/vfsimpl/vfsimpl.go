@@ -117,6 +117,7 @@ func New(t *kernel.Task, dev *blockdev.Device, super layout.Superblock, m Mechan
 		blockRotor: super.DataStart,
 		inodeRotor: 2,
 		inodes:     make(map[uint32]*inode),
+		jthread:    t.Kernel().NewTask("journal"),
 	}
 	if err := fs.recover(t); err != nil {
 		return nil, err
@@ -164,14 +165,16 @@ type FS struct {
 
 	// journal state (xv6's struct log). No locks anywhere in FS: one task
 	// runs at a time (see the kernel package comment).
-	log         Journal
-	logCap      uint32
-	outstanding int // open operations
-	committing  bool
-	logBlocks   []uint32 // blocks joined to the running transaction
-	inLog       map[uint32]bool
-	commitEnd   int64 // virtual completion of the last commit
-	commits     int64
+	log           Journal
+	logCap        uint32
+	outstanding   int // open operations
+	committing    bool
+	logBlocks     []uint32 // blocks joined to the running transaction
+	inLog         map[uint32]bool
+	commitEnd     int64        // virtual completion of the last commit record
+	checkpointEnd int64        // virtual completion of the last cleared record: the log is free
+	jthread       *kernel.Task // the journal thread the checkpoint runs on
+	commits       int64
 
 	// allocation rotors.
 	blockRotor uint32
