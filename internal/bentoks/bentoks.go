@@ -358,14 +358,6 @@ func (sb *SuperBlock) DropCleanBuffers() int { return sb.bc.DropClean() }
 // (residency assertions); file systems must not use it for I/O.
 func (sb *SuperBlock) BufferCache() *kernel.BufferCache { return sb.bc }
 
-// SyncDirtyBuffers writes all dirty buffers to the device as one batch.
-func (sb *SuperBlock) SyncDirtyBuffers(t *kernel.Task) error {
-	if err := sb.check(); err != nil {
-		return err
-	}
-	return sb.bc.SyncDirty(t)
-}
-
 // Flush issues a device FLUSH (write barrier + durability).
 func (sb *SuperBlock) Flush(t *kernel.Task) error {
 	if err := sb.check(); err != nil {
@@ -394,7 +386,10 @@ func (sb *SuperBlock) JournalTask(t *kernel.Task) *kernel.Task {
 func (sb *SuperBlock) BufferCacheStats() kernel.BufferCacheStats { return sb.bc.Stats() }
 
 // Ensure the capability satisfies the service interface.
-var _ Disk = (*SuperBlock)(nil)
+var (
+	_ Disk       = (*SuperBlock)(nil)
+	_ DirectDisk = (*SuperBlock)(nil)
+)
 
 // BufferHead is the safe wrapper around a kernel buffer (paper §4.7). Its
 // Data accessor returns an error after Release — the runtime rendering of

@@ -278,16 +278,18 @@ func TestReacquireReportedWithoutBlocking(t *testing.T) {
 	}
 }
 
+// TestSyncDirtyBuffersAndFlush: a dirty buffer written back, then a
+// Flush, survives a crash that keeps nothing unflushed.
 func TestSyncDirtyBuffersAndFlush(t *testing.T) {
 	sb, task := setup(t)
 	bh, _ := sb.BReadNoFill(task, 10)
 	data, _ := bh.Data()
 	data[0] = 0x7E
 	_ = bh.MarkDirty()
-	_ = bh.Release()
-	if err := sb.SyncDirtyBuffers(task); err != nil {
+	if err := bh.WriteSync(task); err != nil {
 		t.Fatal(err)
 	}
+	_ = bh.Release()
 	if err := sb.Flush(task); err != nil {
 		t.Fatal(err)
 	}

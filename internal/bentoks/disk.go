@@ -5,8 +5,9 @@ import "bento/internal/kernel"
 // Buffer is the borrowed-block abstraction file systems program against.
 // In the kernel it is the checked BufferHead wrapper; at user level
 // (§4.9) it is a userspace buffer backed by O_DIRECT file I/O. File
-// systems written against this interface run unmodified in both worlds —
-// the paper's debugging/code-reuse architecture.
+// systems written against this interface run unmodified in both worlds,
+// with the bypass off at user level — the paper's debugging/code-reuse
+// architecture.
 type Buffer interface {
 	// BlockNo reports the cached block number.
 	BlockNo() int
@@ -63,6 +64,25 @@ type Disk interface {
 	// wrapper; the borrow cannot be leaked or used after release because
 	// it never escapes the call.
 	ReadBlockRange(t *kernel.Task, blk, off int, dst []byte) error
+	// Flush makes completed writes durable (device FLUSH; at user level,
+	// fsync of the disk file).
+	Flush(t *kernel.Task) error
+	// JournalTask returns the task a journal's background I/O — the
+	// checkpoint after a commit record — runs on. In the kernel it is
+	// the mount's journal thread, created on first use and the same for
+	// every later call and every instance mounted on this disk; at user
+	// level it is t itself, because the daemon's synchronous pwrite
+	// leaves nothing to run beside its caller.
+	JournalTask(t *kernel.Task) *kernel.Task
+}
+
+// DirectDisk is the optional single-copy data path — file contents moved
+// between the device and the pages above without entering any block
+// cache — which only the kernel SuperBlock offers: a userspace file
+// system cannot DMA into kernel pages, so the disk under FUSE does not
+// have it. A file system that routes data around its disk's cache asks
+// for it once, at Init, and refuses to mount without it.
+type DirectDisk interface {
 	// BReadDirect reads blk straight into buf (one block) without
 	// populating any block cache — the single-copy data path. File
 	// systems use it for file contents so data lives only in the page
@@ -77,26 +97,12 @@ type Disk interface {
 	// BWriteDirect submits a write of buf to blk without populating any
 	// block cache and returns the command's completion time; callers
 	// batch submits and wait once, like the buffered SubmitWrite path.
-	// At user level the write is synchronous (O_DIRECT pwrite) and the
-	// returned completion is simply "now".
 	BWriteDirect(t *kernel.Task, blk int, buf []byte) (completion int64, err error)
 	// BWriteOwned is BWriteDirect without the copy: the disk may keep
 	// buf (one block) as the block's contents, so the caller gives it up
 	// for writing — it must never write buf again, whatever the call
 	// returns — at exactly BWriteDirect's virtual-time cost.
 	BWriteOwned(t *kernel.Task, blk int, buf []byte) (completion int64, err error)
-	// SyncDirtyBuffers writes all dirty cached buffers.
-	SyncDirtyBuffers(t *kernel.Task) error
-	// Flush makes completed writes durable (device FLUSH; at user level,
-	// fsync of the disk file).
-	Flush(t *kernel.Task) error
-	// JournalTask returns the task a journal's background I/O — the
-	// checkpoint after a commit record — runs on. In the kernel it is
-	// the mount's journal thread, created on first use and the same for
-	// every later call and every instance mounted on this disk; at user
-	// level it is t itself, because the daemon's synchronous pwrite
-	// leaves nothing to run beside its caller.
-	JournalTask(t *kernel.Task) *kernel.Task
 }
 
 // BlockLender is the optional by-reference read of a cached block, which

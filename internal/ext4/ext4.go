@@ -47,8 +47,7 @@ const cacheBlocks = 8192
 
 // Type registers ext4 with the kernel.
 type Type struct {
-	TypeName string
-	Cfg      Config
+	Cfg Config
 }
 
 // Config parameterizes the file system.
@@ -67,12 +66,7 @@ type Config struct {
 }
 
 // Name implements kernel.FileSystemType.
-func (tt Type) Name() string {
-	if tt.TypeName == "" {
-		return "ext4"
-	}
-	return tt.TypeName
-}
+func (Type) Name() string { return "ext4" }
 
 // Mkfs formats dev with an ext4 file system (root directory only).
 func Mkfs(t *kernel.Task, dev *blockdev.Device, ninodes uint32) error {

@@ -14,14 +14,14 @@ import (
 // blockFS is the smallest hosted file system that exercises the whole
 // transport and the UserDisk under it, and nothing else: inode n is the
 // run of blockFSFileBlocks device blocks starting at n*blockFSFileBlocks.
-// Reads go through the user-level cache, writes around it (the two paths
-// the xv6 file system uses for metadata and for bypassed data). It
+// Reads go through the user-level cache, writes around it, one
+// synchronous pwrite of the disk file per block. It
 // allocates nothing itself, so what the tests and benchmarks below
 // measure is internal/fuse. Methods it does not define panic through
 // the nil embedded interface.
 type blockFS struct {
 	core.FileSystem
-	disk bentoks.Disk
+	disk *UserDisk
 }
 
 const (
@@ -30,7 +30,7 @@ const (
 )
 
 func (fs *blockFS) Init(_ *kernel.Task, disk bentoks.Disk) error {
-	fs.disk = disk
+	fs.disk = disk.(*UserDisk)
 	return nil
 }
 
@@ -52,7 +52,7 @@ func (fs *blockFS) Read(t *kernel.Task, ino fsapi.Ino, off int64, buf []byte) (i
 func (fs *blockFS) Write(t *kernel.Task, ino fsapi.Ino, off int64, data []byte) (int, error) {
 	blk := int(ino)*blockFSFileBlocks + int(off/blockSize)
 	for done := 0; done < len(data); done += blockSize {
-		if _, err := fs.disk.BWriteDirect(t, blk, data[done:done+blockSize]); err != nil {
+		if err := fs.disk.pwrite(t, blk, data[done:done+blockSize], false); err != nil {
 			return done, err
 		}
 		blk++
@@ -61,16 +61,15 @@ func (fs *blockFS) Write(t *kernel.Task, ino fsapi.Ino, off int64, data []byte) 
 }
 
 // refBlockFS is blockFS with the by-reference twins of its two data
-// paths: the page-vector write hands each page to the disk file
-// (BWriteOwned where Write copies with BWriteDirect), and a whole page is
-// lent from the user-level cache (BReadView where Read copies with
-// ReadBlockRange).
+// paths: the page-vector write hands each page to the disk file (an owned
+// pwrite where Write's pwrite copies), and a whole page is lent from the
+// user-level cache (BReadView where Read copies with ReadBlockRange).
 type refBlockFS struct{ blockFS }
 
 func (fs *refBlockFS) WritePages(t *kernel.Task, ino fsapi.Ino, off int64, pages [][]byte, total int64) (int, error) {
 	blk := int(ino)*blockFSFileBlocks + int(off/blockSize)
 	for done := int64(0); done < total; done += blockSize {
-		if _, err := fs.disk.BWriteOwned(t, blk, pages[done/blockSize]); err != nil {
+		if err := fs.disk.pwrite(t, blk, pages[done/blockSize], true); err != nil {
 			return int(done), err
 		}
 		blk++
@@ -81,7 +80,7 @@ func (fs *refBlockFS) WritePages(t *kernel.Task, ino fsapi.Ino, off int64, pages
 func (fs *refBlockFS) CanLendPage(fsapi.Ino, int64) bool { return true }
 
 func (fs *refBlockFS) LendPage(t *kernel.Task, ino fsapi.Ino, pg int64) ([]byte, error) {
-	return fs.disk.(bentoks.BlockLender).BReadView(t, int(ino)*blockFSFileBlocks+int(pg))
+	return fs.disk.BReadView(t, int(ino)*blockFSFileBlocks+int(pg))
 }
 
 // newBlockFSDriver mounts blockFS, or refBlockFS when byRef is set, with a

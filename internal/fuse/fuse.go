@@ -19,7 +19,6 @@ const maxWritePages = 32
 // Factory — in the experiments, the same xv6 implementation the Bento
 // variant uses, initialized with the userspace disk.
 type Type struct {
-	TypeName string
 	// Factory builds the userspace file system hosted by the daemon.
 	Factory func() core.FileSystem
 	// DiskCacheBlocks sizes the daemon's user-level buffer cache.
@@ -27,12 +26,7 @@ type Type struct {
 }
 
 // Name implements kernel.FileSystemType.
-func (tt Type) Name() string {
-	if tt.TypeName == "" {
-		return "fuse"
-	}
-	return tt.TypeName
-}
+func (Type) Name() string { return "fuse" }
 
 // Mount implements kernel.FileSystemType: start the daemon (opening the
 // disk file O_DIRECT) and attach the kernel driver to it.

@@ -52,7 +52,8 @@
 //     earlier, larger request.
 //  4. UserDisk is daemon-private: every call runs inside a round trip,
 //     or at mount before the Driver exists. That is what makes recycling
-//     an evicted block safe against BReadDirect's unpinned Peek.
+//     an evicted block safe: no other call is in flight, the victim is
+//     unpinned, and nothing the disk lends is a block's private buffer.
 package fuse
 
 import (

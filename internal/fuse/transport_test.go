@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"bento/internal/bentoks"
 	"bento/internal/blockdev"
 	"bento/internal/core"
 	"bento/internal/costmodel"
@@ -53,14 +54,23 @@ func page(b byte) []byte { return bytes.Repeat([]byte{b}, fsapi.PageSize) }
 func TestMountValidation(t *testing.T) {
 	model := costmodel.Fast()
 	factory := func() core.FileSystem { return bentoimpl.New(bentoimpl.Config{}) }
+	// The daemon's disk has no direct path — a userspace file system
+	// cannot DMA into kernel pages — so the xv6 file system refuses to
+	// mount on it with DataBypass.
+	if _, ok := any((*UserDisk)(nil)).(bentoks.DirectDisk); ok {
+		t.Fatal("UserDisk implements bentoks.DirectDisk")
+	}
+	bypass := func() core.FileSystem {
+		return bentoimpl.New(bentoimpl.Config{Policy: bentoimpl.PolicyFlush, DataBypass: true})
+	}
 	for _, tc := range []struct {
 		name string
 		tt   Type
 		want string // substring of the error; "" means the mount succeeds
 	}{
 		{"nil factory", Type{}, "nil Factory"},
-		{"nil factory, named", Type{TypeName: "xv6fuse"}, `"xv6fuse"`},
 		{"negative cache", Type{Factory: factory, DiskCacheBlocks: -1}, "negative DiskCacheBlocks -1"},
+		{"data bypass", Type{Factory: bypass}, "DataBypass on a disk without a direct path"},
 		{"default cache", Type{Factory: factory}, ""},
 		{"sized cache", Type{Factory: factory, DiskCacheBlocks: 64}, ""},
 	} {

@@ -24,7 +24,11 @@ import (
 // round trip, or at mount before the Driver exists. A miss on a full
 // cache therefore recycles the clean, unpinned block the LRU just
 // evicted instead of allocating a new one — nobody can still be looking
-// at it, not even BReadDirect's unpinned Peek.
+// at it, since what the disk lends is never a block's private buffer.
+//
+// It has no direct path (it is no bentoks.DirectDisk): a userspace file
+// system cannot DMA into kernel pages, so the daemon's file data goes
+// through this cache and the journal.
 type UserDisk struct {
 	dev *blockdev.Device
 
@@ -48,8 +52,8 @@ func NewUserDisk(dev *blockdev.Device, cacheBlocks int) *UserDisk {
 // set: the device's own buffer, borrowed on a miss
 // (blockdev.Device.Borrow); a page a whole-block write gave up (BAdopt);
 // or another block's immutable view (BClone, the journal's log copy).
-// Readers inside this file use a view as it is, lend it on (BReadView,
-// BBorrowDirect) and write it back by reference (Device.SubmitOwned);
+// Readers inside this file use a view as it is, lend it on (BReadView)
+// and write it back by reference (Device.SubmitOwned);
 // Data and Slice, whose callers may write through what they get, first
 // replace it with a copy in own. A view is never written and never
 // becomes own, and own is never lent or handed to the device.
@@ -233,87 +237,6 @@ func (ud *UserDisk) ReadBlockRange(t *kernel.Task, blk, off int, dst []byte) err
 	return b.Release()
 }
 
-// BReadDirect implements bentoks.Disk: a pread(2) of the disk file
-// straight into the caller's buffer, skipping the user-level cache. A
-// resident cached copy is served instead of re-reading — at user level
-// the "cache" and the "device" are the same disk file, and the cached
-// copy may carry dirty bytes the file does not have yet.
-func (ud *UserDisk) BReadDirect(t *kernel.Task, blk int, buf []byte) error {
-	_, err := ud.preadDirect(t, blk, buf, false)
-	return err
-}
-
-// BBorrowDirect implements bentoks.Disk: BReadDirect returning the disk
-// file's own buffer. A resident cached copy that is itself a borrowed view
-// is lent on; a private one belongs to the hosted file system, which may
-// still write it, so the caller gets a copy of it.
-func (ud *UserDisk) BBorrowDirect(t *kernel.Task, blk int) ([]byte, error) {
-	return ud.preadDirect(t, blk, nil, true)
-}
-
-func (ud *UserDisk) preadDirect(t *kernel.Task, blk int, buf []byte, borrow bool) (view []byte, err error) {
-	if blk < 0 || blk >= ud.dev.Blocks() {
-		return nil, fmt.Errorf("userdisk: direct read of block %d: %w", blk, fsapi.ErrInvalid)
-	}
-	size := len(buf)
-	if borrow {
-		size = ud.dev.BlockSize()
-	}
-	if b, ok := ud.cache.Peek(int64(blk)); ok {
-		t.Charge(t.Model().Copy(size))
-		switch {
-		case !borrow:
-			copy(buf, b.data)
-		case b.lent:
-			view = b.data
-		default:
-			view = append([]byte(nil), b.data...)
-		}
-		return view, nil
-	}
-	t.Charge(t.Model().UserBlockSyscall)
-	t.Charge(t.Model().Copy(size))
-	t.Rec().Add(trace.CtrDirectReads, 1)
-	start := t.Clk.NowNS()
-	if borrow {
-		view, err = ud.dev.Borrow(t.Clk, blk)
-	} else {
-		err = ud.dev.Read(t.Clk, blk, buf)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if r := t.Rec(); r != nil {
-		r.Span(t.Name, trace.CatDevice, "pread", start, t.Clk.NowNS())
-	}
-	return view, nil
-}
-
-// BWriteDirect implements bentoks.Disk: a synchronous pwrite(2) — from
-// userspace there is no asynchronous submission, so the completion time
-// is simply the clock after the write. A stale cached copy is dropped.
-func (ud *UserDisk) BWriteDirect(t *kernel.Task, blk int, buf []byte) (int64, error) {
-	return ud.pwriteDirect(t, blk, buf, false)
-}
-
-// BWriteOwned implements bentoks.Disk: BWriteDirect with the disk file
-// keeping buf.
-func (ud *UserDisk) BWriteOwned(t *kernel.Task, blk int, buf []byte) (int64, error) {
-	return ud.pwriteDirect(t, blk, buf, true)
-}
-
-func (ud *UserDisk) pwriteDirect(t *kernel.Task, blk int, buf []byte, owned bool) (int64, error) {
-	if blk < 0 || blk >= ud.dev.Blocks() {
-		return 0, fmt.Errorf("userdisk: direct write of block %d: %w", blk, fsapi.ErrInvalid)
-	}
-	ud.cache.Drop(int64(blk))
-	t.Rec().Add(trace.CtrDirectWrites, 1)
-	if err := ud.pwrite(t, blk, buf, owned); err != nil {
-		return 0, err
-	}
-	return t.Clk.NowNS(), nil
-}
-
 // pwrite is one synchronous pwrite(2) of the disk file. With owned set
 // the device keeps buf, which nobody writes again (Device.Write by
 // reference); otherwise it copies.
@@ -334,18 +257,6 @@ func (ud *UserDisk) pwrite(t *kernel.Task, blk int, buf []byte, owned bool) erro
 	}
 	if r := t.Rec(); r != nil {
 		r.Span(t.Name, trace.CatDevice, "pwrite", start, t.Clk.NowNS())
-	}
-	return nil
-}
-
-// SyncDirtyBuffers implements bentoks.Disk: pwrite each dirty block
-// synchronously (O_DIRECT writes cannot be queued from userspace). Only
-// the dirty set is visited, in block order.
-func (ud *UserDisk) SyncDirtyBuffers(t *kernel.Task) error {
-	for _, b := range ud.cache.DirtyEntries() {
-		if err := b.WriteSync(t); err != nil {
-			return err
-		}
 	}
 	return nil
 }

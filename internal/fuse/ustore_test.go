@@ -59,38 +59,6 @@ func TestUserDiskExactLRU(t *testing.T) {
 	}
 }
 
-// TestUserDiskSyncDirtyBuffers checks only the dirty set is written.
-func TestUserDiskSyncDirtyBuffers(t *testing.T) {
-	ud, task := newTestUserDisk(t, 64)
-	for blk := 0; blk < 8; blk++ {
-		b, err := ud.BRead(task, blk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if blk%2 == 0 {
-			if err := b.MarkDirty(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := b.Release(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	devWrites := ud.dev.Stats().Writes
-	if err := ud.SyncDirtyBuffers(task); err != nil {
-		t.Fatal(err)
-	}
-	if got := ud.dev.Stats().Writes - devWrites; got != 4 {
-		t.Fatalf("device writes = %d, want 4 (only the dirty set)", got)
-	}
-	if err := ud.SyncDirtyBuffers(task); err != nil {
-		t.Fatal(err)
-	}
-	if got := ud.dev.Stats().Writes - devWrites; got != 4 {
-		t.Fatalf("second sync rewrote clean blocks (%d writes)", got)
-	}
-}
-
 // TestUserDiskReadError checks a failed pread does not leave a poisoned
 // cache entry behind.
 func TestUserDiskReadError(t *testing.T) {
@@ -170,56 +138,6 @@ func TestUserDiskConcurrent(t *testing.T) {
 	}
 	if st2, ds2 := run(); st2 != st || ds2 != ds {
 		t.Fatalf("replay differs: %+v %+v vs %+v %+v", st2, ds2, st, ds)
-	}
-}
-
-// TestUserDiskDirectIO: the userspace rendering of the direct data
-// path — pread/pwrite of the disk file without caching, with the
-// cached-copy coherence rules (serve dirty cached content on read, drop
-// stale copies on write).
-func TestUserDiskDirectIO(t *testing.T) {
-	ud, task := newTestUserDisk(t, 8)
-	blockSize := ud.BlockSize()
-
-	want := make([]byte, blockSize)
-	for i := range want {
-		want[i] = byte(i * 3)
-	}
-	if _, err := ud.BWriteDirect(task, 5, want); err != nil {
-		t.Fatal(err)
-	}
-	if n := ud.cache.Len(); n != 0 {
-		t.Fatalf("direct write populated the user cache: %d resident", n)
-	}
-	got := make([]byte, blockSize)
-	if err := ud.BReadDirect(task, 5, got); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("direct read-back mismatch at %d", i)
-		}
-	}
-
-	// A dirty cached copy is newer than the disk file: direct reads
-	// must see it.
-	b, err := ud.BRead(task, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ := b.Data()
-	data[0] = 0xEE
-	if err := b.MarkDirty(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ud.BReadDirect(task, 6, got); err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 0xEE {
-		t.Fatal("direct read missed the dirty cached copy")
 	}
 }
 
@@ -455,7 +373,7 @@ func TestUserDiskRecycledBlockBlocksHitters(t *testing.T) {
 
 // TestUserDiskBorrowsOnMiss: a miss caches the disk file's own buffer
 // instead of a copy of it, and that buffer is never written: the range
-// and direct readers use it as it is, Data and Slice — whose callers may
+// reader and the lender use it as it is, Data and Slice — whose callers may
 // write — first move the block into the ubuf's private buffer, and the
 // disk file sees the change only when the block is written back.
 func TestUserDiskBorrowsOnMiss(t *testing.T) {
@@ -484,8 +402,8 @@ func TestUserDiskBorrowsOnMiss(t *testing.T) {
 	if err := ud.ReadBlockRange(task, 2, 100, rng); err != nil || rng[0] != 3 {
 		t.Fatalf("ReadBlockRange = %#x, %v", rng[0], err)
 	}
-	if view, err := ud.BBorrowDirect(task, 2); err != nil || &view[0] != &disk[0] {
-		t.Fatalf("BBorrowDirect did not lend the cached view on (err %v)", err)
+	if view, err := ud.BReadView(task, 2); err != nil || &view[0] != &disk[0] {
+		t.Fatalf("BReadView did not lend the cached view on (err %v)", err)
 	}
 	if !ub.lent {
 		t.Fatal("a reader unshared the block")
@@ -499,9 +417,9 @@ func TestUserDiskBorrowsOnMiss(t *testing.T) {
 	if disk[0] != 3 || onDisk(2)[0] != 3 {
 		t.Fatal("a write through Data reached the disk file before write-back")
 	}
-	private, err := ud.BBorrowDirect(task, 2)
+	private, err := ud.BReadView(task, 2)
 	if err != nil || private[0] != 0xEE || &private[0] == &data[0] {
-		t.Fatalf("BBorrowDirect of a privately cached block = %#x (err %v), want a copy of it", private[0], err)
+		t.Fatalf("BReadView of a privately cached block = %#x (err %v), want a copy of it", private[0], err)
 	}
 	if err := b.MarkDirty(); err != nil {
 		t.Fatal(err)
@@ -535,9 +453,9 @@ func TestUserDiskBorrowsOnMiss(t *testing.T) {
 // misses keep evicting and recycling: whole-block writes that give their
 // page up (BAdopt) or copy into a fresh buffer (BReadNoFill), partial
 // writes through Data, journal commits (BClone of home blocks into log
-// slots, a synchronous write of each, then the installs), write-back of
-// the dirty set, lends (BReadView, BBorrowDirect), range reads, direct
-// writes by reference and by copy, FLUSHes and device crashes. The test
+// slots, a synchronous write of each, then the installs), write-backs of
+// single blocks, lends (BReadView), range reads, FLUSHes and device
+// crashes. The test
 // holds every view the disk lent and every page it was given, and fails
 // if one changes; every read must return what was last written to the
 // block, until a crash makes that unknown.
@@ -654,41 +572,22 @@ func userDiskOwnershipStream(t *testing.T, seed int64) {
 				must(err)
 				release(b)
 			}
-		case p < 54:
-			must(ud.SyncDirtyBuffers(task))
-		case p < 68: // lend, journal slots included
+		case p < 54: // write-back
+			b, err := ud.BRead(task, blk)
+			must(err)
+			must(b.WriteSync(task))
+			release(b)
+		case p < 76: // lend, journal slots included
 			blk = rng.Intn(blocks)
 			view, err := ud.BReadView(task, blk)
 			must(err)
 			expect(i, blk, view, "BReadView")
 			hold(view, "BReadView")
-		case p < 76:
-			blk = rng.Intn(blocks)
-			view, err := ud.BBorrowDirect(task, blk)
-			must(err)
-			if view == nil {
-				view = make([]byte, bs)
-			} else {
-				hold(view, "BBorrowDirect")
-			}
-			expect(i, blk, view, "BBorrowDirect")
-		case p < 82:
+		case p < 88:
 			blk = rng.Intn(blocks)
 			got := make([]byte, bs)
 			must(ud.ReadBlockRange(task, blk, 0, got))
 			expect(i, blk, got, "ReadBlockRange")
-		case p < 87: // direct write by reference
-			page := random()
-			hold(page, "BWriteOwned")
-			_, err := ud.BWriteOwned(task, blk, page)
-			must(err)
-			last[blk] = bytes.Clone(page)
-		case p < 91: // direct write by copy; the caller scribbles on its buffer
-			buf := random()
-			_, err := ud.BWriteDirect(task, blk, buf)
-			must(err)
-			last[blk] = bytes.Clone(buf)
-			clear(buf)
 		case p < 99:
 			must(ud.Flush(task))
 		default:
@@ -779,47 +678,5 @@ func TestUserDiskCachedByReference(t *testing.T) {
 	}
 	if ref.Stats().Evictions == 0 {
 		t.Fatal("no block was evicted; the misses were never exercised")
-	}
-}
-
-// TestUserDiskDirectByReference: BBorrowDirect and BWriteOwned cost what
-// BReadDirect and BWriteDirect cost — the same syscall, copy charge and
-// device command — and pass the block itself.
-func TestUserDiskDirectByReference(t *testing.T) {
-	ref, rtask := newTestUserDisk(t, 8)
-	cp, ctask := newTestUserDisk(t, 8)
-	bs := ref.BlockSize()
-	own := make([]byte, bs)
-	for i := range own {
-		own[i] = byte(i * 5)
-	}
-	if _, err := ref.BWriteOwned(rtask, 5, own); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cp.BWriteDirect(ctask, 5, own); err != nil {
-		t.Fatal(err)
-	}
-	view, err := ref.BBorrowDirect(rtask, 5)
-	if err != nil || &view[0] != &own[0] {
-		t.Fatalf("the disk file did not keep the buffer it was given (err %v)", err)
-	}
-	got := make([]byte, bs)
-	if err := cp.BReadDirect(ctask, 5, got); err != nil {
-		t.Fatal(err)
-	}
-	if zeros, err := ref.BBorrowDirect(rtask, 9); err != nil || zeros != nil {
-		t.Fatalf("BBorrowDirect of a never-written block = %v, %v", zeros, err)
-	}
-	if err := cp.BReadDirect(ctask, 9, got); err != nil {
-		t.Fatal(err)
-	}
-	if a, b := rtask.Clk.NowNS(), ctask.Clk.NowNS(); a != b {
-		t.Fatalf("by reference the sequence ends at %d ns, copying at %d", a, b)
-	}
-	if a, b := ref.dev.Stats(), cp.dev.Stats(); a != b {
-		t.Fatalf("device counters differ: %+v vs %+v", a, b)
-	}
-	if n := ref.cache.Len(); n != 0 {
-		t.Fatalf("direct I/O by reference populated the user cache: %d resident", n)
 	}
 }

@@ -25,7 +25,8 @@ type MountConfig struct {
 	// Bypass routes regular-file contents around the in-kernel file
 	// systems' buffer caches: data is cached once, in the page cache, and
 	// the journal carries metadata only. FUSE's daemon never bypasses — a
-	// userspace file system cannot DMA into kernel pages.
+	// userspace file system cannot DMA into kernel pages, and
+	// bentoimpl.FS.Init refuses DataBypass on its disk.
 	Bypass bool
 }
 

@@ -127,27 +127,6 @@ func (bc *BufferCache) get(t *Task, blk int, read bool) (*BufferHead, error) {
 	return b, err
 }
 
-// SyncDirty submits every dirty buffer to the device as one batch (filling
-// the device queues), waits for completion, and marks them clean. It does
-// NOT issue a FLUSH; callers that need durability also call
-// Device().Flush. Only the dirty set is visited, in block order.
-func (bc *BufferCache) SyncDirty(t *Task) error {
-	var last int64
-	for _, b := range bc.cache.DirtyEntries() {
-		done, err := bc.dev.Submit(t.Clk, b.BlockNo(), b.data)
-		if err != nil {
-			return err
-		}
-		bc.cache.ClearDirty(b)
-		bc.writes++
-		if done > last {
-			last = done
-		}
-	}
-	t.WaitIO("sync-dirty", last)
-	return nil
-}
-
 // ReadDirect reads block blk from the device straight into buf (one
 // block) without inserting it into the cache — the data path of the
 // single-copy caching model: file contents live only in the page cache,
@@ -290,7 +269,7 @@ func (b *BufferHead) BlockNo() int { return int(b.node.Key()) }
 func (b *BufferHead) Data() []byte { return b.data }
 
 // MarkDirty flags the buffer as modified. A dirty buffer is written out by
-// SubmitWrite/WriteSync or SyncDirty.
+// SubmitWrite/WriteSync.
 func (b *BufferHead) MarkDirty() {
 	b.bc.cache.MarkDirty(b)
 }

@@ -84,7 +84,14 @@ func TestBufferCachePinnedDirtySkipped(t *testing.T) {
 	}
 
 	// Clean + unpin, then miss again: eviction resumes in LRU order.
-	if err := bc.SyncDirty(task); err != nil {
+	dirty, err = bc.Get(task, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dirty.WriteSync(task); err != nil {
+		t.Fatal(err)
+	}
+	if err := dirty.Release(); err != nil {
 		t.Fatal(err)
 	}
 	if err := pinned.Release(); err != nil {
@@ -131,46 +138,6 @@ func TestBufferCacheStats(t *testing.T) {
 	want := BufferCacheStats{Hits: 3, Misses: 4, Evictions: 0, Writes: 1}
 	if st != want {
 		t.Fatalf("stats = %+v, want %+v", st, want)
-	}
-}
-
-// TestBufferCacheSyncDirtyVisitsOnlyDirty marks a subset dirty and checks
-// SyncDirty writes exactly that subset.
-func TestBufferCacheSyncDirtyVisitsOnlyDirty(t *testing.T) {
-	bc, task := newTestCache(t, 64)
-	for blk := 0; blk < 16; blk++ {
-		b, err := bc.Get(task, blk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if blk%4 == 0 {
-			b.MarkDirty()
-		}
-		if err := b.Release(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	devWrites := bc.Device().Stats().Writes
-	if err := bc.SyncDirty(task); err != nil {
-		t.Fatal(err)
-	}
-	if got := bc.Device().Stats().Writes - devWrites; got != 4 {
-		t.Fatalf("device writes = %d, want 4 (only the dirty set)", got)
-	}
-	if st := bc.Stats(); st.Writes != 4 {
-		t.Fatalf("cache writes = %d, want 4", st.Writes)
-	}
-	for blk := 0; blk < 16; blk++ {
-		b, err := bc.Get(task, blk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.Dirty() {
-			t.Fatalf("block %d still dirty after SyncDirty", blk)
-		}
-		if err := b.Release(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

@@ -687,32 +687,3 @@ func TestBufferCachePinnedNotEvicted(t *testing.T) {
 	_ = again.Release()
 	_ = pinned.Release()
 }
-
-func TestBufferCacheSyncDirty(t *testing.T) {
-	model := costmodel.Fast()
-	dev := blockdev.MustNew(blockdev.Config{Blocks: 64, Model: model})
-	k := kernel.New(model)
-	task := k.NewTask("bc")
-	bc := kernel.NewBufferCache(dev, model, 16)
-	for i := 0; i < 5; i++ {
-		b, err := bc.GetNoRead(task, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.Data()[0] = byte('A' + i)
-		b.MarkDirty()
-		_ = b.Release()
-	}
-	if err := bc.SyncDirty(task); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, dev.BlockSize())
-	for i := 0; i < 5; i++ {
-		if err := dev.Read(task.Clk, i, buf); err != nil {
-			t.Fatal(err)
-		}
-		if buf[0] != byte('A'+i) {
-			t.Fatalf("block %d not written back: %q", i, buf[0])
-		}
-	}
-}

@@ -142,10 +142,6 @@ func (c *Cache[E]) Drop(key int64) (E, bool) {
 	return e, ok
 }
 
-// DirtyEntries snapshots every dirty entry in ascending key order, so
-// sync paths visit exactly the dirty set in a deterministic order.
-func (c *Cache[E]) DirtyEntries() []E { return c.core.DirtyEntries() }
-
 // Len reports the number of cached entries.
 func (c *Cache[E]) Len() int { return c.core.Len() }
 

@@ -299,17 +299,11 @@ func (c *Core[E]) ClearAllDirty() int {
 	return cleaned
 }
 
-// DirtyKeys returns the dirty keys in ascending order. Sync paths
-// iterate exactly this set — never the whole cache — and the ascending
-// order keeps write-back deterministic.
-func (c *Core[E]) DirtyKeys() []int64 {
-	return c.AppendDirtyKeys(make([]int64, 0, c.ndirty))
-}
-
 // AppendDirtyKeys appends the dirty keys to dst in ascending order and
-// returns the extended slice — DirtyKeys for callers that recycle a
-// scratch buffer across write-back passes. It is an in-order walk of the
-// tagged subtrees; nothing is sorted.
+// returns the extended slice. Write-back iterates exactly this set —
+// never the whole cache — the ascending order keeps it deterministic,
+// and dst lets a caller recycle a scratch buffer across passes. It is
+// an in-order walk of the tagged subtrees; nothing is sorted.
 func (c *Core[E]) AppendDirtyKeys(dst []int64) []int64 {
 	c.walk(0, true, func(lf *leaf[E], hi int64) bool {
 		for m := lf.dirty; m != 0; m &= m - 1 {
@@ -318,18 +312,6 @@ func (c *Core[E]) AppendDirtyKeys(dst []int64) []int64 {
 		return true
 	})
 	return dst
-}
-
-// DirtyEntries returns the dirty entries in ascending key order.
-func (c *Core[E]) DirtyEntries() []E {
-	out := make([]E, 0, c.ndirty)
-	c.walk(0, true, func(lf *leaf[E], _ int64) bool {
-		for m := lf.dirty; m != 0; m &= m - 1 {
-			out = append(out, lf.slots[bits.TrailingZeros64(m)])
-		}
-		return true
-	})
-	return out
 }
 
 // walk calls fn, in ascending key order, for every leaf that can hold a

@@ -110,17 +110,9 @@ func (c *refCore[E]) ClearAllDirty() int {
 	return n
 }
 
-// DirtyKeys returns the dirty keys in ascending order. Sync paths
-// iterate exactly this set — never the whole cache — and the sorted
-// order keeps write-back deterministic.
-func (c *refCore[E]) DirtyKeys() []int64 {
-	return c.AppendDirtyKeys(make([]int64, 0, len(c.dirty)))
-}
-
 // AppendDirtyKeys appends the dirty keys to dst in ascending order and
-// returns the extended slice — DirtyKeys for callers that recycle a
-// scratch buffer across write-back passes. The appended region (not all
-// of dst) is sorted.
+// returns the extended slice. The appended region (not all of dst) is
+// sorted.
 func (c *refCore[E]) AppendDirtyKeys(dst []int64) []int64 {
 	start := len(dst)
 	for key := range c.dirty {
@@ -128,16 +120,6 @@ func (c *refCore[E]) AppendDirtyKeys(dst []int64) []int64 {
 	}
 	slices.Sort(dst[start:])
 	return dst
-}
-
-// DirtyEntries returns the dirty entries in ascending key order.
-func (c *refCore[E]) DirtyEntries() []E {
-	keys := c.DirtyKeys()
-	out := make([]E, 0, len(keys))
-	for _, key := range keys {
-		out = append(out, c.entries[key])
-	}
-	return out
 }
 
 // EvictScan removes and returns the eviction victim: the least recently
@@ -306,9 +288,6 @@ func (p *pair) check() {
 	if !slices.Equal(gk, rk) {
 		p.failf("AppendDirtyKeys %v, reference %v", gk, rk)
 	}
-	if !slices.Equal(g.DirtyKeys(), rk[1:]) {
-		p.failf("DirtyKeys %v, reference %v", g.DirtyKeys(), rk[1:])
-	}
 	gold, gok := g.OldestKey()
 	var rold int64
 	if n := r.rec.Back(); n != nil {
@@ -316,9 +295,6 @@ func (p *pair) check() {
 	}
 	if gold != rold || gok != (r.Len() > 0) {
 		p.failf("OldestKey (%d, %v), reference list tail %d of %d entries", gold, gok, rold, r.Len())
-	}
-	if ge, re := vals(g.DirtyEntries()), vals(r.DirtyEntries()); !slices.Equal(ge, re) {
-		p.failf("DirtyEntries %v, reference %v", ge, re)
 	}
 	if gl, rl := listKeys(&g.rec), listKeys(&r.rec); !slices.Equal(gl, rl) {
 		p.failf("recency list %v, reference %v", gl, rl)
@@ -633,20 +609,20 @@ func TestCoreRootGrowthKeepsDirtyTag(t *testing.T) {
 	want := []int64{3}
 	for _, k := range []int64{64, 5000, 1 << 20, 1 << 40, 1<<62 + 9, 1<<63 - 1} {
 		c.Add(k, &ent{val: 1})
-		if got := c.DirtyKeys(); !slices.Equal(got, want) {
-			t.Fatalf("DirtyKeys = %v after growing to key %d, want %v", got, k, want)
+		if got := c.AppendDirtyKeys(nil); !slices.Equal(got, want) {
+			t.Fatalf("AppendDirtyKeys = %v after growing to key %d, want %v", got, k, want)
 		}
 		c.MarkDirty(k)
 		want = append(want, k)
-		if got := c.DirtyKeys(); !slices.Equal(got, want) {
-			t.Fatalf("DirtyKeys = %v after dirtying key %d, want %v", got, k, want)
+		if got := c.AppendDirtyKeys(nil); !slices.Equal(got, want) {
+			t.Fatalf("AppendDirtyKeys = %v after dirtying key %d, want %v", got, k, want)
 		}
 	}
 	if c.ClearAllDirty() != len(want) || c.DirtyLen() != 0 {
 		t.Fatalf("ClearAllDirty left %d dirty", c.DirtyLen())
 	}
-	if got := c.DirtyKeys(); len(got) != 0 {
-		t.Fatalf("DirtyKeys = %v after ClearAllDirty", got)
+	if got := c.AppendDirtyKeys(nil); len(got) != 0 {
+		t.Fatalf("AppendDirtyKeys = %v after ClearAllDirty", got)
 	}
 	if n := c.RemoveFrom(1<<40, nil); n != 3 || c.Len() != 4 {
 		t.Fatalf("RemoveFrom(1<<40) removed %d leaving %d, want 3 leaving 4", n, c.Len())

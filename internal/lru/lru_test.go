@@ -100,8 +100,8 @@ func TestCoreDirtySet(t *testing.T) {
 	if got := c.DirtyLen(); got != 3 {
 		t.Fatalf("DirtyLen = %d, want 3", got)
 	}
-	if keys := c.DirtyKeys(); fmt.Sprint(keys) != "[1 3 4]" {
-		t.Fatalf("DirtyKeys = %v, want sorted [1 3 4]", keys)
+	if keys := c.AppendDirtyKeys(nil); fmt.Sprint(keys) != "[1 3 4]" {
+		t.Fatalf("AppendDirtyKeys = %v, want sorted [1 3 4]", keys)
 	}
 	if n := c.ClearAllDirty(); n != 3 {
 		t.Fatalf("ClearAllDirty = %d, want 3", n)
@@ -428,24 +428,6 @@ func TestCacheResetChecks(t *testing.T) {
 	}
 }
 
-func TestCacheDirtyEntriesSorted(t *testing.T) {
-	c := New[*ent](64)
-	for i := 0; i < 16; i++ {
-		e, _ := get(t, c, int64(i), alloc(i))
-		c.MarkDirty(e)
-		c.Release(e)
-	}
-	dirty := c.DirtyEntries()
-	if len(dirty) != 16 {
-		t.Fatalf("DirtyEntries = %d entries, want 16", len(dirty))
-	}
-	for i, e := range dirty {
-		if e.LRUNode().Key() != int64(i) {
-			t.Fatalf("dirty[%d].key = %d, want ascending order", i, e.LRUNode().Key())
-		}
-	}
-}
-
 // TestCacheChurnStaysBounded churns a cache with hits, misses that
 // recycle their victim, and dirty marks: every entry comes back under
 // the key asked for, and once the dirty entries (which cannot be
@@ -475,7 +457,8 @@ func TestCacheChurnStaysBounded(t *testing.T) {
 			t.Fatal("release failed")
 		}
 	}
-	for _, e := range c.DirtyEntries() {
+	for _, key := range c.core.AppendDirtyKeys(nil) {
+		e, _ := c.Peek(key)
 		c.ClearDirty(e)
 	}
 	for i := 0; i < 200; i++ {

@@ -2,7 +2,6 @@ package netstore
 
 import (
 	"fmt"
-	"time"
 
 	"bento/internal/blockdev"
 	"bento/internal/seeded"
@@ -18,9 +17,9 @@ import (
 // compose: transient per-attempt errors (ErrProb), tail-latency
 // inflation (TailMult; a small integer distribution puts ~1% of
 // attempts at 4·TailMult× and ~9% at TailMult× the nominal service
-// time, so p99 ≫ p50), and a scheduled blackout window over a
-// virtual-time interval (OutageStart..OutageEnd), during which every
-// attempt hangs until the client deadline.
+// time, so p99 ≫ p50), and a blackout window that Store.ArmOutage
+// schedules over a virtual-time interval, during which every attempt
+// hangs until the client deadline.
 //
 // Policy. Requests time out at NetTimeoutMult× their nominal service
 // time, retry under capped exponential backoff with deterministic
@@ -98,11 +97,6 @@ type FaultConfig struct {
 	// TailMult× and ~1% take 4·TailMult× the nominal service time.
 	// Values <= 1 leave latency flat.
 	TailMult int
-	// OutageStart/OutageEnd schedule a full blackout over the
-	// virtual-time interval [OutageStart, OutageEnd). Store.ArmOutage
-	// can (re)schedule it mid-run at absolute times.
-	OutageStart time.Duration
-	OutageEnd   time.Duration
 	// RetryBudget is the per-cell retry allowance (DefaultRetryBudget
 	// if 0): once spent, failed requests stop retrying.
 	RetryBudget int64
@@ -119,7 +113,7 @@ type FaultConfig struct {
 
 // Enabled reports whether any fault source is armed.
 func (fc FaultConfig) Enabled() bool {
-	return fc.ErrProb > 0 || fc.TailMult > 1 || fc.OutageEnd > fc.OutageStart
+	return fc.ErrProb > 0 || fc.TailMult > 1
 }
 
 // initFaults resolves the config into the store's policy state.
@@ -145,7 +139,6 @@ func (s *Store) initFaults(fc FaultConfig) {
 		s.degradedBound = s.cacheCap * s.objBlocks
 	}
 	s.cooldown = cooldownCapMult * int64(s.model.NetBackoffCap)
-	s.outStart, s.outEnd = int64(fc.OutageStart), int64(fc.OutageEnd)
 	s.breakerTrack = "net:breaker"
 }
 

@@ -30,7 +30,9 @@ type Config struct {
 	// cache) and the log carries metadata only. Superblocks, bitmaps,
 	// inodes, directories, indirect blocks, and the log itself keep
 	// going through sb_bread. Off, the original journal-everything xv6
-	// discipline applies (the crash-recovery tests run that way).
+	// discipline applies (the crash-recovery tests run that way). It
+	// needs a disk with the direct path, a bentoks.DirectDisk: Init
+	// fails with fsapi.ErrInvalid on one without (the FUSE daemon's).
 	DataBypass bool
 }
 
@@ -38,6 +40,9 @@ type Config struct {
 type FS struct {
 	cfg Config
 	sb  bentoks.Disk
+	// direct is sb as a bentoks.DirectDisk, set with DataBypass (which
+	// Init refuses without one) and nil otherwise.
+	direct bentoks.DirectDisk
 	// lender is sb as a bentoks.BlockLender, nil when it is not one: it
 	// lets journaled file data be lent as well as direct data.
 	lender bentoks.BlockLender
@@ -83,6 +88,12 @@ func (fs *FS) Super() layout.Superblock { return fs.super }
 func (fs *FS) Init(t *kernel.Task, sb bentoks.Disk) error {
 	fs.sb = sb
 	fs.lender, _ = sb.(bentoks.BlockLender)
+	if fs.cfg.DataBypass {
+		var ok bool
+		if fs.direct, ok = sb.(bentoks.DirectDisk); !ok {
+			return fmt.Errorf("xv6: DataBypass on a disk without a direct path: %w", fsapi.ErrInvalid)
+		}
+	}
 	super, err := readSuper(t, sb)
 	if err != nil {
 		return err
@@ -241,11 +252,11 @@ func (fs *FS) SetAttr(t *kernel.Task, ino fsapi.Ino, size int64) (err error) {
 func (fs *FS) zeroTail(t *kernel.Task, ip *Inode, blk uint32, off int64) (err error) {
 	if fs.dataDirect(ip) {
 		tail := make([]byte, layout.BlockSize)
-		if err := fs.sb.BReadDirect(t, int(blk), tail); err != nil {
+		if err := fs.direct.BReadDirect(t, int(blk), tail); err != nil {
 			return err
 		}
 		clear(tail[off:])
-		done, err := fs.sb.BWriteDirect(t, int(blk), tail)
+		done, err := fs.direct.BWriteDirect(t, int(blk), tail)
 		if err != nil {
 			return err
 		}
@@ -603,7 +614,7 @@ func (fs *FS) LendPage(t *kernel.Task, ino fsapi.Ino, pg int64) ([]byte, error) 
 	switch {
 	case blk == 0:
 	case fs.dataDirect(ip):
-		view, err = fs.sb.BBorrowDirect(t, int(blk))
+		view, err = fs.direct.BBorrowDirect(t, int(blk))
 	default:
 		view, err = fs.lender.BReadView(t, int(blk))
 	}

@@ -411,7 +411,7 @@ func (ip *Inode) readi(t *kernel.Task, off int64, buf []byte) (int, error) {
 			// Hole: reads as zeros.
 			clear(buf[done : done+n])
 		case direct && bo == 0 && n == layout.BlockSize:
-			if err := ip.fs.sb.BReadDirect(t, int(blk), buf[done:done+n]); err != nil {
+			if err := ip.fs.direct.BReadDirect(t, int(blk), buf[done:done+n]); err != nil {
 				return int(done), err
 			}
 		case direct:
@@ -420,7 +420,7 @@ func (ip *Inode) readi(t *kernel.Task, off int64, buf []byte) (int, error) {
 			if bounce == nil {
 				bounce = ip.bounceBuf()
 			}
-			if err := ip.fs.sb.BReadDirect(t, int(blk), bounce); err != nil {
+			if err := ip.fs.direct.BReadDirect(t, int(blk), bounce); err != nil {
 				return int(done), err
 			}
 			copy(buf[done:done+n], bounce[bo:bo+n])
@@ -496,7 +496,7 @@ func (ip *Inode) writev(t *kernel.Task, off int64, src [][]byte, total int64, ow
 				}
 				if fresh || int64(bn)*layout.BlockSize >= int64(ip.din.Size) {
 					clear(bounce)
-				} else if err := ip.fs.sb.BReadDirect(t, int(blk), bounce); err != nil {
+				} else if err := ip.fs.direct.BReadDirect(t, int(blk), bounce); err != nil {
 					wait()
 					return int(done), err
 				}
@@ -505,9 +505,9 @@ func (ip *Inode) writev(t *kernel.Task, off int64, src [][]byte, total int64, ow
 			}
 			var completion int64
 			if whole && owned {
-				completion, err = ip.fs.sb.BWriteOwned(t, int(blk), from)
+				completion, err = ip.fs.direct.BWriteOwned(t, int(blk), from)
 			} else {
-				completion, err = ip.fs.sb.BWriteDirect(t, int(blk), from)
+				completion, err = ip.fs.direct.BWriteDirect(t, int(blk), from)
 			}
 			if err != nil {
 				wait()

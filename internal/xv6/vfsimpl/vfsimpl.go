@@ -31,8 +31,7 @@ import (
 
 // Type registers the baseline with the kernel under Name.
 type Type struct {
-	TypeName string
-	Cfg      Config
+	Cfg Config
 }
 
 // Config parameterizes the file system.
@@ -49,12 +48,7 @@ type Config struct {
 }
 
 // Name implements kernel.FileSystemType.
-func (tt Type) Name() string {
-	if tt.TypeName == "" {
-		return "xv6vfs"
-	}
-	return tt.TypeName
-}
+func (Type) Name() string { return "xv6vfs" }
 
 // Mount implements kernel.FileSystemType.
 func (tt Type) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, error) {
