@@ -81,6 +81,19 @@ type Backend interface {
 	// caller must never write through it and has nothing to give back.
 	BorrowBlock(now int64, blk int) (view []byte, completion int64, err error)
 
+	// JoinRead reads blk as one more block of the read command that
+	// completes at prev — the caller's read of blk-1, made under a plug
+	// (see Device.Plug) — instead of as a command of its own. A backend
+	// that can lengthen that command by one block does so and returns the
+	// lengthened command's completion with ok true; with buf non-nil it
+	// copies the block into buf like ReadBlock, with buf nil it returns
+	// the block's read-only view like BorrowBlock. Otherwise — the backend
+	// does not merge, or something else has been booked on that command's
+	// channel since — it returns ok false having done nothing, and the
+	// caller reads blk with ReadBlock or BorrowBlock. A join never fails:
+	// a backend that could fail books the block on its own instead.
+	JoinRead(prev int64, blk int, buf []byte) (view []byte, completion int64, ok bool)
+
 	// SubmitBlock stages a write of buf to blk in the volatile tier and
 	// returns the command's completion time. The write is observable by
 	// subsequent ReadBlocks immediately and durable after Flush. buf is

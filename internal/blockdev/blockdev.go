@@ -94,6 +94,27 @@ type Stats struct {
 // Device is a latency-modeled block device front over a pluggable
 // storage Backend. Like everything a cell owns it is driven by one task
 // at a time and holds no lock.
+//
+// Plugging. Between Plug and Unplug (the kernel plugs around each
+// read-ahead fill batch, as Linux's read_pages plugs the block queue)
+// contiguous reads merge into one device command. The device keeps one
+// open read command: the last plugged read, its clock, its block and its
+// completion so far. A plugged read of block b+1 issued on the same clock
+// as that command's read of block b, no later than the command's
+// completion, joins it (Backend.JoinRead) provided nothing else has been
+// booked on its channel since; block k of the command then completes at
+// the command's completion so far plus one block's transfer time
+// (DevRead4K for 4 KiB blocks) — in-order DMA, so every block completes
+// after it was asked for and an n-block command totals DevRead(n blocks),
+// exactly what one n-block command is priced at. Anything else closes the
+// open command: a read of another block or on another clock, any write or
+// FLUSH, a failed read, Unplug, ResetStats or Crash. The first read of a
+// command, every unplugged read, every write and every FLUSH are booked as
+// one-block commands, so a device that is never plugged behaves exactly
+// as before plugging existed. Every block still counts as one read in
+// Stats and in the dev_reads counter; dev_read_merged counts the blocks
+// that joined an open command, and each closed command of two or more
+// blocks leaves a "merged-read" instant on the device's trace track.
 type Device struct {
 	name      string
 	blockSize int
@@ -125,6 +146,21 @@ type Device struct {
 	cutArmed     bool
 	cutRemaining int64
 	powerOut     bool
+
+	// plugged is set between Plug and Unplug; run is the open read
+	// command (run.n == 0, run.clk nil: none).
+	plugged bool
+	run     openRead
+}
+
+// openRead is a plugged read command that later contiguous reads on the
+// same clock may still join.
+type openRead struct {
+	clk   *vclock.Clock
+	first int   // its first block
+	n     int   // blocks so far
+	at    int64 // when its first block was asked for
+	end   int64 // its completion so far
 }
 
 // New creates a device per cfg.
@@ -179,8 +215,9 @@ func (d *Device) Model() *costmodel.Model { return d.model }
 // that need backend-specific statistics type-assert on it).
 func (d *Device) Backend() Backend { return d.backend }
 
-// sampleEvery is the command-count stride between queue-occupancy trace
-// samples; sampling by count (not time) keeps the overhead bounded on
+// sampleEvery is the count stride between queue-occupancy trace samples,
+// counting every block read (one that joined an open command too), write
+// and flush; sampling by count (not time) keeps the overhead bounded on
 // I/O-heavy cells while still resolving queue build-up.
 const sampleEvery = 64
 
@@ -210,17 +247,25 @@ func (d *Device) sample(now int64) {
 	}
 }
 
+// Plug starts merging contiguous reads into one command (see Device);
+// Unplug stops it and closes the open command. Plugging an already
+// plugged device changes nothing.
+func (d *Device) Plug() { d.plugged = true }
+
+// Unplug ends a Plug.
+func (d *Device) Unplug() {
+	d.closeRun()
+	d.plugged = false
+}
+
 // Read copies block blk into buf (len must equal BlockSize) and advances
 // clk to the command's completion time.
 func (d *Device) Read(clk *vclock.Clock, blk int, buf []byte) error {
 	if len(buf) != d.blockSize {
 		return ErrBadSize
 	}
-	if err := d.check(blk, &d.readFaults); err != nil {
-		return err
-	}
-	done, err := d.backend.ReadBlock(clk.NowNS(), blk, buf)
-	return d.finishRead(clk, done, err)
+	_, err := d.read(clk, blk, buf)
+	return err
 }
 
 // Borrow is Read by reference (Backend.BorrowBlock): the same command,
@@ -229,31 +274,60 @@ func (d *Device) Read(clk *vclock.Clock, blk int, buf []byte) error {
 // caller holds it. A nil view with a nil error means the block reads as
 // zeros.
 func (d *Device) Borrow(clk *vclock.Clock, blk int) ([]byte, error) {
-	if err := d.check(blk, &d.readFaults); err != nil {
-		return nil, err
-	}
-	view, done, err := d.backend.BorrowBlock(clk.NowNS(), blk)
-	if err := d.finishRead(clk, done, err); err != nil {
-		return nil, err
-	}
-	return view, nil
+	return d.read(clk, blk, nil)
 }
 
-// finishRead accounts for a read command the backend has booked and
-// advances clk to its completion.
-func (d *Device) finishRead(clk *vclock.Clock, done int64, err error) error {
-	if err != nil {
-		// The failure still consumed virtual time (timeouts, retries):
-		// advance to when it became known, then surface it.
-		clk.AdvanceTo(done)
-		return err
+// read is Read (buf non-nil) and Borrow (buf nil): it joins blk to the
+// open command when it may, and otherwise books blk as a command of its
+// own, which a plugged device then keeps open.
+func (d *Device) read(clk *vclock.Clock, blk int, buf []byte) (view []byte, err error) {
+	if err := d.check(blk, &d.readFaults); err != nil {
+		d.closeRun()
+		return nil, err
+	}
+	now := clk.NowNS()
+	var done int64
+	joined := false
+	// An empty run has no clock, so a matching clock means an open command.
+	if r := &d.run; d.plugged && r.clk == clk && blk == r.first+r.n && now <= r.end {
+		if view, done, joined = d.backend.JoinRead(r.end, blk, buf); joined {
+			r.n++
+			r.end = done
+			d.rec.Add(trace.CtrDevReadMerged, 1)
+		}
+	}
+	if !joined {
+		d.closeRun()
+		if buf != nil {
+			done, err = d.backend.ReadBlock(now, blk, buf)
+		} else {
+			view, done, err = d.backend.BorrowBlock(now, blk)
+		}
+		if err != nil {
+			// The failure still consumed virtual time (timeouts, retries):
+			// advance to when it became known, then surface it.
+			clk.AdvanceTo(done)
+			return nil, err
+		}
+		if d.plugged {
+			d.run = openRead{clk: clk, first: blk, n: 1, at: now, end: done}
+		}
 	}
 	d.stats.Reads++
 	d.stats.BytesRead += int64(d.blockSize)
 	d.rec.Add(trace.CtrDevReads, 1)
 	d.sample(done)
 	clk.AdvanceTo(done)
-	return nil
+	return view, nil
+}
+
+// closeRun closes the open read command, marking it on the trace when
+// it carried more than one block.
+func (d *Device) closeRun() {
+	if r := d.run; r.n > 1 {
+		d.rec.Instant(d.name, trace.CatDevice, "merged-read", r.at, int64(r.first), int64(r.n))
+	}
+	d.run = openRead{}
 }
 
 // Submit queues a write of buf to block blk and returns the command's
@@ -277,6 +351,7 @@ func (d *Device) submit(clk *vclock.Clock, blk int, buf []byte, owned bool) (com
 	if len(buf) != d.blockSize {
 		return 0, ErrBadSize
 	}
+	d.closeRun()
 	if err := d.check(blk, &d.writeFaults); err != nil {
 		return 0, err
 	}
@@ -314,6 +389,7 @@ func (d *Device) Write(clk *vclock.Clock, blk int, buf []byte) error {
 // cache object into whole-object PUTs. Afterwards all previously
 // submitted writes are durable. It advances clk to completion.
 func (d *Device) Flush(clk *vclock.Clock) error {
+	d.closeRun()
 	if d.powerOut {
 		return ErrPowerLoss
 	}
@@ -352,6 +428,7 @@ func (d *Device) ResourceStats() vclock.ResourceStats {
 // ResetStats clears command counters and queue occupancy. Benchmarks call
 // it after warmup.
 func (d *Device) ResetStats() {
+	d.closeRun()
 	d.stats = Stats{}
 	d.backend.Reset()
 }
@@ -367,6 +444,7 @@ func (d *Device) Crash(keepFraction float64, seed int64) {
 	if keepFraction > 1 {
 		keepFraction = 1
 	}
+	d.closeRun()
 	d.backend.Crash(keepFraction, seed)
 }
 

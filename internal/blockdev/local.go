@@ -48,6 +48,11 @@ type localBackend struct {
 	chunk     []byte    // the uncarved rest of the newest chunk
 	res       *vclock.Resource
 	model     *costmodel.Model
+
+	// readCh and readEnd place the last read command booked: the channel
+	// it went to and its completion so far, what JoinRead lengthens.
+	readCh  int
+	readEnd int64
 }
 
 // chunkBlocks is how many block buffers one allocation supplies (64 KiB at
@@ -85,20 +90,56 @@ func (lb *localBackend) current(blk int) []byte {
 }
 
 func (lb *localBackend) ReadBlock(now int64, blk int, buf []byte) (int64, error) {
+	lb.copyOut(blk, buf)
+	return lb.bookRead(now), nil
+}
+
+func (lb *localBackend) BorrowBlock(now int64, blk int) ([]byte, int64, error) {
+	return lb.lend(blk), lb.bookRead(now), nil
+}
+
+// JoinRead lengthens the last read command by one block's transfer time,
+// DevRead(blockSize) less the per-command DevReadBase, when that command
+// is the one completing at prev and is still its channel's last booking.
+func (lb *localBackend) JoinRead(prev int64, blk int, buf []byte) ([]byte, int64, bool) {
+	if prev != lb.readEnd {
+		return nil, 0, false
+	}
+	done, ok := lb.res.Extend(lb.readCh, prev, int64(lb.model.DevRead(lb.blockSize)-lb.model.DevReadBase))
+	if !ok {
+		return nil, 0, false
+	}
+	lb.readEnd = done
+	if buf == nil {
+		return lb.lend(blk), done, true
+	}
+	lb.copyOut(blk, buf)
+	return nil, done, true
+}
+
+// bookRead books a one-block read command at now and returns its
+// completion.
+func (lb *localBackend) bookRead(now int64) int64 {
+	lb.readCh, _, lb.readEnd = lb.res.AcquireInfo(now, int64(lb.model.DevRead(lb.blockSize)))
+	return lb.readEnd
+}
+
+// copyOut copies blk's contents into buf.
+func (lb *localBackend) copyOut(blk int, buf []byte) {
 	if b := lb.current(blk); b != nil {
 		copy(buf, b)
 	} else {
 		clear(buf)
 	}
-	return lb.res.Acquire(now, int64(lb.model.DevRead(lb.blockSize))), nil
 }
 
-func (lb *localBackend) BorrowBlock(now int64, blk int) ([]byte, int64, error) {
+// lend returns blk's buffer as a view, marked shared; nil reads as zeros.
+func (lb *localBackend) lend(blk int) []byte {
 	b := lb.current(blk)
 	if b != nil {
 		lb.shared[blk/64] |= 1 << (blk % 64)
 	}
-	return b, lb.res.Acquire(now, int64(lb.model.DevRead(lb.blockSize))), nil
+	return b
 }
 
 // takeBuf returns a buffer nobody else references, contents unspecified.

@@ -86,6 +86,30 @@ func TestColdReadIsOneBatch(t *testing.T) {
 	}
 }
 
+// TestColdReadIsOneCommand: the batch runs with the device plugged, so
+// its 32 contiguous block reads go out as one device command: the cold
+// 128 KiB read costs at most DevRead(128 KiB) plus CPU, where one command
+// per block costs ⌈32 / DevChannels⌉ rounds of DevRead(4 KiB) of device
+// time alone.
+func TestColdReadIsOneCommand(t *testing.T) {
+	model := costmodel.Default()
+	got, data, err := coldRead(t, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pg := 0; pg < coldReadPages; pg++ {
+		if !bytes.Equal(data[pg*fsapi.PageSize:(pg+1)*fsapi.PageSize], page(byte('a'+pg))) {
+			t.Fatalf("page %d reads back wrong", pg)
+		}
+	}
+	cpu := hotRead(t) + coldReadPages*model.AsyncFillPage
+	if limit := model.DevRead(coldReadPages*fsapi.PageSize) + cpu; got > limit {
+		rounds := (coldReadPages + model.DevChannels - 1) / model.DevChannels
+		t.Fatalf("cold 128 KiB read took %v; want at most one %d KiB command plus CPU = %v (one command per block: %v of device time)",
+			got, coldReadPages*4, limit, time.Duration(rounds)*model.DevRead(fsapi.PageSize))
+	}
+}
+
 // TestColdReadWithoutDaemonIsSerial: a mount without an I/O daemon (the
 // FUSE configuration) keeps filling each miss synchronously, so the same
 // read pays all 32 device reads in turn.

@@ -20,3 +20,6 @@ func (m *Mount) PageResident(ino fsapi.Ino, idx int64) bool {
 	_, ok = vn.pc.Peek(idx)
 	return ok
 }
+
+// CachedPages reports how many pages the mount's page cache holds.
+func (m *Mount) CachedPages() int64 { return m.totalPages }

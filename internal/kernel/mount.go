@@ -681,10 +681,7 @@ func (vn *vnode) readAhead(t *Task, first, last int64) {
 	if !missing {
 		return
 	}
-	if vn.fillFn == nil {
-		vn.fillFn = vn.fillPage
-	}
-	if _, err := d.FillAhead(iodaemon.WindowBatch, t.Clk.NowNS(), start, count, vn.fillFn); err != nil {
+	if _, err := vn.fillBatch(iodaemon.WindowBatch, t.Clk.NowNS(), start, count); err != nil {
 		// A failed fill must not fail the demand read that merely
 		// triggered it; collapse the window so the stream stops running
 		// into the bad region. A demand read of the failed page will
@@ -715,13 +712,24 @@ func (vn *vnode) demandBatch(t *Task, first, last int64) int64 {
 	}
 	t.rec.Add(trace.CtrPageMisses, missing)
 	t.rec.Add(trace.CtrPageHits, last-first+1-missing)
-	if vn.fillFn == nil {
-		vn.fillFn = vn.fillPage
-	}
-	if failedAt, err := vn.m.iod.FillAhead(iodaemon.DemandBatch, t.Clk.NowNS(), first, last-first+1, vn.fillFn); err != nil {
+	if failedAt, err := vn.fillBatch(iodaemon.DemandBatch, t.Clk.NowNS(), first, last-first+1); err != nil {
 		t.waitSpan(trace.CatCache, "ra-wait", failedAt)
 	}
 	return last + 1
+}
+
+// fillBatch runs one iodaemon.FillAhead batch with the mount's device
+// plugged, as Linux's read_pages plugs the block queue: the batch's reads
+// of contiguous blocks go out as one device command (see blockdev.Device).
+func (vn *vnode) fillBatch(b iodaemon.Batch, now, start, count int64) (failedAt int64, err error) {
+	if vn.fillFn == nil {
+		vn.fillFn = vn.fillPage
+	}
+	dev := vn.m.dev
+	dev.Plug()
+	failedAt, err = vn.m.iod.FillAhead(b, now, start, count, vn.fillFn)
+	dev.Unplug()
+	return failedAt, err
 }
 
 // fillPage is read-ahead's fill of page pg on the read-ahead task rt. The

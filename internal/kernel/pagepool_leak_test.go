@@ -2,6 +2,7 @@ package kernel_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"bento/internal/fsapi"
@@ -86,4 +87,73 @@ func TestRecycledPagesDoNotLeak(t *testing.T) {
 	}
 	m.DropCaches()
 	check("after write-back and DropCaches")
+}
+
+// TestBatchFillUnderCachePressure: a page cache capped below one
+// read-ahead window still reads a cold 64-page file back byte for byte
+// through the plugged batch path, though every batch inserts more pages
+// than the cap and evicts clean pages it filled itself — with 4 KiB reads
+// (window batches) and with 128 KiB reads (demand batches). The batches'
+// reads still merge, the mount ends at or under its cap, and once the
+// cache is dropped every page struct is back on the free list and every
+// page buffer is either there or was given up to write-back.
+func TestBatchFillUnderCachePressure(t *testing.T) {
+	const ps = fsapi.PageSize
+	const pages = 64
+	const capPages = 12 // under the 32-page window
+	for _, chunk := range []int{ps, 32 * ps} {
+		t.Run(fmt.Sprintf("read=%dKiB", chunk/1024), func(t *testing.T) {
+			r := newBlockRig(t, true)
+			f := r.open("/f")
+			want := make([]byte, pages*ps)
+			for i := range want {
+				want[i] = byte(i/ps*13 + i%251)
+			}
+			r.pwrite(f, want, 0)
+			if err := f.FSync(r.task); err != nil { // every buffer given up
+				t.Fatal(err)
+			}
+			if err := r.m.Close(r.task, f); err != nil {
+				t.Fatal(err)
+			}
+			r.m.DropCaches()
+			r.m.SetPageCacheCap(capPages)
+			dev := r.m.Device()
+			dev.ResetStats()
+
+			f, err := r.m.Open(r.task, "/f", fsapi.ORdonly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, 0, pages*ps)
+			buf := make([]byte, chunk)
+			for off := int64(0); off < pages*ps; off += int64(chunk) {
+				n, err := f.PRead(r.task, buf, off)
+				if err != nil || n != chunk {
+					t.Fatalf("PRead at %d = %d, %v", off, n, err)
+				}
+				got = append(got, buf[:n]...)
+				if c := r.m.CachedPages(); c > capPages {
+					t.Fatalf("%d pages cached after the read at %d, cap %d", c, off, capPages)
+				}
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("the file reads back wrong under cache pressure")
+			}
+			if reads, cmds := dev.Stats().Reads, dev.ResourceStats().Ops; cmds >= reads {
+				t.Fatalf("%d block reads went out as %d commands: nothing merged", reads, cmds)
+			}
+			if err := r.m.Close(r.task, f); err != nil {
+				t.Fatal(err)
+			}
+			r.m.DropCaches()
+			structs, freeStructs, bufs, free := r.m.PagePool()
+			if freeStructs != structs {
+				t.Errorf("%d of %d page structs are back on the free list with the cache empty", freeStructs, structs)
+			}
+			if len(free) != bufs-pages {
+				t.Errorf("%d page buffers allocated, %d given up to write-back, %d on the free list, want %d", bufs, pages, len(free), bufs-pages)
+			}
+		})
+	}
 }

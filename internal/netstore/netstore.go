@@ -469,6 +469,14 @@ func (s *Store) BorrowBlock(now int64, blk int) ([]byte, int64, error) {
 	return b, done, nil
 }
 
+// JoinRead implements blockdev.Backend: the store never joins a read to
+// the one before it, so a plugged read takes the per-block path —
+// ReadBlock or BorrowBlock — exactly as an unplugged one. Its whole-object
+// GETs already fetch a run of blocks at once.
+func (s *Store) JoinRead(prev int64, blk int, buf []byte) ([]byte, int64, bool) {
+	return nil, 0, false
+}
+
 // SubmitBlock implements blockdev.Backend: write-back into the cached
 // object. A hit stages the block at no network cost; a miss to an
 // object that exists durably pays a read-modify-write GET first. While

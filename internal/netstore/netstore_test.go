@@ -264,3 +264,53 @@ func TestEvictionVictimIsLRU(t *testing.T) {
 		}
 	}
 }
+
+// TestPlugChangesNoBooking: the store never joins reads, so a plugged run
+// of contiguous reads books exactly what the same reads book unplugged —
+// the same completions, the same GETs and cache hits — and nothing is
+// counted as merged.
+func TestPlugChangesNoBooking(t *testing.T) {
+	run := func(plug bool) ([]int64, map[string]int64) {
+		d, rec, clk := metricsDev(t, 64, netstore.Config{Model: costmodel.Default()})
+		for blk := 0; blk < 40; blk++ {
+			write(t, d, clk, blk, byte(blk+1))
+		}
+		if err := d.Flush(clk); err != nil {
+			t.Fatal(err)
+		}
+		d.DropBackendCache()
+		if plug {
+			d.Plug()
+			defer d.Unplug()
+		}
+		at := clk.NowNS()
+		buf := make([]byte, d.BlockSize())
+		var done []int64
+		for blk := 4; blk < 36; blk++ {
+			clk.SetNS(at)
+			if err := d.Read(clk, blk, buf); err != nil {
+				t.Fatal(err)
+			}
+			if buf[0] != byte(blk+1) {
+				t.Fatalf("blk %d reads back %#x", blk, buf[0])
+			}
+			done = append(done, clk.NowNS())
+		}
+		return done, rec.Counters()
+	}
+	plugged, pc := run(true)
+	unplugged, uc := run(false)
+	for i := range plugged {
+		if plugged[i] != unplugged[i] {
+			t.Fatalf("read %d completes at %d plugged, %d unplugged", i, plugged[i], unplugged[i])
+		}
+	}
+	if pc["dev_read_merged"] != 0 {
+		t.Fatalf("%d reads merged on the object store", pc["dev_read_merged"])
+	}
+	for _, k := range []string{"net_gets", "net_cache_hits", "net_cache_misses", "dev_reads"} {
+		if pc[k] != uc[k] {
+			t.Fatalf("%s = %d plugged, %d unplugged", k, pc[k], uc[k])
+		}
+	}
+}

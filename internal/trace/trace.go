@@ -113,6 +113,7 @@ const (
 	CtrNetHedges
 	CtrNetTimeouts
 	CtrNetDegraded
+	CtrDevReadMerged
 	numCounters
 )
 
@@ -153,6 +154,7 @@ var counterNames = [numCounters]string{
 	CtrNetHedges:       "net_hedges",
 	CtrNetTimeouts:     "net_timeouts",
 	CtrNetDegraded:     "net_degraded",
+	CtrDevReadMerged:   "dev_read_merged",
 }
 
 // Kind distinguishes the three event shapes.

@@ -266,3 +266,106 @@ func BenchmarkResourceAcquireBusy(b *testing.B) {
 		sinkNS = r.Acquire(int64(i), 100)
 	}
 }
+
+// refHi is the lowest index among the reference's latest-free channels:
+// what Resource.hi must name.
+func (r *refResource) refHi() int {
+	hi := 0
+	for i, f := range r.free {
+		if f > r.free[hi] {
+			hi = i
+		}
+	}
+	return hi
+}
+
+// TestExtendEqualsOneLongerBooking: booking service and then lengthening
+// it by d1, d2, … with Extend leaves the resource exactly as the
+// reference scan booking service + d1 + d2 + … at once: the same
+// completion, free vector, Stats (busy time and op count) and latest
+// channel. Seeded random interleavings mix in plain bookings, barriers
+// and truncations, and an Extend whose booking is no longer its
+// channel's last — another booking landed on that channel, or a
+// barrier, truncation or reset moved the horizon — must refuse and
+// change nothing.
+func TestExtendEqualsOneLongerBooking(t *testing.T) {
+	for _, channels := range []int{1, 2, 8} {
+		rng := rand.New(rand.NewSource(int64(channels) + 100))
+		r := NewResource("x", channels)
+		ref := &refResource{free: make([]int64, channels)}
+		var now int64
+		extended, refused := 0, 0
+		for call := 0; call < 20_000; call++ {
+			now += rng.Int63n(60)
+			service := rng.Int63n(100) + 1
+			switch op := rng.Intn(10); {
+			case op < 6:
+				// One command lengthened k times versus one longer booking.
+				ch, _, end := r.AcquireInfo(now, service)
+				total := service
+				for k := rng.Intn(5); k > 0; k-- {
+					d := rng.Int63n(5)
+					var ok bool
+					if end, ok = r.Extend(ch, end, d); !ok {
+						t.Fatalf("ch=%d call %d: Extend of the channel's own last booking refused", channels, call)
+					}
+					total += d
+					extended++
+				}
+				_, _, rend := ref.acquireInfo(now, total)
+				if end != rend {
+					t.Fatalf("ch=%d call %d: booked %d then extended to %d, one booking of %d ends at %d",
+						channels, call, service, end, total, rend)
+				}
+			case op < 8:
+				// A booking elsewhere, then an extension of a stale one.
+				ch, _, end := r.AcquireInfo(now, service)
+				ref.acquireInfo(now, service)
+				r.AcquireInfo(now, service)
+				ref.acquireInfo(now, service)
+				if r.free[ch] != end {
+					before, stats, hi := slices.Clone(r.free), r.Stats(), r.hi
+					if _, ok := r.Extend(ch, end, 3); ok {
+						t.Fatalf("ch=%d call %d: Extend after another booking on channel %d accepted", channels, call, ch)
+					}
+					if !slices.Equal(r.free, before) || r.Stats() != stats || r.hi != hi {
+						t.Fatalf("ch=%d call %d: a refused Extend changed the resource", channels, call)
+					}
+					refused++
+				}
+			case op < 9:
+				ch, _, end := r.AcquireInfo(now, service)
+				ref.acquireInfo(now, service)
+				r.AcquireSerial(now, service)
+				ref.acquireSerial(now, service)
+				if _, ok := r.Extend(ch, end, 3); ok {
+					t.Fatalf("ch=%d call %d: Extend of a booking a barrier overtook accepted", channels, call)
+				}
+			default:
+				ch, at := rng.Intn(channels), now+rng.Int63n(50)
+				r.Truncate(ch, at)
+				ref.truncate(ch, at)
+			}
+			if !slices.Equal(r.free, ref.free) {
+				t.Fatalf("ch=%d call %d: free = %v, reference %v", channels, call, r.free, ref.free)
+			}
+			if got, want := r.Stats(), ref.stats(); got != want {
+				t.Fatalf("ch=%d call %d: Stats = %+v, reference %+v", channels, call, got, want)
+			}
+			if r.hi != ref.refHi() {
+				t.Fatalf("ch=%d call %d: hi = %d, reference %d (free %v)", channels, call, r.hi, ref.refHi(), r.free)
+			}
+		}
+		if extended < 10_000 || (channels == 1 && refused < 1_000) {
+			t.Fatalf("ch=%d: %d extensions and %d refusals driven", channels, extended, refused)
+		}
+	}
+	// Out-of-range channels refuse.
+	r := NewResource("x", 2)
+	if _, ok := r.Extend(2, 0, 1); ok {
+		t.Fatal("Extend of channel 2 of 2 accepted")
+	}
+	if _, ok := r.Extend(-1, 0, 1); ok {
+		t.Fatal("Extend of channel -1 accepted")
+	}
+}

@@ -158,6 +158,32 @@ func (r *Resource) AcquireInfo(now, service int64) (channel int, start, completi
 	return ch, start, completion
 }
 
+// Extend lengthens the booking that ends channel ch at end by d
+// nanoseconds and returns its new completion, end + d: booking service
+// and extending it by d leaves the resource exactly as booking service
+// + d at once would have (same free times, busy time, op count and
+// latest channel). It refuses — ok false, nothing changed — when ch's
+// horizon is no longer end, because something else has been booked on
+// the channel since (or it was truncated, serialized or reset); the
+// caller then books a fresh request. It backs merged device reads: a
+// plugged read of the next block lengthens the open command instead of
+// booking one of its own.
+func (r *Resource) Extend(ch int, end, d int64) (completion int64, ok bool) {
+	if ch < 0 || ch >= len(r.free) || r.free[ch] != end {
+		return 0, false
+	}
+	if d < 0 {
+		d = 0
+	}
+	completion = end + d
+	r.free[ch] = completion
+	if top := r.free[r.hi]; completion > top || (completion == top && ch < r.hi) {
+		r.hi = ch
+	}
+	r.busyNS += d
+	return completion, true
+}
+
 // bestFit scans for the channel whose free time is closest below now,
 // lowest index first among equals, falling back to the earliest-free
 // channel when none is idle.
