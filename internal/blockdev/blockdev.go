@@ -110,8 +110,8 @@ type Stats struct {
 // open command: a read of another block or on another clock, any write or
 // FLUSH, a failed read, Unplug, ResetStats or Crash. The first read of a
 // command, every unplugged read, every write and every FLUSH are booked as
-// one-block commands, so a device that is never plugged behaves exactly
-// as before plugging existed. Every block still counts as one read in
+// one-block commands, so a device that is never plugged books one command
+// per block, whatever its backend. Every block still counts as one read in
 // Stats and in the dev_reads counter; dev_read_merged counts the blocks
 // that joined an open command, and each closed command of two or more
 // blocks leaves a "merged-read" instant on the device's trace track.
