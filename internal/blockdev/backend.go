@@ -94,6 +94,20 @@ type Backend interface {
 	// a backend that could fail books the block on its own instead.
 	JoinRead(prev int64, blk int, buf []byte) (view []byte, completion int64, ok bool)
 
+	// JoinWrite stages a write of buf to blk as one more block of the
+	// write command that completes at prev — the caller's write of blk-1,
+	// made under a plug — instead of as a command of its own, the write
+	// being issued at now. A backend that can lengthen that command by one
+	// block does so if that completes blk no later than a one-block
+	// command booked at now would, and returns the lengthened command's
+	// completion with ok true; it stages buf like SubmitBlock (owned
+	// false) or SubmitOwned (owned true). Otherwise — the backend does not
+	// merge, something else has been booked on that command's channel
+	// since, or a command of its own would complete sooner — it returns ok
+	// false having done nothing, and the caller submits blk on its own. A
+	// join never fails.
+	JoinWrite(prev, now int64, blk int, buf []byte, owned bool) (completion int64, ok bool)
+
 	// SubmitBlock stages a write of buf to blk in the volatile tier and
 	// returns the command's completion time. The write is observable by
 	// subsequent ReadBlocks immediately and durable after Flush. buf is

@@ -96,25 +96,38 @@ type Stats struct {
 // at a time and holds no lock.
 //
 // Plugging. Between Plug and Unplug (the kernel plugs around each
-// read-ahead fill batch, as Linux's read_pages plugs the block queue)
-// contiguous reads merge into one device command. The device keeps one
-// open read command: the last plugged read, its clock, its block and its
-// completion so far. A plugged read of block b+1 issued on the same clock
-// as that command's read of block b, no later than the command's
-// completion, joins it (Backend.JoinRead) provided nothing else has been
-// booked on its channel since; block k of the command then completes at
-// the command's completion so far plus one block's transfer time
-// (DevRead4K for 4 KiB blocks) — in-order DMA, so every block completes
-// after it was asked for and an n-block command totals DevRead(n blocks),
-// exactly what one n-block command is priced at. Anything else closes the
-// open command: a read of another block or on another clock, any write or
-// FLUSH, a failed read, Unplug, ResetStats or Crash. The first read of a
-// command, every unplugged read, every write and every FLUSH are booked as
-// one-block commands, so a device that is never plugged books one command
-// per block, whatever its backend. Every block still counts as one read in
-// Stats and in the dev_reads counter; dev_read_merged counts the blocks
-// that joined an open command, and each closed command of two or more
-// blocks leaves a "merged-read" instant on the device's trace track.
+// read-ahead fill batch, as Linux's read_pages plugs the block queue, and
+// around each ->writepages call, as its write-back does) contiguous
+// blocks merge into one device command. The device keeps one open
+// command, read or write: the last plugged command's clock, first block,
+// block count and completion so far. A plugged read (write) of block b+1
+// issued on the same clock as the open read (write) command's block b, no
+// later than the command's completion, may join it provided nothing else
+// has been booked on its channel since (Backend.JoinRead, JoinWrite);
+// block k of the command then completes at the command's completion so
+// far plus one block's transfer time (DevRead4K, DevWrite4K for 4 KiB
+// blocks) — in-order DMA, so every block completes after it was asked for
+// and an n-block command totals DevRead(n blocks) or DevWrite(n blocks),
+// exactly what one n-block command is priced at. The two directions join
+// by different rules. A read always joins: under the rule writes use,
+// concurrent readers' batches spread over every channel and pay the 70 µs
+// read base more often. A write joins only if that completes it no later
+// than a one-block command of its own would (the local backend asks
+// vclock.Resource.Peek): on an idle device two or three blocks in parallel
+// 19.5 µs commands finish before one 18 + 1.5n µs command, so a short
+// append or a journal's few log slots stay one-block commands, and a long
+// write-back run joins once it has filled the channels. Anything else
+// closes the open command: a command of the other direction, of another
+// block or on another clock, a block that does not join, a failed command,
+// a FLUSH, Unplug, ResetStats or Crash. The first block of a command and
+// every unplugged command are booked as one-block commands, so a device
+// that is never plugged books one command per block, whatever its backend.
+// Every block still counts as one read or write in Stats, in the dev_reads
+// and dev_writes counters and in ArmPowerCut's countdown, so crash points
+// enumerate the same plugged or not; dev_read_merged and dev_write_merged
+// count the blocks that joined an open command, and each closed command of
+// two or more blocks leaves a "merged-read" or "merged-write" instant on
+// the device's trace track.
 type Device struct {
 	name      string
 	blockSize int
@@ -147,16 +160,17 @@ type Device struct {
 	cutRemaining int64
 	powerOut     bool
 
-	// plugged is set between Plug and Unplug; run is the open read
-	// command (run.n == 0, run.clk nil: none).
+	// plugged is set between Plug and Unplug; run is the open command
+	// (run.n == 0, run.clk nil: none).
 	plugged bool
-	run     openRead
+	run     openCmd
 }
 
-// openRead is a plugged read command that later contiguous reads on the
-// same clock may still join.
-type openRead struct {
+// openCmd is a plugged read or write command that later contiguous
+// commands of the same direction on the same clock may still join.
+type openCmd struct {
 	clk   *vclock.Clock
+	write bool  // a write command; a read one otherwise
 	first int   // its first block
 	n     int   // blocks so far
 	at    int64 // when its first block was asked for
@@ -247,9 +261,9 @@ func (d *Device) sample(now int64) {
 	}
 }
 
-// Plug starts merging contiguous reads into one command (see Device);
-// Unplug stops it and closes the open command. Plugging an already
-// plugged device changes nothing.
+// Plug starts merging contiguous reads, and contiguous writes, into one
+// command (see Device); Unplug stops it and closes the open command.
+// Plugging an already plugged device changes nothing.
 func (d *Device) Plug() { d.plugged = true }
 
 // Unplug ends a Plug.
@@ -288,8 +302,7 @@ func (d *Device) read(clk *vclock.Clock, blk int, buf []byte) (view []byte, err 
 	now := clk.NowNS()
 	var done int64
 	joined := false
-	// An empty run has no clock, so a matching clock means an open command.
-	if r := &d.run; d.plugged && r.clk == clk && blk == r.first+r.n && now <= r.end {
+	if r := &d.run; d.joinable(clk, false, blk, now) {
 		if view, done, joined = d.backend.JoinRead(r.end, blk, buf); joined {
 			r.n++
 			r.end = done
@@ -310,7 +323,7 @@ func (d *Device) read(clk *vclock.Clock, blk int, buf []byte) (view []byte, err 
 			return nil, err
 		}
 		if d.plugged {
-			d.run = openRead{clk: clk, first: blk, n: 1, at: now, end: done}
+			d.run = openCmd{clk: clk, first: blk, n: 1, at: now, end: done}
 		}
 	}
 	d.stats.Reads++
@@ -321,13 +334,26 @@ func (d *Device) read(clk *vclock.Clock, blk int, buf []byte) (view []byte, err 
 	return view, nil
 }
 
-// closeRun closes the open read command, marking it on the trace when
-// it carried more than one block.
+// joinable reports whether a command of block blk in the given direction,
+// issued on clk at now, may join the open command: it continues that
+// command's blocks on its clock before the command completes. An empty run
+// has no clock, so a matching clock means an open command.
+func (d *Device) joinable(clk *vclock.Clock, write bool, blk int, now int64) bool {
+	r := &d.run
+	return d.plugged && r.clk == clk && r.write == write && blk == r.first+r.n && now <= r.end
+}
+
+// closeRun closes the open command, marking it on the trace when it
+// carried more than one block.
 func (d *Device) closeRun() {
 	if r := d.run; r.n > 1 {
-		d.rec.Instant(d.name, trace.CatDevice, "merged-read", r.at, int64(r.first), int64(r.n))
+		name := "merged-read"
+		if r.write {
+			name = "merged-write"
+		}
+		d.rec.Instant(d.name, trace.CatDevice, name, r.at, int64(r.first), int64(r.n))
 	}
-	d.run = openRead{}
+	d.run = openCmd{}
 }
 
 // Submit queues a write of buf to block blk and returns the command's
@@ -351,20 +377,35 @@ func (d *Device) submit(clk *vclock.Clock, blk int, buf []byte, owned bool) (com
 	if len(buf) != d.blockSize {
 		return 0, ErrBadSize
 	}
-	d.closeRun()
 	if err := d.check(blk, &d.writeFaults); err != nil {
+		d.closeRun()
 		return 0, err
 	}
-	if owned {
-		completion, err = d.backend.SubmitOwned(clk.NowNS(), blk, buf)
-	} else {
-		completion, err = d.backend.SubmitBlock(clk.NowNS(), blk, buf)
+	now := clk.NowNS()
+	joined := false
+	if r := &d.run; d.joinable(clk, true, blk, now) {
+		if completion, joined = d.backend.JoinWrite(r.end, now, blk, buf, owned); joined {
+			r.n++
+			r.end = completion
+			d.rec.Add(trace.CtrDevWriteMerged, 1)
+		}
 	}
-	if err != nil {
-		// The write was not staged; it does not count as a write-class
-		// command for power-cut purposes, but the failure's completion
-		// time is real — callers advance to it.
-		return completion, err
+	if !joined {
+		d.closeRun()
+		if owned {
+			completion, err = d.backend.SubmitOwned(now, blk, buf)
+		} else {
+			completion, err = d.backend.SubmitBlock(now, blk, buf)
+		}
+		if err != nil {
+			// The write was not staged; it does not count as a write-class
+			// command for power-cut purposes, but the failure's completion
+			// time is real — callers advance to it.
+			return completion, err
+		}
+		if d.plugged {
+			d.run = openCmd{clk: clk, write: true, first: blk, n: 1, at: now, end: completion}
+		}
 	}
 	d.stats.Writes++
 	d.stats.BytesWritten += int64(d.blockSize)

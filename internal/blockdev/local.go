@@ -3,6 +3,7 @@ package blockdev
 import (
 	"math/rand"
 	"slices"
+	"time"
 
 	"bento/internal/costmodel"
 	"bento/internal/trace"
@@ -49,10 +50,16 @@ type localBackend struct {
 	res       *vclock.Resource
 	model     *costmodel.Model
 
-	// readCh and readEnd place the last read command booked: the channel
-	// it went to and its completion so far, what JoinRead lengthens.
-	readCh  int
-	readEnd int64
+	// read and write place the last read and the last write command
+	// booked, what JoinRead and JoinWrite lengthen.
+	read, write lastCmd
+}
+
+// lastCmd places a command: the channel it went to and its completion so
+// far.
+type lastCmd struct {
+	ch  int
+	end int64
 }
 
 // chunkBlocks is how many block buffers one allocation supplies (64 KiB at
@@ -102,14 +109,10 @@ func (lb *localBackend) BorrowBlock(now int64, blk int) ([]byte, int64, error) {
 // DevRead(blockSize) less the per-command DevReadBase, when that command
 // is the one completing at prev and is still its channel's last booking.
 func (lb *localBackend) JoinRead(prev int64, blk int, buf []byte) ([]byte, int64, bool) {
-	if prev != lb.readEnd {
-		return nil, 0, false
-	}
-	done, ok := lb.res.Extend(lb.readCh, prev, int64(lb.model.DevRead(lb.blockSize)-lb.model.DevReadBase))
+	done, ok := lb.extend(&lb.read, prev, int64(lb.model.DevRead(lb.blockSize)-lb.model.DevReadBase))
 	if !ok {
 		return nil, 0, false
 	}
-	lb.readEnd = done
 	if buf == nil {
 		return lb.lend(blk), done, true
 	}
@@ -117,11 +120,53 @@ func (lb *localBackend) JoinRead(prev int64, blk int, buf []byte) ([]byte, int64
 	return nil, done, true
 }
 
-// bookRead books a one-block read command at now and returns its
+// JoinWrite lengthens the last write command by one block's transfer
+// time, DevWrite(blockSize) less the per-command DevWriteBase, when that
+// command is the one completing at prev, is still its channel's last
+// booking, and the lengthened command completes blk no later than a
+// one-block write booked at now would.
+func (lb *localBackend) JoinWrite(prev, now int64, blk int, buf []byte, owned bool) (int64, bool) {
+	one := int64(lb.model.DevWrite(lb.blockSize))
+	per := one - int64(lb.model.DevWriteBase)
+	if prev+per > lb.res.Peek(now, one) {
+		return 0, false
+	}
+	done, ok := lb.extend(&lb.write, prev, per)
+	if !ok {
+		return 0, false
+	}
+	lb.stage(blk, buf, owned)
+	return done, true
+}
+
+// extend lengthens command c by d if it is the one completing at prev and
+// still its channel's last booking.
+func (lb *localBackend) extend(c *lastCmd, prev, d int64) (int64, bool) {
+	if prev != c.end {
+		return 0, false
+	}
+	done, ok := lb.res.Extend(c.ch, prev, d)
+	if ok {
+		c.end = done
+	}
+	return done, ok
+}
+
+// book books a one-block command of service at now as c and returns its
 // completion.
+func (lb *localBackend) book(c *lastCmd, now int64, service time.Duration) int64 {
+	c.ch, _, c.end = lb.res.AcquireInfo(now, int64(service))
+	return c.end
+}
+
+// bookRead books a one-block read command at now.
 func (lb *localBackend) bookRead(now int64) int64 {
-	lb.readCh, _, lb.readEnd = lb.res.AcquireInfo(now, int64(lb.model.DevRead(lb.blockSize)))
-	return lb.readEnd
+	return lb.book(&lb.read, now, lb.model.DevRead(lb.blockSize))
+}
+
+// bookWrite books a one-block write command at now.
+func (lb *localBackend) bookWrite(now int64) int64 {
+	return lb.book(&lb.write, now, lb.model.DevWrite(lb.blockSize))
 }
 
 // copyOut copies blk's contents into buf.
@@ -158,15 +203,23 @@ func (lb *localBackend) takeBuf() []byte {
 }
 
 func (lb *localBackend) SubmitBlock(now int64, blk int, buf []byte) (int64, error) {
-	b := lb.takeBuf()
-	copy(b, buf)
-	lb.replace(blk, b, false)
-	return lb.res.Acquire(now, int64(lb.model.DevWrite(lb.blockSize))), nil
+	lb.stage(blk, buf, false)
+	return lb.bookWrite(now), nil
 }
 
 func (lb *localBackend) SubmitOwned(now int64, blk int, buf []byte) (int64, error) {
-	lb.replace(blk, buf, true)
-	return lb.res.Acquire(now, int64(lb.model.DevWrite(lb.blockSize))), nil
+	lb.stage(blk, buf, true)
+	return lb.bookWrite(now), nil
+}
+
+// stage makes buf blk's contents: adopted when owned, copied otherwise.
+func (lb *localBackend) stage(blk int, buf []byte, owned bool) {
+	if !owned {
+		b := lb.takeBuf()
+		copy(b, buf)
+		buf = b
+	}
+	lb.replace(blk, buf, owned)
 }
 
 // replace makes b the current buffer of blk. What it replaces goes to the

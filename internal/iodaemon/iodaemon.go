@@ -26,10 +26,13 @@
 //   - Write-back: dirtiers that cross the background threshold wake the
 //     flusher, which drains every file's dirty set in ascending inode
 //     order, coalescing contiguous dirty pages into batched
-//     ->writepages calls on its own clock. Writers pay a wakeup, not
-//     the device time; virtual-time honesty is preserved because the
-//     flusher's device bookings still occupy the shared queues that any
-//     later FLUSH must drain behind.
+//     ->writepages calls on its own clock. The kernel plugs the device
+//     around each call, so the call's contiguous block writes share
+//     device commands once they have filled the queues (see
+//     blockdev.Device). Writers pay a wakeup, not the device time;
+//     virtual-time honesty is preserved because the flusher's device
+//     bookings still occupy the shared queues that any later FLUSH must
+//     drain behind.
 //
 // The host-side execution of both is synchronous: fills and flushes run
 // inline in the operation that triggered them, on the one goroutine the

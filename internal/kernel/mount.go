@@ -528,6 +528,14 @@ func (vn *vnode) writebackCounted(t *Task) (calls, pages int, err error) {
 
 	bw, batched := vn.m.fs.(BatchWriter)
 	model := vn.m.model
+	// Each ->writepages call runs with the device plugged, as Linux's
+	// write-back runs under a block plug: the call's writes of contiguous
+	// blocks may share device commands (see blockdev.Device). Only a mount
+	// with the I/O daemon plugs, as only such a mount fills under a plug;
+	// a FUSE mount's device writes are the daemon's, issued from user
+	// space, which a kernel plug (per task, as in Linux) does not cover.
+	dev := vn.m.dev
+	plug := vn.m.iod != nil
 
 	// The buffer of every page handed to write-back is given up (the file
 	// system may pass it to the device as the block itself), so the page
@@ -545,7 +553,13 @@ func (vn *vnode) writebackCounted(t *Task) (calls, pages int, err error) {
 			}
 			vn.wbBatch = batch
 			t.Charge(model.WritepagesCall)
+			if plug {
+				dev.Plug()
+			}
 			err := bw.WritePages(t, vn.ino, run.Start, batch, vn.size)
+			if plug {
+				dev.Unplug()
+			}
 			clear(vn.wbBatch) // drop page refs so eviction can recycle
 			vn.wbBatch = vn.wbBatch[:0]
 			if err != nil {

@@ -477,6 +477,13 @@ func (s *Store) JoinRead(prev int64, blk int, buf []byte) ([]byte, int64, bool) 
 	return nil, 0, false
 }
 
+// JoinWrite implements blockdev.Backend: the store never joins a write
+// either; a plugged write is staged in its cached object exactly as an
+// unplugged one, and the object's PUT carries the whole run anyway.
+func (s *Store) JoinWrite(prev, now int64, blk int, buf []byte, owned bool) (int64, bool) {
+	return 0, false
+}
+
 // SubmitBlock implements blockdev.Backend: write-back into the cached
 // object. A hit stages the block at no network cost; a miss to an
 // object that exists durably pays a read-modify-write GET first. While

@@ -1,6 +1,8 @@
 package netstore_test
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -265,10 +267,11 @@ func TestEvictionVictimIsLRU(t *testing.T) {
 	}
 }
 
-// TestPlugChangesNoBooking: the store never joins reads, so a plugged run
-// of contiguous reads books exactly what the same reads book unplugged —
-// the same completions, the same GETs and cache hits — and nothing is
-// counted as merged.
+// TestPlugChangesNoBooking: the store never joins reads or writes, so a
+// plugged run of contiguous reads, then of contiguous writes (copied and
+// owned, submitted from one instant, then flushed), books exactly what the
+// same commands book unplugged — the same completions, the same GETs,
+// PUTs and cache hits — and nothing is counted as merged.
 func TestPlugChangesNoBooking(t *testing.T) {
 	run := func(plug bool) ([]int64, map[string]int64) {
 		d, rec, clk := metricsDev(t, 64, netstore.Config{Model: costmodel.Default()})
@@ -296,19 +299,38 @@ func TestPlugChangesNoBooking(t *testing.T) {
 			}
 			done = append(done, clk.NowNS())
 		}
+		at = clk.NowNS()
+		for blk := 4; blk < 36; blk++ {
+			clk.SetNS(at)
+			page := bytes.Repeat([]byte{byte(blk + 101)}, d.BlockSize())
+			submit := d.Submit
+			if blk%2 == 0 {
+				submit = d.SubmitOwned
+			}
+			end, err := submit(clk, blk, page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done = append(done, end)
+		}
+		clk.AdvanceTo(slices.Max(done[len(done)-32:]))
+		if err := d.Flush(clk); err != nil {
+			t.Fatal(err)
+		}
+		done = append(done, clk.NowNS())
 		return done, rec.Counters()
 	}
 	plugged, pc := run(true)
 	unplugged, uc := run(false)
 	for i := range plugged {
 		if plugged[i] != unplugged[i] {
-			t.Fatalf("read %d completes at %d plugged, %d unplugged", i, plugged[i], unplugged[i])
+			t.Fatalf("command %d completes at %d plugged, %d unplugged", i, plugged[i], unplugged[i])
 		}
 	}
-	if pc["dev_read_merged"] != 0 {
-		t.Fatalf("%d reads merged on the object store", pc["dev_read_merged"])
+	if pc["dev_read_merged"] != 0 || pc["dev_write_merged"] != 0 {
+		t.Fatalf("%d reads and %d writes merged on the object store", pc["dev_read_merged"], pc["dev_write_merged"])
 	}
-	for _, k := range []string{"net_gets", "net_cache_hits", "net_cache_misses", "dev_reads"} {
+	for _, k := range []string{"net_gets", "net_puts", "net_cache_hits", "net_cache_misses", "dev_reads", "dev_writes"} {
 		if pc[k] != uc[k] {
 			t.Fatalf("%s = %d plugged, %d unplugged", k, pc[k], uc[k])
 		}

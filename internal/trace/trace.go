@@ -114,6 +114,7 @@ const (
 	CtrNetTimeouts
 	CtrNetDegraded
 	CtrDevReadMerged
+	CtrDevWriteMerged
 	numCounters
 )
 
@@ -155,6 +156,7 @@ var counterNames = [numCounters]string{
 	CtrNetTimeouts:     "net_timeouts",
 	CtrNetDegraded:     "net_degraded",
 	CtrDevReadMerged:   "dev_read_merged",
+	CtrDevWriteMerged:  "dev_write_merged",
 }
 
 // Kind distinguishes the three event shapes.

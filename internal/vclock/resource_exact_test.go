@@ -369,3 +369,39 @@ func TestExtendEqualsOneLongerBooking(t *testing.T) {
 		t.Fatal("Extend of channel -1 accepted")
 	}
 }
+
+// TestPeekIsTheNextCompletion: on seeded random resources Peek books
+// nothing — free times, statistics and the latest channel stay as they
+// were — and returns exactly the completion the AcquireInfo that follows
+// it at the same instant and service time returns.
+func TestPeekIsTheNextCompletion(t *testing.T) {
+	for _, channels := range []int{1, 2, 8, 16} {
+		rng := rand.New(rand.NewSource(int64(channels)))
+		r := NewResource("x", channels)
+		var now int64
+		for call := 0; call < 20_000; call++ {
+			switch rng.Intn(4) {
+			case 0:
+			case 1:
+				now += rng.Int63n(40)
+			case 2:
+				now = r.free[r.hi] + rng.Int63n(3) - 1 // on or beside the horizon
+			default:
+				now = rng.Int63n(2000) - 100 // unordered
+			}
+			service := rng.Int63n(120) - 10 // zero and negative included
+			before, stats, hi := slices.Clone(r.free), r.Stats(), r.hi
+			peek := r.Peek(now, service)
+			if !slices.Equal(r.free, before) || r.Stats() != stats || r.hi != hi {
+				t.Fatalf("ch=%d call %d: Peek(%d,%d) changed the resource", channels, call, now, service)
+			}
+			if _, _, end := r.AcquireInfo(now, service); end != peek {
+				t.Fatalf("ch=%d call %d: Peek(%d,%d) = %d, AcquireInfo then completes at %d (free %v)",
+					channels, call, now, service, peek, end, before)
+			}
+			if rng.Intn(50) == 0 {
+				r.Reset()
+			}
+		}
+	}
+}

@@ -158,6 +158,26 @@ func (r *Resource) AcquireInfo(now, service int64) (channel int, start, completi
 	return ch, start, completion
 }
 
+// Peek reports the completion Acquire(now, service) would return,
+// booking nothing: service after the later of now and the earliest time
+// a channel is free. It backs merged device writes, which join the open
+// command only when that completes the block no later than a command of
+// its own would.
+func (r *Resource) Peek(now, service int64) (completion int64) {
+	if service < 0 {
+		service = 0
+	}
+	start := now
+	if r.free[r.hi] > now { // not every channel is idle: find the earliest free
+		start = r.free[r.hi]
+		for _, f := range r.free {
+			start = min(start, f)
+		}
+		start = max(start, now)
+	}
+	return start + service
+}
+
 // Extend lengthens the booking that ends channel ch at end by d
 // nanoseconds and returns its new completion, end + d: booking service
 // and extending it by d leaves the resource exactly as booking service
@@ -165,9 +185,9 @@ func (r *Resource) AcquireInfo(now, service int64) (channel int, start, completi
 // latest channel). It refuses — ok false, nothing changed — when ch's
 // horizon is no longer end, because something else has been booked on
 // the channel since (or it was truncated, serialized or reset); the
-// caller then books a fresh request. It backs merged device reads: a
-// plugged read of the next block lengthens the open command instead of
-// booking one of its own.
+// caller then books a fresh request. It backs merged device commands: a
+// plugged read or write of the next block lengthens the open command
+// instead of booking one of its own.
 func (r *Resource) Extend(ch int, end, d int64) (completion int64, ok bool) {
 	if ch < 0 || ch >= len(r.free) || r.free[ch] != end {
 		return 0, false

@@ -448,8 +448,11 @@ func (ip *Inode) writei(t *kernel.Task, off int64, buf []byte) (int, error) {
 // (write-back) and off is page-aligned: a whole block is then a whole
 // buffer of src and is passed on as it is instead of being copied — to
 // the device as direct data (BWriteOwned), to the disk as the journaled
-// block otherwise (BAdopt). ip is loaded; caller holds a transaction
-// sized for the write (see writeChunkBlocks).
+// block otherwise (BAdopt). Direct data is ordered data: writev does not
+// wait for it but hands its latest completion to the transaction
+// (Log.orderData), whose commit record waits for it; a failed write waits
+// for what it submitted before it returns. ip is loaded; caller holds a
+// transaction sized for the write (see writeChunkBlocks).
 func (ip *Inode) writev(t *kernel.Task, off int64, src [][]byte, total int64, owned bool) (int, error) {
 	if off < 0 {
 		return 0, fsapi.ErrInvalid
@@ -513,9 +516,7 @@ func (ip *Inode) writev(t *kernel.Task, off int64, src [][]byte, total int64, ow
 				wait()
 				return int(done), err
 			}
-			if completion > batchEnd {
-				batchEnd = completion
-			}
+			batchEnd = max(batchEnd, completion)
 			done += n
 			continue
 		}
@@ -524,7 +525,7 @@ func (ip *Inode) writev(t *kernel.Task, off int64, src [][]byte, total int64, ow
 		}
 		done += n
 	}
-	wait()
+	ip.fs.log.orderData(batchEnd)
 	if end := off + done; end > int64(ip.din.Size) {
 		ip.din.Size = uint64(end)
 	}

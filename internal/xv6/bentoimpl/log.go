@@ -10,7 +10,8 @@
 // metadata) through a write-ahead log with group commit, as xv6 does —
 // the reason the paper mounts ext4 with data=journal for comparison.
 // With it on, as the published Bento mount runs (harness.Published), file
-// data goes straight to the device and the log carries metadata only.
+// data goes straight to the device and the log carries metadata only; the
+// data is ordered data, which each commit record waits for (Log.orderData).
 //
 // A buffer is released the way the paper's Rust drops a buffer head:
 // every acquisition is followed by `defer drop(b, &err)` in the function
@@ -55,6 +56,7 @@ type Log struct {
 	committing    bool
 	blocks        []uint32 // home addresses of logged blocks (the in-memory header)
 	inLog         map[uint32]int
+	dataEnd       int64 // latest completion of the running transaction's ordered data
 	commitEnd     int64 // virtual time the last commit record completed
 	checkpointEnd int64 // virtual time the last cleared header completed: the log is free
 	commits       int64
@@ -180,7 +182,19 @@ func (l *Log) Write(t *kernel.Task, bh bentoks.Buffer) error {
 	return nil
 }
 
-// EndOp closes the operation; the last operation out commits the group.
+// orderData makes a batch of direct data writes that completes at end
+// ordered data of the running transaction, as jbd2's ordered mode does:
+// the commit record is submitted only once the data has completed, and an
+// operation that commits nothing waits for its data as it ends. The data
+// is submitted but not waited for, so it overlaps the rest of the
+// operation and the commit's log slots.
+func (l *Log) orderData(end int64) {
+	l.dataEnd = max(l.dataEnd, end)
+}
+
+// EndOp closes the operation; the last operation out commits the group,
+// and returns after the group's ordered data has completed, whether it
+// committed or not.
 func (l *Log) EndOp(t *kernel.Task, op Op) error {
 	l.outstanding--
 	l.reserved -= op.n
@@ -200,11 +214,13 @@ func (l *Log) EndOp(t *kernel.Task, op Op) error {
 			r.Add(trace.CtrJournalBlocks, int64(len(toCommit)))
 		}
 	}
+	t.WaitIO("write-batch", l.dataEnd)
 
 	// Reset in place: the slice capacity and map buckets are reused by
 	// the next transaction instead of reallocated per commit.
 	l.blocks = l.blocks[:0]
 	clear(l.inLog)
+	l.dataEnd = 0
 	l.committing = false
 	l.commits++
 	if now := t.Clk.NowNS(); now > l.commitEnd {
@@ -256,10 +272,12 @@ func (l *Log) commit(t *kernel.Task, blocks []uint32) (err error) {
 	t.WaitJournal("checkpoint-wait", l.checkpointEnd)
 
 	// Step 1: write the log data blocks as one batch: submit every slot,
-	// then wait once for the latest completion, as jbd2 does. The header
-	// is submitted only after every slot has completed. A disk with no
-	// asynchronous submission (the FUSE daemon's pwrite) completes each
-	// slot before submitting the next, so there the batch stays serial.
+	// then wait once for the later of the latest slot's completion and the
+	// transaction's ordered data, as jbd2 does. The header is submitted
+	// only after every slot and every data block has completed. A disk
+	// with no asynchronous submission (the FUSE daemon's pwrite) completes
+	// each slot before submitting the next, so there the batch stays
+	// serial.
 	var last int64
 	for i, home := range blocks {
 		done, err := l.copyBlock(t, home, l.start+1+uint32(i))
@@ -268,7 +286,7 @@ func (l *Log) commit(t *kernel.Task, blocks []uint32) (err error) {
 		}
 		last = max(last, done)
 	}
-	t.WaitIO("journal-write", last)
+	t.WaitIO("journal-write", max(last, l.dataEnd))
 
 	// Step 2: header write = commit point.
 	var lh layout.LogHeader

@@ -2,6 +2,7 @@ package bentoimpl_test
 
 import (
 	"testing"
+	"time"
 
 	"bento/internal/core"
 	"bento/internal/costmodel"
@@ -72,6 +73,24 @@ func TestUpgradeDrainsCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.RequireCheckpointOrder(t)
+}
+
+// TestOrderedData requires the data bypass's file data to be ordered
+// data under both policies: on a device whose data writes complete a
+// millisecond late, so that only the commit's own wait can keep the data
+// ahead of the commit record, every write-back commit submits its record
+// after the data it carries has completed, and the write-back returns
+// after its data.
+func TestOrderedData(t *testing.T) {
+	for policy, name := range map[bentoimpl.SyncPolicy]string{bentoimpl.PolicyWriteBack: "writeback", bentoimpl.PolicyFlush: "flush"} {
+		t.Run(name, func(t *testing.T) {
+			r := journaltest.New(t, costmodel.Default(), journaltest.Mkfs, "xv6", func(k *kernel.Kernel) error {
+				return bentoimpl.RegisterWith(k, "xv6", bentoimpl.Config{Policy: policy, DataBypass: true})
+			})
+			r.SlowData(time.Millisecond)
+			r.RequireOrderedData(t, func(task *kernel.Task) error { return r.WriteBack(task, "/f", 40) })
+		})
+	}
 }
 
 // TestFUSECommitStaysSerial is the guard on the paper's asymmetry: the

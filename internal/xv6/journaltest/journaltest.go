@@ -6,15 +6,19 @@
 // returns at its commit record and checkpoints (installs, then clears
 // the record) in the background, and the next commit reuses the log
 // only once the clear has completed; a commit whose log write fails
-// leaves no trace on the device.
+// leaves no trace on the device; and with the data bypass on, file data
+// is ordered data — a commit record follows the data its transaction
+// carries, and a write that commits nothing returns after its data.
 package journaltest
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"bento/internal/blockdev"
 	"bento/internal/costmodel"
+	"bento/internal/fsapi"
 	"bento/internal/kernel"
 	"bento/internal/trace"
 	"bento/internal/vclock"
@@ -29,22 +33,42 @@ type writeCmd struct {
 }
 
 // recorder is a blockdev.Backend that records every write command it
-// books, by copy or by reference, in submission order.
+// books, by copy, by reference or joined to the command before it, in
+// submission order. From block slowFrom on, a write completes slow
+// nanoseconds later than the backend says (see Rig.SlowData).
 type recorder struct {
 	blockdev.Backend
-	writes []writeCmd
+	writes   []writeCmd
+	slowFrom int
+	slow     int64
+}
+
+// record notes a write of blk submitted at now that the backend completes
+// at done, and returns its completion.
+func (r *recorder) record(now int64, blk int, done int64) int64 {
+	if r.slow > 0 && blk >= r.slowFrom {
+		done += r.slow
+	}
+	r.writes = append(r.writes, writeCmd{blk, now, done})
+	return done
 }
 
 func (r *recorder) SubmitBlock(now int64, blk int, buf []byte) (int64, error) {
 	done, err := r.Backend.SubmitBlock(now, blk, buf)
-	r.writes = append(r.writes, writeCmd{blk, now, done})
-	return done, err
+	return r.record(now, blk, done), err
 }
 
 func (r *recorder) SubmitOwned(now int64, blk int, buf []byte) (int64, error) {
 	done, err := r.Backend.SubmitOwned(now, blk, buf)
-	r.writes = append(r.writes, writeCmd{blk, now, done})
-	return done, err
+	return r.record(now, blk, done), err
+}
+
+func (r *recorder) JoinWrite(prev, now int64, blk int, buf []byte, owned bool) (int64, bool) {
+	done, ok := r.Backend.JoinWrite(prev, now, blk, buf, owned)
+	if ok {
+		done = r.record(now, blk, done)
+	}
+	return done, ok
 }
 
 // Rig is a traced mount on a 4 096-block local device that records its
@@ -102,6 +126,36 @@ func (r *Rig) WriteFile(pages int) (werr, serr error) {
 	return werr, r.M.Sync(r.Task)
 }
 
+// WriteBack creates path empty and writes pages pages of file data to it
+// on task as the kernel's write-back does, straight through the mounted
+// file system: one ->writepages call when it has one, one ->writepage per
+// page otherwise.
+func (r *Rig) WriteBack(task *kernel.Task, path string, pages int) error {
+	f, err := r.M.Open(task, path, fsapi.OCreate|fsapi.ORdwr)
+	if err != nil {
+		return err
+	}
+	ino := f.Ino()
+	if err := r.M.Close(task, f); err != nil {
+		return err
+	}
+	size := int64(pages) * layout.BlockSize
+	buf := make([][]byte, pages)
+	for i := range buf {
+		buf[i] = bytes.Repeat([]byte{byte(i + 1)}, layout.BlockSize)
+	}
+	fs := r.M.FS()
+	if bw, ok := fs.(kernel.BatchWriter); ok {
+		return bw.WritePages(task, ino, 0, buf, size)
+	}
+	for i, p := range buf {
+		if err := fs.WritePage(task, ino, int64(i), p, size); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Commits returns the traced commit spans of at least minBlocks blocks.
 func (r *Rig) Commits(minBlocks int64) []trace.Event {
 	var out []trace.Event
@@ -130,9 +184,11 @@ func (r *Rig) LastSlot(t testing.TB) int {
 	return int(r.SB.LogStart) + int(big[0].A)
 }
 
-// commitIO is one commit's write commands in submission order: its log
-// slots, its commit record, its installs and its cleared record.
+// commitIO is one commit's write commands in submission order: the
+// unjournaled data written before it, its log slots, its commit record,
+// its installs and its cleared record.
 type commitIO struct {
+	data     []writeCmd
 	slots    []writeCmd
 	record   writeCmd
 	installs []writeCmd
@@ -141,19 +197,26 @@ type commitIO struct {
 
 // commitIOs splits the recorded writes into commits. A header write with
 // no log slot before it is a mount's recovery clearing the log, and a
-// write outside the log before a commit record is unjournaled data:
-// neither belongs to a commit. A commit whose record or clear was never
-// written is left out.
+// write outside the log before a commit record is unjournaled data, which
+// the commit's transaction carries. A commit whose record or clear was
+// never written is left out.
 func (r *Rig) commitIOs() []commitIO {
+	ios, _ := r.commitIOsFrom(0)
+	return ios
+}
+
+// commitIOsFrom is commitIOs over the writes from the from-th on, which
+// must not fall inside a commit. It also returns the data written after
+// the last commit, which no commit carries yet.
+func (r *Rig) commitIOsFrom(from int) (ios []commitIO, pending []writeCmd) {
 	logStart := int(r.SB.LogStart)
-	var out []commitIO
 	var c commitIO
 	recorded := false
-	for _, w := range r.rec.writes {
+	for _, w := range r.rec.writes[from:] {
 		switch {
 		case recorded && w.blk == logStart:
 			c.clear = w
-			out = append(out, c)
+			ios = append(ios, c)
 			c, recorded = commitIO{}, false
 		case recorded:
 			c.installs = append(c.installs, w)
@@ -161,9 +224,11 @@ func (r *Rig) commitIOs() []commitIO {
 			c.record, recorded = w, true
 		case w.blk > logStart && w.blk <= logStart+int(r.SB.NLog):
 			c.slots = append(c.slots, w)
+		case w.blk != logStart:
+			c.data = append(c.data, w)
 		}
 	}
-	return out
+	return ios, c.data
 }
 
 // latest is the last completion of cmds.
@@ -279,6 +344,43 @@ func (r *Rig) RequireUnmountDrains(t testing.TB) {
 	}
 	if now, cleared := r.Task.Clk.NowNS(), ios[len(ios)-1].clear.done; now < cleared {
 		t.Errorf("Unmount returned at %d ns, before the last clear completed at %d ns", now, cleared)
+	}
+}
+
+// SlowData makes every write of a data-region block complete d later
+// than the device says, as a device that reorders would: queue order then
+// no longer keeps a transaction's data ahead of its log slots, and only
+// the commit's own wait keeps it ahead of the commit record.
+func (r *Rig) SlowData(d time.Duration) {
+	r.rec.slowFrom, r.rec.slow = int(r.SB.DataStart), int64(d)
+}
+
+// RequireOrderedData runs write on the rig's task and checks the ordered
+// data rule on the device writes it made. Every data write a commit
+// carries — written outside the log before the commit record — completes
+// no later than that record is submitted, and write returns on the rig's
+// task no earlier than the latest completion of the data it wrote,
+// whether a commit carried that data or none has yet. write may commit on
+// another task; it must write some data, and it must not return inside a
+// commit.
+func (r *Rig) RequireOrderedData(t testing.TB, write func(*kernel.Task) error) {
+	t.Helper()
+	from := len(r.rec.writes)
+	if err := write(r.Task); err != nil {
+		t.Fatal(err)
+	}
+	ios, data := r.commitIOsFrom(from)
+	for i, c := range ios {
+		if done := latest(c.data); done > c.record.at {
+			t.Errorf("commit %d submitted its record at %d ns, before its data completed at %d ns", i, c.record.at, done)
+		}
+		data = append(data, c.data...)
+	}
+	if len(data) == 0 {
+		t.Fatal("write wrote no data")
+	}
+	if now, done := r.Task.Clk.NowNS(), latest(data); now < done {
+		t.Errorf("write returned at %d ns, before its data completed at %d ns", now, done)
 	}
 }
 

@@ -186,14 +186,32 @@ func (fs *FS) logWrite(t *kernel.Task, bh *kernel.BufferHead) error {
 	return nil
 }
 
+// orderData makes a batch of direct data writes that completes at end
+// ordered data of the running transaction, as jbd2's ordered mode does:
+// its commit record is submitted only once the data has completed, and an
+// operation that ends without committing waits for its own data as it
+// ends. The data is submitted but not waited for, so it overlaps the rest
+// of the operation and the commit's log slots.
+func (fs *FS) orderData(end int64) {
+	fs.dataEnd = max(fs.dataEnd, end)
+	fs.opDataEnd = max(fs.opDataEnd, end)
+}
+
 // endOp closes an operation; the last one to close commits when the
-// journal says the transaction is due.
+// journal says the transaction is due, and returns after the operations'
+// ordered data has completed, whether it committed or not.
 func (fs *FS) endOp(t *kernel.Task) error {
 	fs.outstanding--
-	if fs.outstanding > 0 || !fs.log.due(len(fs.logBlocks)) {
+	if fs.outstanding > 0 {
 		return nil
 	}
-	return fs.commit(t)
+	var err error
+	if fs.log.due(len(fs.logBlocks)) {
+		err = fs.commit(t)
+	}
+	t.WaitIO("write-batch", fs.opDataEnd)
+	fs.opDataEnd = 0
+	return err
 }
 
 // endOpInto closes an operation from a defer. The commit's error becomes
@@ -227,6 +245,7 @@ func (fs *FS) commit(t *kernel.Task) error {
 	// writeCommit consuming blocks (an alias of logBlocks) and this reset.
 	fs.logBlocks = fs.logBlocks[:0]
 	clear(fs.inLog)
+	fs.dataEnd = 0
 	fs.committing = false
 	fs.commits++
 	if now := t.Clk.NowNS(); now > fs.commitEnd {
@@ -236,9 +255,10 @@ func (fs *FS) commit(t *kernel.Task) error {
 }
 
 // writeLog copies each home block into its log slot and writes the slots
-// as one batch: it submits every slot, then waits once for the latest
-// completion, so the commit record that follows is submitted only after
-// every slot has completed.
+// as one batch: it submits every slot, then waits once for the later of
+// the latest slot's completion and the transaction's ordered data, so the
+// commit record that follows is submitted only after every slot and every
+// data block has completed.
 func (fs *FS) writeLog(t *kernel.Task, blocks []uint32) error {
 	var last int64
 	for i, home := range blocks {
@@ -259,7 +279,7 @@ func (fs *FS) writeLog(t *kernel.Task, blocks []uint32) error {
 		_ = dst.Release()
 		_ = src.Release()
 	}
-	t.WaitIO("journal-write", last)
+	t.WaitIO("journal-write", max(last, fs.dataEnd))
 	return nil
 }
 

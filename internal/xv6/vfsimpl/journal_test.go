@@ -3,6 +3,7 @@ package vfsimpl_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"bento/internal/blockdev"
 	"bento/internal/costmodel"
@@ -69,6 +70,35 @@ func TestCommitCheckpointsInBackground(t *testing.T) {
 			r.RequireUnmountDrains(t)
 		})
 	}
+}
+
+// TestOrderedData requires the data bypass's file data to be ordered
+// data in both journals, on a device whose data writes complete a
+// millisecond late, so that only the commit's own wait can keep the data
+// ahead of the commit record. The C-Kernel commits each page's write-back
+// as it ends, after the page's data. ext4's write-back joins the compound
+// transaction without committing and returns after its data; a sync on a
+// task that lags behind it then commits the transaction, and submits its
+// record only after that data has completed, though its own log slots
+// could complete sooner.
+func TestOrderedData(t *testing.T) {
+	t.Run("xv6vfs", func(t *testing.T) {
+		r := rig(t, costmodel.Default(), vfsimpl.Type{Cfg: vfsimpl.Config{DataBypass: true}})
+		r.SlowData(time.Millisecond)
+		r.RequireOrderedData(t, func(task *kernel.Task) error { return r.WriteBack(task, "/f", 8) })
+	})
+	t.Run("ext4", func(t *testing.T) {
+		r := rig(t, costmodel.Default(), ext4.Type{Cfg: ext4.Config{DataBypass: true}})
+		r.SlowData(time.Millisecond)
+		r.RequireOrderedData(t, func(task *kernel.Task) error {
+			lag := r.K.NewTask("lagging")
+			lag.Clk.AdvanceTo(task.Clk.NowNS())
+			if err := r.WriteBack(task, "/f", 8); err != nil {
+				return err
+			}
+			return r.M.FS().Sync(lag)
+		})
+	})
 }
 
 // TestCreateReportsFailedCommit requires a C-Kernel create whose commit

@@ -165,6 +165,8 @@ type FS struct {
 	committing    bool
 	logBlocks     []uint32 // blocks joined to the running transaction
 	inLog         map[uint32]bool
+	dataEnd       int64        // latest completion of the running transaction's ordered data
+	opDataEnd     int64        // latest completion of the open operations' ordered data
 	commitEnd     int64        // virtual completion of the last commit record
 	checkpointEnd int64        // virtual completion of the last cleared record: the log is free
 	jthread       *kernel.Task // the journal thread the checkpoint runs on
@@ -648,7 +650,10 @@ func (fs *FS) writei(t *kernel.Task, ip *inode, off int64, buf []byte) (int, err
 // buffers, at off, growing the file as needed. With owned set src is a
 // run of page buffers the kernel has given up (write-back) and off is
 // page-aligned: a whole block of direct data is then a whole buffer of
-// src and goes to the device as it is instead of being copied.
+// src and goes to the device as it is instead of being copied. Direct
+// data is ordered data: writev does not wait for it but hands its latest
+// completion to the transaction (orderData), whose commit record waits for
+// it; a failed write waits for what it submitted before it returns.
 func (fs *FS) writev(t *kernel.Task, ip *inode, off int64, src [][]byte, total int64, owned bool) (int, error) {
 	if off < 0 || off+total > layout.MaxFileSize {
 		return 0, fsapi.ErrFileTooBig
@@ -706,9 +711,7 @@ func (fs *FS) writev(t *kernel.Task, ip *inode, off int64, src [][]byte, total i
 				wait()
 				return int(done), err
 			}
-			if completion > batchEnd {
-				batchEnd = completion
-			}
+			batchEnd = max(batchEnd, completion)
 			done += n
 			continue
 		}
@@ -729,7 +732,7 @@ func (fs *FS) writev(t *kernel.Task, ip *inode, off int64, src [][]byte, total i
 		_ = bh.Release()
 		done += n
 	}
-	wait()
+	fs.orderData(batchEnd)
 	if end := off + done; end > int64(ip.din.Size) {
 		ip.din.Size = uint64(end)
 	}
