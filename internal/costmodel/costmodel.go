@@ -145,7 +145,7 @@ type Model struct {
 	// submitters overlap it across the device queues.
 	DirectWriteSetup time.Duration
 
-	// --- Background I/O (internal/iodaemon) ---
+	// --- Background I/O (read-ahead and write-back, internal/kernel) ---
 
 	// ReadaheadUpdate is the per-read cost of the sequential-access
 	// detector: checking the request against the per-file window and

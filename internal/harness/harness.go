@@ -137,8 +137,8 @@ func Quick() Options {
 
 // NewTarget mkfs's a fresh device and mounts the named variant on it
 // with its Published config, the bypass off in the cell's noBypass case.
-// Every in-kernel variant also gets the background I/O subsystem
-// (internal/iodaemon: read-ahead + write-back flusher); the FUSE variant
+// Every in-kernel variant also gets the kernel's background I/O
+// (read-ahead + write-back flusher, Mount.EnableIODaemon); the FUSE variant
 // does not — a userspace file system sits in front of none of these
 // mechanisms, which is the asymmetry the paper measures.
 func NewTarget(variant string, o Options) (filebench.Target, error) {

@@ -1,5 +1,13 @@
 package iodaemon
 
+// The read-ahead window's ramp: a newly detected stream starts at
+// initWindow pages (Linux's initial ramp) and the window never exceeds
+// maxWindow pages (128 KiB, Linux's default read_ahead_kb).
+const (
+	initWindow = 4
+	maxWindow  = 32
+)
+
 // Window is the per-file read-ahead state machine, modeled on Linux's
 // ondemand_readahead: it detects sequential streams, ramps an ahead
 // window up exponentially while the stream continues, and collapses it
@@ -16,17 +24,16 @@ type Window struct {
 }
 
 // Access records a demand read covering pages [first, last] and reports
-// the page range [start, start+count) to fill ahead of the stream,
-// given the policy's initial and maximum window sizes. count is 0 when
-// the access is not part of a sequential stream (or the window adds
-// nothing beyond what is already ahead).
+// the page range [start, start+count) to fill ahead of the stream. count
+// is 0 when the access is not part of a sequential stream (or the window
+// adds nothing beyond what is already ahead).
 //
 // The window ramps like Linux's: a newly detected stream gets
-// max(init, 2×request) pages, each sequential continuation doubles it,
-// and max caps it. A request larger than the window would otherwise
-// outrun read-ahead entirely, which is why the request size feeds the
-// ramp.
-func (w *Window) Access(first, last int64, init, max int64) (start, count int64) {
+// max(initWindow, 2×request) pages, each sequential continuation doubles
+// it, and maxWindow caps it. A request larger than the window would
+// otherwise outrun read-ahead entirely, which is why the request size
+// feeds the ramp.
+func (w *Window) Access(first, last int64) (start, count int64) {
 	req := last - first + 1
 	if req < 1 {
 		req = 1
@@ -39,7 +46,7 @@ func (w *Window) Access(first, last int64, init, max int64) (start, count int64)
 	if seq {
 		// Sequential continuation (or a fresh stream at the expected
 		// origin): grow the window.
-		w.size = clamp(2*w.size, 2*req, init, max)
+		w.size = min(max(2*w.size, 2*req, initWindow), maxWindow)
 	} else {
 		// Seek: the stream is broken; forget it. The next access from
 		// here looks sequential again, so a new stream re-ramps from
@@ -72,34 +79,15 @@ func (w *Window) Reset() {
 	w.ahead = 0
 }
 
-// Size reports the current ahead window in pages (0 when no stream is
-// detected); for tests and stats.
-func (w *Window) Size() int64 { return w.size }
-
-// clamp bounds max(a, b) to [lo, hi].
-func clamp(a, b, lo, hi int64) int64 {
-	return min(max(a, b, lo), hi)
-}
-
 // Run is one maximal range of consecutive page (or block) indexes.
 type Run struct {
 	Start int64 // first index in the run
 	Count int   // number of consecutive indexes
 }
 
-// Runs coalesces an ascending index list into maximal contiguous runs —
-// the write-back batching step: each run of dirty pages becomes a
-// single ->writepages call.
-func Runs(keys []int64) []Run {
-	if len(keys) == 0 {
-		return nil
-	}
-	return AppendRuns(make([]Run, 0, 4), keys)
-}
-
 // AppendRuns appends the maximal contiguous runs of the ascending index
-// list to dst and returns the extended slice — Runs for callers that
-// recycle a scratch buffer across write-back passes.
+// list to dst and returns the extended slice — the write-back batching
+// step: each run of dirty pages becomes a single ->writepages call.
 func AppendRuns(dst []Run, keys []int64) []Run {
 	if len(keys) == 0 {
 		return dst

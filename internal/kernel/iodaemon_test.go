@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"bento/internal/iodaemon"
 	"bento/internal/kernel"
 	"bento/internal/memfs"
+	"bento/internal/trace"
 	"bento/internal/vclock"
 )
 
@@ -23,19 +25,21 @@ type hookFS struct {
 	kernel.FileSystem
 	pageCost time.Duration
 
-	failPage int64 // page whose reads fail (-1: none)
+	failPage int64         // page whose reads fail (-1: none)
+	failCost time.Duration // extra time a failing read takes
 	batches  []iodaemon.Run
-	probe    func(pg int64) // if set, runs inside every page read
+	probe    func(t *kernel.Task, pg int64) // if set, runs inside every page read
 }
 
 func (h *hookFS) ReadPage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte) error {
 	if h.probe != nil {
-		h.probe(pg)
+		h.probe(t, pg)
 	}
 	// Model a device read: the task waits for the transfer, and a failed
 	// one is known only when it completes.
 	t.Clk.Advance(h.pageCost)
 	if h.failPage == pg {
+		t.Clk.Advance(h.failCost)
 		return fsapi.ErrIO
 	}
 	return h.FileSystem.ReadPage(t, ino, pg, buf)
@@ -94,7 +98,7 @@ func (ht hookType) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSyste
 }
 
 // newIODMount builds a kernel + hookFS mount with the background I/O
-// subsystem enabled.
+// subsystem enabled and a trace recorder attached (see counter).
 func newIODMount(t *testing.T) (*kernel.Mount, *hookFS, *kernel.Task) {
 	return newHookMount(t, false)
 }
@@ -104,6 +108,7 @@ func newIODMount(t *testing.T) (*kernel.Mount, *hookFS, *kernel.Task) {
 func newHookMount(t *testing.T, lend bool) (*kernel.Mount, *hookFS, *kernel.Task) {
 	t.Helper()
 	k := kernel.New(costmodel.Fast())
+	k.SetRecorder(trace.New())
 	var h *hookFS
 	if err := k.Register(hookType{fs: &h, lend: lend}); err != nil {
 		t.Fatal(err)
@@ -116,6 +121,22 @@ func newHookMount(t *testing.T, lend bool) (*kernel.Mount, *hookFS, *kernel.Task
 	}
 	m.EnableIODaemon(iodaemon.Config{})
 	return m, h, task
+}
+
+// counter reads the named trace counter of the kernel task runs in.
+func counter(task *kernel.Task, name string) int64 {
+	return task.Kernel().Recorder().Counters()[name]
+}
+
+// spans reads the recorded spans named name.
+func spans(task *kernel.Task, name string) []trace.Event {
+	var out []trace.Event
+	for _, e := range task.Kernel().Recorder().Events() {
+		if e.Kind == trace.KindSpan && e.Name == name {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // writeFilePages writes n distinct pages to path and syncs them out.
@@ -145,8 +166,9 @@ func writeFilePages(t *testing.T, m *kernel.Mount, task *kernel.Task, path strin
 func TestReadAheadOverlapsDeviceTime(t *testing.T) {
 	const pages = 64
 
-	stream := func(withDaemon bool) (time.Duration, iodaemon.Stats) {
+	stream := func(withDaemon bool) (elapsed time.Duration, fillPages int64) {
 		k := kernel.New(costmodel.Fast())
+		k.SetRecorder(trace.New())
 		var h *hookFS
 		if err := k.Register(hookType{fs: &h}); err != nil {
 			t.Fatal(err)
@@ -185,16 +207,12 @@ func TestReadAheadOverlapsDeviceTime(t *testing.T) {
 			}
 			off += int64(n)
 		}
-		var st iodaemon.Stats
-		if d := m.IODaemon(); d != nil {
-			st = d.Stats()
-		}
-		return rd.Clk.Now() - start, st
+		return rd.Clk.Now() - start, counter(rd, "ra_fill_pages")
 	}
 
-	withRA, st := stream(true)
+	withRA, fillPages := stream(true)
 	without, _ := stream(false)
-	if st.FillPages == 0 {
+	if fillPages == 0 {
 		t.Fatal("read-ahead filled no pages on a cold sequential stream")
 	}
 	if withRA*2 >= without {
@@ -207,6 +225,8 @@ func TestReadAheadOverlapsDeviceTime(t *testing.T) {
 // poisoned page must not be cached (a page enters the cache only once its
 // fill succeeds), and the demand read of the bad page must surface the
 // error synchronously. Once the fault clears, the same read succeeds.
+// Only read-ahead reads page 8 during the walk: the walk's single-page
+// demand reads never reach it.
 func TestReadAheadErrorPropagation(t *testing.T) {
 	m, h, task := newIODMount(t)
 	const pages = 16
@@ -214,7 +234,6 @@ func TestReadAheadErrorPropagation(t *testing.T) {
 	m.DropCaches()
 	h.setFailPage(8)
 
-	rd := m.IODaemon()
 	f, err := m.Open(task, "/f", fsapi.ORdonly)
 	if err != nil {
 		t.Fatal(err)
@@ -222,6 +241,8 @@ func TestReadAheadErrorPropagation(t *testing.T) {
 	defer m.Close(task, f)
 
 	buf := make([]byte, fsapi.PageSize)
+	reached := false
+	h.probe = func(_ *kernel.Task, pg int64) { reached = reached || pg == 8 }
 	// Walk sequentially up to (but not including) the bad page: the
 	// demand reads themselves must not fail even though read-ahead runs
 	// into page 8.
@@ -230,8 +251,9 @@ func TestReadAheadErrorPropagation(t *testing.T) {
 			t.Fatalf("demand read of page %d: %v (read-ahead error leaked)", pg, err)
 		}
 	}
-	if rd.Stats().FillErrors == 0 {
-		t.Fatal("read-ahead never hit the injected fault")
+	h.probe = nil
+	if !reached {
+		t.Fatal("read-ahead never reached the bad page")
 	}
 	// The bad page was dropped, not cached: reading it hits the device
 	// error synchronously.
@@ -268,7 +290,7 @@ func TestReadAheadFillBeforeInsert(t *testing.T) {
 			t.Fatal(err)
 		}
 		var filled []int64
-		h.probe = func(pg int64) {
+		h.probe = func(_ *kernel.Task, pg int64) {
 			filled = append(filled, pg)
 			if m.PageResident(st.Ino, pg) {
 				t.Errorf("lend=%v: page %d is in the cache while its fill runs", lend, pg)
@@ -279,7 +301,7 @@ func TestReadAheadFillBeforeInsert(t *testing.T) {
 			t.Fatal(err)
 		}
 		h.probe = nil
-		ra := m.IODaemon().Stats().FillPages
+		ra := counter(task, "ra_fill_pages")
 		if ra == 0 || int64(len(filled)) != 1+ra {
 			t.Fatalf("lend=%v: %d fills ran, %d of them read-ahead; want the demand fill plus at least one read-ahead fill", lend, len(filled), ra)
 		}
@@ -316,7 +338,7 @@ func TestFlusherCoalescesDirtyRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := m.IODaemon().Stats().Wakeups; got != 0 {
+	if got := counter(task, "flush_wakeups"); got != 0 {
 		t.Fatalf("flusher woke %d times below the background threshold", got)
 	}
 	// ...then 0..9 in one call, crossing it (15 dirty > 8): one wakeup
@@ -325,12 +347,11 @@ func TestFlusherCoalescesDirtyRuns(t *testing.T) {
 	if _, err := f.PWrite(task, ten, 0); err != nil {
 		t.Fatal(err)
 	}
-	st := m.IODaemon().Stats()
-	if st.Wakeups == 0 {
+	if counter(task, "flush_wakeups") == 0 {
 		t.Fatal("flusher never woke above the background threshold")
 	}
-	if st.FlushRuns != 2 || st.FlushPages != 15 {
-		t.Fatalf("flusher stats = %+v, want 2 runs / 15 pages", st)
+	if runs, pages := counter(task, "flush_runs"), counter(task, "flush_pages"); runs != 2 || pages != 15 {
+		t.Fatalf("flusher wrote %d runs / %d pages, want 2 runs / 15 pages", runs, pages)
 	}
 	want := []iodaemon.Run{{Start: 0, Count: 10}, {Start: 20, Count: 5}}
 	got := h.recordedBatches()
@@ -339,57 +360,151 @@ func TestFlusherCoalescesDirtyRuns(t *testing.T) {
 	}
 }
 
-// TestQuiesceOnUnmount checks the unmount path: remaining dirty pages
-// drain through one final flusher pass, the daemon stops, and a stopped
-// daemon refuses further work.
+// TestQuiesceOnUnmount checks the unmount path. Unmount does not refuse
+// open files; it drains the remaining dirty pages through one final
+// flusher pass, and the stopped mount then books no background work: a
+// file held open across the unmount that writes past the background
+// threshold wakes no flusher, and a sequential read through a cold file
+// submits no fill batch.
 func TestQuiesceOnUnmount(t *testing.T) {
-	k := kernel.New(costmodel.Fast())
-	var h *hookFS
-	if err := k.Register(hookType{fs: &h}); err != nil {
-		t.Fatal(err)
-	}
-	task := k.NewTask("test")
-	dev := blockdev.MustNew(blockdev.Config{Blocks: 16, Model: costmodel.Fast()})
-	m, err := k.Mount(task, "hookfs", "/mnt", dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := m.EnableIODaemon(iodaemon.Config{})
+	m, _, task := newIODMount(t)
+	writeFilePages(t, m, task, "/r", 16)
+	m.DropCaches()
 
-	// Dirty a few pages and close without fsync: only unmount writes
-	// them back.
-	f, err := m.Open(task, "/f", fsapi.OCreate|fsapi.ORdwr)
+	// Dirty a few pages without fsync: only unmount writes them back.
+	w, err := m.Open(task, "/f", fsapi.OCreate|fsapi.ORdwr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	one := bytes.Repeat([]byte{'q'}, fsapi.PageSize)
 	for pg := int64(0); pg < 4; pg++ {
-		if _, err := f.PWrite(task, one, pg*fsapi.PageSize); err != nil {
+		if _, err := w.PWrite(task, one, pg*fsapi.PageSize); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := m.Close(task, f); err != nil {
+	r, err := m.Open(task, "/r", fsapi.ORdonly)
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	if err := k.Unmount(task, "/mnt"); err != nil {
+	if err := task.Kernel().Unmount(task, "/mnt"); err != nil {
 		t.Fatal(err)
 	}
-	if !d.Stopped() {
-		t.Fatal("daemon still running after unmount")
+	quiesced := func() {
+		t.Helper()
+		if runs, pages := counter(task, "flush_runs"), counter(task, "flush_pages"); runs != 1 || pages != 4 {
+			t.Fatalf("quiesce flushed %d runs / %d pages, want 1 run / 4 pages", runs, pages)
+		}
+		if n := len(spans(task, "flush-pass")); n != 1 {
+			t.Fatalf("%d flush-pass spans, want the quiesce's one", n)
+		}
 	}
-	st := d.Stats()
-	if st.FlushPages != 4 || st.FlushRuns != 1 {
-		t.Fatalf("quiesce flushed %+v, want 1 run / 4 pages", st)
+	quiesced()
+	wakeups, batches := counter(task, "flush_wakeups"), counter(task, "ra_batches")
+
+	// Past the background threshold (half the dirty limit), below the
+	// hard limit: a running flusher would wake.
+	m.SetDirtyLimit(16)
+	for pg := int64(4); pg < 13; pg++ { // 9 dirty > 8
+		if _, err := w.PWrite(task, one, pg*fsapi.PageSize); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// A stopped daemon refuses new work.
-	if _, err := d.FillAhead(iodaemon.WindowBatch, 0, 0, 4, func(*kernel.Task, int64) (bool, error) {
-		return false, fmt.Errorf("fill after quiesce")
-	}); err != nil {
+	// A sequential stream through the cold file: a running mount would
+	// fill its misses and the window ahead of it in batches.
+	buf := make([]byte, 2*fsapi.PageSize)
+	for off := int64(0); off < 16*fsapi.PageSize; off += int64(len(buf)) {
+		if _, err := r.PRead(task, buf, off); err != nil {
+			t.Fatal(err)
+		}
+		if want := byte('a' + off/fsapi.PageSize%26); buf[0] != want {
+			t.Fatalf("offset %d reads %q, want %q", off, buf[0], want)
+		}
+	}
+	if got := counter(task, "flush_wakeups"); got != wakeups {
+		t.Fatalf("stopped mount woke its flusher: %d wakeups, was %d", got, wakeups)
+	}
+	if got := counter(task, "ra_batches"); got != batches {
+		t.Fatalf("stopped mount submitted fill batches: %d, was %d", got, batches)
+	}
+	quiesced()
+}
+
+// TestBackgroundThreshold: the flusher wakes once the mount holds more
+// than half its dirty limit, not before.
+func TestBackgroundThreshold(t *testing.T) {
+	m, _, task := newIODMount(t)
+	m.SetDirtyLimit(16) // background threshold = 8
+	f, err := m.Open(task, "/f", fsapi.OCreate|fsapi.ORdwr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if after := d.Stats(); after != st {
-		t.Fatalf("stopped daemon did work: %+v -> %+v", st, after)
+	defer m.Close(task, f)
+	one := bytes.Repeat([]byte{'t'}, fsapi.PageSize)
+	for pg := int64(0); pg < 9; pg++ {
+		if _, err := f.PWrite(task, one, pg*fsapi.PageSize); err != nil {
+			t.Fatal(err)
+		}
+		want := int64(0)
+		if pg == 8 {
+			want = 1 // 9 dirty > 8
+		}
+		if got := counter(task, "flush_wakeups"); got != want {
+			t.Fatalf("after %d dirty pages the flusher woke %d times, want %d", pg+1, got, want)
+		}
+	}
+	if got := counter(task, "flush_pages"); got != 9 {
+		t.Fatalf("the wakeup flushed %d pages, want 9", got)
+	}
+}
+
+// TestFillBatchStopsOnError: a fill batch stops at its failed fill, so
+// the pages after it are never read and are not resident. The batch
+// reports the failed fill's clock, and the demand reader that submitted
+// it waits until then (an ra-wait span ending there) before it retries
+// the page itself. The failing read is the batch's slowest, so waiting
+// for the pages filled before it is not enough.
+func TestFillBatchStopsOnError(t *testing.T) {
+	const pages, bad = 8, 2
+	m, h, task := newIODMount(t)
+	writeFilePages(t, m, task, "/f", pages)
+	m.DropCaches()
+	h.setFailPage(bad)
+	h.failCost = 100 * time.Microsecond
+
+	rd := task.Kernel().NewTaskWithClock("reader", vclock.NewClockAt(task.Clk.Now()))
+	f, err := m.Open(rd, "/f", fsapi.ORdonly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close(rd, f)
+	type read struct {
+		task string
+		pg   int64
+		at   int64 // the reading task's clock as the read began
+	}
+	var reads []read
+	h.probe = func(ft *kernel.Task, pg int64) { reads = append(reads, read{ft.Name, pg, ft.Clk.NowNS()}) }
+	if _, err := f.PRead(rd, make([]byte, pages*fsapi.PageSize), 0); !errors.Is(err, fsapi.ErrIO) {
+		t.Fatalf("PRead over a failing page = %v, want ErrIO", err)
+	}
+
+	// Pages 0..bad on the fill task, then the reader's own retry of bad.
+	if len(reads) != bad+2 || reads[bad] != (read{"kworker-fill:/mnt", bad, reads[bad].at}) ||
+		reads[bad+1] != (read{"reader", bad, reads[bad+1].at}) {
+		t.Fatalf("page reads = %+v, want pages 0..%d on the fill task and the reader's retry of %d", reads, bad, bad)
+	}
+	for pg := int64(0); pg < pages; pg++ {
+		if got, want := m.PageResident(f.Ino(), pg), pg < bad; got != want {
+			t.Fatalf("page %d resident = %v, want %v", pg, got, want)
+		}
+	}
+	failedAt := reads[bad].at + int64(h.pageCost+h.failCost) // the failure is known when the read completes
+	if retry := reads[bad+1].at; retry < failedAt {
+		t.Fatalf("reader retried page %d at %d, before the failed fill completed at %d", bad, retry, failedAt)
+	}
+	if waits := spans(rd, "ra-wait"); len(waits) != 1 || waits[0].Start+waits[0].Dur != failedAt {
+		t.Fatalf("reader's ra-wait spans = %+v, want one ending at the failed fill's clock %d", waits, failedAt)
 	}
 }
 
@@ -400,7 +515,7 @@ func TestQuiesceOnUnmount(t *testing.T) {
 // its work next to the syscall paths and replays exactly.
 func TestIODaemonConcurrentTraffic(t *testing.T) {
 	const pages = 32
-	run := func() (iodaemon.Stats, time.Duration) {
+	run := func() (map[string]int64, time.Duration) {
 		m, _, task := newIODMount(t)
 		m.SetDirtyLimit(32)
 		for w := 0; w < 4; w++ {
@@ -450,14 +565,14 @@ func TestIODaemonConcurrentTraffic(t *testing.T) {
 				t.Error(err)
 			}
 		})
-		return m.IODaemon().Stats(), g.Elapsed()
+		return task.Kernel().Recorder().Counters(), g.Elapsed()
 	}
-	st, elapsed := run()
-	if st.FillPages == 0 || st.Wakeups == 0 || st.FlushPages == 0 {
-		t.Fatalf("daemon idle under mixed traffic: %+v", st)
+	ctrs, elapsed := run()
+	if ctrs["ra_fill_pages"] == 0 || ctrs["flush_wakeups"] == 0 || ctrs["flush_pages"] == 0 {
+		t.Fatalf("daemon idle under mixed traffic: %v", ctrs)
 	}
-	if st2, e2 := run(); st2 != st || e2 != elapsed {
-		t.Fatalf("replay differs: %+v/%v vs %+v/%v", st2, e2, st, elapsed)
+	if ctrs2, e2 := run(); !maps.Equal(ctrs2, ctrs) || e2 != elapsed {
+		t.Fatalf("replay differs: %v/%v vs %v/%v", ctrs2, e2, ctrs, elapsed)
 	}
 }
 

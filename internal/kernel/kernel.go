@@ -62,9 +62,6 @@ func (t *Task) Charge(d time.Duration) {
 // Kernel reports the kernel this task runs in.
 func (t *Task) Kernel() *Kernel { return t.kern }
 
-// Clock reports the task's virtual clock (iodaemon.Task).
-func (t *Task) Clock() *vclock.Clock { return t.Clk }
-
 // Model reports the cost model in effect.
 func (t *Task) Model() *costmodel.Model { return t.kern.model }
 

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"time"
 
 	"bento/internal/blockdev"
 	"bento/internal/costmodel"
@@ -12,7 +11,6 @@ import (
 	"bento/internal/iodaemon"
 	"bento/internal/lru"
 	"bento/internal/trace"
-	"bento/internal/vclock"
 )
 
 // DefaultDirtyLimitPages is the per-mount dirty page budget (8 MiB). A
@@ -52,15 +50,15 @@ type Mount struct {
 	// would show up on every one.
 	vnScratch []*vnode
 
-	// iod is the background I/O subsystem (read-ahead + write-back
-	// flusher); nil until EnableIODaemon, and set before the mount sees
-	// traffic. The FUSE baseline never enables it — that asymmetry is
-	// the paper's point.
-	iod *iodaemon.Daemon[*Task]
-
-	// flushFn is m.bdiFlush bound once at mount creation; taking the
-	// method value inline would allocate on every balanceDirty call.
-	flushFn func(*Task) (int, int, error)
+	// flusher and fillTask run the background I/O subsystem, the
+	// write-back flusher and the read-ahead fills; both are nil until
+	// EnableIODaemon, which runs before the mount sees traffic. The FUSE
+	// baseline never enables them — that asymmetry is the paper's point.
+	// stopped is set by unmount's final flusher pass: a stopped mount
+	// books no further flusher pass or fill batch.
+	flusher  *Task
+	fillTask *Task
+	stopped  bool
 
 	// freePages and freeData are the mount's free lists of page structs
 	// and private page buffers, pageStructs and pageBufs how many of each
@@ -95,12 +93,8 @@ type vnode struct {
 	unlinked bool // nlink hit zero; discard on last close
 	pc       lru.Core[*page]
 
-	// ra is the read-ahead state (used only when m.iod != nil).
+	// ra is the read-ahead state (used only when m.flusher != nil).
 	ra iodaemon.Window
-
-	// fillFn is the read-ahead fill callback, built once on first use so
-	// FillAhead batches never allocate a fresh closure.
-	fillFn func(*Task, int64) (bool, error)
 
 	// Write-back scratch, reused across writeback calls.
 	wbKeys  []int64
@@ -159,7 +153,6 @@ func newMount(k *Kernel, fstype, mountPoint string, fs FileSystem, dev *blockdev
 		vnodes:     make(map[fsapi.Ino]*vnode),
 		dcache:     make(map[dkey]fsapi.Ino),
 	}
-	m.flushFn = m.bdiFlush
 	m.putPageFn = m.putPage
 	m.SwapFS(fs)
 	return m
@@ -188,30 +181,25 @@ func (m *Mount) SetPageCacheCap(pages int64) {
 
 // EnableIODaemon starts the background I/O subsystem for this mount:
 // per-file sequential read-ahead into the page cache and a cross-vnode
-// background write-back flusher, both simulated tasks in virtual time.
-// Call it once, after Mount and before the mount sees traffic. The
-// zero Config selects Linux-shaped defaults.
-func (m *Mount) EnableIODaemon(cfg iodaemon.Config) *iodaemon.Daemon[*Task] {
-	m.iod = iodaemon.New(cfg,
-		m.k.NewTask("kworker-readahead:"+m.mountPoint),
-		m.k.NewTask("kworker-flush:"+m.mountPoint),
-		func(at int64) *Task {
-			ft := m.k.NewTaskWithClock("kworker-fill:"+m.mountPoint,
-				vclock.NewClockAt(time.Duration(at)))
-			// The fill task's clock is rebased (SetNS) to each batch's
-			// submission time, so spans recorded on it would overlap on
-			// one track; read-ahead work is counted and marked with
-			// instants instead (see iodaemon.FillAhead), never spanned.
-			ft.rec = nil
-			return ft
-		})
-	m.iod.SetRecorder(m.k.rec)
-	return m.iod
+// background write-back flusher, both simulated tasks in virtual time
+// (iodaemon holds their policies). Call it once, after Mount and before
+// the mount sees traffic.
+//
+// Everything runs synchronously on the host: fills and flushes run inline
+// in the operation that triggered them, on the one goroutine the vclock
+// scheduler has admitted, so only the virtual clocks overlap and
+// multi-worker cells replay bit for bit.
+func (m *Mount) EnableIODaemon(iodaemon.Config) {
+	m.flusher = m.k.NewTask("kworker-flush:" + m.mountPoint)
+	// Fill batches never overlap on the host, so one fill task whose
+	// clock is rebased (SetNS) to each fill's submission time behaves
+	// exactly like a fresh task per fill: device bookings key on (time,
+	// service), never on task identity. Spans recorded on it would
+	// overlap on one track, so read-ahead work is counted and marked with
+	// instants instead (see fillBatch), never spanned.
+	m.fillTask = m.k.NewTask("kworker-fill:" + m.mountPoint)
+	m.fillTask.rec = nil
 }
-
-// IODaemon reports the mount's background I/O subsystem (nil when
-// disabled).
-func (m *Mount) IODaemon() *iodaemon.Daemon[*Task] { return m.iod }
 
 // SwapFS replaces the file-system operations vector. Only the
 // online-upgrade machinery in internal/core calls this, from the one
@@ -535,7 +523,7 @@ func (vn *vnode) writebackCounted(t *Task) (calls, pages int, err error) {
 	// a FUSE mount's device writes are the daemon's, issued from user
 	// space, which a kernel plug (per task, as in Linux) does not cover.
 	dev := vn.m.dev
-	plug := vn.m.iod != nil
+	plug := vn.m.flusher != nil
 
 	// The buffer of every page handed to write-back is given up (the file
 	// system may pass it to the device as the block itself), so the page
@@ -612,52 +600,68 @@ func (m *Mount) forEachVnodeByIno(fn func(*vnode) error) error {
 	return err
 }
 
-// bdiFlush is one background flusher pass (the per-BDI flusher-thread
-// analogue): drain every vnode's dirty set in ascending inode order,
-// coalescing contiguous dirty pages into batched ->writepages calls.
-// It runs on the flusher's task, never an application's.
-func (m *Mount) bdiFlush(ft *Task) (calls, pages int, err error) {
+// flushPass is one background flusher pass at virtual time now (the
+// per-BDI flusher-thread analogue): the flusher's clock catches up to the
+// dirtier that woke it, pays the wakeup, and drains every vnode's dirty
+// set in ascending inode order, coalescing contiguous dirty pages into
+// batched ->writepages calls on its own clock. Writers pay a wakeup, not
+// the device time, yet the flusher's device bookings still occupy the
+// queues a later FLUSH drains behind. It returns the pass's completion
+// time. A stopped mount's flusher does no work and reports its final
+// clock, so late dirtiers cannot resurrect it.
+func (m *Mount) flushPass(now int64) (done int64, err error) {
+	ft := m.flusher
+	if m.stopped {
+		return ft.Clk.NowNS(), nil
+	}
+	rec := ft.rec
+	rec.Add(trace.CtrFlushWakeups, 1)
+	ft.Clk.AdvanceTo(now)
+	ft.Charge(m.model.FlusherWakeup)
 	start := ft.Clk.NowNS()
+	var calls, pages int
 	err = m.forEachVnodeByIno(func(vn *vnode) error {
 		c, p, ferr := vn.writebackCounted(ft)
 		calls += c
 		pages += p
 		return ferr
 	})
-	if r := ft.rec; r != nil && pages > 0 {
-		r.SpanAB(ft.Name, trace.CatDaemon, "flush-pass", start, ft.Clk.NowNS(), int64(calls), int64(pages))
+	if pages > 0 {
+		rec.SpanAB(ft.Name, trace.CatDaemon, "flush-pass", start, ft.Clk.NowNS(), int64(calls), int64(pages))
 	}
-	return calls, pages, err
+	rec.Add(trace.CtrFlushRuns, int64(calls))
+	rec.Add(trace.CtrFlushPages, int64(pages))
+	return ft.Clk.NowNS(), err
 }
 
 // balanceDirty is the write path's dirty-budget policy when the
 // background flusher is running (the balance_dirty_pages analogue).
-// Crossing the background threshold wakes the flusher, which cleans on
-// its own clock; the writer pays only the wakeup. A writer that queued
-// work on a flusher still busy in the virtual future — or that blew
-// through the hard limit outright — is throttled: writer and flusher
-// double-buffer, so sustained write throughput converges on the slower
-// of application CPU and device write-back without stalling the
-// pipeline.
+// Crossing the background threshold, half the dirty limit (the shape of
+// Linux's dirty_background_ratio against dirty_ratio), wakes the flusher,
+// which cleans on its own clock; the writer pays only the wakeup. A
+// writer that queued work on a flusher still busy in the virtual future
+// — or that blew through the hard limit outright — is throttled: writer
+// and flusher double-buffer, so sustained write throughput converges on
+// the slower of application CPU and device write-back without stalling
+// the pipeline.
 func (m *Mount) balanceDirty(t *Task) error {
-	d := m.iod
 	dirty := m.dirtyPages
-	if dirty <= d.BackgroundThreshold(m.dirtyLimit) {
+	if dirty <= m.dirtyLimit/2 {
 		return nil
 	}
 	t.Charge(m.model.FlusherWakeup)
 	over := dirty > m.dirtyLimit
-	prev := d.FlusherNow()
-	done, err := d.Flush(t.Clk.NowNS(), m.flushFn)
+	prev := m.flusher.Clk.NowNS()
+	done, err := m.flushPass(t.Clk.NowNS())
 	if err != nil {
 		return err
 	}
 	switch {
 	case over:
-		d.NoteThrottle()
+		m.k.rec.Add(trace.CtrThrottles, 1)
 		t.waitSpan(trace.CatDaemon, "throttle", done)
 	case prev > t.Clk.NowNS():
-		d.NoteThrottle()
+		m.k.rec.Add(trace.CtrThrottles, 1)
 		t.waitSpan(trace.CatDaemon, "throttle", prev)
 	}
 	return nil
@@ -665,15 +669,13 @@ func (m *Mount) balanceDirty(t *Task) error {
 
 // readAhead advises the read-ahead state machine about a demand read
 // covering pages [first, last] and schedules asynchronous fills for the
-// window it opens. Only called when m.iod != nil. A fully resident
+// window it opens. Only called when m.flusher != nil. A fully resident
 // window — every cached benchmark phase — books no background clock
 // traffic at all.
 func (vn *vnode) readAhead(t *Task, first, last int64) {
 	m := vn.m
-	d := m.iod
-	cfg := d.Config()
 	t.Charge(m.model.ReadaheadUpdate)
-	start, count := vn.ra.Access(first, last, cfg.InitWindow, cfg.MaxWindow)
+	start, count := vn.ra.Access(first, last)
 	if count == 0 || vn.size == 0 {
 		return
 	}
@@ -713,7 +715,7 @@ func (vn *vnode) readAhead(t *Task, first, last int64) {
 // batch leaves its page missing: the reader waits until the failure is
 // known, as Linux's reader waits on the page lock for the failed read,
 // and then fills the page synchronously and reports the error there.
-// Only called when m.iod != nil.
+// Only called when m.flusher != nil.
 func (vn *vnode) demandBatch(t *Task, first, last int64) int64 {
 	var missing int64
 	for pg := first; pg <= last; pg++ {
@@ -732,42 +734,56 @@ func (vn *vnode) demandBatch(t *Task, first, last int64) int64 {
 	return last + 1
 }
 
-// fillBatch runs one iodaemon.FillAhead batch with the mount's device
-// plugged, as Linux's read_pages plugs the block queue: the batch's reads
-// of contiguous blocks go out as one device command (see blockdev.Device).
+// fillBatch runs one read-ahead batch of kind b: count page fills from
+// page start, submitted at virtual time now (the reader's clock). Each
+// fill runs on the fill task rebased to now, so the batch's device reads
+// are booked concurrently and the reader keeps running while the device
+// works. The device stays plugged for the batch, as Linux's read_pages
+// plugs the block queue, so its reads of contiguous blocks go out as one
+// device command (see blockdev.Device). A filled page carries its fill's
+// completion time, which a reader that catches up with the pipeline
+// waits for; a page already cached is skipped. A fill error ends the
+// batch and is returned with failedAt, the failed fill's clock; the
+// failed fill leaves no page in the cache. A stopped mount fills
+// nothing: an unmounting file system must not see new reads.
 func (vn *vnode) fillBatch(b iodaemon.Batch, now, start, count int64) (failedAt int64, err error) {
-	if vn.fillFn == nil {
-		vn.fillFn = vn.fillPage
+	m := vn.m
+	if count <= 0 || m.stopped {
+		return 0, nil
 	}
-	dev := vn.m.dev
-	dev.Plug()
-	failedAt, err = vn.m.iod.FillAhead(b, now, start, count, vn.fillFn)
-	dev.Unplug()
+	rec, ft := m.k.rec, m.fillTask
+	rec.Add(trace.CtrRABatches, 1)
+	rec.Instant("readahead", trace.CatDaemon, string(b), now, start, count)
+	m.dev.Plug()
+	for pg := start; pg < start+count; pg++ {
+		ft.Clk.SetNS(now)
+		ft.Charge(m.model.AsyncFillPage)
+		if _, ok := vn.pc.Peek(pg); ok {
+			rec.Add(trace.CtrRAFillSkips, 1)
+			continue
+		}
+		p, ferr := vn.readPage(ft, pg)
+		if ferr != nil {
+			failedAt, err = ft.Clk.NowNS(), ferr
+			break
+		}
+		p.readyAt = ft.Clk.NowNS()
+		rec.Add(trace.CtrRAFillPages, 1)
+	}
+	m.dev.Unplug()
 	return failedAt, err
-}
-
-// fillPage is read-ahead's fill of page pg on the read-ahead task rt. The
-// page is stamped with the fill's completion time, which a reader that
-// catches up with the pipeline waits for.
-func (vn *vnode) fillPage(rt *Task, pg int64) (bool, error) {
-	if _, ok := vn.pc.Peek(pg); ok {
-		return false, nil
-	}
-	p, err := vn.readPage(rt, pg)
-	if err != nil {
-		return false, err
-	}
-	p.readyAt = rt.Clk.NowNS()
-	return true, nil
 }
 
 // shutdown quiesces the background I/O subsystem, syncs everything, and
 // unmounts.
 func (m *Mount) shutdown(t *Task) error {
-	if m.iod != nil {
-		// Stop the daemon after a final flusher pass; the unmounting
-		// task waits for the flusher to retire.
-		done, err := m.iod.Quiesce(m.flushFn)
+	if m.flusher != nil {
+		// One final flusher pass, then the background tasks stop (the
+		// read-ahead side needs no drain: a batch completes within the
+		// call that issued it). The unmounting task waits for the
+		// flusher to retire.
+		done, err := m.flushPass(m.flusher.Clk.NowNS())
+		m.stopped = true
 		if err != nil {
 			return err
 		}

@@ -173,7 +173,7 @@ func (f *File) PRead(t *Task, buf []byte, off int64) (int, error) {
 		}
 		t.Charge(m.model.PageCacheLookup)
 		pg, ok := vn.pc.Peek(idx)
-		if !ok && !missed && m.iod != nil {
+		if !ok && !missed && m.flusher != nil {
 			missed = true
 			batchEnd = vn.demandBatch(t, idx, (off+want-1)/fsapi.PageSize)
 			pg, ok = vn.pc.Peek(idx)
@@ -204,7 +204,7 @@ func (f *File) PRead(t *Task, buf []byte, off int64) (int, error) {
 		copy(buf[done:done+n], pg.data[pgOff:pgOff+n])
 		done += n
 	}
-	if m.iod != nil && done > 0 {
+	if m.flusher != nil && done > 0 {
 		// Tell the read-ahead state machine which pages this request
 		// covered; a sequential stream schedules asynchronous fills
 		// ahead of itself.
@@ -278,12 +278,12 @@ func (f *File) PWrite(t *Task, data []byte, off int64) (int, error) {
 	}
 
 	var wbErr error
-	if overLimit && m.iod == nil {
+	if overLimit && m.flusher == nil {
 		// No background flusher: the dirtier performs write-back of the
 		// file it is writing, the pre-flusher balance_dirty_pages shape.
 		wbErr = vn.writeback(t)
 	}
-	if wbErr == nil && m.iod != nil {
+	if wbErr == nil && m.flusher != nil {
 		// Background flusher: crossing the background threshold wakes
 		// it; the hard limit throttles the writer against it.
 		wbErr = m.balanceDirty(t)
