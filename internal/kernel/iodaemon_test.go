@@ -430,6 +430,77 @@ func TestQuiesceOnUnmount(t *testing.T) {
 	quiesced()
 }
 
+// TestFlushRecordsAndQuiesce follows the flusher's passes through a
+// mount's life. A background wakeup books one pass: its wakeup, a
+// flush-pass span that starts no earlier than the dirtier that woke it
+// and carries the pass's runs and pages, and the matching counters; the
+// dirtier does not wait for it. Unmount's quiesce is the second and last
+// pass: afterwards the mount books none, however far a still-open file
+// dirties past the background threshold.
+func TestFlushRecordsAndQuiesce(t *testing.T) {
+	m, _, task := newIODMount(t)
+	m.SetDirtyLimit(16) // background threshold = 8
+	f, err := m.Open(task, "/f", fsapi.OCreate|fsapi.ORdwr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := bytes.Repeat([]byte{'p'}, fsapi.PageSize)
+	dirty := func(pgs ...int64) {
+		t.Helper()
+		for _, pg := range pgs {
+			if _, err := f.PWrite(task, one, pg*fsapi.PageSize); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Two extents, 4 + 4 pages: at the threshold, not past it.
+	dirty(0, 1, 2, 3, 10, 11, 12, 13)
+	if n := counter(task, "flush_wakeups"); n != 0 {
+		t.Fatalf("flusher woke %d times at the background threshold", n)
+	}
+	woke := task.Clk.NowNS()
+	dirty(14) // 9 dirty > 8: one wakeup drains both extents
+	passes := spans(task, "flush-pass")
+	if len(passes) != 1 {
+		t.Fatalf("%d flush-pass spans after one wakeup, want 1", len(passes))
+	}
+	p := passes[0]
+	if p.Start < woke || p.Dur <= 0 {
+		t.Fatalf("flush pass spans [%d, +%d), want a pass of nonzero length starting at or after the wakeup at %d",
+			p.Start, p.Dur, woke)
+	}
+	if p.A != 2 || p.B != 9 {
+		t.Fatalf("flush-pass span records %d runs / %d pages, want 2 runs / 9 pages", p.A, p.B)
+	}
+	if w, runs, pages := counter(task, "flush_wakeups"), counter(task, "flush_runs"), counter(task, "flush_pages"); w != 1 || runs != 2 || pages != 9 {
+		t.Fatalf("counters: %d wakeups, %d runs, %d pages; want 1, 2, 9", w, runs, pages)
+	}
+	if n := counter(task, "throttles"); n != 0 {
+		t.Fatalf("dirtier below the hard limit was throttled %d times", n)
+	}
+	if now := task.Clk.NowNS(); now >= p.Start+p.Dur {
+		t.Fatalf("dirtier at %d waited for the pass ending at %d", now, p.Start+p.Dur)
+	}
+
+	// One page left dirty: unmount's quiesce is the second pass.
+	dirty(20)
+	if err := task.Kernel().Unmount(task, "/mnt"); err != nil {
+		t.Fatal(err)
+	}
+	final := func() {
+		t.Helper()
+		if n := len(spans(task, "flush-pass")); n != 2 {
+			t.Fatalf("%d flush-pass spans, want 2 (one wakeup + one quiesce)", n)
+		}
+		if w, runs, pages := counter(task, "flush_wakeups"), counter(task, "flush_runs"), counter(task, "flush_pages"); w != 2 || runs != 3 || pages != 10 {
+			t.Fatalf("counters: %d wakeups, %d runs, %d pages; want 2, 3, 10", w, runs, pages)
+		}
+	}
+	final()
+	dirty(21, 22, 23, 24, 25, 26, 27, 28, 29) // 9 dirty > 8 on the stopped mount
+	final()
+}
+
 // TestBackgroundThreshold: the flusher wakes once the mount holds more
 // than half its dirty limit, not before.
 func TestBackgroundThreshold(t *testing.T) {
