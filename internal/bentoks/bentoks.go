@@ -382,9 +382,6 @@ func (sb *SuperBlock) JournalTask(t *kernel.Task) *kernel.Task {
 	return sb.journal
 }
 
-// BufferCacheStats exposes hit/miss counters.
-func (sb *SuperBlock) BufferCacheStats() kernel.BufferCacheStats { return sb.bc.Stats() }
-
 // Ensure the capability satisfies the service interface.
 var (
 	_ Disk       = (*SuperBlock)(nil)

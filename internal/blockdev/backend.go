@@ -1,14 +1,11 @@
 package blockdev
 
-import (
-	"bento/internal/trace"
-	"bento/internal/vclock"
-)
+import "bento/internal/trace"
 
 // Backend is the storage tier beneath the Device front: it stores block
 // contents and prices commands in virtual time. The Device keeps
 // everything backend-agnostic — argument validation, fault injection,
-// power-cut scheduling, command statistics, and trace sampling — and
+// power-cut scheduling, and trace counters and sampling — and
 // delegates the submit/complete core of every read, write, and flush to
 // its Backend. Two implementations exist: the local RAM-backed NVMe
 // model (this package; the default) and the object-store tier in
@@ -139,14 +136,6 @@ type Backend interface {
 	// QueueDepth reports commands still in flight at virtual time now —
 	// the occupancy the Device samples onto the trace's qdepth track.
 	QueueDepth(now int64) int
-
-	// ResourceStats exposes utilization of the backend's primary
-	// service resource (device queue pairs; netstore request channels).
-	ResourceStats() vclock.ResourceStats
-
-	// Reset clears queue occupancy and resource statistics; benchmarks
-	// call it (via Device.ResetStats) after warmup.
-	Reset()
 
 	// SetRecorder attaches the cell's trace recorder (nil disables).
 	// Backends with interesting internals (netstore's GET/PUT request

@@ -3,8 +3,8 @@
 // (the Device) and pluggable storage Backends.
 //
 // The Device front owns everything a storage tier shares: argument
-// validation, fault injection, power-cut scheduling, command statistics,
-// and trace counters/queue-depth sampling. The Backend underneath stores
+// validation, fault injection, power-cut scheduling, and trace
+// counters/queue-depth sampling. The Backend underneath stores
 // real bytes (file systems on top of it are functional, not mocked) and
 // prices each command in virtual time. The default backend is the local
 // NVMe model in this package: commands are booked on a vclock.Resource
@@ -82,15 +82,6 @@ type Config struct {
 	Backend Backend
 }
 
-// Stats counts completed device commands.
-type Stats struct {
-	Reads        int64
-	Writes       int64
-	Flushes      int64
-	BytesRead    int64
-	BytesWritten int64
-}
-
 // Device is a latency-modeled block device front over a pluggable
 // storage Backend. Like everything a cell owns it is driven by one task
 // at a time and holds no lock.
@@ -119,11 +110,11 @@ type Stats struct {
 // write-back run joins once it has filled the channels. Anything else
 // closes the open command: a command of the other direction, of another
 // block or on another clock, a block that does not join, a failed command,
-// a FLUSH, Unplug, ResetStats or Crash. The first block of a command and
+// a FLUSH, Unplug or Crash. The first block of a command and
 // every unplugged command are booked as one-block commands, so a device
 // that is never plugged books one command per block, whatever its backend.
-// Every block still counts as one read or write in Stats, in the dev_reads
-// and dev_writes counters and in ArmPowerCut's countdown, so crash points
+// Every block still counts as one read or write in the dev_reads and
+// dev_writes counters and in ArmPowerCut's countdown, so crash points
 // enumerate the same plugged or not; dev_read_merged and dev_write_merged
 // count the blocks that joined an open command, and each closed command of
 // two or more blocks leaves a "merged-read" or "merged-write" instant on
@@ -137,7 +128,6 @@ type Device struct {
 	// delegation never boxes or allocates.
 	backend Backend
 	model   *costmodel.Model
-	stats   Stats
 
 	// rec counts commands into the cell's trace recorder and samples
 	// queue occupancy every sampleEvery-th command. Nil records nothing.
@@ -159,6 +149,9 @@ type Device struct {
 	cutArmed     bool
 	cutRemaining int64
 	powerOut     bool
+	// writeCmds counts completed write-class commands, the coordinate
+	// system ArmPowerCut and the crash sweep enumerate in (see WriteCmds).
+	writeCmds int64
 
 	// plugged is set between Plug and Unplug; run is the open command
 	// (run.n == 0, run.clk nil: none).
@@ -283,7 +276,7 @@ func (d *Device) Read(clk *vclock.Clock, blk int, buf []byte) error {
 }
 
 // Borrow is Read by reference (Backend.BorrowBlock): the same command,
-// faults, statistics and clock advance, returning the backend's buffer as
+// faults, trace counters and clock advance, returning the backend's buffer as
 // a read-only view that stays valid and unchanged for as long as the
 // caller holds it. A nil view with a nil error means the block reads as
 // zeros.
@@ -326,8 +319,6 @@ func (d *Device) read(clk *vclock.Clock, blk int, buf []byte) (view []byte, err 
 			d.run = openCmd{clk: clk, first: blk, n: 1, at: now, end: done}
 		}
 	}
-	d.stats.Reads++
-	d.stats.BytesRead += int64(d.blockSize)
 	d.rec.Add(trace.CtrDevReads, 1)
 	d.sample(done)
 	clk.AdvanceTo(done)
@@ -366,7 +357,7 @@ func (d *Device) Submit(clk *vclock.Clock, blk int, buf []byte) (completion int6
 }
 
 // SubmitOwned is Submit by reference (Backend.SubmitOwned): the same
-// command, faults, statistics and power-cut counting, but the backend
+// command, faults, trace counters and power-cut counting, but the backend
 // keeps buf instead of copying it. The caller must not write buf again,
 // whatever the call returns.
 func (d *Device) SubmitOwned(clk *vclock.Clock, blk int, buf []byte) (completion int64, err error) {
@@ -407,8 +398,6 @@ func (d *Device) submit(clk *vclock.Clock, blk int, buf []byte, owned bool) (com
 			d.run = openCmd{clk: clk, write: true, first: blk, n: 1, at: now, end: completion}
 		}
 	}
-	d.stats.Writes++
-	d.stats.BytesWritten += int64(d.blockSize)
 	d.rec.Add(trace.CtrDevWrites, 1)
 	d.sample(completion)
 	d.countWrite()
@@ -442,7 +431,6 @@ func (d *Device) Flush(clk *vclock.Clock) error {
 		clk.AdvanceTo(done)
 		return err
 	}
-	d.stats.Flushes++
 	d.rec.Add(trace.CtrDevFlushes, 1)
 	d.sample(done)
 	d.countWrite()
@@ -454,24 +442,6 @@ func (d *Device) Flush(clk *vclock.Clock) error {
 // tier (staged but not yet durable).
 func (d *Device) DirtyBlocks() int {
 	return d.backend.DirtyBlocks()
-}
-
-// Stats returns a snapshot of command counters.
-func (d *Device) Stats() Stats {
-	return d.stats
-}
-
-// ResourceStats exposes queue statistics (utilization, backlog).
-func (d *Device) ResourceStats() vclock.ResourceStats {
-	return d.backend.ResourceStats()
-}
-
-// ResetStats clears command counters and queue occupancy. Benchmarks call
-// it after warmup.
-func (d *Device) ResetStats() {
-	d.closeRun()
-	d.stats = Stats{}
-	d.backend.Reset()
 }
 
 // Crash simulates power loss: the device reverts to its durable contents
@@ -489,9 +459,10 @@ func (d *Device) Crash(keepFraction float64, seed int64) {
 	d.backend.Crash(keepFraction, seed)
 }
 
-// countWrite advances the armed power-cut countdown by one
-// write-class command (Submit/Write or Flush).
+// countWrite counts one completed write-class command (Submit/Write or
+// Flush) and advances the armed power-cut countdown by it.
 func (d *Device) countWrite() {
+	d.writeCmds++
 	if !d.cutArmed || d.powerOut {
 		return
 	}
@@ -536,7 +507,7 @@ func (d *Device) PowerOut() bool {
 // WriteCmds reports the number of write-class commands (writes + flushes)
 // completed so far — the coordinate system ArmPowerCut counts in.
 func (d *Device) WriteCmds() int64 {
-	return d.stats.Writes + d.stats.Flushes
+	return d.writeCmds
 }
 
 // InjectReadError makes reads of blk fail with ErrIO until cleared.

@@ -3,10 +3,12 @@ package blockdev
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"testing"
 	"testing/quick"
 
 	"bento/internal/costmodel"
+	"bento/internal/trace"
 	"bento/internal/vclock"
 )
 
@@ -245,24 +247,29 @@ func TestFaultInjection(t *testing.T) {
 	}
 }
 
+// TestStatsCount: the device counts each completed command once in the
+// trace recorder's counters, and writes and flushes in WriteCmds; a
+// command that fails counts nowhere.
 func TestStatsCount(t *testing.T) {
 	d := testDev(t, 4)
+	rec := trace.New()
+	d.SetRecorder(rec)
 	clk := vclock.NewClock()
 	buf := block(d, 1)
 	_ = d.Write(clk, 0, buf)
 	_ = d.Write(clk, 1, buf)
 	_ = d.Read(clk, 0, buf)
 	_ = d.Flush(clk)
-	st := d.Stats()
-	if st.Writes != 2 || st.Reads != 1 || st.Flushes != 1 {
-		t.Fatalf("stats = %+v", st)
+	d.InjectWriteError(2)
+	if err := d.Write(clk, 2, buf); !errors.Is(err, ErrIO) {
+		t.Fatalf("injected write error: %v", err)
 	}
-	if st.BytesWritten != int64(2*d.BlockSize()) {
-		t.Fatalf("bytes written = %d", st.BytesWritten)
+	want := map[string]int64{"dev_writes": 2, "dev_reads": 1, "dev_flushes": 1}
+	if got := rec.Counters(); !maps.Equal(got, want) {
+		t.Fatalf("counters = %v, want %v", got, want)
 	}
-	d.ResetStats()
-	if st := d.Stats(); st != (Stats{}) {
-		t.Fatalf("stats not reset: %+v", st)
+	if got := d.WriteCmds(); got != 3 {
+		t.Fatalf("WriteCmds = %d, want 3", got)
 	}
 }
 
@@ -334,11 +341,14 @@ func TestDurabilityProperty(t *testing.T) {
 
 // TestByReferenceFrontMatchesCopying: Borrow and SubmitOwned go through
 // the same front as Read and Submit — validation, both fault sets, the
-// power-cut countdown, Stats and the clock. Two devices run one script,
+// power-cut countdown, the trace counters and the clock. Two devices run one script,
 // one by reference and one copying, and must agree on every error, on the
 // clock after every step and on the counters at the end.
 func TestByReferenceFrontMatchesCopying(t *testing.T) {
 	ref, cp := testDev(t, 16), testDev(t, 16)
+	rrec, crec := trace.New(), trace.New()
+	ref.SetRecorder(rrec)
+	cp.SetRecorder(crec)
 	rclk, cclk := vclock.NewClock(), vclock.NewClock()
 	step := 0
 	same := func(rerr, cerr error) {
@@ -409,7 +419,7 @@ func TestByReferenceFrontMatchesCopying(t *testing.T) {
 	read(7, 0)
 	both(func(d *Device) { d.Crash(0, 1); d.DisarmPowerCut() })
 	read(3, 0) // never flushed
-	if a, b := ref.Stats(), cp.Stats(); a != b {
-		t.Fatalf("stats differ: by reference %+v, copying %+v", a, b)
+	if a, b := rrec.Counters(), crec.Counters(); !maps.Equal(a, b) {
+		t.Fatalf("counters differ: by reference %v, copying %v", a, b)
 	}
 }

@@ -310,10 +310,6 @@ func (lb *localBackend) Crash(keepFraction float64, seed int64) {
 
 func (lb *localBackend) QueueDepth(now int64) int { return lb.res.InUse(now) }
 
-func (lb *localBackend) ResourceStats() vclock.ResourceStats { return lb.res.Stats() }
-
-func (lb *localBackend) Reset() { lb.res.Reset() }
-
 // SetRecorder is a no-op: the Device front already counts commands and
 // samples queue depth; the local backend has nothing more to say.
 func (lb *localBackend) SetRecorder(*trace.Recorder) {}

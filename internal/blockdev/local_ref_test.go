@@ -171,10 +171,6 @@ func (lb *refLocalBackend) Crash(keepFraction float64, seed int64) {
 
 func (lb *refLocalBackend) QueueDepth(now int64) int { return lb.res.InUse(now) }
 
-func (lb *refLocalBackend) ResourceStats() vclock.ResourceStats { return lb.res.Stats() }
-
-func (lb *refLocalBackend) Reset() { lb.res.Reset() }
-
 // SetRecorder is a no-op: the Device front already counts commands and
 // samples queue depth; the local backend has nothing more to say.
 func (lb *refLocalBackend) SetRecorder(*trace.Recorder) {}
@@ -216,7 +212,7 @@ type held struct {
 // TestLocalBackendMatchesReference drives the per-block backend and the
 // slab reference through the same 120 000 seeded calls — ReadBlock,
 // BorrowBlock, SubmitBlock, SubmitOwned, Flush, Crash at keep 0, 0.3 and
-// 1, Reset — and requires every returned byte (a nil view being a block
+// 1 — and requires every returned byte (a nil view being a block
 // of zeros), every completion time, every DirtyBlocks() and QueueDepth()
 // to agree, with a read-back of the whole range after each Flush and
 // Crash. The reference copies where the backend borrows and adopts, so
@@ -334,7 +330,7 @@ func TestLocalBackendMatchesReference(t *testing.T) {
 			r, _ := ref.Flush(now)
 			check(i, "flush", g, r)
 			readBack(i, "flush")
-		case p < 990:
+		default:
 			keep := []float64{0, 0.3, 1}[rng.Intn(3)]
 			seed := rng.Int63()
 			got.Crash(keep, seed)
@@ -343,9 +339,6 @@ func TestLocalBackendMatchesReference(t *testing.T) {
 				t.Fatalf("call %d: %d dirty blocks after Crash", i, got.DirtyBlocks())
 			}
 			readBack(i, "crash")
-		default:
-			got.Reset()
-			ref.Reset()
 		}
 	}
 	checkHolds(calls, "end")

@@ -13,9 +13,10 @@ import (
 	"bento/internal/vclock"
 )
 
-// plugRig is a default-model device with blocks 0..63 written and flushed,
-// a recorder attached and its statistics reset, so a test counts only the
-// commands it books itself.
+// plugRig is a device with blocks 0..63 written and flushed and then a
+// recorder attached, so a test counts only the commands it books itself.
+// A power cycle after the flush keeps every block and leaves every
+// channel idle from time 0, where the tests' clocks start.
 func plugRig(t *testing.T, model *costmodel.Model) (*Device, *trace.Recorder) {
 	t.Helper()
 	d := MustNew(Config{Blocks: 128, Model: model})
@@ -28,10 +29,17 @@ func plugRig(t *testing.T, model *costmodel.Model) (*Device, *trace.Recorder) {
 	if err := d.Flush(clk); err != nil {
 		t.Fatal(err)
 	}
+	d.Crash(0, 0)
 	rec := trace.New()
 	d.SetRecorder(rec)
-	d.ResetStats()
 	return d, rec
+}
+
+// commands counts the device commands rec saw: every block read, write
+// and flush, less the blocks that joined an open command.
+func commands(rec *trace.Recorder) int64 {
+	c := rec.Counters()
+	return c["dev_reads"] + c["dev_writes"] + c["dev_flushes"] - c["dev_read_merged"] - c["dev_write_merged"]
 }
 
 // pattern is block blk's contents in plugRig: every byte differs from
@@ -72,7 +80,7 @@ func mergedReads(rec *trace.Recorder) [][2]int64 {
 // one instant book one device command that totals DevRead(n blocks), and
 // block k of it completes at the command's start plus DevReadBase plus
 // k+1 blocks' transfer time — in order, each after it was asked for. The
-// reads stay n reads in Stats and dev_reads; n-1 of them count as merged,
+// reads stay n reads in dev_reads; n-1 of them count as merged,
 // and the closed command leaves one merged-read instant. The same run read
 // synchronously (each read issued at the previous one's completion) is one
 // command too.
@@ -101,12 +109,8 @@ func TestPluggedRunIsOneCommand(t *testing.T) {
 				if want := at + int64(model.DevRead(n*4096)); done != want {
 					t.Fatalf("run of %d completes at %d, want DevRead(%d KiB) after its start = %d", n, done, n*4, want)
 				}
-				rs := d.ResourceStats()
-				if rs.Ops != 1 || rs.BusyTime != model.DevRead(n*4096) {
-					t.Fatalf("resource: %d ops busy %v, want 1 op busy %v", rs.Ops, rs.BusyTime, model.DevRead(n*4096))
-				}
-				if st := d.Stats(); st.Reads != int64(n) || st.BytesRead != int64(n*4096) {
-					t.Fatalf("stats %+v, want %d reads", st, n)
+				if cmds := commands(rec); cmds != 1 {
+					t.Fatalf("%d device commands, want 1", cmds)
 				}
 				ctr := rec.Counters()
 				if ctr["dev_reads"] != int64(n) || ctr["dev_read_merged"] != int64(n-1) {
@@ -171,7 +175,7 @@ func TestPlugBreaks(t *testing.T) {
 			}
 			done := readAt(t, d, clk, c.at, c.blk)
 			d.Unplug()
-			if got := d.ResourceStats().Ops; got != c.cmds {
+			if got := commands(rec); got != c.cmds {
 				t.Fatalf("%d device commands, want %d", got, c.cmds)
 			}
 			merged := rec.Counters()["dev_read_merged"]
@@ -193,7 +197,7 @@ func TestPlugBreaks(t *testing.T) {
 		for blk := 10; blk < 18; blk++ {
 			readAt(t, d, clk, 0, blk)
 		}
-		if ops, merged := d.ResourceStats().Ops, rec.Counters()["dev_read_merged"]; ops != 8 || merged != 0 {
+		if ops, merged := commands(rec), rec.Counters()["dev_read_merged"]; ops != 8 || merged != 0 {
 			t.Fatalf("8 unplugged reads: %d commands, %d merged; want 8 and 0", ops, merged)
 		}
 	})
@@ -225,7 +229,7 @@ func TestPluggedReadErrorClosesTheRun(t *testing.T) {
 			d.ClearFaults()
 			readAt(t, d, clk, 0, 13)
 			d.Unplug()
-			if ops := d.ResourceStats().Ops; ops != 2 {
+			if ops := commands(rec); ops != 2 {
 				t.Fatalf("%d commands, want 2: blocks 10-11, then block 13 on its own", ops)
 			}
 			if got := mergedReads(rec); len(got) != 1 || got[0] != [2]int64{10, 2} {
@@ -241,7 +245,7 @@ func TestPluggedReadErrorClosesTheRun(t *testing.T) {
 // each block is read with.
 func TestPluggedBytesMatchUnplugged(t *testing.T) {
 	read := func(plug bool) [][]byte {
-		d, _ := plugRig(t, costmodel.Default())
+		d, rec := plugRig(t, costmodel.Default())
 		clk := vclock.NewClock()
 		if plug {
 			d.Plug()
@@ -267,8 +271,8 @@ func TestPluggedBytesMatchUnplugged(t *testing.T) {
 			}
 			out = append(out, buf)
 		}
-		if plug && d.ResourceStats().Ops != 1 {
-			t.Fatalf("plugged run of 16 booked %d commands, want 1", d.ResourceStats().Ops)
+		if plug && commands(rec) != 1 {
+			t.Fatalf("plugged run of 16 booked %d commands, want 1", commands(rec))
 		}
 		return out
 	}
@@ -369,15 +373,14 @@ func TestPluggedWritesJoinOnBusyChannels(t *testing.T) {
 				}
 			}
 			d.Unplug()
-			rs := d.ResourceStats()
-			if rs.Ops != 1 || rs.BusyTime != model.DevWrite(n*4096) || done != int64(model.DevWrite(n*4096)) {
-				t.Fatalf("n=%d: %d ops busy %v ending %d, want 1 op of DevWrite(%d KiB) = %v",
-					n, rs.Ops, rs.BusyTime, done, n*4, model.DevWrite(n*4096))
+			if cmds := commands(rec); cmds != 1 || done != int64(model.DevWrite(n*4096)) {
+				t.Fatalf("n=%d: %d commands ending %d, want 1 command of DevWrite(%d KiB) = %v",
+					n, cmds, done, n*4, model.DevWrite(n*4096))
 			}
 			ctr := rec.Counters()
-			if st := d.Stats(); st.Writes != int64(n) || ctr["dev_writes"] != int64(n) || ctr["dev_write_merged"] != int64(n-1) {
-				t.Fatalf("n=%d: %d writes, dev_writes %d, dev_write_merged %d; want %d, %d, %d",
-					n, st.Writes, ctr["dev_writes"], ctr["dev_write_merged"], n, n, n-1)
+			if ctr["dev_writes"] != int64(n) || ctr["dev_write_merged"] != int64(n-1) {
+				t.Fatalf("n=%d: dev_writes %d, dev_write_merged %d; want %d, %d",
+					n, ctr["dev_writes"], ctr["dev_write_merged"], n, n-1)
 			}
 			if got := mergedWrites(rec); len(got) != 1 || got[0] != [2]int64{10, int64(n)} {
 				t.Fatalf("n=%d: merged-write instants %v, want one for blocks 10..%d", n, got, 10+n-1)
@@ -386,7 +389,8 @@ func TestPluggedWritesJoinOnBusyChannels(t *testing.T) {
 	})
 	t.Run("eight channels", func(t *testing.T) {
 		model := costmodel.Default()
-		chunk := func(plug bool) (dones []int64, joined []bool, d *Device, rec *trace.Recorder) {
+		chunk := func(plug bool) (dones []int64, joined []bool, rec *trace.Recorder) {
+			var d *Device
 			d, rec = plugRig(t, model)
 			lb := d.Backend().(*localBackend)
 			clk := vclock.NewClock()
@@ -405,9 +409,9 @@ func TestPluggedWritesJoinOnBusyChannels(t *testing.T) {
 			if plug {
 				d.Unplug()
 			}
-			return dones, joined, d, rec
+			return dones, joined, rec
 		}
-		dones, joined, d, rec := chunk(true)
+		dones, joined, rec := chunk(true)
 		var n int64
 		for k, j := range joined {
 			if !j {
@@ -418,9 +422,9 @@ func TestPluggedWritesJoinOnBusyChannels(t *testing.T) {
 				t.Fatalf("joined block %d completes at %d, want DevWrite4K after block %d", k, dones[k], k-1)
 			}
 		}
-		ops := d.ResourceStats().Ops
-		if n == 0 || ops+n != 32 || d.Stats().Writes != 32 || rec.Counters()["dev_writes"] != 32 {
-			t.Fatalf("%d blocks joined in %d commands, %d writes counted; want some joined and 32 writes", n, ops, d.Stats().Writes)
+		ops, writes := commands(rec), rec.Counters()["dev_writes"]
+		if n == 0 || ops+n != 32 || writes != 32 {
+			t.Fatalf("%d blocks joined in %d commands, %d writes counted; want some joined and 32 writes", n, ops, writes)
 		}
 		for k := 0; k < 8; k++ {
 			if joined[k] {
@@ -428,7 +432,7 @@ func TestPluggedWritesJoinOnBusyChannels(t *testing.T) {
 			}
 		}
 		plugEnd := slices.Max(dones)
-		unplugged, _, _, _ := chunk(false)
+		unplugged, _, _ := chunk(false)
 		if unEnd := slices.Max(unplugged); plugEnd >= unEnd {
 			t.Fatalf("plugged chunk completes at %d, unplugged at %d: no sooner", plugEnd, unEnd)
 		}
@@ -451,7 +455,7 @@ func TestIdleDeviceWritesStayOneBlockCommands(t *testing.T) {
 			}
 		}
 		d.Unplug()
-		if ops, merged := d.ResourceStats().Ops, rec.Counters()["dev_write_merged"]; ops != int64(n) || merged != 0 || len(mergedWrites(rec)) != 0 {
+		if ops, merged := commands(rec), rec.Counters()["dev_write_merged"]; ops != int64(n) || merged != 0 || len(mergedWrites(rec)) != 0 {
 			t.Fatalf("n=%d: %d commands, %d merged; want %d and none", n, ops, merged, n)
 		}
 	}
@@ -483,7 +487,7 @@ func TestPluggedWriteRunCloses(t *testing.T) {
 			}
 		}, 3},
 		{"unplug", func(t *testing.T, d *Device, clk *vclock.Clock) { d.Unplug(); d.Plug() }, 2},
-		{"crash", func(t *testing.T, d *Device, clk *vclock.Clock) { d.Crash(1, 0) }, 1},
+		{"crash", func(t *testing.T, d *Device, clk *vclock.Clock) { d.Crash(1, 0) }, 2},
 		{"read", func(t *testing.T, d *Device, clk *vclock.Clock) {
 			if err := d.Read(clk, 40, make([]byte, d.BlockSize())); err != nil {
 				t.Fatal(err)
@@ -502,9 +506,7 @@ func TestPluggedWriteRunCloses(t *testing.T) {
 			}
 			writeAt(t, d, clk, 0, 12, false)
 			d.Unplug()
-			// Crash resets the queue's statistics: its case counts only
-			// block 12's own command.
-			if got := d.ResourceStats().Ops; got != c.cmds {
+			if got := commands(rec); got != c.cmds {
 				t.Fatalf("%d commands, want %d", got, c.cmds)
 			}
 			want := [][2]int64{{10, 3}}

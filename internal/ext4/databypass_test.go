@@ -3,7 +3,9 @@ package ext4_test
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bento/internal/blockdev"
@@ -12,6 +14,7 @@ import (
 	"bento/internal/fsapi"
 	"bento/internal/iodaemon"
 	"bento/internal/kernel"
+	"bento/internal/trace"
 	"bento/internal/xv6/layout"
 )
 
@@ -19,6 +22,7 @@ func newExt4Bypass(t *testing.T, bypass bool) (*kernel.Mount, *kernel.Task, *ext
 	t.Helper()
 	model := costmodel.Fast()
 	k := kernel.New(model)
+	k.SetRecorder(trace.New())
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 16384, Model: model})
 	task := k.NewTask("mkfs")
 	if err := ext4.Mkfs(task, dev, 1024); err != nil {
@@ -68,8 +72,10 @@ func TestExt4DataBypassSingleCopy(t *testing.T) {
 	if len(dataResident) > 1 { // at most the root directory block
 		t.Fatalf("%d data-region blocks resident after cold read (%v)", len(dataResident), dataResident)
 	}
-	if st := fs.BufferCache().Stats(); st.DirectReads == 0 || st.DirectWrites == 0 {
-		t.Fatalf("direct path unused: %+v", st)
+	// The cold read's fill batch runs on the untraced fill task, so only
+	// the residency check above speaks for the read half.
+	if c := task.Rec().Counters(); c["direct_writes"] == 0 {
+		t.Fatalf("direct write path unused: %v", c)
 	}
 }
 
@@ -125,12 +131,14 @@ func TestExt4DataBypassUnalignedCorrectness(t *testing.T) {
 }
 
 // TestExt4DataBypassDeterministic: same mixed workload, two fresh
-// mounts, identical virtual time and device traffic.
+// mounts, identical virtual time, trace counters and trace events.
 func TestExt4DataBypassDeterministic(t *testing.T) {
-	run := func() (int64, blockdev.Stats) {
+	run := func() (int64, *trace.Recorder) {
 		model := costmodel.Default()
 		k := kernel.New(model)
+		k.SetRecorder(trace.New())
 		dev := blockdev.MustNew(blockdev.Config{Blocks: 16384, Model: model})
+		dev.SetRecorder(k.Recorder())
 		task := k.NewTask("mix")
 		if err := ext4.Mkfs(task, dev, 1024); err != nil {
 			t.Fatal(err)
@@ -165,11 +173,14 @@ func TestExt4DataBypassDeterministic(t *testing.T) {
 		if err := k.Unmount(task, "/mnt"); err != nil {
 			t.Fatal(err)
 		}
-		return task.Clk.NowNS(), dev.Stats()
+		return task.Clk.NowNS(), k.Recorder()
 	}
-	clk1, dev1 := run()
-	clk2, dev2 := run()
-	if clk1 != clk2 || dev1 != dev2 {
-		t.Fatalf("diverged: clk %d vs %d, dev %+v vs %+v", clk1, clk2, dev1, dev2)
+	clk1, rec1 := run()
+	clk2, rec2 := run()
+	if c1, c2 := rec1.Counters(), rec2.Counters(); clk1 != clk2 || !maps.Equal(c1, c2) {
+		t.Fatalf("diverged: clk %d vs %d, counters %v vs %v", clk1, clk2, c1, c2)
+	}
+	if e1, e2 := rec1.Events(), rec2.Events(); !slices.Equal(e1, e2) {
+		t.Fatalf("trace events diverged: %d vs %d events", len(e1), len(e2))
 	}
 }

@@ -66,14 +66,7 @@ type Session struct {
 
 	freeAt  int64  // virtual time the daemon finishes its current request
 	payload []byte // owned by the running round trip
-
-	requests int64
-	bytesIn  int64
-	bytesOut int64
 }
-
-// Requests reports how many requests the daemon served.
-func (s *Session) Requests() int64 { return s.requests }
 
 // FS exposes the hosted file system (tests).
 func (s *Session) FS() core.FileSystem { return s.fs }
@@ -191,7 +184,6 @@ func (d *Driver) roundTrip(t *kernel.Task, req *Request) (Reply, error) {
 	reqLen := wireLen(req, nil)
 	t.Charge(m.Copy(reqLen))
 	t.Charge(m.CtxSwitch)
-	s.bytesIn += int64(reqLen)
 
 	// Daemon: single-threaded service, modelled in virtual time.
 	if s.freeAt > t.Clk.NowNS() {
@@ -200,7 +192,6 @@ func (d *Driver) roundTrip(t *kernel.Task, req *Request) (Reply, error) {
 		}
 		t.Clk.AdvanceTo(s.freeAt)
 	}
-	s.requests++
 	t.Charge(m.FuseMsg) // daemon-side parse/dispatch
 	rep := s.serve(t, req)
 	s.freeAt = t.Clk.NowNS()
@@ -210,7 +201,6 @@ func (d *Driver) roundTrip(t *kernel.Task, req *Request) (Reply, error) {
 	repLen := wireLen(req, &rep)
 	t.Charge(m.Copy(repLen))
 	t.Charge(m.CtxSwitch)
-	s.bytesOut += int64(repLen)
 	if rec != nil {
 		rec.SpanAB(t.Name, trace.CatFuse, opTraceName(req.Op), rtStart, t.Clk.NowNS(),
 			int64(reqLen), int64(repLen))

@@ -13,15 +13,20 @@ import (
 	"bento/internal/fsapi"
 	"bento/internal/fuse"
 	"bento/internal/kernel"
+	"bento/internal/trace"
 	"bento/internal/vclock"
 	"bento/internal/xv6/bentoimpl"
 	"bento/internal/xv6/layout"
 )
 
+// mountFuse mounts xv6 under FUSE on a fresh image. The kernel and the
+// device share one trace recorder, which every task's Rec reports.
 func mountFuse(t *testing.T, model *costmodel.Model) (*kernel.Kernel, *kernel.Mount, *kernel.Task, *blockdev.Device) {
 	t.Helper()
 	k := kernel.New(model)
+	k.SetRecorder(trace.New())
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 8192, Model: model})
+	dev.SetRecorder(k.Recorder())
 	clk := vclock.NewClock()
 	if _, err := layout.Mkfs(clk, dev, 512); err != nil {
 		t.Fatal(err)
@@ -110,12 +115,11 @@ func TestFuseErrnoAcrossTransport(t *testing.T) {
 
 func TestFuseCountsRequests(t *testing.T) {
 	_, m, task, _ := mountFuse(t, costmodel.Fast())
-	drv := m.FS().(*fuse.Driver)
-	before := drv.Session().Requests()
+	before := task.Rec().Counters()["fuse_requests"]
 	if err := m.WriteFile(task, "/f", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if drv.Session().Requests() <= before {
+	if task.Rec().Counters()["fuse_requests"] <= before {
 		t.Fatal("no requests crossed the transport")
 	}
 }
@@ -123,7 +127,7 @@ func TestFuseCountsRequests(t *testing.T) {
 func TestFuseFsyncCostsFlush(t *testing.T) {
 	// The defining FUSE penalty: fsync must FLUSH the device.
 	model := costmodel.Default()
-	_, m, task, dev := mountFuse(t, model)
+	_, m, task, _ := mountFuse(t, model)
 	f, err := m.Open(task, "/f", fsapi.ORdwr|fsapi.OCreate)
 	if err != nil {
 		t.Fatal(err)
@@ -132,12 +136,12 @@ func TestFuseFsyncCostsFlush(t *testing.T) {
 	if _, err := f.Write(task, []byte("durable")); err != nil {
 		t.Fatal(err)
 	}
-	flushesBefore := dev.Stats().Flushes
+	flushesBefore := task.Rec().Counters()["dev_flushes"]
 	before := task.Clk.Now()
 	if err := f.FSync(task); err != nil {
 		t.Fatal(err)
 	}
-	if dev.Stats().Flushes <= flushesBefore {
+	if task.Rec().Counters()["dev_flushes"] <= flushesBefore {
 		t.Fatal("FUSE fsync did not issue a device FLUSH")
 	}
 	if task.Clk.Now()-before < model.DevFlushBase {

@@ -21,7 +21,8 @@ import (
 )
 
 // newXv6Driver mounts the xv6 file system behind a raw Driver — no VFS,
-// no page cache — so a test sees exactly what crosses the transport.
+// no page cache — so a test sees exactly what crosses the transport. The
+// task records into a trace recorder (see wireIn and wireOut).
 func newXv6Driver(t *testing.T) (*Driver, *kernel.Task) {
 	t.Helper()
 	model := costmodel.Fast()
@@ -29,7 +30,7 @@ func newXv6Driver(t *testing.T) (*Driver, *kernel.Task) {
 	if _, err := layout.Mkfs(vclock.NewClock(), dev, 512); err != nil {
 		t.Fatal(err)
 	}
-	task := kernel.New(model).NewTask("transport")
+	task := tracedKernel(dev, model).NewTask("transport")
 	fs, err := Type{Factory: func() core.FileSystem {
 		return bentoimpl.New(bentoimpl.Config{Policy: bentoimpl.PolicyFlush})
 	}}.Mount(task, dev)
@@ -38,6 +39,11 @@ func newXv6Driver(t *testing.T) (*Driver, *kernel.Task) {
 	}
 	return fs.(*Driver), task
 }
+
+// wireIn and wireOut report the request and reply bytes task's round
+// trips have put on the wire so far (fuse_bytes_in, fuse_bytes_out).
+func wireIn(task *kernel.Task) int64  { return task.Rec().Counters()["fuse_bytes_in"] }
+func wireOut(task *kernel.Task) int64 { return task.Rec().Counters()["fuse_bytes_out"] }
 
 func mustCreate(t *testing.T, d *Driver, task *kernel.Task, dir fsapi.Ino, name string) fsapi.Ino {
 	t.Helper()
@@ -168,11 +174,11 @@ func TestReadsLandInTheirOwnPages(t *testing.T) {
 		ino fsapi.Ino
 		buf []byte
 	}{{a, pa}, {b, pb}} {
-		out := d.sess.bytesOut
+		out := wireOut(task)
 		if err := d.ReadPage(task, r.ino, 0, r.buf); err != nil {
 			t.Fatal(err)
 		}
-		if got := d.sess.bytesOut - out; got != repHeaderSize+fsapi.PageSize {
+		if got := wireOut(task) - out; got != repHeaderSize+fsapi.PageSize {
 			t.Fatalf("READ reply is %d bytes on the wire, want %d", got, repHeaderSize+fsapi.PageSize)
 		}
 	}
@@ -284,32 +290,32 @@ func TestErrnoReplyCarriesNoPayload(t *testing.T) {
 	if err := d.WritePage(task, f, 0, page(0x11), fsapi.PageSize); err != nil {
 		t.Fatal(err)
 	}
-	out := d.sess.bytesOut
+	out := wireOut(task)
 	if err := d.ReadPage(task, f, 0, make([]byte, fsapi.PageSize)); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.sess.bytesOut - out; got != repHeaderSize+fsapi.PageSize {
+	if got := wireOut(task) - out; got != repHeaderSize+fsapi.PageSize {
 		t.Fatalf("READ reply is %d bytes", got)
 	}
 
-	out = d.sess.bytesOut
+	out = wireOut(task)
 	st, err := d.Lookup(task, fsapi.RootIno, "missing")
 	if !errors.Is(err, fsapi.ErrNotExist) {
 		t.Fatalf("Lookup(missing) = %v, want ErrNotExist", err)
 	}
-	if got := d.sess.bytesOut - out; got != repHeaderSize {
+	if got := wireOut(task) - out; got != repHeaderSize {
 		t.Fatalf("errno reply is %d bytes on the wire, want the %d-byte header", got, repHeaderSize)
 	}
 	if st != (fsapi.Stat{}) {
 		t.Fatalf("errno reply carries attributes: %+v", st)
 	}
 
-	out = d.sess.bytesOut
+	out = wireOut(task)
 	keep := page(0xEE)
 	if err := d.ReadPage(task, 9999, 0, keep); err == nil {
 		t.Fatal("READ of a free inode succeeded")
 	}
-	if got := d.sess.bytesOut - out; got != repHeaderSize {
+	if got := wireOut(task) - out; got != repHeaderSize {
 		t.Fatalf("failed READ replied with %d bytes, want the %d-byte header", got, repHeaderSize)
 	}
 	if !bytes.Equal(keep, page(0xEE)) {
@@ -335,30 +341,30 @@ func (fs *partialFS) GetAttr(*kernel.Task, fsapi.Ino) (fsapi.Stat, error) {
 func TestFailedRequestRepliesWithErrnoOnly(t *testing.T) {
 	model := costmodel.Fast()
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 64, Model: model})
-	task := kernel.New(model).NewTask("transport")
+	task := tracedKernel(dev, model).NewTask("transport")
 	fs, err := Type{Factory: func() core.FileSystem { return &partialFS{} }}.Mount(task, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := fs.(*Driver)
 
-	out := d.sess.bytesOut
+	out := wireOut(task)
 	keep := page(0xEE)
 	if err := d.ReadPage(task, 1, 0, keep); !errors.Is(err, fsapi.ErrIO) {
 		t.Fatalf("ReadPage = %v, want ErrIO", err)
 	}
-	if got := d.sess.bytesOut - out; got != repHeaderSize {
+	if got := wireOut(task) - out; got != repHeaderSize {
 		t.Fatalf("failed READ replied with %d bytes, want the %d-byte header", got, repHeaderSize)
 	}
 	if !bytes.Equal(keep, page(0xEE)) {
 		t.Fatal("a failed READ wrote to the caller's page")
 	}
-	out = d.sess.bytesOut
+	out = wireOut(task)
 	st, err := d.GetAttr(task, 1)
 	if !errors.Is(err, fsapi.ErrStale) {
 		t.Fatalf("GetAttr = %v, want ErrStale", err)
 	}
-	if got := d.sess.bytesOut - out; got != repHeaderSize || st != (fsapi.Stat{}) {
+	if got := wireOut(task) - out; got != repHeaderSize || st != (fsapi.Stat{}) {
 		t.Fatalf("failed GETATTR replied with %d bytes and %+v", got, st)
 	}
 }
@@ -487,9 +493,6 @@ func TestPagesByReferenceMatchCopies(t *testing.T) {
 			if a, b := ref.k.Recorder().Events(), cp.k.Recorder().Events(); !reflect.DeepEqual(a, b) {
 				t.Fatalf("trace events differ (%d by reference, %d by copy)", len(a), len(b))
 			}
-			if a, b := ref.dev.Stats(), cp.dev.Stats(); a != b {
-				t.Fatalf("device counters differ: %+v vs %+v", a, b)
-			}
 			ba, bb := make([]byte, ps), make([]byte, ps)
 			for blk := 0; blk < ref.dev.Blocks(); blk++ {
 				if err := ref.dev.Read(ref.task.Clk, blk, ba); err != nil {
@@ -556,12 +559,12 @@ func TestWireSizes(t *testing.T) {
 		{"RMDIR non-empty", func() error { return d.Rmdir(task, root, "d") }, fsapi.ErrNotEmpty, 49, 36},
 		{"READ free inode", func() error { return d.ReadPage(task, 9999, 0, page(0)) }, fsapi.ErrStale, 48, 36},
 	} {
-		in, out := d.sess.bytesIn, d.sess.bytesOut
+		in, out := wireIn(task), wireOut(task)
 		// == on purpose: an error crosses the transport as its bare sentinel.
 		if err := s.do(); err != s.want {
 			t.Fatalf("%s: %v, want %v", s.name, err, s.want)
 		}
-		if gotIn, gotOut := d.sess.bytesIn-in, d.sess.bytesOut-out; gotIn != s.in || gotOut != s.out {
+		if gotIn, gotOut := wireIn(task)-in, wireOut(task)-out; gotIn != s.in || gotOut != s.out {
 			t.Errorf("%s: %d bytes in, %d out; want %d in, %d out", s.name, gotIn, gotOut, s.in, s.out)
 		}
 	}

@@ -96,9 +96,6 @@ func (ud *UserDisk) BlockSize() int { return ud.dev.BlockSize() }
 // Blocks implements bentoks.Disk.
 func (ud *UserDisk) Blocks() int { return ud.dev.Blocks() }
 
-// Stats reports user-cache traffic counters.
-func (ud *UserDisk) Stats() lru.Stats { return ud.cache.Stats() }
-
 // Held reports how many cached blocks the hosted file system holds a
 // reference to: 0 once it has given back every buffer it took.
 func (ud *UserDisk) Held() int { return ud.cache.Held() }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -12,10 +13,12 @@ import (
 	"bento/internal/costmodel"
 	"bento/internal/fsapi"
 	"bento/internal/kernel"
-	"bento/internal/lru"
+	"bento/internal/trace"
 	"bento/internal/vclock"
 )
 
+// newTestUserDisk returns a user disk over a fresh device and a task
+// whose trace recorder also counts the device's commands.
 func newTestUserDisk(t *testing.T, cacheBlocks int) (*UserDisk, *kernel.Task) {
 	t.Helper()
 	model := costmodel.Default()
@@ -23,8 +26,18 @@ func newTestUserDisk(t *testing.T, cacheBlocks int) (*UserDisk, *kernel.Task) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := kernel.New(model)
+	k := tracedKernel(dev, model)
 	return NewUserDisk(dev, cacheBlocks), k.NewTask("ud-test")
+}
+
+// tracedKernel returns a new kernel sharing one new trace recorder with
+// dev.
+func tracedKernel(dev *blockdev.Device, model *costmodel.Model) *kernel.Kernel {
+	rec := trace.New()
+	dev.SetRecorder(rec)
+	k := kernel.New(model)
+	k.SetRecorder(rec)
+	return k
 }
 
 // TestUserDiskExactLRU mirrors the kernel buffer-cache test: the user
@@ -46,16 +59,16 @@ func TestUserDiskExactLRU(t *testing.T) {
 	}
 	readRelease(0) // rescue 0 from the LRU tail
 	readRelease(4) // evicts 1
-	base := ud.Stats()
+	base := task.Rec().Counters()
 	readRelease(0)
 	readRelease(2)
 	readRelease(3)
-	if st := ud.Stats(); st.Hits != base.Hits+3 {
-		t.Fatalf("resident blocks missed: %+v vs %+v", st, base)
+	if c := task.Rec().Counters(); c["buf_hits"] != base["buf_hits"]+3 {
+		t.Fatalf("resident blocks missed: %v vs %v", c, base)
 	}
 	readRelease(1)
-	if st := ud.Stats(); st.Misses != base.Misses+1 {
-		t.Fatalf("block 1 was not the victim: %+v vs %+v", st, base)
+	if c := task.Rec().Counters(); c["buf_misses"] != base["buf_misses"]+1 {
+		t.Fatalf("block 1 was not the victim: %v vs %v", c, base)
 	}
 }
 
@@ -95,16 +108,16 @@ func TestUserDiskDoubleRelease(t *testing.T) {
 // TestUserDiskConcurrent drives one user cache from eight scheduled
 // tasks over a block range four times its size and checks the fill
 // accounting: every BRead is a hit or a miss, every miss is exactly one
-// pread of the disk file, evicted blocks are recycled rather than
-// reallocated, and the interleaving replays exactly.
+// pread of the disk file, every miss past the first 64 evicts one block,
+// and the interleaving replays exactly.
 func TestUserDiskConcurrent(t *testing.T) {
-	run := func() (lru.Stats, blockdev.Stats) {
+	run := func() (map[string]int64, int) {
 		model := costmodel.Default()
 		dev, err := blockdev.New(blockdev.Config{Blocks: 4096, Model: model})
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := kernel.New(model)
+		k := tracedKernel(dev, model)
 		ud := NewUserDisk(dev, 64)
 		vclock.NewGroup(0).Run(8, func(g int, w *vclock.Worker) {
 			task := k.NewTaskWithClock(fmt.Sprintf("w%d", g), w.Clock())
@@ -127,17 +140,17 @@ func TestUserDiskConcurrent(t *testing.T) {
 				}
 			}
 		})
-		return ud.Stats(), dev.Stats()
+		return k.Recorder().Counters(), ud.cache.Len()
 	}
-	st, ds := run()
-	if st.Hits+st.Misses != 8*300 || ds.Reads != st.Misses {
-		t.Fatalf("cache %+v, device %+v: want hits+misses = %d and one pread per miss", st, ds, 8*300)
+	c, resident := run()
+	if c["buf_hits"]+c["buf_misses"] != 8*300 || c["dev_reads"] != c["buf_misses"] {
+		t.Fatalf("counters %v: want hits+misses = %d and one pread per miss", c, 8*300)
 	}
-	if st.Evictions != st.Misses-64 {
-		t.Fatalf("cache %+v: every miss past the first 64 must evict (and recycle) one block", st)
+	if c["buf_misses"] <= 64 || resident != 64 {
+		t.Fatalf("%d misses leave %d blocks resident: every miss past the first 64 must evict one block", c["buf_misses"], resident)
 	}
-	if st2, ds2 := run(); st2 != st || ds2 != ds {
-		t.Fatalf("replay differs: %+v %+v vs %+v %+v", st2, ds2, st, ds)
+	if c2, _ := run(); !maps.Equal(c2, c) {
+		t.Fatalf("replay differs: %v vs %v", c2, c)
 	}
 }
 
@@ -250,8 +263,8 @@ func TestUserDiskChurn(t *testing.T) {
 	if len(seen) != capacity {
 		t.Fatalf("%d distinct buffers served %d misses, want the cache's %d", len(seen), 2*blocks, capacity)
 	}
-	if st := ud.Stats(); st.Misses != 2*blocks || st.Evictions != 2*blocks-capacity {
-		t.Fatalf("stats = %+v", st)
+	if misses := task.Rec().Counters()["buf_misses"]; misses != 2*blocks || ud.cache.Len() != capacity {
+		t.Fatalf("%d misses leave %d blocks resident, want %d and %d", misses, ud.cache.Len(), 2*blocks, capacity)
 	}
 }
 
@@ -326,7 +339,7 @@ func TestUserDiskRecycledBlockBlocksHitters(t *testing.T) {
 	model := costmodel.Default()
 	pb := &probeBackend{Backend: blockdev.NewLocalBackend("probed", 4096, model), blk: -1}
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 64, Model: model, Backend: pb})
-	k := kernel.New(model)
+	k := tracedKernel(dev, model)
 	ud, task := NewUserDisk(dev, 1), k.NewTask("filler")
 	fillDevice(t, ud, task, 8)
 	b, err := ud.BRead(task, 0) // the block the miss below recycles
@@ -366,8 +379,9 @@ func TestUserDiskRecycledBlockBlocksHitters(t *testing.T) {
 	if !probed {
 		t.Fatal("the fill of block 7 never reached the device")
 	}
-	if st := ud.Stats(); st.Hits != 1 || st.Misses != 2 || st.Evictions != 1 {
-		t.Fatalf("stats %+v, want block 0's miss, block 7's miss and eviction, and the hitter's hit", st)
+	c := k.Recorder().Counters()
+	if c["buf_hits"] != 1 || c["buf_misses"] != 2 || ud.cache.Keys()[0] != 7 {
+		t.Fatalf("counters %v, resident %v; want block 0's miss, block 7's miss evicting it, and the hitter's hit", c, ud.cache.Keys())
 	}
 }
 
@@ -669,14 +683,11 @@ func TestUserDiskCachedByReference(t *testing.T) {
 		if a, b := rtask.Clk.NowNS(), ctask.Clk.NowNS(); a != b {
 			t.Fatalf("step %d: %d ns by reference, %d by copy", i, a, b)
 		}
-		if a, b := ref.dev.Stats(), cp.dev.Stats(); a != b {
-			t.Fatalf("step %d: device counters differ: %+v vs %+v", i, a, b)
-		}
-		if a, b := ref.Stats(), cp.Stats(); a != b {
-			t.Fatalf("step %d: cache counters differ: %+v vs %+v", i, a, b)
+		if a, b := rtask.Rec().Counters(), ctask.Rec().Counters(); !maps.Equal(a, b) {
+			t.Fatalf("step %d: cache and device counters differ: %v vs %v", i, a, b)
 		}
 	}
-	if ref.Stats().Evictions == 0 {
-		t.Fatal("no block was evicted; the misses were never exercised")
+	if misses := rtask.Rec().Counters()["buf_misses"]; misses <= int64(ref.cache.Len()) {
+		t.Fatalf("%d misses into a cache of %d: no block was evicted; the misses were never exercised", misses, ref.cache.Len())
 	}
 }

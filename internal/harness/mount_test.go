@@ -12,6 +12,7 @@ import (
 	"bento/internal/fuse"
 	"bento/internal/harness"
 	"bento/internal/kernel"
+	"bento/internal/trace"
 	"bento/internal/xv6/bentoimpl"
 	"bento/internal/xv6/vfsimpl"
 )
@@ -27,7 +28,9 @@ func TestMountConfigHasOneMeaning(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/barriers=%v/bypass=%v", v, mc.Barriers, mc.Bypass), func(t *testing.T) {
 				model := costmodel.Fast()
 				k := kernel.New(model)
+				k.SetRecorder(trace.New())
 				dev := blockdev.MustNew(blockdev.Config{Blocks: 8192, Model: model})
+				dev.SetRecorder(k.Recorder())
 				task := k.NewTask("test")
 				m, err := harness.Mount(k, task, dev, v, mc, 512)
 				if err != nil {
@@ -40,22 +43,16 @@ func TestMountConfigHasOneMeaning(t *testing.T) {
 				if _, err := f.Write(task, make([]byte, 64<<10)); err != nil {
 					t.Fatal(err)
 				}
-				flushes := dev.Stats().Flushes
+				flushes := k.Recorder().Counters()["dev_flushes"]
 				if err := f.FSync(task); err != nil {
 					t.Fatal(err)
 				}
-				if flushed := dev.Stats().Flushes > flushes; flushed != mc.Barriers {
+				if flushed := k.Recorder().Counters()["dev_flushes"] > flushes; flushed != mc.Barriers {
 					t.Errorf("fsync issued a FLUSH: %v, want %v", flushed, mc.Barriers)
 				}
 
-				var bc *kernel.BufferCache
 				switch fs := m.FS().(type) {
-				case *core.BentoFS:
-					bc = fs.SuperBlock().BufferCache()
-				case *vfsimpl.FS:
-					bc = fs.BufferCache()
-				case *ext4.FS:
-					bc = fs.BufferCache()
+				case *core.BentoFS, *vfsimpl.FS, *ext4.FS:
 				case *fuse.Driver:
 					if fs.Session().FS().(*bentoimpl.FS).Config().DataBypass {
 						t.Error("the FUSE daemon bypasses its cache")
@@ -64,7 +61,7 @@ func TestMountConfigHasOneMeaning(t *testing.T) {
 				default:
 					t.Fatalf("unexpected file system %T", fs)
 				}
-				if direct := bc.Stats().DirectWrites > 0; direct != mc.Bypass {
+				if direct := k.Recorder().Counters()["direct_writes"] > 0; direct != mc.Bypass {
 					t.Errorf("fsync'd file data went around the buffer cache: %v, want %v", direct, mc.Bypass)
 				}
 			})

@@ -15,7 +15,9 @@ import (
 // single-copy data path: file data written after the swap still goes
 // around the buffer cache.
 func TestUpgradeAblation(t *testing.T) {
-	tg, err := harness.NewTarget(harness.VariantBento, harness.Quick())
+	o := harness.Quick()
+	o.Metrics = true // the recorder counts direct writes
+	tg, err := harness.NewTarget(harness.VariantBento, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,14 +43,14 @@ func TestUpgradeAblation(t *testing.T) {
 		t.Fatalf("post-upgrade read: %q %v", got, err)
 	}
 
-	direct := shim.SuperBlock().BufferCache().Stats().DirectWrites
+	direct := task.Rec().Counters()["direct_writes"]
 	if err := tg.M.WriteFile(task, "/post", make([]byte, 64<<10)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tg.M.Sync(task); err != nil {
 		t.Fatal(err)
 	}
-	if after := shim.SuperBlock().BufferCache().Stats().DirectWrites; after <= direct {
+	if after := task.Rec().Counters()["direct_writes"]; after <= direct {
 		t.Fatalf("post-upgrade write-back made no direct writes (%d -> %d): the replacement left the mount's bypass data path", direct, after)
 	}
 }

@@ -20,23 +20,7 @@ type BufferCache struct {
 	dev   *blockdev.Device
 	model *costmodel.Model
 
-	cache  *lru.Cache[*BufferHead]
-	writes int64
-
-	directReads  int64
-	directWrites int64
-}
-
-// BufferCacheStats counts cache traffic. DirectReads/DirectWrites count
-// the bypass path: block I/O that went straight between the device and
-// caller-owned pages without populating the cache.
-type BufferCacheStats struct {
-	Hits         int64
-	Misses       int64
-	Evictions    int64
-	Writes       int64
-	DirectReads  int64
-	DirectWrites int64
+	cache *lru.Cache[*BufferHead]
 }
 
 // BufferHead is one cached block, the analogue of struct buffer_head. A
@@ -70,19 +54,6 @@ func NewBufferCache(dev *blockdev.Device, model *costmodel.Model, capacity int) 
 
 // Device reports the underlying block device.
 func (bc *BufferCache) Device() *blockdev.Device { return bc.dev }
-
-// Stats returns a snapshot of cache counters.
-func (bc *BufferCache) Stats() BufferCacheStats {
-	cs := bc.cache.Stats()
-	return BufferCacheStats{
-		Hits:         cs.Hits,
-		Misses:       cs.Misses,
-		Evictions:    cs.Evictions,
-		Writes:       bc.writes,
-		DirectReads:  bc.directReads,
-		DirectWrites: bc.directWrites,
-	}
-}
 
 // Len reports the number of resident buffers.
 func (bc *BufferCache) Len() int { return bc.cache.Len() }
@@ -158,7 +129,6 @@ func (bc *BufferCache) readDirect(t *Task, blk int, buf []byte, borrow bool) (vi
 	if err := bc.invalidate(t, blk); err != nil {
 		return nil, err
 	}
-	bc.directReads++
 	t.rec.Add(trace.CtrDirectReads, 1)
 	start := t.Clk.NowNS()
 	if borrow {
@@ -207,7 +177,6 @@ func (bc *BufferCache) writeDirect(t *Task, blk int, buf []byte, owned bool) (co
 	if err != nil {
 		return 0, err
 	}
-	bc.directWrites++
 	t.rec.Add(trace.CtrDirectWrites, 1)
 	return done, nil
 }
@@ -289,7 +258,6 @@ func (b *BufferHead) SubmitWrite(t *Task) (completion int64, err error) {
 		return 0, err
 	}
 	b.bc.cache.ClearDirty(b)
-	b.bc.writes++
 	return done, nil
 }
 

@@ -3,15 +3,21 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bento/internal/blockdev"
 	"bento/internal/costmodel"
 	"bento/internal/fsapi"
+	"bento/internal/trace"
 	"bento/internal/vclock"
 )
 
+// newTestCache returns a buffer cache over a fresh device and a task on
+// a kernel; the kernel and the device share one trace recorder, which
+// the task's Rec reports.
 func newTestCache(t *testing.T, capacity int) (*BufferCache, *Task) {
 	t.Helper()
 	model := costmodel.Default()
@@ -19,9 +25,21 @@ func newTestCache(t *testing.T, capacity int) (*BufferCache, *Task) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := New(model)
-	return NewBufferCache(dev, model, capacity), k.NewTask("bc-test")
+	return NewBufferCache(dev, model, capacity), tracedTask(dev, model)
 }
+
+// tracedTask attaches one new recorder to dev and to a new kernel, and
+// returns a task of that kernel.
+func tracedTask(dev *blockdev.Device, model *costmodel.Model) *Task {
+	rec := trace.New()
+	dev.SetRecorder(rec)
+	k := New(model)
+	k.SetRecorder(rec)
+	return k.NewTask("bc-test")
+}
+
+// counter reads one trace counter of task's recorder.
+func counter(task *Task, name string) int64 { return task.Rec().Counters()[name] }
 
 func getRelease(t *testing.T, bc *BufferCache, task *Task, blk int) {
 	t.Helper()
@@ -46,15 +64,18 @@ func TestBufferCacheExactLRU(t *testing.T) {
 	getRelease(t, bc, task, 4) // evicts 1
 	getRelease(t, bc, task, 5) // evicts 2
 
-	base := bc.Stats()
+	if got := bc.ResidentBlocks(); !slices.Equal(got, []int{0, 3, 4, 5}) {
+		t.Fatalf("resident blocks %v, want [0 3 4 5]: 1 and 2 are the LRU victims", got)
+	}
+	hits, misses := counter(task, "buf_hits"), counter(task, "buf_misses")
 	getRelease(t, bc, task, 0) // still resident: hit
 	getRelease(t, bc, task, 3) // still resident: hit
-	if st := bc.Stats(); st.Hits != base.Hits+2 || st.Misses != base.Misses {
-		t.Fatalf("0 and 3 were evicted out of LRU order: %+v vs %+v", st, base)
+	if h, m := counter(task, "buf_hits"), counter(task, "buf_misses"); h != hits+2 || m != misses {
+		t.Fatalf("0 and 3 were evicted out of LRU order: %d hits, %d misses, was %d and %d", h, m, hits, misses)
 	}
 	getRelease(t, bc, task, 1) // evicted above: miss
-	if st := bc.Stats(); st.Misses != base.Misses+1 {
-		t.Fatalf("1 survived eviction: %+v", st)
+	if m := counter(task, "buf_misses"); m != misses+1 {
+		t.Fatalf("1 survived eviction: %d misses, was %d", m, misses)
 	}
 }
 
@@ -76,11 +97,8 @@ func TestBufferCachePinnedDirtySkipped(t *testing.T) {
 	}
 
 	getRelease(t, bc, task, 2) // everything else pinned/dirty: overflow
-	if st := bc.Stats(); st.Evictions != 0 {
-		t.Fatalf("evicted a pinned or dirty buffer: %+v", st)
-	}
-	if bc.Len() != 3 {
-		t.Fatalf("len = %d, want 3 (overflowed)", bc.Len())
+	if got := bc.ResidentBlocks(); !slices.Equal(got, []int{0, 1, 2}) {
+		t.Fatalf("resident blocks %v, want [0 1 2] (overflowed, nothing evicted)", got)
 	}
 
 	// Clean + unpin, then miss again: eviction resumes in LRU order.
@@ -98,13 +116,14 @@ func TestBufferCachePinnedDirtySkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	getRelease(t, bc, task, 3)
-	if st := bc.Stats(); st.Evictions != 2 {
-		t.Fatalf("evictions = %d, want 2 (drain back under capacity)", st.Evictions)
+	if got := bc.ResidentBlocks(); !slices.Equal(got, []int{1, 3}) {
+		t.Fatalf("resident blocks %v, want [1 3]: 0 and 2 evicted in LRU order, back under capacity", got)
 	}
 }
 
-// TestBufferCacheStats checks all four counters across a scripted
-// hit/miss/evict/write sequence.
+// TestBufferCacheStats checks the trace counters a scripted
+// hit/miss/write sequence leaves: the cache's hits and misses, and the
+// device's reads and writes.
 func TestBufferCacheStats(t *testing.T) {
 	bc, task := newTestCache(t, 8)
 	for blk := 0; blk < 4; blk++ {
@@ -134,10 +153,12 @@ func TestBufferCacheStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := bc.Stats()
-	want := BufferCacheStats{Hits: 3, Misses: 4, Evictions: 0, Writes: 1}
-	if st != want {
-		t.Fatalf("stats = %+v, want %+v", st, want)
+	want := map[string]int64{"buf_hits": 3, "buf_misses": 4, "dev_reads": 4, "dev_writes": 1}
+	if got := task.Rec().Counters(); !maps.Equal(got, want) {
+		t.Fatalf("counters = %v, want %v", got, want)
+	}
+	if bc.Len() != 4 {
+		t.Fatalf("len = %d, want 4: nothing evicted", bc.Len())
 	}
 }
 
@@ -161,9 +182,9 @@ func TestBufferCacheInvalidateAll(t *testing.T) {
 	if bc.Len() != 0 {
 		t.Fatalf("len = %d after InvalidateAll, want 0", bc.Len())
 	}
-	base := bc.Stats()
+	misses := counter(task, "buf_misses")
 	getRelease(t, bc, task, 5)
-	if st := bc.Stats(); st.Misses != base.Misses+1 {
+	if counter(task, "buf_misses") != misses+1 {
 		t.Fatal("block 5 survived InvalidateAll")
 	}
 }
@@ -205,13 +226,16 @@ func TestBufferCacheReadError(t *testing.T) {
 // device read (never two fills of one block, never a hit on an unfilled
 // buffer), and the interleaving replays exactly.
 func TestBufferCacheConcurrentMissFill(t *testing.T) {
-	run := func() (BufferCacheStats, blockdev.Stats) {
+	run := func() map[string]int64 {
 		model := costmodel.Default()
 		dev, err := blockdev.New(blockdev.Config{Blocks: 4096, Model: model})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rec := trace.New()
+		dev.SetRecorder(rec)
 		k := New(model)
+		k.SetRecorder(rec)
 		bc := NewBufferCache(dev, model, 64)
 		vclock.NewGroup(0).Run(8, func(g int, w *vclock.Worker) {
 			task := k.NewTaskWithClock(fmt.Sprintf("w%d", g), w.Clock())
@@ -234,20 +258,21 @@ func TestBufferCacheConcurrentMissFill(t *testing.T) {
 				}
 			}
 		})
-		return bc.Stats(), dev.Stats()
+		return rec.Counters()
 	}
-	st, ds := run()
-	if st.Hits+st.Misses != 8*500 {
-		t.Fatalf("hits %d + misses %d != %d gets", st.Hits, st.Misses, 8*500)
+	c := run()
+	hits, misses := c["buf_hits"], c["buf_misses"]
+	if hits+misses != 8*500 {
+		t.Fatalf("hits %d + misses %d != %d gets", hits, misses, 8*500)
 	}
-	if ds.Reads != st.Misses {
-		t.Fatalf("%d device reads for %d misses: a miss must fill exactly once", ds.Reads, st.Misses)
+	if c["dev_reads"] != misses {
+		t.Fatalf("%d device reads for %d misses: a miss must fill exactly once", c["dev_reads"], misses)
 	}
-	if st.Misses < 256 || st.Evictions == 0 {
-		t.Fatalf("stats %+v: the range never overflowed the cache", st)
+	if misses <= 256 {
+		t.Fatalf("%d misses over 256 blocks: the range never overflowed the cache", misses)
 	}
-	if st2, ds2 := run(); st2 != st || ds2 != ds {
-		t.Fatalf("replay differs: %+v %+v vs %+v %+v", st2, ds2, st, ds)
+	if c2 := run(); !maps.Equal(c2, c) {
+		t.Fatalf("replay differs: %v vs %v", c2, c)
 	}
 }
 
@@ -281,7 +306,7 @@ func TestBufferCacheFillBeforeInsert(t *testing.T) {
 	model := costmodel.Default()
 	pb := &probeBackend{Backend: blockdev.NewLocalBackend("probed", 4096, model), blk: 7}
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 64, Model: model, Backend: pb})
-	bc, task := NewBufferCache(dev, model, 2), New(model).NewTask("bc-test")
+	bc, task := NewBufferCache(dev, model, 2), tracedTask(dev, model)
 	getRelease(t, bc, task, 0)
 	getRelease(t, bc, task, 1)
 
@@ -303,8 +328,8 @@ func TestBufferCacheFillBeforeInsert(t *testing.T) {
 	if bc.Len() != 1 {
 		t.Fatalf("failed read left %d buffers resident, want 1", bc.Len())
 	}
-	if st := bc.Stats(); st != (BufferCacheStats{Misses: 3, Evictions: 1}) {
-		t.Fatalf("stats after the failed read = %+v, want 3 misses and 1 eviction", st)
+	if h, m := counter(task, "buf_hits"), counter(task, "buf_misses"); h != 0 || m != 3 {
+		t.Fatalf("after the failed read: %d hits, %d misses; want 0 and 3", h, m)
 	}
 
 	pb.fail = nil
@@ -313,7 +338,10 @@ func TestBufferCacheFillBeforeInsert(t *testing.T) {
 	if probes != 2 {
 		t.Fatalf("block 7 was read %d times, want the failed read and the retry", probes)
 	}
-	if st := bc.Stats(); st != (BufferCacheStats{Hits: 1, Misses: 4, Evictions: 1}) {
-		t.Fatalf("stats = %+v, want the retry's miss (into free room) and the hit", st)
+	if h, m := counter(task, "buf_hits"), counter(task, "buf_misses"); h != 1 || m != 4 {
+		t.Fatalf("%d hits, %d misses; want the retry's miss and the hit: 1 and 4", h, m)
+	}
+	if got := bc.ResidentBlocks(); !slices.Equal(got, []int{1, 7}) {
+		t.Fatalf("resident blocks %v, want [1 7]: the retry filled free room", got)
 	}
 }

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"maps"
 	"testing"
 )
 
@@ -32,12 +33,12 @@ func TestDirectIOBypassesCache(t *testing.T) {
 		t.Fatalf("ReadDirect populated the cache: %d resident", n)
 	}
 
-	st := bc.Stats()
-	if st.DirectReads != 1 || st.DirectWrites != 1 {
-		t.Fatalf("direct counters = %d/%d, want 1/1", st.DirectReads, st.DirectWrites)
+	c := task.Rec().Counters()
+	if c["direct_reads"] != 1 || c["direct_writes"] != 1 {
+		t.Fatalf("direct counters = %d/%d, want 1/1", c["direct_reads"], c["direct_writes"])
 	}
-	if st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("direct I/O touched cache counters: %+v", st)
+	if c["buf_hits"] != 0 || c["buf_misses"] != 0 {
+		t.Fatalf("direct I/O touched cache counters: %v", c)
 	}
 }
 
@@ -176,11 +177,8 @@ func TestDirectIOByReference(t *testing.T) {
 	if a, b := task.Clk.NowNS(), refTask.Clk.NowNS(); a != b {
 		t.Fatalf("by reference the sequence ends at %d ns, copying at %d", a, b)
 	}
-	if a, b := bc.Stats(), ref.Stats(); a != b {
-		t.Fatalf("cache counters differ: by reference %+v, copying %+v", a, b)
-	}
-	if a, b := bc.Device().Stats(), ref.Device().Stats(); a != b {
-		t.Fatalf("device counters differ: by reference %+v, copying %+v", a, b)
+	if a, b := task.Rec().Counters(), refTask.Rec().Counters(); !maps.Equal(a, b) {
+		t.Fatalf("cache and device counters differ: by reference %v, copying %v", a, b)
 	}
 }
 

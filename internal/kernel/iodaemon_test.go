@@ -360,12 +360,11 @@ func TestFlusherCoalescesDirtyRuns(t *testing.T) {
 	}
 }
 
-// TestQuiesceOnUnmount checks the unmount path. Unmount does not refuse
-// open files; it drains the remaining dirty pages through one final
-// flusher pass, and the stopped mount then books no background work: a
-// file held open across the unmount that writes past the background
-// threshold wakes no flusher, and a sequential read through a cold file
-// submits no fill batch.
+// TestQuiesceOnUnmount checks the unmount path. Unmount drains the
+// remaining dirty pages through one final flusher pass, and the stopped
+// mount then books no background work: a file opened through the stale
+// *Mount that writes past the background threshold wakes no flusher, and
+// a sequential read through a cold file submits no fill batch.
 func TestQuiesceOnUnmount(t *testing.T) {
 	m, _, task := newIODMount(t)
 	writeFilePages(t, m, task, "/r", 16)
@@ -382,8 +381,7 @@ func TestQuiesceOnUnmount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r, err := m.Open(task, "/r", fsapi.ORdonly)
-	if err != nil {
+	if err := m.Close(task, w); err != nil {
 		t.Fatal(err)
 	}
 
@@ -401,6 +399,13 @@ func TestQuiesceOnUnmount(t *testing.T) {
 	}
 	quiesced()
 	wakeups, batches := counter(task, "flush_wakeups"), counter(task, "ra_batches")
+	if w, err = m.Open(task, "/f", fsapi.ORdwr); err != nil {
+		t.Fatal(err)
+	}
+	r, err := m.Open(task, "/r", fsapi.ORdonly)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Past the background threshold (half the dirty limit), below the
 	// hard limit: a running flusher would wake.
@@ -435,8 +440,8 @@ func TestQuiesceOnUnmount(t *testing.T) {
 // flush-pass span that starts no earlier than the dirtier that woke it
 // and carries the pass's runs and pages, and the matching counters; the
 // dirtier does not wait for it. Unmount's quiesce is the second and last
-// pass: afterwards the mount books none, however far a still-open file
-// dirties past the background threshold.
+// pass: afterwards the mount books none, however far a file opened
+// through the stale *Mount dirties past the background threshold.
 func TestFlushRecordsAndQuiesce(t *testing.T) {
 	m, _, task := newIODMount(t)
 	m.SetDirtyLimit(16) // background threshold = 8
@@ -484,6 +489,9 @@ func TestFlushRecordsAndQuiesce(t *testing.T) {
 
 	// One page left dirty: unmount's quiesce is the second pass.
 	dirty(20)
+	if err := m.Close(task, f); err != nil {
+		t.Fatal(err)
+	}
 	if err := task.Kernel().Unmount(task, "/mnt"); err != nil {
 		t.Fatal(err)
 	}
@@ -497,6 +505,9 @@ func TestFlushRecordsAndQuiesce(t *testing.T) {
 		}
 	}
 	final()
+	if f, err = m.Open(task, "/f", fsapi.ORdwr); err != nil {
+		t.Fatal(err)
+	}
 	dirty(21, 22, 23, 24, 25, 26, 27, 28, 29) // 9 dirty > 8 on the stopped mount
 	final()
 }

@@ -297,11 +297,15 @@ func (k *Kernel) Mount(t *Task, fstype, mountPoint string, dev *blockdev.Device)
 	return m, nil
 }
 
-// Unmount syncs and detaches the mount at mountPoint.
+// Unmount syncs and detaches the mount at mountPoint. While a file on it
+// is open the mount is busy: Unmount returns fsapi.ErrBusy and keeps it.
 func (k *Kernel) Unmount(t *Task, mountPoint string) error {
 	m, ok := k.mounts[mountPoint]
 	if !ok {
 		return fmt.Errorf("kernel: mount point %q: %w", mountPoint, fsapi.ErrNotExist)
+	}
+	if m.busy() {
+		return fmt.Errorf("kernel: unmount %q: files still open: %w", mountPoint, fsapi.ErrBusy)
 	}
 	delete(k.mounts, mountPoint)
 	return m.shutdown(t)

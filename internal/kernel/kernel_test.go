@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"bento/internal/blockdev"
@@ -11,6 +12,7 @@ import (
 	"bento/internal/fsapi"
 	"bento/internal/kernel"
 	"bento/internal/memfs"
+	"bento/internal/trace"
 	"bento/internal/vclock"
 )
 
@@ -72,6 +74,43 @@ func TestUnmountThenRemount(t *testing.T) {
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 16, Model: costmodel.Fast()})
 	if _, err := k.Mount(task, "memfs", "/mnt", dev); err != nil {
 		t.Fatalf("remount failed: %v", err)
+	}
+}
+
+// TestUnmountRefusesOpenFiles: while a file on the mount is open, an
+// unlinked one too, Unmount returns ErrBusy and keeps the mount: the
+// mount point stays taken and the open file still writes. Once the last
+// file is closed, Unmount succeeds.
+func TestUnmountRefusesOpenFiles(t *testing.T) {
+	k, m, task := newMount(t)
+	var open []*kernel.File
+	for _, name := range []string{"/a", "/b"} {
+		f, err := m.Open(task, name, fsapi.OCreate|fsapi.ORdwr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		open = append(open, f)
+	}
+	if err := m.Unlink(task, "/b"); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range open {
+		if err := k.Unmount(task, "/mnt"); !errors.Is(err, fsapi.ErrBusy) {
+			t.Fatalf("Unmount with a file open = %v, want ErrBusy", err)
+		}
+		dev := blockdev.MustNew(blockdev.Config{Blocks: 16, Model: costmodel.Fast()})
+		if _, err := k.Mount(task, "memfs", "/mnt", dev); !errors.Is(err, fsapi.ErrBusy) {
+			t.Fatalf("Mount on the busy mount point = %v, want ErrBusy: the refused unmount freed it", err)
+		}
+		if _, err := f.Write(task, []byte("still mounted")); err != nil {
+			t.Fatalf("write after a refused unmount: %v", err)
+		}
+		if err := m.Close(task, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := k.Unmount(task, "/mnt"); err != nil {
+		t.Fatalf("Unmount with every file closed: %v", err)
 	}
 }
 
@@ -598,6 +637,7 @@ func TestBufferCacheBasics(t *testing.T) {
 	model := costmodel.Fast()
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 64, Model: model})
 	k := kernel.New(model)
+	k.SetRecorder(trace.New())
 	task := k.NewTask("bc")
 	bc := kernel.NewBufferCache(dev, model, 8)
 
@@ -624,14 +664,14 @@ func TestBufferCacheBasics(t *testing.T) {
 	}
 
 	// A second Get must hit the cache.
-	before := bc.Stats()
+	before := task.Rec().Counters()
 	b2, err := bc.Get(task, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b2.Release()
-	if after := bc.Stats(); after.Hits != before.Hits+1 {
-		t.Fatalf("expected a cache hit: %+v -> %+v", before, after)
+	if after := task.Rec().Counters(); after["buf_hits"] != before["buf_hits"]+1 {
+		t.Fatalf("expected a cache hit: %v -> %v", before, after)
 	}
 	if string(b2.Data()[:8]) != "metadata" {
 		t.Fatal("cache returned wrong contents")
@@ -653,8 +693,8 @@ func TestBufferCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := bc.Stats(); st.Evictions == 0 {
-		t.Fatalf("no evictions with cap 4 after 10 distinct blocks: %+v", st)
+	if got := bc.ResidentBlocks(); !slices.Equal(got, []int{6, 7, 8, 9}) {
+		t.Fatalf("resident blocks %v with cap 4 after 10 distinct blocks, want the last 4", got)
 	}
 }
 

@@ -263,6 +263,16 @@ func (m *Mount) vnodeFromStat(st fsapi.Stat) *vnode {
 	return vn
 }
 
+// busy reports whether a file on the mount is open.
+func (m *Mount) busy() bool {
+	for _, vn := range m.vnodes {
+		if vn.opens > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // dropVnode removes an unlinked, closed vnode and its pages, recycling
 // the pages (nothing can reference them: the file has no opens left).
 func (m *Mount) dropVnode(vn *vnode) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bento/internal/fsapi"
+	"bento/internal/trace"
 )
 
 // TestRecycledPagesDoNotLeak is the black-box half of the page-memory
@@ -118,8 +119,8 @@ func TestBatchFillUnderCachePressure(t *testing.T) {
 			}
 			r.m.DropCaches()
 			r.m.SetPageCacheCap(capPages)
-			dev := r.m.Device()
-			dev.ResetStats()
+			rec := trace.New()
+			r.m.Device().SetRecorder(rec)
 
 			f, err := r.m.Open(r.task, "/f", fsapi.ORdonly)
 			if err != nil {
@@ -140,8 +141,8 @@ func TestBatchFillUnderCachePressure(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatal("the file reads back wrong under cache pressure")
 			}
-			if reads, cmds := dev.Stats().Reads, dev.ResourceStats().Ops; cmds >= reads {
-				t.Fatalf("%d block reads went out as %d commands: nothing merged", reads, cmds)
+			if c := rec.Counters(); c["dev_read_merged"] == 0 {
+				t.Fatalf("%d block reads went out as %d commands: nothing merged", c["dev_reads"], c["dev_reads"]-c["dev_read_merged"])
 			}
 			if err := r.m.Close(r.task, f); err != nil {
 				t.Fatal(err)

@@ -1,20 +1,12 @@
 package lru
 
-// Stats counts cache traffic.
-type Stats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-}
-
 // Cache is a capacity-bounded, reference-counted block cache: one Core
-// plus capacity enforcement and statistics. Eviction is exactly global
+// plus capacity enforcement and reference counts. Eviction is exactly global
 // LRU among clean, unpinned entries.
 type Cache[E Entry] struct {
 	core     Core[E]
 	capacity int
 	held     int // entries with a reference Release has not yet returned
-	stats    Stats
 }
 
 // New creates a cache bounded at capacity entries (values < 1 mean 1).
@@ -43,10 +35,8 @@ func (c *Cache[E]) Get(key int64, fill func(victim E, evicted bool) (E, error)) 
 			c.held++
 		}
 		n.refs++
-		c.stats.Hits++
 		return e, true, nil
 	}
-	c.stats.Misses++
 	var victim E
 	evicted := false
 	for c.core.Len() >= c.capacity {
@@ -54,7 +44,6 @@ func (c *Cache[E]) Get(key int64, fill func(victim E, evicted bool) (E, error)) 
 		if !ok {
 			break
 		}
-		c.stats.Evictions++
 		victim, evicted = v, true
 	}
 	if e, err = fill(victim, evicted); err != nil {
@@ -135,8 +124,7 @@ func (c *Cache[E]) Keys() []int64 {
 }
 
 // Drop unconditionally removes the entry for key (direct I/O's
-// invalidation), regardless of references or dirtiness. It does not count
-// as an eviction.
+// invalidation), regardless of references or dirtiness.
 func (c *Cache[E]) Drop(key int64) (E, bool) {
 	e, _, ok := c.core.Remove(key)
 	return e, ok
@@ -145,11 +133,8 @@ func (c *Cache[E]) Drop(key int64) (E, bool) {
 // Len reports the number of cached entries.
 func (c *Cache[E]) Len() int { return c.core.Len() }
 
-// Stats returns a snapshot of the cache counters.
-func (c *Cache[E]) Stats() Stats { return c.stats }
-
 // Reset drops every entry after check approves each one (InvalidateAll:
-// check rejects referenced buffers). Statistics are preserved.
+// check rejects referenced buffers).
 func (c *Cache[E]) Reset(check func(E) error) error {
 	if check != nil {
 		var err error

@@ -31,7 +31,7 @@ import (
 // opens after BreakerK consecutive attempt failures: while open,
 // cached/staged reads are still served (degraded mode, counted in
 // net_degraded), network-needing reads fail fast with EIO, writes
-// queue in cache up to DegradedWriteBlocks staged blocks then surface
+// queue in cache up to the cache's capacity in staged blocks then surface
 // EIO, and Flush — exempt from the fail-fast — keeps retrying until
 // durable. After a cooldown the breaker goes half-open: the next
 // network request is admitted as a probe whose outcome closes or
@@ -51,7 +51,8 @@ var (
 	ErrWriteBound = fmt.Errorf("netstore: degraded write queue full: %w", blockdev.ErrIO)
 )
 
-// Policy defaults (overridable per FaultConfig field).
+// Policy values: the exported defaults are overridable per FaultConfig
+// field, the rest are fixed.
 const (
 	// DefaultMaxAttempts bounds wire attempts per request.
 	DefaultMaxAttempts = 8
@@ -62,9 +63,10 @@ const (
 	// DefaultBreakerK is how many consecutive attempt failures open the
 	// circuit breaker.
 	DefaultBreakerK = 4
-	// DefaultRetryBudget is the per-cell retry allowance — generous, a
-	// runaway backstop rather than a throttle.
-	DefaultRetryBudget = 1 << 20
+	// cellRetryBudget is the per-cell retry allowance — generous, a
+	// runaway backstop rather than a throttle: once spent, failed
+	// requests stop retrying.
+	cellRetryBudget = 1 << 20
 	// cooldownCapMult sets the breaker cooldown as a multiple of
 	// NetBackoffCap.
 	cooldownCapMult = 8
@@ -97,18 +99,12 @@ type FaultConfig struct {
 	// TailMult× and ~1% take 4·TailMult× the nominal service time.
 	// Values <= 1 leave latency flat.
 	TailMult int
-	// RetryBudget is the per-cell retry allowance (DefaultRetryBudget
-	// if 0): once spent, failed requests stop retrying.
-	RetryBudget int64
 	// MaxAttempts bounds wire attempts per request (DefaultMaxAttempts
 	// if 0).
 	MaxAttempts int
 	// BreakerK is the consecutive-failure threshold that opens the
 	// circuit breaker (DefaultBreakerK if 0).
 	BreakerK int
-	// DegradedWriteBlocks bounds staged blocks accepted while the
-	// breaker is open (cache capacity in blocks if 0).
-	DegradedWriteBlocks int
 }
 
 // Enabled reports whether any fault source is armed.
@@ -126,18 +122,12 @@ func (s *Store) initFaults(fc FaultConfig) {
 	if s.maxAttempts <= 0 {
 		s.maxAttempts = DefaultMaxAttempts
 	}
-	s.retryBudget = fc.RetryBudget
-	if s.retryBudget <= 0 {
-		s.retryBudget = DefaultRetryBudget
-	}
+	s.retryBudget = cellRetryBudget
 	s.breakerK = fc.BreakerK
 	if s.breakerK <= 0 {
 		s.breakerK = DefaultBreakerK
 	}
-	s.degradedBound = fc.DegradedWriteBlocks
-	if s.degradedBound <= 0 {
-		s.degradedBound = s.cacheCap * s.objBlocks
-	}
+	s.degradedBound = s.cacheCap * s.objBlocks // staged blocks accepted while the breaker is open
 	s.cooldown = cooldownCapMult * int64(s.model.NetBackoffCap)
 	s.breakerTrack = "net:breaker"
 }

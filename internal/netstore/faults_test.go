@@ -273,13 +273,14 @@ func TestBreakerLifecycle(t *testing.T) {
 }
 
 // TestDegradedWriteBound: while the breaker is open, writes stage in
-// cache up to DegradedWriteBlocks and then surface EIO — for both the
-// write-miss pre-check and the staging bound on resident objects —
-// while rewrites of already-staged blocks stay accepted.
+// cache up to the cache's capacity in blocks (here 2: two one-block
+// objects) and then surface EIO — for both the write-miss pre-check and
+// the staging bound on resident objects — while rewrites of
+// already-staged blocks stay accepted.
 func TestDegradedWriteBound(t *testing.T) {
 	s, _ := coldStore(t, fastNoHedge(), netstore.Config{
-		Blocks: 64, ObjectBlocks: 1, CacheObjects: 8,
-		Faults: netstore.FaultConfig{Seed: 3, MaxAttempts: 1, BreakerK: 1, DegradedWriteBlocks: 2},
+		Blocks: 64, ObjectBlocks: 1, CacheObjects: 2,
+		Faults: netstore.FaultConfig{Seed: 3, MaxAttempts: 1, BreakerK: 1},
 	}, 1)
 	s.ArmOutage(1000, 1_000_000)
 	buf := make([]byte, 4096)

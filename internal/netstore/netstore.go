@@ -172,8 +172,8 @@ type Store struct {
 	// Network-fault model and client policy (see faults.go). faulty
 	// gates the whole machinery: when false, requests take the clean
 	// path with zero extra draws and zero extra allocations. dec is
-	// monotone for the Store's lifetime — Reset and Crash deliberately
-	// do not rewind it, or replayed decisions would repeat.
+	// monotone for the Store's lifetime — Crash deliberately does not
+	// rewind it, or replayed decisions would repeat.
 	faults        FaultConfig
 	faulty        bool
 	errPPM        uint32
@@ -487,8 +487,8 @@ func (s *Store) JoinWrite(prev, now int64, blk int, buf []byte, owned bool) (int
 // SubmitBlock implements blockdev.Backend: write-back into the cached
 // object. A hit stages the block at no network cost; a miss to an
 // object that exists durably pays a read-modify-write GET first. While
-// the circuit breaker is open, writes keep queueing in cache up to
-// DegradedWriteBlocks staged blocks, then surface EIO.
+// the circuit breaker is open, writes keep queueing in cache up to the
+// cache's capacity in staged blocks, then surface EIO.
 func (s *Store) SubmitBlock(now int64, blk int, buf []byte) (int64, error) {
 	return s.stage(now, blk, buf, false)
 }
@@ -608,12 +608,6 @@ func (s *Store) Crash(keepFraction float64, seed int64) {
 // QueueDepth implements blockdev.Backend: object-store requests in
 // flight at now.
 func (s *Store) QueueDepth(now int64) int { return s.res.InUse(now) }
-
-// ResourceStats implements blockdev.Backend for the request channels.
-func (s *Store) ResourceStats() vclock.ResourceStats { return s.res.Stats() }
-
-// Reset implements blockdev.Backend.
-func (s *Store) Reset() { s.res.Reset() }
 
 // SetRecorder implements blockdev.Backend.
 func (s *Store) SetRecorder(r *trace.Recorder) { s.rec = r }

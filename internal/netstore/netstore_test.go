@@ -169,7 +169,8 @@ func TestBoundedParallelism(t *testing.T) {
 		Name: "net0", BlockSize: 4096, Blocks: 256, Model: model, ObjectBlocks: 4,
 	})
 	buf := make([]byte, 4096)
-	// Make four objects durable, then drop to cold.
+	// Make four objects durable, then power-cycle: the cache is cold and
+	// every channel idle from time 0.
 	for obj := 0; obj < 4; obj++ {
 		if _, err := s.SubmitBlock(0, obj*4, buf); err != nil {
 			t.Fatal(err)
@@ -178,8 +179,7 @@ func TestBoundedParallelism(t *testing.T) {
 	if _, err := s.Flush(0); err != nil {
 		t.Fatal(err)
 	}
-	s.DropCache()
-	s.Reset()
+	s.Crash(0, 0)
 
 	want := []int64{100, 100, 200, 200}
 	for obj := 0; obj < 4; obj++ {

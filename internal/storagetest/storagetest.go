@@ -21,10 +21,13 @@ import (
 	"bytes"
 	"errors"
 	"hash/crc32"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bento/internal/blockdev"
+	"bento/internal/trace"
 	"bento/internal/vclock"
 )
 
@@ -261,10 +264,13 @@ func powerCut(t *testing.T, f Factory) {
 
 // timeDeterminism: completion times are a pure function of the command
 // sequence — two instances running the same mixed read/write/flush
-// workload finish at the same virtual instant with identical stats.
+// workload finish at the same virtual instant with identical trace
+// counters and identical trace events (the device's and the backend's).
 func timeDeterminism(t *testing.T, f Factory) {
-	run := func() (int64, blockdev.Stats) {
+	run := func() (int64, *trace.Recorder) {
 		d := f(128)
+		rec := trace.New()
+		d.SetRecorder(rec)
 		clk := vclock.NewClock()
 		for i := 0; i < 100; i++ {
 			blk := (i * 37) % 128
@@ -279,15 +285,22 @@ func timeDeterminism(t *testing.T, f Factory) {
 				}
 			}
 		}
-		return clk.NowNS(), d.Stats()
+		return clk.NowNS(), rec
 	}
-	t1, s1 := run()
-	t2, s2 := run()
+	t1, r1 := run()
+	t2, r2 := run()
 	if t1 != t2 {
 		t.Fatalf("virtual end time diverged: %d vs %d", t1, t2)
 	}
-	if s1 != s2 {
-		t.Fatalf("device stats diverged: %+v vs %+v", s1, s2)
+	c1, c2 := r1.Counters(), r2.Counters()
+	if c1["dev_writes"] == 0 || c1["dev_reads"] == 0 || c1["dev_flushes"] == 0 {
+		t.Fatalf("counters missed the workload's commands: %v", c1)
+	}
+	if !maps.Equal(c1, c2) {
+		t.Fatalf("trace counters diverged: %v vs %v", c1, c2)
+	}
+	if e1, e2 := r1.Events(), r2.Events(); !slices.Equal(e1, e2) {
+		t.Fatalf("trace events diverged: %d vs %d events", len(e1), len(e2))
 	}
 }
 

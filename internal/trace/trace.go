@@ -24,6 +24,13 @@
 //     time, track) so the serialized trace is byte-identical across
 //     runs, hosts, and host-parallelism levels. A traced run is gated
 //     by the same determinism CI job as the benchmark JSON.
+//
+// The counters are the one count of cache, device, journal and transport
+// traffic: no layer keeps a parallel count that only tests read. A count
+// lives outside the recorder only when an untraced output publishes it
+// (netstore's FaultCounts, core.UpgradeStats, the commit count in
+// bentoimpl's transfer state, blockdev.Device.WriteCmds for the crash
+// sweep). A test that counts attaches New() and reads Counters().
 package trace
 
 import (

@@ -4,17 +4,13 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"time"
 )
 
 // refResource is the scan-only Resource this package shipped before the
 // horizon check: every AcquireInfo walks all channels twice, nothing is
 // cached. It is the reference the property test holds Resource to.
 type refResource struct {
-	free       []int64
-	ops        int64
-	busyNS     int64
-	maxBacklog int64
+	free []int64
 }
 
 func (r *refResource) acquireInfo(now, service int64) (int, int64, int64) {
@@ -41,13 +37,8 @@ func (r *refResource) acquireInfo(now, service int64) (int, int64, int64) {
 	if r.free[best] > start {
 		start = r.free[best]
 	}
-	if backlog := start - now; backlog > r.maxBacklog {
-		r.maxBacklog = backlog
-	}
 	completion := start + service
 	r.free[best] = completion
-	r.ops++
-	r.busyNS += service
 	return best, start, completion
 }
 
@@ -61,25 +52,16 @@ func (r *refResource) acquireSerial(now, service int64) int64 {
 			start = f
 		}
 	}
-	if backlog := start - now; backlog > r.maxBacklog {
-		r.maxBacklog = backlog
-	}
 	completion := start + service
 	for i := range r.free {
 		r.free[i] = completion
 	}
-	r.ops++
-	r.busyNS += service
 	return completion
 }
 
 func (r *refResource) truncate(ch int, at int64) {
 	if ch < 0 || ch >= len(r.free) || at >= r.free[ch] {
 		return
-	}
-	r.busyNS -= r.free[ch] - at
-	if r.busyNS < 0 {
-		r.busyNS = 0
 	}
 	r.free[ch] = at
 }
@@ -94,19 +76,14 @@ func (r *refResource) inUse(now int64) int {
 	return n
 }
 
-func (r *refResource) stats() ResourceStats {
-	return ResourceStats{Ops: r.ops, BusyTime: time.Duration(r.busyNS), MaxBacklog: time.Duration(r.maxBacklog)}
-}
-
 func (r *refResource) reset() {
 	clear(r.free)
-	r.ops, r.busyNS, r.maxBacklog = 0, 0, 0
 }
 
 // TestResourceMatchesReferenceScan drives seeded random interleavings of
 // every mutating call against the reference scan and demands the same
-// (channel, start, completion) from each call and the same free vector,
-// Stats and InUse after each — lane identity matters to Truncate and to
+// (channel, start, completion) from each call and the same free vector
+// and InUse after each — lane identity matters to Truncate and to
 // traced lane tracks, so "same completion" alone would not do.
 //
 // Mutation check (recorded in CHANGES.md, PR 16): dropping the hi
@@ -202,9 +179,6 @@ func TestResourceMatchesReferenceScan(t *testing.T) {
 				if !slices.Equal(r.free, ref.free) {
 					t.Fatalf("ch=%d mono=%v call %d: free = %v, reference %v", channels, monotone, call, r.free, ref.free)
 				}
-				if got, want := r.Stats(), ref.stats(); got != want {
-					t.Fatalf("ch=%d mono=%v call %d: Stats = %+v, reference %+v", channels, monotone, call, got, want)
-				}
 				for _, at := range []int64{now, now - 1, now + 50, r.free[r.hi]} {
 					if got, want := r.InUse(at), ref.inUse(at); got != want {
 						t.Fatalf("ch=%d mono=%v call %d: InUse(%d) = %d, reference %d", channels, monotone, call, at, got, want)
@@ -282,8 +256,7 @@ func (r *refResource) refHi() int {
 // TestExtendEqualsOneLongerBooking: booking service and then lengthening
 // it by d1, d2, … with Extend leaves the resource exactly as the
 // reference scan booking service + d1 + d2 + … at once: the same
-// completion, free vector, Stats (busy time and op count) and latest
-// channel. Seeded random interleavings mix in plain bookings, barriers
+// completion, free vector and latest channel. Seeded random interleavings mix in plain bookings, barriers
 // and truncations, and an Extend whose booking is no longer its
 // channel's last — another booking landed on that channel, or a
 // barrier, truncation or reset moved the horizon — must refuse and
@@ -324,11 +297,11 @@ func TestExtendEqualsOneLongerBooking(t *testing.T) {
 				r.AcquireInfo(now, service)
 				ref.acquireInfo(now, service)
 				if r.free[ch] != end {
-					before, stats, hi := slices.Clone(r.free), r.Stats(), r.hi
+					before, hi := slices.Clone(r.free), r.hi
 					if _, ok := r.Extend(ch, end, 3); ok {
 						t.Fatalf("ch=%d call %d: Extend after another booking on channel %d accepted", channels, call, ch)
 					}
-					if !slices.Equal(r.free, before) || r.Stats() != stats || r.hi != hi {
+					if !slices.Equal(r.free, before) || r.hi != hi {
 						t.Fatalf("ch=%d call %d: a refused Extend changed the resource", channels, call)
 					}
 					refused++
@@ -349,9 +322,6 @@ func TestExtendEqualsOneLongerBooking(t *testing.T) {
 			if !slices.Equal(r.free, ref.free) {
 				t.Fatalf("ch=%d call %d: free = %v, reference %v", channels, call, r.free, ref.free)
 			}
-			if got, want := r.Stats(), ref.stats(); got != want {
-				t.Fatalf("ch=%d call %d: Stats = %+v, reference %+v", channels, call, got, want)
-			}
 			if r.hi != ref.refHi() {
 				t.Fatalf("ch=%d call %d: hi = %d, reference %d (free %v)", channels, call, r.hi, ref.refHi(), r.free)
 			}
@@ -371,8 +341,7 @@ func TestExtendEqualsOneLongerBooking(t *testing.T) {
 }
 
 // TestPeekIsTheNextCompletion: on seeded random resources Peek books
-// nothing — free times, statistics and the latest channel stay as they
-// were — and returns exactly the completion the AcquireInfo that follows
+// nothing — free times and the latest channel stay as they were — and returns exactly the completion the AcquireInfo that follows
 // it at the same instant and service time returns.
 func TestPeekIsTheNextCompletion(t *testing.T) {
 	for _, channels := range []int{1, 2, 8, 16} {
@@ -390,9 +359,9 @@ func TestPeekIsTheNextCompletion(t *testing.T) {
 				now = rng.Int63n(2000) - 100 // unordered
 			}
 			service := rng.Int63n(120) - 10 // zero and negative included
-			before, stats, hi := slices.Clone(r.free), r.Stats(), r.hi
+			before, hi := slices.Clone(r.free), r.hi
 			peek := r.Peek(now, service)
-			if !slices.Equal(r.free, before) || r.Stats() != stats || r.hi != hi {
+			if !slices.Equal(r.free, before) || r.hi != hi {
 				t.Fatalf("ch=%d call %d: Peek(%d,%d) changed the resource", channels, call, now, service)
 			}
 			if _, _, end := r.AcquireInfo(now, service); end != peek {

@@ -76,13 +76,6 @@ func (c *Clock) AdvanceTo(ns int64) {
 	}
 }
 
-// ResourceStats summarizes use of a Resource.
-type ResourceStats struct {
-	Ops        int64         // completed service requests
-	BusyTime   time.Duration // summed service time across channels
-	MaxBacklog time.Duration // largest queueing delay observed
-}
-
 // Resource models shared hardware with a fixed number of identical service
 // channels (NVMe queue pairs, daemon worker threads). It holds no lock: a
 // resource belongs to one cell, and the scheduler admits one of the cell's
@@ -95,10 +88,7 @@ type Resource struct {
 	// When free[hi] <= now every channel is idle at now and best-fit's
 	// answer is hi itself — the common case (a caller whose clock has
 	// caught up with its own bookings) books without scanning.
-	hi         int
-	ops        int64
-	busyNS     int64
-	maxBacklog int64
+	hi int
 }
 
 // NewResource creates a resource with the given number of service channels.
@@ -141,20 +131,12 @@ func (r *Resource) AcquireInfo(now, service int64) (channel int, start, completi
 	if r.free[ch] > now {
 		ch = r.bestFit(now)
 	}
-	start = now
-	if r.free[ch] > start {
-		start = r.free[ch]
-		if backlog := start - now; backlog > r.maxBacklog {
-			r.maxBacklog = backlog
-		}
-	}
+	start = max(now, r.free[ch])
 	completion = start + service
 	r.free[ch] = completion
 	if top := r.free[r.hi]; completion > top || (completion == top && ch < r.hi) {
 		r.hi = ch
 	}
-	r.ops++
-	r.busyNS += service
 	return ch, start, completion
 }
 
@@ -181,8 +163,7 @@ func (r *Resource) Peek(now, service int64) (completion int64) {
 // Extend lengthens the booking that ends channel ch at end by d
 // nanoseconds and returns its new completion, end + d: booking service
 // and extending it by d leaves the resource exactly as booking service
-// + d at once would have (same free times, busy time, op count and
-// latest channel). It refuses — ok false, nothing changed — when ch's
+// + d at once would have (same free times and latest channel). It refuses — ok false, nothing changed — when ch's
 // horizon is no longer end, because something else has been booked on
 // the channel since (or it was truncated, serialized or reset); the
 // caller then books a fresh request. It backs merged device commands: a
@@ -200,7 +181,6 @@ func (r *Resource) Extend(ch int, end, d int64) (completion int64, ok bool) {
 	if top := r.free[r.hi]; completion > top || (completion == top && ch < r.hi) {
 		r.hi = ch
 	}
-	r.busyNS += d
 	return completion, true
 }
 
@@ -234,25 +214,15 @@ func (r *Resource) AcquireSerial(now, service int64) (completion int64) {
 	if service < 0 {
 		service = 0
 	}
-	start := now
-	if f := r.free[r.hi]; f > start {
-		start = f
-		if backlog := start - now; backlog > r.maxBacklog {
-			r.maxBacklog = backlog
-		}
-	}
-	completion = start + service
+	completion = max(now, r.free[r.hi]) + service
 	for i := range r.free {
 		r.free[i] = completion
 	}
 	r.hi = 0
-	r.ops++
-	r.busyNS += service
 	return completion
 }
 
-// Truncate rewinds channel ch's booked horizon to virtual time at,
-// refunding the cancelled tail from the busy-time accounting. It backs
+// Truncate rewinds channel ch's booked horizon to virtual time at. It backs
 // hedged-request cancellation: when a hedge wins, the loser's lane is
 // released at the winner's completion instead of staying busy for the
 // full booked service. Callers must not truncate below the start of
@@ -261,10 +231,6 @@ func (r *Resource) AcquireSerial(now, service int64) (completion int64) {
 func (r *Resource) Truncate(ch int, at int64) {
 	if ch < 0 || ch >= len(r.free) || at >= r.free[ch] {
 		return
-	}
-	r.busyNS -= r.free[ch] - at
-	if r.busyNS < 0 {
-		r.busyNS = 0
 	}
 	r.free[ch] = at
 	if ch == r.hi {
@@ -293,19 +259,9 @@ func (r *Resource) InUse(now int64) int {
 	return n
 }
 
-// Stats returns a snapshot of accumulated statistics.
-func (r *Resource) Stats() ResourceStats {
-	return ResourceStats{
-		Ops:        r.ops,
-		BusyTime:   time.Duration(r.busyNS),
-		MaxBacklog: time.Duration(r.maxBacklog),
-	}
-}
-
-// Reset clears channel occupancy and statistics. Benchmarks call it between
-// phases so warmup traffic does not bill the measured phase.
+// Reset clears channel occupancy: every channel is free from time 0. A
+// backend's Crash calls it, since a power cut loses the queued commands.
 func (r *Resource) Reset() {
 	clear(r.free)
 	r.hi = 0
-	r.ops, r.busyNS, r.maxBacklog = 0, 0, 0
 }

@@ -2,6 +2,7 @@ package bentoimpl_test
 
 import (
 	"bytes"
+	"maps"
 	"testing"
 
 	"bento/internal/blockdev"
@@ -10,6 +11,7 @@ import (
 	"bento/internal/fsapi"
 	"bento/internal/iodaemon"
 	"bento/internal/kernel"
+	"bento/internal/trace"
 	"bento/internal/vclock"
 	"bento/internal/xv6/bentoimpl"
 	"bento/internal/xv6/layout"
@@ -22,6 +24,7 @@ import (
 func TestBentoDataBypass(t *testing.T) {
 	model := costmodel.Fast()
 	k := kernel.New(model)
+	k.SetRecorder(trace.New())
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 8192, Model: model})
 	if _, err := layout.Mkfs(vclock.NewClock(), dev, 512); err != nil {
 		t.Fatal(err)
@@ -71,9 +74,10 @@ func TestBentoDataBypass(t *testing.T) {
 		t.Fatalf("%d data-region blocks resident after cold read (%v), want at most the root dir block",
 			len(dataResident), dataResident)
 	}
-	st := bc.Stats()
-	if st.DirectReads == 0 || st.DirectWrites == 0 {
-		t.Fatalf("direct path unused: %d reads / %d writes", st.DirectReads, st.DirectWrites)
+	// The cold read's fill batch runs on the untraced fill task, so only
+	// the residency check above speaks for the read half.
+	if c := task.Rec().Counters(); c["direct_writes"] == 0 {
+		t.Fatalf("direct write path unused: %v", c)
 	}
 
 	// The ownership checker must be clean: the direct path borrows no
@@ -95,6 +99,8 @@ func TestBentoDataBypassLogCarriesNoData(t *testing.T) {
 		model := costmodel.Fast()
 		k := kernel.New(model)
 		dev := blockdev.MustNew(blockdev.Config{Blocks: 16384, Model: model})
+		rec := trace.New()
+		dev.SetRecorder(rec)
 		if _, err := layout.Mkfs(vclock.NewClock(), dev, 512); err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +124,7 @@ func TestBentoDataBypassLogCarriesNoData(t *testing.T) {
 		if err := m.Sync(task); err != nil {
 			t.Fatal(err)
 		}
-		return dev.Stats().Writes
+		return rec.Counters()["dev_writes"]
 	}
 	buffered := writesFor(false)
 	direct := writesFor(true)
@@ -148,11 +154,14 @@ func TestBentoByReferenceMatchesCopying(t *testing.T) {
 		m    *kernel.Mount
 		dev  *blockdev.Device
 		task *kernel.Task
+		rec  *trace.Recorder // the device's commands
 	}
 	mount := func(plain bool) side {
 		model := costmodel.Fast()
 		k := kernel.New(model)
 		dev := blockdev.MustNew(blockdev.Config{Blocks: 8192, Model: model})
+		rec := trace.New()
+		dev.SetRecorder(rec)
 		if _, err := layout.Mkfs(vclock.NewClock(), dev, 512); err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +181,7 @@ func TestBentoByReferenceMatchesCopying(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.EnableIODaemon(iodaemon.Config{})
-		return side{m, dev, task}
+		return side{m, dev, task, rec}
 	}
 	run := func(s side) []byte {
 		const ps = layout.BlockSize
@@ -226,8 +235,8 @@ func TestBentoByReferenceMatchesCopying(t *testing.T) {
 	if a, b := ref.task.Clk.NowNS(), cp.task.Clk.NowNS(); a != b {
 		t.Fatalf("virtual time: %d ns by reference, %d ns copying", a, b)
 	}
-	if a, b := ref.dev.Stats(), cp.dev.Stats(); a != b {
-		t.Fatalf("device commands: by reference %+v, copying %+v", a, b)
+	if a, b := ref.rec.Counters(), cp.rec.Counters(); !maps.Equal(a, b) {
+		t.Fatalf("device commands: by reference %v, copying %v", a, b)
 	}
 	rb, cb := make([]byte, layout.BlockSize), make([]byte, layout.BlockSize)
 	for blk := 0; blk < ref.dev.Blocks(); blk++ {

@@ -60,7 +60,6 @@ type Log struct {
 	commitEnd     int64 // virtual time the last commit record completed
 	checkpointEnd int64 // virtual time the last cleared header completed: the log is free
 	commits       int64
-	absorbed      int64
 }
 
 func newLog(fs *FS, sb layout.Superblock, policy SyncPolicy) *Log {
@@ -89,12 +88,11 @@ func (l *Log) Recover(t *kernel.Task) (err error) {
 	if err != nil {
 		return err
 	}
-	lh := layout.DecodeLogHeader(hdata)
-	if lh.N > 0 {
+	if blocks := layout.DecodeLogHeader(hdata, l.size); len(blocks) > 0 {
 		// Install each logged block to its home location.
 		var last int64
-		for i := uint32(0); i < lh.N; i++ {
-			done, err := l.copyBlock(t, l.start+1+i, lh.Blocks[i])
+		for i, home := range blocks {
+			done, err := l.copyBlock(t, l.start+1+uint32(i), home)
 			if err != nil {
 				return err
 			}
@@ -108,8 +106,7 @@ func (l *Log) Recover(t *kernel.Task) (err error) {
 		}
 	}
 	// Clear the header.
-	var empty layout.LogHeader
-	empty.Encode(hdata)
+	layout.EncodeLogHeader(hdata, nil, l.size)
 	if err := hb.MarkDirty(); err != nil {
 		return err
 	}
@@ -170,7 +167,7 @@ func (l *Log) Write(t *kernel.Task, bh bentoks.Buffer) error {
 		return fmt.Errorf("xv6: log write outside transaction: %w", fsapi.ErrInvalid)
 	}
 	if _, dup := l.inLog[blk]; dup {
-		l.absorbed++ // absorption: block already in this transaction
+		// Absorption: the block is already in this transaction.
 		t.Rec().Add(trace.CtrJournalAbsorbed, 1)
 		return nil
 	}
@@ -289,9 +286,6 @@ func (l *Log) commit(t *kernel.Task, blocks []uint32) (err error) {
 	t.WaitIO("journal-write", max(last, l.dataEnd))
 
 	// Step 2: header write = commit point.
-	var lh layout.LogHeader
-	lh.N = uint32(len(blocks))
-	copy(lh.Blocks[:], blocks)
 	hb, err := sb.BReadNoFill(t, int(l.start))
 	if err != nil {
 		return err
@@ -301,7 +295,7 @@ func (l *Log) commit(t *kernel.Task, blocks []uint32) (err error) {
 	if err != nil {
 		return err
 	}
-	lh.Encode(hdata)
+	layout.EncodeLogHeader(hdata, blocks, l.size)
 	if err := hb.WriteSync(t); err != nil {
 		return err
 	}
@@ -332,8 +326,7 @@ func (l *Log) commit(t *kernel.Task, blocks []uint32) (err error) {
 	}
 
 	// Step 4: clear the header.
-	lh = layout.LogHeader{}
-	lh.Encode(hdata)
+	layout.EncodeLogHeader(hdata, nil, l.size)
 	if err := hb.WriteSync(jt); err != nil {
 		return err
 	}

@@ -394,8 +394,8 @@ func (r *Rig) RequireUncommitted(t testing.TB) {
 	if err := r.Dev.Read(clk, int(r.SB.LogStart), buf); err != nil {
 		t.Fatal(err)
 	}
-	if lh := layout.DecodeLogHeader(buf); lh.N != 0 {
-		t.Fatalf("log header holds %d blocks after a failed log write; the transaction must not commit", lh.N)
+	if n := len(layout.DecodeLogHeader(buf, r.SB.NLog)); n != 0 {
+		t.Fatalf("log header holds %d blocks after a failed log write; the transaction must not commit", n)
 	}
 	rep, err := layout.Fsck(clk, r.Dev)
 	if err != nil {

@@ -52,14 +52,13 @@ func Fsck(clk *vclock.Clock, dev *blockdev.Device) (*FsckReport, error) {
 		return buf, nil
 	}
 
-	// Note an unrecovered log. Both journals' headers start with their
-	// entry count; a count past the log's NLog blocks is a corrupt header,
-	// which recovery reads as an empty log.
+	// Note an unrecovered log. A corrupt header reads as an empty log, as
+	// recovery reads it.
 	lb, err := readBlk(sb.LogStart)
 	if err != nil {
 		return nil, err
 	}
-	if n := leU32(lb, 0); n != 0 && n <= sb.NLog {
+	if n := len(DecodeLogHeader(lb, sb.NLog)); n != 0 {
 		r.errf("log header has %d uninstalled transactions blocks", n)
 	}
 

@@ -232,25 +232,22 @@ func DecodeDirent(buf []byte) Dirent {
 	return Dirent{Ino: ino, Name: string(name[:end])}
 }
 
-// LogHeader is the commit record at LogStart. N is the number of valid
-// entries; Blocks[i] is the home location of log data block i.
-type LogHeader struct {
-	N      uint32
-	Blocks [LogSize]uint32
-}
+// The commit record at LogStart, shared by both journals: a
+// little-endian count n, then the n home block numbers, log data block i
+// going home to entry i; the rest of the block is zeros. A log of nlog
+// data blocks (the superblock's NLog) holds records of at most nlog
+// entries.
 
-// Encode writes the header into a block buffer that holds zeros or an
-// earlier header written by Encode — the log's header buffer, which sees
-// two of these per commit. It writes N and the N valid entries and clears
-// the entries the previous header had beyond them, instead of all LogSize
-// slots; Blocks past N are not looked at (a header built for a commit has
-// zeros there, which is what the buffer then holds too).
-func (h *LogHeader) Encode(buf []byte) {
+// EncodeLogHeader writes the commit record for blocks (at most nlog of
+// them; nil is the cleared record) into buf, the log's header buffer,
+// which holds zeros or an earlier record of the same log. It clears only
+// the entries that record had beyond len(blocks), not the whole block.
+func EncodeLogHeader(buf []byte, blocks []uint32, nlog uint32) {
 	le := binary.LittleEndian
-	prev := min(le.Uint32(buf[0:]), LogSize)
-	n := min(h.N, LogSize)
-	le.PutUint32(buf[0:], h.N)
-	for i, b := range h.Blocks[:n] {
+	prev := min(le.Uint32(buf), nlog)
+	n := uint32(len(blocks))
+	le.PutUint32(buf, n)
+	for i, b := range blocks {
 		le.PutUint32(buf[4+4*i:], b)
 	}
 	if prev > n {
@@ -258,18 +255,20 @@ func (h *LogHeader) Encode(buf []byte) {
 	}
 }
 
-// DecodeLogHeader parses a log header block.
-func DecodeLogHeader(buf []byte) LogHeader {
+// DecodeLogHeader returns the home blocks of the commit record in buf,
+// the header of a log of nlog data blocks. A count beyond nlog is a
+// corrupt record and reads as an empty log.
+func DecodeLogHeader(buf []byte, nlog uint32) []uint32 {
 	le := binary.LittleEndian
-	var h LogHeader
-	h.N = le.Uint32(buf[0:])
-	if h.N > LogSize {
-		h.N = 0 // corrupt header: treat as empty log
+	n := le.Uint32(buf)
+	if n > nlog {
+		return nil
 	}
-	for i := range h.Blocks {
-		h.Blocks[i] = le.Uint32(buf[4+4*i:])
+	blocks := make([]uint32, n)
+	for i := range blocks {
+		blocks[i] = le.Uint32(buf[4+4*i:])
 	}
-	return h
+	return blocks
 }
 
 // Geometry computes a superblock for a device of size blocks with room

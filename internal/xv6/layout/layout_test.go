@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -74,25 +75,40 @@ func TestDirentNameTooLong(t *testing.T) {
 	}
 }
 
+// TestLogHeaderRoundTrip: a commit record decodes back to its blocks in
+// a log of any capacity that holds it, up to a full record of a log the
+// size of ext4's journal, whose last entry ends 4 bytes short of the
+// block.
 func TestLogHeaderRoundTrip(t *testing.T) {
-	var h LogHeader
-	h.N = 3
-	h.Blocks[0], h.Blocks[1], h.Blocks[2] = 100, 200, 300
 	buf := make([]byte, BlockSize)
-	h.Encode(buf)
-	got := DecodeLogHeader(buf)
-	if got.N != 3 || got.Blocks[1] != 200 {
-		t.Fatalf("round trip: %+v", got)
+	for _, c := range []struct{ n, nlog uint32 }{{3, LogSize}, {LogSize, LogSize}, {200, 1020}, {1020, 1020}} {
+		blocks := make([]uint32, c.n)
+		for i := range blocks {
+			blocks[i] = 100 + uint32(i)*7
+		}
+		EncodeLogHeader(buf, blocks, c.nlog)
+		if got := DecodeLogHeader(buf, c.nlog); !slices.Equal(got, blocks) {
+			t.Fatalf("%d of %d entries: round trip gave %d entries", c.n, c.nlog, len(got))
+		}
 	}
 }
 
+// TestLogHeaderCorruptCountTreatedEmpty: a count past the log's capacity
+// is a corrupt record and reads as an empty log — but only past this
+// log's capacity: a 200-entry record is corrupt in a 128-block log and
+// whole in ext4's 1020-block one.
 func TestLogHeaderCorruptCountTreatedEmpty(t *testing.T) {
-	var h LogHeader
-	h.N = LogSize + 99
 	buf := make([]byte, BlockSize)
-	h.Encode(buf)
-	if got := DecodeLogHeader(buf); got.N != 0 {
-		t.Fatalf("corrupt N=%d not sanitized", got.N)
+	binary.LittleEndian.PutUint32(buf, 1020+99)
+	if got := DecodeLogHeader(buf, 1020); got != nil {
+		t.Fatalf("corrupt count 1119 read as %d entries", len(got))
+	}
+	EncodeLogHeader(buf, make([]uint32, 200), 1020)
+	if got := DecodeLogHeader(buf, LogSize); got != nil {
+		t.Fatalf("200 entries in a %d-block log read as %d entries", LogSize, len(got))
+	}
+	if got := DecodeLogHeader(buf, 1020); len(got) != 200 {
+		t.Fatalf("200 entries in a 1020-block log read as %d entries", len(got))
 	}
 }
 
@@ -303,43 +319,50 @@ func TestDinodeTypeMatchesDecode(t *testing.T) {
 	}
 }
 
-// fullLogHeaderEncode is LogHeader.Encode as it was: all LogSize slots,
-// every time.
-func fullLogHeaderEncode(h *LogHeader, buf []byte) {
+// fullLogHeaderEncode encodes blocks the simple way: the count, then
+// all nlog slots, zeros past the count, every time.
+func fullLogHeaderEncode(blocks []uint32, nlog uint32, buf []byte) {
 	le := binary.LittleEndian
-	le.PutUint32(buf[0:], h.N)
-	for i, b := range h.Blocks {
+	le.PutUint32(buf[0:], uint32(len(blocks)))
+	for i := uint32(0); i < nlog; i++ {
+		var b uint32
+		if i < uint32(len(blocks)) {
+			b = blocks[i]
+		}
 		le.PutUint32(buf[4+4*i:], b)
 	}
 }
 
-// TestLogHeaderEncodeMatchesFull: over a seeded sequence of headers that
-// grow, shrink, empty and fill the log — each built the way a commit
-// builds one, zeros past N — encoding into the buffer the previous header
-// left produces, byte for byte, the block the all-slots encoder produces,
-// and decodes back to the header.
+// TestLogHeaderEncodeMatchesFull: over seeded sequences of records that
+// grow, shrink, empty and fill a 128-block log and ext4's 1020-block one,
+// encoding into the buffer the previous record left produces, byte for
+// byte, the block the all-slots encoder produces, and decodes back to
+// the record.
 func TestLogHeaderEncodeMatchesFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	got, want := make([]byte, BlockSize), make([]byte, BlockSize)
-	for i := 0; i < 5000; i++ {
-		var h LogHeader
-		switch rng.Intn(4) {
-		case 0: // the cleared record after an install
-		case 1:
-			h.N = LogSize
-		default:
-			h.N = uint32(rng.Intn(LogSize + 1))
-		}
-		for j := uint32(0); j < h.N; j++ {
-			h.Blocks[j] = rng.Uint32()
-		}
-		h.Encode(got)
-		fullLogHeaderEncode(&h, want)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("header %d (N=%d): short encoding differs from the full one", i, h.N)
-		}
-		if DecodeLogHeader(got) != h {
-			t.Fatalf("header %d (N=%d) does not decode back", i, h.N)
+	for _, nlog := range []uint32{LogSize, 1020} {
+		rng := rand.New(rand.NewSource(22))
+		got, want := make([]byte, BlockSize), make([]byte, BlockSize)
+		for i := 0; i < 5000; i++ {
+			var n uint32
+			switch rng.Intn(4) {
+			case 0: // the cleared record after an install
+			case 1:
+				n = nlog
+			default:
+				n = uint32(rng.Intn(int(nlog) + 1))
+			}
+			blocks := make([]uint32, n)
+			for j := range blocks {
+				blocks[j] = rng.Uint32()
+			}
+			EncodeLogHeader(got, blocks, nlog)
+			fullLogHeaderEncode(blocks, nlog, want)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("log of %d, record %d (n=%d): short encoding differs from the full one", nlog, i, n)
+			}
+			if !slices.Equal(DecodeLogHeader(got, nlog), blocks) {
+				t.Fatalf("log of %d, record %d (n=%d) does not decode back", nlog, i, n)
+			}
 		}
 	}
 }

@@ -44,8 +44,7 @@ func Format(clk *vclock.Clock, dev *blockdev.Device, sb Superblock, super []byte
 
 	// Empty log header.
 	clear(buf)
-	var lh LogHeader
-	lh.Encode(buf)
+	EncodeLogHeader(buf, nil, sb.NLog)
 	if err := dev.Write(clk, int(sb.LogStart), buf); err != nil {
 		return err
 	}

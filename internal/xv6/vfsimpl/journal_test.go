@@ -1,6 +1,9 @@
 package vfsimpl_test
 
 import (
+	"encoding/binary"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +13,7 @@ import (
 	"bento/internal/ext4"
 	"bento/internal/fsapi"
 	"bento/internal/kernel"
+	"bento/internal/vclock"
 	"bento/internal/xv6/journaltest"
 	"bento/internal/xv6/layout"
 	"bento/internal/xv6/vfsimpl"
@@ -150,6 +154,56 @@ func TestFailedCommitReleasesBuffers(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// fatalTB is a testing.TB for running a check that must fail: run it on
+// a goroutine of its own, and Fatal and Fatalf note the message and end
+// that goroutine, as testing's do.
+type fatalTB struct {
+	testing.TB
+	msg string
+}
+
+func (f *fatalTB) Helper() {}
+
+func (f *fatalTB) Fatal(args ...any) {
+	f.msg = fmt.Sprint(args...)
+	runtime.Goexit()
+}
+
+func (f *fatalTB) Fatalf(format string, args ...any) {
+	f.msg = fmt.Sprintf(format, args...)
+	runtime.Goexit()
+}
+
+// TestRequireUncommittedReadsTheWholeLog: the check reads the commit
+// record with the log's own capacity. In ext4's 1020-block log a record
+// of 200 blocks is a commit, which the check must report, not read as a
+// corrupt, and so empty, record of a 128-block log.
+func TestRequireUncommittedReadsTheWholeLog(t *testing.T) {
+	r := rig(t, costmodel.Fast(), ext4.Type{})
+	if r.SB.NLog <= 200 {
+		t.Fatalf("ext4's log has %d blocks, too few for the record below", r.SB.NLog)
+	}
+	le := binary.LittleEndian
+	buf := make([]byte, layout.BlockSize)
+	le.PutUint32(buf, 200)
+	for i := 0; i < 200; i++ {
+		le.PutUint32(buf[4+4*i:], r.SB.DataStart+uint32(i))
+	}
+	if err := r.Dev.Write(vclock.NewClock(), int(r.SB.LogStart), buf); err != nil {
+		t.Fatal(err)
+	}
+	check := &fatalTB{TB: t}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r.RequireUncommitted(check)
+	}()
+	<-done
+	if !strings.Contains(check.msg, "log header holds 200 blocks") {
+		t.Fatalf("RequireUncommitted on a 200-block commit record: %q, want it to report the 200 blocks", check.msg)
 	}
 }
 
