@@ -180,7 +180,6 @@ type BentoFS struct {
 	fs FileSystem
 
 	generation int64 // bumped per upgrade
-	ops        int64 // operations served (all generations)
 
 	// upgradeEnd is the virtual timestamp at which the most recent
 	// upgrade resumed. An operation whose task clock is still behind it
@@ -192,7 +191,6 @@ type BentoFS struct {
 	// is therefore a pure function of the virtual timeline and
 	// byte-reproducible across hosts and -parallel levels.
 	upgradeEnd  int64
-	stalledOps  int64 // ops that arrived mid-upgrade and waited
 	lastUpgrade UpgradeStats
 
 	// wbScratch is WriteRun's flattening buffer, for a file system that
@@ -200,21 +198,15 @@ type BentoFS struct {
 	wbScratch []byte
 }
 
-// UpgradeStats breaks down the most recent Upgrade call in virtual
-// nanoseconds: the total pause and its quiesce /
-// transfer / resume phases, plus the size of the serialized state moved
-// between instances. StalledOps counts operations that arrived while the
-// upgrade was in progress and waited for resume.
+// UpgradeStats is what the upgrade experiment publishes of the most
+// recent Upgrade call: the pause and its transfer phase in virtual
+// nanoseconds, and the size of the serialized state moved between
+// instances. The quiesce / transfer / resume split and the operations
+// that stalled are in the trace (CatUpgrade spans, upgrade_stalls).
 type UpgradeStats struct {
-	Generation    int64 // generation the upgrade produced
-	StartNS       int64 // virtual time the quiesce began
-	EndNS         int64 // virtual time operations resumed
-	PauseNS       int64 // EndNS - StartNS
-	QuiesceNS     int64 // drain + PrepareTransfer (or SyncFS+Destroy)
+	PauseNS       int64 // quiesce start to resume
 	TransferNS    int64 // replacement Init + state copy + RestoreTransfer
-	ResumeNS      int64 // ops-vector swap + publish
 	TransferBytes int64 // len(state) moved between instances
-	StalledOps    int64 // operations that paid part of the pause
 }
 
 var (
@@ -228,12 +220,10 @@ var (
 // every operation starts with it.
 func (b *BentoFS) enter(t *kernel.Task) {
 	t.Charge(t.Model().BentoDispatch)
-	b.ops++
 	// Mid-upgrade arrival: pay the rest of the pause in virtual time
 	// (mirrors the journal's begin-stall). The common case is one load
 	// and a not-taken branch.
 	if end := b.upgradeEnd; end > t.Clk.NowNS() {
-		b.stalledOps++
 		if r := t.Rec(); r != nil {
 			r.Span(t.Name, trace.CatUpgrade, "resume-wait", t.Clk.NowNS(), end)
 			r.Add(trace.CtrUpgradeStalls, 1)
@@ -245,24 +235,15 @@ func (b *BentoFS) enter(t *kernel.Task) {
 // Generation reports how many upgrades this mount has seen.
 func (b *BentoFS) Generation() int64 { return b.generation }
 
-// Ops reports operations served across all generations.
-func (b *BentoFS) Ops() int64 { return b.ops }
-
 // SuperBlock exposes the capability (tests, fsck, fault injection).
 func (b *BentoFS) SuperBlock() *bentoks.SuperBlock { return b.sb }
 
 // Inner returns the current file-system instance.
 func (b *BentoFS) Inner() FileSystem { return b.fs }
 
-// LastUpgrade returns the virtual-time breakdown of the most recent
-// Upgrade call (zero value if none has run). StalledOps is live:
-// operations whose clocks lag the resume timestamp may still arrive and
-// pay their stall after Upgrade returns.
-func (b *BentoFS) LastUpgrade() UpgradeStats {
-	st := b.lastUpgrade
-	st.StalledOps = b.stalledOps
-	return st
-}
+// LastUpgrade returns the pause, transfer time and transferred bytes of
+// the most recent Upgrade call (zero value if none has run).
+func (b *BentoFS) LastUpgrade() UpgradeStats { return b.lastUpgrade }
 
 // Upgrade swaps in a replacement file-system implementation while the
 // mount stays live (paper §4.8): the old instance serializes its
@@ -273,10 +254,11 @@ func (b *BentoFS) LastUpgrade() UpgradeStats {
 // operation is in flight on the host then, which is the quiescence.
 //
 // The quiesce / transfer / resume phases are traced as trace.CatUpgrade
-// spans on the calling task's track, and their virtual-time breakdown is
-// retained for LastUpgrade. Operations that arrive while the upgrade is
-// in progress stall in enter() until the resume timestamp — that stall
-// is the per-op latency spike the availability experiment measures.
+// spans on the calling task's track; the pause, the transfer time and
+// the state size are retained for LastUpgrade. Operations that arrive
+// while the upgrade is in progress stall in enter() until the resume
+// timestamp — that stall is the per-op latency spike the availability
+// experiment measures.
 func (b *BentoFS) Upgrade(t *kernel.Task, next FileSystem) error {
 	start := t.Clk.NowNS()
 	old := b.fs
@@ -323,15 +305,9 @@ func (b *BentoFS) Upgrade(t *kernel.Task, next FileSystem) error {
 	b.generation++
 	end := t.Clk.NowNS()
 
-	b.stalledOps = 0 // stalls are per-upgrade
 	b.lastUpgrade = UpgradeStats{
-		Generation:    b.generation,
-		StartNS:       start,
-		EndNS:         end,
 		PauseNS:       end - start,
-		QuiesceNS:     quiesceEnd - start,
 		TransferNS:    transferEnd - quiesceEnd,
-		ResumeNS:      end - transferEnd,
 		TransferBytes: int64(len(state)),
 	}
 	b.upgradeEnd = end

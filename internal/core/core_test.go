@@ -246,18 +246,6 @@ func TestBentoFSIsBatchWriter(t *testing.T) {
 	}
 }
 
-func TestBentoFSCountsOps(t *testing.T) {
-	_, m, task := mountToy(t)
-	b := m.FS().(*core.BentoFS)
-	before := b.Ops()
-	if err := m.WriteFile(task, "/f", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if b.Ops() <= before {
-		t.Fatal("ops counter did not advance")
-	}
-}
-
 func TestUpgradePreservesStateAndBumpsGeneration(t *testing.T) {
 	_, m, task := mountToy(t)
 	if err := m.WriteFile(task, "/keep", []byte("survives upgrade")); err != nil {
@@ -331,9 +319,10 @@ func TestUpgradeWithOpenFile(t *testing.T) {
 // scenario replays exactly.
 func TestUpgradeUnderConcurrentLoad(t *testing.T) {
 	const writers, iters = 4, 60
-	run := func() (opsAtSwap [3]int64, elapsed time.Duration) {
+	run := func() (writesAtSwap [3]int64, elapsed time.Duration) {
 		k, m, task := mountToy(t)
 		b := m.FS().(*core.BentoFS)
+		var written int64 // written by admitted workers only, so no lock
 		g := vclock.NewGroup(task.Clk.Now())
 		g.Run(writers+1, func(i int, w *vclock.Worker) {
 			wt := k.NewTaskWithClock(fmt.Sprintf("w%d", i), w.Clock())
@@ -341,7 +330,7 @@ func TestUpgradeUnderConcurrentLoad(t *testing.T) {
 				for gen := 2; gen <= 4; gen++ {
 					wt.Clk.Advance(100 * time.Nanosecond) // a fraction of the writers' run under costmodel.Fast
 					w.Yield()
-					opsAtSwap[gen-2] = b.Ops()
+					writesAtSwap[gen-2] = written
 					if err := b.Upgrade(wt, newToyFS(gen)); err != nil {
 						t.Errorf("upgrade to v%d: %v", gen, err)
 						return
@@ -356,13 +345,14 @@ func TestUpgradeUnderConcurrentLoad(t *testing.T) {
 					t.Errorf("worker %d iter %d: %v", i, n, err)
 					return
 				}
+				written++
 			}
 		})
 		if b.Generation() != 3 {
 			t.Fatalf("generation = %d, want 3", b.Generation())
 		}
-		if !(0 < opsAtSwap[0] && opsAtSwap[0] < opsAtSwap[1] && opsAtSwap[1] < opsAtSwap[2] && opsAtSwap[2] < b.Ops()) {
-			t.Fatalf("ops served at the three swaps %v, at the end %d: the swaps did not land under load", opsAtSwap, b.Ops())
+		if !(0 < writesAtSwap[0] && writesAtSwap[0] < writesAtSwap[1] && writesAtSwap[1] < writesAtSwap[2] && writesAtSwap[2] < written) {
+			t.Fatalf("writes done at the three swaps %v, at the end %d: the swaps did not land under load", writesAtSwap, written)
 		}
 		for i := 0; i < writers; i++ {
 			got, err := m.ReadFile(task, fmt.Sprintf("/w%d", i))
@@ -370,11 +360,11 @@ func TestUpgradeUnderConcurrentLoad(t *testing.T) {
 				t.Fatalf("/w%d = %q, %v; want %q", i, got, err, want)
 			}
 		}
-		return opsAtSwap, g.Elapsed()
+		return writesAtSwap, g.Elapsed()
 	}
-	ops, elapsed := run()
-	if o2, e2 := run(); o2 != ops || e2 != elapsed {
-		t.Fatalf("replay differs: swaps at ops %v in %v vs %v in %v", o2, e2, ops, elapsed)
+	writes, elapsed := run()
+	if w2, e2 := run(); w2 != writes || e2 != elapsed {
+		t.Fatalf("replay differs: swaps at writes %v in %v vs %v in %v", w2, e2, writes, elapsed)
 	}
 }
 

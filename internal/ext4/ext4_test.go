@@ -11,6 +11,7 @@ import (
 	"bento/internal/ext4"
 	"bento/internal/fsapi"
 	"bento/internal/kernel"
+	"bento/internal/trace"
 	"bento/internal/vclock"
 	"bento/internal/xv6/bentoimpl"
 	"bento/internal/xv6/layout"
@@ -20,6 +21,7 @@ func newExt4(t *testing.T, blocks int) (*kernel.Kernel, *kernel.Mount, *kernel.T
 	t.Helper()
 	model := costmodel.Fast()
 	k := kernel.New(model)
+	k.SetRecorder(trace.New()) // before any task: the commit counts
 	dev := blockdev.MustNew(blockdev.Config{Blocks: blocks, Model: model})
 	task := k.NewTask("mkfs")
 	if err := ext4.Mkfs(task, dev, 1024); err != nil {
@@ -81,18 +83,18 @@ func TestExt4RemountSeesData(t *testing.T) {
 func TestExt4CommitsAreBatched(t *testing.T) {
 	// Many metadata ops before any fsync must share few compound commits
 	// — the defining difference from xv6's per-op group commit.
-	_, m, task, _ := newExt4(t, 16384)
+	k, m, task, _ := newExt4(t, 16384)
+	before := k.Recorder().Counters()["journal_commits"]
 	for i := 0; i < 100; i++ {
 		if err := m.WriteFile(task, fmt.Sprintf("/f%d", i), []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fs := m.FS().(*ext4.FS)
-	if c := fs.Commits(); c > 10 {
-		t.Fatalf("100 creates caused %d compound commits; jbd2 batching failed", c)
-	}
 	if err := m.Sync(task); err != nil {
 		t.Fatal(err)
+	}
+	if c := k.Recorder().Counters()["journal_commits"] - before; c < 1 || c > 10 {
+		t.Fatalf("100 creates and a sync caused %d compound commits; want 1..10", c)
 	}
 	got, err := m.ReadFile(task, "/f42")
 	if err != nil || string(got) != "x" {
@@ -155,8 +157,7 @@ func TestExt4CrashAfterFsync(t *testing.T) {
 // the simulator does not model.)
 func TestExt4ConcurrentFsyncsShareCommit(t *testing.T) {
 	k, m, _, _ := newExt4(t, 16384)
-	fs := m.FS().(*ext4.FS)
-	before := fs.Commits()
+	before := k.Recorder().Counters()["journal_commits"]
 	vclock.NewGroup(0).Run(8, func(w int, sw *vclock.Worker) {
 		task := k.NewTaskWithClock(fmt.Sprintf("w%d", w), sw.Clock())
 		f, err := m.Open(task, fmt.Sprintf("/w%d", w), fsapi.OCreate|fsapi.OWronly)
@@ -179,7 +180,7 @@ func TestExt4ConcurrentFsyncsShareCommit(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	if c := fs.Commits() - before; c < 1 || c > 8 {
+	if c := k.Recorder().Counters()["journal_commits"] - before; c < 1 || c > 8 {
 		t.Fatalf("8 creates, writes and fsyncs caused %d commits; want 1..8 (compound commits)", c)
 	}
 }

@@ -41,9 +41,6 @@ type UpgradeReport struct {
 	// virtual ns. With a mid-window swap this is the latency spike paid
 	// by the first operation to arrive during the upgrade pause.
 	MaxOpNS int64
-	// OpsAfterSwap counts operations completed at or after the swap
-	// point — evidence the mount stayed live.
-	OpsAfterSwap int64
 }
 
 // UpgradeMix runs two readers and two writers doing random 4K I/O over
@@ -110,7 +107,7 @@ func UpgradeMix(tg Target, cfg UpgradeConfig) (Result, UpgradeReport, error) {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)))
 			buf, io := rw(f, upgradeIOSize, !reader)
 			slots := max(cfg.FileSize/upgradeIOSize, 1)
-			var maxNS, after int64
+			var maxNS int64
 			n, err := loop(task, deadline, pace, 0, false, func(n *tally) error {
 				off := rng.Int63n(slots) * upgradeIOSize
 				t0 := task.Clk.NowNS()
@@ -119,15 +116,11 @@ func UpgradeMix(tg Target, cfg UpgradeConfig) (Result, UpgradeReport, error) {
 					return err
 				}
 				maxNS = max(maxNS, task.Clk.NowNS()-t0)
-				if t0 >= swapNS {
-					after++
-				}
 				n.ops++
 				n.bytes += int64(k)
 				return nil
 			})
 			rep.MaxOpNS = max(rep.MaxOpNS, maxNS)
-			rep.OpsAfterSwap += after
 			return n, err
 		})
 	if swapErr != nil {

@@ -45,10 +45,10 @@ func upgradePlan(o Options) *plan {
 		if err != nil {
 			return mix, err
 		}
-		stats := shim.LastUpgrade()
-		if stats.Generation == 0 {
+		if shim.Generation() == 0 {
 			return mix, errors.New("swap never ran")
 		}
+		stats := shim.LastUpgrade()
 		mix.Quantities = map[string]int64{
 			"pause_ns": stats.PauseNS, "xfer_ns": stats.TransferNS,
 			"xfer_bytes": stats.TransferBytes, "maxlat_ns": rep.MaxOpNS,

@@ -590,6 +590,57 @@ func TestFillBatchStopsOnError(t *testing.T) {
 	}
 }
 
+// TestFillBatchCountsWithoutEvents: the page reads of a fill batch count
+// their direct reads and buffer-cache probes into the kernel's recorder,
+// as a reader's would, while the fill task's track records no event — its
+// clock is rebased to each fill, so its spans would overlap.
+func TestFillBatchCountsWithoutEvents(t *testing.T) {
+	const pages = 8
+	m, h, task := newIODMount(t)
+	writeFilePages(t, m, task, "/f", pages)
+	m.DropCaches()
+	bc := kernel.NewBufferCache(m.Device(), task.Model(), 0)
+	const meta = 15 // a block no page reads directly
+	tracks := map[string]int{}
+	h.probe = func(ft *kernel.Task, pg int64) {
+		tracks[ft.Name]++
+		if err := bc.ReadDirect(ft, int(pg), make([]byte, fsapi.PageSize)); err != nil {
+			t.Fatal(err)
+		}
+		b, err := bc.Get(ft, meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := task.Kernel().Recorder().Counters()
+	if _, err := m.ReadFile(task, "/f"); err != nil {
+		t.Fatal(err)
+	}
+	const fillTrack = "kworker-fill:/mnt"
+	if want := map[string]int{fillTrack: pages}; !maps.Equal(tracks, want) {
+		t.Fatalf("page reads by task = %v, want all %d on the fill task", tracks, pages)
+	}
+	c := task.Kernel().Recorder().Counters()
+	for name, want := range map[string]int64{
+		"ra_fill_pages": pages,
+		"direct_reads":  pages,
+		"buf_misses":    1,
+		"buf_hits":      pages - 1,
+	} {
+		if got := c[name] - before[name]; got != want {
+			t.Errorf("%s rose by %d, want %d", name, got, want)
+		}
+	}
+	for _, e := range task.Kernel().Recorder().Events() {
+		if e.Track == fillTrack {
+			t.Fatalf("the fill task recorded %+v", e)
+		}
+	}
+}
+
 // TestIODaemonConcurrentTraffic shares one daemon-enabled mount between
 // four sequential readers and four writers under a vclock.Group — the
 // shape of a multi-thread benchmark cell — and checks the background

@@ -195,10 +195,11 @@ func (m *Mount) EnableIODaemon(iodaemon.Config) {
 	// clock is rebased (SetNS) to each fill's submission time behaves
 	// exactly like a fresh task per fill: device bookings key on (time,
 	// service), never on task identity. Spans recorded on it would
-	// overlap on one track, so read-ahead work is counted and marked with
-	// instants instead (see fillBatch), never spanned.
+	// overlap on one track, so it counts into the kernel's recorder
+	// through a view that records no events, and each batch is marked by
+	// an instant instead (see fillBatch).
 	m.fillTask = m.k.NewTask("kworker-fill:" + m.mountPoint)
-	m.fillTask.rec = nil
+	m.fillTask.rec = m.k.rec.CountOnly()
 }
 
 // SwapFS replaces the file-system operations vector. Only the
@@ -748,14 +749,16 @@ func (vn *vnode) demandBatch(t *Task, first, last int64) int64 {
 // page start, submitted at virtual time now (the reader's clock). Each
 // fill runs on the fill task rebased to now, so the batch's device reads
 // are booked concurrently and the reader keeps running while the device
-// works. The device stays plugged for the batch, as Linux's read_pages
-// plugs the block queue, so its reads of contiguous blocks go out as one
-// device command (see blockdev.Device). A filled page carries its fill's
-// completion time, which a reader that catches up with the pipeline
-// waits for; a page already cached is skipped. A fill error ends the
-// batch and is returned with failedAt, the failed fill's clock; the
-// failed fill leaves no page in the cache. A stopped mount fills
-// nothing: an unmounting file system must not see new reads.
+// works. The fill task counts its cache probes and direct reads like any
+// reader but records no spans (see EnableIODaemon); the batch shows in
+// the trace as one instant. The device stays plugged for the batch, as
+// Linux's read_pages plugs the block queue, so its reads of contiguous
+// blocks go out as one device command (see blockdev.Device). A filled
+// page carries its fill's completion time, which a reader that catches
+// up with the pipeline waits for; a page already cached is skipped. A
+// fill error ends the batch and is returned with failedAt, the failed
+// fill's clock; the failed fill leaves no page in the cache. A stopped
+// mount fills nothing: an unmounting file system must not see new reads.
 func (vn *vnode) fillBatch(b iodaemon.Batch, now, start, count int64) (failedAt int64, err error) {
 	m := vn.m
 	if count <= 0 || m.stopped {

@@ -274,9 +274,9 @@ func TestBreakerLifecycle(t *testing.T) {
 
 // TestDegradedWriteBound: while the breaker is open, writes stage in
 // cache up to the cache's capacity in blocks (here 2: two one-block
-// objects) and then surface EIO — for both the write-miss pre-check and
-// the staging bound on resident objects — while rewrites of
-// already-staged blocks stay accepted.
+// objects) and then surface EIO at the write-miss pre-check, while
+// rewrites of already-staged blocks stay accepted. The bound on a block
+// of a resident object is TestDegradedWriteBoundResidentObject's.
 func TestDegradedWriteBound(t *testing.T) {
 	s, _ := coldStore(t, fastNoHedge(), netstore.Config{
 		Blocks: 64, ObjectBlocks: 1, CacheObjects: 2,
@@ -314,6 +314,49 @@ func TestDegradedWriteBound(t *testing.T) {
 	}
 	if n := s.DirtyBlocks(); n != 2 {
 		t.Fatalf("DirtyBlocks = %d at the degraded bound, want 2", n)
+	}
+}
+
+// TestDegradedWriteBoundResidentObject: at the degraded bound, a write
+// to a clean block of an object already in the cache is refused too,
+// though it needs no GET, while a rewrite of the object's staged block
+// is accepted. The bound is 2 blocks (one two-block object); the two
+// staged blocks sit in two objects, because an object whose eviction PUT
+// fails stays resident past the cache's capacity.
+func TestDegradedWriteBoundResidentObject(t *testing.T) {
+	s, _ := coldStore(t, fastNoHedge(), netstore.Config{
+		Blocks: 64, ObjectBlocks: 2, CacheObjects: 1,
+		Faults: netstore.FaultConfig{Seed: 3, MaxAttempts: 1, BreakerK: 1},
+	}, 1)
+	s.ArmOutage(1000, 1_000_000)
+	buf := make([]byte, 4096)
+	if _, err := s.ReadBlock(1000, 0, buf); !errors.Is(err, netstore.ErrExhausted) {
+		t.Fatalf("blackout GET: %v, want ErrExhausted", err)
+	}
+	if !s.BreakerOpen() {
+		t.Fatal("breaker closed after a failure at BreakerK=1")
+	}
+	// Block 10 stages in object 5; block 12 stages in object 6, whose
+	// clean block 13 stays resident with it.
+	for i, blk := range []int{10, 12} {
+		if _, err := s.SubmitBlock(int64(1100+50*i), blk, buf); err != nil {
+			t.Fatalf("degraded write %d: %v", i, err)
+		}
+	}
+	if n := s.DirtyBlocks(); n != 2 {
+		t.Fatalf("DirtyBlocks = %d, want the bound 2", n)
+	}
+	if _, err := s.SubmitBlock(1200, 13, buf); !errors.Is(err, netstore.ErrWriteBound) {
+		t.Fatalf("over-bound write to a resident object's clean block: %v, want ErrWriteBound", err)
+	}
+	if n := s.DirtyBlocks(); n != 2 {
+		t.Fatalf("DirtyBlocks = %d after a refused write, want 2", n)
+	}
+	if _, err := s.SubmitBlock(1250, 12, buf); err != nil {
+		t.Fatalf("rewrite of the resident object's staged block: %v", err)
+	}
+	if n := s.DirtyBlocks(); n != 2 {
+		t.Fatalf("DirtyBlocks = %d after a rewrite, want 2", n)
 	}
 }
 

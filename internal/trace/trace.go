@@ -31,6 +31,10 @@
 // (netstore's FaultCounts, core.UpgradeStats, the commit count in
 // bentoimpl's transfer state, blockdev.Device.WriteCmds for the crash
 // sweep). A test that counts attaches New() and reads Counters().
+//
+// A task that counts but records no events holds a CountOnly view: the
+// kernel's read-ahead fill task, whose clock is rebased to each fill's
+// submission time, so spans on its one track would overlap.
 package trace
 
 import (
@@ -207,13 +211,24 @@ type Event struct {
 type Recorder struct {
 	events []Event
 
-	counters [numCounters]int64
+	counters  *[numCounters]int64 // shared with the CountOnly view
+	countOnly bool                // a CountOnly view: events are dropped
 }
 
 // New returns an enabled recorder with event capacity pre-grown so
 // steady-state recording stays off the allocator.
 func New() *Recorder {
-	return &Recorder{events: make([]Event, 0, 4096)}
+	return &Recorder{events: make([]Event, 0, 4096), counters: new([numCounters]int64)}
+}
+
+// CountOnly returns a view of r that adds to r's counters and records no
+// events, for a task whose spans would overlap on its one track. The
+// view of a nil recorder is nil.
+func (r *Recorder) CountOnly() *Recorder {
+	if r == nil {
+		return nil
+	}
+	return &Recorder{counters: r.counters, countOnly: true}
 }
 
 // Enabled reports whether the recorder collects anything.
@@ -250,7 +265,7 @@ func (r *Recorder) Sample(track, name string, at, v int64) {
 }
 
 func (r *Recorder) record(e Event) {
-	if r == nil {
+	if r == nil || r.countOnly {
 		return
 	}
 	r.events = append(r.events, e)

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"strings"
 	"testing"
 )
@@ -40,6 +41,29 @@ func TestCountersSnapshot(t *testing.T) {
 		if got[k] != v {
 			t.Fatalf("Counters()[%q] = %d, want %d", k, got[k], v)
 		}
+	}
+}
+
+func TestCountOnlySharesCountersAndDropsEvents(t *testing.T) {
+	var off *Recorder
+	if off.CountOnly() != nil {
+		t.Fatal("the view of a nil recorder is not nil")
+	}
+	r := New()
+	v := r.CountOnly()
+	r.Add(CtrBufHits, 1)
+	v.Add(CtrBufHits, 2)
+	v.Add(CtrDirectReads, 3)
+	v.Span("fill", CatDevice, "direct-read", 0, 10)
+	v.Instant("fill", CatDaemon, "readahead", 5, 0, 4)
+	want := map[string]int64{"buf_hits": 3, "direct_reads": 3}
+	for _, got := range []map[string]int64{r.Counters(), v.Counters()} {
+		if !maps.Equal(got, want) {
+			t.Fatalf("Counters() = %v, want %v", got, want)
+		}
+	}
+	if n := len(r.Events()) + len(v.Events()); n != 0 {
+		t.Fatalf("the view recorded %d events, want 0", n)
 	}
 }
 

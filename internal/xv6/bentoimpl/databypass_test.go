@@ -59,6 +59,7 @@ func TestBentoDataBypass(t *testing.T) {
 		t.Fatalf("buffer cache not cold after Sync+DropCaches: %d resident", n)
 	}
 
+	before := task.Rec().Counters()["direct_reads"]
 	got, err := m.ReadFile(task, "/f")
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("cold read mismatch (err=%v)", err)
@@ -74,9 +75,13 @@ func TestBentoDataBypass(t *testing.T) {
 		t.Fatalf("%d data-region blocks resident after cold read (%v), want at most the root dir block",
 			len(dataResident), dataResident)
 	}
-	// The cold read's fill batch runs on the untraced fill task, so only
-	// the residency check above speaks for the read half.
-	if c := task.Rec().Counters(); c["direct_writes"] == 0 {
+	// The cold read's pages are filled by one fill batch, which counts
+	// its direct reads like a reader: one per data page read.
+	c := task.Rec().Counters()
+	if n := c["direct_reads"] - before; n != layout.NDirect {
+		t.Fatalf("cold read of %d pages made %d direct reads: %v", layout.NDirect, n, c)
+	}
+	if c["direct_writes"] == 0 {
 		t.Fatalf("direct write path unused: %v", c)
 	}
 

@@ -73,12 +73,23 @@ func TestDataBypassColdReadPopulatesOnlyPageCache(t *testing.T) {
 				t.Fatalf("buffer cache not cold after Sync+DropCaches: %d resident", n)
 			}
 
+			before := task.Rec().Counters()["direct_reads"]
 			got, err := m.ReadFile(task, "/f")
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatal("cold read returned wrong content")
+			}
+			// The cold read's pages are filled by one fill batch, which
+			// counts its direct reads like a reader: one per data page
+			// with the bypass on, none without it.
+			wantDirect := int64(0)
+			if bypass {
+				wantDirect = fileBlocks
+			}
+			if n := task.Rec().Counters()["direct_reads"] - before; n != wantDirect {
+				t.Fatalf("cold read of %d pages made %d direct reads, want %d", fileBlocks, n, wantDirect)
 			}
 
 			// The file uses direct pointers only, so the sole legitimate

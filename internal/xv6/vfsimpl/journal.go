@@ -246,7 +246,6 @@ func (fs *FS) commit(t *kernel.Task) error {
 	clear(fs.inLog)
 	fs.dataEnd = 0
 	fs.committing = false
-	fs.commits++
 	if now := t.Clk.NowNS(); now > fs.commitEnd {
 		fs.commitEnd = now
 	}

@@ -170,7 +170,6 @@ type FS struct {
 	commitEnd     int64        // virtual completion of the last commit record
 	checkpointEnd int64        // virtual completion of the last cleared record: the log is free
 	jthread       *kernel.Task // the journal thread the checkpoint runs on
-	commits       int64
 
 	// allocation rotors.
 	blockRotor uint32
@@ -202,9 +201,6 @@ func (fs *FS) DropCleanBlocks() int { return fs.bc.DropClean() }
 func (fs *FS) dataDirect(ip *inode) bool {
 	return fs.bypass && ip.din.Type == layout.TypeFile
 }
-
-// Commits reports committed transactions (benchmark stat).
-func (fs *FS) Commits() int64 { return fs.commits }
 
 // --- allocation ---
 
