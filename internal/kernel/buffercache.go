@@ -129,7 +129,6 @@ func (bc *BufferCache) readDirect(t *Task, blk int, buf []byte, borrow bool) (vi
 	if err := bc.invalidate(t, blk); err != nil {
 		return nil, err
 	}
-	t.rec.Add(trace.CtrDirectReads, 1)
 	start := t.Clk.NowNS()
 	if borrow {
 		view, err = bc.dev.Borrow(t.Clk, blk)
@@ -139,6 +138,7 @@ func (bc *BufferCache) readDirect(t *Task, blk int, buf []byte, borrow bool) (vi
 	if err != nil {
 		return nil, err
 	}
+	t.rec.Add(trace.CtrDirectReads, 1)
 	if r := t.rec; r != nil {
 		r.Span(t.Name, trace.CatDevice, "direct-read", start, t.Clk.NowNS())
 	}

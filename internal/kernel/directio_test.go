@@ -42,6 +42,38 @@ func TestDirectIOBypassesCache(t *testing.T) {
 	}
 }
 
+// TestFailedDirectIOCountsNothing: direct_reads and direct_writes count
+// the commands the device carried out, so a direct read, a borrowed read
+// or a direct write that fails counts in neither, and the same read
+// counts once the fault clears.
+func TestFailedDirectIOCountsNothing(t *testing.T) {
+	bc, task := newTestCache(t, 64)
+	dev := bc.Device()
+	dev.InjectReadError(7)
+	dev.InjectWriteError(7)
+	buf := make([]byte, dev.BlockSize())
+	if err := bc.ReadDirect(task, 7, buf); err == nil {
+		t.Fatal("ReadDirect of a failing block succeeded")
+	}
+	if _, err := bc.BorrowDirect(task, 7); err == nil {
+		t.Fatal("BorrowDirect of a failing block succeeded")
+	}
+	if _, err := bc.WriteDirect(task, 7, buf); err == nil {
+		t.Fatal("WriteDirect of a failing block succeeded")
+	}
+	c := task.Rec().Counters()
+	if c["direct_reads"] != 0 || c["direct_writes"] != 0 {
+		t.Fatalf("failed direct I/O counted: direct_reads %d, direct_writes %d, want 0/0", c["direct_reads"], c["direct_writes"])
+	}
+	dev.ClearFaults()
+	if err := bc.ReadDirect(task, 7, buf); err != nil {
+		t.Fatal(err)
+	}
+	if n := task.Rec().Counters()["direct_reads"]; n != 1 {
+		t.Fatalf("direct_reads = %d after one good read, want 1", n)
+	}
+}
+
 // TestWriteDirectInvalidatesResidentCopy: a block that once lived in the
 // cache (its earlier life as metadata) must not serve stale content
 // after a direct write repurposes it as data.

@@ -81,7 +81,7 @@ func (t *Task) WaitIO(name string, completion int64) {
 
 // WaitJournal is WaitIO for a wait on the journal rather than the
 // device — a commit waiting out the previous commit's checkpoint before
-// it reuses the log — recorded as a journal-category span.
+// it writes its commit record — recorded as a journal-category span.
 func (t *Task) WaitJournal(name string, completion int64) {
 	t.waitSpan(trace.CatJournal, name, completion)
 }

@@ -56,9 +56,10 @@ type Log struct {
 	committing    bool
 	blocks        []uint32 // home addresses of logged blocks (the in-memory header)
 	inLog         map[uint32]int
-	dataEnd       int64 // latest completion of the running transaction's ordered data
-	commitEnd     int64 // virtual time the last commit record completed
-	checkpointEnd int64 // virtual time the last cleared header completed: the log is free
+	dataEnd       int64  // latest completion of the running transaction's ordered data
+	commitEnd     int64  // virtual time the last commit record completed
+	checkpointEnd int64  // virtual time the last cleared header completed: the live slots are free
+	live, nlive   uint32 // slots of the last committed transaction, in use until checkpointEnd
 	commits       int64
 }
 
@@ -88,11 +89,11 @@ func (l *Log) Recover(t *kernel.Task) (err error) {
 	if err != nil {
 		return err
 	}
-	if blocks := layout.DecodeLogHeader(hdata, l.size); len(blocks) > 0 {
+	if first, blocks := layout.DecodeLogHeader(hdata, l.size); len(blocks) > 0 {
 		// Install each logged block to its home location.
 		var last int64
 		for i, home := range blocks {
-			done, err := l.copyBlock(t, l.start+1+uint32(i), home)
+			done, err := l.copyBlock(t, l.start+1+first+uint32(i), home)
 			if err != nil {
 				return err
 			}
@@ -106,7 +107,7 @@ func (l *Log) Recover(t *kernel.Task) (err error) {
 		}
 	}
 	// Clear the header.
-	layout.EncodeLogHeader(hdata, nil, l.size)
+	layout.EncodeLogHeader(hdata, 0, nil, l.size)
 	if err := hb.MarkDirty(); err != nil {
 		return err
 	}
@@ -245,8 +246,9 @@ func (l *Log) ForceCommit(t *kernel.Task) error {
 
 // drain commits what is logged and waits out its checkpoint, so the log
 // is idle: an instance's last act before it is destroyed or hands the
-// disk to its replacement, whose first commit must not reuse the log
-// before this instance's cleared header has completed.
+// disk to its replacement, whose first commit, knowing nothing of this
+// instance's live slots, must not write the log before this instance's
+// cleared header has completed.
 func (l *Log) drain(t *kernel.Task) error {
 	err := l.ForceCommit(t)
 	t.WaitJournal("checkpoint-wait", l.checkpointEnd)
@@ -262,28 +264,30 @@ func (l *Log) drain(t *kernel.Task) error {
 // checkpoint, are still issued inside the call, in the same order, so
 // their errors fail the commit; but they run on the disk's journal task,
 // whose clock starts at the header's completion, as jbd2 checkpoints off
-// the committing thread. The next commit waits for the checkpoint before
-// it reuses the log.
+// the committing thread. The next commit writes its log slots beside the
+// running checkpoint's (place), and waits for the checkpoint only before
+// its header, which shares a block with the checkpoint's cleared header.
 func (l *Log) commit(t *kernel.Task, blocks []uint32) (err error) {
 	sb := l.fs.sb
-	t.WaitJournal("checkpoint-wait", l.checkpointEnd)
+	first := l.place(t, uint32(len(blocks)))
 
 	// Step 1: write the log data blocks as one batch: submit every slot,
 	// then wait once for the later of the latest slot's completion and the
 	// transaction's ordered data, as jbd2 does. The header is submitted
-	// only after every slot and every data block has completed. A disk
-	// with no asynchronous submission (the FUSE daemon's pwrite) completes
-	// each slot before submitting the next, so there the batch stays
-	// serial.
+	// only after every slot and every data block has completed, and after
+	// the previous checkpoint. A disk with no asynchronous submission (the
+	// FUSE daemon's pwrite) completes each slot before submitting the
+	// next, so there the batch stays serial.
 	var last int64
 	for i, home := range blocks {
-		done, err := l.copyBlock(t, home, l.start+1+uint32(i))
+		done, err := l.copyBlock(t, home, l.start+1+first+uint32(i))
 		if err != nil {
 			return err
 		}
 		last = max(last, done)
 	}
 	t.WaitIO("journal-write", max(last, l.dataEnd))
+	t.WaitJournal("checkpoint-wait", l.checkpointEnd)
 
 	// Step 2: header write = commit point.
 	hb, err := sb.BReadNoFill(t, int(l.start))
@@ -295,10 +299,11 @@ func (l *Log) commit(t *kernel.Task, blocks []uint32) (err error) {
 	if err != nil {
 		return err
 	}
-	layout.EncodeLogHeader(hdata, blocks, l.size)
+	layout.EncodeLogHeader(hdata, first, blocks, l.size)
 	if err := hb.WriteSync(t); err != nil {
 		return err
 	}
+	l.live, l.nlive = first, uint32(len(blocks))
 	if l.policy == PolicyFlush {
 		if err := sb.Flush(t); err != nil {
 			return err
@@ -326,7 +331,7 @@ func (l *Log) commit(t *kernel.Task, blocks []uint32) (err error) {
 	}
 
 	// Step 4: clear the header.
-	layout.EncodeLogHeader(hdata, nil, l.size)
+	layout.EncodeLogHeader(hdata, 0, nil, l.size)
 	if err := hb.WriteSync(jt); err != nil {
 		return err
 	}
@@ -334,6 +339,29 @@ func (l *Log) commit(t *kernel.Task, blocks []uint32) (err error) {
 		return sb.Flush(jt)
 	}
 	return nil
+}
+
+// place returns the first log slot of a transaction of n blocks. With no
+// checkpoint running at t's clock that is slot 0. Otherwise the
+// transaction goes beside the slots of the transaction being
+// checkpointed (a log-beside instant) when the log has room for both, as
+// jbd2's circular log takes new commits while older transactions
+// checkpoint; only when it has not does the commit wait out the
+// checkpoint and take slot 0.
+func (l *Log) place(t *kernel.Task, n uint32) uint32 {
+	now := t.Clk.NowNS()
+	if l.checkpointEnd <= now {
+		return 0
+	}
+	first, ok := layout.PlaceBeside(n, l.live, l.nlive, l.size)
+	if !ok {
+		t.WaitJournal("checkpoint-wait", l.checkpointEnd)
+		return 0
+	}
+	if r := t.Rec(); r != nil {
+		r.Instant(t.Name, trace.CatJournal, "log-beside", now, int64(first), int64(n))
+	}
+	return first
 }
 
 // copyBlock submits a write of block from's contents to block to and

@@ -40,9 +40,10 @@ func TestCommitWritesLogAsOneBatch(t *testing.T) {
 }
 
 // TestCommitCheckpointsInBackground requires a commit to return at its
-// commit record under both policies, checkpoint after it, and keep the
-// next commit off the log until the clear has completed; an unmount
-// waits for the last checkpoint.
+// commit record under both policies and checkpoint after it, and the
+// next commit to write its log slots while that checkpoint runs, never
+// over the checkpointed transaction's slots, and its record only once
+// the clear has completed; an unmount waits for the last checkpoint.
 func TestCommitCheckpointsInBackground(t *testing.T) {
 	for policy, name := range map[bentoimpl.SyncPolicy]string{bentoimpl.PolicyWriteBack: "writeback", bentoimpl.PolicyFlush: "flush"} {
 		t.Run(name, func(t *testing.T) {
@@ -51,15 +52,28 @@ func TestCommitCheckpointsInBackground(t *testing.T) {
 				t.Fatal(werr, serr)
 			}
 			r.RequireCheckpointOrder(t)
+			r.RequireLogOverlap(t)
 			r.RequireUnmountDrains(t)
+		})
+	}
+}
+
+// TestBesideRecordRecovers cuts the power right after a commit record
+// whose log slots sit beside a running checkpoint, under both policies:
+// recovery installs that transaction from its own slots.
+func TestBesideRecordRecovers(t *testing.T) {
+	for policy, name := range map[bentoimpl.SyncPolicy]string{bentoimpl.PolicyWriteBack: "writeback", bentoimpl.PolicyFlush: "flush"} {
+		t.Run(name, func(t *testing.T) {
+			bentoRig(t, costmodel.Default(), policy).RequireBesideRecovery(t)
 		})
 	}
 }
 
 // TestUpgradeDrainsCheckpoint upgrades right after a commit. The old
 // instance hands over the log only once its checkpoint has completed, so
-// the replacement's first commit writes no log slot before the old
-// instance's cleared record has completed.
+// the replacement's first commit, which knows nothing of the old
+// instance's slots, writes none of them before the old instance's
+// cleared record has completed.
 func TestUpgradeDrainsCheckpoint(t *testing.T) {
 	r := bentoRig(t, costmodel.Default(), bentoimpl.PolicyWriteBack)
 	if err := r.M.Mkdir(r.Task, "/d"); err != nil {
@@ -174,7 +188,7 @@ func TestFailedCommitReleasesBuffers(t *testing.T) {
 			r := bentoRig(t, model, bentoimpl.PolicyFlush)
 			shim := r.M.FS().(*core.BentoFS)
 			r.Dev.InjectWriteError(c.blk(r.SB))
-			if werr, serr := r.WriteFile(1); werr == nil && serr == nil {
+			if err := r.Mkdirs("/d"); err == nil {
 				t.Fatal("no operation saw the injected write error")
 			}
 			r.Dev.ClearFaults()

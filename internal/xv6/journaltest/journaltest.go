@@ -4,15 +4,19 @@
 // journal must pass. A commit writes its log slots as one batch and
 // submits its commit record only after the last slot completes; it
 // returns at its commit record and checkpoints (installs, then clears
-// the record) in the background, and the next commit reuses the log
-// only once the clear has completed; a commit whose log write fails
-// leaves no trace on the device; and with the data bypass on, file data
-// is ordered data — a commit record follows the data its transaction
+// the record) in the background; the next commit may write its log
+// slots while that checkpoint runs, but never over the slots of the
+// transaction being checkpointed, and writes its own record only once
+// the clear has completed; a record placed beside a running checkpoint
+// recovers from its own slots; a commit whose log write fails leaves no
+// trace on the device; and with the data bypass on, file data is
+// ordered data — a commit record follows the data its transaction
 // carries, and a write that commits nothing returns after its data.
 package journaltest
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -25,11 +29,14 @@ import (
 	"bento/internal/xv6/layout"
 )
 
-// writeCmd is one device write command: its block, and when it was
-// submitted and completes, in virtual nanoseconds.
+// writeCmd is one device write command: its block, when it was
+// submitted and completes, in virtual nanoseconds, and its place among
+// the device's write-class commands, the count blockdev.ArmPowerCut
+// takes.
 type writeCmd struct {
 	blk      int
 	at, done int64
+	cmd      int64
 }
 
 // recorder is a blockdev.Backend that records every write command it
@@ -38,18 +45,20 @@ type writeCmd struct {
 // nanoseconds later than the backend says (see Rig.SlowData).
 type recorder struct {
 	blockdev.Backend
+	dev      *blockdev.Device
 	writes   []writeCmd
 	slowFrom int
 	slow     int64
 }
 
 // record notes a write of blk submitted at now that the backend completes
-// at done, and returns its completion.
+// at done, and returns its completion. The device counts the command
+// once the backend has booked it.
 func (r *recorder) record(now int64, blk int, done int64) int64 {
 	if r.slow > 0 && blk >= r.slowFrom {
 		done += r.slow
 	}
-	r.writes = append(r.writes, writeCmd{blk, now, done})
+	r.writes = append(r.writes, writeCmd{blk, now, done, r.dev.WriteCmds() + 1})
 	return done
 }
 
@@ -82,6 +91,10 @@ type Rig struct {
 	Dev   *blockdev.Device
 	SB    layout.Superblock
 	rec   *recorder
+
+	mkfs     func(*kernel.Task, *blockdev.Device) error
+	name     string
+	register func(*kernel.Kernel) error
 }
 
 // New formats the device with mkfs, registers a file system type with
@@ -93,6 +106,7 @@ func New(t testing.TB, model *costmodel.Model, mkfs func(*kernel.Task, *blockdev
 	k.SetRecorder(trace.New())
 	rec := &recorder{Backend: blockdev.NewLocalBackend("rig", layout.BlockSize, model)}
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 4096, Model: model, Backend: rec})
+	rec.dev = dev
 	format := k.NewTask("mkfs")
 	if err := mkfs(format, dev); err != nil {
 		t.Fatal(err)
@@ -110,7 +124,8 @@ func New(t testing.TB, model *costmodel.Model, mkfs func(*kernel.Task, *blockdev
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Rig{Model: model, K: k, M: m, Task: task, Dev: dev, SB: sb, rec: rec}
+	return &Rig{Model: model, K: k, M: m, Task: task, Dev: dev, SB: sb, rec: rec,
+		mkfs: mkfs, name: name, register: register}
 }
 
 // Mkfs formats an xv6 image with 512 inodes.
@@ -167,21 +182,30 @@ func (r *Rig) Commits(minBlocks int64) []trace.Event {
 	return out
 }
 
-// LastSlot writes one page to /f on a fault-free rig and returns the log
-// block of the last slot of the first transaction of at least three
-// blocks. Earlier transactions are smaller, so on a rig that replays the
-// same operations a fault at this block fails that transaction's last
-// slot, with the slots before it already submitted.
+// LastSlot makes the directory /d and syncs on a fault-free rig, and
+// returns the log block of the last slot of the first transaction of at
+// least three blocks, which no earlier commit wrote. So on a rig that
+// replays the same operations a fault at this block fails that
+// transaction's last slot, with the slots before it already submitted.
+// (A small commit placed beside a running checkpoint may write the slot
+// a later transaction ends at, which is why the operation is one mkdir.)
 func (r *Rig) LastSlot(t testing.TB) int {
 	t.Helper()
-	if werr, serr := r.WriteFile(1); werr != nil || serr != nil {
-		t.Fatal(werr, serr)
+	if err := r.Mkdirs("/d"); err != nil {
+		t.Fatal(err)
 	}
-	big := r.Commits(3)
-	if len(big) == 0 {
-		t.Fatal("writing /f committed no transaction of three or more blocks")
+	ios := r.commitIOs()
+	i := slices.IndexFunc(ios, func(c commitIO) bool { return len(c.slots) >= 3 })
+	if i < 0 {
+		t.Fatal("making /d committed no transaction of three or more blocks")
 	}
-	return int(r.SB.LogStart) + int(big[0].A)
+	last := ios[i].slots[len(ios[i].slots)-1].blk
+	for _, c := range ios[:i] {
+		if slices.ContainsFunc(c.slots, func(w writeCmd) bool { return w.blk == last }) {
+			t.Fatalf("log block %d, the last slot of the first transaction of three or more blocks, was written by an earlier commit", last)
+		}
+	}
+	return last
 }
 
 // commitIO is one commit's write commands in submission order: the
@@ -287,12 +311,15 @@ func (r *Rig) tracedCommits(t testing.TB) ([]trace.Event, []commitIO) {
 }
 
 // RequireCheckpointOrder checks that every commit so far checkpointed
-// in the background, in order. The committing operation returns once its
-// commit record has completed, before its installs have. Its installs are
-// submitted no earlier than the record's completion, and its cleared
-// record no earlier than the last install's completion. The next commit
-// submits its first log slot no earlier than that clear's completion,
-// because only then may it reuse the log.
+// in the background, in order, and kept the log crash-safe while it did.
+// The committing operation returns once its commit record has completed,
+// before its installs have. Its installs are submitted no earlier than
+// the record's completion, and its cleared record no earlier than the
+// last install's completion. The next commit submits its record no
+// earlier than that clear's completion: the two share the header block.
+// Its log slots may be written while the checkpoint runs, but a slot
+// submitted before an earlier commit's clear completed is never one of
+// that commit's slots, which a crash until then still replays.
 func (r *Rig) RequireCheckpointOrder(t testing.TB) {
 	t.Helper()
 	spans, ios := r.tracedCommits(t)
@@ -310,10 +337,45 @@ func (r *Rig) RequireCheckpointOrder(t testing.TB) {
 		if c.clear.at < installed {
 			t.Errorf("commit %d cleared its record at %d ns, before its install completed at %d ns", i, c.clear.at, installed)
 		}
-		if i > 0 && c.slots[0].at < ios[i-1].clear.done {
-			t.Errorf("commit %d wrote its first log slot at %d ns, before commit %d's clear completed at %d ns",
-				i, c.slots[0].at, i-1, ios[i-1].clear.done)
+		if i > 0 && c.record.at < ios[i-1].clear.done {
+			t.Errorf("commit %d submitted its record at %d ns, before commit %d's clear completed at %d ns",
+				i, c.record.at, i-1, ios[i-1].clear.done)
 		}
+		for j, prev := range ios[:i] {
+			for _, w := range c.slots {
+				if w.at < prev.clear.done && slices.ContainsFunc(prev.slots, func(s writeCmd) bool { return s.blk == w.blk }) {
+					t.Errorf("commit %d wrote log block %d at %d ns, a slot of commit %d, whose clear completed only at %d ns",
+						i, w.blk, w.at, j, prev.clear.done)
+				}
+			}
+		}
+	}
+}
+
+// RequireLogOverlap requires some commit so far to have written a log
+// slot while the previous commit's checkpoint was still running: before
+// that commit's clear completed. Each such commit must also be marked by
+// a log-beside instant.
+func (r *Rig) RequireLogOverlap(t testing.TB) {
+	t.Helper()
+	ios := r.commitIOs()
+	overlaps := 0
+	for i := 1; i < len(ios); i++ {
+		if ios[i].slots[0].at < ios[i-1].clear.done {
+			overlaps++
+		}
+	}
+	if overlaps == 0 {
+		t.Fatalf("none of %d commits wrote a log slot while the previous checkpoint ran", len(ios))
+	}
+	marked := 0
+	for _, e := range r.K.Recorder().Events() {
+		if e.Kind == trace.KindInstant && e.Name == "log-beside" {
+			marked++
+		}
+	}
+	if marked < overlaps {
+		t.Errorf("%d commits wrote log slots while the previous checkpoint ran, but %d log-beside instants were traced", overlaps, marked)
 	}
 }
 
@@ -344,6 +406,107 @@ func (r *Rig) RequireUnmountDrains(t testing.TB) {
 	}
 	if now, cleared := r.Task.Clk.NowNS(), ios[len(ios)-1].clear.done; now < cleared {
 		t.Errorf("Unmount returned at %d ns, before the last clear completed at %d ns", now, cleared)
+	}
+}
+
+// Mkdirs makes each directory and syncs after it: every sync commits,
+// the per-operation logs' and the compound one alike, and the next
+// directory's commit follows while that commit's checkpoint runs.
+func (r *Rig) Mkdirs(names ...string) error {
+	for _, name := range names {
+		if err := r.M.Mkdir(r.Task, name); err != nil {
+			return err
+		}
+		if err := r.M.Sync(r.Task); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// RequireBesideRecovery makes and syncs four directories and finds the
+// first commit that wrote its log slots from past slot 0, beside the
+// previous commit's running checkpoint. It replays the same operations
+// on a new rig with the power cut right after that commit's record,
+// keeps every write the
+// device had taken, and mounts the image again: recovery must install
+// exactly that transaction's blocks, in the record's order and each with
+// the contents of its log slot, and leave an image that checks clean.
+func (r *Rig) RequireBesideRecovery(t testing.TB) {
+	t.Helper()
+	dirs := []string{"/a", "/b", "/c", "/d"}
+	if err := r.Mkdirs(dirs...); err != nil {
+		t.Fatal(err)
+	}
+	logStart := r.SB.LogStart
+	ios := r.commitIOs()
+	var beside *commitIO
+	for i := 1; i < len(ios) && beside == nil; i++ {
+		if c := &ios[i]; c.slots[0].blk > int(logStart)+1 && c.slots[0].at < ios[i-1].clear.done {
+			beside = c
+		}
+	}
+	if beside == nil {
+		t.Fatalf("none of %d commits wrote its log slots past slot 0 while the previous checkpoint ran", len(ios))
+	}
+	first := uint32(beside.slots[0].blk) - logStart - 1
+
+	cut := New(t, r.Model, r.mkfs, r.name, r.register)
+	cut.Dev.ArmPowerCut(beside.record.cmd - cut.Dev.WriteCmds())
+	_ = cut.Mkdirs(dirs...) // fails from the first command after the record
+	if !cut.Dev.PowerOut() {
+		t.Fatal("the replay never reached the power cut")
+	}
+	cut.Dev.DisarmPowerCut()
+	cut.Dev.Crash(1, 0)
+
+	clk := vclock.NewClock()
+	read := func(blk uint32) []byte {
+		buf := make([]byte, layout.BlockSize)
+		if err := cut.Dev.Read(clk, int(blk), buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	got, homes := layout.DecodeLogHeader(read(logStart), cut.SB.NLog)
+	if got != first || len(homes) != len(beside.slots) {
+		t.Fatalf("the record on the device names %d blocks from slot %d, want the commit's %d from slot %d",
+			len(homes), got, len(beside.slots), first)
+	}
+	logged := make([][]byte, len(homes))
+	for i := range homes {
+		logged[i] = read(logStart + 1 + first + uint32(i))
+	}
+
+	from := len(cut.rec.writes)
+	k := kernel.New(r.Model)
+	if err := cut.register(k); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.Mount(k.NewTask("remount"), cut.name, "/mnt", cut.Dev); err != nil {
+		t.Fatal(err)
+	}
+	var installed []uint32
+	for _, w := range cut.rec.writes[from:] {
+		if w.blk == int(logStart) {
+			break
+		}
+		installed = append(installed, uint32(w.blk))
+	}
+	if !slices.Equal(installed, homes) {
+		t.Errorf("recovery installed blocks %v, want the record's %v", installed, homes)
+	}
+	for i, home := range homes {
+		if !bytes.Equal(read(home), logged[i]) {
+			t.Errorf("block %d does not hold the contents of its log slot %d after recovery", home, first+uint32(i))
+		}
+	}
+	rep, err := layout.Fsck(clk, cut.Dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("fsck after recovering a record placed beside a checkpoint: %v", rep.Errors)
 	}
 }
 
@@ -394,8 +557,8 @@ func (r *Rig) RequireUncommitted(t testing.TB) {
 	if err := r.Dev.Read(clk, int(r.SB.LogStart), buf); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(layout.DecodeLogHeader(buf, r.SB.NLog)); n != 0 {
-		t.Fatalf("log header holds %d blocks after a failed log write; the transaction must not commit", n)
+	if _, blocks := layout.DecodeLogHeader(buf, r.SB.NLog); len(blocks) != 0 {
+		t.Fatalf("log header holds %d blocks after a failed log write; the transaction must not commit", len(blocks))
 	}
 	rep, err := layout.Fsck(clk, r.Dev)
 	if err != nil {

@@ -58,8 +58,8 @@ func Fsck(clk *vclock.Clock, dev *blockdev.Device) (*FsckReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n := len(DecodeLogHeader(lb, sb.NLog)); n != 0 {
-		r.errf("log header has %d uninstalled transactions blocks", n)
+	if _, blocks := DecodeLogHeader(lb, sb.NLog); len(blocks) != 0 {
+		r.errf("log header has %d uninstalled transactions blocks", len(blocks))
 	}
 
 	// Pass 1: read every allocated inode, collect block usage.

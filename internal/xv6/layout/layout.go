@@ -233,16 +233,21 @@ func DecodeDirent(buf []byte) Dirent {
 }
 
 // The commit record at LogStart, shared by both journals: a
-// little-endian count n, then the n home block numbers, log data block i
-// going home to entry i; the rest of the block is zeros. A log of nlog
-// data blocks (the superblock's NLog) holds records of at most nlog
-// entries.
+// little-endian count n, then the n home block numbers, and in the
+// block's last word the first log slot the transaction occupies, log
+// data block first+i going home to entry i; the rest of the block is
+// zeros. A log of nlog data blocks (the superblock's NLog) holds records
+// whose slots first..first+n-1 lie inside it. The last word is past the
+// entries of any log up to 1 022 blocks (ext4's 1 020 end at byte
+// 4 084), and a record written before it was used, like the cleared
+// record, names slot 0.
 
-// EncodeLogHeader writes the commit record for blocks (at most nlog of
-// them; nil is the cleared record) into buf, the log's header buffer,
-// which holds zeros or an earlier record of the same log. It clears only
-// the entries that record had beyond len(blocks), not the whole block.
-func EncodeLogHeader(buf []byte, blocks []uint32, nlog uint32) {
+// EncodeLogHeader writes the commit record for blocks logged from slot
+// first on (nil is the cleared record, at slot 0) into buf, the log's
+// header buffer, which holds zeros or an earlier record of the same log.
+// It clears only the entries that record had beyond len(blocks), not the
+// whole block.
+func EncodeLogHeader(buf []byte, first uint32, blocks []uint32, nlog uint32) {
 	le := binary.LittleEndian
 	prev := min(le.Uint32(buf), nlog)
 	n := uint32(len(blocks))
@@ -253,22 +258,39 @@ func EncodeLogHeader(buf []byte, blocks []uint32, nlog uint32) {
 	if prev > n {
 		clear(buf[4+4*n : 4+4*prev])
 	}
+	le.PutUint32(buf[len(buf)-4:], first)
 }
 
-// DecodeLogHeader returns the home blocks of the commit record in buf,
-// the header of a log of nlog data blocks. A count beyond nlog is a
-// corrupt record and reads as an empty log.
-func DecodeLogHeader(buf []byte, nlog uint32) []uint32 {
+// DecodeLogHeader returns the first log slot and the home blocks of the
+// commit record in buf, the header of a log of nlog data blocks. A
+// record whose slots run past nlog is corrupt and reads as an empty log.
+func DecodeLogHeader(buf []byte, nlog uint32) (first uint32, blocks []uint32) {
 	le := binary.LittleEndian
-	n := le.Uint32(buf)
-	if n > nlog {
-		return nil
+	n, first := le.Uint32(buf), le.Uint32(buf[len(buf)-4:])
+	if n > nlog || first > nlog-n {
+		return 0, nil
 	}
-	blocks := make([]uint32, n)
+	blocks = make([]uint32, n)
 	for i := range blocks {
 		blocks[i] = le.Uint32(buf[4+4*i:])
 	}
-	return blocks
+	return first, blocks
+}
+
+// PlaceBeside returns the first log slot for a transaction of n blocks
+// in a log of nlog blocks whose slots live..live+nlive-1 still hold a
+// committed transaction being checkpointed: slot 0 if the transaction
+// fits below them, else the slot right after them. ok is false when it
+// fits in neither place, and the transaction must wait out the
+// checkpoint.
+func PlaceBeside(n, live, nlive, nlog uint32) (first uint32, ok bool) {
+	if n <= live {
+		return 0, true
+	}
+	if end := live + nlive; n <= nlog-end {
+		return end, true
+	}
+	return 0, false
 }
 
 // Geometry computes a superblock for a device of size blocks with room

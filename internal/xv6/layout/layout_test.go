@@ -75,40 +75,92 @@ func TestDirentNameTooLong(t *testing.T) {
 	}
 }
 
-// TestLogHeaderRoundTrip: a commit record decodes back to its blocks in
-// a log of any capacity that holds it, up to a full record of a log the
-// size of ext4's journal, whose last entry ends 4 bytes short of the
-// block.
+// TestLogHeaderRoundTrip: a commit record decodes back to its first slot
+// and its blocks in a log of any capacity that holds it, up to a full
+// record of a log the size of ext4's journal, whose last entry ends 12
+// bytes short of the block, and a record at the last slot of that log.
 func TestLogHeaderRoundTrip(t *testing.T) {
 	buf := make([]byte, BlockSize)
-	for _, c := range []struct{ n, nlog uint32 }{{3, LogSize}, {LogSize, LogSize}, {200, 1020}, {1020, 1020}} {
+	for _, c := range []struct{ first, n, nlog uint32 }{
+		{0, 3, LogSize}, {LogSize - 3, 3, LogSize}, {0, LogSize, LogSize},
+		{17, 200, 1020}, {0, 1020, 1020}, {1019, 1, 1020},
+	} {
 		blocks := make([]uint32, c.n)
 		for i := range blocks {
 			blocks[i] = 100 + uint32(i)*7
 		}
-		EncodeLogHeader(buf, blocks, c.nlog)
-		if got := DecodeLogHeader(buf, c.nlog); !slices.Equal(got, blocks) {
-			t.Fatalf("%d of %d entries: round trip gave %d entries", c.n, c.nlog, len(got))
+		EncodeLogHeader(buf, c.first, blocks, c.nlog)
+		if first, got := DecodeLogHeader(buf, c.nlog); first != c.first || !slices.Equal(got, blocks) {
+			t.Fatalf("%d of %d entries from slot %d: round trip gave %d entries from slot %d", c.n, c.nlog, c.first, len(got), first)
 		}
 	}
 }
 
-// TestLogHeaderCorruptCountTreatedEmpty: a count past the log's capacity
-// is a corrupt record and reads as an empty log — but only past this
-// log's capacity: a 200-entry record is corrupt in a 128-block log and
-// whole in ext4's 1020-block one.
+// TestLogHeaderCorruptCountTreatedEmpty: a record whose slots run past
+// the log's capacity is corrupt and reads as an empty log — but only past
+// this log's capacity: a 200-entry record is corrupt in a 128-block log
+// and whole in ext4's 1020-block one, where it is corrupt again from
+// slot 821 on.
 func TestLogHeaderCorruptCountTreatedEmpty(t *testing.T) {
 	buf := make([]byte, BlockSize)
 	binary.LittleEndian.PutUint32(buf, 1020+99)
-	if got := DecodeLogHeader(buf, 1020); got != nil {
-		t.Fatalf("corrupt count 1119 read as %d entries", len(got))
+	if first, got := DecodeLogHeader(buf, 1020); first != 0 || got != nil {
+		t.Fatalf("corrupt count 1119 read as %d entries from slot %d", len(got), first)
 	}
-	EncodeLogHeader(buf, make([]uint32, 200), 1020)
-	if got := DecodeLogHeader(buf, LogSize); got != nil {
-		t.Fatalf("200 entries in a %d-block log read as %d entries", LogSize, len(got))
+	for _, c := range []struct {
+		first, nlog uint32
+		want        int
+	}{{0, LogSize, 0}, {0, 1020, 200}, {820, 1020, 200}, {821, 1020, 0}, {1 << 31, 1020, 0}} {
+		EncodeLogHeader(buf, c.first, make([]uint32, 200), 1020)
+		if first, got := DecodeLogHeader(buf, c.nlog); len(got) != c.want || (c.want == 0 && first != 0) {
+			t.Fatalf("200 entries from slot %d in a %d-block log read as %d entries from slot %d, want %d",
+				c.first, c.nlog, len(got), first, c.want)
+		}
 	}
-	if got := DecodeLogHeader(buf, 1020); len(got) != 200 {
-		t.Fatalf("200 entries in a 1020-block log read as %d entries", len(got))
+}
+
+// TestLogHeaderOldRecordAtSlotZero: a record written before the header
+// named its first slot — zeros in the block's last word — and the
+// cleared record both read as starting at slot 0, and clearing a record
+// placed past slot 0 leaves the zeros a freshly formatted header holds.
+func TestLogHeaderOldRecordAtSlotZero(t *testing.T) {
+	buf := make([]byte, BlockSize)
+	binary.LittleEndian.PutUint32(buf, 2)
+	binary.LittleEndian.PutUint32(buf[4:], 40)
+	binary.LittleEndian.PutUint32(buf[8:], 41)
+	if first, got := DecodeLogHeader(buf, LogSize); first != 0 || !slices.Equal(got, []uint32{40, 41}) {
+		t.Fatalf("old record read as %v from slot %d, want [40 41] from slot 0", got, first)
+	}
+	EncodeLogHeader(buf, 9, []uint32{40, 41}, LogSize)
+	EncodeLogHeader(buf, 0, nil, LogSize)
+	if first, got := DecodeLogHeader(buf, LogSize); first != 0 || len(got) != 0 {
+		t.Fatalf("cleared record read as %d entries from slot %d", len(got), first)
+	}
+	if !bytes.Equal(buf, make([]byte, BlockSize)) {
+		t.Fatal("the cleared record is not all zeros")
+	}
+}
+
+// TestPlaceBeside: a transaction goes below the slots being checkpointed
+// when it fits there, else right after them, and nowhere when it fits in
+// neither place.
+func TestPlaceBeside(t *testing.T) {
+	for _, c := range []struct {
+		n, live, nlive, nlog, first uint32
+		ok                          bool
+	}{
+		{3, 0, 4, LogSize, 4, true},
+		{3, 5, 4, LogSize, 0, true},
+		{5, 5, 4, LogSize, 0, true},
+		{6, 5, 4, LogSize, 9, true},
+		{119, 5, 4, LogSize, 9, true},
+		{120, 5, 4, LogSize, 0, false},
+		{1, 0, LogSize, LogSize, 0, false},
+		{LogSize, 0, 0, LogSize, 0, true},
+	} {
+		if first, ok := PlaceBeside(c.n, c.live, c.nlive, c.nlog); first != c.first || ok != c.ok {
+			t.Errorf("PlaceBeside(%d, %d, %d, %d) = %d, %v; want %d, %v", c.n, c.live, c.nlive, c.nlog, first, ok, c.first, c.ok)
+		}
 	}
 }
 
@@ -320,8 +372,9 @@ func TestDinodeTypeMatchesDecode(t *testing.T) {
 }
 
 // fullLogHeaderEncode encodes blocks the simple way: the count, then
-// all nlog slots, zeros past the count, every time.
-func fullLogHeaderEncode(blocks []uint32, nlog uint32, buf []byte) {
+// all nlog slots, zeros past the count, and the first slot in the last
+// word, every time.
+func fullLogHeaderEncode(first uint32, blocks []uint32, nlog uint32, buf []byte) {
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:], uint32(len(blocks)))
 	for i := uint32(0); i < nlog; i++ {
@@ -331,6 +384,7 @@ func fullLogHeaderEncode(blocks []uint32, nlog uint32, buf []byte) {
 		}
 		le.PutUint32(buf[4+4*i:], b)
 	}
+	le.PutUint32(buf[len(buf)-4:], first)
 }
 
 // TestLogHeaderEncodeMatchesFull: over seeded sequences of records that
@@ -355,13 +409,17 @@ func TestLogHeaderEncodeMatchesFull(t *testing.T) {
 			for j := range blocks {
 				blocks[j] = rng.Uint32()
 			}
-			EncodeLogHeader(got, blocks, nlog)
-			fullLogHeaderEncode(blocks, nlog, want)
+			var first uint32
+			if n > 0 {
+				first = uint32(rng.Intn(int(nlog-n) + 1))
+			}
+			EncodeLogHeader(got, first, blocks, nlog)
+			fullLogHeaderEncode(first, blocks, nlog, want)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("log of %d, record %d (n=%d): short encoding differs from the full one", nlog, i, n)
 			}
-			if !slices.Equal(DecodeLogHeader(got, nlog), blocks) {
-				t.Fatalf("log of %d, record %d (n=%d) does not decode back", nlog, i, n)
+			if f, b := DecodeLogHeader(got, nlog); f != first || !slices.Equal(b, blocks) {
+				t.Fatalf("log of %d, record %d (n=%d from slot %d) does not decode back", nlog, i, n, first)
 			}
 		}
 	}

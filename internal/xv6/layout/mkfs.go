@@ -44,7 +44,7 @@ func Format(clk *vclock.Clock, dev *blockdev.Device, sb Superblock, super []byte
 
 	// Empty log header.
 	clear(buf)
-	EncodeLogHeader(buf, nil, sb.NLog)
+	EncodeLogHeader(buf, 0, nil, sb.NLog)
 	if err := dev.Write(clk, int(sb.LogStart), buf); err != nil {
 		return err
 	}

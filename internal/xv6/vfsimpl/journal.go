@@ -105,10 +105,10 @@ func (fs *FS) recover(t *kernel.Task) error {
 	if err != nil {
 		return err
 	}
-	if blocks := layout.DecodeLogHeader(hb.Data(), fs.logCap); len(blocks) > 0 {
+	if first, blocks := layout.DecodeLogHeader(hb.Data(), fs.logCap); len(blocks) > 0 {
 		var last int64
 		for i, home := range blocks {
-			src, err := fs.bc.Get(t, int(fs.super.LogStart+1+uint32(i)))
+			src, err := fs.bc.Get(t, int(fs.super.LogStart+1+first+uint32(i)))
 			if err != nil {
 				return released(err, hb)
 			}
@@ -132,7 +132,7 @@ func (fs *FS) recover(t *kernel.Task) error {
 			}
 		}
 	}
-	layout.EncodeLogHeader(hb.Data(), nil, fs.logCap)
+	layout.EncodeLogHeader(hb.Data(), 0, nil, fs.logCap)
 	if err := hb.WriteSync(t); err != nil {
 		return released(err, hb)
 	}
@@ -252,19 +252,42 @@ func (fs *FS) commit(t *kernel.Task) error {
 	return err
 }
 
-// writeLog copies each home block into its log slot and writes the slots
-// as one batch: it submits every slot, then waits once for the later of
-// the latest slot's completion and the transaction's ordered data, so the
-// commit record that follows is submitted only after every slot and every
-// data block has completed.
-func (fs *FS) writeLog(t *kernel.Task, blocks []uint32) error {
+// place returns the first log slot of a transaction of n blocks. With no
+// checkpoint running at t's clock that is slot 0. Otherwise the
+// transaction goes beside the slots of the transaction being
+// checkpointed (a log-beside instant) when the log has room for both, as
+// jbd2's circular log takes new commits while older transactions
+// checkpoint; only when it has not does the commit wait out the
+// checkpoint and take slot 0.
+func (fs *FS) place(t *kernel.Task, n uint32) uint32 {
+	now := t.Clk.NowNS()
+	if fs.checkpointEnd <= now {
+		return 0
+	}
+	first, ok := layout.PlaceBeside(n, fs.live, fs.nlive, fs.logCap)
+	if !ok {
+		t.WaitJournal("checkpoint-wait", fs.checkpointEnd)
+		return 0
+	}
+	if r := t.Rec(); r != nil {
+		r.Instant(t.Name, trace.CatJournal, "log-beside", now, int64(first), int64(n))
+	}
+	return first
+}
+
+// writeLog copies each home block into its log slot, from slot first on,
+// and writes the slots as one batch: it submits every slot, then waits
+// once for the later of the latest slot's completion and the
+// transaction's ordered data, so the commit record that follows is
+// submitted only after every slot and every data block has completed.
+func (fs *FS) writeLog(t *kernel.Task, first uint32, blocks []uint32) error {
 	var last int64
 	for i, home := range blocks {
 		src, err := fs.bc.Get(t, int(home))
 		if err != nil {
 			return err
 		}
-		dst, err := fs.bc.GetNoRead(t, int(fs.super.LogStart+1+uint32(i)))
+		dst, err := fs.bc.GetNoRead(t, int(fs.super.LogStart+1+first+uint32(i)))
 		if err != nil {
 			return released(err, src)
 		}
@@ -287,20 +310,24 @@ func (fs *FS) writeLog(t *kernel.Task, blocks []uint32) error {
 // checkpoint — the install and the cleared record — is issued inside the
 // call, in the same order, but on the journal thread, whose clock starts
 // there, as jbd2 checkpoints off the committing thread. The next commit
-// waits for the checkpoint before it reuses the log.
+// writes its log slots beside the running checkpoint's (place), and waits
+// for the checkpoint only before its commit record, which shares a block
+// with the checkpoint's cleared record.
 func (fs *FS) writeCommit(t *kernel.Task, blocks []uint32) error {
-	t.WaitJournal("checkpoint-wait", fs.checkpointEnd)
-	if err := fs.writeLog(t, blocks); err != nil {
+	first := fs.place(t, uint32(len(blocks)))
+	if err := fs.writeLog(t, first, blocks); err != nil {
 		return err
 	}
+	t.WaitJournal("checkpoint-wait", fs.checkpointEnd)
 	hb, err := fs.bc.GetNoRead(t, int(fs.super.LogStart))
 	if err != nil {
 		return err
 	}
-	layout.EncodeLogHeader(hb.Data(), blocks, fs.logCap)
+	layout.EncodeLogHeader(hb.Data(), first, blocks, fs.logCap)
 	if err := hb.WriteSync(t); err != nil {
 		return released(err, hb)
 	}
+	fs.live, fs.nlive = first, uint32(len(blocks))
 	if err := fs.log.barrier(fs, t, 0); err != nil {
 		return released(err, hb)
 	}
@@ -324,7 +351,7 @@ func (fs *FS) writeCommit(t *kernel.Task, blocks []uint32) error {
 	if err := fs.log.barrier(fs, jt, 1); err != nil {
 		return released(err, hb)
 	}
-	layout.EncodeLogHeader(hb.Data(), nil, fs.logCap)
+	layout.EncodeLogHeader(hb.Data(), 0, nil, fs.logCap)
 	if err := hb.WriteSync(jt); err != nil {
 		return released(err, hb)
 	}

@@ -49,9 +49,11 @@ func TestCommitWritesLogAsOneBatch(t *testing.T) {
 }
 
 // TestCommitCheckpointsInBackground requires both journals, with and
-// without barriers, to return from a commit at its commit record,
-// checkpoint after it, and keep the next commit off the log until the
-// clear has completed; an unmount waits for the last checkpoint.
+// without barriers, to return from a commit at its commit record and
+// checkpoint after it, and the next commit to write its log slots while
+// that checkpoint runs, never over the checkpointed transaction's slots,
+// and its record only once the clear has completed; an unmount waits
+// for the last checkpoint.
 func TestCommitCheckpointsInBackground(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -64,14 +66,34 @@ func TestCommitCheckpointsInBackground(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			r := rig(t, costmodel.Default(), c.fsType)
-			if err := r.M.Mkdir(r.Task, "/d"); err != nil {
+			if err := r.Mkdirs("/d"); err != nil {
 				t.Fatal(err)
 			}
 			if werr, serr := r.WriteFile(4); werr != nil || serr != nil {
 				t.Fatal(werr, serr)
 			}
 			r.RequireCheckpointOrder(t)
+			r.RequireLogOverlap(t)
 			r.RequireUnmountDrains(t)
+		})
+	}
+}
+
+// TestBesideRecordRecovers cuts the power right after a commit record
+// whose log slots sit beside a running checkpoint, on the C-Kernel and on
+// ext4 without barriers, as published, and with them: recovery installs
+// that transaction from its own slots.
+func TestBesideRecordRecovers(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		fsType kernel.FileSystemType
+	}{
+		{"xv6vfs", vfsimpl.Type{}},
+		{"ext4-nobarriers", ext4.Type{Cfg: ext4.Config{NoBarriers: true}}},
+		{"ext4", ext4.Type{}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rig(t, costmodel.Default(), c.fsType).RequireBesideRecovery(t)
 		})
 	}
 }
@@ -142,7 +164,7 @@ func TestFailedCommitReleasesBuffers(t *testing.T) {
 			t.Run(fsType.Name()+"/"+c.name, func(t *testing.T) {
 				r := rig(t, costmodel.Fast(), fsType)
 				r.Dev.InjectWriteError(c.blk(r.SB))
-				if werr, serr := r.WriteFile(1); werr == nil && serr == nil {
+				if err := r.Mkdirs("/d"); err == nil {
 					t.Fatal("no operation saw the injected write error")
 				}
 				r.Dev.ClearFaults()

@@ -168,7 +168,8 @@ type FS struct {
 	dataEnd       int64        // latest completion of the running transaction's ordered data
 	opDataEnd     int64        // latest completion of the open operations' ordered data
 	commitEnd     int64        // virtual completion of the last commit record
-	checkpointEnd int64        // virtual completion of the last cleared record: the log is free
+	checkpointEnd int64        // virtual completion of the last cleared record: the live slots are free
+	live, nlive   uint32       // slots of the last committed transaction, in use until checkpointEnd
 	jthread       *kernel.Task // the journal thread the checkpoint runs on
 
 	// allocation rotors.
