@@ -93,12 +93,10 @@ func IsViolation(err error) (*Violation, bool) {
 }
 
 // Checker records ownership-contract activity for one mounted file system.
-// With Enabled set (the default), violations are detected and *contained*:
-// the offending access returns an error instead of corrupting state, the
-// way Rust turns these bugs into compile failures.
+// Violations are detected and *contained*: the offending access returns
+// an error instead of corrupting state, the way Rust turns these bugs
+// into compile failures.
 type Checker struct {
-	Enabled bool
-
 	outstanding map[int64]int64 // live buffer handle id -> block number
 	nextID      int64
 	violations  []Violation
@@ -107,9 +105,9 @@ type Checker struct {
 	nsems int          // semaphores created so far; names the next one
 }
 
-// NewChecker creates an enabled checker.
+// NewChecker creates a checker.
 func NewChecker() *Checker {
-	return &Checker{Enabled: true, outstanding: make(map[int64]int64)}
+	return &Checker{outstanding: make(map[int64]int64)}
 }
 
 // acquire records a live borrow of blk and returns its handle id. The
@@ -270,11 +268,7 @@ func (sb *SuperBlock) bread(t *kernel.Task, blk int, fill bool) (*BufferHead, er
 	if err != nil {
 		return nil, err
 	}
-	bh := &BufferHead{kb: kb, sb: sb}
-	if sb.checker.Enabled {
-		bh.id = sb.checker.acquire(int64(blk))
-	}
-	return bh, nil
+	return &BufferHead{kb: kb, sb: sb, id: sb.checker.acquire(int64(blk))}, nil
 }
 
 // ReadBlockRange copies block blk's bytes [off, off+len(dst)) into dst.
@@ -460,9 +454,7 @@ func (b *BufferHead) Release() error {
 		return b.sb.checker.record(DoubleRelease, "buffer %d", b.kb.BlockNo())
 	}
 	b.released = true
-	if b.sb.checker.Enabled {
-		b.sb.checker.release(b.id)
-	}
+	b.sb.checker.release(b.id)
 	return b.kb.Release()
 }
 

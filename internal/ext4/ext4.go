@@ -8,11 +8,12 @@
 // xv6 record formats — mounted with the mechanisms that matter to the
 // evaluation where ext4 differs:
 //
-//   - a JBD2-style journal (vfsimpl.Compound): operations join a running
+//   - a JBD2-style journal (journal.Compound): operations join a running
 //     compound transaction that commits on fsync/sync or once it grows
 //     past CommitThreshold — not per operation as xv6's log does — so
-//     durability barriers (FLUSH) are paid once per compound commit. Its
-//     log writes are the C-Kernel's: one batch per commit.
+//     durability barriers (FLUSH) are paid once per compound commit. The
+//     log is the one every xv6 variant runs (internal/xv6/journal), under
+//     that policy: one batch of log writes per commit.
 //   - an in-memory directory index (vfsimpl.IndexedDirs, the htree
 //     stand-in) for O(1) lookup.
 //   - the batched ->writepages write-back path (kernel.BatchWriter).
@@ -30,6 +31,7 @@ import (
 	"bento/internal/blockdev"
 	"bento/internal/fsapi"
 	"bento/internal/kernel"
+	"bento/internal/xv6/journal"
 	"bento/internal/xv6/layout"
 	"bento/internal/xv6/vfsimpl"
 )
@@ -115,7 +117,7 @@ func (tt Type) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, e
 	fs, err := vfsimpl.New(t, dev, sb, vfsimpl.Mechanisms{
 		Name:        "ext4",
 		CacheBlocks: cacheBlocks,
-		Journal:     vfsimpl.Compound(JournalSize, CommitThreshold),
+		Journal:     journal.Compound(CommitThreshold),
 		Dirs:        vfsimpl.IndexedDirs(),
 		Barriers:    !tt.Cfg.NoBarriers,
 		DataBypass:  tt.Cfg.DataBypass,

@@ -218,18 +218,6 @@ func (bc *BufferCache) ResidentBlocks() []int {
 // once a file system has given back everything it took.
 func (bc *BufferCache) Held() int { return bc.cache.Held() }
 
-// InvalidateAll drops every buffer. Crash-recovery tests call it after a
-// device crash so stale cached contents cannot mask lost writes. It
-// fails if any buffer is still referenced.
-func (bc *BufferCache) InvalidateAll() error {
-	return bc.cache.Reset(func(b *BufferHead) error {
-		if b.node.Refs() != 0 {
-			return fmt.Errorf("buffercache: block %d still referenced: %w", b.BlockNo(), fsapi.ErrBusy)
-		}
-		return nil
-	})
-}
-
 // BlockNo reports which block this buffer caches.
 func (b *BufferHead) BlockNo() int { return int(b.node.Key()) }
 

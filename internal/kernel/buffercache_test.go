@@ -162,33 +162,6 @@ func TestBufferCacheStats(t *testing.T) {
 	}
 }
 
-// TestBufferCacheInvalidateAll checks the referenced-buffer refusal and
-// the post-invalidate cold state.
-func TestBufferCacheInvalidateAll(t *testing.T) {
-	bc, task := newTestCache(t, 8)
-	b, err := bc.Get(task, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bc.InvalidateAll(); !errors.Is(err, fsapi.ErrBusy) {
-		t.Fatalf("InvalidateAll with referenced buffer = %v, want ErrBusy", err)
-	}
-	if err := b.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if err := bc.InvalidateAll(); err != nil {
-		t.Fatalf("InvalidateAll: %v", err)
-	}
-	if bc.Len() != 0 {
-		t.Fatalf("len = %d after InvalidateAll, want 0", bc.Len())
-	}
-	misses := counter(task, "buf_misses")
-	getRelease(t, bc, task, 5)
-	if counter(task, "buf_misses") != misses+1 {
-		t.Fatal("block 5 survived InvalidateAll")
-	}
-}
-
 // TestBufferCacheDoubleRelease checks the brelse error path.
 func TestBufferCacheDoubleRelease(t *testing.T) {
 	bc, task := newTestCache(t, 8)

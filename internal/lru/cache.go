@@ -132,20 +132,3 @@ func (c *Cache[E]) Drop(key int64) (E, bool) {
 
 // Len reports the number of cached entries.
 func (c *Cache[E]) Len() int { return c.core.Len() }
-
-// Reset drops every entry after check approves each one (InvalidateAll:
-// check rejects referenced buffers).
-func (c *Cache[E]) Reset(check func(E) error) error {
-	if check != nil {
-		var err error
-		c.core.ForEach(func(_ int64, e E) bool {
-			err = check(e)
-			return err == nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	c.core.Clear()
-	return nil
-}

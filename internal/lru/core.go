@@ -39,7 +39,7 @@ type inner[E Entry] struct {
 // and no interior node, and a lone key near 2⁶² costs one node per level
 // (eleven), not memory in proportion to the key. A leaf whose last entry
 // is removed stays in the tree — a cache that ran through a key range is
-// about to run through it again — and only Clear frees nodes, which is
+// about to run through it again — and only ClearFunc frees nodes, which is
 // also the only operation that invalidates the cursor.
 type Core[E Entry] struct {
 	root   *inner[E] // nil while levels == 0
@@ -459,10 +459,7 @@ func (c *Core[E]) ForEach(fn func(key int64, e E) bool) {
 	})
 }
 
-// Clear drops every entry and all dirty state.
-func (c *Core[E]) Clear() { c.ClearFunc(nil) }
-
-// ClearFunc is Clear with a per-entry callback: onDrop (when non-nil)
+// ClearFunc drops every entry and all dirty state. onDrop (when non-nil)
 // receives each dropped entry — dirty ones included — in ascending key
 // order, so the caller can recycle them through a free pool. The nodes
 // go with the entries: the Core is back to its zero value.

@@ -205,10 +205,7 @@ func (c *refCore[E]) ForEach(fn func(key int64, e E) bool) {
 	}
 }
 
-// Clear drops every entry and all dirty state.
-func (c *refCore[E]) Clear() { c.ClearFunc(nil) }
-
-// ClearFunc is Clear with a per-entry callback: onDrop (when non-nil)
+// ClearFunc drops every entry and all dirty state. onDrop (when non-nil)
 // receives each dropped entry — dirty ones included — so the caller can
 // recycle them through a free pool.
 func (c *refCore[E]) ClearFunc(onDrop func(E)) {
@@ -569,7 +566,7 @@ func TestCoreNegativeKeyPanics(t *testing.T) {
 	}
 }
 
-// TestCoreAddAfterClear: Clear frees the nodes and with them the cursor,
+// TestCoreAddAfterClear: ClearFunc frees the nodes and with them the cursor,
 // so an Add right after lands in the new tree, on both sides of a leaf
 // boundary.
 func TestCoreAddAfterClear(t *testing.T) {
@@ -578,7 +575,7 @@ func TestCoreAddAfterClear(t *testing.T) {
 		c.Add(k, &ent{val: int(k)})
 	}
 	c.MarkDirty(9000)
-	c.Clear() // the cursor was on 9000's leaf
+	c.ClearFunc(nil) // the cursor was on 9000's leaf
 	if c.Len() != 0 || c.DirtyLen() != 0 {
 		t.Fatalf("Len/DirtyLen %d/%d after Clear", c.Len(), c.DirtyLen())
 	}

@@ -15,7 +15,7 @@
 //     recently used), and a dirty tag per subtree so sync paths walk
 //     exactly the dirty entries, in ascending key order, instead of
 //     scanning the whole cache or sorting. Leaves emptied by removal stay
-//     in the tree until Clear, which frees every node and invalidates the
+//     in the tree until ClearFunc, which frees every node and invalidates the
 //     lookup cursor. The vnode page cache embeds a Core directly.
 //
 //   - Cache wraps one Core with capacity enforcement, reference

@@ -147,7 +147,7 @@ func TestCoreOldestKey(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { c.OldestKey() }); n != 0 {
 		t.Fatalf("OldestKey allocates %.1f per call, want 0", n)
 	}
-	c.Clear()
+	c.ClearFunc(nil)
 	if _, ok := c.OldestKey(); ok {
 		t.Fatal("OldestKey reported a key after Clear")
 	}
@@ -403,28 +403,6 @@ func TestCacheHeldCountsReferencedEntries(t *testing.T) {
 	c.Release(b)
 	if n := c.Held(); n != 0 {
 		t.Fatalf("Held = %d after every reference came back, want 0", n)
-	}
-}
-
-func TestCacheResetChecks(t *testing.T) {
-	c := New[*ent](4)
-	e, _ := get(t, c, 1, alloc(0))
-	errBusy := fmt.Errorf("busy")
-	err := c.Reset(func(e *ent) error {
-		if e.LRUNode().Refs() != 0 {
-			return errBusy
-		}
-		return nil
-	})
-	if err != errBusy {
-		t.Fatalf("Reset with pinned entry = %v, want busy", err)
-	}
-	c.Release(e)
-	if err := c.Reset(nil); err != nil {
-		t.Fatalf("Reset: %v", err)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("len = %d after Reset, want 0", c.Len())
 	}
 }
 

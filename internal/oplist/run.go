@@ -103,8 +103,15 @@ func run(m *kernel.Mount, t *kernel.Task, o Op) string {
 
 // Tree walks m's whole tree in name order and returns one line per
 // entry: its path, type, nlink and, for a file, size and a digest of its
-// bytes. It stops at the first entry it cannot list, stat or read.
+// bytes. It stops at the first entry it cannot list, stat or read, and
+// at a directory it has already walked: a damaged image can hold a
+// directory that reaches itself.
 func Tree(m *kernel.Mount, t *kernel.Task) ([]string, error) {
+	root, err := m.Stat(t, "/")
+	if err != nil {
+		return nil, fmt.Errorf("stat /: %w", err)
+	}
+	walked := map[fsapi.Ino]bool{root.Ino: true}
 	var out []string
 	var walk func(dir string) error
 	walk = func(dir string) error {
@@ -121,6 +128,10 @@ func Tree(m *kernel.Mount, t *kernel.Task) ([]string, error) {
 			}
 			line := p + ": " + statLine(st)
 			if st.Type == fsapi.TypeDir {
+				if walked[st.Ino] {
+					return fmt.Errorf("%s: directory inode %d walked already: the tree has a cycle", p, st.Ino)
+				}
+				walked[st.Ino] = true
 				out = append(out, line)
 				if err := walk(p); err != nil {
 					return err
@@ -135,7 +146,7 @@ func Tree(m *kernel.Mount, t *kernel.Task) ([]string, error) {
 		}
 		return nil
 	}
-	err := walk("/")
+	err = walk("/")
 	return out, err
 }
 

@@ -80,7 +80,7 @@ func (fs *FS) ballocBits(t *kernel.Task, lo, hi uint32) (blk uint32, err error) 
 		bit := cur - base
 		if data[bit/8]&(1<<(bit%8)) == 0 {
 			data[bit/8] |= 1 << (bit % 8)
-			if err := fs.log.Write(t, bh); err != nil {
+			if err := fs.logWrite(t, bh); err != nil {
 				return 0, err
 			}
 			return cur, nil
@@ -101,7 +101,7 @@ func (fs *FS) bzero(t *kernel.Task, blk uint32) (err error) {
 		return err
 	}
 	clear(data)
-	return fs.log.Write(t, bh)
+	return fs.logWrite(t, bh)
 }
 
 // bfree releases a data block within the current transaction.
@@ -124,7 +124,7 @@ func (fs *FS) bfree(t *kernel.Task, blk uint32) (err error) {
 		return fmt.Errorf("xv6: double free of block %d: %w", blk, fsapi.ErrCorrupt)
 	}
 	data[bit/8] &^= 1 << (bit % 8)
-	if err := fs.log.Write(t, bh); err != nil {
+	if err := fs.logWrite(t, bh); err != nil {
 		return err
 	}
 	if blk < fs.alloc.blockRotor {
@@ -193,7 +193,7 @@ func (fs *FS) iclaim(t *kernel.Task, inum uint32, typ uint16) (claimed bool, err
 	}
 	din := layout.Dinode{Type: typ}
 	din.Encode(data[off:])
-	if err := fs.log.Write(t, bh); err != nil {
+	if err := fs.logWrite(t, bh); err != nil {
 		return false, err
 	}
 	return true, nil

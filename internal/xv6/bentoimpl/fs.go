@@ -8,6 +8,7 @@ import (
 	"bento/internal/core"
 	"bento/internal/fsapi"
 	"bento/internal/kernel"
+	"bento/internal/xv6/journal"
 	"bento/internal/xv6/layout"
 )
 
@@ -47,7 +48,7 @@ type FS struct {
 	// lets journaled file data be lent as well as direct data.
 	lender bentoks.BlockLender
 	super  layout.Superblock
-	log    *Log
+	log    *journal.Log
 	itab   itable
 	alloc  allocator
 }
@@ -78,7 +79,7 @@ func (fs *FS) Config() Config { return fs.cfg }
 func (fs *FS) BentoName() string { return "xv6-bento" }
 
 // Log exposes the write-ahead log (benchmark statistics).
-func (fs *FS) Log() *Log { return fs.log }
+func (fs *FS) Log() *journal.Log { return fs.log }
 
 // Super returns the parsed superblock geometry.
 func (fs *FS) Super() layout.Superblock { return fs.super }
@@ -103,7 +104,7 @@ func (fs *FS) Init(t *kernel.Task, sb bentoks.Disk) error {
 			super.Size, sb.Blocks(), fsapi.ErrCorrupt)
 	}
 	fs.super = super
-	fs.log = newLog(fs, super, fs.cfg.Policy)
+	fs.log = journal.New("xv6", &logDisk{sb}, super, journal.PerOp(), fs.cfg.Policy == PolicyFlush)
 	fs.alloc.blockRotor = super.DataStart
 	fs.alloc.inodeRotor = 2
 	return fs.log.Recover(t)
@@ -124,19 +125,19 @@ func readSuper(t *kernel.Task, sb bentoks.Disk) (super layout.Superblock, err er
 }
 
 // Destroy implements core.FileSystem.
-func (fs *FS) Destroy(t *kernel.Task) error { return fs.log.drain(t) }
+func (fs *FS) Destroy(t *kernel.Task) error { return fs.log.Drain(t) }
 
 // SyncFS implements core.FileSystem: everything mutated goes through the
 // log, so a forced commit makes the file system durable (plus a FLUSH
 // under PolicyFlush, handled inside the commit).
-func (fs *FS) SyncFS(t *kernel.Task) error { return fs.log.ForceCommit(t) }
+func (fs *FS) SyncFS(t *kernel.Task) error { return fs.log.Sync(t) }
 
 // Fsync implements core.FileSystem. xv6's log gives whole-file-system
 // durability, so fsync degenerates to a forced commit — the behaviour the
 // paper's varmail analysis relies on ("on all three versions the fsyncs
 // take up the majority of the runtime").
 func (fs *FS) Fsync(t *kernel.Task, ino fsapi.Ino, dataOnly bool) error {
-	return fs.log.ForceCommit(t)
+	return fs.log.Sync(t)
 }
 
 // dataDirect reports whether ip's contents take the buffer-cache
@@ -155,8 +156,8 @@ func (fs *FS) iputOutside(t *kernel.Task, ip *Inode) (err error) {
 	if err := ip.iput(t, false); err != errNeedTxn {
 		return err
 	}
-	op := fs.log.BeginOp(t, layout.MaxOpBlocks)
-	defer fs.log.endOp(t, op, &err)
+	fs.log.BeginOp(t, layout.MaxOpBlocks)
+	defer fs.log.EndOp(t, layout.MaxOpBlocks, &err)
 	return ip.iput(t, true)
 }
 
@@ -204,8 +205,8 @@ func (fs *FS) SetAttr(t *kernel.Task, ino fsapi.Ino, size int64) (err error) {
 	if ip.din.Type == layout.TypeDir {
 		return fsapi.ErrIsDir
 	}
-	op := fs.log.BeginOp(t, layout.MaxOpBlocks)
-	defer fs.log.endOp(t, op, &err)
+	fs.log.BeginOp(t, layout.MaxOpBlocks)
+	defer fs.log.EndOp(t, layout.MaxOpBlocks, &err)
 	if size == 0 {
 		return ip.itrunc(t)
 	}
@@ -273,7 +274,7 @@ func (fs *FS) zeroTail(t *kernel.Task, ip *Inode, blk uint32, off int64) (err er
 		return err
 	}
 	clear(data[off:])
-	return fs.log.Write(t, bh)
+	return fs.logWrite(t, bh)
 }
 
 // Create implements core.FileSystem.
@@ -290,8 +291,8 @@ func (fs *FS) createNode(t *kernel.Task, parent fsapi.Ino, name string, typ uint
 	if name == "" || name == "." || name == ".." {
 		return fsapi.Stat{}, fsapi.ErrInvalid
 	}
-	op := fs.log.BeginOp(t, metaOpBlocks)
-	defer fs.log.endOp(t, op, &err)
+	fs.log.BeginOp(t, metaOpBlocks)
+	defer fs.log.EndOp(t, metaOpBlocks, &err)
 
 	dp := fs.iget(uint32(parent))
 	defer fs.iputRef(t, dp)
@@ -353,8 +354,8 @@ func (fs *FS) removeNode(t *kernel.Task, parent fsapi.Ino, name string, wantDir 
 	if name == "." || name == ".." {
 		return fsapi.ErrInvalid
 	}
-	op := fs.log.BeginOp(t, layout.MaxOpBlocks)
-	defer fs.log.endOp(t, op, &err)
+	fs.log.BeginOp(t, layout.MaxOpBlocks)
+	defer fs.log.EndOp(t, layout.MaxOpBlocks, &err)
 
 	dp := fs.iget(uint32(parent))
 	defer fs.iputRef(t, dp)
@@ -413,8 +414,8 @@ func (fs *FS) Rename(t *kernel.Task, oldParent fsapi.Ino, oldName string, newPar
 	if len(newName) > layout.MaxNameLen {
 		return fsapi.ErrNameTooLong
 	}
-	op := fs.log.BeginOp(t, layout.MaxOpBlocks)
-	defer fs.log.endOp(t, op, &err)
+	fs.log.BeginOp(t, layout.MaxOpBlocks)
+	defer fs.log.EndOp(t, layout.MaxOpBlocks, &err)
 
 	odp := fs.iget(uint32(oldParent))
 	defer fs.iputRef(t, odp)
@@ -523,8 +524,8 @@ func (fs *FS) Rename(t *kernel.Task, oldParent fsapi.Ino, oldName string, newPar
 
 // Link implements core.FileSystem.
 func (fs *FS) Link(t *kernel.Task, ino fsapi.Ino, parent fsapi.Ino, name string) (st fsapi.Stat, err error) {
-	op := fs.log.BeginOp(t, metaOpBlocks)
-	defer fs.log.endOp(t, op, &err)
+	fs.log.BeginOp(t, metaOpBlocks)
+	defer fs.log.EndOp(t, metaOpBlocks, &err)
 
 	ip := fs.iget(uint32(ino))
 	defer fs.iputRef(t, ip)
@@ -662,8 +663,8 @@ func (fs *FS) WritePages(t *kernel.Task, ino fsapi.Ino, off int64, pages [][]byt
 // writeChunk writes one transaction's worth of a write: the first n bytes
 // of src at off.
 func (fs *FS) writeChunk(t *kernel.Task, ip *Inode, off int64, src [][]byte, n int64, owned bool) (w int, err error) {
-	op := fs.log.BeginOp(t, layout.MaxOpBlocks)
-	defer fs.log.endOp(t, op, &err)
+	fs.log.BeginOp(t, layout.MaxOpBlocks)
+	defer fs.log.EndOp(t, layout.MaxOpBlocks, &err)
 	if err := ip.iload(t); err != nil {
 		return 0, err
 	}
@@ -759,7 +760,7 @@ type transferState struct {
 // PrepareTransfer implements core.Upgradable: flush and drain the log,
 // then serialize in-memory state for the replacement instance.
 func (fs *FS) PrepareTransfer(t *kernel.Task) ([]byte, error) {
-	if err := fs.log.drain(t); err != nil {
+	if err := fs.log.Drain(t); err != nil {
 		return nil, err
 	}
 	st := transferState{
@@ -778,6 +779,6 @@ func (fs *FS) RestoreTransfer(t *kernel.Task, state []byte) error {
 	}
 	fs.alloc.blockRotor = st.BlockRotor
 	fs.alloc.inodeRotor = st.InodeRotor
-	fs.log.commits = st.Commits
+	fs.log.SetCommits(st.Commits)
 	return nil
 }

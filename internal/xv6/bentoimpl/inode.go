@@ -113,7 +113,7 @@ func (ip *Inode) iupdate(t *kernel.Task) (err error) {
 		return err
 	}
 	ip.din.Encode(data[layout.InodeOffset(ip.inum):])
-	return fs.log.Write(t, bh)
+	return fs.logWrite(t, bh)
 }
 
 // errNeedTxn signals that iput must free the inode but the caller holds
@@ -253,7 +253,7 @@ func (ip *Inode) mapLevel(t *kernel.Task, blk uint32, idx int, alloc, dataLeaf b
 		return 0, false, err
 	}
 	putU32(data, 4*idx, next)
-	if err := fs.log.Write(t, bh); err != nil {
+	if err := fs.logWrite(t, bh); err != nil {
 		return 0, false, err
 	}
 	return next, true, nil
@@ -306,7 +306,7 @@ func (fs *FS) clearPtr(t *kernel.Task, blk uint32, idx int) (err error) {
 		return err
 	}
 	putU32(data, 4*idx, 0)
-	return fs.log.Write(t, bh)
+	return fs.logWrite(t, bh)
 }
 
 // itrunc frees all blocks of the file and zeroes its size. ip is
@@ -450,9 +450,9 @@ func (ip *Inode) writei(t *kernel.Task, off int64, buf []byte) (int, error) {
 // the device as direct data (BWriteOwned), to the disk as the journaled
 // block otherwise (BAdopt). Direct data is ordered data: writev does not
 // wait for it but hands its latest completion to the transaction
-// (Log.orderData), whose commit record waits for it; a failed write waits
-// for what it submitted before it returns. ip is loaded; caller holds a
-// transaction sized for the write (see writeChunkBlocks).
+// (journal.Log.OrderData), whose commit record waits for it; a failed
+// write waits for what it submitted before it returns. ip is loaded;
+// caller holds a transaction sized for the write (see writeChunkBlocks).
 func (ip *Inode) writev(t *kernel.Task, off int64, src [][]byte, total int64, owned bool) (int, error) {
 	if off < 0 {
 		return 0, fsapi.ErrInvalid
@@ -525,7 +525,7 @@ func (ip *Inode) writev(t *kernel.Task, off int64, src [][]byte, total int64, ow
 		}
 		done += n
 	}
-	ip.fs.log.orderData(batchEnd)
+	ip.fs.log.OrderData(batchEnd)
 	if end := off + done; end > int64(ip.din.Size) {
 		ip.din.Size = uint64(end)
 	}
@@ -560,7 +560,7 @@ func (ip *Inode) bufferedWrite(t *kernel.Task, blk uint32, bo int64, from []byte
 		}
 		copy(data[bo:], from)
 	}
-	return ip.fs.log.Write(t, bh)
+	return ip.fs.logWrite(t, bh)
 }
 
 // stat converts the in-core inode to fsapi.Stat. ip is loaded.

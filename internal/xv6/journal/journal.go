@@ -1,0 +1,400 @@
+// Package journal is xv6's write-ahead log, written once beneath every
+// file system of the xv6 design: Bento's (internal/xv6/bentoimpl, which
+// the FUSE daemon also hosts), and the C-Kernel's and ext4's
+// (internal/xv6/vfsimpl). The paper compares the frameworks those file
+// systems are written against, not their logs, so the log algorithm is
+// one piece of code and each file system supplies only its block access
+// (Disk) through its own API: Bento's through the bentoks wrappers, the
+// C-Kernel's and ext4's straight through the kernel buffer cache. Every
+// wrapper check, charge and span therefore stays on the API the paper
+// compares.
+//
+// Operations bracket their mutations with BeginOp and EndOp; blocks
+// mutated inside are joined to the running transaction by Write and
+// become durable together at group commit. A commit is xv6's four steps:
+// copy the blocks into the log region, write the header (the commit
+// record), install the blocks home, and clear the header. It returns at
+// its commit record: the install and the cleared record, the checkpoint,
+// run on the mount's journal task, as jbd2 checkpoints off the
+// committing thread, and the next commit writes its log slots beside the
+// running checkpoint's (layout.PlaceBeside). The policy says when the
+// running transaction commits: as every operation ends (PerOp, xv6's own
+// log, which Bento and the C-Kernel run), or once it has grown past a
+// threshold or on sync (Compound, jbd2's, which ext4 runs).
+//
+// No locks: one task runs at a time (see the kernel package comment).
+package journal
+
+import (
+	"fmt"
+
+	"bento/internal/fsapi"
+	"bento/internal/kernel"
+	"bento/internal/trace"
+	"bento/internal/xv6/layout"
+)
+
+// Disk is the block access the log makes through its file system.
+type Disk interface {
+	// CopyBlock submits a write of block from's contents to block to and
+	// returns its completion: a commit's log slot (home to log) and a
+	// recovery's install (log to home). At commit the read is a cache
+	// hit: logged blocks are dirty in cache.
+	CopyBlock(t *kernel.Task, from, to uint32) (done int64, err error)
+	// SubmitHome submits the write of cached block blk to its home
+	// location and returns its completion: a commit's install.
+	SubmitHome(t *kernel.Task, blk uint32) (done int64, err error)
+	// WithHeader acquires the log header block blk, read from the device
+	// when fill is set and zeroed when it is not, calls use with it and
+	// releases it once use returns. A failed release becomes the error
+	// unless use returned one.
+	WithHeader(t *kernel.Task, blk uint32, fill bool, use HeaderFunc) error
+	// Flush issues a device FLUSH: a barrier between a commit's steps.
+	Flush(t *kernel.Task) error
+	// JournalTask returns the task a commit's checkpoint runs on.
+	JournalTask(t *kernel.Task) *kernel.Task
+}
+
+// A Header is the log header block, held for one Disk.WithHeader call.
+type Header interface {
+	// WriteSync writes the block and waits for it.
+	WriteSync(t *kernel.Task) error
+}
+
+// HeaderFunc uses the held log header block h, whose contents are data.
+type HeaderFunc func(t *kernel.Task, h Header, data []byte) error
+
+// Policy is when the running transaction commits.
+type Policy struct {
+	// threshold is the block count at which the last operation to end
+	// commits a compound transaction; 0 commits every operation.
+	threshold int
+}
+
+// PerOp is xv6's log, Bento's and the C-Kernel's: every operation
+// commits as it ends, and with barriers a FLUSH follows each of the
+// commit's three points (the commit record, the install, the cleared
+// record).
+func PerOp() Policy { return Policy{} }
+
+// Compound is jbd2's journal, ext4's: operations join a running
+// compound transaction that commits once the last open operation ends
+// with threshold blocks joined, or on sync, not per operation. With
+// barriers a FLUSH follows the commit record and the install: paid once
+// per compound commit.
+func Compound(threshold int) Policy {
+	if threshold < 1 {
+		panic(fmt.Sprintf("journal: compound threshold %d, want at least 1", threshold))
+	}
+	return Policy{threshold}
+}
+
+func (p Policy) compound() bool { return p.threshold > 0 }
+
+// Log is the write-ahead log over one mount's log region.
+type Log struct {
+	name     string // prefixes errors and panics
+	disk     Disk
+	start    uint32 // log header block
+	size     uint32 // log data blocks; one transaction must fit
+	policy   Policy
+	barriers bool
+	// record is commitRecord as a value, made once so that a commit
+	// hands it to Disk.WithHeader without allocating.
+	record HeaderFunc
+
+	outstanding   int      // open operations
+	reserved      uint32   // blocks reserved by the open operations
+	committing    bool     // a commit is running
+	blocks        []uint32 // home addresses of the running transaction's blocks
+	inLog         map[uint32]bool
+	dataEnd       int64  // latest completion of the running transaction's ordered data
+	opDataEnd     int64  // latest completion of the open operations' ordered data
+	first         uint32 // first log slot of the commit being recorded
+	commitEnd     int64  // virtual completion of the last commit record
+	checkpointEnd int64  // virtual completion of the last cleared header: the live slots are free
+	live, nlive   uint32 // slots of the last committed transaction, in use until checkpointEnd
+	commits       int64
+}
+
+// New returns the log of the file system name over the log region sb
+// describes. barriers orders commits and recovery with device FLUSHes.
+func New(name string, d Disk, sb layout.Superblock, p Policy, barriers bool) *Log {
+	l := &Log{
+		name:     name,
+		disk:     d,
+		start:    sb.LogStart,
+		size:     sb.NLog,
+		policy:   p,
+		barriers: barriers,
+		inLog:    make(map[uint32]bool),
+	}
+	l.record = l.commitRecord
+	return l
+}
+
+// Commits reports how many group commits have run, empty ones included:
+// under PerOp every outermost operation and every Sync counts.
+func (l *Log) Commits() int64 { return l.commits }
+
+// SetCommits carries the commit count across an online upgrade.
+func (l *Log) SetCommits(n int64) { l.commits = n }
+
+// Recover replays a committed-but-uninstalled transaction after a
+// crash, then clears the log. A mount calls it before serving anything.
+func (l *Log) Recover(t *kernel.Task) error {
+	return l.disk.WithHeader(t, l.start, true, l.replay)
+}
+
+func (l *Log) replay(t *kernel.Task, h Header, data []byte) error {
+	if first, blocks := layout.DecodeLogHeader(data, l.size); len(blocks) > 0 {
+		var last int64
+		for i, home := range blocks {
+			done, err := l.disk.CopyBlock(t, l.start+1+first+uint32(i), home)
+			if err != nil {
+				return err
+			}
+			last = max(last, done)
+		}
+		t.WaitIO("install", last)
+		if err := l.flush(t); err != nil {
+			return err
+		}
+	}
+	layout.EncodeLogHeader(data, 0, nil, l.size)
+	if err := h.WriteSync(t); err != nil {
+		return err
+	}
+	return l.flush(t)
+}
+
+// BeginOp opens an operation that will dirty at most n blocks. One task
+// runs at a time and a commit finishes inside the call that started it,
+// so an operation never begins mid-commit, and the log commits before
+// its reservations could overrun it: either would be a broken contract,
+// not something to wait out. What a task does wait for, in virtual
+// time, is the end of a commit it slept through (a begin-stall).
+func (l *Log) BeginOp(t *kernel.Task, n int) {
+	if l.committing || uint32(len(l.blocks))+l.reserved+uint32(n) > l.size {
+		panic(fmt.Sprintf("%s: BeginOp(%d) found the log committing=%v with %d logged + %d reserved of %d blocks: "+
+			"another task is mid-transaction, which the one-runner-at-a-time contract forbids",
+			l.name, n, l.committing, len(l.blocks), l.reserved, l.size))
+	}
+	l.outstanding++
+	l.reserved += uint32(n)
+	if r := t.Rec(); r != nil && l.commitEnd > t.Clk.NowNS() {
+		r.Span(t.Name, trace.CatJournal, "begin-stall", t.Clk.NowNS(), l.commitEnd)
+		r.Add(trace.CtrJournalStalls, 1)
+	}
+	t.Clk.AdvanceTo(l.commitEnd)
+}
+
+// Write joins block blk, which the caller has marked dirty in its cache,
+// to the running transaction (xv6's log_write). The block stays dirty
+// in the cache until the commit installs it.
+func (l *Log) Write(t *kernel.Task, blk uint32) error {
+	if l.outstanding == 0 {
+		return fmt.Errorf("%s: log write outside an operation: %w", l.name, fsapi.ErrInvalid)
+	}
+	if l.inLog[blk] {
+		// Absorption: the block is already in this transaction.
+		t.Rec().Add(trace.CtrJournalAbsorbed, 1)
+		return nil
+	}
+	if uint32(len(l.blocks)) >= l.size {
+		return fmt.Errorf("%s: transaction too big: %w", l.name, fsapi.ErrNoSpace)
+	}
+	l.inLog[blk] = true
+	l.blocks = append(l.blocks, blk)
+	return nil
+}
+
+// OrderData makes a batch of direct data writes that completes at end
+// ordered data of the running transaction, as jbd2's ordered mode does:
+// its commit record is submitted only once the data has completed, and
+// an operation that ends without committing waits for its own data as it
+// ends. The data is submitted but not waited for, so it overlaps the
+// rest of the operation and the commit's log slots.
+func (l *Log) OrderData(end int64) {
+	l.dataEnd = max(l.dataEnd, end)
+	l.opDataEnd = max(l.opDataEnd, end)
+}
+
+// EndOp closes an operation opened by BeginOp(t, n). The last one to
+// close commits when the policy says the transaction is due, and returns
+// after the operations' ordered data has completed, whether it committed
+// or not. A failed commit becomes *err unless it already holds an error,
+// so a mutation that never became durable does not report success;
+// operations defer it with their named result.
+func (l *Log) EndOp(t *kernel.Task, n int, err *error) {
+	l.outstanding--
+	l.reserved -= uint32(n)
+	if l.outstanding > 0 {
+		return // an enclosing operation commits
+	}
+	var cerr error
+	if len(l.blocks) >= l.policy.threshold {
+		cerr = l.commit(t)
+	}
+	t.WaitIO("write-batch", l.opDataEnd)
+	l.opDataEnd = 0
+	if *err == nil {
+		*err = cerr
+	}
+}
+
+// Sync makes everything logged durable (fsync, sync, unmount). Under
+// PerOp every operation committed as it ended, so Sync is an empty
+// operation: it waits out the last commit and commits nothing. Under
+// Compound it commits what is pending: fsyncs share compound commits,
+// the group commit that amortizes ext4's barriers across varmail's
+// threads, as the running transaction carries every task's operations,
+// so the first fsync to arrive commits them all and the others find
+// nothing pending.
+func (l *Log) Sync(t *kernel.Task) (err error) {
+	if !l.policy.compound() {
+		l.BeginOp(t, 1)
+		l.EndOp(t, 1, &err)
+		return err
+	}
+	if len(l.blocks) == 0 {
+		return nil
+	}
+	if l.outstanding > 0 {
+		panic(l.name + ": sync with an operation open: the barrier is its own operation (one runner at a time)")
+	}
+	return l.commit(t)
+}
+
+// Drain syncs and waits out the last checkpoint, so the log is idle: a
+// mount's last act before it unmounts or hands the disk to its
+// replacement, whose first commit, knowing nothing of this log's live
+// slots, must not write the log before its cleared header has
+// completed.
+func (l *Log) Drain(t *kernel.Task) error {
+	err := l.Sync(t)
+	t.WaitJournal("checkpoint-wait", l.checkpointEnd)
+	return err
+}
+
+// commit commits the running transaction, if it holds any block, and
+// resets it in place: the slice capacity and map buckets carry to the
+// next transaction instead of being reallocated per commit. That is safe
+// because no operation begins while committing, so nothing can append
+// between writeCommit consuming l.blocks and the reset.
+func (l *Log) commit(t *kernel.Task) error {
+	l.committing = true
+	var err error
+	if n := len(l.blocks); n > 0 {
+		start := t.Clk.NowNS()
+		err = l.writeCommit(t)
+		if r := t.Rec(); r != nil {
+			r.SpanAB(t.Name, trace.CatJournal, "commit", start, t.Clk.NowNS(), int64(n), 0)
+			r.Add(trace.CtrJournalCommits, 1)
+			r.Add(trace.CtrJournalBlocks, int64(n))
+		}
+	}
+	l.blocks = l.blocks[:0]
+	clear(l.inLog)
+	l.dataEnd = 0
+	l.committing = false
+	l.commits++
+	l.commitEnd = max(l.commitEnd, t.Clk.NowNS())
+	return err
+}
+
+// writeCommit writes the running transaction to the log as one batch:
+// it submits every slot, then waits once for the later of the latest
+// slot's completion and the transaction's ordered data, so the commit
+// record that follows is submitted only after every slot and every data
+// block has completed, and after the previous checkpoint. A disk with no
+// asynchronous submission (the FUSE daemon's pwrite) completes each slot
+// before submitting the next, so there the batch stays serial.
+func (l *Log) writeCommit(t *kernel.Task) error {
+	first := l.place(t, uint32(len(l.blocks)))
+	var last int64
+	for i, home := range l.blocks {
+		done, err := l.disk.CopyBlock(t, home, l.start+1+first+uint32(i))
+		if err != nil {
+			return err
+		}
+		last = max(last, done)
+	}
+	t.WaitIO("journal-write", max(last, l.dataEnd))
+	t.WaitJournal("checkpoint-wait", l.checkpointEnd)
+	l.first = first
+	return l.disk.WithHeader(t, l.start, false, l.record)
+}
+
+// commitRecord writes the commit record into the held header block, then
+// runs the checkpoint: the blocks home and the cleared record, with the
+// barriers between. It returns once the checkpoint has been issued; its
+// steps are issued in order inside the call, so their errors fail the
+// commit, but on the journal task, whose clock starts at the commit
+// record's completion. The header is acquired once and written twice:
+// the next commit, which waits for the checkpoint only before its own
+// record, shares the block with the cleared record.
+func (l *Log) commitRecord(t *kernel.Task, h Header, data []byte) error {
+	layout.EncodeLogHeader(data, l.first, l.blocks, l.size)
+	if err := h.WriteSync(t); err != nil {
+		return err
+	}
+	l.live, l.nlive = l.first, uint32(len(l.blocks))
+	if err := l.flush(t); err != nil {
+		return err
+	}
+	jt := l.disk.JournalTask(t)
+	jt.Clk.AdvanceTo(t.Clk.NowNS())
+	defer func() { l.checkpointEnd = jt.Clk.NowNS() }()
+	var last int64
+	for _, home := range l.blocks {
+		done, err := l.disk.SubmitHome(jt, home)
+		if err != nil {
+			return err
+		}
+		last = max(last, done)
+	}
+	jt.WaitIO("install", last)
+	if err := l.flush(jt); err != nil {
+		return err
+	}
+	layout.EncodeLogHeader(data, 0, nil, l.size)
+	if err := h.WriteSync(jt); err != nil {
+		return err
+	}
+	if l.policy.compound() {
+		return nil // jbd2 issues no barrier after the cleared record
+	}
+	return l.flush(jt)
+}
+
+// place returns the first log slot of a transaction of n blocks. With no
+// checkpoint running at t's clock that is slot 0. Otherwise the
+// transaction goes beside the slots of the transaction being
+// checkpointed (a log-beside instant) when the log has room for both, as
+// jbd2's circular log takes new commits while older transactions
+// checkpoint; only when it has not does the commit wait out the
+// checkpoint and take slot 0.
+func (l *Log) place(t *kernel.Task, n uint32) uint32 {
+	now := t.Clk.NowNS()
+	if l.checkpointEnd <= now {
+		return 0
+	}
+	first, ok := layout.PlaceBeside(n, l.live, l.nlive, l.size)
+	if !ok {
+		t.WaitJournal("checkpoint-wait", l.checkpointEnd)
+		return 0
+	}
+	if r := t.Rec(); r != nil {
+		r.Instant(t.Name, trace.CatJournal, "log-beside", now, int64(first), int64(n))
+	}
+	return first
+}
+
+// flush issues a barrier when the log runs with them.
+func (l *Log) flush(t *kernel.Task) error {
+	if !l.barriers {
+		return nil
+	}
+	return l.disk.Flush(t)
+}

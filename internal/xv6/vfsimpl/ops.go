@@ -67,7 +67,7 @@ func (fs *FS) SetSize(t *kernel.Task, ino fsapi.Ino, size int64) (err error) {
 		return fsapi.ErrIsDir
 	}
 	fs.beginOp(t)
-	defer fs.endOpInto(t, &err)
+	defer fs.endOp(t, &err)
 	if size == 0 {
 		return fs.itrunc(t, ip)
 	}
@@ -140,7 +140,7 @@ func (fs *FS) createNode(t *kernel.Task, dir fsapi.Ino, name string, typ uint16)
 		return fsapi.Stat{}, fsapi.ErrInvalid
 	}
 	fs.beginOp(t)
-	defer fs.endOpInto(t, &err)
+	defer fs.endOp(t, &err)
 	dp := fs.iget(uint32(dir))
 	defer fs.iput(t, dp, true)
 	if err := fs.iload(t, dp); err != nil {
@@ -198,7 +198,7 @@ func (fs *FS) removeNode(t *kernel.Task, dir fsapi.Ino, name string, wantDir boo
 		return fsapi.ErrInvalid
 	}
 	fs.beginOp(t)
-	defer fs.endOpInto(t, &err)
+	defer fs.endOp(t, &err)
 	dp := fs.iget(uint32(dir))
 	defer fs.iput(t, dp, true)
 	if err := fs.iload(t, dp); err != nil {
@@ -255,7 +255,7 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 		return fsapi.ErrNameTooLong
 	}
 	fs.beginOp(t)
-	defer fs.endOpInto(t, &err)
+	defer fs.endOp(t, &err)
 
 	odp := fs.iget(uint32(odir))
 	defer fs.iput(t, odp, true)
@@ -364,7 +364,7 @@ func (fs *FS) Rename(t *kernel.Task, odir fsapi.Ino, oname string, ndir fsapi.In
 // Link implements kernel.FileSystem.
 func (fs *FS) Link(t *kernel.Task, ino fsapi.Ino, dir fsapi.Ino, name string) (_ fsapi.Stat, err error) {
 	fs.beginOp(t)
-	defer fs.endOpInto(t, &err)
+	defer fs.endOp(t, &err)
 	ip := fs.iget(uint32(ino))
 	defer fs.iput(t, ip, true)
 	if err := fs.iload(t, ip); err != nil {
@@ -507,7 +507,7 @@ func (fs *FS) WritePage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte, new
 	ip := fs.iget(uint32(ino))
 	defer fs.iput(t, ip, false)
 	fs.beginOp(t)
-	defer fs.endOpInto(t, &err)
+	defer fs.endOp(t, &err)
 	if err := fs.iload(t, ip); err != nil {
 		return err
 	}
@@ -546,14 +546,11 @@ func (fs *FS) WriteBatch(t *kernel.Task, ino fsapi.Ino, pg int64, pages [][]byte
 		}
 		total := min(int64(end-start)*fsapi.PageSize, newSize-off)
 		fs.beginOp(t)
-		if err := fs.iload(t, ip); err != nil {
-			_ = fs.endOp(t)
-			return err
+		err := fs.iload(t, ip)
+		if err == nil {
+			_, err = fs.writev(t, ip, off, pages[start:end], total, true)
 		}
-		_, err := fs.writev(t, ip, off, pages[start:end], total, true)
-		if e := fs.endOp(t); err == nil {
-			err = e
-		}
+		fs.endOp(t, &err)
 		if err != nil {
 			return err
 		}
@@ -563,11 +560,11 @@ func (fs *FS) WriteBatch(t *kernel.Task, ino fsapi.Ino, pg int64, pages [][]byte
 
 // Fsync implements kernel.FileSystem.
 func (fs *FS) Fsync(t *kernel.Task, ino fsapi.Ino, dataOnly bool) error {
-	return fs.log.sync(fs, t)
+	return fs.log.Sync(t)
 }
 
 // Sync implements kernel.FileSystem.
-func (fs *FS) Sync(t *kernel.Task) error { return fs.log.sync(fs, t) }
+func (fs *FS) Sync(t *kernel.Task) error { return fs.log.Sync(t) }
 
 // StatFS implements kernel.FileSystem.
 func (fs *FS) StatFS(t *kernel.Task) (fsapi.FSStat, error) {
@@ -604,10 +601,9 @@ func (fs *FS) StatFS(t *kernel.Task) (fsapi.FSStat, error) {
 // its checkpoint, then the leak check BentoFS.Unmount runs through its
 // ownership checker, made here by counting the buffers still referenced.
 func (fs *FS) Unmount(t *kernel.Task) error {
-	if err := fs.log.sync(fs, t); err != nil {
+	if err := fs.log.Drain(t); err != nil {
 		return err
 	}
-	t.WaitJournal("checkpoint-wait", fs.checkpointEnd)
 	if n := fs.bc.Held(); n > 0 {
 		return fmt.Errorf("%s: %d buffer(s) still referenced at unmount: %w", fs.name, n, fsapi.ErrInvalid)
 	}

@@ -3,21 +3,23 @@
 // baseline ("C-Kernel" bars in every figure) — and, mounted with three
 // other mechanisms, the ext4 comparator (internal/ext4).
 //
-// It shares the on-disk format (internal/xv6/layout) with the Bento
-// version but is a separate implementation, as the paper's baselines
-// were: it talks straight to the kernel buffer cache with no capability
-// wrappers or ownership checking, and Type mounts it with only the
-// single-page ->writepage write-back path (no batched writepages) — the
-// two differences the paper identifies between the variants. The code is
+// It shares the on-disk format (internal/xv6/layout) and the log
+// (internal/xv6/journal) with the Bento version but is otherwise a
+// separate implementation, as the paper's baselines were: it talks
+// straight to the kernel buffer cache with no capability wrappers or
+// ownership checking, and Type mounts it with only the single-page
+// ->writepage write-back path (no batched writepages) — the two
+// differences the paper identifies between the variants. The code is
 // deliberately C-flavoured: flat functions over the same structs, with
-// manual brelse bookkeeping.
+// manual brelse bookkeeping; the log reaches the device the same way,
+// through this package's block access (logDisk).
 //
 // What a type fixes when it mounts the file system (Mechanisms) is all
 // that separates the C-Kernel from ext4: the journal's commit policy
-// (xv6's per-operation log with serial writes, or jbd2's compound
-// transaction with batched submits), directory lookup (a dirent scan, or
-// an in-memory index), the geometry and the buffer-cache size. ext4 also
-// exposes WriteBatch as the batched ->writepages path.
+// (xv6's per-operation log, or jbd2's compound transaction), directory
+// lookup (a dirent scan, or an in-memory index), the geometry and the
+// buffer-cache size. ext4 also exposes WriteBatch as the batched
+// ->writepages path.
 package vfsimpl
 
 import (
@@ -26,6 +28,7 @@ import (
 	"bento/internal/blockdev"
 	"bento/internal/fsapi"
 	"bento/internal/kernel"
+	"bento/internal/xv6/journal"
 	"bento/internal/xv6/layout"
 )
 
@@ -62,7 +65,7 @@ func (tt Type) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, e
 	}
 	fs, err := New(t, dev, super, Mechanisms{
 		Name:       "xv6vfs",
-		Journal:    PerOpLog(),
+		Journal:    journal.PerOp(),
 		Dirs:       ScanDirs(),
 		Barriers:   tt.Cfg.FlushCommits,
 		DataBypass: tt.Cfg.DataBypass,
@@ -82,9 +85,9 @@ type Mechanisms struct {
 	// CacheBlocks is the buffer cache's capacity; 0 takes the kernel's
 	// default.
 	CacheBlocks int
-	// Journal is when a transaction commits and how its blocks reach the
-	// device: PerOpLog or Compound.
-	Journal Journal
+	// Journal is when a transaction commits: journal.PerOp or
+	// journal.Compound.
+	Journal journal.Policy
 	// Dirs is how a name is found in a directory: ScanDirs or IndexedDirs.
 	Dirs Dirs
 	// Barriers orders journal commits and recovery with device FLUSHes.
@@ -102,18 +105,15 @@ func New(t *kernel.Task, dev *blockdev.Device, super layout.Superblock, m Mechan
 		bc:         kernel.NewBufferCache(dev, t.Model(), m.CacheBlocks),
 		dev:        dev,
 		super:      super,
-		barriers:   m.Barriers,
 		bypass:     m.DataBypass,
-		log:        m.Journal,
-		logCap:     m.Journal.capacity(),
 		dirs:       m.Dirs,
-		inLog:      make(map[uint32]bool),
 		blockRotor: super.DataStart,
 		inodeRotor: 2,
 		inodes:     make(map[uint32]*inode),
-		jthread:    t.Kernel().NewTask("journal"),
 	}
-	if err := fs.recover(t); err != nil {
+	disk := &logDisk{bc: fs.bc, dev: dev, jt: t.Kernel().NewTask("journal")}
+	fs.log = journal.New(m.Name, disk, super, m.Journal, m.Barriers)
+	if err := fs.log.Recover(t); err != nil {
 		return nil, err
 	}
 	return fs, nil
@@ -149,28 +149,13 @@ func (ip *inode) bounceBuf() []byte {
 
 // FS is one mounted instance of the file system.
 type FS struct {
-	name     string
-	bc       *kernel.BufferCache
-	dev      *blockdev.Device
-	super    layout.Superblock
-	barriers bool
-	bypass   bool
-	dirs     Dirs
-
-	// journal state (xv6's struct log). No locks anywhere in FS: one task
-	// runs at a time (see the kernel package comment).
-	log           Journal
-	logCap        uint32
-	outstanding   int // open operations
-	committing    bool
-	logBlocks     []uint32 // blocks joined to the running transaction
-	inLog         map[uint32]bool
-	dataEnd       int64        // latest completion of the running transaction's ordered data
-	opDataEnd     int64        // latest completion of the open operations' ordered data
-	commitEnd     int64        // virtual completion of the last commit record
-	checkpointEnd int64        // virtual completion of the last cleared record: the live slots are free
-	live, nlive   uint32       // slots of the last committed transaction, in use until checkpointEnd
-	jthread       *kernel.Task // the journal thread the checkpoint runs on
+	name   string
+	bc     *kernel.BufferCache
+	dev    *blockdev.Device
+	super  layout.Superblock
+	bypass bool
+	dirs   Dirs
+	log    *journal.Log
 
 	// allocation rotors.
 	blockRotor uint32
@@ -382,9 +367,7 @@ func (fs *FS) iput(t *kernel.Task, ip *inode, hasTxn bool) error {
 		if !hasTxn {
 			fs.beginOp(t)
 			err := fs.iput(t, ip, true)
-			if e := fs.endOp(t); err == nil {
-				err = e
-			}
+			fs.endOp(t, &err)
 			return err
 		}
 		if err := fs.itrunc(t, ip); err != nil {
@@ -649,7 +632,7 @@ func (fs *FS) writei(t *kernel.Task, ip *inode, off int64, buf []byte) (int, err
 // page-aligned: a whole block of direct data is then a whole buffer of
 // src and goes to the device as it is instead of being copied. Direct
 // data is ordered data: writev does not wait for it but hands its latest
-// completion to the transaction (orderData), whose commit record waits for
+// completion to the transaction (OrderData), whose commit record waits for
 // it; a failed write waits for what it submitted before it returns.
 func (fs *FS) writev(t *kernel.Task, ip *inode, off int64, src [][]byte, total int64, owned bool) (int, error) {
 	if off < 0 || off+total > layout.MaxFileSize {
@@ -729,7 +712,7 @@ func (fs *FS) writev(t *kernel.Task, ip *inode, off int64, src [][]byte, total i
 		_ = bh.Release()
 		done += n
 	}
-	fs.orderData(batchEnd)
+	fs.log.OrderData(batchEnd)
 	if end := off + done; end > int64(ip.din.Size) {
 		ip.din.Size = uint64(end)
 	}
