@@ -449,7 +449,7 @@ func (ip *Inode) writei(t *kernel.Task, off int64, buf []byte) (int, error) {
 // buffer of src and is passed on as it is instead of being copied — to
 // the device as direct data (BWriteOwned), to the disk as the journaled
 // block otherwise (BAdopt). Direct data is ordered data: writev does not
-// wait for it but hands its latest completion to the transaction
+// wait for it but hands each block and its completion to the transaction
 // (journal.Log.OrderData), whose commit record waits for it; a failed
 // write waits for what it submitted before it returns. ip is loaded;
 // caller holds a transaction sized for the write (see writeChunkBlocks).
@@ -517,6 +517,7 @@ func (ip *Inode) writev(t *kernel.Task, off int64, src [][]byte, total int64, ow
 				return int(done), err
 			}
 			batchEnd = max(batchEnd, completion)
+			ip.fs.log.OrderData(uint32(blk), completion)
 			done += n
 			continue
 		}
@@ -525,7 +526,6 @@ func (ip *Inode) writev(t *kernel.Task, off int64, src [][]byte, total int64, ow
 		}
 		done += n
 	}
-	ip.fs.log.OrderData(batchEnd)
 	if end := off + done; end > int64(ip.din.Size) {
 		ip.din.Size = uint64(end)
 	}

@@ -58,6 +58,21 @@ func TestCommitCheckpointsInBackground(t *testing.T) {
 	}
 }
 
+// TestBothRecordBlocksBusy slows every data-region write by a
+// millisecond, so each mkdir's checkpoint, which installs the parent
+// directory's block, outlasts the next two commits: a commit finds both
+// record blocks busy and waits out the earlier clear, and every commit
+// still keeps the checkpoint order.
+func TestBothRecordBlocksBusy(t *testing.T) {
+	r := bentoRig(t, costmodel.Default(), bentoimpl.PolicyWriteBack)
+	r.SlowData(time.Millisecond)
+	if err := r.Mkdirs("/a", "/b", "/c", "/d"); err != nil {
+		t.Fatal(err)
+	}
+	r.RequireCheckpointOrder(t)
+	r.RequireCheckpointWait(t)
+}
+
 // TestBesideRecordRecovers cuts the power right after a commit record
 // whose log slots sit beside a running checkpoint, under both policies:
 // recovery installs that transaction from its own slots.
@@ -66,6 +81,28 @@ func TestBesideRecordRecovers(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			bentoRig(t, costmodel.Default(), policy).RequireBesideRecovery(t)
 		})
+	}
+}
+
+// TestCommitsCountsTransactions: the log's commit count is the number
+// of transactions committed, the sequence number of the last record: an
+// empty group commit, such as each Sync after a mkdir that committed as
+// it ended, writes no record and does not count. An upgrade carries it
+// to the replacement instance.
+func TestCommitsCountsTransactions(t *testing.T) {
+	r := bentoRig(t, costmodel.Default(), bentoimpl.PolicyWriteBack)
+	if err := r.Mkdirs("/a", "/b", "/c"); err != nil {
+		t.Fatal(err)
+	}
+	shim := r.M.FS().(*core.BentoFS)
+	if got, want := shim.Inner().(*bentoimpl.FS).Log().Commits(), int64(len(r.Commits(1))); got != want || want != 3 {
+		t.Fatalf("Commits() = %d after %d traced commits, want 3", got, want)
+	}
+	if err := shim.Upgrade(r.Task, bentoimpl.New(shim.Inner().(*bentoimpl.FS).Config())); err != nil {
+		t.Fatal(err)
+	}
+	if got := shim.Inner().(*bentoimpl.FS).Log().Commits(); got != 3 {
+		t.Fatalf("Commits() = %d after the upgrade, want the 3 carried over", got)
 	}
 }
 
@@ -256,4 +293,14 @@ func TestFailedAllocationReleasesBuffers(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTwoRecordsRecover cuts the power right after a commit record in
+// block A was submitted while the previous commit's record in block B
+// was still valid: recovery replays both in sequence order. The mount
+// runs without barriers, as published; with them, a commit's slots
+// queue behind the running checkpoint's FLUSH, so its record never
+// overlaps that checkpoint's clear.
+func TestTwoRecordsRecover(t *testing.T) {
+	bentoRig(t, costmodel.Default(), bentoimpl.PolicyWriteBack).RequireTwoRecordRecovery(t)
 }

@@ -12,12 +12,14 @@
 // Operations bracket their mutations with BeginOp and EndOp; blocks
 // mutated inside are joined to the running transaction by Write and
 // become durable together at group commit. A commit is xv6's four steps:
-// copy the blocks into the log region, write the header (the commit
-// record), install the blocks home, and clear the header. It returns at
-// its commit record: the install and the cleared record, the checkpoint,
-// run on the mount's journal task, as jbd2 checkpoints off the
-// committing thread, and the next commit writes its log slots beside the
-// running checkpoint's (layout.PlaceBeside). The policy says when the
+// copy the blocks into the log slots, write the commit record, install
+// the blocks home, and clear the record. It returns at its commit record:
+// the install and the cleared record, the checkpoint, run on the mount's
+// journal task, as jbd2 checkpoints off the committing thread. The next
+// commit writes its log slots beside those of every transaction still
+// being checkpointed (layout.PlaceSlots) and its record in whichever of
+// the log's two record blocks its last clear has left free, so it waits
+// for a checkpoint only when both are still busy. The policy says when the
 // running transaction commits: as every operation ends (PerOp, xv6's own
 // log, which Bento and the C-Kernel run), or once it has grown past a
 // threshold or on sync (Compound, jbd2's, which ext4 runs).
@@ -27,6 +29,7 @@ package journal
 
 import (
 	"fmt"
+	"slices"
 
 	"bento/internal/fsapi"
 	"bento/internal/kernel"
@@ -44,7 +47,7 @@ type Disk interface {
 	// SubmitHome submits the write of cached block blk to its home
 	// location and returns its completion: a commit's install.
 	SubmitHome(t *kernel.Task, blk uint32) (done int64, err error)
-	// WithHeader acquires the log header block blk, read from the device
+	// WithHeader acquires the record block blk, read from the device
 	// when fill is set and zeroed when it is not, calls use with it and
 	// releases it once use returns. A failed release becomes the error
 	// unless use returned one.
@@ -55,13 +58,13 @@ type Disk interface {
 	JournalTask(t *kernel.Task) *kernel.Task
 }
 
-// A Header is the log header block, held for one Disk.WithHeader call.
+// A Header is a record block, held for one Disk.WithHeader call.
 type Header interface {
 	// WriteSync writes the block and waits for it.
 	WriteSync(t *kernel.Task) error
 }
 
-// HeaderFunc uses the held log header block h, whose contents are data.
+// HeaderFunc uses the held record block h, whose contents are data.
 type HeaderFunc func(t *kernel.Task, h Header, data []byte) error
 
 // Policy is when the running transaction commits.
@@ -95,26 +98,38 @@ func (p Policy) compound() bool { return p.threshold > 0 }
 type Log struct {
 	name     string // prefixes errors and panics
 	disk     Disk
-	start    uint32 // log header block
-	size     uint32 // log data blocks; one transaction must fit
+	start    uint32 // record block A: log slot i is block start+1+i
+	size     uint32 // log slots; one transaction must fit
 	policy   Policy
 	barriers bool
 	// record is commitRecord as a value, made once so that a commit
 	// hands it to Disk.WithHeader without allocating.
 	record HeaderFunc
 
-	outstanding   int      // open operations
-	reserved      uint32   // blocks reserved by the open operations
-	committing    bool     // a commit is running
-	blocks        []uint32 // home addresses of the running transaction's blocks
-	inLog         map[uint32]bool
-	dataEnd       int64  // latest completion of the running transaction's ordered data
-	opDataEnd     int64  // latest completion of the open operations' ordered data
-	first         uint32 // first log slot of the commit being recorded
-	commitEnd     int64  // virtual completion of the last commit record
-	checkpointEnd int64  // virtual completion of the last cleared header: the live slots are free
-	live, nlive   uint32 // slots of the last committed transaction, in use until checkpointEnd
-	commits       int64
+	outstanding int      // open operations
+	reserved    uint32   // blocks reserved by the open operations
+	committing  bool     // a commit is running
+	blocks      []uint32 // home addresses of the running transaction's blocks
+	inLog       map[uint32]bool
+	dataEnd     int64    // latest completion of the running transaction's ordered data
+	opDataEnd   int64    // latest completion of the open operations' ordered data
+	ordered     []uint32 // blocks the running transaction's ordered data overwrote
+	first       uint32   // first log slot of the commit being recorded
+	rec         int      // record block of the commit being recorded
+	commitEnd   int64    // virtual completion of the last commit record
+	records     [2]recordBlock
+	commits     int64 // committed transactions: the last record's sequence number
+}
+
+// recordBlock is one of the log's two record blocks.
+type recordBlock struct {
+	blk uint32
+	// clearEnd is the virtual completion of the block's last cleared
+	// record: from then on the block is free for the next record, and
+	// slots, the slots of the transaction it recorded, are free too.
+	clearEnd int64
+	slots    layout.SlotRange
+	homes    []uint32 // the home blocks of that transaction, sorted
 }
 
 // New returns the log of the file system name over the log region sb
@@ -124,33 +139,66 @@ func New(name string, d Disk, sb layout.Superblock, p Policy, barriers bool) *Lo
 		name:     name,
 		disk:     d,
 		start:    sb.LogStart,
-		size:     sb.NLog,
+		size:     sb.LogSlots(),
 		policy:   p,
 		barriers: barriers,
 		inLog:    make(map[uint32]bool),
+	}
+	for i, blk := range sb.RecordBlocks() {
+		l.records[i].blk = blk
 	}
 	l.record = l.commitRecord
 	return l
 }
 
-// Commits reports how many group commits have run, empty ones included:
-// under PerOp every outermost operation and every Sync counts.
+// Commits reports how many transactions have committed: the sequence
+// number of the last commit record. An empty group commit, such as a
+// Sync with nothing logged, writes no record and does not count.
 func (l *Log) Commits() int64 { return l.commits }
 
-// SetCommits carries the commit count across an online upgrade.
+// SetCommits carries the commit count, and so the record sequence,
+// across an online upgrade.
 func (l *Log) SetCommits(n int64) { l.commits = n }
 
-// Recover replays a committed-but-uninstalled transaction after a
+// Recover replays the committed-but-uninstalled transactions after a
 // crash, then clears the log. A mount calls it before serving anything.
+// Both record blocks may hold a valid record, a commit's and that of the
+// one before it whose checkpoint the crash cut short; they are replayed
+// in sequence order, so a block both logged ends with the later
+// contents.
 func (l *Log) Recover(t *kernel.Task) error {
-	return l.disk.WithHeader(t, l.start, true, l.replay)
+	a, b := l.records[0].blk, l.records[1].blk
+	return l.disk.WithHeader(t, a, true, func(t *kernel.Task, ha Header, da []byte) error {
+		return l.disk.WithHeader(t, b, true, func(t *kernel.Task, hb Header, db []byte) error {
+			return l.replay(t, [2]Header{ha, hb}, [2][]byte{da, db})
+		})
+	})
 }
 
-func (l *Log) replay(t *kernel.Task, h Header, data []byte) error {
-	if first, blocks := layout.DecodeLogHeader(data, l.size); len(blocks) > 0 {
+// replay installs the valid records of the record blocks hs, whose
+// contents are data, in sequence order, and clears them. Record block A
+// is cleared on every mount, as xv6 writes its log header; B only when
+// it held a record.
+func (l *Log) replay(t *kernel.Task, hs [2]Header, data [2][]byte) error {
+	type record struct {
+		seq, first uint32
+		blocks     []uint32
+	}
+	var recs [2]record
+	for i, d := range data {
+		recs[i].seq, recs[i].first, recs[i].blocks = layout.DecodeCommitRecord(d, l.size)
+	}
+	order := [2]int{0, 1}
+	if layout.SeqBefore(recs[1].seq, recs[0].seq) {
+		order = [2]int{1, 0}
+	}
+	for _, i := range order {
+		if len(recs[i].blocks) == 0 {
+			continue
+		}
 		var last int64
-		for i, home := range blocks {
-			done, err := l.disk.CopyBlock(t, l.start+1+first+uint32(i), home)
+		for j, home := range recs[i].blocks {
+			done, err := l.disk.CopyBlock(t, l.start+1+recs[i].first+uint32(j), home)
 			if err != nil {
 				return err
 			}
@@ -161,9 +209,14 @@ func (l *Log) replay(t *kernel.Task, h Header, data []byte) error {
 			return err
 		}
 	}
-	layout.EncodeLogHeader(data, 0, nil, l.size)
-	if err := h.WriteSync(t); err != nil {
-		return err
+	for i, h := range hs {
+		if i > 0 && len(recs[i].blocks) == 0 {
+			continue
+		}
+		layout.EncodeCommitRecord(data[i], 0, 0, nil, l.size)
+		if err := h.WriteSync(t); err != nil {
+			return err
+		}
 	}
 	return l.flush(t)
 }
@@ -182,6 +235,12 @@ func (l *Log) BeginOp(t *kernel.Task, n int) {
 	}
 	l.outstanding++
 	l.reserved += uint32(n)
+	l.waitCommit(t)
+}
+
+// waitCommit waits out the last commit record, as a begin-stall span
+// when t's clock is behind it.
+func (l *Log) waitCommit(t *kernel.Task) {
 	if r := t.Rec(); r != nil && l.commitEnd > t.Clk.NowNS() {
 		r.Span(t.Name, trace.CatJournal, "begin-stall", t.Clk.NowNS(), l.commitEnd)
 		r.Add(trace.CtrJournalStalls, 1)
@@ -209,13 +268,14 @@ func (l *Log) Write(t *kernel.Task, blk uint32) error {
 	return nil
 }
 
-// OrderData makes a batch of direct data writes that completes at end
+// OrderData makes a direct data write of block blk that completes at end
 // ordered data of the running transaction, as jbd2's ordered mode does:
 // its commit record is submitted only once the data has completed, and
 // an operation that ends without committing waits for its own data as it
 // ends. The data is submitted but not waited for, so it overlaps the
 // rest of the operation and the commit's log slots.
-func (l *Log) OrderData(end int64) {
+func (l *Log) OrderData(blk uint32, end int64) {
+	l.ordered = append(l.ordered, blk)
 	l.dataEnd = max(l.dataEnd, end)
 	l.opDataEnd = max(l.opDataEnd, end)
 }
@@ -250,7 +310,8 @@ func (l *Log) EndOp(t *kernel.Task, n int, err *error) {
 // the group commit that amortizes ext4's barriers across varmail's
 // threads, as the running transaction carries every task's operations,
 // so the first fsync to arrive commits them all and the others find
-// nothing pending.
+// nothing pending. They still wait out that commit's record, which may
+// carry their operations and complete after their clocks.
 func (l *Log) Sync(t *kernel.Task) (err error) {
 	if !l.policy.compound() {
 		l.BeginOp(t, 1)
@@ -258,6 +319,7 @@ func (l *Log) Sync(t *kernel.Task) (err error) {
 		return err
 	}
 	if len(l.blocks) == 0 {
+		l.waitCommit(t)
 		return nil
 	}
 	if l.outstanding > 0 {
@@ -269,11 +331,11 @@ func (l *Log) Sync(t *kernel.Task) (err error) {
 // Drain syncs and waits out the last checkpoint, so the log is idle: a
 // mount's last act before it unmounts or hands the disk to its
 // replacement, whose first commit, knowing nothing of this log's live
-// slots, must not write the log before its cleared header has
-// completed.
+// slots and record blocks, must not write the log before their cleared
+// records have completed.
 func (l *Log) Drain(t *kernel.Task) error {
 	err := l.Sync(t)
-	t.WaitJournal("checkpoint-wait", l.checkpointEnd)
+	t.WaitJournal("checkpoint-wait", max(l.records[0].clearEnd, l.records[1].clearEnd))
 	return err
 }
 
@@ -294,11 +356,10 @@ func (l *Log) commit(t *kernel.Task) error {
 			r.Add(trace.CtrJournalBlocks, int64(n))
 		}
 	}
-	l.blocks = l.blocks[:0]
+	l.blocks, l.ordered = l.blocks[:0], l.ordered[:0]
 	clear(l.inLog)
 	l.dataEnd = 0
 	l.committing = false
-	l.commits++
 	l.commitEnd = max(l.commitEnd, t.Clk.NowNS())
 	return err
 }
@@ -307,9 +368,10 @@ func (l *Log) commit(t *kernel.Task) error {
 // it submits every slot, then waits once for the later of the latest
 // slot's completion and the transaction's ordered data, so the commit
 // record that follows is submitted only after every slot and every data
-// block has completed, and after the previous checkpoint. A disk with no
-// asynchronous submission (the FUSE daemon's pwrite) completes each slot
-// before submitting the next, so there the batch stays serial.
+// block has completed, and into a record block whose last clear has
+// completed. A disk with no asynchronous submission (the FUSE daemon's
+// pwrite) completes each slot before submitting the next, so there the
+// batch stays serial.
 func (l *Log) writeCommit(t *kernel.Task) error {
 	first := l.place(t, uint32(len(l.blocks)))
 	var last int64
@@ -321,31 +383,84 @@ func (l *Log) writeCommit(t *kernel.Task) error {
 		last = max(last, done)
 	}
 	t.WaitIO("journal-write", max(last, l.dataEnd))
-	t.WaitJournal("checkpoint-wait", l.checkpointEnd)
-	l.first = first
-	return l.disk.WithHeader(t, l.start, false, l.record)
+	l.first, l.rec = first, l.recordBlock(t)
+	return l.disk.WithHeader(t, l.records[l.rec].blk, false, l.record)
 }
 
-// commitRecord writes the commit record into the held header block, then
-// runs the checkpoint: the blocks home and the cleared record, with the
-// barriers between. It returns once the checkpoint has been issued; its
-// steps are issued in order inside the call, so their errors fail the
-// commit, but on the journal task, whose clock starts at the commit
-// record's completion. The header is acquired once and written twice:
-// the next commit, which waits for the checkpoint only before its own
-// record, shares the block with the cleared record.
+// recordBlock returns the record block the commit record goes to: A if
+// its last clear has completed by t's clock, else B if its has (a
+// record-b instant), else, after waiting for it (checkpoint-wait), the
+// one whose clear completes first. A log whose checkpoint runs on the
+// committing task, like the FUSE daemon's, and an idle one always
+// record in A.
+//
+// First it waits (checkpoint-wait) for the clear of any transaction
+// still live that logged a block this transaction's ordered data
+// overwrote, a block freed and reused as file data: if both records
+// stood at a crash, replaying the earlier one would put the block's old
+// contents back over the data, which the later record does not carry.
+// jbd2 writes revoke records for this.
+func (l *Log) recordBlock(t *kernel.Task) int {
+	for _, rb := range l.records {
+		if rb.clearEnd > t.Clk.NowNS() && l.overwrites(rb.homes) {
+			t.WaitJournal("checkpoint-wait", rb.clearEnd)
+		}
+	}
+	now := t.Clk.NowNS()
+	a, b := l.records[0].clearEnd, l.records[1].clearEnd
+	if a <= now {
+		return 0
+	}
+	if b <= now {
+		if r := t.Rec(); r != nil {
+			r.Instant(t.Name, trace.CatJournal, "record-b", now, l.commits+1, int64(l.first))
+		}
+		return 1
+	}
+	if b < a {
+		t.WaitJournal("checkpoint-wait", b)
+		return 1
+	}
+	t.WaitJournal("checkpoint-wait", a)
+	return 0
+}
+
+// overwrites reports whether the running transaction's ordered data
+// overwrote any of homes, which is sorted.
+func (l *Log) overwrites(homes []uint32) bool {
+	for _, b := range l.ordered {
+		if _, ok := slices.BinarySearch(homes, b); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// commitRecord writes the commit record, the next in sequence, into the
+// held record block, then runs the checkpoint: the blocks home and the
+// cleared record, with the barriers between. It returns once the
+// checkpoint has been issued; its steps are issued in order inside the
+// call, so their errors fail the commit, but on the journal task, whose
+// clock starts at the later of the commit record's completion and the
+// previous checkpoint's end: checkpoints run one at a time, in commit
+// order. The record block is acquired once and written twice.
 func (l *Log) commitRecord(t *kernel.Task, h Header, data []byte) error {
-	layout.EncodeLogHeader(data, l.first, l.blocks, l.size)
+	seq := l.commits + 1
+	layout.EncodeCommitRecord(data, uint32(seq), l.first, l.blocks, l.size)
 	if err := h.WriteSync(t); err != nil {
 		return err
 	}
-	l.live, l.nlive = l.first, uint32(len(l.blocks))
+	l.commits = seq
+	rb := &l.records[l.rec]
+	rb.slots = layout.SlotRange{First: l.first, N: uint32(len(l.blocks))}
+	rb.homes = append(rb.homes[:0], l.blocks...)
+	slices.Sort(rb.homes)
 	if err := l.flush(t); err != nil {
 		return err
 	}
 	jt := l.disk.JournalTask(t)
 	jt.Clk.AdvanceTo(t.Clk.NowNS())
-	defer func() { l.checkpointEnd = jt.Clk.NowNS() }()
+	defer func() { rb.clearEnd = jt.Clk.NowNS() }()
 	var last int64
 	for _, home := range l.blocks {
 		done, err := l.disk.SubmitHome(jt, home)
@@ -358,7 +473,7 @@ func (l *Log) commitRecord(t *kernel.Task, h Header, data []byte) error {
 	if err := l.flush(jt); err != nil {
 		return err
 	}
-	layout.EncodeLogHeader(data, 0, nil, l.size)
+	layout.EncodeCommitRecord(data, 0, 0, nil, l.size)
 	if err := h.WriteSync(jt); err != nil {
 		return err
 	}
@@ -370,25 +485,35 @@ func (l *Log) commitRecord(t *kernel.Task, h Header, data []byte) error {
 
 // place returns the first log slot of a transaction of n blocks. With no
 // checkpoint running at t's clock that is slot 0. Otherwise the
-// transaction goes beside the slots of the transaction being
-// checkpointed (a log-beside instant) when the log has room for both, as
-// jbd2's circular log takes new commits while older transactions
-// checkpoint; only when it has not does the commit wait out the
-// checkpoint and take slot 0.
+// transaction goes beside the slots of the transactions whose clears
+// have not completed, at most one per record block (a log-beside
+// instant), as jbd2's circular log takes new commits while older
+// transactions checkpoint; only when it fits nowhere does the commit
+// wait out the earlier clear and place again.
 func (l *Log) place(t *kernel.Task, n uint32) uint32 {
-	now := t.Clk.NowNS()
-	if l.checkpointEnd <= now {
-		return 0
+	for {
+		now := t.Clk.NowNS()
+		var buf [len(l.records)]layout.SlotRange
+		live, next := buf[:0], int64(0)
+		for _, rb := range l.records {
+			if rb.clearEnd > now {
+				live = append(live, rb.slots)
+				if next == 0 || rb.clearEnd < next {
+					next = rb.clearEnd
+				}
+			}
+		}
+		if len(live) == 0 {
+			return 0
+		}
+		if first, ok := layout.PlaceSlots(n, live, l.size); ok {
+			if r := t.Rec(); r != nil {
+				r.Instant(t.Name, trace.CatJournal, "log-beside", now, int64(first), int64(n))
+			}
+			return first
+		}
+		t.WaitJournal("checkpoint-wait", next)
 	}
-	first, ok := layout.PlaceBeside(n, l.live, l.nlive, l.size)
-	if !ok {
-		t.WaitJournal("checkpoint-wait", l.checkpointEnd)
-		return 0
-	}
-	if r := t.Rec(); r != nil {
-		r.Instant(t.Name, trace.CatJournal, "log-beside", now, int64(first), int64(n))
-	}
-	return first
 }
 
 // flush issues a barrier when the log runs with them.

@@ -4,14 +4,17 @@
 // journal must pass. A commit writes its log slots as one batch and
 // submits its commit record only after the last slot completes; it
 // returns at its commit record and checkpoints (installs, then clears
-// the record) in the background; the next commit may write its log
-// slots while that checkpoint runs, but never over the slots of the
-// transaction being checkpointed, and writes its own record only once
-// the clear has completed; a record placed beside a running checkpoint
-// recovers from its own slots; a commit whose log write fails leaves no
-// trace on the device; and with the data bypass on, file data is
-// ordered data — a commit record follows the data its transaction
-// carries, and a write that commits nothing returns after its data.
+// the record) in the background, one checkpoint at a time; the next
+// commit may write its log slots while checkpoints run, but never over
+// the slots of a transaction whose clear has not completed, and writes
+// its own record into one of the log's two record blocks only once that
+// block's last clear has completed; a record placed beside a running
+// checkpoint recovers from its own slots, two valid records recover in
+// sequence order, and a freed block reused as file data keeps that data;
+// a commit whose log write fails leaves no trace on the device; and with
+// the data bypass on, file data is ordered data — a commit record
+// follows the data its transaction carries, and a write that commits
+// nothing returns after its data.
 package journaltest
 
 import (
@@ -30,52 +33,59 @@ import (
 )
 
 // writeCmd is one device write command: its block, when it was
-// submitted and completes, in virtual nanoseconds, and its place among
-// the device's write-class commands, the count blockdev.ArmPowerCut
-// takes.
+// submitted and completes, in virtual nanoseconds, its place among the
+// device's write-class commands, the count blockdev.ArmPowerCut takes,
+// and, on a rig that keeps them, the contents it wrote.
 type writeCmd struct {
 	blk      int
 	at, done int64
 	cmd      int64
+	data     []byte
 }
 
 // recorder is a blockdev.Backend that records every write command it
 // books, by copy, by reference or joined to the command before it, in
-// submission order. From block slowFrom on, a write completes slow
-// nanoseconds later than the backend says (see Rig.SlowData).
+// submission order, with a copy of its contents when keep is set. From
+// block slowFrom on, a write completes slow nanoseconds later than the
+// backend says (see Rig.SlowData).
 type recorder struct {
 	blockdev.Backend
 	dev      *blockdev.Device
 	writes   []writeCmd
+	keep     bool
 	slowFrom int
 	slow     int64
 }
 
-// record notes a write of blk submitted at now that the backend completes
-// at done, and returns its completion. The device counts the command
-// once the backend has booked it.
-func (r *recorder) record(now int64, blk int, done int64) int64 {
+// record notes a write of buf to blk submitted at now that the backend
+// completes at done, and returns its completion. The device counts the
+// command once the backend has booked it.
+func (r *recorder) record(now int64, blk int, buf []byte, done int64) int64 {
 	if r.slow > 0 && blk >= r.slowFrom {
 		done += r.slow
 	}
-	r.writes = append(r.writes, writeCmd{blk, now, done, r.dev.WriteCmds() + 1})
+	w := writeCmd{blk: blk, at: now, done: done, cmd: r.dev.WriteCmds() + 1}
+	if r.keep {
+		w.data = bytes.Clone(buf)
+	}
+	r.writes = append(r.writes, w)
 	return done
 }
 
 func (r *recorder) SubmitBlock(now int64, blk int, buf []byte) (int64, error) {
 	done, err := r.Backend.SubmitBlock(now, blk, buf)
-	return r.record(now, blk, done), err
+	return r.record(now, blk, buf, done), err
 }
 
 func (r *recorder) SubmitOwned(now int64, blk int, buf []byte) (int64, error) {
 	done, err := r.Backend.SubmitOwned(now, blk, buf)
-	return r.record(now, blk, done), err
+	return r.record(now, blk, buf, done), err
 }
 
 func (r *recorder) JoinWrite(prev, now int64, blk int, buf []byte, owned bool) (int64, bool) {
 	done, ok := r.Backend.JoinWrite(prev, now, blk, buf, owned)
 	if ok {
-		done = r.record(now, blk, done)
+		done = r.record(now, blk, buf, done)
 	}
 	return done, ok
 }
@@ -102,9 +112,17 @@ type Rig struct {
 func New(t testing.TB, model *costmodel.Model, mkfs func(*kernel.Task, *blockdev.Device) error,
 	name string, register func(*kernel.Kernel) error) *Rig {
 	t.Helper()
+	return newRig(t, model, mkfs, name, register, false)
+}
+
+// newRig is New, keeping a copy of every write's contents when keep is
+// set.
+func newRig(t testing.TB, model *costmodel.Model, mkfs func(*kernel.Task, *blockdev.Device) error,
+	name string, register func(*kernel.Kernel) error, keep bool) *Rig {
+	t.Helper()
 	k := kernel.New(model)
 	k.SetRecorder(trace.New())
-	rec := &recorder{Backend: blockdev.NewLocalBackend("rig", layout.BlockSize, model)}
+	rec := &recorder{Backend: blockdev.NewLocalBackend("rig", layout.BlockSize, model), keep: keep}
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 4096, Model: model, Backend: rec})
 	rec.dev = dev
 	format := k.NewTask("mkfs")
@@ -219,11 +237,13 @@ type commitIO struct {
 	clear    writeCmd
 }
 
-// commitIOs splits the recorded writes into commits. A header write with
-// no log slot before it is a mount's recovery clearing the log, and a
-// write outside the log before a commit record is unjournaled data, which
-// the commit's transaction carries. A commit whose record or clear was
-// never written is left out.
+// commitIOs splits the recorded writes into commits. A commit's record
+// is the first write to either record block after its slots, and its
+// clear the next write to that block. A record-block write with no log
+// slot before it is a mount's recovery clearing the log, and a write
+// outside the log before a commit record is unjournaled data, which the
+// commit's transaction carries. A commit whose record or clear was never
+// written is left out.
 func (r *Rig) commitIOs() []commitIO {
 	ios, _ := r.commitIOsFrom(0)
 	return ios
@@ -233,26 +253,36 @@ func (r *Rig) commitIOs() []commitIO {
 // must not fall inside a commit. It also returns the data written after
 // the last commit, which no commit carries yet.
 func (r *Rig) commitIOsFrom(from int) (ios []commitIO, pending []writeCmd) {
-	logStart := int(r.SB.LogStart)
 	var c commitIO
 	recorded := false
 	for _, w := range r.rec.writes[from:] {
 		switch {
-		case recorded && w.blk == logStart:
+		case recorded && w.blk == c.record.blk:
 			c.clear = w
 			ios = append(ios, c)
 			c, recorded = commitIO{}, false
 		case recorded:
 			c.installs = append(c.installs, w)
-		case w.blk == logStart && len(c.slots) > 0:
+		case r.isRecord(w.blk) && len(c.slots) > 0:
 			c.record, recorded = w, true
-		case w.blk > logStart && w.blk <= logStart+int(r.SB.NLog):
+		case r.isSlot(w.blk):
 			c.slots = append(c.slots, w)
-		case w.blk != logStart:
+		case !r.isRecord(w.blk):
 			c.data = append(c.data, w)
 		}
 	}
 	return ios, c.data
+}
+
+// isRecord reports whether blk is one of the log's two record blocks.
+func (r *Rig) isRecord(blk int) bool {
+	rb := r.SB.RecordBlocks()
+	return blk == int(rb[0]) || blk == int(rb[1])
+}
+
+// isSlot reports whether blk is one of the log's slots.
+func (r *Rig) isSlot(blk int) bool {
+	return blk > int(r.SB.LogStart) && blk <= int(r.SB.LogStart+r.SB.LogSlots())
 }
 
 // latest is the last completion of cmds.
@@ -314,12 +344,15 @@ func (r *Rig) tracedCommits(t testing.TB) ([]trace.Event, []commitIO) {
 // in the background, in order, and kept the log crash-safe while it did.
 // The committing operation returns once its commit record has completed,
 // before its installs have. Its installs are submitted no earlier than
-// the record's completion, and its cleared record no earlier than the
-// last install's completion. The next commit submits its record no
-// earlier than that clear's completion: the two share the header block.
-// Its log slots may be written while the checkpoint runs, but a slot
-// submitted before an earlier commit's clear completed is never one of
-// that commit's slots, which a crash until then still replays.
+// the record's completion, nor than the previous commit's clear's
+// completion: one checkpoint runs at a time, in commit order. Its
+// cleared record is submitted no earlier than the last install's
+// completion. A commit submits its record to a record block no earlier
+// than the completion of the clear the last commit recorded there
+// wrote: each block holds one record at a time. Its log slots may be
+// written while checkpoints run, but a slot submitted before an earlier
+// commit's clear completed is never one of that commit's slots, which a
+// crash until then still replays.
 func (r *Rig) RequireCheckpointOrder(t testing.TB) {
 	t.Helper()
 	spans, ios := r.tracedCommits(t)
@@ -333,13 +366,22 @@ func (r *Rig) RequireCheckpointOrder(t testing.TB) {
 			if w.at < c.record.done {
 				t.Errorf("commit %d installed block %d at %d ns, before its record completed at %d ns", i, w.blk, w.at, c.record.done)
 			}
+			if i > 0 && w.at < ios[i-1].clear.done {
+				t.Errorf("commit %d installed block %d at %d ns, before commit %d's clear completed at %d ns",
+					i, w.blk, w.at, i-1, ios[i-1].clear.done)
+			}
 		}
 		if c.clear.at < installed {
 			t.Errorf("commit %d cleared its record at %d ns, before its install completed at %d ns", i, c.clear.at, installed)
 		}
-		if i > 0 && c.record.at < ios[i-1].clear.done {
-			t.Errorf("commit %d submitted its record at %d ns, before commit %d's clear completed at %d ns",
-				i, c.record.at, i-1, ios[i-1].clear.done)
+		for j := i - 1; j >= 0; j-- {
+			if prev := ios[j]; prev.record.blk == c.record.blk {
+				if c.record.at < prev.clear.done {
+					t.Errorf("commit %d submitted its record to block %d at %d ns, before commit %d's clear there completed at %d ns",
+						i, c.record.blk, c.record.at, j, prev.clear.done)
+				}
+				break
+			}
 		}
 		for j, prev := range ios[:i] {
 			for _, w := range c.slots {
@@ -355,27 +397,53 @@ func (r *Rig) RequireCheckpointOrder(t testing.TB) {
 // RequireLogOverlap requires some commit so far to have written a log
 // slot while the previous commit's checkpoint was still running: before
 // that commit's clear completed. Each such commit must also be marked by
-// a log-beside instant.
+// a log-beside instant, and each commit recorded in record block B by a
+// record-b instant.
 func (r *Rig) RequireLogOverlap(t testing.TB) {
 	t.Helper()
 	ios := r.commitIOs()
-	overlaps := 0
+	overlaps, inB := 0, 0
 	for i := 1; i < len(ios); i++ {
 		if ios[i].slots[0].at < ios[i-1].clear.done {
 			overlaps++
 		}
 	}
+	for _, c := range ios {
+		if c.record.blk == int(r.SB.RecordBlocks()[1]) {
+			inB++
+		}
+	}
 	if overlaps == 0 {
 		t.Fatalf("none of %d commits wrote a log slot while the previous checkpoint ran", len(ios))
 	}
-	marked := 0
+	beside, recordB := 0, 0
 	for _, e := range r.K.Recorder().Events() {
-		if e.Kind == trace.KindInstant && e.Name == "log-beside" {
-			marked++
+		switch {
+		case e.Kind != trace.KindInstant:
+		case e.Name == "log-beside":
+			beside++
+		case e.Name == "record-b":
+			recordB++
 		}
 	}
-	if marked < overlaps {
-		t.Errorf("%d commits wrote log slots while the previous checkpoint ran, but %d log-beside instants were traced", overlaps, marked)
+	if beside < overlaps {
+		t.Errorf("%d commits wrote log slots while the previous checkpoint ran, but %d log-beside instants were traced", overlaps, beside)
+	}
+	if recordB != inB {
+		t.Errorf("%d commits recorded in record block B, but %d record-b instants were traced", inB, recordB)
+	}
+}
+
+// RequireCheckpointWait requires some commit so far to have waited out
+// a checkpoint, as a checkpoint-wait span: both record blocks were still
+// busy when its record was due, or the log had no room beside the live
+// slots.
+func (r *Rig) RequireCheckpointWait(t testing.TB) {
+	t.Helper()
+	if !slices.ContainsFunc(r.K.Recorder().Events(), func(e trace.Event) bool {
+		return e.Kind == trace.KindSpan && e.Name == "checkpoint-wait"
+	}) {
+		t.Fatal("no commit waited out a checkpoint")
 	}
 }
 
@@ -438,18 +506,17 @@ func (r *Rig) RequireBesideRecovery(t testing.TB) {
 	if err := r.Mkdirs(dirs...); err != nil {
 		t.Fatal(err)
 	}
-	logStart := r.SB.LogStart
 	ios := r.commitIOs()
 	var beside *commitIO
 	for i := 1; i < len(ios) && beside == nil; i++ {
-		if c := &ios[i]; c.slots[0].blk > int(logStart)+1 && c.slots[0].at < ios[i-1].clear.done {
+		if c := &ios[i]; c.slots[0].blk > int(r.SB.LogStart)+1 && c.slots[0].at < ios[i-1].clear.done {
 			beside = c
 		}
 	}
 	if beside == nil {
 		t.Fatalf("none of %d commits wrote its log slots past slot 0 while the previous checkpoint ran", len(ios))
 	}
-	first := uint32(beside.slots[0].blk) - logStart - 1
+	first := uint32(beside.slots[0].blk) - r.SB.LogStart - 1
 
 	cut := New(t, r.Model, r.mkfs, r.name, r.register)
 	cut.Dev.ArmPowerCut(beside.record.cmd - cut.Dev.WriteCmds())
@@ -468,14 +535,14 @@ func (r *Rig) RequireBesideRecovery(t testing.TB) {
 		}
 		return buf
 	}
-	got, homes := layout.DecodeLogHeader(read(logStart), cut.SB.NLog)
+	_, got, homes := layout.DecodeCommitRecord(read(uint32(beside.record.blk)), cut.SB.LogSlots())
 	if got != first || len(homes) != len(beside.slots) {
 		t.Fatalf("the record on the device names %d blocks from slot %d, want the commit's %d from slot %d",
 			len(homes), got, len(beside.slots), first)
 	}
 	logged := make([][]byte, len(homes))
 	for i := range homes {
-		logged[i] = read(logStart + 1 + first + uint32(i))
+		logged[i] = read(cut.SB.LogStart + 1 + first + uint32(i))
 	}
 
 	from := len(cut.rec.writes)
@@ -488,7 +555,7 @@ func (r *Rig) RequireBesideRecovery(t testing.TB) {
 	}
 	var installed []uint32
 	for _, w := range cut.rec.writes[from:] {
-		if w.blk == int(logStart) {
+		if cut.isRecord(w.blk) {
 			break
 		}
 		installed = append(installed, uint32(w.blk))
@@ -507,6 +574,187 @@ func (r *Rig) RequireBesideRecovery(t testing.TB) {
 	}
 	if !rep.OK() {
 		t.Fatalf("fsck after recovering a record placed beside a checkpoint: %v", rep.Errors)
+	}
+}
+
+// RequireTwoRecordRecovery makes and syncs directories on a rig that
+// keeps every write's contents, and finds a commit recorded in record
+// block A while the previous commit's record, in block B, was still
+// valid: its record was submitted before that commit's clear completed.
+// It builds the image a power cut leaves right after the later record
+// was submitted, with the device's write cache keeping that record and
+// losing the earlier commit's clear, both then in flight: every write
+// submitted by then but that clear. Both records must be valid on that
+// image, the later one the next in sequence; recovery must leave a block
+// both transactions logged with the later transaction's contents,
+// whatever block order says; and the image must check clean.
+func (r *Rig) RequireTwoRecordRecovery(t testing.TB) {
+	t.Helper()
+	src := newRig(t, r.Model, r.mkfs, r.name, r.register, true)
+	if err := src.Mkdirs("/a", "/b", "/c", "/d", "/e", "/f"); err != nil {
+		t.Fatal(err)
+	}
+	sb, rb := src.SB, src.SB.RecordBlocks()
+	ios := src.commitIOs()
+	k := 0
+	for i := 1; i < len(ios) && k == 0; i++ {
+		if prev := ios[i-1]; ios[i].record.blk == int(rb[0]) && prev.record.blk == int(rb[1]) && ios[i].record.at < prev.clear.done {
+			k = i
+		}
+	}
+	if k == 0 {
+		t.Fatalf("none of %d commits recorded in block A while the previous commit's record in block B was valid", len(ios))
+	}
+	dev := src.cutImage(t, ios, k)
+	clk := vclock.NewClock()
+	read := func(blk uint32) []byte {
+		buf := make([]byte, layout.BlockSize)
+		if err := dev.Read(clk, int(blk), buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	prevSeq, prevFirst, prevHomes := layout.DecodeCommitRecord(read(rb[1]), sb.LogSlots())
+	seq, first, homes := layout.DecodeCommitRecord(read(rb[0]), sb.LogSlots())
+	if len(prevHomes) != len(ios[k-1].slots) || len(homes) != len(ios[k].slots) || seq != prevSeq+1 {
+		t.Fatalf("at the cut, block B holds record %d of %d blocks and block A record %d of %d blocks; want the commits' %d and %d blocks, A's the next in sequence",
+			prevSeq, len(prevHomes), seq, len(homes), len(ios[k-1].slots), len(ios[k].slots))
+	}
+	var shared uint32
+	var want []byte
+	for i, home := range homes {
+		j := slices.Index(prevHomes, home)
+		if j < 0 {
+			continue
+		}
+		later, earlier := read(sb.LogStart+1+first+uint32(i)), read(sb.LogStart+1+prevFirst+uint32(j))
+		if !bytes.Equal(later, earlier) {
+			shared, want = home, later
+			break
+		}
+	}
+	if want == nil {
+		t.Fatal("no block is logged by both transactions with different contents")
+	}
+
+	r.remount(t, dev)
+	if !bytes.Equal(read(shared), want) {
+		t.Errorf("block %d, logged by records %d and %d, does not hold record %d's contents after recovery", shared, prevSeq, seq, seq)
+	}
+	requireClean(t, dev, "recovering two records")
+}
+
+// RequireFreedBlockRecovery runs two transactions on a compound log with
+// the data bypass on, each committed by a sync. The first logs a new
+// directory's block and frees it again (mkdir /d, create /d/f, mkdir
+// /p, unlink /d/f, rmdir /d). The second reuses the block as ordered
+// file data (a page written to /g), which it does not log. It cuts the
+// power right after the second commit's record was submitted, with the
+// write cache losing the first commit's clear if that was still in
+// flight, and mounts the image: /g must hold its page. A log that let
+// both records stand would replay the first over the reused block and
+// hand /g the directory's old entries.
+func (r *Rig) RequireFreedBlockRecovery(t testing.TB) {
+	t.Helper()
+	src := newRig(t, r.Model, r.mkfs, r.name, r.register, true)
+	m, task := src.M, src.Task
+	page := bytes.Repeat([]byte{'g'}, layout.BlockSize)
+	// Data-region writes past the root's block and /d's complete a
+	// millisecond late, so the first commit's checkpoint, which installs
+	// /p's block, still runs when the second commit records.
+	src.rec.slowFrom, src.rec.slow = int(src.SB.DataStart)+2, int64(time.Millisecond)
+	err := m.Mkdir(task, "/d")
+	if err == nil {
+		err = m.WriteFile(task, "/d/f", nil)
+	}
+	if err == nil {
+		err = m.Mkdir(task, "/p")
+	}
+	if err == nil {
+		err = m.Unlink(task, "/d/f")
+	}
+	if err == nil {
+		err = m.Rmdir(task, "/d")
+	}
+	if err == nil {
+		err = m.Sync(task)
+	}
+	if err == nil {
+		err = m.WriteFile(task, "/g", page)
+	}
+	if err == nil {
+		err = m.Sync(task)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	ios := src.commitIOs()
+	k := len(ios) - 1
+	if k < 1 || !slices.ContainsFunc(ios[k].data, func(w writeCmd) bool {
+		return slices.ContainsFunc(ios[k-1].installs, func(i writeCmd) bool { return i.blk == w.blk })
+	}) {
+		t.Fatal("the last commit's data reuses no block the commit before it logged")
+	}
+	dev := src.cutImage(t, ios, k)
+	m, task = r.remount(t, dev)
+	got, err := m.ReadFile(task, "/g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, page) {
+		t.Errorf("/g reads %q... after recovery, want its page of %q", got[:min(len(got), 8)], page[:8])
+	}
+	requireClean(t, dev, "recovering a reused block")
+}
+
+// cutImage builds, from the writes of r, a rig that keeps their
+// contents, the image a power cut leaves right after commit k's record
+// was submitted, with the device's write cache keeping that record and
+// losing commit k−1's clear if it was still in flight: every write
+// submitted by then but that clear.
+func (r *Rig) cutImage(t testing.TB, ios []commitIO, k int) *blockdev.Device {
+	t.Helper()
+	cutAt, lost := ios[k].record.at, int64(-1)
+	if k > 0 && ios[k-1].clear.done > cutAt {
+		lost = ios[k-1].clear.cmd
+	}
+	dev := blockdev.MustNew(blockdev.Config{Blocks: r.Dev.Blocks(), Model: r.Model})
+	clk := vclock.NewClock()
+	for _, w := range r.rec.writes {
+		if w.at <= cutAt && w.cmd != lost {
+			if err := dev.Write(clk, w.blk, w.data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return dev
+}
+
+// remount mounts dev at /mnt on a new kernel with r's file-system type
+// and returns the mount and the task that mounted it.
+func (r *Rig) remount(t testing.TB, dev *blockdev.Device) (*kernel.Mount, *kernel.Task) {
+	t.Helper()
+	k := kernel.New(r.Model)
+	if err := r.register(k); err != nil {
+		t.Fatal(err)
+	}
+	task := k.NewTask("remount")
+	m, err := k.Mount(task, r.name, "/mnt", dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, task
+}
+
+// requireClean requires dev's image to check clean after what.
+func requireClean(t testing.TB, dev *blockdev.Device, what string) {
+	t.Helper()
+	rep, err := layout.Fsck(vclock.NewClock(), dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("fsck after %s: %v", what, rep.Errors)
 	}
 }
 
@@ -548,17 +796,19 @@ func (r *Rig) RequireOrderedData(t testing.TB, write func(*kernel.Task) error) {
 }
 
 // RequireUncommitted requires a transaction whose log write failed to
-// have left no trace on the device: the log header holds no blocks, and
-// the image checks clean as the failure left it.
+// have left no trace on the device: neither record block holds a
+// record, and the image checks clean as the failure left it.
 func (r *Rig) RequireUncommitted(t testing.TB) {
 	t.Helper()
 	clk := vclock.NewClock()
 	buf := make([]byte, layout.BlockSize)
-	if err := r.Dev.Read(clk, int(r.SB.LogStart), buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, blocks := layout.DecodeLogHeader(buf, r.SB.NLog); len(blocks) != 0 {
-		t.Fatalf("log header holds %d blocks after a failed log write; the transaction must not commit", len(blocks))
+	for _, rb := range r.SB.RecordBlocks() {
+		if err := r.Dev.Read(clk, int(rb), buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, blocks := layout.DecodeCommitRecord(buf, r.SB.LogSlots()); len(blocks) != 0 {
+			t.Fatalf("record block %d holds %d blocks after a failed log write; the transaction must not commit", rb, len(blocks))
+		}
 	}
 	rep, err := layout.Fsck(clk, r.Dev)
 	if err != nil {

@@ -52,14 +52,16 @@ func Fsck(clk *vclock.Clock, dev *blockdev.Device) (*FsckReport, error) {
 		return buf, nil
 	}
 
-	// Note an unrecovered log. A corrupt header reads as an empty log, as
-	// recovery reads it.
-	lb, err := readBlk(sb.LogStart)
-	if err != nil {
-		return nil, err
-	}
-	if _, blocks := DecodeLogHeader(lb, sb.NLog); len(blocks) != 0 {
-		r.errf("log header has %d uninstalled transactions blocks", len(blocks))
+	// Note an unrecovered record in either record block. A corrupt record
+	// reads as an empty one, as recovery reads it.
+	for _, rb := range sb.RecordBlocks() {
+		lb, err := readBlk(rb)
+		if err != nil {
+			return nil, err
+		}
+		if _, _, blocks := DecodeCommitRecord(lb, sb.LogSlots()); len(blocks) != 0 {
+			r.errf("commit record at block %d has %d uninstalled transaction blocks", rb, len(blocks))
+		}
 	}
 
 	// Pass 1: read every allocated inode, collect block usage.

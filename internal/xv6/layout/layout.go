@@ -7,7 +7,7 @@
 //
 //	block 0       | boot block (unused)
 //	block 1       | superblock
-//	log..         | log header + log data blocks
+//	log..         | record block A, log slots, record block B
 //	inodestart..  | inode table
 //	bmapstart..   | free-block bitmap
 //	datastart..   | data blocks
@@ -56,8 +56,9 @@ const (
 	// MaxNameLen is the longest file name (NUL-padded in the record).
 	MaxNameLen = DirentSize - 4 - 1
 
-	// LogSize is the number of log data blocks (the log header block is
-	// separate). It bounds a committed transaction.
+	// LogSize is the size of the log region past its first record block:
+	// the log slots and the second record block. LogSize-1 slots bound a
+	// committed transaction.
 	LogSize = 128
 	// MaxOpBlocks is the largest number of blocks one begin_op/end_op
 	// transaction may dirty; writes are chunked to respect it.
@@ -83,8 +84,8 @@ type Superblock struct {
 	Size       uint32 // total blocks on device
 	NBlocks    uint32 // data blocks
 	NInodes    uint32
-	NLog       uint32 // log data blocks
-	LogStart   uint32 // block number of log header
+	NLog       uint32 // log blocks past LogStart: the slots and record block B
+	LogStart   uint32 // block number of record block A
 	InodeStart uint32
 	BmapStart  uint32
 	DataStart  uint32
@@ -232,24 +233,41 @@ func DecodeDirent(buf []byte) Dirent {
 	return Dirent{Ino: ino, Name: string(name[:end])}
 }
 
-// The commit record at LogStart, shared by both journals: a
-// little-endian count n, then the n home block numbers, and in the
-// block's last word the first log slot the transaction occupies, log
-// data block first+i going home to entry i; the rest of the block is
-// zeros. A log of nlog data blocks (the superblock's NLog) holds records
-// whose slots first..first+n-1 lie inside it. The last word is past the
-// entries of any log up to 1 022 blocks (ext4's 1 020 end at byte
-// 4 084), and a record written before it was used, like the cleared
-// record, names slot 0.
+// The log region: NLog blocks after the record block at LogStart. Its
+// last block, LogStart+NLog, is the second record block, and the blocks
+// between are the log's LogSlots() slots, slot i at LogStart+1+i. Two
+// record blocks let a commit write its record while the previous
+// transaction's checkpoint still has to clear its own, as jbd2's
+// per-transaction commit blocks do.
+//
+// A commit record, in either record block: a little-endian count n, then
+// the n home block numbers; in the block's second-to-last word the
+// commit's sequence number; and in its last word the first log slot the
+// transaction occupies, log slot first+i going home to entry i. The rest
+// of the block is zeros. A log of nslots slots holds records whose slots
+// first..first+n-1 lie inside it. The last two words are past the
+// entries of any log up to 1 021 slots (ext4's 1 019 entries end at byte
+// 4 080). The cleared record is all zeros: no blocks, slot 0, sequence 0.
+// Recovery replays the valid records of the two blocks in sequence order.
 
-// EncodeLogHeader writes the commit record for blocks logged from slot
-// first on (nil is the cleared record, at slot 0) into buf, the log's
-// header buffer, which holds zeros or an earlier record of the same log.
-// It clears only the entries that record had beyond len(blocks), not the
-// whole block.
-func EncodeLogHeader(buf []byte, first uint32, blocks []uint32, nlog uint32) {
+// RecordBlocks returns the log's two record blocks: LogStart, and the
+// log region's last block.
+func (s *Superblock) RecordBlocks() [2]uint32 {
+	return [2]uint32{s.LogStart, s.LogStart + s.NLog}
+}
+
+// LogSlots returns how many log slots the log region holds: NLog less
+// the second record block.
+func (s *Superblock) LogSlots() uint32 { return s.NLog - 1 }
+
+// EncodeCommitRecord writes the record of commit seq, for blocks logged
+// from slot first on (nil is the cleared record, at slot 0 and sequence
+// 0), into buf, a record block's buffer, which holds zeros or an earlier
+// record of the same log. It clears only the entries that record had
+// beyond len(blocks), not the whole block.
+func EncodeCommitRecord(buf []byte, seq, first uint32, blocks []uint32, nslots uint32) {
 	le := binary.LittleEndian
-	prev := min(le.Uint32(buf), nlog)
+	prev := min(le.Uint32(buf), nslots)
 	n := uint32(len(blocks))
 	le.PutUint32(buf, n)
 	for i, b := range blocks {
@@ -258,39 +276,67 @@ func EncodeLogHeader(buf []byte, first uint32, blocks []uint32, nlog uint32) {
 	if prev > n {
 		clear(buf[4+4*n : 4+4*prev])
 	}
+	le.PutUint32(buf[len(buf)-8:], seq)
 	le.PutUint32(buf[len(buf)-4:], first)
 }
 
-// DecodeLogHeader returns the first log slot and the home blocks of the
-// commit record in buf, the header of a log of nlog data blocks. A
-// record whose slots run past nlog is corrupt and reads as an empty log.
-func DecodeLogHeader(buf []byte, nlog uint32) (first uint32, blocks []uint32) {
+// DecodeCommitRecord returns the sequence number, the first log slot and
+// the home blocks of the commit record in buf, a record block of a log
+// of nslots slots. A record whose slots run past nslots, or whose
+// entries would run into its last two words, is corrupt and reads as an
+// empty record.
+func DecodeCommitRecord(buf []byte, nslots uint32) (seq, first uint32, blocks []uint32) {
 	le := binary.LittleEndian
 	n, first := le.Uint32(buf), le.Uint32(buf[len(buf)-4:])
-	if n > nlog || first > nlog-n {
-		return 0, nil
+	if n > nslots || first > nslots-n || n > uint32(len(buf)/4-3) {
+		return 0, 0, nil
 	}
 	blocks = make([]uint32, n)
 	for i := range blocks {
 		blocks[i] = le.Uint32(buf[4+4*i:])
 	}
-	return first, blocks
+	return le.Uint32(buf[len(buf)-8:]), first, blocks
 }
 
-// PlaceBeside returns the first log slot for a transaction of n blocks
-// in a log of nlog blocks whose slots live..live+nlive-1 still hold a
-// committed transaction being checkpointed: slot 0 if the transaction
-// fits below them, else the slot right after them. ok is false when it
-// fits in neither place, and the transaction must wait out the
-// checkpoint.
-func PlaceBeside(n, live, nlive, nlog uint32) (first uint32, ok bool) {
-	if n <= live {
-		return 0, true
+// SeqBefore reports whether sequence number a comes before b. The
+// numbers wrap, and the valid records on a log are consecutive commits,
+// so the order is the sign of the difference.
+func SeqBefore(a, b uint32) bool { return int32(a-b) < 0 }
+
+// A SlotRange is the log slots First..First+N-1 of one transaction.
+type SlotRange struct{ First, N uint32 }
+
+// PlaceSlots returns the first log slot for a transaction of n blocks in
+// a log of nslots slots whose ranges live still hold committed
+// transactions being checkpointed: the lowest of slot 0 and the slots
+// right after each live range where the transaction overlaps no live
+// range and ends inside the log. ok is false when it fits nowhere, and
+// the transaction must wait out a checkpoint.
+func PlaceSlots(n uint32, live []SlotRange, nslots uint32) (first uint32, ok bool) {
+	first = nslots
+	for i := -1; i < len(live); i++ {
+		var c uint32
+		if i >= 0 {
+			c = live[i].First + live[i].N
+		}
+		if c < first && n <= nslots-c && !overlapsAny(c, n, live) {
+			first = c
+		}
 	}
-	if end := live + nlive; n <= nlog-end {
-		return end, true
+	if first == nslots {
+		return 0, false
 	}
-	return 0, false
+	return first, true
+}
+
+// overlapsAny reports whether slots c..c+n-1 overlap any of ranges.
+func overlapsAny(c, n uint32, ranges []SlotRange) bool {
+	for _, r := range ranges {
+		if c < r.First+r.N && r.First < c+n {
+			return true
+		}
+	}
+	return false
 }
 
 // Geometry computes a superblock for a device of size blocks with room
@@ -307,7 +353,7 @@ func Geometry(size, ninodes uint32) (Superblock, error) {
 		return Superblock{}, fmt.Errorf("layout: %d inodes overflow the inode-table size: %w", ninodes, fsapi.ErrInvalid)
 	}
 	ninodeBlocks := (ninodes + InodesPerBlock - 1) / InodesPerBlock
-	logBlocks := uint32(LogSize + 1) // header + data
+	logBlocks := uint32(LogSize + 1) // record block + slots + record block
 	// Bitmap must cover the whole device (simplest, like xv6).
 	bmapBlocks := (size + BitsPerBlock - 1) / BitsPerBlock
 	meta := 2 + logBlocks + ninodeBlocks + bmapBlocks

@@ -75,65 +75,73 @@ func TestDirentNameTooLong(t *testing.T) {
 	}
 }
 
-// TestLogHeaderRoundTrip: a commit record decodes back to its first slot
-// and its blocks in a log of any capacity that holds it, up to a full
-// record of a log the size of ext4's journal, whose last entry ends 12
-// bytes short of the block, and a record at the last slot of that log.
+// TestLogHeaderRoundTrip: a commit record decodes back to its sequence
+// number, its first slot and its blocks in a log of any capacity that
+// holds it, up to a full record of a log the size of ext4's journal,
+// whose last entry ends 8 bytes short of the sequence number, and a
+// record at the last slot of that log.
 func TestLogHeaderRoundTrip(t *testing.T) {
 	buf := make([]byte, BlockSize)
-	for _, c := range []struct{ first, n, nlog uint32 }{
-		{0, 3, LogSize}, {LogSize - 3, 3, LogSize}, {0, LogSize, LogSize},
-		{17, 200, 1020}, {0, 1020, 1020}, {1019, 1, 1020},
+	for _, c := range []struct{ seq, first, n, nslots uint32 }{
+		{1, 0, 3, LogSize - 1}, {2, LogSize - 4, 3, LogSize - 1}, {3, 0, LogSize - 1, LogSize - 1},
+		{1 << 31, 17, 200, 1019}, {math.MaxUint32, 0, 1019, 1019}, {7, 1018, 1, 1019},
 	} {
 		blocks := make([]uint32, c.n)
 		for i := range blocks {
 			blocks[i] = 100 + uint32(i)*7
 		}
-		EncodeLogHeader(buf, c.first, blocks, c.nlog)
-		if first, got := DecodeLogHeader(buf, c.nlog); first != c.first || !slices.Equal(got, blocks) {
-			t.Fatalf("%d of %d entries from slot %d: round trip gave %d entries from slot %d", c.n, c.nlog, c.first, len(got), first)
+		EncodeCommitRecord(buf, c.seq, c.first, blocks, c.nslots)
+		if seq, first, got := DecodeCommitRecord(buf, c.nslots); seq != c.seq || first != c.first || !slices.Equal(got, blocks) {
+			t.Fatalf("record %d, %d of %d entries from slot %d: round trip gave record %d, %d entries from slot %d",
+				c.seq, c.n, c.nslots, c.first, seq, len(got), first)
 		}
 	}
 }
 
 // TestLogHeaderCorruptCountTreatedEmpty: a record whose slots run past
 // the log's capacity is corrupt and reads as an empty log — but only past
-// this log's capacity: a 200-entry record is corrupt in a 128-block log
-// and whole in ext4's 1020-block one, where it is corrupt again from
-// slot 821 on.
+// this log's capacity: a 200-entry record is corrupt in a 127-slot log
+// and whole in ext4's 1019-slot one, where it is corrupt again from slot
+// 820 on. A count whose entries would reach the sequence number is
+// corrupt whatever capacity the caller names.
 func TestLogHeaderCorruptCountTreatedEmpty(t *testing.T) {
 	buf := make([]byte, BlockSize)
-	binary.LittleEndian.PutUint32(buf, 1020+99)
-	if first, got := DecodeLogHeader(buf, 1020); first != 0 || got != nil {
-		t.Fatalf("corrupt count 1119 read as %d entries from slot %d", len(got), first)
+	binary.LittleEndian.PutUint32(buf, 1019+99)
+	if seq, first, got := DecodeCommitRecord(buf, 1019); seq != 0 || first != 0 || got != nil {
+		t.Fatalf("corrupt count 1118 read as record %d, %d entries from slot %d", seq, len(got), first)
+	}
+	binary.LittleEndian.PutUint32(buf, 1022)
+	if _, _, got := DecodeCommitRecord(buf, math.MaxUint32); got != nil {
+		t.Fatalf("count 1022 in a block of 1021 entries read as %d entries", len(got))
 	}
 	for _, c := range []struct {
-		first, nlog uint32
-		want        int
-	}{{0, LogSize, 0}, {0, 1020, 200}, {820, 1020, 200}, {821, 1020, 0}, {1 << 31, 1020, 0}} {
-		EncodeLogHeader(buf, c.first, make([]uint32, 200), 1020)
-		if first, got := DecodeLogHeader(buf, c.nlog); len(got) != c.want || (c.want == 0 && first != 0) {
-			t.Fatalf("200 entries from slot %d in a %d-block log read as %d entries from slot %d, want %d",
-				c.first, c.nlog, len(got), first, c.want)
+		first, nslots uint32
+		want          int
+	}{{0, LogSize - 1, 0}, {0, 1019, 200}, {819, 1019, 200}, {820, 1019, 0}, {1 << 31, 1019, 0}} {
+		EncodeCommitRecord(buf, 5, c.first, make([]uint32, 200), 1019)
+		if _, first, got := DecodeCommitRecord(buf, c.nslots); len(got) != c.want || (c.want == 0 && first != 0) {
+			t.Fatalf("200 entries from slot %d in a %d-slot log read as %d entries from slot %d, want %d",
+				c.first, c.nslots, len(got), first, c.want)
 		}
 	}
 }
 
-// TestLogHeaderOldRecordAtSlotZero: a record written before the header
-// named its first slot — zeros in the block's last word — and the
-// cleared record both read as starting at slot 0, and clearing a record
-// placed past slot 0 leaves the zeros a freshly formatted header holds.
+// TestLogHeaderOldRecordAtSlotZero: a record written before the record
+// named its first slot and its sequence — zeros in the block's last two
+// words — and the cleared record both read as starting at slot 0, and
+// clearing a record placed past slot 0 leaves the zeros a freshly
+// formatted record block holds.
 func TestLogHeaderOldRecordAtSlotZero(t *testing.T) {
 	buf := make([]byte, BlockSize)
 	binary.LittleEndian.PutUint32(buf, 2)
 	binary.LittleEndian.PutUint32(buf[4:], 40)
 	binary.LittleEndian.PutUint32(buf[8:], 41)
-	if first, got := DecodeLogHeader(buf, LogSize); first != 0 || !slices.Equal(got, []uint32{40, 41}) {
-		t.Fatalf("old record read as %v from slot %d, want [40 41] from slot 0", got, first)
+	if seq, first, got := DecodeCommitRecord(buf, LogSize-1); seq != 0 || first != 0 || !slices.Equal(got, []uint32{40, 41}) {
+		t.Fatalf("old record read as %v from slot %d in record %d, want [40 41] from slot 0 in record 0", got, first, seq)
 	}
-	EncodeLogHeader(buf, 9, []uint32{40, 41}, LogSize)
-	EncodeLogHeader(buf, 0, nil, LogSize)
-	if first, got := DecodeLogHeader(buf, LogSize); first != 0 || len(got) != 0 {
+	EncodeCommitRecord(buf, 12, 9, []uint32{40, 41}, LogSize-1)
+	EncodeCommitRecord(buf, 0, 0, nil, LogSize-1)
+	if _, first, got := DecodeCommitRecord(buf, LogSize-1); first != 0 || len(got) != 0 {
 		t.Fatalf("cleared record read as %d entries from slot %d", len(got), first)
 	}
 	if !bytes.Equal(buf, make([]byte, BlockSize)) {
@@ -141,26 +149,67 @@ func TestLogHeaderOldRecordAtSlotZero(t *testing.T) {
 	}
 }
 
-// TestPlaceBeside: a transaction goes below the slots being checkpointed
-// when it fits there, else right after them, and nowhere when it fits in
-// neither place.
-func TestPlaceBeside(t *testing.T) {
+// TestSeqBefore: sequence numbers order by their difference, across the
+// wrap.
+func TestSeqBefore(t *testing.T) {
 	for _, c := range []struct {
-		n, live, nlive, nlog, first uint32
-		ok                          bool
-	}{
-		{3, 0, 4, LogSize, 4, true},
-		{3, 5, 4, LogSize, 0, true},
-		{5, 5, 4, LogSize, 0, true},
-		{6, 5, 4, LogSize, 9, true},
-		{119, 5, 4, LogSize, 9, true},
-		{120, 5, 4, LogSize, 0, false},
-		{1, 0, LogSize, LogSize, 0, false},
-		{LogSize, 0, 0, LogSize, 0, true},
-	} {
-		if first, ok := PlaceBeside(c.n, c.live, c.nlive, c.nlog); first != c.first || ok != c.ok {
-			t.Errorf("PlaceBeside(%d, %d, %d, %d) = %d, %v; want %d, %v", c.n, c.live, c.nlive, c.nlog, first, ok, c.first, c.ok)
+		a, b uint32
+		want bool
+	}{{1, 2, true}, {2, 1, false}, {5, 5, false}, {math.MaxUint32, 0, true}, {0, math.MaxUint32, false}} {
+		if got := SeqBefore(c.a, c.b); got != c.want {
+			t.Errorf("SeqBefore(%d, %d) = %v, want %v", c.a, c.b, got, c.want)
 		}
+	}
+}
+
+// TestPlaceBeside: a transaction goes to the lowest of slot 0 and the
+// slot right after each range still being checkpointed where it overlaps
+// none of them and ends inside the log, and nowhere when no such slot
+// exists. With no range it goes to slot 0.
+func TestPlaceBeside(t *testing.T) {
+	const nslots = LogSize - 1
+	type r = SlotRange
+	for _, c := range []struct {
+		n     uint32
+		live  []SlotRange
+		first uint32
+		ok    bool
+	}{
+		{3, nil, 0, true},
+		{nslots, nil, 0, true},
+		{3, []r{{0, 4}}, 4, true},
+		{3, []r{{5, 4}}, 0, true},
+		{5, []r{{5, 4}}, 0, true},
+		{6, []r{{5, 4}}, 9, true},
+		{118, []r{{5, 4}}, 9, true},
+		{119, []r{{5, 4}}, 0, false},
+		{1, []r{{0, nslots}}, 0, false},
+		// Two ranges: below both, between them, after both.
+		{2, []r{{4, 4}, {10, 4}}, 0, true},
+		{5, []r{{4, 4}, {10, 4}}, 14, true},
+		{2, []r{{0, 4}, {10, 4}}, 4, true},
+		{2, []r{{10, 4}, {0, 4}}, 4, true},
+		{7, []r{{0, 4}, {10, 4}}, 14, true},
+		{nslots - 13, []r{{0, 4}, {10, 4}}, 0, false},
+		{nslots - 14, []r{{10, 4}, {0, 4}}, 14, true},
+	} {
+		if first, ok := PlaceSlots(c.n, c.live, nslots); first != c.first || ok != c.ok {
+			t.Errorf("PlaceSlots(%d, %v, %d) = %d, %v; want %d, %v", c.n, c.live, nslots, first, ok, c.first, c.ok)
+		}
+	}
+}
+
+// TestRecordBlocks: the second record block is the log region's last
+// block, right before the inode table, and the slots lie between the
+// two.
+func TestRecordBlocks(t *testing.T) {
+	sb, err := Geometry(10000, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb := sb.RecordBlocks()
+	if rb[0] != sb.LogStart || rb[1] != sb.InodeStart-1 || rb[1] != sb.LogStart+1+sb.LogSlots() {
+		t.Fatalf("record blocks %v, slots %d from %d, inode table at %d", rb, sb.LogSlots(), sb.LogStart+1, sb.InodeStart)
 	}
 }
 
@@ -289,6 +338,60 @@ func TestFsckDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestFsckFlagsRecordInEitherBlock: an unrecovered commit record makes
+// the image fail the check, in record block A and in record block B.
+func TestFsckFlagsRecordInEitherBlock(t *testing.T) {
+	for i := range 2 {
+		dev := blockdev.MustNew(blockdev.Config{Blocks: 2048, Model: costmodel.Fast()})
+		clk := vclock.NewClock()
+		sb, err := Mkfs(clk, dev, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blk := sb.RecordBlocks()[i]
+		buf := make([]byte, BlockSize)
+		EncodeCommitRecord(buf, 1, 0, []uint32{sb.DataStart}, sb.LogSlots())
+		if err := dev.Write(clk, int(blk), buf); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Fsck(clk, dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.OK() {
+			t.Errorf("fsck passed an image with a record in block %d", blk)
+		}
+	}
+}
+
+// TestMkfsClearsBothRecords: formatting a device that held a record in
+// either record block, as a reused device may, leaves no record behind.
+func TestMkfsClearsBothRecords(t *testing.T) {
+	dev := blockdev.MustNew(blockdev.Config{Blocks: 2048, Model: costmodel.Fast()})
+	clk := vclock.NewClock()
+	sb, err := Geometry(2048, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, BlockSize)
+	EncodeCommitRecord(buf, 1, 0, []uint32{sb.DataStart}, sb.LogSlots())
+	for _, blk := range sb.RecordBlocks() {
+		if err := dev.Write(clk, int(blk), buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Mkfs(clk, dev, 256); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Fsck(clk, dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("fsck after formatting over two records: %v", rep.Errors)
+	}
+}
+
 func TestMaxFileSizeCoversFourGB(t *testing.T) {
 	if MaxFileSize < 4<<30 {
 		t.Fatalf("max file size %d < 4GiB; paper requires 4GB files", MaxFileSize)
@@ -374,36 +477,37 @@ func TestDinodeTypeMatchesDecode(t *testing.T) {
 // fullLogHeaderEncode encodes blocks the simple way: the count, then
 // all nlog slots, zeros past the count, and the first slot in the last
 // word, every time.
-func fullLogHeaderEncode(first uint32, blocks []uint32, nlog uint32, buf []byte) {
+func fullLogHeaderEncode(seq, first uint32, blocks []uint32, nslots uint32, buf []byte) {
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:], uint32(len(blocks)))
-	for i := uint32(0); i < nlog; i++ {
+	for i := uint32(0); i < nslots; i++ {
 		var b uint32
 		if i < uint32(len(blocks)) {
 			b = blocks[i]
 		}
 		le.PutUint32(buf[4+4*i:], b)
 	}
+	le.PutUint32(buf[len(buf)-8:], seq)
 	le.PutUint32(buf[len(buf)-4:], first)
 }
 
 // TestLogHeaderEncodeMatchesFull: over seeded sequences of records that
-// grow, shrink, empty and fill a 128-block log and ext4's 1020-block one,
+// grow, shrink, empty and fill a 127-slot log and ext4's 1019-slot one,
 // encoding into the buffer the previous record left produces, byte for
 // byte, the block the all-slots encoder produces, and decodes back to
 // the record.
 func TestLogHeaderEncodeMatchesFull(t *testing.T) {
-	for _, nlog := range []uint32{LogSize, 1020} {
+	for _, nslots := range []uint32{LogSize - 1, 1019} {
 		rng := rand.New(rand.NewSource(22))
 		got, want := make([]byte, BlockSize), make([]byte, BlockSize)
 		for i := 0; i < 5000; i++ {
-			var n uint32
+			var n, seq uint32
 			switch rng.Intn(4) {
 			case 0: // the cleared record after an install
 			case 1:
-				n = nlog
+				n = nslots
 			default:
-				n = uint32(rng.Intn(int(nlog) + 1))
+				n = uint32(rng.Intn(int(nslots) + 1))
 			}
 			blocks := make([]uint32, n)
 			for j := range blocks {
@@ -411,15 +515,15 @@ func TestLogHeaderEncodeMatchesFull(t *testing.T) {
 			}
 			var first uint32
 			if n > 0 {
-				first = uint32(rng.Intn(int(nlog-n) + 1))
+				first, seq = uint32(rng.Intn(int(nslots-n)+1)), rng.Uint32()
 			}
-			EncodeLogHeader(got, first, blocks, nlog)
-			fullLogHeaderEncode(first, blocks, nlog, want)
+			EncodeCommitRecord(got, seq, first, blocks, nslots)
+			fullLogHeaderEncode(seq, first, blocks, nslots, want)
 			if !bytes.Equal(got, want) {
-				t.Fatalf("log of %d, record %d (n=%d): short encoding differs from the full one", nlog, i, n)
+				t.Fatalf("log of %d, record %d (n=%d): short encoding differs from the full one", nslots, i, n)
 			}
-			if f, b := DecodeLogHeader(got, nlog); f != first || !slices.Equal(b, blocks) {
-				t.Fatalf("log of %d, record %d (n=%d from slot %d) does not decode back", nlog, i, n, first)
+			if q, f, b := DecodeCommitRecord(got, nslots); q != seq || f != first || !slices.Equal(b, blocks) {
+				t.Fatalf("log of %d, record %d (n=%d from slot %d) does not decode back", nslots, i, n, first)
 			}
 		}
 	}

@@ -28,7 +28,7 @@ func Mkfs(clk *vclock.Clock, dev *blockdev.Device, ninodes uint32) (Superblock, 
 
 // Format writes a fresh file system with geometry sb to dev: super (the
 // encoded superblock block, which Format then reuses as scratch) at block
-// 1, an empty log header, the inode table holding only the root
+// 1, two cleared commit records, the inode table holding only the root
 // directory, the root directory's "." and "..", and a bitmap marking the
 // metadata region and the root's data block in use; then it flushes.
 // Every file system on this format shares it; only the superblock
@@ -37,15 +37,21 @@ func Format(clk *vclock.Clock, dev *blockdev.Device, sb Superblock, super []byte
 	if dev.BlockSize() != BlockSize {
 		return fmt.Errorf("layout: device block size %d != %d: %w", dev.BlockSize(), BlockSize, fsapi.ErrInvalid)
 	}
+	// Record block B's cleared record is submitted first and not waited
+	// for: it overlaps the superblock's write, and the closing FLUSH makes
+	// it durable with the rest.
+	rb := sb.RecordBlocks()
+	if _, err := dev.Submit(clk, int(rb[1]), make([]byte, BlockSize)); err != nil {
+		return err
+	}
 	buf := super
 	if err := dev.Write(clk, 1, buf); err != nil {
 		return err
 	}
 
-	// Empty log header.
+	// Record block A's cleared record.
 	clear(buf)
-	EncodeLogHeader(buf, 0, nil, sb.NLog)
-	if err := dev.Write(clk, int(sb.LogStart), buf); err != nil {
+	if err := dev.Write(clk, int(rb[0]), buf); err != nil {
 		return err
 	}
 

@@ -79,6 +79,26 @@ func TestCommitCheckpointsInBackground(t *testing.T) {
 	}
 }
 
+// TestBothRecordBlocksBusy slows every data-region write by a
+// millisecond, so each mkdir's checkpoint, which installs the parent
+// directory's block, outlasts the next two commits, on the C-Kernel and
+// on ext4 without barriers: a commit finds both record blocks busy and
+// waits out the earlier clear, and every commit still keeps the
+// checkpoint order.
+func TestBothRecordBlocksBusy(t *testing.T) {
+	for _, fsType := range []kernel.FileSystemType{vfsimpl.Type{}, ext4.Type{Cfg: ext4.Config{NoBarriers: true}}} {
+		t.Run(fsType.Name(), func(t *testing.T) {
+			r := rig(t, costmodel.Default(), fsType)
+			r.SlowData(time.Millisecond)
+			if err := r.Mkdirs("/a", "/b", "/c", "/d"); err != nil {
+				t.Fatal(err)
+			}
+			r.RequireCheckpointOrder(t)
+			r.RequireCheckpointWait(t)
+		})
+	}
+}
+
 // TestBesideRecordRecovers cuts the power right after a commit record
 // whose log slots sit beside a running checkpoint, on the C-Kernel and on
 // ext4 without barriers, as published, and with them: recovery installs
@@ -96,6 +116,34 @@ func TestBesideRecordRecovers(t *testing.T) {
 			rig(t, costmodel.Default(), c.fsType).RequireBesideRecovery(t)
 		})
 	}
+}
+
+// TestTwoRecordsRecover cuts the power right after a commit record in
+// block A was submitted while the previous commit's record in block B
+// was still valid, on the C-Kernel and on ext4, both without barriers as
+// published: recovery replays both in sequence order. With barriers a
+// commit's slots queue behind the running checkpoint's FLUSH, so its
+// record never overlaps that checkpoint's clear.
+func TestTwoRecordsRecover(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		fsType kernel.FileSystemType
+	}{
+		{"xv6vfs", vfsimpl.Type{}},
+		{"ext4-nobarriers", ext4.Type{Cfg: ext4.Config{NoBarriers: true}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rig(t, costmodel.Default(), c.fsType).RequireTwoRecordRecovery(t)
+		})
+	}
+}
+
+// TestFreedBlockRecovers: on ext4's compound log with the data bypass
+// on, without barriers as published, a block the previous transaction
+// logged and the next one frees and reuses as file data holds that data
+// after a cut right after the next commit's record.
+func TestFreedBlockRecovers(t *testing.T) {
+	rig(t, costmodel.Default(), ext4.Type{Cfg: ext4.Config{NoBarriers: true, DataBypass: true}}).RequireFreedBlockRecovery(t)
 }
 
 // TestOrderedData requires the data bypass's file data to be ordered
@@ -125,6 +173,35 @@ func TestOrderedData(t *testing.T) {
 			return r.M.FS().Sync(lag)
 		})
 	})
+}
+
+// TestCompoundSyncWaitsForCommit: under ext4's compound policy task b's
+// mkdir joins the running transaction and task a's sync, on a clock
+// level with b's, commits it. b's own sync then finds nothing pending,
+// but its mkdir is durable only once that commit's record has completed,
+// so the sync must not return before then.
+func TestCompoundSyncWaitsForCommit(t *testing.T) {
+	r := rig(t, costmodel.Default(), ext4.Type{Cfg: ext4.Config{NoBarriers: true}})
+	a, b := r.Task, r.K.NewTask("b")
+	b.Clk.AdvanceTo(a.Clk.NowNS())
+	if err := r.M.Mkdir(b, "/d"); err != nil {
+		t.Fatal(err)
+	}
+	a.Clk.AdvanceTo(b.Clk.NowNS())
+	if err := r.M.FS().Sync(a); err != nil {
+		t.Fatal(err)
+	}
+	commits := r.Commits(1)
+	if len(commits) == 0 {
+		t.Fatal("a's sync committed nothing")
+	}
+	c := commits[len(commits)-1]
+	if err := r.M.FS().Sync(b); err != nil {
+		t.Fatal(err)
+	}
+	if now, recorded := b.Clk.NowNS(), c.Start+c.Dur; now < recorded {
+		t.Errorf("b's sync returned at %d ns, before the commit carrying its mkdir recorded at %d ns", now, recorded)
+	}
 }
 
 // TestCreateReportsFailedCommit requires a C-Kernel create whose commit
@@ -200,9 +277,9 @@ func (f *fatalTB) Fatalf(format string, args ...any) {
 }
 
 // TestRequireUncommittedReadsTheWholeLog: the check reads the commit
-// record with the log's own capacity. In ext4's 1020-block log a record
+// record with the log's own capacity. In ext4's 1019-slot log a record
 // of 200 blocks is a commit, which the check must report, not read as a
-// corrupt, and so empty, record of a 128-block log.
+// corrupt, and so empty, record of a 127-slot log.
 func TestRequireUncommittedReadsTheWholeLog(t *testing.T) {
 	r := rig(t, costmodel.Fast(), ext4.Type{})
 	if r.SB.NLog <= 200 {
@@ -224,7 +301,7 @@ func TestRequireUncommittedReadsTheWholeLog(t *testing.T) {
 		r.RequireUncommitted(check)
 	}()
 	<-done
-	if !strings.Contains(check.msg, "log header holds 200 blocks") {
+	if !strings.Contains(check.msg, "holds 200 blocks") {
 		t.Fatalf("RequireUncommitted on a 200-block commit record: %q, want it to report the 200 blocks", check.msg)
 	}
 }

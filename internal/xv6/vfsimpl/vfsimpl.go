@@ -631,9 +631,10 @@ func (fs *FS) writei(t *kernel.Task, ip *inode, off int64, buf []byte) (int, err
 // run of page buffers the kernel has given up (write-back) and off is
 // page-aligned: a whole block of direct data is then a whole buffer of
 // src and goes to the device as it is instead of being copied. Direct
-// data is ordered data: writev does not wait for it but hands its latest
-// completion to the transaction (OrderData), whose commit record waits for
-// it; a failed write waits for what it submitted before it returns.
+// data is ordered data: writev does not wait for it but hands each block
+// and its completion to the transaction (OrderData), whose commit record
+// waits for it; a failed write waits for what it submitted before it
+// returns.
 func (fs *FS) writev(t *kernel.Task, ip *inode, off int64, src [][]byte, total int64, owned bool) (int, error) {
 	if off < 0 || off+total > layout.MaxFileSize {
 		return 0, fsapi.ErrFileTooBig
@@ -692,6 +693,7 @@ func (fs *FS) writev(t *kernel.Task, ip *inode, off int64, src [][]byte, total i
 				return int(done), err
 			}
 			batchEnd = max(batchEnd, completion)
+			fs.log.OrderData(uint32(blk), completion)
 			done += n
 			continue
 		}
@@ -712,7 +714,6 @@ func (fs *FS) writev(t *kernel.Task, ip *inode, off int64, src [][]byte, total i
 		_ = bh.Release()
 		done += n
 	}
-	fs.log.OrderData(batchEnd)
 	if end := off + done; end > int64(ip.din.Size) {
 		ip.din.Size = uint64(end)
 	}

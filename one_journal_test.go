@@ -15,11 +15,12 @@ import (
 // the xv6 log's records, each with the package directories allowed to
 // call it besides layout itself.
 var logFormatCallers = map[string][]string{
-	"EncodeLogHeader": {"internal/xv6/journal"},
-	"PlaceBeside":     {"internal/xv6/journal"},
+	"EncodeCommitRecord": {"internal/xv6/journal"},
+	"PlaceSlots":         {"internal/xv6/journal"},
+	"SeqBefore":          {"internal/xv6/journal"},
 	// journaltest is the device-side oracle: it reads what a commit
 	// left on the device.
-	"DecodeLogHeader": {"internal/xv6/journal", "internal/xv6/journaltest"},
+	"DecodeCommitRecord": {"internal/xv6/journal", "internal/xv6/journaltest"},
 }
 
 // TestOneJournal keeps the xv6 log algorithm in one place: no non-test
