@@ -4,20 +4,28 @@
 // should not fail on someone else's outage — but a fragment on a
 // relative link still requires the file itself to exist.
 //
+// It also holds the changelog to its cap: an entry of dir's CHANGES.md
+// for PR capFromPR or later may be at most entryCap bytes — what
+// changed, what was deleted, and which file has the numbers; the
+// measurement tables belong in those files.
+//
 // Usage:
 //
 //	mdcheck [dir]    # default: current directory
 //
-// Exits nonzero listing every broken link as file:line: target.
+// Exits nonzero listing every broken link as file:line: target and every
+// oversized entry as file:line: PR n: size.
 package main
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 )
 
@@ -34,14 +42,68 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mdcheck: %v\n", err)
 		os.Exit(1)
 	}
-	for _, b := range broken {
-		fmt.Fprintln(os.Stderr, b)
-	}
-	if len(broken) > 0 {
-		fmt.Fprintf(os.Stderr, "mdcheck: %d broken link(s) across %d markdown file(s)\n", len(broken), nfiles)
+	oversized, err := oversizedEntries(filepath.Join(root, "CHANGES.md"))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		fmt.Fprintf(os.Stderr, "mdcheck: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("mdcheck: %d markdown file(s), all internal links resolve\n", nfiles)
+	for _, b := range append(broken, oversized...) {
+		fmt.Fprintln(os.Stderr, b)
+	}
+	if len(broken)+len(oversized) > 0 {
+		fmt.Fprintf(os.Stderr, "mdcheck: %d broken link(s) across %d markdown file(s), %d changelog entr(ies) over %d bytes\n",
+			len(broken), nfiles, len(oversized), entryCap)
+		os.Exit(1)
+	}
+	fmt.Printf("mdcheck: %d markdown file(s), all internal links resolve, no changelog entry over %d bytes\n", nfiles, entryCap)
+}
+
+// The changelog's cap: entries for PR capFromPR on are at most entryCap
+// bytes.
+const (
+	capFromPR = 51
+	entryCap  = 4096
+)
+
+// entryRE matches the first line of a changelog entry ("- PR 12: …",
+// "PR 47 — …", "**PR 50 — …") and captures its PR number.
+var entryRE = regexp.MustCompile(`^(?:- )?(?:\*\*)?PR (\d+)\b`)
+
+// oversizedEntries returns every entry of the changelog p for PR
+// capFromPR or later that is over entryCap bytes, as "p:line: PR n: size".
+// An entry is its first line and the blank or indented lines after it
+// (tables, continued paragraphs), up to the last non-blank one.
+func oversizedEntries(p string) ([]string, error) {
+	data, err := os.ReadFile(p)
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	pr, start, size, pending := 0, 0, 0, 0 // pending: trailing blank lines' bytes
+	flush := func() {
+		if pr >= capFromPR && size > entryCap {
+			out = append(out, fmt.Sprintf("%s:%d: PR %d: %d bytes, over the %d-byte cap", p, start, pr, size, entryCap))
+		}
+		pr = 0
+	}
+	for i, line := range strings.Split(string(data), "\n") {
+		switch {
+		case pr != 0 && strings.TrimSpace(line) == "":
+			pending += len(line) + 1
+			continue
+		case pr != 0 && (line[0] == ' ' || line[0] == '\t'):
+			size += pending + len(line) + 1
+			pending = 0
+			continue
+		}
+		flush()
+		if m := entryRE.FindStringSubmatch(line); m != nil {
+			pr, _ = strconv.Atoi(m[1])
+			start, size, pending = i+1, len(line)+1, 0
+		}
+	}
+	flush()
+	return out, nil
 }
 
 // check walks root for .md files and returns every broken internal

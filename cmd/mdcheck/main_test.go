@@ -75,3 +75,32 @@ func TestRepoLinksResolve(t *testing.T) {
 		t.Errorf("broken link: %s", b)
 	}
 }
+
+func TestOversizedEntries(t *testing.T) {
+	dir := t.TempDir()
+	long := strings.Repeat("x", entryCap)
+	p := filepath.Join(dir, "CHANGES.md")
+	write(t, p, strings.Join([]string{
+		"- PR 50: " + long, // before the cap applies
+		"FOUND: " + long,   // not an entry
+		"PR 51 — short, with a table",
+		"",
+		"  | a | b |",
+		"  |---|---|",
+		"",
+		"**PR 52 — " + long[:entryCap/2],
+		"  " + long[:entryCap/2], // the indented continuation pushes it over
+		"MENDED: " + long,
+		"- PR 53: " + long[:entryCap-1-len("- PR 53: ")], // exactly at the cap with its newline
+		"- Follow-up, no number: " + long,
+		"",
+	}, "\n"))
+	got, err := oversizedEntries(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{p + ":8: PR 52: 4112 bytes, over the 4096-byte cap"}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("oversizedEntries = %q, want %q", got, want)
+	}
+}

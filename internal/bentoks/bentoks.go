@@ -22,7 +22,6 @@ import (
 
 	"bento/internal/blockdev"
 	"bento/internal/kernel"
-	"bento/internal/trace"
 )
 
 // Violation is the error type for ownership-contract violations. In Rust
@@ -357,14 +356,7 @@ func (sb *SuperBlock) Flush(t *kernel.Task) error {
 	if err := sb.check(); err != nil {
 		return err
 	}
-	start := t.Clk.NowNS()
-	if err := sb.bc.Device().Flush(t.Clk); err != nil {
-		return err
-	}
-	if r := t.Rec(); r != nil {
-		r.Span(t.Name, trace.CatDevice, "flush", start, t.Clk.NowNS())
-	}
-	return nil
+	return flush(t, sb.bc.Device())
 }
 
 // JournalTask implements Disk: the mount's journal thread (jbd2's

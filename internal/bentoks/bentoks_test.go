@@ -315,3 +315,61 @@ func TestViolationErrorString(t *testing.T) {
 		}
 	}
 }
+
+// TestRawDiskChargesTheCacheAlone runs one sequence of borrows on the
+// SuperBlock and on a RawDisk over twin devices: the raw disk must cost
+// exactly the buffer cache's charges, the SuperBlock those plus one
+// wrapper check per borrow, and neither may leave a buffer held.
+func TestRawDiskChargesTheCacheAlone(t *testing.T) {
+	model := costmodel.Default() // Fast charges no wrapper check
+	if model.WrapperCheck == 0 {
+		t.Fatal("the default model charges no wrapper check: nothing to tell apart")
+	}
+	k := kernel.New(model)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// run makes six borrows of d and reports the virtual time they took.
+	run := func(d Disk, direct DirectDisk) int64 {
+		task := k.NewTask("t")
+		start := task.Clk.NowNS()
+		var dst [8]byte
+		b, err := d.BRead(task, 1)
+		must(err)
+		must(b.MarkDirty())
+		must(d.ReadBlockRange(task, 2, 8, dst[:]))
+		z, err := d.BReadNoFill(task, 9)
+		must(err)
+		c, err := d.BClone(task, 10, b)
+		must(err)
+		must(direct.BReadDirect(task, 20, make([]byte, d.BlockSize())))
+		_, err = direct.BWriteDirect(task, 21, make([]byte, d.BlockSize()))
+		must(err)
+		for _, x := range []Buffer{b, z, c} {
+			must(x.Release())
+		}
+		return task.Clk.NowNS() - start
+	}
+	newCache := func() *kernel.BufferCache {
+		return kernel.NewBufferCache(blockdev.MustNew(blockdev.Config{Blocks: 64, Model: model}), model, 16)
+	}
+	sbCache, rawCache := newCache(), newCache()
+	sb := NewSuperBlock(sbCache, NewChecker())
+	raw := NewRawDisk(k.NewTask("mount"), rawCache)
+	checked, unchecked := run(sb, sb), run(raw, raw)
+	if want := unchecked + 6*int64(model.WrapperCheck); checked != want {
+		t.Errorf("SuperBlock took %d ns, RawDisk %d: want the RawDisk's plus six wrapper checks (%d)",
+			checked, unchecked, want)
+	}
+	for name, bc := range map[string]*kernel.BufferCache{"SuperBlock": sbCache, "RawDisk": rawCache} {
+		if n := bc.Held(); n != 0 {
+			t.Errorf("%s: %d buffer(s) held after the sequence", name, n)
+		}
+	}
+	if jt := raw.JournalTask(nil); jt == nil || raw.JournalTask(nil) != jt {
+		t.Error("RawDisk's journal task is not the one made with the disk")
+	}
+}

@@ -26,11 +26,13 @@ type Buffer interface {
 	Release() error
 }
 
-// Disk is the storage service a Bento file system receives at Init: the
-// kernel-side SuperBlock capability, or the userspace O_DIRECT
-// equivalent when the same file system runs under FUSE.
+// Disk is the storage service a file system runs on: the kernel-side
+// SuperBlock capability a Bento file system receives at Init, the
+// userspace O_DIRECT equivalent when the same file system runs under
+// FUSE, or the unchecked RawDisk it runs on as a C-style kernel file
+// system (the C-Kernel and ext4).
 //
-// Disk is deliberately backend-agnostic: both implementations bottom
+// Disk is deliberately backend-agnostic: every implementation bottoms
 // out in a blockdev.Device, whose storage tier is itself pluggable (the
 // local NVMe model or internal/netstore's object store — see
 // blockdev.Backend). A file system written against Disk therefore runs
@@ -78,10 +80,11 @@ type Disk interface {
 
 // DirectDisk is the optional single-copy data path — file contents moved
 // between the device and the pages above without entering any block
-// cache — which only the kernel SuperBlock offers: a userspace file
-// system cannot DMA into kernel pages, so the disk under FUSE does not
-// have it. A file system that routes data around its disk's cache asks
-// for it once, at Init, and refuses to mount without it.
+// cache — which only the in-kernel disks (SuperBlock, RawDisk) offer: a
+// userspace file system cannot DMA into kernel pages, so the disk under
+// FUSE does not have it. A file system that routes data around its
+// disk's cache asks for it once, as it mounts, and refuses to mount
+// without it.
 type DirectDisk interface {
 	// BReadDirect reads blk straight into buf (one block) without
 	// populating any block cache — the single-copy data path. File
@@ -107,9 +110,9 @@ type DirectDisk interface {
 
 // BlockLender is the optional by-reference read of a cached block, which
 // only a disk whose cached blocks are never written in place can offer:
-// the userspace disk under FUSE has it, the kernel SuperBlock — whose
-// buffer cache mutates blocks under the journal — does not. A file
-// system asks for it once, at Init.
+// the userspace disk under FUSE has it, the in-kernel disks — whose
+// buffer cache mutates blocks under the journal — do not. A file system
+// asks for it once, as it mounts.
 type BlockLender interface {
 	// BReadView is ReadBlockRange of the whole block by reference: the
 	// same cost, returning a read-only view of the block's contents that

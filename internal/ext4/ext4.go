@@ -3,9 +3,10 @@
 // mounts it ("so it logs file data in the journal like the xv6 file
 // system").
 //
-// It is the C-Kernel's file system (internal/xv6/vfsimpl) — the same
-// inodes, block map, truncate, directories and VFS operations over the
-// xv6 record formats — mounted with the mechanisms that matter to the
+// It is the C-Kernel's file system (internal/xv6/bentoimpl over the raw
+// buffer cache, as internal/xv6/vfsimpl mounts it) — the same inodes,
+// block map, truncate, directories and VFS operations over the xv6
+// record formats — mounted with the mechanisms that matter to the
 // evaluation where ext4 differs:
 //
 //   - a JBD2-style journal (journal.Compound): operations join a running
@@ -14,7 +15,7 @@
 //     durability barriers (FLUSH) are paid once per compound commit. The
 //     log is the one every xv6 variant runs (internal/xv6/journal), under
 //     that policy: one batch of log writes per commit.
-//   - an in-memory directory index (vfsimpl.IndexedDirs, the htree
+//   - an in-memory directory index (bentoimpl.IndexedDirs, the htree
 //     stand-in) for O(1) lookup.
 //   - the batched ->writepages write-back path (kernel.BatchWriter).
 //
@@ -31,6 +32,7 @@ import (
 	"bento/internal/blockdev"
 	"bento/internal/fsapi"
 	"bento/internal/kernel"
+	"bento/internal/xv6/bentoimpl"
 	"bento/internal/xv6/journal"
 	"bento/internal/xv6/layout"
 	"bento/internal/xv6/vfsimpl"
@@ -114,13 +116,12 @@ func (tt Type) Mount(t *kernel.Task, dev *blockdev.Device) (kernel.FileSystem, e
 	if err != nil {
 		return nil, err
 	}
-	fs, err := vfsimpl.New(t, dev, sb, vfsimpl.Mechanisms{
-		Name:        "ext4",
-		CacheBlocks: cacheBlocks,
-		Journal:     journal.Compound(CommitThreshold),
-		Dirs:        vfsimpl.IndexedDirs(),
-		Barriers:    !tt.Cfg.NoBarriers,
-		DataBypass:  tt.Cfg.DataBypass,
+	fs, err := vfsimpl.New(t, dev, sb, cacheBlocks, bentoimpl.Mechanisms{
+		Name:       "ext4",
+		Journal:    journal.Compound(CommitThreshold),
+		Dirs:       bentoimpl.IndexedDirs(),
+		Barriers:   !tt.Cfg.NoBarriers,
+		DataBypass: tt.Cfg.DataBypass,
 	})
 	if err != nil {
 		return nil, err
@@ -142,11 +143,6 @@ var (
 // WritePages implements kernel.BatchWriter.
 func (fs *FS) WritePages(t *kernel.Task, ino fsapi.Ino, pg int64, pages [][]byte, newSize int64) error {
 	return fs.WriteBatch(t, ino, pg, pages, newSize)
-}
-
-// WritePage implements kernel.FileSystem: a batch of one page.
-func (fs *FS) WritePage(t *kernel.Task, ino fsapi.Ino, pg int64, buf []byte, newSize int64) error {
-	return fs.WriteBatch(t, ino, pg, [][]byte{buf}, newSize)
 }
 
 // DataStart reports the first data-region block (tests and diagnostics).

@@ -43,7 +43,7 @@ func (fs *FS) balloc(t *kernel.Task, dataLeaf bool) (uint32, error) {
 	if blk == 0 {
 		return 0, fsapi.ErrNoSpace
 	}
-	if !(dataLeaf && fs.cfg.DataBypass) {
+	if !(dataLeaf && fs.mech.DataBypass) {
 		if err := fs.bzero(t, blk); err != nil {
 			return 0, err
 		}
@@ -108,7 +108,7 @@ func (fs *FS) bzero(t *kernel.Task, blk uint32) (err error) {
 func (fs *FS) bfree(t *kernel.Task, blk uint32) (err error) {
 	sb := &fs.super
 	if blk < sb.DataStart || blk >= sb.Size {
-		return fmt.Errorf("xv6: bfree of block %d outside data region: %w", blk, fsapi.ErrInvalid)
+		return fmt.Errorf("%s: bfree of block %d outside data region: %w", fs.mech.Name, blk, fsapi.ErrInvalid)
 	}
 	bh, err := fs.sb.BRead(t, int(sb.BitmapBlock(blk)))
 	if err != nil {
@@ -121,7 +121,7 @@ func (fs *FS) bfree(t *kernel.Task, blk uint32) (err error) {
 	}
 	bit := blk % layout.BitsPerBlock
 	if data[bit/8]&(1<<(bit%8)) == 0 {
-		return fmt.Errorf("xv6: double free of block %d: %w", blk, fsapi.ErrCorrupt)
+		return fmt.Errorf("%s: double free of block %d: %w", fs.mech.Name, blk, fsapi.ErrCorrupt)
 	}
 	data[bit/8] &^= 1 << (bit % 8)
 	if err := fs.logWrite(t, bh); err != nil {

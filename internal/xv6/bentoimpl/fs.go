@@ -12,15 +12,12 @@ import (
 	"bento/internal/xv6/layout"
 )
 
-// Reservation sizes for transactions (blocks an op may dirty).
-const (
-	metaOpBlocks = 12 // create/unlink/mkdir/...: inode + dir data + bitmap + indirects
-	// writeChunkBlocks data blocks per write transaction; with inode,
-	// bitmap, and indirect overhead this stays within layout.MaxOpBlocks.
-	writeChunkBlocks = 32
-)
+// writeChunkBlocks is the data blocks per write transaction; with inode,
+// bitmap, and indirect overhead they stay within layout.MaxOpBlocks.
+const writeChunkBlocks = 32
 
-// Config parameterizes the file system.
+// Config parameterizes the file system as Bento and the FUSE daemon
+// mount it (New): xv6's per-operation log and directory scan.
 type Config struct {
 	// Policy selects commit durability (see SyncPolicy).
 	Policy SyncPolicy
@@ -37,12 +34,30 @@ type Config struct {
 	DataBypass bool
 }
 
-// FS is the xv6 file system over the Bento file-operations API.
+// Mechanisms are what a mount fixes about the file system besides its
+// disk: Bento's (New) or the C-Kernel's and ext4's (Mount).
+type Mechanisms struct {
+	// Name names the log and prefixes the file system's errors.
+	Name string
+	// Journal is when a transaction commits: journal.PerOp or
+	// journal.Compound.
+	Journal journal.Policy
+	// Dirs is how a name is found in a directory: ScanDirs or IndexedDirs.
+	Dirs Dirs
+	// Barriers orders journal commits and recovery with device FLUSHes.
+	Barriers bool
+	// DataBypass routes regular-file contents around the disk's cache and
+	// the journal (see Config.DataBypass).
+	DataBypass bool
+}
+
+// FS is the xv6 file system over a bentoks.Disk.
 type FS struct {
-	cfg Config
-	sb  bentoks.Disk
+	cfg  Config // New's: what a live upgrade builds the replacement from
+	mech Mechanisms
+	sb   bentoks.Disk
 	// direct is sb as a bentoks.DirectDisk, set with DataBypass (which
-	// Init refuses without one) and nil otherwise.
+	// attach refuses without one) and nil otherwise.
 	direct bentoks.DirectDisk
 	// lender is sb as a bentoks.BlockLender, nil when it is not one: it
 	// lets journaled file data be lent as well as direct data.
@@ -60,9 +75,33 @@ var (
 	_ core.PageWriter = (*FS)(nil)
 )
 
-// New creates an unmounted instance; core.Register's factory calls it.
+// New creates an unmounted Bento instance; core.Register's factory calls
+// it.
 func New(cfg Config) *FS {
-	return &FS{cfg: cfg, itab: itable{entries: make(map[uint32]*Inode)}}
+	fs := newFS(Mechanisms{
+		Name:       "xv6",
+		Journal:    journal.PerOp(),
+		Dirs:       ScanDirs(),
+		Barriers:   cfg.Policy == PolicyFlush,
+		DataBypass: cfg.DataBypass,
+	})
+	fs.cfg = cfg
+	return fs
+}
+
+func newFS(m Mechanisms) *FS {
+	return &FS{mech: m, itab: itable{entries: make(map[uint32]*Inode)}}
+}
+
+// Mount mounts the file system with geometry super, read by the caller,
+// on disk under m, replaying a committed transaction the log still
+// holds: the C-Kernel's and ext4's mount.
+func Mount(t *kernel.Task, disk bentoks.Disk, super layout.Superblock, m Mechanisms) (*FS, error) {
+	fs := newFS(m)
+	if err := fs.attach(t, disk, super); err != nil {
+		return nil, err
+	}
+	return fs, nil
 }
 
 // RegisterWith installs the xv6-Bento module into kernel k under name.
@@ -70,9 +109,9 @@ func RegisterWith(k *kernel.Kernel, name string, cfg Config) error {
 	return core.Register(k, name, func() core.FileSystem { return New(cfg) })
 }
 
-// Config returns the configuration fs was built with. A live upgrade
-// builds its replacement from it, so the swap keeps the mount's data path
-// and durability.
+// Config returns the configuration a Bento instance was built with. A
+// live upgrade builds its replacement from it, so the swap keeps the
+// mount's data path and durability.
 func (fs *FS) Config() Config { return fs.cfg }
 
 // BentoName implements core.FileSystem.
@@ -84,27 +123,33 @@ func (fs *FS) Log() *journal.Log { return fs.log }
 // Super returns the parsed superblock geometry.
 func (fs *FS) Super() layout.Superblock { return fs.super }
 
-// Init implements core.FileSystem: parse the superblock, then recover the
-// log (crash consistency) before serving anything.
+// Init implements core.FileSystem: read the superblock through sb, then
+// attach.
 func (fs *FS) Init(t *kernel.Task, sb bentoks.Disk) error {
-	fs.sb = sb
-	fs.lender, _ = sb.(bentoks.BlockLender)
-	if fs.cfg.DataBypass {
-		var ok bool
-		if fs.direct, ok = sb.(bentoks.DirectDisk); !ok {
-			return fmt.Errorf("xv6: DataBypass on a disk without a direct path: %w", fsapi.ErrInvalid)
-		}
-	}
 	super, err := readSuper(t, sb)
 	if err != nil {
 		return err
 	}
+	return fs.attach(t, sb, super)
+}
+
+// attach serves the file system with geometry super from sb, recovering
+// the log (crash consistency) before serving anything.
+func (fs *FS) attach(t *kernel.Task, sb bentoks.Disk, super layout.Superblock) error {
+	fs.sb = sb
+	fs.lender, _ = sb.(bentoks.BlockLender)
+	if fs.mech.DataBypass {
+		var ok bool
+		if fs.direct, ok = sb.(bentoks.DirectDisk); !ok {
+			return fmt.Errorf("%s: DataBypass on a disk without a direct path: %w", fs.mech.Name, fsapi.ErrInvalid)
+		}
+	}
 	if int(super.Size) > sb.Blocks() {
-		return fmt.Errorf("xv6: superblock claims %d blocks, device has %d: %w",
-			super.Size, sb.Blocks(), fsapi.ErrCorrupt)
+		return fmt.Errorf("%s: superblock claims %d blocks, device has %d: %w",
+			fs.mech.Name, super.Size, sb.Blocks(), fsapi.ErrCorrupt)
 	}
 	fs.super = super
-	fs.log = journal.New("xv6", &logDisk{sb}, super, journal.PerOp(), fs.cfg.Policy == PolicyFlush)
+	fs.log = journal.New(fs.mech.Name, &logDisk{sb}, super, fs.mech.Journal, fs.mech.Barriers)
 	fs.alloc.blockRotor = super.DataStart
 	fs.alloc.inodeRotor = 2
 	return fs.log.Recover(t)
@@ -145,7 +190,7 @@ func (fs *FS) Fsync(t *kernel.Task, ino fsapi.Ino, dataOnly bool) error {
 // DataBypass. Directory contents are metadata and stay on sb_bread.
 // ip is loaded.
 func (fs *FS) dataDirect(ip *Inode) bool {
-	return fs.cfg.DataBypass && ip.din.Type == layout.TypeFile
+	return fs.mech.DataBypass && ip.din.Type == layout.TypeFile
 }
 
 // iputOutside drops an inode reference outside any transaction. The
@@ -168,7 +213,7 @@ func (fs *FS) Lookup(t *kernel.Task, parent fsapi.Ino, name string) (fsapi.Stat,
 	if err := dp.iload(t); err != nil {
 		return fsapi.Stat{}, err
 	}
-	inum, _, err := fs.dirlookup(t, dp, name)
+	inum, _, err := fs.dirlookup(t, dp, name, false)
 	if err != nil {
 		return fsapi.Stat{}, err
 	}
@@ -291,8 +336,8 @@ func (fs *FS) createNode(t *kernel.Task, parent fsapi.Ino, name string, typ uint
 	if name == "" || name == "." || name == ".." {
 		return fsapi.Stat{}, fsapi.ErrInvalid
 	}
-	fs.log.BeginOp(t, metaOpBlocks)
-	defer fs.log.EndOp(t, metaOpBlocks, &err)
+	fs.log.BeginOp(t, layout.MaxOpBlocks)
+	defer fs.log.EndOp(t, layout.MaxOpBlocks, &err)
 
 	dp := fs.iget(uint32(parent))
 	defer fs.iputRef(t, dp)
@@ -302,7 +347,7 @@ func (fs *FS) createNode(t *kernel.Task, parent fsapi.Ino, name string, typ uint
 	if dp.din.Type != layout.TypeDir {
 		return fsapi.Stat{}, fsapi.ErrNotDir
 	}
-	if _, _, err := fs.dirlookup(t, dp, name); err == nil {
+	if _, _, err := fs.dirlookup(t, dp, name, false); err == nil {
 		return fsapi.Stat{}, fsapi.ErrExist
 	}
 
@@ -363,7 +408,7 @@ func (fs *FS) removeNode(t *kernel.Task, parent fsapi.Ino, name string, wantDir 
 		return err
 	}
 
-	inum, off, err := fs.dirlookup(t, dp, name)
+	inum, off, err := fs.dirlookup(t, dp, name, true)
 	if err != nil {
 		return err
 	}
@@ -381,7 +426,7 @@ func (fs *FS) removeNode(t *kernel.Task, parent fsapi.Ino, name string, wantDir 
 		return fsapi.ErrIsDir
 	}
 	if isDir {
-		empty, err := fs.isDirEmpty(t, ip)
+		empty, err := fs.mech.Dirs.empty(t, ip)
 		if err != nil {
 			return err
 		}
@@ -389,12 +434,13 @@ func (fs *FS) removeNode(t *kernel.Task, parent fsapi.Ino, name string, wantDir 
 			return fsapi.ErrNotEmpty
 		}
 	}
-	if err := fs.dirunlink(t, dp, off); err != nil {
+	if err := fs.dirunlink(t, dp, name, off); err != nil {
 		return err
 	}
 	if isDir {
 		ip.din.Nlink -= 2 // its "." and the parent entry
 		dp.din.Nlink--    // its ".."
+		fs.mech.Dirs.removed(ip.inum)
 		if err := dp.iupdate(t); err != nil {
 			return err
 		}
@@ -442,7 +488,7 @@ func (fs *FS) Rename(t *kernel.Task, oldParent fsapi.Ino, oldName string, newPar
 		}
 	}
 
-	srcInum, srcOff, err := fs.dirlookup(t, odp, oldName)
+	srcInum, srcOff, err := fs.dirlookup(t, odp, oldName, true)
 	if err != nil {
 		return err
 	}
@@ -457,7 +503,7 @@ func (fs *FS) Rename(t *kernel.Task, oldParent fsapi.Ino, oldName string, newPar
 	srcIsDir := src.din.Type == layout.TypeDir
 
 	// Remove an existing target if compatible.
-	if tgtInum, tgtOff, err := fs.dirlookup(t, ndp, newName); err == nil {
+	if tgtInum, tgtOff, err := fs.dirlookup(t, ndp, newName, true); err == nil {
 		tgt := fs.iget(tgtInum)
 		defer fs.iputRef(t, tgt)
 		if err := tgt.iload(t); err != nil {
@@ -471,7 +517,7 @@ func (fs *FS) Rename(t *kernel.Task, oldParent fsapi.Ino, oldName string, newPar
 			return fsapi.ErrNotDir
 		}
 		if tgtIsDir {
-			empty, err := fs.isDirEmpty(t, tgt)
+			empty, err := fs.mech.Dirs.empty(t, tgt)
 			if err != nil {
 				return err
 			}
@@ -480,13 +526,14 @@ func (fs *FS) Rename(t *kernel.Task, oldParent fsapi.Ino, oldName string, newPar
 			}
 			tgt.din.Nlink -= 2
 			ndp.din.Nlink--
+			fs.mech.Dirs.removed(tgt.inum)
 		} else {
 			tgt.din.Nlink--
 		}
 		if err := tgt.iupdate(t); err != nil {
 			return err
 		}
-		if err := fs.dirunlink(t, ndp, tgtOff); err != nil {
+		if err := fs.dirunlink(t, ndp, newName, tgtOff); err != nil {
 			return err
 		}
 	}
@@ -494,12 +541,12 @@ func (fs *FS) Rename(t *kernel.Task, oldParent fsapi.Ino, oldName string, newPar
 	if err := fs.dirlink(t, ndp, newName, srcInum); err != nil {
 		return err
 	}
-	if err := fs.dirunlink(t, odp, srcOff); err != nil {
+	if err := fs.dirunlink(t, odp, oldName, srcOff); err != nil {
 		return err
 	}
 	if srcIsDir && oldParent != newParent {
 		// Rewrite "..", fix parent link counts.
-		_, dotdotOff, err := fs.dirlookup(t, src, "..")
+		_, dotdotOff, err := fs.dirlookup(t, src, "..", true)
 		if err != nil {
 			return err
 		}
@@ -510,6 +557,7 @@ func (fs *FS) Rename(t *kernel.Task, oldParent fsapi.Ino, oldName string, newPar
 		if _, err := src.writei(t, dotdotOff, buf); err != nil {
 			return err
 		}
+		fs.mech.Dirs.linked(src.inum, "..", ndp.inum)
 		odp.din.Nlink--
 		ndp.din.Nlink++
 	}
@@ -524,8 +572,8 @@ func (fs *FS) Rename(t *kernel.Task, oldParent fsapi.Ino, oldName string, newPar
 
 // Link implements core.FileSystem.
 func (fs *FS) Link(t *kernel.Task, ino fsapi.Ino, parent fsapi.Ino, name string) (st fsapi.Stat, err error) {
-	fs.log.BeginOp(t, metaOpBlocks)
-	defer fs.log.EndOp(t, metaOpBlocks, &err)
+	fs.log.BeginOp(t, layout.MaxOpBlocks)
+	defer fs.log.EndOp(t, layout.MaxOpBlocks, &err)
 
 	ip := fs.iget(uint32(ino))
 	defer fs.iputRef(t, ip)
@@ -595,7 +643,7 @@ func (fs *FS) Read(t *kernel.Task, ino fsapi.Ino, off int64, buf []byte) (int, e
 func (fs *FS) CanLendPage(ino fsapi.Ino, pg int64) bool {
 	ip, ok := fs.itab.entries[uint32(ino)]
 	return ok && ip.valid && ip.din.Type == layout.TypeFile &&
-		(fs.cfg.DataBypass || fs.lender != nil) && (pg+1)*fsapi.PageSize <= int64(ip.din.Size)
+		(fs.mech.DataBypass || fs.lender != nil) && (pg+1)*fsapi.PageSize <= int64(ip.din.Size)
 }
 
 // LendPage implements core.PageLender: Read of that page, with readi's

@@ -11,6 +11,7 @@ import (
 	"bento/internal/core"
 	"bento/internal/costmodel"
 	"bento/internal/fsapi"
+	"bento/internal/harness"
 	"bento/internal/kernel"
 	"bento/internal/vclock"
 	"bento/internal/xv6/bentoimpl"
@@ -387,9 +388,25 @@ func TestManyFilesCreateDelete(t *testing.T) {
 // host at a time, yielding between operations. Free-running goroutines
 // on a shared mount are outside the determinism contract (and this test
 // used to fail one run in eight that way; see ROADMAP, "Sequential by
-// contract").
+// contract"). It runs on every in-kernel mount of this package's file
+// system: Bento's, and the C-Kernel's and ext4's over the raw buffer
+// cache.
 func TestConcurrentWorkloadFsck(t *testing.T) {
-	e := newEnv(t, 16384, bentoimpl.PolicyWriteBack)
+	for _, variant := range []string{harness.VariantBento, harness.VariantCKernel, harness.VariantExt4} {
+		t.Run(variant, func(t *testing.T) { concurrentWorkloadFsck(t, variant) })
+	}
+}
+
+func concurrentWorkloadFsck(t *testing.T, variant string) {
+	model := costmodel.Fast()
+	k := kernel.New(model)
+	dev := blockdev.MustNew(blockdev.Config{Blocks: 16384, Model: model})
+	task := k.NewTask("test")
+	m, err := harness.Mount(k, task, dev, variant, harness.MountConfig{}, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &env{k: k, m: m, task: task, dev: dev}
 	const workers, files = 8, 20
 	payload := func(w, i int) []byte { return bytes.Repeat([]byte{byte(w*16 + i)}, 6000) }
 	run := func(w int, sw *vclock.Worker, task *kernel.Task) error {

@@ -93,7 +93,9 @@ func (ip *Inode) iload(t *kernel.Task) error {
 	}
 	ip.din = layout.DecodeDinode(ip.dbuf[:])
 	if ip.din.Type == layout.TypeFree {
-		return fmt.Errorf("xv6: iload of free inode %d: %w", ip.inum, fsapi.ErrStale)
+		// Bare: a stat of an unlinked file lands here on every warm
+		// create-and-unlink, where a formatted error would allocate.
+		return fsapi.ErrStale
 	}
 	ip.valid = true
 	return nil
@@ -260,14 +262,16 @@ func (ip *Inode) mapLevel(t *kernel.Task, blk uint32, idx int, alloc, dataLeaf b
 }
 
 // clearMapping zeroes the pointer that maps file block bn (after the
-// block itself has been freed). Indirect blocks left empty are not
-// reclaimed eagerly; a later full truncate frees them. ip is
-// loaded; caller holds a transaction.
+// block itself has been freed), journaling the indirect block that holds
+// it; a direct pointer lives in the in-core inode, which the caller
+// writes back. Indirect blocks left empty are not reclaimed eagerly; a
+// later full truncate frees them. ip is loaded; caller holds a
+// transaction.
 func (ip *Inode) clearMapping(t *kernel.Task, bn uint64) error {
 	fs := ip.fs
 	if bn < layout.NDirect {
 		ip.din.Addrs[bn] = 0
-		return ip.iupdate(t)
+		return nil
 	}
 	// Locate the level-1 indirect block holding the pointer.
 	var holder uint32

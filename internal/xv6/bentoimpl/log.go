@@ -1,23 +1,40 @@
-// Package bentoimpl is the xv6 file system written against the Bento
-// file-operations API — the Go rendering of the paper's Rust xv6
-// ("Bento" bars in every figure). All device access flows through the
-// bentoks.SuperBlock capability; all buffers are borrowed via the safe
-// wrappers.
+// Package bentoimpl is the xv6 file system, written once against the
+// Bento file-operations API — the Go rendering of the paper's Rust xv6 —
+// and run by every variant: Bento (behind core.BentoFS, "Bento" bars in
+// every figure), the FUSE daemon, and the C-Kernel and ext4, which mount
+// it with Mount (internal/xv6/vfsimpl, internal/ext4). All device access
+// flows through the bentoks.Disk the mount gives it, and every buffer is
+// borrowed from that disk.
+//
+// The paper's variants differ in the API the file system is written
+// against, not in its algorithm; here that difference lives in what each
+// mount fixes around this one code:
+//
+//   - the disk: Bento's checked bentoks.SuperBlock (a wrapper check per
+//     borrow, the ownership checker), the raw kernel buffer cache
+//     (bentoks.RawDisk) under the C-Kernel and ext4, or FUSE's userspace
+//     disk;
+//   - the write-back entry point, which is the caller's: Bento's shim and
+//     ext4 write a page run at a time, the C-Kernel one page at a time;
+//   - the journal policy, per operation or compound (Mechanisms.Journal);
+//   - directory lookup, a dirent scan or an in-memory index
+//     (Mechanisms.Dirs);
+//   - the geometry and the cache size, which are the disk's.
 //
 // The file system is xv6's design with the paper's §6.1 changes: locks
 // around inode and block allocation, and a double-indirect block so files
 // reach 4 GiB. With DataBypass off it journals *everything* (data and
 // metadata) through a write-ahead log with group commit, as xv6 does —
 // the reason the paper mounts ext4 with data=journal for comparison.
-// With it on, as the published Bento mount runs (harness.Published), file
-// data goes straight to the device and the log carries metadata only; the
+// With it on, as the published mounts run (harness.Published), file data
+// goes straight to the device and the log carries metadata only; the
 // data is ordered data, which each commit record waits for
 // (journal.Log.OrderData).
 //
-// The log is internal/xv6/journal's, the one the C-Kernel and ext4 run
-// too, under its per-operation policy; this package supplies its block
-// access through the bentoks wrappers (logDisk), so each log slot,
-// install and header pays the wrapper check the paper's Bento does.
+// The log is internal/xv6/journal's; this package supplies its block
+// access through the mount's disk (logDisk), so each log slot, install
+// and header pays what a borrow from that disk costs — the wrapper check
+// on Bento, nothing on the raw buffer cache.
 //
 // A buffer is released the way the paper's Rust drops a buffer head:
 // every acquisition is followed by `defer drop(b, &err)` in the function
