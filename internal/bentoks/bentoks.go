@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"time"
 
 	"bento/internal/blockdev"
 	"bento/internal/kernel"
@@ -215,6 +216,16 @@ func (sb *SuperBlock) BRead(t *kernel.Task, blk int) (Buffer, error) {
 	return sb.bread(t, blk, true)
 }
 
+// BReadAhead implements Disk: a wrapper check per block, then the cache's
+// batched read.
+func (sb *SuperBlock) BReadAhead(t *kernel.Task, blks []int) error {
+	if err := sb.check(); err != nil {
+		return err
+	}
+	t.Charge(time.Duration(len(blks)) * t.Model().WrapperCheck)
+	return sb.bc.ReadAhead(t, blks)
+}
+
 // BReadNoFill returns a zeroed buffer for a block about to be fully
 // overwritten, skipping the device read.
 func (sb *SuperBlock) BReadNoFill(t *kernel.Task, blk int) (Buffer, error) {
@@ -397,6 +408,9 @@ func (b *BufferHead) Data() ([]byte, error) {
 	}
 	return b.kb.Data(), nil
 }
+
+// View implements Buffer: the kernel buffer is never lent, so it is Data.
+func (b *BufferHead) View() ([]byte, error) { return b.Data() }
 
 // Slice returns data[off:off+n] with bounds checking, turning what C code
 // would make a wild read into a reported OutOfBounds violation.

@@ -13,6 +13,10 @@ type Buffer interface {
 	BlockNo() int
 	// Data exposes the block contents for the duration of the borrow.
 	Data() ([]byte, error)
+	// View is Data for a reader that does not write through what it
+	// gets: a disk that lends immutable blocks returns the view itself
+	// instead of first making the buffer a private copy.
+	View() ([]byte, error)
 	// Slice returns a bounds-checked sub-range of the contents.
 	Slice(off, n int) ([]byte, error)
 	// MarkDirty records a modification.
@@ -48,6 +52,12 @@ type Disk interface {
 	// BReadNoFill returns a zeroed buffer for a block about to be fully
 	// overwritten.
 	BReadNoFill(t *kernel.Task, blk int) (Buffer, error)
+	// BReadAhead brings blks into the disk's cache at the cost of a BRead
+	// and Release of each, but as one batch: the in-kernel disks issue
+	// every missing block's read before they wait, once, for the last
+	// (ll_rw_block, then wait_on_buffer); the userspace disk's preads are
+	// synchronous, so it reads them one after another.
+	BReadAhead(t *kernel.Task, blks []int) error
 	// BAdopt is BReadNoFill with the block then wholly overwritten by data
 	// (one block), at exactly BReadNoFill's cost. The caller gives data
 	// up: it never writes it again, whatever the call returns, so a disk

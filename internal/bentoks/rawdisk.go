@@ -43,6 +43,9 @@ func (d *RawDisk) BRead(t *kernel.Task, blk int) (Buffer, error) {
 	return (*rawBuffer)(kb), nil
 }
 
+// BReadAhead implements Disk.
+func (d *RawDisk) BReadAhead(t *kernel.Task, blks []int) error { return d.bc.ReadAhead(t, blks) }
+
 // BReadNoFill implements Disk.
 func (d *RawDisk) BReadNoFill(t *kernel.Task, blk int) (Buffer, error) {
 	kb, err := d.bc.GetNoRead(t, blk)
@@ -137,6 +140,9 @@ func (b *rawBuffer) BlockNo() int { return b.kb().BlockNo() }
 
 // Data implements Buffer.
 func (b *rawBuffer) Data() ([]byte, error) { return b.kb().Data(), nil }
+
+// View implements Buffer.
+func (b *rawBuffer) View() ([]byte, error) { return b.kb().Data(), nil }
 
 // Slice implements Buffer.
 func (b *rawBuffer) Slice(off, n int) ([]byte, error) {

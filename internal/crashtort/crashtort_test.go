@@ -40,6 +40,25 @@ func TestSweepAllVariantsRecover(t *testing.T) {
 	}
 }
 
+// TestSweepHalfKeep sweeps every variant with a cache that keeps half
+// of the unflushed writes at the cut: a commit record can then survive
+// while one of its log slots, or the clear of an earlier record, is
+// lost, which neither extreme shows. Every crash point must recover.
+func TestSweepHalfKeep(t *testing.T) {
+	for _, v := range AllVariants {
+		res, err := Sweep(Config{Variant: v, Keep: 0.5})
+		if err != nil {
+			t.Fatalf("%s keep=0.5: %v", v, err)
+		}
+		if res.Points == 0 {
+			t.Fatalf("%s keep=0.5: swept no crash points", v)
+		}
+		for _, f := range res.Failures {
+			t.Errorf("%s: %s", f.Point.ID(), f.Err)
+		}
+	}
+}
+
 // TestBrokenOrderingCaught is the fuzzer's self-test: with the write
 // ordering discipline stripped (PolicyWriteBack) and an adversarial
 // cache, fsync'd data must be lost at some crash points — if this sweep

@@ -110,6 +110,21 @@ func (ud *UserDisk) BRead(t *kernel.Task, blk int) (bentoks.Buffer, error) {
 	return b, nil
 }
 
+// BReadAhead implements bentoks.Disk: a pread is synchronous, so the
+// blocks are read one after another, each a BRead and Release.
+func (ud *UserDisk) BReadAhead(t *kernel.Task, blks []int) error {
+	for _, blk := range blks {
+		b, err := ud.get(t, blk, true)
+		if err != nil {
+			return err
+		}
+		if err := b.Release(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // BReadNoFill implements bentoks.Disk.
 func (ud *UserDisk) BReadNoFill(t *kernel.Task, blk int) (bentoks.Buffer, error) {
 	b, err := ud.get(t, blk, false)
@@ -288,6 +303,9 @@ func (b *ubuf) Data() ([]byte, error) {
 	b.writable()
 	return b.data, nil
 }
+
+// View implements bentoks.Buffer: the block as it is, view or private.
+func (b *ubuf) View() ([]byte, error) { return b.data, nil }
 
 // Slice implements bentoks.Buffer.
 func (b *ubuf) Slice(off, n int) ([]byte, error) {

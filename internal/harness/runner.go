@@ -115,8 +115,8 @@ func finishCell(tg filebench.Target, r *filebench.Result, s CellSpec) error {
 // RunCells executes specs on up to parallel host workers (parallel <= 0
 // means runtime.NumCPU()) and returns each spec's result in spec
 // order regardless of completion order. On error the first failing cell
-// in spec order wins (among cells that had started); no new cells are
-// dispatched after a failure.
+// in spec order wins (among cells that had been claimed); no cell after
+// the failed one is dispatched once it has failed.
 func RunCells(specs []CellSpec, parallel int) ([]filebench.Result, error) {
 	if parallel <= 0 {
 		parallel = runtime.NumCPU()
@@ -134,13 +134,21 @@ func RunCells(specs []CellSpec, parallel int) ([]filebench.Result, error) {
 		firstErr error
 		firstIdx = len(specs)
 	)
+	// failedIdx is the spec index of the first failure so far. A cell
+	// claimed below it still runs even when the failure lands between
+	// the claim and this check: it may fail first in spec order.
+	failedIdx := func() int {
+		errMu.Lock()
+		defer errMu.Unlock()
+		return firstIdx
+	}
 	for w := 0; w < parallel; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(specs) || failed.Load() {
+				if i >= len(specs) || failed.Load() && i > failedIdx() {
 					return
 				}
 				r, err := specs[i].run()

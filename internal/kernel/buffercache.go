@@ -8,6 +8,7 @@ import (
 	"bento/internal/fsapi"
 	"bento/internal/lru"
 	"bento/internal/trace"
+	"bento/internal/vclock"
 )
 
 // BufferCache is the kernel's block buffer cache: the sb_bread/brelse
@@ -96,6 +97,49 @@ func (bc *BufferCache) get(t *Task, blk int, read bool) (*BufferHead, error) {
 		t.rec.Add(trace.CtrBufHits, 1)
 	}
 	return b, err
+}
+
+// ReadAhead brings blks into the cache at the cost of a Get and Release
+// of each, except that every missing block's read is issued at t's clock
+// as its lookup ends, on a clock of its own, and t then waits once, for
+// the last (ll_rw_block, then wait_on_buffer): the device serves the
+// reads side by side. The wait is one bread span.
+func (bc *BufferCache) ReadAhead(t *Task, blks []int) error {
+	start := t.Clk.NowNS()
+	end := start
+	clk := vclock.NewClock()
+	for _, blk := range blks {
+		if blk < 0 || blk >= bc.dev.Blocks() {
+			return fmt.Errorf("buffercache: block %d: %w", blk, fsapi.ErrInvalid)
+		}
+		t.Charge(bc.model.BufferCacheLookup)
+		b, hit, err := bc.cache.Get(int64(blk), func(*BufferHead, bool) (*BufferHead, error) {
+			t.rec.Add(trace.CtrBufMisses, 1)
+			nb := &BufferHead{bc: bc, data: make([]byte, bc.dev.BlockSize())}
+			clk.SetNS(t.Clk.NowNS())
+			err := bc.dev.Read(clk, blk, nb.data)
+			end = max(end, clk.NowNS())
+			if err != nil {
+				return nil, err
+			}
+			return nb, nil
+		})
+		if err != nil {
+			t.Clk.AdvanceTo(end)
+			return err
+		}
+		if hit {
+			t.rec.Add(trace.CtrBufHits, 1)
+		}
+		if err := b.Release(); err != nil {
+			return err
+		}
+	}
+	if r := t.rec; r != nil && end > t.Clk.NowNS() {
+		r.Span(t.Name, trace.CatDevice, "bread", start, end)
+	}
+	t.Clk.AdvanceTo(end)
+	return nil
 }
 
 // ReadDirect reads block blk from the device straight into buf (one

@@ -45,6 +45,7 @@ import (
 	"bento/internal/bentoks"
 	"bento/internal/kernel"
 	"bento/internal/xv6/journal"
+	"bento/internal/xv6/layout"
 )
 
 // SyncPolicy selects the durability discipline of log commits.
@@ -78,19 +79,24 @@ type logDisk struct{ sb bentoks.Disk }
 
 // CopyBlock implements journal.Disk. The copy is the disk's BClone,
 // which shares a home block's contents instead of copying them when they
-// are immutable.
-func (d *logDisk) CopyBlock(t *kernel.Task, from, to uint32) (done int64, err error) {
+// are immutable, and the sum is taken of the block in hand.
+func (d *logDisk) CopyBlock(t *kernel.Task, from, to uint32) (done int64, sum uint32, err error) {
 	src, err := d.sb.BRead(t, int(from))
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	defer drop(src, &err)
+	data, err := src.View()
+	if err != nil {
+		return 0, 0, err
+	}
 	dst, err := d.sb.BClone(t, int(to), src)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	defer drop(dst, &err)
-	return dst.SubmitWrite(t)
+	done, err = dst.SubmitWrite(t)
+	return done, layout.BlockSum(data), err
 }
 
 // SubmitHome implements journal.Disk.
@@ -101,6 +107,36 @@ func (d *logDisk) SubmitHome(t *kernel.Task, blk uint32) (done int64, err error)
 	}
 	defer drop(src, &err)
 	return src.SubmitWrite(t)
+}
+
+// ReadBlocks implements journal.Disk: the disk's batched read, then
+// each block summed from the cache.
+func (d *logDisk) ReadBlocks(t *kernel.Task, blks, sums []uint32) error {
+	ints := make([]int, len(blks))
+	for i, b := range blks {
+		ints[i] = int(b)
+	}
+	if err := d.sb.BReadAhead(t, ints); err != nil {
+		return err
+	}
+	for i := range sums {
+		var err error
+		if sums[i], err = d.blockSum(t, blks[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// blockSum returns the layout.BlockSum of block blk.
+func (d *logDisk) blockSum(t *kernel.Task, blk uint32) (sum uint32, err error) {
+	bh, err := d.sb.BRead(t, int(blk))
+	if err != nil {
+		return 0, err
+	}
+	defer drop(bh, &err)
+	data, err := bh.View()
+	return layout.BlockSum(data), err
 }
 
 // WithHeader implements journal.Disk.

@@ -30,7 +30,8 @@ func fuseRig(t *testing.T, model *costmodel.Model, policy bentoimpl.SyncPolicy) 
 }
 
 // TestCommitWritesLogAsOneBatch requires a commit to write its log slots
-// as one batch, in flight together, and its commit record after them.
+// as one batch, in flight together, and its commit record beside them,
+// and to return once its slots and its record have completed.
 func TestCommitWritesLogAsOneBatch(t *testing.T) {
 	r := bentoRig(t, costmodel.Default(), bentoimpl.PolicyWriteBack)
 	if werr, serr := r.WriteFile(4); werr != nil || serr != nil {
@@ -40,7 +41,7 @@ func TestCommitWritesLogAsOneBatch(t *testing.T) {
 }
 
 // TestCommitCheckpointsInBackground requires a commit to return at its
-// commit record under both policies and checkpoint after it, and the
+// commit record and slots under both policies and checkpoint after it, and the
 // next commit to write its log slots while that checkpoint runs, never
 // over the checkpointed transaction's slots, and its record only once
 // the clear has completed; an unmount waits for the last checkpoint.

@@ -13,16 +13,23 @@
 // mutated inside are joined to the running transaction by Write and
 // become durable together at group commit. A commit is xv6's four steps:
 // copy the blocks into the log slots, write the commit record, install
-// the blocks home, and clear the record. It returns at its commit record:
-// the install and the cleared record, the checkpoint, run on the mount's
-// journal task, as jbd2 checkpoints off the committing thread. The next
-// commit writes its log slots beside those of every transaction still
-// being checkpointed (layout.PlaceSlots) and its record in whichever of
-// the log's two record blocks its last clear has left free, so it waits
-// for a checkpoint only when both are still busy. The policy says when the
-// running transaction commits: as every operation ends (PerOp, xv6's own
-// log, which Bento and the C-Kernel run), or once it has grown past a
-// threshold or on sync (Compound, jbd2's, which ext4 runs).
+// the blocks home, and clear the record. The record carries a CRC32C of
+// the logged blocks (layout.CommitSum), as jbd2's journal_async_commit
+// does after IRON's transactional checksums: it is submitted beside the
+// slots, once the transaction's ordered data has completed but without
+// waiting for the slots, and recovery replays only a record whose
+// checksum matches its slots. The commit returns once the record and
+// the slots have completed (and, with barriers, a FLUSH has made them
+// durable): the install and the cleared record, the checkpoint, run on
+// the mount's journal task, as jbd2 checkpoints off the committing
+// thread. The next commit writes its log slots beside those of every
+// transaction still being checkpointed (layout.PlaceSlots) and its record
+// in whichever of the log's two record blocks its last clear has left
+// free, so it waits for a checkpoint only when both are still busy. The
+// policy says when the running transaction commits: as every operation
+// ends (PerOp, xv6's own log, which Bento and the C-Kernel run), or once
+// it has grown past a threshold or on sync (Compound, jbd2's, which ext4
+// runs).
 //
 // No locks: one task runs at a time (see the kernel package comment).
 package journal
@@ -30,6 +37,7 @@ package journal
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"bento/internal/fsapi"
 	"bento/internal/kernel"
@@ -40,13 +48,20 @@ import (
 // Disk is the block access the log makes through its file system.
 type Disk interface {
 	// CopyBlock submits a write of block from's contents to block to and
-	// returns its completion: a commit's log slot (home to log) and a
-	// recovery's install (log to home). At commit the read is a cache
-	// hit: logged blocks are dirty in cache.
-	CopyBlock(t *kernel.Task, from, to uint32) (done int64, err error)
+	// returns its completion and the layout.BlockSum of the contents: a
+	// commit's log slot (home to log) and a recovery's install (log to
+	// home). At commit the read is a cache hit: logged blocks are dirty
+	// in cache, and the block in hand is summed, not read again.
+	CopyBlock(t *kernel.Task, from, to uint32) (done int64, sum uint32, err error)
 	// SubmitHome submits the write of cached block blk to its home
 	// location and returns its completion: a commit's install.
 	SubmitHome(t *kernel.Task, blk uint32) (done int64, err error)
+	// ReadBlocks reads blks into the cache, issuing every read before it
+	// waits, once, for the last, where the disk can issue reads side by
+	// side, and sets sums[i], when sums is not nil, to the
+	// layout.BlockSum of block blks[i]: recovery's reads of the record
+	// blocks and of the slots it checks.
+	ReadBlocks(t *kernel.Task, blks, sums []uint32) error
 	// WithHeader acquires the record block blk, read from the device
 	// when fill is set and zeroed when it is not, calls use with it and
 	// releases it once use returns. A failed release becomes the error
@@ -76,15 +91,15 @@ type Policy struct {
 
 // PerOp is xv6's log, Bento's and the C-Kernel's: every operation
 // commits as it ends, and with barriers a FLUSH follows each of the
-// commit's three points (the commit record, the install, the cleared
-// record).
+// commit's three points (the commit record and its slots, the install,
+// the cleared record).
 func PerOp() Policy { return Policy{} }
 
 // Compound is jbd2's journal, ext4's: operations join a running
 // compound transaction that commits once the last open operation ends
 // with threshold blocks joined, or on sync, not per operation. With
-// barriers a FLUSH follows the commit record and the install: paid once
-// per compound commit.
+// barriers a FLUSH follows the commit record and its slots, and the
+// install: paid once per compound commit.
 func Compound(threshold int) Policy {
 	if threshold < 1 {
 		panic(fmt.Sprintf("journal: compound threshold %d, want at least 1", threshold))
@@ -115,6 +130,8 @@ type Log struct {
 	opDataEnd   int64    // latest completion of the open operations' ordered data
 	ordered     []uint32 // blocks the running transaction's ordered data overwrote
 	first       uint32   // first log slot of the commit being recorded
+	sum         uint32   // checksum of the commit being recorded
+	slotsEnd    int64    // latest completion of its log slots
 	rec         int      // record block of the commit being recorded
 	commitEnd   int64    // virtual completion of the last commit record
 	records     [2]recordBlock
@@ -165,9 +182,12 @@ func (l *Log) SetCommits(n int64) { l.commits = n }
 // Both record blocks may hold a valid record, a commit's and that of the
 // one before it whose checkpoint the crash cut short; they are replayed
 // in sequence order, so a block both logged ends with the later
-// contents.
+// contents. The two record blocks are read side by side, with one wait.
 func (l *Log) Recover(t *kernel.Task) error {
 	a, b := l.records[0].blk, l.records[1].blk
+	if err := l.disk.ReadBlocks(t, []uint32{a, b}, nil); err != nil {
+		return err
+	}
 	return l.disk.WithHeader(t, a, true, func(t *kernel.Task, ha Header, da []byte) error {
 		return l.disk.WithHeader(t, b, true, func(t *kernel.Task, hb Header, db []byte) error {
 			return l.replay(t, [2]Header{ha, hb}, [2][]byte{da, db})
@@ -175,18 +195,44 @@ func (l *Log) Recover(t *kernel.Task) error {
 	})
 }
 
-// replay installs the valid records of the record blocks hs, whose
-// contents are data, in sequence order, and clears them. Record block A
-// is cleared on every mount, as xv6 writes its log header; B only when
-// it held a record.
+// replay installs the committed records of the record blocks hs, whose
+// contents are data, in sequence order, and clears them. A record is
+// committed when it is valid and its checksum matches its slots, which
+// are read, for both records, side by side with one wait; a record whose
+// slots did not all reach the disk before a crash is not, and is only
+// cleared. Record block A is cleared on every mount, as xv6 writes its
+// log header; B only when it held a record.
 func (l *Log) replay(t *kernel.Task, hs [2]Header, data [2][]byte) error {
 	type record struct {
 		seq, first uint32
 		blocks     []uint32
 	}
 	var recs [2]record
+	var slots []uint32
 	for i, d := range data {
-		recs[i].seq, recs[i].first, recs[i].blocks = layout.DecodeCommitRecord(d, l.size)
+		r := &recs[i]
+		r.seq, r.first, r.blocks = layout.DecodeCommitRecord(d, l.size)
+		for j := range r.blocks {
+			slots = append(slots, l.start+1+r.first+uint32(j))
+		}
+	}
+	held := [2]bool{len(recs[0].blocks) > 0, len(recs[1].blocks) > 0}
+	if len(slots) > 0 {
+		sums := make([]uint32, len(slots))
+		if err := l.disk.ReadBlocks(t, slots, sums); err != nil {
+			return err
+		}
+		t.Charge(time.Duration(len(slots)) * t.Model().ChecksumPer4K)
+		for i := range recs {
+			var sum uint32
+			for _, s := range sums[:len(recs[i].blocks)] {
+				sum = layout.CommitSum(sum, s)
+			}
+			sums = sums[len(recs[i].blocks):]
+			if sum != layout.RecordSum(data[i]) {
+				recs[i].blocks = nil // torn: uncommitted
+			}
+		}
 	}
 	order := [2]int{0, 1}
 	if layout.SeqBefore(recs[1].seq, recs[0].seq) {
@@ -198,7 +244,7 @@ func (l *Log) replay(t *kernel.Task, hs [2]Header, data [2][]byte) error {
 		}
 		var last int64
 		for j, home := range recs[i].blocks {
-			done, err := l.disk.CopyBlock(t, l.start+1+recs[i].first+uint32(j), home)
+			done, _, err := l.disk.CopyBlock(t, l.start+1+recs[i].first+uint32(j), home)
 			if err != nil {
 				return err
 			}
@@ -210,10 +256,10 @@ func (l *Log) replay(t *kernel.Task, hs [2]Header, data [2][]byte) error {
 		}
 	}
 	for i, h := range hs {
-		if i > 0 && len(recs[i].blocks) == 0 {
+		if i > 0 && !held[i] {
 			continue
 		}
-		layout.EncodeCommitRecord(data[i], 0, 0, nil, l.size)
+		layout.EncodeCommitRecord(data[i], 0, 0, nil, 0, l.size)
 		if err := h.WriteSync(t); err != nil {
 			return err
 		}
@@ -364,35 +410,39 @@ func (l *Log) commit(t *kernel.Task) error {
 	return err
 }
 
-// writeCommit writes the running transaction to the log as one batch:
-// it submits every slot, then waits once for the later of the latest
-// slot's completion and the transaction's ordered data, so the commit
-// record that follows is submitted only after every slot and every data
-// block has completed, and into a record block whose last clear has
-// completed. A disk with no asynchronous submission (the FUSE daemon's
-// pwrite) completes each slot before submitting the next, so there the
-// batch stays serial.
+// writeCommit writes the running transaction to the log: it submits
+// every slot, summing the blocks as it copies them, and waits only for
+// the transaction's ordered data before it writes the commit record,
+// into a record block whose last clear has completed. The record is
+// submitted beside the slots; commitRecord waits for them after it. A
+// disk with no asynchronous submission (the FUSE daemon's pwrite)
+// completes each slot before submitting the next, so there the commit
+// stays serial.
 func (l *Log) writeCommit(t *kernel.Task) error {
-	first := l.place(t, uint32(len(l.blocks)))
+	n := uint32(len(l.blocks))
+	first := l.place(t, n)
 	var last int64
+	var sum uint32
 	for i, home := range l.blocks {
-		done, err := l.disk.CopyBlock(t, home, l.start+1+first+uint32(i))
+		done, s, err := l.disk.CopyBlock(t, home, l.start+1+first+uint32(i))
 		if err != nil {
 			return err
 		}
-		last = max(last, done)
+		last, sum = max(last, done), layout.CommitSum(sum, s)
 	}
-	t.WaitIO("journal-write", max(last, l.dataEnd))
-	l.first, l.rec = first, l.recordBlock(t)
+	t.Charge(time.Duration(n) * t.Model().ChecksumPer4K)
+	t.WaitIO("ordered-data", l.dataEnd)
+	l.first, l.sum, l.slotsEnd = first, sum, last
+	l.rec = l.recordBlock(t)
 	return l.disk.WithHeader(t, l.records[l.rec].blk, false, l.record)
 }
 
 // recordBlock returns the record block the commit record goes to: A if
-// its last clear has completed by t's clock, else B if its has (a
-// record-b instant), else, after waiting for it (checkpoint-wait), the
-// one whose clear completes first. A log whose checkpoint runs on the
-// committing task, like the FUSE daemon's, and an idle one always
-// record in A.
+// its last clear has completed by t's clock, else B if its has, else,
+// after waiting for it (checkpoint-wait), the one whose clear completes
+// first. Every record in B is marked by a record-b instant. A log whose
+// checkpoint runs on the committing task, like the FUSE daemon's, and
+// an idle one always record in A.
 //
 // First it waits (checkpoint-wait) for the clear of any transaction
 // still live that logged a block this transaction's ordered data
@@ -411,18 +461,15 @@ func (l *Log) recordBlock(t *kernel.Task) int {
 	if a <= now {
 		return 0
 	}
-	if b <= now {
-		if r := t.Rec(); r != nil {
-			r.Instant(t.Name, trace.CatJournal, "record-b", now, l.commits+1, int64(l.first))
-		}
-		return 1
+	if b > now && b >= a {
+		t.WaitJournal("checkpoint-wait", a)
+		return 0
 	}
-	if b < a {
-		t.WaitJournal("checkpoint-wait", b)
-		return 1
+	t.WaitJournal("checkpoint-wait", b)
+	if r := t.Rec(); r != nil {
+		r.Instant(t.Name, trace.CatJournal, "record-b", t.Clk.NowNS(), l.commits+1, int64(l.first))
 	}
-	t.WaitJournal("checkpoint-wait", a)
-	return 0
+	return 1
 }
 
 // overwrites reports whether the running transaction's ordered data
@@ -437,19 +484,21 @@ func (l *Log) overwrites(homes []uint32) bool {
 }
 
 // commitRecord writes the commit record, the next in sequence, into the
-// held record block, then runs the checkpoint: the blocks home and the
-// cleared record, with the barriers between. It returns once the
-// checkpoint has been issued; its steps are issued in order inside the
-// call, so their errors fail the commit, but on the journal task, whose
-// clock starts at the later of the commit record's completion and the
-// previous checkpoint's end: checkpoints run one at a time, in commit
-// order. The record block is acquired once and written twice.
+// held record block, waits for the transaction's slots, then runs the
+// checkpoint: the blocks home and the cleared record, with the barriers
+// between. It returns once the checkpoint has been issued; its steps are
+// issued in order inside the call, so their errors fail the commit, but
+// on the journal task, whose clock starts at the later of the commit's
+// end (its record, its slots and their barrier) and the previous
+// checkpoint's end: checkpoints run one at a time, in commit order. The
+// record block is acquired once and written twice.
 func (l *Log) commitRecord(t *kernel.Task, h Header, data []byte) error {
 	seq := l.commits + 1
-	layout.EncodeCommitRecord(data, uint32(seq), l.first, l.blocks, l.size)
+	layout.EncodeCommitRecord(data, uint32(seq), l.first, l.blocks, l.sum, l.size)
 	if err := h.WriteSync(t); err != nil {
 		return err
 	}
+	t.WaitIO("journal-write", l.slotsEnd)
 	l.commits = seq
 	rb := &l.records[l.rec]
 	rb.slots = layout.SlotRange{First: l.first, N: uint32(len(l.blocks))}
@@ -473,7 +522,7 @@ func (l *Log) commitRecord(t *kernel.Task, h Header, data []byte) error {
 	if err := l.flush(jt); err != nil {
 		return err
 	}
-	layout.EncodeCommitRecord(data, 0, 0, nil, l.size)
+	layout.EncodeCommitRecord(data, 0, 0, nil, 0, l.size)
 	if err := h.WriteSync(jt); err != nil {
 		return err
 	}

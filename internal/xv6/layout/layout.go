@@ -16,6 +16,7 @@ package layout
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"strings"
 
@@ -241,14 +242,19 @@ func DecodeDirent(buf []byte) Dirent {
 // per-transaction commit blocks do.
 //
 // A commit record, in either record block: a little-endian count n, then
-// the n home block numbers; in the block's second-to-last word the
-// commit's sequence number; and in its last word the first log slot the
-// transaction occupies, log slot first+i going home to entry i. The rest
-// of the block is zeros. A log of nslots slots holds records whose slots
-// first..first+n-1 lie inside it. The last two words are past the
-// entries of any log up to 1 021 slots (ext4's 1 019 entries end at byte
-// 4 080). The cleared record is all zeros: no blocks, slot 0, sequence 0.
-// Recovery replays the valid records of the two blocks in sequence order.
+// the n home block numbers; in the block's third-to-last word the
+// checksum of the transaction's logged blocks (CommitSum); in its
+// second-to-last word the commit's sequence number; and in its last word
+// the first log slot the transaction occupies, log slot first+i going
+// home to entry i. The rest of the block is zeros. A log of nslots slots
+// holds records whose slots first..first+n-1 lie inside it. The last
+// three words are past the entries of any log up to 1 020 slots (ext4's
+// 1 019 entries end at byte 4 080). The cleared record is all zeros: no
+// blocks, slot 0, sequence 0. The checksum lets a commit write its record
+// beside its slots, with no barrier between them: recovery replays, in
+// sequence order, the valid records of the two blocks whose checksums
+// match their slots, and a record whose slots did not all reach the disk
+// reads as uncommitted.
 
 // RecordBlocks returns the log's two record blocks: LogStart, and the
 // log region's last block.
@@ -261,11 +267,11 @@ func (s *Superblock) RecordBlocks() [2]uint32 {
 func (s *Superblock) LogSlots() uint32 { return s.NLog - 1 }
 
 // EncodeCommitRecord writes the record of commit seq, for blocks logged
-// from slot first on (nil is the cleared record, at slot 0 and sequence
-// 0), into buf, a record block's buffer, which holds zeros or an earlier
-// record of the same log. It clears only the entries that record had
-// beyond len(blocks), not the whole block.
-func EncodeCommitRecord(buf []byte, seq, first uint32, blocks []uint32, nslots uint32) {
+// from slot first on with checksum sum (nil is the cleared record, at
+// slot 0 and sequence 0, with sum 0), into buf, a record block's buffer,
+// which holds zeros or an earlier record of the same log. It clears only
+// the entries that record had beyond len(blocks), not the whole block.
+func EncodeCommitRecord(buf []byte, seq, first uint32, blocks []uint32, sum, nslots uint32) {
 	le := binary.LittleEndian
 	prev := min(le.Uint32(buf), nslots)
 	n := uint32(len(blocks))
@@ -276,6 +282,7 @@ func EncodeCommitRecord(buf []byte, seq, first uint32, blocks []uint32, nslots u
 	if prev > n {
 		clear(buf[4+4*n : 4+4*prev])
 	}
+	le.PutUint32(buf[len(buf)-12:], sum)
 	le.PutUint32(buf[len(buf)-8:], seq)
 	le.PutUint32(buf[len(buf)-4:], first)
 }
@@ -283,12 +290,12 @@ func EncodeCommitRecord(buf []byte, seq, first uint32, blocks []uint32, nslots u
 // DecodeCommitRecord returns the sequence number, the first log slot and
 // the home blocks of the commit record in buf, a record block of a log
 // of nslots slots. A record whose slots run past nslots, or whose
-// entries would run into its last two words, is corrupt and reads as an
-// empty record.
+// entries would run into its last three words, is corrupt and reads as an
+// empty record. RecordSum reads its checksum.
 func DecodeCommitRecord(buf []byte, nslots uint32) (seq, first uint32, blocks []uint32) {
 	le := binary.LittleEndian
 	n, first := le.Uint32(buf), le.Uint32(buf[len(buf)-4:])
-	if n > nslots || first > nslots-n || n > uint32(len(buf)/4-3) {
+	if n > nslots || first > nslots-n || n > uint32(len(buf)/4-4) {
 		return 0, 0, nil
 	}
 	blocks = make([]uint32, n)
@@ -296,6 +303,28 @@ func DecodeCommitRecord(buf []byte, nslots uint32) (seq, first uint32, blocks []
 		blocks[i] = le.Uint32(buf[4+4*i:])
 	}
 	return le.Uint32(buf[len(buf)-8:]), first, blocks
+}
+
+// RecordSum returns the checksum the commit record in buf carries.
+func RecordSum(buf []byte) uint32 { return binary.LittleEndian.Uint32(buf[len(buf)-12:]) }
+
+// castagnoli is the CRC32C table of the log's checksums.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// BlockSum returns the CRC32C of a logged block's contents.
+func BlockSum(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
+
+// CommitSum folds sum, the BlockSum of a transaction's next logged block
+// in slot order, into acc, the checksum of the blocks before it (0 before
+// the first): a record's checksum is the CRC32C of its blocks' sums, each
+// little-endian. It is crc32.Update over those four bytes, table-driven so
+// that it allocates nothing.
+func CommitSum(acc, sum uint32) uint32 {
+	crc := ^acc
+	for i := 0; i < 4; i++ {
+		crc = castagnoli[byte(crc)^byte(sum>>(8*i))] ^ crc>>8
+	}
+	return ^crc
 }
 
 // SeqBefore reports whether sequence number a comes before b. The

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"slices"
@@ -78,8 +79,8 @@ func TestDirentNameTooLong(t *testing.T) {
 // TestLogHeaderRoundTrip: a commit record decodes back to its sequence
 // number, its first slot and its blocks in a log of any capacity that
 // holds it, up to a full record of a log the size of ext4's journal,
-// whose last entry ends 8 bytes short of the sequence number, and a
-// record at the last slot of that log.
+// whose last entry ends 8 bytes short of the checksum, and a record at
+// the last slot of that log.
 func TestLogHeaderRoundTrip(t *testing.T) {
 	buf := make([]byte, BlockSize)
 	for _, c := range []struct{ seq, first, n, nslots uint32 }{
@@ -90,10 +91,10 @@ func TestLogHeaderRoundTrip(t *testing.T) {
 		for i := range blocks {
 			blocks[i] = 100 + uint32(i)*7
 		}
-		EncodeCommitRecord(buf, c.seq, c.first, blocks, c.nslots)
-		if seq, first, got := DecodeCommitRecord(buf, c.nslots); seq != c.seq || first != c.first || !slices.Equal(got, blocks) {
-			t.Fatalf("record %d, %d of %d entries from slot %d: round trip gave record %d, %d entries from slot %d",
-				c.seq, c.n, c.nslots, c.first, seq, len(got), first)
+		EncodeCommitRecord(buf, c.seq, c.first, blocks, c.seq^0x5a5a, c.nslots)
+		if seq, first, got := DecodeCommitRecord(buf, c.nslots); seq != c.seq || first != c.first || !slices.Equal(got, blocks) || RecordSum(buf) != c.seq^0x5a5a {
+			t.Fatalf("record %d, %d of %d entries from slot %d: round trip gave record %d, %d entries from slot %d, sum %#x",
+				c.seq, c.n, c.nslots, c.first, seq, len(got), first, RecordSum(buf))
 		}
 	}
 }
@@ -102,23 +103,27 @@ func TestLogHeaderRoundTrip(t *testing.T) {
 // the log's capacity is corrupt and reads as an empty log — but only past
 // this log's capacity: a 200-entry record is corrupt in a 127-slot log
 // and whole in ext4's 1019-slot one, where it is corrupt again from slot
-// 820 on. A count whose entries would reach the sequence number is
-// corrupt whatever capacity the caller names.
+// 820 on. A count whose entries would reach the checksum is corrupt
+// whatever capacity the caller names; 1 020 entries still fit.
 func TestLogHeaderCorruptCountTreatedEmpty(t *testing.T) {
 	buf := make([]byte, BlockSize)
 	binary.LittleEndian.PutUint32(buf, 1019+99)
 	if seq, first, got := DecodeCommitRecord(buf, 1019); seq != 0 || first != 0 || got != nil {
 		t.Fatalf("corrupt count 1118 read as record %d, %d entries from slot %d", seq, len(got), first)
 	}
-	binary.LittleEndian.PutUint32(buf, 1022)
+	binary.LittleEndian.PutUint32(buf, 1021)
 	if _, _, got := DecodeCommitRecord(buf, math.MaxUint32); got != nil {
-		t.Fatalf("count 1022 in a block of 1021 entries read as %d entries", len(got))
+		t.Fatalf("count 1021 in a block of 1020 entries read as %d entries", len(got))
+	}
+	binary.LittleEndian.PutUint32(buf, 1020)
+	if _, _, got := DecodeCommitRecord(buf, math.MaxUint32); len(got) != 1020 {
+		t.Fatalf("count 1020 in a block of 1020 entries read as %d entries", len(got))
 	}
 	for _, c := range []struct {
 		first, nslots uint32
 		want          int
 	}{{0, LogSize - 1, 0}, {0, 1019, 200}, {819, 1019, 200}, {820, 1019, 0}, {1 << 31, 1019, 0}} {
-		EncodeCommitRecord(buf, 5, c.first, make([]uint32, 200), 1019)
+		EncodeCommitRecord(buf, 5, c.first, make([]uint32, 200), 0, 1019)
 		if _, first, got := DecodeCommitRecord(buf, c.nslots); len(got) != c.want || (c.want == 0 && first != 0) {
 			t.Fatalf("200 entries from slot %d in a %d-slot log read as %d entries from slot %d, want %d",
 				c.first, c.nslots, len(got), first, c.want)
@@ -127,8 +132,8 @@ func TestLogHeaderCorruptCountTreatedEmpty(t *testing.T) {
 }
 
 // TestLogHeaderOldRecordAtSlotZero: a record written before the record
-// named its first slot and its sequence — zeros in the block's last two
-// words — and the cleared record both read as starting at slot 0, and
+// named its first slot, its sequence and its checksum — zeros in the
+// block's last three words — and the cleared record both read as starting at slot 0, and
 // clearing a record placed past slot 0 leaves the zeros a freshly
 // formatted record block holds.
 func TestLogHeaderOldRecordAtSlotZero(t *testing.T) {
@@ -139,8 +144,8 @@ func TestLogHeaderOldRecordAtSlotZero(t *testing.T) {
 	if seq, first, got := DecodeCommitRecord(buf, LogSize-1); seq != 0 || first != 0 || !slices.Equal(got, []uint32{40, 41}) {
 		t.Fatalf("old record read as %v from slot %d in record %d, want [40 41] from slot 0 in record 0", got, first, seq)
 	}
-	EncodeCommitRecord(buf, 12, 9, []uint32{40, 41}, LogSize-1)
-	EncodeCommitRecord(buf, 0, 0, nil, LogSize-1)
+	EncodeCommitRecord(buf, 12, 9, []uint32{40, 41}, 0xfeed, LogSize-1)
+	EncodeCommitRecord(buf, 0, 0, nil, 0, LogSize-1)
 	if _, first, got := DecodeCommitRecord(buf, LogSize-1); first != 0 || len(got) != 0 {
 		t.Fatalf("cleared record read as %d entries from slot %d", len(got), first)
 	}
@@ -350,7 +355,7 @@ func TestFsckFlagsRecordInEitherBlock(t *testing.T) {
 		}
 		blk := sb.RecordBlocks()[i]
 		buf := make([]byte, BlockSize)
-		EncodeCommitRecord(buf, 1, 0, []uint32{sb.DataStart}, sb.LogSlots())
+		EncodeCommitRecord(buf, 1, 0, []uint32{sb.DataStart}, 0, sb.LogSlots())
 		if err := dev.Write(clk, int(blk), buf); err != nil {
 			t.Fatal(err)
 		}
@@ -374,7 +379,7 @@ func TestMkfsClearsBothRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, BlockSize)
-	EncodeCommitRecord(buf, 1, 0, []uint32{sb.DataStart}, sb.LogSlots())
+	EncodeCommitRecord(buf, 1, 0, []uint32{sb.DataStart}, 0, sb.LogSlots())
 	for _, blk := range sb.RecordBlocks() {
 		if err := dev.Write(clk, int(blk), buf); err != nil {
 			t.Fatal(err)
@@ -475,9 +480,9 @@ func TestDinodeTypeMatchesDecode(t *testing.T) {
 }
 
 // fullLogHeaderEncode encodes blocks the simple way: the count, then
-// all nlog slots, zeros past the count, and the first slot in the last
-// word, every time.
-func fullLogHeaderEncode(seq, first uint32, blocks []uint32, nslots uint32, buf []byte) {
+// all nlog slots, zeros past the count, and the checksum, the sequence
+// and the first slot in the last three words, every time.
+func fullLogHeaderEncode(seq, first uint32, blocks []uint32, sum, nslots uint32, buf []byte) {
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:], uint32(len(blocks)))
 	for i := uint32(0); i < nslots; i++ {
@@ -487,6 +492,7 @@ func fullLogHeaderEncode(seq, first uint32, blocks []uint32, nslots uint32, buf 
 		}
 		le.PutUint32(buf[4+4*i:], b)
 	}
+	le.PutUint32(buf[len(buf)-12:], sum)
 	le.PutUint32(buf[len(buf)-8:], seq)
 	le.PutUint32(buf[len(buf)-4:], first)
 }
@@ -517,12 +523,13 @@ func TestLogHeaderEncodeMatchesFull(t *testing.T) {
 			if n > 0 {
 				first, seq = uint32(rng.Intn(int(nslots-n)+1)), rng.Uint32()
 			}
-			EncodeCommitRecord(got, seq, first, blocks, nslots)
-			fullLogHeaderEncode(seq, first, blocks, nslots, want)
+			sum := seq * 31
+			EncodeCommitRecord(got, seq, first, blocks, sum, nslots)
+			fullLogHeaderEncode(seq, first, blocks, sum, nslots, want)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("log of %d, record %d (n=%d): short encoding differs from the full one", nslots, i, n)
 			}
-			if q, f, b := DecodeCommitRecord(got, nslots); q != seq || f != first || !slices.Equal(b, blocks) {
+			if q, f, b := DecodeCommitRecord(got, nslots); q != seq || f != first || !slices.Equal(b, blocks) || RecordSum(got) != sum {
 				t.Fatalf("log of %d, record %d (n=%d from slot %d) does not decode back", nslots, i, n, first)
 			}
 		}
@@ -551,6 +558,22 @@ func TestFsckRejectsUnknownMagic(t *testing.T) {
 		}
 		if magic != Ext4Magic && err == nil {
 			t.Fatalf("magic %#x accepted", magic)
+		}
+	}
+}
+
+// TestCommitSumIsCRC32C: folding blocks' sums one at a time is the
+// CRC32C of their little-endian bytes, whatever the running value.
+func TestCommitSumIsCRC32C(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	var acc uint32
+	var buf []byte
+	for i := 0; i < 100; i++ {
+		s := BlockSum([]byte{byte(i), byte(rng.Intn(256))})
+		acc = CommitSum(acc, s)
+		buf = binary.LittleEndian.AppendUint32(buf, s)
+		if want := crc32.Checksum(buf, crc32.MakeTable(crc32.Castagnoli)); acc != want {
+			t.Fatalf("after %d sums: CommitSum gave %#x, CRC32C of their bytes is %#x", i+1, acc, want)
 		}
 	}
 }

@@ -30,7 +30,8 @@ func rig(t *testing.T, model *costmodel.Model, fsType kernel.FileSystemType) *jo
 
 // TestCommitWritesLogAsOneBatch requires both journals to write a
 // commit's log slots as one batch, in flight together, and the commit
-// record after them. Both mount without barriers, as published, so no
+// record beside them, and to return once the slots and the record have
+// completed. Both mount without barriers, as published, so no
 // FLUSH hides inside the commit. The mkdir is the C-Kernel's commit of
 // four blocks: its write-back commits one page at a time.
 func TestCommitWritesLogAsOneBatch(t *testing.T) {
@@ -50,7 +51,7 @@ func TestCommitWritesLogAsOneBatch(t *testing.T) {
 
 // TestCommitCheckpointsInBackground requires both journals, with and
 // without barriers, to return from a commit at its commit record and
-// checkpoint after it, and the next commit to write its log slots while
+// slots and checkpoint after them, and the next commit to write its log slots while
 // that checkpoint runs, never over the checkpointed transaction's slots,
 // and its record only once the clear has completed; an unmount waits
 // for the last checkpoint.

@@ -18,6 +18,8 @@ var logFormatCallers = map[string][]string{
 	"EncodeCommitRecord": {"internal/xv6/journal"},
 	"PlaceSlots":         {"internal/xv6/journal"},
 	"SeqBefore":          {"internal/xv6/journal"},
+	"CommitSum":          {"internal/xv6/journal"},
+	"RecordSum":          {"internal/xv6/journal"},
 	// journaltest is the device-side oracle: it reads what a commit
 	// left on the device.
 	"DecodeCommitRecord": {"internal/xv6/journal", "internal/xv6/journaltest"},
