@@ -168,10 +168,9 @@ func (c *Checker) CheckLeaks() int {
 // NewSuperBlock. Holding a SuperBlock is proof of access to a valid
 // kernel super_block.
 type SuperBlock struct {
-	bc      *kernel.BufferCache
+	raw     RawDisk // the unchecked disk each method wraps
 	checker *Checker
-	minted  bool         // set only by NewSuperBlock
-	journal *kernel.Task // the journal thread, once JournalTask made it
+	minted  bool // set only by NewSuperBlock
 }
 
 // NewSuperBlock mints the capability. It is exported because internal/core
@@ -182,20 +181,20 @@ func NewSuperBlock(bc *kernel.BufferCache, checker *Checker) *SuperBlock {
 	if checker == nil {
 		checker = NewChecker()
 	}
-	return &SuperBlock{bc: bc, checker: checker, minted: true}
+	return &SuperBlock{raw: RawDisk{bc: bc}, checker: checker, minted: true}
 }
 
 // Checker exposes the ownership checker (for tests and fault injection).
 func (sb *SuperBlock) Checker() *Checker { return sb.checker }
 
 // BlockSize reports the device block size.
-func (sb *SuperBlock) BlockSize() int { return sb.bc.Device().BlockSize() }
+func (sb *SuperBlock) BlockSize() int { return sb.raw.BlockSize() }
 
 // Blocks reports the device capacity in blocks.
-func (sb *SuperBlock) Blocks() int { return sb.bc.Device().Blocks() }
+func (sb *SuperBlock) Blocks() int { return sb.raw.Blocks() }
 
 // Device exposes raw device statistics (read-only use by benchmarks).
-func (sb *SuperBlock) Device() *blockdev.Device { return sb.bc.Device() }
+func (sb *SuperBlock) Device() *blockdev.Device { return sb.raw.Device() }
 
 func (sb *SuperBlock) check() error {
 	if sb == nil || !sb.minted {
@@ -223,7 +222,7 @@ func (sb *SuperBlock) BReadAhead(t *kernel.Task, blks []int) error {
 		return err
 	}
 	t.Charge(time.Duration(len(blks)) * t.Model().WrapperCheck)
-	return sb.bc.ReadAhead(t, blks)
+	return sb.raw.BReadAhead(t, blks)
 }
 
 // BReadNoFill returns a zeroed buffer for a block about to be fully
@@ -271,9 +270,9 @@ func (sb *SuperBlock) bread(t *kernel.Task, blk int, fill bool) (*BufferHead, er
 		err error
 	)
 	if fill {
-		kb, err = sb.bc.Get(t, blk)
+		kb, err = sb.raw.bc.Get(t, blk)
 	} else {
-		kb, err = sb.bc.GetNoRead(t, blk)
+		kb, err = sb.raw.bc.GetNoRead(t, blk)
 	}
 	if err != nil {
 		return nil, err
@@ -293,7 +292,7 @@ func (sb *SuperBlock) ReadBlockRange(t *kernel.Task, blk, off int, dst []byte) e
 		return err
 	}
 	t.Charge(t.Model().WrapperCheck)
-	kb, err := sb.bc.Get(t, blk)
+	kb, err := sb.raw.bc.Get(t, blk)
 	if err != nil {
 		return err
 	}
@@ -316,7 +315,7 @@ func (sb *SuperBlock) BReadDirect(t *kernel.Task, blk int, buf []byte) error {
 		return err
 	}
 	t.Charge(t.Model().WrapperCheck)
-	return sb.bc.ReadDirect(t, blk, buf)
+	return sb.raw.BReadDirect(t, blk, buf)
 }
 
 // BBorrowDirect is BReadDirect by reference: the same checks, costs and
@@ -329,7 +328,7 @@ func (sb *SuperBlock) BBorrowDirect(t *kernel.Task, blk int) ([]byte, error) {
 		return nil, err
 	}
 	t.Charge(t.Model().WrapperCheck)
-	return sb.bc.BorrowDirect(t, blk)
+	return sb.raw.BBorrowDirect(t, blk)
 }
 
 // BWriteDirect is the data-path write: a cache-bypass submit returning
@@ -339,7 +338,7 @@ func (sb *SuperBlock) BWriteDirect(t *kernel.Task, blk int, buf []byte) (int64, 
 		return 0, err
 	}
 	t.Charge(t.Model().WrapperCheck)
-	return sb.bc.WriteDirect(t, blk, buf)
+	return sb.raw.BWriteDirect(t, blk, buf)
 }
 
 // BWriteOwned is BWriteDirect by reference: ownership of buf moves to the
@@ -351,33 +350,28 @@ func (sb *SuperBlock) BWriteOwned(t *kernel.Task, blk int, buf []byte) (int64, e
 		return 0, err
 	}
 	t.Charge(t.Model().WrapperCheck)
-	return sb.bc.WriteDirectOwned(t, blk, buf)
+	return sb.raw.BWriteOwned(t, blk, buf)
 }
 
 // DropCleanBuffers evicts clean, unreferenced buffers (the drop_caches
 // hook the BentoFS shim forwards from the kernel).
-func (sb *SuperBlock) DropCleanBuffers() int { return sb.bc.DropClean() }
+func (sb *SuperBlock) DropCleanBuffers() int { return sb.raw.DropCleanBuffers() }
 
 // BufferCache exposes the underlying cache for diagnostics and tests
 // (residency assertions); file systems must not use it for I/O.
-func (sb *SuperBlock) BufferCache() *kernel.BufferCache { return sb.bc }
+func (sb *SuperBlock) BufferCache() *kernel.BufferCache { return sb.raw.BufferCache() }
 
 // Flush issues a device FLUSH (write barrier + durability).
 func (sb *SuperBlock) Flush(t *kernel.Task) error {
 	if err := sb.check(); err != nil {
 		return err
 	}
-	return flush(t, sb.bc.Device())
+	return sb.raw.Flush(t)
 }
 
 // JournalTask implements Disk: the mount's journal thread (jbd2's
-// kthread), on its own clock and trace track.
-func (sb *SuperBlock) JournalTask(t *kernel.Task) *kernel.Task {
-	if sb.journal == nil {
-		sb.journal = t.Kernel().NewTask("journal")
-	}
-	return sb.journal
-}
+// kthread), on its own clock and trace track, made on first use.
+func (sb *SuperBlock) JournalTask(t *kernel.Task) *kernel.Task { return sb.raw.JournalTask(t) }
 
 // Ensure the capability satisfies the service interface.
 var (

@@ -28,6 +28,12 @@ func NewRawDisk(t *kernel.Task, bc *kernel.BufferCache) *RawDisk {
 // BufferCache exposes the cache (held-buffer checks, drop_caches, tests).
 func (d *RawDisk) BufferCache() *kernel.BufferCache { return d.bc }
 
+// Device exposes the device under the cache.
+func (d *RawDisk) Device() *blockdev.Device { return d.bc.Device() }
+
+// DropCleanBuffers evicts clean, unreferenced buffers.
+func (d *RawDisk) DropCleanBuffers() int { return d.bc.DropClean() }
+
 // BlockSize implements Disk.
 func (d *RawDisk) BlockSize() int { return d.bc.Device().BlockSize() }
 
@@ -99,10 +105,25 @@ func (d *RawDisk) ReadBlockRange(t *kernel.Task, blk, off int, dst []byte) error
 }
 
 // Flush implements Disk: a device FLUSH, recorded as a device span.
-func (d *RawDisk) Flush(t *kernel.Task) error { return flush(t, d.bc.Device()) }
+func (d *RawDisk) Flush(t *kernel.Task) error {
+	start := t.Clk.NowNS()
+	if err := d.Device().Flush(t.Clk); err != nil {
+		return err
+	}
+	if r := t.Rec(); r != nil {
+		r.Span(t.Name, trace.CatDevice, "flush", start, t.Clk.NowNS())
+	}
+	return nil
+}
 
-// JournalTask implements Disk: the journal thread made with the disk.
-func (d *RawDisk) JournalTask(*kernel.Task) *kernel.Task { return d.journal }
+// JournalTask implements Disk: the journal thread made with the disk, or
+// on first use by a disk made without one (the SuperBlock's).
+func (d *RawDisk) JournalTask(t *kernel.Task) *kernel.Task {
+	if d.journal == nil {
+		d.journal = t.Kernel().NewTask("journal")
+	}
+	return d.journal
+}
 
 // BReadDirect implements DirectDisk.
 func (d *RawDisk) BReadDirect(t *kernel.Task, blk int, buf []byte) error {
@@ -168,16 +189,3 @@ func (b *rawBuffer) WriteSync(t *kernel.Task) error { return b.kb().WriteSync(t)
 
 // Release implements Buffer.
 func (b *rawBuffer) Release() error { return b.kb().Release() }
-
-// flush issues a device FLUSH on t's clock and records it as a device
-// span: the SuperBlock's and RawDisk's Flush.
-func flush(t *kernel.Task, dev *blockdev.Device) error {
-	start := t.Clk.NowNS()
-	if err := dev.Flush(t.Clk); err != nil {
-		return err
-	}
-	if r := t.Rec(); r != nil {
-		r.Span(t.Name, trace.CatDevice, "flush", start, t.Clk.NowNS())
-	}
-	return nil
-}

@@ -72,11 +72,8 @@ var harnessVariant = map[Variant]string{
 
 // Config parameterizes a sweep.
 type Config struct {
-	Variant   Variant
-	DevBlocks int              // device size in 4K blocks (default 4096)
-	NInodes   uint32           // inode table size (default 512)
-	Keep      float64          // volatile-cache retention at the cut, in [0, 1] (0 and 1 are the extremes)
-	Model     *costmodel.Model // defaults to costmodel.Fast()
+	Variant Variant
+	Keep    float64 // volatile-cache retention at the cut, in [0, 1] (0 and 1 are the extremes)
 
 	// NoBarriers mounts the variant without FLUSH barriers
 	// (harness.MountConfig.Barriers off). A keep=0 sweep must then fail —
@@ -84,17 +81,12 @@ type Config struct {
 	NoBarriers bool
 }
 
-func (c *Config) defaults() {
-	if c.DevBlocks == 0 {
-		c.DevBlocks = 4096
-	}
-	if c.NInodes == 0 {
-		c.NInodes = 512
-	}
-	if c.Model == nil {
-		c.Model = costmodel.Fast()
-	}
-}
+// Every sweep runs on a 4096-block device formatted with 512 inodes,
+// under costmodel.Fast().
+const (
+	devBlocks = 4096
+	nInodes   = 512
+)
 
 // Point identifies one crash point; it is sufficient to replay the
 // failure bit-for-bit with RunPoint.
@@ -198,19 +190,19 @@ func (r Result) OK() bool { return len(r.Failures) == 0 }
 // workload is single-task, so the device command stream is a pure
 // function of the script.
 func mount(cfg Config, dev *blockdev.Device, format bool) (*kernel.Mount, *kernel.Task, error) {
-	k := kernel.New(cfg.Model)
+	k := kernel.New(costmodel.Fast())
 	task := k.NewTask("crashtort")
 	var ninodes uint32
 	if format {
-		ninodes = cfg.NInodes
+		ninodes = nInodes
 	}
 	m, err := harness.Mount(k, task, dev, harnessVariant[cfg.Variant],
 		harness.MountConfig{Barriers: !cfg.NoBarriers}, ninodes)
 	return m, task, err
 }
 
-func newDev(cfg Config) (*blockdev.Device, error) {
-	return blockdev.New(blockdev.Config{Blocks: cfg.DevBlocks, Model: cfg.Model})
+func newDev() (*blockdev.Device, error) {
+	return blockdev.New(blockdev.Config{Blocks: devBlocks, Model: costmodel.Fast()})
 }
 
 // Sweep enumerates every crash point of the scripted workload on
@@ -221,8 +213,7 @@ func Sweep(cfg Config) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, fmt.Errorf("crashtort: %w", err)
 	}
-	cfg.defaults()
-	dev, err := newDev(cfg)
+	dev, err := newDev()
 	if err != nil {
 		return Result{}, err
 	}
@@ -261,8 +252,7 @@ func RunPoint(cfg Config, k int64) error {
 	if k < 1 {
 		return fmt.Errorf("crashtort: %w", errNoCommand(k))
 	}
-	cfg.defaults()
-	dev, err := newDev(cfg)
+	dev, err := newDev()
 	if err != nil {
 		return err
 	}

@@ -176,11 +176,10 @@ func TestInvalidConfigRejected(t *testing.T) {
 // ordinary mount-time recovery handles.
 func TestMidUpgradeCrashRecovery(t *testing.T) {
 	cfg := Config{Variant: Bento}
-	cfg.defaults()
 	const pre = "/pre"
 	preData := oplist.Content('p', 0, 2048)
 	setup := func() (*blockdev.Device, *kernel.Task, *core.BentoFS) {
-		dev, err := newDev(cfg)
+		dev, err := newDev()
 		if err != nil {
 			t.Fatal(err)
 		}

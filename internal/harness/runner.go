@@ -114,9 +114,10 @@ func finishCell(tg filebench.Target, r *filebench.Result, s CellSpec) error {
 
 // RunCells executes specs on up to parallel host workers (parallel <= 0
 // means runtime.NumCPU()) and returns each spec's result in spec
-// order regardless of completion order. On error the first failing cell
-// in spec order wins (among cells that had been claimed); no cell after
-// the failed one is dispatched once it has failed.
+// order regardless of completion order. No cell is claimed once one has
+// failed, and a claimed cell always runs. On error the first failing cell
+// in spec order wins: claims go in spec order, so every cell before a
+// failing one was claimed, and ran, too.
 func RunCells(specs []CellSpec, parallel int) ([]filebench.Result, error) {
 	if parallel <= 0 {
 		parallel = runtime.NumCPU()
@@ -125,49 +126,33 @@ func RunCells(specs []CellSpec, parallel int) ([]filebench.Result, error) {
 		parallel = len(specs)
 	}
 	outs := make([]filebench.Result, len(specs))
+	errs := make([]error, len(specs))
 	var (
 		next   atomic.Int64 // index of the next spec to claim
-		failed atomic.Bool  // stop dispatching new cells after any error
+		failed atomic.Bool  // stop claiming cells after any error
 		wg     sync.WaitGroup
-
-		errMu    sync.Mutex
-		firstErr error
-		firstIdx = len(specs)
 	)
-	// failedIdx is the spec index of the first failure so far. A cell
-	// claimed below it still runs even when the failure lands between
-	// the claim and this check: it may fail first in spec order.
-	failedIdx := func() int {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return firstIdx
-	}
 	for w := 0; w < parallel; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			for !failed.Load() {
 				i := int(next.Add(1)) - 1
-				if i >= len(specs) || failed.Load() && i > failedIdx() {
+				if i >= len(specs) {
 					return
 				}
-				r, err := specs[i].run()
-				if err != nil {
-					errMu.Lock()
-					if i < firstIdx {
-						firstIdx, firstErr = i, err
-					}
-					errMu.Unlock()
+				outs[i], errs[i] = specs[i].run()
+				if errs[i] != nil {
 					failed.Store(true)
-					return
 				}
-				outs[i] = r
 			}
 		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return outs, nil
 }

@@ -9,137 +9,50 @@ import (
 	"bento/internal/core"
 	"bento/internal/costmodel"
 	"bento/internal/fsapi"
+	"bento/internal/harness"
 	"bento/internal/iodaemon"
 	"bento/internal/kernel"
 	"bento/internal/trace"
 	"bento/internal/vclock"
 	"bento/internal/xv6/bentoimpl"
+	"bento/internal/xv6/journaltest"
 	"bento/internal/xv6/layout"
 )
 
+// The data-bypass tests below run on Bento here, on the C-Kernel in
+// vfsimpl's tests and on ext4 in ext4's.
+
 // TestBentoDataBypass drives the bypass through the full Bento stack —
 // kernel VFS → BentoFS shim → file system → SuperBlock capability — and
-// asserts the single-copy property at the capability's buffer cache:
-// a cold read of a direct-pointer file leaves no file data resident.
+// checks the single-copy property at the capability's buffer cache.
 func TestBentoDataBypass(t *testing.T) {
-	model := costmodel.Fast()
-	k := kernel.New(model)
-	k.SetRecorder(trace.New())
-	dev := blockdev.MustNew(blockdev.Config{Blocks: 8192, Model: model})
-	if _, err := layout.Mkfs(vclock.NewClock(), dev, 512); err != nil {
-		t.Fatal(err)
-	}
-	cfg := bentoimpl.Config{Policy: bentoimpl.PolicyWriteBack, DataBypass: true}
-	if err := bentoimpl.RegisterWith(k, "xv6", cfg); err != nil {
-		t.Fatal(err)
-	}
-	task := k.NewTask("test")
-	m, err := k.Mount(task, "xv6", "/mnt", dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.EnableIODaemon(iodaemon.Config{})
-
-	shim := m.FS().(*core.BentoFS)
-	bc := shim.SuperBlock().BufferCache()
-	dataStart := int(shim.Inner().(*bentoimpl.FS).Super().DataStart)
-
-	want := make([]byte, layout.NDirect*layout.BlockSize)
-	for i := range want {
-		want[i] = byte(i * 13)
-	}
-	if err := m.WriteFile(task, "/f", want); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Sync(task); err != nil {
-		t.Fatal(err)
-	}
-	m.DropCaches() // reaches the capability's cache through the shim
-	if n := bc.Len(); n != 0 {
-		t.Fatalf("buffer cache not cold after Sync+DropCaches: %d resident", n)
-	}
-
-	before := task.Rec().Counters()["direct_reads"]
-	got, err := m.ReadFile(task, "/f")
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("cold read mismatch (err=%v)", err)
-	}
-	var dataResident []int
-	for _, blk := range bc.ResidentBlocks() {
-		if blk >= dataStart {
-			dataResident = append(dataResident, blk)
-		}
-	}
-	// Root directory content is the only legitimate data-region block.
-	if len(dataResident) > 1 {
-		t.Fatalf("%d data-region blocks resident after cold read (%v), want at most the root dir block",
-			len(dataResident), dataResident)
-	}
-	// The cold read's pages are filled by one fill batch, which counts
-	// its direct reads like a reader: one per data page read.
-	c := task.Rec().Counters()
-	if n := c["direct_reads"] - before; n != layout.NDirect {
-		t.Fatalf("cold read of %d pages made %d direct reads: %v", layout.NDirect, n, c)
-	}
-	if c["direct_writes"] == 0 {
-		t.Fatalf("direct write path unused: %v", c)
-	}
-
-	// The ownership checker must be clean: the direct path borrows no
-	// buffers, so it can leak none.
-	if v := shim.SuperBlock().Checker().Violations(); len(v) != 0 {
-		t.Fatalf("ownership violations on the direct path: %v", v)
-	}
-	if err := k.Unmount(task, "/mnt"); err != nil {
-		t.Fatal(err)
-	}
+	journaltest.Run(t, journaltest.BypassRows(harness.VariantBento), journaltest.ColdReadPopulatesOnlyPageCache)
 }
 
-// TestBentoDataBypassLogCarriesNoData: with the bypass on, a large
-// synced write journals metadata only — the log's commit traffic must
-// not scale with the data (the seed journaled every data block twice:
-// once into the log region, once home).
+func TestDataBypassWritesNeverEnterBufferCache(t *testing.T) {
+	journaltest.Each(t, []string{harness.VariantBento}, journaltest.BypassOn, journaltest.WritesNeverEnterBufferCache)
+}
+
+// TestSubBlockWritesAndTruncate runs on the FUSE daemon too, whose
+// buffered path is its own.
+func TestSubBlockWritesAndTruncate(t *testing.T) {
+	journaltest.Each(t, []string{harness.VariantBento, harness.VariantFUSE}, journaltest.DataPaths, journaltest.SubBlockWritesAndTruncate)
+}
+
+func TestDataBypassFailedWriteRetryMergesZeros(t *testing.T) {
+	journaltest.Each(t, []string{harness.VariantBento}, journaltest.BypassOn, journaltest.FailedWriteRetryMergesZeros)
+}
+
+func TestDropCachesEmptiesBufferCache(t *testing.T) {
+	journaltest.Each(t, []string{harness.VariantBento}, journaltest.DataPaths, journaltest.DropCachesEmptiesBufferCache)
+}
+
+func TestMixedWorkloadDeterministic(t *testing.T) {
+	journaltest.Each(t, []string{harness.VariantBento}, journaltest.DataPaths, journaltest.MixedWorkloadDeterministic)
+}
+
 func TestBentoDataBypassLogCarriesNoData(t *testing.T) {
-	writesFor := func(bypass bool) int64 {
-		model := costmodel.Fast()
-		k := kernel.New(model)
-		dev := blockdev.MustNew(blockdev.Config{Blocks: 16384, Model: model})
-		rec := trace.New()
-		dev.SetRecorder(rec)
-		if _, err := layout.Mkfs(vclock.NewClock(), dev, 512); err != nil {
-			t.Fatal(err)
-		}
-		cfg := bentoimpl.Config{Policy: bentoimpl.PolicyWriteBack, DataBypass: bypass}
-		name := "xv6a"
-		if bypass {
-			name = "xv6b"
-		}
-		if err := bentoimpl.RegisterWith(k, name, cfg); err != nil {
-			t.Fatal(err)
-		}
-		task := k.NewTask("w")
-		m, err := k.Mount(task, name, "/mnt", dev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := make([]byte, 256*layout.BlockSize) // 1 MiB
-		if err := m.WriteFile(task, "/big", data); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Sync(task); err != nil {
-			t.Fatal(err)
-		}
-		return rec.Counters()["dev_writes"]
-	}
-	buffered := writesFor(false)
-	direct := writesFor(true)
-	// Journal-everything writes each data block at least twice (log copy
-	// + install); the bypass writes it once. Requiring a 1.5x reduction
-	// leaves headroom for metadata while failing if data re-enters the
-	// log.
-	if direct*3 > buffered*2 {
-		t.Fatalf("bypass device writes = %d, buffered = %d; expected < 2/3 of buffered", direct, buffered)
-	}
+	journaltest.LogCarriesNoData(t, harness.VariantBento)
 }
 
 // plainFS hides bentoimpl's optional interfaces (core.PageLender,

@@ -1,12 +1,12 @@
-// Package journaltest holds what the tests of the xv6 journals share —
-// Bento's (bentoimpl) and the C-Kernel's and ext4's (vfsimpl): a traced
-// mount whose device records every write command, and the checks every
-// journal must pass. A commit writes its log slots as one batch and
-// submits its commit record beside them, once the ordered data it
-// carries has completed, without waiting for the slots; it returns once
-// its record and its slots have completed and checkpoints (installs,
-// then clears the record) in the background, one checkpoint at a time;
-// the next
+// Package journaltest holds what the tests of the xv6 file system share
+// across the variants that run it — Bento, the C-Kernel, ext4 and the
+// FUSE daemon: one rig, a traced mount made through harness.Mount on a
+// device that records every write command, and the checks every journal
+// must pass. A commit writes its log slots as one batch and submits its
+// commit record beside them, once the ordered data it carries has
+// completed, without waiting for the slots; it returns once its record
+// and its slots have completed and checkpoints (installs, then clears
+// the record) in the background, one checkpoint at a time; the next
 // commit may write its log slots while checkpoints run, but never over
 // the slots of a transaction whose clear has not completed, and writes
 // its own record into one of the log's two record blocks only once that
@@ -16,7 +16,9 @@
 // a commit whose log write fails leaves no trace on the device; and with
 // the data bypass on, file data is ordered data — a commit record
 // follows the data its transaction carries, and a write that commits
-// nothing returns after its data.
+// nothing returns after its data. The tests every variant shares are
+// written once here too (shared.go), and each variant's package runs
+// them on its own mounts.
 package journaltest
 
 import (
@@ -26,8 +28,11 @@ import (
 	"time"
 
 	"bento/internal/blockdev"
+	"bento/internal/core"
 	"bento/internal/costmodel"
+	"bento/internal/ext4"
 	"bento/internal/fsapi"
+	"bento/internal/harness"
 	"bento/internal/kernel"
 	"bento/internal/trace"
 	"bento/internal/vclock"
@@ -92,9 +97,11 @@ func (r *recorder) JoinWrite(prev, now int64, blk int, buf []byte, owned bool) (
 	return done, ok
 }
 
-// Rig is a traced mount on a 4 096-block local device that records its
+// Rig is a traced mount of one variant, made through harness.Mount, on
+// a 4 096-block local device formatted with 512 inodes that records its
 // write commands. The mounting task starts past mkfs's device work, so
-// a commit queues behind nothing but itself.
+// a commit queues behind nothing but itself. Every rig runs under
+// costmodel.Default().
 type Rig struct {
 	Model *costmodel.Model
 	K     *kernel.Kernel
@@ -104,54 +111,177 @@ type Rig struct {
 	SB    layout.Superblock
 	rec   *recorder
 
-	mkfs     func(*kernel.Task, *blockdev.Device) error
-	name     string
-	register func(*kernel.Kernel) error
+	variant string
+	mc      harness.MountConfig
 }
 
-// New formats the device with mkfs, registers a file system type with
-// register, and mounts the type named name at /mnt.
-func New(t testing.TB, model *costmodel.Model, mkfs func(*kernel.Task, *blockdev.Device) error,
-	name string, register func(*kernel.Kernel) error) *Rig {
+// InKernel are the variants whose file system runs in the kernel, over
+// a buffer cache and the direct data path: all but FUSE.
+var InKernel = []string{harness.VariantBento, harness.VariantCKernel, harness.VariantExt4}
+
+// The mount configurations the tables run.
+var (
+	// DataPaths are the two ways file data can travel, without barriers
+	// as the in-kernel variants are published: through the buffer cache
+	// and the journal, and around them.
+	DataPaths = []harness.MountConfig{{}, {Bypass: true}}
+	// BypassOn is the bypass with and without barriers.
+	BypassOn = []harness.MountConfig{{Bypass: true}, {Barriers: true, Bypass: true}}
+	// AllConfigs is every combination of barriers and bypass.
+	AllConfigs = []harness.MountConfig{{}, {Barriers: true}, {Bypass: true}, {Barriers: true, Bypass: true}}
+)
+
+// New formats the rig's device with variant's mkfs and mounts variant
+// at / under mc.
+func New(t testing.TB, variant string, mc harness.MountConfig) *Rig {
 	t.Helper()
-	return newRig(t, model, mkfs, name, register, false)
+	return newRig(t, variant, mc, false)
 }
 
 // newRig is New, keeping a copy of every write's contents when keep is
 // set.
-func newRig(t testing.TB, model *costmodel.Model, mkfs func(*kernel.Task, *blockdev.Device) error,
-	name string, register func(*kernel.Kernel) error, keep bool) *Rig {
+func newRig(t testing.TB, variant string, mc harness.MountConfig, keep bool) *Rig {
 	t.Helper()
+	model := costmodel.Default()
 	k := kernel.New(model)
 	k.SetRecorder(trace.New())
 	rec := &recorder{Backend: blockdev.NewLocalBackend("rig", layout.BlockSize, model), keep: keep}
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 4096, Model: model, Backend: rec})
 	rec.dev = dev
 	format := k.NewTask("mkfs")
-	if err := mkfs(format, dev); err != nil {
+	var err error
+	if variant == harness.VariantExt4 {
+		err = ext4.Mkfs(format, dev, 512)
+	} else {
+		_, err = layout.Mkfs(format.Clk, dev, 512)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	sb, err := layout.ReadSuperblock(format.Clk, dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := register(k); err != nil {
-		t.Fatal(err)
-	}
 	task := k.NewTask("test")
 	task.Clk.AdvanceTo(format.Clk.NowNS() + int64(time.Millisecond))
-	m, err := k.Mount(task, name, "/mnt", dev)
+	m, err := harness.Mount(k, task, dev, variant, mc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Rig{Model: model, K: k, M: m, Task: task, Dev: dev, SB: sb, rec: rec,
-		mkfs: mkfs, name: name, register: register}
+	return &Rig{Model: model, K: k, M: m, Task: task, Dev: dev, SB: sb, rec: rec, variant: variant, mc: mc}
 }
 
-// Mkfs formats an xv6 image with 512 inodes.
-func Mkfs(t *kernel.Task, dev *blockdev.Device) error {
-	_, err := layout.Mkfs(t.Clk, dev, 512)
-	return err
+// Each runs fn as a subtest for every variant under every mount
+// configuration, named variant, then barriers/bypass with "no" before a
+// setting that is off. FUSE's daemon never bypasses
+// (harness.MountConfig), so a FUSE row with the bypass set is left out.
+func Each(t *testing.T, variants []string, mcs []harness.MountConfig, fn func(t *testing.T, variant string, mc harness.MountConfig)) {
+	t.Helper()
+	for _, v := range variants {
+		t.Run(v, func(t *testing.T) {
+			for _, mc := range mcs {
+				if v == harness.VariantFUSE && mc.Bypass {
+					continue
+				}
+				t.Run(configName(mc), func(t *testing.T) { fn(t, v, mc) })
+			}
+		})
+	}
+}
+
+// A Row is one variant under one mount configuration, as a table whose
+// subtests keep names of their own runs it.
+type Row struct {
+	Name    string
+	Variant string
+	MC      harness.MountConfig
+}
+
+// Run runs fn as a subtest per row, named after it.
+func Run(t *testing.T, rows []Row, fn func(t *testing.T, variant string, mc harness.MountConfig)) {
+	t.Helper()
+	for _, r := range rows {
+		t.Run(r.Name, func(t *testing.T) { fn(t, r.Variant, r.MC) })
+	}
+}
+
+// BypassRows are variant's mounts without barriers, named
+// "bypass=false" and "bypass=true".
+func BypassRows(variant string) []Row {
+	return []Row{
+		{Name: "bypass=false", Variant: variant},
+		{Name: "bypass=true", Variant: variant, MC: harness.MountConfig{Bypass: true}},
+	}
+}
+
+// configName names mc as Each's subtests do, e.g. "barriers/nobypass".
+func configName(mc harness.MountConfig) string {
+	name := func(on bool, s string) string {
+		if on {
+			return s
+		}
+		return "no" + s
+	}
+	return name(mc.Barriers, "barriers") + "/" + name(mc.Bypass, "bypass")
+}
+
+// Remount mounts dev at / on a new kernel as the rig's variant and
+// configuration, recovering its journal, and returns the mount and the
+// task that mounted it.
+func (r *Rig) Remount(t testing.TB, dev *blockdev.Device) (*kernel.Mount, *kernel.Task) {
+	t.Helper()
+	k := kernel.New(r.Model)
+	task := k.NewTask("remount")
+	m, err := harness.Mount(k, task, dev, r.variant, r.mc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, task
+}
+
+// Unmount unmounts the rig, which fails on the C-Kernel and ext4 while a
+// buffer is still held, and requires Bento's ownership checker to have
+// recorded nothing.
+func (r *Rig) Unmount(t testing.TB) {
+	t.Helper()
+	fs := r.M.FS()
+	if err := r.K.Unmount(r.Task, "/"); err != nil {
+		t.Fatalf("Unmount: %v", err)
+	}
+	if shim, ok := fs.(*core.BentoFS); ok {
+		if v := shim.SuperBlock().Checker().Violations(); len(v) != 0 {
+			t.Fatalf("ownership violations: %v", v)
+		}
+	}
+}
+
+// BufferCache returns the buffer cache an in-kernel variant's file
+// system reads its metadata through, or nil under FUSE.
+func (r *Rig) BufferCache() *kernel.BufferCache {
+	switch fs := r.M.FS().(type) {
+	case *core.BentoFS:
+		return fs.SuperBlock().BufferCache()
+	case interface{ BufferCache() *kernel.BufferCache }:
+		return fs.BufferCache()
+	}
+	return nil
+}
+
+// Fsck syncs the mount and requires its device to check clean, returning
+// the report.
+func (r *Rig) Fsck(t testing.TB) *layout.FsckReport {
+	t.Helper()
+	if err := r.M.Sync(r.Task); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := layout.Fsck(r.Task.Clk, r.Dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() {
+		t.Fatalf("fsck: %v", rep.Errors)
+	}
+	return rep
 }
 
 // WriteFile writes pages journaled pages to /f and syncs, returning the
@@ -481,7 +611,7 @@ func (r *Rig) RequireUnmountDrains(t testing.TB) {
 	if len(ios) == 0 {
 		t.Fatal("no commit written")
 	}
-	if err := r.K.Unmount(r.Task, "/mnt"); err != nil {
+	if err := r.K.Unmount(r.Task, "/"); err != nil {
 		t.Fatal(err)
 	}
 	if now, cleared := r.Task.Clk.NowNS(), ios[len(ios)-1].clear.done; now < cleared {
@@ -530,7 +660,7 @@ func (r *Rig) RequireBesideRecovery(t testing.TB) {
 	}
 	first := uint32(beside.slots[0].blk) - r.SB.LogStart - 1
 
-	cut := New(t, r.Model, r.mkfs, r.name, r.register)
+	cut := New(t, r.variant, r.mc)
 	cut.Dev.ArmPowerCut(beside.record.cmd - cut.Dev.WriteCmds())
 	_ = cut.Mkdirs(dirs...) // fails from the first command after the record
 	if !cut.Dev.PowerOut() {
@@ -558,13 +688,7 @@ func (r *Rig) RequireBesideRecovery(t testing.TB) {
 	}
 
 	from := len(cut.rec.writes)
-	k := kernel.New(r.Model)
-	if err := cut.register(k); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.Mount(k.NewTask("remount"), cut.name, "/mnt", cut.Dev); err != nil {
-		t.Fatal(err)
-	}
+	r.Remount(t, cut.Dev)
 	var installed []uint32
 	for _, w := range cut.rec.writes[from:] {
 		if cut.isRecord(w.blk) {
@@ -602,7 +726,7 @@ func (r *Rig) RequireBesideRecovery(t testing.TB) {
 // whatever block order says; and the image must check clean.
 func (r *Rig) RequireTwoRecordRecovery(t testing.TB) {
 	t.Helper()
-	src := newRig(t, r.Model, r.mkfs, r.name, r.register, true)
+	src := newRig(t, r.variant, r.mc, true)
 	if err := src.Mkdirs("/a", "/b", "/c", "/d", "/e", "/f"); err != nil {
 		t.Fatal(err)
 	}
@@ -649,7 +773,7 @@ func (r *Rig) RequireTwoRecordRecovery(t testing.TB) {
 		t.Fatal("no block is logged by both transactions with different contents")
 	}
 
-	r.remount(t, dev)
+	r.Remount(t, dev)
 	if !bytes.Equal(read(shared), want) {
 		t.Errorf("block %d, logged by records %d and %d, does not hold record %d's contents after recovery", shared, prevSeq, seq, seq)
 	}
@@ -668,7 +792,7 @@ func (r *Rig) RequireTwoRecordRecovery(t testing.TB) {
 // hand /g the directory's old entries.
 func (r *Rig) RequireFreedBlockRecovery(t testing.TB) {
 	t.Helper()
-	src := newRig(t, r.Model, r.mkfs, r.name, r.register, true)
+	src := newRig(t, r.variant, r.mc, true)
 	m, task := src.M, src.Task
 	page := bytes.Repeat([]byte{'g'}, layout.BlockSize)
 	// Data-region writes past the root's block and /d's complete a
@@ -708,7 +832,7 @@ func (r *Rig) RequireFreedBlockRecovery(t testing.TB) {
 		t.Fatal("the last commit's data reuses no block the commit before it logged")
 	}
 	dev := src.cutImage(t, ios, k)
-	m, task = r.remount(t, dev)
+	m, task = r.Remount(t, dev)
 	got, err := m.ReadFile(task, "/g")
 	if err != nil {
 		t.Fatal(err)
@@ -740,22 +864,6 @@ func (r *Rig) cutImage(t testing.TB, ios []commitIO, k int) *blockdev.Device {
 		}
 	}
 	return dev
-}
-
-// remount mounts dev at /mnt on a new kernel with r's file-system type
-// and returns the mount and the task that mounted it.
-func (r *Rig) remount(t testing.TB, dev *blockdev.Device) (*kernel.Mount, *kernel.Task) {
-	t.Helper()
-	k := kernel.New(r.Model)
-	if err := r.register(k); err != nil {
-		t.Fatal(err)
-	}
-	task := k.NewTask("remount")
-	m, err := k.Mount(task, r.name, "/mnt", dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, task
 }
 
 // requireClean requires dev's image to check clean after what.

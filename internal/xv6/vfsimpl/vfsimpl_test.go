@@ -2,73 +2,43 @@ package vfsimpl_test
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
-	"math/rand"
-	"sort"
+	"strings"
 	"testing"
 
-	"bento/internal/blockdev"
-	"bento/internal/costmodel"
-	"bento/internal/fsapi"
+	"bento/internal/harness"
 	"bento/internal/kernel"
-	"bento/internal/vclock"
-	"bento/internal/xv6/bentoimpl"
-	"bento/internal/xv6/layout"
-	"bento/internal/xv6/vfsimpl"
+	"bento/internal/xv6/journaltest"
 )
 
-func newVFSEnv(t *testing.T, blocks int) (*kernel.Kernel, *kernel.Mount, *kernel.Task, *blockdev.Device) {
-	t.Helper()
-	model := costmodel.Fast()
-	k := kernel.New(model)
-	dev := blockdev.MustNew(blockdev.Config{Blocks: blocks, Model: model})
-	clk := vclock.NewClock()
-	if _, err := layout.Mkfs(clk, dev, 512); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Register(vfsimpl.Type{}); err != nil {
-		t.Fatal(err)
-	}
-	task := k.NewTask("test")
-	m, err := k.Mount(task, "xv6vfs", "/mnt", dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return k, m, task, dev
-}
+// The file system's own behaviour is tested on every variant in
+// bentoimpl's tables; these are smoke tests and the tests of the
+// kernel.FileSystem adapter itself.
 
 func TestVFSBaselineBasics(t *testing.T) {
-	_, m, task, dev := newVFSEnv(t, 4096)
+	r := journaltest.New(t, harness.VariantCKernel, harness.Published(harness.VariantCKernel))
 	want := []byte("the C baseline, in Go")
-	if err := m.WriteFile(task, "/f", want); err != nil {
+	if err := r.M.WriteFile(r.Task, "/f", want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.ReadFile(task, "/f")
+	got, err := r.M.ReadFile(r.Task, "/f")
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("%q %v", got, err)
 	}
-	if err := m.Sync(task); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := layout.Fsck(task.Clk, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("fsck: %v", rep.Errors)
-	}
+	r.Fsck(t)
 }
 
+// TestVFSBaselineIsNotBatchWriter: the C-Kernel writes back one page per
+// ->writepage call.
 func TestVFSBaselineIsNotBatchWriter(t *testing.T) {
-	_, m, _, _ := newVFSEnv(t, 4096)
-	if _, ok := m.FS().(kernel.BatchWriter); ok {
+	r := journaltest.New(t, harness.VariantCKernel, harness.Published(harness.VariantCKernel))
+	if _, ok := r.M.FS().(kernel.BatchWriter); ok {
 		t.Fatal("the C baseline must NOT implement writepages; that is Bento's advantage in Figure 4")
 	}
 }
 
 func TestVFSBaselineDirsLinksRename(t *testing.T) {
-	_, m, task, dev := newVFSEnv(t, 8192)
+	r := journaltest.New(t, harness.VariantCKernel, harness.Published(harness.VariantCKernel))
+	m, task := r.M, r.Task
 	if err := m.Mkdir(task, "/a"); err != nil {
 		t.Fatal(err)
 	}
@@ -91,239 +61,22 @@ func TestVFSBaselineDirsLinksRename(t *testing.T) {
 	if err := m.Unlink(task, "/a/link"); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Sync(task); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := layout.Fsck(task.Clk, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("fsck: %v", rep.Errors)
-	}
+	r.Fsck(t)
 }
 
-func TestVFSBaselineCrashRecovery(t *testing.T) {
-	model := costmodel.Fast()
-	k := kernel.New(model)
-	dev := blockdev.MustNew(blockdev.Config{Blocks: 4096, Model: model})
-	clk := vclock.NewClock()
-	if _, err := layout.Mkfs(clk, dev, 256); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Register(vfsimpl.Type{Cfg: vfsimpl.Config{FlushCommits: true}}); err != nil {
-		t.Fatal(err)
-	}
-	task := k.NewTask("t")
-	m, err := k.Mount(task, "xv6vfs", "/mnt", dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := m.Open(task, "/x", fsapi.ORdwr|fsapi.OCreate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(task, bytes.Repeat([]byte{9}, 9000)); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.FSync(task); err != nil {
-		t.Fatal(err)
-	}
-	dev.Crash(0.3, 99)
-
-	k2 := kernel.New(model)
-	if err := k2.Register(vfsimpl.Type{Cfg: vfsimpl.Config{FlushCommits: true}}); err != nil {
-		t.Fatal(err)
-	}
-	t2 := k2.NewTask("r")
-	m2, err := k2.Mount(t2, "xv6vfs", "/mnt", dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m2.ReadFile(t2, "/x")
-	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{9}, 9000)) {
-		t.Fatalf("fsynced data lost after crash: %v", err)
-	}
-	rep, err := layout.Fsck(t2.Clk, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("fsck: %v", rep.Errors)
-	}
-}
-
-// --- differential conformance: both implementations must behave
-// identically on the same operation sequence, and both disks must pass
-// fsck. This is the paper's "nearly identical behavior" claim as a test.
-
-type fsUnderTest struct {
-	name string
-	k    *kernel.Kernel
-	m    *kernel.Mount
-	task *kernel.Task
-	dev  *blockdev.Device
-}
-
-func mountBoth(t *testing.T) [2]*fsUnderTest {
-	t.Helper()
-	mk := func(name, fstype string, reg func(*kernel.Kernel) error) *fsUnderTest {
-		model := costmodel.Fast()
-		k := kernel.New(model)
-		dev := blockdev.MustNew(blockdev.Config{Blocks: 16384, Model: model})
-		clk := vclock.NewClock()
-		if _, err := layout.Mkfs(clk, dev, 1024); err != nil {
+// TestUnmountReportsHeldBuffers requires the C-Kernel's and ext4's
+// Unmount to fail while a buffer is still referenced, naming how many.
+func TestUnmountReportsHeldBuffers(t *testing.T) {
+	journaltest.Run(t, []journaltest.Row{
+		onCKernel("xv6vfs", noBarriers), onExt4("ext4", barriers),
+	}, func(t *testing.T, v string, mc harness.MountConfig) {
+		r := journaltest.New(t, v, mc)
+		if _, err := r.BufferCache().Get(r.Task, int(r.SB.InodeStart)); err != nil {
 			t.Fatal(err)
 		}
-		if err := reg(k); err != nil {
-			t.Fatal(err)
+		err := r.K.Unmount(r.Task, "/")
+		if err == nil || !strings.Contains(err.Error(), "1 buffer(s) still referenced") {
+			t.Fatalf("Unmount with a buffer held returned %v, want it to name 1 held buffer", err)
 		}
-		task := k.NewTask(name)
-		m, err := k.Mount(task, fstype, "/mnt", dev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &fsUnderTest{name: name, k: k, m: m, task: task, dev: dev}
-	}
-	bento := mk("bento", "xv6", func(k *kernel.Kernel) error {
-		return bentoimpl.RegisterWith(k, "xv6", bentoimpl.Config{})
 	})
-	vfs := mk("vfs", "xv6vfs", func(k *kernel.Kernel) error {
-		return k.Register(vfsimpl.Type{})
-	})
-	return [2]*fsUnderTest{bento, vfs}
-}
-
-func TestDifferentialConformance(t *testing.T) {
-	both := mountBoth(t)
-	rng := rand.New(rand.NewSource(2021)) // the paper's year
-
-	type result struct {
-		errs  []string
-		reads map[string]string
-	}
-	var results [2]result
-
-	// Build one deterministic op script, then run it against each FS.
-	type op struct {
-		kind    int
-		a, b    string
-		payload []byte
-	}
-	var script []op
-	paths := []string{"/f0", "/f1", "/d0/f", "/d0/g", "/d1/f"}
-	script = append(script, op{kind: 0, a: "/d0"}, op{kind: 0, a: "/d1"})
-	for i := 0; i < 120; i++ {
-		p := paths[rng.Intn(len(paths))]
-		switch rng.Intn(6) {
-		case 0, 1, 2:
-			n := rng.Intn(20000)
-			payload := make([]byte, n)
-			rng.Read(payload)
-			script = append(script, op{kind: 1, a: p, payload: payload})
-		case 3:
-			script = append(script, op{kind: 2, a: p})
-		case 4:
-			q := paths[rng.Intn(len(paths))]
-			script = append(script, op{kind: 3, a: p, b: q})
-		case 5:
-			q := paths[rng.Intn(len(paths))]
-			script = append(script, op{kind: 4, a: p, b: q})
-		}
-	}
-
-	for i, fut := range both {
-		res := result{reads: make(map[string]string)}
-		record := func(what string, err error) {
-			if err != nil {
-				// Record the error *class* (unwrapped), which must match
-				// across implementations.
-				res.errs = append(res.errs, fmt.Sprintf("%s: %v", what, rootErr(err)))
-			} else {
-				res.errs = append(res.errs, what+": ok")
-			}
-		}
-		for _, o := range script {
-			switch o.kind {
-			case 0:
-				record("mkdir "+o.a, fut.m.Mkdir(fut.task, o.a))
-			case 1:
-				record(fmt.Sprintf("write %s %d", o.a, len(o.payload)),
-					fut.m.WriteFile(fut.task, o.a, o.payload))
-			case 2:
-				record("unlink "+o.a, fut.m.Unlink(fut.task, o.a))
-			case 3:
-				record(fmt.Sprintf("rename %s %s", o.a, o.b), fut.m.Rename(fut.task, o.a, o.b))
-			case 4:
-				record(fmt.Sprintf("link %s %s", o.a, o.b), fut.m.Link(fut.task, o.a, o.b))
-			}
-		}
-		// Capture final observable state.
-		for _, p := range paths {
-			data, err := fut.m.ReadFile(fut.task, p)
-			if err != nil {
-				res.reads[p] = "ERR " + rootErr(err).Error()
-			} else {
-				res.reads[p] = fmt.Sprintf("len=%d sum=%d", len(data), checksum(data))
-			}
-		}
-		for _, d := range []string{"/", "/d0", "/d1"} {
-			ents, err := fut.m.ReadDir(fut.task, d)
-			if err != nil {
-				res.reads["dir:"+d] = "ERR " + rootErr(err).Error()
-				continue
-			}
-			names := make([]string, 0, len(ents))
-			for _, e := range ents {
-				names = append(names, e.Name)
-			}
-			sort.Strings(names)
-			res.reads["dir:"+d] = fmt.Sprint(names)
-		}
-		results[i] = res
-
-		if err := fut.m.Sync(fut.task); err != nil {
-			t.Fatalf("%s: sync: %v", fut.name, err)
-		}
-		rep, err := layout.Fsck(fut.task.Clk, fut.dev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.OK() {
-			t.Fatalf("%s: fsck: %v", fut.name, rep.Errors)
-		}
-	}
-
-	if len(results[0].errs) != len(results[1].errs) {
-		t.Fatalf("op count mismatch: %d vs %d", len(results[0].errs), len(results[1].errs))
-	}
-	for i := range results[0].errs {
-		if results[0].errs[i] != results[1].errs[i] {
-			t.Errorf("op %d diverged:\n  bento: %s\n  vfs:   %s", i, results[0].errs[i], results[1].errs[i])
-		}
-	}
-	for k, v := range results[0].reads {
-		if results[1].reads[k] != v {
-			t.Errorf("final state %q diverged: bento=%s vfs=%s", k, v, results[1].reads[k])
-		}
-	}
-}
-
-// rootErr unwraps to the sentinel errno-style error for comparison.
-func rootErr(err error) error {
-	for {
-		u := errors.Unwrap(err)
-		if u == nil {
-			return err
-		}
-		err = u
-	}
-}
-
-func checksum(b []byte) uint32 {
-	var s uint32
-	for _, c := range b {
-		s = s*31 + uint32(c)
-	}
-	return s
 }

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"path"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -19,19 +20,41 @@ var mountConfigPackages = map[string]string{
 	"bento/internal/ext4":          "internal/ext4",
 }
 
+// mountTypePackages are the file systems whose kernel.FileSystemType
+// carries the config, import path -> directory: registering one, even
+// zero-valued, chooses a configuration.
+var mountTypePackages = map[string]string{
+	"bento/internal/xv6/vfsimpl": "internal/xv6/vfsimpl",
+	"bento/internal/ext4":        "internal/ext4",
+}
+
 // mountConfigSite is the one function allowed to build those configs.
 const mountConfigSite = "internal/harness/mount.go:Mount"
 
+// testedDirs are the directories whose tests mount the xv6 file system.
+// Their _test.go files are held to the rule too, so what the tests check
+// is a configuration harness.Mount builds.
+var testedDirs = []string{"internal/xv6/", "internal/ext4/"}
+
+// configExceptions are the test functions that build a config
+// themselves, each with what harness.MountConfig cannot say.
+var configExceptions = map[string]string{
+	"internal/xv6/bentoimpl/databypass_test.go:TestBentoByReferenceMatchesCopying": "a factory that hides bentoimpl's optional interfaces from the Bento shim",
+}
+
 // TestOneMountConfigSite keeps "which configuration does a variant mount"
-// decided in one place: no non-test Go outside benchmark/ writes a
-// composite literal of bentoimpl.Config, vfsimpl.Config or ext4.Config,
-// except harness.Mount, through which both the benchmark harness and the
-// crash fuzzer mount. (benchmark/ keeps a frozen hand copy that its
-// traced-vs-untraced digest check holds equal.) A second site is how the
-// benchmarked and the crash-tested configurations drift apart unnoticed.
+// decided in one place: no non-test Go outside benchmark/, and no test
+// of the xv6 file system or ext4, writes a composite literal of
+// bentoimpl.Config, vfsimpl.Config or ext4.Config, or of vfsimpl.Type or
+// ext4.Type, except harness.Mount, through which the benchmark harness,
+// the crash fuzzer and those tests mount, and the configExceptions.
+// (benchmark/ keeps a frozen hand copy that its traced-vs-untraced digest
+// check holds equal.) A second site is how the benchmarked, the
+// crash-tested and the unit-tested configurations drift apart unnoticed.
 func TestOneMountConfigSite(t *testing.T) {
 	fset := token.NewFileSet()
 	files, atSite := 0, 0
+	excepted := map[string]bool{}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -43,29 +66,38 @@ func TestOneMountConfigSite(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		if !strings.HasSuffix(p, ".go") {
 			return nil
 		}
-		files++
+		if strings.HasSuffix(p, "_test.go") {
+			if !slices.ContainsFunc(testedDirs, func(dir string) bool { return strings.HasPrefix(p, dir) }) {
+				return nil
+			}
+		} else {
+			files++
+		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
 		// isConfig reports whether a literal's type names one of the
 		// configs: qualified by an import, or bare inside its own package.
-		qualifiers := map[string]bool{}
+		qualifiers, typeQualifiers := map[string]bool{}, map[string]bool{}
 		bare := false
 		for imp, dir := range mountConfigPackages {
 			if name := importName(f, imp); name != "" {
 				qualifiers[name] = true
+				if _, ok := mountTypePackages[imp]; ok {
+					typeQualifiers[name] = true
+				}
 			}
-			bare = bare || path.Dir(p) == dir
+			bare = bare || path.Dir(p) == dir && !strings.HasSuffix(f.Name.Name, "_test")
 		}
 		isConfig := func(typ ast.Expr) bool {
 			switch typ := typ.(type) {
 			case *ast.SelectorExpr:
 				x, ok := typ.X.(*ast.Ident)
-				return ok && qualifiers[x.Name] && typ.Sel.Name == "Config"
+				return ok && (qualifiers[x.Name] && typ.Sel.Name == "Config" || typeQualifiers[x.Name] && typ.Sel.Name == "Type")
 			case *ast.Ident:
 				return bare && typ.Name == "Config"
 			}
@@ -82,7 +114,13 @@ func TestOneMountConfigSite(t *testing.T) {
 					return true
 				}
 				if site == mountConfigSite {
-					atSite++
+					if sel, ok := lit.Type.(*ast.SelectorExpr); !ok || sel.Sel.Name == "Config" {
+						atSite++
+					}
+					return true
+				}
+				if _, ok := configExceptions[site]; ok {
+					excepted[site] = true
 					return true
 				}
 				t.Errorf("%s: a file-system config built outside %s — mount the variant through harness.Mount "+
@@ -97,6 +135,11 @@ func TestOneMountConfigSite(t *testing.T) {
 	}
 	if files < 60 {
 		t.Fatalf("walked only %d files: run from the repository root", files)
+	}
+	for site, why := range configExceptions {
+		if !excepted[site] {
+			t.Errorf("%s is listed as building its own config (%s) but builds none: drop it from configExceptions", site, why)
+		}
 	}
 	// Bento, C-Kernel, the FUSE daemon and ext4: one literal each.
 	if atSite != 4 {
