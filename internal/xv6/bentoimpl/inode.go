@@ -33,6 +33,8 @@ type Inode struct {
 	// stack array passed through the bentoks.Disk interface would escape
 	// and allocate per call.
 	dbuf [layout.InodeSize]byte
+	// ptr is such scratch for mapLevel's read of one block pointer.
+	ptr [4]byte
 	// dent is dirent-sized scratch for directory-entry encode/decode
 	// (dirlink, isDirEmpty, rename's ".." rewrite).
 	dent [layout.DirentSize]byte
@@ -236,9 +238,17 @@ func (ip *Inode) mapThrough(t *kernel.Task, slot *uint32, idxs [2]int, depth int
 
 // mapLevel returns the pointer at idx of indirect block blk. A zero
 // pointer, with alloc set, is first pointed at a block balloc allocates
-// (a data leaf when dataLeaf), and fresh reports it.
+// (a data leaf when dataLeaf), and fresh reports it. Without alloc the
+// pointer is copied out by ReadBlockRange, which costs what BRead and
+// Release cost but makes no buffer handle.
 func (ip *Inode) mapLevel(t *kernel.Task, blk uint32, idx int, alloc, dataLeaf bool) (next uint32, fresh bool, err error) {
 	fs := ip.fs
+	if !alloc {
+		if err := fs.sb.ReadBlockRange(t, int(blk), 4*idx, ip.ptr[:]); err != nil {
+			return 0, false, err
+		}
+		return leU32(ip.ptr[:], 0), false, nil
+	}
 	bh, err := fs.sb.BRead(t, int(blk))
 	if err != nil {
 		return 0, false, err
@@ -248,7 +258,7 @@ func (ip *Inode) mapLevel(t *kernel.Task, blk uint32, idx int, alloc, dataLeaf b
 	if err != nil {
 		return 0, false, err
 	}
-	if next = leU32(data, 4*idx); next != 0 || !alloc {
+	if next = leU32(data, 4*idx); next != 0 {
 		return next, false, nil
 	}
 	if next, err = fs.balloc(t, dataLeaf); err != nil {
