@@ -1,6 +1,8 @@
 package bentoimpl
 
 import (
+	"errors"
+
 	"bento/internal/fsapi"
 	"bento/internal/kernel"
 	"bento/internal/xv6/layout"
@@ -32,37 +34,19 @@ func (scanDirs) lookup(t *kernel.Task, dp *Inode, name string, _ bool) (uint32, 
 	if dp.din.Type != layout.TypeDir {
 		return 0, 0, fsapi.ErrNotDir
 	}
-	size := int64(dp.din.Size)
-	// dp's block scratch is free here: directory contents never take the
-	// direct path, so readi on a directory cannot touch it.
-	buf := dp.bounceBuf()
-	for base := int64(0); base < size; base += layout.BlockSize {
-		n := min(layout.BlockSize, size-base)
-		if _, err := dp.readi(t, base, buf[:n]); err != nil {
-			return 0, 0, err
-		}
-		for o := int64(0); o < n; o += layout.DirentSize {
-			if ino, ok := layout.DirentIs(buf[o:], name); ok {
-				return ino, base + o, nil
-			}
-		}
-	}
-	return 0, 0, fsapi.ErrNotExist
+	return dp.findDirent(t, name)
 }
 
 func (scanDirs) empty(t *kernel.Task, dp *Inode) (bool, error) {
-	size := int64(dp.din.Size)
-	buf := dp.dent[:]
-	for o := int64(0); o < size; o += layout.DirentSize {
-		if _, err := dp.readi(t, o, buf); err != nil {
-			return false, err
+	off, err := dp.scanDirents(t, func(rec []byte) bool {
+		if leU32(rec, 0) == 0 {
+			return false
 		}
-		de := layout.DecodeDirent(buf)
-		if de.Ino != 0 && de.Name != "." && de.Name != ".." {
-			return false, nil
-		}
-	}
-	return true, nil
+		_, dot := layout.DirentIs(rec, ".")
+		_, dotdot := layout.DirentIs(rec, "..")
+		return !dot && !dotdot
+	})
+	return off < 0, err
 }
 
 func (scanDirs) linked(uint32, string, uint32) {}
@@ -86,19 +70,13 @@ func (x dirIndex) of(t *kernel.Task, dp *Inode) (map[string]uint32, error) {
 		return idx, nil
 	}
 	idx := make(map[string]uint32)
-	size := int64(dp.din.Size)
-	buf := dp.bounceBuf()
-	for base := int64(0); base < size; base += layout.BlockSize {
-		n := min(layout.BlockSize, size-base)
-		if _, err := dp.readi(t, base, buf[:n]); err != nil {
-			return nil, err
+	if _, err := dp.scanDirents(t, func(rec []byte) bool {
+		if de := layout.DecodeDirent(rec); de.Ino != 0 {
+			idx[de.Name] = de.Ino
 		}
-		for o := int64(0); o < n; o += layout.DirentSize {
-			de := layout.DecodeDirent(buf[o:])
-			if de.Ino != 0 {
-				idx[de.Name] = de.Ino
-			}
-		}
+		return false
+	}); err != nil {
+		return nil, err
 	}
 	x[dp.inum] = idx
 	return idx, nil
@@ -120,19 +98,12 @@ func (x dirIndex) lookup(t *kernel.Task, dp *Inode, name string, needOff bool) (
 	if !needOff {
 		return ino, -1, nil
 	}
-	size := int64(dp.din.Size)
-	rec := dp.dent[:]
-	for o := int64(0); o < size; o += layout.DirentSize {
-		if _, err := dp.readi(t, o, rec); err != nil {
-			return 0, 0, err
-		}
-		if ino, ok := layout.DirentIs(rec, name); ok {
-			return ino, o, nil
-		}
+	ino, off, err := dp.findDirent(t, name)
+	if errors.Is(err, fsapi.ErrNotExist) {
+		// The index said yes but the disk disagrees: drop the stale index.
+		delete(x, dp.inum)
 	}
-	// The index said yes but the disk disagrees: drop the stale index.
-	delete(x, dp.inum)
-	return 0, 0, fsapi.ErrNotExist
+	return ino, off, err
 }
 
 func (x dirIndex) empty(t *kernel.Task, dp *Inode) (bool, error) {
@@ -178,19 +149,15 @@ func (fs *FS) dirlink(t *kernel.Task, dp *Inode, name string, inum uint32) error
 	if _, _, err := fs.dirlookup(t, dp, name, false); err == nil {
 		return fsapi.ErrExist
 	}
-	// Find a free slot.
-	size := int64(dp.din.Size)
-	buf := dp.dent[:]
-	off := size
-	for o := int64(0); o < size; o += layout.DirentSize {
-		if _, err := dp.readi(t, o, buf); err != nil {
-			return err
-		}
-		if layout.DecodeDirent(buf).Ino == 0 {
-			off = o
-			break
-		}
+	// The first free record, or a new one at the end.
+	off, err := dp.scanDirents(t, func(rec []byte) bool { return leU32(rec, 0) == 0 })
+	if err != nil {
+		return err
 	}
+	if off < 0 {
+		off = int64(dp.din.Size)
+	}
+	buf := dp.dent[:]
 	if err := layout.EncodeDirent(layout.Dirent{Ino: inum, Name: name}, buf); err != nil {
 		return err
 	}
@@ -228,36 +195,77 @@ func (fs *FS) readDirEntries(t *kernel.Task, dp *Inode) ([]fsapi.DirEntry, error
 	if dp.din.Type != layout.TypeDir {
 		return nil, fsapi.ErrNotDir
 	}
+	var out []fsapi.DirEntry
+	var perr error
+	_, err := dp.scanDirents(t, func(rec []byte) bool {
+		de := layout.DecodeDirent(rec)
+		if de.Ino == 0 || de.Name == "." || de.Name == ".." {
+			return false
+		}
+		ent := fsapi.DirEntry{Name: de.Name, Ino: fsapi.Ino(de.Ino)}
+		// Entry type requires peeking at the child inode; this is a
+		// read-only probe that tolerates concurrent removal.
+		child := fs.iget(de.Ino)
+		if err := child.iload(t); err == nil {
+			switch child.din.Type {
+			case layout.TypeDir:
+				ent.Type = fsapi.TypeDir
+			case layout.TypeFile:
+				ent.Type = fsapi.TypeFile
+			}
+		}
+		if perr = fs.iputOutside(t, child); perr != nil {
+			return true
+		}
+		out = append(out, ent)
+		return false
+	})
+	if err == nil {
+		err = perr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// scanDirents walks dp's records in offset order, reading one directory
+// block per readi into dp's block scratch, and returns the offset of the
+// first record stop accepts, or -1 when it accepts none. A scan so
+// costs one buffer-cache lookup per block it reads, not one per record.
+// The scratch is free here: directory contents never take the direct
+// path, so readi on a directory cannot touch it. dp is loaded.
+func (dp *Inode) scanDirents(t *kernel.Task, stop func(rec []byte) bool) (int64, error) {
 	size := int64(dp.din.Size)
 	buf := dp.bounceBuf()
-	var out []fsapi.DirEntry
 	for base := int64(0); base < size; base += layout.BlockSize {
 		n := min(layout.BlockSize, size-base)
 		if _, err := dp.readi(t, base, buf[:n]); err != nil {
-			return nil, err
+			return -1, err
 		}
 		for o := int64(0); o < n; o += layout.DirentSize {
-			de := layout.DecodeDirent(buf[o:])
-			if de.Ino == 0 || de.Name == "." || de.Name == ".." {
-				continue
+			if stop(buf[o : o+layout.DirentSize]) {
+				return base + o, nil
 			}
-			ent := fsapi.DirEntry{Name: de.Name, Ino: fsapi.Ino(de.Ino)}
-			// Entry type requires peeking at the child inode; this is a
-			// read-only probe that tolerates concurrent removal.
-			child := fs.iget(de.Ino)
-			if err := child.iload(t); err == nil {
-				switch child.din.Type {
-				case layout.TypeDir:
-					ent.Type = fsapi.TypeDir
-				case layout.TypeFile:
-					ent.Type = fsapi.TypeFile
-				}
-			}
-			if err := fs.iputOutside(t, child); err != nil {
-				return nil, err
-			}
-			out = append(out, ent)
 		}
 	}
-	return out, nil
+	return -1, nil
+}
+
+// findDirent returns the inode and offset of name's record in dp, the
+// first in offset order, or fsapi.ErrNotExist. dp is loaded.
+func (dp *Inode) findDirent(t *kernel.Task, name string) (uint32, int64, error) {
+	var ino uint32
+	off, err := dp.scanDirents(t, func(rec []byte) bool {
+		var ok bool
+		ino, ok = layout.DirentIs(rec, name)
+		return ok
+	})
+	switch {
+	case err != nil:
+		return 0, 0, err
+	case off < 0:
+		return 0, 0, fsapi.ErrNotExist
+	}
+	return ino, off, nil
 }

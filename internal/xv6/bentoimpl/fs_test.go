@@ -483,3 +483,11 @@ func TestGroupCommitAbsorption(t *testing.T) {
 		}
 	})
 }
+
+func TestCreateCostIsPerBlock(t *testing.T) {
+	journaltest.Each(t, harness.AllVariants, journaltest.DataPaths, journaltest.CreateCostIsPerBlock)
+}
+
+func TestMultiBlockDirectory(t *testing.T) {
+	journaltest.Each(t, harness.AllVariants, journaltest.DataPaths, journaltest.MultiBlockDirectory)
+}

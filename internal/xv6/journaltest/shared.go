@@ -2,6 +2,7 @@ package journaltest
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -614,4 +615,178 @@ func LogCarriesNoData(t *testing.T, variant string) {
 		t.Fatalf("the bypass logged %d blocks and the buffered path %d: want at least the file's %d blocks fewer",
 			direct, buffered, pages)
 	}
+}
+
+// recName names the link a directory filled by fillDir holds at record
+// rec.
+func recName(rec int) string { return fmt.Sprintf("r%03d", rec) }
+
+// fillDir makes directory dir and fills its records up to, not
+// including, end: "." and ".." at 0 and 1, the file "t" at 2, and a
+// hard link to t named recName(rec) at every record rec from 3 on. The
+// links share one inode, so freeing one of their records frees no
+// inode and the next create allocates the same inode whatever record it
+// lands in. It syncs at the end.
+func (r *Rig) fillDir(t testing.TB, dir string, end int) {
+	t.Helper()
+	if err := r.M.Mkdir(r.Task, dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.M.WriteFile(r.Task, dir+"/t", nil); err != nil {
+		t.Fatal(err)
+	}
+	for rec := 3; rec < end; rec++ {
+		if err := r.M.Link(r.Task, dir+"/t", dir+"/"+recName(rec)); err != nil {
+			t.Fatalf("link record %d: %v", rec, err)
+		}
+	}
+	if err := r.M.Sync(r.Task); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// requireListing requires dir to list want, in order: readdir walks the
+// records in offset order, so each name's place is its record's.
+func (r *Rig) requireListing(t testing.TB, dir string, want []string) {
+	t.Helper()
+	ents, err := r.M.ReadDir(r.Task, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]string, len(ents))
+	for i, e := range ents {
+		got[i] = e.Name
+	}
+	if !slices.Equal(got, want) {
+		for i := range min(len(got), len(want)) {
+			if got[i] != want[i] {
+				t.Fatalf("%s: entry %d is %q, want %q (%d entries, want %d)", dir, i, got[i], want[i], len(got), len(want))
+			}
+		}
+		t.Fatalf("%s: %d entries, want %d", dir, len(got), len(want))
+	}
+}
+
+// CreateCostIsPerBlock requires a create's free-slot search to cost one
+// buffer-cache lookup per directory block, not one per record: in a
+// full one-block directory with one free record, a create landing in
+// its last record must take the same virtual time as one landing in
+// record 3. The two mounts differ only in which link was unlinked, and
+// each create allocates the same inode.
+func CreateCostIsPerBlock(t *testing.T, variant string, mc harness.MountConfig) {
+	const recs = layout.BlockSize / layout.DirentSize
+	cost := func(free int) int64 {
+		r := New(t, variant, mc)
+		r.fillDir(t, "/d", recs)
+		if err := r.M.Unlink(r.Task, "/d/"+recName(free)); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.M.Sync(r.Task); err != nil {
+			t.Fatal(err)
+		}
+		// Let the journal's checkpoint finish before the timed create.
+		r.Task.Clk.AdvanceTo(r.Task.Clk.NowNS() + int64(time.Second))
+		start := r.Task.Clk.NowNS()
+		f, err := r.M.Open(r.Task, "/d/new", fsapi.OCreate|fsapi.ORdwr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.M.Close(r.Task, f); err != nil {
+			t.Fatal(err)
+		}
+		took := r.Task.Clk.NowNS() - start
+		want := []string{"t"}
+		for rec := 3; rec < recs; rec++ {
+			if rec == free {
+				want = append(want, "new")
+			} else {
+				want = append(want, recName(rec))
+			}
+		}
+		r.requireListing(t, "/d", want)
+		r.Fsck(t)
+		return took
+	}
+	if near, far := cost(3), cost(recs-1); near != far {
+		t.Fatalf("a create into record 3 took %d ns and into record %d %d ns: the free-slot search costs per record", near, recs-1, far)
+	}
+}
+
+// MultiBlockDirectory fills a directory three blocks long, frees records
+// in its first and third blocks, and requires creates to take the lowest
+// free record each and then extend the directory, an unlink of a name
+// in the third block to clear that name's record (ext4 finds it through
+// its index, then by offset), and rmdir to see the directory as
+// non-empty while a live record is left in its third block only. The
+// image checks clean after each step.
+func MultiBlockDirectory(t *testing.T, variant string, mc harness.MountConfig) {
+	const recs = 3 * layout.BlockSize / layout.DirentSize
+	r := New(t, variant, mc)
+	r.fillDir(t, "/d", recs)
+	names := make([]string, recs+1) // names[rec]; "" is a free record
+	names[2] = "t"
+	for rec := 3; rec < recs; rec++ {
+		names[rec] = recName(rec)
+	}
+	listing := func() []string {
+		var want []string
+		for _, n := range names {
+			if n != "" {
+				want = append(want, n)
+			}
+		}
+		return want
+	}
+	for _, rec := range []int{150, 40} {
+		if err := r.M.Unlink(r.Task, "/d/"+recName(rec)); err != nil {
+			t.Fatal(err)
+		}
+		names[rec] = ""
+	}
+	for i, rec := range []int{40, 150, recs} {
+		name := fmt.Sprintf("n%d", i)
+		if err := r.M.WriteFile(r.Task, "/d/"+name, nil); err != nil {
+			t.Fatal(err)
+		}
+		names[rec] = name
+	}
+	r.requireListing(t, "/d", listing())
+	if st, err := r.M.Stat(r.Task, "/d"); err != nil || st.Size != (recs+1)*layout.DirentSize {
+		t.Fatalf("directory size %d (err %v), want %d", st.Size, err, (recs+1)*layout.DirentSize)
+	}
+	r.Fsck(t)
+
+	// A name in the third block: its own record, not another, is freed,
+	// and the next create reuses it.
+	if err := r.M.Unlink(r.Task, "/d/"+recName(170)); err != nil {
+		t.Fatal(err)
+	}
+	names[170] = ""
+	r.requireListing(t, "/d", listing())
+	if err := r.M.WriteFile(r.Task, "/d/n3", nil); err != nil {
+		t.Fatal(err)
+	}
+	names[170] = "n3"
+	r.requireListing(t, "/d", listing())
+	r.Fsck(t)
+
+	// Empty the directory but for one record of the third block.
+	const last = 160
+	for rec, n := range names {
+		if n != "" && rec != last {
+			if err := r.M.Unlink(r.Task, "/d/"+n); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := r.M.Rmdir(r.Task, "/d"); !errors.Is(err, fsapi.ErrNotEmpty) {
+		t.Fatalf("rmdir with record %d live = %v, want ErrNotEmpty", last, err)
+	}
+	if err := r.M.Unlink(r.Task, "/d/"+names[last]); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.M.Rmdir(r.Task, "/d"); err != nil {
+		t.Fatal(err)
+	}
+	r.Fsck(t)
 }
