@@ -15,6 +15,7 @@ import (
 	"slices"
 	"testing"
 
+	"bento/internal/buganalysis"
 	"bento/internal/harness"
 )
 
@@ -58,7 +59,7 @@ func reportCells(b *testing.B, recs []harness.Record, variants []string, metric 
 // statistics; the work is the analysis itself).
 func BenchmarkTable1BugAnalysis(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if out := harness.Table1Text(); len(out) == 0 {
+		if out := buganalysis.RenderTable1(); len(out) == 0 {
 			b.Fatal("empty table")
 		}
 	}
@@ -67,7 +68,7 @@ func BenchmarkTable1BugAnalysis(b *testing.B) {
 // BenchmarkTable2Comparison regenerates Table 2.
 func BenchmarkTable2Comparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if out := harness.Table2Text(); len(out) == 0 {
+		if out := buganalysis.RenderTable2(); len(out) == 0 {
 			b.Fatal("empty table")
 		}
 	}

@@ -103,7 +103,7 @@ func load(clk *vclock.Clock, path string) (*blockdev.Device, error) {
 	if blocks == 0 { // the uint32 field bounds it above by 2^32-1
 		return nil, errors.New("image block count 0, want 1..2^32-1")
 	}
-	dev, err := blockdev.New(blockdev.Config{Blocks: int(blocks), BlockSize: int(bs), Model: costmodel.Fast()})
+	dev, err := blockdev.New(blockdev.Config{Blocks: int(blocks), BlockSize: int(bs), Model: costmodel.Default()})
 	if err != nil {
 		return nil, err
 	}

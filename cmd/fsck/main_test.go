@@ -35,7 +35,7 @@ func record(blk uint32, data []byte) []byte {
 // mkfsImage is a clean image of a freshly formatted 256-block device.
 func mkfsImage(t *testing.T) []byte {
 	t.Helper()
-	dev := blockdev.MustNew(blockdev.Config{Blocks: 256, Model: costmodel.Fast()})
+	dev := blockdev.MustNew(blockdev.Config{Blocks: 256, Model: costmodel.Default()})
 	clk := vclock.NewClock()
 	if _, err := layout.Mkfs(clk, dev, 64); err != nil {
 		t.Fatal(err)

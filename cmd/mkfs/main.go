@@ -49,7 +49,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	model := costmodel.Fast()
+	model := costmodel.Default()
 	dev := blockdev.MustNew(blockdev.Config{Blocks: *blocks, Model: model})
 	clk := vclock.NewClock()
 	sb, err := layout.Mkfs(clk, dev, uint32(*ninodes))

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -131,5 +132,48 @@ func TestEveryCostModelFieldIsRead(t *testing.T) {
 			t.Errorf("costmodel.Model.%s is read by no non-test code outside internal/costmodel: "+
 				"a constant nothing reads prices nothing — delete it", name)
 		}
+	}
+}
+
+// TestOneCostModel keeps one calibration in the tree: internal/costmodel
+// declares a single function that returns a *Model, Default, so every
+// test, tool and crash sweep runs the timing the benchmark measures. A
+// variation is a copy of it with fields changed (the WithNet method, or
+// a test's own copy), not a second constructor.
+func TestOneCostModel(t *testing.T) {
+	paths, err := filepath.Glob("internal/costmodel/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var ctors []string
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || fn.Type.Results == nil {
+				continue
+			}
+			if slices.ContainsFunc(fn.Type.Results.List, func(r *ast.Field) bool {
+				star, ok := r.Type.(*ast.StarExpr)
+				if !ok {
+					return false
+				}
+				id, ok := star.X.(*ast.Ident)
+				return ok && id.Name == "Model"
+			}) {
+				ctors = append(ctors, fn.Name.Name)
+			}
+		}
+	}
+	if !slices.Equal(ctors, []string{"Default"}) {
+		t.Errorf("internal/costmodel's functions returning *Model: %v, want only [Default]: "+
+			"a second calibration is a configuration no benchmark runs", ctors)
 	}
 }

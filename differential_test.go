@@ -20,7 +20,7 @@ import (
 // crosses the in-kernel journals and buffer caches.
 func diffMount(t *testing.T, variant string, seed int64) (k *kernel.Kernel, m *kernel.Mount, task *kernel.Task) {
 	t.Helper()
-	model := costmodel.Fast()
+	model := costmodel.Default()
 	k = kernel.New(model)
 	task = k.NewTask("diff")
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 2048, Model: model})

@@ -12,7 +12,7 @@ import (
 
 func setup(t *testing.T) (*SuperBlock, *kernel.Task) {
 	t.Helper()
-	model := costmodel.Fast()
+	model := costmodel.Default()
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 64, Model: model})
 	k := kernel.New(model)
 	bc := kernel.NewBufferCache(dev, model, 16)
@@ -116,7 +116,7 @@ func TestSliceBoundsChecked(t *testing.T) {
 
 func TestForgedSuperBlockRejected(t *testing.T) {
 	forged := &SuperBlock{} // not minted by the framework
-	k := kernel.New(costmodel.Fast())
+	k := kernel.New(costmodel.Default())
 	task := k.NewTask("attacker")
 	if _, err := forged.BRead(task, 0); err == nil {
 		t.Fatal("forged capability allowed block I/O")
@@ -321,7 +321,7 @@ func TestViolationErrorString(t *testing.T) {
 // exactly the buffer cache's charges, the SuperBlock those plus one
 // wrapper check per borrow, and neither may leave a buffer held.
 func TestRawDiskChargesTheCacheAlone(t *testing.T) {
-	model := costmodel.Default() // Fast charges no wrapper check
+	model := costmodel.Default()
 	if model.WrapperCheck == 0 {
 		t.Fatal("the default model charges no wrapper check: nothing to tell apart")
 	}

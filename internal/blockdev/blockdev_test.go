@@ -14,7 +14,7 @@ import (
 
 func testDev(t *testing.T, blocks int) *Device {
 	t.Helper()
-	d, err := New(Config{Blocks: blocks, Model: costmodel.Fast()})
+	d, err := New(Config{Blocks: blocks, Model: costmodel.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestDurabilityProperty(t *testing.T) {
 		Blk  uint8
 		Fill byte
 	}) bool {
-		d := MustNew(Config{Blocks: 256, Model: costmodel.Fast()})
+		d := MustNew(Config{Blocks: 256, Model: costmodel.Default()})
 		clk := vclock.NewClock()
 		want := make(map[int]byte)
 		for _, op := range ops {

@@ -14,7 +14,7 @@ import (
 // backends use.
 func TestLocalBackendConformance(t *testing.T) {
 	storagetest.Run(t, func(blocks int) *blockdev.Device {
-		model := costmodel.Fast()
+		model := costmodel.Default()
 		return blockdev.MustNew(blockdev.Config{
 			Name:    "conf0",
 			Blocks:  blocks,
@@ -29,6 +29,6 @@ func TestLocalBackendConformance(t *testing.T) {
 // call site uses.
 func TestDefaultBackendConformance(t *testing.T) {
 	storagetest.Run(t, func(blocks int) *blockdev.Device {
-		return blockdev.MustNew(blockdev.Config{Blocks: blocks, Model: costmodel.Fast()})
+		return blockdev.MustNew(blockdev.Config{Blocks: blocks, Model: costmodel.Default()})
 	})
 }

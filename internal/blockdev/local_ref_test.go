@@ -222,7 +222,7 @@ type held struct {
 func TestLocalBackendMatchesReference(t *testing.T) {
 	const blockSize = 512
 	const calls = 120_000
-	model := costmodel.Fast()
+	model := costmodel.Default()
 	got := NewLocalBackend("dut", blockSize, model)
 	ref := newRefLocalBackend("ref", blockSize, model)
 	writable, all := refUniverse()
@@ -387,7 +387,7 @@ func rewriteOp(lb Backend, src []byte) {
 // BenchmarkLocalBackendStream reports the host cost of the streaming
 // data plane: 32 submits, a FLUSH every 8 ops, 32 reads, over 48 MiB.
 func BenchmarkLocalBackendStream(b *testing.B) {
-	lb := NewLocalBackend("bench", 4096, costmodel.Fast())
+	lb := NewLocalBackend("bench", 4096, costmodel.Default())
 	src, dst := bytes.Repeat([]byte{0x5A}, 4096), make([]byte, 4096)
 	warmStream(lb, src, dst)
 	b.ReportAllocs()
@@ -401,7 +401,7 @@ func BenchmarkLocalBackendStream(b *testing.B) {
 // BenchmarkLocalBackendRewrite reports the journal shape: 64 blocks
 // rewritten and flushed per op.
 func BenchmarkLocalBackendRewrite(b *testing.B) {
-	lb := NewLocalBackend("bench", 4096, costmodel.Fast())
+	lb := NewLocalBackend("bench", 4096, costmodel.Default())
 	src := bytes.Repeat([]byte{0x5A}, 4096)
 	rewriteOp(lb, src)
 	rewriteOp(lb, src)
@@ -437,7 +437,7 @@ func donateOp(lb Backend, i int, src []byte) {
 // BenchmarkLocalBackendBorrow reports the host cost of a page-cache fill
 // by reference: 32 BorrowBlocks per op over 48 MiB of written blocks.
 func BenchmarkLocalBackendBorrow(b *testing.B) {
-	lb := NewLocalBackend("bench", 4096, costmodel.Fast())
+	lb := NewLocalBackend("bench", 4096, costmodel.Default())
 	src, dst := bytes.Repeat([]byte{0x5A}, 4096), make([]byte, 4096)
 	warmStream(lb, src, dst)
 	b.ReportAllocs()
@@ -451,7 +451,7 @@ func BenchmarkLocalBackendBorrow(b *testing.B) {
 // BenchmarkLocalBackendSubmitOwned reports the host cost of write-back by
 // reference: 32 SubmitOwneds per op, a FLUSH every 8 ops.
 func BenchmarkLocalBackendSubmitOwned(b *testing.B) {
-	lb := NewLocalBackend("bench", 4096, costmodel.Fast())
+	lb := NewLocalBackend("bench", 4096, costmodel.Default())
 	src, dst := bytes.Repeat([]byte{0x5A}, 4096), make([]byte, 4096)
 	warmStream(lb, src, dst)
 	b.ReportAllocs()
@@ -465,7 +465,7 @@ func BenchmarkLocalBackendSubmitOwned(b *testing.B) {
 // TestLocalBackendSteadyStateAllocs holds every shape at zero allocations
 // once each block has a buffer and the free list has filled.
 func TestLocalBackendSteadyStateAllocs(t *testing.T) {
-	lb := NewLocalBackend("allocs", 4096, costmodel.Fast())
+	lb := NewLocalBackend("allocs", 4096, costmodel.Default())
 	src, dst := bytes.Repeat([]byte{0x5A}, 4096), make([]byte, 4096)
 	warmStream(lb, src, dst)
 	i := 0

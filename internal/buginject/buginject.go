@@ -60,7 +60,7 @@ type Outcome struct {
 // wrappers; the deadlock class takes two semaphores in one order and
 // then the other, and reports what the lock-order check saw.
 func Inject(kind BugKind) Outcome {
-	model := costmodel.Fast()
+	model := costmodel.Default()
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 64, Model: model})
 	k := kernel.New(model)
 	task := k.NewTask("buggy-fs")

@@ -208,12 +208,12 @@ var (
 
 func mountToy(t *testing.T) (*kernel.Kernel, *kernel.Mount, *kernel.Task) {
 	t.Helper()
-	k := kernel.New(costmodel.Fast())
+	k := kernel.New(costmodel.Default())
 	if err := core.Register(k, "toyfs", func() core.FileSystem { return newToyFS(1) }); err != nil {
 		t.Fatal(err)
 	}
 	task := k.NewTask("test")
-	dev := blockdev.MustNew(blockdev.Config{Blocks: 64, Model: costmodel.Fast()})
+	dev := blockdev.MustNew(blockdev.Config{Blocks: 64, Model: costmodel.Default()})
 	m, err := k.Mount(task, "toyfs", "/mnt", dev)
 	if err != nil {
 		t.Fatal(err)
@@ -313,10 +313,11 @@ func TestUpgradeWithOpenFile(t *testing.T) {
 
 // TestUpgradeUnderConcurrentLoad swaps the module three times while four
 // writers keep rewriting their files. All five run under one
-// vclock.Group, so each Upgrade lands at a fixed point of the writers'
-// virtual timeline: writes are served before, between and after the
-// swaps, none fails, every file ends with its last write, and the whole
-// scenario replays exactly.
+// vclock.Group, and the operator swaps once the writers are a quarter,
+// a half and three quarters through, so each Upgrade lands at a fixed
+// point of the writers' virtual timeline: writes are served before,
+// between and after the swaps, none fails, every file ends with its
+// last write, and the whole scenario replays exactly.
 func TestUpgradeUnderConcurrentLoad(t *testing.T) {
 	const writers, iters = 4, 60
 	run := func() (writesAtSwap [3]int64, elapsed time.Duration) {
@@ -328,8 +329,10 @@ func TestUpgradeUnderConcurrentLoad(t *testing.T) {
 			wt := k.NewTaskWithClock(fmt.Sprintf("w%d", i), w.Clock())
 			if i == writers { // the operator
 				for gen := 2; gen <= 4; gen++ {
-					wt.Clk.Advance(100 * time.Nanosecond) // a fraction of the writers' run under costmodel.Fast
-					w.Yield()
+					for written < int64((gen-1)*writers*iters/4) {
+						wt.Clk.Advance(wt.Model().SyscallCrossing)
+						w.Yield()
+					}
 					writesAtSwap[gen-2] = written
 					if err := b.Upgrade(wt, newToyFS(gen)); err != nil {
 						t.Errorf("upgrade to v%d: %v", gen, err)
@@ -371,13 +374,13 @@ func TestUpgradeUnderConcurrentLoad(t *testing.T) {
 func TestUnmountReportsLeaks(t *testing.T) {
 	// A file system that leaks a buffer must be caught at unmount by the
 	// ownership checker.
-	k := kernel.New(costmodel.Fast())
+	k := kernel.New(costmodel.Default())
 	leaky := &leakyFS{toyFS: newToyFS(1)}
 	if err := core.Register(k, "leaky", func() core.FileSystem { return leaky }); err != nil {
 		t.Fatal(err)
 	}
 	task := k.NewTask("t")
-	dev := blockdev.MustNew(blockdev.Config{Blocks: 64, Model: costmodel.Fast()})
+	dev := blockdev.MustNew(blockdev.Config{Blocks: 64, Model: costmodel.Default()})
 	if _, err := k.Mount(task, "leaky", "/mnt", dev); err != nil {
 		t.Fatal(err)
 	}

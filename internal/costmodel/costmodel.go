@@ -217,56 +217,6 @@ func Default() *Model {
 	}
 }
 
-// Fast returns a model with every cost reduced to nearly nothing. Unit
-// tests that exercise correctness (not performance) use it so virtual time
-// stays tiny and tests stay readable.
-func Fast() *Model {
-	return &Model{
-		CPUs:              64,
-		AppOpOverhead:     0,
-		SyscallCrossing:   1 * time.Nanosecond,
-		VFSDispatch:       1 * time.Nanosecond,
-		BentoDispatch:     1 * time.Nanosecond,
-		WrapperCheck:      0,
-		PageCacheLookup:   1 * time.Nanosecond,
-		BufferCacheLookup: 1 * time.Nanosecond,
-		CopyPer4K:         1 * time.Nanosecond,
-		ChecksumPer4K:     1 * time.Nanosecond,
-
-		DevChannels:   8,
-		DevReadBase:   10 * time.Nanosecond,
-		DevRead4K:     1 * time.Nanosecond,
-		DevWriteBase:  10 * time.Nanosecond,
-		DevWrite4K:    1 * time.Nanosecond,
-		DevFlushBase:  20 * time.Nanosecond,
-		DevFlushPer4K: 1 * time.Nanosecond,
-
-		NetChannels:    16,
-		NetGetBase:     10 * time.Nanosecond,
-		NetPutBase:     10 * time.Nanosecond,
-		NetPer4K:       1 * time.Nanosecond,
-		NetFlushBase:   20 * time.Nanosecond,
-		NetTimeoutMult: 6,
-		NetBackoffBase: 10 * time.Nanosecond,
-		NetBackoffCap:  100 * time.Nanosecond,
-		NetHedgeMult:   3,
-
-		CtxSwitch:        2 * time.Nanosecond,
-		FuseMsg:          1 * time.Nanosecond,
-		UserBlockSyscall: 2 * time.Nanosecond,
-
-		WritepageCall:  1 * time.Nanosecond,
-		WritepagesCall: 1 * time.Nanosecond,
-
-		DirectReadSetup:  1 * time.Nanosecond,
-		DirectWriteSetup: 1 * time.Nanosecond,
-
-		ReadaheadUpdate: 1 * time.Nanosecond,
-		AsyncFillPage:   1 * time.Nanosecond,
-		FlusherWakeup:   1 * time.Nanosecond,
-	}
-}
-
 // pages converts a byte count to a number of 4KiB pages, rounding up, with
 // a minimum of one page for non-zero transfers.
 func pages(bytes int) int64 {

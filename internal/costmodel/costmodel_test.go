@@ -67,16 +67,6 @@ func TestDevFlushGrowsWithDirty(t *testing.T) {
 	}
 }
 
-func TestFastModelIsFast(t *testing.T) {
-	f, d := Fast(), Default()
-	if f.DevFlush(1<<20) >= d.DevFlush(1<<20) {
-		t.Fatal("Fast model should be much cheaper than Default")
-	}
-	if f.CPUs < 1 || f.DevChannels < 1 || f.NetChannels < 1 {
-		t.Fatal("Fast model must keep valid resource counts")
-	}
-}
-
 func TestCostsMonotoneInSizeProperty(t *testing.T) {
 	m := Default()
 	f := func(a, b uint32) bool {

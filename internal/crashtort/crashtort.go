@@ -82,7 +82,7 @@ type Config struct {
 }
 
 // Every sweep runs on a 4096-block device formatted with 512 inodes,
-// under costmodel.Fast().
+// under costmodel.Default(), the calibration the benchmark measures.
 const (
 	devBlocks = 4096
 	nInodes   = 512
@@ -190,7 +190,7 @@ func (r Result) OK() bool { return len(r.Failures) == 0 }
 // workload is single-task, so the device command stream is a pure
 // function of the script.
 func mount(cfg Config, dev *blockdev.Device, format bool) (*kernel.Mount, *kernel.Task, error) {
-	k := kernel.New(costmodel.Fast())
+	k := kernel.New(costmodel.Default())
 	task := k.NewTask("crashtort")
 	var ninodes uint32
 	if format {
@@ -202,7 +202,7 @@ func mount(cfg Config, dev *blockdev.Device, format bool) (*kernel.Mount, *kerne
 }
 
 func newDev() (*blockdev.Device, error) {
-	return blockdev.New(blockdev.Config{Blocks: devBlocks, Model: costmodel.Fast()})
+	return blockdev.New(blockdev.Config{Blocks: devBlocks, Model: costmodel.Default()})
 }
 
 // Sweep enumerates every crash point of the scripted workload on

@@ -17,12 +17,12 @@ import (
 // memTarget mounts memfs (cheap, deterministic) for workload-logic tests.
 func memTarget(t *testing.T) filebench.Target {
 	t.Helper()
-	k := kernel.New(costmodel.Fast())
+	k := kernel.New(costmodel.Default())
 	if err := k.Register(memfs.Type{}); err != nil {
 		t.Fatal(err)
 	}
 	task := k.NewTask("mount")
-	dev := blockdev.MustNew(blockdev.Config{Blocks: 64, Model: costmodel.Fast()})
+	dev := blockdev.MustNew(blockdev.Config{Blocks: 64, Model: costmodel.Default()})
 	m, err := k.Mount(task, "memfs", "/", dev)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +33,7 @@ func memTarget(t *testing.T) filebench.Target {
 // xv6Target mounts the real xv6 for workloads needing durability calls.
 func xv6Target(t *testing.T) filebench.Target {
 	t.Helper()
-	model := costmodel.Fast()
+	model := costmodel.Default()
 	k := kernel.New(model)
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 32768, Model: model})
 	if _, err := layout.Mkfs(vclock.NewClock(), dev, 4096); err != nil {

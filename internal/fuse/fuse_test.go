@@ -21,8 +21,9 @@ import (
 
 // mountFuse mounts xv6 under FUSE on a fresh image. The kernel and the
 // device share one trace recorder, which every task's Rec reports.
-func mountFuse(t *testing.T, model *costmodel.Model) (*kernel.Kernel, *kernel.Mount, *kernel.Task, *blockdev.Device) {
+func mountFuse(t *testing.T) (*kernel.Kernel, *kernel.Mount, *kernel.Task, *blockdev.Device) {
 	t.Helper()
+	model := costmodel.Default()
 	k := kernel.New(model)
 	k.SetRecorder(trace.New())
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 8192, Model: model})
@@ -66,7 +67,7 @@ func TestErrnoMappingRoundTrip(t *testing.T) {
 }
 
 func TestFuseEndToEnd(t *testing.T) {
-	_, m, task, dev := mountFuse(t, costmodel.Fast())
+	_, m, task, dev := mountFuse(t)
 	want := bytes.Repeat([]byte("fuse!"), 5000)
 	if err := m.WriteFile(task, "/file", want); err != nil {
 		t.Fatal(err)
@@ -98,7 +99,7 @@ func TestFuseEndToEnd(t *testing.T) {
 }
 
 func TestFuseErrnoAcrossTransport(t *testing.T) {
-	_, m, task, _ := mountFuse(t, costmodel.Fast())
+	_, m, task, _ := mountFuse(t)
 	if _, err := m.Open(task, "/nope", fsapi.ORdonly); !errors.Is(err, fsapi.ErrNotExist) {
 		t.Fatalf("missing file: %v", err)
 	}
@@ -114,7 +115,7 @@ func TestFuseErrnoAcrossTransport(t *testing.T) {
 }
 
 func TestFuseCountsRequests(t *testing.T) {
-	_, m, task, _ := mountFuse(t, costmodel.Fast())
+	_, m, task, _ := mountFuse(t)
 	before := task.Rec().Counters()["fuse_requests"]
 	if err := m.WriteFile(task, "/f", []byte("x")); err != nil {
 		t.Fatal(err)
@@ -127,7 +128,7 @@ func TestFuseCountsRequests(t *testing.T) {
 func TestFuseFsyncCostsFlush(t *testing.T) {
 	// The defining FUSE penalty: fsync must FLUSH the device.
 	model := costmodel.Default()
-	_, m, task, _ := mountFuse(t, model)
+	_, m, task, _ := mountFuse(t)
 	f, err := m.Open(task, "/f", fsapi.ORdwr|fsapi.OCreate)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +177,7 @@ func TestFuseSlowerThanBentoOnCreates(t *testing.T) {
 	}
 
 	fuseTime := run(func(t *testing.T) (*kernel.Mount, *kernel.Task) {
-		_, m, task, _ := mountFuse(t, model)
+		_, m, task, _ := mountFuse(t)
 		return m, task
 	})
 	bentoTime := run(func(t *testing.T) (*kernel.Mount, *kernel.Task) {
@@ -204,7 +205,7 @@ func TestFuseSlowerThanBentoOnCreates(t *testing.T) {
 func TestSameCodeRunsInBothWorlds(t *testing.T) {
 	// §4.9: the file system hosted by the FUSE daemon is literally the
 	// same type as the one mounted through Bento.
-	_, m, _, _ := mountFuse(t, costmodel.Fast())
+	_, m, _, _ := mountFuse(t)
 	drv := m.FS().(*fuse.Driver)
 	if _, ok := drv.Session().FS().(*bentoimpl.FS); !ok {
 		t.Fatalf("daemon hosts %T, want *bentoimpl.FS", drv.Session().FS())
@@ -227,7 +228,7 @@ func (l leakyFS) Init(t *kernel.Task, d bentoks.Disk) error {
 // Unmount fails: the FUSE rendering of the leak check BentoFS.Unmount
 // runs through its ownership checker.
 func TestDestroyReportsHeldBuffers(t *testing.T) {
-	model := costmodel.Fast()
+	model := costmodel.Default()
 	k := kernel.New(model)
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 8192, Model: model})
 	if _, err := layout.Mkfs(vclock.NewClock(), dev, 512); err != nil {

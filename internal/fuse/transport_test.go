@@ -25,7 +25,7 @@ import (
 // task records into a trace recorder (see wireIn and wireOut).
 func newXv6Driver(t *testing.T) (*Driver, *kernel.Task) {
 	t.Helper()
-	model := costmodel.Fast()
+	model := costmodel.Default()
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 8192, Model: model})
 	if _, err := layout.Mkfs(vclock.NewClock(), dev, 512); err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func mustCreate(t *testing.T, d *Driver, task *kernel.Task, dir fsapi.Ino, name 
 func page(b byte) []byte { return bytes.Repeat([]byte{b}, fsapi.PageSize) }
 
 func TestMountValidation(t *testing.T) {
-	model := costmodel.Fast()
+	model := costmodel.Default()
 	factory := func() core.FileSystem { return bentoimpl.New(bentoimpl.Config{}) }
 	// The daemon's disk has no direct path — a userspace file system
 	// cannot DMA into kernel pages — so the xv6 file system refuses to
@@ -339,7 +339,7 @@ func (fs *partialFS) GetAttr(*kernel.Task, fsapi.Ino) (fsapi.Stat, error) {
 // produced before it failed stays in the daemon — the reply is the
 // header with the errno, no attributes and no payload.
 func TestFailedRequestRepliesWithErrnoOnly(t *testing.T) {
-	model := costmodel.Fast()
+	model := costmodel.Default()
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 64, Model: model})
 	task := tracedKernel(dev, model).NewTask("transport")
 	fs, err := Type{Factory: func() core.FileSystem { return &partialFS{} }}.Mount(task, dev)

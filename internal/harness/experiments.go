@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"bento/internal/buganalysis"
 	"bento/internal/filebench"
 )
 
@@ -71,9 +72,9 @@ type plan struct {
 func planFor(id string, o Options) (*plan, string, error) {
 	switch id {
 	case ExpTable1:
-		return nil, Table1Text(), nil
+		return nil, buganalysis.RenderTable1(), nil
 	case ExpTable2:
-		return nil, Table2Text(), nil
+		return nil, buganalysis.RenderTable2(), nil
 	case ExpFig2:
 		return fig2Plan(o), "", nil
 	case ExpFig3:

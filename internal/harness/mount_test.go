@@ -26,7 +26,7 @@ func TestMountConfigHasOneMeaning(t *testing.T) {
 	for _, v := range harness.AllVariants {
 		for _, mc := range []harness.MountConfig{{}, {Barriers: true}, {Bypass: true}, {Barriers: true, Bypass: true}} {
 			t.Run(fmt.Sprintf("%s/barriers=%v/bypass=%v", v, mc.Barriers, mc.Bypass), func(t *testing.T) {
-				model := costmodel.Fast()
+				model := costmodel.Default()
 				k := kernel.New(model)
 				k.SetRecorder(trace.New())
 				dev := blockdev.MustNew(blockdev.Config{Blocks: 8192, Model: model})
@@ -87,7 +87,7 @@ func TestPublishedMountConfig(t *testing.T) {
 // paper's Figure 4 mechanism.
 func TestOnlyExt4BatchesWriteBack(t *testing.T) {
 	for _, v := range []string{harness.VariantCKernel, harness.VariantExt4} {
-		model := costmodel.Fast()
+		model := costmodel.Default()
 		k := kernel.New(model)
 		dev := blockdev.MustNew(blockdev.Config{Blocks: 4096, Model: model})
 		m, err := harness.Mount(k, k.NewTask("mount"), dev, v, harness.Published(v), 256)

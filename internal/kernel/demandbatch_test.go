@@ -22,7 +22,7 @@ const coldReadPages = 32
 // back in one PRead on a fresh task. It reports the read's virtual time,
 // the bytes read and its error; prep runs just before the read.
 func coldRead(t *testing.T, iod bool, prep func(r *blockRig, f fsapi.Ino)) (time.Duration, []byte, error) {
-	r := newBlockRigModel(t, iod, costmodel.Default())
+	r := newBlockRig(t, iod)
 	f := r.open("/f")
 	for pg := int64(0); pg < coldReadPages; pg++ {
 		r.pwrite(f, page(byte('a'+pg)), pg*fsapi.PageSize)
@@ -52,7 +52,7 @@ func coldRead(t *testing.T, iod bool, prep func(r *blockRig, f fsapi.Ino)) (time
 // hotRead is the CPU-only cost of the same 128 KiB PRead with every page
 // resident: the syscall, the page-cache lookups and the copy.
 func hotRead(t *testing.T) time.Duration {
-	r := newBlockRigModel(t, true, costmodel.Default())
+	r := newBlockRig(t, true)
 	f := r.open("/f")
 	r.pwrite(f, make([]byte, coldReadPages*fsapi.PageSize), 0)
 	buf := make([]byte, coldReadPages*fsapi.PageSize)

@@ -107,14 +107,14 @@ func newIODMount(t *testing.T) (*kernel.Mount, *hookFS, *kernel.Task) {
 // lend is set.
 func newHookMount(t *testing.T, lend bool) (*kernel.Mount, *hookFS, *kernel.Task) {
 	t.Helper()
-	k := kernel.New(costmodel.Fast())
+	k := kernel.New(costmodel.Default())
 	k.SetRecorder(trace.New())
 	var h *hookFS
 	if err := k.Register(hookType{fs: &h, lend: lend}); err != nil {
 		t.Fatal(err)
 	}
 	task := k.NewTask("test")
-	dev := blockdev.MustNew(blockdev.Config{Blocks: 16, Model: costmodel.Fast()})
+	dev := blockdev.MustNew(blockdev.Config{Blocks: 16, Model: costmodel.Default()})
 	m, err := k.Mount(task, "hookfs", "/mnt", dev)
 	if err != nil {
 		t.Fatal(err)
@@ -167,14 +167,14 @@ func TestReadAheadOverlapsDeviceTime(t *testing.T) {
 	const pages = 64
 
 	stream := func(withDaemon bool) (elapsed time.Duration, fillPages int64) {
-		k := kernel.New(costmodel.Fast())
+		k := kernel.New(costmodel.Default())
 		k.SetRecorder(trace.New())
 		var h *hookFS
 		if err := k.Register(hookType{fs: &h}); err != nil {
 			t.Fatal(err)
 		}
 		task := k.NewTask("test")
-		dev := blockdev.MustNew(blockdev.Config{Blocks: 16, Model: costmodel.Fast()})
+		dev := blockdev.MustNew(blockdev.Config{Blocks: 16, Model: costmodel.Default()})
 		m, err := k.Mount(task, "hookfs", "/mnt", dev)
 		if err != nil {
 			t.Fatal(err)

@@ -19,12 +19,12 @@ import (
 // newMount builds a kernel + memfs mount for syscall-layer tests.
 func newMount(t *testing.T) (*kernel.Kernel, *kernel.Mount, *kernel.Task) {
 	t.Helper()
-	k := kernel.New(costmodel.Fast())
+	k := kernel.New(costmodel.Default())
 	if err := k.Register(memfs.Type{}); err != nil {
 		t.Fatal(err)
 	}
 	task := k.NewTask("test")
-	dev := blockdev.MustNew(blockdev.Config{Blocks: 16, Model: costmodel.Fast()})
+	dev := blockdev.MustNew(blockdev.Config{Blocks: 16, Model: costmodel.Default()})
 	m, err := k.Mount(task, "memfs", "/mnt", dev)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +33,7 @@ func newMount(t *testing.T) (*kernel.Kernel, *kernel.Mount, *kernel.Task) {
 }
 
 func TestRegisterDuplicate(t *testing.T) {
-	k := kernel.New(costmodel.Fast())
+	k := kernel.New(costmodel.Default())
 	if err := k.Register(memfs.Type{}); err != nil {
 		t.Fatal(err)
 	}
@@ -43,9 +43,9 @@ func TestRegisterDuplicate(t *testing.T) {
 }
 
 func TestMountUnknownType(t *testing.T) {
-	k := kernel.New(costmodel.Fast())
+	k := kernel.New(costmodel.Default())
 	task := k.NewTask("t")
-	dev := blockdev.MustNew(blockdev.Config{Blocks: 16, Model: costmodel.Fast()})
+	dev := blockdev.MustNew(blockdev.Config{Blocks: 16, Model: costmodel.Default()})
 	if _, err := k.Mount(task, "nope", "/mnt", dev); !errors.Is(err, fsapi.ErrNotExist) {
 		t.Fatalf("err = %v, want ErrNotExist", err)
 	}
@@ -53,7 +53,7 @@ func TestMountUnknownType(t *testing.T) {
 
 func TestMountPointBusy(t *testing.T) {
 	k, _, task := newMount(t)
-	dev := blockdev.MustNew(blockdev.Config{Blocks: 16, Model: costmodel.Fast()})
+	dev := blockdev.MustNew(blockdev.Config{Blocks: 16, Model: costmodel.Default()})
 	if _, err := k.Mount(task, "memfs", "/mnt", dev); !errors.Is(err, fsapi.ErrBusy) {
 		t.Fatalf("err = %v, want ErrBusy", err)
 	}
@@ -71,7 +71,7 @@ func TestUnmountThenRemount(t *testing.T) {
 	if err := k.Unmount(task, "/mnt"); err != nil {
 		t.Fatal(err)
 	}
-	dev := blockdev.MustNew(blockdev.Config{Blocks: 16, Model: costmodel.Fast()})
+	dev := blockdev.MustNew(blockdev.Config{Blocks: 16, Model: costmodel.Default()})
 	if _, err := k.Mount(task, "memfs", "/mnt", dev); err != nil {
 		t.Fatalf("remount failed: %v", err)
 	}
@@ -98,7 +98,7 @@ func TestUnmountRefusesOpenFiles(t *testing.T) {
 		if err := k.Unmount(task, "/mnt"); !errors.Is(err, fsapi.ErrBusy) {
 			t.Fatalf("Unmount with a file open = %v, want ErrBusy", err)
 		}
-		dev := blockdev.MustNew(blockdev.Config{Blocks: 16, Model: costmodel.Fast()})
+		dev := blockdev.MustNew(blockdev.Config{Blocks: 16, Model: costmodel.Default()})
 		if _, err := k.Mount(task, "memfs", "/mnt", dev); !errors.Is(err, fsapi.ErrBusy) {
 			t.Fatalf("Mount on the busy mount point = %v, want ErrBusy: the refused unmount freed it", err)
 		}
@@ -634,7 +634,7 @@ func TestStatReflectsDirtySize(t *testing.T) {
 }
 
 func TestBufferCacheBasics(t *testing.T) {
-	model := costmodel.Fast()
+	model := costmodel.Default()
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 64, Model: model})
 	k := kernel.New(model)
 	k.SetRecorder(trace.New())
@@ -679,7 +679,7 @@ func TestBufferCacheBasics(t *testing.T) {
 }
 
 func TestBufferCacheEviction(t *testing.T) {
-	model := costmodel.Fast()
+	model := costmodel.Default()
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 64, Model: model})
 	k := kernel.New(model)
 	task := k.NewTask("bc")
@@ -699,7 +699,7 @@ func TestBufferCacheEviction(t *testing.T) {
 }
 
 func TestBufferCachePinnedNotEvicted(t *testing.T) {
-	model := costmodel.Fast()
+	model := costmodel.Default()
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 64, Model: model})
 	k := kernel.New(model)
 	task := k.NewTask("bc")

@@ -30,13 +30,13 @@ func TestPagePoolAcrossCells(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			k := kernel.New(costmodel.Fast())
+			k := kernel.New(costmodel.Default())
 			if err := k.Register(memfs.Type{}); err != nil {
 				errs <- err
 				return
 			}
 			task := k.NewTask(fmt.Sprintf("cell%d", c))
-			dev := blockdev.MustNew(blockdev.Config{Blocks: 16, Model: costmodel.Fast()})
+			dev := blockdev.MustNew(blockdev.Config{Blocks: 16, Model: costmodel.Default()})
 			m, err := k.Mount(task, "memfs", "/mnt", dev)
 			if err != nil {
 				errs <- err

@@ -10,7 +10,7 @@ import (
 
 // pageMount is a mount with no file system under it: enough to own pages.
 func pageMount() *Mount {
-	return newMount(New(costmodel.Fast()), "none", "/", nil, nil)
+	return newMount(New(costmodel.Default()), "none", "/", nil, nil)
 }
 
 // TestPagePoolZeroing pins the contents policy: a page asked for zeroed

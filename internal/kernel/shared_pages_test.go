@@ -80,12 +80,7 @@ type blockRig struct {
 
 func newBlockRig(t *testing.T, iod bool) *blockRig {
 	t.Helper()
-	return newBlockRigModel(t, iod, costmodel.Fast())
-}
-
-// newBlockRigModel is newBlockRig under the given cost model.
-func newBlockRigModel(t *testing.T, iod bool, model *costmodel.Model) *blockRig {
-	t.Helper()
+	model := costmodel.Default()
 	k := kernel.New(model)
 	r := &blockRig{t: t, task: k.NewTask("test")}
 	if err := k.Register(blockFSType{fs: &r.fs}); err != nil {

@@ -13,7 +13,7 @@ import (
 
 func mount(t *testing.T) (*kernel.Mount, *kernel.Task) {
 	t.Helper()
-	model := costmodel.Fast()
+	model := costmodel.Default()
 	k := kernel.New(model)
 	task := k.NewTask("test")
 	if err := k.Register(memfs.Type{}); err != nil {

@@ -13,7 +13,7 @@ import (
 // New with a netstore:-prefixed message instead of surfacing later as an
 // index panic on the data path.
 func TestNewRejectsBadConfig(t *testing.T) {
-	good := netstore.Config{Name: "net0", BlockSize: 4096, Blocks: 64, Model: costmodel.Fast()}
+	good := netstore.Config{Name: "net0", BlockSize: 4096, Blocks: 64, Model: costmodel.Default()}
 	for _, tc := range []struct {
 		name string
 		edit func(*netstore.Config)
@@ -69,7 +69,7 @@ func newSteady(tb testing.TB) *steady {
 	st := &steady{
 		tb: tb,
 		s: netstore.New(netstore.Config{
-			Name: "net0", BlockSize: 4096, Blocks: objects * netstore.DefaultObjectBlocks, Model: costmodel.Fast(),
+			Name: "net0", BlockSize: 4096, Blocks: objects * netstore.DefaultObjectBlocks, Model: costmodel.Default(),
 		}),
 		objects: objects,
 		buf:     make([]byte, 4096),
@@ -248,7 +248,7 @@ func BenchmarkEvictionPutCycle(b *testing.B) {
 	st := &steady{
 		tb: b,
 		s: netstore.New(netstore.Config{
-			Name: "net0", BlockSize: 4096, Blocks: objects * netstore.DefaultObjectBlocks, Model: costmodel.Fast(),
+			Name: "net0", BlockSize: 4096, Blocks: objects * netstore.DefaultObjectBlocks, Model: costmodel.Default(),
 		}),
 		objects: objects,
 		buf:     make([]byte, 4096),

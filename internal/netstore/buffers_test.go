@@ -297,7 +297,7 @@ func TestCrashRevertsToFlushed(t *testing.T) {
 	for _, fm := range faultModes {
 		for _, readFirst := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/readFirst=%v", fm.name, readFirst), func(t *testing.T) {
-				r := newRig(t, costmodel.Fast(), Config{Faults: fm.fc})
+				r := newRig(t, costmodel.Default(), Config{Faults: fm.fc})
 				const blocks = 3 * DefaultObjectBlocks
 				for blk := 0; blk < blocks; blk++ {
 					r.write(blk, 0xAA)
@@ -330,7 +330,7 @@ func TestCrashRevertsToFlushed(t *testing.T) {
 func TestCrashKeepsSecondFlush(t *testing.T) {
 	for _, fm := range faultModes {
 		t.Run(fm.name, func(t *testing.T) {
-			r := newRig(t, costmodel.Fast(), Config{Faults: fm.fc})
+			r := newRig(t, costmodel.Default(), Config{Faults: fm.fc})
 			const blocks = 2 * DefaultObjectBlocks
 			for _, b := range []byte{0xAA, 0xBB} {
 				for blk := 0; blk < blocks; blk++ {
@@ -356,7 +356,7 @@ func TestCrashKeepsSecondFlush(t *testing.T) {
 func TestNeverStoredObjectHoldsNoBuffer(t *testing.T) {
 	for _, fm := range faultModes {
 		t.Run(fm.name, func(t *testing.T) {
-			r := newRig(t, costmodel.Fast(), Config{Faults: fm.fc})
+			r := newRig(t, costmodel.Default(), Config{Faults: fm.fc})
 			const ob = DefaultObjectBlocks
 			r.expect(ob, 0) // object 1 resident
 			if o, _ := r.s.cache.Peek(1); held(o.blocks) != 0 || r.s.chunk != nil {
@@ -389,7 +389,7 @@ func TestNeverStoredObjectHoldsNoBuffer(t *testing.T) {
 func TestPutHandsOverExactlyTheStagedBlocks(t *testing.T) {
 	for _, fm := range faultModes {
 		t.Run(fm.name, func(t *testing.T) {
-			r := newRig(t, costmodel.Fast(), Config{ObjectBlocks: 8, Faults: fm.fc})
+			r := newRig(t, costmodel.Default(), Config{ObjectBlocks: 8, Faults: fm.fc})
 			id := func(b []byte) *byte { return &b[0] }
 			for blk := 0; blk < 8; blk++ {
 				r.write(blk, 0xA0)
@@ -440,7 +440,7 @@ func TestPutHandsOverExactlyTheStagedBlocks(t *testing.T) {
 func TestCrashKeepsEveryStagedBlock(t *testing.T) {
 	for _, fm := range faultModes {
 		t.Run(fm.name, func(t *testing.T) {
-			r := newRig(t, costmodel.Fast(), Config{ObjectBlocks: 4, Faults: fm.fc})
+			r := newRig(t, costmodel.Default(), Config{ObjectBlocks: 4, Faults: fm.fc})
 			for blk := 0; blk < 4; blk++ {
 				r.write(blk, 0xA0)
 			}
@@ -486,7 +486,7 @@ func TestBufferChurn(t *testing.T) {
 				cacheObjs = 4
 				blocks    = 96 // 24 objects
 			)
-			r := newRig(t, costmodel.Fast(), Config{
+			r := newRig(t, costmodel.Default(), Config{
 				Blocks: blocks, ObjectBlocks: objBlocks, CacheObjects: cacheObjs, Faults: fm.fc,
 			})
 			rng := rand.New(rand.NewSource(5))
@@ -551,7 +551,7 @@ func TestBufferChurn(t *testing.T) {
 func TestFailedPutKeepsObjectPrivate(t *testing.T) {
 	for _, crashDuringOutage := range []bool{true, false} {
 		t.Run(fmt.Sprintf("crashDuringOutage=%v", crashDuringOutage), func(t *testing.T) {
-			m := *costmodel.Fast()
+			m := *costmodel.Default()
 			m.NetHedgeMult = 0
 			r := newRig(t, &m, Config{
 				ObjectBlocks: 4, CacheObjects: 2,

@@ -12,27 +12,39 @@ import (
 	"bento/internal/trace"
 )
 
-// The exact-timing tests below all use the Fast cost model, where a
-// 16-block (64KiB) object GET or PUT costs 26ns (NetGetBase 10ns +
-// 1ns per 4KiB), so the client timeout is 156ns (6x), the hedge
-// deadline 78ns (3x), and the breaker cooldown 800ns (8x the 100ns
-// NetBackoffCap). With ObjectBlocks=1 the service time is 11ns and the
-// timeout 66ns.
+// The exact-timing tests below derive every expected time from the cost
+// model's fields, as the client policy does: a request's nominal service
+// time is NetGet or NetPut of one object (the base plus NetPer4K per
+// 4KiB), its client timeout NetTimeoutMult times that, the hedge
+// deadline NetHedgeMult times it, the backoff before retry n
+// min(NetBackoffBase<<(n-1), NetBackoffCap) plus a jitter of at most a
+// quarter of it, and the breaker cooldown cooldownCapMult times
+// NetBackoffCap. Each starts at coldStore's ready time, when every
+// request channel is free.
 
-// fastNoHedge is the Fast model with GET hedging disabled, for tests
+// cooldownCapMult is the breaker cooldown in NetBackoffCaps, as the
+// store sets it.
+const cooldownCapMult = 8
+
+// objBytes is the size of a default object, the unit of every GET and PUT.
+const objBytes = netstore.DefaultObjectBlocks * 4096
+
+// noHedge is the default model with GET hedging disabled, for tests
 // whose schedules are simpler single-attempt arithmetic.
-func fastNoHedge() *costmodel.Model {
-	m := *costmodel.Fast()
+func noHedge() *costmodel.Model {
+	m := *costmodel.Default()
 	m.NetHedgeMult = 0
 	return &m
 }
 
 // coldStore builds a direct Store (no Device front) with a recorder
 // attached and the first block of objects 0..nObj-1 made durable at
-// t=0, then drops the cache cold. With ErrProb/TailMult unset the
-// setup runs on the clean path and consumes no fault decisions, so an
-// outage armed afterwards sees a pristine decision stream.
-func coldStore(t *testing.T, model *costmodel.Model, cfg netstore.Config, nObj int) (*netstore.Store, *trace.Recorder) {
+// t=0, then drops the cache cold. It returns the time the set-up flush
+// completes, when every request channel is free again. With
+// ErrProb/TailMult unset the setup runs on the clean path and consumes
+// no fault decisions, so an outage armed afterwards sees a pristine
+// decision stream.
+func coldStore(t *testing.T, model *costmodel.Model, cfg netstore.Config, nObj int) (s *netstore.Store, rec *trace.Recorder, ready int64) {
 	t.Helper()
 	cfg.Name = "net0"
 	cfg.BlockSize = 4096
@@ -40,8 +52,8 @@ func coldStore(t *testing.T, model *costmodel.Model, cfg netstore.Config, nObj i
 		cfg.Blocks = 1024
 	}
 	cfg.Model = model
-	s := netstore.New(cfg)
-	rec := trace.New()
+	s = netstore.New(cfg)
+	rec = trace.New()
 	s.SetRecorder(rec)
 	objBlocks := cfg.ObjectBlocks
 	if objBlocks <= 0 {
@@ -53,11 +65,12 @@ func coldStore(t *testing.T, model *costmodel.Model, cfg netstore.Config, nObj i
 			t.Fatalf("setup write obj %d: %v", i, err)
 		}
 	}
-	if _, err := s.Flush(0); err != nil {
+	ready, err := s.Flush(0)
+	if err != nil {
 		t.Fatalf("setup flush: %v", err)
 	}
 	s.DropCache()
-	return s, rec
+	return s, rec, ready
 }
 
 // TestConformanceUnderFaults reruns the shared backend suite with the
@@ -79,7 +92,7 @@ func TestConformanceUnderFaults(t *testing.T) {
 func TestFaultReplayDeterminism(t *testing.T) {
 	run := func() ([]string, map[string]int64) {
 		s := netstore.New(netstore.Config{
-			Name: "net0", BlockSize: 4096, Blocks: 256, Model: costmodel.Fast(),
+			Name: "net0", BlockSize: 4096, Blocks: 256, Model: costmodel.Default(),
 			ObjectBlocks: 4, CacheObjects: 4,
 			Faults: netstore.FaultConfig{Seed: 7, ErrProb: 0.05, TailMult: 4},
 		})
@@ -126,28 +139,31 @@ func TestFaultReplayDeterminism(t *testing.T) {
 
 // TestHedgeWinnerAndLaneRelease pins hedge-winner selection and the
 // loser's lane refund with exact times. Two channels; a blackout over
-// [5000, 5060) swallows the primary GET (deadline 5156) but the hedge,
-// issued at the 78ns hedge deadline (5078, past the outage), completes
-// clean at 5104 and wins. The loser's lane must be truncated at the
-// winner's completion: both channels are free again at 5104, so two
-// follow-up cold GETs issued then both finish at 5130 — without the
-// refund one of them would queue behind the loser until 5156.
+// the primary GET's nominal service time swallows it (it would fail at
+// its timeout), but the hedge, issued at the hedge deadline past the
+// outage, completes clean one service time later and wins. The loser's
+// lane must be truncated at the winner's completion: both channels are
+// free again then, so two follow-up cold GETs issued then both take one
+// service time — without the refund one of them would queue behind the
+// loser until its timeout.
 func TestHedgeWinnerAndLaneRelease(t *testing.T) {
-	m := *costmodel.Fast()
+	m := *costmodel.Default()
 	m.NetChannels = 2
-	s, rec := coldStore(t, &m, netstore.Config{
+	s, rec, t0 := coldStore(t, &m, netstore.Config{
 		Blocks: 64,
 		Faults: netstore.FaultConfig{Seed: 21},
 	}, 3)
-	s.ArmOutage(5000, 5060)
+	svc := int64(m.NetGet(objBytes))
+	hedgeAt := t0 + int64(m.NetHedgeMult)*svc
+	s.ArmOutage(t0, t0+svc)
 
 	buf := make([]byte, 4096)
-	done, err := s.ReadBlock(5000, 0, buf)
+	done, err := s.ReadBlock(t0, 0, buf)
 	if err != nil {
 		t.Fatalf("hedged GET: %v", err)
 	}
-	if done != 5104 {
-		t.Fatalf("hedged GET completed at %d, want 5104 (hedge issue 5078 + 26)", done)
+	if done != hedgeAt+svc {
+		t.Fatalf("hedged GET completed at %d, want %d (hedge issue %d + %d)", done, hedgeAt+svc, hedgeAt, svc)
 	}
 	ctr := rec.Counters()
 	if ctr["net_hedges"] != 1 || ctr["net_timeouts"] != 1 || ctr["net_retries"] != 0 {
@@ -158,109 +174,137 @@ func TestHedgeWinnerAndLaneRelease(t *testing.T) {
 		t.Fatal("breaker open after a hedge-rescued request")
 	}
 	for i, blk := range []int{16, 32} {
-		done, err := s.ReadBlock(5104, blk, buf)
+		got, err := s.ReadBlock(done, blk, buf)
 		if err != nil {
 			t.Fatalf("follow-up GET %d: %v", i, err)
 		}
-		if done != 5130 {
-			t.Fatalf("follow-up GET %d completed at %d, want 5130 (loser's lane not released)", i, done)
+		if got != done+svc {
+			t.Fatalf("follow-up GET %d completed at %d, want %d (loser's lane not released)", i, got, done+svc)
 		}
 	}
 }
 
 // TestBackoffSchedule pins the retry schedule under a permanent
-// blackout with hedging off and MaxAttempts 4. Each attempt burns the
-// full 156ns timeout; backoff before retry n is base<<(n-1) capped,
-// plus jitter in [0, d/4]: b1 in [10,12], b2 in [20,25], b3 in
-// [40,50]. The request fails at 2000 + 4*156 + (b1+b2+b3), i.e. within
-// [2694, 2711].
+// blackout with hedging off. Each of the eight attempts burns the full
+// timeout; the backoff before retry n is NetBackoffBase<<(n-1), capped
+// at NetBackoffCap, plus a jitter of at most a quarter of it. Eight
+// attempts double the backoff past the cap, so the failure time pins
+// the cap too.
 func TestBackoffSchedule(t *testing.T) {
-	s, rec := coldStore(t, fastNoHedge(), netstore.Config{
+	const attempts = 8
+	m := noHedge()
+	s, rec, t0 := coldStore(t, m, netstore.Config{
 		Blocks: 64,
-		Faults: netstore.FaultConfig{Seed: 9, MaxAttempts: 4},
+		Faults: netstore.FaultConfig{Seed: 9, MaxAttempts: attempts},
 	}, 1)
-	s.ArmOutage(1000, 1<<40)
+	s.ArmOutage(t0, 1<<40)
+	lo := t0 + attempts*int64(m.NetTimeoutMult)*int64(m.NetGet(objBytes))
+	hi, capped := lo, false
+	for n := 1; n < attempts; n++ {
+		d := int64(m.NetBackoffBase) << (n - 1)
+		if d > int64(m.NetBackoffCap) {
+			d, capped = int64(m.NetBackoffCap), true
+		}
+		lo, hi = lo+d, hi+d+d/4
+	}
+	if !capped {
+		t.Fatalf("%d attempts never double NetBackoffBase %v past NetBackoffCap %v", attempts, m.NetBackoffBase, m.NetBackoffCap)
+	}
 
 	buf := make([]byte, 4096)
-	done, err := s.ReadBlock(2000, 0, buf)
+	done, err := s.ReadBlock(t0, 0, buf)
 	if !errors.Is(err, netstore.ErrExhausted) {
 		t.Fatalf("err = %v, want ErrExhausted", err)
 	}
 	if !errors.Is(err, blockdev.ErrIO) {
 		t.Fatalf("ErrExhausted does not wrap blockdev.ErrIO: %v", err)
 	}
-	if done < 2694 || done > 2711 {
-		t.Fatalf("request failed at %d, want within [2694, 2711]", done)
+	if done < lo || done > hi {
+		t.Fatalf("request failed at %d, want within [%d, %d]", done, lo, hi)
 	}
 	ctr := rec.Counters()
-	if ctr["net_timeouts"] != 4 || ctr["net_retries"] != 3 {
-		t.Fatalf("timeouts=%d retries=%d, want 4/3", ctr["net_timeouts"], ctr["net_retries"])
+	if ctr["net_timeouts"] != attempts || ctr["net_retries"] != attempts-1 {
+		t.Fatalf("timeouts=%d retries=%d, want %d/%d", ctr["net_timeouts"], ctr["net_retries"], attempts, attempts-1)
 	}
 	if !s.BreakerOpen() {
-		t.Fatal("breaker closed after 4 consecutive failures at BreakerK=4")
+		t.Fatalf("breaker closed after %d consecutive failures at BreakerK=%d", attempts, netstore.DefaultBreakerK)
 	}
 }
 
 // TestBreakerLifecycle walks the breaker through open, degraded-mode
 // serving, a failed half-open probe that re-opens it, and a successful
 // post-outage probe that closes it, with exact times throughout
-// (MaxAttempts 1, BreakerK 2, cooldown 800ns, outage [5000, 20000)).
+// (MaxAttempts 1, BreakerK 2). Each request but the first is issued one
+// service time after the event it follows; the outage ends when the
+// breaker goes half-open the second time.
 func TestBreakerLifecycle(t *testing.T) {
-	s, rec := coldStore(t, fastNoHedge(), netstore.Config{
+	m := noHedge()
+	s, rec, t0 := coldStore(t, m, netstore.Config{
 		Blocks: 128,
 		Faults: netstore.FaultConfig{Seed: 5, MaxAttempts: 1, BreakerK: 2},
 	}, 3)
-	s.ArmOutage(5000, 20000)
+	svc := int64(m.NetGet(objBytes))
+	timeout := int64(m.NetTimeoutMult) * svc
+	cooldown := cooldownCapMult * int64(m.NetBackoffCap)
+	fail1 := t0 + timeout          // the first blackout GET fails
+	fail2 := fail1 + svc + timeout // the second opens the breaker
+	probe := fail2 + cooldown + svc
+	fail3 := probe + timeout   // the half-open probe re-opens it
+	outEnd := fail3 + cooldown // the breaker is half-open again
+	s.ArmOutage(t0, outEnd)
 	buf := make([]byte, 4096)
 
-	// Two single-attempt failures open the breaker at 5356.
-	if done, err := s.ReadBlock(5000, 0, buf); !errors.Is(err, netstore.ErrExhausted) || done != 5156 {
-		t.Fatalf("first blackout GET: done=%d err=%v, want 5156/ErrExhausted", done, err)
+	// Two single-attempt failures open the breaker.
+	if done, err := s.ReadBlock(t0, 0, buf); !errors.Is(err, netstore.ErrExhausted) || done != fail1 {
+		t.Fatalf("first blackout GET: done=%d err=%v, want %d/ErrExhausted", done, err, fail1)
 	}
 	if s.BreakerOpen() {
 		t.Fatal("breaker open after one failure at BreakerK=2")
 	}
-	if done, err := s.ReadBlock(5200, 16, buf); !errors.Is(err, netstore.ErrExhausted) || done != 5356 {
-		t.Fatalf("second blackout GET: done=%d err=%v, want 5356/ErrExhausted", done, err)
+	if done, err := s.ReadBlock(fail1+svc, 16, buf); !errors.Is(err, netstore.ErrExhausted) || done != fail2 {
+		t.Fatalf("second blackout GET: done=%d err=%v, want %d/ErrExhausted", done, err, fail2)
 	}
 	if !s.BreakerOpen() {
 		t.Fatal("breaker closed after BreakerK failures")
 	}
 
 	// Open: a network-needing read fails fast at `now`, no attempt made.
-	if done, err := s.ReadBlock(5400, 32, buf); !errors.Is(err, netstore.ErrDegraded) || done != 5400 {
-		t.Fatalf("degraded miss: done=%d err=%v, want 5400/ErrDegraded", done, err)
+	at := fail2 + svc
+	if done, err := s.ReadBlock(at, 32, buf); !errors.Is(err, netstore.ErrDegraded) || done != at {
+		t.Fatalf("degraded miss: done=%d err=%v, want %d/ErrDegraded", done, err, at)
 	}
 	// Open: a fresh-extent write stages in cache, and reading it back
 	// hits — both are degraded-mode serves.
-	if done, err := s.SubmitBlock(5500, 100, buf); err != nil || done != 5500 {
-		t.Fatalf("degraded write: done=%d err=%v, want 5500/nil", done, err)
+	if done, err := s.SubmitBlock(at+svc, 100, buf); err != nil || done != at+svc {
+		t.Fatalf("degraded write: done=%d err=%v, want %d/nil", done, err, at+svc)
 	}
-	if done, err := s.ReadBlock(5600, 100, buf); err != nil || done != 5600 {
-		t.Fatalf("degraded cached read: done=%d err=%v, want 5600/nil", done, err)
+	if done, err := s.ReadBlock(at+2*svc, 100, buf); err != nil || done != at+2*svc {
+		t.Fatalf("degraded cached read: done=%d err=%v, want %d/nil", done, err, at+2*svc)
 	}
 
-	// Half-open at 6156; a probe at 6200 is admitted, fails (still in
-	// the blackout), and re-arms the cooldown to 7156.
-	if done, err := s.ReadBlock(6200, 16, buf); !errors.Is(err, netstore.ErrExhausted) || done != 6356 {
-		t.Fatalf("half-open probe: done=%d err=%v, want 6356/ErrExhausted", done, err)
+	// Half-open one cooldown after the second failure; a probe then is
+	// admitted, fails (still in the blackout), and re-arms the cooldown.
+	if done, err := s.ReadBlock(probe, 16, buf); !errors.Is(err, netstore.ErrExhausted) || done != fail3 {
+		t.Fatalf("half-open probe: done=%d err=%v, want %d/ErrExhausted", done, err, fail3)
 	}
 	if !s.BreakerOpen() {
 		t.Fatal("breaker closed after a failed probe")
 	}
-	if done, err := s.ReadBlock(6500, 16, buf); !errors.Is(err, netstore.ErrDegraded) || done != 6500 {
-		t.Fatalf("re-armed fast-fail: done=%d err=%v, want 6500/ErrDegraded", done, err)
+	if done, err := s.ReadBlock(fail3+svc, 16, buf); !errors.Is(err, netstore.ErrDegraded) || done != fail3+svc {
+		t.Fatalf("re-armed fast-fail: done=%d err=%v, want %d/ErrDegraded", done, err, fail3+svc)
 	}
 
 	// After the outage lifts, the next probe succeeds and closes it.
-	if done, err := s.ReadBlock(21000, 16, buf); err != nil || done != 21026 {
-		t.Fatalf("closing probe: done=%d err=%v, want 21026/nil", done, err)
+	at = outEnd + svc
+	if done, err := s.ReadBlock(at, 16, buf); err != nil || done != at+svc {
+		t.Fatalf("closing probe: done=%d err=%v, want %d/nil", done, err, at+svc)
 	}
 	if s.BreakerOpen() {
 		t.Fatal("breaker still open after a successful probe")
 	}
-	if done, err := s.ReadBlock(21100, 32, buf); err != nil || done != 21126 {
-		t.Fatalf("post-recovery miss: done=%d err=%v, want 21126/nil", done, err)
+	at += 2 * svc
+	if done, err := s.ReadBlock(at, 32, buf); err != nil || done != at+svc {
+		t.Fatalf("post-recovery miss: done=%d err=%v, want %d/nil", done, err, at+svc)
 	}
 
 	ctr := rec.Counters()
@@ -278,15 +322,16 @@ func TestBreakerLifecycle(t *testing.T) {
 // rewrites of already-staged blocks stay accepted. The bound on a block
 // of a resident object is TestDegradedWriteBoundResidentObject's.
 func TestDegradedWriteBound(t *testing.T) {
-	s, _ := coldStore(t, fastNoHedge(), netstore.Config{
+	s, _, t0 := coldStore(t, noHedge(), netstore.Config{
 		Blocks: 64, ObjectBlocks: 1, CacheObjects: 2,
 		Faults: netstore.FaultConfig{Seed: 3, MaxAttempts: 1, BreakerK: 1},
 	}, 1)
-	s.ArmOutage(1000, 1_000_000)
+	s.ArmOutage(t0, 1<<40)
 	buf := make([]byte, 4096)
 
-	// One failed GET (svc 11ns, timeout 66ns) opens the K=1 breaker.
-	if _, err := s.ReadBlock(1000, 0, buf); !errors.Is(err, netstore.ErrExhausted) {
+	// One failed GET opens the K=1 breaker.
+	at, err := s.ReadBlock(t0, 0, buf)
+	if !errors.Is(err, netstore.ErrExhausted) {
 		t.Fatalf("blackout GET: %v, want ErrExhausted", err)
 	}
 	if !s.BreakerOpen() {
@@ -294,22 +339,22 @@ func TestDegradedWriteBound(t *testing.T) {
 	}
 	// Two fresh-extent writes fill the 2-block degraded queue.
 	for i, blk := range []int{10, 11} {
-		if _, err := s.SubmitBlock(int64(1100+50*i), blk, buf); err != nil {
+		if _, err := s.SubmitBlock(at+int64(100+50*i), blk, buf); err != nil {
 			t.Fatalf("degraded write %d: %v", i, err)
 		}
 	}
 	// The third write is refused at the miss pre-check.
-	if _, err := s.SubmitBlock(1200, 12, buf); !errors.Is(err, netstore.ErrWriteBound) {
+	if _, err := s.SubmitBlock(at+200, 12, buf); !errors.Is(err, netstore.ErrWriteBound) {
 		t.Fatalf("over-bound fresh write: %v, want ErrWriteBound", err)
 	} else if !errors.Is(err, blockdev.ErrIO) {
 		t.Fatalf("ErrWriteBound does not wrap blockdev.ErrIO: %v", err)
 	}
 	// Rewriting an already-staged block adds no staging and is allowed.
-	if _, err := s.SubmitBlock(1250, 10, buf); err != nil {
+	if _, err := s.SubmitBlock(at+250, 10, buf); err != nil {
 		t.Fatalf("rewrite of staged block: %v", err)
 	}
 	// A write-miss on a durable object is refused before its RMW GET.
-	if _, err := s.SubmitBlock(1300, 0, buf); !errors.Is(err, netstore.ErrWriteBound) {
+	if _, err := s.SubmitBlock(at+300, 0, buf); !errors.Is(err, netstore.ErrWriteBound) {
 		t.Fatalf("over-bound durable write: %v, want ErrWriteBound", err)
 	}
 	if n := s.DirtyBlocks(); n != 2 {
@@ -324,13 +369,14 @@ func TestDegradedWriteBound(t *testing.T) {
 // staged blocks sit in two objects, because an object whose eviction PUT
 // fails stays resident past the cache's capacity.
 func TestDegradedWriteBoundResidentObject(t *testing.T) {
-	s, _ := coldStore(t, fastNoHedge(), netstore.Config{
+	s, _, t0 := coldStore(t, noHedge(), netstore.Config{
 		Blocks: 64, ObjectBlocks: 2, CacheObjects: 1,
 		Faults: netstore.FaultConfig{Seed: 3, MaxAttempts: 1, BreakerK: 1},
 	}, 1)
-	s.ArmOutage(1000, 1_000_000)
+	s.ArmOutage(t0, 1<<40)
 	buf := make([]byte, 4096)
-	if _, err := s.ReadBlock(1000, 0, buf); !errors.Is(err, netstore.ErrExhausted) {
+	at, err := s.ReadBlock(t0, 0, buf)
+	if !errors.Is(err, netstore.ErrExhausted) {
 		t.Fatalf("blackout GET: %v, want ErrExhausted", err)
 	}
 	if !s.BreakerOpen() {
@@ -339,20 +385,20 @@ func TestDegradedWriteBoundResidentObject(t *testing.T) {
 	// Block 10 stages in object 5; block 12 stages in object 6, whose
 	// clean block 13 stays resident with it.
 	for i, blk := range []int{10, 12} {
-		if _, err := s.SubmitBlock(int64(1100+50*i), blk, buf); err != nil {
+		if _, err := s.SubmitBlock(at+int64(100+50*i), blk, buf); err != nil {
 			t.Fatalf("degraded write %d: %v", i, err)
 		}
 	}
 	if n := s.DirtyBlocks(); n != 2 {
 		t.Fatalf("DirtyBlocks = %d, want the bound 2", n)
 	}
-	if _, err := s.SubmitBlock(1200, 13, buf); !errors.Is(err, netstore.ErrWriteBound) {
+	if _, err := s.SubmitBlock(at+200, 13, buf); !errors.Is(err, netstore.ErrWriteBound) {
 		t.Fatalf("over-bound write to a resident object's clean block: %v, want ErrWriteBound", err)
 	}
 	if n := s.DirtyBlocks(); n != 2 {
 		t.Fatalf("DirtyBlocks = %d after a refused write, want 2", n)
 	}
-	if _, err := s.SubmitBlock(1250, 12, buf); err != nil {
+	if _, err := s.SubmitBlock(at+250, 12, buf); err != nil {
 		t.Fatalf("rewrite of the resident object's staged block: %v", err)
 	}
 	if n := s.DirtyBlocks(); n != 2 {
@@ -360,36 +406,50 @@ func TestDegradedWriteBoundResidentObject(t *testing.T) {
 	}
 }
 
-// TestFlushRidesOutOutage: flush PUTs bypass the breaker's fail-fast
-// and keep retrying through a whole blackout window, so the durability
-// barrier completes as soon as the network returns.
+// TestFlushRidesOutOutage: flush PUTs bypass the open breaker's
+// fail-fast and keep retrying through a whole blackout window, so the
+// durability barrier completes as soon as the network returns. A failed
+// GET opens the breaker first; the blackout then lasts twenty of the
+// longest retry rounds (a timeout plus a capped backoff with its whole
+// jitter), so the flush retries at least twenty times.
 func TestFlushRidesOutOutage(t *testing.T) {
-	s, rec := coldStore(t, fastNoHedge(), netstore.Config{
+	const rounds = 20
+	m := noHedge()
+	s, rec, t0 := coldStore(t, m, netstore.Config{
 		Blocks: 64,
 		Faults: netstore.FaultConfig{Seed: 11, MaxAttempts: 1, BreakerK: 1},
-	}, 0)
+	}, 1)
 	buf := make([]byte, 4096)
-	if _, err := s.SubmitBlock(0, 0, buf); err != nil {
+	if _, err := s.SubmitBlock(t0, 16, buf); err != nil {
 		t.Fatal(err)
 	}
-	s.ArmOutage(1000, 10000)
+	svc := int64(m.NetPut(objBytes))
+	capNS := int64(m.NetBackoffCap)
+	round := int64(m.NetTimeoutMult)*svc + capNS + capNS/4
+	at := t0 + int64(m.NetTimeoutMult)*int64(m.NetGet(objBytes))
+	outEnd := at + rounds*round
+	s.ArmOutage(t0, outEnd)
+	if done, err := s.ReadBlock(t0, 0, buf); !errors.Is(err, netstore.ErrExhausted) || done != at || !s.BreakerOpen() {
+		t.Fatalf("blackout GET: done=%d err=%v breaker open %v, want %d/ErrExhausted/open", done, err, s.BreakerOpen(), at)
+	}
 
-	done, err := s.Flush(1000)
+	puts := rec.Counters()["net_puts"]
+	done, err := s.Flush(at)
 	if err != nil {
 		t.Fatalf("flush through blackout: %v", err)
 	}
-	// Retry rounds advance 166-281ns each (156ns timeout + capped
-	// backoff), so the first post-outage attempt issues in
-	// [10000, 10281) and completes 26ns later.
-	if done < 10000 || done > 10310 {
-		t.Fatalf("flush completed at %d, want just past the outage end [10000, 10310]", done)
+	// The first post-outage attempt issues within a round of the
+	// outage's end; its PUT takes svc and the barrier NetFlush after it.
+	lo := outEnd + svc + int64(m.NetFlush())
+	if done < lo || done >= lo+round {
+		t.Fatalf("flush completed at %d, want just past the outage end [%d, %d)", done, lo, lo+round)
 	}
 	if n := s.DirtyBlocks(); n != 0 {
 		t.Fatalf("DirtyBlocks = %d after a successful flush, want 0", n)
 	}
 	ctr := rec.Counters()
-	if ctr["net_puts"] != 1 || ctr["net_retries"] < 20 {
-		t.Fatalf("puts=%d retries=%d, want 1 put and >=20 retries", ctr["net_puts"], ctr["net_retries"])
+	if ctr["net_puts"]-puts != 1 || ctr["net_retries"] < rounds {
+		t.Fatalf("flush puts=%d retries=%d, want 1 put and >=%d retries", ctr["net_puts"]-puts, ctr["net_retries"], rounds)
 	}
 	if s.BreakerOpen() {
 		t.Fatal("breaker open after the flush finally succeeded")
@@ -397,15 +457,14 @@ func TestFlushRidesOutOutage(t *testing.T) {
 }
 
 // TestHedgeOnTailLatency: with a fat latency tail (TailMult 5 puts ~9%
-// of attempts at 55ns against a 33ns hedge deadline), sequential cold
-// GETs fire hedges and every read still succeeds.
+// of attempts at 5x their service time, past the 3x hedge deadline),
+// sequential cold GETs fire hedges and every read still succeeds.
 func TestHedgeOnTailLatency(t *testing.T) {
-	s, rec := coldStore(t, costmodel.Fast(), netstore.Config{
+	s, rec, now := coldStore(t, costmodel.Default(), netstore.Config{
 		Blocks: 1024, ObjectBlocks: 1, CacheObjects: 512,
 		Faults: netstore.FaultConfig{Seed: 42, TailMult: 5},
 	}, 200)
 	buf := make([]byte, 4096)
-	now := int64(10000)
 	for blk := 0; blk < 200; blk++ {
 		done, err := s.ReadBlock(now, blk, buf)
 		if err != nil {
@@ -436,7 +495,7 @@ func TestZeroAllocWarmPath(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := netstore.New(netstore.Config{
 				Name: "net0", BlockSize: 4096, Blocks: 64,
-				Model: costmodel.Fast(), Faults: tc.fc,
+				Model: costmodel.Default(), Faults: tc.fc,
 			})
 			buf := make([]byte, 4096)
 			if _, err := s.SubmitBlock(0, 0, buf); err != nil {

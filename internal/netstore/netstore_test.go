@@ -17,7 +17,7 @@ import (
 func netDev(blocks int, cfg netstore.Config) *blockdev.Device {
 	model := cfg.Model
 	if model == nil {
-		model = costmodel.Fast()
+		model = costmodel.Default()
 	}
 	cfg.Name = "net0"
 	cfg.BlockSize = 4096
@@ -161,7 +161,7 @@ func TestFreshExtentSkipsRMW(t *testing.T) {
 // channels and zero streaming cost, four cold fetches issued at the
 // same instant complete pairwise at 1x and 2x the request latency.
 func TestBoundedParallelism(t *testing.T) {
-	model := costmodel.Fast()
+	model := costmodel.Default()
 	model.NetChannels = 2
 	model.NetGetBase = 100 * time.Nanosecond
 	model.NetPer4K = 0

@@ -19,7 +19,7 @@ import (
 // error naming /a/loop instead of walking the cycle until the stack
 // overflows.
 func TestTreeStopsAtDirectoryCycle(t *testing.T) {
-	model := costmodel.Fast()
+	model := costmodel.Default()
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 2048, Model: model})
 	mount := func(ninodes uint32) (*kernel.Kernel, *kernel.Mount, *kernel.Task) {
 		k := kernel.New(model)

@@ -75,7 +75,7 @@ func TestBentoByReferenceMatchesCopying(t *testing.T) {
 		rec  *trace.Recorder // the device's commands
 	}
 	mount := func(plain bool) side {
-		model := costmodel.Fast()
+		model := costmodel.Default()
 		k := kernel.New(model)
 		dev := blockdev.MustNew(blockdev.Config{Blocks: 8192, Model: model})
 		rec := trace.New()

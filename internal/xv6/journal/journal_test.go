@@ -397,7 +397,7 @@ func (r *modelRun) crash(cut int64, keep func(i int) bool) [][]byte {
 // recover runs Recover on a fresh Log over img and returns the image it
 // leaves.
 func (r *modelRun) recover(img [][]byte) ([][]byte, error) {
-	k := kernel.New(costmodel.Fast())
+	k := kernel.New(costmodel.Default())
 	d := &modelDisk{rng: rand.New(rand.NewSource(r.seed)), cache: img, jt: k.NewTask("journal")}
 	l := journal.New("recovered", d, r.sb, r.policy, true)
 	err := l.Recover(k.NewTask("mount"))

@@ -307,7 +307,7 @@ func TestGeometryInodeCounts(t *testing.T) {
 	} {
 		const blocks = 65536
 		_, gerr := Geometry(blocks, tc.ninodes)
-		dev := blockdev.MustNew(blockdev.Config{Blocks: blocks, Model: costmodel.Fast()})
+		dev := blockdev.MustNew(blockdev.Config{Blocks: blocks, Model: costmodel.Default()})
 		clk := vclock.NewClock()
 		_, merr := Mkfs(clk, dev, tc.ninodes)
 		if !tc.ok {
@@ -344,7 +344,7 @@ func TestInodeIndexing(t *testing.T) {
 }
 
 func TestMkfsProducesConsistentFS(t *testing.T) {
-	dev := blockdev.MustNew(blockdev.Config{Blocks: 2048, Model: costmodel.Fast()})
+	dev := blockdev.MustNew(blockdev.Config{Blocks: 2048, Model: costmodel.Default()})
 	clk := vclock.NewClock()
 	sb, err := Mkfs(clk, dev, 256)
 	if err != nil {
@@ -370,7 +370,7 @@ func TestMkfsProducesConsistentFS(t *testing.T) {
 }
 
 func TestFsckDetectsCorruption(t *testing.T) {
-	dev := blockdev.MustNew(blockdev.Config{Blocks: 2048, Model: costmodel.Fast()})
+	dev := blockdev.MustNew(blockdev.Config{Blocks: 2048, Model: costmodel.Default()})
 	clk := vclock.NewClock()
 	sb, err := Mkfs(clk, dev, 256)
 	if err != nil {
@@ -401,7 +401,7 @@ func TestFsckDetectsCorruption(t *testing.T) {
 // also when it lists data; once cleared the image checks clean.
 func TestFsckFlagsRecordInEitherBlock(t *testing.T) {
 	for i := range 4 {
-		dev := blockdev.MustNew(blockdev.Config{Blocks: 2048, Model: costmodel.Fast()})
+		dev := blockdev.MustNew(blockdev.Config{Blocks: 2048, Model: costmodel.Default()})
 		clk := vclock.NewClock()
 		sb, err := Mkfs(clk, dev, 256)
 		if err != nil {
@@ -437,7 +437,7 @@ func TestFsckFlagsRecordInEitherBlock(t *testing.T) {
 // TestMkfsClearsBothRecords: formatting a device that held a record in
 // either record block, as a reused device may, leaves no record behind.
 func TestMkfsClearsBothRecords(t *testing.T) {
-	dev := blockdev.MustNew(blockdev.Config{Blocks: 2048, Model: costmodel.Fast()})
+	dev := blockdev.MustNew(blockdev.Config{Blocks: 2048, Model: costmodel.Default()})
 	clk := vclock.NewClock()
 	sb, err := Geometry(2048, 256)
 	if err != nil {
@@ -618,7 +618,7 @@ func TestLogHeaderEncodeMatchesFull(t *testing.T) {
 // TestFsckRejectsUnknownMagic: Fsck reads xv6 and ext4-variant images,
 // and nothing else.
 func TestFsckRejectsUnknownMagic(t *testing.T) {
-	dev := blockdev.MustNew(blockdev.Config{Blocks: 2048, Model: costmodel.Fast()})
+	dev := blockdev.MustNew(blockdev.Config{Blocks: 2048, Model: costmodel.Default()})
 	clk := vclock.NewClock()
 	sb, err := Mkfs(clk, dev, 256)
 	if err != nil {

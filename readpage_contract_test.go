@@ -22,11 +22,11 @@ import (
 func TestReadPageFillsEveryByte(t *testing.T) {
 	mounts := map[string]func(t *testing.T) (*kernel.Kernel, *kernel.Mount){
 		"memfs": func(t *testing.T) (*kernel.Kernel, *kernel.Mount) {
-			k := kernel.New(costmodel.Fast())
+			k := kernel.New(costmodel.Default())
 			if err := k.Register(memfs.Type{}); err != nil {
 				t.Fatal(err)
 			}
-			dev := blockdev.MustNew(blockdev.Config{Blocks: 16, Model: costmodel.Fast()})
+			dev := blockdev.MustNew(blockdev.Config{Blocks: 16, Model: costmodel.Default()})
 			m, err := k.Mount(k.NewTask("mount"), "memfs", "/", dev)
 			if err != nil {
 				t.Fatal(err)
