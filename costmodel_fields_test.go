@@ -2,14 +2,14 @@ package bento
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 )
+
+// costmodelDir is the package that declares costmodel.Model.
+const costmodelDir = "internal/costmodel"
 
 // TestEveryCostModelFieldIsRead keeps costmodel.Model free of dead
 // constants: every field must be read — selected as x.Field outside an
@@ -21,14 +21,6 @@ import (
 // dead field that shares its name with something read elsewhere; it
 // cannot flag a live one.
 func TestEveryCostModelFieldIsRead(t *testing.T) {
-	fset := token.NewFileSet()
-	parse := func(path string) *ast.File {
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
 	// reads collects the names f selects outside assignment targets; recv,
 	// when set, limits it to selections on that identifier.
 	reads := func(n ast.Node, recv string, into map[string]bool) {
@@ -50,18 +42,17 @@ func TestEveryCostModelFieldIsRead(t *testing.T) {
 		})
 	}
 
-	// The fields of Model, and what each Model method reads of its receiver.
+	// The fields of Model, what each Model method reads of its receiver,
+	// and what the code outside internal/costmodel reads.
 	var fields []string
 	methods := map[string]map[string]bool{}
-	pkg, err := filepath.Glob("internal/costmodel/*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range pkg {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
+	read := map[string]bool{}
+	forEachFile(t, []string{"."}, nil, 60, func(path string, _ *token.FileSet, f *ast.File) {
+		if !strings.HasPrefix(path, costmodelDir+"/") {
+			reads(f, "", read)
+			return
 		}
-		for _, decl := range parse(path).Decls {
+		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
@@ -82,35 +73,9 @@ func TestEveryCostModelFieldIsRead(t *testing.T) {
 				methods[d.Name.Name] = uses
 			}
 		}
-	}
+	})
 	if len(fields) < 30 || len(methods) < 5 {
 		t.Fatalf("found %d costmodel.Model fields and %d methods: run from the repository root", len(fields), len(methods))
-	}
-
-	read := map[string]bool{}
-	files := 0
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		path = filepath.ToSlash(path)
-		if d.IsDir() {
-			if path == "internal/costmodel" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-			files++
-			reads(parse(path), "", read)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if files < 60 {
-		t.Fatalf("walked only %d files: run from the repository root", files)
 	}
 	// A method the simulation calls reads what its body reads, methods it
 	// calls on the receiver included.
@@ -141,20 +106,8 @@ func TestEveryCostModelFieldIsRead(t *testing.T) {
 // variation is a copy of it with fields changed (the WithNet method, or
 // a test's own copy), not a second constructor.
 func TestOneCostModel(t *testing.T) {
-	paths, err := filepath.Glob("internal/costmodel/*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
 	var ctors []string
-	for _, path := range paths {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
+	forEachFile(t, []string{costmodelDir}, nil, 1, func(_ string, _ *token.FileSet, f *ast.File) {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Recv != nil || fn.Type.Results == nil {
@@ -171,7 +124,7 @@ func TestOneCostModel(t *testing.T) {
 				ctors = append(ctors, fn.Name.Name)
 			}
 		}
-	}
+	})
 	if !slices.Equal(ctors, []string{"Default"}) {
 		t.Errorf("internal/costmodel's functions returning *Model: %v, want only [Default]: "+
 			"a second calibration is a configuration no benchmark runs", ctors)

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -34,19 +35,35 @@ var syncAllowed = map[string]map[string]int{
 // simulation and whose outcome table must replay exactly.
 var deterministicPackages = append(inCellPackages[:len(inCellPackages):len(inCellPackages)], "internal/buginject")
 
-// forEachFile parses every non-test Go file of pkgs and hands it to fn
-// with its slash-separated path.
-func forEachFile(t *testing.T, pkgs []string, fn func(path string, fset *token.FileSet, f *ast.File)) {
+// forEachFile parses every non-test Go file under the directories
+// roots, and every test file whose path starts with one of tests, and
+// hands each to fn with its slash-separated path. It skips hidden
+// directories. Fewer than atLeast non-test files means the walk looked in
+// the wrong place.
+func forEachFile(t *testing.T, roots, tests []string, atLeast int, fn func(path string, fset *token.FileSet, f *ast.File)) {
 	t.Helper()
 	fset := token.NewFileSet()
 	files := 0
-	for _, pkg := range pkgs {
-		err := filepath.WalkDir(pkg, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+	for _, root := range roots {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
 				return err
 			}
-			files++
+			if d.IsDir() {
+				if path != root && strings.HasPrefix(d.Name(), ".") {
+					return filepath.SkipDir
+				}
+				return nil
+			}
 			path = filepath.ToSlash(path)
+			if !strings.HasSuffix(path, ".go") {
+				return nil
+			}
+			if !strings.HasSuffix(path, "_test.go") {
+				files++
+			} else if !slices.ContainsFunc(tests, func(dir string) bool { return strings.HasPrefix(path, dir) }) {
+				return nil
+			}
 			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 			if err != nil {
 				return err
@@ -58,8 +75,8 @@ func forEachFile(t *testing.T, pkgs []string, fn func(path string, fset *token.F
 			t.Fatal(err)
 		}
 	}
-	if files < 40 {
-		t.Fatalf("walked only %d files: run from the repository root", files)
+	if files < atLeast {
+		t.Fatalf("walked only %d files under %v: run from the repository root", files, roots)
 	}
 }
 
@@ -85,7 +102,7 @@ func importName(f *ast.File, importPath string) string {
 // read-only tables are not shared mutable state.)
 func TestInCellCodeTakesNoHostLocks(t *testing.T) {
 	banned := map[string]bool{"Mutex": true, "RWMutex": true, "Cond": true, "NewCond": true, "Pool": true, "Map": true}
-	forEachFile(t, inCellPackages, func(path string, fset *token.FileSet, f *ast.File) {
+	forEachFile(t, inCellPackages, nil, 40, func(path string, fset *token.FileSet, f *ast.File) {
 		if importName(f, "sync/atomic") != "" {
 			t.Errorf("%s imports sync/atomic: in-cell state is single-owner, use plain fields", path)
 		}
@@ -134,7 +151,7 @@ var seededRand = map[string]bool{
 // byte-compared matrices catch a violation only on the paths they happen
 // to cover; this catches it on every path.
 func TestInCellCodeIsDeterministic(t *testing.T) {
-	forEachFile(t, deterministicPackages, func(path string, fset *token.FileSet, f *ast.File) {
+	forEachFile(t, deterministicPackages, nil, 40, func(path string, fset *token.FileSet, f *ast.File) {
 		timeName := importName(f, "time")
 		randName := importName(f, "math/rand")
 		ast.Inspect(f, func(n ast.Node) bool {

@@ -46,27 +46,12 @@ func TestBothRecordBlocksBusy(t *testing.T) {
 	journaltest.Run(t, policyRows("", harness.VariantBento, journaltest.DataPaths...), journaltest.BothRecordBlocksBusy)
 }
 
-func TestBesideRecordRecovers(t *testing.T) {
-	journaltest.Run(t, policyRows("", harness.VariantBento, journaltest.AllConfigs...), journaltest.BesideRecordRecovers)
-}
-
-func TestTwoRecordsRecover(t *testing.T) {
-	journaltest.Run(t, policyRows("", harness.VariantBento, journaltest.DataPaths...), journaltest.TwoRecordsRecover)
-}
-
 // TestOrderedData runs with the bypass on, under both policies.
 func TestOrderedData(t *testing.T) {
 	journaltest.Run(t, []journaltest.Row{
 		{Name: "writeback", Variant: harness.VariantBento, MC: journaltest.BypassOn[0]},
 		{Name: "flush", Variant: harness.VariantBento, MC: journaltest.BypassOn[1]},
 	}, journaltest.OrderedData)
-}
-
-// TestLostDataNotForeign runs with barriers and the bypass on.
-func TestLostDataNotForeign(t *testing.T) {
-	journaltest.Run(t, []journaltest.Row{
-		{Name: "flush", Variant: harness.VariantBento, MC: journaltest.BypassOn[1]},
-	}, journaltest.LostDataNotForeign)
 }
 
 // TestFUSECommitStaysSerial is the guard on the paper's asymmetry: the

@@ -18,15 +18,20 @@ import (
 // as the log and its file system see it (the cache) and every device
 // write and FLUSH with its submission and completion time. A generator
 // drives seeded operation sequences on two or three tasks, one at a time
-// and lowest clock first, as the scheduler runs them. Each sequence is
-// then cut at every instant a write completes: what a FLUSH had made
-// durable by then stays, and each other write submitted by then is kept
-// or lost, over seeded subsets. Recover runs on a fresh Log over each
-// crash image, and the home blocks it leaves must be the state after a
-// prefix of the committed transactions: at least every transaction whose
+// and lowest clock first, as the scheduler runs them, on a log with
+// barriers or without them. Each sequence is then cut at every instant a
+// write completes: what was durable by then stays, and each other write
+// submitted by then is kept or lost, over seeded subsets. With barriers a
+// write is durable once a FLUSH issued after it completed has completed;
+// without them, once it has completed, as bentoimpl.PolicyWriteBack
+// assumes of the device. Recover runs on a fresh Log over each crash
+// image, and the home blocks it leaves must be the state after a prefix
+// of the committed transactions: at least every transaction whose
 // committing EndOp or Sync had returned, at most every one whose record
 // had been submitted. Each transaction of the prefix shows its own
-// writes, its ordered data included, or later ones.
+// writes, its ordered data included, or later ones. This is the check of
+// the log's recovery: every file system of the xv6 design runs this log,
+// and what the tests of their mounts check is what they hand it.
 
 // The model's blocks hold a block's version in their first word. A
 // record block of bigBlock bytes holds a record of a log of up to eight
@@ -53,8 +58,8 @@ type devWrite struct {
 type devFlush struct{ at, done int64 }
 
 // modelDisk is journal.Disk over a model device whose writes complete in
-// any order, seeded, and become durable only at a FLUSH issued after
-// they complete.
+// any order, seeded. What is durable at a cut is the crash rule's to say
+// (modelRun.crash).
 type modelDisk struct {
 	rng     *rand.Rand
 	cache   [][]byte
@@ -141,6 +146,7 @@ type event struct {
 type modelRun struct {
 	seed     int64
 	policy   journal.Policy
+	barriers bool // the log's setting, and the crash rule verify judges it by
 	sb       layout.Superblock
 	homes    []uint32
 	initial  [][]byte
@@ -167,8 +173,8 @@ type modelTask struct {
 }
 
 // generate runs one seeded sequence of about ops operations on a log of
-// nslots slots, over blocks of size bytes.
-func generate(seed int64, nslots uint32, compound bool, ops, size int) *modelRun {
+// nslots slots, over blocks of size bytes, with barriers or without.
+func generate(seed int64, nslots uint32, compound, barriers bool, ops, size int) *modelRun {
 	rng := rand.New(rand.NewSource(seed))
 	sb := layout.Superblock{LogStart: 1, NLog: nslots + 1}
 	const nhomes = 6
@@ -176,7 +182,7 @@ func generate(seed int64, nslots uint32, compound bool, ops, size int) *modelRun
 	k := kernel.New(costmodel.Default())
 	disk := &modelDisk{rng: rng, cache: make([][]byte, nblocks), jt: k.NewTask("journal"),
 		records: sb.RecordBlocks(), recorded: map[int64]int64{}, listed: map[int64]int64{}}
-	r := &modelRun{seed: seed, sb: sb, disk: disk, hist: map[uint32][]event{}, returned: map[int64]int64{}}
+	r := &modelRun{seed: seed, barriers: barriers, sb: sb, disk: disk, hist: map[uint32][]event{}, returned: map[int64]int64{}}
 	for b := range disk.cache {
 		disk.cache[b] = make([]byte, size)
 		if b > int(sb.LogStart+sb.NLog) {
@@ -191,7 +197,7 @@ func generate(seed int64, nslots uint32, compound bool, ops, size int) *modelRun
 	if compound {
 		r.policy = journal.Compound(2 + rng.Intn(int(nslots)-2))
 	}
-	l := journal.New("model", disk, sb, r.policy, true)
+	l := journal.New("model", disk, sb, r.policy, barriers)
 
 	tasks := make([]*modelTask, 2+rng.Intn(2))
 	for i := range tasks {
@@ -372,9 +378,10 @@ func (r *modelRun) inLog(blk uint32) bool {
 	return blk >= r.sb.LogStart && blk <= r.sb.LogStart+r.sb.NLog
 }
 
-// crash returns the device image at instant cut: the writes a FLUSH had
-// made durable by then, and those of the other writes submitted by then
-// that keep says survive. A block holds its latest surviving write.
+// crash returns the device image at instant cut: the writes durable by
+// then, and those of the other writes submitted by then that keep says
+// survive. With barriers a FLUSH makes a write durable; without them its
+// completion does. A block holds its latest surviving write.
 func (r *modelRun) crash(cut int64, keep func(i int) bool) [][]byte {
 	img := make([][]byte, len(r.initial))
 	copy(img, r.initial)
@@ -383,7 +390,10 @@ func (r *modelRun) crash(cut int64, keep func(i int) bool) [][]byte {
 		if w.at > cut {
 			continue
 		}
-		durable := slices.ContainsFunc(r.disk.flushes, func(f devFlush) bool { return f.done <= cut && w.done <= f.at })
+		durable := w.done <= cut
+		if r.barriers {
+			durable = slices.ContainsFunc(r.disk.flushes, func(f devFlush) bool { return f.done <= cut && w.done <= f.at })
+		}
 		if (durable || keep(i)) && w.done >= latest[w.blk] {
 			img[w.blk], latest[w.blk] = w.data, w.done
 		}
@@ -399,7 +409,7 @@ func (r *modelRun) crash(cut int64, keep func(i int) bool) [][]byte {
 func (r *modelRun) recover(img [][]byte) ([][]byte, error) {
 	k := kernel.New(costmodel.Default())
 	d := &modelDisk{rng: rand.New(rand.NewSource(r.seed)), cache: img, jt: k.NewTask("journal")}
-	l := journal.New("recovered", d, r.sb, r.policy, true)
+	l := journal.New("recovered", d, r.sb, r.policy, r.barriers)
 	err := l.Recover(k.NewTask("mount"))
 	return d.cache, err
 }
@@ -467,8 +477,8 @@ func (r *modelRun) bounds(cut int64) (lo, hi int64) {
 }
 
 // verify cuts r at every write's completion, under subsets of the writes
-// no FLUSH had made durable: none, all, the log's or the home blocks'
-// alone, and seeded ones. It returns the first failure.
+// not yet durable: none, all, the log's or the home blocks' alone, and
+// seeded ones. It returns the first failure.
 func (r *modelRun) verify() error {
 	rng := rand.New(rand.NewSource(r.seed ^ 0x5eed))
 	for _, w := range r.disk.writes {
@@ -505,45 +515,70 @@ func (r *modelRun) verify() error {
 }
 
 // TestCrashModel runs seeded sequences under both policies, with
-// barriers, over logs of four to eight slots, and requires every crash
-// image of every one to recover to a committed prefix. Every fifth
-// sequence, over four slots, runs on small blocks, where some records
-// cannot list their data and make it durable first. A failure names the
-// seed and prints the operations.
+// barriers and, every third sequence, without them, as Bento, the
+// C-Kernel and ext4 are published, over logs of four to eight slots, and
+// requires every crash image of every one to recover to a committed
+// prefix. Every fifth sequence, over four slots, runs on small blocks,
+// where some records cannot list their data and make it durable first.
+// A failure names the seed and prints the operations.
 func TestCrashModel(t *testing.T) {
 	n := 60
 	if testing.Short() {
 		n = 20
 	}
-	var commits, listing, preflushed int
+	var commits, listing, listingNoBarriers, preflushed int
 	for i := 0; i < n; i++ {
 		seed := int64(i + 1)
-		compound := i%2 == 1
+		compound, barriers := i%2 == 1, i%3 != 2
 		nslots := uint32(4 + i%5)
 		size := bigBlock
 		if i%5 == 0 {
 			size = smallBlock
 		}
-		r := generate(seed, nslots, compound, 60, size)
+		r := generate(seed, nslots, compound, barriers, 60, size)
 		commits += len(r.disk.recorded)
 		for _, m := range r.disk.listed {
 			if m > 0 {
 				listing++
+				if !barriers {
+					listingNoBarriers++
+				}
 			}
 		}
 		preflushed += r.preflushed
 		if err := r.verify(); err != nil {
-			name := "PerOp"
-			if compound {
-				name = "Compound"
-			}
-			t.Fatalf("seed %d, %s, %d slots, %d-byte blocks: %v\n%s", seed, name, nslots, size, err, trail(r.trail))
+			t.Fatalf("seed %d, %s, barriers %v, %d slots, %d-byte blocks: %v\n%s",
+				seed, policyName(compound), barriers, nslots, size, err, trail(r.trail))
 		}
 	}
-	if commits < 4*n || listing < n || preflushed == 0 {
-		t.Fatalf("%d sequences recorded only %d commits, %d listing data and %d making their data durable before the record",
-			n, commits, listing, preflushed)
+	if commits < 4*n || listing < n || listingNoBarriers == 0 || preflushed == 0 {
+		t.Fatalf("%d sequences recorded only %d commits, %d listing data (%d without barriers) and %d making their data durable before the record",
+			n, commits, listing, listingNoBarriers, preflushed)
 	}
+}
+
+// TestCrashModelHasTeeth judges sequences run without barriers by the
+// crash rule of a log with them, under which a completed write that no
+// FLUSH followed may still be lost. A log that trusts completion is
+// wrong there, and the model must fail it under both policies: a model
+// that passed it would pass its no-barrier runs whatever recovery did.
+func TestCrashModelHasTeeth(t *testing.T) {
+	for i := range 2 {
+		seed, compound := int64(i+1), i == 1
+		r := generate(seed, 4, compound, false, 60, bigBlock)
+		r.barriers = true
+		if err := r.verify(); err == nil {
+			t.Errorf("seed %d, %s, run without barriers: every crash image recovered to a committed prefix under the barrier rule",
+				seed, policyName(compound))
+		}
+	}
+}
+
+func policyName(compound bool) string {
+	if compound {
+		return "Compound"
+	}
+	return "PerOp"
 }
 
 // trail renders the last operations of a sequence.

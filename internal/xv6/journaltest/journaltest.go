@@ -1,31 +1,32 @@
 // Package journaltest holds what the tests of the xv6 file system share
 // across the variants that run it — Bento, the C-Kernel, ext4 and the
 // FUSE daemon: one rig, a traced mount made through harness.Mount on a
-// device that records every write command, and the checks every journal
-// must pass. A commit writes its log slots as one batch and submits its
-// commit record beside them, once the ordered data it carries has
-// completed, without waiting for the slots; it returns once its record
-// and its slots have completed and checkpoints (installs, then clears
-// the record) in the background, one checkpoint at a time; the next
-// commit may write its log slots while checkpoints run, but never over
-// the slots of a transaction whose clear has not completed, and writes
-// its own record into one of the log's two record blocks only once that
-// block's last clear has completed; a record placed beside a running
-// checkpoint recovers from its own slots, two valid records recover in
-// sequence order, and a freed block reused as file data keeps that data;
-// a commit whose log write fails leaves no trace on the device; and with
-// the data bypass on, file data is ordered data — a commit record lists,
-// with its CRC32C, each block of the data its transaction carries that
-// is still in flight, a commit returns after that data, a write that
-// commits nothing returns after its data, and a power cut that keeps a
-// record but loses its data never shows another file's bytes. The tests
-// every variant shares are written once here too (shared.go), and each
+// device that records every write command, and the checks a mounted
+// journal must pass on those commands. A commit writes its log slots as
+// one batch and submits its commit record beside them, once the ordered
+// data it carries has completed, without waiting for the slots; it
+// returns once its record and its slots have completed and checkpoints
+// (installs, then clears the record) in the background, one checkpoint
+// at a time; the next commit may write its log slots while checkpoints
+// run, but never over the slots of a transaction whose clear has not
+// completed, and writes its own record into one of the log's two record
+// blocks only once that block's last clear has completed; a commit whose
+// log write fails leaves no trace on the device; and with the data
+// bypass on, file data is ordered data — the file system hands the log
+// each block it writes with its CRC32C, a commit record lists each block
+// of the data its transaction carries that is still in flight, a commit
+// returns after that data, and a write that commits nothing returns
+// after its data. What recovery makes of a crash image is not checked
+// here: internal/xv6/journal's crash model (TestCrashModel) owns it, at
+// the log's own seam, with barriers and without, and covers a record
+// placed beside a running checkpoint, two valid records, a freed block
+// reused as file data and a record whose data was lost. The tests every
+// variant shares are written once here too (shared.go), and each
 // variant's package runs them on its own mounts.
 package journaltest
 
 import (
 	"bytes"
-	"errors"
 	"slices"
 	"testing"
 	"time"
@@ -43,47 +44,36 @@ import (
 )
 
 // writeCmd is one device write command: its block, when it was
-// submitted and completes, in virtual nanoseconds, its place among the
-// device's write-class commands, the count blockdev.ArmPowerCut takes,
-// the layout.BlockSum of the contents it wrote, and, for a record block
-// or on a rig that keeps them, the contents.
+// submitted and completes, in virtual nanoseconds, the layout.BlockSum
+// of the contents it wrote, and, for a record block, the contents.
 type writeCmd struct {
 	blk      int
 	at, done int64
-	cmd      int64
 	sum      uint32
 	data     []byte
 }
 
-// flushCmd is one device FLUSH: when it was issued and completes.
-type flushCmd struct{ at, done int64 }
-
 // recorder is a blockdev.Backend that records every write command it
 // books, by copy, by reference or joined to the command before it, in
 // submission order, with a copy of its contents when it writes one of
-// records or when keep is set, and every FLUSH. From block slowFrom on,
-// a write completes slow nanoseconds later than the backend says (see
-// Rig.SlowData).
+// records. From block slowFrom on, a write completes slow nanoseconds
+// later than the backend says (see Rig.SlowData).
 type recorder struct {
 	blockdev.Backend
-	dev      *blockdev.Device
 	writes   []writeCmd
-	flushes  []flushCmd
 	records  [2]uint32
-	keep     bool
 	slowFrom int
 	slow     int64
 }
 
 // record notes a write of buf to blk submitted at now that the backend
-// completes at done, and returns its completion. The device counts the
-// command once the backend has booked it.
+// completes at done, and returns its completion.
 func (r *recorder) record(now int64, blk int, buf []byte, done int64) int64 {
 	if r.slow > 0 && blk >= r.slowFrom {
 		done += r.slow
 	}
-	w := writeCmd{blk: blk, at: now, done: done, cmd: r.dev.WriteCmds() + 1, sum: layout.BlockSum(buf)}
-	if r.keep || blk == int(r.records[0]) || blk == int(r.records[1]) {
+	w := writeCmd{blk: blk, at: now, done: done, sum: layout.BlockSum(buf)}
+	if blk == int(r.records[0]) || blk == int(r.records[1]) {
 		w.data = bytes.Clone(buf)
 	}
 	r.writes = append(r.writes, w)
@@ -98,12 +88,6 @@ func (r *recorder) SubmitBlock(now int64, blk int, buf []byte) (int64, error) {
 func (r *recorder) SubmitOwned(now int64, blk int, buf []byte) (int64, error) {
 	done, err := r.Backend.SubmitOwned(now, blk, buf)
 	return r.record(now, blk, buf, done), err
-}
-
-func (r *recorder) Flush(now int64) (int64, error) {
-	done, err := r.Backend.Flush(now)
-	r.flushes = append(r.flushes, flushCmd{at: now, done: done})
-	return done, err
 }
 
 func (r *recorder) JoinWrite(prev, now int64, blk int, buf []byte, owned bool) (int64, bool) {
@@ -152,19 +136,11 @@ var (
 // at / under mc.
 func New(t testing.TB, variant string, mc harness.MountConfig) *Rig {
 	t.Helper()
-	return newRig(t, variant, mc, false)
-}
-
-// newRig is New, keeping a copy of every write's contents when keep is
-// set.
-func newRig(t testing.TB, variant string, mc harness.MountConfig, keep bool) *Rig {
-	t.Helper()
 	model := costmodel.Default()
 	k := kernel.New(model)
 	k.SetRecorder(trace.New())
-	rec := &recorder{Backend: blockdev.NewLocalBackend("rig", layout.BlockSize, model), keep: keep}
+	rec := &recorder{Backend: blockdev.NewLocalBackend("rig", layout.BlockSize, model)}
 	dev := blockdev.MustNew(blockdev.Config{Blocks: 4096, Model: model, Backend: rec})
-	rec.dev = dev
 	format := k.NewTask("mkfs")
 	var err error
 	if variant == harness.VariantExt4 {
@@ -651,328 +627,6 @@ func (r *Rig) Mkdirs(names ...string) error {
 		}
 	}
 	return nil
-}
-
-// RequireBesideRecovery makes and syncs four directories and finds the
-// first commit that wrote its log slots from past slot 0, beside the
-// previous commit's running checkpoint. It replays the same operations
-// on a new rig with the power cut right after that commit's record,
-// keeps every write the
-// device had taken, and mounts the image again: recovery must install
-// exactly that transaction's blocks, in the record's order and each with
-// the contents of its log slot, and leave an image that checks clean.
-func (r *Rig) RequireBesideRecovery(t testing.TB) {
-	t.Helper()
-	dirs := []string{"/a", "/b", "/c", "/d"}
-	if err := r.Mkdirs(dirs...); err != nil {
-		t.Fatal(err)
-	}
-	ios := r.commitIOs()
-	var beside *commitIO
-	for i := 1; i < len(ios) && beside == nil; i++ {
-		if c := &ios[i]; c.slots[0].blk > int(r.SB.LogStart)+1 && c.slots[0].at < ios[i-1].clear.done {
-			beside = c
-		}
-	}
-	if beside == nil {
-		t.Fatalf("none of %d commits wrote its log slots past slot 0 while the previous checkpoint ran", len(ios))
-	}
-	first := uint32(beside.slots[0].blk) - r.SB.LogStart - 1
-
-	cut := New(t, r.variant, r.mc)
-	cut.Dev.ArmPowerCut(beside.record.cmd - cut.Dev.WriteCmds())
-	_ = cut.Mkdirs(dirs...) // fails from the first command after the record
-	if !cut.Dev.PowerOut() {
-		t.Fatal("the replay never reached the power cut")
-	}
-	cut.Dev.DisarmPowerCut()
-	cut.Dev.Crash(1, 0)
-
-	clk := vclock.NewClock()
-	read := func(blk uint32) []byte {
-		buf := make([]byte, layout.BlockSize)
-		if err := cut.Dev.Read(clk, int(blk), buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf
-	}
-	_, got, homes, _ := layout.DecodeCommitRecord(read(uint32(beside.record.blk)), cut.SB.LogSlots())
-	if got != first || len(homes) != len(beside.slots) {
-		t.Fatalf("the record on the device names %d blocks from slot %d, want the commit's %d from slot %d",
-			len(homes), got, len(beside.slots), first)
-	}
-	logged := make([][]byte, len(homes))
-	for i := range homes {
-		logged[i] = read(cut.SB.LogStart + 1 + first + uint32(i))
-	}
-
-	from := len(cut.rec.writes)
-	r.Remount(t, cut.Dev)
-	var installed []uint32
-	for _, w := range cut.rec.writes[from:] {
-		if cut.isRecord(w.blk) {
-			break
-		}
-		installed = append(installed, uint32(w.blk))
-	}
-	if !slices.Equal(installed, homes) {
-		t.Errorf("recovery installed blocks %v, want the record's %v", installed, homes)
-	}
-	for i, home := range homes {
-		if !bytes.Equal(read(home), logged[i]) {
-			t.Errorf("block %d does not hold the contents of its log slot %d after recovery", home, first+uint32(i))
-		}
-	}
-	rep, err := layout.Fsck(clk, cut.Dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("fsck after recovering a record placed beside a checkpoint: %v", rep.Errors)
-	}
-}
-
-// RequireTwoRecordRecovery makes and syncs directories on a rig that
-// keeps every write's contents, and finds a commit recorded in record
-// block A while the previous commit's record, in block B, was still
-// valid: its record was submitted before that commit's clear completed.
-// It builds the image a power cut leaves right after the later record
-// was submitted, with the device's write cache keeping that record and
-// losing the earlier commit's clear, both then in flight: every write
-// submitted by then but that clear. Both records must be valid on that
-// image, the later one the next in sequence; recovery must leave a block
-// both transactions logged with the later transaction's contents,
-// whatever block order says; and the image must check clean.
-func (r *Rig) RequireTwoRecordRecovery(t testing.TB) {
-	t.Helper()
-	src := newRig(t, r.variant, r.mc, true)
-	if err := src.Mkdirs("/a", "/b", "/c", "/d", "/e", "/f"); err != nil {
-		t.Fatal(err)
-	}
-	sb, rb := src.SB, src.SB.RecordBlocks()
-	ios := src.commitIOs()
-	k := 0
-	for i := 1; i < len(ios) && k == 0; i++ {
-		if prev := ios[i-1]; ios[i].record.blk == int(rb[0]) && prev.record.blk == int(rb[1]) && ios[i].record.at < prev.clear.done {
-			k = i
-		}
-	}
-	if k == 0 {
-		t.Fatalf("none of %d commits recorded in block A while the previous commit's record in block B was valid", len(ios))
-	}
-	dev := src.cutImage(t, ios, k)
-	clk := vclock.NewClock()
-	read := func(blk uint32) []byte {
-		buf := make([]byte, layout.BlockSize)
-		if err := dev.Read(clk, int(blk), buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf
-	}
-	prevSeq, prevFirst, prevHomes, _ := layout.DecodeCommitRecord(read(rb[1]), sb.LogSlots())
-	seq, first, homes, _ := layout.DecodeCommitRecord(read(rb[0]), sb.LogSlots())
-	if len(prevHomes) != len(ios[k-1].slots) || len(homes) != len(ios[k].slots) || seq != prevSeq+1 {
-		t.Fatalf("at the cut, block B holds record %d of %d blocks and block A record %d of %d blocks; want the commits' %d and %d blocks, A's the next in sequence",
-			prevSeq, len(prevHomes), seq, len(homes), len(ios[k-1].slots), len(ios[k].slots))
-	}
-	var shared uint32
-	var want []byte
-	for i, home := range homes {
-		j := slices.Index(prevHomes, home)
-		if j < 0 {
-			continue
-		}
-		later, earlier := read(sb.LogStart+1+first+uint32(i)), read(sb.LogStart+1+prevFirst+uint32(j))
-		if !bytes.Equal(later, earlier) {
-			shared, want = home, later
-			break
-		}
-	}
-	if want == nil {
-		t.Fatal("no block is logged by both transactions with different contents")
-	}
-
-	r.Remount(t, dev)
-	if !bytes.Equal(read(shared), want) {
-		t.Errorf("block %d, logged by records %d and %d, does not hold record %d's contents after recovery", shared, prevSeq, seq, seq)
-	}
-	requireClean(t, dev, "recovering two records")
-}
-
-// RequireFreedBlockRecovery runs two transactions on a compound log with
-// the data bypass on, each committed by a sync. The first logs a new
-// directory's block and frees it again (mkdir /d, create /d/f, mkdir
-// /p, unlink /d/f, rmdir /d). The second reuses the block as ordered
-// file data (a page written to /g), which it does not log. It cuts the
-// power right after the second commit's record was submitted, with the
-// write cache losing the first commit's clear if that was still in
-// flight, and mounts the image: /g must hold its page. A log that let
-// both records stand would replay the first over the reused block and
-// hand /g the directory's old entries.
-func (r *Rig) RequireFreedBlockRecovery(t testing.TB) {
-	t.Helper()
-	src := newRig(t, r.variant, r.mc, true)
-	m, task := src.M, src.Task
-	page := bytes.Repeat([]byte{'g'}, layout.BlockSize)
-	// Data-region writes past the root's block and /d's complete a
-	// millisecond late, so the first commit's checkpoint, which installs
-	// /p's block, still runs when the second commit records.
-	src.rec.slowFrom, src.rec.slow = int(src.SB.DataStart)+2, int64(time.Millisecond)
-	err := m.Mkdir(task, "/d")
-	if err == nil {
-		err = m.WriteFile(task, "/d/f", nil)
-	}
-	if err == nil {
-		err = m.Mkdir(task, "/p")
-	}
-	if err == nil {
-		err = m.Unlink(task, "/d/f")
-	}
-	if err == nil {
-		err = m.Rmdir(task, "/d")
-	}
-	if err == nil {
-		err = m.Sync(task)
-	}
-	if err == nil {
-		err = m.WriteFile(task, "/g", page)
-	}
-	if err == nil {
-		err = m.Sync(task)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	ios := src.commitIOs()
-	k := len(ios) - 1
-	if k < 1 || !slices.ContainsFunc(ios[k].data, func(w writeCmd) bool {
-		return slices.ContainsFunc(ios[k-1].installs, func(i writeCmd) bool { return i.blk == w.blk })
-	}) {
-		t.Fatal("the last commit's data reuses no block the commit before it logged")
-	}
-	dev := src.cutImage(t, ios, k)
-	m, task = r.Remount(t, dev)
-	got, err := m.ReadFile(task, "/g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, page) {
-		t.Errorf("/g reads %q... after recovery, want its page of %q", got[:min(len(got), 8)], page[:8])
-	}
-	requireClean(t, dev, "recovering a reused block")
-}
-
-// RequireLostDataNotForeign writes and syncs /old, unlinks it and
-// syncs, and, once the checkpoints have run, writes and syncs /g, whose
-// page reuses /old's block as ordered data. It builds the image a power
-// cut leaves right after the record of the commit carrying that data
-// completes, with the device's write cache keeping the record and the
-// slots and losing the data, and requires that image to be one the
-// device can leave: no FLUSH issued after the data completed, which is
-// what a FLUSH makes durable, had itself completed by then. /g must not
-// read /old's bytes after recovery, and the image must check clean. A
-// log that replays a record whose data did not reach the disk points /g
-// at /old's block.
-func (r *Rig) RequireLostDataNotForeign(t testing.TB) {
-	t.Helper()
-	src := newRig(t, r.variant, r.mc, true)
-	m, task := src.M, src.Task
-	old := bytes.Repeat([]byte{'o'}, layout.BlockSize)
-	err := m.WriteFile(task, "/old", old)
-	if err == nil {
-		err = m.Sync(task)
-	}
-	if err == nil {
-		err = m.Unlink(task, "/old")
-	}
-	if err == nil {
-		err = m.Sync(task)
-	}
-	task.Clk.AdvanceTo(task.Clk.NowNS() + int64(10*time.Millisecond))
-	if err == nil {
-		err = m.WriteFile(task, "/g", bytes.Repeat([]byte{'g'}, layout.BlockSize))
-	}
-	if err == nil {
-		err = m.Sync(task)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	ios := src.commitIOs()
-	k := len(ios) - 1
-	for k >= 0 && len(ios[k].data) == 0 {
-		k--
-	}
-	if k < 0 || !slices.ContainsFunc(ios[k].data, func(w writeCmd) bool {
-		return slices.ContainsFunc(src.rec.writes, func(o writeCmd) bool { return o.blk == w.blk && bytes.Equal(o.data, old) })
-	}) {
-		t.Fatal("no commit carries data that reuses /old's block")
-	}
-	cut := ios[k].record.done
-	for _, w := range ios[k].data {
-		for _, f := range src.rec.flushes {
-			if f.at >= w.done && f.done <= cut {
-				t.Fatalf("a FLUSH issued at %d ns, after the data write of block %d completed at %d ns, completed at %d ns, before the cut at %d ns: the data is durable",
-					f.at, w.blk, w.done, f.done, cut)
-			}
-		}
-	}
-	dev := src.imageAt(t, cut, func(w writeCmd) bool {
-		return slices.ContainsFunc(ios[k].data, func(d writeCmd) bool { return d.cmd == w.cmd })
-	})
-	m, task = r.Remount(t, dev)
-	got, err := m.ReadFile(task, "/g")
-	switch {
-	case errors.Is(err, fsapi.ErrNotExist):
-	case err != nil:
-		t.Fatal(err)
-	case bytes.Contains(got, old[:8]):
-		t.Errorf("/g reads %q... after recovery: the bytes of the unlinked /old", got[:8])
-	}
-	requireClean(t, dev, "losing a commit's data")
-}
-
-// cutImage builds, from the writes of r, a rig that keeps their
-// contents, the image a power cut leaves right after commit k's record
-// was submitted, with the device's write cache keeping that record and
-// losing commit k−1's clear if it was still in flight: every write
-// submitted by then but that clear.
-func (r *Rig) cutImage(t testing.TB, ios []commitIO, k int) *blockdev.Device {
-	t.Helper()
-	cutAt, lost := ios[k].record.at, int64(-1)
-	if k > 0 && ios[k-1].clear.done > cutAt {
-		lost = ios[k-1].clear.cmd
-	}
-	return r.imageAt(t, cutAt, func(w writeCmd) bool { return w.cmd == lost })
-}
-
-// imageAt builds, from the writes of r, a rig that keeps their contents,
-// the image of every write submitted by instant cut that lost does not
-// drop.
-func (r *Rig) imageAt(t testing.TB, cut int64, lost func(writeCmd) bool) *blockdev.Device {
-	t.Helper()
-	dev := blockdev.MustNew(blockdev.Config{Blocks: r.Dev.Blocks(), Model: r.Model})
-	clk := vclock.NewClock()
-	for _, w := range r.rec.writes {
-		if w.at <= cut && !lost(w) {
-			if err := dev.Write(clk, w.blk, w.data); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return dev
-}
-
-// requireClean requires dev's image to check clean after what.
-func requireClean(t testing.TB, dev *blockdev.Device, what string) {
-	t.Helper()
-	rep, err := layout.Fsck(vclock.NewClock(), dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("fsck after %s: %v", what, rep.Errors)
-	}
 }
 
 // SlowData makes every write of a data-region block complete d later

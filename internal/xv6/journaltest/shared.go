@@ -78,23 +78,6 @@ func BothRecordBlocksBusy(t *testing.T, variant string, mc harness.MountConfig) 
 	r.RequireCheckpointWait(t)
 }
 
-// BesideRecordRecovers cuts the power right after a commit record whose
-// log slots sit beside a running checkpoint: recovery installs that
-// transaction from its own slots.
-func BesideRecordRecovers(t *testing.T, variant string, mc harness.MountConfig) {
-	New(t, variant, mc).RequireBesideRecovery(t)
-}
-
-// TwoRecordsRecover cuts the power right after a commit record in block
-// A was submitted while the previous commit's record in block B was
-// still valid: recovery replays both in sequence order. Run it without
-// barriers, as published; with them, a commit's slots queue behind the
-// running checkpoint's FLUSH, so its record never overlaps that
-// checkpoint's clear.
-func TwoRecordsRecover(t *testing.T, variant string, mc harness.MountConfig) {
-	New(t, variant, mc).RequireTwoRecordRecovery(t)
-}
-
 // OrderedData requires the data bypass's file data to be ordered data,
 // on a device whose data writes complete a millisecond late, so that
 // only the commit's own wait can keep the data ahead of the commit
@@ -115,15 +98,6 @@ func OrderedData(t *testing.T, variant string, mc harness.MountConfig) {
 		}
 		return r.M.FS().Sync(lag)
 	})
-}
-
-// LostDataNotForeign cuts the power right after the record of a commit
-// whose file data reuses an unlinked file's block, with the device's
-// write cache keeping the record and losing the data: the new file must
-// not show the old one's bytes after recovery. Run it with barriers and
-// the bypass on, where no FLUSH lies between the data and the record.
-func LostDataNotForeign(t *testing.T, variant string, mc harness.MountConfig) {
-	New(t, variant, mc).RequireLostDataNotForeign(t)
 }
 
 // CreateReportsFailedCommit requires a create and a mkdir whose commit

@@ -64,17 +64,6 @@ func TestBothRecordBlocksBusy(t *testing.T) {
 	}, journaltest.BothRecordBlocksBusy)
 }
 
-func TestBesideRecordRecovers(t *testing.T) {
-	journaltest.Run(t, everyConfig, journaltest.BesideRecordRecovers)
-}
-
-func TestTwoRecordsRecover(t *testing.T) {
-	journaltest.Run(t, []journaltest.Row{
-		onCKernel("xv6vfs", noBarriers), onExt4("ext4-nobarriers", noBarriers),
-		onCKernel("xv6vfs-bypass", bypass), onExt4("ext4-nobarriers-bypass", bypass),
-	}, journaltest.TwoRecordsRecover)
-}
-
 // TestOrderedData runs with the bypass on, which the row names leave
 // out.
 func TestOrderedData(t *testing.T) {
@@ -82,22 +71,6 @@ func TestOrderedData(t *testing.T) {
 		onCKernel("xv6vfs", bypass), onCKernel("xv6vfs-barriers", bothOn),
 		onExt4("ext4-nobarriers", bypass), onExt4("ext4", bothOn),
 	}, journaltest.OrderedData)
-}
-
-// TestLostDataNotForeign runs with barriers and the bypass on, which the
-// row names leave out.
-func TestLostDataNotForeign(t *testing.T) {
-	journaltest.Run(t, []journaltest.Row{
-		onCKernel("xv6vfs-barriers", bothOn), onExt4("ext4", bothOn),
-	}, journaltest.LostDataNotForeign)
-}
-
-// TestFreedBlockRecovers: on ext4's compound log with the data bypass
-// on, without barriers as published, a block the previous transaction
-// logged and the next one frees and reuses as file data holds that data
-// after a cut right after the next commit's record.
-func TestFreedBlockRecovers(t *testing.T) {
-	journaltest.New(t, harness.VariantExt4, harness.Published(harness.VariantExt4)).RequireFreedBlockRecovery(t)
 }
 
 // TestCompoundSyncWaitsForCommit: under ext4's compound policy task b's

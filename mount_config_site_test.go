@@ -2,12 +2,8 @@ package bento
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
 	"path"
-	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -52,33 +48,11 @@ var configExceptions = map[string]string{
 // check holds equal.) A second site is how the benchmarked, the
 // crash-tested and the unit-tested configurations drift apart unnoticed.
 func TestOneMountConfigSite(t *testing.T) {
-	fset := token.NewFileSet()
-	files, atSite := 0, 0
+	atSite := 0
 	excepted := map[string]bool{}
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		p = filepath.ToSlash(p)
-		if d.IsDir() {
-			if p == "benchmark" || (p != "." && strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") {
-			return nil
-		}
-		if strings.HasSuffix(p, "_test.go") {
-			if !slices.ContainsFunc(testedDirs, func(dir string) bool { return strings.HasPrefix(p, dir) }) {
-				return nil
-			}
-		} else {
-			files++
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
+	forEachFile(t, []string{"."}, testedDirs, 60, func(p string, fset *token.FileSet, f *ast.File) {
+		if strings.HasPrefix(p, "benchmark/") {
+			return
 		}
 		// isConfig reports whether a literal's type names one of the
 		// configs: qualified by an import, or bare inside its own package.
@@ -128,14 +102,7 @@ func TestOneMountConfigSite(t *testing.T) {
 				return true
 			})
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if files < 60 {
-		t.Fatalf("walked only %d files: run from the repository root", files)
-	}
 	for site, why := range configExceptions {
 		if !excepted[site] {
 			t.Errorf("%s is listed as building its own config (%s) but builds none: drop it from configExceptions", site, why)

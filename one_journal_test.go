@@ -2,11 +2,8 @@ package bento
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
 	"path"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -34,32 +31,15 @@ var logFormatCallers = map[string][]string{
 // algorithm would then have to edit twice.
 func TestOneJournal(t *testing.T) {
 	const layoutPkg = "bento/internal/xv6/layout"
-	fset := token.NewFileSet()
-	files := 0
 	calls := map[string]int{} // allowed calls per function
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		p = filepath.ToSlash(p)
-		if d.IsDir() {
-			if p != "." && strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
+	forEachFile(t, []string{"."}, nil, 60, func(p string, fset *token.FileSet, f *ast.File) {
 		dir := path.Dir(p)
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") || dir == "internal/xv6/layout" {
-			return nil
-		}
-		files++
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
+		if dir == "internal/xv6/layout" {
+			return
 		}
 		name := importName(f, layoutPkg)
 		if name == "" {
-			return nil
+			return
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -82,14 +62,7 @@ func TestOneJournal(t *testing.T) {
 				fset.Position(sel.Pos()), sel.Sel.Name, strings.Join(allowed, ", "))
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if files < 60 {
-		t.Fatalf("walked only %d files: run from the repository root", files)
-	}
 	for fn := range logFormatCallers {
 		if calls[fn] == 0 {
 			t.Errorf("found no call of layout.%s where it is allowed: is the guard looking in the right place?", fn)

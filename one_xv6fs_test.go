@@ -2,12 +2,8 @@ package bento
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
 	"path"
-	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -44,27 +40,11 @@ var onDiskMethods = map[string]bool{
 // then have to edit twice.
 func TestOneXv6FS(t *testing.T) {
 	const layoutPkg = "bento/internal/xv6/layout"
-	fset := token.NewFileSet()
-	files, calls := 0, 0
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		p = filepath.ToSlash(p)
-		if d.IsDir() {
-			if p != "." && strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
+	calls := 0
+	forEachFile(t, []string{"."}, nil, 60, func(p string, fset *token.FileSet, f *ast.File) {
 		dir := path.Dir(p)
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") || dir == "internal/xv6/layout" {
-			return nil
-		}
-		files++
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
+		if dir == "internal/xv6/layout" {
+			return
 		}
 		name := importName(f, layoutPkg)
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -86,14 +66,7 @@ func TestOneXv6FS(t *testing.T) {
 				fset.Position(sel.Pos()), sel.Sel.Name, xv6FSDir, xv6FSDir)
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if files < 60 {
-		t.Fatalf("walked only %d files: run from the repository root", files)
-	}
 	if calls == 0 {
 		t.Errorf("found no on-disk helper call in %s: is the guard looking in the right place?", xv6FSDir)
 	}
