@@ -45,3 +45,60 @@ func requireEqual(t *testing.T, first, second []Record) {
 		}
 	}
 }
+
+// TestFig2Deterministic runs the Figure 2 read experiment twice and
+// requires identical virtual-time results (ops, bytes, elapsed) for
+// every variant's cells, 32-thread ones included. The caches, the
+// background I/O daemon, and the worker scheduler are host-CPU
+// machinery: none of their bookkeeping may leak host nondeterminism
+// into the simulated clock.
+func TestFig2Deterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full experiment runs")
+	}
+	_, first := runExp(t, ExpFig2, determinismOpts())
+	_, second := runExp(t, ExpFig2, determinismOpts())
+	requireEqual(t, first, second)
+}
+
+// TestFig4Deterministic covers the write path's full matrix: the
+// rnd-32t cells drive 32 dirtiers against the shared flusher, dirty
+// budget, and device queues — the paths where host-order effects used
+// to hide.
+func TestFig4Deterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full experiment runs")
+	}
+	_, first := runExp(t, ExpFig4, determinismOpts())
+	_, second := runExp(t, ExpFig4, determinismOpts())
+	requireEqual(t, first, second)
+}
+
+// TestStreamDeterministic runs the streaming scenario twice and requires
+// byte-identical results. The single-stream cells exercise the whole
+// background pipeline — read-ahead fills, flusher passes, writer
+// throttling — and the multi-stream cell adds concurrent readers whose
+// read-ahead windows compete for device-queue slots under the scheduler.
+func TestStreamDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full experiment runs")
+	}
+	o := determinismOpts()
+	o.StreamMB = 20 // cold enough to exercise fills, cheap enough for two runs
+	_, first := runExp(t, ExpStream, o)
+	_, second := runExp(t, ExpStream, o)
+	requireEqual(t, first, second)
+}
+
+// TestTable4Deterministic does the same for the createfiles experiment,
+// which exercises the dirty-set and write-back paths; the 32-thread
+// cells interleave create+fsync traffic from every worker through the
+// shared log and device queues.
+func TestTable4Deterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full experiment runs")
+	}
+	_, first := runExp(t, ExpTable4, determinismOpts())
+	_, second := runExp(t, ExpTable4, determinismOpts())
+	requireEqual(t, first, second)
+}

@@ -116,18 +116,11 @@ func TestCellRunnerParallelMatchesSequential(t *testing.T) {
 
 // TestParallelMatrixByteIdentical runs the full quick-shaped matrix
 // (every experiment) twice, at -parallel=1 and -parallel=8, and requires
-// byte-identical JSON: the acceptance check for the parallel cell runner
-// and the tree's run-twice determinism check. Every cell, 32-thread ones
-// included, must replay bit for bit: Figure 2's reads through the caches
-// and the background I/O daemon, Figure 4's 32 dirtiers against the
-// shared flusher, dirty budget and device queues, the stream scenario's
-// read-ahead fills, flusher passes and competing readers, and Table 4's
-// create+fsync traffic through the shared log. None of that host-CPU
-// machinery may leak host nondeterminism into the simulated clock. The
-// same records pin the matrix's shape: their (experiment, variant, cell)
-// keys must be BENCH_baseline.json's, in order, so a refactor that
-// drops, renames or reorders a row fails here and not only in the CI
-// bench-regression job.
+// byte-identical JSON: the acceptance check for the parallel cell runner.
+// On a mismatch it names the differing cells. The same records pin the
+// matrix's shape: their (experiment, variant, cell) keys must be
+// BENCH_baseline.json's, in order, so a refactor that drops, renames or
+// reorders a row fails here and not only in the CI bench-regression job.
 func TestParallelMatrixByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full matrix runs")
